@@ -12,9 +12,14 @@
 
 from __future__ import annotations
 
+from repro.align.matrices import blosum62_scheme
 from repro.graph.unionfind import UnionFind
-from repro.pace.clustering import detect_components_serial, _overlap_passes
-from repro.pace.redundancy import find_redundant_serial
+from repro.pace.clustering import _overlap_passes
+from repro.runtime import SerialBackend
+from repro.runtime.phases import (
+    backend_component_detection,
+    backend_redundancy_removal,
+)
 from repro.suffix.matches import MaximalMatchFinder
 
 from workloads import print_banner, scaling_cache, scaling_subset, write_bench
@@ -26,9 +31,11 @@ def test_ablation_psi(benchmark):
 
     def sweep():
         rows = []
-        for psi in (8, 10, 14, 20):
-            rr = find_redundant_serial(sequences, psi=psi, cache=cache)
-            rows.append((psi, rr.n_promising_pairs, len(rr.redundant)))
+        backend = SerialBackend()
+        with backend.session(sequences, blosum62_scheme()):
+            for psi in (8, 10, 14, 20):
+                rr = backend_redundancy_removal(sequences, backend, cache, psi=psi)
+                rows.append((psi, rr.n_promising_pairs, len(rr.redundant)))
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -129,9 +136,11 @@ def test_ablation_ccd_reference_consistency(benchmark):
 
     def run():
         groups, _ = _clusters_with_order(sequences, cache, "decreasing", use_filter=True)
-        ccd = detect_components_serial(
-            sequences, list(range(len(sequences))), psi=10, cache=cache
-        )
+        backend = SerialBackend()
+        with backend.session(sequences, blosum62_scheme()):
+            ccd = backend_component_detection(
+                sequences, list(range(len(sequences))), backend, cache, psi=10
+            )
         return groups, ccd
 
     groups, ccd = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -10,8 +10,12 @@ We reproduce the same three-way accounting on the 40K analogue.
 
 from __future__ import annotations
 
-from repro.pace.clustering import detect_components_serial
-from repro.pace.redundancy import find_redundant_serial
+from repro.align.matrices import blosum62_scheme
+from repro.runtime import SerialBackend
+from repro.runtime.phases import (
+    backend_component_detection,
+    backend_redundancy_removal,
+)
 
 from workloads import print_banner, scaling_cache, scaling_subset, write_bench
 
@@ -19,8 +23,12 @@ from workloads import print_banner, scaling_cache, scaling_subset, write_bench
 def accounting():
     sequences = scaling_subset("40k")
     cache = scaling_cache()
-    rr = find_redundant_serial(sequences, psi=10, cache=cache)
-    ccd = detect_components_serial(sequences, rr.kept, psi=10, cache=cache)
+    backend = SerialBackend()
+    with backend.session(sequences, blosum62_scheme()):
+        rr = backend_redundancy_removal(sequences, backend, cache, psi=10)
+        ccd = backend_component_detection(
+            sequences, rr.kept, backend, cache, psi=10
+        )
     n = len(rr.kept)
     all_pairs = n * (n - 1) // 2
     return {

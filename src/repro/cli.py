@@ -226,12 +226,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _usage_error(str(exc))
     print(Table1Row.header())
     print(result.table1().formatted())
-    if result.runtime is not None:
-        print()
-        for line in result.runtime.summary_lines():
-            print(line)
-        for line in cache_stats_lines(result.runtime.cache):
-            print(line)
+    print()
+    for line in result.runtime.summary_lines():
+        print(line)
+    for line in cache_stats_lines(result.runtime.cache):
+        print(line)
     if args.output:
         families = result.family_ids(sequences)
         Path(args.output).write_text(

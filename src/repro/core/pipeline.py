@@ -2,13 +2,14 @@
 
 ``ProteinFamilyPipeline`` orchestrates redundancy removal, connected
 component detection, bipartite graph generation, and dense subgraph
-detection.  It can run fully serially (the reference), with the RR
-and CCD phases on one simulated cluster (the paper used BlueGene/L) and
-the DSD phase on another (the Linux cluster), returning simulated phase
-timings alongside the scientific results — or on a real execution
-backend (:mod:`repro.runtime`) that distributes alignment and Shingle
-work across host cores and reports *measured* wall-clock timings.  The
-scientific results are identical in every mode.
+detection.  Every run executes on an execution backend
+(:mod:`repro.runtime`; the in-process serial backend unless another is
+named) and reports *measured* wall-clock timings.  Phases for which a
+simulated cluster is given — RR, CCD and bipartite generation on one
+(the paper used BlueGene/L), the DSD phase on another (the Linux
+cluster) — run through the simulator instead and return simulated phase
+timings alongside the scientific results, which are identical in every
+mode.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
 from repro.core.config import PipelineConfig
 from repro.eval.report import Table1Row, table1_row
@@ -28,26 +30,13 @@ from repro.obs import (
 )
 from repro.pace.bipartite_gen import (
     ComponentGraphs,
-    generate_component_graphs,
     parallel_generate_component_graphs,
 )
 from repro.pace.cache import AlignmentCache
-from repro.pace.clustering import (
-    ClusteringResult,
-    detect_components_serial,
-    parallel_component_detection,
-)
+from repro.pace.clustering import ClusteringResult, parallel_component_detection
 from repro.pace.costs import CostModel
-from repro.pace.densesub import (
-    DsdResult,
-    detect_dense_subgraphs_serial,
-    parallel_dense_subgraph_detection,
-)
-from repro.pace.redundancy import (
-    RedundancyResult,
-    find_redundant_serial,
-    parallel_redundancy_removal,
-)
+from repro.pace.densesub import DsdResult, parallel_dense_subgraph_detection
+from repro.pace.redundancy import RedundancyResult, parallel_redundancy_removal
 from repro.parallel.simulator import VirtualCluster
 from repro.runtime import Backend, RuntimeStats, make_backend
 from repro.runtime.phases import (
@@ -61,7 +50,8 @@ from repro.sequence.record import SequenceSet
 
 @dataclass
 class PhaseTimings:
-    """Simulated seconds per phase (zero when run serially)."""
+    """Simulated seconds per phase (zero for a phase that was not
+    simulated); the fields are named after the phases."""
 
     redundancy: float = 0.0
     clustering: float = 0.0
@@ -95,7 +85,7 @@ class PipelineResult:
     dense: DsdResult
     timings: PhaseTimings = field(default_factory=PhaseTimings)
     runtime: RuntimeStats | None = None
-    """Measured wall-clock stats when run on an execution backend."""
+    """Measured wall-clock stats of the execution backend the run used."""
     obs: Recorder | None = None
     """The run's observability recorder: phase/task spans, scientific and
     work counters, and (in simulated mode) the virtual-time timeline.
@@ -127,7 +117,7 @@ class ProteinFamilyPipeline:
     """End-to-end pipeline runner.
 
     >>> pipeline = ProteinFamilyPipeline(PipelineConfig())
-    >>> result = pipeline.run(sequences)                 # serial
+    >>> result = pipeline.run(sequences)                 # serial backend
     >>> result = pipeline.run(sequences, cluster=c512)   # simulated parallel
     >>> result = pipeline.run(sequences, backend="process", workers=4)
     """
@@ -198,20 +188,20 @@ class ProteinFamilyPipeline:
     ) -> PipelineResult:
         """Run all four phases.
 
-        ``cluster`` (if given) simulates the RR and CCD phases on that
-        machine; ``dsd_cluster`` does the same for the dense-subgraph
-        phase.  Passing neither runs the serial reference.  ``cache``
-        may be shared across runs on the same sequence set to avoid
-        recomputing identical alignments (host-side only; simulated
-        costs are unaffected).
+        ``backend`` selects the execution backend ("serial", "process",
+        or a :class:`~repro.runtime.Backend` instance; default:
+        ``config.backend``) that carries the alignment and Shingle work
+        and records measured wall-clock stats in ``result.runtime``.
 
-        ``backend`` selects a real execution backend ("serial",
-        "process", or a :class:`~repro.runtime.Backend` instance;
-        default: ``config.backend``) that distributes the work across
-        host cores and records measured wall-clock stats in
-        ``result.runtime``.  Backends and simulated clusters are
-        mutually exclusive, and every mode returns identical
-        ``families``/Table I output.
+        ``cluster`` (if given) simulates the RR, CCD and B_d generation
+        phases on that machine instead; ``dsd_cluster`` does the same
+        for the dense-subgraph phase; their virtual seconds land in
+        ``result.timings``.  A simulated cluster cannot be combined with
+        a *named* backend (phases without a cluster run in-process), and
+        every mode returns identical ``families``/Table I output.
+        ``cache`` may be shared across runs on the same sequence set to
+        avoid recomputing identical alignments (host-side only;
+        simulated costs are unaffected).
 
         Every run records spans and counters into a
         :class:`repro.obs.Recorder` (pass ``recorder`` to supply your
@@ -227,74 +217,53 @@ class ProteinFamilyPipeline:
         ``<run_dir>/checkpoint.jsonl`` (crash-consistent, CRC-framed;
         see :mod:`repro.core.checkpoint`); ``resume=True`` reopens that
         journal, skips phases it records as done, and replays CCD from
-        the last checkpointed union.  Both require an execution
-        backend (the default serial reference included via
-        ``backend="serial"``) — checkpointing the simulator's virtual
-        timeline is not supported.
+        the last checkpointed union.  Checkpointing the simulator's
+        virtual timeline is not supported.
         """
         config = self.config
-        resolved = backend
-        if resolved is None and config.backend != "serial":
-            resolved = config.backend
-        if resolved is None and (run_dir is not None or resume):
-            if cluster is not None or dsd_cluster is not None:
-                raise ValueError(
-                    "checkpointing (run_dir/resume) requires an execution "
-                    "backend, not a simulated cluster"
-                )
-            resolved = config.backend
+        simulated = cluster is not None or dsd_cluster is not None
+        if backend is None and config.backend != "serial":
+            backend = config.backend
+        if simulated and backend is not None:
+            raise ValueError(
+                "a simulated cluster and an execution backend are "
+                "mutually exclusive; pass one or the other"
+            )
+        if simulated and (run_dir is not None or resume):
+            raise ValueError(
+                "checkpointing (run_dir/resume) requires an execution "
+                "backend, not a simulated cluster"
+            )
         if workers is None and config.workers:
             workers = config.workers
         if cache is None:  # explicit None test: an empty cache is falsy
             cache = self._make_cache(sequences)
         real_backend = make_backend(
-            resolved,
+            "serial" if backend is None else backend,
             workers,
             fault_plan=config.fault_plan,
             task_deadline=config.task_deadline,
             respawn_budget=config.respawn_budget,
         )
-        if real_backend is not None:
-            if cluster is not None or dsd_cluster is not None:
-                raise ValueError(
-                    "a simulated cluster and an execution backend are "
-                    "mutually exclusive; pass one or the other"
-                )
-            journal = self._open_journal(sequences, run_dir, resume)
-            if recorder is None:
-                recorder = Recorder(meta=self._run_meta(
-                    sequences,
-                    mode=real_backend.name,
-                    workers=real_backend.workers,
-                ))
-            try:
-                with self._observing(recorder, observe, telemetry_dir,
-                                     telemetry_interval, cache, real_backend):
-                    result = self._run_on_backend(
-                        sequences, real_backend, cache, recorder,
-                        journal=journal,
-                    )
-            finally:
-                if journal is not None:
-                    journal.close()
-            result.obs = recorder if observe else None
-            return result
-        simulated = cluster is not None or dsd_cluster is not None
+        journal = self._open_journal(sequences, run_dir, resume)
         if recorder is None:
-            ranks = max(
-                cluster.n_ranks if cluster is not None else 1,
-                dsd_cluster.n_ranks if dsd_cluster is not None else 1,
-            )
             recorder = Recorder(meta=self._run_meta(
                 sequences,
-                mode="simulated" if simulated else "serial",
-                workers=ranks if simulated else 1,
+                mode="simulated" if simulated else real_backend.name,
+                workers=max(
+                    c.n_ranks for c in (cluster, dsd_cluster) if c is not None
+                ) if simulated else real_backend.workers,
             ))
-        with self._observing(recorder, observe, telemetry_dir,
-                             telemetry_interval, cache):
-            result = self._run_serial_or_simulated(
-                sequences, cluster, dsd_cluster, cache, cost_model, recorder
-            )
+        try:
+            with self._observing(recorder, observe, telemetry_dir,
+                                 telemetry_interval, cache, real_backend):
+                result = self._run_phases(
+                    sequences, real_backend, cache, recorder, journal,
+                    cluster, dsd_cluster, cost_model,
+                )
+        finally:
+            if journal is not None:
+                journal.close()
         result.obs = recorder if observe else None
         return result
 
@@ -306,7 +275,7 @@ class ProteinFamilyPipeline:
         telemetry_dir: str | Path | None,
         telemetry_interval: float,
         cache: AlignmentCache,
-        backend: Backend | None = None,
+        backend: Backend,
     ):
         """Install the ambient recorder — and, when ``telemetry_dir`` is
         given, the sampling thread — around one run.  A run that raises
@@ -323,176 +292,24 @@ class ProteinFamilyPipeline:
                 recorder,
                 telemetry_dir,
                 interval=telemetry_interval,
-                probes={"cache": cache.stats},
+                probes={"cache": cache.stats,
+                        "runtime": backend.telemetry_probe},
             )
-            if backend is not None:
-                sampler.add_probe("runtime", backend.telemetry_probe)
             with sampler:
                 yield
 
-    def _run_serial_or_simulated(
-        self,
-        sequences: SequenceSet,
-        cluster: VirtualCluster | None,
-        dsd_cluster: VirtualCluster | None,
-        cache: AlignmentCache | None,
-        cost_model: CostModel | None,
-        recorder: Recorder,
-    ) -> PipelineResult:
-        config = self.config
-        if cache is None:  # explicit None test: an empty cache is falsy
-            cache = self._make_cache(sequences)
-        timings = PhaseTimings()
-        # Simulated phases are stacked end-to-end on the virtual-time
-        # track, mirroring the paper's sequential phase execution.
-        sim_offset = 0.0
-
-        # Phase 1: redundancy removal.
-        cache.set_phase("redundancy")
-        with recorder.span("redundancy", cat="phase"):
-            if cluster is not None:
-                rr = parallel_redundancy_removal(
-                    sequences,
-                    cluster,
-                    psi=config.psi,
-                    similarity=config.containment_similarity,
-                    coverage=config.containment_coverage,
-                    scheme=config.scheme,
-                    cache=cache,
-                    cost_model=cost_model,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                )
-                timings.redundancy = rr.sim.elapsed
-            else:
-                rr = find_redundant_serial(
-                    sequences,
-                    psi=config.psi,
-                    similarity=config.containment_similarity,
-                    coverage=config.containment_coverage,
-                    scheme=config.scheme,
-                    cache=cache,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                )
-        if rr.sim is not None:
-            sim_offset = record_simulation(
-                recorder, rr.sim, "redundancy", offset=sim_offset
-            )
-
-        # Phase 2: connected component detection.
-        cache.set_phase("clustering")
-        with recorder.span("clustering", cat="phase"):
-            if cluster is not None:
-                ccd = parallel_component_detection(
-                    sequences,
-                    rr.kept,
-                    cluster,
-                    psi=config.psi,
-                    similarity=config.overlap_similarity,
-                    coverage=config.overlap_coverage,
-                    scheme=config.scheme,
-                    cache=cache,
-                    cost_model=cost_model,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                )
-                timings.clustering = ccd.sim.elapsed
-            else:
-                ccd = detect_components_serial(
-                    sequences,
-                    rr.kept,
-                    psi=config.psi,
-                    similarity=config.overlap_similarity,
-                    coverage=config.overlap_coverage,
-                    scheme=config.scheme,
-                    cache=cache,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                )
-        if ccd.sim is not None:
-            sim_offset = record_simulation(
-                recorder, ccd.sim, "clustering", offset=sim_offset
-            )
-
-        # Phase 3: bipartite graph generation (per component).
-        qualifying = ccd.components_of_size(config.min_component_size)
-        cache.set_phase("bipartite")
-        with recorder.span("bipartite", cat="phase"):
-            if cluster is not None and config.reduction == "global":
-                graphs = parallel_generate_component_graphs(
-                    sequences,
-                    qualifying,
-                    cluster,
-                    psi=config.psi,
-                    edge_similarity=config.edge_similarity,
-                    edge_coverage=config.edge_coverage,
-                    min_size=config.min_component_size,
-                    scheme=config.scheme,
-                    cache=cache,
-                    cost_model=cost_model,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                )
-                timings.bipartite = graphs.sim.elapsed
-            else:
-                graphs = generate_component_graphs(
-                    sequences,
-                    qualifying,
-                    reduction=config.reduction,
-                    psi=config.psi,
-                    edge_similarity=config.edge_similarity,
-                    edge_coverage=config.edge_coverage,
-                    w=config.w,
-                    min_size=config.min_component_size,
-                    scheme=config.scheme,
-                    cache=cache,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                )
-        if graphs.sim is not None:
-            sim_offset = record_simulation(
-                recorder, graphs.sim, "bipartite", offset=sim_offset
-            )
-
-        # Phase 4: dense subgraph detection.
-        with recorder.span("dense_subgraphs", cat="phase"):
-            if dsd_cluster is not None:
-                dense = parallel_dense_subgraph_detection(
-                    graphs,
-                    dsd_cluster,
-                    params=config.shingle,
-                    min_size=config.min_subgraph_size,
-                    tau=config.tau,
-                    cost_model=cost_model,
-                )
-                timings.dense_subgraphs = dense.sim.elapsed
-            else:
-                dense = detect_dense_subgraphs_serial(
-                    graphs,
-                    params=config.shingle,
-                    min_size=config.min_subgraph_size,
-                    tau=config.tau,
-                )
-        if dense.sim is not None:
-            sim_offset = record_simulation(
-                recorder, dense.sim, "dense_subgraphs", offset=sim_offset
-            )
-
-        cache.record_observations(recorder)
-        return PipelineResult(
-            config=config,
-            n_input=len(sequences),
-            redundancy=rr,
-            clustering=ccd,
-            graphs=graphs,
-            dense=dense,
-            timings=timings,
-        )
-
-    def _run_on_backend(
+    def _run_phases(
         self,
         sequences: SequenceSet,
         backend: Backend,
-        cache: AlignmentCache | None,
+        cache: AlignmentCache,
         recorder: Recorder,
-        journal=None,
+        journal,
+        cluster: VirtualCluster | None,
+        dsd_cluster: VirtualCluster | None,
+        cost_model: CostModel | None,
     ) -> PipelineResult:
-        """Run all four phases on a real execution backend.
+        """Sequence the four phases inside one backend session.
 
         With a checkpoint ``journal``: each phase is bracketed by
         ``phase_start``/``phase_done`` records, and on resume a phase
@@ -505,100 +322,108 @@ class ProteinFamilyPipeline:
         from repro.core import checkpoint as ckpt
 
         config = self.config
-        if cache is None:  # explicit None test: an empty cache is falsy
-            cache = self._make_cache(sequences)
         state = journal.resume_state if journal is not None else None
+        timings = PhaseTimings()
+        # Simulated phases are stacked end-to-end on the virtual-time
+        # track, mirroring the paper's sequential phase execution.
+        sim_offset = 0.0
 
-        def skip(phase: str) -> bool:
-            if state is None or not state.has(phase):
-                return False
-            recorder.count("checkpoint.phases_skipped")
-            return True
+        def phase(
+            name: str,
+            simulate_on: VirtualCluster | None,
+            on_backend: Callable[[], Any],
+            on_cluster: Callable[[], Any],
+            save: Callable[[Any], dict | None],
+            restore: Callable[[dict], Any],
+        ) -> Any:
+            """One phase: restored from the journal if it is done there,
+            else simulated when a cluster was given for it, else run on
+            the backend."""
+            nonlocal sim_offset
+            if state is not None and state.has(name):
+                recorder.count("checkpoint.phases_skipped")
+                return restore(state.payload(name))
+            if journal is not None:
+                journal.phase_start(name)
+            cache.set_phase(name)
+            if simulate_on is None:
+                result = on_backend()
+            else:
+                with backend.phase(name):
+                    result = on_cluster()
+                setattr(timings, name, result.sim.elapsed)
+                sim_offset = record_simulation(
+                    recorder, result.sim, name, offset=sim_offset
+                )
+            if journal is not None:
+                payload = save(result)
+                if payload is not None:
+                    journal.phase_done(name, payload)
+            return result
+
+        simulation = {"scheme": config.scheme, "cache": cache,
+                      "cost_model": cost_model}
+        pairs = {"psi": config.psi,
+                 "max_pairs_per_node": config.max_pairs_per_node}
+        containment = {"similarity": config.containment_similarity,
+                       "coverage": config.containment_coverage, **pairs}
+        overlap = {"similarity": config.overlap_similarity,
+                   "coverage": config.overlap_coverage, **pairs}
+        edges = {"edge_similarity": config.edge_similarity,
+                 "edge_coverage": config.edge_coverage,
+                 "min_size": config.min_component_size, **pairs}
+        shingle = {"params": config.shingle, "tau": config.tau,
+                   "min_size": config.min_subgraph_size}
 
         with backend.session(sequences, config.scheme):
-            if skip("redundancy"):
-                rr = ckpt.redundancy_from_payload(
-                    state.payload("redundancy"), len(sequences)
-                )
-            else:
-                if journal is not None:
-                    journal.phase_start("redundancy")
-                cache.set_phase("redundancy")
-                rr = backend_redundancy_removal(
-                    sequences,
-                    backend,
-                    cache,
-                    psi=config.psi,
-                    similarity=config.containment_similarity,
-                    coverage=config.containment_coverage,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                )
-                if journal is not None:
-                    journal.phase_done("redundancy",
-                                       ckpt.redundancy_payload(rr))
-            if skip("clustering"):
-                ccd = ckpt.clustering_from_payload(state.payload("clustering"))
-            else:
-                if journal is not None:
-                    journal.phase_start("clustering")
-                cache.set_phase("clustering")
-                ccd = backend_component_detection(
-                    sequences,
-                    rr.kept,
-                    backend,
-                    cache,
-                    psi=config.psi,
-                    similarity=config.overlap_similarity,
-                    coverage=config.overlap_coverage,
-                    max_pairs_per_node=config.max_pairs_per_node,
+            rr = phase(
+                "redundancy",
+                cluster,
+                lambda: backend_redundancy_removal(
+                    sequences, backend, cache, **containment),
+                lambda: parallel_redundancy_removal(
+                    sequences, cluster, **containment, **simulation),
+                ckpt.redundancy_payload,
+                lambda data: ckpt.redundancy_from_payload(data, len(sequences)),
+            )
+            ccd = phase(
+                "clustering",
+                cluster,
+                lambda: backend_component_detection(
+                    sequences, rr.kept, backend, cache, **overlap,
                     journal=journal,
                     replay_unions=state.ccd_unions if state is not None else None,
-                )
-                if journal is not None:
-                    journal.phase_done("clustering",
-                                       ckpt.clustering_payload(ccd))
-            if skip("bipartite"):
-                graphs = ckpt.bipartite_from_payload(state.payload("bipartite"))
-            else:
-                if journal is not None:
-                    journal.phase_start("bipartite")
-                cache.set_phase("bipartite")
-                graphs = backend_generate_component_graphs(
-                    sequences,
-                    ccd.components_of_size(config.min_component_size),
-                    backend,
-                    cache,
-                    reduction=config.reduction,
-                    psi=config.psi,
-                    edge_similarity=config.edge_similarity,
-                    edge_coverage=config.edge_coverage,
-                    w=config.w,
-                    min_size=config.min_component_size,
-                    max_pairs_per_node=config.max_pairs_per_node,
-                )
-                if journal is not None:
-                    # None for the domain reduction: alignment-free,
-                    # cheaper to recompute on resume than to serialise.
-                    payload = ckpt.bipartite_payload(graphs)
-                    if payload is not None:
-                        journal.phase_done("bipartite", payload)
-            if skip("dense_subgraphs"):
-                dense = ckpt.dense_from_payload(
-                    state.payload("dense_subgraphs")
-                )
-            else:
-                if journal is not None:
-                    journal.phase_start("dense_subgraphs")
-                dense = backend_dense_subgraph_detection(
-                    graphs,
-                    backend,
-                    params=config.shingle,
-                    min_size=config.min_subgraph_size,
-                    tau=config.tau,
-                )
-                if journal is not None:
-                    journal.phase_done("dense_subgraphs",
-                                       ckpt.dense_payload(dense))
+                ),
+                lambda: parallel_component_detection(
+                    sequences, rr.kept, cluster, **overlap, **simulation),
+                ckpt.clustering_payload,
+                ckpt.clustering_from_payload,
+            )
+            qualifying = ccd.components_of_size(config.min_component_size)
+            graphs = phase(
+                "bipartite",
+                # B_m is alignment-free: nothing to distribute.
+                cluster if config.reduction == "global" else None,
+                lambda: backend_generate_component_graphs(
+                    sequences, qualifying, backend, cache,
+                    reduction=config.reduction, w=config.w, **edges),
+                lambda: parallel_generate_component_graphs(
+                    sequences, qualifying, cluster, **edges, **simulation),
+                # None for the domain reduction: cheaper to recompute on
+                # resume than to serialise.
+                ckpt.bipartite_payload,
+                ckpt.bipartite_from_payload,
+            )
+            dense = phase(
+                "dense_subgraphs",
+                dsd_cluster,
+                lambda: backend_dense_subgraph_detection(
+                    graphs, backend, **shingle),
+                lambda: parallel_dense_subgraph_detection(
+                    graphs, dsd_cluster, cost_model=cost_model, **shingle),
+                ckpt.dense_payload,
+                ckpt.dense_from_payload,
+            )
         backend.stats.cache = cache.stats()
         cache.record_observations(recorder)
         return PipelineResult(
@@ -608,6 +433,6 @@ class ProteinFamilyPipeline:
             clustering=ccd,
             graphs=graphs,
             dense=dense,
-            timings=PhaseTimings(),
+            timings=timings,
             runtime=backend.stats,
         )

@@ -3,9 +3,9 @@
 The pipeline's performance claims (the paper's Table II master
 bottleneck, the >99.9% transitive-closure kill rate, the Figure 6
 scaling curves) are claims about internal counters and per-phase
-timelines.  This package gives every execution mode — serial reference,
-:mod:`repro.runtime` backends, :mod:`repro.parallel` simulator — the
-same instruments:
+timelines.  This package gives every execution mode — the
+:mod:`repro.runtime` backends (the serial reference among them) and the
+:mod:`repro.parallel` simulator — the same instruments:
 
 * :class:`Recorder` collects :class:`Span`/:class:`Event` timelines and
   named counters; library code reports through the ambient helpers

@@ -4,8 +4,8 @@ Every counter the pipeline emits is declared here with its phase and a
 one-line meaning.  The ``scientific`` flag is the heart of the
 contract: a scientific counter describes *what the algorithm decided*
 (pairs examined, clusters merged, shingles drawn) and must be
-bit-identical across the serial reference, both execution backends,
-and the simulator on the same input — the counter analogue of the
+bit-identical across both execution backends (the serial one is the
+reference) and the simulator on the same input — the counter analogue of the
 result-invariance guarantee.  Non-scientific ("work") counters
 describe *how the work got done* (pairs killed by the lagging
 transitive-closure filter, cache hits, batch counts) and legitimately

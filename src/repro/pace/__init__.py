@@ -1,51 +1,55 @@
-"""PaCE-style parallel phases of the pipeline.
+"""PaCE-style phases of the pipeline: master-side state and simulation.
 
-Each phase exists in two equivalent forms: a *serial* pure function (the
-reference semantics, used by tests and small runs) and a *parallel*
-driver that executes the same decisions through the master-worker
-protocol on a :class:`repro.parallel.VirtualCluster`, yielding simulated
-run-times.  A key design invariant, verified by tests: the parallel
-drivers produce byte-identical scientific results for every processor
-count, because the master's transitive-closure filter only skips pairs
-whose outcome cannot affect connectivity.
+Each phase is stated once, as the state its *master* owns — pair source,
+admission filter with its counters, verdict sink, result construction
+(:class:`RedundancyMaster`, :class:`ClusteringMaster`,
+:class:`BipartiteMaster`; DSD has no cross-component state, only
+:func:`~repro.pace.densesub.shingle_component` mapped over components).
+Two kinds of driver feed that state: :mod:`repro.runtime.phases` executes
+the admitted work on a real backend (the serial backend is the
+reference), and the ``parallel_*`` drivers here run the same decisions
+through the master-worker protocol on a
+:class:`repro.parallel.VirtualCluster`, yielding simulated run-times.  A
+key design invariant, verified by tests: every driver produces
+byte-identical scientific results at every worker or processor count,
+because the master's transitive-closure filter only skips pairs whose
+outcome cannot affect connectivity.
 """
 
 from repro.pace.cache import AlignmentCache
 from repro.pace.costs import CostModel
 from repro.pace.redundancy import (
+    RedundancyMaster,
     RedundancyResult,
-    find_redundant_serial,
     parallel_redundancy_removal,
 )
 from repro.pace.clustering import (
+    ClusteringMaster,
     ClusteringResult,
-    detect_components_serial,
     parallel_component_detection,
 )
 from repro.pace.bipartite_gen import (
+    BipartiteMaster,
     ComponentGraphs,
-    generate_component_graphs,
     parallel_generate_component_graphs,
 )
 from repro.pace.densesub import (
     DsdResult,
-    detect_dense_subgraphs_serial,
     parallel_dense_subgraph_detection,
 )
 
 __all__ = [
     "AlignmentCache",
     "CostModel",
+    "RedundancyMaster",
     "RedundancyResult",
-    "find_redundant_serial",
     "parallel_redundancy_removal",
+    "ClusteringMaster",
     "ClusteringResult",
-    "detect_components_serial",
     "parallel_component_detection",
+    "BipartiteMaster",
     "ComponentGraphs",
-    "generate_component_graphs",
     "parallel_generate_component_graphs",
     "DsdResult",
-    "detect_dense_subgraphs_serial",
     "parallel_dense_subgraph_detection",
 ]

@@ -11,25 +11,22 @@ longer sequence) and successes merge clusters.
 Result invariance: the final clustering equals the connected components
 of the graph {promising pairs that pass the overlap test}.  A filtered
 pair is by construction already intra-component, so *which* pairs get
-filtered (a function of message timing) never changes the output — the
-serial reference and every processor count produce identical clusters.
+filtered (a function of message timing) never changes the output — every
+backend and every processor count produce identical clusters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro import obs
 from repro.align.matrices import ScoringScheme, blosum62_scheme
 from repro.align.predicates import OVERLAP_COVERAGE, OVERLAP_SIMILARITY
 from repro.graph.unionfind import UnionFind
 from repro.pace.cache import AlignmentCache
-from repro.pace.costs import CostModel
+from repro.pace.costs import CostModel, bucket_generation
 from repro.parallel.masterworker import MasterWorkerConfig, run_master_worker
-from repro.parallel.partition import balance_items
 from repro.parallel.simulator import SimulationResult, VirtualCluster
 from repro.sequence.record import SequenceSet
 from repro.suffix.matches import MaximalMatchFinder
@@ -69,86 +66,91 @@ def _overlap_passes(
     return span / longer >= coverage
 
 
-def _observe_clustering(uf: UnionFind, components: list[list[int]]) -> None:
-    """Record the CCD phase's scientific counters (all drivers funnel
-    here so the counts are defined once)."""
-    obs.count("ccd.merges", uf.merge_count)
-    obs.count("ccd.components", len(components))
-    obs.gauge("ccd.components_now", len(components))
+class ClusteringMaster:
+    """Master-side state of the CCD phase, stated once for every executor.
 
-
-def _components_from_uf(kept: Sequence[int], uf: UnionFind) -> list[list[int]]:
-    """Translate local union-find groups back to global indices."""
-    groups: dict[int, list[int]] = {}
-    for local, global_idx in enumerate(kept):
-        groups.setdefault(uf.find(local), []).append(global_idx)
-    out = [sorted(members) for members in groups.values()]
-    out.sort(key=lambda c: (-len(c), c[0]))
-    return out
-
-
-def detect_components_serial(
-    sequences: SequenceSet,
-    kept: Sequence[int],
-    *,
-    psi: int = 10,
-    similarity: float = OVERLAP_SIMILARITY,
-    coverage: float = OVERLAP_COVERAGE,
-    scheme: ScoringScheme | None = None,
-    cache: AlignmentCache | None = None,
-    max_pairs_per_node: int | None = None,
-) -> ClusteringResult:
-    """Reference serial implementation of the CCD phase.
-
-    ``kept`` is the non-redundant index list from the RR phase; indices
-    in the result are global (into ``sequences``).
+    Owns the pair source (``finder``, over the *kept* sequences, so its
+    pairs are local indices into ``kept``), the transitive-closure
+    admission filter with its counters, the union–find the verdicts
+    merge into, and the result construction.
+    :func:`repro.runtime.phases.backend_component_detection` streams the
+    admitted pairs through an execution backend;
+    :func:`parallel_component_detection` plugs the same methods into the
+    simulated master rank as its callbacks.
     """
-    if scheme is None:
-        scheme = blosum62_scheme()
-    encoded_all = [record.encoded for record in sequences]
-    if cache is None:  # explicit None test: an empty cache is falsy
-        cache = AlignmentCache(lambda k: encoded_all[k], scheme)
-    local_encoded = [encoded_all[g] for g in kept]
-    finder = MaximalMatchFinder(
-        local_encoded, min_length=psi, max_pairs_per_node=max_pairs_per_node
-    )
-    uf = UnionFind(len(kept))
-    tested: set[tuple[int, int]] = set()
-    n_pairs = 0
-    n_filtered = 0
-    n_aligned = 0
-    for match in finder.matches():
-        n_pairs += 1
+
+    def __init__(
+        self,
+        sequences: SequenceSet,
+        kept: Sequence[int],
+        *,
+        psi: int,
+        similarity: float,
+        coverage: float,
+        max_pairs_per_node: int | None = None,
+    ):
+        self.encoded = [record.encoded for record in sequences]
+        self.kept = kept
+        self.finder = MaximalMatchFinder(
+            [self.encoded[g] for g in kept],
+            min_length=psi,
+            max_pairs_per_node=max_pairs_per_node,
+        )
+        self.similarity = similarity
+        self.coverage = coverage
+        self.uf = UnionFind(len(kept))
+        self.n_pairs = 0
+        self._tested: set[tuple[int, int]] = set()
+
+    def admit(self, pair: tuple[int, int]) -> bool:
+        """The transitive-closure filter: drop a streamed pair whose
+        endpoints are already co-clustered (or that was aligned before).
+        Every admitted pair is aligned, so ``ccd.alignments`` is bumped
+        here too."""
+        self.n_pairs += 1
         obs.count("ccd.pairs")
-        pair = match.pair
-        if pair in tested or uf.same(pair[0], pair[1]):
-            n_filtered += 1
+        if pair in self._tested or self.uf.same(pair[0], pair[1]):
             obs.count("ccd.filtered")
-            continue
-        tested.add(pair)
-        gi, gj = kept[pair[0]], kept[pair[1]]
-        aln = cache.local(gi, gj)
-        n_aligned += 1
+            return False
+        self._tested.add(pair)
         obs.count("ccd.alignments")
-        if _overlap_passes(
+        return True
+
+    def overlaps(self, gi: int, gj: int, aln) -> bool:
+        """Definition 2 on the local alignment of global pair (gi, gj)."""
+        return _overlap_passes(
             aln,
-            len(encoded_all[gi]),
-            len(encoded_all[gj]),
-            similarity,
-            coverage,
-        ):
-            uf.union(pair[0], pair[1])
-            obs.gauge("ccd.components_now", len(kept) - uf.merge_count)
-    components = _components_from_uf(kept, uf)
-    _observe_clustering(uf, components)
-    return ClusteringResult(
-        components=components,
-        n_promising_pairs=n_pairs,
-        n_filtered=n_filtered,
-        n_alignments=n_aligned,
-        n_merges=uf.merge_count,
-        sim=None,
-    )
+            len(self.encoded[gi]),
+            len(self.encoded[gj]),
+            self.similarity,
+            self.coverage,
+        )
+
+    def union(self, pair: tuple[int, int]) -> bool:
+        """Merge the clusters of a pair that passed; True when they were
+        distinct until now."""
+        merged = self.uf.union(pair[0], pair[1])
+        obs.gauge("ccd.components_now", len(self.kept) - self.uf.merge_count)
+        return merged
+
+    def result(self, sim: SimulationResult | None = None) -> ClusteringResult:
+        # Translate local union-find groups back to global indices.
+        groups: dict[int, list[int]] = {}
+        for local, global_idx in enumerate(self.kept):
+            groups.setdefault(self.uf.find(local), []).append(global_idx)
+        components = [sorted(members) for members in groups.values()]
+        components.sort(key=lambda c: (-len(c), c[0]))
+        obs.count("ccd.merges", self.uf.merge_count)
+        obs.count("ccd.components", len(components))
+        obs.gauge("ccd.components_now", len(components))
+        return ClusteringResult(
+            components=components,
+            n_promising_pairs=self.n_pairs,
+            n_filtered=self.n_pairs - len(self._tested),
+            n_alignments=len(self._tested),
+            n_merges=self.uf.merge_count,
+            sim=sim,
+        )
 
 
 def parallel_component_detection(
@@ -170,88 +172,42 @@ def parallel_component_detection(
     Workers stream bucket-local promising pairs longest-first; the
     master union-find filters and dynamically redistributes surviving
     alignments.  The aggressive filter starves workers at high p — the
-    paper's Table II scaling collapse — while leaving the scientific
-    output identical to :func:`detect_components_serial`.
+    paper's Table II scaling collapse — while leaving the components
+    identical at every processor count.
     """
-    if scheme is None:
-        scheme = blosum62_scheme()
     costs = CostModel() if cost_model is None else cost_model
-    encoded_all = [record.encoded for record in sequences]
-    if cache is None:  # explicit None test: an empty cache is falsy
-        cache = AlignmentCache(lambda k: encoded_all[k], scheme)
-    local_encoded = [encoded_all[g] for g in kept]
-    finder = MaximalMatchFinder(
-        local_encoded, min_length=psi, max_pairs_per_node=max_pairs_per_node
+    master = ClusteringMaster(
+        sequences,
+        kept,
+        psi=psi,
+        similarity=similarity,
+        coverage=coverage,
+        max_pairs_per_node=max_pairs_per_node,
     )
-
-    n_workers = max(cluster.n_ranks - 1, 1)
-    symbols = finder.bucket_symbols()
-    sizes = finder.bucket_sizes()
-    assignment = balance_items([sizes[s] for s in symbols], n_workers)
-    worker_symbols: list[set[int]] = [
-        {symbols[i] for i in bucket} for bucket in assignment
-    ]
-
-    total_symbols = int(finder.gsa.text.size)
-
-    def setup_cost(worker_index: int, n_w: int) -> float:
-        # O(n*l/p) distributed-GST construction share per worker.
-        return costs.index_symbol * total_symbols / n_w
-
-    def make_generator(worker_index: int, n_w: int) -> Iterator[tuple[tuple[int, int], float]]:
-        for match in finder.matches_for_symbols(worker_symbols[worker_index]):
-            yield (match.pair, costs.generate_pair)
-
-    uf = UnionFind(len(kept))
-    tested: set[tuple[int, int]] = set()
-    counters = {"pairs": 0, "filtered": 0}
-
-    def filter_item(pair: tuple[int, int]):
-        counters["pairs"] += 1
-        obs.count("ccd.pairs")
-        if pair in tested or uf.same(pair[0], pair[1]):
-            counters["filtered"] += 1
-            obs.count("ccd.filtered")
-            return None
-        tested.add(pair)
-        return pair
+    encoded = master.encoded
+    if cache is None:  # explicit None test: an empty cache is falsy
+        cache = AlignmentCache(
+            lambda k: encoded[k], blosum62_scheme() if scheme is None else scheme
+        )
 
     def execute_task(pair: tuple[int, int]):
-        obs.count("ccd.alignments")
         gi, gj = kept[pair[0]], kept[pair[1]]
-        aln = cache.local(gi, gj)
-        passes = _overlap_passes(
-            aln,
-            len(encoded_all[gi]),
-            len(encoded_all[gj]),
-            similarity,
-            coverage,
-        )
-        return (pair, passes), costs.alignment(len(encoded_all[gi]), len(encoded_all[gj]))
+        passes = master.overlaps(gi, gj, cache.local(gi, gj))
+        return (pair, passes), costs.alignment(len(encoded[gi]), len(encoded[gj]))
 
     def absorb_result(result) -> float:
         pair, passes = result
         if passes:
-            uf.union(pair[0], pair[1])
+            master.union(pair)
             return costs.merge
         return 0.0
 
     config = MasterWorkerConfig(
-        make_generator=make_generator,
-        filter_item=filter_item,
+        **bucket_generation(master.finder, cluster, costs, unique=False),
+        filter_item=lambda pair: pair if master.admit(pair) else None,
         execute_task=execute_task,
         absorb_result=absorb_result,
         filter_cost=costs.filter_pair,
-        setup_cost=setup_cost,
     )
-    outcome, sim = run_master_worker(cluster, config, record_timeline=record_timeline)
-    components = _components_from_uf(kept, uf)
-    _observe_clustering(uf, components)
-    return ClusteringResult(
-        components=components,
-        n_promising_pairs=counters["pairs"],
-        n_filtered=counters["filtered"],
-        n_alignments=outcome.tasks_executed,
-        n_merges=uf.merge_count,
-        sim=sim,
-    )
+    _, sim = run_master_worker(cluster, config, record_timeline=record_timeline)
+    return master.result(sim)

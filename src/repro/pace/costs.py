@@ -10,6 +10,13 @@ ratios; only their *relative* magnitudes shape the scaling curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Iterator
+
+from repro.parallel.partition import balance_items
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from repro.parallel.simulator import VirtualCluster
+    from repro.suffix.matches import MaximalMatchFinder
 
 
 @dataclass(frozen=True)
@@ -58,3 +65,47 @@ class CostModel:
             + self.shingle_tuple * n_tuples
             + self.shingle_link * n_left
         )
+
+
+def bucket_generation(
+    finder: "MaximalMatchFinder",
+    cluster: "VirtualCluster",
+    costs: CostModel,
+    *,
+    unique: bool,
+) -> dict[str, Any]:
+    """Worker-side pair generation of the RR and CCD rank programs.
+
+    Workers own first-symbol suffix buckets of ``finder``, LPT-balanced
+    by bucket size, and stream their buckets' maximal matches
+    longest-first at ``generate_pair`` units apiece; ``unique`` makes
+    each worker drop pairs it has already emitted itself (RR — in CCD
+    the repeats are what the master's filter is charged for).  Returns
+    the ``make_generator``/``setup_cost`` fields of a
+    :class:`~repro.parallel.masterworker.MasterWorkerConfig`.
+    """
+    symbols = finder.bucket_symbols()
+    sizes = finder.bucket_sizes()
+    assignment = balance_items(
+        [sizes[s] for s in symbols], max(cluster.n_ranks - 1, 1)
+    )
+    worker_symbols = [{symbols[i] for i in bucket} for bucket in assignment]
+    total_symbols = int(finder.gsa.text.size)
+
+    def setup_cost(worker_index: int, n_workers: int) -> float:
+        # Each worker builds an O(n*l/p) share of the distributed GST
+        # (construction is split by suffix count, not by bucket yield).
+        return costs.index_symbol * total_symbols / n_workers
+
+    def make_generator(
+        worker_index: int, n_workers: int
+    ) -> Iterator[tuple[tuple[int, int], float]]:
+        seen: set[tuple[int, int]] = set()
+        for match in finder.matches_for_symbols(worker_symbols[worker_index]):
+            if unique:
+                if match.pair in seen:
+                    continue
+                seen.add(match.pair)
+            yield (match.pair, costs.generate_pair)
+
+    return {"make_generator": make_generator, "setup_cost": setup_cost}

@@ -1,16 +1,17 @@
 """Phase 4 — Dense Subgraph Detection (Section IV-D).
 
-Runs the Shingle algorithm serially on each component's bipartite graph.
-Components are grouped into roughly equal-size batches and distributed
-across processors (the paper's strategy for the short per-component
-run-times); the parallel driver simulates that placement on the Linux
-cluster model while executing the real algorithm.
+Runs the Shingle algorithm serially on each component's bipartite graph
+(:func:`shingle_component`, the unit of work every executor maps over
+the components).  Components are grouped into roughly equal-size batches
+and distributed across processors (the paper's strategy for the short
+per-component run-times); the parallel driver simulates that placement
+on the Linux cluster model while executing the real algorithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro import obs
 from repro.pace.bipartite_gen import ComponentGraphs
@@ -68,21 +69,15 @@ def shingle_component(
     return finals, result.subgraphs, result
 
 
-def detect_dense_subgraphs_serial(
-    component_graphs: ComponentGraphs,
-    *,
-    params: ShingleParams | None = None,
-    min_size: int = 5,
-    tau: float = 0.5,
+def gather_subgraphs(
+    per_component: Iterable[tuple[list[tuple[int, ...]], list[DenseSubgraph], ShingleResult]],
+    sim: SimulationResult | None = None,
 ) -> DsdResult:
-    """Reference serial DSD over all component graphs."""
-    if params is None:
-        params = ShingleParams()
-    out = DsdResult(subgraphs=[])
-    for graph in component_graphs.graphs:
-        finals, raw, stats = shingle_component(
-            graph, component_graphs.reduction, params, min_size, tau
-        )
+    """Fold :func:`shingle_component` triples, given in component order,
+    into the phase result; subgraphs are sorted canonically so the
+    executor that produced them cannot show in the output."""
+    out = DsdResult(subgraphs=[], sim=sim)
+    for finals, raw, stats in per_component:
         out.subgraphs.extend(finals)
         out.raw.extend(raw)
         out.shingle_stats.append(stats)
@@ -103,7 +98,7 @@ def parallel_dense_subgraph_detection(
 
     Every rank serially runs the Shingle algorithm on its batch,
     charging the c-linear cost of Section IV-D; rank 0 gathers the
-    subgraphs.  Output equals the serial run exactly (components are
+    subgraphs.  Output is the same at every rank count (components are
     independent).
     """
     if params is None:
@@ -140,14 +135,8 @@ def parallel_dense_subgraph_detection(
     per_rank_kwargs = [{"batch_ids": assignment[r]} for r in range(cluster.n_ranks)]
     sim = cluster.run(program, per_rank_kwargs=per_rank_kwargs)
 
-    out = DsdResult(subgraphs=[], sim=sim)
     merged: list[tuple[int, list, list, ShingleResult]] = []
     for rank_payload in sim.rank_results[0]:
         merged.extend(rank_payload)
     merged.sort(key=lambda item: item[0])  # deterministic component order
-    for _, finals, raw, stats in merged:
-        out.subgraphs.extend(finals)
-        out.raw.extend(raw)
-        out.shingle_stats.append(stats)
-    out.subgraphs.sort(key=lambda sg: (-len(sg), sg))
-    return out
+    return gather_subgraphs((item[1:] for item in merged), sim)

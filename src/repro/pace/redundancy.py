@@ -16,17 +16,13 @@ dynamically balances the alignment work.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
-
-import numpy as np
 
 from repro import obs
 from repro.align.matrices import ScoringScheme, blosum62_scheme
 from repro.align.predicates import CONTAINMENT_COVERAGE, CONTAINMENT_SIMILARITY
 from repro.pace.cache import AlignmentCache
-from repro.pace.costs import CostModel
+from repro.pace.costs import CostModel, bucket_generation
 from repro.parallel.masterworker import MasterWorkerConfig, run_master_worker
-from repro.parallel.partition import balance_items
 from repro.parallel.simulator import SimulationResult, VirtualCluster
 from repro.sequence.record import SequenceSet
 from repro.suffix.matches import MaximalMatchFinder
@@ -49,176 +45,82 @@ class RedundancyResult:
         return len(self.kept)
 
 
-def _decide(
-    redundant: set[int],
-    containments: list[tuple[int, int]],
-    i: int,
-    j: int,
-    identity: float,
-    cov_i: float,
-    cov_j: float,
-    len_i: int,
-    len_j: int,
-    similarity: float,
-    coverage: float,
-) -> None:
-    """Apply Definition 1 to one aligned pair, updating the result state."""
-    if identity < similarity:
-        return
-    i_in_j = cov_i >= coverage
-    j_in_i = cov_j >= coverage
-    if i_in_j and j_in_i:
-        # Mutual containment: drop the shorter (ties: higher index).
-        victim = i if (len_i, -i) < (len_j, -j) else j
-        survivor = j if victim == i else i
-        redundant.add(victim)
-        containments.append((victim, survivor))
-    elif i_in_j:
-        redundant.add(i)
-        containments.append((i, j))
-    elif j_in_i:
-        redundant.add(j)
-        containments.append((j, i))
+class RedundancyMaster:
+    """Master-side state of the RR phase, stated once for every executor.
 
-
-def _build_result(
-    n: int,
-    redundant: set[int],
-    containments: list[tuple[int, int]],
-    n_pairs: int,
-    n_aligned: int,
-    sim: SimulationResult | None,
-) -> RedundancyResult:
-    obs.count("rr.redundant", len(redundant))
-    kept = [i for i in range(n) if i not in redundant]
-    return RedundancyResult(
-        redundant=redundant,
-        kept=kept,
-        n_promising_pairs=n_pairs,
-        n_alignments=n_aligned,
-        sim=sim,
-        containments=sorted(containments),
-    )
-
-
-def find_redundant_serial(
-    sequences: SequenceSet,
-    *,
-    psi: int = 10,
-    similarity: float = CONTAINMENT_SIMILARITY,
-    coverage: float = CONTAINMENT_COVERAGE,
-    scheme: ScoringScheme | None = None,
-    cache: AlignmentCache | None = None,
-    max_pairs_per_node: int | None = None,
-) -> RedundancyResult:
-    """Reference serial implementation of the RR phase."""
-    if scheme is None:
-        scheme = blosum62_scheme()
-    encoded = [record.encoded for record in sequences]
-    if cache is None:  # explicit None test: an empty cache is falsy
-        cache = AlignmentCache(lambda k: encoded[k], scheme)
-    finder = MaximalMatchFinder(
-        encoded, min_length=psi, max_pairs_per_node=max_pairs_per_node
-    )
-    redundant: set[int] = set()
-    containments: list[tuple[int, int]] = []
-    n_pairs = 0
-    n_aligned = 0
-    for match in finder.unique_pairs():
-        n_pairs += 1
-        obs.count("rr.pairs")
-        i, j = match.seq_a, match.seq_b
-        aln = cache.semiglobal(i, j)
-        n_aligned += 1
-        obs.count("rr.alignments")
-        _decide(
-            redundant,
-            containments,
-            i,
-            j,
-            aln.identity,
-            aln.coverage_a(len(encoded[i])),
-            aln.coverage_b(len(encoded[j])),
-            len(encoded[i]),
-            len(encoded[j]),
-            similarity,
-            coverage,
-        )
-    return _build_result(len(sequences), redundant, containments, n_pairs, n_aligned, None)
-
-
-def find_redundant_batched(
-    sequences: SequenceSet,
-    *,
-    psi: int = 10,
-    similarity: float = CONTAINMENT_SIMILARITY,
-    coverage: float = CONTAINMENT_COVERAGE,
-    scheme: ScoringScheme | None = None,
-    max_pairs_per_node: int | None = None,
-    chunk: int = 512,
-) -> RedundancyResult:
-    """RR via the batched containment engine — the >=95 % fast path.
-
-    Decision-identical to :func:`find_redundant_serial` on the same
-    input: chunks of promising pairs run through
-    :func:`repro.align.batch.batch_containment`, whose bit-parallel
-    Myers prefilter rejects pairs *provably* unable to pass Definition 1
-    in either direction and routes only the remainder through the
-    (exact) batched DP.  This is the engine the runtime backends deploy
-    via :meth:`repro.runtime.base.Backend.containment_stream`; exposed
-    here as a standalone driver for tests and benchmarks.  Scientific
-    counters (``rr.pairs``/``rr.alignments``/``rr.redundant``) are
-    bumped identically to the reference — the *verdict* for every pair
-    is still evaluated, only the compute route differs.
+    Owns the pair source (``finder``), the admission filter (the master
+    only deduplicates — RR has no clustering filter), the Definition 1
+    verdict sink and the result construction.
+    :func:`repro.runtime.phases.backend_redundancy_removal` streams the
+    admitted pairs through an execution backend;
+    :func:`parallel_redundancy_removal` plugs the same methods into the
+    simulated master rank as its callbacks.
     """
-    from repro.align.batch import batch_containment
 
-    if scheme is None:
-        scheme = blosum62_scheme()
-    encoded = [record.encoded for record in sequences]
-    finder = MaximalMatchFinder(
-        encoded, min_length=psi, max_pairs_per_node=max_pairs_per_node
-    )
-    redundant: set[int] = set()
-    containments: list[tuple[int, int]] = []
-    n_pairs = 0
-
-    def flush(pairs: list[tuple[int, int]]) -> None:
-        result = batch_containment(
-            [(encoded[i], encoded[j]) for i, j in pairs],
-            scheme=scheme,
-            similarity=similarity,
-            coverage=coverage,
+    def __init__(
+        self,
+        sequences: SequenceSet,
+        *,
+        psi: int,
+        similarity: float,
+        coverage: float,
+        max_pairs_per_node: int | None = None,
+    ):
+        self.encoded = [record.encoded for record in sequences]
+        self.finder = MaximalMatchFinder(
+            self.encoded, min_length=psi, max_pairs_per_node=max_pairs_per_node
         )
-        for (i, j), (identity, cov_i, cov_j) in zip(pairs, result.stats):
-            _decide(
-                redundant,
-                containments,
-                i,
-                j,
-                identity,
-                cov_i,
-                cov_j,
-                len(encoded[i]),
-                len(encoded[j]),
-                similarity,
-                coverage,
-            )
+        self.similarity = similarity
+        self.coverage = coverage
+        self.redundant: set[int] = set()
+        self.containments: list[tuple[int, int]] = []
+        self._seen: set[tuple[int, int]] = set()
 
-    buffer: list[tuple[int, int]] = []
-    for match in finder.unique_pairs():
-        n_pairs += 1
+    def admit(self, pair: tuple[int, int]) -> bool:
+        """First sighting of a promising pair?  Every admitted pair is
+        aligned, so ``rr.pairs`` and ``rr.alignments`` move together —
+        they count Definition 1 verdicts evaluated, whatever route
+        (scalar DP, batched DP, Myers reject) computes the statistics."""
+        if pair in self._seen:
+            return False
+        self._seen.add(pair)
         obs.count("rr.pairs")
         obs.count("rr.alignments")
-        buffer.append((match.seq_a, match.seq_b))
-        if len(buffer) >= chunk:
-            flush(buffer)
-            buffer = []
-    if buffer:
-        flush(buffer)
-    return _build_result(
-        len(sequences), redundant, containments, n_pairs, n_pairs, None
-    )
+        return True
+
+    def absorb(self, i: int, j: int, stats: tuple[float, float, float]) -> None:
+        """Apply Definition 1 to the ``(identity, coverage_i, coverage_j)``
+        statistics of one aligned pair.  Verdicts are per pair, so the
+        order results arrive in is irrelevant."""
+        identity, cov_i, cov_j = stats
+        if identity < self.similarity:
+            return
+        i_in_j = cov_i >= self.coverage
+        j_in_i = cov_j >= self.coverage
+        if i_in_j and j_in_i:
+            # Mutual containment: drop the shorter (ties: higher index).
+            victim, survivor = sorted(
+                (i, j), key=lambda k: (len(self.encoded[k]), -k)
+            )
+        elif i_in_j:
+            victim, survivor = i, j
+        elif j_in_i:
+            victim, survivor = j, i
+        else:
+            return
+        self.redundant.add(victim)
+        self.containments.append((victim, survivor))
+
+    def result(self, sim: SimulationResult | None = None) -> RedundancyResult:
+        obs.count("rr.redundant", len(self.redundant))
+        return RedundancyResult(
+            redundant=self.redundant,
+            kept=[i for i in range(len(self.encoded)) if i not in self.redundant],
+            n_promising_pairs=len(self._seen),
+            n_alignments=len(self._seen),
+            sim=sim,
+            containments=sorted(self.containments),
+        )
 
 
 def parallel_redundancy_removal(
@@ -234,57 +136,28 @@ def parallel_redundancy_removal(
     max_pairs_per_node: int | None = None,
     record_timeline: bool = False,
 ) -> RedundancyResult:
-    """Simulated-parallel RR phase; scientifically identical to serial.
+    """Simulated-parallel RR phase; same answer at every processor count.
 
     Workers own first-symbol suffix buckets (LPT-balanced by bucket
     size), generate promising pairs locally and align the deduplicated
     survivors; the master only merges verdicts.
     """
-    if scheme is None:
-        scheme = blosum62_scheme()
     costs = CostModel() if cost_model is None else cost_model
-    encoded = [record.encoded for record in sequences]
-    if cache is None:  # explicit None test: an empty cache is falsy
-        cache = AlignmentCache(lambda k: encoded[k], scheme)
-    finder = MaximalMatchFinder(
-        encoded, min_length=psi, max_pairs_per_node=max_pairs_per_node
+    master = RedundancyMaster(
+        sequences,
+        psi=psi,
+        similarity=similarity,
+        coverage=coverage,
+        max_pairs_per_node=max_pairs_per_node,
     )
-
-    n_workers = max(cluster.n_ranks - 1, 1)
-    symbols = finder.bucket_symbols()
-    sizes = finder.bucket_sizes()
-    assignment = balance_items([sizes[s] for s in symbols], n_workers)
-    worker_symbols: list[set[int]] = [
-        {symbols[i] for i in bucket} for bucket in assignment
-    ]
-
-    total_symbols = int(finder.gsa.text.size)
-
-    def setup_cost(worker_index: int, n_w: int) -> float:
-        # Each worker builds an O(n*l/p) share of the distributed GST
-        # (construction is split by suffix count, not by bucket yield).
-        return costs.index_symbol * total_symbols / n_w
-
-    def make_generator(worker_index: int, n_w: int) -> Iterator[tuple[tuple[int, int], float]]:
-        seen: set[tuple[int, int]] = set()
-        for match in finder.matches_for_symbols(worker_symbols[worker_index]):
-            if match.pair in seen:
-                continue
-            seen.add(match.pair)
-            yield (match.pair, costs.generate_pair)
-
-    master_seen: set[tuple[int, int]] = set()
-
-    def filter_item(pair: tuple[int, int]):
-        if pair in master_seen:
-            return None
-        master_seen.add(pair)
-        obs.count("rr.pairs")
-        return pair
+    encoded = master.encoded
+    if cache is None:  # explicit None test: an empty cache is falsy
+        cache = AlignmentCache(
+            lambda k: encoded[k], blosum62_scheme() if scheme is None else scheme
+        )
 
     def execute_task(pair: tuple[int, int]):
         i, j = pair
-        obs.count("rr.alignments")
         aln = cache.semiglobal(i, j)
         result = (
             i,
@@ -295,40 +168,17 @@ def parallel_redundancy_removal(
         )
         return result, costs.alignment(len(encoded[i]), len(encoded[j]))
 
-    redundant: set[int] = set()
-    containments: list[tuple[int, int]] = []
-
     def absorb_result(result) -> float:
-        i, j, identity, cov_i, cov_j = result
-        _decide(
-            redundant,
-            containments,
-            i,
-            j,
-            identity,
-            cov_i,
-            cov_j,
-            len(encoded[i]),
-            len(encoded[j]),
-            similarity,
-            coverage,
-        )
+        i, j, *stats = result
+        master.absorb(i, j, stats)
         return costs.merge
 
     config = MasterWorkerConfig(
-        make_generator=make_generator,
-        filter_item=filter_item,
+        **bucket_generation(master.finder, cluster, costs, unique=True),
+        filter_item=lambda pair: pair if master.admit(pair) else None,
         execute_task=execute_task,
         absorb_result=absorb_result,
         filter_cost=costs.dedup_pair,
-        setup_cost=setup_cost,
     )
-    outcome, sim = run_master_worker(cluster, config, record_timeline=record_timeline)
-    return _build_result(
-        len(sequences),
-        redundant,
-        containments,
-        len(master_seen),
-        outcome.tasks_executed,
-        sim,
-    )
+    _, sim = run_master_worker(cluster, config, record_timeline=record_timeline)
+    return master.result(sim)

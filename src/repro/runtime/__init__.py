@@ -2,8 +2,10 @@
 
 ``repro.parallel`` *models* the paper's clusters (virtual time on a
 machine model); ``repro.runtime`` *executes* on the host's cores.  Both
-wrap the identical scientific kernels, and both guarantee output equal
-to the serial reference.  See DESIGN.md, "Simulator versus runtime".
+drive the same master-side phase state (:mod:`repro.pace`), and both
+guarantee output equal to the reference — this package's serial backend,
+which every pipeline run uses unless told otherwise.  See DESIGN.md,
+"Simulator versus runtime".
 
 Usage::
 

@@ -178,35 +178,6 @@ class ContainmentStream(abc.ABC):
         """Flush: block until every submitted pair has statistics."""
 
 
-class _AlignmentContainmentStream(ContainmentStream):
-    """Fallback adapter: full semiglobal alignments, stats derived
-    master-side.  Used by any backend that does not override
-    :meth:`Backend.containment_stream` with an engine-aware stream."""
-
-    def __init__(self, stream: AlignmentStream, cache: "AlignmentCache"):
-        self._stream = stream
-        self._cache = cache
-
-    def _stats(self, i: int, j: int, aln) -> tuple[float, float, float]:
-        return (
-            aln.identity,
-            aln.coverage_a(len(self._cache.encoded(i))),
-            aln.coverage_b(len(self._cache.encoded(j))),
-        )
-
-    def submit_many(self, pairs: Sequence[tuple[int, int]]) -> None:
-        self._stream.submit_many(pairs)
-
-    def ready(self) -> list[tuple[int, int, tuple[float, float, float]]]:
-        return [
-            (i, j, self._stats(i, j, aln)) for i, j, aln in self._stream.ready()
-        ]
-
-    def drain(self) -> Iterator[tuple[int, int, tuple[float, float, float]]]:
-        for i, j, aln in self._stream.drain():
-            yield (i, j, self._stats(i, j, aln))
-
-
 class Backend(abc.ABC):
     """Abstract execution backend.
 
@@ -298,6 +269,7 @@ class Backend(abc.ABC):
     ) -> AlignmentStream:
         """Open a stream of ``kind`` ("local" or "semiglobal") alignments."""
 
+    @abc.abstractmethod
     def containment_stream(
         self,
         cache: "AlignmentCache",
@@ -307,17 +279,12 @@ class Backend(abc.ABC):
     ) -> ContainmentStream:
         """Open a Definition 1 statistics stream for the RR phase.
 
-        The base implementation adapts a semiglobal alignment stream
-        (every pair gets a full DP, stats derived master-side — exactly
-        the historical behaviour).  The serial and process backends
-        override this with streams backed by the batched containment
-        engine, whose decisions are provably identical; ``similarity``/
-        ``coverage`` parameterise its sound rejection threshold.
+        Backends answer it through the batched containment engine
+        (:func:`repro.align.batch.batch_containment`), whose decisions
+        are provably identical to a full semiglobal DP per pair;
+        ``similarity``/``coverage`` parameterise its sound rejection
+        threshold.
         """
-        del similarity, coverage  # the adapter always aligns fully
-        return _AlignmentContainmentStream(
-            self.alignment_stream("semiglobal", cache), cache
-        )
 
     @abc.abstractmethod
     def map_components(

@@ -1,11 +1,16 @@
 """Backend-driven pipeline phases: real execution, identical results.
 
-Each function mirrors one serial phase of :mod:`repro.pace` but routes
-the alignment/Shingle work through a :class:`~repro.runtime.base.Backend`
-stream, keeping all decision state on the master.  Output equality with
-the serial reference rests on the same invariants the simulator relies
-on (see module docstrings in :mod:`repro.pace.redundancy`,
-:mod:`repro.pace.clustering`, :mod:`repro.pace.bipartite_gen`):
+Each function runs one phase of the pipeline by streaming the pairs its
+:mod:`repro.pace` master admits through a
+:class:`~repro.runtime.base.Backend` and sinking the verdicts back into
+that master — the same master-side state the simulator's
+``parallel_*`` drivers plug into their rank programs, so the filter, the
+counters and the result are stated once.  On
+:class:`~repro.runtime.serial.SerialBackend` this is the reference every
+other mode is compared against.  Equal output under concurrency rests
+on three invariants (see the module docstrings in
+:mod:`repro.pace.redundancy`, :mod:`repro.pace.clustering`,
+:mod:`repro.pace.bipartite_gen`):
 
 * RR aligns a deterministic pair set and Definition 1 verdicts are
   per-pair, so absorption order is irrelevant;
@@ -22,25 +27,24 @@ processor count in the paper's Table II.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro import obs
-from repro.graph.bipartite import duplicate_bipartite, wmer_bipartite
-from repro.graph.unionfind import UnionFind
-from repro.pace.bipartite_gen import ComponentGraphs
-from repro.pace.cache import AlignmentCache
-from repro.pace.clustering import (
-    ClusteringResult,
-    _components_from_uf,
-    _observe_clustering,
-    _overlap_passes,
+from repro.align.predicates import (
+    CONTAINMENT_COVERAGE,
+    CONTAINMENT_SIMILARITY,
+    OVERLAP_COVERAGE,
+    OVERLAP_SIMILARITY,
 )
-from repro.pace.densesub import DsdResult
-from repro.pace.redundancy import RedundancyResult, _build_result, _decide
-from repro.runtime.base import Backend
+from repro.graph.bipartite import wmer_bipartite
+from repro.pace.bipartite_gen import BipartiteMaster, ComponentGraphs
+from repro.pace.cache import AlignmentCache
+from repro.pace.clustering import ClusteringMaster, ClusteringResult
+from repro.pace.densesub import DsdResult, gather_subgraphs
+from repro.pace.redundancy import RedundancyMaster, RedundancyResult
+from repro.runtime.base import AlignmentStream, Backend, ContainmentStream
 from repro.sequence.record import SequenceSet
 from repro.shingle.algorithm import ShingleParams
-from repro.suffix.matches import MaximalMatchFinder
 
 
 #: Pairs per RR submit_many chunk.  Sized for the batched containment
@@ -52,14 +56,36 @@ RR_CHUNK = 512
 BIPARTITE_CHUNK = 128
 
 
+def _stream_chunked(
+    stream: AlignmentStream | ContainmentStream,
+    pairs: Iterable[tuple[int, int]],
+    chunk_size: int,
+    absorb: Callable[[int, int, object], None],
+) -> None:
+    """Submit ``pairs`` (global indices) in chunks of ``chunk_size``,
+    absorbing results as they complete and draining at the end."""
+    chunk: list[tuple[int, int]] = []
+    for pair in pairs:
+        chunk.append(pair)
+        if len(chunk) >= chunk_size:
+            stream.submit_many(chunk)
+            chunk = []
+            for i, j, result in stream.ready():
+                absorb(i, j, result)
+    if chunk:
+        stream.submit_many(chunk)
+    for i, j, result in stream.drain():
+        absorb(i, j, result)
+
+
 def backend_redundancy_removal(
     sequences: SequenceSet,
     backend: Backend,
     cache: AlignmentCache,
     *,
-    psi: int,
-    similarity: float,
-    coverage: float,
+    psi: int = 10,
+    similarity: float = CONTAINMENT_SIMILARITY,
+    coverage: float = CONTAINMENT_COVERAGE,
     max_pairs_per_node: int | None = None,
 ) -> RedundancyResult:
     """RR phase on a backend: all unique promising pairs are submitted in
@@ -72,53 +98,23 @@ def backend_redundancy_removal(
     (``rr.pairs``/``rr.alignments``) still count every pair whose
     Definition 1 verdict was evaluated, regardless of compute route.
     """
-    encoded = [record.encoded for record in sequences]
-    finder = MaximalMatchFinder(
-        encoded, min_length=psi, max_pairs_per_node=max_pairs_per_node
+    master = RedundancyMaster(
+        sequences,
+        psi=psi,
+        similarity=similarity,
+        coverage=coverage,
+        max_pairs_per_node=max_pairs_per_node,
     )
-    redundant: set[int] = set()
-    containments: list[tuple[int, int]] = []
-    n_pairs = 0
-
-    def absorb(i: int, j: int, stats: tuple[float, float, float]) -> None:
-        identity, cov_i, cov_j = stats
-        _decide(
-            redundant,
-            containments,
-            i,
-            j,
-            identity,
-            cov_i,
-            cov_j,
-            len(encoded[i]),
-            len(encoded[j]),
-            similarity,
-            coverage,
-        )
-
     with backend.phase("redundancy"):
-        stream = backend.containment_stream(
-            cache, similarity=similarity, coverage=coverage
+        _stream_chunked(
+            backend.containment_stream(
+                cache, similarity=similarity, coverage=coverage
+            ),
+            (m.pair for m in master.finder.matches() if master.admit(m.pair)),
+            RR_CHUNK,
+            master.absorb,
         )
-        chunk: list[tuple[int, int]] = []
-        for match in finder.unique_pairs():
-            n_pairs += 1
-            obs.count("rr.pairs")
-            obs.count("rr.alignments")
-            chunk.append(match.pair)
-            if len(chunk) >= RR_CHUNK:
-                stream.submit_many(chunk)
-                chunk = []
-                for i, j, stats in stream.ready():
-                    absorb(i, j, stats)
-        if chunk:
-            stream.submit_many(chunk)
-        for i, j, stats in stream.drain():
-            absorb(i, j, stats)
-
-    return _build_result(
-        len(sequences), redundant, containments, n_pairs, n_pairs, None
-    )
+    return master.result()
 
 
 def backend_component_detection(
@@ -127,9 +123,9 @@ def backend_component_detection(
     backend: Backend,
     cache: AlignmentCache,
     *,
-    psi: int,
-    similarity: float,
-    coverage: float,
+    psi: int = 10,
+    similarity: float = OVERLAP_SIMILARITY,
+    coverage: float = OVERLAP_COVERAGE,
     max_pairs_per_node: int | None = None,
     journal=None,
     replay_unions: Sequence[tuple[int, int]] | None = None,
@@ -137,10 +133,11 @@ def backend_component_detection(
     """CCD phase on a backend.
 
     The master filters each promising pair against the union–find
-    *before* dispatch and unions passing alignments as results stream
-    back.  Under a concurrent backend the filter lags by the batch in
-    flight, so slightly more pairs get aligned than in the serial
-    reference — the components are provably identical (see module
+    *before* dispatch — pair by pair, so the filter sees every verdict
+    that is already back — and unions passing alignments as results
+    stream in.  Under a concurrent backend the filter lags by the batch
+    in flight, so slightly more pairs get aligned than on the serial
+    backend — the components are provably identical (see module
     docstring), only the work counters move, as in the paper.
 
     Checkpointing: when a :class:`~repro.core.checkpoint.CheckpointJournal`
@@ -153,64 +150,39 @@ def backend_component_detection(
     (``uf.union`` returns False for them), so the journal never holds
     duplicates.
     """
-    encoded_all = [record.encoded for record in sequences]
-    local_encoded = [encoded_all[g] for g in kept]
-    finder = MaximalMatchFinder(
-        local_encoded, min_length=psi, max_pairs_per_node=max_pairs_per_node
+    master = ClusteringMaster(
+        sequences,
+        kept,
+        psi=psi,
+        similarity=similarity,
+        coverage=coverage,
+        max_pairs_per_node=max_pairs_per_node,
     )
     local_of = {g: l for l, g in enumerate(kept)}
-    uf = UnionFind(len(kept))
-    if replay_unions:
-        for gi, gj in replay_unions:
-            li, lj = local_of.get(gi), local_of.get(gj)
-            if li is not None and lj is not None:
-                uf.union(li, lj)
-    tested: set[tuple[int, int]] = set()
-    n_pairs = 0
-    n_filtered = 0
-    n_aligned = 0
+    for gi, gj in replay_unions or ():
+        if gi in local_of and gj in local_of:
+            master.uf.union(local_of[gi], local_of[gj])
 
     def absorb(gi: int, gj: int, aln) -> None:
-        if _overlap_passes(
-            aln,
-            len(encoded_all[gi]),
-            len(encoded_all[gj]),
-            similarity,
-            coverage,
+        if (
+            master.overlaps(gi, gj, aln)
+            and master.union((local_of[gi], local_of[gj]))
+            and journal is not None
         ):
-            if uf.union(local_of[gi], local_of[gj]) and journal is not None:
-                journal.ccd_union(gi, gj)
-            obs.gauge("ccd.components_now", len(kept) - uf.merge_count)
+            journal.ccd_union(gi, gj)
 
     with backend.phase("clustering"):
         stream = backend.alignment_stream("local", cache)
-        for match in finder.matches():
-            n_pairs += 1
-            obs.count("ccd.pairs")
+        for match in master.finder.matches():
             pair = match.pair
-            if pair in tested or uf.same(pair[0], pair[1]):
-                n_filtered += 1
-                obs.count("ccd.filtered")
+            if not master.admit(pair):
                 continue
-            tested.add(pair)
-            n_aligned += 1
-            obs.count("ccd.alignments")
             stream.submit(kept[pair[0]], kept[pair[1]])
             for gi, gj, aln in stream.ready():
                 absorb(gi, gj, aln)
         for gi, gj, aln in stream.drain():
             absorb(gi, gj, aln)
-
-    components = _components_from_uf(kept, uf)
-    _observe_clustering(uf, components)
-    return ClusteringResult(
-        components=components,
-        n_promising_pairs=n_pairs,
-        n_filtered=n_filtered,
-        n_alignments=n_aligned,
-        n_merges=uf.merge_count,
-        sim=None,
-    )
+    return master.result()
 
 
 def backend_generate_component_graphs(
@@ -220,101 +192,79 @@ def backend_generate_component_graphs(
     cache: AlignmentCache,
     *,
     reduction: str = "global",
-    psi: int,
-    edge_similarity: float,
-    edge_coverage: float,
+    psi: int = 10,
+    edge_similarity: float = 0.40,
+    edge_coverage: float = 0.80,
     w: int = 10,
-    min_size: int,
+    min_size: int = 5,
     max_pairs_per_node: int | None = None,
 ) -> ComponentGraphs:
-    """Bipartite generation on a backend.
+    """Bipartite generation on a backend, one graph per qualifying
+    component.
 
+    ``reduction`` selects B_d ("global") or B_m ("domain").  Left/right
+    labels of each graph carry global sequence indices (B_d both sides;
+    B_m right side), so dense subgraphs can be reported in input terms.
     Components are independent; the global reduction aligns every unique
-    intra-component promising pair (no clustering filter), collecting
-    edges per component and sorting them canonically before the graphs
-    are built, so edge *completion* order cannot leak into the output.
+    intra-component promising pair (no clustering filter), the domain
+    reduction is alignment-free and built on the master.
     """
     if reduction not in ("global", "domain"):
         raise ValueError(f"unknown reduction {reduction!r}")
-    encoded_all = [record.encoded for record in sequences]
-    qualifying = [sorted(c) for c in components if len(c) >= min_size]
-    out = ComponentGraphs(components=[], graphs=[], reduction=reduction)
-
+    master = BipartiteMaster(
+        sequences,
+        components,
+        psi=psi,
+        edge_similarity=edge_similarity,
+        edge_coverage=edge_coverage,
+        min_size=min_size,
+        max_pairs_per_node=max_pairs_per_node,
+    )
     with backend.phase("bipartite"):
         if reduction == "domain":
-            for members in qualifying:
-                graph = wmer_bipartite(
-                    [encoded_all[g] for g in members],
-                    w=w,
-                    min_sequences=2,
-                    sequence_labels=members,
-                )
+            out = ComponentGraphs(components=[], graphs=[], reduction=reduction)
+            for members in master.members:
                 out.components.append(members)
-                out.graphs.append(graph)
+                out.graphs.append(
+                    wmer_bipartite(
+                        [master.encoded[g] for g in members],
+                        w=w,
+                        min_sequences=2,
+                        sequence_labels=members,
+                    )
+                )
                 obs.count("bipartite.graphs")
             return out
 
         # Global index -> (component index, local index); components are
         # disjoint so the mapping is single-valued.
-        position: dict[int, tuple[int, int]] = {
+        position = {
             g: (ci, li)
-            for ci, members in enumerate(qualifying)
+            for ci, members in enumerate(master.members)
             for li, g in enumerate(members)
         }
-        edges_per_component: dict[int, list[tuple[int, int]]] = {
-            ci: [] for ci in range(len(qualifying))
-        }
-        n_alignments = 0
+
+        def admitted() -> Iterable[tuple[int, int]]:
+            for ci, members in enumerate(master.members):
+                finder = master.finder(ci)
+                if finder is None:
+                    continue
+                for match in finder.matches():
+                    if master.admit((ci, match.seq_a, match.seq_b)):
+                        yield (members[match.seq_a], members[match.seq_b])
 
         def absorb(gi: int, gj: int, aln) -> None:
-            if _overlap_passes(
-                aln,
-                len(encoded_all[gi]),
-                len(encoded_all[gj]),
-                edge_similarity,
-                edge_coverage,
-            ):
-                obs.count("bipartite.edges")
+            if master.is_edge(gi, gj, aln):
                 ci, li = position[gi]
-                _, lj = position[gj]
-                edges_per_component[ci].append((li, lj))
-                out.neighbors.setdefault(gi, set()).add(gj)
-                out.neighbors.setdefault(gj, set()).add(gi)
+                master.add_edge(ci, li, position[gj][1])
 
-        stream = backend.alignment_stream("local", cache)
-        chunk: list[tuple[int, int]] = []
-        for ci, members in enumerate(qualifying):
-            if len(members) < 2:
-                continue
-            finder = MaximalMatchFinder(
-                [encoded_all[g] for g in members],
-                min_length=psi,
-                max_pairs_per_node=max_pairs_per_node,
-            )
-            for match in finder.unique_pairs():
-                n_alignments += 1
-                obs.count("bipartite.pairs")
-                chunk.append((members[match.seq_a], members[match.seq_b]))
-                if len(chunk) >= BIPARTITE_CHUNK:
-                    stream.submit_many(chunk)
-                    chunk = []
-                    for gi, gj, aln in stream.ready():
-                        absorb(gi, gj, aln)
-        if chunk:
-            stream.submit_many(chunk)
-        for gi, gj, aln in stream.drain():
-            absorb(gi, gj, aln)
-
-        for ci, members in enumerate(qualifying):
-            local_edges = sorted(edges_per_component[ci])
-            out.n_edges += len(local_edges)
-            out.components.append(members)
-            out.graphs.append(
-                duplicate_bipartite(len(members), local_edges, labels=members)
-            )
-            obs.count("bipartite.graphs")
-        out.n_alignments = n_alignments
-    return out
+        _stream_chunked(
+            backend.alignment_stream("local", cache),
+            admitted(),
+            BIPARTITE_CHUNK,
+            absorb,
+        )
+        return master.result()
 
 
 def backend_dense_subgraph_detection(
@@ -329,17 +279,12 @@ def backend_dense_subgraph_detection(
     if params is None:
         params = ShingleParams()
     with backend.phase("dense_subgraphs"):
-        results = backend.map_components(
-            component_graphs.graphs,
-            component_graphs.reduction,
-            params,
-            min_size,
-            tau,
+        return gather_subgraphs(
+            backend.map_components(
+                component_graphs.graphs,
+                component_graphs.reduction,
+                params,
+                min_size,
+                tau,
+            )
         )
-    out = DsdResult(subgraphs=[])
-    for finals, raw, stats in results:
-        out.subgraphs.extend(finals)
-        out.raw.extend(raw)
-        out.shingle_stats.append(stats)
-    out.subgraphs.sort(key=lambda sg: (-len(sg), sg))
-    return out

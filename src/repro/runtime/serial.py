@@ -1,10 +1,10 @@
 """The reference in-process backend.
 
-Executes every work item synchronously on the master — the measured
-baseline every other backend is compared (and result-checked) against.
-``submit`` computes immediately through the shared
-:class:`~repro.pace.cache.AlignmentCache`, so the serial backend is the
-classic serial pipeline plus wall-clock accounting.
+Executes every work item synchronously on the master — the pipeline's
+default, and the measured baseline every other backend and the
+simulator are compared (and result-checked) against.  ``submit``
+computes immediately through the shared
+:class:`~repro.pace.cache.AlignmentCache`.
 """
 
 from __future__ import annotations

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.align.matrices import blosum62_scheme
+from repro.core.config import PipelineConfig
+from repro.core.pipeline import ProteinFamilyPipeline
 from repro.pace.cache import AlignmentCache
+from repro.parallel.simulator import VirtualCluster
+from repro.runtime import ProcessBackend, SerialBackend
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
+from repro.shingle.algorithm import ShingleParams
 
 # Lint fixtures are parsed by `repro lint`, never imported; the
 # bench_*.py ones would otherwise match `python_files` and fail import.
@@ -58,6 +65,60 @@ def domain_metagenome():
         seed=555,
     )
     return generate_metagenome(spec)
+
+
+@pytest.fixture(scope="session")
+def serial_session():
+    """``open(sequences) -> (backend, cache)``: a SerialBackend with an
+    open session over ``sequences`` and a fresh alignment cache — the
+    two handles every ``repro.runtime.phases.backend_*`` entry point
+    takes, i.e. how a test runs one phase of the reference on its own.
+    Sessions are closed when the test session ends."""
+    with contextlib.ExitStack() as stack:
+
+        def open_session(sequences):
+            scheme = blosum62_scheme()
+            backend = SerialBackend()
+            stack.enter_context(backend.session(sequences, scheme))
+            encoded = [record.encoded for record in sequences]
+            return backend, AlignmentCache(lambda k: encoded[k], scheme)
+
+        yield open_session
+
+
+#: Every way to run the pipeline; "default" is what the others must equal.
+PIPELINE_MODES = {
+    "default": lambda: {},
+    "serial": lambda: {"backend": "serial"},
+    "process": lambda: {"backend": ProcessBackend(workers=2, batch_size=8)},
+    **{
+        f"sim-p{p}": lambda p=p: {
+            "cluster": VirtualCluster(p),
+            "dsd_cluster": VirtualCluster(max(p // 2, 1)),
+        }
+        for p in (1, 4, 8)
+    },
+}
+
+
+@pytest.fixture(scope="session")
+def mode_workload(tiny_metagenome):
+    config = PipelineConfig(
+        shingle=ShingleParams(s1=3, c1=40, s2=3, c2=13),
+        min_component_size=4,
+        min_subgraph_size=4,
+    )
+    return tiny_metagenome.sequences, config
+
+
+@pytest.fixture(scope="session")
+def mode_results(mode_workload):
+    """One pipeline run per execution mode, same input and config."""
+    sequences, config = mode_workload
+    return {
+        mode: ProteinFamilyPipeline(config).run(sequences, **kwargs())
+        for mode, kwargs in PIPELINE_MODES.items()
+    }
 
 
 @pytest.fixture()

@@ -539,25 +539,50 @@ class TestCellsAccounting:
 
 
 class TestPromisingPairDifferentialFuzz:
-    """Replay random promising-pair workloads through both kernels and
-    diff the resulting family partitions (RR redundancy structure)."""
+    """Replay random promising-pair workloads through the scalar
+    Definition 1 kernel and through the RR phase (batched containment
+    engine) and diff the resulting redundancy structure."""
 
     @pytest.mark.parametrize("seed", [101, 202, 303])
-    def test_rr_partitions_identical(self, seed):
-        from repro.pace.redundancy import (
-            find_redundant_batched,
-            find_redundant_serial,
-        )
+    def test_rr_partitions_identical(self, seed, serial_session):
+        """First principles: ``containment_test`` on every unique
+        promising pair, Definition 1's mutual-containment tie-break
+        (drop the shorter; ties: the higher index) applied by hand."""
+        from repro.runtime.phases import backend_redundancy_removal
         from repro.sequence.generator import MetagenomeSpec, generate_metagenome
+        from repro.suffix.matches import MaximalMatchFinder
 
         spec = MetagenomeSpec(
             n_families=5, mean_family_size=6, seed=seed,
             redundant_fraction=0.25,
         )
         sequences = generate_metagenome(spec).sequences
-        scalar = find_redundant_serial(sequences, psi=8)
-        batched = find_redundant_batched(sequences, psi=8)
-        assert batched.redundant == scalar.redundant
-        assert batched.containments == scalar.containments
-        assert batched.kept == scalar.kept
-        assert batched.n_promising_pairs == scalar.n_promising_pairs
+        encoded = [record.encoded for record in sequences]
+        pairs = [
+            m.pair
+            for m in MaximalMatchFinder(encoded, min_length=8).unique_pairs()
+        ]
+        containments: list[tuple[int, int]] = []
+        for i, j in pairs:
+            i_in_j, j_in_i, _ = containment_test(encoded[i], encoded[j])
+            if i_in_j and j_in_i:
+                shorter_first = sorted(
+                    (i, j), key=lambda k: (len(encoded[k]), -k)
+                )
+                containments.append(tuple(shorter_first))
+            elif i_in_j:
+                containments.append((i, j))
+            elif j_in_i:
+                containments.append((j, i))
+        redundant = {contained for contained, _ in containments}
+        assert redundant, "vacuous: the workload plants redundant copies"
+
+        rr = backend_redundancy_removal(
+            sequences, *serial_session(sequences), psi=8
+        )
+        assert rr.redundant == redundant
+        assert rr.containments == sorted(containments)
+        assert rr.kept == [
+            k for k in range(len(sequences)) if k not in redundant
+        ]
+        assert rr.n_promising_pairs == len(pairs)

@@ -6,9 +6,7 @@ import pytest
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
-from repro.pace.cache import AlignmentCache
-from repro.pace.redundancy import find_redundant_serial
-from repro.align.matrices import blosum62_scheme
+from repro.runtime.phases import backend_redundancy_removal
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 from repro.sequence.record import SequenceRecord, SequenceSet
 from repro.shingle.algorithm import ShingleParams
@@ -46,13 +44,17 @@ class TestDeterminism:
 
 
 class TestRedundancyIdempotence:
-    def test_rr_on_kept_removes_nothing(self, data):
+    def test_rr_on_kept_removes_nothing(self, data, serial_session):
         """After removing all contained sequences, a second RR pass on the
         survivors must find nothing new (Definition 1 is transitive
         through the longer-survivor tie-break)."""
-        rr1 = find_redundant_serial(data.sequences, psi=10)
+        rr1 = backend_redundancy_removal(
+            data.sequences, *serial_session(data.sequences), psi=10
+        )
         survivors = data.sequences.subset(rr1.kept)
-        rr2 = find_redundant_serial(survivors, psi=10)
+        rr2 = backend_redundancy_removal(
+            survivors, *serial_session(survivors), psi=10
+        )
         assert rr2.redundant == set()
 
 
@@ -87,12 +89,14 @@ class TestMetamorphic:
         noisy_ids = [f for f in noisy_ids if f]
         assert sorted(base_ids, key=sorted) == sorted(noisy_ids, key=sorted)
 
-    def test_duplicating_a_sequence_marks_it_redundant(self, data):
+    def test_duplicating_a_sequence_marks_it_redundant(self, data, serial_session):
         """An exact copy of an existing sequence must be removed by RR."""
         augmented = SequenceSet(list(data.sequences))
         victim = data.sequences[0]
         augmented.add(SequenceRecord(id="DUP_" + victim.id, residues=victim.residues))
-        rr = find_redundant_serial(augmented, psi=10)
+        rr = backend_redundancy_removal(
+            augmented, *serial_session(augmented), psi=10
+        )
         dup_idx = augmented.index_of("DUP_" + victim.id)
         assert dup_idx in rr.redundant
 
@@ -108,14 +112,11 @@ class TestMetamorphic:
 
 
 class TestConfigSensitivity:
-    def test_larger_psi_never_finds_more_pairs(self, data):
-        cache = AlignmentCache(
-            lambda k, enc=[r.encoded for r in data.sequences]: enc[k],
-            blosum62_scheme(),
-        )
+    def test_larger_psi_never_finds_more_pairs(self, data, serial_session):
+        session = serial_session(data.sequences)  # one cache for all three
         pairs = []
         for psi in (8, 12, 16):
-            rr = find_redundant_serial(data.sequences, psi=psi, cache=cache)
+            rr = backend_redundancy_removal(data.sequences, *session, psi=psi)
             pairs.append(rr.n_promising_pairs)
         assert pairs == sorted(pairs, reverse=True)
 

@@ -2,11 +2,13 @@
 
 The load-bearing guarantee is the **scientific counter contract**: for a
 fixed configuration and input, every scientific counter in
-``repro.obs.registry`` is identical across the serial reference, the
-SerialBackend, the ProcessBackend, and the simulator — the counter
-analogue of the families/Table I result-invariance guarantee.  The rest
-of the file pins down the Recorder primitives, the worker span-shipping
-protocol, the exporters, and the ``repro profile`` CLI round-trip.
+``repro.obs.registry`` is identical across the SerialBackend (the
+reference), the ProcessBackend, and the simulator — the counter
+analogue of the families/Table I result-invariance guarantee, checked
+with it in ``test_pipeline.py::TestSameAnswerEveryMode``.  This file
+pins down what each mode's recorder carries besides, the Recorder
+primitives, the worker span-shipping protocol, the exporters, and the
+``repro profile`` CLI round-trip.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.core.config import PipelineConfig
-from repro.core.pipeline import ProteinFamilyPipeline
 from repro.eval.report import observation_lines
 from repro.obs import (
     HOST_TRACK,
@@ -36,69 +36,18 @@ from repro.obs import (
     write_counters_json,
 )
 from repro.parallel.simulator import VirtualCluster
-from repro.runtime import ProcessBackend
 from repro.sequence.fasta import write_fasta
-from repro.shingle.algorithm import ShingleParams
-
-
-@pytest.fixture(scope="module")
-def workload(tiny_metagenome):
-    config = PipelineConfig(
-        shingle=ShingleParams(s1=3, c1=40, s2=3, c2=13),
-        min_component_size=4,
-        min_subgraph_size=4,
-    )
-    return tiny_metagenome.sequences, config
-
-
-@pytest.fixture(scope="module")
-def mode_results(workload):
-    """One pipeline run per execution mode, same input and config."""
-    sequences, config = workload
-    runs = {
-        "serial": {},
-        "simulated": dict(
-            cluster=VirtualCluster(8), dsd_cluster=VirtualCluster(4)
-        ),
-        "serial_backend": dict(backend="serial"),
-        "process_backend": dict(
-            backend=ProcessBackend(workers=2, batch_size=8)
-        ),
-    }
-    return {
-        mode: ProteinFamilyPipeline(config).run(sequences, **kwargs)
-        for mode, kwargs in runs.items()
-    }
 
 
 class TestScientificCounterContract:
-    """Scientific counters are bit-identical in every execution mode."""
+    """What every mode's recorder carries.  That the scientific counters
+    (and the families) are bit-identical across ``mode_results`` is
+    ``test_pipeline.py::TestSameAnswerEveryMode``."""
 
     def test_every_run_carries_a_recorder(self, mode_results):
         for mode, result in mode_results.items():
             assert result.obs is not None, mode
             assert result.obs.counters(), mode
-
-    def test_scientific_counters_identical_across_modes(self, mode_results):
-        views = {
-            mode: scientific_view(result.obs.counters())
-            for mode, result in mode_results.items()
-        }
-        reference = views["serial"]
-        # Guard against a vacuous pass: the workload must actually
-        # exercise all four phases.
-        assert reference["rr.pairs"] > 0
-        assert reference["ccd.pairs"] > 0
-        assert reference["bipartite.graphs"] > 0
-        assert reference["dsd.components"] > 0
-        for mode, view in views.items():
-            assert view == reference, f"scientific counters diverge: {mode}"
-
-    def test_families_identical_across_modes(self, mode_results):
-        reference = mode_results["serial"].families
-        assert reference
-        for mode, result in mode_results.items():
-            assert result.families == reference, mode
 
     def test_ccd_pair_accounting_balances(self, mode_results):
         """Every streamed pair is either filtered or aligned — in every
@@ -111,17 +60,17 @@ class TestScientificCounterContract:
             ), mode
 
     def test_work_counters_reflect_mode(self, mode_results):
-        process = mode_results["process_backend"].obs.counters()
+        process = mode_results["process"].obs.counters()
         assert process["runtime.batches"] >= 1
         assert process["runtime.batch_pairs"] >= 1
         assert process["runtime.max_outstanding"] >= 1
         assert process["runtime.worker_busy_seconds"] > 0.0
         assert process["runtime.shingle_jobs"] == process["dsd.components"]
         # Serial reference does no backend dispatch...
-        serial = mode_results["serial"].obs.counters()
+        serial = mode_results["default"].obs.counters()
         assert "runtime.batches" not in serial
         # ...and the simulator mirrors virtual time instead.
-        simulated = mode_results["simulated"].obs.counters()
+        simulated = mode_results["sim-p8"].obs.counters()
         assert simulated["sim.redundancy.virtual_seconds"] > 0.0
         assert simulated["sim.dense_subgraphs.virtual_seconds"] > 0.0
 
@@ -145,7 +94,7 @@ class TestScientificCounterContract:
             assert all(secs >= 0.0 for secs in phases.values()), mode
 
     def test_process_backend_ships_worker_spans(self, mode_results):
-        recorder = mode_results["process_backend"].obs
+        recorder = mode_results["process"].obs
         worker_lanes = {
             s.lane
             for s in recorder.spans
@@ -160,7 +109,7 @@ class TestScientificCounterContract:
                         "shingle.component"}
 
     def test_simulated_run_lands_on_sim_track(self, mode_results):
-        recorder = mode_results["simulated"].obs
+        recorder = mode_results["sim-p8"].obs
         sim_spans = [s for s in recorder.spans if s.track == SIM_TRACK]
         assert sim_spans
         # Successive phases stack end-to-end on the virtual axis.
@@ -171,15 +120,15 @@ class TestScientificCounterContract:
         for before, after in zip(phase_spans, phase_spans[1:]):
             assert after.start == pytest.approx(before.end)
 
-    def test_recorder_meta_describes_the_run(self, mode_results, workload):
-        sequences, _ = workload
-        serial = mode_results["serial"].obs.meta
+    def test_recorder_meta_describes_the_run(self, mode_results, mode_workload):
+        sequences, _ = mode_workload
+        serial = mode_results["default"].obs.meta
         assert serial["mode"] == "serial"
         assert serial["n_input"] == len(sequences)
-        process = mode_results["process_backend"].obs.meta
+        process = mode_results["process"].obs.meta
         assert process["mode"] == "process"
         assert process["workers"] == 2
-        simulated = mode_results["simulated"].obs.meta
+        simulated = mode_results["sim-p8"].obs.meta
         assert simulated["mode"] == "simulated"
         assert simulated["workers"] == 8
 
@@ -436,7 +385,7 @@ class TestSimulatorBridge:
 
 class TestObservationReport:
     def test_lines_cover_all_sections(self, mode_results):
-        lines = observation_lines(mode_results["process_backend"].obs)
+        lines = observation_lines(mode_results["process"].obs)
         text = "\n".join(lines)
         assert "mode=process" in text
         assert "phase timeline" in text
@@ -451,8 +400,8 @@ class TestObservationReport:
 
 
 class TestProfileCli:
-    def test_profile_round_trip(self, workload, tmp_path, capsys):
-        sequences, _ = workload
+    def test_profile_round_trip(self, mode_workload, tmp_path, capsys):
+        sequences, _ = mode_workload
         fasta = tmp_path / "tiny.fa"
         write_fasta(sequences, fasta)
         trace_out = tmp_path / "trace.json"

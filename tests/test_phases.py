@@ -1,7 +1,8 @@
 """Pipeline phase tests: RR, CCD, bipartite generation, DSD.
 
 The load-bearing invariant: every phase produces identical scientific
-output serially and at any simulated processor count.
+output on the serial backend (``repro.runtime.phases.backend_*``, the
+reference) and at any simulated processor count (``parallel_*``).
 """
 
 from __future__ import annotations
@@ -11,20 +12,18 @@ import numpy as np
 import pytest
 
 from repro.align.matrices import blosum62_scheme
-from repro.pace.bipartite_gen import generate_component_graphs
 from repro.pace.cache import AlignmentCache
-from repro.pace.clustering import (
-    detect_components_serial,
-    parallel_component_detection,
-    _overlap_passes,
-)
-from repro.pace.densesub import (
-    detect_dense_subgraphs_serial,
-    parallel_dense_subgraph_detection,
-)
-from repro.pace.redundancy import find_redundant_serial, parallel_redundancy_removal
+from repro.pace.clustering import parallel_component_detection, _overlap_passes
+from repro.pace.densesub import parallel_dense_subgraph_detection
+from repro.pace.redundancy import parallel_redundancy_removal
 from repro.parallel.machine import XEON_CLUSTER
 from repro.parallel.simulator import VirtualCluster
+from repro.runtime.phases import (
+    backend_component_detection,
+    backend_dense_subgraph_detection,
+    backend_generate_component_graphs,
+    backend_redundancy_removal,
+)
 from repro.shingle.algorithm import ShingleParams
 from repro.suffix.matches import MaximalMatchFinder
 
@@ -33,9 +32,9 @@ SMALL_SHINGLE = ShingleParams(s1=3, c1=60, s2=2, c2=25, seed=5)
 
 
 @pytest.fixture(scope="module")
-def rr_serial(small_metagenome_module, cache_module):
-    return find_redundant_serial(
-        small_metagenome_module.sequences, psi=PSI, cache=cache_module
+def rr_serial(small_metagenome_module, session):
+    return backend_redundancy_removal(
+        small_metagenome_module.sequences, *session, psi=PSI
     )
 
 
@@ -57,9 +56,14 @@ def small_metagenome_module():
 
 
 @pytest.fixture(scope="module")
-def cache_module(small_metagenome_module):
-    encoded = [r.encoded for r in small_metagenome_module.sequences]
-    return AlignmentCache(lambda k: encoded[k], blosum62_scheme())
+def session(small_metagenome_module, serial_session):
+    """``(backend, cache)`` of a serial session over the module's input."""
+    return serial_session(small_metagenome_module.sequences)
+
+
+@pytest.fixture(scope="module")
+def cache_module(session):
+    return session[1]
 
 
 class TestRedundancyRemoval:
@@ -101,9 +105,9 @@ class TestRedundancyRemoval:
 
 class TestComponentDetection:
     @pytest.fixture(scope="class")
-    def ccd_serial(self, small_metagenome_module, cache_module, rr_serial):
-        return detect_components_serial(
-            small_metagenome_module.sequences, rr_serial.kept, psi=PSI, cache=cache_module
+    def ccd_serial(self, small_metagenome_module, session, rr_serial):
+        return backend_component_detection(
+            small_metagenome_module.sequences, rr_serial.kept, *session, psi=PSI
         )
 
     def test_components_partition_kept(self, rr_serial, ccd_serial):
@@ -171,85 +175,84 @@ class TestComponentDetection:
 
 class TestBipartiteGeneration:
     @pytest.fixture(scope="class")
-    def components(self, small_metagenome_module, cache_module, rr_serial):
-        ccd = detect_components_serial(
-            small_metagenome_module.sequences, rr_serial.kept, psi=PSI, cache=cache_module
+    def components(self, small_metagenome_module, session, rr_serial):
+        ccd = backend_component_detection(
+            small_metagenome_module.sequences, rr_serial.kept, *session, psi=PSI
         )
         return ccd.components_of_size(5)
 
-    def test_graphs_per_component(self, small_metagenome_module, cache_module, components):
-        cg = generate_component_graphs(
-            small_metagenome_module.sequences, components, cache=cache_module
+    def test_graphs_per_component(self, small_metagenome_module, session, components):
+        cg = backend_generate_component_graphs(
+            small_metagenome_module.sequences, components, *session
         )
         assert len(cg.graphs) == len(cg.components) == len(components)
         for members, graph in zip(cg.components, cg.graphs):
             assert graph.n_left == graph.n_right == len(members)
             assert graph.left_labels == members
 
-    def test_neighbors_symmetric(self, small_metagenome_module, cache_module, components):
-        cg = generate_component_graphs(
-            small_metagenome_module.sequences, components, cache=cache_module
+    def test_neighbors_symmetric(self, small_metagenome_module, session, components):
+        cg = backend_generate_component_graphs(
+            small_metagenome_module.sequences, components, *session
         )
         for v, nbrs in cg.neighbors.items():
             for u in nbrs:
                 assert v in cg.neighbors[u]
 
-    def test_domain_reduction(self, small_metagenome_module, cache_module, components):
-        cg = generate_component_graphs(
+    def test_domain_reduction(self, small_metagenome_module, session, components):
+        cg = backend_generate_component_graphs(
             small_metagenome_module.sequences,
             components,
+            *session,
             reduction="domain",
             w=8,
-            cache=cache_module,
         )
         assert cg.reduction == "domain"
         for members, graph in zip(cg.components, cg.graphs):
             assert graph.n_right == len(members)
             assert graph.right_labels == members
 
-    def test_invalid_reduction(self, small_metagenome_module, components):
+    def test_invalid_reduction(self, small_metagenome_module, session, components):
         with pytest.raises(ValueError, match="reduction"):
-            generate_component_graphs(
-                small_metagenome_module.sequences, components, reduction="bogus"
+            backend_generate_component_graphs(
+                small_metagenome_module.sequences, components, *session,
+                reduction="bogus",
             )
 
-    def test_small_components_skipped(self, small_metagenome_module, cache_module):
-        cg = generate_component_graphs(
-            small_metagenome_module.sequences, [[0, 1]], min_size=5, cache=cache_module
+    def test_small_components_skipped(self, small_metagenome_module, session):
+        cg = backend_generate_component_graphs(
+            small_metagenome_module.sequences, [[0, 1]], *session, min_size=5
         )
         assert cg.graphs == []
 
 
 class TestDenseSubgraphDetection:
     @pytest.fixture(scope="class")
-    def component_graphs(self, small_metagenome_module, cache_module, rr_serial):
-        ccd = detect_components_serial(
-            small_metagenome_module.sequences, rr_serial.kept, psi=PSI, cache=cache_module
+    def component_graphs(self, small_metagenome_module, session, rr_serial):
+        ccd = backend_component_detection(
+            small_metagenome_module.sequences, rr_serial.kept, *session, psi=PSI
         )
-        return generate_component_graphs(
-            small_metagenome_module.sequences,
-            ccd.components_of_size(5),
-            cache=cache_module,
+        return backend_generate_component_graphs(
+            small_metagenome_module.sequences, ccd.components_of_size(5), *session
         )
 
-    def test_serial_subgraphs_meet_min_size(self, component_graphs):
-        dsd = detect_dense_subgraphs_serial(
-            component_graphs, params=SMALL_SHINGLE, min_size=5
+    def test_serial_subgraphs_meet_min_size(self, component_graphs, session):
+        dsd = backend_dense_subgraph_detection(
+            component_graphs, session[0], params=SMALL_SHINGLE, min_size=5
         )
         assert all(len(sg) >= 5 for sg in dsd.subgraphs)
 
-    def test_subgraphs_within_components(self, component_graphs):
-        dsd = detect_dense_subgraphs_serial(
-            component_graphs, params=SMALL_SHINGLE, min_size=5
+    def test_subgraphs_within_components(self, component_graphs, session):
+        dsd = backend_dense_subgraph_detection(
+            component_graphs, session[0], params=SMALL_SHINGLE, min_size=5
         )
         all_members = {m for c in component_graphs.components for m in c}
         for sg in dsd.subgraphs:
             assert set(sg) <= all_members
 
     @pytest.mark.parametrize("p", [1, 2, 4])
-    def test_parallel_equals_serial(self, component_graphs, p):
-        serial = detect_dense_subgraphs_serial(
-            component_graphs, params=SMALL_SHINGLE, min_size=5
+    def test_parallel_equals_serial(self, component_graphs, session, p):
+        serial = backend_dense_subgraph_detection(
+            component_graphs, session[0], params=SMALL_SHINGLE, min_size=5
         )
         par = parallel_dense_subgraph_detection(
             component_graphs,
@@ -260,29 +263,29 @@ class TestDenseSubgraphDetection:
         assert par.subgraphs == serial.subgraphs
         assert par.sim is not None
 
-    def test_shingle_stats_collected(self, component_graphs):
-        dsd = detect_dense_subgraphs_serial(
-            component_graphs, params=SMALL_SHINGLE, min_size=5
+    def test_shingle_stats_collected(self, component_graphs, session):
+        dsd = backend_dense_subgraph_detection(
+            component_graphs, session[0], params=SMALL_SHINGLE, min_size=5
         )
         assert len(dsd.shingle_stats) == len(component_graphs.graphs)
 
 
 class TestParallelBipartiteGeneration:
     @pytest.fixture(scope="class")
-    def components(self, small_metagenome_module, cache_module, rr_serial):
-        ccd = detect_components_serial(
-            small_metagenome_module.sequences, rr_serial.kept, psi=PSI, cache=cache_module
+    def components(self, small_metagenome_module, session, rr_serial):
+        ccd = backend_component_detection(
+            small_metagenome_module.sequences, rr_serial.kept, *session, psi=PSI
         )
         return ccd.components_of_size(5)
 
     @pytest.mark.parametrize("p", [1, 3, 6])
     def test_parallel_equals_serial(
-        self, small_metagenome_module, cache_module, components, p
+        self, small_metagenome_module, session, cache_module, components, p
     ):
         from repro.pace.bipartite_gen import parallel_generate_component_graphs
 
-        serial = generate_component_graphs(
-            small_metagenome_module.sequences, components, cache=cache_module
+        serial = backend_generate_component_graphs(
+            small_metagenome_module.sequences, components, *session
         )
         par = parallel_generate_component_graphs(
             small_metagenome_module.sequences,

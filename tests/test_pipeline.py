@@ -7,10 +7,12 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro.eval.metrics import compare_clusterings
+from repro.obs import scientific_view
 from repro.parallel.machine import XEON_CLUSTER
 from repro.parallel.simulator import VirtualCluster
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 from repro.shingle.algorithm import ShingleParams
+from tests.conftest import PIPELINE_MODES
 
 FAST_SHINGLE = ShingleParams(s1=3, c1=60, s2=2, c2=25, seed=5)
 
@@ -93,6 +95,27 @@ class TestSerialPipeline:
 
     def test_timings_zero_when_serial(self, serial_result):
         assert serial_result.timings.total == 0.0
+
+
+class TestSameAnswerEveryMode:
+    """The one cross-mode contract: whatever executes the phases — the
+    serial backend (by default or by name), worker processes, or the
+    simulator at any processor count — the families, the Table I row and
+    every scientific counter are those of the default run."""
+
+    @pytest.mark.parametrize("mode", list(PIPELINE_MODES))
+    def test_mode_gives_the_default_answer(self, mode_results, mode):
+        reference = mode_results["default"]
+        expected = scientific_view(reference.obs.counters())
+        # Guard against a vacuous pass: the workload must actually
+        # exercise all four phases.
+        assert reference.families
+        for name in ("rr.pairs", "ccd.pairs", "bipartite.graphs", "dsd.components"):
+            assert expected[name] > 0, name
+        result = mode_results[mode]
+        assert result.families == reference.families
+        assert result.table1() == reference.table1()
+        assert scientific_view(result.obs.counters()) == expected
 
 
 class TestParallelPipeline:

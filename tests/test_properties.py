@@ -332,18 +332,19 @@ class TestUnionFindProperties:
 
 class TestBatchedPipelineDifferential:
     """End-to-end differential fuzz: seeded random metagenomes run
-    through the classic scalar pipeline and the backend pipeline (whose
-    RR phase routes through the batched containment engine) must agree
-    on every family, every scientific counter, and the family digest."""
+    through the simulator on one rank (whose phases align pair by pair
+    with the scalar kernels) and through the serial backend (whose RR
+    phase routes through the batched containment engine) must agree on
+    every family, every scientific counter, and the family digest."""
 
     @pytest.mark.parametrize("seed", [7, 1013])
     def test_scalar_and_batched_runs_identical(self, seed):
         import hashlib
 
-        from repro import obs
         from repro.core.config import PipelineConfig
         from repro.core.pipeline import ProteinFamilyPipeline
         from repro.obs.registry import scientific_view
+        from repro.parallel.simulator import VirtualCluster
         from repro.sequence.generator import MetagenomeSpec, generate_metagenome
         from repro.shingle.algorithm import ShingleParams
 
@@ -362,14 +363,10 @@ class TestBatchedPipelineDifferential:
             payload = repr(result.families).encode()
             return hashlib.sha256(payload).hexdigest()
 
-        scalar_rec = obs.Recorder()
-        with obs.recording(scalar_rec):
-            scalar = ProteinFamilyPipeline(config).run(sequences)
-        batched_rec = obs.Recorder()
-        with obs.recording(batched_rec):
-            batched = ProteinFamilyPipeline(config).run(
-                sequences, backend="serial"
-            )
+        scalar = ProteinFamilyPipeline(config).run(
+            sequences, cluster=VirtualCluster(1), dsd_cluster=VirtualCluster(1)
+        )
+        batched = ProteinFamilyPipeline(config).run(sequences, backend="serial")
 
         assert batched.families == scalar.families
         assert digest(batched) == digest(scalar)
@@ -377,5 +374,5 @@ class TestBatchedPipelineDifferential:
         assert batched.redundancy.containments == scalar.redundancy.containments
         assert (batched.clustering.components
                 == scalar.clustering.components)
-        assert (scientific_view(batched_rec.counters())
-                == scientific_view(scalar_rec.counters()))
+        assert (scientific_view(batched.obs.counters())
+                == scientific_view(scalar.obs.counters()))

@@ -1,10 +1,11 @@
 """Execution-backend tests: result invariance, crash safety, stats.
 
 The central guarantee of :mod:`repro.runtime` is that ``families`` and
-the Table I row are bit-identical across backends for a fixed config;
-these tests check it end to end on a seeded generated workload, plus
-the operational contracts (clean worker-crash propagation, shared-store
-round-trips, wall-clock stats bookkeeping).
+the Table I row are bit-identical across backends for a fixed config
+(``test_pipeline.py::TestSameAnswerEveryMode`` checks it end to end);
+these tests cover how a backend is chosen and the operational contracts
+(clean worker-crash propagation, shared-store round-trips, wall-clock
+stats bookkeeping).
 """
 
 from __future__ import annotations
@@ -27,17 +28,11 @@ from repro.runtime import (
     make_backend,
     runtime_info,
 )
-from repro.shingle.algorithm import ShingleParams
 
 
 @pytest.fixture(scope="module")
-def workload(tiny_metagenome):
-    config = PipelineConfig(
-        shingle=ShingleParams(s1=3, c1=40, s2=3, c2=13),
-        min_component_size=4,
-        min_subgraph_size=4,
-    )
-    return tiny_metagenome.sequences, config
+def workload(mode_workload):
+    return mode_workload
 
 
 @pytest.fixture(scope="module")
@@ -47,26 +42,6 @@ def reference(workload):
 
 
 class TestResultInvariance:
-    def test_serial_backend_matches_reference(self, workload, reference):
-        sequences, config = workload
-        result = ProteinFamilyPipeline(config).run(sequences, backend="serial")
-        assert result.families == reference.families
-        assert result.table1() == reference.table1()
-        # The serial backend also reproduces the reference work counters.
-        assert result.clustering.n_alignments == reference.clustering.n_alignments
-        assert result.redundancy.containments == reference.redundancy.containments
-
-    def test_process_backend_matches_reference(self, workload, reference):
-        sequences, config = workload
-        backend = ProcessBackend(workers=2, batch_size=8)
-        result = ProteinFamilyPipeline(config).run(sequences, backend=backend)
-        assert result.families == reference.families
-        assert result.table1() == reference.table1()
-        assert result.redundancy.kept == reference.redundancy.kept
-        assert result.clustering.components == reference.clustering.components
-        assert result.graphs.n_edges == reference.graphs.n_edges
-        assert result.graphs.neighbors == reference.graphs.neighbors
-
     def test_process_backend_matches_simulator(self, workload, reference):
         """Simulator and runtime agree: the same families at any scale."""
         sequences, config = workload
@@ -110,9 +85,6 @@ class TestRuntimeStats:
             assert 0.0 <= phase.utilization(stats.workers) <= 1.0
         assert stats.cache["misses"] > 0
         assert any("backend=serial" in line for line in stats.summary_lines())
-
-    def test_classic_run_has_no_runtime_stats(self, reference):
-        assert reference.runtime is None
 
 
 class TestCrashSafety:
