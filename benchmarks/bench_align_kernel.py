@@ -23,6 +23,8 @@ committed number must show >= 10x.  Writes ``BENCH_align_kernel.json``.
 
 from __future__ import annotations
 
+import platform
+
 import numpy as np
 
 from repro.align.banded import banded_global_align
@@ -35,6 +37,7 @@ from repro.align.batch import (
 from repro.align.matrices import blosum62_scheme
 from repro.align.pairwise import global_align
 from repro.align.predicates import containment_test
+from repro.runtime import usable_cpu_count
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 from repro.suffix.matches import MaximalMatchFinder
 from repro.util.timing import monotonic_now
@@ -173,6 +176,9 @@ def main() -> None:
             "n_pairs": MAX_PAIRS,
             "n_banded_pairs": N_BANDED,
             "banded_length": BANDED_LENGTH,
+            "cpu_count": usable_cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
         },
         metrics,
     )

@@ -44,11 +44,10 @@ def banded_global_align(
     matrix = scheme.matrix.astype(np.int32)
 
     # Row sweep over band slices: m contiguous-row iterations of width
-    # <= 2*band+1 (versus m+n fancy-indexed anti-diagonals previously),
-    # and the substitution profile is materialised only inside the band
-    # — O((m+n)*band) work and memory touch instead of O(m*n).
+    # <= 2*band+1, scores looked up only inside the band: O((m+n)*band)
+    # arithmetic.  H stays a full (m+1, n+1) array of _NEG_INF, the one
+    # O(m*n) allocation left, so the shared traceback can index it.
     H = np.full((m + 1, n + 1), _NEG_INF, dtype=np.int32)
-    sub = np.zeros((m, n), dtype=np.int32)
     boundary = np.arange(0, band + 1, dtype=np.int32)
     H[boundary[boundary <= m], 0] = gap * boundary[boundary <= m]
     H[0, boundary[boundary <= n]] = gap * boundary[boundary <= n]
@@ -59,7 +58,6 @@ def banded_global_align(
         if lo > hi:  # pragma: no cover - impossible once band >= |m - n|
             continue
         sub_row = matrix[a[i - 1], b[lo - 1 : hi]]
-        sub[i - 1, lo - 1 : hi] = sub_row
         # Down/diagonal candidates first (left-independent), exactly as
         # the unbanded kernel's _fill: out-of-band neighbours hold
         # _NEG_INF, which any in-band path beats (scores are bounded
@@ -80,4 +78,4 @@ def banded_global_align(
 
     if H[m, n] <= _NEG_INF // 2:  # pragma: no cover - guarded by band check
         raise ValueError("band excluded the terminal cell")
-    return _traceback(H, sub, a, b, scheme, m, n, "global")
+    return _traceback(H, a, b, scheme, m, n, "global")

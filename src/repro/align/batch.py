@@ -12,11 +12,10 @@ complementary axes:
    pairs are grouped into length buckets and padded; the DP state is
    laid out *batch-last* — ``H[(m+1), (n+1), B]`` — so every row update
    is one contiguous NumPy op across the whole bucket.  The fill
-   replays the scalar kernel's exact op sequence on each real
-   submatrix, so the batched ``H`` equals the scalar ``H`` cell for
-   cell, and the scalar :func:`~repro.align.pairwise._traceback` is
-   reused per pair — tie-breaking is therefore *identical by
-   construction*, not merely score-equivalent.
+   computes the scalar recurrence exactly on each real submatrix, one
+   masked reduction per bucket replicates the scalar ``argmax`` rules,
+   and the scalar :func:`~repro.align.pairwise._traceback` walks each
+   slot — tie-breaking is *identical*, not merely score-equivalent.
 
 2. **Bit-parallel Myers prefilter** (:func:`batch_myers_infix`,
    :func:`batch_containment`): a multi-word Myers (1999) bit-vector
@@ -59,9 +58,9 @@ from repro.align.pairwise import (
     batch_alignment_cells,
 )
 
-#: Pairs per DP bucket.  Measured on the benchmark box: the batch-last
-#: working set of a 256x300 bucket stays cache-resident up to ~64 pairs
-#: and regresses past ~128 (the (m+1, n+1, B) row slabs start missing).
+#: Pairs per DP bucket.  Re-measured with the int16, slab-free fill on a
+#: ~260-residue family, local mode: 561/571/458/460/482 us per pair at
+#: 16/32/64/128/256 (per-row dispatch below 64, rows outgrowing L1 past it).
 DEFAULT_BUCKET = 64
 
 #: Pairs per Myers sweep.  The bit-vector state is tiny ((W, B) words),
@@ -81,83 +80,112 @@ _U63 = np.uint64(63)
 
 
 def _chain_dtype(scheme: ScoringScheme, m: int, n: int) -> type:
-    """Smallest integer dtype that provably cannot overflow the fill.
+    """Narrowest integer dtype that provably cannot overflow the fill.
 
     The scalar kernel runs its running-max chain in int64; any dtype
     holding every intermediate exactly yields bit-identical H values.
-    |H| <= max|sub| * min(m, n) + |gap| * (m + n), and the chain adds
-    |gap| * (n + 1) on top.
+    |H| <= max|sub| * min(m, n) + |gap| * (m + n), and the chain (which
+    shares H's dtype) adds |gap| * (n + 1): int16 to ~935 residues a
+    side under BLOSUM62 with gap -8.
     """
     bound = (
         int(np.abs(scheme.matrix).max()) * min(m, n)
         + abs(scheme.gap) * (m + n + 2)
         + abs(scheme.gap) * (n + 1)
     )
-    return np.int32 if bound < 2**31 - 1 else np.int64
+    for dtype in (np.int16, np.int32):
+        if bound < np.iinfo(dtype).max:
+            return dtype
+    return np.int64
 
 
 def _bucket_fill(
-    encoded_a: Sequence[np.ndarray],
-    encoded_b: Sequence[np.ndarray],
-    scheme: ScoringScheme,
-    mode: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fill one bucket of pairs; returns (H, SUB), batch-last layout.
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]], scheme: ScoringScheme, mode: str
+) -> np.ndarray:
+    """Fill one bucket of pairs; returns H, batch-last ``(m_pad+1, n_pad+1, B)``.
 
-    ``H`` has shape ``(m_pad+1, n_pad+1, B)`` and ``SUB`` shape
-    ``(m_pad, n_pad, B)``; for every pair ``k`` the real submatrix
-    ``H[:m_k+1, :n_k+1, k]`` equals the scalar ``_fill`` H exactly (the
-    padded tail rows/columns only ever read cells at smaller indices,
-    so garbage never flows into a real cell).
+    Slot ``k`` is the DP matrix of pair ``k`` padded with residue 0: its
+    real submatrix ``H[:m_k+1, :n_k+1, k]`` equals the scalar ``_fill`` H
+    (a cell only reads cells at smaller indices) and every cell obeys
+    :func:`_chain_dtype`'s bound.  Padded cells can outscore the real
+    optimum, so :func:`_bucket_endpoints` confines itself to real ones.
     """
-    B = len(encoded_a)
-    m_arr = np.array([len(a) for a in encoded_a])
-    n_arr = np.array([len(b) for b in encoded_b])
-    m_pad, n_pad = int(m_arr.max()), int(n_arr.max())
-    # Pad with residue 0: scores computed there are garbage but confined
-    # to rows > m_k / cols > n_k of pair k.
+    B = len(pairs)
+    m_pad = max(len(a) for a, _ in pairs)
+    n_pad = max(len(b) for _, b in pairs)
+    width = scheme.matrix.shape[1]
     a_pad = np.zeros((m_pad, B), dtype=np.intp)
     b_pad = np.zeros((n_pad, B), dtype=np.intp)
-    for k, (a, b) in enumerate(zip(encoded_a, encoded_b)):
+    for k, (a, b) in enumerate(pairs):
         a_pad[: len(a), k] = a
         b_pad[: len(b), k] = b
+    if max(a_pad.max(), b_pad.max()) >= width:
+        raise IndexError(f"residue index out of range for a {width}-letter matrix")
+    a_pad *= width  # row offsets into the flattened matrix
 
-    matrix = scheme.matrix
-    sub_dtype = np.int8 if int(np.abs(matrix).max()) <= 120 else np.int32
-    matrix = matrix.astype(sub_dtype)
     gap = int(scheme.gap)
-    cdt = _chain_dtype(scheme, m_pad, n_pad)
+    dtype = _chain_dtype(scheme, m_pad, n_pad)
+    matrix = scheme.matrix.astype(dtype).ravel()  # fits: bound >= max|sub|
 
-    H = np.zeros((m_pad + 1, n_pad + 1, B), dtype=np.int32)
-    SUB = np.empty((m_pad, n_pad, B), dtype=sub_dtype)
+    H = np.zeros((m_pad + 1, n_pad + 1, B), dtype=dtype)
     if mode == "global":
-        ramp_m = gap * np.arange(m_pad + 1, dtype=np.int32)
-        ramp_n = gap * np.arange(n_pad + 1, dtype=np.int32)
-        H[:, 0, :] = ramp_m[:, None]
-        H[0, :, :] = ramp_n[:, None]
+        H[:, 0, :] = (gap * np.arange(m_pad + 1, dtype=dtype))[:, None]
+        H[0, :, :] = (gap * np.arange(n_pad + 1, dtype=dtype))[:, None]
 
-    offs = (-gap) * np.arange(n_pad + 1, dtype=cdt)[:, None]
-    local = mode == "local"
-    t = np.empty((n_pad, B), dtype=np.int32)
-    up = np.empty((n_pad, B), dtype=np.int32)
-    chain = np.empty((n_pad + 1, B), dtype=cdt)
+    # offs[j] = -j * gap turns the left-gap chain into a prefix max.  It
+    # and the local floor are full-size: broadcast operands miss NumPy's
+    # fast loops (np.maximum against a scalar is ~5x slower).
+    offs = np.repeat((-gap) * np.arange(n_pad + 1, dtype=dtype), B).reshape(-1, B)
+    floor = np.zeros((n_pad, B), dtype=dtype) if mode == "local" else None
+    cell = np.empty((n_pad, B), dtype=np.intp)
+    sub = np.empty((n_pad, B), dtype=dtype)
+    up = np.empty((n_pad, B), dtype=dtype)
     for i in range(1, m_pad + 1):
-        # Substitution profile row: matrix[a[i-1], b[j]] for all pairs.
-        sub_row = SUB[i - 1]
-        sub_row[...] = matrix[a_pad[i - 1][None, :], b_pad]
-        prev = H[i - 1]
-        np.add(prev[:-1], sub_row, out=t)
+        np.add(a_pad[i - 1], b_pad, out=cell)
+        np.take(matrix, cell, out=sub, mode="clip")  # range checked above
+        # The row is its own chain: row[0] holds the boundary (the chain
+        # origin) and row[1:] the gap-free candidates, diagonal then up.
+        prev, row = H[i - 1], H[i]
+        t = row[1:]
+        np.add(prev[:-1], sub, out=t)
         np.add(prev[1:], gap, out=up)
         np.maximum(t, up, out=t)
-        if local:
-            np.maximum(t, 0, out=t)
-        chain[0] = H[i, 0]
-        chain[1:] = t
-        chain += offs
-        np.maximum.accumulate(chain, axis=0, out=chain)
-        np.subtract(chain[1:], offs[1:], out=chain[1:])
-        H[i, 1:] = chain[1:]
-    return H, SUB
+        if floor is not None:
+            np.maximum(t, floor, out=t)
+        row += offs
+        np.maximum.accumulate(row, axis=0, out=row)
+        row -= offs
+    return H
+
+
+def _bucket_endpoints(
+    H: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray]], mode: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Traceback start cells of a whole bucket, the scalar kernels' choice.
+
+    Local: first row-major ``argmax`` of the real submatrix; the padding
+    is zeroed in place first, sound because real cells are >= 0 and
+    ``(0, 0)`` comes first, so a zeroed cell is never the first maximum.
+    Semiglobal: first ``argmax`` of the last real row and of the last
+    real column, the row winning ties (``>=``).
+    """
+    m_arr, n_arr = np.array([(len(a), len(b)) for a, b in pairs]).T
+    if mode == "global":
+        return m_arr, n_arr
+    rows, cols, slots = (np.arange(size) for size in H.shape)
+    if mode == "local":
+        m_min, n_min = int(m_arr.min()), int(n_arr.min())
+        H[m_min + 1 :] *= (rows[m_min + 1 :, None] <= m_arr)[:, None, :]
+        H[:, n_min + 1 :] *= (cols[n_min + 1 :, None] <= n_arr)[None, :, :]
+        row_max = H.max(axis=1)
+        start_i = (row_max == row_max.max(axis=0)).argmax(axis=0)
+        return start_i, H[start_i, :, slots].argmax(axis=1)
+    low = np.iinfo(H.dtype).min
+    last_row = np.where(cols <= n_arr[:, None], H[m_arr, :, slots], low)
+    last_col = np.where(rows <= m_arr[:, None], H[:, n_arr, slots].T, low)
+    row_j, col_i = last_row.argmax(axis=1), last_col.argmax(axis=1)
+    row_wins = last_row[slots, row_j] >= last_col[slots, col_i]
+    return np.where(row_wins, m_arr, col_i), np.where(row_wins, row_j, n_arr)
 
 
 def _bucket_key(m: int, n: int) -> tuple[int, int]:
@@ -176,20 +204,6 @@ def _iter_buckets(
         members = groups[key]
         for lo in range(0, len(members), bucket_size):
             yield members[lo : lo + bucket_size]
-
-
-def _endpoint(H: np.ndarray, m: int, n: int, mode: str) -> tuple[int, int]:
-    """Traceback start cell, replicating the scalar argmax exactly."""
-    if mode == "global":
-        return m, n
-    if mode == "local":
-        flat = int(np.argmax(H))
-        return divmod(flat, H.shape[1])
-    last_row_j = int(np.argmax(H[m, :]))
-    last_col_i = int(np.argmax(H[:, n]))
-    if H[m, last_row_j] >= H[last_col_i, n]:
-        return m, last_row_j
-    return last_col_i, n
 
 
 def batch_align(
@@ -219,20 +233,12 @@ def batch_align(
     obs.count("batch.cells", batch_alignment_cells(dims))
     out: list[Alignment | None] = [None] * len(enc)
     for members in _iter_buckets(dims, bucket_size):
-        H, SUB = _bucket_fill(
-            [enc[k][0] for k in members],
-            [enc[k][1] for k in members],
-            scheme,
-            mode,
-        )
-        for slot, k in enumerate(members):
-            a, b = enc[k]
-            m, n = len(a), len(b)
-            h = H[: m + 1, : n + 1, slot]
-            start_i, start_j = _endpoint(h, m, n, mode)
-            out[k] = _traceback(
-                h, SUB[:m, :n, slot], a, b, scheme, start_i, start_j, mode
-            )
+        bucket = [enc[k] for k in members]
+        H = _bucket_fill(bucket, scheme, mode)
+        start_i, start_j = _bucket_endpoints(H, bucket, mode)
+        starts = zip(start_i.tolist(), start_j.tolist())
+        for slot, (k, (i, j)) in enumerate(zip(members, starts)):
+            out[k] = _traceback(H[:, :, slot], *enc[k], scheme, i, j, mode)
     return out  # type: ignore[return-value]
 
 
@@ -292,8 +298,6 @@ def batch_score(
         scheme = blosum62_scheme()
     enc = [(_as_encoded(a), _as_encoded(b)) for a, b in pairs]
     scores = np.zeros(len(enc), dtype=np.int64)
-    if not enc:
-        return scores
     todo = list(range(len(enc)))
     if mode == "global" and use_banded is not False:
         remaining = []
@@ -316,18 +320,10 @@ def batch_score(
         obs.count("batch.pairs", len(todo))
         obs.count("batch.cells", batch_alignment_cells(dims))
         for members in _iter_buckets(dims, bucket_size):
-            H, _ = _bucket_fill(
-                [enc[todo[s]][0] for s in members],
-                [enc[todo[s]][1] for s in members],
-                scheme,
-                mode,
-            )
-            for slot, s in enumerate(members):
-                k = todo[s]
-                m, n = len(enc[k][0]), len(enc[k][1])
-                h = H[: m + 1, : n + 1, slot]
-                i, j = _endpoint(h, m, n, mode)
-                scores[k] = int(h[i, j])
+            bucket = [enc[todo[s]] for s in members]
+            H = _bucket_fill(bucket, scheme, mode)
+            start_i, start_j = _bucket_endpoints(H, bucket, mode)
+            scores[[todo[s] for s in members]] = H[start_i, start_j, np.arange(len(members))]
     return scores
 
 

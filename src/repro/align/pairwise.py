@@ -1,15 +1,14 @@
 """Exact pairwise alignment kernels (Needleman-Wunsch / Smith-Waterman).
 
-The DP matrix fill is vectorised over anti-diagonals with NumPy: every
-cell on anti-diagonal ``d`` depends only on diagonals ``d-1`` and ``d-2``,
-so each diagonal is one batched update.  For the paper's workloads
-(sequences of a few hundred residues) this turns an O(l^2) Python loop
-into ~2*l vectorised operations per pair — the "vectorise the inner loop"
-idiom of HPC Python.
+The DP matrix fill is a row sweep vectorised with NumPy: within a row the
+only serial dependency of the linear-gap recurrence is the left-gap
+chain, which unrolls to a running maximum (see :func:`_fill`), so an
+O(l^2) Python loop becomes ~l vectorised row updates per pair.
 
-Tracebacks are O(alignment length) and yield the exact statistics the
-paper's Definitions 1 and 2 threshold on: identical-column count,
-alignment length, and the aligned span on each sequence.
+Tracebacks consume one diagonal run per step (one vector compare along
+``H.diagonal``) and yield the exact statistics the paper's Definitions 1
+and 2 threshold on: identical-column count, alignment length, and the
+aligned span on each sequence.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.align.matrices import ScoringScheme, blosum62_scheme
-
-_NEG_INF = np.int32(-(1 << 30))
 
 
 @dataclass(frozen=True)
@@ -69,10 +66,8 @@ def _fill(
     b: np.ndarray,
     scheme: ScoringScheme,
     mode: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fill the DP matrix; returns (H, sub).
-
-    H has shape (m+1, n+1); sub is the (m, n) substitution profile.
+) -> np.ndarray:
+    """Fill the DP matrix; returns H of shape (m+1, n+1).
 
     The fill is vectorised *within each row*: the only serial dependency
     of the linear-gap recurrence, ``H[i, j-1] + gap``, unrolls to a
@@ -106,12 +101,11 @@ def _fill(
         chain += offs
         np.maximum.accumulate(chain, out=chain)
         row[1:] = (chain[1:] - offs[1:]).astype(np.int32)
-    return H, sub
+    return H
 
 
 def _traceback(
     H: np.ndarray,
-    sub: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
     scheme: ScoringScheme,
@@ -119,40 +113,52 @@ def _traceback(
     start_j: int,
     mode: str,
 ) -> Alignment:
-    """Walk back from (start_i, start_j) reconstructing column statistics."""
-    gap = scheme.gap
+    """Walk back from (start_i, start_j) reconstructing column statistics.
+
+    Moves are tried diagonal, up, left.  On one diagonal the walk keeps
+    moving diagonally while ``H[q] == H[q-1] + sub[q]`` (and, local,
+    ``H[q] != 0``), so one vector compare along ``H.diagonal(j - i)``
+    consumes a whole run; gap moves stay scalar.  ``H`` is any 2-D view.
+    """
+    gap, matrix, local = scheme.gap, scheme.matrix, mode == "local"
     i, j = start_i, start_j
-    matches = 0
-    length = 0
-    gaps = 0
-    while i > 0 or j > 0:
-        h = H[i, j]
-        if mode == "local" and h == 0:
+    matches = diagonal = 0
+    # i == 0 or j == 0 ends the local walk (H is 0 there) and the
+    # semiglobal one; the global walk finishes along the boundary below.
+    while i > 0 and j > 0:
+        h = H.item(i, j)
+        if local and h == 0:
             break
-        if mode == "semiglobal" and (i == 0 or j == 0):
-            break
-        if i > 0 and j > 0 and h == H[i - 1, j - 1] + sub[i - 1, j - 1]:
-            if a[i - 1] == b[j - 1]:
-                matches += 1
+        if h == H.item(i - 1, j - 1) + matrix.item(a.item(i - 1), b.item(j - 1)):
+            p = min(i, j)
+            d = H.diagonal(j - i)[: p + 1]  # d[p] is (i, j), d[0] the boundary
+            ok = d[1:] == d[:-1] + matrix[a[i - p : i], b[j - p : j]]
+            if local:
+                ok &= d[1:] != 0
+            # Steps to the first inconsistent cell; ok[-1] holds, so 0 = none.
+            run = int(ok[::-1].argmin()) or p
+            matches += int(np.count_nonzero(a[i - run : i] == b[j - run : j]))
+            diagonal += run
+            i -= run
+            j -= run
+        elif h == H.item(i - 1, j) + gap:
             i -= 1
-            j -= 1
-        elif i > 0 and h == H[i - 1, j] + gap:
-            gaps += 1
-            i -= 1
-        elif j > 0 and h == H[i, j - 1] + gap:
-            gaps += 1
+        elif h == H.item(i, j - 1) + gap:
             j -= 1
         else:  # pragma: no cover - would indicate a fill bug
             raise AssertionError(f"traceback stuck at ({i}, {j})")
-        length += 1
+    if mode == "global":  # only gap columns are left
+        i = j = 0
+    # Every column consumes a residue of a, of b, or (diagonal) of both.
+    gaps = (start_i - i) + (start_j - j) - 2 * diagonal
     return Alignment(
-        score=int(H[start_i, start_j]),
+        score=H.item(start_i, start_j),
         a_start=i,
         a_end=start_i,
         b_start=j,
         b_end=start_j,
         matches=matches,
-        length=length,
+        length=diagonal + gaps,
         gaps=gaps,
         mode=mode,
     )
@@ -166,8 +172,8 @@ def global_align(
         scheme = blosum62_scheme()
     a = _as_encoded(a)
     b = _as_encoded(b)
-    H, sub = _fill(a, b, scheme, "global")
-    return _traceback(H, sub, a, b, scheme, len(a), len(b), "global")
+    H = _fill(a, b, scheme, "global")
+    return _traceback(H, a, b, scheme, len(a), len(b), "global")
 
 
 def local_align(
@@ -178,10 +184,10 @@ def local_align(
         scheme = blosum62_scheme()
     a = _as_encoded(a)
     b = _as_encoded(b)
-    H, sub = _fill(a, b, scheme, "local")
+    H = _fill(a, b, scheme, "local")
     flat = int(np.argmax(H))
     start_i, start_j = divmod(flat, H.shape[1])
-    return _traceback(H, sub, a, b, scheme, start_i, start_j, "local")
+    return _traceback(H, a, b, scheme, start_i, start_j, "local")
 
 
 def semiglobal_align(
@@ -197,7 +203,7 @@ def semiglobal_align(
         scheme = blosum62_scheme()
     a = _as_encoded(a)
     b = _as_encoded(b)
-    H, sub = _fill(a, b, scheme, "semiglobal")
+    H = _fill(a, b, scheme, "semiglobal")
     m, n = len(a), len(b)
     last_row_j = int(np.argmax(H[m, :]))
     last_col_i = int(np.argmax(H[:, n]))
@@ -205,7 +211,7 @@ def semiglobal_align(
         start_i, start_j = m, last_row_j
     else:
         start_i, start_j = last_col_i, n
-    return _traceback(H, sub, a, b, scheme, start_i, start_j, "semiglobal")
+    return _traceback(H, a, b, scheme, start_i, start_j, "semiglobal")
 
 
 def alignment_cells(a_len: int, b_len: int) -> int:

@@ -20,6 +20,9 @@ from repro import obs
 from repro.align.banded import banded_global_align
 from repro.align.batch import (
     ContainmentBatch,
+    _bucket_endpoints,
+    _bucket_fill,
+    _chain_dtype,
     batch_align,
     batch_containment,
     batch_myers_infix,
@@ -29,12 +32,14 @@ from repro.align.batch import (
     strict_diagonal_scheme,
 )
 from repro.align.matrices import (
+    BLOSUM62,
     IDENTITY_MATRIX,
     ScoringScheme,
     blosum62_scheme,
     identity_scheme,
 )
 from repro.align.pairwise import (
+    _fill,
     batch_alignment_cells,
     global_align,
     local_align,
@@ -42,6 +47,7 @@ from repro.align.pairwise import (
 )
 from repro.align.predicates import containment_test
 from repro.pace.cache import AlignmentCache
+from repro.sequence.alphabet import encode
 
 SCALAR = {
     "global": global_align,
@@ -163,6 +169,138 @@ class TestBatchAlignEquivalence:
             batch_align([], blosum62_scheme(), "affine")
         with pytest.raises(ValueError, match="unknown alignment mode"):
             batch_score([], blosum62_scheme(), "affine")
+
+
+def assert_bucket_endpoints(pairs, scheme=None):
+    """All of ``pairs`` in ONE bucket: start cells, scores and Alignments
+    equal the scalar kernels', whatever the padding holds."""
+    scheme = scheme or blosum62_scheme()
+    for mode in MODES:
+        H = _bucket_fill(pairs, scheme, mode)
+        start_i, start_j = _bucket_endpoints(H, pairs, mode)
+        scalar = [SCALAR[mode](a, b, scheme) for a, b in pairs]
+        # A walk ends where the kernel started it: (a_end, b_end).
+        assert list(zip(start_i.tolist(), start_j.tolist())) == [
+            (s.a_end, s.b_end) for s in scalar
+        ], mode
+        # The public entry points (which re-bucket by length) agree too.
+        assert batch_align(pairs, scheme, mode) == scalar
+        assert list(batch_score(pairs, scheme, mode, use_banded=False)) == [
+            s.score for s in scalar
+        ]
+
+
+class TestBucketEndpoints:
+    """One reduction per bucket == per-pair argmax on the real submatrix,
+    on buckets built to break it."""
+
+    def test_padding_that_keeps_matching_outscores_the_real_optimum(self):
+        """Pad residue 0 is 'A': a short poly-A pair sharing a bucket
+        with a long one keeps scoring along its padded diagonal."""
+        short, long_ = encode("A" * 5), encode("A" * 30)
+        pairs = [(short, short), (long_, long_), (short, long_)]
+        scheme = blosum62_scheme()
+        H = _bucket_fill(pairs, scheme, "local")
+        real_best = int(H[:6, :6, 0].max())
+        assert int(H[:, :, 0].max()) > real_best  # the trap is armed
+        assert_bucket_endpoints(pairs)
+
+    def test_equal_local_maxima_first_in_row_major_order_wins(self):
+        scheme = blosum62_scheme()
+        wide = (encode("PW"), encode("WGW"))   # maxima at (2, 1) and (2, 3)
+        tall = (encode("WGW"), encode("PW"))   # maxima at (1, 2) and (3, 2)
+        for (a, b), cells in ((wide, [(2, 1), (2, 3)]), (tall, [(1, 2), (3, 2)])):
+            H = _fill(a, b, scheme, "local")
+            assert [(int(i), int(j)) for i, j in np.argwhere(H == H.max())] == cells
+        assert_bucket_endpoints([wide, tall, (encode("WGWGW"), encode("W"))])
+
+    def test_semiglobal_row_column_tie_keeps_the_row(self):
+        scheme = identity_scheme()
+        a, b = encode("AR"), encode("RA")
+        H = _fill(a, b, scheme, "semiglobal")
+        assert H[2, 1] == H[1, 2] == H[2].max() == H[:, 2].max()
+        aln = semiglobal_align(a, b, scheme)
+        assert (aln.a_end, aln.b_end) == (2, 1)
+        # ... also when the tying pair sits in a padded slot.
+        assert_bucket_endpoints([(a, b), (encode("ARNDC"), encode("RANDC"))],
+                                scheme)
+
+    def test_bucket_of_one(self):
+        rng = np.random.default_rng(17)
+        assert_bucket_endpoints(rand_pairs(rng, 1, lo=20, hi=60))
+
+    def test_every_pair_has_its_own_dimensions(self):
+        rng = np.random.default_rng(29)
+        pairs = [
+            (rng.integers(0, 20, m).astype(np.uint8),
+             rng.integers(0, 20, n).astype(np.uint8))
+            for m, n in [(1, 40), (40, 1), (7, 33), (33, 7), (20, 20),
+                         (40, 40), (2, 3), (39, 38)]
+        ]
+        for scheme in SCHEMES:
+            assert_bucket_endpoints(pairs, scheme)
+
+    @given(st.lists(st.tuples(encoded_seq, encoded_seq), min_size=1, max_size=6),
+           st.sampled_from(range(len(SCHEMES))))
+    @settings(max_examples=40, deadline=None)
+    def test_random_ragged_buckets(self, pairs, scheme_idx):
+        assert_bucket_endpoints(pairs, SCHEMES[scheme_idx])
+
+    def test_residue_outside_the_matrix_rejected_like_scalar(self):
+        bad = np.array([1, 20, 3], dtype=np.uint8)
+        ok = np.array([1, 2, 3], dtype=np.uint8)
+        for pair in ((bad, ok), (ok, bad)):
+            with pytest.raises(IndexError):
+                batch_align([pair], blosum62_scheme(), "local")
+            with pytest.raises(IndexError):
+                local_align(*pair, blosum62_scheme())
+
+
+class TestFillDtype:
+    """H and the chain share the narrowest dtype the bound proves exact."""
+
+    def test_int16_boundary_for_blosum62_gap_8(self):
+        scheme = blosum62_scheme(gap=-8)
+        assert _chain_dtype(scheme, 935, 935) is np.int16
+        assert _chain_dtype(scheme, 936, 936) is np.int32
+        assert _chain_dtype(scheme, 300, 300) is np.int16
+
+    def test_large_entries_force_wider_dtypes(self):
+        kilo = ScoringScheme(matrix=BLOSUM62 * 1000, gap=-4000, name="kilo")
+        giga = ScoringScheme(matrix=BLOSUM62 * 10**8, gap=-4, name="giga")
+        assert _chain_dtype(kilo, 3, 3) is np.int32
+        assert _chain_dtype(giga, 30, 30) is np.int64
+        H = _bucket_fill([(encode("WCHW"), encode("WCHW"))], giga, "local")
+        assert H.dtype == np.int64
+        assert H[4, 4, 0] == (11 + 9 + 8 + 11) * 10**8  # past int32, exact
+        rng = np.random.default_rng(41)
+        pairs = rand_pairs(rng, 6, lo=5, hi=50)
+        for mode in MODES:
+            assert _bucket_fill(pairs[:1], kilo, mode).dtype == np.int32
+            assert batch_align(pairs, kilo, mode) == [
+                SCALAR[mode](a, b, kilo) for a, b in pairs
+            ]
+
+    @pytest.mark.parametrize("length, dtype", [(935, np.int16), (936, np.int32)])
+    def test_either_side_of_the_boundary_equals_scalar(self, length, dtype):
+        """Extreme pairs (all-W: highest scores; W against P: lowest)
+        plus a diverged homolog, just inside and just past int16."""
+        scheme = blosum62_scheme(gap=-8)
+        rng = np.random.default_rng(length)
+        w = np.full(length, encode("W")[0], dtype=np.uint8)
+        p = np.full(length, encode("P")[0], dtype=np.uint8)
+        a = rng.integers(0, 20, length).astype(np.uint8)
+        b = a.copy()
+        pos = rng.integers(0, length, length // 5)
+        b[pos] = rng.integers(0, 20, len(pos)).astype(np.uint8)
+        b = np.concatenate([b[:400], b[417:], b[:17]])
+        pairs = [(w, w), (w, p), (a, b)]
+        for mode in MODES:
+            assert _bucket_fill(pairs, scheme, mode).dtype == dtype
+            batched = batch_align(pairs, scheme, mode)
+            assert batched == [SCALAR[mode](x, y, scheme) for x, y in pairs]
+            assert all(type(aln.score) is int for aln in batched)
+        assert batch_score(pairs, scheme, "local").dtype == np.int64
 
 
 class TestBatchScore:
