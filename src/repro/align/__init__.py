@@ -14,12 +14,6 @@ from repro.align.pairwise import (
     local_align,
     semiglobal_align,
 )
-from repro.align.affine import (
-    AffineScheme,
-    affine_global_align,
-    affine_local_align,
-    blosum62_affine,
-)
 from repro.align.banded import banded_global_align
 from repro.align.batch import (
     ContainmentBatch,
@@ -60,10 +54,6 @@ __all__ = [
     "containment_reject_threshold",
     "myers_infix_distance",
     "strict_diagonal_scheme",
-    "AffineScheme",
-    "affine_global_align",
-    "affine_local_align",
-    "blosum62_affine",
     "CONTAINMENT_COVERAGE",
     "CONTAINMENT_SIMILARITY",
     "OVERLAP_COVERAGE",

@@ -257,15 +257,18 @@ def _banded_certificate_score(
     it scores at most ``U = maxdiag * min(m, n) + gap * (2 * (band + 1)
     - |m - n|)``.  When the banded optimum *strictly* beats ``U``, no
     band-leaving path can tie it, hence the banded score is the
-    unrestricted optimum.  Profitability: the anti-diagonal sweep costs
-    O((m+n) * band) with a longer Python loop than the row fill, so it
-    only wins once the matrix is large relative to the band.
+    unrestricted optimum.  Profitability: the banded row sweep
+    (:func:`~repro.align.banded.banded_global_align`) runs the same
+    ``m`` Python iterations as the full row fill, each over a slice of
+    at most ``2 * band + 1`` cells, and still allocates the full
+    ``(m+1, n+1)`` matrix, so it only wins once the matrix is large
+    relative to the band.
     """
     m, n = len(a), len(b)
     band = abs(m - n) + 32
-    # Profitability gate (not a correctness condition): the banded loop
-    # runs m+n Python iterations vs the row fill's m, so it needs the
-    # per-iteration array work to shrink by more than that factor.
+    # Profitability gate (not a correctness condition): per-row array
+    # work must shrink enough to pay for the banded kernel's slicing
+    # and its full-size allocation.
     if min(m, n) < 384 or (2 * band + 1) * 4 > min(m, n):
         return None
     maxdiag = int(scheme.matrix.diagonal().max())

@@ -261,17 +261,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     else:
         plan = FaultPlan.random(args.seed, workers=max(args.workers, 1) or 2,
                                 n_faults=args.faults)
-    if args.fasta:
-        sequences = _read_fasta_or_none(args.fasta)
-        if sequences is None:
-            return 2
-    else:
-        spec = MetagenomeSpec(n_families=6, mean_family_size=8,
-                              redundant_fraction=0.1, noise_fraction=0.05,
-                              seed=args.seed)
-        sequences = generate_metagenome(spec).sequences
-        print(f"chaos: no FASTA given; generated {len(sequences)} "
-              f"synthetic sequences (seed {args.seed})")
+    sequences = _chaos_sequences(args)
+    if sequences is None:
+        return 2
     try:
         config = _config_from_args(args)
     except ValueError as exc:
@@ -283,6 +275,18 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
+
+
+def _chaos_sequences(args: argparse.Namespace):
+    """The FASTA named on the command line, or the chaos default input."""
+    from repro.faults.harness import default_chaos_sequences
+
+    if args.fasta:
+        return _read_fasta_or_none(args.fasta)
+    sequences = default_chaos_sequences(args.seed)
+    print(f"chaos: no FASTA given; generated {len(sequences)} "
+          f"synthetic sequences (seed {args.seed})")
+    return sequences
 
 
 def _cmd_chaos_serve(args: argparse.Namespace) -> int:
@@ -297,17 +301,9 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
             "--serve runs a fixed scenario matrix; --plan does not apply "
             "(use --only to subset scenarios)"
         )
-    if args.fasta:
-        sequences = _read_fasta_or_none(args.fasta)
-        if sequences is None:
-            return 2
-    else:
-        spec = MetagenomeSpec(n_families=6, mean_family_size=8,
-                              redundant_fraction=0.1, noise_fraction=0.05,
-                              seed=args.seed)
-        sequences = generate_metagenome(spec).sequences
-        print(f"chaos: no FASTA given; generated {len(sequences)} "
-              f"synthetic sequences (seed {args.seed})")
+    sequences = _chaos_sequences(args)
+    if sequences is None:
+        return 2
     try:
         config = _config_from_args(args)
     except ValueError as exc:

@@ -9,6 +9,13 @@ families must be identical.  Any divergence means the recovery path
 algorithm's decisions, which is exactly the bug class this harness
 exists to catch.
 
+Two identical runs only mean something if there was something to
+disturb and something disturbed it: the verdict is IDENTICAL only when
+the baseline found a family and a planned fault was actually injected,
+otherwise VACUOUS (not ok).  The report lists every planned fault with
+whether it fired, so one whose coordinates the run never reached (too
+few tasks in that phase, a slot already respawned) cannot pass silently.
+
 Only worker-task faults (kill/delay/poison) are verifiable in-process:
 checkpoint faults (``abort_master``/``truncate_checkpoint``) terminate
 the run by design and are exercised by the resume round-trip tests
@@ -24,6 +31,7 @@ from typing import TYPE_CHECKING
 from repro.faults.plan import FaultPlan, FaultPlanError
 from repro.obs.export import counters_payload
 from repro.obs.regression import baseline_from_run, compare_metrics
+from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.config import PipelineConfig
@@ -39,6 +47,24 @@ RECOVERY_COUNTERS = (
 )
 
 
+def default_chaos_sequences(seed: int) -> "SequenceSet":
+    """The no-FASTA input of ``repro chaos`` and ``repro chaos --serve``.
+
+    Three flat families of 32 close homologues: at every seed each
+    yields hundreds of promising pairs, so on two workers RR cuts
+    several containment tasks, CCD's filter skips enough pairs that
+    bipartite generation has alignments of its own to dispatch (not
+    just hits on CCD's cache), and DSD gets a component per family —
+    every phase dispatches tasks and the baseline is never empty.
+    """
+    return generate_metagenome(MetagenomeSpec(
+        n_families=3, mean_family_size=32, max_family_size=32,
+        zipf_exponent=8.0, mean_length=100, length_stddev=10,
+        identity_low=0.85, identity_high=0.90,
+        redundant_fraction=0.1, noise_fraction=0.05, seed=seed,
+    )).sequences
+
+
 @dataclass
 class ChaosReport:
     """Outcome of one fault-free versus faulted comparison."""
@@ -49,16 +75,39 @@ class ChaosReport:
     baseline_families: int = 0
     faulted_families: int = 0
     recovery: dict[str, float] = field(default_factory=dict)
+    injected: frozenset[int] = frozenset()
+    """Plan indices of the faults the faulted run actually injected."""
+
+    @property
+    def vacuous(self) -> str:
+        """Why identical runs would prove nothing here ("" if they do)."""
+        if self.baseline_families == 0:
+            return "the baseline found no family"
+        if not self.injected:
+            return "no planned fault was injected"
+        return ""
 
     @property
     def ok(self) -> bool:
-        return not self.violations and self.families_identical
+        return (not self.violations and self.families_identical
+                and not self.vacuous)
 
     def lines(self) -> list[str]:
-        verdict = "IDENTICAL" if self.ok else "DRIFT"
+        if self.violations or not self.families_identical:
+            verdict = "DRIFT"
+        elif self.vacuous:
+            verdict = f"VACUOUS ({self.vacuous})"
+        else:
+            verdict = "IDENTICAL"
         out = [
             f"chaos: {len(self.plan)} fault(s) planned, "
-            f"{int(self.recovery.get('faults.injected', 0))} injected",
+            f"{len(self.injected)} injected",
+            *(
+                f"  [{idx}] {fault.kind} phase={fault.phase or 'any'} "
+                f"worker={fault.worker} at_task={fault.at_task}: "
+                f"{'injected' if idx in self.injected else 'NOT injected'}"
+                for idx, fault in enumerate(self.plan.faults)
+            ),
             "  " + "  ".join(
                 f"{name.split('.')[-1]}={int(self.recovery.get(name, 0))}"
                 for name in RECOVERY_COUNTERS[1:]
@@ -129,6 +178,11 @@ def run_chaos(
             name: faulted_payload["counters"].get(name, 0.0)
             for name in RECOVERY_COUNTERS
         },
+        injected=frozenset(
+            dict(event.args)["fault"]
+            for event in faulted.obs.events
+            if event.name == "fault.injected"
+        ),
     )
     if run_dir is not None:
         _write_report(report, run_dir)
@@ -144,6 +198,8 @@ def _write_report(report: ChaosReport, run_dir: "str | Path") -> Path:
         "schema": "repro-chaos/1",
         "ok": report.ok,
         "plan": [f.to_dict() for f in report.plan.faults],
+        "injected": [idx in report.injected
+                     for idx in range(len(report.plan))],
         "violations": report.violations,
         "families_identical": report.families_identical,
         "baseline_families": report.baseline_families,

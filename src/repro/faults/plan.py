@@ -288,6 +288,10 @@ class FaultInjector:
     _new_tasks: dict[str, int] = field(default_factory=dict)
     _phase_records: dict[str, int] = field(default_factory=dict)
     _serve_inserts: int = 0
+    last_fired: int = -1
+    """Plan index of the worker-task fault the latest query consumed —
+    what a backend stamps on its ``fault.injected`` event so a chaos
+    report can say which planned faults actually fired."""
 
     @property
     def fired(self) -> int:
@@ -323,6 +327,7 @@ class FaultInjector:
             if ordinals[fault.phase if fault.phase == phase else ""] != fault.at_task:
                 continue
             self._consumed.add(idx)
+            self.last_fired = idx
             if fault.kind == "kill_worker":
                 return ("die",)
             return ("delay", fault.seconds)
@@ -342,6 +347,7 @@ class FaultInjector:
             if ordinals[fault.phase if fault.phase == phase else ""] != fault.at_task:
                 continue
             self._consumed.add(idx)
+            self.last_fired = idx
             return True
         return False
 

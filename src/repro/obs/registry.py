@@ -123,13 +123,14 @@ _SPECS = [
                 "banded sweep instead of the full fill"),
     # -- Runtime backends ---------------------------------------------------
     CounterSpec("runtime.batches", "runtime",
-                "work batches dispatched to the task queue"),
+                "tasks entered into the process backend's ledger "
+                "(absent from a serial run)"),
     CounterSpec("runtime.batch_pairs", "runtime",
-                "alignment pairs shipped inside dispatched batches"),
+                "cache-missing pairs the pair stream cut into tasks"),
     CounterSpec("runtime.max_outstanding", "runtime",
                 "high-water mark of batches in flight (queue depth)"),
     CounterSpec("runtime.shingle_jobs", "runtime",
-                "component Shingle jobs dispatched to workers"),
+                "component Shingle tasks dispatched"),
     CounterSpec("runtime.worker_busy_seconds", "runtime",
                 "summed task compute seconds reported by workers"),
     CounterSpec("runtime.heartbeats", "runtime",

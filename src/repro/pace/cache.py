@@ -1,34 +1,42 @@
 """Pair-alignment memoisation shared across phases and processor sweeps.
 
-Three pipeline phases align the same promising pairs (RR aligns for
-containment, CCD for overlap, bipartite generation for edges), and the
-benchmark sweeps re-run identical phases at several processor counts.
+The cache holds two tables, local and semiglobal alignments per
+canonical pair.  Within one pipeline run exactly one reuse happens:
+bipartite generation (BGG) asks for the local alignment of every
+intra-component promising pair, and CCD has already computed those it
+did not filter — 291 hits among the 2,496 lookups of the benchmark's
+``skewed`` workload (BGG submits 1,832 pairs), 77 on ``giant``, none
+on ``domain`` (B_m builds its graphs without alignment).  RR asks for *semiglobal* alignments and
+nothing reads that table back within a run, so RR and CCD themselves
+never hit.  The other consumers are the benchmark sweeps, which re-run
+identical phases at several processor counts over one cache, and the
+serving path, which re-queries the same representatives constantly.
 Physically recomputing identical DP matrices would multiply wall-clock
 cost without changing any simulated quantity — the simulator charges
 virtual time per *execution*, not per physical computation — so the
 cache is purely a host-side optimisation with no effect on results.
 
 Placement under the execution backends (:mod:`repro.runtime`): the
-cache lives **master-side only**.  Under ``ProcessBackend`` the master
-consults it before dispatching a pair and inserts worker results as
-they return; workers themselves are cache-less.  Sharing the dict with
-workers would mean either per-worker private caches (no cross-worker
-reuse — repeats of a pair almost always arrive in a *later phase*, on
-the master's critical path anyway) or pickling alignments through a
-synchronised shared dict, which costs more than recomputing a few
-hundred DP cells.  Master-side placement keeps one authoritative memo,
-answers every repeat before it reaches the work queue, and leaves the
-workers stateless — which is also what makes their crash recovery
-trivial.
+cache lives **master-side only**, in front of the one
+:class:`~repro.runtime.base.PairStream` — a cached pair is answered
+before it becomes work, and every alignment a task returns is inserted
+as it comes back, whichever executor ran the task; workers themselves
+are cache-less.  Sharing the dict with workers would mean either
+per-worker private caches (no cross-worker reuse — repeats of a pair
+arrive in a *later phase*, on the master's critical path anyway) or
+pickling alignments through a synchronised shared dict, which costs
+more than recomputing a few hundred DP cells.  Master-side placement
+keeps one authoritative memo, answers every repeat before it reaches
+the work queue, and leaves the workers stateless — which is also what
+makes their crash recovery trivial.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
-from repro.align.batch import batch_align
 from repro.align.matrices import ScoringScheme
 from repro.align.pairwise import Alignment, local_align, semiglobal_align
 
@@ -45,10 +53,15 @@ class AlignmentCache:
     dict (reported by ``repro.eval.report.cache_stats_lines`` and the
     CLI) so runs can show how much recomputation the cache avoided.
     :meth:`set_phase` attributes subsequent hits/misses to a pipeline
-    phase, so the ~20% overall hit rate can be decomposed into "which
-    phase re-asked for whose alignments" (the CCD and bipartite phases
-    re-query pairs RR already computed; the serving path re-queries the
-    same representatives constantly).
+    phase, so the overall hit rate can be decomposed into "which phase
+    re-asked for whose alignments" (in a batch run every hit is
+    bipartite generation reusing CCD's local alignments — see the
+    module docstring; the serving path tallies under "serve").
+
+    A *miss* is one computed alignment entering a table — counted by
+    the scalar accessors when they compute, and by :meth:`insert` when
+    a runtime task's result comes back — so ``misses == entries``
+    unless a key is recomputed.
     """
 
     def __init__(
@@ -73,12 +86,6 @@ class AlignmentCache:
         if i == j:
             raise ValueError(f"self-alignment requested for sequence {i}")
         return (i, j) if i < j else (j, i)
-
-    def encoded(self, i: int) -> np.ndarray:
-        """Encoded sequence for global index ``i`` (the constructor's
-        accessor) — lets backend streams derive lengths and feed the
-        batched kernels without a second sequence store handle."""
-        return self._get(i)
 
     def set_phase(self, name: str) -> None:
         """Attribute subsequent hits/misses to ``name`` (\"\" = untracked)."""
@@ -125,69 +132,14 @@ class AlignmentCache:
             self._tally(hit=True)
         return aln
 
-    def batch(self, kind: str, pairs: Sequence[tuple[int, int]]) -> list[Alignment]:
-        """Resolve many pairs at once; misses run through the batched kernel.
-
-        Counter semantics are pinned to the per-pair equivalent: a pair
-        already cached counts a hit, the *first* occurrence of an
-        uncached key counts a miss, and any duplicate of that key later
-        in the same batch counts a hit (exactly what a sequential loop
-        of :meth:`local`/:meth:`semiglobal` calls would record, since
-        the first call inserts before the second looks up).  Results
-        are returned in input order and are identical to the scalar
-        accessors' — the batched kernel is exact, see
-        :mod:`repro.align.batch`.
-        """
-        table = self._table(kind)
-        out: list[Alignment | None] = [None] * len(pairs)
-        pending: dict[tuple[int, int], list[int]] = {}
-        order: list[tuple[int, int]] = []
-        for pos, (i, j) in enumerate(pairs):
-            key = self._key(i, j)
-            aln = table.get(key)
-            if aln is not None:
-                self._count_hit(kind)
-                out[pos] = aln
-            elif key in pending:
-                self._count_hit(kind)
-                pending[key].append(pos)
-            else:
-                self._count_miss(kind)
-                pending[key] = [pos]
-                order.append(key)
-        if order:
-            computed = batch_align(
-                [(self._get(i), self._get(j)) for i, j in order],
-                self._scheme,
-                mode=kind,
-            )
-            for key, aln in zip(order, computed):
-                table[key] = aln
-                for pos in pending[key]:
-                    out[pos] = aln
-        return out  # type: ignore[return-value]
-
-    def _count_hit(self, kind: str) -> None:
-        if kind == "local":
-            self.local_hits += 1
-        else:
-            self.semiglobal_hits += 1
-        self._tally(hit=True)
-
-    def _count_miss(self, kind: str) -> None:
-        if kind == "local":
-            self.local_misses += 1
-        else:
-            self.semiglobal_misses += 1
-        self._tally(hit=False)
-
     # -- backend hooks -----------------------------------------------------
 
     def peek(self, kind: str, i: int, j: int) -> Alignment | None:
         """Cached alignment if present — no compute, no counter update.
 
-        Backends use this to decide routing (answer master-side versus
-        dispatch to a worker) without perturbing the statistics.
+        The pair stream uses this to decide routing (answer
+        master-side versus dispatch as work) without perturbing the
+        statistics.
         """
         return self._table(kind).get(self._key(i, j))
 
@@ -195,7 +147,7 @@ class AlignmentCache:
         """Store an externally computed alignment; counts as a miss.
 
         The miss accounting reflects that the computation *happened*
-        (on a worker) because the cache could not answer it.
+        (in a runtime task) because the cache could not answer it.
         """
         self._table(kind)[self._key(i, j)] = aln
         self._tally(hit=False)

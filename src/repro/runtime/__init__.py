@@ -22,9 +22,9 @@ or from the command line::
 """
 
 from repro.runtime.base import (
-    AlignmentStream,
     Backend,
     BackendError,
+    PairStream,
     PhaseStats,
     RuntimeStats,
     WorkerCrashError,
@@ -72,10 +72,10 @@ def make_backend(
 
 
 __all__ = [
-    "AlignmentStream",
     "Backend",
     "BackendError",
     "BACKENDS",
+    "PairStream",
     "PhaseStats",
     "ProcessBackend",
     "RuntimeStats",

@@ -1,45 +1,62 @@
-"""Execution-backend interface: real wall-clock parallelism.
+"""The runtime, stated once: a task function, a pair stream, a backend.
 
 The :mod:`repro.parallel` simulator *models* the paper's BlueGene/L runs
-(virtual seconds, message counts, memory ceilings) while executing every
-algorithm in-process.  This package is its physical counterpart: a
-:class:`Backend` actually distributes the pipeline's hot work — pair
-alignment for the RR/CCD/bipartite phases, the per-component Shingle
-runs of the DSD phase — across real cores, and reports *measured*
-wall-clock timings and worker utilisation instead of simulated ones.
+in virtual time; this package *executes* on the host's cores and reports
+measured wall-clock.  The paper's runtime is one sentence — a master
+owns the union–find, the dedup sets and the filter, and stateless
+workers align whatever pairs they are sent — and this module says it
+once:
 
-Two contracts every backend honours:
+* :func:`run_task` is the only statement of the three kinds of work.
+  *Where* a task runs is the executor's business; *what* it computes is
+  written here and nowhere else.
+* :class:`PairStream` is the master side of every pair phase: the
+  master-only :class:`~repro.pace.cache.AlignmentCache` in front, misses
+  cut into tasks, results handed back through ``ready``/``drain``.
+* :class:`Backend` makes ``alignment_stream``, ``containment_stream``
+  and ``map_components`` concrete over the hooks an executor
+  (:class:`~repro.runtime.serial.SerialBackend`,
+  :class:`~repro.runtime.process.ProcessBackend`) implements:
+  ``_dispatch``, ``_pump``, ``_throttle`` and ``_task_pairs``.
 
-1. **Result invariance.**  For a fixed configuration, ``families`` and
-   the Table I row are bit-identical across backends.  The phases
-   guarantee this the same way the simulator does: the RR and bipartite
-   phases align a deterministic pair set with order-independent
-   decisions, the CCD transitive-closure filter only ever skips pairs
-   that are already intra-component, and all collected edge/verdict
-   sets are canonically sorted before use.
-2. **Master-side state.**  The union–find, the dedup sets, and the
-   :class:`~repro.pace.cache.AlignmentCache` live only on the master
-   (mirroring the paper's PaCE master); workers are stateless alignment
-   engines over a shared read-only sequence store.
+**Result invariance.**  For a fixed configuration, ``families`` and the
+Table I row are bit-identical across backends: RR and bipartite align a
+deterministic pair set with order-independent decisions, the CCD
+transitive-closure filter only ever skips pairs that are already
+intra-component, and all collected edge/verdict sets are canonically
+sorted before use.
 """
 
 from __future__ import annotations
 
 import abc
 import contextlib
+import functools
 import multiprocessing
 import os
 import platform
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+
+from repro import obs
+from repro.align.batch import batch_align, batch_containment
+from repro.pace.densesub import shingle_component
+from repro.util.timing import monotonic_now
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    import numpy as np
+
     from repro.align.matrices import ScoringScheme
-    from repro.align.pairwise import Alignment
     from repro.graph.bipartite import BipartiteGraph
     from repro.pace.cache import AlignmentCache
     from repro.sequence.record import SequenceSet
     from repro.shingle.algorithm import ShingleParams
+
+#: A task's completion callback: ``sink(result, busy_seconds)``.
+Sink = Callable[[object, float], None]
+
+#: Task (and stream) kinds whose result is one Alignment per pair.
+ALIGN_KINDS = ("local", "semiglobal")
 
 
 class BackendError(RuntimeError):
@@ -50,15 +67,67 @@ class WorkerCrashError(BackendError):
     """A worker process raised or died; the master surfaces it cleanly."""
 
 
+def run_task(
+    body: tuple,
+    get_encoded: "Callable[[int], np.ndarray]",
+    scheme: "ScoringScheme",
+):
+    """Compute one task — the only statement of the runtime's work.
+
+    * ``("local" | "semiglobal", pairs)`` → one
+      :class:`~repro.align.pairwise.Alignment` per pair;
+    * ``("contain", similarity, coverage, pairs)`` → one ``((identity,
+      coverage_i, coverage_j), alignment_or_None)`` per pair (the
+      alignment only where the containment engine needed the DP);
+    * ``("shingle", graph, reduction, params, min_size, tau)`` → the
+      ``(finals, raw, stats)`` triple of
+      :func:`~repro.pace.densesub.shingle_component`.
+
+    ``pairs`` are global sequence indices resolved through
+    ``get_encoded``.  Serial execution, a worker process and the
+    process backend's in-master recovery all call this function, so a
+    task's result cannot depend on where it ran.
+    """
+    kind = body[0]
+    if kind in ALIGN_KINDS:
+        return batch_align(
+            [(get_encoded(i), get_encoded(j)) for i, j in body[1]],
+            scheme, mode=kind,
+        )
+    if kind == "contain":
+        _, similarity, coverage, pairs = body
+        result = batch_containment(
+            [(get_encoded(i), get_encoded(j)) for i, j in pairs],
+            scheme=scheme, similarity=similarity, coverage=coverage,
+        )
+        return list(zip(result.stats, result.alignments))
+    if kind == "shingle":
+        return shingle_component(*body[1:])
+    raise ValueError(f"unknown task kind {kind!r}")
+
+
+def task_span(body: tuple, **args: object):
+    """The task-category span a process-backend executor wraps a pair
+    task in (``align.local`` / ``align.semiglobal`` / ``align.contain``).
+    Shingle tasks record their own ``shingle.component`` span, and an
+    unknown kind gets none — :func:`run_task` rejects it."""
+    if body[0] not in (*ALIGN_KINDS, "contain"):
+        return contextlib.nullcontext()
+    return obs.span(f"align.{body[0]}", cat="task", pairs=len(body[-1]),
+                    **args)
+
+
 @dataclass
 class PhaseStats:
     """Measured execution statistics for one pipeline phase.
 
-    ``tasks`` counts work items shipped to the backend (alignments or
-    component Shingle runs); ``cache_hits`` counts alignments answered
-    from the master-side memo without dispatch; ``busy_seconds`` is the
-    summed compute time across workers, so ``busy / (wall * workers)``
-    is the classic utilisation figure.
+    ``tasks`` counts units of *dispatched* work — pairs that missed the
+    cache and were sent to be aligned, or component graphs sent to
+    Shingle — on every backend; ``cache_hits`` counts pairs answered
+    from the master-side memo without dispatch, so ``tasks +
+    cache_hits`` is the number of pairs a phase submitted.
+    ``busy_seconds`` is the summed compute time of the dispatched work,
+    so ``busy / (wall * workers)`` is the classic utilisation figure.
     """
 
     name: str
@@ -87,10 +156,6 @@ class RuntimeStats:
     def total_wall(self) -> float:
         return sum(p.wall_seconds for p in self.phases.values())
 
-    @property
-    def total_tasks(self) -> int:
-        return sum(p.tasks for p in self.phases.values())
-
     def utilization(self) -> float:
         """Busy-time fraction over all phases (1.0 = perfectly packed)."""
         wall = self.total_wall
@@ -100,10 +165,13 @@ class RuntimeStats:
         return min(busy / (wall * self.workers), 1.0)
 
     def summary_lines(self) -> list[str]:
-        """Human-readable per-phase report for the CLI."""
+        """Human-readable per-phase report for the CLI (``tasks`` is
+        dispatched work, ``cache_hits`` the pairs that needed none —
+        see :class:`PhaseStats`)."""
         lines = [
             f"backend={self.backend} workers={self.workers} "
-            f"wall={self.total_wall:.3f}s utilization={self.utilization():.0%}"
+            f"wall={self.total_wall:.3f}s utilization={self.utilization():.0%} "
+            f"(tasks = pairs/components dispatched, cache hits excluded)"
         ]
         for stats in self.phases.values():
             lines.append(
@@ -114,72 +182,126 @@ class RuntimeStats:
         return lines
 
 
-class AlignmentStream(abc.ABC):
-    """Streaming pair-alignment channel — the backends' hot-path primitive.
+class PairStream:
+    """The master side of a pair phase: cache in front, tasks behind.
 
-    The master submits ``(i, j)`` global index pairs; completed
-    :class:`~repro.align.pairwise.Alignment` results come back through
-    :meth:`ready` (non-blocking) or :meth:`drain` (blocking flush) in an
-    unspecified order.  Phase drivers interleave ``submit`` with
-    ``ready`` so master-side state (e.g. the CCD union–find filter)
-    advances while workers align.
+    The master submits ``(i, j)`` global index pairs; each comes back
+    exactly once through :meth:`ready` (non-blocking) or :meth:`drain`
+    (blocking flush), in an unspecified order, as ``(i, j, result)``
+    with ``i < j``.  Phase drivers interleave ``submit`` with ``ready``
+    so master-side state (the CCD union–find filter) advances while
+    tasks are out.
+
+    For ``kind`` ``"local"``/``"semiglobal"`` the result is the pair's
+    :class:`~repro.align.pairwise.Alignment`; for ``"contain"`` (RR) it
+    is Definition 1's ``(identity, coverage_i, coverage_j)`` — RR never
+    reads the traceback, which is what lets the containment engine
+    answer a pair *proven* unable to pass with ``(0.0, 0.0, 0.0)`` and
+    no alignment at all.
+
+    A pair the cache already holds never becomes work: it is answered
+    here and counted once as a hit.  Misses are cut into tasks of
+    :meth:`Backend._task_pairs` pairs; every alignment a task returns
+    is inserted into the cache and counted once as a miss.
     """
 
-    @abc.abstractmethod
-    def submit(self, i: int, j: int) -> None:
-        """Request alignment of global sequence pair (i, j)."""
-
-    def submit_many(self, pairs: Sequence[tuple[int, int]]) -> None:
-        """Request alignment of many pairs at once.
-
-        The default forwards pair by pair; backends override it to hand
-        whole chunks to the batched kernels
-        (:func:`repro.align.batch.batch_align`) so the per-dispatch
-        NumPy overhead amortises across the pair axis.
-        """
-        for i, j in pairs:
-            self.submit(i, j)
-
-    @abc.abstractmethod
-    def ready(self) -> list[tuple[int, int, "Alignment"]]:
-        """Completed results available now, without blocking."""
-
-    @abc.abstractmethod
-    def drain(self) -> Iterator[tuple[int, int, "Alignment"]]:
-        """Flush: block until every submitted pair has a result."""
-
-
-class ContainmentStream(abc.ABC):
-    """Streaming Definition 1 statistics channel — the RR phase primitive.
-
-    Same submit/ready/drain shape as :class:`AlignmentStream`, but the
-    result for a pair is ``(i, j, (identity, coverage_i, coverage_j))``
-    oriented to the canonical ``i < j`` order.  RR verdicts consume only
-    these three floats, never the traceback — which is what lets
-    backends route pairs through alignment-free fast paths
-    (:func:`repro.align.batch.batch_containment`): a pair *proven*
-    unable to pass Definition 1 in either direction ships the surrogate
-    ``(0.0, 0.0, 0.0)`` and the decision is unchanged.
-    """
-
-    @abc.abstractmethod
-    def submit_many(self, pairs: Sequence[tuple[int, int]]) -> None:
-        """Request Definition 1 statistics for many pairs."""
+    def __init__(self, backend: "Backend", stream_id: int, kind: str,
+                 cache: "AlignmentCache", params: tuple = ()):
+        self._backend = backend
+        self.stream_id = stream_id
+        self.kind = kind
+        self._params = params
+        self._cache = cache
+        self._table = "semiglobal" if kind == "contain" else kind
+        self._cached = cache.local if kind == "local" else cache.semiglobal
+        self._phase = backend._phase_stats()
+        self._task_pairs = backend._task_pairs(kind)
+        self._pending: list[tuple[int, int]] = []
+        self._done: list[tuple[int, int, object]] = []
+        self.in_flight = 0
+        obs.gauge(f"stream.{stream_id}.kind", kind)
 
     def submit(self, i: int, j: int) -> None:
+        """Request the result for global sequence pair (i, j)."""
         self.submit_many([(i, j)])
 
-    @abc.abstractmethod
-    def ready(self) -> list[tuple[int, int, tuple[float, float, float]]]:
-        """Completed statistics available now, without blocking."""
+    def submit_many(self, pairs: Sequence[tuple[int, int]]) -> None:
+        """Request results for many pairs at once."""
+        for i, j in pairs:
+            if i > j:
+                i, j = j, i
+            if self._cache.peek(self._table, i, j) is not None:
+                self._phase.cache_hits += 1
+                obs.count(f"runtime.pairs_done.{self._phase.name}")
+                self._done.append(
+                    (i, j, self._result(i, j, self._cached(i, j)))
+                )
+                continue
+            self._pending.append((i, j))
+            self._phase.tasks += 1
+            if len(self._pending) == self._task_pairs:
+                self._cut()
+        if self._task_pairs is None:
+            self._cut()
+        self._backend._throttle()
 
-    @abc.abstractmethod
-    def drain(self) -> Iterator[tuple[int, int, tuple[float, float, float]]]:
-        """Flush: block until every submitted pair has statistics."""
+    def _result(self, i: int, j: int, aln):
+        """What the stream hands back for a cached alignment: itself,
+        or the Definition 1 statistics derived from it."""
+        if self.kind != "contain":
+            return aln
+        get_encoded = self._backend._get_encoded
+        return (
+            aln.identity,
+            aln.coverage_a(len(get_encoded(i))),
+            aln.coverage_b(len(get_encoded(j))),
+        )
+
+    def _cut(self) -> None:
+        """Dispatch the pending misses as one task."""
+        if not self._pending:
+            return
+        pairs, self._pending = self._pending, []
+        obs.count("runtime.batch_pairs", len(pairs))
+        self.in_flight += 1
+        obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
+        self._backend._dispatch(
+            (self.kind, *self._params, pairs),
+            functools.partial(self._absorb, pairs),
+        )
+
+    def _absorb(self, pairs: list[tuple[int, int]], results: list,
+                busy: float) -> None:
+        """The task's sink — called exactly once per dispatched task,
+        wherever it ended up running."""
+        self.in_flight -= 1
+        obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
+        self._phase.busy_seconds += busy
+        obs.count(f"runtime.pairs_done.{self._phase.name}", len(pairs))
+        for (i, j), result in zip(pairs, results):
+            aln = result
+            if self.kind == "contain":
+                result, aln = result
+            if aln is not None:
+                self._cache.insert(self._table, i, j, aln)
+            self._done.append((i, j, result))
+
+    def ready(self) -> list[tuple[int, int, object]]:
+        """Completed results available now, without blocking."""
+        self._backend._pump(block=False)
+        out, self._done = self._done, []
+        return out
+
+    def drain(self) -> Iterator[tuple[int, int, object]]:
+        """Flush: block until every submitted pair has a result."""
+        self._cut()
+        while self.in_flight > 0:
+            self._backend._pump(block=True)
+        yield from self.ready()
 
 
 class Backend(abc.ABC):
-    """Abstract execution backend.
+    """An executor for the runtime's tasks.
 
     Lifecycle::
 
@@ -188,6 +310,10 @@ class Backend(abc.ABC):
             stream = backend.alignment_stream("local", cache)
             ...
         backend.stats  # RuntimeStats, populated per phase
+
+    A subclass binds ``_get_encoded``/``_scheme`` in :meth:`open` and
+    implements :meth:`_dispatch`; one whose tasks outlive ``_dispatch``
+    also implements :meth:`_pump`, :meth:`_throttle`, :meth:`_task_pairs`.
     """
 
     name: str = "abstract"
@@ -196,6 +322,9 @@ class Backend(abc.ABC):
     def __init__(self) -> None:
         self.stats = RuntimeStats(backend=self.name, workers=self.workers)
         self._current_phase: PhaseStats | None = None
+        self._get_encoded: "Callable[[int], np.ndarray] | None" = None
+        self._scheme: "ScoringScheme | None" = None
+        self._next_stream_id = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -215,6 +344,10 @@ class Backend(abc.ABC):
         finally:
             self.close()
 
+    def _require_open(self) -> None:
+        if self._get_encoded is None:
+            raise BackendError("backend is not open (use session())")
+
     # -- phase bookkeeping -------------------------------------------------
 
     @contextlib.contextmanager
@@ -226,9 +359,6 @@ class Backend(abc.ABC):
         recorder (when one is installed), so backend runs and serial
         runs share one timeline vocabulary.
         """
-        from repro import obs
-        from repro.util.timing import monotonic_now
-
         stats = self.stats.phases.setdefault(name, PhaseStats(name))
         previous = self._current_phase
         self._current_phase = stats
@@ -261,32 +391,60 @@ class Backend(abc.ABC):
             "workers": [{"index": 0, "alive": True, "exitcode": None}],
         }
 
+    # -- executor hooks ----------------------------------------------------
+
+    @abc.abstractmethod
+    def _dispatch(self, body: tuple, sink: Sink) -> None:
+        """Have ``run_task(body, ...)`` computed somewhere and arrange
+        for ``sink(result, busy_seconds)`` to be called exactly once,
+        on the master, with what it returned."""
+
+    def _pump(self, *, block: bool) -> None:
+        """Deliver finished tasks to their sinks; with ``block``, wait
+        for at least one while any is outstanding.  Nothing to do for
+        an executor that completes every task inside ``_dispatch``."""
+
+    def _throttle(self) -> None:
+        """Bound the work in flight (called after every submit)."""
+
+    def _task_pairs(self, kind: str) -> int | None:
+        """Pairs per task of a ``kind`` stream.  ``None``: the misses
+        of each ``submit``/``submit_many`` call form one task, cut
+        before the call returns."""
+        return None
+
     # -- work primitives ---------------------------------------------------
 
-    @abc.abstractmethod
-    def alignment_stream(
-        self, kind: str, cache: "AlignmentCache"
-    ) -> AlignmentStream:
-        """Open a stream of ``kind`` ("local" or "semiglobal") alignments."""
+    def _open_stream(self, kind: str, cache: "AlignmentCache",
+                     params: tuple = ()) -> PairStream:
+        self._require_open()
+        stream = PairStream(self, self._next_stream_id, kind, cache, params)
+        self._next_stream_id += 1
+        return stream
 
-    @abc.abstractmethod
+    def alignment_stream(self, kind: str, cache: "AlignmentCache") -> PairStream:
+        """Open a stream of ``kind`` ("local" or "semiglobal") alignments."""
+        if kind not in ALIGN_KINDS:
+            raise ValueError(f"unknown alignment kind {kind!r}")
+        return self._open_stream(kind, cache)
+
     def containment_stream(
         self,
         cache: "AlignmentCache",
         *,
         similarity: float,
         coverage: float,
-    ) -> ContainmentStream:
+    ) -> PairStream:
         """Open a Definition 1 statistics stream for the RR phase.
 
-        Backends answer it through the batched containment engine
+        Answered through the batched containment engine
         (:func:`repro.align.batch.batch_containment`), whose decisions
         are provably identical to a full semiglobal DP per pair;
         ``similarity``/``coverage`` parameterise its sound rejection
         threshold.
         """
+        return self._open_stream("contain", cache, (similarity, coverage))
 
-    @abc.abstractmethod
     def map_components(
         self,
         graphs: Sequence["BipartiteGraph"],
@@ -301,6 +459,24 @@ class Backend(abc.ABC):
         order (components are independent, so any execution order gives
         identical results).
         """
+        self._require_open()
+        phase = self._phase_stats()
+        results: dict[int, tuple] = {}
+
+        def sink(index: int, result: tuple, busy: float) -> None:
+            results[index] = result
+            phase.busy_seconds += busy
+
+        obs.count("runtime.shingle_jobs", len(graphs))
+        for index, graph in enumerate(graphs):
+            phase.tasks += 1
+            self._dispatch(
+                ("shingle", graph, reduction, params, min_size, tau),
+                functools.partial(sink, index),
+            )
+        while len(results) < len(graphs):
+            self._pump(block=True)
+        return [results[index] for index in range(len(graphs))]
 
 
 def default_worker_count() -> int:

@@ -42,7 +42,7 @@ from repro.pace.cache import AlignmentCache
 from repro.pace.clustering import ClusteringMaster, ClusteringResult
 from repro.pace.densesub import DsdResult, gather_subgraphs
 from repro.pace.redundancy import RedundancyMaster, RedundancyResult
-from repro.runtime.base import AlignmentStream, Backend, ContainmentStream
+from repro.runtime.base import Backend, PairStream
 from repro.sequence.record import SequenceSet
 from repro.shingle.algorithm import ShingleParams
 
@@ -57,7 +57,7 @@ BIPARTITE_CHUNK = 128
 
 
 def _stream_chunked(
-    stream: AlignmentStream | ContainmentStream,
+    stream: PairStream,
     pairs: Iterable[tuple[int, int]],
     chunk_size: int,
     absorb: Callable[[int, int, object], None],

@@ -1,39 +1,40 @@
-"""Multiprocessing backend: the paper's master–worker design on real cores.
+"""The worker-pool executor: the paper's master–worker design on real cores.
 
 Topology mirrors PaCE: one master (this process) owns all clustering
 state — promising-pair generation, the dedup sets, the union–find, and
 the alignment cache — while ``N`` worker processes are stateless
-alignment/Shingle engines.  Work flows through per-worker task queues:
+engines whose whole loop is "receive a task body, call
+:func:`~repro.runtime.base.run_task` on it, send the result back".
+This module is only the *placement* of that work:
 
-* the master batches promising pairs (``batch_size`` per task) and
-  deals them to the least-loaded worker queue;
-* workers align each batch against the shared-memory encoded-sequence
-  store (:mod:`repro.runtime.sharedseq` — sequences are written once and
-  mapped zero-copy by every worker, never re-pickled) and stream compact
-  result tuples back;
-* the master absorbs results as they arrive, interleaved with further
+* ``_dispatch`` enters the task body and its sink into the master-side
+  **ledger** and sends the body to the least-loaded worker queue;
+* workers resolve sequence indices against the shared-memory encoded
+  store (:mod:`repro.runtime.sharedseq` — written once, mapped
+  zero-copy by every worker, never re-pickled), so a task message is a
+  few dozen index pairs and a result message their Alignments;
+* ``_pump`` receives results and completes their ledger entries, which
+  calls each task's sink exactly once; phase drivers interleave it with
   pair generation, so the CCD transitive-closure filter keeps advancing
-  while workers are busy.
-
-Backpressure caps outstanding batches at ``max_outstanding_factor *
-workers`` so the queues stay small and absorbed verdicts reach the
-filter quickly.
+  while workers are busy;
+* ``_throttle`` caps outstanding tasks at ``max_outstanding_factor *
+  workers`` so absorbed verdicts reach the filter quickly.
 
 Fault tolerance (the PaCE paper assumed BlueGene nodes that never die;
-we do not): every in-flight task is held in a master-side **ledger**
-keyed by a unique ``task_id`` and owned by exactly one worker slot.
-When a worker dies — crash, OOM-kill, or a hang past ``task_deadline``
-— its ledger entries are requeued to survivors, the worker is respawned
-under a bounded **respawn budget**, and a task that has now killed two
-workers is **quarantined**: computed in-master, isolating poison inputs.
-With the budget exhausted and no workers left the backend degrades to
-in-master serial completion instead of raising.  Results are absorbed
-exactly once (a late result from a presumed-dead worker is dropped by
-the task-id dedup gate), which is what keeps worker-recorded scientific
-counters bit-identical under recovery.  Worker *exceptions* are still
-caught, serialised, and re-raised on the master as
-:class:`~repro.runtime.base.WorkerCrashError` — a deterministic bug in
-a task is surfaced, not retried.
+we do not): every in-flight task is a ledger record keyed by a unique
+``task_id`` and owned by exactly one worker slot.  When a worker dies —
+crash, OOM-kill, or a hang past ``task_deadline`` — its ledger entries
+are requeued to survivors, the worker is respawned under a bounded
+**respawn budget**, and a task that has now killed two workers is
+**quarantined**: the master runs the same ``run_task`` on it itself,
+isolating poison inputs.  With the budget exhausted and no workers left
+the backend degrades to in-master completion of every task instead of
+raising.  A ledger entry completes exactly once (a late result from a
+presumed-dead worker finds no entry and is dropped), which is what
+keeps worker-recorded scientific counters bit-identical under recovery.
+Worker *exceptions* are still caught, serialised, and re-raised on the
+master as :class:`~repro.runtime.base.WorkerCrashError` — a
+deterministic bug in a task is surfaced, not retried.
 """
 
 from __future__ import annotations
@@ -43,22 +44,19 @@ import os
 import queue as queue_mod
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro import obs
-from repro.align.batch import batch_containment
-from repro.align.pairwise import Alignment
-from repro.pace.cache import AlignmentCache
 from repro.runtime.base import (
-    AlignmentStream,
     Backend,
     BackendError,
-    ContainmentStream,
-    PhaseStats,
+    Sink,
     WorkerCrashError,
     default_worker_count,
     preferred_start_method,
+    run_task,
+    task_span,
 )
 from repro.runtime.sharedseq import SharedSequenceStore, StoreSpec
 from repro.util.lockwatch import named_lock
@@ -82,36 +80,20 @@ DEFAULT_RESPAWN_FACTOR = 2
 #: A task that has killed this many workers is quarantined in-master.
 POISON_DEATHS = 2
 
-_STOP = ("stop",)
-
-
-def _align_summary(aln: Alignment) -> tuple:
-    """Compact wire form of an Alignment (mode re-attached master-side)."""
-    return (
-        aln.score, aln.a_start, aln.a_end, aln.b_start, aln.b_end,
-        aln.matches, aln.length, aln.gaps,
-    )
-
-
-def _summary_alignment(summary: tuple, mode: str) -> Alignment:
-    score, a_start, a_end, b_start, b_end, matches, length, gaps = summary
-    return Alignment(
-        score=score, a_start=a_start, a_end=a_end, b_start=b_start,
-        b_end=b_end, matches=matches, length=length, gaps=gaps, mode=mode,
-    )
+_STOP = None
 
 
 def _worker_main(worker_index: int, task_queue, result_queue,
                  store_spec: StoreSpec, scheme) -> None:
-    """Worker loop: attach the store once, then serve tasks until "stop".
+    """Worker loop: attach the store once, then serve tasks until told
+    to stop.
 
-    Task wire format is ``(kind, task_id, fault, *payload)``.  The
-    ``fault`` slot is normally None; under a
-    :class:`~repro.faults.plan.FaultPlan` the master attaches
-    ``("die",)`` (exit immediately — the SIGKILL/OOM stand-in, injected
-    *before* any result exists so recovery decides the science) or
-    ``("delay", seconds)`` (sleep, then compute — exercises the hang
-    detector).
+    A task arrives as ``(task_id, fault, body)``.  The ``fault`` slot is
+    normally None; under a :class:`~repro.faults.plan.FaultPlan` the
+    master attaches ``("die",)`` (exit immediately — the SIGKILL/OOM
+    stand-in, injected *before* any result exists so recovery decides
+    the science) or ``("delay", seconds)`` (sleep, then compute —
+    exercises the hang detector).
 
     Every exception is reported as an ("error", ...) message rather than
     allowed to kill the process silently, so the master can surface the
@@ -123,16 +105,13 @@ def _worker_main(worker_index: int, task_queue, result_queue,
     result message, and the master rebases them onto the run recorder —
     workers never share observability state with the master.
     """
-    from repro.align.batch import batch_align, batch_containment
-    from repro.pace.densesub import shingle_component
-
     store = SharedSequenceStore.attach(store_spec)
     try:
         while True:
             task = task_queue.get()
-            if task[0] == "stop":
+            if task is _STOP:
                 break
-            task_id, fault = task[1], task[2]
+            task_id, fault, body = task
             if fault is not None:
                 if fault[0] == "die":
                     os._exit(137)
@@ -140,62 +119,14 @@ def _worker_main(worker_index: int, task_queue, result_queue,
                     time.sleep(fault[1])
             try:
                 recorder = obs.Recorder()
-                with obs.recording(recorder):
-                    if task[0] == "align":
-                        _, _, _, stream_id, kind, pairs = task
-                        start = monotonic_now()
-                        with recorder.span(f"align.{kind}", cat="task",
-                                           pairs=len(pairs)):
-                            alns = batch_align(
-                                [(store.get(i), store.get(j)) for i, j in pairs],
-                                scheme, mode=kind,
-                            )
-                            summaries = [
-                                (i, j) + _align_summary(aln)
-                                for (i, j), aln in zip(pairs, alns)
-                            ]
-                        result_queue.put(
-                            ("align", task_id, stream_id, summaries,
-                             monotonic_now() - start,
-                             (worker_index, recorder.wall_spans(),
-                              recorder.counters()))
-                        )
-                    elif task[0] == "contain":
-                        _, _, _, stream_id, similarity, coverage, pairs = task
-                        start = monotonic_now()
-                        with recorder.span("align.contain", cat="task",
-                                           pairs=len(pairs)):
-                            res = batch_containment(
-                                [(store.get(i), store.get(j)) for i, j in pairs],
-                                scheme=scheme, similarity=similarity,
-                                coverage=coverage,
-                            )
-                            items = [
-                                (i, j, stats,
-                                 None if aln is None else _align_summary(aln))
-                                for (i, j), stats, aln in zip(
-                                    pairs, res.stats, res.alignments)
-                            ]
-                        result_queue.put(
-                            ("contain", task_id, stream_id, items,
-                             monotonic_now() - start,
-                             (worker_index, recorder.wall_spans(),
-                              recorder.counters()))
-                        )
-                    elif task[0] == "shingle":
-                        # shingle_component records its own task span
-                        # and dsd.* counters on the ambient recorder.
-                        _, _, _, job_id, graph, reduction, params, min_size, tau = task
-                        start = monotonic_now()
-                        payload = shingle_component(graph, reduction, params, min_size, tau)
-                        result_queue.put(
-                            ("shingle", task_id, job_id, payload,
-                             monotonic_now() - start,
-                             (worker_index, recorder.wall_spans(),
-                              recorder.counters()))
-                        )
-                    else:
-                        raise ValueError(f"unknown task kind {task[0]!r}")
+                start = monotonic_now()
+                with obs.recording(recorder), task_span(body):
+                    result = run_task(body, store.get, scheme)
+                result_queue.put(
+                    ("done", task_id, result, monotonic_now() - start,
+                     (worker_index, recorder.wall_spans(),
+                      recorder.counters()))
+                )
             except Exception:
                 result_queue.put(
                     ("error", worker_index, task_id, traceback.format_exc())
@@ -210,218 +141,14 @@ class _TaskRecord:
 
     task_id: int
     body: tuple
-    """Bare task body, fault-free: ("align", stream_id, kind, pairs) or
-    ("shingle", job_id, graph, reduction, params, min_size, tau)."""
+    """What :func:`~repro.runtime.base.run_task` is given, fault-free."""
+    sink: Sink
+    """Called exactly once, when the ledger entry completes."""
     phase: str
     worker: int = -1
     dispatched_at: float = 0.0
     deaths: int = 0
     poisoned: bool = False
-
-
-class _ProcessStream(AlignmentStream):
-    """Master-side view of one chunked alignment stream.
-
-    The cache is consulted *before* dispatch (repeat pairs — e.g. a pair
-    aligned locally in CCD showing up again in bipartite generation —
-    never leave the master) and populated from worker results, so it
-    stays authoritative and master-side only.
-    """
-
-    def __init__(self, backend: "ProcessBackend", stream_id: int, kind: str,
-                 cache: AlignmentCache, phase: PhaseStats):
-        if kind not in ("local", "semiglobal"):
-            raise ValueError(f"unknown alignment kind {kind!r}")
-        self._backend = backend
-        self.stream_id = stream_id
-        self.kind = kind
-        self._cache = cache
-        self._phase = phase
-        self._batch: list[tuple[int, int]] = []
-        self.in_flight = 0
-        self.done: list[tuple[int, int, Alignment]] = []
-
-    def submit(self, i: int, j: int) -> None:
-        if i > j:
-            i, j = j, i
-        if self._cache.peek(self.kind, i, j) is not None:
-            aln = (
-                self._cache.local(i, j)
-                if self.kind == "local"
-                else self._cache.semiglobal(i, j)
-            )
-            self._phase.cache_hits += 1
-            obs.count(f"runtime.pairs_done.{self._phase.name}")
-            self.done.append((i, j, aln))
-            return
-        self._batch.append((i, j))
-        self._phase.tasks += 1
-        if len(self._batch) >= self._backend.batch_size:
-            self.flush()
-        self._backend._throttle(self)
-
-    def flush(self) -> None:
-        if not self._batch:
-            return
-        obs.count("runtime.batch_pairs", len(self._batch))
-        self._backend._submit(("align", self.stream_id, self.kind, self._batch))
-        self._batch = []
-        self.in_flight += 1
-        obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
-
-    def absorb(self, summaries: list[tuple], busy: float) -> None:
-        """Route one batch result into this stream (backend hook).
-
-        Called exactly once per ledger entry — by the dedup gate in
-        :meth:`ProcessBackend._route` — whether the batch was computed
-        by its first worker, a survivor after requeue, or the master
-        under quarantine/degraded mode.
-        """
-        self.in_flight -= 1
-        obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
-        self._phase.busy_seconds += busy
-        obs.count(f"runtime.pairs_done.{self._phase.name}", len(summaries))
-        for item in summaries:
-            i, j = item[0], item[1]
-            aln = _summary_alignment(item[2:], self.kind)
-            self._cache.insert(self.kind, i, j, aln)
-            self.done.append((i, j, aln))
-
-    def compute_batch(self, pairs: list[tuple[int, int]]) -> list[tuple]:
-        """Compute one batch in-master (quarantine / degraded path).
-
-        Goes through the cache accessors, which run the identical
-        alignment kernels the workers run — result invariance does not
-        depend on *where* a pair was aligned.
-        """
-        summaries = []
-        for i, j in pairs:
-            aln = (
-                self._cache.local(i, j)
-                if self.kind == "local"
-                else self._cache.semiglobal(i, j)
-            )
-            summaries.append((i, j) + _align_summary(aln))
-        return summaries
-
-    def ready(self) -> list[tuple[int, int, Alignment]]:
-        self._backend._pump(block=False)
-        out = self.done
-        self.done = []
-        return out
-
-    def drain(self) -> Iterator[tuple[int, int, Alignment]]:
-        self.flush()
-        while self.in_flight > 0:
-            self._backend._pump(block=True)
-        yield from self.ready()
-
-
-class _ProcessContainmentStream(ContainmentStream):
-    """Master-side view of one chunked RR containment stream.
-
-    Mirrors :class:`_ProcessStream` routing — cache consulted before
-    dispatch, worker results absorbed through the exactly-once ledger
-    gate — but ships Definition 1 *statistics* instead of alignments:
-    workers run :func:`repro.align.batch.batch_containment`, so only
-    pairs that actually needed the DP come back with an alignment
-    summary for the cache.  Tasks are chunked larger than plain align
-    batches because the bit-parallel Myers sweep amortises its NumPy
-    dispatch across the pair axis.
-    """
-
-    def __init__(self, backend: "ProcessBackend", stream_id: int,
-                 cache: AlignmentCache, phase: PhaseStats,
-                 similarity: float, coverage: float):
-        self._backend = backend
-        self.stream_id = stream_id
-        self._cache = cache
-        self._phase = phase
-        self._similarity = similarity
-        self._coverage = coverage
-        self._batch: list[tuple[int, int]] = []
-        self._flush_at = max(backend.batch_size, CONTAIN_BATCH_SIZE)
-        self.in_flight = 0
-        self.done: list[tuple[int, int, tuple[float, float, float]]] = []
-
-    def _stats(self, i: int, j: int, aln: Alignment) -> tuple[float, float, float]:
-        store = self._backend._store
-        return (
-            aln.identity,
-            aln.coverage_a(len(store.get(i))),
-            aln.coverage_b(len(store.get(j))),
-        )
-
-    def submit_many(self, pairs) -> None:
-        for i, j in pairs:
-            if i > j:
-                i, j = j, i
-            if self._cache.peek("semiglobal", i, j) is not None:
-                aln = self._cache.semiglobal(i, j)
-                self._phase.cache_hits += 1
-                obs.count(f"runtime.pairs_done.{self._phase.name}")
-                self.done.append((i, j, self._stats(i, j, aln)))
-                continue
-            self._batch.append((i, j))
-            self._phase.tasks += 1
-            if len(self._batch) >= self._flush_at:
-                self.flush()
-        self._backend._throttle(self)
-
-    def flush(self) -> None:
-        if not self._batch:
-            return
-        obs.count("runtime.batch_pairs", len(self._batch))
-        self._backend._submit(
-            ("contain", self.stream_id, self._similarity, self._coverage,
-             self._batch)
-        )
-        self._batch = []
-        self.in_flight += 1
-        obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
-
-    def absorb(self, items: list[tuple], busy: float) -> None:
-        """Route one batch result into this stream (backend hook);
-        called exactly once per ledger entry, like
-        :meth:`_ProcessStream.absorb`."""
-        self.in_flight -= 1
-        obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
-        self._phase.busy_seconds += busy
-        obs.count(f"runtime.pairs_done.{self._phase.name}", len(items))
-        for i, j, stats, summary in items:
-            if summary is not None:
-                self._cache.insert(
-                    "semiglobal", i, j,
-                    _summary_alignment(summary, "semiglobal"),
-                )
-            self.done.append((i, j, stats))
-
-    def compute_batch(self, pairs: list[tuple[int, int]]) -> list[tuple]:
-        """Quarantine/degraded path: same engine, run in-master."""
-        store = self._backend._store
-        result = batch_containment(
-            [(store.get(i), store.get(j)) for i, j in pairs],
-            scheme=self._backend._scheme,
-            similarity=self._similarity,
-            coverage=self._coverage,
-        )
-        return [
-            (i, j, stats, None if aln is None else _align_summary(aln))
-            for (i, j), stats, aln in zip(
-                pairs, result.stats, result.alignments)
-        ]
-
-    def ready(self) -> list[tuple[int, int, tuple[float, float, float]]]:
-        self._backend._pump(block=False)
-        out = self.done
-        self.done = []
-        return out
-
-    def drain(self) -> Iterator[tuple[int, int, tuple[float, float, float]]]:
-        self.flush()
-        while self.in_flight > 0:
-            self._backend._pump(block=True)
-        yield from self.ready()
 
 
 class ProcessBackend(Backend):
@@ -469,25 +196,20 @@ class ProcessBackend(Backend):
             self._injector = FaultInjector(fault_plan)
         self._ctx = None
         self._store: SharedSequenceStore | None = None
-        self._scheme = None
         self._procs: list[multiprocessing.Process | None] = []
         self._task_queues: list = []
         self._dead_queues: list = []
         self._incarnation: list[int] = []
         self._results = None
-        self._streams: dict[int, "_ProcessStream | _ProcessContainmentStream"] = {}
-        self._next_stream_id = 0
         self._next_task_id = 0
         # In-flight ledger: every dispatched-but-unabsorbed task, plus
         # the per-worker view of it.  Mutated by the master thread
-        # (submit/route/recover), read by the telemetry sampler thread.
+        # (dispatch/complete/recover), read by the telemetry sampler thread.
         self._ledger_lock = named_lock("ProcessBackend._ledger_lock")
         self._ledger: dict[int, _TaskRecord] = {}  # guarded by _ledger_lock
         self._worker_tasks: dict[int, set[int]] = {}  # guarded by _ledger_lock
         self._respawns_used = 0
         self._degraded = False
-        self._shingle_results: dict[int, tuple] = {}
-        self._shingle_busy = 0.0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -496,6 +218,7 @@ class ProcessBackend(Backend):
             raise BackendError("backend already open")
         encoded = [record.encoded for record in sequences]
         self._store = SharedSequenceStore.create(encoded)
+        self._get_encoded = self._store.get
         self._scheme = scheme
         self._ctx = multiprocessing.get_context(self._start_method)
         self._results = self._ctx.Queue()
@@ -566,10 +289,10 @@ class ProcessBackend(Backend):
         self._task_queues = []
         self._dead_queues = []
         self._results = None
+        self._get_encoded = None
         if self._store is not None:
             self._store.close()
             self._store = None
-        self._streams = {}
         with self._ledger_lock:
             self._ledger = {}
             self._worker_tasks = {}
@@ -592,18 +315,19 @@ class ProcessBackend(Backend):
     def _outstanding(self) -> int:
         return len(self._ledger)
 
-    def _require_open(self) -> None:
-        if self._results is None:
-            raise BackendError("backend is not open (use session())")
-
     def _alive_slots(self) -> list[int]:
         return [w for w, p in enumerate(self._procs)
                 if p is not None and p.is_alive()]
 
-    def _submit(self, body: tuple) -> None:
+    def _task_pairs(self, kind: str) -> int:
+        if kind == "contain":
+            return max(self.batch_size, CONTAIN_BATCH_SIZE)
+        return self.batch_size
+
+    def _dispatch(self, body: tuple, sink: Sink) -> None:
         """Enter a new task into the ledger and send it to a worker."""
         self._require_open()
-        record = _TaskRecord(self._next_task_id, body,
+        record = _TaskRecord(self._next_task_id, body, sink,
                              self._phase_stats().name)
         self._next_task_id += 1
         if (self._injector is not None
@@ -611,6 +335,7 @@ class ProcessBackend(Backend):
             record.poisoned = True
             obs.count("faults.injected")
             obs.event("fault.injected", kind="poison_task",
+                      fault=self._injector.last_fired,
                       task=record.task_id, phase=record.phase)
         with self._ledger_lock:
             self._ledger[record.task_id] = record
@@ -638,13 +363,12 @@ class ProcessBackend(Backend):
             if fault is not None:
                 obs.count("faults.injected")
                 obs.event("fault.injected", kind=fault[0], worker=slot,
+                          fault=self._injector.last_fired,
                           task=record.task_id, phase=record.phase)
-        body = record.body
-        self._task_queues[slot].put((body[0], record.task_id, fault,
-                                     *body[1:]))
+        self._task_queues[slot].put((record.task_id, fault, record.body))
         obs.gauge("runtime.outstanding", self._outstanding)
 
-    def _throttle(self, stream) -> None:
+    def _throttle(self) -> None:
         """Bound outstanding batches; absorb results while waiting."""
         self._pump(block=False)
         while self._outstanding > self._max_outstanding:
@@ -735,37 +459,16 @@ class ProcessBackend(Backend):
 
     def _run_in_master(self, record: _TaskRecord) -> None:
         """Execute a ledger entry on the master (quarantine or degraded
-        mode) and route it through the normal absorption path.  Fault
-        markers are never applied here — injection only targets workers,
-        so a poison task's *computation* is clean."""
-        body = record.body
+        mode): the same ``run_task`` a worker would have run, then the
+        same completion.  Fault markers are never applied here —
+        injection only targets workers, so a poison task's *computation*
+        is clean."""
         start = monotonic_now()
-        if body[0] == "align":
-            _, stream_id, kind, pairs = body
-            stream = self._streams[stream_id]
-            with obs.span(f"align.{kind}", cat="task", pairs=len(pairs),
-                          in_master=True):
-                summaries = stream.compute_batch(pairs)
-            self._route(("align", record.task_id, stream_id, summaries,
-                         monotonic_now() - start, None))
-        elif body[0] == "contain":
-            _, stream_id, _similarity, _coverage, pairs = body
-            stream = self._streams[stream_id]
-            with obs.span("align.contain", cat="task", pairs=len(pairs),
-                          in_master=True):
-                items = stream.compute_batch(pairs)
-            self._route(("contain", record.task_id, stream_id, items,
-                         monotonic_now() - start, None))
-        elif body[0] == "shingle":
-            from repro.pace.densesub import shingle_component
-
-            _, job_id, graph, reduction, params, min_size, tau = body
-            payload = shingle_component(graph, reduction, params,
-                                        min_size, tau)
-            self._route(("shingle", record.task_id, job_id, payload,
-                         monotonic_now() - start, None))
-        else:  # pragma: no cover - protocol bug
-            raise BackendError(f"unknown ledger task kind {body[0]!r}")
+        with task_span(record.body, in_master=True):
+            result = run_task(record.body, self._get_encoded, self._scheme)
+        busy = monotonic_now() - start
+        if self._complete(record.task_id) is not None:
+            record.sink(result, busy)
 
     # -- result routing ----------------------------------------------------
 
@@ -804,34 +507,33 @@ class ProcessBackend(Backend):
             raise WorkerCrashError(
                 f"worker {worker_index} raised during task execution:\n{text}"
             )
-        task_id = msg[1]
+        _, task_id, result, busy, worker_obs = msg
+        record = self._complete(task_id)
+        if record is not None:
+            self._absorb_worker_obs(worker_obs, busy)
+            record.sink(result, busy)
+
+    def _complete(self, task_id: int) -> _TaskRecord | None:
+        """Take a task out of the ledger — the exactly-once gate.
+
+        Whoever gets the record back (a worker's result message, or the
+        master after running the task itself) calls its sink.  A result
+        for a task the ledger no longer holds (recovered elsewhere, or
+        late from a worker presumed dead) gets None and is dropped
+        whole — counter payload included, which is what keeps
+        worker-recorded scientific counters identical under requeue
+        races.
+        """
         with self._ledger_lock:
             record = self._ledger.pop(task_id, None)
+            if record is not None and record.worker >= 0:
+                self._worker_tasks[record.worker].discard(task_id)
         if record is None:
-            # Exactly-once gate: a result for a task the ledger no
-            # longer holds (already recovered elsewhere, or a late
-            # message from a worker presumed dead) is dropped whole —
-            # including its counter payload, which is what keeps
-            # worker-recorded scientific counters identical under
-            # requeue races.
             obs.count("runtime.duplicate_results")
             obs.event("task.duplicate_result", task=task_id)
-            return
-        if record.worker >= 0:
-            with self._ledger_lock:
-                self._worker_tasks[record.worker].discard(task_id)
-        obs.gauge("runtime.outstanding", self._outstanding)
-        if msg[0] in ("align", "contain"):
-            _, _, stream_id, summaries, busy, worker_obs = msg
-            self._absorb_worker_obs(worker_obs, busy)
-            self._streams[stream_id].absorb(summaries, busy)
-        elif msg[0] == "shingle":
-            _, _, job_id, payload, busy, worker_obs = msg
-            self._absorb_worker_obs(worker_obs, busy)
-            self._shingle_results[job_id] = payload
-            self._shingle_busy += busy
-        else:  # pragma: no cover - protocol bug
-            raise BackendError(f"unknown result message {msg[0]!r}")
+        else:
+            obs.gauge("runtime.outstanding", self._outstanding)
+        return record
 
     @staticmethod
     def _absorb_worker_obs(payload, busy: float) -> None:
@@ -840,7 +542,7 @@ class ProcessBackend(Backend):
         ``w`` = lane ``w + 1``); counters merge additively, which is what
         makes worker-recorded scientific counters mode-invariant."""
         recorder = obs.active()
-        if recorder is None or payload is None:
+        if recorder is None:
             return
         worker_index, spans, counts = payload
         recorder.absorb_wall_spans(spans, lane=worker_index + 1)
@@ -880,51 +582,3 @@ class ProcessBackend(Backend):
                 for w, proc in enumerate(self._procs)
             ],
         }
-
-    # -- work primitives ---------------------------------------------------
-
-    def alignment_stream(self, kind: str, cache: AlignmentCache) -> _ProcessStream:
-        self._require_open()
-        stream = _ProcessStream(
-            self, self._next_stream_id, kind, cache, self._phase_stats()
-        )
-        self._streams[stream.stream_id] = stream
-        self._next_stream_id += 1
-        obs.gauge(f"stream.{stream.stream_id}.kind", kind)
-        return stream
-
-    def containment_stream(
-        self, cache: AlignmentCache, *, similarity: float, coverage: float
-    ) -> _ProcessContainmentStream:
-        self._require_open()
-        stream = _ProcessContainmentStream(
-            self, self._next_stream_id, cache, self._phase_stats(),
-            similarity, coverage,
-        )
-        self._streams[stream.stream_id] = stream
-        self._next_stream_id += 1
-        obs.gauge(f"stream.{stream.stream_id}.kind", "containment")
-        return stream
-
-    def map_components(
-        self,
-        graphs: Sequence,
-        reduction: str,
-        params,
-        min_size: int,
-        tau: float,
-    ) -> list[tuple]:
-        self._require_open()
-        phase = self._phase_stats()
-        self._shingle_results = {}
-        self._shingle_busy = 0.0
-        obs.count("runtime.shingle_jobs", len(graphs))
-        for job_id, graph in enumerate(graphs):
-            self._submit(
-                ("shingle", job_id, graph, reduction, params, min_size, tau)
-            )
-            phase.tasks += 1
-        while len(self._shingle_results) < len(graphs):
-            self._pump(block=True)
-        phase.busy_seconds += self._shingle_busy
-        return [self._shingle_results[job_id] for job_id in range(len(graphs))]

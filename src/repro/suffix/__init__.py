@@ -13,11 +13,18 @@ package provides:
 * :mod:`repro.suffix.matches` — maximal-match pair generation in
   decreasing match-length order, exactly the PaCE "promising pair"
   stream.
-* :mod:`repro.suffix.gst` — a direct compressed generalized suffix tree
-  built by suffix insertion; quadratic worst case, used as the oracle in
-  property tests and for small inputs.
 * :mod:`repro.suffix.wmer` — the fixed-length w-mer incidence index for
   the domain-based bipartite reduction B_m.
+
+Two reference implementations that no phase runs are kept on purpose,
+because tests compare the production path against them:
+
+* :mod:`repro.suffix.gst` — a direct compressed generalized suffix tree
+  built by suffix insertion (quadratic worst case); the oracle for
+  :mod:`repro.suffix.matches` in
+  ``test_intervals_matches.py::test_matches_equal_gst_oracle``.
+* :mod:`repro.suffix.ukkonen` — Ukkonen's O(n) suffix tree; the
+  reference ``test_properties.py`` holds :func:`suffix_array` to.
 """
 
 from repro.suffix.suffix_array import (

@@ -11,6 +11,8 @@ banded-vs-global contract.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,7 @@ from repro.align.pairwise import (
 )
 from repro.align.predicates import containment_test
 from repro.pace.cache import AlignmentCache
+from repro.runtime import SerialBackend
 from repro.sequence.alphabet import encode
 
 SCALAR = {
@@ -574,36 +577,51 @@ class TestBandedVersusGlobal:
 
 
 class TestCacheBatchSemantics:
-    """Satellite: batch-path counters == per-pair sequence of lookups."""
+    """The pair stream in front of the cache == a per-pair loop of the
+    scalar accessors: same alignments, same hit/miss counters.  (Every
+    master dedups before it submits, so a key never repeats within one
+    chunk; reversed orientation and already-cached keys do occur.)"""
 
     @staticmethod
     def _fresh_cache(encoded):
         return AlignmentCache(lambda k: encoded[k], blosum62_scheme())
+
+    @staticmethod
+    def _through_stream(kind, encoded, cache, pairs):
+        backend = SerialBackend()
+        records = [SimpleNamespace(encoded=e) for e in encoded]
+        with backend.session(records, blosum62_scheme()):
+            stream = backend.alignment_stream(kind, cache)
+            stream.submit_many(pairs)
+            return sorted(stream.drain(), key=lambda r: r[:2])
 
     def test_mixed_batch_counters_match_per_pair_loop(self):
         rng = np.random.default_rng(13)
         encoded = [rng.integers(0, 20, int(rng.integers(20, 80))).astype(np.uint8)
                    for _ in range(10)]
         primed = [(0, 1), (2, 3), (4, 5)]
-        # A batch mixing cached pairs, new pairs, a within-batch
-        # duplicate, and a reversed-orientation repeat.
-        batch = [(0, 1), (6, 7), (2, 3), (8, 9), (6, 7), (3, 2), (1, 8)]
+        # A chunk mixing cached pairs, new pairs and a
+        # reversed-orientation repeat of a cached pair.
+        batch = [(0, 1), (6, 7), (8, 9), (3, 2), (1, 8)]
 
         for kind in ("local", "semiglobal"):
-            batched_cache = self._fresh_cache(encoded)
+            streamed_cache = self._fresh_cache(encoded)
             looped_cache = self._fresh_cache(encoded)
-            for c in (batched_cache, looped_cache):
+            for c in (streamed_cache, looped_cache):
                 c.set_phase("prime")
                 for i, j in primed:
                     getattr(c, kind)(i, j)
                 c.set_phase("probe")
 
-            batched = batched_cache.batch(kind, batch)
-            looped = [getattr(looped_cache, kind)(i, j) for i, j in batch]
+            streamed = self._through_stream(kind, encoded, streamed_cache, batch)
+            looped = sorted(
+                (min(i, j), max(i, j), getattr(looped_cache, kind)(i, j))
+                for i, j in batch
+            )
 
-            assert batched == looped
-            assert batched_cache.stats() == looped_cache.stats()
-            assert (batched_cache.stats_by_phase()
+            assert streamed == looped
+            assert streamed_cache.stats() == looped_cache.stats()
+            assert (streamed_cache.stats_by_phase()
                     == looped_cache.stats_by_phase())
 
     @given(
@@ -613,17 +631,27 @@ class TestCacheBatchSemantics:
                 st.integers(min_value=0, max_value=7),
             ).filter(lambda p: p[0] != p[1]),
             max_size=20,
-        )
+            unique_by=lambda p: (min(p), max(p)),
+        ),
+        st.integers(min_value=0, max_value=20),
     )
     @settings(max_examples=30, deadline=None)
-    def test_random_batches_counter_identical(self, pairs):
+    def test_random_batches_counter_identical(self, pairs, split):
+        """Two chunks of unique keys: the second chunk's lookups see
+        what the first chunk inserted."""
         rng = np.random.default_rng(7)
         encoded = [rng.integers(0, 20, 30).astype(np.uint8) for _ in range(8)]
-        batched_cache = self._fresh_cache(encoded)
+        streamed_cache = self._fresh_cache(encoded)
         looped_cache = self._fresh_cache(encoded)
-        assert (batched_cache.batch("semiglobal", pairs)
-                == [looped_cache.semiglobal(i, j) for i, j in pairs])
-        assert batched_cache.stats() == looped_cache.stats()
+        chunks = [pairs[:split], pairs[:split] + pairs[split:]]
+        for chunk in chunks:
+            assert self._through_stream(
+                "semiglobal", encoded, streamed_cache, chunk
+            ) == sorted(
+                (min(i, j), max(i, j), looped_cache.semiglobal(i, j))
+                for i, j in chunk
+            )
+        assert streamed_cache.stats() == looped_cache.stats()
 
 
 class TestCellsAccounting:

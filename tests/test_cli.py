@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import read_telemetry
 
 
 @pytest.fixture()
@@ -352,18 +353,39 @@ class TestRunDirResumeAndChaos:
         assert first.read_text() == resumed.read_text()
         capsys.readouterr()
 
-    def test_chaos_identical_verdict(self, generated, tmp_path, capsys):
-        fasta, _ = generated
+    def test_chaos_identical_verdict(self, tmp_path, capsys):
+        """The no-FASTA default input at the default seed gives the
+        verdict something to stand on: a non-empty baseline, every
+        phase dispatching, and planned faults that really fire."""
         run_dir = tmp_path / "chaos"
-        rc = main(["chaos", str(fasta), "--seed", "11",
-                   "--workers", "2", "--run-dir", str(run_dir)])
+        rc = main(["chaos", "--workers", "2", "--run-dir", str(run_dir)])
         assert rc == 0
         out = capsys.readouterr().out
         assert "chaos verdict: IDENTICAL" in out
+        assert "3 fault(s) planned" in out and ": injected" in out
         report = json.loads(
             (run_dir / "chaos_report.json").read_text(encoding="utf-8")
         )
         assert report["ok"] is True
+        assert report["baseline_families"] > 0
+        assert len(report["injected"]) == 3 and any(report["injected"])
+        counters = read_telemetry(run_dir)[1][-1]["counters"]
+        for phase in ("redundancy", "clustering", "bipartite"):
+            assert counters[f"runtime.pairs_done.{phase}"] > 0, phase
+        assert counters["runtime.shingle_jobs"] > 0
+
+    def test_chaos_verdict_is_vacuous_when_nothing_was_disturbed(
+        self, generated, capsys
+    ):
+        """27 sequences make one RR task and no bipartite dispatch, so
+        none of seed 11's three faults can fire: two identical runs
+        prove nothing and the command must say so."""
+        fasta, _ = generated
+        rc = main(["chaos", str(fasta), "--seed", "11", "--workers", "2"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "3 fault(s) planned, 0 injected" in out
+        assert "chaos verdict: VACUOUS" in out
 
     def test_chaos_rejects_checkpoint_fault_plan(self, generated, tmp_path,
                                                  capsys):

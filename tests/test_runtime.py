@@ -10,14 +10,20 @@ stats bookkeeping).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.align.matrices import blosum62_scheme
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
+from repro.faults.plan import Fault, FaultPlan
+from repro.graph.bipartite import duplicate_bipartite
 from repro.pace.cache import AlignmentCache
 from repro.parallel.simulator import VirtualCluster
+from repro.runtime.base import run_task
+from repro.shingle.algorithm import ShingleParams
 from repro.runtime import (
     BackendError,
     ProcessBackend,
@@ -52,8 +58,6 @@ class TestResultInvariance:
 
     def test_config_backend_field(self, workload, reference):
         sequences, config = workload
-        from dataclasses import replace
-
         configured = replace(config, backend="process", workers=2)
         result = ProteinFamilyPipeline(configured).run(sequences)
         assert result.runtime is not None
@@ -115,7 +119,7 @@ class TestCrashSafety:
         encoded = [r.encoded for r in sequences]
         cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         with backend.session(sequences, config.scheme):
-            backend._submit(("poison", 99))
+            backend._dispatch(("poison", 99), lambda result, busy: None)
             with pytest.raises(WorkerCrashError, match="unknown task kind"):
                 backend._pump(block=True)
             # The worker caught the poison and is still serving.
@@ -208,6 +212,123 @@ class TestCrashSafety:
         screen = "\n".join(render_screen(meta, samples, end))
         assert "no end record" in screen
         assert "LOST" in screen
+
+
+ACCOUNTING_MODES = {
+    "serial": lambda: PipelineConfig(backend="serial"),
+    "process": lambda: PipelineConfig(backend="process", workers=2),
+    "quarantined": lambda: PipelineConfig(
+        backend="process", workers=2, fault_plan=FaultPlan(faults=(
+            Fault(kind="poison_task", phase="clustering", at_task=0),
+        ))),
+    "degraded": lambda: PipelineConfig(
+        backend="process", workers=1, respawn_budget=0,
+        fault_plan=FaultPlan(faults=(
+            Fault(kind="kill_worker", phase="redundancy", worker=0,
+                  at_task=0),
+        ))),
+}
+
+
+class TestWorkAccounting:
+    """One definition each of a cache miss and of ``PhaseStats.tasks``,
+    wherever a task ended up running."""
+
+    @pytest.mark.parametrize("mode", ACCOUNTING_MODES)
+    def test_misses_are_entries_and_tasks_exclude_hits(self, workload, mode):
+        sequences, config = workload
+        overrides = ACCOUNTING_MODES[mode]()
+        config = replace(
+            config, backend=overrides.backend, workers=overrides.workers,
+            fault_plan=overrides.fault_plan,
+            respawn_budget=overrides.respawn_budget,
+        )
+        result = ProteinFamilyPipeline(config).run(sequences)
+        counters = result.obs.counters()
+        if mode == "quarantined":
+            assert counters["runtime.poison_quarantined"] >= 1
+        if mode == "degraded":
+            assert result.obs.gauges()["runtime.degraded"] == 1
+
+        # A miss is counted once, when its alignment is inserted.
+        cache = result.runtime.cache
+        assert cache["misses"] == cache["entries"] > 0
+        # tasks = work dispatched; a hit is not a task.
+        submitted = {
+            "redundancy": counters["rr.pairs"],
+            "clustering": counters["ccd.alignments"],
+            "bipartite": counters["bipartite.pairs"],
+            "dense_subgraphs": counters["dsd.components"],
+        }
+        for name, phase in result.runtime.phases.items():
+            assert phase.tasks + phase.cache_hits == submitted[name], name
+        assert result.runtime.phases["bipartite"].cache_hits > 0
+        assert cache["hits"] == sum(
+            phase.cache_hits for phase in result.runtime.phases.values()
+        )
+
+
+def _shingle_body():
+    edges = [(i, j) for base in (0, 10) for i in range(base, base + 8)
+             for j in range(i + 1, base + 8)]
+    return ("shingle", duplicate_bipartite(20, edges), "global",
+            ShingleParams(s1=3, c1=80, s2=2, c2=30, seed=9), 4, 0.5)
+
+
+TASK_BODIES = {
+    "local": lambda: ("local", [(0, 1), (2, 5), (3, 4)]),
+    "semiglobal": lambda: ("semiglobal", [(0, 1), (2, 5), (3, 4)]),
+    "contain": lambda: ("contain", 0.95, 0.95,
+                        [(0, 1), (2, 5), (3, 4), (0, 6)]),
+    "shingle": _shingle_body,
+    "unknown": lambda: ("poison", 99),
+}
+
+
+class TestOneTaskFunction:
+    """The seam: ``run_task`` in-line, in a worker process and in the
+    process backend's in-master recovery path is one function, so the
+    three placements return equal results (and fail alike)."""
+
+    @staticmethod
+    def _via_backend(backend, sequences, scheme, body, *, degrade):
+        got = []
+        with backend.session(sequences, scheme):
+            if degrade:
+                backend._procs[0].kill()
+                backend._procs[0].join(timeout=5.0)
+                backend._sweep()
+                assert backend.telemetry_probe()["degraded"] is True
+            backend._dispatch(body, lambda result, busy: got.append(result))
+            while not got:
+                backend._pump(block=True)
+        return got[0]
+
+    @pytest.mark.parametrize("kind", TASK_BODIES)
+    def test_three_placements_agree(self, workload, kind):
+        sequences, config = workload
+        scheme = config.scheme
+        body = TASK_BODIES[kind]()
+        encoded = [r.encoded for r in sequences]
+        worker = ProcessBackend(workers=1)
+        master = ProcessBackend(workers=1, respawn_budget=0)
+        if kind == "unknown":
+            text = "unknown task kind 'poison'"
+            with pytest.raises(ValueError, match=text):
+                run_task(body, encoded.__getitem__, scheme)
+            with pytest.raises(WorkerCrashError, match=f"ValueError: {text}"):
+                self._via_backend(worker, sequences, scheme, body,
+                                  degrade=False)
+            with pytest.raises(ValueError, match=text):
+                self._via_backend(master, sequences, scheme, body,
+                                  degrade=True)
+            return
+        inline = run_task(body, encoded.__getitem__, scheme)
+        assert len(inline) == (3 if kind == "shingle" else len(body[-1]))
+        assert self._via_backend(
+            worker, sequences, scheme, body, degrade=False) == inline
+        assert self._via_backend(
+            master, sequences, scheme, body, degrade=True) == inline
 
 
 class TestSharedSequenceStore:
