@@ -93,7 +93,9 @@ def observation_lines(recorder: Recorder, *, bar_width: int = 28) -> list[str]:
 
     Sections (each omitted when empty): run metadata, the per-phase
     wall-clock timeline with share bars, the worker-lane busy rollup
-    (backend runs), the scientific counters, and the cache summary.
+    (backend runs), the masters' pair-generation rollup per phase (from
+    the ``pairs.generate`` block spans), the scientific counters, and
+    the cache summary.
     """
     counters = recorder.counters()
     phases = recorder.phase_seconds()
@@ -127,6 +129,24 @@ def observation_lines(recorder: Recorder, *, bar_width: int = 28) -> list[str]:
             f"{sum(worker_lanes.values()):.3f}s busy "
             f"(peak worker {busiest - 1}: {worker_lanes[busiest]:.3f}s)"
         )
+    generation: dict[str, list[dict[str, object]]] = {}
+    for span in recorder.spans:
+        if span.name == "pairs.generate":
+            args = dict(span.args, seconds=span.duration)
+            generation.setdefault(str(args["phase"]), []).append(args)
+    if generation:
+        lines.append("pair generation on the master (the rest of a phase's "
+                     "master time is filtering):")
+        for name, blocks in generation.items():
+            seconds, candidates, matches, admitted = (
+                sum(block[key] for block in blocks)
+                for key in ("seconds", "candidates", "matches", "admitted")
+            )
+            lines.append(
+                f"  {name:<16s} {seconds:>9.3f}s  {len(blocks):,d} blocks  "
+                f"{candidates:,d} candidates -> {matches:,d} matches -> "
+                f"{admitted:,d} admitted"
+            )
     scientific = {
         name: value
         for name, value in scientific_view(counters).items()

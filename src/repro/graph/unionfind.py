@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable
 
+import numpy as np
+
 
 class UnionFind:
     """Array-backed union-find over the integers ``0..n-1``.
@@ -59,6 +61,19 @@ class UnionFind:
         while parent[x] != x:
             x = parent[x]
         return x
+
+    def labels(self) -> np.ndarray:
+        """:meth:`root` of every element at once, as an array — a
+        snapshot of the partition for bulk ``labels[a] == labels[b]``
+        tests.  Read-only like :meth:`root`: the parents are copied and
+        the copy is pointer-jumped (``label = label[label]`` halves
+        every path, so union by rank needs O(log log n) rounds)."""
+        label = np.array(self._parent, dtype=np.int64)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                return label
+            label = jumped
 
     def union(self, x: int, y: int) -> bool:
         """Merge the sets of x and y; returns True if they were distinct."""

@@ -101,6 +101,18 @@ _SPECS = [
                 "semiglobal alignments computed (master or worker)"),
     CounterSpec("cache.entries", "cache",
                 "distinct alignments memoised at run end"),
+    # -- Pair generation (repro.suffix.matches block stream) ---------------
+    # Work counters: they describe how the masters' pair source did its
+    # job (summed over RR, CCD and every bipartite component finder of a
+    # backend run; the simulator's rank programs generate per bucket and
+    # do not bump them), not what was decided.
+    CounterSpec("suffix.candidates", "suffix",
+                "cross-child suffix pairs expanded by the block "
+                "generator before the same-sequence / left-maximality "
+                "mask"),
+    CounterSpec("suffix.matches", "suffix",
+                "maximal matches the block generator emitted to a "
+                "master"),
     # -- Batched alignment kernel (repro.align.batch) ----------------------
     # Work counters by design: how many pairs each engine route handled
     # varies with chunking/backends, while the decisions they feed

@@ -7,10 +7,26 @@ that master — the same master-side state the simulator's
 ``parallel_*`` drivers plug into their rank programs, so the filter, the
 counters and the result are stated once.  On
 :class:`~repro.runtime.serial.SerialBackend` this is the reference every
-other mode is compared against.  Equal output under concurrency rests
-on three invariants (see the module docstrings in
-:mod:`repro.pace.redundancy`, :mod:`repro.pace.clustering`,
-:mod:`repro.pace.bipartite_gen`):
+other mode is compared against.
+
+The pair source is the finder's *block* stream
+(:meth:`~repro.suffix.matches.MaximalMatchFinder.match_blocks`), and
+each master's one deciding filter, ``admit``, has a *sound block
+prefilter* in front of it — the same shape as the Myers reject in front
+of the DP: an array test over a whole block that drops only pairs
+``admit`` would provably reject, so every counter and every submitted
+pair is what the pair-by-pair loop over ``admit`` gives.  RR and
+bipartite generation only deduplicate, so they keep each block's first
+row per pair (a later row of the same pair is in ``_seen`` by then);
+CCD keeps a label snapshot of the union–find and counts as filtered,
+in bulk, every pair whose endpoints share a snapshot label — the
+union–find only ever merges, so such a pair is co-clustered *now*
+whatever has happened since the snapshot.  Whatever the prefilter lets
+through is decided by ``admit``, pair by pair, against the live state.
+
+Equal output under concurrency rests on three invariants (see the
+module docstrings in :mod:`repro.pace.redundancy`,
+:mod:`repro.pace.clustering`, :mod:`repro.pace.bipartite_gen`):
 
 * RR aligns a deterministic pair set and Definition 1 verdicts are
   per-pair, so absorption order is irrelevant;
@@ -27,7 +43,9 @@ processor count in the paper's Table II.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.align.predicates import (
@@ -45,6 +63,7 @@ from repro.pace.redundancy import RedundancyMaster, RedundancyResult
 from repro.runtime.base import Backend, PairStream
 from repro.sequence.record import SequenceSet
 from repro.shingle.algorithm import ShingleParams
+from repro.suffix.matches import MatchBlock
 
 
 #: Pairs per RR submit_many chunk.  Sized for the batched containment
@@ -54,6 +73,87 @@ RR_CHUNK = 512
 
 #: Pairs per bipartite submit_many chunk (pure batched-DP path).
 BIPARTITE_CHUNK = 128
+
+
+#: CCD re-takes its label snapshot inside a block only while the rows
+#: still to decide number at least 1/16 of the sequences: relabelling is
+#: O(n) array work, and what it buys is one Python-level ``admit`` less
+#: per row that a merge has closed since.  At scale (n far above a
+#: block's rows) that is one snapshot per block.
+RESNAPSHOT_ROWS_PER_LABEL = 16
+
+
+def _traced_blocks(
+    blocks: Iterator[MatchBlock], admitted: str
+) -> Iterator[MatchBlock]:
+    """``blocks``, with the master's share of a phase made visible: the
+    work counters ``suffix.candidates`` / ``suffix.matches`` and one
+    ``pairs.generate`` span per block over the time its generation took.
+    The span is recorded when the consumer comes back for the next
+    block, so it can also say how many of the block's pairs the master
+    admitted — the growth of the counter named ``admitted``.  Phase time
+    outside these spans and the alignment tasks is filtering."""
+    recorder = obs.active()
+    if recorder is None:
+        yield from blocks
+        return
+    while True:
+        start = recorder.now()
+        block = next(blocks, None)
+        if block is None:
+            return
+        end, before = recorder.now(), recorder.value(admitted)
+        recorder.count("suffix.candidates", block.candidates)
+        recorder.count("suffix.matches", len(block))
+        yield block
+        recorder.add_span(
+            "pairs.generate", "master", start, end,
+            phase=recorder.gauge_value("phase"),
+            candidates=block.candidates,
+            matches=len(block),
+            admitted=int(recorder.value(admitted) - before),
+        )
+
+
+class _ClosureSnapshot:
+    """CCD's block prefilter: a label snapshot of the master's
+    union–find (:meth:`~repro.graph.unionfind.UnionFind.labels`), re-taken
+    when ``merge_count`` has moved."""
+
+    def __init__(self, master: ClusteringMaster):
+        self.master = master
+        self.labels = master.uf.labels()
+        self.taken_at = master.uf.merge_count
+
+    def undecided(self, block: MatchBlock) -> Iterator[tuple[int, int]]:
+        """The pairs of ``block`` that ``admit`` has to decide, in
+        stream order.  Every other pair has both endpoints under one
+        snapshot label, i.e. ``admit`` would count it as streamed and
+        filtered; that is done here for all of them at once.  The
+        consumer decides (and may merge on) each yielded pair before
+        asking for the next."""
+        master, uf = self.master, self.master.uf
+        seq_a, seq_b = block.seq_a, block.seq_b
+        while len(seq_a):
+            if uf.merge_count != self.taken_at:
+                self.labels, self.taken_at = uf.labels(), uf.merge_count
+            differ = self.labels[seq_a] != self.labels[seq_b]
+            closed = len(seq_a) - int(np.count_nonzero(differ))
+            if closed:
+                master.n_pairs += closed
+                obs.count("ccd.pairs", closed)
+                obs.count("ccd.filtered", closed)
+            seq_a, seq_b = seq_a[differ], seq_b[differ]
+            done = 0
+            for pair in zip(seq_a.tolist(), seq_b.tolist()):
+                yield pair
+                done += 1
+                if (
+                    uf.merge_count != self.taken_at
+                    and (len(seq_a) - done) * RESNAPSHOT_ROWS_PER_LABEL >= len(uf)
+                ):
+                    break
+            seq_a, seq_b = seq_a[done:], seq_b[done:]
 
 
 def _stream_chunked(
@@ -105,12 +205,19 @@ def backend_redundancy_removal(
         coverage=coverage,
         max_pairs_per_node=max_pairs_per_node,
     )
+
+    def admitted() -> Iterator[tuple[int, int]]:
+        for block in _traced_blocks(master.finder.match_blocks(), "rr.pairs"):
+            for pair in block.first_per_pair().pairs():
+                if master.admit(pair):
+                    yield pair
+
     with backend.phase("redundancy"):
         _stream_chunked(
             backend.containment_stream(
                 cache, similarity=similarity, coverage=coverage
             ),
-            (m.pair for m in master.finder.matches() if master.admit(m.pair)),
+            admitted(),
             RR_CHUNK,
             master.absorb,
         )
@@ -133,12 +240,14 @@ def backend_component_detection(
     """CCD phase on a backend.
 
     The master filters each promising pair against the union–find
-    *before* dispatch — pair by pair, so the filter sees every verdict
-    that is already back — and unions passing alignments as results
-    stream in.  Under a concurrent backend the filter lags by the batch
-    in flight, so slightly more pairs get aligned than on the serial
-    backend — the components are provably identical (see module
-    docstring), only the work counters move, as in the paper.
+    *before* dispatch — a snapshot prefilter over each block of the
+    stream (:class:`_ClosureSnapshot`), then pair by pair through
+    ``admit``, so the filter sees every verdict that is already back —
+    and unions passing alignments as results stream in.  Under a
+    concurrent backend the filter lags by the batch in flight, so
+    slightly more pairs get aligned than on the serial backend — the
+    components are provably identical (see module docstring), only the
+    work counters move, as in the paper.
 
     Checkpointing: when a :class:`~repro.core.checkpoint.CheckpointJournal`
     is passed, every union that actually merges two clusters is
@@ -173,13 +282,14 @@ def backend_component_detection(
 
     with backend.phase("clustering"):
         stream = backend.alignment_stream("local", cache)
-        for match in master.finder.matches():
-            pair = match.pair
-            if not master.admit(pair):
-                continue
-            stream.submit(kept[pair[0]], kept[pair[1]])
-            for gi, gj, aln in stream.ready():
-                absorb(gi, gj, aln)
+        snapshot = _ClosureSnapshot(master)
+        for block in _traced_blocks(master.finder.match_blocks(), "ccd.alignments"):
+            for pair in snapshot.undecided(block):
+                if not master.admit(pair):
+                    continue
+                stream.submit(kept[pair[0]], kept[pair[1]])
+                for gi, gj, aln in stream.ready():
+                    absorb(gi, gj, aln)
         for gi, gj, aln in stream.drain():
             absorb(gi, gj, aln)
     return master.result()
@@ -249,9 +359,10 @@ def backend_generate_component_graphs(
                 finder = master.finder(ci)
                 if finder is None:
                     continue
-                for match in finder.matches():
-                    if master.admit((ci, match.seq_a, match.seq_b)):
-                        yield (members[match.seq_a], members[match.seq_b])
+                for block in _traced_blocks(finder.match_blocks(), "bipartite.pairs"):
+                    for a, b in block.first_per_pair().pairs():
+                        if master.admit((ci, a, b)):
+                            yield (members[a], members[b])
 
         def absorb(gi: int, gj: int, aln) -> None:
             if master.is_edge(gi, gj, aln):

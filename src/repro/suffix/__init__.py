@@ -12,7 +12,12 @@ package provides:
   node hierarchy recovered from SA+LCP).
 * :mod:`repro.suffix.matches` — maximal-match pair generation in
   decreasing match-length order, exactly the PaCE "promising pair"
-  stream.
+  stream, produced as a *block stream*: one generator
+  (:meth:`MaximalMatchFinder.match_blocks`) emits the matches as NumPy
+  column blocks (:class:`MatchBlock`) whose concatenation is the stream
+  — nodes deepest first, inside a node by ``(a-child, b-child, x, y)`` —
+  and every per-match iterator is a view of it.  A fixed candidate
+  budget per block keeps the generator's working set at a few MB.
 * :mod:`repro.suffix.wmer` — the fixed-length w-mer incidence index for
   the domain-based bipartite reduction B_m.
 
@@ -20,9 +25,10 @@ Two reference implementations that no phase runs are kept on purpose,
 because tests compare the production path against them:
 
 * :mod:`repro.suffix.gst` — a direct compressed generalized suffix tree
-  built by suffix insertion (quadratic worst case); the oracle for
-  :mod:`repro.suffix.matches` in
-  ``test_intervals_matches.py::test_matches_equal_gst_oracle``.
+  built by suffix insertion (quadratic worst case); the oracle for the
+  *set* of matches :mod:`repro.suffix.matches` emits, in
+  ``test_intervals_matches.py::test_matches_equal_gst_oracle`` (their
+  *order* is held to the scalar node walk in ``tests/scalar_finder.py``).
 * :mod:`repro.suffix.ukkonen` — Ukkonen's O(n) suffix tree; the
   reference ``test_properties.py`` holds :func:`suffix_array` to.
 """
@@ -33,7 +39,7 @@ from repro.suffix.suffix_array import (
     suffix_array,
 )
 from repro.suffix.intervals import LcpInterval, lcp_interval_tree
-from repro.suffix.matches import MaximalMatch, MaximalMatchFinder
+from repro.suffix.matches import MatchBlock, MaximalMatch, MaximalMatchFinder
 from repro.suffix.gst import GeneralizedSuffixTree
 from repro.suffix.ukkonen import SuffixTree
 from repro.suffix.wmer import WmerIndex
@@ -44,6 +50,7 @@ __all__ = [
     "suffix_array",
     "LcpInterval",
     "lcp_interval_tree",
+    "MatchBlock",
     "MaximalMatch",
     "MaximalMatchFinder",
     "GeneralizedSuffixTree",

@@ -8,21 +8,60 @@ differ (left-maximal).
 
 PaCE generates these pairs *on demand in decreasing match length* so that
 long (most similar) pairs are aligned first and transitive-closure
-clustering can discard the rest; we reproduce that ordering by emitting
-interval-tree nodes sorted by depth descending.
+clustering can discard the rest.
+
+The block stream
+----------------
+There is one generator, :meth:`MaximalMatchFinder.match_blocks`, and it
+produces the stream as :class:`MatchBlock` column arrays; every other
+iterator (:meth:`~MaximalMatchFinder.matches`,
+:meth:`~MaximalMatchFinder.matches_for_symbols`,
+:meth:`~MaximalMatchFinder.unique_pairs`) is a view of it.  A block is
+made with array operations only: a run of interval nodes is flattened
+into its SA slots, child boundaries are read off ``lcp[slot] == depth``,
+each slot is paired with every slot of its node that lies after its own
+child (``repeat``/``arange``), same-sequence and non-left-maximal pairs
+are masked out, and the survivors are put in stream order by one stable
+sort.
+
+Order contract: the concatenated blocks are the sequence
+
+* nodes by depth descending, equal depths in the bottom-up order of
+  :func:`~repro.suffix.intervals.lcp_interval_tree`;
+* inside a node by ``(a-child, b-child, x, y)`` — child pairs left to
+  right, then the SA slots ``x`` of the first child and ``y`` of the
+  second, ascending.
+
+CCD's work counters (which pairs the transitive-closure filter sees
+first) depend on this order, so it is part of the interface;
+``tests/test_intervals_matches.py`` keeps the scalar node walk this
+module used to run as the reference and holds the blocks to it element
+for element.
+
+The candidate budget: a block expands at most :data:`CANDIDATE_BUDGET`
+cross-child slot pairs before masking.  It exists for memory, not speed
+— one array over all candidates of a filter-dominated input doubled the
+peak RSS of the run, while budgeted blocks leave it where the scalar
+walk had it.  A node with more cross-child pairs than that is cut, in
+stream order, by child, then by partner child, then by single rows
+``x`` (only such a single row may exceed the budget).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.sequence.alphabet import ALPHABET_SIZE
 from repro.suffix.intervals import lcp_interval_tree
 from repro.suffix.suffix_array import GeneralizedSuffixArray
+
+#: Cross-child slot pairs one block may expand before masking (see the
+#: module docstring).  A constant, not an option: it bounds the working
+#: set of the generator at a few MB whatever the input.
+CANDIDATE_BUDGET = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -44,6 +83,138 @@ class MaximalMatch:
         return (self.seq_a, self.seq_b)
 
 
+@dataclass(frozen=True)
+class MatchBlock:
+    """A contiguous piece of the match stream as parallel int64 columns
+    (the fields of :class:`MaximalMatch`, one row per match).
+
+    ``candidates`` is the number of cross-child slot pairs that were
+    expanded and masked to produce the rows.
+    """
+
+    seq_a: np.ndarray
+    pos_a: np.ndarray
+    seq_b: np.ndarray
+    pos_b: np.ndarray
+    length: np.ndarray
+    candidates: int
+
+    def __len__(self) -> int:
+        return len(self.seq_a)
+
+    def take(self, rows) -> "MatchBlock":
+        """The block restricted to ``rows`` (any NumPy index)."""
+        return MatchBlock(
+            self.seq_a[rows],
+            self.pos_a[rows],
+            self.seq_b[rows],
+            self.pos_b[rows],
+            self.length[rows],
+            self.candidates,
+        )
+
+    def matches(self) -> Iterator[MaximalMatch]:
+        """The rows as :class:`MaximalMatch` objects, in order."""
+        return map(
+            MaximalMatch,
+            self.seq_a.tolist(),
+            self.pos_a.tolist(),
+            self.seq_b.tolist(),
+            self.pos_b.tolist(),
+            self.length.tolist(),
+        )
+
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """The rows' ``(seq_a, seq_b)`` as tuples of Python ints."""
+        return zip(self.seq_a.tolist(), self.seq_b.tolist())
+
+    def first_per_pair(self) -> "MatchBlock":
+        """The first row of each sequence pair, in stream order — what a
+        master that only deduplicates would let through of this block."""
+        key = (self.seq_a << 32) | self.seq_b
+        return self.take(np.sort(np.unique(key, return_index=True)[1]))
+
+
+def _cuts(weights: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Greedy contiguous groups ``[start, stop)`` of total weight at most
+    :data:`CANDIDATE_BUDGET`; a heavier element is a group of its own."""
+    total = np.cumsum(weights)
+    start = 0
+    while start < len(weights):
+        done = int(total[start - 1]) if start else 0
+        stop = int(np.searchsorted(total, done + CANDIDATE_BUDGET, side="right"))
+        stop = max(stop, start + 1)
+        yield start, stop
+        start = stop
+
+
+class _Slots:
+    """The SA slots of a run of interval nodes, flattened.
+
+    Everything is indexed by *flat position* (nodes back to back, each
+    node's slots ascending): ``child`` numbers the children across the
+    whole run, so it orders a-children and b-children without a node
+    key; ``own_last`` / ``node_last`` are the flat positions where the
+    slot's child / node end, so the partners of position ``p`` are
+    ``own_last[p] + 1 .. node_last[p]``.
+    """
+
+    def __init__(self, finder: "MaximalMatchFinder", nodes: np.ndarray):
+        size = finder._size[nodes]
+        first = np.cumsum(size) - size
+        self.node = np.repeat(np.arange(len(nodes)), size)
+        slot = np.arange(len(self.node)) + (finder._lb[nodes] - first)[self.node]
+        self.depth = finder._depth[nodes][self.node]
+        # Inside a node lcp >= depth, with equality exactly where the
+        # next child begins; the node's first slot opens its first child.
+        opens = finder.gsa.lcp[slot] == self.depth
+        opens[first] = True
+        self.child = np.cumsum(opens) - 1
+        self.child_first = np.flatnonzero(opens)
+        child_last = np.append(self.child_first[1:], len(slot)) - 1
+        self.own_last = child_last[self.child]
+        self.node_last = (first + size - 1)[self.node]
+        self.seq = finder._suffix_seq[slot]
+        self.off = finder._suffix_off[slot]
+        self.left = finder._left_symbol[slot]
+
+    def __len__(self) -> int:
+        return len(self.node)
+
+    def block(
+        self,
+        rows: tuple[int, int] | None = None,
+        partners: tuple[int, int] | None = None,
+    ) -> tuple[MatchBlock, np.ndarray]:
+        """Matches of flat positions ``rows`` against their partners
+        (clipped to flat range ``partners``), in stream order, and the
+        run-local node index of each."""
+        everything = (0, len(self))
+        p = np.arange(*(everything if rows is None else rows))
+        lo, hi = everything if partners is None else partners
+        begin = np.maximum(self.own_last[p] + 1, lo)
+        count = np.maximum(np.minimum(self.node_last[p] + 1, hi) - begin, 0)
+        candidates = int(count.sum())
+        x = np.repeat(p, count)
+        # Row r's partners are begin[r], begin[r] + 1, ...
+        y = np.arange(candidates) + np.repeat(begin - (np.cumsum(count) - count), count)
+        # Distinct sequences, and left-maximal: a preceding sentinel (or
+        # the virtual -1 before the text) occurs once, so two different
+        # slots never share one and plain inequality is the whole test.
+        keep = (self.seq[x] != self.seq[y]) & (self.left[x] != self.left[y])
+        x, y = x[keep], y[keep]
+        # (x, y) ascending is already the order inside a child pair.
+        order = np.lexsort((self.child[y], self.child[x]))
+        x, y = x[order], y[order]
+        swap = self.seq[x] > self.seq[y]
+        a, b = np.where(swap, y, x), np.where(swap, x, y)
+        block = MatchBlock(
+            self.seq[a], self.off[a], self.seq[b], self.off[b], self.depth[x],
+            candidates,
+        )
+        return block, self.node[x]
+
+
 class MaximalMatchFinder:
     """Enumerate maximal-match pairs of length >= ``min_length``.
 
@@ -58,10 +229,10 @@ class MaximalMatchFinder:
         uses psi = 10 for the clustering phases.
     max_pairs_per_node:
         Safety valve against quadratic blow-up on highly repetitive
-        inputs: per interval-tree node at most this many cross-child
-        pairs are emitted (the deepest matches still come first, so the
-        cap drops only the least informative duplicates).  ``None`` means
-        unlimited.
+        inputs: per interval-tree node only the first this many matches
+        of the node, in stream order, are emitted (the deepest matches
+        still come first, so the cap drops only the least informative
+        duplicates).  ``None`` means unlimited.
     """
 
     def __init__(
@@ -76,120 +247,149 @@ class MaximalMatchFinder:
         self.min_length = min_length
         self.max_pairs_per_node = max_pairs_per_node
         self.gsa = GeneralizedSuffixArray(sequences)
-        self._intervals = lcp_interval_tree(self.gsa.lcp, min_depth=min_length)
+        nodes = lcp_interval_tree(self.gsa.lcp, min_depth=min_length)
         # Deepest-first: PaCE's decreasing maximal-match-length order.
-        self._intervals.sort(key=lambda node: node.depth, reverse=True)
-        sa = self.gsa.sa
+        nodes.sort(key=lambda node: node.depth, reverse=True)
+        # The nodes in stream order, as columns: all the generator and
+        # the bucket helpers need of the tree.
+        self._depth = np.array([node.depth for node in nodes], dtype=np.int64)
+        self._lb = np.array([node.lb for node in nodes], dtype=np.int64)
+        self._size = np.array([node.size for node in nodes], dtype=np.int64)
+        sa, text = self.gsa.sa, self.gsa.text
+        #: First symbol of each node's common prefix — its bucket.
+        self._symbol = text[sa[self._lb]]
         self._suffix_seq, self._suffix_off = self.gsa.locate_many(sa)
         # Preceding symbol per SA slot (virtual sentinel -1 at text start).
-        text = self.gsa.text
-        prev = np.where(sa > 0, text[np.maximum(sa - 1, 0)], -1)
-        prev[sa == 0] = -1
-        self._left_symbol = prev
+        self._left_symbol = np.where(sa > 0, text[np.maximum(sa - 1, 0)], -1)
+
+    # -- the one generator ---------------------------------------------------
+
+    def match_blocks(self) -> Iterator[MatchBlock]:
+        """The match stream, in decreasing match-length order, as blocks
+        (see the module docstring for the order contract)."""
+        return self._blocks(np.arange(len(self._depth)))
+
+    def _blocks(self, nodes: np.ndarray) -> Iterator[MatchBlock]:
+        """Blocks over ``nodes`` (ascending indices into the node
+        columns): runs of whole nodes within the budget, a node beyond
+        it split."""
+        cap = self.max_pairs_per_node
+        size = self._size[nodes]
+        # Every slot pair of the node: an upper bound on its cross-child
+        # pairs, exact when each child is a single suffix.
+        bound = size * (size - 1) // 2
+        for start, stop in _cuts(bound):
+            if bound[start] > CANDIDATE_BUDGET:  # a group of its own
+                yield from self._split_blocks(_Slots(self, nodes[start:stop]))
+                continue
+            # The flattened run is not kept across the yield: a consumer
+            # aligns between blocks, and a run of small nodes has as
+            # many slots as candidates.
+            block, node = _Slots(self, nodes[start:stop]).block()
+            if cap is not None and len(block):
+                opens = np.flatnonzero(np.diff(node, prepend=-1))
+                rank = np.arange(len(node)) - np.repeat(
+                    opens, np.diff(opens, append=len(node))
+                )
+                block = block.take(rank < cap)
+            yield block
+
+    def _split_blocks(self, slots: _Slots) -> Iterator[MatchBlock]:
+        """One node whose slot pairs exceed the budget, as blocks."""
+        remaining = self.max_pairs_per_node
+        for rows, partners in self._split(slots):
+            block, _ = slots.block(rows, partners)
+            if remaining is not None:
+                block = block.take(slice(0, remaining))
+                remaining -= len(block)
+            yield block
+            if remaining == 0:
+                return
+
+    @staticmethod
+    def _split(slots: _Slots) -> Iterator[tuple[tuple[int, int], tuple[int, int] | None]]:
+        """Cut one node into ``(rows, partners)`` pieces that keep the
+        stream order ``(a-child, b-child, x, y)``: groups of a-children;
+        an a-child too heavy for one block by groups of b-children; one
+        child pair too heavy by rows ``x``."""
+        first = slots.child_first
+        sizes = np.diff(first, append=len(slots))
+        end = first + sizes
+        weights = sizes * (len(slots) - end)
+        for a0, a1 in _cuts(weights):
+            if a1 - a0 > 1 or weights[a0] <= CANDIDATE_BUDGET:
+                yield (int(first[a0]), int(end[a1 - 1])), None
+                continue
+            a, later = a0, a0 + 1
+            for b0, b1 in _cuts(sizes[a] * sizes[later:]):
+                b0, b1 = b0 + later, b1 + later
+                if b1 - b0 > 1 or sizes[a] * sizes[b0] <= CANDIDATE_BUDGET:
+                    yield (int(first[a]), int(end[a])), (int(first[b0]), int(end[b1 - 1]))
+                    continue
+                partners = (int(first[b0]), int(end[b0]))
+                for x0, x1 in _cuts(np.full(sizes[a], sizes[b0])):
+                    yield (int(first[a]) + x0, int(first[a]) + x1), partners
+
+    # -- views of the stream -------------------------------------------------
 
     def matches(self) -> Iterator[MaximalMatch]:
         """Yield maximal matches in decreasing match-length order."""
-        for node in self._intervals:
-            yield from self._node_matches(node)
+        for block in self.match_blocks():
+            yield from block.matches()
+
+    def unique_pairs(self) -> Iterator[MaximalMatch]:
+        """Yield one match per sequence pair — the longest one.
+
+        Because the stream is in decreasing length, the first occurrence
+        of a pair is its longest maximal match; later occurrences are
+        filtered.
+        """
+        seen: set[tuple[int, int]] = set()
+        for block in self.match_blocks():
+            for match in block.first_per_pair().matches():
+                if match.pair not in seen:
+                    seen.add(match.pair)
+                    yield match
+
+    def count_promising_pairs(self) -> int:
+        """Total pairs :meth:`matches` would emit (the paper's "promising
+        pairs generated" statistic, e.g. 168M for the 40K input)."""
+        return sum(len(block) for block in self.match_blocks())
 
     # -- distributed-construction support ---------------------------------
+    #
+    # Every match generated at a node starts with the first symbol of the
+    # node's common prefix, so partitioning nodes by that symbol (as PaCE
+    # partitions suffix-tree subtrees across processors) loses no matches
+    # of length >= 1.
 
-    def node_symbol(self, node) -> int:
-        """First symbol of an interval's common prefix.
-
-        Every match generated at a node starts with this residue, so
-        partitioning nodes by first symbol (as PaCE partitions suffix-tree
-        subtrees across processors) loses no matches of length >= 1.
-        """
-        return int(self.gsa.text[self.gsa.sa[node.lb]])
+    def _in_buckets(self, symbols: Iterable[int]) -> np.ndarray:
+        return np.isin(self._symbol, list(symbols))
 
     def bucket_sizes(self) -> dict[int, int]:
         """Total suffix count per first-symbol bucket (load estimate)."""
-        sizes: dict[int, int] = {}
-        for node in self._intervals:
-            symbol = self.node_symbol(node)
-            sizes[symbol] = sizes.get(symbol, 0) + node.size
-        return sizes
+        totals = np.bincount(self._symbol, weights=self._size).astype(np.int64)
+        return {symbol: total for symbol, total in enumerate(totals.tolist()) if total}
 
     def bucket_symbols(self) -> list[int]:
         """All first symbols that own at least one interval node."""
         return sorted(self.bucket_sizes())
 
     def matches_for_symbols(self, symbols: set[int]) -> Iterator[MaximalMatch]:
-        """Decreasing-length match stream restricted to given buckets.
+        """Decreasing-length match stream restricted to given buckets:
+        the subsequence of :meth:`matches` generated at their nodes.
 
         The union of streams over a partition of :meth:`bucket_symbols`
         equals :meth:`matches` (as a multiset).
         """
-        for node in self._intervals:
-            if self.node_symbol(node) in symbols:
-                yield from self._node_matches(node)
+        for block in self._blocks(np.flatnonzero(self._in_buckets(symbols))):
+            yield from block.matches()
 
     def bucket_construction_cost(self, symbols: set[int]) -> int:
         """Suffix symbols a rank indexes for these buckets — the paper's
         O(n*l/p) per-processor construction work."""
-        total = 0
-        for node in self._intervals:
-            if self.node_symbol(node) in symbols:
-                total += node.size * max(node.depth, 1)
-        return total
-
-    def _node_matches(self, node) -> Iterator[MaximalMatch]:
-        """Cross-child maximal-match pairs of one interval-tree node.
-
-        Same-child pairs are skipped: they re-appear at a deeper node
-        where their full common prefix equals the node depth.
-        """
-        cap = self.max_pairs_per_node
-        ranges = node.child_ranges()
-        emitted = 0
-        for a_idx in range(len(ranges)):
-            a_lo, a_hi = ranges[a_idx]
-            for b_idx in range(a_idx + 1, len(ranges)):
-                b_lo, b_hi = ranges[b_idx]
-                for x in range(a_lo, a_hi + 1):
-                    seq_x = int(self._suffix_seq[x])
-                    left_x = int(self._left_symbol[x])
-                    off_x = int(self._suffix_off[x])
-                    for y in range(b_lo, b_hi + 1):
-                        seq_y = int(self._suffix_seq[y])
-                        if seq_x == seq_y:
-                            continue
-                        # Left-maximality: preceding symbols differ, or
-                        # either occurrence starts at a sequence boundary
-                        # (sentinels/-1 never equal residues).
-                        left_y = int(self._left_symbol[y])
-                        if left_x == left_y and 0 <= left_x < ALPHABET_SIZE:
-                            continue
-                        if seq_x < seq_y:
-                            yield MaximalMatch(
-                                seq_x, off_x, seq_y, int(self._suffix_off[y]), node.depth
-                            )
-                        else:
-                            yield MaximalMatch(
-                                seq_y, int(self._suffix_off[y]), seq_x, off_x, node.depth
-                            )
-                        emitted += 1
-                        if cap is not None and emitted >= cap:
-                            return
-
-    def unique_pairs(self) -> Iterator[MaximalMatch]:
-        """Yield one match per sequence pair — the longest one.
-
-        Because :meth:`matches` emits in decreasing length, the first
-        occurrence of a pair is its longest maximal match; later
-        occurrences are filtered.
-        """
-        seen: set[tuple[int, int]] = set()
-        for match in self.matches():
-            if match.pair not in seen:
-                seen.add(match.pair)
-                yield match
-
-    def count_promising_pairs(self) -> int:
-        """Total pairs :meth:`matches` would emit (the paper's "promising
-        pairs generated" statistic, e.g. 168M for the 40K input)."""
-        return sum(1 for _ in self.matches())
+        mine = self._in_buckets(symbols)
+        return int((self._size[mine] * np.maximum(self._depth[mine], 1)).sum())
 
 
 def merge_match_streams(

@@ -1,0 +1,381 @@
+"""The block prefilters in front of the masters' ``admit`` are invisible.
+
+``repro.runtime.phases`` feeds each master from the finder's block
+stream and drops, per block, the pairs ``admit`` would provably reject.
+Here every phase is run a second time the way it ran before — pair by
+pair through ``admit`` over the scalar node walk
+(``tests/scalar_finder.py``) — and everything observable must agree:
+results, work counters, the journaled unions, the order pairs were
+submitted in, and the simulator's virtual clock.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro import obs
+from repro.graph.unionfind import UnionFind
+from repro.pace.bipartite_gen import BipartiteMaster, parallel_generate_component_graphs
+from repro.pace.clustering import ClusteringMaster, parallel_component_detection
+from repro.pace.redundancy import RedundancyMaster, parallel_redundancy_removal
+from repro.parallel.simulator import VirtualCluster
+from repro.runtime import ProcessBackend
+from repro.runtime import phases
+from repro.runtime.base import PairStream
+from repro.runtime.phases import (
+    backend_component_detection,
+    backend_generate_component_graphs,
+    backend_redundancy_removal,
+)
+from repro.sequence.generator import MetagenomeSpec, generate_metagenome
+from repro.sequence.record import SequenceRecord, SequenceSet
+from repro.align.matrices import blosum62_scheme
+from repro.align.predicates import (
+    CONTAINMENT_COVERAGE,
+    CONTAINMENT_SIMILARITY,
+    OVERLAP_COVERAGE,
+    OVERLAP_SIMILARITY,
+)
+from repro.pace.cache import AlignmentCache
+from tests.scalar_finder import ScalarMatchFinder
+
+PSI = 10
+
+
+def _domain_shaped() -> SequenceSet:
+    """The benchmark's ``domain`` shape in small: one big multi-domain
+    family beside small ones, shuffled — the input on which the stream
+    is almost all intra-family repeats the CCD filter must drop."""
+    records: list[SequenceRecord] = []
+    for tier, (families, size) in enumerate([(1, 30), (4, 6)]):
+        data = generate_metagenome(MetagenomeSpec(
+            n_families=families, mean_family_size=size, max_family_size=size,
+            zipf_exponent=50.0, mean_length=110, length_stddev=0,
+            identity_low=0.70, identity_high=0.70, domain_family_fraction=1.0,
+            redundant_fraction=0.0, noise_fraction=0.10, fragment_fraction=0.0,
+            seed=900 + tier,
+        ))
+        records += [
+            SequenceRecord(id=f"T{tier}{r.id}", residues=r.residues)
+            for r in data.sequences
+        ]
+    order = np.random.default_rng(5).permutation(len(records))
+    return SequenceSet(records[i] for i in order)
+
+
+@pytest.fixture(scope="module", params=["small", "tiny", "domain", "domain_shaped"])
+def sequences(request, small_metagenome, tiny_metagenome, domain_metagenome):
+    if request.param == "domain_shaped":
+        return _domain_shaped()
+    return {
+        "small": small_metagenome,
+        "tiny": tiny_metagenome,
+        "domain": domain_metagenome,
+    }[request.param].sequences
+
+
+class _Journal:
+    def __init__(self):
+        self.unions: list[tuple[int, int]] = []
+
+    def ccd_union(self, gi: int, gj: int) -> None:
+        self.unions.append((gi, gj))
+
+
+class _Observed:
+    """One phase run: result, counters, submitted pairs in order."""
+
+    def __init__(self, run, monkeypatch):
+        self.submitted: list[tuple[int, int]] = []
+        submit_many = PairStream.submit_many
+
+        def recording_submit_many(stream, pairs):
+            pairs = list(pairs)
+            self.submitted.extend(pairs)
+            submit_many(stream, pairs)
+
+        recorder = obs.Recorder()
+        with monkeypatch.context() as patch, obs.recording(recorder):
+            patch.setattr(PairStream, "submit_many", recording_submit_many)
+            self.result = run()
+        # Every count, that is: not the generator's own work counters
+        # (new with the blocks) and not measured seconds.
+        self.counters = {
+            name: value
+            for name, value in recorder.counters().items()
+            if not name.startswith("suffix.") and not name.endswith("_seconds")
+        }
+        self.spans = [s for s in recorder.spans if s.name == "pairs.generate"]
+
+
+@pytest.fixture()
+def scalar_masters(monkeypatch):
+    """Inside this fixture the ``repro.pace`` masters are built over the
+    scalar walk instead of the block generator."""
+    def use():
+        for module in ("redundancy", "clustering", "bipartite_gen"):
+            monkeypatch.setattr(
+                f"repro.pace.{module}.MaximalMatchFinder", ScalarMatchFinder
+            )
+    return use
+
+
+# -- the phases as they ran before: pair by pair through ``admit`` -----------
+
+
+def reference_rr(sequences, backend, cache):
+    master = RedundancyMaster(
+        sequences, psi=PSI, similarity=CONTAINMENT_SIMILARITY,
+        coverage=CONTAINMENT_COVERAGE,
+    )
+    assert isinstance(master.finder, ScalarMatchFinder)
+    with backend.phase("redundancy"):
+        phases._stream_chunked(
+            backend.containment_stream(
+                cache, similarity=CONTAINMENT_SIMILARITY, coverage=CONTAINMENT_COVERAGE
+            ),
+            (m.pair for m in master.finder.matches() if master.admit(m.pair)),
+            phases.RR_CHUNK,
+            master.absorb,
+        )
+    return master.result()
+
+
+def reference_ccd(sequences, kept, backend, cache, journal=None, replay_unions=()):
+    master = ClusteringMaster(
+        sequences, kept, psi=PSI, similarity=OVERLAP_SIMILARITY,
+        coverage=OVERLAP_COVERAGE,
+    )
+    assert isinstance(master.finder, ScalarMatchFinder)
+    local_of = {g: l for l, g in enumerate(kept)}
+    for gi, gj in replay_unions:
+        master.uf.union(local_of[gi], local_of[gj])
+
+    def absorb(gi, gj, aln):
+        if (
+            master.overlaps(gi, gj, aln)
+            and master.union((local_of[gi], local_of[gj]))
+            and journal is not None
+        ):
+            journal.ccd_union(gi, gj)
+
+    with backend.phase("clustering"):
+        stream = backend.alignment_stream("local", cache)
+        for match in master.finder.matches():
+            if not master.admit(match.pair):
+                continue
+            stream.submit(kept[match.seq_a], kept[match.seq_b])
+            for gi, gj, aln in stream.ready():
+                absorb(gi, gj, aln)
+        for gi, gj, aln in stream.drain():
+            absorb(gi, gj, aln)
+    return master.result()
+
+
+def reference_bgg(sequences, components, backend, cache):
+    master = BipartiteMaster(
+        sequences, components, psi=PSI, edge_similarity=0.40, edge_coverage=0.80,
+        min_size=4,
+    )
+    position = {
+        g: (ci, li)
+        for ci, members in enumerate(master.members)
+        for li, g in enumerate(members)
+    }
+
+    def admitted():
+        for ci, members in enumerate(master.members):
+            finder = master.finder(ci)
+            if finder is None:
+                continue
+            assert isinstance(finder, ScalarMatchFinder)
+            for match in finder.matches():
+                if master.admit((ci, match.seq_a, match.seq_b)):
+                    yield (members[match.seq_a], members[match.seq_b])
+
+    def absorb(gi, gj, aln):
+        if master.is_edge(gi, gj, aln):
+            ci, li = position[gi]
+            master.add_edge(ci, li, position[gj][1])
+
+    with backend.phase("bipartite"):
+        phases._stream_chunked(
+            backend.alignment_stream("local", cache), admitted(),
+            phases.BIPARTITE_CHUNK, absorb,
+        )
+        return master.result()
+
+
+# -- serial backend: everything observable agrees -----------------------------
+
+
+class TestPrefiltersAreInvisible:
+    def test_rr_ccd_bgg_equal_the_pair_by_pair_loops(
+        self, sequences, serial_session, scalar_masters, monkeypatch
+    ):
+        backend, cache = serial_session(sequences)
+        journal = _Journal()
+        rr = _Observed(
+            lambda: backend_redundancy_removal(sequences, backend, cache, psi=PSI),
+            monkeypatch,
+        )
+        kept = rr.result.kept
+        ccd = _Observed(
+            lambda: backend_component_detection(
+                sequences, kept, backend, cache, psi=PSI, journal=journal
+            ),
+            monkeypatch,
+        )
+        components = ccd.result.components
+        bgg = _Observed(
+            lambda: backend_generate_component_graphs(
+                sequences, components, backend, cache, psi=PSI, min_size=4
+            ),
+            monkeypatch,
+        )
+        assert rr.spans and ccd.spans
+
+        scalar_masters()
+        backend, cache = serial_session(sequences)
+        ref_journal = _Journal()
+        ref_rr = _Observed(lambda: reference_rr(sequences, backend, cache), monkeypatch)
+        ref_ccd = _Observed(
+            lambda: reference_ccd(sequences, kept, backend, cache, ref_journal),
+            monkeypatch,
+        )
+        ref_bgg = _Observed(
+            lambda: reference_bgg(sequences, components, backend, cache), monkeypatch
+        )
+        assert not ref_rr.spans
+
+        assert rr.result == ref_rr.result
+        assert rr.submitted == ref_rr.submitted
+        assert rr.counters == ref_rr.counters
+
+        assert ccd.result == ref_ccd.result
+        assert ccd.result.n_filtered + ccd.result.n_alignments == (
+            ccd.result.n_promising_pairs
+        )
+        assert journal.unions == ref_journal.unions
+        assert len(journal.unions) == ccd.result.n_merges
+        assert ccd.submitted == ref_ccd.submitted
+        assert ccd.counters == ref_ccd.counters
+
+        assert bgg.submitted == ref_bgg.submitted
+        assert bgg.counters == ref_bgg.counters
+        assert bgg.result.n_alignments == ref_bgg.result.n_alignments
+        assert bgg.result.n_edges == ref_bgg.result.n_edges
+        assert bgg.result.neighbors == ref_bgg.result.neighbors
+
+    def test_spans_account_for_the_stream(self, sequences, serial_session, monkeypatch):
+        backend, cache = serial_session(sequences)
+        kept = list(range(len(sequences)))
+        ccd = _Observed(
+            lambda: backend_component_detection(sequences, kept, backend, cache, psi=PSI),
+            monkeypatch,
+        )
+        args = [dict(span.args) for span in ccd.spans]
+        assert {a["phase"] for a in args} == {"clustering"}
+        assert sum(a["matches"] for a in args) == ccd.result.n_promising_pairs
+        assert sum(a["admitted"] for a in args) == ccd.result.n_alignments
+        assert all(a["matches"] <= a["candidates"] for a in args)
+
+    def test_replayed_unions_only_save_alignments(self, sequences, serial_session):
+        kept = list(range(len(sequences)))
+        backend, cache = serial_session(sequences)
+        journal = _Journal()
+        full = backend_component_detection(
+            sequences, kept, backend, cache, psi=PSI, journal=journal
+        )
+        backend, cache = serial_session(sequences)
+        later = _Journal()
+        resumed = backend_component_detection(
+            sequences, kept, backend, cache, psi=PSI, journal=later,
+            replay_unions=journal.unions[: len(journal.unions) // 2 + 1],
+        )
+        assert resumed.components == full.components
+        assert resumed.n_promising_pairs == full.n_promising_pairs
+        assert resumed.n_alignments <= full.n_alignments
+        assert resumed.n_merges == full.n_merges
+        assert len(later.unions) < max(len(journal.unions), 1)
+
+
+def test_process_backend_components_identical(serial_session):
+    sequences = _domain_shaped()
+    kept = list(range(len(sequences)))
+    serial = backend_component_detection(
+        sequences, kept, *serial_session(sequences), psi=PSI
+    )
+    scheme = blosum62_scheme()
+    encoded = [record.encoded for record in sequences]
+    backend = ProcessBackend(workers=2, batch_size=8)
+    with backend.session(sequences, scheme):
+        concurrent = backend_component_detection(
+            sequences, kept, backend, AlignmentCache(lambda k: encoded[k], scheme),
+            psi=PSI,
+        )
+    assert concurrent.components == serial.components
+    assert concurrent.n_promising_pairs == serial.n_promising_pairs
+    assert concurrent.n_merges == serial.n_merges
+    # A lagging filter can only align more.
+    assert concurrent.n_alignments >= serial.n_alignments
+
+
+# -- simulator: the bucket streams feed the rank programs unchanged ------------
+
+
+@pytest.mark.parametrize("p", [1, 4, 8])
+def test_simulated_phases_keep_their_virtual_clock(tiny_metagenome, scalar_masters, p):
+    sequences = tiny_metagenome.sequences
+
+    def simulate():
+        rr = parallel_redundancy_removal(sequences, VirtualCluster(p), psi=PSI)
+        ccd = parallel_component_detection(sequences, rr.kept, VirtualCluster(p), psi=PSI)
+        bgg = parallel_generate_component_graphs(
+            sequences, ccd.components, VirtualCluster(p), psi=PSI, min_size=4
+        )
+        return [
+            (r.sim.elapsed, r.sim.total_messages, r.sim.total_bytes)
+            for r in (rr, ccd, bgg)
+        ], (rr.kept, ccd.components, ccd.n_filtered, ccd.n_alignments, bgg.n_edges)
+
+    blocks = simulate()
+    scalar_masters()
+    assert blocks == simulate()
+
+
+# -- UnionFind.labels ------------------------------------------------------------
+
+
+class TestUnionFindLabels:
+    def test_empty_and_fresh(self):
+        assert UnionFind().labels().tolist() == []
+        assert UnionFind(4).labels().tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_root_and_writes_nothing(self, seed):
+        rng = np.random.default_rng(seed)
+        uf = UnionFind(200)
+        for step in range(260):
+            uf.union(int(rng.integers(200)), int(rng.integers(200)))
+            if step % 20 == 0:
+                # Finds in between leave half-compressed paths behind.
+                uf.find(int(rng.integers(200)))
+            if step % 13 == 0:
+                parents = list(uf._parent)
+                labels = uf.labels()
+                # The serve planner's lock-free-reader contract: a pure
+                # query writes no parent pointer.
+                assert uf._parent == parents
+                assert labels.tolist() == [uf.root(x) for x in range(200)]
+                a, b = rng.integers(200, size=(2, 50))
+                assert ((labels[a] == labels[b]) == [
+                    uf.root(int(x)) == uf.root(int(y)) for x, y in zip(a, b)
+                ]).all()
+
+    def test_deep_chain(self):
+        """No union by rank to lean on: a hand-built worst-case chain."""
+        uf = UnionFind(65)
+        uf._parent = [max(i - 1, 0) for i in range(65)]
+        assert uf.labels().tolist() == [0] * 65

@@ -1,6 +1,10 @@
-"""LCP interval tree and maximal-match generation versus the GST oracle."""
+"""LCP interval tree and maximal-match generation versus its oracles:
+the GST and a brute force for the *set* of matches, the scalar node walk
+(``tests/scalar_finder.py``) for their *order*."""
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sequence.alphabet import encode
+from repro.suffix import matches as matches_module
 from repro.suffix.gst import GeneralizedSuffixTree
 from repro.suffix.intervals import LcpInterval, lcp_interval_tree
 from repro.suffix.matches import MaximalMatchFinder, MaximalMatch, merge_match_streams
 from repro.suffix.suffix_array import GeneralizedSuffixArray
+from tests.scalar_finder import ScalarMatchFinder
 
 encoded_seqs = st.lists(
     st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=20).map(
@@ -119,11 +125,13 @@ class TestMaximalMatchFinder:
             MaximalMatchFinder([encode("AR")], min_length=0)
 
     def test_cap_limits_pairs(self):
-        seqs = [encode("ARNDCQ") for _ in range(6)]
-        # relabel to distinct arrays
-        seqs = [s.copy() for s in seqs]
+        """The capped stream is the uncapped one truncated per node."""
+        seqs = [encode("ARNDCQ").copy() for _ in range(6)]
         capped = MaximalMatchFinder(seqs, min_length=3, max_pairs_per_node=5)
-        assert sum(1 for _ in capped.matches()) <= 5 * len(capped._intervals)
+        walk = ScalarMatchFinder(seqs, min_length=3)
+        per_node = [list(walk.node_matches(node)) for node in walk.nodes]
+        assert any(len(rows) > 5 for rows in per_node)
+        assert list(capped.matches()) == [m for rows in per_node for m in rows[:5]]
 
     @given(encoded_seqs)
     @settings(max_examples=30, deadline=None)
@@ -143,6 +151,100 @@ class TestMaximalMatchFinder:
             (m.seq_a, m.pos_a, m.seq_b, m.pos_b, m.length) for m in finder.matches()
         }
         assert sa_matches == naive_maximal_matches(seqs, 2)
+
+
+def _rows(block):
+    return list(block.matches())
+
+
+#: Small alphabets and short sequences make what the generator has to
+#: get right common: long repeats (deep, wide nodes with non-singleton
+#: children), identical sequences, matches touching sequence starts and
+#: ends, one-residue sequences.
+repetitive_seqs = st.builds(
+    lambda seqs, copies: seqs + [seqs[i % len(seqs)].copy() for i in copies],
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=14).map(
+            lambda xs: np.array(xs, dtype=np.uint8)
+        ),
+        min_size=2,
+        max_size=5,
+    ),
+    st.lists(st.integers(min_value=0, max_value=4), max_size=2),
+)
+budgets = st.sampled_from([1, 2, 5, 16, matches_module.CANDIDATE_BUDGET])
+
+
+class TestBlockStreamOrder:
+    """The concatenated blocks are the scalar walk, element for element —
+    whatever the candidate budget cuts them into."""
+
+    @given(repetitive_seqs, st.integers(1, 4), budgets)
+    @settings(max_examples=120, deadline=None)
+    def test_blocks_equal_scalar_walk(self, seqs, min_length, budget):
+        walk = ScalarMatchFinder(seqs, min_length=min_length)
+        finder = MaximalMatchFinder(seqs, min_length=min_length)
+        expected = list(walk.matches())
+        with mock.patch.object(matches_module, "CANDIDATE_BUDGET", budget):
+            blocks = list(finder.match_blocks())
+            assert [m for block in blocks for m in _rows(block)] == expected
+            assert list(finder.matches()) == expected
+            assert list(finder.unique_pairs()) == list(walk.unique_pairs())
+            assert finder.count_promising_pairs() == len(expected)
+        assert sum(block.candidates for block in blocks) == walk.cross_child_pairs()
+        for block in blocks:
+            assert len(block) <= block.candidates
+            if block.candidates > budget:
+                # Only a single split row x may exceed the budget: every
+                # match of the block then has the suffix x on one side.
+                shared = set.intersection(
+                    *({(m.seq_a, m.pos_a), (m.seq_b, m.pos_b)} for m in _rows(block))
+                ) if len(block) else {None}
+                assert shared
+
+    @given(repetitive_seqs, st.integers(1, 4), budgets, st.integers(1, 6))
+    @settings(max_examples=120, deadline=None)
+    def test_capped_blocks_equal_capped_walk(self, seqs, min_length, budget, cap):
+        walk = ScalarMatchFinder(seqs, min_length=min_length, max_pairs_per_node=cap)
+        finder = MaximalMatchFinder(seqs, min_length=min_length, max_pairs_per_node=cap)
+        uncapped = [list(walk.node_matches(node)) for node in walk.nodes]
+        with mock.patch.object(matches_module, "CANDIDATE_BUDGET", budget):
+            stream = list(finder.matches())
+        assert stream == list(walk.matches())
+        assert stream == [m for rows in uncapped for m in rows[:cap]]
+
+    @given(repetitive_seqs, st.integers(1, 3), budgets, st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_bucket_streams_are_the_walks_subsequences(
+        self, seqs, min_length, budget, rng
+    ):
+        walk = ScalarMatchFinder(seqs, min_length=min_length)
+        finder = MaximalMatchFinder(seqs, min_length=min_length)
+        symbols = finder.bucket_symbols()
+        assert symbols == walk.bucket_symbols()
+        assert finder.bucket_sizes() == walk.bucket_sizes()
+        parts: list[set[int]] = [set(), set(), set()]
+        for symbol in symbols:
+            rng.choice(parts).add(symbol)
+        with mock.patch.object(matches_module, "CANDIDATE_BUDGET", budget):
+            for part in parts:
+                assert list(finder.matches_for_symbols(part)) == list(
+                    walk.matches_for_symbols(part)
+                )
+                assert finder.bucket_construction_cost(part) == (
+                    walk.bucket_construction_cost(part)
+                )
+
+    def test_first_per_pair_keeps_stream_order(self):
+        seqs = [encode("ARNDCQEGWWWARN"), encode("ARNDCQEGKKKARN"), encode("WWARNDC")]
+        for block in MaximalMatchFinder(seqs, min_length=3).match_blocks():
+            seen, firsts = set(), []
+            for match in _rows(block):
+                if match.pair not in seen:
+                    seen.add(match.pair)
+                    firsts.append(match)
+            assert _rows(block.first_per_pair()) == firsts
+            assert all(type(i) is int for pair in block.pairs() for i in pair)
 
 
 class TestBucketPartition:

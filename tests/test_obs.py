@@ -289,7 +289,7 @@ class TestRegistry:
 
     def test_work_counters_are_not_scientific(self):
         for name in ("ccd.filtered", "ccd.alignments", "cache.local_hits",
-                     "runtime.batches"):
+                     "runtime.batches", "suffix.candidates", "suffix.matches"):
             assert not REGISTRY[name].scientific
             assert name not in SCIENTIFIC_COUNTERS
 
@@ -391,6 +391,8 @@ class TestObservationReport:
         assert "phase timeline" in text
         assert "redundancy" in text and "dense_subgraphs" in text
         assert "worker lanes:" in text
+        assert "pair generation on the master" in text
+        assert "candidates ->" in text
         assert "scientific counters" in text
         assert "rr.pairs" in text
         assert "cache:" in text
