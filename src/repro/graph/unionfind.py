@@ -3,15 +3,44 @@
 The paper's master processor maintains clusters with this structure
 (citing Tarjan [29]) for near-constant-time ``find``/``union`` — the
 transitive-closure filter that discards >99.9% of promising pairs is a
-pair of ``find`` calls.  The same structure also powers the Shingle
-algorithm's final dense-subgraph enumeration.
+pair of ``find`` calls.  The Shingle algorithm's final dense-subgraph
+enumeration has all of its edges at once and takes the array form,
+:func:`connected_labels`.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
-
 import numpy as np
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """The root of every node of a parent-pointer forest, by pointer
+    jumping: ``parent = parent[parent]`` halves every path per round."""
+    while True:
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            return parent
+        parent = jumped
+
+
+def connected_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on nodes ``0..n-1`` with edges
+    ``a[i] -- b[i]``: ``labels[x]`` is the smallest node of x's component.
+
+    Every round hooks, for each edge joining two trees, the larger root
+    under the smallest root such an edge offers it, then flattens;
+    parents only point at smaller nodes, so it stays a forest, and a
+    round that hooks nothing has one tree per component.
+    """
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        la, lb = label[a], label[b]
+        joins = la != lb
+        if not joins.any():
+            return label
+        lo, hi = np.minimum(la, lb)[joins], np.maximum(la, lb)[joins]
+        np.minimum.at(label, hi, lo)
+        label = _roots(label)
 
 
 class UnionFind:
@@ -68,12 +97,7 @@ class UnionFind:
         tests.  Read-only like :meth:`root`: the parents are copied and
         the copy is pointer-jumped (``label = label[label]`` halves
         every path, so union by rank needs O(log log n) rounds)."""
-        label = np.array(self._parent, dtype=np.int64)
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                return label
-            label = jumped
+        return _roots(np.array(self._parent, dtype=np.int64))
 
     def union(self, x: int, y: int) -> bool:
         """Merge the sets of x and y; returns True if they were distinct."""
@@ -103,56 +127,3 @@ class UnionFind:
         """Number of disjoint sets."""
         parent = self._parent
         return sum(1 for x, p in enumerate(parent) if x == p)
-
-
-class KeyedUnionFind:
-    """Union-find over arbitrary hashable keys (used by the Shingle pass,
-    where elements are 64-bit shingle hashes rather than dense indices)."""
-
-    def __init__(self) -> None:
-        self._index: dict[Hashable, int] = {}
-        self._keys: list[Hashable] = []
-        self._uf = UnionFind()
-
-    def _intern(self, key: Hashable) -> int:
-        idx = self._index.get(key)
-        if idx is None:
-            idx = len(self._keys)
-            self._index[key] = idx
-            self._keys.append(key)
-            self._uf.ensure(idx + 1)
-        return idx
-
-    def union(self, a: Hashable, b: Hashable) -> bool:
-        return self._uf.union(self._intern(a), self._intern(b))
-
-    def add(self, key: Hashable) -> None:
-        self._intern(key)
-
-    def same(self, a: Hashable, b: Hashable) -> bool:
-        if a not in self._index or b not in self._index:
-            return False
-        return self._uf.same(self._index[a], self._index[b])
-
-    def groups(self) -> list[list[Hashable]]:
-        """All disjoint sets as lists of original keys."""
-        by_root: dict[int, list[Hashable]] = {}
-        for key, idx in self._index.items():
-            by_root.setdefault(self._uf.find(idx), []).append(key)
-        return list(by_root.values())
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._index
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-
-def connected_components_from_edges(
-    n: int, edges: Iterable[tuple[int, int]]
-) -> list[list[int]]:
-    """Connected components of an n-vertex graph given an edge stream."""
-    uf = UnionFind(n)
-    for a, b in edges:
-        uf.union(a, b)
-    return sorted(uf.groups().values(), key=len, reverse=True)

@@ -1,4 +1,10 @@
-"""The two-pass Shingle algorithm for dense bipartite subgraph detection."""
+"""The two-pass Shingle algorithm for dense bipartite subgraph detection.
+
+``algorithm`` states it once, as ``pass_one`` / ``pass_two`` / ``report``
+over ``<shingle, vertex>`` tuple columns; ``parallel`` runs those per
+simulated rank; ``tests/scalar_shingle.py`` keeps the loop they replaced
+as the field-for-field oracle.
+"""
 
 from repro.shingle.algorithm import (
     DenseSubgraph,

@@ -1,40 +1,44 @@
 """The two-pass Shingle algorithm (Gibson, Kumar & Tomkins, VLDB 2005)
-as adapted by the paper for protein-family dense subgraphs.
+as adapted by the paper for protein-family dense subgraphs, stated as
+passes over a ``<shingle, vertex>`` tuple file held as NumPy columns.
 
-Pass I
+Pass I (:func:`pass_one`)
     For every left vertex ``v`` with ``|Gamma(v)| >= s1``, draw an
     ``(s1, c1)``-shingle set: ``c1`` min-wise permutation samples of
     ``Gamma(v)``, each an ``s1``-subset hashed to one 64-bit integer.
-    Record ``<shingle, v>`` tuples and group vertices by shingle.
+    Emit one ``<shingle, v>`` tuple per distinct shingle of ``v``.
 
-Pass II
-    Reverse direction: each first-level shingle now owns the list of
-    left vertices that produced it; draw an ``(s2, c2)``-shingle set of
-    that list, producing second-level shingles.
+Pass II (:func:`pass_two`)
+    Reverse direction: sorted by shingle, the file gives each first-level
+    shingle the run of left vertices that produced it; draw an
+    ``(s2, c2)``-shingle set of that run, emitting ``<second-level
+    shingle, first-level shingle>`` tuples.
 
-Reporting
-    First-level shingles sharing a second-level shingle are connected
-    (union-find); each connected component yields a dense subgraph with
-    ``A`` = the component's left vertices and ``B`` = the union of the
-    component's first-level shingle element sets, optionally expanded to
-    the full out-link union (see ``expand_b``).
+Reporting (:func:`report`)
+    The two files are the edge list of one graph on left vertices and
+    first- and second-level shingles, and each connected component is a
+    dense subgraph: ``A`` = its left vertices, ``B`` = the union of its
+    first-level shingles' element sets, optionally expanded to the full
+    out-link union (see ``expand_b``).
 
 Parameter effects (Section IV-D): smaller ``s`` raises the chance two
 vertices share a shingle (catches sparser subgraphs); larger ``c`` draws
 more permutations (catches larger subgraphs, costs linearly more time —
-the Figure 7b sweep).
+the Figure 7b sweep).  ``tests/scalar_shingle.py`` keeps the
+dict-and-union-find loop this replaced as the field-for-field oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from repro import obs
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.unionfind import KeyedUnionFind
-from repro.util.hashing import UniversalHashFamily, hash_int_tuple, hash_rows
+from repro.graph.unionfind import connected_labels
+from repro.util.hashing import UniversalHashFamily, hash_rows
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,118 @@ class ShingleResult:
     parameters: ShingleParams = field(default_factory=ShingleParams)
 
 
+def pass_one(
+    graph: BipartiteGraph, vertices: Iterable[int], params: ShingleParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pass I over ``vertices``: the ``<shingle, vertex>`` tuples as two
+    columns (uint64, int64) plus, row for row, the ``s1`` right vertices
+    each shingle denotes (for reporting B).  Vertices with fewer than
+    ``s1`` out-links emit nothing."""
+    family = UniversalHashFamily(params.c1, seed=params.seed)
+    shingle = [np.empty(0, dtype=np.uint64)]
+    vertex = [np.empty(0, dtype=np.int64)]
+    elements = [np.empty((0, params.s1), dtype=np.uint64)]
+    for v in vertices:
+        gamma = graph.gamma(v)
+        if len(gamma) < params.s1:
+            continue
+        rows = family.min_samples_matrix(gamma, params.s1)
+        # Dedupe identical samples drawn by different permutations.
+        uniq, first = np.unique(hash_rows(rows, seed=params.seed), return_index=True)
+        shingle.append(uniq)
+        vertex.append(np.full(len(uniq), v, dtype=np.int64))
+        elements.append(rows[first])
+    return np.concatenate(shingle), np.concatenate(vertex), np.concatenate(elements)
+
+
+def pass_two(
+    shingle: np.ndarray, vertex: np.ndarray, params: ShingleParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pass II over pass-I tuples: ``<second-level, first-level>`` shingle
+    tuples as two uint64 columns.  A first-level shingle with fewer than
+    ``s2`` vertices emits nothing (its vertices stay linked through the
+    shingle itself)."""
+    family = UniversalHashFamily(params.c2, seed=params.seed + 1)
+    order = np.lexsort((vertex, shingle))
+    members = vertex[order].astype(np.uint64)
+    firsts, start, count = np.unique(shingle[order], return_index=True, return_counts=True)
+    shingle2 = [np.empty(0, dtype=np.uint64)]
+    shingle1 = [np.empty(0, dtype=np.uint64)]
+    for i in np.flatnonzero(count >= params.s2).tolist():
+        rows = family.min_samples_matrix(members[start[i] : start[i] + count[i]], params.s2)
+        uniq = np.unique(hash_rows(rows, seed=params.seed + 1))
+        shingle2.append(uniq)
+        shingle1.append(np.full(len(uniq), firsts[i], dtype=np.uint64))
+    return np.concatenate(shingle2), np.concatenate(shingle1)
+
+
+def _grouped(label: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
+    """``values`` split into one array per distinct label, in ascending
+    label order."""
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    return np.split(values[order], cuts) if len(order) else []
+
+
+def report(
+    graph: BipartiteGraph,
+    params: ShingleParams,
+    shingle: np.ndarray,
+    vertex: np.ndarray,
+    elements: np.ndarray,
+    shingle2: np.ndarray,
+    shingle1: np.ndarray,
+    *,
+    min_size: int,
+    expand_b: bool,
+) -> ShingleResult:
+    """Enumerate the dense subgraphs of the complete tuple files: nodes
+    are left vertices, then first-level, then second-level shingles; a
+    pass-I tuple is an edge vertex -- shingle, a pass-II tuple an edge
+    first-level -- second-level shingle."""
+    lefts, left_id = np.unique(vertex, return_inverse=True)
+    firsts, first_row, first_id = np.unique(shingle, return_index=True, return_inverse=True)
+    seconds, second_id = np.unique(shingle2, return_inverse=True)
+    n_left, n_first = len(lefts), len(firsts)
+    label = connected_labels(
+        n_left + n_first + len(seconds),
+        np.concatenate([left_id, n_left + np.searchsorted(firsts, shingle1)]),
+        np.concatenate([n_left + first_id, n_left + n_first + second_id]),
+    )
+    result = ShingleResult(
+        subgraphs=[],
+        n_first_level_shingles=n_first,
+        n_second_level_shingles=len(seconds),
+        n_tuples_pass1=len(shingle),
+        n_tuples_pass2=len(shingle2),
+        skipped_low_degree=graph.n_left - n_left,
+        # Peak memory proxy: every tuple is two 8-byte words.
+        peak_tuple_bytes=16 * max(len(shingle), len(shingle2)),
+        parameters=params,
+    )
+    # Every component holds a vertex and a first-level shingle, so the
+    # two groupings line up, ordered by each component's smallest vertex.
+    for members, rows in zip(
+        _grouped(label[:n_left], lefts),
+        _grouped(label[n_left : n_left + n_first], first_row),
+        strict=True,
+    ):
+        if len(members) < min_size:
+            continue
+        sampled = right = np.unique(elements[rows])
+        if expand_b:
+            right = np.unique(np.concatenate([graph.gamma(v) for v in members]))
+        result.subgraphs.append(
+            DenseSubgraph(
+                left=tuple(sorted(graph.left_labels[v] for v in members.tolist())),
+                right=tuple(sorted(graph.right_labels[u] for u in right.tolist())),
+                right_sampled=tuple(sorted(graph.right_labels[u] for u in sampled.tolist())),
+            )
+        )
+    result.subgraphs.sort(key=lambda sg: (-sg.size, sg.left[:1]))
+    return result
+
+
 def shingle_dense_subgraphs(
     graph: BipartiteGraph,
     params: ShingleParams | None = None,
@@ -120,93 +236,12 @@ def shingle_dense_subgraphs(
     """
     if params is None:
         params = ShingleParams()
-    family1 = UniversalHashFamily(params.c1, seed=params.seed)
-    family2 = UniversalHashFamily(params.c2, seed=params.seed + 1)
-
-    result = ShingleResult(subgraphs=[], parameters=params)
-
-    # ------------------------------------------------------------- Pass I
-    # shingle hash -> vertices of Vl that produced it
-    first_level: dict[int, list[int]] = {}
-    # shingle hash -> the s1-subset of Vr it denotes (for B reporting)
-    shingle_elements: dict[int, tuple[int, ...]] = {}
-    for v in range(graph.n_left):
-        gamma = graph.gamma(v)
-        if len(gamma) < params.s1:
-            result.skipped_low_degree += 1
-            continue
-        rows = family1.min_samples_matrix(gamma, params.s1)
-        hashes = hash_rows(rows, seed=params.seed)
-        # Dedupe identical samples drawn by different permutations.
-        uniq, first_idx = np.unique(hashes, return_index=True)
-        for h, idx in zip(uniq.tolist(), first_idx.tolist()):
-            first_level.setdefault(h, []).append(v)
-            if h not in shingle_elements:
-                shingle_elements[h] = tuple(int(u) for u in rows[idx])
-            result.n_tuples_pass1 += 1
-    result.n_first_level_shingles = len(first_level)
-    # Peak memory proxy: every <shingle, v> tuple is two 8-byte words.
-    result.peak_tuple_bytes = 16 * result.n_tuples_pass1
-
-    # ------------------------------------------------------------ Pass II
-    uf = KeyedUnionFind()
-    for h in first_level:
-        uf.add(h)
-    second_level: dict[int, list[int]] = {}
-    for h, vertices in first_level.items():
-        arr = np.asarray(sorted(set(vertices)), dtype=np.uint64)
-        if len(arr) < params.s2:
-            # Too few vertices to sample: still link all its vertices via
-            # the shingle itself (handled in reporting), no second pass.
-            continue
-        rows2 = family2.min_samples_matrix(arr, params.s2)
-        hashes2 = np.unique(hash_rows(rows2, seed=params.seed + 1))
-        for h2 in hashes2.tolist():
-            second_level.setdefault(h2, []).append(h)
-            result.n_tuples_pass2 += 1
-    result.n_second_level_shingles = len(second_level)
-    result.peak_tuple_bytes = max(
-        result.peak_tuple_bytes, 16 * result.n_tuples_pass2
+    shingle, vertex, elements = pass_one(graph, range(graph.n_left), params)
+    shingle2, shingle1 = pass_two(shingle, vertex, params)
+    result = report(
+        graph, params, shingle, vertex, elements, shingle2, shingle1,
+        min_size=min_size, expand_b=expand_b,
     )
-
-    # Union first-level shingles sharing a second-level shingle.
-    for shingles in second_level.values():
-        for other in shingles[1:]:
-            uf.union(shingles[0], other)
-
-    # Additionally, first-level shingles sharing a *vertex* belong to the
-    # same subgraph (the vertex's whole shingle set describes one A-side
-    # vertex); group them so A-side membership is transitive.
-    by_vertex: dict[int, int] = {}
-    for h, vertices in first_level.items():
-        for v in vertices:
-            if v in by_vertex:
-                uf.union(by_vertex[v], h)
-            else:
-                by_vertex[v] = h
-
-    # --------------------------------------------------------- Reporting
-    for component in uf.groups():
-        members: set[int] = set()
-        sampled: set[int] = set()
-        for h in component:
-            members.update(first_level[h])
-            sampled.update(shingle_elements[h])
-        if len(members) < min_size:
-            continue
-        if expand_b:
-            right: set[int] = set()
-            for v in members:
-                right.update(int(u) for u in graph.gamma(v))
-        else:
-            right = sampled
-        left_labels = tuple(sorted(graph.left_labels[v] for v in members))
-        right_labels = tuple(sorted(graph.right_labels[u] for u in right))
-        sampled_labels = tuple(sorted(graph.right_labels[u] for u in sampled))
-        result.subgraphs.append(
-            DenseSubgraph(left=left_labels, right=right_labels, right_sampled=sampled_labels)
-        )
-    result.subgraphs.sort(key=lambda sg: (-sg.size, sg.left[:1]))
     obs.count("dsd.first_shingles", result.n_first_level_shingles)
     obs.count("dsd.second_shingles", result.n_second_level_shingles)
     obs.count("dsd.tuples_pass1", result.n_tuples_pass1)

@@ -3,91 +3,50 @@
 The serial Shingle pass holds every <shingle, vertex> tuple at once; the
 paper notes a peak space of O(m * c^2) when shingles are unique and lists
 "Parallelization of the Shingle algorithm ... to address the need for
-memory" as future work.  This module implements that parallelisation on
-the simulated cluster:
+memory" as future work.  This module is that parallelisation on the
+simulated cluster.  The passes are the serial ones
+(:mod:`repro.shingle.algorithm`) run on a rank's share of the tuple
+rows; only what is distributed lives here:
 
-1. **Partition** the left vertices across ranks (LPT by out-degree).
-2. **Pass I (local):** each rank draws the (s1, c1)-shingle sets of its
-   own vertices only — peak tuple memory per node drops to ~1/p.
-3. **Shuffle:** tuples travel to their *owner* rank (``hash % p``) in one
+1. **Partition** the left vertices across ranks (LPT by out-degree);
+   each rank runs pass I on its block — peak tuple memory per node
+   drops to ~1/p (16 bytes per tuple, tracked through the simulator's
+   memory accounting; see the companion test and ablation bench).
+2. **Shuffle** tuple rows to their *owner* rank (``shingle % p``) in one
    personalised all-to-all, so every first-level shingle's full vertex
-   list assembles on exactly one rank.
-4. **Pass II (local):** owners draw (s2, c2)-shingle sets of each vertex
-   list; second-level tuples shuffle to their own owners the same way.
-5. **Link + report:** second-level owners emit first-level-shingle link
-   edges; rank 0 gathers edges and memberships, runs the union-find
-   enumeration, and reports — byte-identical to the serial algorithm
-   (same hash family, same seed).
-
-Per-rank peak tuple bytes are tracked through the simulator's memory
-accounting, quantifying the 1/p memory claim (see the companion test and
-ablation bench).
+   run assembles on one rank, which runs pass II on it.
+3. **Shuffle** the second-level tuples to their owners the same way; an
+   owner is charged for linking each shingle's first-level run.
+4. **Gather** every owned row at rank 0, which reports from the complete
+   tuple files — byte-identical to the serial algorithm.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Generator, Sequence
 
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.unionfind import KeyedUnionFind
 from repro.parallel.partition import balance_items
 from repro.parallel.simulator import SimComm, SimulationResult, VirtualCluster
 from repro.pace.costs import CostModel
-from repro.shingle.algorithm import (
-    DenseSubgraph,
-    ShingleParams,
-    ShingleResult,
-)
-from repro.util.hashing import UniversalHashFamily, hash_rows
+from repro.shingle.algorithm import ShingleParams, ShingleResult, pass_one, pass_two, report
+
+Columns = tuple[np.ndarray, ...]
 
 
-def _pass1_local(
-    graph: BipartiteGraph,
-    vertices: Sequence[int],
-    params: ShingleParams,
-    family1: UniversalHashFamily,
-) -> tuple[dict[int, list[int]], dict[int, tuple[int, ...]], int, int]:
-    """Pass I over a vertex subset; returns (shingle->vertices,
-    shingle->elements, n_tuples, skipped)."""
-    first_level: dict[int, list[int]] = {}
-    elements: dict[int, tuple[int, ...]] = {}
-    n_tuples = 0
-    skipped = 0
-    for v in vertices:
-        gamma = graph.gamma(v)
-        if len(gamma) < params.s1:
-            skipped += 1
-            continue
-        rows = family1.min_samples_matrix(gamma, params.s1)
-        hashes = hash_rows(rows, seed=params.seed)
-        uniq, first_idx = np.unique(hashes, return_index=True)
-        for h, idx in zip(uniq.tolist(), first_idx.tolist()):
-            first_level.setdefault(h, []).append(v)
-            if h not in elements:
-                elements[h] = tuple(int(u) for u in rows[idx])
-            n_tuples += 1
-    return first_level, elements, n_tuples, skipped
+def _shuffle(comm: SimComm, columns: Columns) -> Generator[Any, Any, Columns]:
+    """Send every row to rank ``key % p`` (the key is the first column)
+    and return the rows this rank received, concatenated by source."""
+    owner = columns[0] % np.uint64(comm.size)
+    mine = (owner == dest for dest in range(comm.size))
+    incoming = yield from comm.alltoall([tuple(col[rows] for col in columns) for rows in mine])
+    return _concat(incoming)
 
 
-def _pass2_local(
-    owned: dict[int, list[int]],
-    params: ShingleParams,
-    family2: UniversalHashFamily,
-) -> tuple[dict[int, list[int]], int]:
-    """Pass II over owned first-level shingles; returns (h2 -> [h1], tuples)."""
-    second_level: dict[int, list[int]] = {}
-    n_tuples = 0
-    for h, vertices in owned.items():
-        arr = np.asarray(sorted(set(vertices)), dtype=np.uint64)
-        if len(arr) < params.s2:
-            continue
-        rows2 = family2.min_samples_matrix(arr, params.s2)
-        for h2 in np.unique(hash_rows(rows2, seed=params.seed + 1)).tolist():
-            second_level.setdefault(h2, []).append(h)
-            n_tuples += 1
-    return second_level, n_tuples
+def _concat(parts: Sequence[Columns]) -> Columns:
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
 
 
 def _program(
@@ -96,80 +55,33 @@ def _program(
     params: ShingleParams,
     assignment: Sequence[Sequence[int]],
     costs: CostModel,
-):
-    p = comm.size
-    family1 = UniversalHashFamily(params.c1, seed=params.seed)
-    family2 = UniversalHashFamily(params.c2, seed=params.seed + 1)
+) -> Generator[Any, Any, Columns | None]:
     my_vertices = assignment[comm.rank]
 
-    # ---- Pass I on the local vertex block -------------------------------
+    # ---- Pass I on the local vertex block, shuffled to shingle owners ----
     local_links = sum(graph.out_degree(v) for v in my_vertices)
     yield from comm.compute(units=costs.shingle_link * params.c1 * local_links)
-    first_level, elements, n_tuples1, skipped = _pass1_local(
-        graph, my_vertices, params, family1
-    )
-    comm.alloc(16 * n_tuples1)
+    local = pass_one(graph, my_vertices, params)
+    comm.alloc(16 * len(local[0]))
+    shingle, vertex, elements = yield from _shuffle(comm, local)
+    comm.free(16 * len(local[0]))
+    comm.alloc(16 * len(shingle))
+    yield from comm.compute(units=costs.shingle_tuple * len(shingle))
 
-    # ---- Shuffle tuples to shingle owners (hash % p) ---------------------
-    outgoing: list[list[tuple[int, list[int], tuple[int, ...]]]] = [[] for _ in range(p)]
-    for h, vertices in first_level.items():
-        outgoing[h % p].append((h, vertices, elements[h]))
-    incoming = yield from comm.alltoall(outgoing)
-    comm.free(16 * n_tuples1)
+    # ---- Pass II on owned shingles, shuffled to second-level owners ------
+    local2 = pass_two(shingle, vertex, params)
+    yield from comm.compute(units=costs.shingle_link * params.c2 * max(len(shingle), 1))
+    comm.alloc(16 * len(local2[0]))
+    shingle2, shingle1 = yield from _shuffle(comm, local2)
+    comm.free(16 * len(local2[0]))
+    # An owner links each second-level shingle's run to its first member.
+    links = len(shingle2) - len(np.unique(shingle2))
+    yield from comm.compute(units=costs.shingle_tuple * links)
 
-    owned: dict[int, list[int]] = {}
-    owned_elements: dict[int, tuple[int, ...]] = {}
-    for batch in incoming:
-        for h, vertices, elems in batch:
-            owned.setdefault(h, []).extend(vertices)
-            owned_elements[h] = elems
-    owned_tuples = sum(len(v) for v in owned.values())
-    comm.alloc(16 * owned_tuples)
-    yield from comm.compute(units=costs.shingle_tuple * owned_tuples)
-
-    # ---- Pass II on owned shingles ---------------------------------------
-    second_level, n_tuples2 = _pass2_local(owned, params, family2)
-    yield from comm.compute(
-        units=costs.shingle_link * params.c2 * max(owned_tuples, 1)
-    )
-    comm.alloc(16 * n_tuples2)
-
-    # ---- Shuffle second-level tuples to their owners ---------------------
-    outgoing2: list[list[tuple[int, list[int]]]] = [[] for _ in range(p)]
-    for h2, h1_list in second_level.items():
-        outgoing2[h2 % p].append((h2, h1_list))
-    incoming2 = yield from comm.alltoall(outgoing2)
-    comm.free(16 * n_tuples2)
-
-    # Second-level owners emit link edges between first-level shingles.
-    links: list[tuple[int, int]] = []
-    merged2: dict[int, list[int]] = {}
-    for batch in incoming2:
-        for h2, h1_list in batch:
-            merged2.setdefault(h2, []).extend(h1_list)
-    for h1_list in merged2.values():
-        anchor = h1_list[0]
-        links.extend((anchor, other) for other in h1_list[1:])
-    yield from comm.compute(units=costs.shingle_tuple * len(links))
-
-    # ---- Gather memberships and links at rank 0 --------------------------
-    membership_payload = [
-        (h, vertices, owned_elements[h]) for h, vertices in owned.items()
-    ]
-    gathered_members = yield from comm.gather(membership_payload, root=0)
-    gathered_links = yield from comm.gather(links, root=0)
-    stats = (
-        n_tuples1,
-        n_tuples2,
-        skipped,
-        int(comm._state.stats.mem_peak_bytes),
-        len(merged2),
-    )
-    gathered_stats = yield from comm.gather(stats, root=0)
-    comm.free(16 * owned_tuples)
-    if comm.rank != 0:
-        return None
-    return gathered_members, gathered_links, gathered_stats
+    # ---- Gather every owned row at rank 0 --------------------------------
+    gathered = yield from comm.gather((shingle, vertex, elements, shingle2, shingle1), root=0)
+    comm.free(16 * len(shingle))
+    return None if gathered is None else _concat(gathered)
 
 
 def parallel_shingle_dense_subgraphs(
@@ -184,8 +96,8 @@ def parallel_shingle_dense_subgraphs(
     """Distributed Shingle run; output equals the serial algorithm's.
 
     Returns ``(result, sim)`` where ``sim`` carries per-rank timing and
-    the peak tuple memory per node (the quantity the parallelisation is
-    designed to divide by p).
+    ``result.peak_tuple_bytes`` is the peak tuple memory of the fullest
+    node (the quantity the parallelisation is designed to divide by p).
     """
     if params is None:
         params = ShingleParams()
@@ -193,59 +105,7 @@ def parallel_shingle_dense_subgraphs(
     degrees = [graph.out_degree(v) for v in range(graph.n_left)]
     assignment = balance_items(degrees, cluster.n_ranks)
 
-    sim = cluster.run(
-        _program, args=(graph, params, assignment, costs)
-    )
-    gathered_members, gathered_links, gathered_stats = sim.rank_results[0]
-
-    # ---- Rank-0 final enumeration (union-find), as in the serial code ----
-    first_level: dict[int, list[int]] = {}
-    elements: dict[int, tuple[int, ...]] = {}
-    for batch in gathered_members:
-        for h, vertices, elems in batch:
-            first_level.setdefault(h, []).extend(vertices)
-            elements[h] = elems
-    uf = KeyedUnionFind()
-    for h in first_level:
-        uf.add(h)
-    for batch in gathered_links:
-        for a, b in batch:
-            uf.union(a, b)
-    by_vertex: dict[int, int] = {}
-    for h, vertices in first_level.items():
-        for v in vertices:
-            if v in by_vertex:
-                uf.union(by_vertex[v], h)
-            else:
-                by_vertex[v] = h
-
-    result = ShingleResult(subgraphs=[], parameters=params)
-    result.n_first_level_shingles = len(first_level)
-    result.n_tuples_pass1 = sum(s[0] for s in gathered_stats)
-    result.n_tuples_pass2 = sum(s[1] for s in gathered_stats)
-    result.skipped_low_degree = sum(s[2] for s in gathered_stats)
-    result.peak_tuple_bytes = max(s[3] for s in gathered_stats)
-    result.n_second_level_shingles = sum(s[4] for s in gathered_stats)
-    for component in uf.groups():
-        members: set[int] = set()
-        sampled: set[int] = set()
-        for h in component:
-            members.update(first_level[h])
-            sampled.update(elements[h])
-        if len(members) < min_size:
-            continue
-        if expand_b:
-            right: set[int] = set()
-            for v in members:
-                right.update(int(u) for u in graph.gamma(v))
-        else:
-            right = sampled
-        result.subgraphs.append(
-            DenseSubgraph(
-                left=tuple(sorted(graph.left_labels[v] for v in members)),
-                right=tuple(sorted(graph.right_labels[u] for u in right)),
-                right_sampled=tuple(sorted(graph.right_labels[u] for u in sampled)),
-            )
-        )
-    result.subgraphs.sort(key=lambda sg: (-sg.size, sg.left[:1]))
+    sim = cluster.run(_program, args=(graph, params, assignment, costs))
+    result = report(graph, params, *sim.rank_results[0], min_size=min_size, expand_b=expand_b)
+    result.peak_tuple_bytes = max(s.mem_peak_bytes for s in sim.rank_stats)
     return result, sim

@@ -8,7 +8,7 @@ and reports ``A u B`` as the dense subgraph.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.shingle.algorithm import DenseSubgraph
 
@@ -31,26 +31,13 @@ def passes_ab_test(subgraph: DenseSubgraph, tau: float) -> bool:
     return jaccard_ab(subgraph) >= tau
 
 
-def global_similarity_output(
-    subgraphs: Iterable[DenseSubgraph],
-    *,
-    tau: float = 0.5,
-    min_size: int = 5,
+def _disjoint_largest_first(
+    candidates: list[tuple[int, ...]], min_size: int
 ) -> list[tuple[int, ...]]:
-    """Final B_d output: each passing subgraph's ``A u B`` vertex set.
-
-    Subgraphs failing the A ~= B test or smaller than ``min_size`` are
-    dropped, mirroring the paper's reporting step.  Because ``B`` is a
-    neighbourhood union, two subgraphs' ``A u B`` sets can overlap inside
-    one component; the paper expects *disjoint* dense subgraphs (each
-    protein maps to one family), so larger subgraphs claim contested
-    vertices first and later subgraphs lose them.
-    """
-    candidates: list[tuple[int, ...]] = []
-    for sg in subgraphs:
-        if not passes_ab_test(sg, tau):
-            continue
-        candidates.append(tuple(sorted(set(sg.left) | set(sg.right))))
+    """Make overlapping vertex sets disjoint: larger sets claim contested
+    vertices first, later sets lose them, and a set left with fewer than
+    ``min_size`` vertices is dropped (the paper expects *disjoint* dense
+    subgraphs — each protein maps to one family)."""
     candidates.sort(key=lambda m: (-len(m), m))
     claimed: set[int] = set()
     out: list[tuple[int, ...]] = []
@@ -63,31 +50,34 @@ def global_similarity_output(
     return out
 
 
+def global_similarity_output(
+    subgraphs: Iterable[DenseSubgraph],
+    *,
+    tau: float = 0.5,
+    min_size: int = 5,
+) -> list[tuple[int, ...]]:
+    """Final B_d output: each passing subgraph's ``A u B`` vertex set.
+
+    Subgraphs failing the A ~= B test or smaller than ``min_size`` are
+    dropped, mirroring the paper's reporting step.  Because ``B`` is a
+    neighbourhood union, two subgraphs' ``A u B`` sets can overlap inside
+    one component; they are reported disjoint, largest first.
+    """
+    return _disjoint_largest_first(
+        [
+            tuple(sorted(set(sg.left) | set(sg.right)))
+            for sg in subgraphs
+            if passes_ab_test(sg, tau)
+        ],
+        min_size,
+    )
+
+
 def domain_output(
     subgraphs: Iterable[DenseSubgraph],
     *,
     min_size: int = 5,
-    min_support: int = 1,
 ) -> list[tuple[int, ...]]:
-    """Final B_m output: each subgraph's ``B`` (the sequence side).
-
-    ``min_support`` additionally requires that many left-side w-mers as
-    evidence (subgraphs supported by a single shared word are noise).
-    As in the global reduction, larger subgraphs claim contested
-    sequences first so reported families stay disjoint.
-    """
-    candidates = [
-        sg.right
-        for sg in subgraphs
-        if len(sg.left) >= min_support
-    ]
-    candidates.sort(key=lambda m: (-len(m), m))
-    claimed: set[int] = set()
-    out: list[tuple[int, ...]] = []
-    for right in candidates:
-        remaining = tuple(v for v in right if v not in claimed)
-        if len(remaining) < min_size:
-            continue
-        claimed.update(remaining)
-        out.append(remaining)
-    return out
+    """Final B_m output: each subgraph's ``B`` (the sequence side),
+    reported disjoint, largest first, as in the global reduction."""
+    return _disjoint_largest_first([sg.right for sg in subgraphs], min_size)

@@ -14,7 +14,6 @@ from repro.util.hashing import (
     UniversalHashFamily,
     fnv1a_64,
     hash_int_tuple,
-    next_prime,
     splitmix64,
 )
 from repro.util.rng import derive_seed, make_rng
@@ -24,7 +23,6 @@ __all__ = [
     "UniversalHashFamily",
     "fnv1a_64",
     "hash_int_tuple",
-    "next_prime",
     "splitmix64",
     "derive_seed",
     "make_rng",

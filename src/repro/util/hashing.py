@@ -18,9 +18,6 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-#: Mersenne prime 2^61 - 1, the classic modulus for universal hashing.
-MERSENNE_61 = (1 << 61) - 1
-
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
@@ -77,42 +74,6 @@ def hash_rows(matrix: "np.ndarray", *, seed: int = 0) -> "np.ndarray":
     for col in range(m.shape[1]):
         h = _mix64(h ^ m[:, col])
     return h
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit inputs."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    # These witnesses are sufficient for all n < 3.3e24.
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def next_prime(n: int) -> int:
-    """Return the smallest prime ``>= n``."""
-    if n <= 2:
-        return 2
-    candidate = n | 1  # make odd
-    while not _is_prime(candidate):
-        candidate += 2
-    return candidate
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -184,45 +145,20 @@ class UniversalHashFamily:
         picked = x[order[:s]]
         return tuple(sorted(int(v) for v in picked))
 
-    def min_samples_all(
-        self, values: Sequence[int] | np.ndarray, s: int
-    ) -> list[tuple[int, ...]]:
-        """All ``count`` shingles of one vertex in a single vectorised pass.
-
-        Equivalent to ``[min_sample(k, values, s) for k in range(count)]``
-        but with one (count, n) hash matrix and one argpartition per row.
-        """
-        x = np.asarray(values, dtype=np.uint64)
-        n = len(x)
-        if n < s:
-            raise ValueError(f"cannot draw {s}-element shingle from {n} values")
-        hashed = self.apply_all(x)
-        if s == n:
-            base = tuple(sorted(int(v) for v in x))
-            return [base] * self.count
-        # argpartition per row, then exact ordering inside the cut for the
-        # deterministic tie-break on (hash, pre-image).
-        part = np.argpartition(hashed, s - 1, axis=1)[:, :s]
-        out: list[tuple[int, ...]] = []
-        for k in range(self.count):
-            idx = part[k]
-            out.append(tuple(sorted(int(v) for v in x[idx])))
-        return out
-
     def min_samples_matrix(self, values: Sequence[int] | np.ndarray, s: int) -> np.ndarray:
         """All ``count`` shingles as one ``(count, s)`` sorted uint64 matrix.
 
-        Row ``k`` equals ``min_sample(k, values, s)`` (up to negligible
-        hash-tie boundary effects); fully vectorised for the Shingle hot
-        path.
+        Row ``k`` equals ``min_sample(k, values, s)`` exactly:
+        ``mix64(x ^ key)`` is a bijection on uint64, so distinct values
+        never tie and the ``argpartition`` cut is the ``s`` smallest
+        images whichever way it orders them (``values`` must be
+        distinct, as a Gamma set is).  One ``(count, len)`` hash matrix
+        and one partition — the Shingle hot path.
         """
         x = np.asarray(values, dtype=np.uint64)
         n = len(x)
         if n < s:
             raise ValueError(f"cannot draw {s}-element shingle from {n} values")
-        if s == n:
-            row = np.sort(x)
-            return np.broadcast_to(row, (self.count, s)).copy()
         hashed = self.apply_all(x)
         part = np.argpartition(hashed, s - 1, axis=1)[:, :s]
         return np.sort(x[part], axis=1)

@@ -1,0 +1,193 @@
+"""The dict-and-union-find Shingle loop, kept as the reference for the
+tuple-column statement.
+
+This is ``repro.shingle.algorithm.shingle_dense_subgraphs`` as it ran
+before it was restated as passes over ``<shingle, vertex>`` columns: a
+Python loop per left vertex into ``dict.setdefault`` lists, a second
+loop per first-level shingle, and a :class:`KeyedUnionFind` over the
+64-bit shingle hashes that links shingles sharing a second-level
+shingle or a vertex.  It *defines* every :class:`DenseSubgraph` and
+every :class:`ShingleResult` field, so ``test_shingle_oracle.py`` holds
+the column passes to it field for field.  ``KeyedUnionFind`` left
+``repro.graph.unionfind`` with the loop and lives here, verbatim, with
+its own tests still in ``test_graph.py`` / ``test_properties.py``.
+"""
+
+from __future__ import annotations
+
+from typing import Hashable
+
+import numpy as np
+
+from repro import obs
+from repro.graph.bipartite import BipartiteGraph
+from repro.graph.unionfind import UnionFind
+from repro.shingle.algorithm import DenseSubgraph, ShingleParams, ShingleResult
+from repro.util.hashing import UniversalHashFamily, hash_rows
+
+
+class KeyedUnionFind:
+    """Union-find over arbitrary hashable keys (used by the Shingle pass,
+    where elements are 64-bit shingle hashes rather than dense indices)."""
+
+    def __init__(self) -> None:
+        self._index: dict[Hashable, int] = {}
+        self._keys: list[Hashable] = []
+        self._uf = UnionFind()
+
+    def _intern(self, key: Hashable) -> int:
+        idx = self._index.get(key)
+        if idx is None:
+            idx = len(self._keys)
+            self._index[key] = idx
+            self._keys.append(key)
+            self._uf.ensure(idx + 1)
+        return idx
+
+    def union(self, a: Hashable, b: Hashable) -> bool:
+        return self._uf.union(self._intern(a), self._intern(b))
+
+    def add(self, key: Hashable) -> None:
+        self._intern(key)
+
+    def same(self, a: Hashable, b: Hashable) -> bool:
+        if a not in self._index or b not in self._index:
+            return False
+        return self._uf.same(self._index[a], self._index[b])
+
+    def groups(self) -> list[list[Hashable]]:
+        """All disjoint sets as lists of original keys."""
+        by_root: dict[int, list[Hashable]] = {}
+        for key, idx in self._index.items():
+            by_root.setdefault(self._uf.find(idx), []).append(key)
+        return list(by_root.values())
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._index
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
+def scalar_shingle_dense_subgraphs(
+    graph: BipartiteGraph,
+    params: ShingleParams | None = None,
+    *,
+    min_size: int = 1,
+    expand_b: bool = True,
+) -> ShingleResult:
+    """Run the two-pass Shingle algorithm on a bipartite graph.
+
+    Parameters
+    ----------
+    graph:
+        The bipartite input; ``gamma(v)`` supplies out-links per left
+        vertex.
+    params:
+        ``(s1, c1, s2, c2)`` and the permutation seed.
+    min_size:
+        Report only subgraphs with ``|A| >= min_size`` (the paper uses 5).
+    expand_b:
+        If True (default), ``right`` is the union of ``Gamma(v)`` over
+        ``v in A`` — the subgraph's actual right-side neighbourhood, which
+        the A~=B test of the global-similarity reduction needs.  If
+        False, ``right`` equals ``right_sampled``.
+
+    Returns a :class:`ShingleResult`; subgraphs are sorted by descending
+    size then by smallest left label for determinism.
+    """
+    if params is None:
+        params = ShingleParams()
+    family1 = UniversalHashFamily(params.c1, seed=params.seed)
+    family2 = UniversalHashFamily(params.c2, seed=params.seed + 1)
+
+    result = ShingleResult(subgraphs=[], parameters=params)
+
+    # ------------------------------------------------------------- Pass I
+    # shingle hash -> vertices of Vl that produced it
+    first_level: dict[int, list[int]] = {}
+    # shingle hash -> the s1-subset of Vr it denotes (for B reporting)
+    shingle_elements: dict[int, tuple[int, ...]] = {}
+    for v in range(graph.n_left):
+        gamma = graph.gamma(v)
+        if len(gamma) < params.s1:
+            result.skipped_low_degree += 1
+            continue
+        rows = family1.min_samples_matrix(gamma, params.s1)
+        hashes = hash_rows(rows, seed=params.seed)
+        # Dedupe identical samples drawn by different permutations.
+        uniq, first_idx = np.unique(hashes, return_index=True)
+        for h, idx in zip(uniq.tolist(), first_idx.tolist()):
+            first_level.setdefault(h, []).append(v)
+            if h not in shingle_elements:
+                shingle_elements[h] = tuple(int(u) for u in rows[idx])
+            result.n_tuples_pass1 += 1
+    result.n_first_level_shingles = len(first_level)
+    # Peak memory proxy: every <shingle, v> tuple is two 8-byte words.
+    result.peak_tuple_bytes = 16 * result.n_tuples_pass1
+
+    # ------------------------------------------------------------ Pass II
+    uf = KeyedUnionFind()
+    for h in first_level:
+        uf.add(h)
+    second_level: dict[int, list[int]] = {}
+    for h, vertices in first_level.items():
+        arr = np.asarray(sorted(set(vertices)), dtype=np.uint64)
+        if len(arr) < params.s2:
+            # Too few vertices to sample: still link all its vertices via
+            # the shingle itself (handled in reporting), no second pass.
+            continue
+        rows2 = family2.min_samples_matrix(arr, params.s2)
+        hashes2 = np.unique(hash_rows(rows2, seed=params.seed + 1))
+        for h2 in hashes2.tolist():
+            second_level.setdefault(h2, []).append(h)
+            result.n_tuples_pass2 += 1
+    result.n_second_level_shingles = len(second_level)
+    result.peak_tuple_bytes = max(
+        result.peak_tuple_bytes, 16 * result.n_tuples_pass2
+    )
+
+    # Union first-level shingles sharing a second-level shingle.
+    for shingles in second_level.values():
+        for other in shingles[1:]:
+            uf.union(shingles[0], other)
+
+    # Additionally, first-level shingles sharing a *vertex* belong to the
+    # same subgraph (the vertex's whole shingle set describes one A-side
+    # vertex); group them so A-side membership is transitive.
+    by_vertex: dict[int, int] = {}
+    for h, vertices in first_level.items():
+        for v in vertices:
+            if v in by_vertex:
+                uf.union(by_vertex[v], h)
+            else:
+                by_vertex[v] = h
+
+    # --------------------------------------------------------- Reporting
+    for component in uf.groups():
+        members: set[int] = set()
+        sampled: set[int] = set()
+        for h in component:
+            members.update(first_level[h])
+            sampled.update(shingle_elements[h])
+        if len(members) < min_size:
+            continue
+        if expand_b:
+            right: set[int] = set()
+            for v in members:
+                right.update(int(u) for u in graph.gamma(v))
+        else:
+            right = sampled
+        left_labels = tuple(sorted(graph.left_labels[v] for v in members))
+        right_labels = tuple(sorted(graph.right_labels[u] for u in right))
+        sampled_labels = tuple(sorted(graph.right_labels[u] for u in sampled))
+        result.subgraphs.append(
+            DenseSubgraph(left=left_labels, right=right_labels, right_sampled=sampled_labels)
+        )
+    result.subgraphs.sort(key=lambda sg: (-sg.size, sg.left[:1]))
+    obs.count("dsd.first_shingles", result.n_first_level_shingles)
+    obs.count("dsd.second_shingles", result.n_second_level_shingles)
+    obs.count("dsd.tuples_pass1", result.n_tuples_pass1)
+    obs.count("dsd.tuples_pass2", result.n_tuples_pass2)
+    obs.count("dsd.skipped_low_degree", result.skipped_low_degree)
+    return result

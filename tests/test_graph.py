@@ -14,8 +14,9 @@ from repro.graph.bipartite import (
     wmer_bipartite,
 )
 from repro.graph.density import DenseSubgraphStats, size_histogram, subgraph_density
-from repro.graph.unionfind import KeyedUnionFind, UnionFind, connected_components_from_edges
+from repro.graph.unionfind import UnionFind, connected_labels
 from repro.sequence.alphabet import encode
+from tests.scalar_shingle import KeyedUnionFind
 
 
 class TestUnionFind:
@@ -82,11 +83,39 @@ class TestUnionFind:
                 assert uf.same(i, j) == (root(i) == root(j))
 
     def test_connected_components_from_edges(self):
-        comps = connected_components_from_edges(6, [(0, 1), (1, 2), (4, 5)])
-        assert [sorted(c) for c in comps] == [[0, 1, 2], [4, 5], [3]]
+        labels = connected_labels(6, np.array([1, 2, 5]), np.array([0, 1, 4]))
+        assert labels.tolist() == [0, 0, 0, 3, 4, 4]
+        assert connected_labels(3, np.empty(0, np.int64), np.empty(0, np.int64)).tolist() == [0, 1, 2]
+        assert connected_labels(0, np.empty(0, np.int64), np.empty(0, np.int64)).tolist() == []
+
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=80),
+    )))
+    @settings(max_examples=200, deadline=None)
+    def test_connected_labels_equal_union_find(self, case):
+        """The array form, given all edges at once (self-loops, repeats,
+        long chains), finds UnionFind's partition and names every
+        component by its smallest node."""
+        n, edges = case
+        uf = UnionFind(n)
+        for x, y in edges:
+            uf.union(x, y)
+        a = np.array([x for x, _ in edges], dtype=np.int64)
+        b = np.array([y for _, y in edges], dtype=np.int64)
+        labels = connected_labels(n, a, b)
+        assert labels.tolist() == [min(uf.groups()[uf.find(x)]) for x in range(n)]
+
+    def test_connected_labels_long_path(self):
+        """A path numbered to hook one tree per round if rounds did not
+        flatten: still the one component."""
+        order = np.random.default_rng(5).permutation(500)
+        assert connected_labels(500, order[:-1], order[1:]).tolist() == [0] * 500
 
 
 class TestKeyedUnionFind:
+    """The Shingle oracle's union-find (``tests/scalar_shingle.py``)."""
+
     def test_arbitrary_keys(self):
         uf = KeyedUnionFind()
         uf.union("a", "b")

@@ -11,9 +11,7 @@ from repro.util.hashing import (
     UniversalHashFamily,
     fnv1a_64,
     hash_int_tuple,
-    next_prime,
     splitmix64,
-    _is_prime,
 )
 
 
@@ -64,19 +62,6 @@ class TestHashIntTuple:
         assert hash_int_tuple(values) == hash_int_tuple(values)
 
 
-class TestPrimes:
-    @pytest.mark.parametrize("n,expected", [(0, 2), (2, 2), (3, 3), (4, 5), (90, 97), (7919, 7919)])
-    def test_next_prime(self, n, expected):
-        assert next_prime(n) == expected
-
-    def test_is_prime_mersenne(self):
-        assert _is_prime((1 << 61) - 1)
-
-    def test_is_prime_composites(self):
-        for n in (1, 4, 561, 1 << 20):
-            assert not _is_prime(n)
-
-
 class TestUniversalHashFamily:
     def test_count_validation(self):
         with pytest.raises(ValueError):
@@ -123,15 +108,33 @@ class TestUniversalHashFamily:
     def test_min_samples_all_matches_loop(self):
         fam = UniversalHashFamily(8, seed=3)
         values = np.array([5, 17, 2, 99, 43, 8, 61], dtype=np.uint64)
-        batched = fam.min_samples_all(values, 3)
+        batched = fam.min_samples_matrix(values, 3)
         looped = [fam.min_sample(k, values, 3) for k in range(8)]
-        assert batched == looped
+        assert batched.dtype == np.uint64
+        assert batched.tolist() == [list(row) for row in looped]
 
     def test_min_samples_all_full_set(self):
         fam = UniversalHashFamily(4, seed=3)
-        values = [3, 1, 2]
-        for sample in fam.min_samples_all(values, 3):
-            assert sample == (1, 2, 3)
+        assert fam.min_samples_matrix([3, 1, 2], 3).tolist() == [[1, 2, 3]] * 4
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=30,
+                 unique=True),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=100)
+    def test_min_samples_matrix_rows_are_min_samples(self, values, s, seed):
+        """The batched draw is the scalar definition exactly, row for row:
+        mix64(x ^ key) is a bijection, so no two distinct values tie at
+        the argpartition cut and nothing is left to a tie-break."""
+        s = min(s, len(values))
+        fam = UniversalHashFamily(6, seed=seed)
+        matrix = fam.min_samples_matrix(values, s)
+        for k in range(fam.count):
+            assert tuple(matrix[k].tolist()) == fam.min_sample(k, values, s)
+        hashed = fam.apply_all(values)
+        assert all(len(set(row)) == len(values) for row in hashed.tolist())
 
     @given(
         st.lists(st.integers(min_value=0, max_value=2**40), min_size=4, max_size=30, unique=True),
@@ -143,9 +146,9 @@ class TestUniversalHashFamily:
         the Shingle algorithm's grouping relies on)."""
         fam = UniversalHashFamily(6, seed=seed)
         s = min(3, len(values))
-        first = fam.min_samples_all(values, s)
-        second = fam.min_samples_all(list(values), s)
-        assert first == second
+        first = fam.min_samples_matrix(values, s)
+        second = fam.min_samples_matrix(list(values), s)
+        assert np.array_equal(first, second)
 
     def test_min_wise_uniformity(self):
         """Each element should be the minimum under roughly 1/n of the

@@ -290,29 +290,34 @@ class TestUnionFindProperties:
         """Any permutation of the same union sequence yields the same
         partition (and therefore the same merge_count) — why components
         and ccd.merges agree across serial, backend, and simulator."""
-        from repro.graph.unionfind import UnionFind, connected_components_from_edges
+        from repro.graph.unionfind import UnionFind, connected_labels
 
-        forward = {
-            frozenset(c) for c in connected_components_from_edges(12, ops)
-        }
-        backward = {
-            frozenset(c)
-            for c in connected_components_from_edges(12, reversed(ops))
-        }
-        assert forward == backward
         uf_fwd, uf_bwd = UnionFind(12), UnionFind(12)
         for x, y in ops:
             uf_fwd.union(x, y)
         for x, y in reversed(ops):
             uf_bwd.union(x, y)
+        forward = {frozenset(g) for g in uf_fwd.groups().values()}
+        assert forward == {frozenset(g) for g in uf_bwd.groups().values()}
+        # ... and the all-edges-at-once array form names the same partition.
+        labels = connected_labels(
+            12,
+            np.array([x for x, _ in ops], dtype=np.int64),
+            np.array([y for _, y in ops], dtype=np.int64),
+        )
+        assert forward == {
+            frozenset(np.flatnonzero(labels == root).tolist())
+            for root in set(labels.tolist())
+        }
         assert uf_fwd.merge_count == uf_bwd.merge_count
 
     @given(st.lists(st.tuples(st.text(max_size=3), st.text(max_size=3)),
                     max_size=30))
     @settings(max_examples=40, deadline=None)
     def test_keyed_union_find_agrees_with_dense(self, ops):
-        """KeyedUnionFind over strings == UnionFind over interned ids."""
-        from repro.graph.unionfind import KeyedUnionFind
+        """KeyedUnionFind (the Shingle oracle's) over strings == UnionFind
+        over interned ids."""
+        from tests.scalar_shingle import KeyedUnionFind
 
         keyed = KeyedUnionFind()
         model: dict[str, set[str]] = {}

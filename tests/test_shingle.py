@@ -141,7 +141,17 @@ class TestPostprocess:
         sg = DenseSubgraph(left=(991, 992), right=(1, 2, 3, 4, 5), right_sampled=())
         assert domain_output([sg], min_size=5) == [(1, 2, 3, 4, 5)]
         assert domain_output([sg], min_size=6) == []
-        assert domain_output([sg], min_size=5, min_support=3) == []
+
+    def test_outputs_are_disjoint_largest_first(self):
+        """Both reductions report through one rule: the larger set claims
+        contested vertices, the smaller keeps the rest or is dropped."""
+        big = DenseSubgraph(left=(1, 2, 3, 4), right=(1, 2, 3, 4), right_sampled=())
+        small = DenseSubgraph(left=(3, 4, 5, 6), right=(4, 5, 6), right_sampled=())
+        assert domain_output([small, big], min_size=2) == [(1, 2, 3, 4), (5, 6)]
+        assert domain_output([small, big], min_size=3) == [(1, 2, 3, 4)]
+        assert global_similarity_output([small, big], tau=0.5, min_size=2) == [
+            (1, 2, 3, 4), (5, 6)
+        ]
 
     def test_web_community_asymmetric_subgraph(self):
         """The B_m-style case: left vertices (w-mers) all point at the same
