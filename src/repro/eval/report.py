@@ -94,8 +94,8 @@ def observation_lines(recorder: Recorder, *, bar_width: int = 28) -> list[str]:
     Sections (each omitted when empty): run metadata, the per-phase
     wall-clock timeline with share bars, the worker-lane busy rollup
     (backend runs), the masters' pair-generation rollup per phase (from
-    the ``pairs.generate`` block spans), the scientific counters, and
-    the cache summary.
+    the ``pairs.generate`` block spans), the scientific counters, the
+    cache summary, and how many shingle draws equal sets shared.
     """
     counters = recorder.counters()
     phases = recorder.phase_seconds()
@@ -171,6 +171,10 @@ def observation_lines(recorder: Recorder, *, bar_width: int = 28) -> list[str]:
             f"{int(cache_hits):,d}/{int(cache_lookups):,d} lookups served "
             f"({cache_hits / cache_lookups:.1%} hit rate)"
         )
+    if sets := counters.get("dsd.sets", 0):
+        drawn = int(counters.get("dsd.sets_drawn", 0))
+        lines.append(f"shingle draws: {drawn:,d} distinct of {int(sets):,d} sets presented "
+                     f"({1 - drawn / sets:.1%} read another set's draw)")
     return lines
 
 

@@ -90,6 +90,11 @@ _SPECS = [
     CounterSpec("dsd.subgraphs", "dense_subgraphs",
                 "dense subgraphs surviving the reporting filter",
                 scientific=True),
+    # Work: how many are equal depends on which ranks see them together.
+    CounterSpec("dsd.sets", "dense_subgraphs",
+                "sets of >= s elements presented to a shingle draw, both passes"),
+    CounterSpec("dsd.sets_drawn", "dense_subgraphs",
+                "distinct sets among them: the ones hashed (equal sets share a draw)"),
     # -- Alignment cache (master-side memo) --------------------------------
     CounterSpec("cache.local_hits", "cache",
                 "local alignments answered from the memo"),

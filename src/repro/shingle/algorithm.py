@@ -38,7 +38,7 @@ import numpy as np
 from repro import obs
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.unionfind import connected_labels
-from repro.util.hashing import UniversalHashFamily, hash_rows
+from repro.util.hashing import UniversalHashFamily
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,15 @@ class ShingleResult:
     parameters: ShingleParams = field(default_factory=ShingleParams)
 
 
+def _draw(c: int, s: int, seed: int, offsets: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
+    """One pass's draw over the sets ``values[offsets[i] : offsets[i + 1]]``:
+    ``[owner set, shingle, elements]`` rows, and the work it took, counted."""
+    *columns, drawn = UniversalHashFamily(c, seed=seed).draw(offsets, values, s)
+    obs.count("dsd.sets", int(np.count_nonzero(np.diff(offsets) >= s)))
+    obs.count("dsd.sets_drawn", drawn)
+    return columns
+
+
 def pass_one(
     graph: BipartiteGraph, vertices: Iterable[int], params: ShingleParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -102,21 +111,12 @@ def pass_one(
     columns (uint64, int64) plus, row for row, the ``s1`` right vertices
     each shingle denotes (for reporting B).  Vertices with fewer than
     ``s1`` out-links emit nothing."""
-    family = UniversalHashFamily(params.c1, seed=params.seed)
-    shingle = [np.empty(0, dtype=np.uint64)]
-    vertex = [np.empty(0, dtype=np.int64)]
-    elements = [np.empty((0, params.s1), dtype=np.uint64)]
-    for v in vertices:
-        gamma = graph.gamma(v)
-        if len(gamma) < params.s1:
-            continue
-        rows = family.min_samples_matrix(gamma, params.s1)
-        # Dedupe identical samples drawn by different permutations.
-        uniq, first = np.unique(hash_rows(rows, seed=params.seed), return_index=True)
-        shingle.append(uniq)
-        vertex.append(np.full(len(uniq), v, dtype=np.int64))
-        elements.append(rows[first])
-    return np.concatenate(shingle), np.concatenate(vertex), np.concatenate(elements)
+    ids = np.fromiter(vertices, dtype=np.int64)
+    gammas = [graph.gamma(v) for v in ids.tolist()]
+    offsets = np.cumsum([0, *map(len, gammas)])
+    values = np.concatenate([np.empty(0, dtype=np.int64), *gammas])
+    owner, shingle, elements = _draw(params.c1, params.s1, params.seed, offsets, values)
+    return shingle, ids[owner], elements
 
 
 def pass_two(
@@ -126,18 +126,11 @@ def pass_two(
     tuples as two uint64 columns.  A first-level shingle with fewer than
     ``s2`` vertices emits nothing (its vertices stay linked through the
     shingle itself)."""
-    family = UniversalHashFamily(params.c2, seed=params.seed + 1)
     order = np.lexsort((vertex, shingle))
-    members = vertex[order].astype(np.uint64)
-    firsts, start, count = np.unique(shingle[order], return_index=True, return_counts=True)
-    shingle2 = [np.empty(0, dtype=np.uint64)]
-    shingle1 = [np.empty(0, dtype=np.uint64)]
-    for i in np.flatnonzero(count >= params.s2).tolist():
-        rows = family.min_samples_matrix(members[start[i] : start[i] + count[i]], params.s2)
-        uniq = np.unique(hash_rows(rows, seed=params.seed + 1))
-        shingle2.append(uniq)
-        shingle1.append(np.full(len(uniq), firsts[i], dtype=np.uint64))
-    return np.concatenate(shingle2), np.concatenate(shingle1)
+    firsts, start = np.unique(shingle[order], return_index=True)
+    offsets = np.append(start, len(order))
+    owner, shingle2, _ = _draw(params.c2, params.s2, params.seed + 1, offsets, vertex[order])
+    return shingle2, firsts[owner]
 
 
 def _grouped(label: np.ndarray, values: np.ndarray) -> list[np.ndarray]:

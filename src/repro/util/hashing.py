@@ -12,6 +12,7 @@ Python integers (arbitrary precision) or NumPy ``uint64`` where vectorised.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,9 +63,8 @@ def hash_int_tuple(values: Iterable[int], *, seed: int = 0) -> int:
 def hash_rows(matrix: "np.ndarray", *, seed: int = 0) -> "np.ndarray":
     """Vectorised :func:`hash_int_tuple` over the rows of a 2-D array.
 
-    ``hash_rows(m)[i] == hash_int_tuple(m[i])`` exactly; one fused pass
-    per column instead of a Python loop per row — the hot path of the
-    Shingle algorithm's pass I.
+    ``hash_rows(m)[i] == hash_int_tuple(m[i])`` exactly, in one fused pass
+    per column instead of a Python loop per row.
     """
     m = np.ascontiguousarray(matrix, dtype=np.uint64)
     if m.ndim != 2:
@@ -72,62 +72,109 @@ def hash_rows(matrix: "np.ndarray", *, seed: int = 0) -> "np.ndarray":
     init = splitmix64(seed ^ 0xA076_1D64_78BD_642F)
     h = np.full(m.shape[0], init, dtype=np.uint64)
     for col in range(m.shape[1]):
-        h = _mix64(h ^ m[:, col])
+        h = _mix64(h, m[:, col])
     return h
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """Vectorised SplitMix64 finaliser over a ``uint64`` array (wrapping)."""
-    x = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
+def _mix64(x: np.ndarray, y: np.ndarray | np.uint64) -> np.ndarray:
+    """Vectorised SplitMix64 finaliser of ``x ^ y`` (``uint64``, wrapping);
+    the xor makes the one buffer it works in, so no argument is written."""
+    x = x ^ y
+    x += np.uint64(0x9E3779B97F4A7C15)
     x ^= x >> np.uint64(30)
-    x = (x * np.uint64(0xBF58476D1CE4E5B9)).astype(np.uint64)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
-    x = (x * np.uint64(0x94D049BB133111EB)).astype(np.uint64)
-    return x ^ (x >> np.uint64(31))
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+#: Hash values (sets x members x padded width) per slab of ``draw``: 256 KB.
+#: Both passes over the suite's ``domain`` graphs, best of 5: 0.114 s at 4 Ki,
+#: 0.097 at 16 and 32 Ki, 0.120 at 128 Ki, 0.139 at 512 Ki (DESIGN.md section 3).
+SLAB_BUDGET = 32 * 1024
+
+
+@functools.lru_cache(maxsize=64)
+def _family_keys(count: int, seed: int) -> np.ndarray:
+    """Member keys of the ``(count, seed)`` family: derived once, shared read-only."""
+    keys = np.empty(count, dtype=np.uint64)
+    key = splitmix64(seed ^ 0x5EED_0F0F)
+    for k in range(count):
+        key = keys[k] = splitmix64(key)
+    keys.flags.writeable = False
+    return keys
+
+
+def _ragged(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``start[i] + arange(count[i])`` for every ``i``, concatenated."""
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
+def _fingerprints(offsets: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per set ``x[offsets[i] : offsets[i + 1]]`` the wrapping sum of its
+    mixed elements: equal for equal sets; nothing relies on the converse."""
+    total = np.concatenate([np.zeros(1, np.uint64), np.cumsum(_mix64(x, np.uint64(0)))])
+    return total[offsets[1:]] - total[offsets[:-1]]
+
+
+def _equal_sets(
+    mark: np.ndarray, start: np.ndarray, size: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group the sets ``x[start[i] : start[i] + size[i]]`` exactly: ``(distinct,
+    slot)``, one set per group by ascending size and each set's position in
+    it.  Sorted by size and fingerprint ``mark``, a set joins its neighbour only
+    if equal element for element: a collision costs a draw, never an answer."""
+    order = np.lexsort((mark, size))
+    near = np.flatnonzero((np.diff(size[order]) == 0) & (np.diff(mark[order]) == 0))
+    a, b, length = order[near], order[near + 1], size[order[near]]
+    equal = x[_ragged(start[a], length)] == x[_ragged(start[b], length)]
+    same = np.logical_and.reduceat(equal, np.cumsum(length) - length)
+    first = np.ones(len(order), dtype=bool)
+    first[near[same] + 1] = False
+    slot = np.empty(len(order), dtype=np.int64)
+    slot[order] = np.cumsum(first) - 1
+    return order[first], slot
+
+
+def _distinct_rows(samples: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(shingle, elements, rows per set)`` of ``(k, c, s)`` samples: per set its
+    distinct ``hash_rows``, ascending, each with the first member's sample."""
+    k, c, s = samples.shape
+    hashes = hash_rows(samples.reshape(-1, s), seed=seed).reshape(k, c)
+    member = np.argsort(hashes, axis=1, kind="stable")
+    hashes = hashes[np.arange(k)[:, None], member]
+    keep = np.ones((k, c), dtype=bool)
+    keep[:, 1:] = hashes[:, 1:] != hashes[:, :-1]
+    return hashes[keep], samples[np.nonzero(keep)[0], member[keep]], np.count_nonzero(keep, axis=1)
 
 
 class UniversalHashFamily:
-    """A family of ``count`` independent min-wise hash functions.
-
-    Member ``k`` implements ``h_k(x) = mix64(x ^ key_k)`` with per-member
-    keys derived from the seed — a fully vectorised (pure ``uint64``
-    NumPy, wraparound semantics) stand-in for min-wise independent
-    permutations [Broder et al. 2000].  Applying ``h_k`` to a vertex set
-    and keeping the ``s`` pre-images with smallest hash realises one
-    random s-element sample, the core primitive of the Shingle algorithm.
-
-    Parameters
-    ----------
-    count:
-        Number of hash functions in the family (the Shingle parameter *c*).
-    seed:
-        Master seed; member keys are derived deterministically from it.
-    """
+    """A family of ``count`` (the Shingle parameter *c*) min-wise hash
+    functions ``h_k(x) = mix64(x ^ key_k)``, keys derived from ``seed`` — a
+    fully vectorised (pure ``uint64`` NumPy, wraparound semantics) stand-in
+    for min-wise independent permutations [Broder et al. 2000].  The ``s``
+    pre-images of a vertex set with smallest ``h_k`` are one random
+    s-element sample, the core primitive of the Shingle algorithm."""
 
     def __init__(self, count: int, *, seed: int = 0):
         if count <= 0:
             raise ValueError(f"count must be positive, got {count}")
         self.count = int(count)
         self.seed = int(seed)
-        base = splitmix64(self.seed ^ 0x5EED_0F0F)
-        keys = np.empty(self.count, dtype=np.uint64)
-        key = base
-        for k in range(self.count):
-            key = splitmix64(key)
-            keys[k] = key
-        self._keys = keys
+        self._keys = _family_keys(self.count, self.seed)
 
     def apply(self, k: int, values: Sequence[int] | np.ndarray) -> np.ndarray:
         """Apply hash function ``k`` to an array of values, vectorised."""
         if not 0 <= k < self.count:
             raise IndexError(f"hash index {k} out of range [0, {self.count})")
         x = np.asarray(values, dtype=np.uint64)
-        return _mix64(x ^ self._keys[k])
+        return _mix64(x, self._keys[k])
 
     def apply_all(self, values: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Apply every member to ``values``; returns a ``(count, len)`` array."""
+        """Apply every member to ``values``; returns ``(..., count, len)``."""
         x = np.asarray(values, dtype=np.uint64)
-        return _mix64(x[None, :] ^ self._keys[:, None])
+        return _mix64(x[..., None, :], self._keys[:, None])
 
     def min_sample(self, k: int, values: Sequence[int] | np.ndarray, s: int) -> tuple[int, ...]:
         """Return the ``s`` values whose ``h_k`` images are smallest.
@@ -146,19 +193,59 @@ class UniversalHashFamily:
         return tuple(sorted(int(v) for v in picked))
 
     def min_samples_matrix(self, values: Sequence[int] | np.ndarray, s: int) -> np.ndarray:
-        """All ``count`` shingles as one ``(count, s)`` sorted uint64 matrix.
-
-        Row ``k`` equals ``min_sample(k, values, s)`` exactly:
-        ``mix64(x ^ key)`` is a bijection on uint64, so distinct values
-        never tie and the ``argpartition`` cut is the ``s`` smallest
-        images whichever way it orders them (``values`` must be
-        distinct, as a Gamma set is).  One ``(count, len)`` hash matrix
-        and one partition — the Shingle hot path.
-        """
+        """All ``count`` shingles of one set of distinct ``values``: a ``(count, s)``
+        uint64 matrix, row ``k`` equal to ``min_sample(k, values, s)``."""
         x = np.asarray(values, dtype=np.uint64)
-        n = len(x)
-        if n < s:
-            raise ValueError(f"cannot draw {s}-element shingle from {n} values")
-        hashed = self.apply_all(x)
-        part = np.argpartition(hashed, s - 1, axis=1)[:, :s]
-        return np.sort(x[part], axis=1)
+        if len(x) < s:
+            raise ValueError(f"cannot draw {s}-element shingle from {len(x)} values")
+        return self._slab(x, np.zeros(1, dtype=np.int64), np.array([len(x)]), s)[0]
+
+    def _slab(self, x: np.ndarray, start: np.ndarray, size: np.ndarray, s: int) -> np.ndarray:
+        """``(k, count, s)``: each member's sample, sorted, of the ``k`` sets
+        ``x[start[i] : start[i] + size[i]]``, from one hash matrix padded to the
+        widest.  ``mix64(x ^ key)`` is a bijection: images never tie, so the cut
+        is the ``s`` smallest however ``argpartition`` orders them, and a padded
+        set (``> s`` elements) has ``s`` images below its largest <= the pad."""
+        column = np.arange(size.max())
+        pad = column >= size[:, None]
+        sets = x[np.minimum(start[:, None] + column, len(x) - 1)]
+        hashed = self.apply_all(sets)
+        if pad.any():
+            np.copyto(hashed, np.uint64(_MASK64), where=pad[:, None, :])
+        cut = np.argpartition(hashed, s - 1, axis=2)[:, :, :s]
+        cut += (np.arange(len(sets)) * len(column))[:, None, None]
+        return np.sort(sets.ravel()[cut], axis=2)
+
+    def draw(
+        self, offsets: np.ndarray, values: np.ndarray, s: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The ``(s, count)``-shingle sets of the sets ``values[offsets[i] :
+        offsets[i + 1]]``: ``(owner set int64, shingle uint64, elements (rows, s)
+        uint64, distinct sets drawn)``, a row per distinct ``hash_rows(sample,
+        seed=self.seed)`` of each set of ``>= s`` elements, in set order then
+        ascending shingle.  Equal sets share one draw; a set of exactly ``s`` is
+        its own sample; the rest, by size, fill slabs of <= ``SLAB_BUDGET``."""
+        x = np.asarray(values, dtype=np.uint64)
+        size = np.diff(offsets)
+        live = np.flatnonzero(size >= s)
+        start, size = offsets[live], size[live]
+        distinct, slot = _equal_sets(_fingerprints(offsets, x)[live], start, size, x)
+        d_start, d_size = start[distinct], size[distinct]
+        exact = int(np.searchsorted(d_size, s, side="right"))
+        own = np.sort(x[d_start[:exact, None] + np.arange(s)], axis=1)
+        done = [_distinct_rows(own[:, None, :], self.seed)]
+        slabs: list[np.ndarray] = []
+        lo, room = exact, SLAB_BUDGET // self.count
+        while lo < len(distinct):
+            width = d_size[lo : lo + max(room // int(d_size[lo]), 1)]
+            fits = np.searchsorted(width * np.arange(1, len(width) + 1), room, side="right")
+            hi = lo + max(int(fits), 1)
+            slabs.append(self._slab(x, d_start[lo:hi], d_size[lo:hi], s))
+            lo = hi
+            # Samples are small: hash and deduplicate a budget's worth per call.
+            if lo == len(distinct) or sum(map(len, slabs)) >= room:
+                done.append(_distinct_rows(np.concatenate(slabs), self.seed))
+                slabs.clear()
+        shingles, elements, counts = map(np.concatenate, zip(*done))
+        row = _ragged((np.cumsum(counts) - counts)[slot], counts[slot])
+        return np.repeat(live, counts[slot]), shingles[row], elements[row], len(distinct)

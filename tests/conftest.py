@@ -6,6 +6,7 @@ import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.align.matrices import blosum62_scheme
 from repro.core.config import PipelineConfig
@@ -15,6 +16,13 @@ from repro.parallel.simulator import VirtualCluster
 from repro.runtime import ProcessBackend, SerialBackend
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 from repro.shingle.algorithm import ShingleParams
+
+# The tier-1 suite is a gate, and a gate must not draw fresh random
+# examples on every run: property tests derive their examples from the
+# test itself.  `--hypothesis-profile=default` (hypothesis's own flag;
+# the CI coverage job passes it) brings random exploration back.
+settings.register_profile("gate", derandomize=True)
+settings.load_profile("gate")
 
 # Lint fixtures are parsed by `repro lint`, never imported; the
 # bench_*.py ones would otherwise match `python_files` and fail import.

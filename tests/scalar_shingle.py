@@ -6,9 +6,11 @@ before it was restated as passes over ``<shingle, vertex>`` columns: a
 Python loop per left vertex into ``dict.setdefault`` lists, a second
 loop per first-level shingle, and a :class:`KeyedUnionFind` over the
 64-bit shingle hashes that links shingles sharing a second-level
-shingle or a vertex.  It *defines* every :class:`DenseSubgraph` and
-every :class:`ShingleResult` field, so ``test_shingle_oracle.py`` holds
-the column passes to it field for field.  ``KeyedUnionFind`` left
+shingle or a vertex; each shingle is drawn one set and one permutation
+at a time by ``UniversalHashFamily.min_sample``.  It *defines* every
+:class:`DenseSubgraph` and every :class:`ShingleResult` field, so
+``test_shingle_oracle.py`` holds the column passes to it field for
+field.  ``KeyedUnionFind`` left
 ``repro.graph.unionfind`` with the loop and lives here, verbatim, with
 its own tests still in ``test_graph.py`` / ``test_properties.py``.
 """
@@ -69,6 +71,13 @@ class KeyedUnionFind:
         return len(self._keys)
 
 
+def scalar_samples(family: UniversalHashFamily, values: np.ndarray, s: int) -> np.ndarray:
+    """Every member's shingle of ``values`` by the scalar definition,
+    ``min_sample`` — not by the batched draw the column passes use."""
+    rows = [family.min_sample(k, values, s) for k in range(family.count)]
+    return np.array(rows, dtype=np.uint64).reshape(family.count, s)
+
+
 def scalar_shingle_dense_subgraphs(
     graph: BipartiteGraph,
     params: ShingleParams | None = None,
@@ -113,7 +122,7 @@ def scalar_shingle_dense_subgraphs(
         if len(gamma) < params.s1:
             result.skipped_low_degree += 1
             continue
-        rows = family1.min_samples_matrix(gamma, params.s1)
+        rows = scalar_samples(family1, gamma, params.s1)
         hashes = hash_rows(rows, seed=params.seed)
         # Dedupe identical samples drawn by different permutations.
         uniq, first_idx = np.unique(hashes, return_index=True)
@@ -137,7 +146,7 @@ def scalar_shingle_dense_subgraphs(
             # Too few vertices to sample: still link all its vertices via
             # the shingle itself (handled in reporting), no second pass.
             continue
-        rows2 = family2.min_samples_matrix(arr, params.s2)
+        rows2 = scalar_samples(family2, arr, params.s2)
         hashes2 = np.unique(hash_rows(rows2, seed=params.seed + 1))
         for h2 in hashes2.tolist():
             second_level.setdefault(h2, []).append(h)

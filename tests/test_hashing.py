@@ -11,6 +11,7 @@ from repro.util.hashing import (
     UniversalHashFamily,
     fnv1a_64,
     hash_int_tuple,
+    hash_rows,
     splitmix64,
 )
 
@@ -62,6 +63,24 @@ class TestHashIntTuple:
         assert hash_int_tuple(values) == hash_int_tuple(values)
 
 
+class TestHashRows:
+    @given(
+        st.lists(st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3), max_size=6),
+        st.integers(0, 2**32),
+    )
+    def test_rows_are_hash_int_tuple(self, rows, seed):
+        matrix = np.array(rows, dtype=np.uint64).reshape(len(rows), 3)
+        before = matrix.copy()
+        assert hash_rows(matrix, seed=seed).tolist() == [
+            hash_int_tuple(row, seed=seed) for row in rows
+        ]
+        assert np.array_equal(matrix, before)
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError):
+            hash_rows(np.arange(4, dtype=np.uint64))
+
+
 class TestUniversalHashFamily:
     def test_count_validation(self):
         with pytest.raises(ValueError):
@@ -71,6 +90,30 @@ class TestUniversalHashFamily:
         fam = UniversalHashFamily(3, seed=1)
         with pytest.raises(IndexError):
             fam.apply(3, [1, 2])
+
+    def test_keys_derived_once_and_read_only(self):
+        """The member keys chain ``splitmix64`` from the seed; instances
+        of one ``(count, seed)`` share a single immutable array."""
+        key, keys = splitmix64(7 ^ 0x5EED_0F0F), []
+        for _ in range(5):
+            key = splitmix64(key)
+            keys.append(key)
+        fam = UniversalHashFamily(5, seed=7)
+        assert fam._keys.tolist() == keys
+        assert UniversalHashFamily(5, seed=7)._keys is fam._keys
+        assert UniversalHashFamily(5, seed=8)._keys.tolist() != keys
+        with pytest.raises(ValueError):
+            fam._keys[0] = 0
+
+    def test_apply_is_the_scalar_mixer_and_leaves_its_input(self):
+        fam = UniversalHashFamily(3, seed=1)
+        x = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        before = x.copy()
+        hashed = fam.apply(2, x)
+        assert np.array_equal(x, before)
+        key = int(fam._keys[2])
+        # splitmix64 adds the golden-ratio increment, then finalises.
+        assert hashed.tolist() == [splitmix64(int(v) ^ key) for v in before]
 
     def test_members_differ(self):
         fam = UniversalHashFamily(4, seed=1)
