@@ -95,7 +95,7 @@ def observation_lines(recorder: Recorder, *, bar_width: int = 28) -> list[str]:
     wall-clock timeline with share bars, the worker-lane busy rollup
     (backend runs), the masters' pair-generation rollup per phase (from
     the ``pairs.generate`` block spans), the scientific counters, the
-    cache summary, and how many shingle draws equal sets shared.
+    cache summary, shingle draws shared by equal sets, string index builds.
     """
     counters = recorder.counters()
     phases = recorder.phase_seconds()
@@ -175,6 +175,10 @@ def observation_lines(recorder: Recorder, *, bar_width: int = 28) -> list[str]:
         drawn = int(counters.get("dsd.sets_drawn", 0))
         lines.append(f"shingle draws: {drawn:,d} distinct of {int(sets):,d} sets presented "
                      f"({1 - drawn / sets:.1%} read another set's draw)")
+    if builds := int(counters.get("suffix.index_builds", 0)):
+        symbols = sum(dict(s.args)["symbols"] for s in recorder.spans if s.name == "index.build")
+        lines.append(f"string index: {builds:,d} build{'s' * (builds != 1)} ({symbols:,d} symbols), "
+                     f"{int(counters.get('suffix.index_restrictions', 0)):,d} restrictions")
     return lines
 
 

@@ -118,6 +118,11 @@ _SPECS = [
     CounterSpec("suffix.matches", "suffix",
                 "maximal matches the block generator emitted to a "
                 "master"),
+    CounterSpec("suffix.index_builds", "suffix",
+                "string indices sorted (one per session or simulated phase)"),
+    CounterSpec("suffix.index_restrictions", "suffix",
+                "sub-collection indices filtered out of a built one "
+                "(kept sequences, one per B_d component)"),
     # -- Batched alignment kernel (repro.align.batch) ----------------------
     # Work counters by design: how many pairs each engine route handled
     # varies with chunking/backends, while the decisions they feed

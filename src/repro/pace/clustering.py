@@ -29,7 +29,7 @@ from repro.pace.costs import CostModel, bucket_generation
 from repro.parallel.masterworker import MasterWorkerConfig, run_master_worker
 from repro.parallel.simulator import SimulationResult, VirtualCluster
 from repro.sequence.record import SequenceSet
-from repro.suffix.matches import MaximalMatchFinder
+from repro.suffix import GeneralizedSuffixArray, MaximalMatchFinder
 
 
 @dataclass
@@ -69,7 +69,8 @@ def _overlap_passes(
 class ClusteringMaster:
     """Master-side state of the CCD phase, stated once for every executor.
 
-    Owns the pair source (``finder``, over the *kept* sequences, so its
+    Owns the pair source (``finder``, over the string index of
+    ``sequences`` restricted to the *kept* ones, ascending, so its
     pairs are local indices into ``kept``), the transitive-closure
     admission filter with its counters, the union–find the verdicts
     merge into, and the result construction.
@@ -83,6 +84,7 @@ class ClusteringMaster:
         self,
         sequences: SequenceSet,
         kept: Sequence[int],
+        index: GeneralizedSuffixArray,
         *,
         psi: int,
         similarity: float,
@@ -92,7 +94,7 @@ class ClusteringMaster:
         self.encoded = [record.encoded for record in sequences]
         self.kept = kept
         self.finder = MaximalMatchFinder(
-            [self.encoded[g] for g in kept],
+            index.restrict(kept),
             min_length=psi,
             max_pairs_per_node=max_pairs_per_node,
         )
@@ -179,6 +181,7 @@ def parallel_component_detection(
     master = ClusteringMaster(
         sequences,
         kept,
+        GeneralizedSuffixArray([record.encoded for record in sequences]),
         psi=psi,
         similarity=similarity,
         coverage=coverage,

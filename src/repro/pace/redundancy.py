@@ -25,7 +25,7 @@ from repro.pace.costs import CostModel, bucket_generation
 from repro.parallel.masterworker import MasterWorkerConfig, run_master_worker
 from repro.parallel.simulator import SimulationResult, VirtualCluster
 from repro.sequence.record import SequenceSet
-from repro.suffix.matches import MaximalMatchFinder
+from repro.suffix import GeneralizedSuffixArray, MaximalMatchFinder
 
 
 @dataclass
@@ -48,8 +48,9 @@ class RedundancyResult:
 class RedundancyMaster:
     """Master-side state of the RR phase, stated once for every executor.
 
-    Owns the pair source (``finder``), the admission filter (the master
-    only deduplicates — RR has no clustering filter), the Definition 1
+    Owns the pair source (``finder``, over ``index``, the string index
+    of ``sequences``), the admission filter (the master only
+    deduplicates — RR has no clustering filter), the Definition 1
     verdict sink and the result construction.
     :func:`repro.runtime.phases.backend_redundancy_removal` streams the
     admitted pairs through an execution backend;
@@ -60,6 +61,7 @@ class RedundancyMaster:
     def __init__(
         self,
         sequences: SequenceSet,
+        index: GeneralizedSuffixArray,
         *,
         psi: int,
         similarity: float,
@@ -68,7 +70,7 @@ class RedundancyMaster:
     ):
         self.encoded = [record.encoded for record in sequences]
         self.finder = MaximalMatchFinder(
-            self.encoded, min_length=psi, max_pairs_per_node=max_pairs_per_node
+            index, min_length=psi, max_pairs_per_node=max_pairs_per_node
         )
         self.similarity = similarity
         self.coverage = coverage
@@ -145,6 +147,7 @@ def parallel_redundancy_removal(
     costs = CostModel() if cost_model is None else cost_model
     master = RedundancyMaster(
         sequences,
+        GeneralizedSuffixArray([record.encoded for record in sequences]),
         psi=psi,
         similarity=similarity,
         coverage=coverage,

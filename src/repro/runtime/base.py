@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 from repro import obs
 from repro.align.batch import batch_align, batch_containment
 from repro.pace.densesub import shingle_component
+from repro.suffix.suffix_array import GeneralizedSuffixArray
 from repro.util.timing import monotonic_now
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -311,9 +312,9 @@ class Backend(abc.ABC):
             ...
         backend.stats  # RuntimeStats, populated per phase
 
-    A subclass binds ``_get_encoded``/``_scheme`` in :meth:`open` and
-    implements :meth:`_dispatch`; one whose tasks outlive ``_dispatch``
-    also implements :meth:`_pump`, :meth:`_throttle`, :meth:`_task_pairs`.
+    A subclass implements :meth:`_dispatch`; one whose tasks outlive it
+    also extends :meth:`open` / :meth:`close` (stores, pools) and
+    implements :meth:`_pump`, :meth:`_throttle`, :meth:`_task_pairs`.
     """
 
     name: str = "abstract"
@@ -324,17 +325,21 @@ class Backend(abc.ABC):
         self._current_phase: PhaseStats | None = None
         self._get_encoded: "Callable[[int], np.ndarray] | None" = None
         self._scheme: "ScoringScheme | None" = None
+        self._encoded: "list[np.ndarray]" = []
+        self._index: GeneralizedSuffixArray | None = None
         self._next_stream_id = 0
 
     # -- lifecycle ---------------------------------------------------------
 
-    @abc.abstractmethod
     def open(self, sequences: "SequenceSet", scheme: "ScoringScheme") -> None:
-        """Bind the backend to a sequence set (builds stores / pools)."""
+        """Bind the backend to a sequence set."""
+        self._encoded = [record.encoded for record in sequences]
+        self._get_encoded = self._encoded.__getitem__
+        self._scheme = scheme
 
-    @abc.abstractmethod
     def close(self) -> None:
         """Release every resource; idempotent."""
+        self._encoded, self._get_encoded, self._index = [], None, None
 
     @contextlib.contextmanager
     def session(self, sequences: "SequenceSet", scheme: "ScoringScheme"):
@@ -347,6 +352,18 @@ class Backend(abc.ABC):
     def _require_open(self) -> None:
         if self._get_encoded is None:
             raise BackendError("backend is not open (use session())")
+
+    @property
+    def index(self) -> GeneralizedSuffixArray:
+        """The string index over the session's sequences, which every
+        pair phase reads, whole or restricted.  Built on first use — in
+        the first pair phase's span, after an executor has forked its
+        workers, never in a session without a pair phase (a resumed
+        run) — and dropped on close."""
+        self._require_open()
+        if self._index is None:
+            self._index = GeneralizedSuffixArray(self._encoded)
+        return self._index
 
     # -- phase bookkeeping -------------------------------------------------
 

@@ -9,7 +9,10 @@ counters and the result are stated once.  On
 :class:`~repro.runtime.serial.SerialBackend` this is the reference every
 other mode is compared against.
 
-The pair source is the finder's *block* stream
+Each master is built inside its phase span over the session's one
+string index, :attr:`~repro.runtime.base.Backend.index` (RR whole, CCD
+and B_d restricted), so index time is phase time.  The pair source is
+the finder's *block* stream
 (:meth:`~repro.suffix.matches.MaximalMatchFinder.match_blocks`), and
 each master's one deciding filter, ``admit``, has a *sound block
 prefilter* in front of it — the same shape as the Myers reject in front
@@ -198,21 +201,22 @@ def backend_redundancy_removal(
     (``rr.pairs``/``rr.alignments``) still count every pair whose
     Definition 1 verdict was evaluated, regardless of compute route.
     """
-    master = RedundancyMaster(
-        sequences,
-        psi=psi,
-        similarity=similarity,
-        coverage=coverage,
-        max_pairs_per_node=max_pairs_per_node,
-    )
-
-    def admitted() -> Iterator[tuple[int, int]]:
-        for block in _traced_blocks(master.finder.match_blocks(), "rr.pairs"):
-            for pair in block.first_per_pair().pairs():
-                if master.admit(pair):
-                    yield pair
-
     with backend.phase("redundancy"):
+        master = RedundancyMaster(
+            sequences,
+            backend.index,
+            psi=psi,
+            similarity=similarity,
+            coverage=coverage,
+            max_pairs_per_node=max_pairs_per_node,
+        )
+
+        def admitted() -> Iterator[tuple[int, int]]:
+            for block in _traced_blocks(master.finder.match_blocks(), "rr.pairs"):
+                for pair in block.first_pairs():
+                    if master.admit(pair):
+                        yield pair
+
         _stream_chunked(
             backend.containment_stream(
                 cache, similarity=similarity, coverage=coverage
@@ -259,28 +263,29 @@ def backend_component_detection(
     (``uf.union`` returns False for them), so the journal never holds
     duplicates.
     """
-    master = ClusteringMaster(
-        sequences,
-        kept,
-        psi=psi,
-        similarity=similarity,
-        coverage=coverage,
-        max_pairs_per_node=max_pairs_per_node,
-    )
-    local_of = {g: l for l, g in enumerate(kept)}
-    for gi, gj in replay_unions or ():
-        if gi in local_of and gj in local_of:
-            master.uf.union(local_of[gi], local_of[gj])
-
-    def absorb(gi: int, gj: int, aln) -> None:
-        if (
-            master.overlaps(gi, gj, aln)
-            and master.union((local_of[gi], local_of[gj]))
-            and journal is not None
-        ):
-            journal.ccd_union(gi, gj)
-
     with backend.phase("clustering"):
+        master = ClusteringMaster(
+            sequences,
+            kept,
+            backend.index,
+            psi=psi,
+            similarity=similarity,
+            coverage=coverage,
+            max_pairs_per_node=max_pairs_per_node,
+        )
+        local_of = {g: l for l, g in enumerate(kept)}
+        for gi, gj in replay_unions or ():
+            if gi in local_of and gj in local_of:
+                master.uf.union(local_of[gi], local_of[gj])
+
+        def absorb(gi: int, gj: int, aln) -> None:
+            if (
+                master.overlaps(gi, gj, aln)
+                and master.union((local_of[gi], local_of[gj]))
+                and journal is not None
+            ):
+                journal.ccd_union(gi, gj)
+
         stream = backend.alignment_stream("local", cache)
         snapshot = _ClosureSnapshot(master)
         for block in _traced_blocks(master.finder.match_blocks(), "ccd.alignments"):
@@ -321,23 +326,15 @@ def backend_generate_component_graphs(
     """
     if reduction not in ("global", "domain"):
         raise ValueError(f"unknown reduction {reduction!r}")
-    master = BipartiteMaster(
-        sequences,
-        components,
-        psi=psi,
-        edge_similarity=edge_similarity,
-        edge_coverage=edge_coverage,
-        min_size=min_size,
-        max_pairs_per_node=max_pairs_per_node,
-    )
     with backend.phase("bipartite"):
         if reduction == "domain":
+            # Alignment-free and pair-free: no master, no string index.
             out = ComponentGraphs(components=[], graphs=[], reduction=reduction)
-            for members in master.members:
+            for members in (sorted(c) for c in components if len(c) >= min_size):
                 out.components.append(members)
                 out.graphs.append(
                     wmer_bipartite(
-                        [master.encoded[g] for g in members],
+                        [sequences[g].encoded for g in members],
                         w=w,
                         min_sequences=2,
                         sequence_labels=members,
@@ -346,6 +343,16 @@ def backend_generate_component_graphs(
                 obs.count("bipartite.graphs")
             return out
 
+        master = BipartiteMaster(
+            sequences,
+            components,
+            backend.index,
+            psi=psi,
+            edge_similarity=edge_similarity,
+            edge_coverage=edge_coverage,
+            min_size=min_size,
+            max_pairs_per_node=max_pairs_per_node,
+        )
         # Global index -> (component index, local index); components are
         # disjoint so the mapping is single-valued.
         position = {
@@ -360,7 +367,7 @@ def backend_generate_component_graphs(
                 if finder is None:
                     continue
                 for block in _traced_blocks(finder.match_blocks(), "bipartite.pairs"):
-                    for a, b in block.first_per_pair().pairs():
+                    for a, b in block.first_pairs():
                         if master.admit((ci, a, b)):
                             yield (members[a], members[b])
 

@@ -216,10 +216,8 @@ class ProcessBackend(Backend):
     def open(self, sequences, scheme) -> None:
         if self._procs:
             raise BackendError("backend already open")
-        encoded = [record.encoded for record in sequences]
-        self._store = SharedSequenceStore.create(encoded)
-        self._get_encoded = self._store.get
-        self._scheme = scheme
+        super().open(sequences, scheme)
+        self._store = SharedSequenceStore.create(self._encoded)
         self._ctx = multiprocessing.get_context(self._start_method)
         self._results = self._ctx.Queue()
         self._procs = [None] * self.workers
@@ -289,7 +287,7 @@ class ProcessBackend(Backend):
         self._task_queues = []
         self._dead_queues = []
         self._results = None
-        self._get_encoded = None
+        super().close()
         if self._store is not None:
             self._store.close()
             self._store = None

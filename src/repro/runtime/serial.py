@@ -60,14 +60,6 @@ class SerialBackend(Backend):
             obs.event("fault.skipped", kind="kill_worker", phase=phase,
                       reason="serial backend has no worker to kill")
 
-    def open(self, sequences, scheme) -> None:
-        encoded = [record.encoded for record in sequences]
-        self._get_encoded = encoded.__getitem__
-        self._scheme = scheme
-
-    def close(self) -> None:
-        self._get_encoded = None
-
     def _dispatch(self, body: tuple, sink: Sink) -> None:
         self._apply_fault(self._phase_stats().name)
         start = monotonic_now()

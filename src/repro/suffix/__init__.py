@@ -4,12 +4,13 @@ The paper's pattern-matching heuristic rests on a generalized suffix tree
 (GST) used to enumerate *maximal match* pairs of length >= psi.  This
 package provides:
 
-* :mod:`repro.suffix.suffix_array` — the production path: a vectorised
-  rank-doubling suffix array + Kasai LCP over the sentinel-separated
-  concatenation of all sequences (an enhanced suffix array is equivalent
-  to a suffix tree for this task).
-* :mod:`repro.suffix.intervals` — the LCP-interval tree (the suffix-tree
-  node hierarchy recovered from SA+LCP).
+* :mod:`repro.suffix.suffix_array` — the string index of a run: a
+  vectorised rank-doubling suffix array + column-pass LCP over the
+  sentinel-separated concatenation of all sequences (an enhanced suffix
+  array is equivalent to a suffix tree for this task), built once per
+  backend session and *restricted*, not rebuilt, per sub-collection.
+* :mod:`repro.suffix.intervals` — the suffix-tree nodes recovered from
+  the LCP array, as ``(depth, lb, size)`` columns in stream order.
 * :mod:`repro.suffix.matches` — maximal-match pair generation in
   decreasing match-length order, exactly the PaCE "promising pair"
   stream, produced as a *block stream*: one generator
@@ -28,17 +29,18 @@ because tests compare the production path against them:
   built by suffix insertion (quadratic worst case); the oracle for the
   *set* of matches :mod:`repro.suffix.matches` emits, in
   ``test_intervals_matches.py::test_matches_equal_gst_oracle`` (their
-  *order* is held to the scalar node walk in ``tests/scalar_finder.py``).
+  *order* is held to the scalar node walk in ``tests/scalar_finder.py``,
+  beside the scalar LCP and interval tree the array passes replaced).
 * :mod:`repro.suffix.ukkonen` — Ukkonen's O(n) suffix tree; the
   reference ``test_properties.py`` holds :func:`suffix_array` to.
 """
 
 from repro.suffix.suffix_array import (
     GeneralizedSuffixArray,
-    kasai_lcp,
+    lcp_array,
     suffix_array,
 )
-from repro.suffix.intervals import LcpInterval, lcp_interval_tree
+from repro.suffix.intervals import lcp_intervals
 from repro.suffix.matches import MatchBlock, MaximalMatch, MaximalMatchFinder
 from repro.suffix.gst import GeneralizedSuffixTree
 from repro.suffix.ukkonen import SuffixTree
@@ -46,10 +48,9 @@ from repro.suffix.wmer import WmerIndex
 
 __all__ = [
     "GeneralizedSuffixArray",
-    "kasai_lcp",
+    "lcp_array",
     "suffix_array",
-    "LcpInterval",
-    "lcp_interval_tree",
+    "lcp_intervals",
     "MatchBlock",
     "MaximalMatch",
     "MaximalMatchFinder",

@@ -1,100 +1,62 @@
-"""LCP-interval tree: the suffix-tree node hierarchy on top of SA + LCP.
+"""LCP intervals: the suffix-tree nodes on top of SA + LCP, as columns.
 
 An *lcp-interval* of depth ``d`` is a maximal SA range whose suffixes all
 share a prefix of length >= d, with at least one adjacent pair sharing
 exactly ``d`` — this corresponds one-to-one with an internal node of
 string depth ``d`` in the suffix tree (Abouelhoda, Kurtz & Ohlebusch,
-2004).  The bottom-up stack construction below also records each
-interval's child subranges, which is exactly what maximal-match pair
-generation needs: pairs taken across *different* children of a node have
-longest common prefix exactly equal to the node depth (right-maximality
-by construction).
+2004).  The node a slot ``i`` belongs to at depth ``lcp[i]`` is bounded
+by the nearest smaller LCP values on either side of it, so the nodes
+come out of two nearest-smaller-value scans; pairs taken across
+*different* children of a node (the node's slots are cut where ``lcp ==
+depth``) have longest common prefix exactly equal to the node depth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
-@dataclass
-class LcpInterval:
-    """One internal node of the implicit suffix tree.
+def _nearest_below(
+    value: np.ndarray, slots: np.ndarray, step: int, *, strict: bool
+) -> np.ndarray:
+    """For each of ``slots``, the nearest position in direction ``step``
+    (±1) whose value is smaller than the slot's (``strict``) or not
+    larger, by pointer jumping: a slot whose pointer rests on too large
+    a value takes over that position's pointer, so such a position must
+    itself be in ``slots``.  ``value`` must end in a stopper below every
+    slot's value (index -1 reads it too: it stops the leftward scan)."""
+    pointer = np.arange(len(value)) + step
+    todo = slots
+    while len(todo):
+        mine, at = value[todo], value[pointer[todo]]
+        todo = todo[(at >= mine) if strict else (at > mine)]
+        pointer[todo] = pointer[pointer[todo]]
+    return pointer[slots]
 
-    ``lb..rb`` (inclusive) is the SA range.  ``children`` holds child
-    *intervals*; SA positions in the range not covered by any child are
-    singleton leaves.  ``child_ranges()`` materialises the full partition.
+
+def lcp_intervals(
+    lcp: np.ndarray, min_depth: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All lcp-intervals of depth >= ``min_depth`` (at least 1: the
+    virtual root is not a node) as int64 columns ``(depth, lb, size)``
+    — SA range ``lb .. lb + size - 1`` — in stream order: depth
+    descending, equal depths left to right.
+
+    ``lcp[0]`` must be 0, as in every LCP array.  Only the slots with
+    ``lcp >= min_depth`` are scanned; their shallower neighbours bound
+    every scan.
     """
-
-    depth: int
-    lb: int
-    rb: int = -1
-    children: list["LcpInterval"] = field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        return self.rb - self.lb + 1
-
-    def child_ranges(self) -> list[tuple[int, int]]:
-        """Partition of [lb, rb] into child subranges (inclusive bounds).
-
-        Child intervals keep their ranges; uncovered positions become
-        singleton ranges.  Ranges are returned left-to-right.
-        """
-        ranges: list[tuple[int, int]] = []
-        cursor = self.lb
-        for child in sorted(self.children, key=lambda c: c.lb):
-            ranges.extend((p, p) for p in range(cursor, child.lb))
-            ranges.append((child.lb, child.rb))
-            cursor = child.rb + 1
-        ranges.extend((p, p) for p in range(cursor, self.rb + 1))
-        return ranges
-
-
-def lcp_interval_tree(lcp: np.ndarray, *, min_depth: int = 1) -> list[LcpInterval]:
-    """Enumerate all lcp-intervals with depth >= min_depth, bottom-up.
-
-    Child links are maintained for *all* intervals regardless of the
-    threshold (a child is always strictly deeper than its parent, so
-    pruning only filters the returned list, never breaks partitions).
-    The virtual root (depth 0 spanning the whole SA) is returned only
-    when ``min_depth == 0``.
-    """
-    lcp = np.asarray(lcp, dtype=np.int64)
-    n = len(lcp)
-    out: list[LcpInterval] = []
-    if n == 0:
-        return out
-    stack: list[LcpInterval] = [LcpInterval(depth=0, lb=0)]
-    for i in range(1, n):
-        lb = i - 1
-        last: LcpInterval | None = None
-        current = int(lcp[i])
-        while current < stack[-1].depth:
-            node = stack.pop()
-            node.rb = i - 1
-            if node.depth >= min_depth:
-                out.append(node)
-            lb = node.lb
-            last = node
-            if current <= stack[-1].depth:
-                # The (still-stacked) enclosing interval absorbs it directly.
-                stack[-1].children.append(last)
-                last = None
-        if current > stack[-1].depth:
-            fresh = LcpInterval(depth=current, lb=lb)
-            if last is not None:
-                # A fresh intermediate node is inserted between the popped
-                # child and the enclosing interval.
-                fresh.children.append(last)
-            stack.append(fresh)
-    # Implicit final sentinel (lcp = -1) closes every open interval.
-    while stack:
-        node = stack.pop()
-        node.rb = n - 1
-        if node.depth >= min_depth:
-            out.append(node)
-        if stack:
-            stack[-1].children.append(node)
-    return out
+    if min_depth < 1:
+        raise ValueError(f"min_depth must be >= 1, got {min_depth}")
+    value = np.append(np.asarray(lcp, dtype=np.int64), -1)
+    deep = np.flatnonzero(value >= min_depth)
+    left = _nearest_below(value, deep, -1, strict=False)
+    right = _nearest_below(value, deep, +1, strict=True)
+    # One slot per node: the first one at the node's depth, i.e. the one
+    # whose nearest not-larger value to the left is a smaller one — and
+    # that position is then the node's left bound.
+    first = value[left] < value[deep]
+    depth, lb, size = value[deep][first], left[first], (right - left)[first]
+    # Equal depths are disjoint nodes, already left to right.
+    order = np.argsort(-depth, kind="stable")
+    return depth[order], lb[order], size[order]

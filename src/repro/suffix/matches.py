@@ -26,8 +26,8 @@ sort.
 
 Order contract: the concatenated blocks are the sequence
 
-* nodes by depth descending, equal depths in the bottom-up order of
-  :func:`~repro.suffix.intervals.lcp_interval_tree`;
+* nodes by depth descending, equal depths left to right — the order of
+  :func:`~repro.suffix.intervals.lcp_intervals`;
 * inside a node by ``(a-child, b-child, x, y)`` — child pairs left to
   right, then the SA slots ``x`` of the first child and ``y`` of the
   second, ascending.
@@ -49,13 +49,12 @@ stream order, by child, then by partner child, then by single rows
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.suffix.intervals import lcp_interval_tree
+from repro.suffix.intervals import lcp_intervals
 from repro.suffix.suffix_array import GeneralizedSuffixArray
 
 #: Cross-child slot pairs one block may expand before masking (see the
@@ -102,7 +101,7 @@ class MatchBlock:
     def __len__(self) -> int:
         return len(self.seq_a)
 
-    def take(self, rows) -> "MatchBlock":
+    def take(self, rows: np.ndarray | slice) -> "MatchBlock":
         """The block restricted to ``rows`` (any NumPy index)."""
         return MatchBlock(
             self.seq_a[rows],
@@ -124,15 +123,21 @@ class MatchBlock:
             self.length.tolist(),
         )
 
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """The rows' ``(seq_a, seq_b)`` as tuples of Python ints."""
-        return zip(self.seq_a.tolist(), self.seq_b.tolist())
+    def _first_rows(self) -> np.ndarray:
+        """The row of each sequence pair's first occurrence, ascending —
+        what a master that only deduplicates would let through."""
+        key = (self.seq_a << 32) | self.seq_b
+        return np.sort(np.unique(key, return_index=True)[1])
 
     def first_per_pair(self) -> "MatchBlock":
-        """The first row of each sequence pair, in stream order — what a
-        master that only deduplicates would let through of this block."""
-        key = (self.seq_a << 32) | self.seq_b
-        return self.take(np.sort(np.unique(key, return_index=True)[1]))
+        """The first row of each sequence pair, in stream order."""
+        return self.take(self._first_rows())
+
+    def first_pairs(self) -> Iterator[tuple[int, int]]:
+        """The ``(seq_a, seq_b)`` of :meth:`first_per_pair` as tuples of
+        Python ints — all a deduplicating master reads of a block."""
+        rows = self._first_rows()
+        return zip(self.seq_a[rows].tolist(), self.seq_b[rows].tolist())
 
 
 def _cuts(weights: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -174,8 +179,8 @@ class _Slots:
         child_last = np.append(self.child_first[1:], len(slot)) - 1
         self.own_last = child_last[self.child]
         self.node_last = (first + size - 1)[self.node]
-        self.seq = finder._suffix_seq[slot]
-        self.off = finder._suffix_off[slot]
+        self.seq = finder.gsa.seq[slot]
+        self.off = finder.gsa.off[slot]
         self.left = finder._left_symbol[slot]
 
     def __len__(self) -> int:
@@ -221,8 +226,10 @@ class MaximalMatchFinder:
     Parameters
     ----------
     sequences:
-        Encoded (uint8) sequences; indices into this list name the pair
-        endpoints.
+        Encoded (uint8) sequences, or the
+        :class:`~repro.suffix.suffix_array.GeneralizedSuffixArray` that
+        already indexes them (a sequence list builds its own); indices
+        into the collection name the pair endpoints.
     min_length:
         The paper's psi cutoff — e.g. 33 guarantees any 100-residue
         alignment at 98% identity contains such a match; the evaluation
@@ -237,7 +244,7 @@ class MaximalMatchFinder:
 
     def __init__(
         self,
-        sequences: Sequence[np.ndarray],
+        sequences: Sequence[np.ndarray] | GeneralizedSuffixArray,
         *,
         min_length: int = 10,
         max_pairs_per_node: int | None = None,
@@ -246,19 +253,17 @@ class MaximalMatchFinder:
             raise ValueError(f"min_length must be >= 1, got {min_length}")
         self.min_length = min_length
         self.max_pairs_per_node = max_pairs_per_node
-        self.gsa = GeneralizedSuffixArray(sequences)
-        nodes = lcp_interval_tree(self.gsa.lcp, min_depth=min_length)
-        # Deepest-first: PaCE's decreasing maximal-match-length order.
-        nodes.sort(key=lambda node: node.depth, reverse=True)
-        # The nodes in stream order, as columns: all the generator and
-        # the bucket helpers need of the tree.
-        self._depth = np.array([node.depth for node in nodes], dtype=np.int64)
-        self._lb = np.array([node.lb for node in nodes], dtype=np.int64)
-        self._size = np.array([node.size for node in nodes], dtype=np.int64)
+        self.gsa = (
+            sequences
+            if isinstance(sequences, GeneralizedSuffixArray)
+            else GeneralizedSuffixArray(sequences)
+        )
+        # The nodes in stream order (deepest first: PaCE's decreasing
+        # maximal-match length), as columns.
+        self._depth, self._lb, self._size = lcp_intervals(self.gsa.lcp, min_length)
         sa, text = self.gsa.sa, self.gsa.text
         #: First symbol of each node's common prefix — its bucket.
         self._symbol = text[sa[self._lb]]
-        self._suffix_seq, self._suffix_off = self.gsa.locate_many(sa)
         # Preceding symbol per SA slot (virtual sentinel -1 at text start).
         self._left_symbol = np.where(sa > 0, text[np.maximum(sa - 1, 0)], -1)
 
@@ -351,20 +356,12 @@ class MaximalMatchFinder:
                     seen.add(match.pair)
                     yield match
 
-    def count_promising_pairs(self) -> int:
-        """Total pairs :meth:`matches` would emit (the paper's "promising
-        pairs generated" statistic, e.g. 168M for the 40K input)."""
-        return sum(len(block) for block in self.match_blocks())
-
     # -- distributed-construction support ---------------------------------
     #
     # Every match generated at a node starts with the first symbol of the
     # node's common prefix, so partitioning nodes by that symbol (as PaCE
     # partitions suffix-tree subtrees across processors) loses no matches
     # of length >= 1.
-
-    def _in_buckets(self, symbols: Iterable[int]) -> np.ndarray:
-        return np.isin(self._symbol, list(symbols))
 
     def bucket_sizes(self) -> dict[int, int]:
         """Total suffix count per first-symbol bucket (load estimate)."""
@@ -382,34 +379,6 @@ class MaximalMatchFinder:
         The union of streams over a partition of :meth:`bucket_symbols`
         equals :meth:`matches` (as a multiset).
         """
-        for block in self._blocks(np.flatnonzero(self._in_buckets(symbols))):
+        mine = np.isin(self._symbol, list(symbols))
+        for block in self._blocks(np.flatnonzero(mine)):
             yield from block.matches()
-
-    def bucket_construction_cost(self, symbols: set[int]) -> int:
-        """Suffix symbols a rank indexes for these buckets — the paper's
-        O(n*l/p) per-processor construction work."""
-        mine = self._in_buckets(symbols)
-        return int((self._size[mine] * np.maximum(self._depth[mine], 1)).sum())
-
-
-def merge_match_streams(
-    streams: Sequence[Iterator[MaximalMatch]],
-) -> Iterator[MaximalMatch]:
-    """Merge per-partition match streams preserving decreasing length.
-
-    The parallel phases partition suffixes across ranks; each rank
-    produces its own decreasing-length stream, and the master consumes
-    the globally longest-first merge — a heap merge on (-length).
-    """
-    heap: list[tuple[int, int, MaximalMatch, Iterator[MaximalMatch]]] = []
-    for idx, stream in enumerate(streams):
-        first = next(stream, None)
-        if first is not None:
-            heap.append((-first.length, idx, first, stream))
-    heapq.heapify(heap)
-    while heap:
-        neg_len, idx, match, stream = heapq.heappop(heap)
-        yield match
-        nxt = next(stream, None)
-        if nxt is not None:
-            heapq.heappush(heap, (-nxt.length, idx, nxt, stream))

@@ -1,4 +1,4 @@
-"""Suffix array and LCP construction over a multi-sequence text.
+"""The string index: suffix array + LCP over a multi-sequence text.
 
 Sequences are concatenated with *unique* per-sequence sentinel symbols
 (values ``ALPHABET_SIZE + seq_index``), so no longest-common-prefix can
@@ -6,10 +6,15 @@ ever span a sequence boundary — two distinct sentinels never compare
 equal.  This gives the enhanced-suffix-array equivalent of a generalized
 suffix tree without per-string bookkeeping.
 
-Construction is the prefix-doubling algorithm expressed entirely in
-NumPy primitives (``lexsort`` + vectorised rank assignment), giving
-O(N log^2 N) with tiny constants — the classic way to get competitive
-string indexing out of pure Python.
+Construction is array passes only: the prefix-doubling sort (``lexsort``
++ vectorised rank assignment, O(N log^2 N) with tiny constants) and an
+LCP that compares all adjacent suffix pairs one text column at a time.
+
+The sentinels also make the index of a *sub-collection* a filter of the
+full one (:meth:`GeneralizedSuffixArray.restrict`): a suffix's rank
+depends only on the suffix up to its own sentinel and on the sentinels'
+relative order, and an LCP never crosses one — so dropping whole
+sequences drops slots and changes nothing else.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.sequence.alphabet import ALPHABET_SIZE
 
 
@@ -56,93 +62,102 @@ def suffix_array(text: np.ndarray) -> np.ndarray:
     return order.astype(np.int64)
 
 
-def kasai_lcp(text: np.ndarray, sa: np.ndarray) -> np.ndarray:
-    """LCP array via Kasai's algorithm.
+def lcp_array(text: np.ndarray, sa: np.ndarray) -> np.ndarray:
+    """LCP array: ``lcp[i]`` is the length of the longest common prefix
+    of suffixes ``sa[i-1]`` and ``sa[i]``; ``lcp[0] = 0``.
 
-    ``lcp[i]`` is the length of the longest common prefix of suffixes
-    ``sa[i-1]`` and ``sa[i]``; ``lcp[0] = 0``.
+    All adjacent pairs are compared one column at a time and a pair
+    leaves at its first mismatch, so the passes number the longest LCP
+    + 1 and their total width is ``N + sum(lcp)``.  The -1 appended (as
+    :func:`suffix_array` pads ranks) gives the longer suffix of a pair a
+    column to mismatch on when the shorter one runs out.
     """
     text = np.asarray(text, dtype=np.int64)
-    n = len(text)
-    lcp = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return lcp
-    rank = np.empty(n, dtype=np.int64)
-    rank[sa] = np.arange(n)
-    h = 0
-    for i in range(n):
-        r = rank[i]
-        if r == 0:
-            h = 0
-            continue
-        j = sa[r - 1]
-        limit = n - max(i, j)
-        while h < limit and text[i + h] == text[j + h]:
-            h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
+    lcp = np.zeros(len(text), dtype=np.int64)
+    padded = np.append(text, -1)
+    slot = np.arange(1, len(text))
+    a, b = sa[:-1], sa[1:]
+    column = 0
+    while len(slot):
+        same = padded[a + column] == padded[b + column]
+        lcp[slot[~same]] = column
+        slot, a, b = slot[same], a[same], b[same]
+        column += 1
     return lcp
 
 
 class GeneralizedSuffixArray:
     """Suffix array + LCP over a collection of encoded sequences.
 
-    Exposes the position <-> (sequence, offset) mapping every consumer
-    needs.  Sentinel-starting suffixes are retained (they sort uniquely
-    and contribute no matches) so index arithmetic stays trivial.
+    ``text`` / ``starts`` describe the concatenation (``starts[k]`` is
+    the global offset of sequence k; one sentinel follows each), ``sa``
+    / ``lcp`` index it, and ``seq`` / ``off`` say, per SA slot, which
+    sequence the suffix lies in and where.  Sentinel-starting suffixes
+    are retained (they sort uniquely and contribute no matches) so index
+    arithmetic stays trivial.  All six are int64.
     """
 
     def __init__(self, sequences: Sequence[np.ndarray]):
         if not sequences:
             raise ValueError("need at least one sequence")
-        self.n_sequences = len(sequences)
         parts: list[np.ndarray] = []
-        starts = np.empty(self.n_sequences + 1, dtype=np.int64)
-        pos = 0
         for idx, seq in enumerate(sequences):
             arr = np.asarray(seq, dtype=np.int64)
             if arr.ndim != 1 or arr.size == 0:
                 raise ValueError(f"sequence {idx} must be non-empty 1-D")
             if arr.max() >= ALPHABET_SIZE or arr.min() < 0:
                 raise ValueError(f"sequence {idx} contains non-residue symbols")
-            starts[idx] = pos
-            parts.append(arr)
-            parts.append(np.array([ALPHABET_SIZE + idx], dtype=np.int64))
-            pos += len(arr) + 1
-        starts[self.n_sequences] = pos
+            parts += [arr, np.array([ALPHABET_SIZE + idx], dtype=np.int64)]
         self.text = np.concatenate(parts)
-        #: starts[k] is the global offset of sequence k; one sentinel follows each.
-        self.starts = starts
-        self.sa = suffix_array(self.text)
-        self.lcp = kasai_lcp(self.text, self.sa)
+        lengths = np.array([len(arr) + 1 for arr in parts[::2]], dtype=np.int64)
+        self.starts = np.append(0, np.cumsum(lengths))
+        with obs.span("index.build", cat="master", sequences=len(sequences),
+                      symbols=len(self.text)):
+            obs.count("suffix.index_builds")
+            self.sa = suffix_array(self.text)
+            self.lcp = lcp_array(self.text, self.sa)
+            self.seq = np.searchsorted(self.starts, self.sa, side="right") - 1
+            self.off = self.sa - self.starts[self.seq]
 
-    def __len__(self) -> int:
-        return len(self.text)
+    @property
+    def n_sequences(self) -> int:
+        return len(self.starts) - 1
 
-    def locate(self, position: int) -> tuple[int, int]:
-        """Map a global text position to ``(sequence_index, offset)``."""
-        if not 0 <= position < len(self.text):
-            raise IndexError(f"position {position} out of range")
-        seq = int(np.searchsorted(self.starts, position, side="right")) - 1
-        return seq, int(position - self.starts[seq])
+    def restrict(self, members: Sequence[int] | np.ndarray) -> "GeneralizedSuffixArray":
+        """The index of the sub-collection ``[sequences[m] for m in
+        members]`` (strictly ascending), every array equal to a rebuild's.
 
-    def locate_many(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`locate` for an array of positions."""
-        positions = np.asarray(positions, dtype=np.int64)
-        seqs = np.searchsorted(self.starts, positions, side="right") - 1
-        return seqs, positions - self.starts[seqs]
-
-    def preceding_symbol(self, position: int) -> int:
-        """Symbol before ``position`` (a sentinel value if at a sequence start).
-
-        Used for the left-maximality test: a sentinel (or position 0,
-        reported as the virtual sentinel -1) never equals a residue, so
-        matches at sequence starts are always left-maximal.
+        No sort: the slots of the kept sequences are already in suffix
+        order (see the module docstring), their offsets only shift to
+        the new ``starts``, and the LCP of two kept neighbours is the
+        minimum over the slots that lay between them.
         """
-        if position == 0:
-            return -1
-        return int(self.text[position - 1])
-
-    def is_sentinel_position(self, position: int) -> bool:
-        return bool(self.text[position] >= ALPHABET_SIZE)
+        kept = np.asarray(members, dtype=np.int64)
+        if (
+            kept.ndim != 1
+            or kept.size == 0
+            or kept[0] < 0
+            or kept[-1] >= self.n_sequences
+            or (np.diff(kept) <= 0).any()
+        ):
+            raise ValueError("members must be strictly ascending sequence indices")
+        lengths = np.diff(self.starts)
+        sub = object.__new__(GeneralizedSuffixArray)
+        sub.starts = np.append(0, np.cumsum(lengths[kept]))
+        with obs.span("index.restrict", cat="master", sequences=len(kept),
+                      symbols=int(sub.starts[-1])):
+            obs.count("suffix.index_restrictions")
+            renumbered = np.full(self.n_sequences, -1, dtype=np.int64)
+            renumbered[kept] = np.arange(len(kept))
+            sub.text = self.text[np.repeat(renumbered, lengths) >= 0]
+            sub.text[sub.starts[1:] - 1] = ALPHABET_SIZE + np.arange(len(kept))
+            seq = renumbered[self.seq]
+            slots = np.flatnonzero(seq >= 0)
+            sub.seq, sub.off = seq[slots], self.off[slots]
+            sub.sa = sub.starts[sub.seq] + sub.off
+            # reduceat's last segment runs to the end of its input, so
+            # the input ends at the last kept slot.
+            sub.lcp = np.append(
+                0, np.minimum.reduceat(self.lcp[: slots[-1] + 1], slots[:-1] + 1)
+            )
+        return sub

@@ -4,9 +4,11 @@
 stream and drops, per block, the pairs ``admit`` would provably reject.
 Here every phase is run a second time the way it ran before — pair by
 pair through ``admit`` over the scalar node walk
-(``tests/scalar_finder.py``) — and everything observable must agree:
-results, work counters, the journaled unions, the order pairs were
-submitted in, and the simulator's virtual clock.
+(``tests/scalar_finder.py``), each master on an index *rebuilt* for its
+sub-collection instead of one restricted from the session's — and
+everything observable must agree: results, work counters, the journaled
+unions, the order pairs were submitted in, and the simulator's virtual
+clock.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from repro.align.predicates import (
     OVERLAP_SIMILARITY,
 )
 from repro.pace.cache import AlignmentCache
+from repro.suffix.suffix_array import GeneralizedSuffixArray
 from tests.scalar_finder import ScalarMatchFinder
 
 PSI = 10
@@ -109,15 +112,25 @@ class _Observed:
         self.spans = [s for s in recorder.spans if s.name == "pairs.generate"]
 
 
+def _rebuild(index, members):
+    """What ``restrict`` replaces: the sub-collection's index, sorted
+    from scratch."""
+    return GeneralizedSuffixArray(
+        [index.text[index.starts[m] : index.starts[m + 1] - 1] for m in members]
+    )
+
+
 @pytest.fixture()
 def scalar_masters(monkeypatch):
     """Inside this fixture the ``repro.pace`` masters are built over the
-    scalar walk instead of the block generator."""
+    scalar walk instead of the block generator, and every sub-collection
+    index is a rebuild instead of a restriction."""
     def use():
         for module in ("redundancy", "clustering", "bipartite_gen"):
             monkeypatch.setattr(
                 f"repro.pace.{module}.MaximalMatchFinder", ScalarMatchFinder
             )
+        monkeypatch.setattr(GeneralizedSuffixArray, "restrict", _rebuild)
     return use
 
 
@@ -126,7 +139,7 @@ def scalar_masters(monkeypatch):
 
 def reference_rr(sequences, backend, cache):
     master = RedundancyMaster(
-        sequences, psi=PSI, similarity=CONTAINMENT_SIMILARITY,
+        sequences, backend.index, psi=PSI, similarity=CONTAINMENT_SIMILARITY,
         coverage=CONTAINMENT_COVERAGE,
     )
     assert isinstance(master.finder, ScalarMatchFinder)
@@ -144,7 +157,7 @@ def reference_rr(sequences, backend, cache):
 
 def reference_ccd(sequences, kept, backend, cache, journal=None, replay_unions=()):
     master = ClusteringMaster(
-        sequences, kept, psi=PSI, similarity=OVERLAP_SIMILARITY,
+        sequences, kept, backend.index, psi=PSI, similarity=OVERLAP_SIMILARITY,
         coverage=OVERLAP_COVERAGE,
     )
     assert isinstance(master.finder, ScalarMatchFinder)
@@ -175,8 +188,8 @@ def reference_ccd(sequences, kept, backend, cache, journal=None, replay_unions=(
 
 def reference_bgg(sequences, components, backend, cache):
     master = BipartiteMaster(
-        sequences, components, psi=PSI, edge_similarity=0.40, edge_coverage=0.80,
-        min_size=4,
+        sequences, components, backend.index, psi=PSI, edge_similarity=0.40,
+        edge_coverage=0.80, min_size=4,
     )
     position = {
         g: (ci, li)

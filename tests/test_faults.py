@@ -574,6 +574,31 @@ class TestCrashResumeRoundTrip:
         assert json.loads(out.read_text(encoding="utf-8")) == \
             reference_families
 
+    @pytest.mark.parametrize("died_in, skipped, builds", [
+        ("clustering", 1, 1),       # a pair phase is left: one index
+        ("dense_subgraphs", 3, 0),  # none is: the session never builds it
+    ])
+    def test_resume_builds_the_index_only_for_a_pair_phase(
+        self, tmp_path, fasta, workload, died_in, skipped, builds
+    ):
+        run_dir = tmp_path / "run"
+        plan_path = tmp_path / "abort.json"
+        FaultPlan(faults=(
+            Fault(kind="abort_master", phase=died_in, after_records=1),
+        )).dump(plan_path)
+        crashed = self._cli("run", str(fasta), "--backend", "serial",
+                            "--run-dir", str(run_dir),
+                            "--fault-plan", str(plan_path))
+        assert crashed.returncode == ABORT_EXIT_CODE
+
+        resumed = ProteinFamilyPipeline(PipelineConfig()).run(
+            workload, backend="serial", run_dir=run_dir, resume=True
+        )
+        counters = resumed.obs.counters()
+        assert counters["checkpoint.phases_skipped"] == skipped
+        assert counters.get("suffix.index_builds", 0) == builds
+        assert resumed.families
+
     def test_torn_write_crash_then_resume(self, tmp_path, fasta,
                                           reference_families):
         run_dir = tmp_path / "run"

@@ -1,6 +1,7 @@
-"""LCP interval tree and maximal-match generation versus its oracles:
-the GST and a brute force for the *set* of matches, the scalar node walk
-(``tests/scalar_finder.py``) for their *order*."""
+"""LCP intervals and maximal-match generation versus their oracles: the
+stack-built interval tree for the interval columns, the GST and a brute
+force for the *set* of matches, the scalar node walk for their *order*
+(both scalar references live in ``tests/scalar_finder.py``)."""
 
 from __future__ import annotations
 
@@ -14,10 +15,10 @@ from hypothesis import strategies as st
 from repro.sequence.alphabet import encode
 from repro.suffix import matches as matches_module
 from repro.suffix.gst import GeneralizedSuffixTree
-from repro.suffix.intervals import LcpInterval, lcp_interval_tree
-from repro.suffix.matches import MaximalMatchFinder, MaximalMatch, merge_match_streams
+from repro.suffix.intervals import lcp_intervals
+from repro.suffix.matches import MaximalMatchFinder, MaximalMatch
 from repro.suffix.suffix_array import GeneralizedSuffixArray
-from tests.scalar_finder import ScalarMatchFinder
+from tests.scalar_finder import ScalarMatchFinder, interval_columns, lcp_interval_tree
 
 encoded_seqs = st.lists(
     st.lists(st.integers(min_value=0, max_value=4), min_size=2, max_size=20).map(
@@ -51,7 +52,14 @@ def naive_maximal_matches(seqs, min_length):
     return out
 
 
+def _columns(lcp, min_depth):
+    return list(zip(*(column.tolist() for column in lcp_intervals(lcp, min_depth))))
+
+
 class TestLcpIntervalTree:
+    """The oracle's stack walk on hand-checked arrays (it is the
+    reference :class:`TestLcpIntervals` holds the columns to)."""
+
     def test_empty(self):
         assert lcp_interval_tree(np.array([], dtype=np.int64)) == []
 
@@ -94,6 +102,61 @@ class TestLcpIntervalTree:
         lcp = np.array([0, 0], dtype=np.int64)
         nodes = lcp_interval_tree(lcp, min_depth=0)
         assert len(nodes) == 1 and nodes[0].depth == 0
+
+
+def _saw_tooth(n):
+    return np.tile(np.arange(1, 9), n // 8 + 1)[:n]
+
+
+#: LCP arrays (``lcp[0] = 0`` then the shape) on which a nearest-smaller
+#: scan by pointer jumping has the furthest to go.
+LCP_SHAPES = {
+    "all_equal": lambda n: np.full(n, 4),
+    "rising": lambda n: np.arange(1, n + 1),
+    "falling": lambda n: np.arange(n, 0, -1),
+    "saw_tooth": _saw_tooth,
+    "falling_teeth": lambda n: _saw_tooth(n)[::-1],
+    "stair_then_drop": lambda n: np.append(np.arange(1, n), 1),
+    "plateaus": lambda n: np.repeat(np.arange(1, n // 4 + 2), 4)[:n],
+}
+
+
+class TestLcpIntervals:
+    """``lcp_intervals`` is the stack walk's node list as columns, in
+    stream order."""
+
+    @given(
+        st.lists(st.integers(0, 6), max_size=80).map(lambda xs: np.array([0] + xs)),
+        st.sampled_from([1, 3, "max"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_arrays_equal_the_stack_walk(self, lcp, min_depth):
+        if min_depth == "max":
+            min_depth = max(int(lcp.max()), 1)
+        assert _columns(lcp, min_depth) == interval_columns(lcp, min_depth)
+
+    @pytest.mark.parametrize("shape", LCP_SHAPES)
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 257])
+    def test_worst_case_shapes_equal_the_stack_walk(self, shape, n):
+        lcp = np.append(0, LCP_SHAPES[shape](n))
+        for min_depth in (1, 3, int(lcp.max())):
+            assert _columns(lcp, min_depth) == interval_columns(lcp, min_depth)
+
+    def test_columns_are_int64_and_empty_when_nothing_is_deep(self):
+        for lcp in (np.array([], dtype=np.int64), np.array([0]), np.array([0, 2, 1])):
+            columns = lcp_intervals(lcp, 3)
+            assert [c.dtype for c in columns] == [np.int64] * 3
+            assert [len(c) for c in columns] == [0, 0, 0]
+
+    def test_the_virtual_root_is_not_a_node(self):
+        with pytest.raises(ValueError):
+            lcp_intervals(np.array([0, 0]), 0)
+
+    @given(encoded_seqs, st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_index_lcp_arrays_equal_the_stack_walk(self, seqs, min_depth):
+        lcp = GeneralizedSuffixArray(seqs).lcp
+        assert _columns(lcp, min_depth) == interval_columns(lcp, min_depth)
 
 
 class TestMaximalMatchFinder:
@@ -185,12 +248,18 @@ class TestBlockStreamOrder:
         walk = ScalarMatchFinder(seqs, min_length=min_length)
         finder = MaximalMatchFinder(seqs, min_length=min_length)
         expected = list(walk.matches())
+        # A handed-in index restricted from a larger collection streams
+        # what the finder's own rebuild over the same sequences does.
+        padded = GeneralizedSuffixArray([seqs[-1][:1], *seqs, seqs[0]])
+        handed_in = MaximalMatchFinder(
+            padded.restrict(range(1, len(seqs) + 1)), min_length=min_length
+        )
+        assert list(handed_in.matches()) == expected
         with mock.patch.object(matches_module, "CANDIDATE_BUDGET", budget):
             blocks = list(finder.match_blocks())
             assert [m for block in blocks for m in _rows(block)] == expected
             assert list(finder.matches()) == expected
             assert list(finder.unique_pairs()) == list(walk.unique_pairs())
-            assert finder.count_promising_pairs() == len(expected)
         assert sum(block.candidates for block in blocks) == walk.cross_child_pairs()
         for block in blocks:
             assert len(block) <= block.candidates
@@ -231,9 +300,6 @@ class TestBlockStreamOrder:
                 assert list(finder.matches_for_symbols(part)) == list(
                     walk.matches_for_symbols(part)
                 )
-                assert finder.bucket_construction_cost(part) == (
-                    walk.bucket_construction_cost(part)
-                )
 
     def test_first_per_pair_keeps_stream_order(self):
         seqs = [encode("ARNDCQEGWWWARN"), encode("ARNDCQEGKKKARN"), encode("WWARNDC")]
@@ -244,7 +310,8 @@ class TestBlockStreamOrder:
                     seen.add(match.pair)
                     firsts.append(match)
             assert _rows(block.first_per_pair()) == firsts
-            assert all(type(i) is int for pair in block.pairs() for i in pair)
+            assert list(block.first_pairs()) == [m.pair for m in firsts]
+            assert all(type(i) is int for pair in block.first_pairs() for i in pair)
 
 
 class TestBucketPartition:
@@ -269,24 +336,3 @@ class TestBucketPartition:
     def test_bucket_sizes_positive(self):
         finder = self._finder()
         assert all(v > 0 for v in finder.bucket_sizes().values())
-
-    def test_construction_cost_monotone(self):
-        finder = self._finder()
-        symbols = set(finder.bucket_symbols())
-        one = finder.bucket_construction_cost({next(iter(symbols))})
-        total = finder.bucket_construction_cost(symbols)
-        assert 0 < one <= total
-
-
-class TestMergeMatchStreams:
-    def test_merges_decreasing(self):
-        def stream(lengths):
-            for l in lengths:
-                yield MaximalMatch(0, 0, 1, 0, l)
-
-        merged = merge_match_streams([stream([9, 4, 1]), stream([7, 6, 2])])
-        lengths = [m.length for m in merged]
-        assert lengths == [9, 7, 6, 4, 2, 1]
-
-    def test_empty_streams(self):
-        assert list(merge_match_streams([iter(()), iter(())])) == []

@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.align.matrices import blosum62_scheme
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
@@ -266,6 +267,41 @@ class TestWorkAccounting:
         assert cache["hits"] == sum(
             phase.cache_hits for phase in result.runtime.phases.values()
         )
+
+
+class TestOneIndexPerSession:
+    """The string index is built once per backend session, on first
+    use, and every sub-collection index is a restriction of it."""
+
+    @pytest.mark.parametrize("mode", ["default", "serial", "process"])
+    def test_a_run_builds_one_index(self, mode_results, mode):
+        counters = mode_results[mode].obs.counters()
+        assert counters["suffix.index_builds"] == 1
+        # The kept sequences, then one per B_d component.
+        assert counters["suffix.index_restrictions"] == 1 + counters["bipartite.graphs"]
+        spans = {s.name: dict(s.args) for s in mode_results[mode].obs.spans}
+        assert spans["index.build"]["sequences"] == mode_results[mode].n_input
+        assert spans["index.restrict"]["symbols"] <= spans["index.build"]["symbols"]
+
+    def test_simulated_phases_build_one_index_each(self, mode_results):
+        counters = mode_results["sim-p4"].obs.counters()
+        assert counters["suffix.index_builds"] == 3
+
+    def test_index_is_lazy_shared_and_dropped_on_close(self, workload):
+        sequences, config = workload
+        backend = SerialBackend()
+        with pytest.raises(BackendError, match="not open"):
+            backend.index
+        recorder = obs.Recorder()
+        with obs.recording(recorder), backend.session(sequences, config.scheme):
+            assert "suffix.index_builds" not in recorder.counters()
+            index = backend.index
+            assert backend.index is index
+            assert index.n_sequences == len(sequences)
+        assert recorder.counters()["suffix.index_builds"] == 1
+        assert backend._index is None
+        with pytest.raises(BackendError, match="not open"):
+            backend.index
 
 
 def _shingle_body():

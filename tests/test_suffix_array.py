@@ -1,4 +1,5 @@
-"""Suffix array + LCP versus naive oracles."""
+"""Suffix array + LCP versus naive oracles, and the restricted index
+versus a rebuilt one."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sequence.alphabet import encode
-from repro.suffix.suffix_array import GeneralizedSuffixArray, kasai_lcp, suffix_array
+from repro.suffix.suffix_array import GeneralizedSuffixArray, lcp_array, suffix_array
+from tests.scalar_finder import is_sentinel_position, kasai_lcp, locate, preceding_symbol
 
 small_text = st.lists(
     st.integers(min_value=0, max_value=3), min_size=1, max_size=60
@@ -61,8 +63,32 @@ class TestSuffixArray:
     @given(small_text)
     @settings(max_examples=60, deadline=None)
     def test_kasai_matches_naive(self, text):
+        """The column-pass LCP, and the scalar Kasai loop the oracle
+        keeps, both equal the definition — on texts with no sentinel."""
         sa = suffix_array(text)
+        assert lcp_array(text, sa).tolist() == naive_lcp(text, sa).tolist()
         assert kasai_lcp(text, sa).tolist() == naive_lcp(text, sa).tolist()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            np.arange(30)[::-1].copy(),  # no symbol twice: every LCP is 0
+            np.arange(30),
+            np.zeros(1, dtype=np.int64),
+            np.zeros(40, dtype=np.int64),  # one pass per residue
+        ],
+        ids=["no_repeat_falling", "no_repeat_rising", "one_symbol", "all_equal"],
+    )
+    def test_lcp_extremes(self, text):
+        sa = suffix_array(text)
+        lcp = lcp_array(text, sa)
+        assert lcp.dtype == np.int64
+        assert lcp.tolist() == naive_lcp(text, sa).tolist()
+
+    def test_lcp_of_one_sequence_repeated_40_times(self):
+        gsa = GeneralizedSuffixArray([encode("ARNDARNDCQ")] * 40)
+        assert gsa.lcp.tolist() == naive_lcp(gsa.text, gsa.sa).tolist()
+        assert gsa.lcp.max() == 10
 
     def test_is_permutation(self):
         rng = np.random.default_rng(4)
@@ -88,18 +114,19 @@ class TestGeneralizedSuffixArray:
         seqs = [encode("ARND"), encode("CQ"), encode("WYV")]
         gsa = GeneralizedSuffixArray(seqs)
         # positions 0..3 -> seq 0, 4 sentinel0, 5..6 seq 1, ...
-        assert gsa.locate(0) == (0, 0)
-        assert gsa.locate(3) == (0, 3)
-        assert gsa.locate(5) == (1, 0)
-        assert gsa.locate(10) == (2, 2)
+        assert locate(gsa, 0) == (0, 0)
+        assert locate(gsa, 3) == (0, 3)
+        assert locate(gsa, 5) == (1, 0)
+        assert locate(gsa, 10) == (2, 2)
 
     def test_locate_many_matches_locate(self):
+        """The per-slot ``seq`` / ``off`` columns are the oracle's scalar
+        ``locate`` of every suffix."""
         seqs = [encode("ARNDAR"), encode("NDARN")]
         gsa = GeneralizedSuffixArray(seqs)
-        positions = np.arange(len(gsa.text))
-        seq_ids, offsets = gsa.locate_many(positions)
-        for p in positions:
-            assert (seq_ids[p], offsets[p]) == gsa.locate(int(p))
+        assert gsa.seq.dtype == gsa.off.dtype == np.int64
+        for slot, position in enumerate(gsa.sa.tolist()):
+            assert (gsa.seq[slot], gsa.off[slot]) == locate(gsa, position)
 
     def test_sentinels_unique_so_no_cross_boundary_lcp(self):
         # two identical sequences: lcp between their suffixes stops at the
@@ -117,11 +144,110 @@ class TestGeneralizedSuffixArray:
 
     def test_preceding_symbol(self):
         gsa = GeneralizedSuffixArray([encode("AR"), encode("ND")])
-        assert gsa.preceding_symbol(0) == -1
-        assert gsa.preceding_symbol(1) == 0  # 'A'
-        assert gsa.preceding_symbol(3) >= 20  # sentinel before seq 1
+        assert preceding_symbol(gsa, 0) == -1
+        assert preceding_symbol(gsa, 1) == 0  # 'A'
+        assert preceding_symbol(gsa, 3) >= 20  # sentinel before seq 1
 
     def test_is_sentinel_position(self):
         gsa = GeneralizedSuffixArray([encode("AR")])
-        assert not gsa.is_sentinel_position(0)
-        assert gsa.is_sentinel_position(2)
+        assert not is_sentinel_position(gsa, 0)
+        assert is_sentinel_position(gsa, 2)
+
+
+ARRAYS = ("text", "starts", "sa", "lcp", "seq", "off")
+
+
+def assert_same_index(a: GeneralizedSuffixArray, b: GeneralizedSuffixArray) -> None:
+    for name in ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype == np.int64, name
+        assert np.array_equal(x, y), name
+    assert a.n_sequences == b.n_sequences
+
+
+#: A tiny alphabet and short sequences, then planted on top: exact
+#: duplicates, a piece contained in another, one-residue sequences — the
+#: cases where suffixes tie up to their sentinels and only the
+#: sentinels' order decides.
+hostile_seqs = st.builds(
+    lambda seqs, copies, pieces, singles: [
+        np.array(xs, dtype=np.uint8)
+        for xs in (
+            seqs
+            + [seqs[i % len(seqs)] for i in copies]
+            + [seqs[i % len(seqs)][lo : lo + width] or seqs[0][:1] for i, lo, width in pieces]
+            + [[x] for x in singles]
+        )
+    ],
+    st.lists(
+        st.lists(st.integers(0, 2), min_size=1, max_size=12), min_size=1, max_size=5
+    ),
+    st.lists(st.integers(0, 4), max_size=3),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6), st.integers(1, 6)), max_size=2),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+
+
+@st.composite
+def seqs_and_members(draw):
+    """A hostile collection and an ascending subset of it: all of it,
+    one sequence, or a random choice."""
+    seqs = draw(hostile_seqs)
+    n = len(seqs)
+    members = draw(st.one_of(
+        st.just(list(range(n))),
+        st.integers(0, n - 1).map(lambda k: [k]),
+        st.sets(st.integers(0, n - 1), min_size=1).map(sorted),
+    ))
+    return seqs, members
+
+
+class TestRestrict:
+    """``restrict(members)`` equals a rebuild over the sub-collection,
+    array for array — which is what lets one index serve a whole run."""
+
+    @given(seqs_and_members())
+    @settings(max_examples=200, deadline=None)
+    def test_restrict_equals_rebuild(self, case):
+        seqs, members = case
+        index = GeneralizedSuffixArray(seqs)
+        assert_same_index(
+            index.restrict(members), GeneralizedSuffixArray([seqs[m] for m in members])
+        )
+
+    @given(seqs_and_members(), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_restrictions_compose(self, case, rng):
+        seqs, a = case
+        b = sorted(rng.sample(range(len(a)), rng.randint(1, len(a))))
+        index = GeneralizedSuffixArray(seqs)
+        assert_same_index(
+            index.restrict(a).restrict(b), index.restrict([a[k] for k in b])
+        )
+
+    def test_all_identical_sequences(self):
+        seqs = [encode("ARARAR")] * 7
+        index = GeneralizedSuffixArray(seqs)
+        for members in ([0, 1, 2, 3, 4, 5, 6], [6], [1, 3, 5]):
+            assert_same_index(
+                index.restrict(members),
+                GeneralizedSuffixArray([seqs[m] for m in members]),
+            )
+
+    @pytest.mark.parametrize(
+        "members",
+        [[], (), [1, 0], [0, 0], [0, 3], [-1, 0], [[0, 1]]],
+        ids=["empty_list", "empty_tuple", "unsorted", "repeated", "too_large",
+             "negative", "nested"],
+    )
+    def test_rejects_what_the_constructor_would(self, members):
+        index = GeneralizedSuffixArray([encode("ARND"), encode("CQ"), encode("WYV")])
+        with pytest.raises(ValueError):
+            index.restrict(members)
+
+    def test_accepts_an_index_array(self):
+        seqs = [encode("ARND"), encode("CQAR"), encode("NDCQ")]
+        index = GeneralizedSuffixArray(seqs)
+        assert_same_index(
+            index.restrict(np.array([0, 2])), GeneralizedSuffixArray([seqs[0], seqs[2]])
+        )
