@@ -95,7 +95,8 @@ def observation_lines(recorder: Recorder, *, bar_width: int = 28) -> list[str]:
     wall-clock timeline with share bars, the worker-lane busy rollup
     (backend runs), the masters' pair-generation rollup per phase (from
     the ``pairs.generate`` block spans), the scientific counters, the
-    cache summary, shingle draws shared by equal sets, string index builds.
+    cache summary, CCD's batches, shingle draws shared by equal sets,
+    string index builds.
     """
     counters = recorder.counters()
     phases = recorder.phase_seconds()
@@ -171,6 +172,10 @@ def observation_lines(recorder: Recorder, *, bar_width: int = 28) -> list[str]:
             f"{int(cache_hits):,d}/{int(cache_lookups):,d} lookups served "
             f"({cache_hits / cache_lookups:.1%} hit rate)"
         )
+    if batches := int(counters.get("ccd.batches", 0)):
+        lines.append(f"CCD: {int(counters['ccd.alignments']):,d} alignments in {batches:,d} "
+                     f"batch{'es' * (batches != 1)}, {int(counters.get('ccd.held', 0)):,d} pairs held "
+                     f"under speculation, {int(counters['ccd.redecided']):,d} re-decided")
     if sets := counters.get("dsd.sets", 0):
         drawn = int(counters.get("dsd.sets_drawn", 0))
         lines.append(f"shingle draws: {drawn:,d} distinct of {int(sets):,d} sets presented "

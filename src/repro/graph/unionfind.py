@@ -62,6 +62,13 @@ class UnionFind:
     def __len__(self) -> int:
         return len(self._parent)
 
+    def copy(self) -> "UnionFind":
+        """An independent union–find over the same partition."""
+        other = UnionFind()
+        other._parent, other._rank = list(self._parent), list(self._rank)
+        other.merge_count = self.merge_count
+        return other
+
     def ensure(self, n: int) -> None:
         """Grow the universe to at least ``n`` elements (amortised O(1))."""
         current = len(self._parent)

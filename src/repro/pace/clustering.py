@@ -13,15 +13,48 @@ of the graph {promising pairs that pass the overlap test}.  A filtered
 pair is by construction already intra-component, so *which* pairs get
 filtered (a function of message timing) never changes the output — every
 backend and every processor count produce identical clusters.
+
+Speculation
+-----------
+The pair-by-pair loop — :meth:`ClusteringMaster.admit`, align, union on a
+passing verdict, next pair — wants every verdict before the next
+decision, i.e. one alignment call per pair.  A batch needs no verdicts,
+only a bound on them.  Beside ``uf`` the master keeps ``spec``: ``uf``
+plus every pair of the *open batch* (admitted, not yet aligned) assumed
+to merge.  Whatever the batch returns, the loop's union–find at any later
+point of the stream lies between ``uf`` and ``spec``, so:
+
+* a streamed pair ``spec`` separates is one the loop aligns — it joins
+  the batch at once (and ``spec``);
+* a pair ``spec`` joins is filtered by the loop *unless* a batch pair
+  before it fails Definition 2 — it is held, not decided;
+* when a batch settles, verdicts are absorbed in stream order.  While
+  they pass, ``spec`` was exact: held pairs streamed before the first
+  failure are filtered.  After it, the remaining verdicts are still
+  wanted (a held pair's edge lies inside a ``spec`` component, so it can
+  never join what ``spec`` separated) and are walked, merged by stream
+  row with the later held pairs, each of which goes through ``admit``
+  against the live ``uf`` and, if admitted, is aligned alone; then
+  ``spec`` is copied from ``uf`` again.
+
+:meth:`ClusteringMaster.speculate` and :meth:`~ClusteringMaster.settle`
+are those two halves; components, counters, journaled unions and the
+set of aligned pairs are the loop's, and a failed verdict costs only
+batching (its held successors are re-decided one by one).  The simulated
+master below does not speculate: its lagging filter, and the extra
+alignments that costs at high p, are the paper's measurement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from repro import obs
 from repro.align.matrices import ScoringScheme, blosum62_scheme
+from repro.align.pairwise import Alignment
 from repro.align.predicates import OVERLAP_COVERAGE, OVERLAP_SIMILARITY
 from repro.graph.unionfind import UnionFind
 from repro.pace.cache import AlignmentCache
@@ -29,7 +62,14 @@ from repro.pace.costs import CostModel, bucket_generation
 from repro.parallel.masterworker import MasterWorkerConfig, run_master_worker
 from repro.parallel.simulator import SimulationResult, VirtualCluster
 from repro.sequence.record import SequenceSet
-from repro.suffix import GeneralizedSuffixArray, MaximalMatchFinder
+from repro.suffix import GeneralizedSuffixArray, MatchBlock, MaximalMatchFinder
+
+#: CCD re-takes its label snapshot inside a block only while the rows
+#: still to decide number at least 1/16 of the sequences: relabelling is
+#: O(n) array work, and what it buys is one Python-level decision less
+#: per row that an admitted pair has closed since.  At scale (n far above
+#: a block's rows) that is one snapshot per block.
+RESNAPSHOT_ROWS_PER_LABEL = 16
 
 
 @dataclass
@@ -57,13 +97,23 @@ class ClusteringResult:
 
 
 def _overlap_passes(
-    aln, len_i: int, len_j: int, similarity: float, coverage: float
+    aln: Alignment, len_i: int, len_j: int, similarity: float, coverage: float
 ) -> bool:
     if aln.length == 0 or aln.identity < similarity:
         return False
     longer = max(len_i, len_j)
     span = max(aln.a_end - aln.a_start, aln.b_end - aln.b_start)
     return span / longer >= coverage
+
+
+def _rows(
+    rows: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> Iterator[tuple[int, int, int]]:
+    """``(k, a[k], b[k])`` for ``k`` in ``rows`` as Python ints, converted
+    a window at a time: the consumer mostly stops after a few."""
+    for lo in range(0, len(rows), 256):
+        window = rows[lo:lo + 256]
+        yield from zip(window.tolist(), a[window].tolist(), b[window].tolist())
 
 
 class ClusteringMaster:
@@ -74,10 +124,12 @@ class ClusteringMaster:
     pairs are local indices into ``kept``), the transitive-closure
     admission filter with its counters, the union–find the verdicts
     merge into, and the result construction.
-    :func:`repro.runtime.phases.backend_component_detection` streams the
-    admitted pairs through an execution backend;
-    :func:`parallel_component_detection` plugs the same methods into the
-    simulated master rank as its callbacks.
+    :func:`parallel_component_detection` plugs :meth:`admit`,
+    :meth:`overlaps` and :meth:`union` into the simulated master rank as
+    its callbacks;
+    :func:`repro.runtime.phases.backend_component_detection` drives the
+    same ``admit`` through :meth:`speculate` and :meth:`settle`, which
+    need the verdicts only a batch at a time (module docstring).
     """
 
     def __init__(
@@ -103,6 +155,23 @@ class ClusteringMaster:
         self.uf = UnionFind(len(kept))
         self.n_pairs = 0
         self._tested: set[tuple[int, int]] = set()
+        #: ``uf`` plus every pair of the open batch assumed to merge.
+        self.spec = UnionFind(len(kept))
+        #: The open batch: admitted pairs whose verdicts are not in yet,
+        #: as ``(stream row, a, b)`` in stream order.
+        self.batch: list[tuple[int, int, int]] = []
+        #: Pairs ``spec`` joined while a batch was open, undecided until
+        #: it settles: ``(stream row, a, b)`` rows, in stream order.
+        self._held: list[np.ndarray] = []
+        self.n_held = 0
+        self._streamed = 0
+        #: ``spec.labels()`` and the ``spec.merge_count`` it was taken at.
+        self._snapshot: tuple[np.ndarray, int] | None = None
+
+    def replay(self, pair: tuple[int, int]) -> None:
+        """Seed the closure with a merge journaled by an earlier run."""
+        self.uf.union(pair[0], pair[1])
+        self.spec.union(pair[0], pair[1])
 
     def admit(self, pair: tuple[int, int]) -> bool:
         """The transitive-closure filter: drop a streamed pair whose
@@ -118,7 +187,128 @@ class ClusteringMaster:
         obs.count("ccd.alignments")
         return True
 
-    def overlaps(self, gi: int, gj: int, aln) -> bool:
+    def _filtered(self, n: int) -> None:
+        """``n`` streamed pairs that ``admit`` would provably filter."""
+        if n:
+            self.n_pairs += n
+            obs.count("ccd.pairs", n)
+            obs.count("ccd.filtered", n)
+
+    def speculate(
+        self, block: MatchBlock, batch_pairs: int, settle: Callable[[], None]
+    ) -> None:
+        """Place every pair of ``block``: filtered (``uf`` joins it),
+        into the open batch (``spec`` separates it) or held (``spec``
+        joins it while a batch is open).  ``settle()`` — the caller's
+        :meth:`settle` — is called whenever the batch has grown to
+        ``batch_pairs`` pairs, every earlier row of the stream placed.
+
+        A label snapshot of ``spec`` places the rows it joins in bulk;
+        the rows it separates are decided one by one against the live
+        ``spec``.
+        """
+        row, done = self._streamed, 0
+        self._streamed += len(block)
+        while done < len(block):
+            if self._snapshot is None or self._snapshot[1] != self.spec.merge_count:
+                self._snapshot = (self.spec.labels(), self.spec.merge_count)
+            spec, (labels, taken_at), open_batch = self.spec, self._snapshot, bool(self.batch)
+            a, b = block.seq_a[done:], block.seq_b[done:]
+            joined = labels[a] == labels[b]
+            # With no batch open the labels are those of spec == uf and
+            # the rows they join are filtered; with one open, held.
+            hold = joined & open_batch
+            separate = np.flatnonzero(~joined)
+            # Rows of this piece placed when the walk below stops: all of
+            # it, unless the batch fills or the labels have aged too far.
+            placed = len(a)
+            for left, (k, x, y) in zip(
+                range(len(separate) - 1, -1, -1), _rows(separate, a, b)
+            ):
+                if self.batch and spec.same(x, y):
+                    hold[k] = True
+                elif self.admit((x, y)):
+                    spec.union(x, y)
+                    self.batch.append((row + done + k, x, y))
+                if len(self.batch) >= batch_pairs or (
+                    spec.merge_count != taken_at
+                    and left * RESNAPSHOT_ROWS_PER_LABEL >= len(spec)
+                ):
+                    placed = k + 1
+                    break
+            if not open_batch:
+                self._filtered(int(np.count_nonzero(joined[:placed])))
+            held = np.flatnonzero(hold[:placed])
+            if len(held):
+                self._held.append(
+                    np.stack([row + done + held, a[held], b[held]], axis=1)
+                )
+                self.n_held += len(held)
+                obs.count("ccd.held", len(held))
+            done += placed
+            if len(self.batch) >= batch_pairs:
+                settle()
+
+    def settle(
+        self,
+        passes: Callable[[list[tuple[int, int]]], list[bool]],
+        merged: Callable[[tuple[int, int]], None],
+    ) -> None:
+        """Close the open batch: have it aligned in one call, absorb the
+        verdicts in stream order and decide every held pair (module
+        docstring: filtered up to the first failed verdict, re-decided
+        through :meth:`admit` after it).
+
+        ``passes(pairs)`` is Definition 2 on the alignments of local
+        ``pairs``, in the order given; ``merged(pair)`` hears of every
+        union that joined two clusters.
+        """
+        if not self.batch:
+            return
+        recorder = obs.active()
+        start = recorder.now() if recorder is not None else 0.0
+        batch, self.batch = self.batch, []
+        pieces, n_held = self._held, self.n_held
+        self._held, self.n_held = [], 0
+        verdicts = passes([(x, y) for _, x, y in batch])
+
+        def absorb(pair: tuple[int, int]) -> None:
+            if self.union(pair):
+                merged(pair)
+
+        failed = (verdicts + [False]).index(False)
+        for _, x, y in batch[:failed]:
+            absorb((x, y))
+        if failed == len(batch):
+            self._filtered(n_held)
+            redecided = 0
+        else:
+            # Pieces were held in stream order, each in row order.
+            held = np.concatenate([np.empty((0, 3), dtype=np.int64), *pieces])
+            certain = int(np.searchsorted(held[:, 0], batch[failed][0]))
+            self._filtered(certain)
+            redecided = n_held - certain
+            walk: list[tuple[int, int, int, bool | None]] = [
+                (r, x, y, ok) for (r, x, y), ok
+                in zip(batch[failed + 1:], verdicts[failed + 1:])
+            ]
+            walk += [(r, x, y, None) for r, x, y in held[certain:].tolist()]
+            walk.sort(key=lambda item: item[0])
+            for _, x, y, ok in walk:
+                if ok is None:
+                    ok = self.admit((x, y)) and passes([(x, y)])[0]
+                if ok:
+                    absorb((x, y))
+            self.spec, self._snapshot = self.uf.copy(), None
+        obs.count("ccd.batches")
+        obs.count("ccd.redecided", redecided)
+        if recorder is not None:
+            recorder.add_span(
+                "ccd.batch", "master", start, recorder.now(),
+                pairs=len(batch), held=n_held, redecided=redecided,
+            )
+
+    def overlaps(self, gi: int, gj: int, aln: Alignment) -> bool:
         """Definition 2 on the local alignment of global pair (gi, gj)."""
         return _overlap_passes(
             aln,
@@ -193,12 +383,14 @@ def parallel_component_detection(
             lambda k: encoded[k], blosum62_scheme() if scheme is None else scheme
         )
 
-    def execute_task(pair: tuple[int, int]):
+    def execute_task(
+        pair: tuple[int, int]
+    ) -> tuple[tuple[tuple[int, int], bool], float]:
         gi, gj = kept[pair[0]], kept[pair[1]]
         passes = master.overlaps(gi, gj, cache.local(gi, gj))
         return (pair, passes), costs.alignment(len(encoded[gi]), len(encoded[gj]))
 
-    def absorb_result(result) -> float:
+    def absorb_result(result: tuple[tuple[int, int], bool]) -> float:
         pair, passes = result
         if passes:
             master.union(pair)

@@ -189,9 +189,9 @@ class PairStream:
     The master submits ``(i, j)`` global index pairs; each comes back
     exactly once through :meth:`ready` (non-blocking) or :meth:`drain`
     (blocking flush), in an unspecified order, as ``(i, j, result)``
-    with ``i < j``.  Phase drivers interleave ``submit`` with ``ready``
-    so master-side state (the CCD union–find filter) advances while
-    tasks are out.
+    with ``i < j``.  The RR and bipartite drivers interleave
+    ``submit_many`` with ``ready`` so verdicts are absorbed while tasks
+    are out; the CCD driver submits a batch and drains it.
 
     For ``kind`` ``"local"``/``"semiglobal"`` the result is the pair's
     :class:`~repro.align.pairwise.Alignment`; for ``"contain"`` (RR) it

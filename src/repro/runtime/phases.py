@@ -21,36 +21,40 @@ of the DP: an array test over a whole block that drops only pairs
 pair is what the pair-by-pair loop over ``admit`` gives.  RR and
 bipartite generation only deduplicate, so they keep each block's first
 row per pair (a later row of the same pair is in ``_seen`` by then);
-CCD keeps a label snapshot of the union–find and counts as filtered,
-in bulk, every pair whose endpoints share a snapshot label — the
-union–find only ever merges, so such a pair is co-clustered *now*
-whatever has happened since the snapshot.  Whatever the prefilter lets
-through is decided by ``admit``, pair by pair, against the live state.
+CCD sorts each block by a label snapshot of a union–find, in bulk, and
+decides only the pairs whose endpoints the snapshot separates one by
+one, against the live state — under speculation, so that the pairs it
+admits are aligned a batch at a time
+(:func:`backend_component_detection`).
 
-Equal output under concurrency rests on three invariants (see the
+Equal output on every backend rests on three invariants (see the
 module docstrings in :mod:`repro.pace.redundancy`,
 :mod:`repro.pace.clustering`, :mod:`repro.pace.bipartite_gen`):
 
 * RR aligns a deterministic pair set and Definition 1 verdicts are
   per-pair, so absorption order is irrelevant;
-* CCD's transitive-closure filter only drops already-intra-component
-  pairs, so a *lagging* union–find (results absorbed asynchronously)
-  can only align more pairs, never change the components;
+* CCD places every streamed pair where the pair-by-pair loop over
+  ``admit`` would — it never needs a verdict before it is back, only a
+  bound on the batch in flight — and absorbs each batch's verdicts in
+  stream order, so components, ``ccd.*`` counters and journaled unions
+  are that loop's whatever order a backend completes tasks in;
 * bipartite edges and dense subgraphs are canonically sorted before
   they feed the next stage.
 
-Counters that describe *work done* (``n_filtered``, ``n_alignments``)
-legitimately vary with backend concurrency, exactly as they vary with
-processor count in the paper's Table II.
+So the counters that describe *work done* (``n_filtered``,
+``n_alignments``) are the same on every runtime backend too.  They vary
+with processor count in the paper's Table II, and in the simulator that
+reproduces it (:func:`repro.pace.clustering.parallel_component_detection`),
+where the master filters against a union–find that lags its workers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+import functools
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro import obs
+from repro.align.pairwise import Alignment
 from repro.align.predicates import (
     CONTAINMENT_COVERAGE,
     CONTAINMENT_SIMILARITY,
@@ -66,7 +70,10 @@ from repro.pace.redundancy import RedundancyMaster, RedundancyResult
 from repro.runtime.base import Backend, PairStream
 from repro.sequence.record import SequenceSet
 from repro.shingle.algorithm import ShingleParams
-from repro.suffix.matches import MatchBlock
+from repro.suffix.matches import CANDIDATE_BUDGET, MatchBlock
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from repro.core.checkpoint import CheckpointJournal
 
 
 #: Pairs per RR submit_many chunk.  Sized for the batched containment
@@ -74,16 +81,9 @@ from repro.suffix.matches import MatchBlock
 #: RR has no master-side filter, so chunking costs no decision freshness.
 RR_CHUNK = 512
 
-#: Pairs per bipartite submit_many chunk (pure batched-DP path).
-BIPARTITE_CHUNK = 128
-
-
-#: CCD re-takes its label snapshot inside a block only while the rows
-#: still to decide number at least 1/16 of the sequences: relabelling is
-#: O(n) array work, and what it buys is one Python-level ``admit`` less
-#: per row that a merge has closed since.  At scale (n far above a
-#: block's rows) that is one snapshot per block.
-RESNAPSHOT_ROWS_PER_LABEL = 16
+#: Pairs per batched local-DP submit: a bipartite ``submit_many`` chunk
+#: and a CCD speculative batch alike.
+LOCAL_CHUNK = 128
 
 
 def _traced_blocks(
@@ -92,71 +92,35 @@ def _traced_blocks(
     """``blocks``, with the master's share of a phase made visible: the
     work counters ``suffix.candidates`` / ``suffix.matches`` and one
     ``pairs.generate`` span per block over the time its generation took.
-    The span is recorded when the consumer comes back for the next
-    block, so it can also say how many of the block's pairs the master
-    admitted — the growth of the counter named ``admitted``.  Phase time
+    The span is recorded when the consumer has come back and the stream
+    has answered for the next block, so it can also say how many pairs
+    the master admitted over the block — the growth of the counter named
+    ``admitted``, what a stream does as it ends included.  Phase time
     outside these spans and the alignment tasks is filtering."""
     recorder = obs.active()
     if recorder is None:
         yield from blocks
         return
+    pending: tuple[float, float, int, int, float] | None = None
     while True:
         start = recorder.now()
         block = next(blocks, None)
+        end = recorder.now()
+        if pending is not None:
+            was_start, was_end, candidates, matches, before = pending
+            recorder.add_span(
+                "pairs.generate", "master", was_start, was_end,
+                phase=recorder.gauge_value("phase"),
+                candidates=candidates,
+                matches=matches,
+                admitted=int(recorder.value(admitted) - before),
+            )
         if block is None:
             return
-        end, before = recorder.now(), recorder.value(admitted)
         recorder.count("suffix.candidates", block.candidates)
         recorder.count("suffix.matches", len(block))
+        pending = (start, end, block.candidates, len(block), recorder.value(admitted))
         yield block
-        recorder.add_span(
-            "pairs.generate", "master", start, end,
-            phase=recorder.gauge_value("phase"),
-            candidates=block.candidates,
-            matches=len(block),
-            admitted=int(recorder.value(admitted) - before),
-        )
-
-
-class _ClosureSnapshot:
-    """CCD's block prefilter: a label snapshot of the master's
-    union–find (:meth:`~repro.graph.unionfind.UnionFind.labels`), re-taken
-    when ``merge_count`` has moved."""
-
-    def __init__(self, master: ClusteringMaster):
-        self.master = master
-        self.labels = master.uf.labels()
-        self.taken_at = master.uf.merge_count
-
-    def undecided(self, block: MatchBlock) -> Iterator[tuple[int, int]]:
-        """The pairs of ``block`` that ``admit`` has to decide, in
-        stream order.  Every other pair has both endpoints under one
-        snapshot label, i.e. ``admit`` would count it as streamed and
-        filtered; that is done here for all of them at once.  The
-        consumer decides (and may merge on) each yielded pair before
-        asking for the next."""
-        master, uf = self.master, self.master.uf
-        seq_a, seq_b = block.seq_a, block.seq_b
-        while len(seq_a):
-            if uf.merge_count != self.taken_at:
-                self.labels, self.taken_at = uf.labels(), uf.merge_count
-            differ = self.labels[seq_a] != self.labels[seq_b]
-            closed = len(seq_a) - int(np.count_nonzero(differ))
-            if closed:
-                master.n_pairs += closed
-                obs.count("ccd.pairs", closed)
-                obs.count("ccd.filtered", closed)
-            seq_a, seq_b = seq_a[differ], seq_b[differ]
-            done = 0
-            for pair in zip(seq_a.tolist(), seq_b.tolist()):
-                yield pair
-                done += 1
-                if (
-                    uf.merge_count != self.taken_at
-                    and (len(seq_a) - done) * RESNAPSHOT_ROWS_PER_LABEL >= len(uf)
-                ):
-                    break
-            seq_a, seq_b = seq_a[done:], seq_b[done:]
 
 
 def _stream_chunked(
@@ -238,25 +202,28 @@ def backend_component_detection(
     similarity: float = OVERLAP_SIMILARITY,
     coverage: float = OVERLAP_COVERAGE,
     max_pairs_per_node: int | None = None,
-    journal=None,
+    journal: "CheckpointJournal | None" = None,
     replay_unions: Sequence[tuple[int, int]] | None = None,
 ) -> ClusteringResult:
-    """CCD phase on a backend.
+    """CCD phase on a backend: the pair-by-pair loop over the master's
+    ``admit`` — admit, align, union on a passing verdict, next pair —
+    run a batch of alignments at a time.
 
-    The master filters each promising pair against the union–find
-    *before* dispatch — a snapshot prefilter over each block of the
-    stream (:class:`_ClosureSnapshot`), then pair by pair through
-    ``admit``, so the filter sees every verdict that is already back —
-    and unions passing alignments as results stream in.  Under a
-    concurrent backend the filter lags by the batch in flight, so
-    slightly more pairs get aligned than on the serial backend — the
-    components are provably identical (see module docstring), only the
-    work counters move, as in the paper.
+    The master *speculates* (:mod:`repro.pace.clustering`): a pair it
+    can prove the loop aligns joins the open batch at once, a pair the
+    batch's verdicts may yet close is held, and a batch is settled — one
+    ``submit_many`` and ``drain``, verdicts absorbed in stream order —
+    at :data:`LOCAL_CHUNK` pairs, when more than
+    :data:`~repro.suffix.matches.CANDIDATE_BUDGET` rows are held at a
+    block boundary, and as the stream ends.  Components, every ``ccd.*``
+    counter, the journaled unions and the set of aligned pairs are the
+    loop's on every backend; only the order pairs are submitted in can
+    differ, after a failed verdict.
 
     Checkpointing: when a :class:`~repro.core.checkpoint.CheckpointJournal`
     is passed, every union that actually merges two clusters is
     journaled (global indices).  On resume, ``replay_unions`` pre-seeds
-    the union–find with those journaled merges before the pair stream
+    both union–finds with those journaled merges before the pair stream
     re-runs — a head start for the transitive-closure filter, which can
     only skip *more* intra-component pairs, never change the final
     components.  The replayed merges themselves are not re-journaled
@@ -276,27 +243,36 @@ def backend_component_detection(
         local_of = {g: l for l, g in enumerate(kept)}
         for gi, gj in replay_unions or ():
             if gi in local_of and gj in local_of:
-                master.uf.union(local_of[gi], local_of[gj])
-
-        def absorb(gi: int, gj: int, aln) -> None:
-            if (
-                master.overlaps(gi, gj, aln)
-                and master.union((local_of[gi], local_of[gj]))
-                and journal is not None
-            ):
-                journal.ccd_union(gi, gj)
-
+                master.replay((local_of[gi], local_of[gj]))
         stream = backend.alignment_stream("local", cache)
-        snapshot = _ClosureSnapshot(master)
-        for block in _traced_blocks(master.finder.match_blocks(), "ccd.alignments"):
-            for pair in snapshot.undecided(block):
-                if not master.admit(pair):
-                    continue
-                stream.submit(kept[pair[0]], kept[pair[1]])
-                for gi, gj, aln in stream.ready():
-                    absorb(gi, gj, aln)
-        for gi, gj, aln in stream.drain():
-            absorb(gi, gj, aln)
+
+        def passes(pairs: list[tuple[int, int]]) -> list[bool]:
+            # ``kept`` ascends and a < b, so the stream's canonical
+            # (i, j) is the submitted one; it answers in any order.
+            submitted = [(kept[a], kept[b]) for a, b in pairs]
+            stream.submit_many(submitted)
+            verdict = {
+                (gi, gj): master.overlaps(gi, gj, aln)
+                for gi, gj, aln in stream.drain()
+            }
+            return [verdict[pair] for pair in submitted]
+
+        def merged(pair: tuple[int, int]) -> None:
+            if journal is not None:
+                journal.ccd_union(kept[pair[0]], kept[pair[1]])
+
+        settle = functools.partial(master.settle, passes, merged)
+
+        def blocks() -> Iterator[MatchBlock]:
+            yield from master.finder.match_blocks()
+            # Inside the last block's ``pairs.generate`` window, so the
+            # spans' ``admitted`` add up to ``ccd.alignments``.
+            settle()
+
+        for block in _traced_blocks(blocks(), "ccd.alignments"):
+            master.speculate(block, LOCAL_CHUNK, settle)
+            if master.n_held > CANDIDATE_BUDGET:
+                settle()
     return master.result()
 
 
@@ -371,7 +347,7 @@ def backend_generate_component_graphs(
                         if master.admit((ci, a, b)):
                             yield (members[a], members[b])
 
-        def absorb(gi: int, gj: int, aln) -> None:
+        def absorb(gi: int, gj: int, aln: Alignment) -> None:
             if master.is_edge(gi, gj, aln):
                 ci, li = position[gi]
                 master.add_edge(ci, li, position[gj][1])
@@ -379,7 +355,7 @@ def backend_generate_component_graphs(
         _stream_chunked(
             backend.alignment_stream("local", cache),
             admitted(),
-            BIPARTITE_CHUNK,
+            LOCAL_CHUNK,
             absorb,
         )
         return master.result()

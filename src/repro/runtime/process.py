@@ -14,11 +14,13 @@ This module is only the *placement* of that work:
   zero-copy by every worker, never re-pickled), so a task message is a
   few dozen index pairs and a result message their Alignments;
 * ``_pump`` receives results and completes their ledger entries, which
-  calls each task's sink exactly once; phase drivers interleave it with
-  pair generation, so the CCD transitive-closure filter keeps advancing
-  while workers are busy;
+  calls each task's sink exactly once; the RR and bipartite drivers
+  interleave it with pair generation, the CCD driver drains a whole
+  batch and puts its verdicts back in stream order;
 * ``_throttle`` caps outstanding tasks at ``max_outstanding_factor *
-  workers`` so absorbed verdicts reach the filter quickly.
+  workers``, which bounds the ledger and the result backlog (no filter
+  waits on a verdict: CCD decides under speculation, see
+  :func:`repro.runtime.phases.backend_component_detection`).
 
 Fault tolerance (the PaCE paper assumed BlueGene nodes that never die;
 we do not): every in-flight task is a ledger record keyed by a unique

@@ -5,9 +5,8 @@ hands the result straight to the sink, so a task is complete before
 ``submit`` returns — the pipeline's default, and the measured baseline
 every other backend and the simulator are compared (and result-checked)
 against.  Each ``submit``/``submit_many`` call's cache misses form one
-task (the base class's ``_task_pairs`` default): the CCD filter sees
-every verdict before the next pair is admitted, which is what makes the
-serial ``ccd.*`` work counters the reference ones.
+task (the base class's ``_task_pairs`` default), so a phase driver's
+chunk or batch is one call into the batched DP engine.
 """
 
 from __future__ import annotations

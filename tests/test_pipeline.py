@@ -117,6 +117,22 @@ class TestSameAnswerEveryMode:
         assert result.table1() == reference.table1()
         assert scientific_view(result.obs.counters()) == expected
 
+    @pytest.mark.parametrize("mode", list(PIPELINE_MODES))
+    def test_ccd_work_depends_on_the_simulated_machine_only(self, mode_results, mode):
+        """The runtime backends all run the pair-by-pair filter, so even
+        its *work* counters are the default run's; the simulated master
+        filters against a union–find that lags its workers — the
+        paper's Table II — and can only align more."""
+        reference = mode_results["default"].obs.counters()
+        counters = mode_results[mode].obs.counters()
+        work = ("ccd.alignments", "ccd.filtered")
+        assert reference["ccd.alignments"] > 1
+        if mode.startswith("sim-"):
+            assert counters["ccd.alignments"] >= reference["ccd.alignments"]
+            assert sum(counters.get(n, 0) for n in work) == reference["ccd.pairs"]
+        else:
+            assert [counters[n] for n in work] == [reference[n] for n in work]
+
 
 class TestParallelPipeline:
     @pytest.mark.parametrize("p", [2, 5])

@@ -17,13 +17,15 @@ import pytest
 
 from repro import obs
 from repro.align.matrices import blosum62_scheme
+from repro.core.checkpoint import read_journal
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro.faults.plan import Fault, FaultPlan
 from repro.graph.bipartite import duplicate_bipartite
 from repro.pace.cache import AlignmentCache
 from repro.parallel.simulator import VirtualCluster
-from repro.runtime.base import run_task
+from repro.runtime.base import PairStream, run_task
+from repro.runtime.phases import backend_component_detection
 from repro.shingle.algorithm import ShingleParams
 from repro.runtime import (
     BackendError,
@@ -231,20 +233,35 @@ ACCOUNTING_MODES = {
 }
 
 
-class TestWorkAccounting:
-    """One definition each of a cache miss and of ``PhaseStats.tasks``,
-    wherever a task ended up running."""
-
-    @pytest.mark.parametrize("mode", ACCOUNTING_MODES)
-    def test_misses_are_entries_and_tasks_exclude_hits(self, workload, mode):
-        sequences, config = workload
-        overrides = ACCOUNTING_MODES[mode]()
-        config = replace(
+@pytest.fixture(scope="module")
+def accounting_runs(workload, tmp_path_factory):
+    """``mode -> (result, journaled ccd_union sequence)``, one
+    checkpointed pipeline run per accounting mode."""
+    sequences, config = workload
+    runs = {}
+    for mode, overrides in ACCOUNTING_MODES.items():
+        overrides = overrides()
+        run_dir = tmp_path_factory.mktemp(mode)
+        result = ProteinFamilyPipeline(replace(
             config, backend=overrides.backend, workers=overrides.workers,
             fault_plan=overrides.fault_plan,
             respawn_budget=overrides.respawn_budget,
-        )
-        result = ProteinFamilyPipeline(config).run(sequences)
+        )).run(sequences, run_dir=run_dir)
+        runs[mode] = (result, [
+            (r["i"], r["j"])
+            for r in read_journal(run_dir / "checkpoint.jsonl")
+            if r["type"] == "ccd_union"
+        ])
+    return runs
+
+
+class TestWorkAccounting:
+    """One definition each of a cache miss and of ``PhaseStats.tasks``,
+    wherever a task ended up running — and one CCD, whatever ran it."""
+
+    @pytest.mark.parametrize("mode", ACCOUNTING_MODES)
+    def test_misses_are_entries_and_tasks_exclude_hits(self, accounting_runs, mode):
+        result, _ = accounting_runs[mode]
         counters = result.obs.counters()
         if mode == "quarantined":
             assert counters["runtime.poison_quarantined"] >= 1
@@ -267,6 +284,54 @@ class TestWorkAccounting:
         assert cache["hits"] == sum(
             phase.cache_hits for phase in result.runtime.phases.values()
         )
+
+    @pytest.mark.parametrize("mode", [m for m in ACCOUNTING_MODES if m != "serial"])
+    def test_ccd_work_is_the_serial_runs(self, accounting_runs, mode):
+        """The CCD filter decides each pair as the pair-by-pair loop
+        does on every backend, recovery paths included: the work
+        counters, the submitted pairs and the journal are not "close to"
+        the serial run's, they are the serial run's."""
+        def ccd_work(run):
+            result, unions = run
+            counters = result.obs.counters()
+            phase = result.runtime.phases["clustering"]
+            return (
+                counters["ccd.alignments"], counters["ccd.filtered"],
+                counters["ccd.redecided"], phase.tasks + phase.cache_hits,
+                unions,
+            )
+
+        serial = ccd_work(accounting_runs["serial"])
+        assert serial[0] > 1 and serial[4]
+        assert ccd_work(accounting_runs[mode]) == serial
+
+    def test_a_resumed_run_aligns_nothing_new(self, workload, serial_session,
+                                              accounting_runs, monkeypatch):
+        """Replayed unions are a head start for the filter: the resumed
+        phase submits a subset of the clean run's pairs."""
+        sequences, config = workload
+        kept = accounting_runs["serial"][0].redundancy.kept
+        unions = accounting_runs["serial"][1]
+        submitted: list[set] = []
+        submit_many = PairStream.submit_many
+
+        def recording(stream, pairs):
+            pairs = list(pairs)
+            submitted[-1].update(pairs)
+            submit_many(stream, pairs)
+
+        monkeypatch.setattr(PairStream, "submit_many", recording)
+        results = []
+        for replay in ((), unions[: len(unions) // 2 + 1]):
+            submitted.append(set())
+            results.append(backend_component_detection(
+                sequences, kept, *serial_session(sequences), psi=config.psi,
+                replay_unions=replay,
+            ))
+        clean, resumed = results
+        assert resumed.components == clean.components
+        assert submitted[1] < submitted[0]
+        assert resumed.n_alignments == len(submitted[1])
 
 
 class TestOneIndexPerSession:
