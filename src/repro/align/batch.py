@@ -535,6 +535,106 @@ class ContainmentBatch:
     n_dp: int
 
 
+@dataclass(frozen=True)
+class ContainmentPrefilter:
+    """What the Myers sweep alone settles about a Definition 1 pair list.
+
+    ``stats[k]`` is final where the sweep decided the pair — the
+    ``(0.0, 0.0, 0.0)`` surrogate of a rejected pair, the closed form
+    of a certified one — and None where the DP must judge
+    (``undecided`` lists those); ``rejected[k]`` tells a surrogate from
+    a measured triple.
+    """
+
+    pairs: list[tuple[np.ndarray, np.ndarray]]
+    stats: list[tuple[float, float, float] | None]
+    rejected: list[bool]
+    undecided: list[int]
+
+
+def containment_prefilter(
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    *,
+    scheme: ScoringScheme,
+    similarity: float,
+    coverage: float,
+    myers_bucket: int = DEFAULT_MYERS_BUCKET,
+) -> ContainmentPrefilter:
+    """Routes 1 and 2 of :func:`batch_containment`: one Myers sweep over
+    the pair list, then per pair the reject bound and the exact
+    certificate.  No DP."""
+    enc = [(_as_encoded(a), _as_encoded(b)) for a, b in pairs]
+    stats: list[tuple[float, float, float] | None] = [None] * len(enc)
+    rejected = [False] * len(enc)
+    undecided: list[int] = []
+    if not enc:
+        return ContainmentPrefilter(enc, stats, rejected, undecided)
+    obs.count("batch.pairs", len(enc))
+
+    shorter = [a if len(a) <= len(b) else b for a, b in enc]
+    longer = [b if len(a) <= len(b) else a for a, b in enc]
+    dists = batch_myers_infix(shorter, longer, bucket_size=myers_bucket)
+    exact_ok = strict_diagonal_scheme(scheme)
+
+    n_exact = 0
+    for k, (a, b) in enumerate(enc):
+        m, n = len(a), len(b)
+        threshold = containment_reject_threshold(m, n, similarity, coverage)
+        if threshold is not None and dists[k] > threshold:
+            stats[k] = (0.0, 0.0, 0.0)
+            rejected[k] = True
+        elif exact_ok and dists[k] == 0:
+            # identity = matches/length = 1.0; coverage of the shorter
+            # is full, of the longer it is s/l — exactly the perfect
+            # diagonal the scalar argmax selects at the first occurrence.
+            cov_a = 1.0 if m <= n else n / m
+            cov_b = 1.0 if n <= m else m / n
+            stats[k] = (1.0, cov_a, cov_b)
+            n_exact += 1
+        else:
+            undecided.append(k)
+    obs.count("batch.myers_rejects", sum(rejected))
+    obs.count("batch.exact_certified", n_exact)
+    return ContainmentPrefilter(enc, stats, rejected, undecided)
+
+
+def containment_dp(
+    prefilter: ContainmentPrefilter,
+    scheme: ScoringScheme,
+    *,
+    bucket_size: int = DEFAULT_BUCKET,
+) -> ContainmentBatch:
+    """Route 3 of :func:`batch_containment`: one semiglobal
+    :func:`batch_align` over what the prefilter left undecided."""
+    enc, dp_idx = prefilter.pairs, prefilter.undecided
+    if not enc:
+        return ContainmentBatch([], [], 0, 0, 0)
+    stats = list(prefilter.stats)
+    alns: list[Alignment | None] = [None] * len(enc)
+    if dp_idx:
+        computed = batch_align(
+            [enc[k] for k in dp_idx], scheme, "semiglobal",
+            bucket_size=bucket_size,
+        )
+        for k, aln in zip(dp_idx, computed):
+            a, b = enc[k]
+            stats[k] = (
+                aln.identity,
+                aln.coverage_a(len(a)),
+                aln.coverage_b(len(b)),
+            )
+            alns[k] = aln
+    obs.count("batch.dp_pairs", len(dp_idx))
+    n_rejected = sum(prefilter.rejected)
+    return ContainmentBatch(
+        stats=stats,  # type: ignore[arg-type]
+        alignments=alns,
+        n_rejected=n_rejected,
+        n_exact=len(enc) - n_rejected - len(dp_idx),
+        n_dp=len(dp_idx),
+    )
+
+
 def batch_containment(
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     *,
@@ -557,60 +657,15 @@ def batch_containment(
        statistics are known in closed form.
     3. **Batched DP** — everything else runs through
        :func:`batch_align`, whose Alignments equal the scalar kernel's.
+
+    Routes 1 and 2 are :func:`containment_prefilter`, route 3 is
+    :func:`containment_dp`; a caller that times the two apart (the
+    serve request path) calls them itself.
     """
     if scheme is None:
         scheme = blosum62_scheme()
-    enc = [(_as_encoded(a), _as_encoded(b)) for a, b in pairs]
-    n_pairs = len(enc)
-    stats: list[tuple[float, float, float] | None] = [None] * n_pairs
-    alns: list[Alignment | None] = [None] * n_pairs
-    if not enc:
-        return ContainmentBatch([], [], 0, 0, 0)
-    obs.count("batch.pairs", n_pairs)
-
-    shorter = [a if len(a) <= len(b) else b for a, b in enc]
-    longer = [b if len(a) <= len(b) else a for a, b in enc]
-    dists = batch_myers_infix(shorter, longer, bucket_size=myers_bucket)
-    exact_ok = strict_diagonal_scheme(scheme)
-
-    n_rejected = n_exact = 0
-    dp_idx: list[int] = []
-    for k, (a, b) in enumerate(enc):
-        m, n = len(a), len(b)
-        threshold = containment_reject_threshold(m, n, similarity, coverage)
-        if threshold is not None and dists[k] > threshold:
-            stats[k] = (0.0, 0.0, 0.0)
-            n_rejected += 1
-        elif exact_ok and dists[k] == 0:
-            # identity = matches/length = 1.0; coverage of the shorter
-            # is full, of the longer it is s/l — exactly the perfect
-            # diagonal the scalar argmax selects at the first occurrence.
-            cov_a = 1.0 if m <= n else n / m
-            cov_b = 1.0 if n <= m else m / n
-            stats[k] = (1.0, cov_a, cov_b)
-            n_exact += 1
-        else:
-            dp_idx.append(k)
-    if dp_idx:
-        computed = batch_align(
-            [enc[k] for k in dp_idx], scheme, "semiglobal",
-            bucket_size=bucket_size,
-        )
-        for k, aln in zip(dp_idx, computed):
-            a, b = enc[k]
-            stats[k] = (
-                aln.identity,
-                aln.coverage_a(len(a)),
-                aln.coverage_b(len(b)),
-            )
-            alns[k] = aln
-    obs.count("batch.myers_rejects", n_rejected)
-    obs.count("batch.exact_certified", n_exact)
-    obs.count("batch.dp_pairs", len(dp_idx))
-    return ContainmentBatch(
-        stats=stats,  # type: ignore[arg-type]
-        alignments=alns,
-        n_rejected=n_rejected,
-        n_exact=n_exact,
-        n_dp=len(dp_idx),
+    prefilter = containment_prefilter(
+        pairs, scheme=scheme, similarity=similarity, coverage=coverage,
+        myers_bucket=myers_bucket,
     )
+    return containment_dp(prefilter, scheme, bucket_size=bucket_size)

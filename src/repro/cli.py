@@ -455,7 +455,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 sampler = TelemetrySampler(
                     recorder, args.telemetry_dir,
                     interval=args.telemetry_interval,
-                    probes={"cache": state.cache.stats},
                 ).start()
             covered = restore_info["snapshot_covered"]
             restored = (f"snapshot covered {covered}, "

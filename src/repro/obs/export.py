@@ -177,7 +177,7 @@ def slow_trace_events(records: list[dict]) -> list[dict]:
                 "dur": _us(max(span["dur_ms"], 0.0) / 1e3),
                 "pid": HOST_TRACK,
                 "tid": lane,
-                "args": args,
+                "args": {**args, **span.get("args", {})},
             })
     meta: list[dict] = [{
         "name": "process_name", "ph": "M", "pid": HOST_TRACK, "tid": 0,

@@ -221,7 +221,10 @@ _SPECS = [
                 "representative candidates generated for inserts "
                 "(psi-window promising pairs against representatives)"),
     CounterSpec("serve.alignments", "serve",
-                "alignments computed for insert containment/overlap tests"),
+                "alignments of insert/query containment and overlap "
+                "tests, counted over the candidates a pair-by-pair sweep "
+                "reaches (a pair certified exact at Myers distance 0 "
+                "counts as the alignment it replaces)"),
     CounterSpec("serve.filtered", "serve",
                 "insert candidates killed by the transitive-closure "
                 "filter (already co-clustered with the new sequence)"),
@@ -234,11 +237,9 @@ _SPECS = [
                 "insert/query containment candidates rejected by the "
                 "sound bit-parallel Myers infix bound (DP skipped)"),
     CounterSpec("serve.dp_cells", "serve",
-                "DP cells filled by serve-path alignments (cache hits "
-                "and Myers rejects excluded)"),
-    CounterSpec("serve.cache_hits", "serve",
-                "alignment-cache hits attributed to serve insert "
-                "requests (snapshot delta under the state lock)"),
+                "DP cells of the alignments `serve.alignments` counts "
+                "(representative x new-sequence length each; Myers "
+                "rejects excluded)"),
     CounterSpec("serve.applier_busy_seconds", "serve",
                 "seconds the applier thread spent applying insert jobs "
                 "(busy-fraction source for `repro top --serve`)"),
@@ -248,7 +249,8 @@ _SPECS = [
     # -- Serving failure hardening (DESIGN.md §13) -------------------------
     CounterSpec("serve.deadline_sheds", "serve",
                 "requests shed because their deadline_ms budget expired "
-                "(before dispatch, mid-query-sweep, or while queued)"),
+                "(before dispatch, between the stages of a query "
+                "sweep, or while queued)"),
     CounterSpec("serve.overloaded", "serve",
                 "inserts refused with `overloaded` after the bounded "
                 "queue-admission wait"),

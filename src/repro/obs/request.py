@@ -93,13 +93,15 @@ class RequestContext:
 
     def span_records(self) -> list[dict]:
         """The span tree as JSON-ready rows (ms relative to request
-        start) — the slow-log payload."""
+        start, plus the span's ``args`` where it has any — the batch
+        size of a sweep stage) — the slow-log payload."""
         return [
             {
                 "name": s.name,
                 "cat": s.cat,
                 "start_ms": round(s.start * 1e3, 4),
                 "dur_ms": round(s.duration * 1e3, 4),
+                **({"args": dict(s.args)} if s.args else {}),
             }
             for s in list(self.recorder.spans)
         ]

@@ -8,32 +8,40 @@ under a named lock):
 * :func:`plan_insert` runs the batch pipeline's two scientific
   decisions — Definition 1 containment and Definition 2 overlap — for a
   single new sequence against the per-family *representatives*, with
-  **no state mutation**: alignments are computed directly (the pair
-  involves a sequence that has no index yet, so the shared
-  :class:`AlignmentCache` can never hold it) and unions are simulated
-  against a snapshot of the candidates' roots.  This is safe lock-free
-  because the applier thread is the state's only mutator; concurrent
-  query threads are readers.
+  **no state mutation**: the sequence has no index yet, so its pairs
+  are aligned by the batch engine directly, a sweep at a time
+  (:mod:`repro.serve.sweeps`), and unions are simulated against a
+  snapshot of the candidates' roots.  This is safe lock-free because
+  the applier thread is the state's only mutator; concurrent query
+  threads are readers.
 * :func:`commit_insert` (annotated ``requires=ServeServer._lock``)
-  applies the plan: appends the sequence, seeds the cache with the
-  planned alignments (miss accounting preserved), replays the planned
-  unions through the journaled union–find wrapper, and absorbs the
-  decision record.  It performs no DP and no IO.
+  applies the plan: appends the sequence, replays the planned unions
+  through the journaled union–find wrapper, and absorbs the decision
+  record.  It performs no DP and no IO, and keeps no alignment: a
+  decision is all an insert leaves behind.
 
 Candidate generation uses the psi-window index (exactly the
-promising-pair criterion at representative scale).  The Definition 1
-sweep reuses the batch engine's sound bit-parallel prefilter
-(:func:`repro.align.batch.containment_reject_threshold`): candidates
-whose Myers infix distance provably exceeds the containment bound skip
-the semiglobal DP with no change to any decision — the equivalence gate
-in ``tests/test_serve.py`` holds the insert path to the batch output.
+promising-pair criterion at representative scale).  Definition 1 is one
+containment sweep over every candidate — the engine's sound
+bit-parallel prefilter, its exact certificate, then one semiglobal DP
+over the remainder — and Definition 2 runs in **rounds**
+(:func:`overlap_rounds`), each one local DP over the candidates the
+transitive-closure filter cannot yet have removed.  Decisions, journal
+records and the reported work are those of the pair-by-pair loops the
+sweeps replaced, which ``tests/scalar_serve.py`` keeps as the oracle;
+the equivalence gate in ``tests/test_serve.py`` holds the insert path
+to the batch output.
 
-Observability: the sweep decomposes into ``candidates`` /
-``myers_reject`` / ``dp`` / ``journal_fsync`` stage spans recorded via
-the ambient obs facade, so when the serving daemon installs a
-per-request child recorder (:class:`repro.obs.request.RequestContext`)
-each insert's span tree and counters (``serve.myers_rejects``,
-``serve.dp_cells``, ...) are attributed to the request that caused them.
+Observability: a plan decomposes into ``candidates`` /
+``myers_reject`` / ``dp`` stage spans (one per engine call, carrying
+its batch size) and ``journal_fsync``, recorded via the ambient obs
+facade, so when the serving daemon installs a per-request child
+recorder (:class:`repro.obs.request.RequestContext`) each insert's span
+tree and counters (``serve.myers_rejects``, ``serve.dp_cells``, ...)
+are attributed to the request that caused them.  The counters count
+what the loop would have done — a candidate the closure filter removes
+is ``serve.filtered``, never an alignment — whatever the engine was
+handed.
 
 Every insert produces a *decision record* — the sequence plus the
 containments and unions it caused — appended to the run's checkpoint
@@ -54,54 +62,20 @@ batch output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.align.batch import containment_reject_threshold, myers_infix_distance
-from repro.align.pairwise import Alignment, local_align, semiglobal_align
 from repro.core.checkpoint import CheckpointJournal
-from repro.pace.clustering import _overlap_passes
 from repro.sequence.record import SequenceRecord
 from repro.serve.state import ServeState
-
-
-def myers_rejects_containment(
-    state: ServeState, rep: int, other_encoded: np.ndarray,
-    other_length: int,
-    similarity: float, coverage: float,
-) -> bool:
-    """Sound bit-parallel prefilter for one Definition 1 candidate.
-
-    Computes the Myers infix edit distance between the shorter of the
-    pair and the longer, and compares it against
-    :func:`repro.align.batch.containment_reject_threshold` — a bound
-    with the property that exceeding it *proves* both containment
-    directions fail for the scalar-optimal overlap alignment.  True
-    means the semiglobal DP can be skipped without changing any
-    decision; False means nothing (the DP must still judge the pair).
-
-    Records the ``myers_reject`` stage span and bumps
-    ``serve.myers_rejects`` on a rejection.
-    """
-    rep_length = state.length(rep)
-    threshold = containment_reject_threshold(
-        rep_length, other_length, similarity, coverage
-    )
-    if threshold is None:
-        return False
-    with obs.span("myers_reject", cat="stage"):
-        rep_encoded = state.encoded(rep)
-        if rep_length <= other_length:
-            shorter, longer = rep_encoded, other_encoded
-        else:
-            shorter, longer = other_encoded, rep_encoded
-        rejected = myers_infix_distance(shorter, longer) > threshold
-    if rejected:
-        obs.count("serve.myers_rejects")
-    return rejected
+from repro.serve.sweeps import (
+    containment_sweep,
+    count_containment,
+    overlap_sweep,
+)
 
 
 def _absorb(state: ServeState, index: int, decision: dict[str, Any]) -> None:
@@ -142,9 +116,6 @@ class InsertPlan:
     unions: list[list[int]]
     n_candidates: int
     n_alignments: int
-    #: planned alignments to seed into the cache at commit, as
-    #: ``(kind, representative, alignment)`` in computation order.
-    alignments: list[tuple[str, int, Alignment]] = field(default_factory=list)
 
     @property
     def decision(self) -> dict[str, Any]:
@@ -157,17 +128,43 @@ class InsertPlan:
         }
 
 
+def overlap_rounds(
+    state: ServeState, candidates: Sequence[int], encoded: np.ndarray
+) -> dict[int, bool]:
+    """Definition 2 verdicts of exactly the candidates the pair-by-pair
+    sweep aligns, a round of them per DP call.
+
+    That sweep skips a candidate once an earlier one of the same family
+    has passed (the transitive-closure filter), so it aligns a
+    candidate iff every earlier candidate *of its own root* failed —
+    no other root's verdict matters.  Round ``r`` is therefore the
+    ``r``-th candidate of every root none of whose first ``r`` passed:
+    one round when every family's first representative passes, at most
+    ``max_representatives`` of them.
+    """
+    by_root: dict[int, list[int]] = {}
+    for rep in candidates:
+        by_root.setdefault(state.uf.root(rep), []).append(rep)
+    verdicts: dict[int, bool] = {}
+    untried = list(by_root.values())
+    done = 0  # candidates of each root in `untried` tried so far, all failed
+    while untried:
+        batch = [reps[done] for reps in untried]
+        passes = overlap_sweep(state, batch, encoded)
+        verdicts.update(zip(batch, passes))
+        done += 1
+        untried = [reps for reps, ok in zip(untried, passes)
+                   if not ok and len(reps) > done]
+    return verdicts
+
+
 def plan_insert(state: ServeState, seq_id: str, residues: str) -> InsertPlan:
     """Run the RR + CCD sweeps for one new sequence, mutating nothing.
 
     Every read is safe without the server lock: the applier thread
     calling this is the state's only mutator, the sequence/encoding
     stores are append-only, and root lookups use the compression-free
-    :meth:`~repro.graph.unionfind.UnionFind.root`.  The pair
-    ``(rep, new_idx)`` can never be cached (``new_idx`` does not exist
-    yet), so alignments run directly and are handed to
-    :func:`commit_insert` for cache seeding — decision- and
-    statistics-identical to aligning through the cache.
+    :meth:`~repro.graph.unionfind.UnionFind.root`.
     """
     if seq_id in state.sequences:
         raise ValueError(f"sequence id {seq_id!r} already present")
@@ -182,35 +179,25 @@ def plan_insert(state: ServeState, seq_id: str, residues: str) -> InsertPlan:
 
     redundant_pairs: list[list[int]] = []
     unions: list[list[int]] = []
-    alignments: list[tuple[str, int, Alignment]] = []
-    n_alignments = 0
 
     # -- Definition 1 sweep (RR): is either side contained in the other?
+    # No candidate ends it, so every candidate is reached and reported.
     container: int | None = None
-    for rep in candidates:
-        # Sound prefilter before any DP: when the Myers infix bound
-        # proves both containment directions fail, skip the semiglobal
-        # alignment entirely — decision-identical, see
-        # `myers_rejects_containment`.
-        if myers_rejects_containment(
-            state, rep, new_encoded, len_new,
-            config.containment_similarity, config.containment_coverage,
-        ):
-            continue
-        obs.count("serve.dp_cells", state.length(rep) * len_new)
-        # rep < new_idx always, so coverage_a is the representative's.
-        with obs.span("dp", cat="stage"):
-            aln = semiglobal_align(
-                state.encoded(rep), new_encoded, config.scheme
-            )
-        alignments.append(("semiglobal", rep, aln))
-        n_alignments += 1
-        obs.count("serve.alignments")
-        if aln.identity < config.containment_similarity:
+    containments = containment_sweep(state, candidates, new_encoded)
+    n_alignments = count_containment(
+        state, candidates, containments, len(candidates), len_new
+    )
+    for rep, containment in zip(candidates, containments):
+        if containment is None:
+            continue  # the Myers bound proved both directions fail
+        # rep < new_idx always, so the first coverage is the
+        # representative's.
+        identity, coverage_rep, coverage_new = containment
+        if identity < config.containment_similarity:
             continue
         len_rep = state.length(rep)
-        rep_in_new = aln.coverage_a(len_rep) >= config.containment_coverage
-        new_in_rep = aln.coverage_b(len_new) >= config.containment_coverage
+        rep_in_new = coverage_rep >= config.containment_coverage
+        new_in_rep = coverage_new >= config.containment_coverage
         if rep_in_new and new_in_rep:
             # Mutual containment: same tie-break as the batch RR phase —
             # drop the shorter, ties drop the higher index (the insert).
@@ -240,30 +227,19 @@ def plan_insert(state: ServeState, seq_id: str, residues: str) -> InsertPlan:
             redundant_pairs.append([rep, new_idx])
 
     # -- Definition 2 sweep (CCD): overlap-merge a non-redundant insert.
-    # The live path unioned as it swept; the plan simulates that with
-    # the set of roots already merged into the (still-singleton) insert.
+    # The verdicts are absorbed in candidate order against the roots
+    # already merged into the (still-singleton) insert, which is what
+    # keeps `unions` in the order the live union–find will replay.
     if container is None:
+        overlaps = overlap_rounds(state, candidates, new_encoded)
+        n_alignments += len(overlaps)
         merged_roots: set[int] = set()
         for rep in candidates:
-            if state.uf.root(rep) in merged_roots:
+            root = state.uf.root(rep)
+            if root in merged_roots:
                 obs.count("serve.filtered")
-                continue
-            obs.count("serve.dp_cells", state.length(rep) * len_new)
-            with obs.span("dp", cat="stage"):
-                aln = local_align(
-                    state.encoded(rep), new_encoded, config.scheme
-                )
-            alignments.append(("local", rep, aln))
-            n_alignments += 1
-            obs.count("serve.alignments")
-            if _overlap_passes(
-                aln,
-                state.length(rep),
-                len_new,
-                config.overlap_similarity,
-                config.overlap_coverage,
-            ):
-                merged_roots.add(state.uf.root(rep))
+            elif overlaps[rep]:
+                merged_roots.add(root)
                 unions.append([new_idx, rep])
                 obs.count("serve.merges")
 
@@ -275,7 +251,6 @@ def plan_insert(state: ServeState, seq_id: str, residues: str) -> InsertPlan:
         unions=unions,
         n_candidates=len(candidates),
         n_alignments=n_alignments,
-        alignments=alignments,
     )
 
 
@@ -296,8 +271,6 @@ def commit_insert(  # repro-lint: requires=ServeServer._lock
             f"stale insert plan: planned index {plan.new_idx}, "
             f"committed at {index}"
         )
-    for kind, rep, aln in plan.alignments:
-        state.cache.insert(kind, rep, index, aln)
     for a, b in plan.unions:
         state.union(int(a), int(b))
     _absorb(state, index, plan.decision)

@@ -19,7 +19,8 @@ Concurrency model — chosen for the journal, not for throughput:
   ``serve.degraded`` gauge and the ``health`` verb expose it;
 * every request may carry a relative ``deadline_ms`` budget; work that
   would finish past the budget is shed with ``deadline_exceeded``
-  (queries check between DP candidates, inserts while queued);
+  (queries check between the stages of their sweep, inserts while
+  queued);
 * retried inserts are **exactly once**: the (sequence id, residues)
   idempotency key is checked against the live state — which is exactly
   the journal's replay — and a duplicate returns its current outcome
@@ -67,7 +68,6 @@ from typing import Any
 import numpy as np
 
 from repro import obs
-from repro.align.pairwise import local_align, semiglobal_align
 from repro.core.checkpoint import (
     CheckpointError,
     CheckpointJournal,
@@ -79,16 +79,16 @@ from repro.obs.core import Recorder, request_recording
 from repro.obs.hist import LatencyHistogram
 from repro.obs.request import RequestContext
 from repro.obs.telemetry import SERVE_METRICS_FILENAME, TelemetrySampler
-from repro.pace.clustering import _overlap_passes
 from repro.sequence.record import SequenceRecord
 from repro.serve import protocol
-from repro.serve.incremental import (
-    commit_insert,
-    myers_rejects_containment,
-    plan_insert,
-)
+from repro.serve.incremental import commit_insert, plan_insert
 from repro.serve.snapshot import write_snapshot
 from repro.serve.state import ServeState
+from repro.serve.sweeps import (
+    containment_sweep,
+    count_containment,
+    overlap_sweep,
+)
 from repro.util.lockwatch import named_lock, named_rlock
 
 #: Default cap on queued insert jobs before admission control sheds.
@@ -446,10 +446,7 @@ class ServeServer:
             if marker is not None and marker[0] == "kill_applier":
                 raise _ApplierKill()
             with self._lock:
-                hits_before = self.state.cache.hits
                 outcome = commit_insert(self.state, plan)
-                obs.count("serve.cache_hits",
-                          self.state.cache.hits - hits_before)
                 family_ids = self._ids(outcome["family"])
                 container = outcome["redundant_against"]
                 container_id = (
@@ -918,49 +915,42 @@ class ServeServer:
     ) -> tuple[int | None, list[int]]:
         """Read-only classification sweeps of an unseen sequence.
 
-        Runs the same Definition 1 / Definition 2 sweeps as an insert
-        but aligns outside the cache (the sequence has no index) and
-        mutates nothing: finds the representative a hypothetical insert
-        would be contained by, plus every overlap witness.  The
-        Definition 1 check uses the same sound Myers prefilter as the
-        insert path — a rejected candidate skips the semiglobal DP (the
-        overlap check still runs) with no change to the answer.  Safe
-        without the server lock: only append-only stores are read.
+        Makes the two decisions of an insert without mutating anything:
+        finds the first candidate a hypothetical insert would be
+        contained by, plus every overlap witness ahead of it.  Both are
+        whole-list sweeps through the batch engine
+        (:mod:`repro.serve.sweeps`): Definition 1 over every candidate,
+        then Definition 2 over the candidates before the container —
+        the ones a candidate-at-a-time sweep stopping at the container
+        would have aligned, and the only ones reported.  Safe without
+        the server lock: only append-only stores are read.
         """
         state = self.state
         config = state.config
-        len_query = len(encoded)
-        contained_in: int | None = None
-        overlap_wits: list[int] = []
-        for n_done, rep in enumerate(candidates):
-            # Shed between candidates, not mid-DP: the check is cheap
-            # and a partial sweep is never returned as an answer.
-            self._shed_if_past_deadline(
-                deadline_at, f"mid-sweep after {n_done} candidates"
-            )
-            rep_enc = state.encoded(rep)
-            if not myers_rejects_containment(
-                state, rep, encoded, len_query,
-                config.containment_similarity, config.containment_coverage,
-            ):
-                with obs.span("dp", cat="stage"):
-                    aln = semiglobal_align(rep_enc, encoded, config.scheme)
-                obs.count("serve.alignments")
-                obs.count("serve.dp_cells", state.length(rep) * len_query)
-                if (aln.identity >= config.containment_similarity
-                        and aln.coverage_b(len_query)
-                        >= config.containment_coverage):
-                    contained_in = rep
-                    break
-            with obs.span("dp", cat="stage"):
-                aln = local_align(rep_enc, encoded, config.scheme)
-            obs.count("serve.alignments")
-            obs.count("serve.dp_cells", state.length(rep) * len_query)
-            if _overlap_passes(aln, state.length(rep), len_query,
-                               config.overlap_similarity,
-                               config.overlap_coverage):
-                overlap_wits.append(rep)
-        return contained_in, overlap_wits
+        # Shed between stages, not mid-DP: the check is cheap and a
+        # partial sweep is never returned as an answer.
+        self._shed_if_past_deadline(deadline_at, "before the containment stage")
+        containments = containment_sweep(state, candidates, encoded)
+        # Where a candidate-at-a-time sweep stops: the first candidate
+        # that contains the query (None: it reaches every candidate).
+        container_at = next(
+            (k for k, containment in enumerate(containments)
+             if containment is not None
+             and containment[0] >= config.containment_similarity
+             and containment[2] >= config.containment_coverage),
+            None,
+        )
+        reached = len(candidates) if container_at is None else container_at + 1
+        count_containment(
+            state, candidates, containments, reached, len(encoded)
+        )
+        self._shed_if_past_deadline(deadline_at, "before the overlap stage")
+        ahead = candidates[:container_at]
+        overlaps = overlap_sweep(state, ahead, encoded)
+        return (
+            None if container_at is None else candidates[container_at],
+            [rep for rep, ok in zip(ahead, overlaps) if ok],
+        )
 
     def _classify_respond(
         self, contained_in: int | None, overlap_wits: list[int]

@@ -41,7 +41,6 @@ from repro.core.checkpoint import (
 )
 from repro.core.config import PipelineConfig
 from repro.graph.unionfind import UnionFind
-from repro.pace.cache import AlignmentCache
 from repro.sequence.record import SequenceRecord, SequenceSet
 from repro.serve.representatives import (
     DEFAULT_MAX_REPRESENTATIVES,
@@ -72,9 +71,6 @@ class ServeState:
         self.max_representatives = max_representatives
         self._encoded: list[np.ndarray] = [r.encoded for r in sequences]
         self._lengths: list[int] = [len(e) for e in self._encoded]
-        encoded = self._encoded
-        self.cache = AlignmentCache(lambda k: encoded[k], config.scheme)
-        self.cache.set_phase("serve")
         self.uf = UnionFind(len(sequences))
         #: contained index -> its (first) container.
         self.redundant: dict[int, int] = {}  # guarded by ServeServer._lock
@@ -141,7 +137,13 @@ class ServeState:
         return out
 
     def n_families(self) -> int:
-        return len(self.families())
+        """``len(self.families())`` without building them: the
+        components that still have a live member."""
+        redundant = self.redundant
+        return sum(
+            any(m not in redundant for m in members)
+            for members in self._members.values()
+        )
 
     def partition(self) -> list[list[int]]:
         """Every component as a sorted member list (redundant members

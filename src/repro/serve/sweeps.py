@@ -1,0 +1,114 @@
+"""The two sweeps of a serve request, each one call into the batch
+alignment engine for the request's whole candidate list.
+
+A classification (:meth:`repro.serve.server.ServeServer._classify_sweep`)
+and an insert plan (:func:`repro.serve.incremental.plan_insert`) make
+the same two decisions about one new sequence against candidate
+representatives — Definition 1 containment, then Definition 2 overlap —
+and differ only in which candidates they reach.  The kernels are the
+ones the batch phases run (:mod:`repro.align.batch`, pinned field for
+field to the scalar kernels by ``tests/test_batch_align.py``); every
+pair is oriented ``(representative, new sequence)``, so coverage and
+every tie-break read as they do in ``pace/redundancy.py``.
+
+The engine is handed every candidate; what a request *reports* is the
+work of the candidates its pair-by-pair loop would have reached
+(``tests/scalar_serve.py`` keeps those loops as the oracle).  The
+overlap sweep is only ever handed such candidates and counts itself;
+the containment sweep covers the whole list before the caller knows
+where the loop would have stopped, so the caller reports it afterwards
+through :func:`count_containment`.
+
+Stage spans (``cat="stage"``): ``myers_reject`` around the prefilter,
+``dp`` around each DP call, with the batch size as ``pairs`` and the
+DP's ``cells`` as span args.  No lock is taken or needed: only the
+append-only encoding store is read (lint rule R13 keeps alignment
+kernels out from under ``ServeServer._lock``).
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from repro import obs
+from repro.align.batch import batch_align, containment_dp, containment_prefilter
+from repro.pace.clustering import _overlap_passes
+from repro.serve.state import ServeState
+
+#: ``(identity, coverage of the representative, coverage of the new
+#: sequence)`` of one candidate's semiglobal optimum, or None when the
+#: Myers bound proved Definition 1 fails both ways (no alignment made).
+Containment = tuple[float, float, float] | None
+
+
+def _cells(state: ServeState, reps: Sequence[int], length: int) -> int:
+    return sum(state.length(rep) for rep in reps) * length
+
+
+def containment_sweep(
+    state: ServeState, candidates: Sequence[int], encoded: np.ndarray
+) -> list[Containment]:
+    """Definition 1 statistics of ``encoded`` against every candidate,
+    in candidate order: one Myers sweep, then one semiglobal DP over
+    the pairs it neither rejected nor certified exact."""
+    if not candidates:
+        return []
+    config = state.config
+    with obs.span("myers_reject", cat="stage", pairs=len(candidates)):
+        prefilter = containment_prefilter(
+            [(state.encoded(rep), encoded) for rep in candidates],
+            scheme=config.scheme,
+            similarity=config.containment_similarity,
+            coverage=config.containment_coverage,
+        )
+    stats = prefilter.stats
+    if prefilter.undecided:
+        aligned = [candidates[k] for k in prefilter.undecided]
+        with obs.span("dp", cat="stage", pairs=len(aligned),
+                      cells=_cells(state, aligned, len(encoded))):
+            stats = containment_dp(prefilter, config.scheme).stats
+    return [None if rejected else triple
+            for rejected, triple in zip(prefilter.rejected, stats)]
+
+
+def count_containment(
+    state: ServeState,
+    candidates: Sequence[int],
+    verdicts: Sequence[Containment],
+    reached: int,
+    length: int,
+) -> int:
+    """Report the Definition 1 work of the first ``reached`` candidates
+    — a Myers reject, or an alignment (a pair certified at distance 0
+    counts as the alignment it replaces) — and return the alignments."""
+    aligned = [rep for rep, verdict in zip(candidates[:reached], verdicts)
+               if verdict is not None]
+    obs.count("serve.myers_rejects", reached - len(aligned))
+    obs.count("serve.alignments", len(aligned))
+    obs.count("serve.dp_cells", _cells(state, aligned, length))
+    return len(aligned)
+
+
+def overlap_sweep(
+    state: ServeState, reps: Sequence[int], encoded: np.ndarray
+) -> list[bool]:
+    """Definition 2 verdict of ``encoded`` against each of ``reps``: one
+    local DP over all of them, every pair counted."""
+    if not reps:
+        return []
+    config = state.config
+    cells = _cells(state, reps, len(encoded))
+    with obs.span("dp", cat="stage", pairs=len(reps), cells=cells):
+        alignments = batch_align(
+            [(state.encoded(rep), encoded) for rep in reps],
+            config.scheme, "local",
+        )
+    obs.count("serve.alignments", len(reps))
+    obs.count("serve.dp_cells", cells)
+    return [
+        _overlap_passes(aln, state.length(rep), len(encoded),
+                        config.overlap_similarity, config.overlap_coverage)
+        for rep, aln in zip(reps, alignments)
+    ]

@@ -30,6 +30,7 @@ from repro.core.checkpoint import (
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro import obs
+from repro.align import batch, pairwise
 from repro.obs import (
     SERVE_METRICS_FILENAME,
     LatencyHistogram,
@@ -217,6 +218,32 @@ class TestIncrementalInsert:
         # The copy joins its container's family for membership queries.
         assert state.uf.same(out["index"], container)
 
+    def test_n_families_counts_without_building(self, serve_workload):
+        """The count under the server lock equals the materialised
+        families' through merges and members going redundant."""
+        base, held, run_dir, config = serve_workload
+        state = load_serve_state(run_dir, _reload_base(base), config)
+        assert state.n_families() == len(state.families())
+        rep = sorted(state.rep_index.active)[0]
+        loner = held[len(held) - 1]  # a noise sequence: a family of one
+        rng = random.Random(3)
+        flanks = ["".join(rng.choices("ACDEFGHIKLMNPQRSTVWY", k=300))
+                  for _ in range(2)]
+        inserts = [(r.id, r.residues) for r in held]
+        # A copy is retired into its family; a container retires a
+        # representative of its own family; and one so much longer that
+        # Definition 2 fails retires the loner without joining it, which
+        # leaves a component with no live member — not a family.
+        inserts.insert(2, ("copy", base[rep].residues))
+        inserts.insert(4, ("longer",
+                           "MKV" * 4 + base[rep].residues + "GHW" * 4))
+        inserts.append(("engulfing", flanks[0] + loner.residues + flanks[1]))
+        for seq_id, residues in inserts:
+            insert_sequence(state, seq_id, residues)
+            assert state.n_families() == len(state.families())
+        assert rep in state.redundant
+        assert state.n_families() == len(state.partition()) - 1
+
     def test_equivalence_gate_vs_batch(self, serve_workload,
                                        small_metagenome):
         """Held-out 20% inserted through serving == batch on 100%."""
@@ -266,7 +293,7 @@ class TestIncrementalInsert:
         assert _family_ids(replayed) == _family_ids(state)
 
     def test_replay_insert_applies_decision_without_alignment(
-            self, serve_workload, tmp_path):
+            self, serve_workload, tmp_path, monkeypatch):
         base, held, run_dir, config = serve_workload
         my_run = tmp_path / "run"
         my_run.mkdir()
@@ -290,9 +317,15 @@ class TestIncrementalInsert:
         ]
         assert len(decisions) == 1
         mirror = load_serve_state(run_dir, _reload_base(base), config)
-        before = mirror.cache.stats()["misses"]
+
+        def no_alignment(*_args, **_kwargs):
+            raise AssertionError("replay must not align")
+
+        # Every alignment route ends in one of these three kernels.
+        monkeypatch.setattr(batch, "_myers_sweep", no_alignment)
+        monkeypatch.setattr(batch, "_bucket_fill", no_alignment)
+        monkeypatch.setattr(pairwise, "_fill", no_alignment)
         replay_insert(mirror, decisions[0])
-        assert mirror.cache.stats()["misses"] == before  # no alignments
         assert mirror.digest() == live.digest()
 
 
@@ -909,6 +942,19 @@ class TestSlowLogAndTrace:
         assert {"parse", "candidates", "ack"} <= query_spans
         insert_spans = {s["name"] for s in by_op["insert"]["spans"]}
         assert {"parse", "candidates", "ack"} <= insert_spans
+        # A sweep stage is one span per engine call and says how much
+        # it was handed, in the log and in the trace made from it.
+        assert "myers_reject" in query_spans
+        stages = [s for r in records for s in r["spans"]
+                  if s["name"] in ("myers_reject", "dp")]
+        assert all(s["args"]["pairs"] >= 1 for s in stages)
+        assert all(s["args"]["cells"] > 0
+                   for s in stages if s["name"] == "dp")
+        slices = [e for e in slow_trace(records)["traceEvents"]
+                  if e["name"] in ("myers_reject", "dp")]
+        assert len(slices) == len(stages)
+        assert all({"pairs", "request_id", "op"} <= e["args"].keys()
+                   for e in slices)
         # Tail sampling absorbed the span trees onto the connection lane
         # of the daemon recorder, and counted each slow request.
         assert server.recorder.value("serve.slow_requests") == 3

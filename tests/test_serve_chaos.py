@@ -40,7 +40,10 @@ from repro.faults.serve_chaos import (
     ServeChaosScenario,
     run_serve_chaos,
 )
+from repro.obs.request import RequestContext
 from repro.sequence.record import SequenceSet
+from repro.serve import protocol, sweeps
+from repro.serve import server as server_module
 from repro.serve.loadgen import run_load
 from repro.serve.protocol import (
     RETRYABLE_CODES,
@@ -58,6 +61,7 @@ from repro.serve.snapshot import (
 from repro.serve.state import (
     build_or_restore_serve_state,
     build_serve_state,
+    load_serve_state,
 )
 
 
@@ -235,6 +239,56 @@ class TestDeadlinesAndBackpressure:
             ok = client.call("query", id=base[0].id, deadline_ms=30000)
             assert ok["found"]
         server.request_stop()
+
+    def test_deadline_between_stages_sheds_the_whole_query(
+        self, chaos_workload, monkeypatch
+    ):
+        """A budget the containment stage uses up is shed at the stage
+        boundary: `deadline_exceeded`, one shed counted, no overlap
+        stage run and nothing of the classification in the reply."""
+        base, held, run_dir, config = chaos_workload
+        state = load_serve_state(run_dir, _fresh(base), config)
+        server = ServeServer(state)
+        clock = [0.0]
+        monkeypatch.setattr(server.recorder, "now", lambda: clock[0])
+        stages: list[str] = []
+
+        def containment_taking_a_second(*args):
+            stages.append("containment")
+            clock[0] += 1.0
+            return sweeps.containment_sweep(*args)
+
+        def overlap(*args):
+            stages.append("overlap")
+            return sweeps.overlap_sweep(*args)
+
+        monkeypatch.setattr(
+            server_module, "containment_sweep", containment_taking_a_second)
+        monkeypatch.setattr(server_module, "overlap_sweep", overlap)
+
+        def classify(deadline_ms: float) -> dict:
+            line = protocol.encode(protocol.request(
+                "query", residues=held[0].residues, deadline_ms=deadline_ms))
+            ctx = RequestContext(server.recorder)
+            with ctx.install():
+                response, _keep_open = server._respond(ctx, line)
+            server._finish_request(ctx)
+            return response
+
+        whole = classify(60_000)
+        assert whole["ok"] and stages == ["containment", "overlap"]
+        del stages[:]
+        shed = classify(500)
+        assert stages == ["containment"]
+        assert shed["ok"] is False and shed["code"] == "deadline_exceeded"
+        assert "overlap stage" in shed["error"]
+        assert shed.keys() == {"ok", "code", "error"}
+        assert server.recorder.value("serve.deadline_sheds") == 1
+        assert server.recorder.value("serve.errors") == 1
+        # The same query inside its budget runs both stages and answers.
+        assert classify(1500) == whole
+        assert stages == ["containment", "containment", "overlap"]
+        assert server.recorder.value("serve.deadline_sheds") == 1
 
     def test_overload_sheds_with_retry_after(self, chaos_workload, tmp_path):
         base, held, run_dir, config = chaos_workload
