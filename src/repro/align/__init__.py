@@ -14,13 +14,11 @@ from repro.align.pairwise import (
     local_align,
     semiglobal_align,
 )
-from repro.align.banded import banded_global_align
 from repro.align.batch import (
     ContainmentBatch,
     batch_align,
     batch_containment,
     batch_myers_infix,
-    batch_score,
     containment_reject_threshold,
     myers_infix_distance,
     strict_diagonal_scheme,
@@ -45,12 +43,10 @@ __all__ = [
     "global_align",
     "local_align",
     "semiglobal_align",
-    "banded_global_align",
     "ContainmentBatch",
     "batch_align",
     "batch_containment",
     "batch_myers_infix",
-    "batch_score",
     "containment_reject_threshold",
     "myers_infix_distance",
     "strict_diagonal_scheme",

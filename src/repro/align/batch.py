@@ -5,10 +5,10 @@ The scalar kernels in :mod:`repro.align.pairwise` vectorise *within* one
 DP matrix (one ``np.maximum.accumulate`` per row), which leaves ~8
 NumPy dispatches per row of a single pair — for the paper's sequence
 lengths that overhead is comparable to the arithmetic itself.  This
-module packs many promising pairs into shared sweeps along three
+module packs many promising pairs into shared sweeps along two
 complementary axes:
 
-1. **Bucketed batch fill** (:func:`batch_align`, :func:`batch_score`):
+1. **Bucketed batch fill** (:func:`batch_align`):
    pairs are grouped into length buckets and padded; the DP state is
    laid out *batch-last* — ``H[(m+1), (n+1), B]`` — so every row update
    is one contiguous NumPy op across the whole bucket.  The fill
@@ -29,12 +29,6 @@ complementary axes:
    *certifies* the scalar optimum exactly (perfect-diagonal match) and
    is answered without DP as well.
 
-3. **Certified banded global scoring**: ``batch_score(mode="global")``
-   routes through :func:`repro.align.banded.banded_global_align`
-   whenever the band bound *provably* holds — the banded score beats
-   the best any band-leaving path could score — and the band is large
-   enough relative to the matrix for the O((m+n)k) sweep to win.
-
 Every fast path is gated by a proof obligation, and the whole engine is
 pinned to the scalar kernels by the Hypothesis equivalence suite in
 ``tests/test_batch_align.py``.
@@ -49,7 +43,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.align.banded import banded_global_align
 from repro.align.matrices import ScoringScheme, blosum62_scheme
 from repro.align.pairwise import (
     Alignment,
@@ -240,94 +233,6 @@ def batch_align(
         for slot, (k, (i, j)) in enumerate(zip(members, starts)):
             out[k] = _traceback(H[:, :, slot], *enc[k], scheme, i, j, mode)
     return out  # type: ignore[return-value]
-
-
-# ---------------------------------------------------------------------------
-# Score-only mode (with the certified banded default for global)
-# ---------------------------------------------------------------------------
-
-
-def _banded_certificate_score(
-    a: np.ndarray, b: np.ndarray, scheme: ScoringScheme
-) -> int | None:
-    """Exact global score via banded DP, or None when not certifiable.
-
-    Soundness: a global path that touches any cell with ``|i - j| >
-    band`` spends at least ``2 * (band + 1) - |m - n|`` gap columns, so
-    it scores at most ``U = maxdiag * min(m, n) + gap * (2 * (band + 1)
-    - |m - n|)``.  When the banded optimum *strictly* beats ``U``, no
-    band-leaving path can tie it, hence the banded score is the
-    unrestricted optimum.  Profitability: the banded row sweep
-    (:func:`~repro.align.banded.banded_global_align`) runs the same
-    ``m`` Python iterations as the full row fill, each over a slice of
-    at most ``2 * band + 1`` cells, and still allocates the full
-    ``(m+1, n+1)`` matrix, so it only wins once the matrix is large
-    relative to the band.
-    """
-    m, n = len(a), len(b)
-    band = abs(m - n) + 32
-    # Profitability gate (not a correctness condition): per-row array
-    # work must shrink enough to pay for the banded kernel's slicing
-    # and its full-size allocation.
-    if min(m, n) < 384 or (2 * band + 1) * 4 > min(m, n):
-        return None
-    maxdiag = int(scheme.matrix.diagonal().max())
-    banded = banded_global_align(a, b, band, scheme)
-    out_bound = maxdiag * min(m, n) + scheme.gap * (2 * (band + 1) - abs(m - n))
-    if banded.score > out_bound:
-        return banded.score
-    return None
-
-
-def batch_score(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    scheme: ScoringScheme | None = None,
-    mode: str = "semiglobal",
-    *,
-    bucket_size: int = DEFAULT_BUCKET,
-    use_banded: bool | None = None,
-) -> np.ndarray:
-    """Optimal scores only — no tracebacks, no Alignment objects.
-
-    Scores are exactly the scalar kernels' ``.score``.  For
-    ``mode="global"`` each pair first tries the certified banded sweep
-    (see :func:`_banded_certificate_score`); pairs that cannot be
-    certified fall back to the batched full fill.  ``use_banded``
-    forces the routing for tests (None = automatic).
-    """
-    if mode not in ("global", "local", "semiglobal"):
-        raise ValueError(f"unknown alignment mode {mode!r}")
-    if scheme is None:
-        scheme = blosum62_scheme()
-    enc = [(_as_encoded(a), _as_encoded(b)) for a, b in pairs]
-    scores = np.zeros(len(enc), dtype=np.int64)
-    todo = list(range(len(enc)))
-    if mode == "global" and use_banded is not False:
-        remaining = []
-        for k in todo:
-            certified = _banded_certificate_score(*enc[k], scheme)
-            if certified is None and use_banded is True:
-                aln = banded_global_align(
-                    enc[k][0], enc[k][1], max(len(enc[k][0]), len(enc[k][1])),
-                    scheme,
-                )
-                certified = aln.score
-            if certified is not None:
-                scores[k] = certified
-                obs.count("batch.banded_certified")
-            else:
-                remaining.append(k)
-        todo = remaining
-    if todo:
-        dims = [(len(enc[k][0]), len(enc[k][1])) for k in todo]
-        obs.count("batch.pairs", len(todo))
-        obs.count("batch.cells", batch_alignment_cells(dims))
-        for members in _iter_buckets(dims, bucket_size):
-            bucket = [enc[todo[s]] for s in members]
-            H = _bucket_fill(bucket, scheme, mode)
-            start_i, start_j = _bucket_endpoints(H, bucket, mode)
-            scores[[todo[s] for s in members]] = H[start_i, start_j, np.arange(len(members))]
-    return scores
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ The framework (:mod:`repro.analysis.framework`) walks each file's AST
 once and dispatches nodes to repo-specific rules
 (:mod:`repro.analysis.rules`, R1–R13) that enforce the pipeline's
 correctness contracts — counter-registry closure, seed and clock
-discipline, picklable worker tasks, ``is None`` defaulting, lock
-hygiene, and the shared benchmark schema.  Rules R11–R13 are
+discipline, picklable worker tasks, ``is None`` defaulting and lock
+hygiene.  Rules R11–R13 are
 cross-file: they consume the whole-project index built by
 :mod:`repro.analysis.project` (symbol table, call graph, lock model,
 thread map) to check lock ordering, guarded state, and blocking calls

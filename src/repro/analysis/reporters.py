@@ -2,7 +2,7 @@
 
 The text form is the human/CI-log view; the JSON form
 (``repro-lint/1``) is the machine view uploaded as a CI artifact and
-diffable across runs, mirroring the ``repro-bench/1`` convention.
+diffable across runs.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ rule      slug                 contract protected
 ``R5``    picklable-task       worker targets ship to processes and stay stateless
 ``R6``    mutable-default      no shared mutable default arguments
 ``R7``    lock-discipline      obs locks are exception-safe (``with``, not acquire)
-``R8``    bench-schema         benchmarks emit the shared ``repro-bench/1`` schema
 ``R9``    swallowed-exception  recovery paths never swallow exceptions silently
 ``R10``   request-span         serve verb handlers stay visible to request tracing
 ``R11``   lock-order           the lock acquisition graph stays cycle-free
@@ -21,7 +20,9 @@ rule      slug                 contract protected
 ``R13``   blocking-under-lock  no blocking call while a named lock is held
 ========  ===================  ====================================================
 
-R11–R13 are cross-file: they run over the phase-one
+``R8`` (the ``BENCH_*.json`` writer contract) went with the scripts it
+applied to; the other numbers are kept, since suppressions and reports
+name them.  R11–R13 are cross-file: they run over the phase-one
 :class:`~repro.analysis.project.ProjectIndex` (symbol table, call
 graph, lock model, thread map) in ``finish_project`` instead of
 visiting nodes file by file.
@@ -30,7 +31,6 @@ visiting nodes file by file.
 from __future__ import annotations
 
 import ast
-import re
 
 from repro.analysis.framework import (
     FileContext,
@@ -544,58 +544,6 @@ class LockDisciplineRule(Rule):
             )
 
 
-class BenchSchemaRule(Rule):
-    """R8: benchmark scripts emit through ``workloads.write_bench``.
-
-    The metrics-regression gate and the repo's performance trajectory
-    depend on every benchmark landing a ``BENCH_<name>.json`` in the
-    shared ``repro-bench/1`` schema; a script that dumps its own JSON
-    is invisible to the gate.
-    """
-
-    name = "R8"
-    slug = "bench-schema"
-    severity = "error"
-    description = (
-        "benchmarks/bench_*.py must emit results via "
-        "workloads.write_bench (shared repro-bench/1 schema)"
-    )
-
-    _ARTIFACT = re.compile(r"^BENCH_.*\.json$")
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return "benchmarks" in ctx.parts[:-1] and ctx.filename.startswith("bench_")
-
-    def start_file(self, ctx: FileContext) -> None:
-        self._saw_write_bench = False
-
-    def visit_Call(self, ctx: FileContext, node: ast.Call) -> None:
-        dotted = dotted_name(node.func) or ""
-        leaf = dotted.rpartition(".")[2]
-        if leaf in ("write_bench", "write_bench_json"):
-            self._saw_write_bench = True
-
-    def visit_Constant(self, ctx: FileContext, node: ast.Constant) -> None:
-        if isinstance(node.value, str) and self._ARTIFACT.match(node.value):
-            ctx.report(
-                self,
-                node,
-                f"benchmark writes {node.value!r} directly, bypassing "
-                f"the repro-bench/1 schema; emit via "
-                f"workloads.write_bench",
-                severity="warning",
-            )
-
-    def finish_file(self, ctx: FileContext) -> None:
-        if not self._saw_write_bench:
-            ctx.report(
-                self,
-                1,
-                "benchmark never calls workloads.write_bench; its "
-                "results are invisible to the metrics gate",
-            )
-
-
 class SwallowedExceptionRule(Rule):
     """R9: fault-handling code never swallows exceptions silently.
 
@@ -955,7 +903,6 @@ def default_rules() -> tuple[type[Rule], ...]:
         PicklableTaskRule,
         MutableDefaultRule,
         LockDisciplineRule,
-        BenchSchemaRule,
         SwallowedExceptionRule,
         RequestSpanRule,
         LockOrderRule,

@@ -49,14 +49,14 @@ query
     sequence's family by id, classify unseen residues read-only,
     insert a FASTA batch, fetch status, or request shutdown.
 bench-serve
-    Drive N concurrent clients against a running daemon and write
-    ``BENCH_serve_latency.json`` (p50/p99 query latency, insert
-    throughput).
+    Drive N concurrent clients against a running daemon and print the
+    burst's metrics (p50/p99 query latency, insert throughput, the
+    daemon's own histogram percentiles) as one JSON object.
 lint
     Run the repo-specific AST invariant checker
     (:mod:`repro.analysis`): counter-registry closure, seed/clock
     discipline, picklable worker targets, ``is None`` defaulting, lock
-    hygiene, benchmark schema.  Exit 0 = clean, 1 = violations at or
+    hygiene.  Exit 0 = clean, 1 = violations at or
     above ``--fail-on``, 2 = unreadable/missing input.
 runtime-info
     Print detected cores and execution-backend availability.
@@ -331,7 +331,9 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import write_chrome_trace, write_counters_json
 
-    sequences = read_fasta(args.fasta)
+    sequences = _read_fasta_or_none(args.fasta)
+    if sequences is None:
+        return 2
     config = _config_from_args(args)
     result = ProteinFamilyPipeline(config).run(
         sequences,
@@ -541,7 +543,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.obs import write_bench_json
     from repro.serve.loadgen import run_load
     from repro.serve.protocol import ProtocolError, ServeClient
 
@@ -577,10 +578,10 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
         deadline_ms=args.deadline_ms,
     )
     metrics = result.metrics()
-    # Scrape the daemon's own SLO surface so the committed BENCH file
-    # carries both sides of the latency story (client-observed and
-    # server-side histogram percentiles).  A pre-metrics daemon answers
-    # unknown_op; degrade to client-side numbers only.
+    # Scrape the daemon's own SLO surface so the report carries both
+    # sides of the latency story (client-observed and server-side
+    # histogram percentiles).  A pre-metrics daemon answers unknown_op;
+    # degrade to client-side numbers only.
     try:
         with ServeClient.connect(addr[0], addr[1],
                                  timeout=args.timeout) as client:
@@ -596,25 +597,12 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
             metrics[f"server_{verb}_count"] = digest["count"]
             for key in ("p50_ms", "p99_ms", "p999_ms"):
                 metrics[f"server_{verb}_{key}"] = digest[key]
-    params = {
-        "clients": args.clients,
-        "requests_per_client": args.requests,
-        "insert_fraction": args.insert_fraction,
-        "n_query_ids": len(sequences),
-        "n_insert_pool": len(inserts),
-        "seed": args.seed,
-        "deadline_ms": args.deadline_ms,
-    }
-    path = write_bench_json("serve_latency", params, metrics,
-                            directory=args.out_dir)
-    for name in sorted(metrics):
-        print(f"{name:<24s} {metrics[name]:.3f}")
-    print(f"bench -> {path}")
+    print(json.dumps(metrics, indent=1, sort_keys=True))
     if result.n_shed:
         print(f"bench: {result.n_shed} request(s) shed "
               f"(overloaded={result.n_overloaded}, "
               f"deadline_exceeded={result.n_deadline}) — "
-              f"admission control, not errors")
+              f"admission control, not errors", file=sys.stderr)
     return 1 if result.n_errors else 0
 
 
@@ -749,8 +737,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    families = json.loads(Path(args.families).read_text(encoding="ascii"))
-    truth = json.loads(Path(args.truth).read_text(encoding="ascii"))
+    families, rc = _load_json(Path(args.families), "families")
+    if families is None:
+        return rc
+    truth, rc = _load_json(Path(args.truth), "truth table")
+    if truth is None:
+        return rc
     clusters: dict[int, list[str]] = {}
     for seq_id, fam in truth.items():
         if fam >= 0:
@@ -764,8 +756,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from repro.eval.families import compare_families
 
-    test = json.loads(Path(args.test).read_text(encoding="ascii"))
-    bench = json.loads(Path(args.benchmark).read_text(encoding="ascii"))
+    test, rc = _load_json(Path(args.test), "test clustering")
+    if test is None:
+        return rc
+    bench, rc = _load_json(Path(args.benchmark), "benchmark clustering")
+    if bench is None:
+        return rc
     scores = quality_scores(pair_confusion(test, bench))
     comparison = compare_families(test, bench)
     for name, value in scores.as_dict().items():
@@ -791,7 +787,9 @@ def cmd_runtime_info(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    sequences = read_fasta(args.fasta)
+    sequences = _read_fasta_or_none(args.fasta)
+    if sequences is None:
+        return 2
     config = _config_from_args(args)
     pipeline = ProteinFamilyPipeline(config)
     cache = pipeline._make_cache(sequences)
@@ -1031,7 +1029,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench-serve",
-        help="load-test a running daemon and write BENCH_serve_latency.json",
+        help="load-test a running daemon and print its latency metrics as JSON",
     )
     p_bench.add_argument("address", help="daemon address as host:port")
     p_bench.add_argument(
@@ -1048,10 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--insert-fraction", type=float, default=0.2)
     p_bench.add_argument("--seed", type=int, default=2008)
-    p_bench.add_argument(
-        "--out-dir", default=".", metavar="DIR",
-        help="directory for BENCH_serve_latency.json (default: .)",
-    )
     p_bench.add_argument("--timeout", type=float, default=60.0)
     p_bench.add_argument(
         "--deadline-ms", type=float, default=None, metavar="MS",

@@ -6,14 +6,10 @@ from repro.core.pipeline import (
     PipelineResult,
     ProteinFamilyPipeline,
 )
-from repro.core.serialize import load_result_summary, result_to_dict, save_result
 
 __all__ = [
     "PipelineConfig",
     "PhaseTimings",
     "PipelineResult",
     "ProteinFamilyPipeline",
-    "load_result_summary",
-    "result_to_dict",
-    "save_result",
 ]

@@ -28,7 +28,7 @@ timelines.  This package gives every execution mode — the
 * :mod:`repro.obs.top` renders a telemetry file — live or finished —
   as the ``repro top`` status screen;
 * :mod:`repro.obs.regression` is the metrics-regression gate behind
-  ``repro compare-metrics`` and the shared ``BENCH_*.json`` schema.
+  ``repro compare-metrics`` and the ``BENCH_baseline.json`` schema.
 
 ``ProteinFamilyPipeline.run`` installs a recorder automatically and
 returns it as ``result.obs``; ``repro profile`` wires the exporters.
@@ -62,7 +62,6 @@ from repro.obs.regression import (
     bench_payload,
     compare_metrics,
     compare_report,
-    write_bench_json,
 )
 from repro.obs.telemetry import (
     DEFAULT_INTERVAL,
@@ -140,7 +139,6 @@ __all__ = [
     "slow_trace",
     "slow_trace_events",
     "span",
-    "write_bench_json",
     "write_chrome_trace",
     "write_counters_json",
     "write_slow_trace",

@@ -156,9 +156,6 @@ _SPECS = [
                 "certificate under a strict-diagonal scheme"),
     CounterSpec("batch.dp_pairs", "align",
                 "containment pairs that fell through to the batched DP"),
-    CounterSpec("batch.banded_certified", "align",
-                "global score-only pairs answered by the certified "
-                "banded sweep instead of the full fill"),
     # -- Runtime backends ---------------------------------------------------
     CounterSpec("runtime.batches", "runtime",
                 "tasks entered into the process backend's ledger "

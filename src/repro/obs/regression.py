@@ -8,17 +8,16 @@ run's counters payload (what ``repro profile --counters-out`` writes)
 against a committed baseline file, and exits non-zero on either, which
 is what lets CI refuse the merge.
 
-The baseline — ``BENCH_baseline.json`` at the repo root — uses the
-same schema every benchmark under ``benchmarks/`` writes, so the whole
-performance trajectory of the repo is machine-readable::
+The baseline — ``BENCH_baseline.json`` at the repo root — is one
+versioned document (:data:`BENCH_SCHEMA`)::
 
     {
-      "schema": "repro-bench/1",
-      "name": "<benchmark or baseline name>",
+      "schema": "<BENCH_SCHEMA>",
+      "name": "baseline",
       "git_sha": "<commit that produced it>",
-      "params": {...},           # workload/config knobs, for humans+diffs
-      "metrics": {...}           # the numbers; baselines carry
-    }                            #   "scientific" and "wall_seconds"
+      "params": {...},           # the run's meta block, for humans+diffs
+      "metrics": {...}           # "scientific", "wall_seconds",
+    }                            #   "phase_seconds"
 
 Scientific counters are compared **exactly** (they are mode- and
 machine-invariant by the tested contract in ``tests/test_obs.py``);
@@ -29,12 +28,11 @@ the tolerance that matches how comparable the machines are.
 
 from __future__ import annotations
 
-import json
 import subprocess
 from pathlib import Path
 from typing import Mapping
 
-#: Version tag stamped on every benchmark/baseline JSON document.
+#: Version tag stamped on the baseline document.
 BENCH_SCHEMA = "repro-bench/1"
 
 #: Default relative wall-clock tolerance (0.20 = fail beyond +20%).
@@ -59,7 +57,7 @@ def git_sha(repo_root: str | Path | None = None) -> str:
 
 def bench_payload(name: str, params: Mapping, metrics: Mapping,
                   *, repo_root: str | Path | None = None) -> dict:
-    """A benchmark result in the shared trajectory schema."""
+    """A named result document in the baseline schema."""
     return {
         "schema": BENCH_SCHEMA,
         "name": name,
@@ -67,15 +65,6 @@ def bench_payload(name: str, params: Mapping, metrics: Mapping,
         "params": dict(params),
         "metrics": dict(metrics),
     }
-
-
-def write_bench_json(name: str, params: Mapping, metrics: Mapping,
-                     *, directory: str | Path) -> Path:
-    """Write ``BENCH_<name>.json`` under ``directory`` and return it."""
-    path = Path(directory) / f"BENCH_{name}.json"
-    payload = bench_payload(name, params, metrics, repo_root=directory)
-    path.write_text(json.dumps(payload, indent=1) + "\n", encoding="ascii")
-    return path
 
 
 def baseline_from_run(run_payload: Mapping, *, name: str = "baseline",

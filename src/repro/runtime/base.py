@@ -222,10 +222,6 @@ class PairStream:
         self.in_flight = 0
         obs.gauge(f"stream.{stream_id}.kind", kind)
 
-    def submit(self, i: int, j: int) -> None:
-        """Request the result for global sequence pair (i, j)."""
-        self.submit_many([(i, j)])
-
     def submit_many(self, pairs: Sequence[tuple[int, int]]) -> None:
         """Request results for many pairs at once."""
         for i, j in pairs:

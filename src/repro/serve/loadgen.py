@@ -2,7 +2,7 @@
 
 Drives N client threads against a running daemon — a query-heavy
 mixture with a configurable insert fraction — and reduces the observed
-latencies to the ``BENCH_serve_latency.json`` metrics (p50/p99 query
+latencies to the metrics ``repro bench-serve`` prints (p50/p99 query
 latency, insert throughput).  Deterministic per seed: each client owns
 a ``random.Random(seed + client_index)``, so the request mixture is
 reproducible even though thread interleaving is not.
@@ -13,7 +13,7 @@ designed, so those replies are counted separately
 (``n_overloaded`` / ``n_deadline``) and only requests that were
 actually admitted contribute latency samples.  ``metrics()`` reports
 **goodput** (admitted requests per second) next to the shed fraction —
-the two numbers an overload benchmark exists to measure.
+the two numbers an overload drill exists to measure.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class LoadResult:
         return self.n_queries + self.n_inserts + self.n_shed + self.n_errors
 
     def metrics(self) -> dict[str, float]:
-        """The BENCH metric payload (milliseconds / ops-per-second)."""
+        """The burst's metrics (milliseconds / ops-per-second)."""
         out: dict[str, float] = {
             "n_queries": float(self.n_queries),
             "n_inserts": float(self.n_inserts),

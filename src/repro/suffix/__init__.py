@@ -21,18 +21,6 @@ package provides:
   budget per block keeps the generator's working set at a few MB.
 * :mod:`repro.suffix.wmer` — the fixed-length w-mer incidence index for
   the domain-based bipartite reduction B_m.
-
-Two reference implementations that no phase runs are kept on purpose,
-because tests compare the production path against them:
-
-* :mod:`repro.suffix.gst` — a direct compressed generalized suffix tree
-  built by suffix insertion (quadratic worst case); the oracle for the
-  *set* of matches :mod:`repro.suffix.matches` emits, in
-  ``test_intervals_matches.py::test_matches_equal_gst_oracle`` (their
-  *order* is held to the scalar node walk in ``tests/scalar_finder.py``,
-  beside the scalar LCP and interval tree the array passes replaced).
-* :mod:`repro.suffix.ukkonen` — Ukkonen's O(n) suffix tree; the
-  reference ``test_properties.py`` holds :func:`suffix_array` to.
 """
 
 from repro.suffix.suffix_array import (
@@ -42,8 +30,6 @@ from repro.suffix.suffix_array import (
 )
 from repro.suffix.intervals import lcp_intervals
 from repro.suffix.matches import MatchBlock, MaximalMatch, MaximalMatchFinder
-from repro.suffix.gst import GeneralizedSuffixTree
-from repro.suffix.ukkonen import SuffixTree
 from repro.suffix.wmer import WmerIndex
 
 __all__ = [
@@ -54,7 +40,5 @@ __all__ = [
     "MatchBlock",
     "MaximalMatch",
     "MaximalMatchFinder",
-    "GeneralizedSuffixTree",
-    "SuffixTree",
     "WmerIndex",
 ]

@@ -24,8 +24,7 @@ from repro.shingle.algorithm import ShingleParams
 settings.register_profile("gate", derandomize=True)
 settings.load_profile("gate")
 
-# Lint fixtures are parsed by `repro lint`, never imported; the
-# bench_*.py ones would otherwise match `python_files` and fail import.
+# Lint fixtures are parsed by `repro lint`, never imported.
 collect_ignore = ["lint_fixtures"]
 
 

@@ -1,11 +1,13 @@
-"""A direct compressed generalized suffix tree.
+"""A direct compressed generalized suffix tree, kept as a test oracle.
 
 Built by inserting every suffix of every sequence with edge splitting
 (McCreight-style structure without suffix links), this is O(N * depth)
 in the worst case — quadratic on pathological inputs but linear-ish on
-protein data, and entirely adequate as (a) the correctness oracle for
-the suffix-array path in property tests and (b) the structure whose node
-counts/statistics mirror the paper's GST memory model (O(n*l/p) per
+protein data.  No phase runs it: it is the reference for the *set* of
+matches :mod:`repro.suffix.matches` emits
+(``test_intervals_matches.py::test_matches_equal_gst_oracle``; their
+*order* is held to the scalar node walk in ``tests/scalar_finder.py``),
+and its node counts mirror the paper's GST memory model (O(n*l/p) per
 processor when suffixes are partitioned).
 """
 

@@ -1,13 +1,14 @@
-"""Ukkonen's online linear-time suffix tree for a single sequence.
+"""Ukkonen's online linear-time suffix tree for a single sequence, kept
+as a test oracle.
 
 The paper's parallel GST construction (citing McCreight [21] and
-Kalyanaraman et al. [19]) needs a linear-time suffix-tree algorithm as
-its building block.  The enhanced suffix array in
-:mod:`repro.suffix.suffix_array` is our multi-sequence production path;
-this module supplies the classical pointer-based structure with suffix
-links — the O(n) online construction — plus the query API (substring
-search, occurrence listing, longest repeated substring) a downstream
-user expects from a suffix tree library.
+Kalyanaraman et al. [19]) builds on a linear-time suffix-tree algorithm.
+The enhanced suffix array in :mod:`repro.suffix.suffix_array` is the
+index every run uses; this is the classical pointer-based structure with
+suffix links — the O(n) online construction, with substring search,
+occurrence listing and longest repeated substring — that
+``test_properties.py`` holds :func:`~repro.suffix.suffix_array.suffix_array`
+to.
 
 Implementation notes: the standard Ukkonen formulation with an active
 point (node, edge-first-symbol, length), a global leaf end, and suffix

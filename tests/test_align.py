@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.banded import banded_global_align
 from repro.align.matrices import (
     BLOSUM62,
     IDENTITY_MATRIX,
@@ -181,29 +180,6 @@ class TestSemiglobal:
         scheme = blosum62_scheme()
         sg = semiglobal_align(a, b, scheme).score
         assert global_align(a, b, scheme).score <= sg <= local_align(a, b, scheme).score
-
-
-class TestBanded:
-    def test_matches_global_when_band_wide(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            a = rng.integers(0, 20, 30).astype(np.uint8)
-            b = a.copy()
-            b[5] = (b[5] + 1) % 20
-            full = global_align(a, b)
-            banded = banded_global_align(a, b, band=30)
-            assert banded.score == full.score
-            assert banded.matches == full.matches
-
-    def test_narrow_band_still_valid_alignment(self):
-        a = encode("ARNDCQEGHILK")
-        b = encode("ARNDCQEGHILK")
-        aln = banded_global_align(a, b, band=1, scheme=identity_scheme())
-        assert aln.score == 12
-
-    def test_band_narrower_than_length_gap_rejected(self):
-        with pytest.raises(ValueError, match="narrower"):
-            banded_global_align(encode("ARNDCQEG"), encode("AR"), band=2)
 
 
 class TestPredicates:

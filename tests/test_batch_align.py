@@ -2,11 +2,10 @@
 equivalence gate behind :mod:`repro.align.batch`.
 
 Every fast path in the batched engine carries a proof obligation (exact
-batch fill, sound Myers rejection, certified distance-0 and banded
-shortcuts); this suite pins each of them to the scalar reference with
-Hypothesis property tests, plus the satellite regressions: cache
-batch-path counter semantics, per-real-pair cell accounting, and the
-banded-vs-global contract.
+batch fill, sound Myers rejection, the certified distance-0 shortcut);
+this suite pins each of them to the scalar reference with Hypothesis
+property tests, plus the satellite regressions: cache batch-path counter
+semantics and per-real-pair cell accounting.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.align.banded import banded_global_align
 from repro.align.batch import (
     ContainmentBatch,
     _bucket_endpoints,
@@ -28,7 +26,6 @@ from repro.align.batch import (
     batch_align,
     batch_containment,
     batch_myers_infix,
-    batch_score,
     containment_reject_threshold,
     myers_infix_distance,
     strict_diagonal_scheme,
@@ -110,7 +107,6 @@ class TestBatchAlignEquivalence:
 
     def test_empty_pair_list(self):
         assert batch_align([], blosum62_scheme(), "global") == []
-        assert list(batch_score([], blosum62_scheme(), "global")) == []
 
     def test_length_one_sequences(self):
         scheme = blosum62_scheme()
@@ -170,8 +166,6 @@ class TestBatchAlignEquivalence:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown alignment mode"):
             batch_align([], blosum62_scheme(), "affine")
-        with pytest.raises(ValueError, match="unknown alignment mode"):
-            batch_score([], blosum62_scheme(), "affine")
 
 
 def assert_bucket_endpoints(pairs, scheme=None):
@@ -186,11 +180,8 @@ def assert_bucket_endpoints(pairs, scheme=None):
         assert list(zip(start_i.tolist(), start_j.tolist())) == [
             (s.a_end, s.b_end) for s in scalar
         ], mode
-        # The public entry points (which re-bucket by length) agree too.
+        # The public entry point (which re-buckets by length) agrees too.
         assert batch_align(pairs, scheme, mode) == scalar
-        assert list(batch_score(pairs, scheme, mode, use_banded=False)) == [
-            s.score for s in scalar
-        ]
 
 
 class TestBucketEndpoints:
@@ -303,38 +294,6 @@ class TestFillDtype:
             batched = batch_align(pairs, scheme, mode)
             assert batched == [SCALAR[mode](x, y, scheme) for x, y in pairs]
             assert all(type(aln.score) is int for aln in batched)
-        assert batch_score(pairs, scheme, "local").dtype == np.int64
-
-
-class TestBatchScore:
-    @given(pair_list, st.sampled_from(MODES))
-    @settings(max_examples=40, deadline=None)
-    def test_scores_match_scalar(self, pairs, mode):
-        scheme = blosum62_scheme()
-        scores = batch_score(pairs, scheme, mode)
-        assert list(scores) == [
-            SCALAR[mode](a, b, scheme).score for a, b in pairs
-        ]
-
-    def test_global_banded_routing_both_ways(self):
-        """Forcing the banded route on or off never changes a score."""
-        rng = np.random.default_rng(23)
-        # Near-identical long pairs (banded-certifiable) mixed with
-        # unrelated ones (certificate must fail, full fill takes over).
-        pairs = []
-        for _ in range(6):
-            a = rng.integers(0, 20, 420).astype(np.uint8)
-            b = a.copy()
-            pos = rng.integers(0, len(b), 8)
-            b[pos] = rng.integers(0, 20, len(pos)).astype(np.uint8)
-            pairs.append((a, b))
-        pairs += rand_pairs(rng, 6, lo=380, hi=450, contained_fraction=0.0)
-        scheme = blosum62_scheme()
-        expected = [global_align(a, b, scheme).score for a, b in pairs]
-        for use_banded in (None, True, False):
-            scores = batch_score(pairs, scheme, "global",
-                                 use_banded=use_banded)
-            assert list(scores) == expected
 
 
 def infix_distance_oracle(pattern, text):
@@ -511,69 +470,6 @@ class TestContainmentEngine:
             [], scheme=blosum62_scheme(), similarity=0.95, coverage=0.95
         )
         assert res.stats == [] and res.alignments == []
-
-
-class TestBandedVersusGlobal:
-    """Satellite: banded_global_align vs global_align contract."""
-
-    @given(encoded_seq, encoded_seq)
-    @settings(max_examples=40, deadline=None)
-    def test_full_band_equals_global_exactly(self, a, b):
-        """A band covering the whole matrix admits every path: the
-        banded kernel must reproduce the unbanded alignment, not just
-        its score."""
-        scheme = blosum62_scheme()
-        band = max(len(a), len(b))
-        assert banded_global_align(a, b, band, scheme) == global_align(
-            a, b, scheme
-        )
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_certified_band_score_equals_global(self, seed):
-        """Whenever the band certificate holds — the banded score beats
-        the ceiling of any band-leaving path — the optimal path provably
-        fits the band and the scores are exactly equal."""
-        rng = np.random.default_rng(seed)
-        scheme = blosum62_scheme()
-        a = rng.integers(0, 20, 120).astype(np.uint8)
-        b = a.copy()
-        pos = rng.integers(0, len(b), 6)
-        b[pos] = rng.integers(0, 20, len(pos)).astype(np.uint8)
-        band = 16
-        banded = banded_global_align(a, b, band, scheme)
-        maxdiag = int(scheme.matrix.diagonal().max())
-        out_bound = maxdiag * min(len(a), len(b)) + scheme.gap * (
-            2 * (band + 1) - abs(len(a) - len(b))
-        )
-        if banded.score > out_bound:
-            assert banded.score == global_align(a, b, scheme).score
-
-    def test_too_narrow_band_underestimates_documented(self):
-        """Documented failure mode: when the optimal path needs cells
-        outside the band, the banded score is a lower bound, not the
-        optimum — callers must certify before trusting it."""
-        scheme = identity_scheme()
-        # Equal lengths, but the only matches sit 7 diagonals off the
-        # main one: the optimal path leaves any band narrower than 7.
-        a = np.arange(20, dtype=np.uint8)
-        b = np.concatenate(
-            [np.full(7, 19, dtype=np.uint8), np.arange(13, dtype=np.uint8)]
-        )
-        wide = banded_global_align(a, b, band=len(b), scheme=scheme)
-        narrow = banded_global_align(a, b, band=2, scheme=scheme)
-        assert wide.score == global_align(a, b, scheme).score
-        assert narrow.score < wide.score
-        # And the certificate correctly refuses to certify the narrow run.
-        maxdiag = int(scheme.matrix.diagonal().max())
-        out_bound = maxdiag * len(a) + scheme.gap * (2 * 3 - abs(len(a) - len(b)))
-        assert not narrow.score > out_bound
-
-    def test_band_narrower_than_length_difference_rejected(self):
-        a = np.zeros(4, dtype=np.uint8)
-        b = np.zeros(12, dtype=np.uint8)
-        with pytest.raises(ValueError, match="narrower"):
-            banded_global_align(a, b, band=3, scheme=identity_scheme())
 
 
 class TestCacheBatchSemantics:

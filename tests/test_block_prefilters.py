@@ -182,7 +182,7 @@ def reference_ccd(sequences, kept, backend, cache, journal=None, replay_unions=(
         for match in master.finder.matches():
             if not master.admit(match.pair):
                 continue
-            stream.submit(kept[match.seq_a], kept[match.seq_b])
+            stream.submit_many([(kept[match.seq_a], kept[match.seq_b])])
             for gi, gj, aln in stream.ready():
                 absorb(gi, gj, aln)
         for gi, gj, aln in stream.drain():

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.obs import read_telemetry
+from repro.obs import BENCH_SCHEMA, read_telemetry
 
 
 @pytest.fixture()
@@ -218,7 +218,7 @@ class TestTelemetryAndGate:
         assert rc == 0
         assert "wrote baseline" in capsys.readouterr().out
         doc = json.loads(baseline.read_text())
-        assert doc["schema"] == "repro-bench/1"
+        assert doc["schema"] == BENCH_SCHEMA
         assert doc["metrics"]["scientific"]
 
         # The same run passes its own baseline.
@@ -307,6 +307,17 @@ class TestUnusableInputExitsTwo:
         rc = main(["run", str(bad)])
         assert rc == 2
         assert "unparseable FASTA" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "unparseable"])
+    @pytest.mark.parametrize("verb", ["profile", "simulate", "evaluate", "compare"])
+    def test_verb_reports_unusable_input(self, verb, kind, tmp_path, capsys):
+        path = tmp_path / "input"
+        if kind == "unparseable":
+            path.write_text("MKVL: neither FASTA nor JSON\n", encoding="ascii")
+        rc = main([verb, str(path)] + [str(path)] * (verb in ("evaluate", "compare")))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and "Traceback" not in err
 
     def test_run_invalid_config(self, generated, capsys):
         fasta, _ = generated

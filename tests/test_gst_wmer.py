@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from repro.align.prefilter import kmer_codes, shared_kmer_count, KmerPrefilter
 from repro.sequence.alphabet import encode, decode
-from repro.suffix.gst import GeneralizedSuffixTree
 from repro.suffix.wmer import WmerIndex
+from tests.oracle_gst import GeneralizedSuffixTree
 
 encoded_seqs = st.lists(
     st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=25).map(

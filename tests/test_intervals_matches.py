@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from repro.sequence.alphabet import encode
 from repro.suffix import matches as matches_module
-from repro.suffix.gst import GeneralizedSuffixTree
 from repro.suffix.intervals import lcp_intervals
 from repro.suffix.matches import MaximalMatchFinder, MaximalMatch
 from repro.suffix.suffix_array import GeneralizedSuffixArray
+from tests.oracle_gst import GeneralizedSuffixTree
 from tests.scalar_finder import ScalarMatchFinder, interval_columns, lcp_interval_tree
 
 encoded_seqs = st.lists(

