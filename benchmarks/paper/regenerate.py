@@ -37,6 +37,7 @@ ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.align.matrices import blosum62_scheme
+from repro.align.predicates import overlaps
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro.eval.metrics import compare_clusterings, pair_confusion, quality_scores
 from repro.gos.baseline import GosConfig, gos_cluster
@@ -44,7 +45,6 @@ from repro.graph.bipartite import BipartiteGraph, duplicate_bipartite
 from repro.graph.density import size_histogram
 from repro.graph.unionfind import UnionFind
 from repro.obs import read_telemetry
-from repro.pace.clustering import _overlap_passes
 from repro.parallel.machine import XEON_CLUSTER
 from repro.parallel.simulator import VirtualCluster
 from repro.runtime import SerialBackend, runtime_info
@@ -359,7 +359,7 @@ def _ccd_reference(sequences, cache, order: str, use_filter: bool):
             continue
         tested.add(pair)
         aln = cache.local(*pair)
-        if _overlap_passes(aln, len(encoded[pair[0]]), len(encoded[pair[1]]), 0.30, 0.80):
+        if overlaps(aln, len(encoded[pair[0]]), len(encoded[pair[1]]), 0.30, 0.80):
             uf.union(*pair)
     groups = sorted((sorted(g) for g in uf.groups().values()), key=lambda g: (-len(g), g[0]))
     return groups, len(tested)

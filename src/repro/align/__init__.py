@@ -1,5 +1,7 @@
-"""Pairwise sequence alignment: scoring, DP kernels, and the paper's
-containment (Definition 1) and overlap (Definition 2) predicates."""
+"""Pairwise sequence alignment: one engine, two definitions — scoring,
+the batched DP and Myers kernels, and the paper's containment
+(Definition 1) and overlap (Definition 2) predicates over what they
+yield."""
 
 from repro.align.matrices import (
     BLOSUM62,
@@ -8,19 +10,13 @@ from repro.align.matrices import (
     blosum62_scheme,
     identity_scheme,
 )
-from repro.align.pairwise import (
-    Alignment,
-    global_align,
-    local_align,
-    semiglobal_align,
-)
+from repro.align.pairwise import Alignment
 from repro.align.batch import (
     ContainmentBatch,
     batch_align,
     batch_containment,
     batch_myers_infix,
     containment_reject_threshold,
-    myers_infix_distance,
     strict_diagonal_scheme,
 )
 from repro.align.predicates import (
@@ -28,10 +24,12 @@ from repro.align.predicates import (
     CONTAINMENT_SIMILARITY,
     OVERLAP_COVERAGE,
     OVERLAP_SIMILARITY,
-    containment_test,
-    overlap_test,
+    contained,
+    containment_stats,
+    containment_verdict,
+    overlaps,
 )
-from repro.align.prefilter import KmerPrefilter, shared_kmer_count
+from repro.align.prefilter import KmerPrefilter
 
 __all__ = [
     "BLOSUM62",
@@ -40,22 +38,19 @@ __all__ = [
     "blosum62_scheme",
     "identity_scheme",
     "Alignment",
-    "global_align",
-    "local_align",
-    "semiglobal_align",
     "ContainmentBatch",
     "batch_align",
     "batch_containment",
     "batch_myers_infix",
     "containment_reject_threshold",
-    "myers_infix_distance",
     "strict_diagonal_scheme",
     "CONTAINMENT_COVERAGE",
     "CONTAINMENT_SIMILARITY",
     "OVERLAP_COVERAGE",
     "OVERLAP_SIMILARITY",
-    "containment_test",
-    "overlap_test",
+    "contained",
+    "containment_stats",
+    "containment_verdict",
+    "overlaps",
     "KmerPrefilter",
-    "shared_kmer_count",
 ]

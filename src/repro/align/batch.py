@@ -1,21 +1,22 @@
-"""Batched alignment engine: many pairs per NumPy sweep, bit-identical
-results.
+"""The alignment engine: many pairs per NumPy sweep, every result the
+one-pair definition's.
 
-The scalar kernels in :mod:`repro.align.pairwise` vectorise *within* one
-DP matrix (one ``np.maximum.accumulate`` per row), which leaves ~8
-NumPy dispatches per row of a single pair — for the paper's sequence
-lengths that overhead is comparable to the arithmetic itself.  This
-module packs many promising pairs into shared sweeps along two
+A DP vectorised *within* one matrix (one ``np.maximum.accumulate`` per
+row — the one-pair kernels ``tests/scalar_align.py`` keeps as the
+reference) leaves ~8 NumPy dispatches per row of a single pair; for the
+paper's sequence lengths that overhead is comparable to the arithmetic
+itself.  This module is the only DP in ``src/`` — a lone pair is a batch
+of one — and packs many promising pairs into shared sweeps along two
 complementary axes:
 
 1. **Bucketed batch fill** (:func:`batch_align`):
    pairs are grouped into length buckets and padded; the DP state is
    laid out *batch-last* — ``H[(m+1), (n+1), B]`` — so every row update
    is one contiguous NumPy op across the whole bucket.  The fill
-   computes the scalar recurrence exactly on each real submatrix, one
-   masked reduction per bucket replicates the scalar ``argmax`` rules,
-   and the scalar :func:`~repro.align.pairwise._traceback` walks each
-   slot — tie-breaking is *identical*, not merely score-equivalent.
+   computes the one-pair recurrence exactly on each real submatrix,
+   one masked reduction per bucket replicates the one-pair ``argmax``
+   rules, and :func:`~repro.align.pairwise._traceback` walks each slot
+   — tie-breaking is *identical*, not merely score-equivalent.
 
 2. **Bit-parallel Myers prefilter** (:func:`batch_myers_infix`,
    :func:`batch_containment`): a multi-word Myers (1999) bit-vector
@@ -30,8 +31,8 @@ complementary axes:
    is answered without DP as well.
 
 Every fast path is gated by a proof obligation, and the whole engine is
-pinned to the scalar kernels by the Hypothesis equivalence suite in
-``tests/test_batch_align.py``.
+pinned to ``tests/scalar_align.py`` by the Hypothesis equivalence suite
+in ``tests/test_batch_align.py``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from repro.align.pairwise import (
     _traceback,
     batch_alignment_cells,
 )
+from repro.align.predicates import containment_stats
 
 #: Pairs per DP bucket.  Re-measured with the int16, slab-free fill on a
 #: ~260-residue family, local mode: 561/571/458/460/482 us per pair at
@@ -98,7 +100,7 @@ def _bucket_fill(
     """Fill one bucket of pairs; returns H, batch-last ``(m_pad+1, n_pad+1, B)``.
 
     Slot ``k`` is the DP matrix of pair ``k`` padded with residue 0: its
-    real submatrix ``H[:m_k+1, :n_k+1, k]`` equals the scalar ``_fill`` H
+    real submatrix ``H[:m_k+1, :n_k+1, k]`` equals the one-pair fill's H
     (a cell only reads cells at smaller indices) and every cell obeys
     :func:`_chain_dtype`'s bound.  Padded cells can outscore the real
     optimum, so :func:`_bucket_endpoints` confines itself to real ones.
@@ -206,13 +208,14 @@ def batch_align(
     *,
     bucket_size: int = DEFAULT_BUCKET,
 ) -> list[Alignment]:
-    """Align many pairs at once; results equal the scalar kernels exactly.
+    """Align many pairs at once; results equal the one-pair kernels'
+    exactly.
 
     ``pairs`` is a sequence of ``(a, b)`` encoded arrays; the returned
     list is in input order and each element compares equal (all
-    dataclass fields) to ``global_align`` / ``local_align`` /
-    ``semiglobal_align`` on the same pair.  DP cells are accounted per
-    *real* pair dimensions (``batch.cells``), never per padded slot.
+    dataclass fields) to the ``tests/scalar_align.py`` aligner of that
+    ``mode`` on the same pair.  DP cells are accounted per *real* pair
+    dimensions (``batch.cells``), never per padded slot.
     """
     if mode not in ("global", "local", "semiglobal"):
         raise ValueError(f"unknown alignment mode {mode!r}")
@@ -359,11 +362,6 @@ def _myers_sweep(
                 hin_p, hin_m = hout_p, hout_m
         np.minimum(best, score, out=best)
     return best
-
-
-def myers_infix_distance(pattern: np.ndarray, text: np.ndarray) -> int:
-    """Scalar convenience wrapper over :func:`batch_myers_infix`."""
-    return int(batch_myers_infix([_as_encoded(pattern)], [_as_encoded(text)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +521,7 @@ def containment_dp(
         )
         for k, aln in zip(dp_idx, computed):
             a, b = enc[k]
-            stats[k] = (
-                aln.identity,
-                aln.coverage_a(len(a)),
-                aln.coverage_b(len(b)),
-            )
+            stats[k] = containment_stats(aln, len(a), len(b))
             alns[k] = aln
     obs.count("batch.dp_pairs", len(dp_idx))
     n_rejected = sum(prefilter.rejected)
@@ -549,8 +543,8 @@ def batch_containment(
     bucket_size: int = DEFAULT_BUCKET,
     myers_bucket: int = DEFAULT_MYERS_BUCKET,
 ) -> ContainmentBatch:
-    """Definition 1 statistics for many pairs, decision-identical to the
-    scalar ``semiglobal_align`` path.
+    """Definition 1 statistics for many pairs, decision-identical to a
+    semiglobal DP of every pair.
 
     Three routes, cheapest first:
 

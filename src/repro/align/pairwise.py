@@ -1,14 +1,11 @@
-"""Exact pairwise alignment kernels (Needleman-Wunsch / Smith-Waterman).
+"""What an alignment is: the result record, the traceback, the cost unit.
 
-The DP matrix fill is a row sweep vectorised with NumPy: within a row the
-only serial dependency of the linear-gap recurrence is the left-gap
-chain, which unrolls to a running maximum (see :func:`_fill`), so an
-O(l^2) Python loop becomes ~l vectorised row updates per pair.
-
-Tracebacks consume one diagonal run per step (one vector compare along
-``H.diagonal``) and yield the exact statistics the paper's Definitions 1
-and 2 threshold on: identical-column count, alignment length, and the
-aligned span on each sequence.
+There is one DP engine, :mod:`repro.align.batch`; it fills many matrices
+a sweep and walks each back with the :func:`_traceback` below.  The
+traceback consumes one diagonal run per step (one vector compare along
+``H.diagonal``) and yields the exact statistics the paper's Definitions
+1 and 2 threshold on (:mod:`repro.align.predicates`): identical-column
+count, alignment length, and the aligned span on each sequence.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.align.matrices import ScoringScheme, blosum62_scheme
+from repro.align.matrices import ScoringScheme
 
 
 @dataclass(frozen=True)
@@ -59,49 +56,6 @@ def _as_encoded(seq: np.ndarray) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("sequences must be non-empty 1-D encoded arrays")
     return arr
-
-
-def _fill(
-    a: np.ndarray,
-    b: np.ndarray,
-    scheme: ScoringScheme,
-    mode: str,
-) -> np.ndarray:
-    """Fill the DP matrix; returns H of shape (m+1, n+1).
-
-    The fill is vectorised *within each row*: the only serial dependency
-    of the linear-gap recurrence, ``H[i, j-1] + gap``, unrolls to a
-    running maximum — ``H[i, j] = max_k (t[k] + (j - k) * gap)`` over the
-    gap-free candidates ``t`` — which one ``np.maximum.accumulate`` over
-    ``t - j*gap`` computes in a single contiguous pass.
-    """
-    m, n = len(a), len(b)
-    sub = scheme.substitution_profile(a, b).astype(np.int32)
-    gap = np.int32(scheme.gap)
-    H = np.zeros((m + 1, n + 1), dtype=np.int32)
-    if mode == "global":
-        H[:, 0] = gap * np.arange(m + 1, dtype=np.int32)
-        H[0, :] = gap * np.arange(n + 1, dtype=np.int32)
-    # local & semiglobal keep zero boundaries (free end gaps).
-
-    # offs[j] = -j * gap, used to turn the left-gap chain into a prefix max.
-    offs = (-gap) * np.arange(n + 1, dtype=np.int64)
-    local = mode == "local"
-    for i in range(1, m + 1):
-        prev = H[i - 1]
-        row = H[i]
-        # Gap-free candidates for columns 1..n: diagonal and up moves.
-        t = np.maximum(prev[:-1] + sub[i - 1], prev[1:] + gap)
-        if local:
-            np.maximum(t, 0, out=t)
-        # Include the row's own boundary column as chain origin.
-        chain = np.empty(n + 1, dtype=np.int64)
-        chain[0] = int(row[0])
-        chain[1:] = t
-        chain += offs
-        np.maximum.accumulate(chain, out=chain)
-        row[1:] = (chain[1:] - offs[1:]).astype(np.int32)
-    return H
 
 
 def _traceback(
@@ -162,56 +116,6 @@ def _traceback(
         gaps=gaps,
         mode=mode,
     )
-
-
-def global_align(
-    a: np.ndarray, b: np.ndarray, scheme: ScoringScheme | None = None
-) -> Alignment:
-    """Needleman-Wunsch global alignment of two encoded sequences."""
-    if scheme is None:
-        scheme = blosum62_scheme()
-    a = _as_encoded(a)
-    b = _as_encoded(b)
-    H = _fill(a, b, scheme, "global")
-    return _traceback(H, a, b, scheme, len(a), len(b), "global")
-
-
-def local_align(
-    a: np.ndarray, b: np.ndarray, scheme: ScoringScheme | None = None
-) -> Alignment:
-    """Smith-Waterman local alignment of two encoded sequences."""
-    if scheme is None:
-        scheme = blosum62_scheme()
-    a = _as_encoded(a)
-    b = _as_encoded(b)
-    H = _fill(a, b, scheme, "local")
-    flat = int(np.argmax(H))
-    start_i, start_j = divmod(flat, H.shape[1])
-    return _traceback(H, a, b, scheme, start_i, start_j, "local")
-
-
-def semiglobal_align(
-    a: np.ndarray, b: np.ndarray, scheme: ScoringScheme | None = None
-) -> Alignment:
-    """Overlap alignment: free end gaps on both sequences.
-
-    The optimum is taken over the last row and last column, so dangling
-    ends of either sequence are unpenalised — the natural formulation for
-    the paper's containment and overlap tests.
-    """
-    if scheme is None:
-        scheme = blosum62_scheme()
-    a = _as_encoded(a)
-    b = _as_encoded(b)
-    H = _fill(a, b, scheme, "semiglobal")
-    m, n = len(a), len(b)
-    last_row_j = int(np.argmax(H[m, :]))
-    last_col_i = int(np.argmax(H[:, n]))
-    if H[m, last_row_j] >= H[last_col_i, n]:
-        start_i, start_j = m, last_row_j
-    else:
-        start_i, start_j = last_col_i, n
-    return _traceback(H, a, b, scheme, start_i, start_j, "semiglobal")
 
 
 def alignment_cells(a_len: int, b_len: int) -> int:

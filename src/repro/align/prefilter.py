@@ -34,11 +34,6 @@ def kmer_codes(seq: np.ndarray, k: int) -> np.ndarray:
     return windows @ weights
 
 
-def shared_kmer_count(a: np.ndarray, b: np.ndarray, k: int) -> int:
-    """Number of distinct k-mers occurring in both sequences."""
-    return len(np.intersect1d(np.unique(kmer_codes(a, k)), np.unique(kmer_codes(b, k))))
-
-
 class KmerPrefilter:
     """Inverted k-mer index over a sequence collection.
 

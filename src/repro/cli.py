@@ -132,6 +132,14 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _load_config(args: argparse.Namespace, *, fault_plan=None):
+    """(config_or_None, error_rc_or_None) from the pipeline options."""
+    try:
+        return _config_from_args(args, fault_plan=fault_plan), None
+    except ValueError as exc:
+        return None, _usage_error(f"invalid configuration: {exc}")
+
+
 def _config_from_args(args: argparse.Namespace, *,
                       fault_plan=None) -> PipelineConfig:
     return PipelineConfig(
@@ -154,14 +162,17 @@ def _config_from_args(args: argparse.Namespace, *,
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    spec = MetagenomeSpec(
-        n_families=args.families,
-        mean_family_size=args.mean_size,
-        redundant_fraction=args.redundant,
-        noise_fraction=args.noise,
-        domain_family_fraction=args.domain_fraction,
-        seed=args.seed,
-    )
+    try:
+        spec = MetagenomeSpec(
+            n_families=args.families,
+            mean_family_size=args.mean_size,
+            redundant_fraction=args.redundant,
+            noise_fraction=args.noise,
+            domain_family_fraction=args.domain_fraction,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        return _usage_error(str(exc))
     data = generate_metagenome(spec)
     write_fasta(data.sequences, args.output)
     truth_path = Path(args.output).with_suffix(".truth.json")
@@ -206,10 +217,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     plan, rc = _load_fault_plan(args)
     if rc is not None:
         return rc
-    try:
-        config = _config_from_args(args, fault_plan=plan)
-    except ValueError as exc:
-        return _usage_error(f"invalid configuration: {exc}")
+    config, rc = _load_config(args, fault_plan=plan)
+    if rc is not None:
+        return rc
     resume_dir = getattr(args, "resume", None)
     run_dir = resume_dir if resume_dir else getattr(args, "run_dir", None)
     try:
@@ -264,10 +274,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     sequences = _chaos_sequences(args)
     if sequences is None:
         return 2
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        return _usage_error(f"invalid configuration: {exc}")
+    config, rc = _load_config(args)
+    if rc is not None:
+        return rc
     try:
         report = run_chaos(sequences, config, plan, run_dir=args.run_dir)
     except FaultPlanError as exc:
@@ -304,10 +313,9 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
     sequences = _chaos_sequences(args)
     if sequences is None:
         return 2
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        return _usage_error(f"invalid configuration: {exc}")
+    config, rc = _load_config(args)
+    if rc is not None:
+        return rc
     only = args.only.split(",") if args.only else None
     run_dir = args.run_dir
     cleanup_ctx: "tempfile.TemporaryDirectory[str] | None" = None
@@ -334,7 +342,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     sequences = _read_fasta_or_none(args.fasta)
     if sequences is None:
         return 2
-    config = _config_from_args(args)
+    config, rc = _load_config(args)
+    if rc is not None:
+        return rc
     result = ProteinFamilyPipeline(config).run(
         sequences,
         backend=args.backend,
@@ -396,10 +406,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     plan, rc = _load_fault_plan(args)
     if rc is not None:
         return rc
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        return _usage_error(f"invalid configuration: {exc}")
+    config, rc = _load_config(args)
+    if rc is not None:
+        return rc
     try:
         journal = CheckpointJournal.resume(
             args.run_dir,
@@ -790,12 +799,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sequences = _read_fasta_or_none(args.fasta)
     if sequences is None:
         return 2
-    config = _config_from_args(args)
+    config, rc = _load_config(args)
+    if rc is not None:
+        return rc
+    try:
+        clusters = [VirtualCluster(p, BLUEGENE_L) for p in args.procs]
+    except ValueError as exc:
+        return _usage_error(str(exc))
     pipeline = ProteinFamilyPipeline(config)
     cache = pipeline._make_cache(sequences)
     print(f"{'p':>5s} {'RR':>12s} {'CCD':>12s} {'RR+CCD':>12s}")
-    for p in args.procs:
-        cluster = VirtualCluster(p, BLUEGENE_L)
+    for p, cluster in zip(args.procs, clusters):
         result = pipeline.run(sequences, cluster=cluster, cache=cache)
         t = result.timings
         print(

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.align.matrices import ScoringScheme, blosum62_scheme
+from repro.align.predicates import containment_stats, containment_verdict, overlaps
 from repro.align.prefilter import KmerPrefilter
 from repro.pace.cache import AlignmentCache
 from repro.sequence.record import SequenceSet
@@ -92,20 +93,15 @@ def gos_cluster(
 
     # ---- Stage 1: redundancy removal (all-vs-all containment) ----------
     for i, j in pairs:
-        aln = cache.semiglobal(i, j)
+        len_i, len_j = len(encoded[i]), len(encoded[j])
+        stats = containment_stats(cache.semiglobal(i, j), len_i, len_j)
         result.n_alignments += 1
-        if aln.identity < config.containment_similarity:
-            continue
-        i_in_j = aln.coverage_a(len(encoded[i])) >= config.containment_coverage
-        j_in_i = aln.coverage_b(len(encoded[j])) >= config.containment_coverage
-        if i_in_j and j_in_i:
-            # Mutual containment: drop the shorter (ties: higher index).
-            victim = i if (len(encoded[i]), -i) < (len(encoded[j]), -j) else j
-            result.redundant.add(victim)
-        elif i_in_j:
-            result.redundant.add(i)
-        elif j_in_i:
-            result.redundant.add(j)
+        verdict = containment_verdict(
+            stats, i, j, len_i, len_j,
+            config.containment_similarity, config.containment_coverage,
+        )
+        if verdict is not None:
+            result.redundant.add(verdict[0])
     result.kept = [i for i in range(n) if i not in result.redundant]
     kept_set = set(result.kept)
 
@@ -114,16 +110,11 @@ def gos_cluster(
     for i, j in pairs:
         if i not in kept_set or j not in kept_set:
             continue
-        aln = cache.local(i, j)
         result.n_alignments += 1
-        if aln.length == 0 or aln.identity < config.edge_similarity:
-            continue
-        longer = max(len(encoded[i]), len(encoded[j]))
-        span = max(aln.a_end - aln.a_start, aln.b_end - aln.b_start)
-        if span / longer < config.edge_coverage:
-            continue
-        neighbors[i].add(j)
-        neighbors[j].add(i)
+        if overlaps(cache.local(i, j), len(encoded[i]), len(encoded[j]),
+                    config.edge_similarity, config.edge_coverage):
+            neighbors[i].add(j)
+            neighbors[j].add(i)
     result.neighbors = neighbors
     result.graph_edges = sum(len(v) for v in neighbors.values()) // 2
     # Full adjacency storage: 8 bytes per directed edge + per-vertex list.

@@ -6,15 +6,21 @@ bipartite generation (BGG) asks for the local alignment of every
 intra-component promising pair, and CCD has already computed those it
 did not filter — 291 hits among the 2,496 lookups of the benchmark's
 ``skewed`` workload (BGG submits 1,832 pairs), 77 on ``giant``, none
-on ``domain`` (B_m builds its graphs without alignment).  RR asks for *semiglobal* alignments and
-nothing reads that table back within a run, so RR and CCD themselves
-never hit.  The other consumers are the benchmark sweeps, which re-run
-identical phases at several processor counts over one cache, and the
-serving path, which re-queries the same representatives constantly.
-Physically recomputing identical DP matrices would multiply wall-clock
-cost without changing any simulated quantity — the simulator charges
-virtual time per *execution*, not per physical computation — so the
-cache is purely a host-side optimisation with no effect on results.
+on ``domain`` (B_m builds its graphs without alignment).  RR asks for
+*semiglobal* alignments and nothing reads that table back within a run,
+so RR and CCD themselves never hit.  The other consumers are the paper
+sweeps (``benchmarks/paper/regenerate.py``), which re-run identical
+phases at several processor counts over one cache.  Physically
+recomputing identical DP matrices would multiply wall-clock cost without
+changing any simulated quantity — the simulator charges virtual time per
+*execution*, not per physical computation — so the cache is purely a
+host-side optimisation with no effect on results.
+
+Whoever asks, a miss is computed by the batched engine
+(:func:`repro.align.batch.batch_align`): a backend's tasks align their
+pairs a batch at a time and the results are inserted here as they come
+back; a simulated rank program or the GOS baseline, which ask for one
+pair, get a batch of one.
 
 Placement under the execution backends (:mod:`repro.runtime`): the
 cache lives **master-side only**, in front of the one
@@ -37,8 +43,9 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.align.batch import batch_align
 from repro.align.matrices import ScoringScheme
-from repro.align.pairwise import Alignment, local_align, semiglobal_align
+from repro.align.pairwise import Alignment
 
 
 class AlignmentCache:
@@ -56,12 +63,14 @@ class AlignmentCache:
     phase, so the overall hit rate can be decomposed into "which phase
     re-asked for whose alignments" (in a batch run every hit is
     bipartite generation reusing CCD's local alignments — see the
-    module docstring; the serving path tallies under "serve").
+    module docstring).
 
-    A *miss* is one computed alignment entering a table — counted by
-    the scalar accessors when they compute, and by :meth:`insert` when
-    a runtime task's result comes back — so ``misses == entries``
-    unless a key is recomputed.
+    A *miss* is one computed alignment entering a table through
+    :meth:`insert` — a runtime task's result coming back, or what
+    :meth:`local` / :meth:`semiglobal` had the batched engine compute
+    as a batch of one (the simulator's rank programs and the GOS
+    baseline ask a pair at a time) — so ``misses == entries`` unless a
+    key is recomputed.
     """
 
     def __init__(
@@ -104,18 +113,22 @@ class AlignmentCache:
             return self._semiglobal
         raise ValueError(f"unknown alignment kind {kind!r}")
 
+    def _computed(self, kind: str, key: tuple[int, int]) -> Alignment:
+        """A miss of :meth:`local` / :meth:`semiglobal`: one pair through
+        the batched engine, stored and counted as :meth:`insert` does."""
+        (aln,) = batch_align(
+            [(self._get(key[0]), self._get(key[1]))], self._scheme, kind)
+        self.insert(kind, *key, aln)
+        return aln
+
     def local(self, i: int, j: int) -> Alignment:
         """Smith-Waterman alignment of pair (i, j), canonical orientation."""
         key = self._key(i, j)
         aln = self._local.get(key)
         if aln is None:
-            self.local_misses += 1
-            self._tally(hit=False)
-            aln = local_align(self._get(key[0]), self._get(key[1]), self._scheme)
-            self._local[key] = aln
-        else:
-            self.local_hits += 1
-            self._tally(hit=True)
+            return self._computed("local", key)
+        self.local_hits += 1
+        self._tally(hit=True)
         return aln
 
     def semiglobal(self, i: int, j: int) -> Alignment:
@@ -123,13 +136,9 @@ class AlignmentCache:
         key = self._key(i, j)
         aln = self._semiglobal.get(key)
         if aln is None:
-            self.semiglobal_misses += 1
-            self._tally(hit=False)
-            aln = semiglobal_align(self._get(key[0]), self._get(key[1]), self._scheme)
-            self._semiglobal[key] = aln
-        else:
-            self.semiglobal_hits += 1
-            self._tally(hit=True)
+            return self._computed("semiglobal", key)
+        self.semiglobal_hits += 1
+        self._tally(hit=True)
         return aln
 
     # -- backend hooks -----------------------------------------------------

@@ -55,7 +55,7 @@ import numpy as np
 from repro import obs
 from repro.align.matrices import ScoringScheme, blosum62_scheme
 from repro.align.pairwise import Alignment
-from repro.align.predicates import OVERLAP_COVERAGE, OVERLAP_SIMILARITY
+from repro.align.predicates import OVERLAP_COVERAGE, OVERLAP_SIMILARITY, overlaps
 from repro.graph.unionfind import UnionFind
 from repro.pace.cache import AlignmentCache
 from repro.pace.costs import CostModel, bucket_generation
@@ -94,16 +94,6 @@ class ClusteringResult:
         if self.n_promising_pairs == 0:
             return 0.0
         return 1.0 - self.n_alignments / self.n_promising_pairs
-
-
-def _overlap_passes(
-    aln: Alignment, len_i: int, len_j: int, similarity: float, coverage: float
-) -> bool:
-    if aln.length == 0 or aln.identity < similarity:
-        return False
-    longer = max(len_i, len_j)
-    span = max(aln.a_end - aln.a_start, aln.b_end - aln.b_start)
-    return span / longer >= coverage
 
 
 def _rows(
@@ -310,7 +300,7 @@ class ClusteringMaster:
 
     def overlaps(self, gi: int, gj: int, aln: Alignment) -> bool:
         """Definition 2 on the local alignment of global pair (gi, gj)."""
-        return _overlap_passes(
+        return overlaps(
             aln,
             len(self.encoded[gi]),
             len(self.encoded[gj]),

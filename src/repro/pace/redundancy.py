@@ -19,7 +19,12 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.align.matrices import ScoringScheme, blosum62_scheme
-from repro.align.predicates import CONTAINMENT_COVERAGE, CONTAINMENT_SIMILARITY
+from repro.align.predicates import (
+    CONTAINMENT_COVERAGE,
+    CONTAINMENT_SIMILARITY,
+    containment_stats,
+    containment_verdict,
+)
 from repro.pace.cache import AlignmentCache
 from repro.pace.costs import CostModel, bucket_generation
 from repro.parallel.masterworker import MasterWorkerConfig, run_master_worker
@@ -82,7 +87,7 @@ class RedundancyMaster:
         """First sighting of a promising pair?  Every admitted pair is
         aligned, so ``rr.pairs`` and ``rr.alignments`` move together —
         they count Definition 1 verdicts evaluated, whatever route
-        (scalar DP, batched DP, Myers reject) computes the statistics."""
+        (DP, exact certificate, Myers reject) computes the statistics."""
         if pair in self._seen:
             return False
         self._seen.add(pair)
@@ -94,24 +99,13 @@ class RedundancyMaster:
         """Apply Definition 1 to the ``(identity, coverage_i, coverage_j)``
         statistics of one aligned pair.  Verdicts are per pair, so the
         order results arrive in is irrelevant."""
-        identity, cov_i, cov_j = stats
-        if identity < self.similarity:
-            return
-        i_in_j = cov_i >= self.coverage
-        j_in_i = cov_j >= self.coverage
-        if i_in_j and j_in_i:
-            # Mutual containment: drop the shorter (ties: higher index).
-            victim, survivor = sorted(
-                (i, j), key=lambda k: (len(self.encoded[k]), -k)
-            )
-        elif i_in_j:
-            victim, survivor = i, j
-        elif j_in_i:
-            victim, survivor = j, i
-        else:
-            return
-        self.redundant.add(victim)
-        self.containments.append((victim, survivor))
+        verdict = containment_verdict(
+            stats, i, j, len(self.encoded[i]), len(self.encoded[j]),
+            self.similarity, self.coverage,
+        )
+        if verdict is not None:
+            self.redundant.add(verdict[0])
+            self.containments.append(verdict)
 
     def result(self, sim: SimulationResult | None = None) -> RedundancyResult:
         obs.count("rr.redundant", len(self.redundant))
@@ -161,15 +155,10 @@ def parallel_redundancy_removal(
 
     def execute_task(pair: tuple[int, int]):
         i, j = pair
-        aln = cache.semiglobal(i, j)
-        result = (
-            i,
-            j,
-            aln.identity,
-            aln.coverage_a(len(encoded[i])),
-            aln.coverage_b(len(encoded[j])),
-        )
-        return result, costs.alignment(len(encoded[i]), len(encoded[j]))
+        len_i, len_j = len(encoded[i]), len(encoded[j])
+        stats = containment_stats(cache.semiglobal(i, j), len_i, len_j)
+        # A flat 5-tuple: the message's size is part of the virtual time.
+        return (i, j, *stats), costs.alignment(len_i, len_j)
 
     def absorb_result(result) -> float:
         i, j, *stats = result

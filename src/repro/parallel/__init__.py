@@ -5,8 +5,9 @@ environment has neither MPI nor multiple nodes.  The substitution (see
 DESIGN.md) is a deterministic discrete-event simulator: rank programs
 are Python generator coroutines that perform *real* computation eagerly
 while charging virtual time for compute (work units / node rate) and for
-communication (alpha-beta model over point-to-point messages; collectives
-are built from p2p trees so their log-p costs emerge naturally).
+communication (alpha-beta model over point-to-point messages; the gather
+and the all-to-all are built from them, so their cost in p emerges from
+the same model).
 
 Because the simulator executes the actual algorithm — real promising
 pairs, real union-find merges, real alignments — parallel run-time
@@ -28,7 +29,7 @@ from repro.parallel.simulator import (
     SimulationResult,
     VirtualCluster,
 )
-from repro.parallel.partition import balance_items, batch_by_size
+from repro.parallel.partition import balance_items
 from repro.parallel.trace import RankBreakdown, Timeline
 from repro.parallel.masterworker import (
     MasterWorkerOutcome,
@@ -47,7 +48,6 @@ __all__ = [
     "SimulationResult",
     "VirtualCluster",
     "balance_items",
-    "batch_by_size",
     "RankBreakdown",
     "Timeline",
     "MasterWorkerOutcome",

@@ -43,35 +43,6 @@ def balance_items(weights: Sequence[float], n_bins: int) -> list[list[int]]:
     return bins
 
 
-def batch_by_size(
-    weights: Sequence[float], target_weight: float
-) -> list[list[int]]:
-    """Group item indices into batches of roughly ``target_weight`` each.
-
-    First-fit over descending weights; an item heavier than the target
-    gets its own batch.  Used to group small connected components before
-    distributing them to processors (Section V, dense-subgraph phase).
-    """
-    if target_weight <= 0:
-        raise ValueError(f"target_weight must be positive, got {target_weight}")
-    batches: list[list[int]] = []
-    loads: list[float] = []
-    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))
-    for item in order:
-        w = weights[item]
-        placed = False
-        for b, load in enumerate(loads):
-            if load + w <= target_weight:
-                batches[b].append(item)
-                loads[b] += w
-                placed = True
-                break
-        if not placed:
-            batches.append([item])
-            loads.append(w)
-    return batches
-
-
 def imbalance(bin_weights: Sequence[float]) -> float:
     """max/mean load ratio — 1.0 is perfect balance."""
     if not bin_weights:

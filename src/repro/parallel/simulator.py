@@ -14,9 +14,10 @@ The engine advances per-rank virtual clocks: compute ops cost
 ``units / machine.compute_rate`` seconds, messages cost
 ``alpha + nbytes * beta``.  Scheduling is lowest-virtual-clock-first and
 fully deterministic, so every simulated run is exactly reproducible.
-Collectives (barrier, bcast, reduce, ...) are built from point-to-point
-trees inside :class:`SimComm`, so their log(p) scaling emerges from the
-same cost model rather than being posited.
+The two collectives the rank programs use (a flat gather, a ring
+all-to-all) are built from point-to-point messages inside
+:class:`SimComm`, so their scaling with p emerges from the same cost
+model rather than being posited.
 """
 
 from __future__ import annotations
@@ -81,26 +82,10 @@ class _SendOp:
     tag: int
     payload: Any
     nbytes: int
-    #: Non-blocking: the sender pays only the alpha injection overhead;
-    #: the transfer still delays the message's arrival at the receiver.
-    nonblocking: bool = False
 
 
 @dataclass(frozen=True)
 class _RecvOp:
-    source: int
-    tag: int
-
-    def matches(self, message: "_Message") -> bool:
-        return (self.source in (ANY_SOURCE, message.source)) and (
-            self.tag in (ANY_TAG, message.tag)
-        )
-
-
-@dataclass(frozen=True)
-class _ProbeOp:
-    """Non-blocking match attempt: only sees messages already arrived."""
-
     source: int
     tag: int
 
@@ -132,48 +117,6 @@ class Received:
     source: int
     tag: int
     payload: Any
-
-
-class Request:
-    """Handle for a non-blocking operation (MPI_Request flavoured).
-
-    ``wait()`` and ``test()`` are generators: invoke them as
-    ``result = yield from request.wait()``.
-    """
-
-    def __init__(self, comm: "SimComm", kind: str, source: int, tag: int,
-                 complete: bool = False):
-        self._comm = comm
-        self.kind = kind
-        self.source = source
-        self.tag = tag
-        self._complete = complete
-        self._result: Received | None = None
-
-    @property
-    def complete(self) -> bool:
-        return self._complete
-
-    def wait(self):
-        """Block until the operation completes; returns the Received for
-        recv requests, None for send requests."""
-        if self._complete:
-            return self._result
-        received = yield from self._comm.recv(source=self.source, tag=self.tag)
-        self._complete = True
-        self._result = received
-        return received
-
-    def test(self):
-        """Poll for completion without blocking; returns the Received if
-        now complete, else None."""
-        if self._complete:
-            return self._result
-        received = yield from self._comm.probe(source=self.source, tag=self.tag)
-        if received is not None:
-            self._complete = True
-            self._result = received
-        return received
 
 
 @dataclass
@@ -213,7 +156,6 @@ class SimulationResult:
     elapsed: float
     rank_results: list[Any]
     rank_stats: list[RankStats]
-    log_events: list[tuple[float, int, str]]
     #: (rank, kind, start, end) intervals when recorded (see run()).
     timeline: list[tuple[int, str, float, float]] = field(default_factory=list)
 
@@ -224,10 +166,6 @@ class SimulationResult:
     @property
     def total_bytes(self) -> int:
         return sum(s.bytes_sent for s in self.rank_stats)
-
-    @property
-    def total_compute_seconds(self) -> float:
-        return sum(s.compute_seconds for s in self.rank_stats)
 
     def parallel_efficiency(self) -> float:
         """busy time / (elapsed * p) — 1.0 means perfectly load balanced."""
@@ -249,13 +187,11 @@ class SimComm:
     ``yield from comm.method(...)`` inside a rank program.
     """
 
-    def __init__(self, rank: int, size: int, machine: MachineModel, state: _RankState,
-                 log_sink: list[tuple[float, int, str]]):
+    def __init__(self, rank: int, size: int, machine: MachineModel, state: _RankState):
         self.rank = rank
         self.size = size
         self.machine = machine
         self._state = state
-        self._log_sink = log_sink
         self._coll_seq = 0
 
     # -- point to point -----------------------------------------------------
@@ -275,34 +211,6 @@ class SimComm:
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns a :class:`Received`."""
         received = yield _RecvOp(source=source, tag=tag)
-        return received
-
-    # -- non-blocking point to point -----------------------------------------
-
-    def isend(self, payload: Any, dest: int, tag: int = 0, nbytes: int | None = None):
-        """Non-blocking send: the caller pays only the alpha injection
-        overhead; the beta transfer time still delays the receiver-side
-        arrival.  Buffered semantics — no wait is required for completion.
-        Returns immediately-completed :class:`Request`."""
-        if tag <= _COLL_TAG_BASE:
-            raise ValueError("tags <= -1000 are reserved for collectives")
-        if not 0 <= dest < self.size:
-            raise ValueError(f"dest {dest} out of range for size {self.size}")
-        size = estimate_nbytes(payload) if nbytes is None else int(nbytes)
-        yield _SendOp(dest=dest, tag=tag, payload=payload, nbytes=size, nonblocking=True)
-        return Request(self, kind="send", source=dest, tag=tag, complete=True)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> "Request":
-        """Non-blocking receive: returns a :class:`Request` to ``test()``
-        (poll) or ``wait()`` (block) on.  No engine interaction happens
-        until the request is completed."""
-        return Request(self, kind="recv", source=source, tag=tag)
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Non-blocking probe: a matching message that has *already
-        arrived* (by this rank's clock) is consumed and returned;
-        otherwise None — the rank never blocks."""
-        received = yield _ProbeOp(source=source, tag=tag)
         return received
 
     # -- compute and memory ---------------------------------------------------
@@ -332,55 +240,11 @@ class SimComm:
         stats = self._state.stats
         stats.mem_bytes = max(0, stats.mem_bytes - nbytes)
 
-    def log(self, message: str) -> None:
-        """Record a timestamped trace event."""
-        self._log_sink.append((self._state.clock, self.rank, message))
-
-    @property
-    def now(self) -> float:
-        """Current virtual time on this rank."""
-        return self._state.clock
-
     # -- collectives ----------------------------------------------------------
 
     def _next_coll_tag(self) -> int:
         self._coll_seq += 1
         return _COLL_TAG_BASE - self._coll_seq
-
-    def barrier(self):
-        """Dissemination barrier: ceil(log2 p) rounds of small messages."""
-        tag = self._next_coll_tag()
-        if self.size == 1:
-            return
-        k = 1
-        while k < self.size:
-            dest = (self.rank + k) % self.size
-            src = (self.rank - k) % self.size
-            yield from self._send(None, dest=dest, tag=tag, nbytes=1)
-            yield from self.recv(source=src, tag=tag)
-            k *= 2
-
-    def bcast(self, payload: Any, root: int = 0):
-        """Binomial-tree broadcast; returns the payload on every rank."""
-        tag = self._next_coll_tag()
-        if self.size == 1:
-            return payload
-        relative = (self.rank - root) % self.size
-        mask = 1
-        while mask < self.size:
-            if relative & mask:
-                src = (self.rank - mask) % self.size
-                message = yield from self.recv(source=src, tag=tag)
-                payload = message.payload
-                break
-            mask <<= 1
-        mask >>= 1
-        while mask > 0:
-            if relative + mask < self.size:
-                dest = (self.rank + mask) % self.size
-                yield from self._send(payload, dest=dest, tag=tag)
-            mask >>= 1
-        return payload
 
     def gather(self, payload: Any, root: int = 0):
         """Flat gather to root; returns list indexed by rank at root, else None.
@@ -399,44 +263,6 @@ class SimComm:
             return out
         yield from self._send(payload, dest=root, tag=tag)
         return None
-
-    def scatter(self, payloads: Sequence[Any] | None, root: int = 0):
-        """Flat scatter from root; returns this rank's element."""
-        tag = self._next_coll_tag()
-        if self.rank == root:
-            if payloads is None or len(payloads) != self.size:
-                raise ValueError("root must supply one payload per rank")
-            for dest in range(self.size):
-                if dest != root:
-                    yield from self._send(payloads[dest], dest=dest, tag=tag)
-            return payloads[root]
-        message = yield from self.recv(source=root, tag=tag)
-        return message.payload
-
-    def reduce(self, value: Any, op: Callable[[Any, Any], Any], root: int = 0):
-        """Binomial-tree reduction; returns the combined value at root."""
-        tag = self._next_coll_tag()
-        relative = (self.rank - root) % self.size
-        mask = 1
-        acc = value
-        while mask < self.size:
-            if relative & mask:
-                dest = (self.rank - mask) % self.size
-                yield from self._send(acc, dest=dest, tag=tag)
-                return None
-            partner_rel = relative | mask
-            if partner_rel < self.size:
-                src = (self.rank + mask) % self.size
-                message = yield from self.recv(source=src, tag=tag)
-                acc = op(acc, message.payload)
-            mask <<= 1
-        return acc
-
-    def allreduce(self, value: Any, op: Callable[[Any, Any], Any]):
-        """Reduce to rank 0 then broadcast the result."""
-        reduced = yield from self.reduce(value, op, root=0)
-        result = yield from self.bcast(reduced, root=0)
-        return result
 
     def alltoall(self, payloads: Sequence[Any]):
         """Personalised all-to-all: rank r receives ``payloads[r]`` from
@@ -497,12 +323,11 @@ class VirtualCluster:
         if per_rank_kwargs is not None and len(per_rank_kwargs) != self.n_ranks:
             raise ValueError("per_rank_kwargs must have one entry per rank")
 
-        log_events: list[tuple[float, int, str]] = []
         states: list[_RankState] = []
         comms: list[SimComm] = []
         for rank in range(self.n_ranks):
             state = _RankState(gen=None)  # type: ignore[arg-type]
-            comm = SimComm(rank, self.n_ranks, self.machine, state, log_events)
+            comm = SimComm(rank, self.n_ranks, self.machine, state)
             merged = dict(kwargs)
             if per_rank_kwargs is not None:
                 merged.update(per_rank_kwargs[rank])
@@ -590,35 +415,8 @@ class VirtualCluster:
                     record(rank, "compute", state.clock, state.clock + op.seconds)
                     state.clock += op.seconds
                     state.stats.compute_seconds += op.seconds
-                elif isinstance(op, _ProbeOp):
-                    # Non-blocking: only messages that have already
-                    # arrived by this rank's clock are visible.
-                    box = mailboxes[rank]
-                    found: _Message | None = None
-                    found_idx = -1
-                    for idx, message in enumerate(box):
-                        if op.matches(message) and message.arrival <= state.clock:
-                            if found is None or (message.arrival, message.serial) < (
-                                found.arrival,
-                                found.serial,
-                            ):
-                                found = message
-                                found_idx = idx
-                    if found is None:
-                        state.inject = None  # resumes the probe with None
-                    else:
-                        box.pop(found_idx)
-                        state.inject = Received(
-                            source=found.source, tag=found.tag, payload=found.payload
-                        )
                 elif isinstance(op, _SendOp):
-                    if op.nonblocking:
-                        # Injection overhead only; transfer delays arrival.
-                        cost = self.machine.alpha
-                        arrival = state.clock + self.machine.transfer_seconds(op.nbytes)
-                    else:
-                        cost = self.machine.transfer_seconds(op.nbytes)
-                        arrival = state.clock + cost
+                    cost = self.machine.transfer_seconds(op.nbytes)
                     record(rank, "send", state.clock, state.clock + cost)
                     state.clock += cost
                     state.stats.send_seconds += cost
@@ -631,7 +429,7 @@ class VirtualCluster:
                             tag=op.tag,
                             payload=op.payload,
                             nbytes=op.nbytes,
-                            arrival=arrival,
+                            arrival=state.clock,
                             serial=serial,
                         )
                     )
@@ -674,6 +472,5 @@ class VirtualCluster:
             elapsed=elapsed,
             rank_results=[s.result for s in states],
             rank_stats=[s.stats for s in states],
-            log_events=log_events,
             timeline=timeline,
         )

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro import obs
 from repro.align.batch import batch_align, batch_containment
+from repro.align.predicates import containment_stats
 from repro.pace.densesub import shingle_component
 from repro.suffix.suffix_array import GeneralizedSuffixArray
 from repro.util.timing import monotonic_now
@@ -248,11 +249,7 @@ class PairStream:
         if self.kind != "contain":
             return aln
         get_encoded = self._backend._get_encoded
-        return (
-            aln.identity,
-            aln.coverage_a(len(get_encoded(i))),
-            aln.coverage_b(len(get_encoded(j))),
-        )
+        return containment_stats(aln, len(get_encoded(i)), len(get_encoded(j)))
 
     def _cut(self) -> None:
         """Dispatch the pending misses as one task."""

@@ -116,6 +116,12 @@ def _worker_main(worker_index: int, task_queue, result_queue,
             task_id, fault, body = task
             if fault is not None:
                 if fault[0] == "die":
+                    # Between messages, as the docstring says: a feeder
+                    # thread killed mid-write would die holding the
+                    # result queue's shared write lock, and every other
+                    # worker would block on it for good.
+                    result_queue.close()
+                    result_queue.join_thread()
                     os._exit(137)
                 if fault[0] == "delay":
                     time.sleep(fault[1])

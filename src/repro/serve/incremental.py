@@ -68,6 +68,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro import obs
+from repro.align.predicates import containment_verdict
 from repro.core.checkpoint import CheckpointJournal
 from repro.sequence.record import SequenceRecord
 from repro.serve.state import ServeState
@@ -190,25 +191,15 @@ def plan_insert(state: ServeState, seq_id: str, residues: str) -> InsertPlan:
     for rep, containment in zip(candidates, containments):
         if containment is None:
             continue  # the Myers bound proved both directions fail
-        # rep < new_idx always, so the first coverage is the
-        # representative's.
-        identity, coverage_rep, coverage_new = containment
-        if identity < config.containment_similarity:
+        # Batch RR's verdict, tie-break included: rep < new_idx always,
+        # so a mutual containment of equal lengths drops the insert.
+        verdict = containment_verdict(
+            containment, rep, new_idx, state.length(rep), len_new,
+            config.containment_similarity, config.containment_coverage,
+        )
+        if verdict is None:
             continue
-        len_rep = state.length(rep)
-        rep_in_new = coverage_rep >= config.containment_coverage
-        new_in_rep = coverage_new >= config.containment_coverage
-        if rep_in_new and new_in_rep:
-            # Mutual containment: same tie-break as the batch RR phase —
-            # drop the shorter, ties drop the higher index (the insert).
-            victim = rep if (len_rep, -rep) < (len_new, -new_idx) else new_idx
-        elif rep_in_new:
-            victim = rep
-        elif new_in_rep:
-            victim = new_idx
-        else:
-            continue
-        if victim == new_idx:
+        if verdict[0] == new_idx:
             redundant_pairs.append([new_idx, rep])
             obs.count("serve.redundant")
             if container is None:

@@ -68,6 +68,7 @@ from typing import Any
 import numpy as np
 
 from repro import obs
+from repro.align.predicates import contained
 from repro.core.checkpoint import (
     CheckpointError,
     CheckpointJournal,
@@ -936,8 +937,8 @@ class ServeServer:
         container_at = next(
             (k for k, containment in enumerate(containments)
              if containment is not None
-             and containment[0] >= config.containment_similarity
-             and containment[2] >= config.containment_coverage),
+             and contained(containment, config.containment_similarity,
+                           config.containment_coverage)[1]),
             None,
         )
         reached = len(candidates) if container_at is None else container_at + 1

@@ -7,9 +7,10 @@ the same two decisions about one new sequence against candidate
 representatives — Definition 1 containment, then Definition 2 overlap —
 and differ only in which candidates they reach.  The kernels are the
 ones the batch phases run (:mod:`repro.align.batch`, pinned field for
-field to the scalar kernels by ``tests/test_batch_align.py``); every
+field to the one-pair kernels by ``tests/test_batch_align.py``) and the
+verdicts are the batch phases' (:mod:`repro.align.predicates`); every
 pair is oriented ``(representative, new sequence)``, so coverage and
-every tie-break read as they do in ``pace/redundancy.py``.
+every tie-break read as they do in batch RR.
 
 The engine is handed every candidate; what a request *reports* is the
 work of the candidates its pair-by-pair loop would have reached
@@ -34,13 +35,13 @@ import numpy as np
 
 from repro import obs
 from repro.align.batch import batch_align, containment_dp, containment_prefilter
-from repro.pace.clustering import _overlap_passes
+from repro.align.predicates import ContainmentStats, overlaps
 from repro.serve.state import ServeState
 
 #: ``(identity, coverage of the representative, coverage of the new
 #: sequence)`` of one candidate's semiglobal optimum, or None when the
 #: Myers bound proved Definition 1 fails both ways (no alignment made).
-Containment = tuple[float, float, float] | None
+Containment = ContainmentStats | None
 
 
 def _cells(state: ServeState, reps: Sequence[int], length: int) -> int:
@@ -108,7 +109,7 @@ def overlap_sweep(
     obs.count("serve.alignments", len(reps))
     obs.count("serve.dp_cells", cells)
     return [
-        _overlap_passes(aln, state.length(rep), len(encoded),
-                        config.overlap_similarity, config.overlap_coverage)
+        overlaps(aln, state.length(rep), len(encoded),
+                 config.overlap_similarity, config.overlap_coverage)
         for rep, aln in zip(reps, alignments)
     ]

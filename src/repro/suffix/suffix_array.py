@@ -98,8 +98,6 @@ class GeneralizedSuffixArray:
     """
 
     def __init__(self, sequences: Sequence[np.ndarray]):
-        if not sequences:
-            raise ValueError("need at least one sequence")
         parts: list[np.ndarray] = []
         for idx, seq in enumerate(sequences):
             arr = np.asarray(seq, dtype=np.int64)
@@ -108,7 +106,8 @@ class GeneralizedSuffixArray:
             if arr.max() >= ALPHABET_SIZE or arr.min() < 0:
                 raise ValueError(f"sequence {idx} contains non-residue symbols")
             parts += [arr, np.array([ALPHABET_SIZE + idx], dtype=np.int64)]
-        self.text = np.concatenate(parts)
+        # No sequence is a collection too: six empty arrays, no match.
+        self.text = np.concatenate([np.empty(0, dtype=np.int64), *parts])
         lengths = np.array([len(arr) + 1 for arr in parts[::2]], dtype=np.int64)
         self.starts = np.append(0, np.cumsum(lengths))
         with obs.span("index.build", cat="master", sequences=len(sequences),
@@ -133,9 +132,10 @@ class GeneralizedSuffixArray:
         minimum over the slots that lay between them.
         """
         kept = np.asarray(members, dtype=np.int64)
+        if kept.size == 0:
+            return GeneralizedSuffixArray([])
         if (
             kept.ndim != 1
-            or kept.size == 0
             or kept[0] < 0
             or kept[-1] >= self.n_sequences
             or (np.diff(kept) <= 0).any()

@@ -22,12 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.align.batch import containment_reject_threshold, myers_infix_distance
-from repro.align.pairwise import local_align, semiglobal_align
-from repro.pace.clustering import _overlap_passes
+from repro.align.batch import containment_reject_threshold
+from repro.align.predicates import overlaps
 from repro.sequence.record import SequenceRecord
 from repro.serve.incremental import InsertPlan
 from repro.serve.state import ServeState
+from tests.scalar_align import local_align, myers_infix_distance, semiglobal_align
 
 
 def myers_rejects_containment(
@@ -91,9 +91,9 @@ def classify_sweep(
         aln = local_align(rep_enc, encoded, config.scheme)
         obs.count("serve.alignments")
         obs.count("serve.dp_cells", state.length(rep) * len_query)
-        if _overlap_passes(aln, state.length(rep), len_query,
-                           config.overlap_similarity,
-                           config.overlap_coverage):
+        if overlaps(aln, state.length(rep), len_query,
+                    config.overlap_similarity,
+                    config.overlap_coverage):
             overlap_wits.append(rep)
     return contained_in, overlap_wits
 
@@ -181,7 +181,7 @@ def plan_insert(state: ServeState, seq_id: str, residues: str) -> InsertPlan:
             )
             n_alignments += 1
             obs.count("serve.alignments")
-            if _overlap_passes(
+            if overlaps(
                 aln,
                 state.length(rep),
                 len_new,

@@ -14,16 +14,22 @@ from repro.align.matrices import (
     blosum62_scheme,
     identity_scheme,
 )
-from repro.align.pairwise import (
-    Alignment,
+from repro.align.pairwise import Alignment, alignment_cells
+from repro.align.predicates import (
+    contained,
+    containment_stats,
+    containment_verdict,
+    overlaps,
+)
+from repro.sequence.alphabet import encode
+from tests.scalar_align import (
     _fill,
+    containment_test,
     global_align,
     local_align,
+    overlap_test,
     semiglobal_align,
-    alignment_cells,
 )
-from repro.align.predicates import containment_test, overlap_test
-from repro.sequence.alphabet import encode
 
 encoded_seq = st.lists(
     st.integers(min_value=0, max_value=19), min_size=1, max_size=40
@@ -220,6 +226,65 @@ class TestPredicates:
         # alignment covers 100% of short but only 25% of longer
         ok, _ = overlap_test(short, longer)
         assert not ok
+
+
+    #: Definition 1 at 95%/95% on pair (i, j) = (3, 7):
+    #: (identity, coverage_i, coverage_j), len_i, len_j -> (victim, survivor).
+    VERDICTS = {
+        "i_in_j": ((0.97, 0.96, 0.50), 50, 96, (3, 7)),
+        "j_in_i": ((0.97, 0.50, 0.96), 96, 50, (7, 3)),
+        "mutual_i_shorter": ((0.97, 0.99, 0.96), 97, 100, (3, 7)),
+        "mutual_j_shorter": ((0.97, 0.96, 0.99), 100, 97, (7, 3)),
+        "mutual_equal_lengths_higher_index_goes": ((1.0, 1.0, 1.0), 80, 80, (7, 3)),
+        "cutoffs_are_inclusive": ((0.95, 0.95, 0.94), 80, 80, (3, 7)),
+        "identity_just_below": ((0.9499, 1.0, 1.0), 80, 80, None),
+        "neither_covered": ((0.99, 0.94, 0.94), 80, 80, None),
+        "myers_surrogate": ((0.0, 0.0, 0.0), 80, 90, None),
+    }
+
+    @pytest.mark.parametrize("row", list(VERDICTS))
+    def test_containment_verdict_table(self, row):
+        stats, len_i, len_j, expected = self.VERDICTS[row]
+        assert containment_verdict(stats, 3, 7, len_i, len_j, 0.95, 0.95) == expected
+        # Order-free: the pair stated the other way round names the same two.
+        swapped = (stats[0], stats[2], stats[1])
+        assert containment_verdict(swapped, 7, 3, len_j, len_i, 0.95, 0.95) == expected
+        i_in_j, j_in_i = contained(stats, 0.95, 0.95)
+        assert (i_in_j or j_in_i) == (expected is not None)
+
+    def test_containment_stats_read_the_alignment(self):
+        aln = Alignment(score=0, a_start=2, a_end=20, b_start=0, b_end=19,
+                        matches=18, length=20, gaps=3, mode="semiglobal")
+        assert containment_stats(aln, 20, 38) == (0.9, 0.9, 0.5)
+
+    def test_predicates_agree_with_the_aligning_oracle(self):
+        inner = encode("ARNDCQEGHILKMFPSTWYV")
+        outer = encode("WW" + "ARNDCQEGHILKMFPSTWYV" + "KK")
+        for a, b in ((inner, outer), (outer, inner), (inner, inner.copy())):
+            a_in_b, b_in_a, aln = containment_test(a, b)
+            stats = containment_stats(aln, len(a), len(b))
+            assert contained(stats, 0.95, 0.95) == (a_in_b, b_in_a)
+            ok, local = overlap_test(a, b)
+            assert overlaps(local, len(a), len(b), 0.30, 0.80) == ok
+
+    @staticmethod
+    def _local(a_span: int, b_span: int, matches: int) -> Alignment:
+        length = max(a_span, b_span)
+        return Alignment(score=1, a_start=0, a_end=a_span, b_start=0, b_end=b_span,
+                         matches=matches, length=length, gaps=abs(a_span - b_span),
+                         mode="local")
+
+    def test_overlap_empty_alignment_never_passes(self):
+        assert not overlaps(self._local(0, 0, 0), 10, 10, 0.0, 0.0)
+
+    def test_overlap_span_is_taken_on_the_longer_side(self):
+        # 8 residues of a against 10 of b: 10/12 of the longer passes 80%
+        # where a's own 8/12 would not; against a 13-residue b it fails.
+        aln = self._local(8, 10, 8)
+        assert overlaps(aln, 10, 12, 0.30, 0.80)
+        assert overlaps(aln, 12, 10, 0.30, 0.80)
+        assert not overlaps(aln, 10, 13, 0.30, 0.80)
+        assert not overlaps(aln, 10, 12, 0.81, 0.80)  # identity 8/10
 
 
 class TestAlignmentCells:

@@ -27,7 +27,6 @@ from repro.align.batch import (
     batch_containment,
     batch_myers_infix,
     containment_reject_threshold,
-    myers_infix_distance,
     strict_diagonal_scheme,
 )
 from repro.align.matrices import (
@@ -37,17 +36,18 @@ from repro.align.matrices import (
     blosum62_scheme,
     identity_scheme,
 )
-from repro.align.pairwise import (
-    _fill,
-    batch_alignment_cells,
-    global_align,
-    local_align,
-    semiglobal_align,
-)
-from repro.align.predicates import containment_test
+from repro.align.pairwise import batch_alignment_cells
 from repro.pace.cache import AlignmentCache
 from repro.runtime import SerialBackend
 from repro.sequence.alphabet import encode
+from tests.scalar_align import (
+    _fill,
+    containment_test,
+    global_align,
+    local_align,
+    myers_infix_distance,
+    semiglobal_align,
+)
 
 SCALAR = {
     "global": global_align,

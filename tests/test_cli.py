@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -308,16 +309,39 @@ class TestUnusableInputExitsTwo:
         assert rc == 2
         assert "unparseable FASTA" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["missing", "unparseable"])
-    @pytest.mark.parametrize("verb", ["profile", "simulate", "evaluate", "compare"])
-    def test_verb_reports_unusable_input(self, verb, kind, tmp_path, capsys):
-        path = tmp_path / "input"
-        if kind == "unparseable":
-            path.write_text("MKVL: neither FASTA nor JSON\n", encoding="ascii")
-        rc = main([verb, str(path)] + [str(path)] * (verb in ("evaluate", "compare")))
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: error: ") and "Traceback" not in err
+    #: argv (a ``{name}`` is a file under tmp_path, below) -> exit code.
+    UNUSABLE = {
+        **{
+            f"{verb}-{kind}": ([verb] + [f"{{{kind}}}"] * n_inputs, 2)
+            for verb, n_inputs in (("profile", 1), ("simulate", 1),
+                                   ("evaluate", 2), ("compare", 2))
+            for kind in ("missing", "unparseable")
+        },
+        "profile-psi": (["profile", "{one}", "--psi", "1"], 2),
+        "simulate-psi": (["simulate", "{one}", "--psi", "1"], 2),
+        "simulate-procs": (["simulate", "{one}", "--procs", "0"], 2),
+        "generate-families": (["generate", "{missing}", "--families", "0"], 2),
+        # No sequence is usable input: the answer is the empty one.
+        "run-empty": (["run", "{empty}"], 0),
+    }
+
+    @pytest.mark.parametrize("case", list(UNUSABLE))
+    def test_verb_reports_unusable_input(self, case, tmp_path, capsys):
+        argv, expected = self.UNUSABLE[case]
+        files = {name: str(tmp_path / name)
+                 for name in ("missing", "unparseable", "one", "empty")}
+        Path(files["unparseable"]).write_text(
+            "MKVL: neither FASTA nor JSON\n", encoding="ascii")
+        Path(files["one"]).write_text(">one\nMKVLARNDCQEGHILKMF\n", encoding="ascii")
+        Path(files["empty"]).write_text("", encoding="ascii")
+        rc = main([arg.format(**files) for arg in argv])
+        assert rc == expected
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        if expected:
+            assert err.startswith("repro: error: ")
+        else:
+            assert not err and out.splitlines()[1].split() == ["0"] * 5 + ["0.0", "0%", "0"]
 
     def test_run_invalid_config(self, generated, capsys):
         fasta, _ = generated

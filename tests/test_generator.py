@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.align.predicates import containment_test
 from repro.sequence.generator import (
     FamilySpec,
     MetagenomeSpec,
     generate_metagenome,
 )
 from repro.suffix.wmer import WmerIndex
+from tests.scalar_align import containment_test
 
 
 class TestSpecs:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.prefilter import kmer_codes, shared_kmer_count, KmerPrefilter
+from repro.align.prefilter import kmer_codes, KmerPrefilter
 from repro.sequence.alphabet import encode, decode
 from repro.suffix.wmer import WmerIndex
 from tests.oracle_gst import GeneralizedSuffixTree
@@ -19,6 +19,13 @@ encoded_seqs = st.lists(
     min_size=1,
     max_size=4,
 )
+
+
+def shared_kmer_count(a: np.ndarray, b: np.ndarray, k: int) -> int:
+    """Number of distinct k-mers occurring in both sequences: the pair
+    at a time count ``KmerPrefilter`` is held to (it lived in
+    ``repro.align.prefilter`` with no caller but these tests)."""
+    return len(np.intersect1d(np.unique(kmer_codes(a, k)), np.unique(kmer_codes(b, k))))
 
 
 class TestGst:

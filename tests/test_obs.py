@@ -359,7 +359,7 @@ class TestSimulatorBridge:
 
         def program(comm):
             yield from comm.compute(units=1000)
-            yield from comm.barrier()
+            yield from comm.gather(None)
 
         sim = cluster.run(program)
         recorder = Recorder()

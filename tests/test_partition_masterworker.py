@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.parallel.masterworker import MasterWorkerConfig, run_master_worker
-from repro.parallel.partition import balance_items, batch_by_size, imbalance
+from repro.parallel.partition import balance_items, imbalance
 from repro.parallel.simulator import VirtualCluster
 
 
@@ -52,24 +52,6 @@ class TestBalanceItems:
         loads = [sum(weights[i] for i in b) for b in bins]
         mean = sum(weights) / n_bins
         assert max(loads) <= mean + max(weights) + 1e-9
-
-
-class TestBatchBySize:
-    def test_target_respected(self):
-        batches = batch_by_size([4, 4, 4, 4], 8)
-        loads = [sum(4 for _ in b) for b in batches]
-        assert all(l <= 8 for l in loads)
-        assert sum(len(b) for b in batches) == 4
-
-    def test_oversize_item_own_batch(self):
-        batches = batch_by_size([100, 1], 10)
-        assert [100] in [[1] for b in batches] or any(
-            len(b) == 1 and b[0] == 0 for b in batches
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            batch_by_size([1], 0)
 
 
 class TestImbalance:

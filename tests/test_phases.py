@@ -13,7 +13,8 @@ import pytest
 
 from repro.align.matrices import blosum62_scheme
 from repro.pace.cache import AlignmentCache
-from repro.pace.clustering import parallel_component_detection, _overlap_passes
+from repro.align.predicates import overlaps
+from repro.pace.clustering import parallel_component_detection
 from repro.pace.densesub import parallel_dense_subgraph_detection
 from repro.pace.redundancy import parallel_redundancy_removal
 from repro.parallel.machine import XEON_CLUSTER
@@ -103,6 +104,58 @@ class TestRedundancyRemoval:
         assert rr_serial.n_promising_pairs < n * (n - 1) // 2
 
 
+def _protein(seed: int, length: int) -> str:
+    from repro.sequence.alphabet import AMINO_ACIDS
+
+    rng = np.random.default_rng(seed)
+    return "".join(AMINO_ACIDS[k] for k in rng.integers(0, 20, length))
+
+
+class TestDefinitionOneEveryPath:
+    """Definition 1 is stated once (``align/predicates.py``): a planted
+    pair loses the same sequence to batch RR, to the serve path
+    streaming the pair's second sequence into a state holding its
+    first, and to the GOS baseline's all-versus-all stage."""
+
+    _BASE = _protein(7, 100)
+    #: first, second -> index of the victim.
+    PAIRS = {
+        # One substitution apart, equal lengths: each contains the other
+        # and the tie goes against the higher index.
+        "mutual_equal_lengths": (_BASE, "W" + _BASE[1:], 1),
+        # Two residues shorter: still mutual, the shorter goes.
+        "mutual_second_shorter": (_BASE, _BASE[2:], 1),
+        "mutual_first_shorter": (_BASE[2:], _BASE, 0),
+        # Half of it: contained one way only.
+        "one_way_second_inside": (_BASE, _BASE[20:70], 1),
+        "one_way_first_inside": (_BASE[20:70], _BASE, 0),
+    }
+
+    @pytest.mark.parametrize("pair", list(PAIRS))
+    def test_same_victim_from_batch_serve_and_gos(self, pair, serial_session, tmp_path):
+        from repro.core.config import PipelineConfig
+        from repro.core.pipeline import ProteinFamilyPipeline
+        from repro.gos.baseline import gos_cluster
+        from repro.sequence.record import SequenceRecord, SequenceSet
+        from repro.serve.incremental import plan_insert
+        from repro.serve.state import load_serve_state
+
+        first, second, victim = self.PAIRS[pair]
+        records = [SequenceRecord(id="first", residues=first),
+                   SequenceRecord(id="second", residues=second)]
+        both = SequenceSet(records)
+        rr = backend_redundancy_removal(both, *serial_session(both), psi=PSI)
+        assert rr.containments == [(victim, 1 - victim)]
+
+        config = PipelineConfig()
+        ProteinFamilyPipeline(config).run(SequenceSet(records[:1]), run_dir=tmp_path)
+        state = load_serve_state(tmp_path, SequenceSet(records[:1]), config)
+        plan = plan_insert(state, "second", second)
+        assert plan.redundant_pairs == [[victim, 1 - victim]]
+
+        assert gos_cluster(both).redundant == {victim}
+
+
 class TestComponentDetection:
     @pytest.fixture(scope="class")
     def ccd_serial(self, small_metagenome_module, session, rr_serial):
@@ -132,7 +185,7 @@ class TestComponentDetection:
             seen.add(m.pair)
             gi, gj = kept[m.pair[0]], kept[m.pair[1]]
             aln = cache_module.local(gi, gj)
-            if _overlap_passes(aln, len(encoded[gi]), len(encoded[gj]), 0.30, 0.80):
+            if overlaps(aln, len(encoded[gi]), len(encoded[gj]), 0.30, 0.80):
                 g.add_edge(m.pair[0], m.pair[1])
         oracle = sorted(
             (sorted(kept[v] for v in comp) for comp in nx.connected_components(g)),

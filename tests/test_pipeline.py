@@ -11,10 +11,19 @@ from repro.obs import scientific_view
 from repro.parallel.machine import XEON_CLUSTER
 from repro.parallel.simulator import VirtualCluster
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
+from repro.sequence.record import SequenceRecord, SequenceSet
 from repro.shingle.algorithm import ShingleParams
 from tests.conftest import PIPELINE_MODES
 
 FAST_SHINGLE = ShingleParams(s1=3, c1=60, s2=2, c2=25, seed=5)
+
+#: Inputs with nothing to find: residues per record, sequences RR keeps.
+_PROTEIN = "ARNDCQEGHILKMFPSTWYVARNDCQEGHILK"
+DEGENERATE = {
+    "empty": ([], 0),
+    "one_sequence": ([_PROTEIN], 1),
+    "six_identical": ([_PROTEIN] * 6, 1),
+}
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +125,25 @@ class TestSameAnswerEveryMode:
         assert result.families == reference.families
         assert result.table1() == reference.table1()
         assert scientific_view(result.obs.counters()) == expected
+
+    @pytest.mark.parametrize("mode", list(PIPELINE_MODES))
+    @pytest.mark.parametrize("name", list(DEGENERATE))
+    def test_degenerate_input_gives_the_default_answer(self, name, mode):
+        """No sequence, one, six copies of one: the answer is empty (the
+        copies leave their first), in every mode, with no phase raising
+        — so no non-vacuity guard here."""
+        residues, n_kept = DEGENERATE[name]
+        sequences = SequenceSet([
+            SequenceRecord(id=f"s{k}", residues=r) for k, r in enumerate(residues)
+        ])
+        reference = ProteinFamilyPipeline().run(sequences)
+        assert reference.redundancy.kept == list(range(n_kept))
+        assert reference.families == []
+        result = ProteinFamilyPipeline().run(sequences, **PIPELINE_MODES[mode]())
+        assert result.families == reference.families
+        assert result.table1() == reference.table1()
+        assert scientific_view(result.obs.counters()) == scientific_view(
+            reference.obs.counters())
 
     @pytest.mark.parametrize("mode", list(PIPELINE_MODES))
     def test_ccd_work_depends_on_the_simulated_machine_only(self, mode_results, mode):

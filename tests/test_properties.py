@@ -7,13 +7,42 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.align import predicates
+from repro.align.batch import batch_align
 from repro.align.matrices import identity_scheme
-from repro.align.pairwise import global_align, local_align, semiglobal_align
 from repro.parallel.simulator import SimComm, VirtualCluster, estimate_nbytes
 from repro.sequence.alphabet import encode
 from repro.suffix.suffix_array import GeneralizedSuffixArray
 from repro.util.hashing import UniversalHashFamily
 from tests.oracle_ukkonen import SuffixTree
+
+# The properties are claimed of what a run computes: one pair through
+# the batched engine, the verdicts through ``align/predicates.py``.
+# (``test_batch_align.py`` holds both to ``tests/scalar_align.py``.)
+
+
+def _one_pair(mode):
+    def align(a, b, scheme=None):
+        return batch_align([(a, b)], scheme, mode)[0]
+
+    return align
+
+
+global_align, local_align, semiglobal_align = map(
+    _one_pair, ("global", "local", "semiglobal"))
+
+
+def containment_test(a, b):
+    aln = semiglobal_align(a, b)
+    stats = predicates.containment_stats(aln, len(a), len(b))
+    return (*predicates.contained(stats, predicates.CONTAINMENT_SIMILARITY,
+                                  predicates.CONTAINMENT_COVERAGE), aln)
+
+
+def overlap_test(a, b, *, similarity=predicates.OVERLAP_SIMILARITY,
+                 coverage=predicates.OVERLAP_COVERAGE):
+    aln = local_align(a, b)
+    return predicates.overlaps(aln, len(a), len(b), similarity, coverage), aln
 
 encoded_seq = st.lists(
     st.integers(min_value=0, max_value=19), min_size=1, max_size=30
@@ -119,9 +148,11 @@ class TestSimulatorConservation:
     @given(st.integers(min_value=1, max_value=8))
     @settings(max_examples=20, deadline=None)
     def test_allreduce_equals_python_reduce(self, p):
+        """Every rank folds an all-to-all of its value to the same sum."""
+
         def program(comm: SimComm):
-            out = yield from comm.allreduce(comm.rank * 3 + 1, lambda a, b: a + b)
-            return out
+            values = yield from comm.alltoall([comm.rank * 3 + 1] * comm.size)
+            return sum(values)
 
         res = VirtualCluster(p).run(program)
         expected = sum(r * 3 + 1 for r in range(p))
@@ -133,7 +164,7 @@ class TestSimulatorConservation:
         def program(comm: SimComm):
             for _ in range(3):
                 yield from comm.compute(seconds=0.1)
-                yield from comm.barrier()
+                yield from comm.gather(None)
 
         sim = VirtualCluster(4).run(program, record_timeline=True)
         by_rank: dict[int, float] = {}
@@ -201,8 +232,6 @@ class TestPredicateProperties:
         score 12 — span 3 one way, span 4 the other, coverage 0.6 vs
         0.8 — and its verdicts differ (DESIGN.md, Definition 2; the
         pipeline orients every pair the same way on every run)."""
-        from repro.align.predicates import overlap_test
-
         forward, one = overlap_test(a, b)
         backward, other = overlap_test(b, a)
         assert one.score == other.score
@@ -219,8 +248,6 @@ class TestPredicateProperties:
     def test_containment_directions_swap_with_arguments(self, a, b):
         """containment_test(a, b) = (a_in_b, b_in_a, .); swapping the
         arguments must swap the verdicts, nothing else."""
-        from repro.align.predicates import containment_test
-
         a_in_b, b_in_a, _ = containment_test(a, b)
         swapped_b_in_a, swapped_a_in_b, _ = containment_test(b, a)
         assert (a_in_b, b_in_a) == (swapped_a_in_b, swapped_b_in_a)
@@ -229,7 +256,6 @@ class TestPredicateProperties:
     @settings(max_examples=30, deadline=None)
     def test_semiglobal_score_symmetric(self, a, b):
         from repro.align.matrices import blosum62_scheme
-        from repro.align.pairwise import semiglobal_align
 
         scheme = blosum62_scheme()
         assert semiglobal_align(a, b, scheme).score == (
@@ -239,8 +265,6 @@ class TestPredicateProperties:
     @given(encoded_seq)
     @settings(max_examples=30, deadline=None)
     def test_every_sequence_contains_itself(self, a):
-        from repro.align.predicates import containment_test
-
         a_in_b, b_in_a, aln = containment_test(a, a)
         assert a_in_b and b_in_a
         assert aln.identity == 1.0
@@ -249,8 +273,6 @@ class TestPredicateProperties:
     @settings(max_examples=30, deadline=None)
     def test_overlap_verdict_monotone_in_thresholds(self, a, b):
         """Tightening similarity/coverage can only flip True -> False."""
-        from repro.align.predicates import overlap_test
-
         loose = overlap_test(a, b, similarity=0.10, coverage=0.40)[0]
         strict = overlap_test(a, b, similarity=0.60, coverage=0.90)[0]
         assert loose or not strict

@@ -15,10 +15,12 @@ reaches are listed by name, each with the script that must import it.
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import repro
+import repro.align
 from repro.cli import build_parser
 
 SRC = Path(repro.__file__).resolve().parents[1]
@@ -32,6 +34,13 @@ HELD_BY_SCRIPT = {
     "repro.sequence.orf": "examples/shotgun_reads.py",
     "repro.parallel.trace": "examples/bluegene_scaling.py",
     "repro.shingle.parallel": "benchmarks/paper/regenerate.py",
+}
+
+#: ``repro.align`` functions no module of the repo calls, and why each
+#: is public all the same.
+ALIGN_API_ONLY = {
+    "identity_scheme": "the +1/-1 scheme a caller may pick over BLOSUM62; "
+                       "the engine's tests run every property under both",
 }
 
 MODULES = {
@@ -120,6 +129,25 @@ def test_script_held_modules_are_imported_by_their_script():
         tree = ast.parse((REPO_ROOT / script).read_text(encoding="utf-8"))
         targets = {defining_module(source, imported) for _, source, imported in imports(tree)}
         assert module in targets, f"{script} no longer imports {module}"
+
+
+def test_every_align_function_is_called_by_some_module():
+    """A name-level walk of one package: a function ``repro.align``
+    exports is called by a module of the repo — under ``src/``,
+    ``benchmarks/`` or ``examples/`` — or it is an oracle and lives in
+    ``tests/`` (as the one-pair aligners do: ``tests/scalar_align.py``)."""
+    scripts = [path for top in ("benchmarks", "examples")
+               for path in sorted((REPO_ROOT / top).rglob("*.py"))]
+    trees = [*TREES.values(),
+             *(ast.parse(path.read_text(encoding="utf-8")) for path in scripts)]
+    loaded = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for tree in trees for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    functions = {name for name in repro.align.__all__
+                 if inspect.isfunction(getattr(repro.align, name))}
+    assert functions - loaded == set(ALIGN_API_ONLY)
 
 
 def test_help_names_exactly_the_verbs_readme_documents():

@@ -30,7 +30,7 @@ from repro.core.checkpoint import (
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro import obs
-from repro.align import batch, pairwise
+from repro.align import batch
 from repro.obs import (
     SERVE_METRICS_FILENAME,
     LatencyHistogram,
@@ -321,10 +321,9 @@ class TestIncrementalInsert:
         def no_alignment(*_args, **_kwargs):
             raise AssertionError("replay must not align")
 
-        # Every alignment route ends in one of these three kernels.
+        # Every alignment route ends in one of these two kernels.
         monkeypatch.setattr(batch, "_myers_sweep", no_alignment)
         monkeypatch.setattr(batch, "_bucket_fill", no_alignment)
-        monkeypatch.setattr(pairwise, "_fill", no_alignment)
         replay_insert(mirror, decisions[0])
         assert mirror.digest() == live.digest()
 

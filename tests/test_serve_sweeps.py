@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.align import batch, pairwise
+from repro.align import batch
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro.sequence.alphabet import AMINO_ACIDS
@@ -34,6 +34,7 @@ from repro.serve.incremental import insert_sequence, plan_insert
 from repro.serve.server import ServeServer
 from repro.serve.state import load_serve_state
 from tests import scalar_serve
+from tests.scalar_align import local_align
 
 #: Share of each (shuffled) conftest input that is clustered in batch
 #: and served; the rest is what requests are made of.
@@ -127,8 +128,7 @@ def _roots(state, candidates):
 
 @contextlib.contextmanager
 def kernel_calls():
-    """Counts the engine calls a request makes, by kind, and fails any
-    call of the one-pair fill."""
+    """Counts the engine calls a request makes, by kind."""
     calls: Counter[str] = Counter()
     myers, align = batch.batch_myers_infix, batch.batch_align
 
@@ -140,18 +140,14 @@ def kernel_calls():
         calls[mode] += 1
         return align(pairs, scheme, mode, **options)
 
-    def one_pair_fill(*_args, **_kwargs):
-        raise AssertionError("the scalar fill is off the request path")
-
     with mock.patch.object(batch, "batch_myers_infix", counted_myers), \
             mock.patch.object(batch, "batch_align", counted_align), \
-            mock.patch.object(sweeps, "batch_align", counted_align), \
-            mock.patch.object(pairwise, "_fill", one_pair_fill):
+            mock.patch.object(sweeps, "batch_align", counted_align):
         yield calls
 
 
 def verdict(fail: float, salt: int):
-    """A stand-in for ``_overlap_passes``: a fixed function of the pair
+    """A stand-in for ``predicates.overlaps``: a fixed function of the pair
     (through its alignment, equal both ways) failing about ``fail``."""
 
     def passes(aln, len_a, len_b, _similarity, _coverage):
@@ -164,8 +160,8 @@ def verdict(fail: float, salt: int):
 
 @contextlib.contextmanager
 def patched_verdict(passes):
-    with mock.patch.object(sweeps, "_overlap_passes", passes), \
-            mock.patch.object(scalar_serve, "_overlap_passes", passes):
+    with mock.patch.object(sweeps, "overlaps", passes), \
+            mock.patch.object(scalar_serve, "overlaps", passes):
         yield
 
 
@@ -348,8 +344,8 @@ class TestHandCases:
         # The verdict sees alignments, not indices: key each candidate
         # by the alignment the loop makes of it.
         keys = {
-            (pairwise.local_align(state.encoded(rep), record.encoded,
-                                  state.config.scheme), state.length(rep)): rep
+            (local_align(state.encoded(rep), record.encoded,
+                         state.config.scheme), state.length(rep)): rep
             for rep in candidates
         }
         assert len(keys) == len(candidates)

@@ -146,10 +146,8 @@ class TestTiming:
     def test_compute_advances_clock(self):
         def program(comm: SimComm):
             yield from comm.compute(units=BLUEGENE_L.compute_rate)  # exactly 1s
-            return comm.now
 
         res = VirtualCluster(1).run(program)
-        assert res.rank_results[0] == pytest.approx(1.0)
         assert res.elapsed == pytest.approx(1.0)
         assert res.rank_stats[0].compute_seconds == pytest.approx(1.0)
 
@@ -172,17 +170,16 @@ class TestTiming:
                 yield from comm.send(None, dest=1)
             else:
                 yield from comm.recv(source=0)
-            return comm.now
 
         res = VirtualCluster(2).run(program)
-        assert res.rank_results[1] >= 2.0
+        assert res.elapsed >= 2.0
         assert res.rank_stats[1].wait_seconds > 1.9
 
     def test_determinism(self):
         def program(comm: SimComm):
-            total = yield from comm.allreduce(comm.rank, lambda a, b: a + b)
+            total = yield from _allreduce(comm, comm.rank, sum)
             yield from comm.compute(units=1000 * (comm.rank + 1))
-            yield from comm.barrier()
+            yield from comm.alltoall([None] * comm.size)
             return total
 
         a = VirtualCluster(7).run(program)
@@ -199,11 +196,36 @@ class TestTiming:
         assert res.parallel_efficiency() == pytest.approx(1.0)
 
 
+def _fan_out(comm: SimComm, payloads, root: int = 0):
+    """``payloads[r]`` from ``root`` to every rank ``r``; returns this
+    rank's.  (Only ``root`` need pass payloads.)"""
+    if comm.rank != root:
+        message = yield from comm.recv(source=root, tag=1)
+        return message.payload
+    for dest in range(comm.size):
+        if dest != root:
+            yield from comm.send(payloads[dest], dest=dest, tag=1)
+    return payloads[root]
+
+
+def _allreduce(comm: SimComm, value, fold):
+    """``fold`` of every rank's value, on every rank."""
+    values = yield from comm.gather(value)
+    result = yield from _fan_out(
+        comm, None if values is None else [fold(values)] * comm.size)
+    return result
+
+
 class TestCollectives:
+    """``gather`` (with ``alltoall``, see ``test_parallel_shingle.py``)
+    is the collective the simulator offers; the others a rank program
+    may want are a fan-out from a root and a fold of a gather, written
+    here as such a program writes them — over ``send`` / ``recv``."""
+
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
     def test_bcast(self, p):
         def program(comm: SimComm):
-            value = yield from comm.bcast("data" if comm.rank == 0 else None, root=0)
+            value = yield from _fan_out(comm, ["data"] * comm.size)
             return value
 
         res = VirtualCluster(p).run(program)
@@ -211,7 +233,7 @@ class TestCollectives:
 
     def test_bcast_nonzero_root(self):
         def program(comm: SimComm):
-            value = yield from comm.bcast(comm.rank if comm.rank == 2 else None, root=2)
+            value = yield from _fan_out(comm, [comm.rank] * comm.size, root=2)
             return value
 
         res = VirtualCluster(5).run(program)
@@ -231,24 +253,17 @@ class TestCollectives:
     def test_scatter(self, p):
         def program(comm: SimComm):
             payloads = [f"item{r}" for r in range(comm.size)] if comm.rank == 0 else None
-            item = yield from comm.scatter(payloads, root=0)
+            item = yield from _fan_out(comm, payloads)
             return item
 
         res = VirtualCluster(p).run(program)
         assert res.rank_results == [f"item{r}" for r in range(p)]
 
-    def test_scatter_wrong_length(self):
-        def program(comm: SimComm):
-            yield from comm.scatter([1], root=0)
-
-        with pytest.raises(ValueError, match="one payload per rank"):
-            VirtualCluster(2).run(program)
-
     @pytest.mark.parametrize("p", [1, 2, 3, 8])
     def test_reduce_sum(self, p):
         def program(comm: SimComm):
-            out = yield from comm.reduce(comm.rank + 1, lambda a, b: a + b, root=0)
-            return out
+            values = yield from comm.gather(comm.rank + 1)
+            return None if values is None else sum(values)
 
         res = VirtualCluster(p).run(program)
         assert res.rank_results[0] == p * (p + 1) // 2
@@ -256,25 +271,29 @@ class TestCollectives:
     @pytest.mark.parametrize("p", [1, 3, 6])
     def test_allreduce_max(self, p):
         def program(comm: SimComm):
-            out = yield from comm.allreduce(comm.rank, max)
+            out = yield from _allreduce(comm, comm.rank, max)
             return out
 
         res = VirtualCluster(p).run(program)
         assert res.rank_results == [p - 1] * p
 
     def test_barrier_synchronises(self):
+        """No rank leaves a gather-and-release before the last arrives."""
+
         def program(comm: SimComm):
             if comm.rank == 0:
                 yield from comm.compute(seconds=3.0)
-            yield from comm.barrier()
-            return comm.now
+            yield from _allreduce(comm, None, len)
+            yield from comm.compute(seconds=1.0)
 
-        res = VirtualCluster(4).run(program)
-        assert all(t >= 3.0 for t in res.rank_results)
+        res = VirtualCluster(4).run(program, record_timeline=True)
+        starts = [start for _rank, kind, start, _end in res.timeline
+                  if kind == "compute" and start > 0]
+        assert len(starts) == 4 and all(start >= 3.0 for start in starts)
 
     def test_collective_cost_grows_with_p(self):
         def program(comm: SimComm):
-            yield from comm.barrier()
+            yield from _allreduce(comm, None, len)  # the root sends p - 1
 
         t4 = VirtualCluster(4).run(program).elapsed
         t64 = VirtualCluster(64).run(program).elapsed
@@ -300,12 +319,3 @@ class TestMemoryAccounting:
 
         with pytest.raises(MemoryExceededError):
             VirtualCluster(1).run(program)
-
-    def test_log_events(self):
-        def program(comm: SimComm):
-            comm.log("hello")
-            yield from comm.compute(units=1)
-
-        res = VirtualCluster(2).run(program)
-        assert len(res.log_events) == 2
-        assert res.log_events[0][2] == "hello"

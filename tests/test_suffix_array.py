@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sequence.alphabet import encode
+from repro.suffix.matches import MaximalMatchFinder
 from repro.suffix.suffix_array import GeneralizedSuffixArray, lcp_array, suffix_array
 from tests.scalar_finder import is_sentinel_position, kasai_lcp, locate, preceding_symbol
 
@@ -98,9 +99,15 @@ class TestSuffixArray:
 
 
 class TestGeneralizedSuffixArray:
-    def test_requires_sequences(self):
-        with pytest.raises(ValueError):
-            GeneralizedSuffixArray([])
+    def test_no_sequences_is_an_empty_index(self):
+        """An empty input has the empty answer: six empty arrays (one
+        start), no match — whole, and as the restriction to no member."""
+        for gsa in (GeneralizedSuffixArray([]),
+                    GeneralizedSuffixArray([encode("ARNDARND")]).restrict([])):
+            assert gsa.n_sequences == 0 and gsa.starts.tolist() == [0]
+            for name in ("text", "sa", "lcp", "seq", "off"):
+                assert getattr(gsa, name).tolist() == [], name
+            assert list(MaximalMatchFinder(gsa, min_length=2).match_blocks()) == []
 
     def test_rejects_empty_sequence(self):
         with pytest.raises(ValueError):
@@ -236,9 +243,8 @@ class TestRestrict:
 
     @pytest.mark.parametrize(
         "members",
-        [[], (), [1, 0], [0, 0], [0, 3], [-1, 0], [[0, 1]]],
-        ids=["empty_list", "empty_tuple", "unsorted", "repeated", "too_large",
-             "negative", "nested"],
+        [[1, 0], [0, 0], [0, 3], [-1, 0], [[0, 1]]],
+        ids=["unsorted", "repeated", "too_large", "negative", "nested"],
     )
     def test_rejects_what_the_constructor_would(self, members):
         index = GeneralizedSuffixArray([encode("ARND"), encode("CQ"), encode("WYV")])

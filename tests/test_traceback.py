@@ -15,14 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align.matrices import blosum62_scheme, identity_scheme
-from repro.align.pairwise import (
-    Alignment,
-    _fill,
-    _traceback,
-    local_align,
-    semiglobal_align,
-)
+from repro.align.pairwise import Alignment, _traceback
 from repro.sequence.alphabet import encode
+from tests.scalar_align import _fill, local_align, semiglobal_align
 
 MODES = ("global", "local", "semiglobal")
 #: gap -1 under BLOSUM62 makes gaps nearly free: gap-heavy walks.
