@@ -85,7 +85,10 @@ def main() -> None:
     )
     print("\nTimeline of the p=8 CCD phase (rank 0 = master; "
           "# compute, > send, . wait):")
-    print(Timeline(ccd8.sim).gantt(width=64))
+    timeline = Timeline(ccd8.sim)
+    print(timeline.gantt(width=64))
+    print(f"busiest rank: {timeline.bottleneck_rank()}, busy "
+          f"{timeline.critical_fraction():.0%} of the phase")
 
 
 if __name__ == "__main__":

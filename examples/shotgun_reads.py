@@ -22,7 +22,7 @@ from repro import (
     SequenceSet,
     ShingleParams,
 )
-from repro.sequence.orf import decode_dna, encode_dna, find_orfs, reverse_complement
+from repro.sequence.orf import encode_dna, orfs_to_proteins, reverse_complement
 from repro.util.rng import make_rng
 
 #: Codons per amino acid (first listed codon used for back-translation).
@@ -73,14 +73,12 @@ def main() -> None:
           f"({n_families} gene families planted)")
 
     # --- ORF calling, six frames ----------------------------------------
-    orfs = []
-    for read in reads:
-        orfs.extend(find_orfs(read, min_length=50))
-    print(f"called {len(orfs)} ORFs of >= 50 residues")
+    proteins = orfs_to_proteins(reads, min_length=50)
+    print(f"called {len(proteins)} ORFs of >= 50 residues")
 
     sequences = SequenceSet(
-        SequenceRecord(id=f"orf{k:04d}", residues=orf.protein)
-        for k, orf in enumerate(orfs)
+        SequenceRecord(id=f"orf{k:04d}", residues=protein)
+        for k, protein in enumerate(proteins)
     )
 
     # --- family identification ------------------------------------------

@@ -22,6 +22,7 @@ paper-versus-measured record of every table and figure.
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import PhaseTimings, PipelineResult, ProteinFamilyPipeline
 from repro.eval.metrics import pair_confusion, quality_scores
+from repro.eval.report import report_lines
 from repro.gos.baseline import GosConfig, GosResult, gos_cluster
 from repro.parallel.machine import BLUEGENE_L, XEON_CLUSTER, MachineModel
 from repro.parallel.simulator import VirtualCluster
@@ -50,6 +51,7 @@ __all__ = [
     "ProteinFamilyPipeline",
     "pair_confusion",
     "quality_scores",
+    "report_lines",
     "GosConfig",
     "GosResult",
     "gos_cluster",

@@ -427,12 +427,9 @@ class ContainmentBatch:
     Definition 1 thresholds on; for pairs decided by the Myers reject
     path it is ``(0.0, 0.0, 0.0)`` — the decision (no containment
     either way) is identical, the floats are surrogates.
-    ``alignments[k]`` carries the exact scalar-equal Alignment for
-    pairs that went through the DP, else None.
     """
 
     stats: list[tuple[float, float, float]]
-    alignments: list[Alignment | None]
     n_rejected: int
     n_exact: int
     n_dp: int
@@ -511,9 +508,8 @@ def containment_dp(
     :func:`batch_align` over what the prefilter left undecided."""
     enc, dp_idx = prefilter.pairs, prefilter.undecided
     if not enc:
-        return ContainmentBatch([], [], 0, 0, 0)
+        return ContainmentBatch([], 0, 0, 0)
     stats = list(prefilter.stats)
-    alns: list[Alignment | None] = [None] * len(enc)
     if dp_idx:
         computed = batch_align(
             [enc[k] for k in dp_idx], scheme, "semiglobal",
@@ -522,12 +518,10 @@ def containment_dp(
         for k, aln in zip(dp_idx, computed):
             a, b = enc[k]
             stats[k] = containment_stats(aln, len(a), len(b))
-            alns[k] = aln
     obs.count("batch.dp_pairs", len(dp_idx))
     n_rejected = sum(prefilter.rejected)
     return ContainmentBatch(
         stats=stats,  # type: ignore[arg-type]
-        alignments=alns,
         n_rejected=n_rejected,
         n_exact=len(enc) - n_rejected - len(dp_idx),
         n_dp=len(dp_idx),

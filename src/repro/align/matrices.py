@@ -70,11 +70,6 @@ class ScoringScheme:
         if self.gap >= 0:
             raise ValueError(f"gap penalty must be negative, got {self.gap}")
 
-    def substitution_profile(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Dense (len(a), len(b)) substitution score matrix for a pair."""
-        return self.matrix[np.asarray(a, dtype=np.intp)[:, None],
-                           np.asarray(b, dtype=np.intp)[None, :]]
-
 
 def blosum62_scheme(gap: int = -6) -> ScoringScheme:
     """The default biological scoring used throughout the pipeline."""

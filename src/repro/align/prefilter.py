@@ -10,7 +10,7 @@ without the proprietary binary.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -57,10 +57,6 @@ class KmerPrefilter:
         for code in np.unique(kmer_codes(seq, self.k)):
             self._postings[int(code)].append(idx)
         return idx
-
-    def add_all(self, sequences: Iterable[np.ndarray]) -> None:
-        for seq in sequences:
-            self.add(seq)
 
     def candidate_pairs(self) -> Iterator[tuple[int, int]]:
         """Yield each (i, j), i < j, sharing >= min_shared distinct k-mers."""

@@ -236,14 +236,6 @@ class LintResult:
             out[v.rule] = out.get(v.rule, 0) + 1
         return dict(sorted(out.items()))
 
-    def worst_severity(self) -> str | None:
-        if not self.violations:
-            return None
-        return max(
-            (v.severity for v in self.violations),
-            key=lambda s: SEVERITY_ORDER.get(s, 0),
-        )
-
     def fails(self, fail_on: str) -> bool:
         """Whether this result should fail the build at ``fail_on``
         ("error", "warning", or "never")."""

@@ -318,8 +318,7 @@ class ClockDisciplineRule(Rule):
 
     Every observability timestamp goes through the single explicit
     :class:`repro.obs.clock.ClockSync` pairing; ad-hoc wall-clock
-    measurement uses :func:`repro.util.timing.monotonic_now` (or
-    ``Stopwatch``).  A stray ``time.time()`` reintroduces exactly the
+    measurement uses :func:`repro.util.timing.monotonic_now`.  A stray ``time.time()`` reintroduces exactly the
     implicit perf/wall pairing the clock model was built to eliminate.
     """
 

@@ -5,7 +5,12 @@ Commands
 generate
     Write a synthetic metagenome (FASTA + truth table).
 run
-    Run the four-phase pipeline on a FASTA file and print families.
+    Run the four-phase pipeline on a FASTA file; print the Table I row
+    and the run report (:func:`repro.eval.report.report_lines`).
+    ``--output`` writes the families; ``--trace-out`` exports a Chrome
+    ``trace_event`` timeline (loadable in chrome://tracing or
+    https://ui.perfetto.dev) and ``--counters-out`` the run record
+    (:func:`repro.obs.counters_payload`), each only when given.
     ``--run-dir DIR`` journals crash-consistent phase checkpoints;
     ``--resume DIR`` continues an interrupted run from that journal
     (finished phases are skipped, a half-finished CCD replays its
@@ -23,10 +28,8 @@ simulate
     Run the pipeline with simulated parallel RR/CCD phases and report
     per-phase virtual run-times for a processor sweep.
 profile
-    Run the pipeline with full observability and export a Chrome
-    ``trace_event`` timeline (``--trace-out``, loadable in
-    chrome://tracing or https://ui.perfetto.dev) plus a counters JSON
-    snapshot (``--counters-out``), then print the unified text summary.
+    ``run`` with both exports on by default: ``trace.json`` and
+    ``counters.json`` in the current directory.
 top
     Render a run's ``telemetry.jsonl`` (written when ``run``/``profile``
     get ``--telemetry-dir``) as a refreshing status screen — phase
@@ -34,10 +37,12 @@ top
     (tail-follow) and post-hoc (``--once``), including on files whose
     producer died without an end record.
 compare-metrics
-    Diff a run's counters payload against a committed baseline
-    (``BENCH_baseline.json``): scientific counters must match exactly,
-    wall-clock must stay inside the slowdown tolerance.  Exits non-zero
-    on any violation — the CI metrics-regression gate.
+    Diff two run records — a run's ``--counters-out`` file against a
+    baseline one (default: the committed ``BENCH_baseline.json``):
+    scientific counters must match exactly, wall-clock must stay inside
+    the slowdown tolerance; the per-phase seconds of both are listed.
+    Exit 1 on a violation (the CI metrics-regression gate), 2 when
+    either file is not a run record.
 serve
     Load a completed ``--run-dir`` checkpoint into memory and serve
     family-membership queries + incremental inserts over a line-JSON
@@ -67,8 +72,8 @@ failed check (metric drift, lint violations), and 2 on unusable input
 
 ``run`` accepts ``--backend {serial,process}`` and ``--workers N`` to
 execute on a real multi-core backend (see :mod:`repro.runtime`); the
-scientific output is identical, and measured per-phase wall-clock,
-worker-utilisation, and alignment-cache statistics are printed.
+scientific output is identical, and the report's per-phase wall-clock,
+worker-utilisation and alignment-cache figures are measured.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ from pathlib import Path
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro.eval.metrics import pair_confusion, quality_scores
-from repro.eval.report import Table1Row, cache_stats_lines, observation_lines
+from repro.eval.report import Table1Row, report_lines
 from repro.parallel.machine import BLUEGENE_L
 from repro.parallel.simulator import VirtualCluster
 from repro.sequence.fasta import read_fasta, write_fasta
@@ -209,8 +214,15 @@ def _load_fault_plan(args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """``repro run`` and ``repro profile``: one run, the one report."""
     from repro.core.checkpoint import CheckpointError
+    from repro.obs import write_chrome_trace, write_counters_json
 
+    if args.resume and args.run_dir:
+        return _usage_error(
+            f"--resume {args.resume} continues the run journaled there; "
+            f"--run-dir {args.run_dir} cannot also be given"
+        )
     sequences = _read_fasta_or_none(args.fasta)
     if sequences is None:
         return 2
@@ -220,8 +232,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     config, rc = _load_config(args, fault_plan=plan)
     if rc is not None:
         return rc
-    resume_dir = getattr(args, "resume", None)
-    run_dir = resume_dir if resume_dir else getattr(args, "run_dir", None)
     try:
         result = ProteinFamilyPipeline(config).run(
             sequences,
@@ -229,17 +239,15 @@ def cmd_run(args: argparse.Namespace) -> int:
             workers=args.workers or None,
             telemetry_dir=args.telemetry_dir,
             telemetry_interval=args.telemetry_interval,
-            run_dir=run_dir,
-            resume=bool(resume_dir),
+            run_dir=args.resume or args.run_dir,
+            resume=bool(args.resume),
         )
     except CheckpointError as exc:
         return _usage_error(str(exc))
     print(Table1Row.header())
     print(result.table1().formatted())
     print()
-    for line in result.runtime.summary_lines():
-        print(line)
-    for line in cache_stats_lines(result.runtime.cache):
+    for line in report_lines(result):
         print(line)
     if args.output:
         families = result.family_ids(sequences)
@@ -247,6 +255,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             json.dumps(families, indent=1), encoding="ascii"
         )
         print(f"wrote {len(families)} families to {args.output}")
+    if args.trace_out:
+        write_chrome_trace(result.obs, args.trace_out)
+        print(f"trace    -> {args.trace_out} (open in chrome://tracing or "
+              f"https://ui.perfetto.dev)")
+    if args.counters_out:
+        write_counters_json(result.obs, args.counters_out)
+        print(f"counters -> {args.counters_out}")
     return 0
 
 
@@ -334,37 +349,6 @@ def _cmd_chaos_serve(args: argparse.Namespace) -> int:
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    from repro.obs import write_chrome_trace, write_counters_json
-
-    sequences = _read_fasta_or_none(args.fasta)
-    if sequences is None:
-        return 2
-    config, rc = _load_config(args)
-    if rc is not None:
-        return rc
-    result = ProteinFamilyPipeline(config).run(
-        sequences,
-        backend=args.backend,
-        workers=args.workers or None,
-        telemetry_dir=args.telemetry_dir,
-        telemetry_interval=args.telemetry_interval,
-    )
-    recorder = result.obs
-    write_chrome_trace(recorder, args.trace_out)
-    write_counters_json(recorder, args.counters_out)
-    print(Table1Row.header())
-    print(result.table1().formatted())
-    print()
-    for line in observation_lines(recorder):
-        print(line)
-    print()
-    print(f"trace    -> {args.trace_out} (open in chrome://tracing or "
-          f"https://ui.perfetto.dev)")
-    print(f"counters -> {args.counters_out}")
-    return 0
 
 
 def _usage_error(message: str) -> int:
@@ -646,38 +630,24 @@ def _load_json(path: Path, what: str) -> tuple[dict | None, int]:
 
 
 def cmd_compare_metrics(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        baseline_from_run,
-        compare_metrics,
-        compare_report,
-    )
+    from repro.obs import compare_metrics, compare_report
 
-    run_payload, rc = _load_json(Path(args.run), "run payload")
-    if run_payload is None:
+    run, rc = _load_json(Path(args.run), "run payload")
+    if rc:
         return rc
-    baseline_path = Path(args.baseline)
-
-    if args.write_baseline:
-        baseline = baseline_from_run(run_payload)
-        baseline_path.write_text(
-            json.dumps(baseline, indent=1) + "\n", encoding="ascii"
+    baseline, rc = _load_json(Path(args.baseline), "baseline")
+    if rc:
+        return rc
+    try:
+        violations = compare_metrics(
+            run,
+            baseline,
+            slowdown_tolerance=args.slowdown_tolerance,
+            check_wallclock=not args.no_wallclock,
         )
-        n = len(baseline["metrics"]["scientific"])
-        print(f"wrote baseline ({n} scientific counters, "
-              f"{baseline['metrics']['wall_seconds']}s wall) "
-              f"-> {baseline_path}")
-        return 0
-
-    baseline, rc = _load_json(baseline_path, "baseline")
-    if baseline is None:
-        return rc
-    violations = compare_metrics(
-        run_payload,
-        baseline,
-        slowdown_tolerance=args.slowdown_tolerance,
-        check_wallclock=not args.no_wallclock,
-    )
-    for line in compare_report(run_payload, baseline, violations):
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    for line in compare_report(run, baseline, violations):
         print(line)
     return 1 if violations else 0
 
@@ -819,26 +789,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Parallel protein family identification (SC'08 reproduction)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("generate", help="generate a synthetic metagenome")
-    p_gen.add_argument("output", help="output FASTA path")
-    p_gen.add_argument("--families", type=int, default=50)
-    p_gen.add_argument("--mean-size", type=int, default=20)
-    p_gen.add_argument("--redundant", type=float, default=0.10)
-    p_gen.add_argument("--noise", type=float, default=0.05)
-    p_gen.add_argument("--domain-fraction", type=float, default=0.0)
-    p_gen.add_argument("--seed", type=int, default=2008)
-    p_gen.set_defaults(func=cmd_generate)
-
-    p_run = sub.add_parser("run", help="run the pipeline on a FASTA file")
+def _add_run_verb(sub, verb: str, text: str, *, trace_out: str | None,
+                  counters_out: str | None) -> None:
+    """Register ``verb`` on :func:`cmd_run`'s argument set, with these
+    export defaults (None: exported only when the path is given)."""
+    p_run = sub.add_parser(verb, help=text)
     p_run.add_argument("fasta")
     p_run.add_argument("--output", help="write families as JSON")
+    p_run.add_argument(
+        "--trace-out", default=trace_out, metavar="FILE",
+        help="Chrome trace_event output path "
+             f"(default: {trace_out or 'not written'})",
+    )
+    p_run.add_argument(
+        "--counters-out", default=counters_out, metavar="FILE",
+        help=f"run record output path (default: {counters_out or 'not written'})",
+    )
     p_run.add_argument(
         "--run-dir", default=None, metavar="DIR",
         help="journal crash-consistent phase checkpoints into DIR "
@@ -857,6 +823,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_args(p_run)
     _add_telemetry_args(p_run)
     p_run.set_defaults(func=cmd_run)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Parallel protein family identification (SC'08 reproduction)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_gen = sub.add_parser("generate", help="generate a synthetic metagenome")
+    p_gen.add_argument("output", help="output FASTA path")
+    p_gen.add_argument("--families", type=int, default=50)
+    p_gen.add_argument("--mean-size", type=int, default=20)
+    p_gen.add_argument("--redundant", type=float, default=0.10)
+    p_gen.add_argument("--noise", type=float, default=0.05)
+    p_gen.add_argument("--domain-fraction", type=float, default=0.0)
+    p_gen.add_argument("--seed", type=int, default=2008)
+    p_gen.set_defaults(func=cmd_generate)
+
+    # One verb under two names: ``profile`` is ``run`` with both exports
+    # on by default.
+    _add_run_verb(sub, "run", "run the pipeline on a FASTA file",
+                  trace_out=None, counters_out=None)
+    _add_run_verb(sub, "profile",
+                  "run the pipeline and export a Chrome trace + the run record",
+                  trace_out="trace.json", counters_out="counters.json")
 
     p_chaos = sub.add_parser(
         "chaos",
@@ -893,24 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_args(p_chaos)
     _add_backend_args(p_chaos)
     p_chaos.set_defaults(func=cmd_chaos, backend="process", workers=2)
-
-    p_prof = sub.add_parser(
-        "profile",
-        help="run the pipeline and export a Chrome trace + counters JSON",
-    )
-    p_prof.add_argument("fasta")
-    p_prof.add_argument(
-        "--trace-out", default="trace.json",
-        help="Chrome trace_event output path (default: trace.json)",
-    )
-    p_prof.add_argument(
-        "--counters-out", default="counters.json",
-        help="counters snapshot output path (default: counters.json)",
-    )
-    _add_pipeline_args(p_prof)
-    _add_backend_args(p_prof)
-    _add_telemetry_args(p_prof)
-    p_prof.set_defaults(func=cmd_profile)
 
     p_top = sub.add_parser(
         "top", help="live/post-hoc status screen for a telemetry file"
@@ -1070,14 +1044,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gate = sub.add_parser(
         "compare-metrics",
-        help="gate a run's counters payload against a committed baseline",
+        help="gate a run record against a baseline run record",
     )
     p_gate.add_argument(
-        "run", help="counters JSON from `repro profile --counters-out`"
+        "run", help="run record from `repro run --counters-out`"
     )
     p_gate.add_argument(
         "--baseline", default="BENCH_baseline.json",
-        help="baseline JSON path (default: BENCH_baseline.json)",
+        help="baseline run record (default: BENCH_baseline.json)",
     )
     p_gate.add_argument(
         "--slowdown-tolerance", type=float, default=0.20, metavar="FRAC",
@@ -1086,10 +1060,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gate.add_argument(
         "--no-wallclock", action="store_true",
         help="check scientific counters only, skip the wall-clock gate",
-    )
-    p_gate.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the baseline from this run instead of comparing",
     )
     p_gate.set_defaults(func=cmd_compare_metrics)
 

@@ -45,7 +45,12 @@ class PipelineConfig:
     max_pairs_per_node:
         Safety cap on per-node promising-pair generation (None = off).
     seed:
-        Master seed for all randomised steps.
+        A label, not a source of randomness: no phase reads it (the one
+        randomised step, Shingle, draws from ``shingle.seed``).  Its
+        only reader is the configuration digest a checkpoint is keyed
+        by (``shingle.seed`` is not in it); the CLI sets both from the
+        one ``--seed``, which is how a run under another seed is refused
+        a journal.
     backend:
         Execution backend: "serial" (in-process reference) or "process"
         (real multi-core via :mod:`repro.runtime`).  Results are

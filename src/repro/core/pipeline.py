@@ -15,7 +15,7 @@ mode.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -83,7 +83,6 @@ class PipelineResult:
     clustering: ClusteringResult
     graphs: ComponentGraphs
     dense: DsdResult
-    timings: PhaseTimings = field(default_factory=PhaseTimings)
     runtime: RuntimeStats | None = None
     """Measured wall-clock stats of the execution backend the run used."""
     obs: Recorder | None = None
@@ -91,6 +90,16 @@ class PipelineResult:
     work counters, and (in simulated mode) the virtual-time timeline.
     Export with :func:`repro.obs.write_chrome_trace` /
     :func:`repro.obs.write_counters_json`."""
+
+    @property
+    def timings(self) -> PhaseTimings:
+        """Simulated seconds per phase, read off the phase results (a
+        phase that ran on a backend has no ``sim`` and reads zero)."""
+        return PhaseTimings(*(
+            0.0 if phase.sim is None else phase.sim.elapsed
+            for phase in (self.redundancy, self.clustering, self.graphs,
+                          self.dense)
+        ))
 
     @property
     def families(self) -> list[tuple[int, ...]]:
@@ -323,7 +332,6 @@ class ProteinFamilyPipeline:
 
         config = self.config
         state = journal.resume_state if journal is not None else None
-        timings = PhaseTimings()
         # Simulated phases are stacked end-to-end on the virtual-time
         # track, mirroring the paper's sequential phase execution.
         sim_offset = 0.0
@@ -351,7 +359,6 @@ class ProteinFamilyPipeline:
             else:
                 with backend.phase(name):
                     result = on_cluster()
-                setattr(timings, name, result.sim.elapsed)
                 sim_offset = record_simulation(
                     recorder, result.sim, name, offset=sim_offset
                 )
@@ -424,8 +431,17 @@ class ProteinFamilyPipeline:
                 ckpt.dense_payload,
                 ckpt.dense_from_payload,
             )
-        backend.stats.cache = cache.stats()
-        cache.record_observations(recorder)
+        # Absolute snapshot, once, at end of run: the cache's one dict
+        # under the ``cache.*`` names of the registry.
+        stats = cache.stats()
+        recorder.count("cache.local_hits", stats["local_hits"])
+        recorder.count("cache.local_misses", stats["local_misses"])
+        recorder.count("cache.semiglobal_hits", stats["semiglobal_hits"])
+        recorder.count("cache.semiglobal_misses", stats["semiglobal_misses"])
+        recorder.count("cache.entries", stats["entries"])
+        for name, split in stats["by_phase"].items():
+            recorder.count(f"cache.phase.{name}.hits", split["hits"])
+            recorder.count(f"cache.phase.{name}.misses", split["misses"])
         return PipelineResult(
             config=config,
             n_input=len(sequences),
@@ -433,6 +449,5 @@ class ProteinFamilyPipeline:
             clustering=ccd,
             graphs=graphs,
             dense=dense,
-            timings=timings,
             runtime=backend.stats,
         )

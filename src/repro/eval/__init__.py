@@ -7,7 +7,7 @@ from repro.eval.metrics import (
     quality_scores,
 )
 from repro.eval.families import FamilyComparison, FamilyMatch, compare_families
-from repro.eval.report import Table1Row, table1_row
+from repro.eval.report import Table1Row, report_lines, table1_row
 
 __all__ = [
     "PairConfusion",
@@ -16,6 +16,7 @@ __all__ = [
     "quality_scores",
     "Table1Row",
     "table1_row",
+    "report_lines",
     "FamilyComparison",
     "FamilyMatch",
     "compare_families",

@@ -24,10 +24,6 @@ class FamilyMatch:
     overlap: int
     purity: float  # overlap / size
 
-    @property
-    def is_pure(self) -> bool:
-        return self.purity == 1.0
-
 
 @dataclass
 class FamilyComparison:

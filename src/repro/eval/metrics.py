@@ -26,10 +26,6 @@ class PairConfusion:
     tn: int
     n_items: int
 
-    @property
-    def total_pairs(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 @dataclass(frozen=True)
 class QualityScores:

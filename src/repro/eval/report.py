@@ -1,24 +1,24 @@
-"""Table I summary rows and run reports.
+"""Table I summary rows and the run report.
 
 Besides the paper's qualitative-assessment row (Table I), this module
-formats operational statistics a run produces: alignment-cache
-effectiveness (:func:`cache_stats_lines`), reported by the CLI next to
-the backend wall-clock summary so backend runs can show how much
-recomputation the master-side cache absorbed, and the unified
-observability summary (:func:`observation_lines`) rendered from a
-:class:`repro.obs.Recorder` — a phase timeline with share bars, the
-scientific counters of the run contract, worker-lane utilisation, and
-the cache rollup, identical in vocabulary across serial, simulated,
-and backend runs.
+renders the one text report of a finished run (:func:`report_lines`):
+a phase timeline with share bars and per-phase work, worker-lane
+utilisation, the masters' pair generation, the scientific counters of
+the run contract and the cache rollup — identical in vocabulary across
+serial, simulated and backend runs, printed by ``repro run`` and
+``repro profile`` alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.graph.density import subgraph_density
 from repro.obs import Recorder, scientific_view
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from repro.core.pipeline import PipelineResult
 
 
 @dataclass(frozen=True)
@@ -53,70 +53,48 @@ class Table1Row:
         )
 
 
-def cache_stats_lines(stats: Mapping[str, float]) -> list[str]:
-    """Render an ``AlignmentCache.stats()`` snapshot for run reports.
+def report_lines(result: "PipelineResult", *, bar_width: int = 28) -> list[str]:
+    """The text report of one finished run — the only one.
 
-    >>> print("\\n".join(cache_stats_lines(cache.stats())))
+    Sections (each omitted when empty): run metadata; the per-phase
+    wall-clock timeline with share bars and, per phase, the work
+    dispatched (``tasks``: pairs or component graphs), the pairs the
+    alignment cache answered instead (``hits``) and worker utilisation;
+    the worker-lane busy rollup (backend runs); the masters'
+    pair-generation rollup per phase (from the ``pairs.generate`` block
+    spans); the scientific counters; the cache summary with its per-kind
+    and per-phase split; CCD's batches; shingle draws shared by equal
+    sets; string index builds.  Phase rows come from ``result.runtime``,
+    everything else from the run's recorder ``result.obs`` (a run made
+    with ``observe=False`` reports its phase rows only).
     """
-    hits = int(stats.get("hits", 0))
-    misses = int(stats.get("misses", 0))
-    total = hits + misses
-    lines = [
-        f"alignment cache: {int(stats.get('entries', 0)):,d} entries, "
-        f"{hits:,d}/{total:,d} lookups served ({stats.get('hit_rate', 0.0):.1%} hit rate)"
-    ]
-    for kind in ("local", "semiglobal"):
-        kind_hits = int(stats.get(f"{kind}_hits", 0))
-        kind_misses = int(stats.get(f"{kind}_misses", 0))
-        kind_total = kind_hits + kind_misses
-        if kind_total:
-            lines.append(
-                f"  {kind:<10s} hits={kind_hits:<8,d} misses={kind_misses:<8,d} "
-                f"({kind_hits / kind_total:.1%})"
-            )
-    by_phase = stats.get("by_phase") or {}
-    for phase, split in by_phase.items():
-        phase_hits = int(split.get("hits", 0))
-        phase_misses = int(split.get("misses", 0))
-        phase_total = phase_hits + phase_misses
-        if phase_total:
-            lines.append(
-                f"  phase {phase:<14s} hits={phase_hits:<8,d} "
-                f"misses={phase_misses:<8,d} "
-                f"({phase_hits / phase_total:.1%})"
-            )
-    return lines
-
-
-def observation_lines(recorder: Recorder, *, bar_width: int = 28) -> list[str]:
-    """Timeline-style text report of one run's observability recorder.
-
-    Sections (each omitted when empty): run metadata, the per-phase
-    wall-clock timeline with share bars, the worker-lane busy rollup
-    (backend runs), the masters' pair-generation rollup per phase (from
-    the ``pairs.generate`` block spans), the scientific counters, the
-    cache summary, CCD's batches, shingle draws shared by equal sets,
-    string index builds.
-    """
+    recorder = result.obs if result.obs is not None else Recorder()
+    runtime = result.runtime
     counters = recorder.counters()
-    phases = recorder.phase_seconds()
-    total = sum(phases.values())
     lines: list[str] = []
     if recorder.meta:
         lines.append(
             "run: " + " ".join(f"{k}={v}" for k, v in recorder.meta.items())
         )
-    if phases:
-        lines.append(f"phase timeline ({total:.3f}s wall):")
-        peak = max(phases.values())
-        for name, secs in phases.items():
+    if runtime is not None and runtime.phases:
+        total = runtime.total_wall
+        lines.append(
+            f"phase timeline ({total:.3f}s wall, utilization "
+            f"{runtime.utilization():.0%}; tasks = pairs/components "
+            f"dispatched, hits = pairs the cache answered):"
+        )
+        peak = max(p.wall_seconds for p in runtime.phases.values())
+        for phase in runtime.phases.values():
+            secs = phase.wall_seconds
             filled = round(bar_width * secs / peak) if peak > 0 else 0
             if secs > 0:
                 filled = max(filled, 1)
             share = secs / total if total > 0 else 0.0
             lines.append(
-                f"  {name:<16s} {secs:>9.3f}s {share:>6.1%}  "
-                f"|{'#' * filled:<{bar_width}s}|"
+                f"  {phase.name:<16s} {secs:>9.3f}s {share:>6.1%}  "
+                f"|{'#' * filled:<{bar_width}s}|  tasks={phase.tasks:<8,d} "
+                f"hits={phase.cache_hits:<8,d} "
+                f"util={phase.utilization(runtime.workers):.0%}"
             )
     worker_lanes = {
         lane: busy
@@ -157,21 +135,7 @@ def observation_lines(recorder: Recorder, *, bar_width: int = 28) -> list[str]:
         lines.append("scientific counters (mode-invariant):")
         for name, value in scientific.items():
             lines.append(f"  {name:<26s} {int(value):>12,d}")
-    cache_lookups = sum(
-        counters.get(f"cache.{kind}_{outcome}", 0)
-        for kind in ("local", "semiglobal")
-        for outcome in ("hits", "misses")
-    )
-    if cache_lookups:
-        cache_hits = (
-            counters.get("cache.local_hits", 0)
-            + counters.get("cache.semiglobal_hits", 0)
-        )
-        lines.append(
-            f"cache: {int(counters.get('cache.entries', 0)):,d} entries, "
-            f"{int(cache_hits):,d}/{int(cache_lookups):,d} lookups served "
-            f"({cache_hits / cache_lookups:.1%} hit rate)"
-        )
+    lines.extend(_cache_lines(counters))
     if batches := int(counters.get("ccd.batches", 0)):
         lines.append(f"CCD: {int(counters['ccd.alignments']):,d} alignments in {batches:,d} "
                      f"batch{'es' * (batches != 1)}, {int(counters.get('ccd.held', 0)):,d} pairs held "
@@ -185,6 +149,33 @@ def observation_lines(recorder: Recorder, *, bar_width: int = 28) -> list[str]:
         lines.append(f"string index: {builds:,d} build{'s' * (builds != 1)} ({symbols:,d} symbols), "
                      f"{int(counters.get('suffix.index_restrictions', 0)):,d} restrictions")
     return lines
+
+
+def _cache_lines(counters: Mapping[str, float]) -> list[str]:
+    """The alignment cache's line of the report and, under it, the
+    split by kind and by asking phase — read from the ``cache.*``
+    counters the pipeline wrote from ``AlignmentCache.stats()``."""
+    phases = [name.removeprefix("cache.phase.").removesuffix(".hits")
+              for name in counters
+              if name.startswith("cache.phase.") and name.endswith(".hits")]
+    rows = [
+        (label, int(counters.get(f"{prefix}hits", 0)),
+         int(counters.get(f"{prefix}misses", 0)))
+        for label, prefix in (
+            *((f"{kind:<10s}", f"cache.{kind}_") for kind in ("local", "semiglobal")),
+            *((f"phase {phase:<14s}", f"cache.phase.{phase}.") for phase in phases),
+        )
+    ]
+    hits = sum(h for _, h, _ in rows[:2])
+    lookups = hits + sum(m for _, _, m in rows[:2])
+    if not lookups:
+        return []
+    return [
+        f"cache: {int(counters.get('cache.entries', 0)):,d} entries, "
+        f"{hits:,d}/{lookups:,d} lookups served ({hits / lookups:.1%} hit rate)",
+        *(f"  {label} hits={h:<8,d} misses={m:<8,d} ({h / (h + m):.1%})"
+          for label, h, m in rows if h + m),
+    ]
 
 
 def table1_row(

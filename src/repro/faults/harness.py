@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from repro.faults.plan import FaultPlan, FaultPlanError
 from repro.obs.export import counters_payload
-from repro.obs.regression import baseline_from_run, compare_metrics
+from repro.obs.regression import compare_metrics
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -160,12 +160,10 @@ def run_chaos(
         telemetry_dir=run_dir,
     )
 
-    baseline_doc = baseline_from_run(
-        counters_payload(baseline.obs), name="chaos-baseline"
-    )
     faulted_payload = counters_payload(faulted.obs)
     violations = compare_metrics(
-        faulted_payload, baseline_doc, check_wallclock=False
+        faulted_payload, counters_payload(baseline.obs),
+        check_wallclock=False,
     )
 
     report = ChaosReport(

@@ -179,10 +179,6 @@ class FaultPlan:
         return tuple(f for f in self.faults if f.kind in kinds)
 
     @property
-    def worker_faults(self) -> tuple[Fault, ...]:
-        return self.of_kind(*WORKER_FAULT_KINDS)
-
-    @property
     def checkpoint_faults(self) -> tuple[Fault, ...]:
         return self.of_kind(*CHECKPOINT_FAULT_KINDS)
 
@@ -292,11 +288,6 @@ class FaultInjector:
     """Plan index of the worker-task fault the latest query consumed —
     what a backend stamps on its ``fault.injected`` event so a chaos
     report can say which planned faults actually fired."""
-
-    @property
-    def fired(self) -> int:
-        """Faults consumed so far."""
-        return len(self._consumed)
 
     def _bump(self, table: dict, key: Any) -> int:
         ordinal = table.get(key, 0)

@@ -6,7 +6,7 @@ from repro.graph.bipartite import (
     duplicate_bipartite,
     wmer_bipartite,
 )
-from repro.graph.density import DenseSubgraphStats, subgraph_density, subgraph_stats
+from repro.graph.density import DenseSubgraphStats, subgraph_density
 
 __all__ = [
     "UnionFind",
@@ -15,5 +15,4 @@ __all__ = [
     "wmer_bipartite",
     "DenseSubgraphStats",
     "subgraph_density",
-    "subgraph_stats",
 ]

@@ -15,7 +15,7 @@ algorithm consumes (out-link sets Gamma(v) for every left vertex).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -138,20 +138,3 @@ def wmer_bipartite(
         left_labels=[int(c) for c in index.codes],
         right_labels=sequence_labels,
     )
-
-
-def induced_similarity_edges(
-    members: Sequence[int], edges: Mapping[tuple[int, int], object] | Iterable[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Relabel edges among ``members`` into local 0..k-1 vertex ids.
-
-    Used when a connected component is carved out of the global
-    similarity graph for per-component bipartite construction.
-    """
-    local = {v: i for i, v in enumerate(members)}
-    pairs = edges.keys() if isinstance(edges, Mapping) else edges
-    out: list[tuple[int, int]] = []
-    for a, b in pairs:
-        if a in local and b in local:
-            out.append((local[a], local[b]))
-    return out

@@ -48,14 +48,6 @@ def subgraph_density(
     return DenseSubgraphStats(size=m, mean_degree=mean_degree, density=mean_degree / (m - 1))
 
 
-def subgraph_stats(
-    subgraphs: Iterable[Sequence[int]],
-    neighbors: Mapping[int, set[int]],
-) -> list[DenseSubgraphStats]:
-    """Statistics for a collection of subgraphs."""
-    return [subgraph_density(sg, neighbors) for sg in subgraphs]
-
-
 def size_histogram(sizes: Iterable[int], *, bucket: int = 5) -> dict[str, int]:
     """Bucketed size distribution as in Figure 5 ("5-9", "10-14", ...)."""
     if bucket < 1:

@@ -129,8 +129,3 @@ class UnionFind:
         for x in range(len(self._parent)):
             out.setdefault(self.find(x), []).append(x)
         return out
-
-    def n_sets(self) -> int:
-        """Number of disjoint sets."""
-        parent = self._parent
-        return sum(1 for x, p in enumerate(parent) if x == p)

@@ -15,7 +15,8 @@ timelines.  This package gives every execution mode — the
   are *scientific* (mode-invariant) versus *work* (concurrency-
   dependent) — the contract ``tests/test_obs.py`` pins down;
 * :mod:`repro.obs.export` writes Chrome ``trace_event`` JSON (open in
-  ``chrome://tracing`` or Perfetto) and a counters JSON snapshot;
+  ``chrome://tracing`` or Perfetto) and the run record
+  (:func:`counters_payload`, schema :data:`RUN_SCHEMA`);
 * :mod:`repro.obs.bridge` mirrors simulator results onto the virtual
   track of the same trace;
 * :mod:`repro.obs.clock` is the single monotonic clock source — one
@@ -28,10 +29,12 @@ timelines.  This package gives every execution mode — the
 * :mod:`repro.obs.top` renders a telemetry file — live or finished —
   as the ``repro top`` status screen;
 * :mod:`repro.obs.regression` is the metrics-regression gate behind
-  ``repro compare-metrics`` and the ``BENCH_baseline.json`` schema.
+  ``repro compare-metrics``: it diffs two run records, of which
+  ``BENCH_baseline.json`` is one.
 
 ``ProteinFamilyPipeline.run`` installs a recorder automatically and
-returns it as ``result.obs``; ``repro profile`` wires the exporters.
+returns it as ``result.obs``; ``repro run --trace-out/--counters-out``
+(``repro profile`` by default) wires the exporters.
 """
 
 from repro.obs.clock import ClockSync, clamp_rebased
@@ -53,16 +56,10 @@ from repro.obs.core import (
     set_max,
     span,
 )
-from repro.obs.hist import HIST_SCHEMA, LatencyHistogram, buckets_apart
-from repro.obs.progress import PhaseProgress, format_seconds, phase_progress
+from repro.obs.hist import HIST_SCHEMA, LatencyHistogram
+from repro.obs.progress import PhaseProgress, phase_progress
 from repro.obs.request import RequestContext, next_request_id
-from repro.obs.regression import (
-    BENCH_SCHEMA,
-    baseline_from_run,
-    bench_payload,
-    compare_metrics,
-    compare_report,
-)
+from repro.obs.regression import compare_metrics, compare_report
 from repro.obs.telemetry import (
     DEFAULT_INTERVAL,
     SERVE_METRICS_FILENAME,
@@ -72,6 +69,7 @@ from repro.obs.telemetry import (
 )
 from repro.obs.bridge import record_simulation
 from repro.obs.export import (
+    RUN_SCHEMA,
     chrome_trace,
     chrome_trace_events,
     counters_payload,
@@ -91,7 +89,6 @@ from repro.obs.registry import (
 )
 
 __all__ = [
-    "BENCH_SCHEMA",
     "ClockSync",
     "Counter",
     "CounterSpec",
@@ -103,6 +100,7 @@ __all__ = [
     "MASTER_LANE",
     "PhaseProgress",
     "REGISTRY",
+    "RUN_SCHEMA",
     "Recorder",
     "RequestContext",
     "SCIENTIFIC_COUNTERS",
@@ -112,9 +110,6 @@ __all__ = [
     "TELEMETRY_FILENAME",
     "TelemetrySampler",
     "active",
-    "baseline_from_run",
-    "bench_payload",
-    "buckets_apart",
     "chrome_trace",
     "chrome_trace_events",
     "clamp_rebased",
@@ -124,7 +119,6 @@ __all__ = [
     "counters_payload",
     "describe",
     "event",
-    "format_seconds",
     "gauge",
     "heartbeat",
     "next_request_id",

@@ -1,4 +1,4 @@
-"""Exporters: Chrome ``trace_event`` JSON and a counters JSON snapshot.
+"""Exporters: Chrome ``trace_event`` JSON and the run record.
 
 The trace format is the stable subset documented for ``chrome://tracing``
 and Perfetto: an object with a ``traceEvents`` array of complete-duration
@@ -18,6 +18,9 @@ from pathlib import Path
 from repro.obs.clock import clamp_rebased
 from repro.obs.core import HOST_TRACK, MASTER_LANE, SIM_TRACK, Recorder
 from repro.obs.registry import scientific_view
+
+#: Version tag of the run record (:func:`counters_payload`).
+RUN_SCHEMA = "repro-run/1"
 
 _TRACK_NAMES = {
     HOST_TRACK: "host (measured wall-clock)",
@@ -99,10 +102,14 @@ def write_chrome_trace(recorder: Recorder, path: str | Path) -> Path:
 
 
 def counters_payload(recorder: Recorder) -> dict:
-    """Counters JSON document: all counters plus the scientific slice
-    (the subset guaranteed identical across execution modes)."""
+    """The run record — the one JSON document a run leaves behind and
+    the regression gate (:mod:`repro.obs.regression`) diffs two of: the
+    run's meta block, all counters, the scientific slice (the subset
+    guaranteed identical across execution modes) and the measured
+    seconds per phase."""
     counters = recorder.counters()
     return {
+        "schema": RUN_SCHEMA,
         "meta": dict(recorder.meta),
         "counters": counters,
         "scientific": scientific_view(counters),

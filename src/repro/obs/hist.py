@@ -84,19 +84,6 @@ def bucket_upper_edge(index: int) -> float:
     return _EDGES[index]
 
 
-def buckets_apart(a_seconds: float, b_seconds: float) -> float:
-    """Distance between two latencies measured in bucket widths.
-
-    The benchmark agreement gate between client-side (raw samples) and
-    server-side (histogram) percentiles is phrased in this unit: two
-    estimates quantised by the same grid can legitimately disagree by
-    about one bucket, so the gate allows a small integer of these.
-    """
-    if a_seconds <= 0 or b_seconds <= 0:
-        raise ValueError("latencies must be positive")
-    return abs(math.log(a_seconds / b_seconds)) / math.log(BUCKET_FACTOR)
-
-
 class LatencyHistogram:
     """Fixed-bucket geometric latency histogram (seconds in, seconds out)."""
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.util.timing import format_seconds
+
 #: phase -> (generated counter, done counter). ``done`` counters with a
 #: trailing dot are per-phase families completed as ``<name><phase>``.
 PHASE_WORK: dict[str, tuple[str, str]] = {
@@ -65,21 +67,6 @@ class PhaseProgress:
         if self.eta_seconds is not None:
             parts.append(f"ETA {format_seconds(self.eta_seconds)}")
         return "  ".join(parts)
-
-
-def format_seconds(seconds: float) -> str:
-    """Compact duration: 0.4s / 12s / 3m05s / 2h14m."""
-    if seconds < 0:
-        seconds = 0.0
-    if seconds < 10:
-        return f"{seconds:.1f}s"
-    if seconds < 60:
-        return f"{seconds:.0f}s"
-    minutes, secs = divmod(int(round(seconds)), 60)
-    if minutes < 60:
-        return f"{minutes}m{secs:02d}s"
-    hours, minutes = divmod(minutes, 60)
-    return f"{hours}h{minutes:02d}m"
 
 
 def _phase_work(sample: dict, phase: str) -> tuple[float | None, float | None]:

@@ -166,8 +166,6 @@ _SPECS = [
                 "high-water mark of batches in flight (queue depth)"),
     CounterSpec("runtime.shingle_jobs", "runtime",
                 "component Shingle tasks dispatched"),
-    CounterSpec("runtime.worker_busy_seconds", "runtime",
-                "summed task compute seconds reported by workers"),
     CounterSpec("runtime.heartbeats", "runtime",
                 "worker result messages seen by the master "
                 "(the heartbeat source behind `repro top` lane ages)"),

@@ -1,92 +1,55 @@
-"""Metrics-regression gate: diff a run against a committed baseline.
+"""Metrics-regression gate: diff two run records.
 
 Two kinds of drift end a perf PR's honeymoon: *scientific* drift (the
 algorithm now makes different decisions — never acceptable as a silent
 side effect) and *wall-clock* regression (the run got slower than the
-stated tolerance).  ``repro compare-metrics`` checks both by diffing a
-run's counters payload (what ``repro profile --counters-out`` writes)
-against a committed baseline file, and exits non-zero on either, which
-is what lets CI refuse the merge.
-
-The baseline — ``BENCH_baseline.json`` at the repo root — is one
-versioned document (:data:`BENCH_SCHEMA`)::
-
-    {
-      "schema": "<BENCH_SCHEMA>",
-      "name": "baseline",
-      "git_sha": "<commit that produced it>",
-      "params": {...},           # the run's meta block, for humans+diffs
-      "metrics": {...}           # "scientific", "wall_seconds",
-    }                            #   "phase_seconds"
+stated tolerance).  ``repro compare-metrics RUN --baseline RECORD``
+checks both by diffing two run records
+(:func:`repro.obs.export.counters_payload`, what ``--counters-out``
+writes) and exits non-zero on either, which is what lets CI refuse the
+merge.  The committed baseline, ``BENCH_baseline.json`` at the repo
+root, is such a record; refreshing it is a file copy.
 
 Scientific counters are compared **exactly** (they are mode- and
 machine-invariant by the tested contract in ``tests/test_obs.py``);
 wall-clock is compared with a relative tolerance, because the baseline
 was measured on *some* machine and CI runs on another — callers pick
-the tolerance that matches how comparable the machines are.
+the tolerance that matches how comparable the machines are.  The
+report lists the per-phase seconds of both records side by side: what
+changed since the baseline run, by phase.
 """
 
 from __future__ import annotations
 
-import subprocess
-from pathlib import Path
 from typing import Mapping
 
-#: Version tag stamped on the baseline document.
-BENCH_SCHEMA = "repro-bench/1"
+from repro.obs.export import RUN_SCHEMA
 
 #: Default relative wall-clock tolerance (0.20 = fail beyond +20%).
 DEFAULT_SLOWDOWN_TOLERANCE = 0.20
 
 
-def git_sha(repo_root: str | Path | None = None) -> str:
-    """Current commit SHA, or "unknown" outside a usable git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=repo_root,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
+def _checked(record: object, what: str) -> Mapping:
+    """``record`` if it is a run record the gate can compare, else a
+    ValueError saying why not — a gate that compared nothing must not
+    pass."""
+    if not isinstance(record, Mapping):
+        raise ValueError(f"{what} is not a JSON object")
+    if record.get("schema") != RUN_SCHEMA:
+        raise ValueError(
+            f"{what} is not a run record: schema is "
+            f"{record.get('schema')!r}, expected {RUN_SCHEMA!r}")
+    if not record.get("scientific"):
+        raise ValueError(f"{what} carries no scientific counters")
+    return record
 
 
-def bench_payload(name: str, params: Mapping, metrics: Mapping,
-                  *, repo_root: str | Path | None = None) -> dict:
-    """A named result document in the baseline schema."""
-    return {
-        "schema": BENCH_SCHEMA,
-        "name": name,
-        "git_sha": git_sha(repo_root),
-        "params": dict(params),
-        "metrics": dict(metrics),
-    }
-
-
-def baseline_from_run(run_payload: Mapping, *, name: str = "baseline",
-                      repo_root: str | Path | None = None) -> dict:
-    """Build a baseline document from a profile counters payload."""
-    phase_seconds = dict(run_payload.get("phase_seconds", {}))
-    return bench_payload(
-        name,
-        params=dict(run_payload.get("meta", {})),
-        metrics={
-            "scientific": dict(run_payload.get("scientific", {})),
-            "wall_seconds": round(sum(phase_seconds.values()), 4),
-            "phase_seconds": {
-                k: round(v, 4) for k, v in phase_seconds.items()
-            },
-        },
-        repo_root=repo_root,
-    )
+def _wall(record: Mapping) -> float:
+    return sum(record.get("phase_seconds", {}).values())
 
 
 def compare_metrics(
-    run_payload: Mapping,
+    run: Mapping,
     baseline: Mapping,
     *,
     slowdown_tolerance: float = DEFAULT_SLOWDOWN_TOLERANCE,
@@ -94,61 +57,56 @@ def compare_metrics(
 ) -> list[str]:
     """Violations of the baseline contract; empty means the gate passes.
 
-    * every scientific counter present in the baseline must match the
-      run **exactly** (counter drift);
-    * total phase wall-clock must not exceed the baseline's
-      ``wall_seconds`` by more than ``slowdown_tolerance`` (relative).
+    * every scientific counter of the baseline must match the run
+      **exactly** (counter drift);
+    * total phase wall-clock must not exceed the baseline's by more
+      than ``slowdown_tolerance`` (relative).
+
+    Raises ValueError when either side is not a run record.
     """
-    violations: list[str] = []
-    metrics = baseline.get("metrics", {})
-
-    baseline_sci = metrics.get("scientific", {})
-    run_sci = run_payload.get("scientific", {})
-    for counter in sorted(baseline_sci):
-        expected = baseline_sci[counter]
-        actual = run_sci.get(counter, 0)
-        if actual != expected:
-            violations.append(
-                f"counter drift: {counter} = {actual:g} "
-                f"(baseline {expected:g})"
-            )
-
-    if check_wallclock:
-        baseline_wall = metrics.get("wall_seconds")
-        run_wall = sum(run_payload.get("phase_seconds", {}).values())
-        if baseline_wall and run_wall > 0:
-            limit = baseline_wall * (1.0 + slowdown_tolerance)
-            if run_wall > limit:
-                violations.append(
-                    f"wall-clock regression: {run_wall:.3f}s > "
-                    f"{limit:.3f}s "
-                    f"(baseline {baseline_wall:.3f}s "
-                    f"+{slowdown_tolerance:.0%} tolerance)"
-                )
+    run_sci = _checked(run, "run")["scientific"]
+    baseline_sci = _checked(baseline, "baseline")["scientific"]
+    violations = [
+        f"counter drift: {counter} = {run_sci.get(counter, 0):g} "
+        f"(baseline {expected:g})"
+        for counter, expected in sorted(baseline_sci.items())
+        if run_sci.get(counter, 0) != expected
+    ]
+    baseline_wall, run_wall = _wall(baseline), _wall(run)
+    limit = baseline_wall * (1.0 + slowdown_tolerance)
+    if check_wallclock and baseline_wall and run_wall > limit:
+        violations.append(
+            f"wall-clock regression: {run_wall:.3f}s > {limit:.3f}s "
+            f"(baseline {baseline_wall:.3f}s "
+            f"+{slowdown_tolerance:.0%} tolerance)"
+        )
     return violations
 
 
 def compare_report(
-    run_payload: Mapping,
+    run: Mapping,
     baseline: Mapping,
     violations: list[str],
 ) -> list[str]:
     """Human-readable gate report (printed by the CLI either way)."""
-    metrics = baseline.get("metrics", {})
-    n_counters = len(metrics.get("scientific", {}))
-    baseline_wall = metrics.get("wall_seconds")
-    run_wall = sum(run_payload.get("phase_seconds", {}).values())
+    meta = " ".join(f"{k}={v}" for k, v in baseline.get("meta", {}).items())
     lines = [
-        f"baseline: {baseline.get('name', '?')} "
-        f"@ {baseline.get('git_sha', '?')[:12]} "
-        f"({n_counters} scientific counters)",
+        f"baseline: {meta or '(no meta)'} "
+        f"({len(baseline['scientific'])} scientific counters)",
     ]
-    if baseline_wall:
-        ratio = run_wall / baseline_wall if baseline_wall else 0.0
+    baseline_phases = baseline.get("phase_seconds", {})
+    run_phases = run.get("phase_seconds", {})
+    if baseline_wall := _wall(baseline):
+        run_wall = _wall(run)
         lines.append(
             f"wall-clock: run {run_wall:.3f}s vs baseline "
-            f"{baseline_wall:.3f}s ({ratio:.2f}x)"
+            f"{baseline_wall:.3f}s ({run_wall / baseline_wall:.2f}x)"
         )
+        for name in {**baseline_phases, **run_phases}:
+            was, now = baseline_phases.get(name, 0.0), run_phases.get(name, 0.0)
+            lines.append(
+                f"  {name:<16s} {now:>9.3f}s vs {was:>9.3f}s ({now - was:+.3f}s)"
+            )
     if violations:
         lines.append(f"FAIL: {len(violations)} violation(s)")
         lines.extend(f"  {v}" for v in violations)

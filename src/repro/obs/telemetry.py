@@ -97,8 +97,8 @@ class TelemetrySampler:
 
     Usage::
 
-        sampler = TelemetrySampler(recorder, run_dir, interval=0.25)
-        sampler.add_probe("cache", cache.stats)
+        sampler = TelemetrySampler(recorder, run_dir, interval=0.25,
+                                   probes={"cache": cache.stats})
         with sampler:                      # starts the thread
             ... run the pipeline ...
         # stopped; telemetry.jsonl carries meta + samples + end
@@ -130,15 +130,6 @@ class TelemetrySampler:
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
         self._write_lock = named_lock("TelemetrySampler._write_lock")
-
-    # -- probe registry ----------------------------------------------------
-
-    def add_probe(self, name: str, fn: Callable[[], dict]) -> None:
-        """Register ``fn`` to contribute ``probes[name]`` to each sample."""
-        self._probes[name] = fn
-
-    def remove_probe(self, name: str) -> None:
-        self._probes.pop(name, None)
 
     # -- record construction -----------------------------------------------
 

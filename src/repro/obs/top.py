@@ -22,8 +22,9 @@ import time
 from pathlib import Path
 from typing import IO
 
-from repro.obs.progress import format_seconds, phase_progress
+from repro.obs.progress import phase_progress
 from repro.obs.telemetry import read_telemetry
+from repro.util.timing import format_seconds
 
 #: A heartbeat older than this many sampling intervals marks the lane
 #: as stale; combined with a dead liveness probe it renders as LOST.

@@ -1,18 +1,21 @@
 """Pair-alignment memoisation shared across phases and processor sweeps.
 
 The cache holds two tables, local and semiglobal alignments per
-canonical pair.  Within one pipeline run exactly one reuse happens:
+canonical pair.  Within one runtime run exactly one reuse happens:
 bipartite generation (BGG) asks for the local alignment of every
 intra-component promising pair, and CCD has already computed those it
-did not filter — 291 hits among the 2,496 lookups of the benchmark's
-``skewed`` workload (BGG submits 1,832 pairs), 77 on ``giant``, none
-on ``domain`` (B_m builds its graphs without alignment).  RR asks for
-*semiglobal* alignments and nothing reads that table back within a run,
-so RR and CCD themselves never hit.  The other consumers are the paper
-sweeps (``benchmarks/paper/regenerate.py``), which re-run identical
-phases at several processor counts over one cache.  Physically
-recomputing identical DP matrices would multiply wall-clock cost without
-changing any simulated quantity — the simulator charges virtual time per
+did not filter — the benchmark's ``skewed`` workload stores 1,832 local
+alignments and reads 291 back, ``giant`` stores 1,671 and reads 77,
+``domain`` reads none (B_m builds its graphs without alignment).  RR
+does not use the cache in a runtime run: nothing reads a semiglobal
+alignment back, so its containment stream returns Definition 1's
+statistics and no alignment ever crosses a process boundary for it.
+The semiglobal table serves the pair-at-a-time askers — the simulated
+RR rank program and the GOS baseline — and the paper sweeps
+(``benchmarks/paper/regenerate.py``), which re-run identical phases at
+several processor counts over one cache.  Physically recomputing
+identical DP matrices would multiply wall-clock cost without changing
+any simulated quantity — the simulator charges virtual time per
 *execution*, not per physical computation — so the cache is purely a
 host-side optimisation with no effect on results.
 
@@ -23,7 +26,7 @@ back; a simulated rank program or the GOS baseline, which ask for one
 pair, get a batch of one.
 
 Placement under the execution backends (:mod:`repro.runtime`): the
-cache lives **master-side only**, in front of the one
+cache lives **master-side only**, in front of an alignment
 :class:`~repro.runtime.base.PairStream` — a cached pair is answered
 before it becomes work, and every alignment a task returns is inserted
 as it comes back, whichever executor ran the task; workers themselves
@@ -56,14 +59,13 @@ class AlignmentCache:
     order); the caller supplies the encoded sequence accessor once at
     construction.
 
-    Hit/miss counters are first-class: ``stats()`` returns a summary
-    dict (reported by ``repro.eval.report.cache_stats_lines`` and the
-    CLI) so runs can show how much recomputation the cache avoided.
-    :meth:`set_phase` attributes subsequent hits/misses to a pipeline
-    phase, so the overall hit rate can be decomposed into "which phase
-    re-asked for whose alignments" (in a batch run every hit is
-    bipartite generation reusing CCD's local alignments — see the
-    module docstring).
+    :meth:`stats` is the one read API of the cache's numbers (the run
+    report, the ``cache.*`` counters of a run record and the telemetry
+    probe are all that dict).  :meth:`set_phase` attributes subsequent
+    hits/misses to a pipeline phase, so the overall hit rate can be
+    decomposed into "which phase re-asked for whose alignments" (in a
+    runtime run every hit is bipartite generation reusing CCD's local
+    alignments — see the module docstring).
 
     A *miss* is one computed alignment entering a table through
     :meth:`insert` — a runtime task's result coming back, or what
@@ -80,12 +82,13 @@ class AlignmentCache:
     ):
         self._get = get_encoded
         self._scheme = scheme
-        self._local: dict[tuple[int, int], Alignment] = {}
-        self._semiglobal: dict[tuple[int, int], Alignment] = {}
-        self.local_hits = 0
-        self.local_misses = 0
-        self.semiglobal_hits = 0
-        self.semiglobal_misses = 0
+        self._tables: dict[str, dict[tuple[int, int], Alignment]] = {
+            "local": {}, "semiglobal": {},
+        }
+        #: kind -> [hits, misses]
+        self._by_kind: dict[str, list[int]] = {
+            "local": [0, 0], "semiglobal": [0, 0],
+        }
         self._phase = ""
         #: phase -> [hits, misses], in first-use order.
         self._by_phase: dict[str, list[int]] = {}
@@ -100,46 +103,38 @@ class AlignmentCache:
         """Attribute subsequent hits/misses to ``name`` (\"\" = untracked)."""
         self._phase = name
 
-    def _tally(self, hit: bool) -> None:
-        if not self._phase:
-            return
-        bucket = self._by_phase.setdefault(self._phase, [0, 0])
-        bucket[0 if hit else 1] += 1
+    def _tally(self, kind: str, hit: bool) -> None:
+        self._by_kind[kind][0 if hit else 1] += 1
+        if self._phase:
+            self._by_phase.setdefault(self._phase, [0, 0])[0 if hit else 1] += 1
 
     def _table(self, kind: str) -> dict[tuple[int, int], Alignment]:
-        if kind == "local":
-            return self._local
-        if kind == "semiglobal":
-            return self._semiglobal
-        raise ValueError(f"unknown alignment kind {kind!r}")
+        try:
+            return self._tables[kind]
+        except KeyError:
+            raise ValueError(f"unknown alignment kind {kind!r}") from None
 
-    def _computed(self, kind: str, key: tuple[int, int]) -> Alignment:
-        """A miss of :meth:`local` / :meth:`semiglobal`: one pair through
-        the batched engine, stored and counted as :meth:`insert` does."""
-        (aln,) = batch_align(
-            [(self._get(key[0]), self._get(key[1]))], self._scheme, kind)
-        self.insert(kind, *key, aln)
+    def _lookup(self, kind: str, i: int, j: int) -> Alignment:
+        """The alignment of pair (i, j), canonical orientation: a hit,
+        or one pair through the batched engine, stored and counted as
+        :meth:`insert` does."""
+        key = self._key(i, j)
+        aln = self._tables[kind].get(key)
+        if aln is None:
+            (aln,) = batch_align(
+                [(self._get(key[0]), self._get(key[1]))], self._scheme, kind)
+            self.insert(kind, *key, aln)
+        else:
+            self._tally(kind, hit=True)
         return aln
 
     def local(self, i: int, j: int) -> Alignment:
         """Smith-Waterman alignment of pair (i, j), canonical orientation."""
-        key = self._key(i, j)
-        aln = self._local.get(key)
-        if aln is None:
-            return self._computed("local", key)
-        self.local_hits += 1
-        self._tally(hit=True)
-        return aln
+        return self._lookup("local", i, j)
 
     def semiglobal(self, i: int, j: int) -> Alignment:
         """Overlap alignment of pair (i, j), canonical orientation."""
-        key = self._key(i, j)
-        aln = self._semiglobal.get(key)
-        if aln is None:
-            return self._computed("semiglobal", key)
-        self.semiglobal_hits += 1
-        self._tally(hit=True)
-        return aln
+        return self._lookup("semiglobal", i, j)
 
     # -- backend hooks -----------------------------------------------------
 
@@ -159,67 +154,29 @@ class AlignmentCache:
         (in a runtime task) because the cache could not answer it.
         """
         self._table(kind)[self._key(i, j)] = aln
-        self._tally(hit=False)
-        if kind == "local":
-            self.local_misses += 1
-        else:
-            self.semiglobal_misses += 1
+        self._tally(kind, hit=False)
 
     # -- statistics --------------------------------------------------------
 
-    @property
-    def hits(self) -> int:
-        return self.local_hits + self.semiglobal_hits
-
-    @property
-    def misses(self) -> int:
-        return self.local_misses + self.semiglobal_misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def record_observations(self, recorder) -> None:
-        """Fold the cache counters into a :class:`repro.obs.Recorder`.
-
-        Called once at end of run, so a fresh per-run recorder shows the
-        absolute snapshot under the ``cache.*`` names of the registry.
-        """
-        recorder.count("cache.local_hits", self.local_hits)
-        recorder.count("cache.local_misses", self.local_misses)
-        recorder.count("cache.semiglobal_hits", self.semiglobal_hits)
-        recorder.count("cache.semiglobal_misses", self.semiglobal_misses)
-        recorder.count("cache.entries", len(self))
-        for phase, (hits, misses) in self._by_phase.items():
-            recorder.count(f"cache.phase.{phase}.hits", hits)
-            recorder.count(f"cache.phase.{phase}.misses", misses)
-
-    def stats_by_phase(self) -> dict[str, dict[str, int]]:
-        """Per-phase hit/miss split (phases in first-use order)."""
-        return {
-            phase: {"hits": hits, "misses": misses}
-            for phase, (hits, misses) in self._by_phase.items()
-        }
-
     def stats(self) -> dict[str, Any]:
-        """Counter snapshot: hits/misses per kind, totals, hit rate.
-
-        The ``by_phase`` entry carries the :meth:`set_phase` split; it
-        is a nested mapping, which downstream consumers that expect
-        flat floats (telemetry probes, report lines) skip over.
-        """
+        """Counter snapshot: hits/misses per kind, totals, entries, hit
+        rate, and under ``by_phase`` the :meth:`set_phase` split
+        (``phase -> {"hits", "misses"}``, phases in first-use order)."""
+        hits = sum(h for h, _ in self._by_kind.values())
+        misses = sum(m for _, m in self._by_kind.values())
         return {
-            "local_hits": self.local_hits,
-            "local_misses": self.local_misses,
-            "semiglobal_hits": self.semiglobal_hits,
-            "semiglobal_misses": self.semiglobal_misses,
-            "hits": self.hits,
-            "misses": self.misses,
+            **{f"{kind}_{outcome}": n
+               for kind, split in self._by_kind.items()
+               for outcome, n in zip(("hits", "misses"), split)},
+            "hits": hits,
+            "misses": misses,
             "entries": len(self),
-            "hit_rate": self.hit_rate,
-            "by_phase": self.stats_by_phase(),
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+            "by_phase": {
+                phase: {"hits": h, "misses": m}
+                for phase, (h, m) in self._by_phase.items()
+            },
         }
 
     def __len__(self) -> int:
-        return len(self._local) + len(self._semiglobal)
+        return sum(map(len, self._tables.values()))

@@ -33,10 +33,6 @@ class DsdResult:
     shingle_stats: list[ShingleResult] = field(default_factory=list)
     sim: SimulationResult | None = None
 
-    @property
-    def n_sequences_covered(self) -> int:
-        return len({s for sg in self.subgraphs for s in sg})
-
     def sizes(self) -> list[int]:
         return sorted((len(sg) for sg in self.subgraphs), reverse=True)
 

@@ -41,13 +41,3 @@ def balance_items(weights: Sequence[float], n_bins: int) -> list[list[int]]:
         bins[b].append(item)
         heapq.heappush(heap, (load + weights[item], b))
     return bins
-
-
-def imbalance(bin_weights: Sequence[float]) -> float:
-    """max/mean load ratio — 1.0 is perfect balance."""
-    if not bin_weights:
-        return 1.0
-    mean = sum(bin_weights) / len(bin_weights)
-    if mean == 0:
-        return 1.0
-    return max(bin_weights) / mean

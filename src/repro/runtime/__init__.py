@@ -9,11 +9,11 @@ which every pipeline run uses unless told otherwise.  See DESIGN.md,
 
 Usage::
 
-    from repro import ProteinFamilyPipeline, PipelineConfig
+    from repro import ProteinFamilyPipeline, PipelineConfig, report_lines
 
     result = ProteinFamilyPipeline(PipelineConfig()).run(
         sequences, backend="process", workers=4)
-    print(result.runtime.summary_lines())
+    print("\n".join(report_lines(result)))
 
 or from the command line::
 

@@ -10,9 +10,10 @@ once:
 * :func:`run_task` is the only statement of the three kinds of work.
   *Where* a task runs is the executor's business; *what* it computes is
   written here and nowhere else.
-* :class:`PairStream` is the master side of every pair phase: the
-  master-only :class:`~repro.pace.cache.AlignmentCache` in front, misses
-  cut into tasks, results handed back through ``ready``/``drain``.
+* :class:`PairStream` is the master side of every pair phase: pairs cut
+  into tasks, results handed back through ``ready``/``drain`` — for an
+  alignment stream with the master-only
+  :class:`~repro.pace.cache.AlignmentCache` in front.
 * :class:`Backend` makes ``alignment_stream``, ``containment_stream``
   and ``map_components`` concrete over the hooks an executor
   (:class:`~repro.runtime.serial.SerialBackend`,
@@ -40,7 +41,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro import obs
 from repro.align.batch import batch_align, batch_containment
-from repro.align.predicates import containment_stats
 from repro.pace.densesub import shingle_component
 from repro.suffix.suffix_array import GeneralizedSuffixArray
 from repro.util.timing import monotonic_now
@@ -78,9 +78,8 @@ def run_task(
 
     * ``("local" | "semiglobal", pairs)`` → one
       :class:`~repro.align.pairwise.Alignment` per pair;
-    * ``("contain", similarity, coverage, pairs)`` → one ``((identity,
-      coverage_i, coverage_j), alignment_or_None)`` per pair (the
-      alignment only where the containment engine needed the DP);
+    * ``("contain", similarity, coverage, pairs)`` → one ``(identity,
+      coverage_i, coverage_j)`` per pair;
     * ``("shingle", graph, reduction, params, min_size, tau)`` → the
       ``(finals, raw, stats)`` triple of
       :func:`~repro.pace.densesub.shingle_component`.
@@ -98,11 +97,10 @@ def run_task(
         )
     if kind == "contain":
         _, similarity, coverage, pairs = body
-        result = batch_containment(
+        return batch_containment(
             [(get_encoded(i), get_encoded(j)) for i, j in pairs],
             scheme=scheme, similarity=similarity, coverage=coverage,
-        )
-        return list(zip(result.stats, result.alignments))
+        ).stats
     if kind == "shingle":
         return shingle_component(*body[1:])
     raise ValueError(f"unknown task kind {kind!r}")
@@ -130,6 +128,11 @@ class PhaseStats:
     cache_hits`` is the number of pairs a phase submitted.
     ``busy_seconds`` is the summed compute time of the dispatched work,
     so ``busy / (wall * workers)`` is the classic utilisation figure.
+
+    A plain record the backend fills in as it goes, not a view of the
+    run's recorder: a phase function can be called with no recorder
+    installed (the benchmark suite replays the phases that way) and
+    must still say what it did.
     """
 
     name: str
@@ -151,8 +154,6 @@ class RuntimeStats:
     backend: str
     workers: int
     phases: dict[str, PhaseStats] = field(default_factory=dict)
-    cache: dict[str, float] = field(default_factory=dict)
-    """Snapshot of ``AlignmentCache.stats()`` at end of run."""
 
     @property
     def total_wall(self) -> float:
@@ -166,26 +167,9 @@ class RuntimeStats:
         busy = sum(p.busy_seconds for p in self.phases.values())
         return min(busy / (wall * self.workers), 1.0)
 
-    def summary_lines(self) -> list[str]:
-        """Human-readable per-phase report for the CLI (``tasks`` is
-        dispatched work, ``cache_hits`` the pairs that needed none —
-        see :class:`PhaseStats`)."""
-        lines = [
-            f"backend={self.backend} workers={self.workers} "
-            f"wall={self.total_wall:.3f}s utilization={self.utilization():.0%} "
-            f"(tasks = pairs/components dispatched, cache hits excluded)"
-        ]
-        for stats in self.phases.values():
-            lines.append(
-                f"  {stats.name:<16s} {stats.wall_seconds:>9.3f}s  "
-                f"tasks={stats.tasks:<8d} cache_hits={stats.cache_hits:<8d} "
-                f"util={stats.utilization(self.workers):.0%}"
-            )
-        return lines
-
 
 class PairStream:
-    """The master side of a pair phase: cache in front, tasks behind.
+    """The master side of a pair phase: pairs in, tasks out, results back.
 
     The master submits ``(i, j)`` global index pairs; each comes back
     exactly once through :meth:`ready` (non-blocking) or :meth:`drain`
@@ -201,21 +185,22 @@ class PairStream:
     answer a pair *proven* unable to pass with ``(0.0, 0.0, 0.0)`` and
     no alignment at all.
 
-    A pair the cache already holds never becomes work: it is answered
-    here and counted once as a hit.  Misses are cut into tasks of
-    :meth:`Backend._task_pairs` pairs; every alignment a task returns
-    is inserted into the cache and counted once as a miss.
+    An alignment stream has the cache in front: a pair it already
+    holds never becomes work, it is answered here and counted once as a
+    hit; every alignment a task returns is inserted and counted once as
+    a miss.  A ``"contain"`` stream has none (``cache`` is None): its
+    results are not alignments, and nothing would read them back.
+    Pairs that become work are cut into tasks of
+    :meth:`Backend._task_pairs` pairs.
     """
 
     def __init__(self, backend: "Backend", stream_id: int, kind: str,
-                 cache: "AlignmentCache", params: tuple = ()):
+                 cache: "AlignmentCache | None", params: tuple = ()):
         self._backend = backend
         self.stream_id = stream_id
         self.kind = kind
         self._params = params
         self._cache = cache
-        self._table = "semiglobal" if kind == "contain" else kind
-        self._cached = cache.local if kind == "local" else cache.semiglobal
         self._phase = backend._phase_stats()
         self._task_pairs = backend._task_pairs(kind)
         self._pending: list[tuple[int, int]] = []
@@ -228,12 +213,12 @@ class PairStream:
         for i, j in pairs:
             if i > j:
                 i, j = j, i
-            if self._cache.peek(self._table, i, j) is not None:
+            if (self._cache is not None
+                    and self._cache.peek(self.kind, i, j) is not None):
                 self._phase.cache_hits += 1
                 obs.count(f"runtime.pairs_done.{self._phase.name}")
                 self._done.append(
-                    (i, j, self._result(i, j, self._cached(i, j)))
-                )
+                    (i, j, getattr(self._cache, self.kind)(i, j)))
                 continue
             self._pending.append((i, j))
             self._phase.tasks += 1
@@ -243,16 +228,8 @@ class PairStream:
             self._cut()
         self._backend._throttle()
 
-    def _result(self, i: int, j: int, aln):
-        """What the stream hands back for a cached alignment: itself,
-        or the Definition 1 statistics derived from it."""
-        if self.kind != "contain":
-            return aln
-        get_encoded = self._backend._get_encoded
-        return containment_stats(aln, len(get_encoded(i)), len(get_encoded(j)))
-
     def _cut(self) -> None:
-        """Dispatch the pending misses as one task."""
+        """Dispatch the pending pairs as one task."""
         if not self._pending:
             return
         pairs, self._pending = self._pending, []
@@ -273,11 +250,8 @@ class PairStream:
         self._phase.busy_seconds += busy
         obs.count(f"runtime.pairs_done.{self._phase.name}", len(pairs))
         for (i, j), result in zip(pairs, results):
-            aln = result
-            if self.kind == "contain":
-                result, aln = result
-            if aln is not None:
-                self._cache.insert(self._table, i, j, aln)
+            if self._cache is not None:
+                self._cache.insert(self.kind, i, j, result)
             self._done.append((i, j, result))
 
     def ready(self) -> list[tuple[int, int, object]]:
@@ -425,7 +399,7 @@ class Backend(abc.ABC):
 
     # -- work primitives ---------------------------------------------------
 
-    def _open_stream(self, kind: str, cache: "AlignmentCache",
+    def _open_stream(self, kind: str, cache: "AlignmentCache | None",
                      params: tuple = ()) -> PairStream:
         self._require_open()
         stream = PairStream(self, self._next_stream_id, kind, cache, params)
@@ -439,11 +413,7 @@ class Backend(abc.ABC):
         return self._open_stream(kind, cache)
 
     def containment_stream(
-        self,
-        cache: "AlignmentCache",
-        *,
-        similarity: float,
-        coverage: float,
+        self, *, similarity: float, coverage: float
     ) -> PairStream:
         """Open a Definition 1 statistics stream for the RR phase.
 
@@ -451,9 +421,9 @@ class Backend(abc.ABC):
         (:func:`repro.align.batch.batch_containment`), whose decisions
         are provably identical to a full semiglobal DP per pair;
         ``similarity``/``coverage`` parameterise its sound rejection
-        threshold.
+        threshold.  No cache: every pair is a task.
         """
-        return self._open_stream("contain", cache, (similarity, coverage))
+        return self._open_stream("contain", None, (similarity, coverage))
 
     def map_components(
         self,

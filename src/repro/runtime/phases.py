@@ -164,6 +164,9 @@ def backend_redundancy_removal(
     batched engine's alignment-free fast paths; the scientific counters
     (``rr.pairs``/``rr.alignments``) still count every pair whose
     Definition 1 verdict was evaluated, regardless of compute route.
+    ``cache`` is not used — nothing reads RR's alignments back (see
+    :mod:`repro.pace.cache`) — and stays in the signature the four
+    ``backend_*`` functions share.
     """
     with backend.phase("redundancy"):
         master = RedundancyMaster(
@@ -183,7 +186,7 @@ def backend_redundancy_removal(
 
         _stream_chunked(
             backend.containment_stream(
-                cache, similarity=similarity, coverage=coverage
+                similarity=similarity, coverage=coverage
             ),
             admitted(),
             RR_CHUNK,

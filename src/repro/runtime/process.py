@@ -553,7 +553,6 @@ class ProcessBackend(Backend):
         worker_index, spans, counts = payload
         recorder.absorb_wall_spans(spans, lane=worker_index + 1)
         recorder.merge_counts(counts)
-        recorder.count("runtime.worker_busy_seconds", busy)
         obs.heartbeat(worker_index, busy)
 
     # -- telemetry ---------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.sequence.record import SequenceRecord, SequenceSet
 from repro.sequence.fasta import read_fasta, write_fasta, parse_fasta_text, format_fasta
 from repro.sequence.orf import (
     Orf,
-    decode_dna,
     encode_dna,
     find_orfs,
     reverse_complement,
@@ -43,7 +42,6 @@ __all__ = [
     "SyntheticMetagenome",
     "generate_metagenome",
     "Orf",
-    "decode_dna",
     "encode_dna",
     "find_orfs",
     "reverse_complement",

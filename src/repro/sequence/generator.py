@@ -159,9 +159,6 @@ class SyntheticMetagenome:
                 clusters.setdefault(fam, []).append(seq_id)
         return clusters
 
-    def family_sizes(self) -> list[int]:
-        return sorted((len(v) for v in self.truth_clusters().values()), reverse=True)
-
 
 def _random_protein(rng: np.random.Generator, length: int) -> np.ndarray:
     return rng.choice(ALPHABET_SIZE, size=length, p=_BACKGROUND).astype(np.uint8)

@@ -47,13 +47,6 @@ def encode_dna(sequence: str) -> np.ndarray:
     return out
 
 
-def decode_dna(encoded: np.ndarray) -> str:
-    arr = np.asarray(encoded)
-    if arr.size and (arr.min() < 0 or arr.max() > 3):
-        raise ValueError("DNA index out of range")
-    return "".join(DNA_ALPHABET[int(x)] for x in arr)
-
-
 def reverse_complement(encoded: np.ndarray) -> np.ndarray:
     """Reverse complement of an encoded DNA array."""
     return _COMPLEMENT[np.asarray(encoded, dtype=np.uint8)][::-1]

@@ -118,13 +118,3 @@ class RepresentativeIndex:
                 found.update(hit)
         found &= self._active
         return sorted(found)
-
-    def compact(self) -> None:
-        """Drop window postings of deactivated representatives."""
-        active = self._active
-        dead = [w for w, owners in self._windows.items()
-                if not (owners & active)]
-        for window in dead:
-            del self._windows[window]
-        for owners in self._windows.values():
-            owners &= active

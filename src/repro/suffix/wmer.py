@@ -80,21 +80,3 @@ class WmerIndex:
         for seq_idx, wmers in enumerate(self._seq_to_wmers):
             out.extend((int(wm), seq_idx) for wm in wmers)
         return out
-
-    def shared_wmer_counts(self) -> dict[tuple[int, int], int]:
-        """Number of shared qualifying w-mers per sequence pair.
-
-        The domain-based family evidence: pairs sharing many fixed-length
-        exact words likely share domains.
-        """
-        postings: dict[int, list[int]] = {}
-        for seq_idx, wmers in enumerate(self._seq_to_wmers):
-            for wm in wmers:
-                postings.setdefault(int(wm), []).append(seq_idx)
-        counts: dict[tuple[int, int], int] = {}
-        for posting in postings.values():
-            for i in range(len(posting)):
-                for j in range(i + 1, len(posting)):
-                    key = (posting[i], posting[j])
-                    counts[key] = counts.get(key, 0) + 1
-        return counts

@@ -13,20 +13,17 @@ from repro.util.lockwatch import (
 from repro.util.hashing import (
     UniversalHashFamily,
     fnv1a_64,
-    hash_int_tuple,
     splitmix64,
 )
 from repro.util.rng import derive_seed, make_rng
-from repro.util.timing import Stopwatch, format_seconds
+from repro.util.timing import format_seconds
 
 __all__ = [
     "UniversalHashFamily",
     "fnv1a_64",
-    "hash_int_tuple",
     "splitmix64",
     "derive_seed",
     "make_rng",
-    "Stopwatch",
     "format_seconds",
     "LockOrderViolation",
     "named_lock",

@@ -13,7 +13,7 @@ Python integers (arbitrary precision) or NumPy ``uint64`` where vectorised.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,24 +48,12 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def hash_int_tuple(values: Iterable[int], *, seed: int = 0) -> int:
-    """Stable 64-bit hash of a tuple of non-negative integers.
-
-    The Shingle algorithm maps each *s*-element shingle (a sorted tuple of
-    vertex ids) to a single integer with this function.
-    """
-    h = splitmix64(seed ^ 0xA076_1D64_78BD_642F)
-    for v in values:
-        h = splitmix64(h ^ (v & _MASK64))
-    return h
-
-
 def hash_rows(matrix: "np.ndarray", *, seed: int = 0) -> "np.ndarray":
-    """Vectorised :func:`hash_int_tuple` over the rows of a 2-D array.
-
-    ``hash_rows(m)[i] == hash_int_tuple(m[i])`` exactly, in one fused pass
-    per column instead of a Python loop per row.
-    """
+    """A stable 64-bit hash of each row of a 2-D array of non-negative
+    integers (a shingle: a sorted tuple of vertex ids): ``splitmix64``
+    folded over the row from a seed-derived start, in one fused pass per
+    column (``tests/scalar_shingle.py::hash_int_tuple`` is the loop per
+    row it equals exactly)."""
     m = np.ascontiguousarray(matrix, dtype=np.uint64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {m.shape}")
@@ -164,41 +152,10 @@ class UniversalHashFamily:
         self.seed = int(seed)
         self._keys = _family_keys(self.count, self.seed)
 
-    def apply(self, k: int, values: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Apply hash function ``k`` to an array of values, vectorised."""
-        if not 0 <= k < self.count:
-            raise IndexError(f"hash index {k} out of range [0, {self.count})")
-        x = np.asarray(values, dtype=np.uint64)
-        return _mix64(x, self._keys[k])
-
     def apply_all(self, values: Sequence[int] | np.ndarray) -> np.ndarray:
         """Apply every member to ``values``; returns ``(..., count, len)``."""
         x = np.asarray(values, dtype=np.uint64)
         return _mix64(x[..., None, :], self._keys[:, None])
-
-    def min_sample(self, k: int, values: Sequence[int] | np.ndarray, s: int) -> tuple[int, ...]:
-        """Return the ``s`` values whose ``h_k`` images are smallest.
-
-        This is one *shingle*: an s-element subset of ``values`` selected
-        by the k-th min-wise permutation.  Ties break on the pre-image for
-        determinism.  The tuple is sorted by original value so equal
-        subsets compare equal.
-        """
-        x = np.asarray(values, dtype=np.uint64)
-        if len(x) < s:
-            raise ValueError(f"cannot draw {s}-element shingle from {len(x)} values")
-        hashed = self.apply(k, x)
-        order = np.lexsort((x, hashed))
-        picked = x[order[:s]]
-        return tuple(sorted(int(v) for v in picked))
-
-    def min_samples_matrix(self, values: Sequence[int] | np.ndarray, s: int) -> np.ndarray:
-        """All ``count`` shingles of one set of distinct ``values``: a ``(count, s)``
-        uint64 matrix, row ``k`` equal to ``min_sample(k, values, s)``."""
-        x = np.asarray(values, dtype=np.uint64)
-        if len(x) < s:
-            raise ValueError(f"cannot draw {s}-element shingle from {len(x)} values")
-        return self._slab(x, np.zeros(1, dtype=np.int64), np.array([len(x)]), s)[0]
 
     def _slab(self, x: np.ndarray, start: np.ndarray, size: np.ndarray, s: int) -> np.ndarray:
         """``(k, count, s)``: each member's sample, sorted, of the ``k`` sets

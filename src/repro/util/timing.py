@@ -1,9 +1,8 @@
-"""Wall-clock measurement helpers used by examples and benchmarks."""
+"""The ad-hoc monotonic clock read and the one duration formatter."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 
 def monotonic_now() -> float:
@@ -21,9 +20,12 @@ def monotonic_now() -> float:
 
 
 def format_seconds(seconds: float) -> str:
-    """Render a duration like the paper does ("3h 20m", "45.2s")."""
+    """Render a duration like the paper does ("3h 20m", "45.2s"); one
+    under a second in milliseconds ("12.5ms")."""
     if seconds < 0:
         raise ValueError(f"negative duration: {seconds}")
+    if 0 < seconds < 1:
+        return f"{seconds * 1e3:.1f}ms"
     if seconds < 60:
         return f"{seconds:.1f}s"
     minutes, secs = divmod(int(round(seconds)), 60)
@@ -31,46 +33,3 @@ def format_seconds(seconds: float) -> str:
     if hours:
         return f"{hours}h {minutes:02d}m"
     return f"{minutes}m {secs:02d}s"
-
-
-@dataclass
-class Stopwatch:
-    """Accumulating stopwatch with named laps.
-
-    >>> sw = Stopwatch()
-    >>> with sw.lap("align"):
-    ...     pass
-    >>> "align" in sw.laps
-    True
-    """
-
-    laps: dict[str, float] = field(default_factory=dict)
-
-    def lap(self, name: str) -> "_Lap":
-        return _Lap(self, name)
-
-    def add(self, name: str, seconds: float) -> None:
-        self.laps[name] = self.laps.get(name, 0.0) + seconds
-
-    @property
-    def total(self) -> float:
-        return sum(self.laps.values())
-
-    def report(self) -> str:
-        lines = [f"{name:<30s} {format_seconds(secs):>10s}" for name, secs in self.laps.items()]
-        lines.append(f"{'TOTAL':<30s} {format_seconds(self.total):>10s}")
-        return "\n".join(lines)
-
-
-class _Lap:
-    def __init__(self, watch: Stopwatch, name: str):
-        self._watch = watch
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_Lap":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._watch.add(self._name, time.perf_counter() - self._start)

@@ -46,7 +46,9 @@ def _fill(
     ``t - j*gap`` computes in a single contiguous pass.
     """
     m, n = len(a), len(b)
-    sub = scheme.substitution_profile(a, b).astype(np.int32)
+    # Dense (len(a), len(b)) substitution score matrix for the pair.
+    sub = scheme.matrix[np.asarray(a, dtype=np.intp)[:, None],
+                        np.asarray(b, dtype=np.intp)[None, :]].astype(np.int32)
     gap = np.int32(scheme.gap)
     H = np.zeros((m + 1, n + 1), dtype=np.int32)
     if mode == "global":

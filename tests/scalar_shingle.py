@@ -7,17 +7,25 @@ Python loop per left vertex into ``dict.setdefault`` lists, a second
 loop per first-level shingle, and a :class:`KeyedUnionFind` over the
 64-bit shingle hashes that links shingles sharing a second-level
 shingle or a vertex; each shingle is drawn one set and one permutation
-at a time by ``UniversalHashFamily.min_sample``.  It *defines* every
+at a time by :func:`min_sample`.  It *defines* every
 :class:`DenseSubgraph` and every :class:`ShingleResult` field, so
 ``test_shingle_oracle.py`` holds the column passes to it field for
 field.  ``KeyedUnionFind`` left
 ``repro.graph.unionfind`` with the loop and lives here, verbatim, with
 its own tests still in ``test_graph.py`` / ``test_properties.py``.
+
+The scalar definitions the hashing kernels are held to left
+``repro.util.hashing`` the same way, once nothing under ``src/`` called
+them: :func:`hash_int_tuple` (one row of ``hash_rows``),
+:func:`min_sample` (one member's shingle of one set) and
+:func:`min_samples_matrix` (every member's, through the family's slab
+kernel); ``test_hashing.py`` and ``test_properties.py`` state the
+kernels against them.
 """
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +33,52 @@ from repro import obs
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.unionfind import UnionFind
 from repro.shingle.algorithm import DenseSubgraph, ShingleParams, ShingleResult
-from repro.util.hashing import UniversalHashFamily, hash_rows
+from repro.util.hashing import (
+    _MASK64,
+    UniversalHashFamily,
+    hash_rows,
+    splitmix64,
+)
+
+
+def hash_int_tuple(values: Iterable[int], *, seed: int = 0) -> int:
+    """Stable 64-bit hash of a tuple of non-negative integers.
+
+    The Shingle algorithm maps each *s*-element shingle (a sorted tuple of
+    vertex ids) to a single integer with this function.
+    """
+    h = splitmix64(seed ^ 0xA076_1D64_78BD_642F)
+    for v in values:
+        h = splitmix64(h ^ (v & _MASK64))
+    return h
+
+
+def min_sample(family: UniversalHashFamily, k: int,
+               values: Sequence[int] | np.ndarray, s: int) -> tuple[int, ...]:
+    """Return the ``s`` values whose ``h_k`` images are smallest.
+
+    This is one *shingle*: an s-element subset of ``values`` selected
+    by the k-th min-wise permutation.  Ties break on the pre-image for
+    determinism.  The tuple is sorted by original value so equal
+    subsets compare equal.
+    """
+    x = np.asarray(values, dtype=np.uint64)
+    if len(x) < s:
+        raise ValueError(f"cannot draw {s}-element shingle from {len(x)} values")
+    hashed = family.apply_all(x)[k]
+    order = np.lexsort((x, hashed))
+    picked = x[order[:s]]
+    return tuple(sorted(int(v) for v in picked))
+
+
+def min_samples_matrix(family: UniversalHashFamily,
+                       values: Sequence[int] | np.ndarray, s: int) -> np.ndarray:
+    """All ``count`` shingles of one set of distinct ``values``: a ``(count, s)``
+    uint64 matrix, row ``k`` equal to ``min_sample(k, values, s)``."""
+    x = np.asarray(values, dtype=np.uint64)
+    if len(x) < s:
+        raise ValueError(f"cannot draw {s}-element shingle from {len(x)} values")
+    return family._slab(x, np.zeros(1, dtype=np.int64), np.array([len(x)]), s)[0]
 
 
 class KeyedUnionFind:
@@ -74,7 +127,7 @@ class KeyedUnionFind:
 def scalar_samples(family: UniversalHashFamily, values: np.ndarray, s: int) -> np.ndarray:
     """Every member's shingle of ``values`` by the scalar definition,
     ``min_sample`` — not by the batched draw the column passes use."""
-    rows = [family.min_sample(k, values, s) for k in range(family.count)]
+    rows = [min_sample(family, k, values, s) for k in range(family.count)]
     return np.array(rows, dtype=np.uint64).reshape(family.count, s)
 
 

@@ -150,7 +150,7 @@ def reference_rr(sequences, backend, cache):
     with backend.phase("redundancy"):
         phases._stream_chunked(
             backend.containment_stream(
-                cache, similarity=CONTAINMENT_SIMILARITY, coverage=CONTAINMENT_COVERAGE
+                similarity=CONTAINMENT_SIMILARITY, coverage=CONTAINMENT_COVERAGE
             ),
             (m.pair for m in master.finder.matches() if master.admit(m.pair)),
             phases.RR_CHUNK,

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
-from repro.obs import BENCH_SCHEMA, read_telemetry
+from repro.cli import build_parser, cmd_run, main
+from repro.obs import RUN_SCHEMA, read_telemetry
 
 
 @pytest.fixture()
@@ -134,8 +135,9 @@ class TestRuntimeBackend:
         assert rc == 0
         out = capsys.readouterr().out
         assert "#Input" in out
-        assert "backend=serial" in out
-        assert "alignment cache:" in out
+        assert "run: mode=serial workers=1" in out
+        assert "phase timeline" in out and "utilization" in out
+        assert "cache:" in out and "hit rate" in out
 
     def test_run_with_process_backend(self, generated, tmp_path, capsys):
         fasta, truth = generated
@@ -149,7 +151,7 @@ class TestRuntimeBackend:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "backend=process workers=2" in out
+        assert "run: mode=process workers=2" in out
         assert json.loads(out_json.read_text())
 
     def test_process_and_serial_families_match(self, generated, tmp_path):
@@ -165,6 +167,74 @@ class TestRuntimeBackend:
         assert json.loads(serial_out.read_text()) == json.loads(
             process_out.read_text()
         )
+
+
+def _shape(report: str) -> list[str]:
+    """Report lines with what two runs of one input may differ in — the
+    measured numbers and the bars drawn from them — masked."""
+    lines = []
+    for line in report.splitlines():
+        line = re.sub(r"\|[# ]*\|", "|bar|", line)
+        line = re.sub(r"\d[\d,.]*", "N", line)
+        lines.append(re.sub(r"\s+", " ", line))
+    return lines
+
+
+class TestOneVerbTwoNames:
+    """``profile`` is ``run`` with default export paths."""
+
+    COMMON = ["--shingle-c", "40", "--shingle-s", "3", "--min-size", "4"]
+
+    def test_run_and_profile_share_one_handler_and_argument_set(self):
+        parser = build_parser()
+        run = parser.parse_args(["run", "x.fa"])
+        profile = parser.parse_args(["profile", "x.fa"])
+        assert run.func is profile.func is cmd_run
+        differing = {k for k in vars(run) if getattr(run, k) != getattr(profile, k)}
+        assert differing == {"command", "trace_out", "counters_out"}
+        assert (run.trace_out, run.counters_out) == (None, None)
+        assert (profile.trace_out, profile.counters_out) == (
+            "trace.json", "counters.json")
+
+    def test_run_and_profile_print_the_same_report(
+        self, generated, tmp_path, capsys, monkeypatch
+    ):
+        fasta, _ = generated
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", str(fasta), *self.COMMON]) == 0
+        ran = capsys.readouterr().out
+        # run exports only when asked...
+        assert not (tmp_path / "trace.json").exists()
+        assert not (tmp_path / "counters.json").exists()
+        assert main(["profile", str(fasta), *self.COMMON]) == 0
+        profiled = capsys.readouterr().out
+        # ...profile by default, into the working directory.
+        record = json.loads((tmp_path / "counters.json").read_text())
+        assert record["schema"] == RUN_SCHEMA
+        assert json.loads((tmp_path / "trace.json").read_text())["traceEvents"]
+        exports = [line for line in profiled.splitlines()
+                   if line.startswith(("trace    ->", "counters ->"))]
+        assert len(exports) == 2
+        assert _shape(ran) == _shape(profiled)[:-2]
+        assert "phase timeline" in ran and "scientific counters" in ran
+
+    def test_run_exports_when_asked_and_profile_takes_runs_options(
+        self, generated, tmp_path, capsys
+    ):
+        fasta, _ = generated
+        counters = tmp_path / "c.json"
+        assert main(["run", str(fasta), *self.COMMON,
+                     "--counters-out", str(counters)]) == 0
+        assert json.loads(counters.read_text())["schema"] == RUN_SCHEMA
+        families = tmp_path / "fam.json"
+        run_dir = tmp_path / "rd"
+        assert main(["profile", str(fasta), *self.COMMON,
+                     "--output", str(families), "--run-dir", str(run_dir),
+                     "--trace-out", str(tmp_path / "t.json"),
+                     "--counters-out", str(tmp_path / "c2.json")]) == 0
+        assert json.loads(families.read_text())
+        assert (run_dir / "checkpoint.jsonl").exists()
+        capsys.readouterr()
 
 
 class TestTelemetryAndGate:
@@ -210,26 +280,26 @@ class TestTelemetryAndGate:
         self, profiled, tmp_path, capsys
     ):
         _, counters = profiled
+        # Refreshing a baseline is a file copy: a run record is one.
         baseline = tmp_path / "BENCH_baseline.json"
-
-        rc = main(
-            ["compare-metrics", str(counters),
-             "--baseline", str(baseline), "--write-baseline"]
-        )
-        assert rc == 0
-        assert "wrote baseline" in capsys.readouterr().out
+        baseline.write_bytes(counters.read_bytes())
         doc = json.loads(baseline.read_text())
-        assert doc["schema"] == BENCH_SCHEMA
-        assert doc["metrics"]["scientific"]
+        assert doc["schema"] == RUN_SCHEMA
+        assert doc["scientific"]
 
         # The same run passes its own baseline.
         rc = main(
             ["compare-metrics", str(counters), "--baseline", str(baseline)]
         )
         assert rc == 0
-        assert "OK" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "OK" in out
+        assert f"({len(doc['scientific'])} scientific counters)" in out
+        for phase in doc["phase_seconds"]:
+            assert any(line.lstrip().startswith(phase) and "(+0.000s)" in line
+                       for line in out.splitlines()), phase
 
-        # Injected scientific drift must fail the gate.
+        # Injected scientific drift must fail the gate, naming the counter.
         payload = json.loads(counters.read_text())
         name = sorted(payload["scientific"])[0]
         payload["scientific"][name] += 1
@@ -243,7 +313,7 @@ class TestTelemetryAndGate:
         assert "counter drift" in out and name in out
 
         # Wall-clock slowdown beyond tolerance fails, and --no-wallclock
-        # turns that check off.
+        # turns that check off; the slower phases show either way.
         slow = json.loads(counters.read_text())
         slow["phase_seconds"] = {
             k: v * 10 for k, v in slow["phase_seconds"].items()
@@ -260,6 +330,34 @@ class TestTelemetryAndGate:
              "--baseline", str(baseline), "--no-wallclock"]
         )
         assert rc == 0
+        out = capsys.readouterr().out
+        assert "(+0.000s)" not in out
+
+    @pytest.mark.parametrize("text,why", [
+        ("{}", "not a run record"),
+        ("[]", "not a JSON object"),
+        ('{"schema": "repro-run/1", "scientific": {}}', "no scientific counters"),
+    ], ids=["no-schema", "not-an-object", "no-counters"])
+    def test_compare_metrics_refuses_to_compare_nothing(
+        self, profiled, tmp_path, capsys, text, why
+    ):
+        """Either side malformed is unusable input (exit 2), never a
+        vacuous pass and never a traceback."""
+        _, counters = profiled
+        broken = tmp_path / "broken.json"
+        broken.write_text(text, encoding="ascii")
+        for argv in (["compare-metrics", str(counters), "--baseline", str(broken)],
+                     ["compare-metrics", str(broken), "--baseline", str(counters)]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert err.startswith("repro: error: ") and why in err
+            assert "OK" not in out
+
+    def test_committed_baseline_is_a_run_record(self):
+        doc = json.loads(
+            (Path(__file__).parents[1] / "BENCH_baseline.json").read_text())
+        assert doc["schema"] == RUN_SCHEMA
+        assert len(doc["scientific"]) == 16 and doc["phase_seconds"]
 
 
 class TestUnusableInputExitsTwo:
@@ -363,6 +461,20 @@ class TestUnusableInputExitsTwo:
                    "--fault-plan", str(tmp_path / "nope.json")])
         assert rc == 2
         assert "cannot read fault plan" in capsys.readouterr().err
+
+    def test_resume_and_run_dir_conflict(self, generated, tmp_path, capsys):
+        """``--resume A`` already names the run directory; a second,
+        different ``--run-dir B`` is a usage error, and B is not made."""
+        fasta, _ = generated
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", str(fasta), "--run-dir", str(a)]) == 0
+        capsys.readouterr()
+        rc = main(["run", str(fasta), "--resume", str(a), "--run-dir", str(b)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert "--resume" in err and "--run-dir" in err
+        assert not b.exists()
 
     def test_resume_without_journal(self, generated, tmp_path, capsys):
         fasta, _ = generated

@@ -32,7 +32,6 @@ class TestCompareFamilies:
         match = cmp.matches[0]
         assert match.best_benchmark == 0
         assert match.purity == pytest.approx(2 / 3)
-        assert not match.is_pure
 
     def test_missed_members(self):
         bench = [["a", "b", "c", "d"]]

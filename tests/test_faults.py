@@ -39,6 +39,7 @@ from repro.faults.harness import run_chaos
 from repro.faults.plan import (
     ABORT_EXIT_CODE,
     TRUNCATE_EXIT_CODE,
+    WORKER_FAULT_KINDS,
     Fault,
     FaultInjector,
     FaultPlan,
@@ -102,7 +103,7 @@ class TestFaultPlan:
             Fault(kind="poison_task"),
             Fault(kind="truncate_checkpoint", phase="bipartite"),
         ))
-        assert [f.kind for f in plan.worker_faults] == ["poison_task"]
+        assert [f.kind for f in plan.of_kind(*WORKER_FAULT_KINDS)] == ["poison_task"]
         assert [f.kind for f in plan.checkpoint_faults] == [
             "truncate_checkpoint"
         ]
@@ -164,7 +165,7 @@ class TestFaultInjector:
         assert inj.marker_for_send("clustering", 0) is None
         assert inj.marker_for_send("clustering", 0) == ("die",)
         assert inj.marker_for_send("clustering", 0) is None
-        assert inj.fired == 1
+        assert inj.last_fired == 0
 
     def test_wildcard_phase_uses_any_phase_ordinal(self):
         plan = FaultPlan(faults=(
@@ -180,7 +181,7 @@ class TestFaultInjector:
         inj = FaultInjector(plan)
         for _ in range(5):
             assert inj.marker_for_send("redundancy", 0) is None
-        assert inj.fired == 0
+        assert inj.last_fired == -1
 
     def test_poison_counts_new_tasks_per_phase(self):
         plan = FaultPlan(faults=(

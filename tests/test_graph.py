@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.graph.bipartite import (
     BipartiteGraph,
     duplicate_bipartite,
-    induced_similarity_edges,
     wmer_bipartite,
 )
 from repro.graph.density import DenseSubgraphStats, size_histogram, subgraph_density
@@ -22,7 +21,7 @@ from tests.scalar_shingle import KeyedUnionFind
 class TestUnionFind:
     def test_initially_disjoint(self):
         uf = UnionFind(5)
-        assert uf.n_sets() == 5
+        assert len(uf.groups()) == 5
         assert not uf.same(0, 1)
 
     def test_union_and_find(self):
@@ -37,7 +36,7 @@ class TestUnionFind:
         uf.union(0, 1)
         uf.union(1, 2)
         assert uf.same(0, 2)
-        assert uf.n_sets() == 4
+        assert len(uf.groups()) == 4
 
     def test_groups_partition(self):
         uf = UnionFind(6)
@@ -188,13 +187,6 @@ class TestWmerBipartite:
         assert g.right_labels == [5, 9]
         assert g.n_left >= 1
         assert g.n_edges >= 2
-
-
-class TestInducedEdges:
-    def test_relabels(self):
-        edges = [(10, 20), (20, 30), (10, 99)]
-        local = induced_similarity_edges([10, 20, 30], edges)
-        assert sorted(local) == [(0, 1), (1, 2)]
 
 
 class TestDensity:

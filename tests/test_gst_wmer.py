@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,7 +111,8 @@ class TestKmerPrefilter:
         seqs = [rng.integers(0, 20, 30).astype(np.uint8) for _ in range(8)]
         seqs[3] = seqs[0].copy()  # guarantee a sharing pair
         pf = KmerPrefilter(k=3, min_shared=2)
-        pf.add_all(seqs)
+        for seq in seqs:
+            pf.add(seq)
         got = set(pf.candidate_pairs())
         expected = {
             (i, j)
@@ -156,7 +160,12 @@ class TestWmerIndex:
         base = rng.integers(0, 20, 40).astype(np.uint8)
         seqs = [base.copy(), base.copy(), rng.integers(0, 20, 40).astype(np.uint8)]
         idx = WmerIndex(seqs, w=6, min_sequences=2)
-        counts = idx.shared_wmer_counts()
+        # Shared qualifying w-mers per sequence pair, off the incidence edges.
+        owners: dict[int, list[int]] = {}
+        for wmer, seq in idx.edges():
+            owners.setdefault(wmer, []).append(seq)
+        counts = Counter(pair for seqs in owners.values()
+                         for pair in combinations(sorted(seqs), 2))
         assert counts[(0, 1)] == 35  # all 6-mers of identical 40-mers
         assert (0, 2) not in counts or counts[(0, 2)] < 5
 

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from repro.util.hashing import (
     UniversalHashFamily,
     fnv1a_64,
-    hash_int_tuple,
     hash_rows,
     splitmix64,
 )
+from tests.scalar_shingle import hash_int_tuple, min_sample, min_samples_matrix
 
 
 class TestFnv:
@@ -88,8 +88,9 @@ class TestUniversalHashFamily:
 
     def test_apply_out_of_range(self):
         fam = UniversalHashFamily(3, seed=1)
+        assert fam.apply_all([1, 2]).shape == (3, 2)
         with pytest.raises(IndexError):
-            fam.apply(3, [1, 2])
+            fam.apply_all([1, 2])[3]
 
     def test_keys_derived_once_and_read_only(self):
         """The member keys chain ``splitmix64`` from the seed; instances
@@ -109,7 +110,7 @@ class TestUniversalHashFamily:
         fam = UniversalHashFamily(3, seed=1)
         x = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
         before = x.copy()
-        hashed = fam.apply(2, x)
+        hashed = fam.apply_all(x)[2]
         assert np.array_equal(x, before)
         key = int(fam._keys[2])
         # splitmix64 adds the golden-ratio increment, then finalises.
@@ -118,14 +119,13 @@ class TestUniversalHashFamily:
     def test_members_differ(self):
         fam = UniversalHashFamily(4, seed=1)
         x = np.arange(100, dtype=np.uint64)
-        h0 = fam.apply(0, x)
-        h1 = fam.apply(1, x)
+        h0, h1 = fam.apply_all(x)[:2]
         assert not np.array_equal(h0, h1)
 
     def test_seed_changes_family(self):
         x = np.arange(50, dtype=np.uint64)
-        a = UniversalHashFamily(2, seed=1).apply(0, x)
-        b = UniversalHashFamily(2, seed=2).apply(0, x)
+        a = UniversalHashFamily(2, seed=1).apply_all(x)[0]
+        b = UniversalHashFamily(2, seed=2).apply_all(x)[0]
         assert not np.array_equal(a, b)
 
     def test_apply_all_matches_apply(self):
@@ -133,12 +133,13 @@ class TestUniversalHashFamily:
         x = np.arange(37, dtype=np.uint64)
         all_h = fam.apply_all(x)
         for k in range(5):
-            assert np.array_equal(all_h[k], fam.apply(k, x))
+            key = int(fam._keys[k])
+            assert all_h[k].tolist() == [splitmix64(int(v) ^ key) for v in x]
 
     def test_min_sample_is_subset(self):
         fam = UniversalHashFamily(3, seed=9)
         values = [10, 20, 30, 40, 50, 60]
-        sample = fam.min_sample(1, values, 3)
+        sample = min_sample(fam, 1, values, 3)
         assert len(sample) == 3
         assert set(sample) <= set(values)
         assert sample == tuple(sorted(sample))
@@ -146,19 +147,19 @@ class TestUniversalHashFamily:
     def test_min_sample_too_few(self):
         fam = UniversalHashFamily(1, seed=0)
         with pytest.raises(ValueError):
-            fam.min_sample(0, [1, 2], 3)
+            min_sample(fam, 0, [1, 2], 3)
 
     def test_min_samples_all_matches_loop(self):
         fam = UniversalHashFamily(8, seed=3)
         values = np.array([5, 17, 2, 99, 43, 8, 61], dtype=np.uint64)
-        batched = fam.min_samples_matrix(values, 3)
-        looped = [fam.min_sample(k, values, 3) for k in range(8)]
+        batched = min_samples_matrix(fam, values, 3)
+        looped = [min_sample(fam, k, values, 3) for k in range(8)]
         assert batched.dtype == np.uint64
         assert batched.tolist() == [list(row) for row in looped]
 
     def test_min_samples_all_full_set(self):
         fam = UniversalHashFamily(4, seed=3)
-        assert fam.min_samples_matrix([3, 1, 2], 3).tolist() == [[1, 2, 3]] * 4
+        assert min_samples_matrix(fam, [3, 1, 2], 3).tolist() == [[1, 2, 3]] * 4
 
     @given(
         st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=30,
@@ -173,9 +174,9 @@ class TestUniversalHashFamily:
         the argpartition cut and nothing is left to a tie-break."""
         s = min(s, len(values))
         fam = UniversalHashFamily(6, seed=seed)
-        matrix = fam.min_samples_matrix(values, s)
+        matrix = min_samples_matrix(fam, values, s)
         for k in range(fam.count):
-            assert tuple(matrix[k].tolist()) == fam.min_sample(k, values, s)
+            assert tuple(matrix[k].tolist()) == min_sample(fam, k, values, s)
         hashed = fam.apply_all(values)
         assert all(len(set(row)) == len(values) for row in hashed.tolist())
 
@@ -189,8 +190,8 @@ class TestUniversalHashFamily:
         the Shingle algorithm's grouping relies on)."""
         fam = UniversalHashFamily(6, seed=seed)
         s = min(3, len(values))
-        first = fam.min_samples_matrix(values, s)
-        second = fam.min_samples_matrix(list(values), s)
+        first = min_samples_matrix(fam, values, s)
+        second = min_samples_matrix(fam, list(values), s)
         assert np.array_equal(first, second)
 
     def test_min_wise_uniformity(self):
@@ -204,7 +205,7 @@ class TestUniversalHashFamily:
         for key in counts:
             counts[key] = 0
         for k in range(trials):
-            winner = fam.min_sample(k, values, 1)[0]
+            winner = min_sample(fam, k, values, 1)[0]
             counts[winner] += 1
         expected = trials / n
         for count in counts.values():

@@ -256,7 +256,6 @@ class TestFramework:
             tmp_path, "def main():\n    pass\n", rule_classes=[WarnOnPass]
         )
         assert {v.severity for v in result.violations} == {"warning"}
-        assert result.worst_severity() == "warning"
         assert not result.fails("error")
         assert result.fails("warning")
         assert not result.fails("never")

@@ -81,7 +81,7 @@ class TestPairConfusion:
             return
         c = pair_confusion(clusters, clusters)
         assert c.fp == 0 and c.fn == 0
-        assert c.total_pairs == math.comb(c.n_items, 2)
+        assert c.tp + c.fp + c.fn + c.tn == math.comb(c.n_items, 2)
 
 
 class TestQualityScores:

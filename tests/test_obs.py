@@ -13,6 +13,7 @@ primitives, the worker span-shipping protocol, the exporters, and the
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
@@ -20,7 +21,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.eval.report import observation_lines
+from repro.eval.report import report_lines
 from repro.obs import (
     HOST_TRACK,
     REGISTRY,
@@ -64,7 +65,7 @@ class TestScientificCounterContract:
         assert process["runtime.batches"] >= 1
         assert process["runtime.batch_pairs"] >= 1
         assert process["runtime.max_outstanding"] >= 1
-        assert process["runtime.worker_busy_seconds"] > 0.0
+        assert process["runtime.worker.0.busy_seconds"] > 0.0
         assert process["runtime.shingle_jobs"] == process["dsd.components"]
         # Serial reference does no backend dispatch...
         serial = mode_results["default"].obs.counters()
@@ -385,20 +386,58 @@ class TestSimulatorBridge:
 
 class TestObservationReport:
     def test_lines_cover_all_sections(self, mode_results):
-        lines = observation_lines(mode_results["process"].obs)
+        """Every fact either of the two old reports printed is in the
+        one report, once."""
+        result = mode_results["process"]
+        lines = report_lines(result)
         text = "\n".join(lines)
-        assert "mode=process" in text
-        assert "phase timeline" in text
-        assert "redundancy" in text and "dense_subgraphs" in text
-        assert "worker lanes:" in text
-        assert "pair generation on the master" in text
-        assert "candidates ->" in text
-        assert "scientific counters" in text
-        assert "rr.pairs" in text
-        assert "cache:" in text
 
-    def test_empty_recorder_yields_no_sections(self):
-        assert observation_lines(Recorder()) == []
+        def once(fragment):
+            assert text.count(fragment) == 1, fragment
+
+        once("run: mode=process workers=2")
+        once("phase timeline (")
+        once("utilization")
+        # A row per phase: seconds, share, bar, then the work columns
+        # the runtime summary used to print.
+        for name, phase in result.runtime.phases.items():
+            (row,) = [line for line in lines
+                      if line.startswith(f"  {name} ") and "tasks=" in line]
+            assert "s " in row and "%" in row and "|" in row
+            assert f"tasks={phase.tasks:,d}" in row
+            assert f"hits={phase.cache_hits:,d}" in row
+            assert "util=" in row
+        once("worker lanes:")
+        once("pair generation on the master")
+        assert "candidates ->" in text
+        once("scientific counters")
+        counters = result.obs.counters()
+        for name in ("rr.pairs", "ccd.merges", "dsd.subgraphs"):
+            (row,) = [line for line in lines if line.startswith(f"  {name} ")]
+            assert row.split()[1] == f"{int(counters[name]):,d}"
+        # The cache line and, under it, the split by kind and by phase.
+        once("cache: ")
+        once("hit rate")
+        hits = int(counters["cache.local_hits"])
+        assert hits > 0
+        (row,) = [line for line in lines if line.startswith("  local ")]
+        assert f"hits={hits:,d}" in row
+        (row,) = [line for line in lines if line.startswith("  phase bipartite ")]
+        assert f"hits={hits:,d}" in row
+        assert not any(line.startswith("  semiglobal") for line in lines)
+        once("CCD: ")
+        once("shingle draws: ")
+        once("string index: 1 build")
+
+    def test_empty_recorder_yields_no_sections(self, mode_results):
+        """Each section is omitted when its source is empty: an
+        unobserved run reports the phase rows its backend measured and
+        nothing else."""
+        bare = dataclasses.replace(mode_results["serial"], obs=None)
+        lines = report_lines(bare)
+        assert lines[0].startswith("phase timeline")
+        assert len(lines) == 1 + len(bare.runtime.phases)
+        assert report_lines(dataclasses.replace(bare, runtime=None)) == []
 
 
 class TestProfileCli:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.align.matrices import blosum62_scheme
+from repro.core.pipeline import ProteinFamilyPipeline
 from repro.pace.cache import AlignmentCache
 from repro.align.predicates import overlaps
 from repro.pace.clustering import parallel_component_detection
@@ -372,11 +373,13 @@ class TestAlignmentCache:
         first = cache.local(0, 1)
         again = cache.local(1, 0)  # reversed request, same entry
         assert again is first
-        assert (cache.local_misses, cache.local_hits) == (1, 1)
+        stats = cache.stats()
+        assert (stats["local_misses"], stats["local_hits"]) == (1, 1)
         assert len(cache) == 1
         first = cache.semiglobal(2, 0)
         assert cache.semiglobal(0, 2) is first
-        assert (cache.semiglobal_misses, cache.semiglobal_hits) == (1, 1)
+        stats = cache.stats()
+        assert (stats["semiglobal_misses"], stats["semiglobal_hits"]) == (1, 1)
 
     def test_peek_and_insert_share_canonical_key(self, cache):
         aln = cache.local(0, 1)
@@ -384,7 +387,8 @@ class TestAlignmentCache:
         assert cache.peek("semiglobal", 0, 1) is None
         cache.insert("semiglobal", 1, 0, aln)  # worker-computed, reversed
         assert cache.semiglobal(0, 1) is aln
-        assert (cache.semiglobal_misses, cache.semiglobal_hits) == (1, 1)
+        stats = cache.stats()
+        assert (stats["semiglobal_misses"], stats["semiglobal_hits"]) == (1, 1)
 
     def test_self_alignment_rejected(self, cache):
         with pytest.raises(ValueError, match="self-alignment"):
@@ -398,22 +402,34 @@ class TestAlignmentCache:
         cache.local(0, 1)       # miss
         cache.set_phase("")
         cache.local(1, 0)       # hit, but untracked
-        assert cache.stats_by_phase() == {
+        stats = cache.stats()
+        assert stats["by_phase"] == {
             "redundancy": {"hits": 0, "misses": 1},
             "clustering": {"hits": 1, "misses": 1},
         }
-        assert cache.stats()["by_phase"] == cache.stats_by_phase()
-        assert cache.hits == 2 and cache.misses == 2  # totals still global
+        assert stats["hits"] == 2 and stats["misses"] == 2  # totals still global
+        assert stats["hit_rate"] == 0.5 and stats["entries"] == 2
 
-    def test_record_observations_emits_phase_counters(self, cache):
-        from repro.obs import Recorder
-
+    def test_record_observations_emits_phase_counters(self, mode_workload):
+        """The run's ``cache.*`` counters are the cache's one dict,
+        written once as the run ends — a cache the caller passed in
+        (here with a hit and a miss of an earlier phase on it) reads the
+        same from ``stats()`` and from the record."""
+        sequences, config = mode_workload
+        encoded = [record.encoded for record in sequences]
+        cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         cache.set_phase("serve")
         cache.local(0, 2)
         cache.local(2, 0)
-        recorder = Recorder()
-        cache.record_observations(recorder)
-        counters = recorder.counters()
+        result = ProteinFamilyPipeline(config).run(sequences, cache=cache)
+        counters = result.obs.counters()
+        stats = cache.stats()
         assert counters["cache.phase.serve.hits"] == 1
         assert counters["cache.phase.serve.misses"] == 1
-        assert counters["cache.local_misses"] == 1
+        assert stats["by_phase"]["bipartite"]["hits"] > 0
+        for phase, split in stats["by_phase"].items():
+            assert counters[f"cache.phase.{phase}.hits"] == split["hits"]
+            assert counters[f"cache.phase.{phase}.misses"] == split["misses"]
+        for name in ("local_hits", "local_misses", "semiglobal_hits",
+                     "semiglobal_misses", "entries"):
+            assert counters.get(f"cache.{name}", 0) == stats[name], name

@@ -145,6 +145,37 @@ class TestSameAnswerEveryMode:
         assert scientific_view(result.obs.counters()) == scientific_view(
             reference.obs.counters())
 
+    @pytest.fixture(scope="class")
+    def twilight(self):
+        """A hostile row: families at the edge of Definition 2 (identity
+        0.30–0.55, three in ten members fragments, psi = 5), at a seed
+        where alignments CCD speculated on fail and held pairs are
+        re-decided — which no friendly generator shape ever does."""
+        data = generate_metagenome(MetagenomeSpec(
+            n_families=4, mean_family_size=12, max_family_size=12,
+            zipf_exponent=50.0, mean_length=100, length_stddev=15,
+            identity_low=0.30, identity_high=0.55, fragment_fraction=0.3,
+            redundant_fraction=0.0, noise_fraction=0.1, seed=13,
+        ))
+        config = PipelineConfig(
+            psi=5, shingle=ShingleParams(s1=3, c1=40, s2=3, c2=13),
+            min_component_size=4, min_subgraph_size=4,
+        )
+        return data.sequences, config, ProteinFamilyPipeline(config).run(data.sequences)
+
+    @pytest.mark.parametrize("mode", list(PIPELINE_MODES))
+    def test_twilight_input_gives_the_default_answer(self, twilight, mode):
+        sequences, config, reference = twilight
+        counters = reference.obs.counters()
+        assert counters["ccd.redecided"] > 0 and reference.families
+        result = ProteinFamilyPipeline(config).run(sequences, **PIPELINE_MODES[mode]())
+        assert result.families == reference.families
+        assert result.table1() == reference.table1()
+        assert scientific_view(result.obs.counters()) == scientific_view(counters)
+        if not mode.startswith("sim-"):
+            # The speculative driver itself is the same on every backend.
+            assert result.obs.counters()["ccd.redecided"] == counters["ccd.redecided"]
+
     @pytest.mark.parametrize("mode", list(PIPELINE_MODES))
     def test_ccd_work_depends_on_the_simulated_machine_only(self, mode_results, mode):
         """The runtime backends all run the pair-by-pair filter, so even

@@ -10,6 +10,12 @@ does not hold it in the graph; that is how reference implementations no
 phase runs used to stay in ``src/`` (they live in ``tests/`` now, beside
 ``scalar_finder.py``).  The few modules only a script outside ``src/``
 reaches are listed by name, each with the script that must import it.
+
+The module walk cannot see a dead *name* in a live module, so a second,
+name-level walk covers every package: a public function, class, method
+or property under ``src/repro/`` is read — as a name or an attribute —
+by some module under ``src/``, ``benchmarks/`` or ``examples/``, or it
+is listed in :data:`UNREFERENCED` with the reason it stays.
 """
 
 from __future__ import annotations
@@ -36,12 +42,35 @@ HELD_BY_SCRIPT = {
     "repro.shingle.parallel": "benchmarks/paper/regenerate.py",
 }
 
-#: ``repro.align`` functions no module of the repo calls, and why each
-#: is public all the same.
-ALIGN_API_ONLY = {
-    "identity_scheme": "the +1/-1 scheme a caller may pick over BLOSUM62; "
-                       "the engine's tests run every property under both",
+#: Public names — functions, classes, public methods and properties —
+#: that no module under ``src/``, ``benchmarks/`` or ``examples/`` refers
+#: to, and why each is in ``src/`` all the same.  Anything else with no
+#: reference is deleted, or is a test's reference and lives in ``tests/``.
+UNREFERENCED = {
+    "repro.align.matrices.identity_scheme":
+        "the +1/-1 scheme a caller may pick over BLOSUM62; the engine's "
+        "tests run every property under both",
+    "repro.obs.export.write_slow_trace":
+        "README's documented way (a python -c line) to open a daemon's "
+        "serve_slow.jsonl in Perfetto; no verb wraps it",
+    "repro.sequence.alphabet.is_valid_protein":
+        "the non-raising twin of encode() that repro.sequence exports "
+        "for callers screening input before they build records",
+    "repro.sequence.fasta.parse_fasta_text":
+        "read_fasta for text already in memory (they share _parse); the "
+        "entry point of the FASTA fuzz tests",
+    "repro.serve.incremental.insert_sequence":
+        "plan + commit in one call, the library-level insert of "
+        "repro.serve; the daemon calls the halves apart around its lock",
+    "repro.suffix.wmer.WmerIndex.wmers_of":
+        "the per-sequence view of the index that edges() flattens",
+    "repro.util.lockwatch.AbstractLock":
+        "a typing.Protocol: it only ever appears in annotations",
 }
+
+#: Method-name prefixes a framework dispatches on by name:
+#: ``analysis/framework.py`` collects a rule's ``visit_<NodeType>``.
+DISPATCHED_BY_NAME = ("visit_",)
 
 MODULES = {
     ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__"): path
@@ -131,23 +160,74 @@ def test_script_held_modules_are_imported_by_their_script():
         assert module in targets, f"{script} no longer imports {module}"
 
 
-def test_every_align_function_is_called_by_some_module():
-    """A name-level walk of one package: a function ``repro.align``
-    exports is called by a module of the repo — under ``src/``,
-    ``benchmarks/`` or ``examples/`` — or it is an oracle and lives in
-    ``tests/`` (as the one-pair aligners do: ``tests/scalar_align.py``)."""
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      args.vararg, args.kwarg]
+            yield from (p.annotation for p in params if p is not None and p.annotation)
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def referred_names() -> set[str]:
+    """Every identifier some module of the repo — under ``src/``,
+    ``benchmarks/`` or ``examples/`` — reads, as a name or an attribute.
+    An import is not a read, an ``__all__`` entry is a string, and an
+    annotation (never evaluated here) keeps nothing alive."""
     scripts = [path for top in ("benchmarks", "examples")
                for path in sorted((REPO_ROOT / top).rglob("*.py"))]
     trees = [*TREES.values(),
              *(ast.parse(path.read_text(encoding="utf-8")) for path in scripts)]
-    loaded = {
-        getattr(node, "id", None) or getattr(node, "attr", None)
-        for tree in trees for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-    }
+    names = set()
+    for tree in trees:
+        skipped = {id(node) for ann in _annotations(tree) for node in ast.walk(ann)}
+        names |= {
+            getattr(node, "id", None) or getattr(node, "attr", None)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load) and id(node) not in skipped
+        }
+    return names
+
+
+def unreferenced_public_names() -> set[str]:
+    """Dotted names of the public definitions nothing refers to."""
+    referred = referred_names()
+    found = set()
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for name, short in [(node.name, node.name)] + [
+                (f"{node.name}.{m.name}", m.name)
+                for m in members if isinstance(m, ast.FunctionDef)
+            ]:
+                if not (short.startswith("_") or short in referred
+                        or short.startswith(DISPATCHED_BY_NAME)):
+                    found.add(f"{module}.{name}")
+    return found
+
+
+def test_every_public_name_is_referred_to_by_some_module():
+    """The name-level walk, every package: a public function, class,
+    method or property is read by a module of the repo, or it is listed
+    with its reason, or it is an oracle and lives in ``tests/`` (as the
+    one-pair aligners and the scalar shingle draw do)."""
+    assert unreferenced_public_names() == set(UNREFERENCED)
+
+
+def test_every_align_function_is_called_by_some_module():
+    """The same walk seen from one package's ``__all__``: what
+    ``repro.align`` exports and nothing calls is what the table says."""
+    unreferenced = {name.rpartition(".")[2] for name in unreferenced_public_names()}
     functions = {name for name in repro.align.__all__
                  if inspect.isfunction(getattr(repro.align, name))}
-    assert functions - loaded == set(ALIGN_API_ONLY)
+    assert functions & unreferenced == {"identity_scheme"}
 
 
 def test_help_names_exactly_the_verbs_readme_documents():

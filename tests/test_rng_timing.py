@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.rng import derive_seed, make_rng
-from repro.util.timing import Stopwatch, format_seconds
+from repro.util.timing import format_seconds
 
 
 class TestDeriveSeed:
@@ -41,7 +41,9 @@ class TestFormatSeconds:
     @pytest.mark.parametrize(
         "seconds,expected",
         [(0.0, "0.0s"), (45.25, "45.2s"), (60, "1m 00s"), (3600, "1h 00m"),
-         (12000, "3h 20m"), (125, "2m 05s")],
+         (12000, "3h 20m"), (125, "2m 05s"),
+         # Under a second: milliseconds, so a small simulated phase reads.
+         (0.0125, "12.5ms"), (0.4, "400.0ms"), (1.0, "1.0s")],
     )
     def test_known(self, seconds, expected):
         assert format_seconds(seconds) == expected
@@ -49,25 +51,3 @@ class TestFormatSeconds:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             format_seconds(-1)
-
-
-class TestStopwatch:
-    def test_laps_accumulate(self):
-        sw = Stopwatch()
-        sw.add("a", 1.0)
-        sw.add("a", 2.0)
-        sw.add("b", 0.5)
-        assert sw.laps["a"] == pytest.approx(3.0)
-        assert sw.total == pytest.approx(3.5)
-
-    def test_context_manager(self):
-        sw = Stopwatch()
-        with sw.lap("x"):
-            pass
-        assert sw.laps["x"] >= 0.0
-
-    def test_report_contains_total(self):
-        sw = Stopwatch()
-        sw.add("phase", 61.0)
-        report = sw.report()
-        assert "TOTAL" in report and "phase" in report

@@ -20,6 +20,7 @@ from repro.align.matrices import blosum62_scheme
 from repro.core.checkpoint import read_journal
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
+from repro.eval.report import report_lines
 from repro.faults.plan import Fault, FaultPlan
 from repro.graph.bipartite import duplicate_bipartite
 from repro.pace.cache import AlignmentCache
@@ -90,8 +91,13 @@ class TestRuntimeStats:
         for phase in stats.phases.values():
             assert phase.wall_seconds >= 0.0
             assert 0.0 <= phase.utilization(stats.workers) <= 1.0
-        assert stats.cache["misses"] > 0
-        assert any("backend=serial" in line for line in stats.summary_lines())
+        assert result.obs.counters()["cache.local_misses"] > 0
+        report = report_lines(result)
+        assert "run: mode=serial workers=1" in report[0]
+        for name, phase in stats.phases.items():
+            (row,) = [line for line in report
+                      if line.startswith(f"  {name} ") and "util=" in line]
+            assert f"tasks={phase.tasks:,d}" in row
 
 
 class TestCrashSafety:
@@ -269,8 +275,16 @@ class TestWorkAccounting:
             assert result.obs.gauges()["runtime.degraded"] == 1
 
         # A miss is counted once, when its alignment is inserted.
-        cache = result.runtime.cache
-        assert cache["misses"] == cache["entries"] > 0
+        cache = {name.removeprefix("cache."): int(value)
+                 for name, value in counters.items() if name.startswith("cache.")}
+        misses = cache["local_misses"] + cache["semiglobal_misses"]
+        assert misses == cache["entries"] > 0
+        # RR leaves the cache alone: nothing reads a semiglobal
+        # alignment back, so none is stored and no pair of its stream
+        # is a hit.
+        assert cache["semiglobal_misses"] == cache["semiglobal_hits"] == 0
+        assert "phase.redundancy.misses" not in cache
+        assert result.runtime.phases["redundancy"].cache_hits == 0
         # tasks = work dispatched; a hit is not a task.
         submitted = {
             "redundancy": counters["rr.pairs"],
@@ -281,9 +295,9 @@ class TestWorkAccounting:
         for name, phase in result.runtime.phases.items():
             assert phase.tasks + phase.cache_hits == submitted[name], name
         assert result.runtime.phases["bipartite"].cache_hits > 0
-        assert cache["hits"] == sum(
+        assert cache["local_hits"] == sum(
             phase.cache_hits for phase in result.runtime.phases.values()
-        )
+        ) == cache["phase.bipartite.hits"]
 
     @pytest.mark.parametrize("mode", [m for m in ACCOUNTING_MODES if m != "serial"])
     def test_ccd_work_is_the_serial_runs(self, accounting_runs, mode):

@@ -132,8 +132,6 @@ class TestRepresentatives:
         index.discard(0)
         assert index.candidates(encode("MKLVA")) == []
         assert len(index) == 0
-        index.compact()
-        assert index.candidates(encode("MKLVA")) == []
 
     def test_index_add_idempotent_and_contains(self):
         index = RepresentativeIndex(psi=3)

@@ -19,7 +19,11 @@ from repro.graph.bipartite import BipartiteGraph, duplicate_bipartite
 from repro.shingle.algorithm import ShingleParams, pass_one, shingle_dense_subgraphs
 from repro.util import hashing
 from repro.util.hashing import UniversalHashFamily, hash_rows
-from tests.scalar_shingle import scalar_samples, scalar_shingle_dense_subgraphs
+from tests.scalar_shingle import (
+    min_sample,
+    scalar_samples,
+    scalar_shingle_dense_subgraphs,
+)
 
 # Small s/c so that, over the graphs below, some vertices fall under s1,
 # some first-level shingles keep fewer than s2 vertices, and permutations
@@ -245,12 +249,12 @@ def test_element_hashing_to_the_pad_value(member):
     exactly s elements, and must lose to every other element — never to
     a pad — when it has s + 1 and shares a slab with wider sets."""
     family = UniversalHashFamily(7, seed=11)
-    key = unmix64(int(family.apply(member, [0])[0]))
+    key = unmix64(int(family.apply_all([0])[member][0]))
     worst = unmix64(2**64 - 1) ^ key
-    assert int(family.apply(member, [worst])[0]) == 2**64 - 1
+    assert int(family.apply_all([worst])[member][0]) == 2**64 - 1
     sets = [[worst, 1, 2], [worst, 1, 2, 3], [3, 1, 2, worst], list(range(10, 19))]
     assert assert_draw_is_definition(family, sets, 3) == 4
-    assert family.min_sample(member, sets[1], 3) == (1, 2, 3)
+    assert min_sample(family, member, sets[1], 3) == (1, 2, 3)
 
 
 def test_pass_one_keeps_the_callers_vertex_order():

@@ -23,25 +23,24 @@ import time
 import pytest
 
 from repro.obs import (
-    BENCH_SCHEMA,
+    RUN_SCHEMA,
     ClockSync,
     Recorder,
     TELEMETRY_FILENAME,
     TelemetrySampler,
-    baseline_from_run,
-    bench_payload,
     clamp_rebased,
     compare_metrics,
     compare_report,
+    counters_payload,
     gauge,
     heartbeat,
     phase_progress,
     read_telemetry,
     recording,
 )
-from repro.obs.progress import format_seconds
 from repro.obs.telemetry import process_rss_bytes
 from repro.obs.top import follow, render_screen
+from repro.util.timing import format_seconds
 
 
 class TestClockSync:
@@ -279,11 +278,17 @@ class TestPhaseProgress:
         assert phase_progress([_mk_sample(1, 1.0, "", {})]) is None
 
     def test_format_seconds(self):
-        assert format_seconds(0.4) == "0.4s"
-        assert format_seconds(42) == "42s"
-        assert format_seconds(185) == "3m05s"
-        assert format_seconds(8040) == "2h14m"
-        assert format_seconds(-3) == "0.0s"
+        """Progress lines and ``repro top`` print through the one
+        formatter (``util/timing.py``); elapsed is clamped at zero
+        before it gets there."""
+        assert format_seconds(0.4) == "400.0ms"
+        assert format_seconds(42) == "42.0s"
+        assert format_seconds(185) == "3m 05s"
+        assert format_seconds(8040) == "2h 14m"
+        samples = [_mk_sample(1, 1.0, "bipartite", {"bipartite.pairs": 10},
+                              gauges={"phase.start": 5.0})]  # after its t
+        assert phase_progress(samples).describe().startswith(
+            "bipartite: 0.0s elapsed")
 
 
 def _meta(workers=2, interval=0.25):
@@ -379,6 +384,7 @@ class TestTopRendering:
 def _run_payload(wall=10.0, **sci):
     scientific = {"rr.pairs": 100, "ccd.merges": 5, **sci}
     return {
+        "schema": RUN_SCHEMA,
         "meta": {"mode": "serial"},
         "counters": dict(scientific),
         "scientific": scientific,
@@ -387,24 +393,33 @@ def _run_payload(wall=10.0, **sci):
 
 
 class TestRegressionGate:
+    """The gate diffs two run records: what ``counters_payload`` makes
+    of a recorder is both its run side and its baseline side."""
+
     def test_bench_payload_schema(self):
-        doc = bench_payload("demo", {"n": 3}, {"x": 1.5})
-        assert doc["schema"] == BENCH_SCHEMA
-        assert doc["name"] == "demo"
-        assert doc["params"] == {"n": 3}
-        assert doc["metrics"] == {"x": 1.5}
-        assert isinstance(doc["git_sha"], str) and doc["git_sha"]
+        recorder = Recorder(meta={"mode": "serial"})
+        recorder.count("rr.pairs", 3)
+        with recorder.span("redundancy", cat="phase"):
+            pass
+        doc = counters_payload(recorder)
+        assert doc["schema"] == RUN_SCHEMA == "repro-run/1"
+        assert doc["meta"] == {"mode": "serial"}
+        assert doc["counters"] == {"rr.pairs": 3}
+        assert doc["scientific"]["rr.pairs"] == 3
+        assert list(doc["phase_seconds"]) == ["redundancy"]
+        # A record passes against itself: it is its own baseline.
+        assert compare_metrics(doc, json.loads(json.dumps(doc))) == []
 
     def test_baseline_round_trip_passes(self):
         run = _run_payload()
-        baseline = baseline_from_run(run)
-        assert baseline["metrics"]["wall_seconds"] == pytest.approx(10.0)
+        baseline = _run_payload()
         assert compare_metrics(run, baseline) == []
         report = "\n".join(compare_report(run, baseline, []))
         assert "OK" in report
+        assert "(2 scientific counters)" in report
 
     def test_counter_drift_fails(self):
-        baseline = baseline_from_run(_run_payload())
+        baseline = _run_payload()
         drifted = _run_payload()
         drifted["scientific"]["ccd.merges"] = 6
         violations = compare_metrics(drifted, baseline)
@@ -415,13 +430,13 @@ class TestRegressionGate:
         assert "FAIL: 1 violation(s)" in report
 
     def test_missing_counter_counts_as_drift(self):
-        baseline = baseline_from_run(_run_payload())
+        baseline = _run_payload()
         gutted = _run_payload()
         del gutted["scientific"]["rr.pairs"]
         assert any("rr.pairs" in v for v in compare_metrics(gutted, baseline))
 
     def test_slowdown_beyond_tolerance_fails(self):
-        baseline = baseline_from_run(_run_payload(wall=10.0))
+        baseline = _run_payload(wall=10.0)
         slow = _run_payload(wall=12.5)  # +25% > default 20%
         violations = compare_metrics(slow, baseline)
         assert len(violations) == 1
@@ -432,12 +447,36 @@ class TestRegressionGate:
         assert compare_metrics(slow, baseline, check_wallclock=False) == []
 
     def test_slowdown_within_tolerance_passes(self):
-        baseline = baseline_from_run(_run_payload(wall=10.0))
+        baseline = _run_payload(wall=10.0)
         assert compare_metrics(_run_payload(wall=11.5), baseline) == []
 
     def test_speedup_never_fails(self):
-        baseline = baseline_from_run(_run_payload(wall=10.0))
+        baseline = _run_payload(wall=10.0)
         assert compare_metrics(_run_payload(wall=2.0), baseline) == []
+
+    def test_a_slower_phase_shows_in_the_per_phase_delta(self):
+        """What changed since the baseline run, by phase — also when the
+        total stays inside the tolerance."""
+        baseline = _run_payload(wall=10.0)
+        run = _run_payload(wall=10.0)
+        run["phase_seconds"]["clustering"] += 1.5
+        assert compare_metrics(run, baseline) == []
+        report = compare_report(run, baseline, [])
+        (row,) = [line for line in report if line.lstrip().startswith("clustering")]
+        assert "5.500s vs" in row and "4.000s" in row and "(+1.500s)" in row
+        (row,) = [line for line in report if line.lstrip().startswith("redundancy")]
+        assert "(+0.000s)" in row
+
+    @pytest.mark.parametrize("broken", [
+        {},                                            # no schema tag
+        [],                                            # not an object
+        {"schema": "repro-bench/1", "metrics": {}},    # the retired schema
+        {"schema": RUN_SCHEMA, "scientific": {}},      # nothing to compare
+    ], ids=["empty", "list", "old-schema", "no-counters"])
+    def test_a_gate_that_compared_nothing_does_not_pass(self, broken):
+        for run, baseline in ((broken, _run_payload()), (_run_payload(), broken)):
+            with pytest.raises(ValueError, match="run record|JSON object|scientific"):
+                compare_metrics(run, baseline)
 
 
 class TestPipelineTelemetryIntegration:
