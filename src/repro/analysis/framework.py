@@ -107,10 +107,6 @@ class FileContext:
         """Path components of the repo-relative posix path."""
         return PurePosixPath(self.relpath).parts
 
-    @property
-    def filename(self) -> str:
-        return PurePosixPath(self.relpath).name
-
     def is_suppressed(self, rule_name: str, line: int) -> bool:
         if {"all", rule_name} & self.file_suppressions:
             return True

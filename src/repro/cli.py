@@ -31,11 +31,13 @@ profile
     ``run`` with both exports on by default: ``trace.json`` and
     ``counters.json`` in the current directory.
 top
-    Render a run's ``telemetry.jsonl`` (written when ``run``/``profile``
-    get ``--telemetry-dir``) as a refreshing status screen — phase
-    progress/ETA, worker lanes, queue depths, cache stats.  Works live
-    (tail-follow) and post-hoc (``--once``), including on files whose
-    producer died without an end record.
+    Render a ``telemetry.jsonl`` as a refreshing status screen: a run's
+    (written when ``run``/``profile`` get ``--telemetry-dir``) shows
+    phase progress/ETA, worker lanes, queue depths, cache stats; a
+    ``serve`` daemon's (always written into its ``--run-dir``) shows
+    per-verb latency, stage shares, the applier and request totals.
+    Works live (tail-follow) and post-hoc (``--once``), including on
+    files whose producer died without an end record.
 compare-metrics
     Diff two run records — a run's ``--counters-out`` file against a
     baseline one (default: the committed ``BENCH_baseline.json``):
@@ -131,10 +133,29 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
         help="stream live telemetry.jsonl snapshots into DIR "
              "(watch with `repro top DIR`)",
     )
+    _add_interval_arg(parser)
+
+
+def _add_interval_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--telemetry-interval", type=float, default=0.25, metavar="SEC",
-        help="telemetry sampling period in seconds (default: 0.25)",
+        help="telemetry sampling period in seconds (default: %(default)s)",
     )
+
+
+def _check_interval(args: argparse.Namespace) -> int | None:
+    """Exit 2 on a sampling period the sampler cannot keep."""
+    if args.telemetry_interval > 0:
+        return None
+    return _usage_error(f"--telemetry-interval must be positive, "
+                        f"got {args.telemetry_interval}")
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type: a period in seconds, > 0 (exit 2 at parse time)."""
+    if not float(text) > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return float(text)
 
 
 def _load_config(args: argparse.Namespace, *, fault_plan=None):
@@ -218,6 +239,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.core.checkpoint import CheckpointError
     from repro.obs import write_chrome_trace, write_counters_json
 
+    rc = _check_interval(args)
+    if rc is not None:
+        return rc
     if args.resume and args.run_dir:
         return _usage_error(
             f"--resume {args.resume} continues the run journaled there; "
@@ -380,10 +404,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         input_digest,
     )
     from repro.faults.plan import FaultInjector
-    from repro.obs.telemetry import TelemetrySampler
     from repro.serve.server import ServeServer
     from repro.serve.state import build_or_restore_serve_state
 
+    rc = _check_interval(args)
+    if rc is not None:
+        return rc
     sequences = _read_fasta_or_none(args.fasta)
     if sequences is None:
         return 2
@@ -412,7 +438,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 "serve_kill_applier / serve_kill_daemon)"
             )
         injector = FaultInjector(plan)
-    recorder = obs.Recorder()
+    recorder = obs.Recorder(meta={"mode": "serve"})
     try:
         with obs.recording(recorder):
             assert journal.resume_state is not None
@@ -429,7 +455,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     state, journal=journal, host=args.host, port=args.port,
                     max_queue=args.max_queue, run_dir=args.run_dir,
                     recorder=recorder, slow_ms=args.slow_ms,
-                    metrics_interval=args.metrics_interval,
+                    telemetry_interval=args.telemetry_interval,
                     queue_wait=args.queue_wait_ms / 1e3,
                     default_deadline_ms=args.default_deadline_ms,
                     max_batch_records=args.max_batch_records,
@@ -445,12 +471,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 return _usage_error(
                     f"cannot bind {args.host}:{args.port}: {exc}"
                 )
-            sampler = None
-            if args.telemetry_dir:
-                sampler = TelemetrySampler(
-                    recorder, args.telemetry_dir,
-                    interval=args.telemetry_interval,
-                ).start()
             covered = restore_info["snapshot_covered"]
             restored = (f"snapshot covered {covered}, "
                         if covered is not None else "")
@@ -463,11 +483,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(f"repro serve: listening on {host}:{port} "
                   f"(SIGTERM or the shutdown op drains and exits)",
                   flush=True)
-            try:
-                server.serve_forever(install_signals=True)
-            finally:
-                if sampler is not None:
-                    sampler.stop()
+            server.serve_forever(install_signals=True)
     finally:
         journal.close()
     return 0
@@ -600,20 +616,18 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_top(args: argparse.Namespace) -> int:
-    from repro.obs.telemetry import SERVE_METRICS_FILENAME, TELEMETRY_FILENAME
-    from repro.obs.top import follow, render_screen, render_serve_screen
+    from repro.obs.telemetry import TELEMETRY_FILENAME
+    from repro.obs.top import follow
 
-    filename = SERVE_METRICS_FILENAME if args.serve else TELEMETRY_FILENAME
     telemetry = Path(args.telemetry)
     if telemetry.is_dir():
-        telemetry = telemetry / filename
+        telemetry = telemetry / TELEMETRY_FILENAME
     if not telemetry.exists():
         return _usage_error(f"no telemetry file at {telemetry}")
     return follow(
         telemetry,
         refresh=args.refresh,
         max_refreshes=1 if args.once else None,
-        renderer=render_serve_screen if args.serve else render_screen,
     )
 
 
@@ -891,21 +905,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_top.add_argument(
         "telemetry",
-        help="run directory or telemetry.jsonl path (from --telemetry-dir)",
+        help="a run's --telemetry-dir, a daemon's --run-dir, or a "
+             "telemetry.jsonl path",
     )
     p_top.add_argument(
         "--once", action="store_true",
         help="render the current state once and exit (post-hoc view)",
     )
     p_top.add_argument(
-        "--refresh", type=float, default=0.5, metavar="SEC",
+        "--refresh", type=_positive_seconds, default=0.5, metavar="SEC",
         help="screen refresh period when following (default: 0.5)",
-    )
-    p_top.add_argument(
-        "--serve", action="store_true",
-        help="render a daemon's serve_metrics.jsonl (per-verb "
-             "p50/p99/p999, queue depth, applier busy fraction) instead "
-             "of pipeline telemetry",
     )
     p_top.set_defaults(func=cmd_top)
 
@@ -935,12 +944,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--slow-ms", type=float, default=250.0, metavar="MS",
-        help="requests slower than this dump their span tree to "
-             "DIR/serve_slow.jsonl (default: 250)",
-    )
-    p_serve.add_argument(
-        "--metrics-interval", type=float, default=1.0, metavar="SEC",
-        help="sampling period of DIR/serve_metrics.jsonl (default: 1.0)",
+        help="requests slower than this write their span tree into "
+             "DIR/telemetry.jsonl (default: 250)",
     )
     p_serve.add_argument(
         "--queue-wait-ms", type=float, default=500.0, metavar="MS",
@@ -967,8 +972,9 @@ def build_parser() -> argparse.ArgumentParser:
              "drills only)",
     )
     _add_pipeline_args(p_serve)
-    _add_telemetry_args(p_serve)
-    p_serve.set_defaults(func=cmd_serve)
+    _add_interval_arg(p_serve)
+    # The daemon's one stream, DIR/telemetry.jsonl, at a daemon's pace.
+    p_serve.set_defaults(func=cmd_serve, telemetry_interval=1.0)
 
     p_query = sub.add_parser(
         "query", help="one-shot client for a running `repro serve` daemon"

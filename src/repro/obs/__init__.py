@@ -22,12 +22,13 @@ timelines.  This package gives every execution mode — the
 * :mod:`repro.obs.clock` is the single monotonic clock source — one
   explicit perf-counter/wall-clock pairing per recorder, with the
   cross-process skew model documented and tested;
-* :mod:`repro.obs.telemetry` samples live run state (counters, gauges,
-  probes, RSS) to an append-only JSONL file every 250 ms;
+* :mod:`repro.obs.telemetry` samples live process state (counters,
+  gauges, probes, RSS) to one append-only ``telemetry.jsonl`` per
+  process — a batch run's, or a daemon's, where slow requests land too;
 * :mod:`repro.obs.progress` derives per-phase progress/ETA from the
   sample history (work-done vs. pair-generation estimate);
-* :mod:`repro.obs.top` renders a telemetry file — live or finished —
-  as the ``repro top`` status screen;
+* :mod:`repro.obs.top` renders that stream — live or finished, batch
+  or daemon — as the ``repro top`` status screen;
 * :mod:`repro.obs.regression` is the metrics-regression gate behind
   ``repro compare-metrics``: it diffs two run records, of which
   ``BENCH_baseline.json`` is one.
@@ -56,13 +57,12 @@ from repro.obs.core import (
     set_max,
     span,
 )
-from repro.obs.hist import HIST_SCHEMA, LatencyHistogram
+from repro.obs.hist import LatencyHistogram
 from repro.obs.progress import PhaseProgress, phase_progress
 from repro.obs.request import RequestContext, next_request_id
 from repro.obs.regression import compare_metrics, compare_report
 from repro.obs.telemetry import (
     DEFAULT_INTERVAL,
-    SERVE_METRICS_FILENAME,
     TELEMETRY_FILENAME,
     TelemetrySampler,
     read_telemetry,
@@ -75,7 +75,6 @@ from repro.obs.export import (
     counters_payload,
     read_slow_log,
     slow_trace,
-    slow_trace_events,
     write_chrome_trace,
     write_counters_json,
     write_slow_trace,
@@ -94,7 +93,6 @@ __all__ = [
     "CounterSpec",
     "DEFAULT_INTERVAL",
     "Event",
-    "HIST_SCHEMA",
     "HOST_TRACK",
     "LatencyHistogram",
     "MASTER_LANE",
@@ -104,7 +102,6 @@ __all__ = [
     "Recorder",
     "RequestContext",
     "SCIENTIFIC_COUNTERS",
-    "SERVE_METRICS_FILENAME",
     "SIM_TRACK",
     "Span",
     "TELEMETRY_FILENAME",
@@ -131,7 +128,6 @@ __all__ = [
     "scientific_view",
     "set_max",
     "slow_trace",
-    "slow_trace_events",
     "span",
     "write_chrome_trace",
     "write_counters_json",

@@ -18,6 +18,7 @@ from pathlib import Path
 from repro.obs.clock import clamp_rebased
 from repro.obs.core import HOST_TRACK, MASTER_LANE, SIM_TRACK, Recorder
 from repro.obs.registry import scientific_view
+from repro.obs.telemetry import read_records
 
 #: Version tag of the run record (:func:`counters_payload`).
 RUN_SCHEMA = "repro-run/1"
@@ -126,37 +127,19 @@ def write_counters_json(recorder: Recorder, path: str | Path) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Slow-request log -> Chrome trace (the `repro serve` tail-sampled spans).
+# Slow requests -> Chrome trace (the `repro serve` tail-sampled spans).
 # ---------------------------------------------------------------------------
 
 
 def read_slow_log(path: str | Path) -> list[dict]:
-    """Parse a ``serve_slow.jsonl`` file into its slow-request records.
-
-    Tolerant like :func:`repro.obs.telemetry.read_telemetry`: a live
-    daemon may be mid-write, so malformed/partial lines are skipped and
-    a missing file is an empty list.
-    """
-    records: list[dict] = []
-    try:
-        text = Path(path).read_text(encoding="ascii", errors="replace")
-    except OSError:
-        return records
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict) and record.get("type") == "slow_request":
-            records.append(record)
-    return records
+    """The ``slow_request`` records of a daemon's telemetry stream
+    (``<run_dir>/telemetry.jsonl``, or the run dir itself) — every
+    daemon life the file holds, a SIGKILLed one included."""
+    return [r for r in read_records(path) if r.get("type") == "slow_request"]
 
 
-def slow_trace_events(records: list[dict]) -> list[dict]:
-    """Slow-request records as a ``traceEvents`` array.
+def slow_trace(records: list[dict]) -> dict:
+    """Slow-request records as a Chrome trace document.
 
     Each record's spans carry request-relative millisecond offsets plus
     the request's wall-clock epoch; all requests are placed on one
@@ -195,20 +178,15 @@ def slow_trace_events(records: list[dict]) -> list[dict]:
             "name": "thread_name", "ph": "M", "pid": HOST_TRACK, "tid": lane,
             "args": {"name": f"connection lane {lane}"},
         })
-    return meta + events
-
-
-def slow_trace(records: list[dict]) -> dict:
-    """Full Chrome trace document for a slow-request log."""
     return {
-        "traceEvents": slow_trace_events(records),
+        "traceEvents": meta + events,
         "displayTimeUnit": "ms",
         "otherData": {"slow_requests": len(records)},
     }
 
 
 def write_slow_trace(log_path: str | Path, out_path: str | Path) -> Path:
-    """Convert ``serve_slow.jsonl`` into a Chrome trace file."""
+    """Convert a daemon's slow requests into a Chrome trace file."""
     out_path = Path(out_path)
     document = slow_trace(read_slow_log(log_path))
     out_path.write_text(json.dumps(document), encoding="ascii")

@@ -21,10 +21,9 @@ definition as :func:`repro.serve.loadgen.percentile` and returns the
 *upper edge* of the bucket holding the ranked sample, so its estimate
 is always >= the exact sample and over-reads by at most one bucket
 ratio (~26%) — "within one bucket width", which the histogram tests
-pin down.  Merging is an elementwise count add, hence associative and
-commutative, and :meth:`to_dict`/:meth:`from_dict` round-trip through
-canonical (sorted-key, sparse) JSON for the ``metrics`` protocol verb
-and the ``serve_metrics.jsonl`` sampler stream.
+pin down.  Only the digest (:meth:`summary`) leaves the daemon: the
+``metrics`` protocol verb and the ``serve`` probe of its telemetry
+stream carry count and p50/p99/p999 per verb, not the buckets.
 
 Not thread-safe by itself: the daemon mutates histograms under its own
 metrics lock (one short critical section per finished request).
@@ -61,9 +60,6 @@ _EDGES: list[float] = [
 #: Total bucket count: underflow-inclusive grid plus the overflow slot.
 N_BUCKETS = len(_EDGES) + 1
 
-#: Schema tag carried by serialized histograms.
-HIST_SCHEMA = "repro-hist/1"
-
 
 def bucket_index(seconds: float) -> int:
     """The bucket holding a latency of ``seconds`` (clamped range)."""
@@ -73,15 +69,6 @@ def bucket_index(seconds: float) -> int:
     # half-open interval (edge[i-1], edge[i]] contains it.
     idx = bisect.bisect_left(_EDGES, seconds)
     return min(idx, N_BUCKETS - 1)
-
-
-def bucket_upper_edge(index: int) -> float:
-    """Upper edge of bucket ``index`` (``inf`` for the overflow slot)."""
-    if not 0 <= index < N_BUCKETS:
-        raise IndexError(f"bucket index {index} out of range 0..{N_BUCKETS - 1}")
-    if index == N_BUCKETS - 1:
-        return math.inf
-    return _EDGES[index]
 
 
 class LatencyHistogram:
@@ -105,21 +92,6 @@ class LatencyHistogram:
         """Total recorded samples."""
         return self._count
 
-    # -- merging (associative + commutative) -------------------------------
-
-    def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Elementwise add ``other``'s counts into this histogram."""
-        for i, n in enumerate(other._counts):
-            self._counts[i] += n
-        self._count += other._count
-        return self
-
-    def copy(self) -> "LatencyHistogram":
-        out = LatencyHistogram()
-        out._counts = list(self._counts)
-        out._count = self._count
-        return out
-
     # -- percentile estimation ---------------------------------------------
 
     def percentile(self, pct: float) -> float:
@@ -140,8 +112,8 @@ class LatencyHistogram:
         seen = 0
         for index, n in enumerate(self._counts):
             seen += n
-            if seen > rank:
-                return bucket_upper_edge(index)
+            if seen > rank:  # the overflow slot has no upper edge
+                return _EDGES[index] if index < len(_EDGES) else math.inf
         return math.inf  # unreachable: seen == count > rank by then
 
     def summary(self) -> dict[str, float]:
@@ -151,43 +123,4 @@ class LatencyHistogram:
             for label, pct in (("p50_ms", 50.0), ("p99_ms", 99.0),
                                ("p999_ms", 99.9)):
                 out[label] = round(self.percentile(pct) * 1e3, 4)
-        return out
-
-    # -- canonical-JSON serialization --------------------------------------
-
-    def to_dict(self) -> dict:
-        """Sparse, canonical-JSON-ready form (only non-zero buckets)."""
-        return {
-            "schema": HIST_SCHEMA,
-            "buckets_per_decade": BUCKETS_PER_DECADE,
-            "min_s": MIN_LATENCY_S,
-            "max_s": MAX_LATENCY_S,
-            "count": self._count,
-            "counts": {str(i): n for i, n in enumerate(self._counts) if n},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LatencyHistogram":
-        if payload.get("schema") != HIST_SCHEMA:
-            raise ValueError(
-                f"not a {HIST_SCHEMA} payload: {payload.get('schema')!r}"
-            )
-        if (payload.get("buckets_per_decade") != BUCKETS_PER_DECADE
-                or payload.get("min_s") != MIN_LATENCY_S
-                or payload.get("max_s") != MAX_LATENCY_S):
-            raise ValueError("histogram bucket scheme mismatch")
-        out = cls()
-        total = 0
-        for key, n in payload.get("counts", {}).items():
-            index = int(key)
-            if not 0 <= index < N_BUCKETS:
-                raise ValueError(f"bucket index {index} out of range")
-            out._counts[index] = int(n)
-            total += int(n)
-        declared = int(payload.get("count", total))
-        if declared != total:
-            raise ValueError(
-                f"declared count {declared} != summed bucket counts {total}"
-            )
-        out._count = total
         return out

@@ -237,10 +237,10 @@ _SPECS = [
                 "rejects excluded)"),
     CounterSpec("serve.applier_busy_seconds", "serve",
                 "seconds the applier thread spent applying insert jobs "
-                "(busy-fraction source for `repro top --serve`)"),
+                "(busy-fraction source for `repro top` on a daemon)"),
     CounterSpec("serve.slow_requests", "serve",
                 "requests over the --slow-ms threshold, span trees "
-                "dumped to serve_slow.jsonl"),
+                "written into the daemon's telemetry.jsonl"),
     # -- Serving failure hardening (DESIGN.md §13) -------------------------
     CounterSpec("serve.deadline_sheds", "serve",
                 "requests shed because their deadline_ms budget expired "

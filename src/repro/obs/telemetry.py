@@ -3,26 +3,33 @@
 The Recorder answers "what happened" after a run; this module answers
 "what is happening" *during* one.  A :class:`TelemetrySampler` owns a
 background thread that every ``interval`` seconds (default 250 ms)
-snapshots the live state of a run — the recorder's counters and gauges
-(current phase, queue depths, worker heartbeats), registered probe
-callables (alignment-cache statistics, backend worker liveness), and
-the process RSS — and appends each snapshot as one JSON line to
-``<run_dir>/telemetry.jsonl``.
+snapshots the live state of a process — the recorder's counters and
+gauges (current phase, queue depths, worker heartbeats), registered
+probe callables (alignment-cache statistics, backend worker liveness,
+a daemon's SLO surface), and the process RSS — and appends each
+snapshot as one JSON line to ``<run_dir>/telemetry.jsonl``.  A batch
+run and a ``repro serve`` daemon each write exactly one such stream.
 
 The file is the contract, not the sampler: ``repro top`` renders either
 a live file (tail-follow) or a finished one (post-hoc), tests replay
 recorded files, and the regression gate never needs the producing
-process.  Records are one of three types:
+process.  Records are one of four types:
 
 ``{"type": "meta", ...}``
-    First line.  Schema version, sampling interval, the recorder's
-    run metadata, and the clock pairing (``epoch_wall`` plus its
-    bounded ``pairing_uncertainty`` — see :mod:`repro.obs.clock`).
+    First line of a producer.  Schema version, sampling interval, the
+    recorder's run metadata, and the clock pairing (``epoch_wall`` plus
+    its bounded ``pairing_uncertainty`` — see :mod:`repro.obs.clock`).
+    A restarted producer appends a new meta line; readers take the
+    records after the last one as the current process.
 ``{"type": "sample", ...}``
     One per tick: ``seq``, monotonic ``t`` and projected ``wall``
     timestamps, current ``phase``, full ``counters`` and ``gauges``
     snapshots, ``rss_bytes``, and a ``probes`` object with one entry
     per registered probe.
+``{"type": "slow_request", ...}``
+    A daemon request over its ``--slow-ms`` threshold, with its stage
+    span tree (tail sampling; :func:`repro.obs.export.read_slow_log`
+    and :func:`~repro.obs.export.write_slow_trace` read these).
 ``{"type": "end", ...}``
     Last line of a *clean* shutdown: final status ("finished" or
     "error" plus the message).  A file without an end record is a run
@@ -53,10 +60,6 @@ SCHEMA_VERSION = 1
 
 #: File name inside a run directory.
 TELEMETRY_FILENAME = "telemetry.jsonl"
-
-#: Serving-daemon metrics stream (same record schema, different probes:
-#: per-verb latency histograms instead of pipeline phase progress).
-SERVE_METRICS_FILENAME = "serve_metrics.jsonl"
 
 #: Default sampling period in seconds.
 DEFAULT_INTERVAL = 0.25
@@ -116,13 +119,12 @@ class TelemetrySampler:
         *,
         interval: float = DEFAULT_INTERVAL,
         probes: dict[str, Callable[[], dict]] | None = None,
-        filename: str = TELEMETRY_FILENAME,
     ):
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         self.recorder = recorder
         self.run_dir = Path(run_dir)
-        self.path = self.run_dir / filename
+        self.path = self.run_dir / TELEMETRY_FILENAME
         self.interval = interval
         self._probes: dict[str, Callable[[], dict]] = dict(probes or {})
         self._seq = 0  # guarded by _write_lock
@@ -148,8 +150,8 @@ class TelemetrySampler:
         }
 
     def _sample_record(self) -> dict:
-        # ``seq`` is stamped at write time, under the write lock — probe
-        # callables must not run inside the critical section.
+        # ``seq`` is stamped by :meth:`write_record`, under the write
+        # lock — probe callables must not run inside the critical section.
         recorder = self.recorder
         t = recorder.now()
         gauges = recorder.gauges()
@@ -180,13 +182,20 @@ class TelemetrySampler:
             "samples": self._seq,
         }
 
-    def _write(self, record: dict) -> None:
-        line = json.dumps(record, separators=(",", ":"))
+    def write_record(self, record: dict) -> dict:
+        """Append one record as a JSON line — the only writer of the
+        file, for every record type.  A sample's ``seq`` is stamped
+        here, under the lock, so sequence numbers follow file order.
+        A record written before :meth:`open` or after :meth:`stop` is
+        dropped."""
         with self._write_lock:
-            if self._fh is None:
-                return
-            self._fh.write(line + "\n")
-            self._fh.flush()  # live consumers tail this file
+            if record["type"] == "sample":
+                self._seq += 1
+                record["seq"] = self._seq
+            if self._fh is not None:
+                self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+                self._fh.flush()  # live consumers tail this file
+        return record
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -201,20 +210,12 @@ class TelemetrySampler:
                 fh.close()
                 return self
             self._fh = fh
-        self._write(self._meta_record())
+        self.write_record(self._meta_record())
         return self
 
     def sample_now(self) -> dict:
         """Take and append one sample immediately (also used by tests)."""
-        record = self._sample_record()
-        with self._write_lock:
-            self._seq += 1
-            record["seq"] = self._seq
-            if self._fh is not None:
-                line = json.dumps(record, separators=(",", ":"))
-                self._fh.write(line + "\n")
-                self._fh.flush()  # live consumers tail this file
-        return record
+        return self.write_record(self._sample_record())
 
     def start(self) -> "TelemetrySampler":
         """Open the file and start the background sampling thread."""
@@ -245,7 +246,7 @@ class TelemetrySampler:
             self._thread.join(timeout=5.0)
             self._thread = None
         self.sample_now()
-        self._write(self._end_record(status, error))
+        self.write_record(self._end_record(status, error))
         with self._write_lock:
             self._fh.close()
             self._fh = None
@@ -265,37 +266,49 @@ class TelemetrySampler:
 # ---------------------------------------------------------------------------
 
 
-def read_telemetry(
-    path: str | Path,
-) -> tuple[dict | None, list[dict], dict | None]:
-    """Parse a telemetry JSONL file into ``(meta, samples, end)``.
+def read_records(path: str | Path) -> list[dict]:
+    """Every whole record of a telemetry stream, in file order.
 
     Tolerant by design: a live file's last line may be half-written
     (the producer flushes whole lines, but a reader can race the OS
-    buffer) and a SIGKILLed producer leaves no end record — malformed
-    trailing lines are skipped, ``meta``/``end`` are None when absent.
+    buffer), so a line that is not a JSON object is skipped; a missing
+    file has no records.  ``path`` may name the run directory.
     """
     path = Path(path)
     if path.is_dir():
         path = path / TELEMETRY_FILENAME
-    meta: dict | None = None
-    end: dict | None = None
-    samples: list[dict] = []
     try:
         text = path.read_text(encoding="ascii", errors="replace")
     except OSError:
-        return None, [], None
+        return []
+    records = []
     for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
             continue  # truncated tail of a live file
+        if isinstance(record, dict):
+            records.append(record)
+    return records
+
+
+def read_telemetry(
+    path: str | Path,
+) -> tuple[dict | None, list[dict], dict | None]:
+    """Parse a telemetry stream into ``(meta, samples, end)``.
+
+    The records after the last meta line are the current producer's (a
+    restarted daemon or a resumed run appends to the same file); a
+    SIGKILLed producer leaves no end record — ``meta``/``end`` are None
+    when absent.
+    """
+    meta: dict | None = None
+    end: dict | None = None
+    samples: list[dict] = []
+    for record in read_records(path):
         kind = record.get("type")
-        if kind == "meta" and meta is None:
-            meta = record
+        if kind == "meta":
+            meta, samples, end = record, [], None
         elif kind == "sample":
             samples.append(record)
         elif kind == "end":

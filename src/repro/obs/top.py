@@ -1,6 +1,10 @@
-"""``repro top``: render a telemetry file as a refreshing status screen.
+"""``repro top``: render a telemetry stream as a refreshing status screen.
 
-Works on both ends of a run's life: attached to a *live*
+One screen for every producer: a batch run's stream renders phase
+progress, worker lanes, queues and counters; a ``repro serve``
+daemon's (its samples carry a ``serve`` probe) renders the per-verb
+latency table, stage shares, applier and request totals.  Works on
+both ends of a process's life: attached to a *live*
 ``telemetry.jsonl`` it re-reads the file each refresh (the producer
 flushes every line, so tailing the file is the whole protocol — no
 socket, no signal handling, no shared state with the producing
@@ -43,6 +47,18 @@ def _bar(fraction: float, width: int = _BAR_WIDTH) -> str:
     return f"|{'#' * filled:<{width}s}|"
 
 
+def _busy_fraction(samples: list[dict], counter: str) -> float:
+    """How much of the trailing window (the last 8 samples) a
+    busy-seconds counter grew by, capped at 1."""
+    window = samples[-8:]
+    dt = window[-1]["t"] - window[0]["t"] if len(window) >= 2 else 0.0
+    if dt <= 0:
+        return 0.0
+    grew = (window[-1].get("counters", {}).get(counter, 0.0)
+            - window[0].get("counters", {}).get(counter, 0.0))
+    return min(grew / dt, 1.0)
+
+
 def _worker_indices(samples: list[dict], meta: dict | None) -> list[int]:
     """Every worker lane the run has mentioned, in index order."""
     indices: set[int] = set()
@@ -64,10 +80,10 @@ def _worker_indices(samples: list[dict], meta: dict | None) -> list[int]:
     return sorted(indices)
 
 
-def _worker_rows(
-    samples: list[dict], meta: dict | None, interval: float, now: float
-) -> list[str]:
+def _worker_rows(samples: list[dict], meta: dict | None) -> list[str]:
     last = samples[-1]
+    now = last["t"]
+    interval = float((meta or {}).get("interval") or 0.25)
     runtime_probe = last.get("probes", {}).get("runtime") or {}
     alive_by_index = {
         int(row["index"]): row
@@ -75,14 +91,9 @@ def _worker_rows(
         if isinstance(row, dict) and "index" in row
     }
     stale_after = max(STALE_INTERVALS * interval, MIN_STALE_AGE)
-    window = samples[-8:]
-    dt = window[-1]["t"] - window[0]["t"] if len(window) >= 2 else 0.0
     rows = []
     for w in _worker_indices(samples, meta):
-        busy_name = f"runtime.worker.{w}.busy_seconds"
-        busy_now = last.get("counters", {}).get(busy_name, 0.0)
-        busy_then = window[0].get("counters", {}).get(busy_name, 0.0)
-        busy_frac = min((busy_now - busy_then) / dt, 1.0) if dt > 0 else 0.0
+        busy_frac = _busy_fraction(samples, f"runtime.worker.{w}.busy_seconds")
         seen = last.get("gauges", {}).get(f"worker.{w}.last_seen")
         age = now - seen if isinstance(seen, (int, float)) else None
         probe_row = alive_by_index.get(w)
@@ -129,14 +140,19 @@ def render_screen(
     *,
     live: bool = False,
 ) -> list[str]:
-    """The full status screen for one parsed telemetry file."""
+    """The full status screen for one parsed telemetry stream.
+
+    Header, status and RSS are shared; the body follows what the last
+    sample carries — a daemon's ``serve`` probe gets the SLO body
+    (:func:`_serve_rows`), anything else the pipeline body
+    (:func:`_pipeline_rows`).
+    """
     if not samples:
         return ["repro top: no samples yet" if live else
                 "repro top: telemetry file has no samples"]
     last = samples[-1]
     now = last["t"]
     run_meta = (meta or {}).get("meta", {})
-    interval = float((meta or {}).get("interval") or 0.25)
 
     if end is not None:
         status = end.get("status", "finished")
@@ -153,7 +169,23 @@ def render_screen(
         f"status: {status}   t={format_seconds(now)}   "
         f"samples={last.get('seq', len(samples))}",
     ]
+    probe = last.get("probes", {}).get("serve")
+    if probe is None:
+        lines.extend(_pipeline_rows(meta, samples, end))
+    else:
+        lines.extend(_serve_rows(samples, probe))
+    rss = last.get("rss_bytes")
+    if rss:
+        lines.append(f"  rss: {rss / (1024 * 1024):,.1f} MiB")
+    return lines
 
+
+def _pipeline_rows(
+    meta: dict | None, samples: list[dict], end: dict | None
+) -> list[str]:
+    """A batch run's body: phase progress, workers, queues, counters."""
+    last = samples[-1]
+    lines = []
     progress = phase_progress(samples)
     if progress is not None:
         lines.append("")
@@ -163,7 +195,7 @@ def render_screen(
         lines.append("")
         lines.append("phase: (none active)")
 
-    worker_rows = _worker_rows(samples, meta, interval, now)
+    worker_rows = _worker_rows(samples, meta)
     if worker_rows:
         lines.append("")
         lines.append("workers:")
@@ -211,9 +243,6 @@ def render_screen(
         )
     elif isinstance(cache, dict) and "error" in cache:
         lines.append(f"  cache: probe degraded ({cache['error']})")
-    rss = last.get("rss_bytes")
-    if rss:
-        lines.append(f"  rss: {rss / (1024 * 1024):,.1f} MiB")
     return lines
 
 
@@ -229,52 +258,16 @@ def _ms(value: object) -> str:
     return f"{value:7.2f}"
 
 
-def render_serve_screen(
-    meta: dict | None,
-    samples: list[dict],
-    end: dict | None,
-    *,
-    live: bool = False,
-) -> list[str]:
-    """The ``repro top --serve`` screen for one serve_metrics.jsonl.
-
-    Renders the daemon's SLO surface from the latest sample's ``serve``
-    probe (the :meth:`ServeServer.metrics_snapshot` payload): per-verb
-    request counts and p50/p99/p999 latency, per-verb stage time
-    shares, insert-queue depth, and the applier thread's busy fraction
-    (derived from the ``serve.applier_busy_seconds`` counter over the
-    trailing sample window, same scheme as the worker lanes in
-    :func:`render_screen`).
-    """
-    if not samples:
-        return ["repro serve-top: no samples yet" if live else
-                "repro serve-top: metrics file has no samples"]
+def _serve_rows(samples: list[dict], probe: dict) -> list[str]:
+    """A daemon's body, from the last sample's ``serve`` probe (the
+    :meth:`ServeServer.metrics_snapshot` payload) and its counters:
+    per-verb request counts and p50/p99/p999 latency, per-verb stage
+    time shares, insert-queue depth, the applier thread's busy fraction
+    and the request totals."""
     last = samples[-1]
-    now = last["t"]
-    run_meta = (meta or {}).get("meta", {})
-
-    if end is not None:
-        status = end.get("status", "finished")
-        if status == "error":
-            status = f"error ({end.get('error')})"
-    elif live:
-        status = "running"
-    else:
-        status = "no end record — daemon still live or died unreported"
-
-    lines = [
-        "repro serve-top — "
-        + " ".join(f"{k}={v}" for k, v in run_meta.items()),
-        f"status: {status}   t={format_seconds(now)}   "
-        f"samples={last.get('seq', len(samples))}",
-    ]
-
-    probe = last.get("probes", {}).get("serve") or {}
     if "error" in probe:
-        lines.append("")
-        lines.append(f"metrics probe degraded ({probe['error']})")
-        return lines
-
+        return ["", f"metrics probe degraded ({probe['error']})"]
+    lines = []
     percentiles = probe.get("percentiles") or {}
     if percentiles:
         lines.append("")
@@ -309,13 +302,7 @@ def render_serve_screen(
         lines.append("stage time shares:")
         lines.extend(stage_rows)
 
-    # Applier busy fraction over the trailing window (counter delta).
-    window = samples[-8:]
-    dt = window[-1]["t"] - window[0]["t"] if len(window) >= 2 else 0.0
-    busy_name = "serve.applier_busy_seconds"
-    busy_now = last.get("counters", {}).get(busy_name, 0.0)
-    busy_then = window[0].get("counters", {}).get(busy_name, 0.0)
-    busy_frac = min((busy_now - busy_then) / dt, 1.0) if dt > 0 else 0.0
+    busy_frac = _busy_fraction(samples, "serve.applier_busy_seconds")
     queue_depth = probe.get("queue_depth")
     if queue_depth is None:
         queue_depth = last.get("gauges", {}).get("serve.queue_depth", 0)
@@ -335,9 +322,6 @@ def render_serve_screen(
     if threshold is not None:
         totals += f" (>{threshold:g} ms)"
     lines.append(totals)
-    rss = last.get("rss_bytes")
-    if rss:
-        lines.append(f"rss: {rss / (1024 * 1024):,.1f} MiB")
     return lines
 
 
@@ -348,15 +332,12 @@ def follow(
     stream: IO[str] | None = None,
     clear: bool = True,
     max_refreshes: int | None = None,
-    renderer=render_screen,
 ) -> int:
     """Refresh loop: re-read and re-render until an end record appears.
 
     Returns 0 on a finished run, 1 when the telemetry never produced a
     sample.  ``max_refreshes`` bounds the loop for tests and for
-    attaching to a file that will never finish.  ``renderer`` selects
-    the screen (:func:`render_screen` for pipeline telemetry,
-    :func:`render_serve_screen` for daemon metrics).
+    attaching to a file that will never finish.
     """
     out = stream if stream is not None else sys.stdout
     refreshes = 0
@@ -369,7 +350,7 @@ def follow(
         try:
             if clear and out.isatty():  # pragma: no cover - terminal only
                 out.write("\x1b[2J\x1b[H")
-            for line in renderer(meta, samples, end, live=end is None):
+            for line in render_screen(meta, samples, end, live=end is None):
                 out.write(line + "\n")
             out.flush()
         except BrokenPipeError:  # downstream pager/head closed the pipe

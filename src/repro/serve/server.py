@@ -40,11 +40,14 @@ with per-request counters.  On completion the child's counters merge
 into the daemon recorder, the request duration lands in a per-verb
 :class:`repro.obs.hist.LatencyHistogram`, and stage seconds accumulate
 per verb; requests over ``slow_ms`` additionally have their span tree
-absorbed onto the connection's lane and appended to
-``<run_dir>/serve_slow.jsonl`` (tail sampling — fast requests leave no
-spans behind).  The ``metrics`` protocol verb snapshots the whole
-surface, and a :class:`TelemetrySampler` writes the same snapshot to
-``<run_dir>/serve_metrics.jsonl`` for ``repro top --serve``.
+absorbed onto the connection's lane and written as a ``slow_request``
+record into the daemon's one telemetry stream (tail sampling — fast
+requests leave no spans behind).  That stream,
+``<run_dir>/telemetry.jsonl``, is written by one
+:class:`TelemetrySampler` whose ``serve`` probe is the SLO snapshot —
+the record shape of a batch run's stream, rendered by the same
+``repro top``.  The ``metrics`` protocol verb answers that snapshot
+plus the ``serve.*`` counters.
 
 SIGTERM/SIGINT (and the ``shutdown`` op) drain rather than drop: the
 listener closes, queued inserts finish, the journal is fsynced and
@@ -54,7 +57,6 @@ closed, then the process exits 0.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import queue
 import signal
@@ -79,7 +81,7 @@ from repro.faults.plan import SERVE_KILL_EXIT_CODE, FaultInjector
 from repro.obs.core import Recorder, request_recording
 from repro.obs.hist import LatencyHistogram
 from repro.obs.request import RequestContext
-from repro.obs.telemetry import SERVE_METRICS_FILENAME, TelemetrySampler
+from repro.obs.telemetry import DEFAULT_INTERVAL, TelemetrySampler
 from repro.sequence.record import SequenceRecord
 from repro.serve import protocol
 from repro.serve.incremental import commit_insert, plan_insert
@@ -112,17 +114,8 @@ ADDR_FILENAME = "serve.addr"
 #: Requests slower than this (milliseconds) dump their span tree.
 DEFAULT_SLOW_MS = 250.0
 
-#: Slow-request log inside the run directory (one JSON record per line).
-SLOW_LOG_FILENAME = "serve_slow.jsonl"
-
-#: Slow-log record schema version.
-SLOW_LOG_SCHEMA = 1
-
 #: Metrics snapshot schema tag (the `metrics` verb response body).
 METRICS_SCHEMA = "repro-serve-metrics/1"
-
-#: Default period of the serve_metrics.jsonl sampler.
-DEFAULT_METRICS_INTERVAL = 1.0
 
 #: Histogram/stage bucket for lines that failed to parse or validate
 #: (no verb to attribute them to, but their latency is still real).
@@ -166,7 +159,7 @@ class ServeServer:
         run_dir: str | Path | None = None,
         recorder: Recorder | None = None,
         slow_ms: float = DEFAULT_SLOW_MS,
-        metrics_interval: float = DEFAULT_METRICS_INTERVAL,
+        telemetry_interval: float = DEFAULT_INTERVAL,
         queue_wait: float = DEFAULT_QUEUE_WAIT,
         default_deadline_ms: float | None = None,
         max_batch_records: int = DEFAULT_MAX_BATCH_RECORDS,
@@ -203,8 +196,9 @@ class ServeServer:
         #: slow-request span trees are absorbed onto connection lanes.
         self.recorder = recorder
         self.slow_ms = slow_ms
-        self.metrics_interval = metrics_interval
-        self.metrics_sampler: TelemetrySampler | None = None
+        self.telemetry_interval = telemetry_interval
+        #: The daemon's one telemetry stream (started with a run dir).
+        self.sampler: TelemetrySampler | None = None
         self.queue_wait = queue_wait
         self.default_deadline_ms = default_deadline_ms
         self.max_batch_records = max_batch_records
@@ -236,9 +230,6 @@ class ServeServer:
         # connection claims the next lane for its requests' spans.
         self._lane_lock = named_lock("ServeServer._lane_lock")
         self._lanes_claimed = 0  # guarded by _lane_lock
-        # Slow-request log (lazily opened, line-locked).
-        self._slow_lock = named_lock("ServeServer._slow_lock")
-        self._slow_fh = None  # guarded by _slow_lock
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -263,10 +254,9 @@ class ServeServer:
             (self.run_dir / ADDR_FILENAME).write_text(
                 f"{self.address[0]} {self.address[1]}\n", encoding="utf-8"
             )
-            self.metrics_sampler = TelemetrySampler(
+            self.sampler = TelemetrySampler(
                 self.recorder, self.run_dir,
-                interval=self.metrics_interval,
-                filename=SERVE_METRICS_FILENAME,
+                interval=self.telemetry_interval,
                 probes={"serve": self.metrics_snapshot},
             ).start()
         self.recorder.gauge("serve.degraded", 0)
@@ -331,13 +321,8 @@ class ServeServer:
             # is still parked on it so waiting clients get an answer.
             self._fail_pending_jobs("daemon stopping with a dead applier")
         self._stop.set()
-        if self.metrics_sampler is not None:
-            self.metrics_sampler.stop("finished")
-            self.metrics_sampler = None
-        with self._slow_lock:
-            if self._slow_fh is not None:
-                self._slow_fh.close()
-                self._slow_fh = None
+        if self.sampler is not None:
+            self.sampler.stop("finished")
         if self.journal is not None:
             # In degraded mode the journal may already be unwritable;
             # close() flushing into a dead disk must not mask shutdown.
@@ -674,52 +659,35 @@ class ServeServer:
         if duration * 1e3 >= self.slow_ms:
             # Tail sampling: only slow requests ship their span tree
             # into the daemon recorder (onto the connection's lane) and
-            # the slow log — fast requests leave counters only, so a
-            # long-lived daemon's span memory stays bounded.
+            # the telemetry stream — fast requests leave counters only,
+            # so a long-lived daemon's span memory stays bounded.
             self.recorder.count("serve.slow_requests")
             self.recorder.absorb_wall_spans(
                 ctx.recorder.wall_spans(), lane=ctx.lane
             )
-            self._log_slow(ctx, duration)
-
-    def _log_slow(self, ctx: RequestContext, duration: float) -> None:
-        if self.run_dir is None:
-            return
-        record = {
-            "type": "slow_request",
-            "schema": SLOW_LOG_SCHEMA,
-            "request_id": ctx.request_id,
-            "op": ctx.op if ctx.op else REJECTED_VERB,
-            "lane": ctx.lane,
-            "threshold_ms": self.slow_ms,
-            "duration_ms": round(duration * 1e3, 4),
-            "wall": ctx.recorder.clock.epoch_wall,
-            "counters": ctx.recorder.counters(),
-            "spans": ctx.span_records(),
-        }
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True)
-        with self._slow_lock:
-            if self._stop.is_set() and self._slow_fh is None:
-                return  # shutting down; don't reopen a closed log
-            if self._slow_fh is None:
-                self._slow_fh = open(
-                    self.run_dir / SLOW_LOG_FILENAME, "a", encoding="ascii"
-                )
-            self._slow_fh.write(line + "\n")
-            self._slow_fh.flush()
+            if self.sampler is not None:
+                self.sampler.write_record({
+                    "type": "slow_request",
+                    "request_id": ctx.request_id,
+                    "op": verb,
+                    "lane": ctx.lane,
+                    "threshold_ms": self.slow_ms,
+                    "duration_ms": round(duration * 1e3, 4),
+                    "wall": ctx.recorder.clock.epoch_wall,
+                    "counters": ctx.recorder.counters(),
+                    "spans": ctx.span_records(),
+                })
 
     # -- metrics surface ---------------------------------------------------
 
     def metrics_snapshot(self) -> dict[str, Any]:
-        """The SLO surface as one JSON-ready dict.
-
-        Served by the ``metrics`` protocol verb and sampled into
-        ``serve_metrics.jsonl`` — per-verb latency histograms (full
-        sparse form plus the p50/p99/p999 digest), per-verb stage
-        seconds, live queue depth, and the ``serve.*`` counter slice.
+        """The SLO surface as one JSON-ready dict — the ``serve`` probe
+        of every telemetry sample: per-verb p50/p99/p999 digests,
+        per-verb stage seconds, live queue depth.  The counters are not
+        in it (the sample carries all of them); the ``metrics`` verb
+        adds their ``serve.*`` slice.
         """
         with self._metrics_lock:
-            hists = {verb: h.to_dict() for verb, h in self._hists.items()}
             percentiles = {verb: h.summary()
                            for verb, h in self._hists.items()}
             stage_seconds = {
@@ -727,18 +695,14 @@ class ServeServer:
                        for name, seconds in stages.items()}
                 for verb, stages in self._stage_seconds.items()
             }
-        counters = self.recorder.counters()
         return {
             "schema": METRICS_SCHEMA,
             "uptime_s": round(self.recorder.now(), 6),
             "queue_depth": self._queue.qsize(),
             "degraded": self._degraded.is_set(),
             "slow_threshold_ms": self.slow_ms,
-            "hists": hists,
             "percentiles": percentiles,
             "stage_seconds": stage_seconds,
-            "counters": {name: value for name, value in counters.items()
-                         if name.startswith("serve.")},
         }
 
     # -- protocol verb handlers (one `_op_<verb>` per wire op; lint rule
@@ -790,7 +754,11 @@ class ServeServer:
         self, message: dict[str, Any], deadline_at: float | None
     ) -> tuple[dict[str, Any], bool]:
         with obs.span("req.metrics", cat="serve"):
-            return protocol.ok_response(**self.metrics_snapshot()), True
+            counters = {name: value
+                        for name, value in self.recorder.counters().items()
+                        if name.startswith("serve.")}
+            return protocol.ok_response(**self.metrics_snapshot(),
+                                        counters=counters), True
 
     def _op_health(
         self, message: dict[str, Any], deadline_at: float | None

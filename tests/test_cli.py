@@ -276,6 +276,63 @@ class TestTelemetryAndGate:
         assert rc == 0
         assert "status: finished" in capsys.readouterr().out
 
+    def test_top_prints_a_batch_stream_as_before(self, tmp_path, capsys):
+        """The batch screen, line for line, on a fixed two-sample stream
+        of a live process-backend run."""
+        def sample(seq, t, counters):
+            return {
+                "type": "sample", "seq": seq, "t": t, "wall": t,
+                "phase": "clustering", "counters": counters,
+                "gauges": {"phase": "clustering", "phase.start": 0.0,
+                           "worker.0.last_seen": 1.9,
+                           "worker.1.last_seen": 0.2,
+                           "stream.1.in_flight": 3, "stream.1.kind": "local",
+                           "runtime.outstanding": 3, "ccd.components_now": 17},
+                "rss_bytes": 10 * 2**20,
+                "probes": {"runtime": {"outstanding": 3, "workers": [
+                    {"index": 0, "alive": True, "exitcode": None},
+                    {"index": 1, "alive": True, "exitcode": None}]},
+                    "cache": {"hit_rate": 0.25, "entries": 1000}},
+            }
+
+        records = [
+            {"type": "meta", "schema": 1, "interval": 0.25,
+             "meta": {"mode": "process", "workers": 2},
+             "clock": {"epoch_wall": 0.0, "pairing_uncertainty": 0.0},
+             "pid": 1234},
+            sample(1, 1.0, {"ccd.alignments": 100,
+                            "runtime.pairs_done.clustering": 30,
+                            "runtime.worker.0.busy_seconds": 0.2}),
+            sample(2, 2.0, {"ccd.alignments": 180,
+                            "runtime.pairs_done.clustering": 130,
+                            "runtime.worker.0.busy_seconds": 1.1}),
+        ]
+        (tmp_path / "telemetry.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records))
+        assert main(["top", str(tmp_path), "--once"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "repro top — mode=process workers=2",
+            "status: running   t=2.0s   samples=2",
+            "",
+            "phase |#################       | clustering: 2.0s elapsed  "
+            "130/180 of generated  100/s  ETA 500.0ms",
+            "",
+            "workers:",
+            "  worker 0   |######################  |  90% busy   "
+            "heartbeat    0.1s ago  busy",
+            "  worker 1   |                        |   0% busy   "
+            "heartbeat    1.8s ago  idle",
+            "",
+            "queues:",
+            "  stream 1 (local): 3 batch(es) in flight",
+            "  task queue: 3 batch(es) outstanding",
+            "",
+            "counters:",
+            "  union-find components: 17",
+            "  cache: 1,000 entries, 25.0% hit rate",
+            "  rss: 10.0 MiB",
+        ]
+
     def test_compare_metrics_round_trip_and_drift(
         self, profiled, tmp_path, capsys
     ):
@@ -373,6 +430,13 @@ class TestUnusableInputExitsTwo:
         assert rc == 2
         assert "no telemetry file" in capsys.readouterr().err
 
+    def test_top_rejects_a_period_it_cannot_sleep(self, tmp_path, capsys):
+        for refresh in ("-1", "0"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["top", str(tmp_path), "--refresh", refresh])
+            assert excinfo.value.code == 2
+            assert "--refresh: must be positive" in capsys.readouterr().err
+
     def test_compare_metrics_missing_run(self, tmp_path, capsys):
         rc = main(["compare-metrics", str(tmp_path / "run.json")])
         assert rc == 2
@@ -419,6 +483,11 @@ class TestUnusableInputExitsTwo:
         "simulate-psi": (["simulate", "{one}", "--psi", "1"], 2),
         "simulate-procs": (["simulate", "{one}", "--procs", "0"], 2),
         "generate-families": (["generate", "{missing}", "--families", "0"], 2),
+        # A sampling period is refused before any work is done.
+        "run-interval": (["run", "{one}", "--telemetry-dir", "{tdir}",
+                          "--telemetry-interval", "0"], 2),
+        "serve-interval": (["serve", "{one}", "--run-dir", "{tdir}",
+                            "--telemetry-interval", "0"], 2),
         # No sequence is usable input: the answer is the empty one.
         "run-empty": (["run", "{empty}"], 0),
     }
@@ -427,7 +496,7 @@ class TestUnusableInputExitsTwo:
     def test_verb_reports_unusable_input(self, case, tmp_path, capsys):
         argv, expected = self.UNUSABLE[case]
         files = {name: str(tmp_path / name)
-                 for name in ("missing", "unparseable", "one", "empty")}
+                 for name in ("missing", "unparseable", "one", "empty", "tdir")}
         Path(files["unparseable"]).write_text(
             "MKVL: neither FASTA nor JSON\n", encoding="ascii")
         Path(files["one"]).write_text(">one\nMKVLARNDCQEGHILKMF\n", encoding="ascii")
@@ -436,6 +505,9 @@ class TestUnusableInputExitsTwo:
         assert rc == expected
         out, err = capsys.readouterr()
         assert "Traceback" not in err
+        if case.endswith("-interval"):
+            assert "--telemetry-interval must be positive" in err
+            assert not (tmp_path / "tdir").exists()
         if expected:
             assert err.startswith("repro: error: ")
         else:

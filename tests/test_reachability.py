@@ -51,8 +51,9 @@ UNREFERENCED = {
         "the +1/-1 scheme a caller may pick over BLOSUM62; the engine's "
         "tests run every property under both",
     "repro.obs.export.write_slow_trace":
-        "README's documented way (a python -c line) to open a daemon's "
-        "serve_slow.jsonl in Perfetto; no verb wraps it",
+        "README's documented way (a python -c line) to open the slow "
+        "requests of a daemon's telemetry.jsonl in Perfetto; no verb "
+        "wraps it",
     "repro.sequence.alphabet.is_valid_protein":
         "the non-raising twin of encode() that repro.sequence exports "
         "for callers screening input before they build records",

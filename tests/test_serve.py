@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import socket
 import threading
 import time
@@ -32,7 +33,7 @@ from repro.core.pipeline import ProteinFamilyPipeline
 from repro import obs
 from repro.align import batch
 from repro.obs import (
-    SERVE_METRICS_FILENAME,
+    TELEMETRY_FILENAME,
     LatencyHistogram,
     RequestContext,
     next_request_id,
@@ -45,11 +46,10 @@ from repro.obs import (
 from repro.obs.core import Recorder
 from repro.obs.hist import (
     BUCKET_FACTOR,
-    HIST_SCHEMA,
     MIN_LATENCY_S,
     MAX_LATENCY_S,
 )
-from repro.obs.top import render_serve_screen
+from repro.obs.top import render_screen
 from repro.sequence.record import SequenceSet
 from repro.serve import protocol
 from repro.serve.incremental import insert_sequence, replay_insert
@@ -60,9 +60,9 @@ from repro.serve.representatives import (
     select_representatives,
 )
 from repro.serve.server import (
+    ADDR_FILENAME,
     METRICS_SCHEMA,
     REJECTED_VERB,
-    SLOW_LOG_FILENAME,
     ServeServer,
 )
 from repro.serve.state import build_serve_state, load_serve_state
@@ -617,26 +617,6 @@ class TestLatencyHistogram:
         samples += [2e-4] * 25 + [3e-2] * 10
         return samples
 
-    def test_merge_is_associative_and_commutative(self):
-        samples = self._samples()
-        thirds = [samples[0::3], samples[1::3], samples[2::3]]
-        parts = []
-        for chunk in thirds:
-            h = LatencyHistogram()
-            for s in chunk:
-                h.record(s)
-            parts.append(h)
-        whole = LatencyHistogram()
-        for s in samples:
-            whole.record(s)
-        a, b, c = parts
-        left = a.copy().merge(b).merge(c)  # (a+b)+c
-        right = a.copy().merge(b.copy().merge(c))  # a+(b+c)
-        swapped = c.copy().merge(a).merge(b)  # c+a+b
-        for merged in (left, right, swapped):
-            assert merged.to_dict() == whole.to_dict()
-            assert merged.count == len(samples)
-
     def test_percentile_within_one_bucket_of_exact(self):
         samples = self._samples()
         hist = LatencyHistogram()
@@ -668,32 +648,6 @@ class TestLatencyHistogram:
         assert hist.summary() == {
             "count": 1.0, "p50_ms": 1.0, "p99_ms": 1.0, "p999_ms": 1.0,
         }
-
-    def test_canonical_json_round_trip(self):
-        hist = LatencyHistogram()
-        for s in self._samples():
-            hist.record(s)
-        payload = hist.to_dict()
-        wire = json.dumps(payload, separators=(",", ":"), sort_keys=True)
-        back = LatencyHistogram.from_dict(json.loads(wire))
-        assert back.to_dict() == payload
-        assert back.count == hist.count
-        assert back.percentile(99.0) == hist.percentile(99.0)
-
-    def test_from_dict_rejects_bad_payloads(self):
-        good = LatencyHistogram()
-        good.record(1e-3)
-        with pytest.raises(ValueError, match="payload"):
-            LatencyHistogram.from_dict({"schema": "nope"})
-        scheme = good.to_dict()
-        scheme["buckets_per_decade"] = 5
-        with pytest.raises(ValueError, match="scheme"):
-            LatencyHistogram.from_dict(scheme)
-        lying = good.to_dict()
-        lying["count"] = 99
-        with pytest.raises(ValueError, match="declared count"):
-            LatencyHistogram.from_dict(lying)
-        assert HIST_SCHEMA == good.to_dict()["schema"]
 
 
 class TestRequestContext:
@@ -849,7 +803,8 @@ class TestMetricsVerb:
         server.request_stop()
 
     def test_snapshot_schema_and_same_connection_counts(self, server,
-                                                        serve_workload):
+                                                        serve_workload,
+                                                        tmp_path):
         base, held, _run_dir, _config = serve_workload
         host, port = server.address
         with ServeClient.connect(host, port) as client:
@@ -858,20 +813,32 @@ class TestMetricsVerb:
             # Same connection: both requests finished before the server
             # read the metrics line, so counts are exact, race-free.
             snap = client.call("metrics")
+            sample = server.sampler.sample_now()
         assert snap["schema"] == METRICS_SCHEMA
         assert snap["percentiles"]["query"]["count"] == 1
         assert snap["percentiles"]["insert"]["count"] == 1
         assert snap["queue_depth"] == 0
         assert snap["counters"]["serve.requests"] == 2
         assert snap["counters"]["serve.queries"] == 1
-        # The full sparse histograms ride along and round-trip.
-        hist = LatencyHistogram.from_dict(snap["hists"]["query"])
-        assert hist.count == 1
+        # Digests only: the buckets never leave the daemon.
+        assert "hists" not in snap
         # Stage decomposition: every traced request parses and acks;
         # the insert also waited on the applier hand-off.
         assert set(snap["stage_seconds"]["query"]) >= {"parse", "ack"}
         assert set(snap["stage_seconds"]["insert"]) >= {"parse",
                                                         "candidates"}
+        # The verb is the stream's `serve` probe plus the counters'
+        # serve.* slice; the probe itself carries no counters, since
+        # the sample beside it carries all of them.
+        (streamed,) = [s for s in read_telemetry(tmp_path)[1]
+                       if s["seq"] == sample["seq"]]
+        probe = streamed["probes"]["serve"]
+        assert "counters" not in probe
+        for verb in ("query", "insert"):  # `metrics` itself landed since
+            assert probe["percentiles"][verb] == snap["percentiles"][verb]
+            assert probe["stage_seconds"][verb] == snap["stage_seconds"][verb]
+        assert streamed["counters"]["serve.queries"] == 1
+        assert set(snap["counters"]) <= set(streamed["counters"])
 
     def test_loadgen_totals_match_server_histograms(self, server,
                                                     serve_workload):
@@ -924,7 +891,7 @@ class TestSlowLogAndTrace:
             client.call("query", residues=base[0].residues)
             client.call("insert", id="slow-one", residues=held[0].residues)
             client.call("hello")
-        log_path = tmp_path / SLOW_LOG_FILENAME
+        log_path = tmp_path / TELEMETRY_FILENAME
         assert _wait_for(lambda: len(read_slow_log(log_path)) == 3)
         records = read_slow_log(log_path)
         assert [r["op"] for r in records] == ["query", "insert", "hello"]
@@ -964,7 +931,7 @@ class TestSlowLogAndTrace:
         with ServeClient.connect(host, port) as client:
             client.call("query", id=base[0].id)
             client.call("hello")
-        log_path = tmp_path / SLOW_LOG_FILENAME
+        log_path = tmp_path / TELEMETRY_FILENAME
         assert _wait_for(lambda: len(read_slow_log(log_path)) == 2)
         records = read_slow_log(log_path)
         doc = slow_trace(records)
@@ -981,7 +948,8 @@ class TestSlowLogAndTrace:
 
     def test_fast_requests_leave_no_spans(self, serve_workload, tmp_path):
         """The other half of tail sampling: with a high threshold, the
-        daemon recorder accumulates no span memory and no slow log."""
+        daemon recorder accumulates no span memory and the stream no
+        slow record."""
         base, _held, run_dir, config = serve_workload
         state = load_serve_state(run_dir, _reload_base(base), config)
         server = ServeServer(state, host="127.0.0.1", port=0,
@@ -997,7 +965,7 @@ class TestSlowLogAndTrace:
             assert snap["counters"]["serve.requests"] == 2
             assert snap["percentiles"]["query"]["count"] == 1
             assert server.recorder.spans == []
-            assert not (tmp_path / SLOW_LOG_FILENAME).exists()
+            assert read_slow_log(tmp_path) == []
         finally:
             server.request_stop()
 
@@ -1021,21 +989,82 @@ class TestServeTopScreen:
                     return {"query", "metrics"} <= set(server._hists)
 
             assert _wait_for(verbs_recorded)
-            assert server.metrics_sampler is not None
-            server.metrics_sampler.sample_now()
-            meta, samples, end = read_telemetry(
-                tmp_path / SERVE_METRICS_FILENAME
-            )
+            server.sampler.sample_now()
+            meta, samples, end = read_telemetry(tmp_path)
         finally:
             server.request_stop()
         assert samples
-        screen = "\n".join(render_serve_screen(meta, samples, end))
-        assert "repro serve-top" in screen
+        # One renderer: the `serve` probe picks the daemon's body.
+        screen = "\n".join(render_screen(meta, samples, end))
+        assert screen.startswith("repro top — mode=serve")
         assert "query" in screen and "metrics" in screen
         assert "applier" in screen and "insert queue" in screen
         assert "requests=" in screen and "(>250 ms)" in screen
+        assert "rss:" in screen
+        assert "workers:" not in screen and "counters:" not in screen
 
     def test_render_serve_screen_empty_file(self, tmp_path):
         meta, samples, end = read_telemetry(tmp_path / "absent.jsonl")
-        lines = render_serve_screen(meta, samples, end)
+        lines = render_screen(meta, samples, end)
         assert "no samples" in lines[0]
+
+    def test_top_renders_a_daemon_run_dir(self, serve_workload, tmp_path,
+                                          capsys):
+        """`repro top DIR` on a daemon's run dir, with no flag."""
+        from repro.cli import main
+
+        base, _held, run_dir, config = serve_workload
+        state = load_serve_state(run_dir, _reload_base(base), config)
+        server = ServeServer(state, host="127.0.0.1", port=0,
+                             run_dir=tmp_path)
+        accept = server.run_in_thread()
+        with ServeClient.connect(*server.address) as client:
+            client.call("query", residues=base[0].residues)
+            client.call("shutdown")
+        accept.join(timeout=10)
+        assert not accept.is_alive()
+        assert main(["top", str(tmp_path), "--once"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "repro top — mode=serve"
+        assert lines[1].startswith("status: finished")
+        # The verb table: one query, with its p50/p99/p999.
+        assert any(re.match(r"  query +1( +[\d.]+){3}$", line)
+                   for line in lines)
+        assert any(line.startswith("applier ") for line in lines)
+
+
+class TestOneStreamPerDaemon:
+    def test_a_daemon_keeps_one_stream(self, serve_workload, tmp_path):
+        """One sampler thread, one live file: samples with the `serve`
+        probe, the slow requests and the end record all land in
+        ``<run_dir>/telemetry.jsonl``, and nothing else is written."""
+        base, held, run_dir, config = serve_workload
+        state = load_serve_state(run_dir, _reload_base(base), config)
+        server = ServeServer(state, host="127.0.0.1", port=0,
+                             run_dir=tmp_path, slow_ms=0.0)
+        before = set(threading.enumerate())
+        accept = server.run_in_thread()
+        with ServeClient.connect(*server.address) as client:
+            client.call("query", residues=base[0].residues)
+            client.call("insert", id="one-stream", residues=held[0].residues)
+            samplers = [t for t in threading.enumerate()
+                        if t.name == "repro-telemetry" and t not in before]
+            client.call("shutdown")
+        accept.join(timeout=10)
+        assert not accept.is_alive()
+
+        assert len(samplers) == 1
+        assert {p.name for p in tmp_path.iterdir()} == {
+            ADDR_FILENAME, TELEMETRY_FILENAME}
+        meta, samples, end = read_telemetry(tmp_path)
+        assert meta["meta"] == {"mode": "serve"}
+        assert samples and all("serve" in s["probes"] for s in samples)
+        assert end["status"] == "finished" and end["samples"] == len(samples)
+        records = read_slow_log(tmp_path)
+        assert [r["op"] for r in records][:2] == ["query", "insert"]
+        stages = [s for r in records[:2] for s in r["spans"]
+                  if s["name"] in ("myers_reject", "dp")]
+        assert {"myers_reject", "dp"} <= {s["name"] for s in stages}
+        assert all(s["args"]["pairs"] >= 1 for s in stages)
+        assert all(s["args"]["cells"] > 0
+                   for s in stages if s["name"] == "dp")

@@ -217,6 +217,34 @@ class TestTelemetrySampler:
         assert len(samples) == 2  # the truncated final sample is dropped
         assert end is None
 
+    def test_reader_skips_lines_that_are_not_objects(self, tmp_path, capsys):
+        """Valid JSON that is not a record is skipped like a torn line,
+        by the reader and by ``repro top``."""
+        sampler = _sampler(tmp_path)
+        sampler.open()
+        sampler.sample_now()
+        sampler.stop()
+        path = tmp_path / "run" / TELEMETRY_FILENAME
+        with path.open("a") as fh:
+            fh.write('42\n[1]\nnull\n"sample"\n')
+        meta, samples, end = read_telemetry(path)
+        assert meta is not None and len(samples) == 2  # + stop()'s
+        assert end["status"] == "finished"
+        assert follow(path, max_refreshes=1, clear=False) == 0
+        assert "status: finished" in capsys.readouterr().out
+
+    def test_a_restarted_producer_starts_the_stream_over(self, tmp_path):
+        """A second producer appends its own meta line; the reader
+        returns that producer's samples, not a mix of both lives."""
+        for _ in range(2):
+            sampler = _sampler(tmp_path)
+            sampler.open()
+            sampler.sample_now()
+            sampler.sample_now()
+        meta, samples, end = read_telemetry(tmp_path / "run")
+        assert meta is not None and end is None
+        assert [s["seq"] for s in samples] == [1, 2]
+
     def test_missing_file_reads_empty(self, tmp_path):
         assert read_telemetry(tmp_path / "nope") == (None, [], None)
 
