@@ -1,22 +1,26 @@
 """The alignment engine: many pairs per NumPy sweep, every result the
 one-pair definition's.
 
-A DP vectorised *within* one matrix (one ``np.maximum.accumulate`` per
-row — the one-pair kernels ``tests/scalar_align.py`` keeps as the
-reference) leaves ~8 NumPy dispatches per row of a single pair; for the
-paper's sequence lengths that overhead is comparable to the arithmetic
-itself.  This module is the only DP in ``src/`` — a lone pair is a batch
-of one — and packs many promising pairs into shared sweeps along two
-complementary axes:
+A DP vectorised *within* one matrix (the one-pair kernels
+``tests/scalar_align.py`` keeps as the reference) leaves ~8 NumPy
+dispatches per row of a single pair; for the paper's sequence lengths
+that overhead is comparable to the arithmetic itself.  This module is
+the only DP in ``src/`` — a lone pair is a batch of one — and packs many
+promising pairs into shared sweeps along two complementary axes:
 
 1. **Bucketed batch fill** (:func:`batch_align`):
-   pairs are grouped into length buckets and padded; the DP state is
-   laid out *batch-last* — ``H[(m+1), (n+1), B]`` — so every row update
-   is one contiguous NumPy op across the whole bucket.  The fill
-   computes the one-pair recurrence exactly on each real submatrix,
-   one masked reduction per bucket replicates the one-pair ``argmax``
-   rules, and :func:`~repro.align.pairwise._traceback` walks each slot
-   — tie-breaking is *identical*, not merely score-equivalent.
+   pairs are sorted by shape and packed into buckets of at most
+   :data:`_BUCKET_CELLS` padded cells; the DP state is laid out
+   *batch-last* — ``H[(m+1), (n+1), B]`` — so every row update is one
+   contiguous NumPy op across the whole bucket.  The fill runs in
+   G-space (``H - j * gap``), where a row's substitution scores are one
+   gather from per-slot row tables and the left-gap chain is a prefix
+   max: a log-step one on wide buckets, one ``np.maximum.accumulate``
+   on narrow ones.  It computes the one-pair recurrence exactly on each
+   real submatrix, one masked reduction per bucket replicates the
+   one-pair ``argmax`` rules, and
+   :func:`~repro.align.pairwise._traceback` walks each slot —
+   tie-breaking is *identical*, not merely score-equivalent.
 
 2. **Bit-parallel Myers prefilter** (:func:`batch_myers_infix`,
    :func:`batch_containment`): a multi-word Myers (1999) bit-vector
@@ -53,17 +57,29 @@ from repro.align.pairwise import (
 )
 from repro.align.predicates import containment_stats
 
-#: Pairs per DP bucket.  Re-measured with the int16, slab-free fill on a
-#: ~260-residue family, local mode: 561/571/458/460/482 us per pair at
-#: 16/32/64/128/256 (per-row dispatch below 64, rows outgrowing L1 past it).
+#: Most pairs per DP bucket.  Re-measured with the G-space, log-step
+#: fill on a ~260-residue family, local mode (2-core Xeon, Python 3.11,
+#: NumPy 2.4): 452/340/262/253/257 us per pair at 16/32/64/128/256,
+#: against 648/534/462/468/488 for the quantum-bucketed accumulate fill.
+#: Past 64 the cell budget, not this cap, sets the width.
 DEFAULT_BUCKET = 64
 
 #: Pairs per Myers sweep.  The bit-vector state is tiny ((W, B) words),
 #: so larger batches purely amortise NumPy dispatch overhead.
 DEFAULT_MYERS_BUCKET = 1024
 
-#: Length quantum for DP bucketing: pads at most quantum-1 rows/cols.
-_BUCKET_QUANTUM = 32
+#: Padded DP cells per bucket: 64 slots of 289 x 289, the largest bucket
+#: a 32-residue length quantum allowed, so packing by cells instead
+#: never grows the worst-case H (10.7 MB at int16).
+_BUCKET_CELLS = 64 * 289 * 289
+
+#: Bucket width from which the left-gap chain is a log-step prefix max
+#: instead of one np.maximum.accumulate per row (accumulate is a scalar
+#: loop; the doubling steps are SIMD but pay ~log2(n) dispatches).  One
+#: local fill of 254-residue pairs on the machine above, accumulate vs
+#: log-step: 1.4 vs 2.9 ms at 1 slot, 3.1 vs 3.6 at 8, 4.1 vs 4.1 at
+#: 12, 5.1 vs 4.5 at 16, 9.2 vs 6.7 at 32, 17.0 vs 10.1 at 64.
+_DOUBLING_MIN_SLOTS = 16
 
 _U1 = np.uint64(1)
 _U63 = np.uint64(63)
@@ -79,9 +95,10 @@ def _chain_dtype(scheme: ScoringScheme, m: int, n: int) -> type:
 
     The scalar kernel runs its running-max chain in int64; any dtype
     holding every intermediate exactly yields bit-identical H values.
-    |H| <= max|sub| * min(m, n) + |gap| * (m + n), and the chain (which
-    shares H's dtype) adds |gap| * (n + 1): int16 to ~935 residues a
-    side under BLOSUM62 with gap -8.
+    |H| <= max|sub| * min(m, n) + |gap| * (m + n), and the fill stores
+    ``G = H - j * gap`` (see :func:`_bucket_fill`), which adds at most
+    |gap| * (n + 1): int16 to ~935 residues a side under BLOSUM62 with
+    gap -8.
     """
     bound = (
         int(np.abs(scheme.matrix).max()) * min(m, n)
@@ -104,6 +121,11 @@ def _bucket_fill(
     (a cell only reads cells at smaller indices) and every cell obeys
     :func:`_chain_dtype`'s bound.  Padded cells can outscore the real
     optimum, so :func:`_bucket_endpoints` confines itself to real ones.
+
+    The fill runs in G-space, ``G[i, j] = H[i, j] - j * gap``: there the
+    left-gap chain is a plain prefix max along each row, the diagonal
+    move adds ``sub - gap`` and the up move adds ``gap``; one ``H -=
+    offs`` at the end returns to H.
     """
     B = len(pairs)
     m_pad = max(len(a) for a, _ in pairs)
@@ -116,40 +138,58 @@ def _bucket_fill(
         b_pad[: len(b), k] = b
     if max(a_pad.max(), b_pad.max()) >= width:
         raise IndexError(f"residue index out of range for a {width}-letter matrix")
-    a_pad *= width  # row offsets into the flattened matrix
 
     gap = int(scheme.gap)
     dtype = _chain_dtype(scheme, m_pad, n_pad)
-    matrix = scheme.matrix.astype(dtype).ravel()  # fits: bound >= max|sub|
+    # Row tables: table[i - 1] holds, slot by slot, the (G-shifted)
+    # substitution row of a_k[i - 1], and b_slot indexes it flat, so a
+    # row's scores are one take (bound >= max|sub| + |gap|: it fits).
+    table = (scheme.matrix.astype(np.int64) - gap).astype(dtype)[a_pad]
+    b_slot = b_pad + width * np.arange(B)
 
-    H = np.zeros((m_pad + 1, n_pad + 1, B), dtype=dtype)
-    if mode == "global":
-        H[:, 0, :] = (gap * np.arange(m_pad + 1, dtype=dtype))[:, None]
-        H[0, :, :] = (gap * np.arange(n_pad + 1, dtype=dtype))[:, None]
-
-    # offs[j] = -j * gap turns the left-gap chain into a prefix max.  It
-    # and the local floor are full-size: broadcast operands miss NumPy's
-    # fast loops (np.maximum against a scalar is ~5x slower).
+    # offs[j] = -j * gap.  It and the local floor (offs in G-space) are
+    # full-size: broadcast operands miss NumPy's fast loops (np.maximum
+    # against a scalar is ~5x slower).
     offs = np.repeat((-gap) * np.arange(n_pad + 1, dtype=dtype), B).reshape(-1, B)
-    floor = np.zeros((n_pad, B), dtype=dtype) if mode == "local" else None
-    cell = np.empty((n_pad, B), dtype=np.intp)
+    H = np.zeros((m_pad + 1, n_pad + 1, B), dtype=dtype)
+    if mode == "global":  # G[0, j] = 0, G[i, 0] = i * gap
+        H[:, 0, :] = (gap * np.arange(m_pad + 1, dtype=dtype))[:, None]
+    else:  # H[0, j] = 0
+        H[0] = offs
+    floor = offs[1:] if mode == "local" else None
     sub = np.empty((n_pad, B), dtype=dtype)
     up = np.empty((n_pad, B), dtype=dtype)
+    wide = B >= _DOUBLING_MIN_SLOTS
+    if wide:
+        # Hillis-Steele ping-pong: two row buffers behind a lead of the
+        # dtype's minimum (max's identity), so every shifted view is full
+        # length and no step copies; the last step writes H's row.
+        shifts = [1 << s for s in range(n_pad.bit_length())]
+        lead = shifts[-1]
+        ping = np.full((lead + n_pad + 1, B), np.iinfo(dtype).min, dtype=dtype)
+        pong = ping.copy()
     for i in range(1, m_pad + 1):
-        np.add(a_pad[i - 1], b_pad, out=cell)
-        np.take(matrix, cell, out=sub, mode="clip")  # range checked above
+        np.take(table[i - 1], b_slot, out=sub, mode="clip")  # range checked above
         # The row is its own chain: row[0] holds the boundary (the chain
         # origin) and row[1:] the gap-free candidates, diagonal then up.
-        prev, row = H[i - 1], H[i]
+        prev = H[i - 1]
+        row = ping[lead:] if wide else H[i]
         t = row[1:]
         np.add(prev[:-1], sub, out=t)
         np.add(prev[1:], gap, out=up)
         np.maximum(t, up, out=t)
         if floor is not None:
             np.maximum(t, floor, out=t)
-        row += offs
-        np.maximum.accumulate(row, axis=0, out=row)
-        row -= offs
+        if not wide:
+            np.maximum.accumulate(row, axis=0, out=row)
+            continue
+        row[0] = H[i, 0]
+        src, dst = ping, pong
+        for s in shifts:
+            out = H[i] if s == lead else dst[lead:]
+            np.maximum(src[lead:], src[lead - s : -s], out=out)
+            src, dst = dst, src
+    H -= offs
     return H
 
 
@@ -183,22 +223,54 @@ def _bucket_endpoints(
     return np.where(row_wins, m_arr, col_i), np.where(row_wins, row_j, n_arr)
 
 
-def _bucket_key(m: int, n: int) -> tuple[int, int]:
-    q = _BUCKET_QUANTUM
-    return (-(-m // q), -(-n // q))
-
-
 def _iter_buckets(
     dims: Sequence[tuple[int, int]], bucket_size: int
 ) -> Iterable[list[int]]:
-    """Group pair indices into quantised-length buckets of bounded size."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for idx, (m, n) in enumerate(dims):
-        groups.setdefault(_bucket_key(m, n), []).append(idx)
-    for key in sorted(groups):
-        members = groups[key]
-        for lo in range(0, len(members), bucket_size):
-            yield members[lo : lo + bucket_size]
+    """Pair indices in buckets of at most ``bucket_size`` pairs and
+    :data:`_BUCKET_CELLS` padded cells (a lone pair may exceed it).
+
+    Pairs are taken in shape order; from each start the greedy count
+    that fits is the bucket's capacity, and what is left is split into
+    equal buckets of at most that size rather than full ones and a thin
+    tail.
+    """
+    order = sorted(range(len(dims)), key=dims.__getitem__)
+    lo = 0
+    while lo < len(order):
+        fit = m_pad = n_pad = 0
+        for k in order[lo : lo + bucket_size]:
+            m_pad, n_pad = max(m_pad, dims[k][0]), max(n_pad, dims[k][1])
+            if fit and (fit + 1) * (m_pad + 1) * (n_pad + 1) > _BUCKET_CELLS:
+                break
+            fit += 1
+        rest = len(order) - lo
+        size = -(-rest // -(-rest // fit))
+        yield order[lo : lo + size]
+        lo += size
+
+
+def _align_buckets(
+    enc: Sequence[tuple[np.ndarray, np.ndarray]],
+    scheme: ScoringScheme,
+    mode: str,
+    bucket_size: int,
+) -> list[Alignment]:
+    """The bucket loop behind :func:`batch_align` and
+    :func:`containment_dp`; each caller counts ``batch.pairs`` once."""
+    dims = [(len(a), len(b)) for a, b in enc]
+    obs.count("batch.cells", batch_alignment_cells(dims))
+    out: list[Alignment | None] = [None] * len(enc)
+    for members in _iter_buckets(dims, bucket_size):
+        bucket = [enc[k] for k in members]
+        H = _bucket_fill(bucket, scheme, mode)
+        obs.count("batch.buckets")
+        obs.count("batch.padded_cells", H.size)
+        start_i, start_j = _bucket_endpoints(H, bucket, mode)
+        starts = zip(start_i.tolist(), start_j.tolist())
+        for slot, (k, (i, j)) in enumerate(zip(members, starts)):
+            out[k] = _traceback(H[:, :, slot], *enc[k], scheme, i, j, mode)
+        del H  # the next fill must not allocate beside this bucket's H
+    return out  # type: ignore[return-value]
 
 
 def batch_align(
@@ -224,18 +296,8 @@ def batch_align(
     enc = [(_as_encoded(a), _as_encoded(b)) for a, b in pairs]
     if not enc:
         return []
-    dims = [(len(a), len(b)) for a, b in enc]
     obs.count("batch.pairs", len(enc))
-    obs.count("batch.cells", batch_alignment_cells(dims))
-    out: list[Alignment | None] = [None] * len(enc)
-    for members in _iter_buckets(dims, bucket_size):
-        bucket = [enc[k] for k in members]
-        H = _bucket_fill(bucket, scheme, mode)
-        start_i, start_j = _bucket_endpoints(H, bucket, mode)
-        starts = zip(start_i.tolist(), start_j.tolist())
-        for slot, (k, (i, j)) in enumerate(zip(members, starts)):
-            out[k] = _traceback(H[:, :, slot], *enc[k], scheme, i, j, mode)
-    return out  # type: ignore[return-value]
+    return _align_buckets(enc, scheme, mode, bucket_size)
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +566,16 @@ def containment_dp(
     *,
     bucket_size: int = DEFAULT_BUCKET,
 ) -> ContainmentBatch:
-    """Route 3 of :func:`batch_containment`: one semiglobal
-    :func:`batch_align` over what the prefilter left undecided."""
+    """Route 3 of :func:`batch_containment`: one semiglobal bucket loop
+    over what the prefilter left undecided (and already counted in
+    ``batch.pairs``)."""
     enc, dp_idx = prefilter.pairs, prefilter.undecided
     if not enc:
         return ContainmentBatch([], 0, 0, 0)
     stats = list(prefilter.stats)
     if dp_idx:
-        computed = batch_align(
-            [enc[k] for k in dp_idx], scheme, "semiglobal",
-            bucket_size=bucket_size,
+        computed = _align_buckets(
+            [enc[k] for k in dp_idx], scheme, "semiglobal", bucket_size
         )
         for k, aln in zip(dp_idx, computed):
             a, b = enc[k]

@@ -144,10 +144,17 @@ _SPECS = [
     # varies with chunking/backends, while the decisions they feed
     # (rr.*, ccd.*) stay scientific and bit-identical.
     CounterSpec("batch.pairs", "align",
-                "pairs submitted to the batched DP/containment engine"),
+                "pairs submitted to the batched DP/containment engine "
+                "(a containment pair the DP decides counts once)"),
     CounterSpec("batch.cells", "align",
                 "DP cells filled by batched kernels, counted per real "
                 "pair dimensions (padding slots excluded)"),
+    CounterSpec("batch.buckets", "align",
+                "DP buckets filled (batch.pairs / batch.buckets is the "
+                "mean bucket width)"),
+    CounterSpec("batch.padded_cells", "align",
+                "DP cells the buckets filled, padding included "
+                "(batch.cells / batch.padded_cells is the fill efficiency)"),
     CounterSpec("batch.myers_rejects", "align",
                 "containment pairs rejected by the sound bit-parallel "
                 "Myers infix-distance bound (DP skipped)"),

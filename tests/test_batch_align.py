@@ -18,11 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.align import batch
 from repro.align.batch import (
+    _BUCKET_CELLS,
+    _DOUBLING_MIN_SLOTS,
+    DEFAULT_BUCKET,
     ContainmentBatch,
     _bucket_endpoints,
     _bucket_fill,
     _chain_dtype,
+    _iter_buckets,
     batch_align,
     batch_containment,
     batch_myers_infix,
@@ -63,6 +68,9 @@ encoded_seq = st.lists(
 ).map(lambda xs: np.array(xs, dtype=np.uint8))
 
 pair_list = st.lists(st.tuples(encoded_seq, encoded_seq), max_size=8)
+
+#: Lengths on both sides of the multiples of 32 (the old length quantum).
+STRADDLING = [1, 2, 31, 32, 33, 63, 64, 65, 95, 96, 97, 127, 128, 129]
 
 
 def rand_pairs(rng, n, lo=1, hi=120, contained_fraction=0.4):
@@ -132,7 +140,7 @@ class TestBatchAlignEquivalence:
             assert all(aln == expected for aln in batched)
 
     def test_quantum_boundary_lengths_mixed_in_one_call(self):
-        """Lengths straddling the 32-residue bucket quantum, one call."""
+        """Lengths straddling the old 32-residue length quantum, one call."""
         rng = np.random.default_rng(11)
         lengths = [1, 31, 32, 33, 63, 64, 65, 200]
         pairs = [
@@ -145,6 +153,39 @@ class TestBatchAlignEquivalence:
             assert batch_align(pairs, scheme, mode) == [
                 SCALAR[mode](a, b, scheme) for a, b in pairs
             ]
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(STRADDLING), st.sampled_from(STRADDLING),
+                           st.booleans()),
+                 min_size=24, max_size=96),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(MODES),
+        st.sampled_from(range(len(SCHEMES))),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_wide_buckets_match_scalar(self, shapes, seed, mode, scheme_idx):
+        """24-96 pairs per call: wide buckets on the log-step chain, with
+        lengths on both sides of every old 32-residue quantum edge and
+        related pairs (b a mutated slice of a) beside random ones.  The
+        engine answers a permuted list permuted."""
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for m, n, related in shapes:
+            a = rng.integers(0, 20, m).astype(np.uint8)
+            if related and n <= m:
+                b = a[m - n:].copy()
+                pos = rng.integers(0, n, max(1, n // 8))
+                b[pos] = rng.integers(0, 20, len(pos)).astype(np.uint8)
+            else:
+                b = rng.integers(0, 20, n).astype(np.uint8)
+            pairs.append((a, b))
+        scheme = SCHEMES[scheme_idx]
+        batched = batch_align(pairs, scheme, mode)
+        assert batched == [SCALAR[mode](a, b, scheme) for a, b in pairs]
+        perm = rng.permutation(len(pairs))
+        assert batch_align([pairs[k] for k in perm], scheme, mode) == [
+            batched[k] for k in perm
+        ]
 
     def test_max_length_pairs(self):
         """Realistic-length pairs (above every bucket boundary)."""
@@ -295,6 +336,82 @@ class TestFillDtype:
             batched = batch_align(pairs, scheme, mode)
             assert batched == [SCALAR[mode](x, y, scheme) for x, y in pairs]
             assert all(type(aln.score) is int for aln in batched)
+
+
+class TestWideBuckets:
+    """The two left-gap chains fill the same cells, and the cell-budget
+    packing keeps its invariants."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_chains_fill_identical_cells_at_the_crossover(self, mode):
+        """Widths crossover - 1 (accumulate) and crossover (log-step); the
+        longest pair comes first so both buckets share one padded shape."""
+        rng = np.random.default_rng(43)
+        pairs = [(rng.integers(0, 20, 150).astype(np.uint8),
+                  rng.integers(0, 20, 140).astype(np.uint8))]
+        pairs += rand_pairs(rng, _DOUBLING_MIN_SLOTS - 1, lo=20, hi=140)
+        scheme = blosum62_scheme()
+        narrow = _bucket_fill(pairs[:-1], scheme, mode)
+        wide = _bucket_fill(pairs, scheme, mode)
+        assert np.array_equal(wide[:, :, :-1], narrow)
+        for k, (a, b) in enumerate(pairs):
+            assert np.array_equal(wide[: len(a) + 1, : len(b) + 1, k],
+                                  _fill(a, b, scheme, mode))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_chains_agree_past_int16(self, mode, monkeypatch):
+        """960 residues a side fills in int32; the crossover is lowered to
+        two slots so the matrices stay small."""
+        monkeypatch.setattr(batch, "_DOUBLING_MIN_SLOTS", 2)
+        scheme = blosum62_scheme(gap=-8)
+        rng = np.random.default_rng(47)
+        a = rng.integers(0, 20, 960).astype(np.uint8)
+        b = a.copy()
+        pos = rng.integers(0, 960, 190)
+        b[pos] = rng.integers(0, 20, len(pos)).astype(np.uint8)
+        pairs = [(a, np.concatenate([b[:400], b[417:], b[:17]])), (b[:500], a)]
+        narrow = _bucket_fill(pairs[:1], scheme, mode)
+        wide = _bucket_fill(pairs, scheme, mode)
+        assert wide.dtype == narrow.dtype == np.int32
+        assert np.array_equal(wide[:, :, :1], narrow)
+        x, y = pairs[1]
+        assert np.array_equal(wide[: len(x) + 1, : len(y) + 1, 1],
+                              _fill(x, y, scheme, mode))
+        assert batch_align(pairs, scheme, mode) == [
+            SCALAR[mode](x, y, scheme) for x, y in pairs
+        ]
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 3000), st.integers(1, 3000)),
+                 max_size=200),
+        st.sampled_from([1, 2, 7, DEFAULT_BUCKET]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_packing_invariants(self, dims, bucket_size, seed):
+        buckets = list(_iter_buckets(dims, bucket_size))
+        assert sorted(k for b in buckets for k in b) == list(range(len(dims)))
+        for b in buckets:
+            assert 1 <= len(b) <= bucket_size
+            m_pad = max(dims[k][0] for k in b)
+            n_pad = max(dims[k][1] for k in b)
+            assert len(b) == 1 or len(b) * (m_pad + 1) * (n_pad + 1) <= _BUCKET_CELLS
+        perm = np.random.default_rng(seed).permutation(len(dims))
+        permuted = [dims[k] for k in perm]
+
+        def shapes(ds):
+            return [[ds[k] for k in b] for b in _iter_buckets(ds, bucket_size)]
+
+        assert shapes(permuted) == shapes(dims)
+
+    def test_a_run_splits_evenly(self):
+        def sizes(shape, n):
+            return [len(b) for b in _iter_buckets([shape] * n, DEFAULT_BUCKET)]
+
+        assert sizes((256, 256), 128) == [64, 64]  # a BGG/CCD task: two buckets
+        assert sizes((256, 256), 130) == [44, 43, 43]  # no thin tail
+        assert sizes((400, 400), 100) == [25] * 4  # the budget binds (33 fit)
+        assert sizes((3000, 3000), 2) == [1, 1]  # alone over the budget
 
 
 def infix_distance_oracle(pattern, text):
@@ -587,7 +704,9 @@ class TestCellsAccounting:
         rng = np.random.default_rng(37)
         a = rng.integers(0, 20, 100).astype(np.uint8)
         unrelated = rng.integers(0, 20, 100).astype(np.uint8)
-        pairs = [(a.copy(), a.copy()), (a.copy(), unrelated)]
+        mutated = a.copy()
+        mutated[[10, 50, 90]] = (mutated[[10, 50, 90]] + 1) % 20
+        pairs = [(a.copy(), a.copy()), (a.copy(), unrelated), (a.copy(), mutated)]
         recorder = obs.Recorder()
         with obs.recording(recorder):
             res = batch_containment(
@@ -602,7 +721,8 @@ class TestCellsAccounting:
         assert counters.get("batch.cells", 0) == batch_alignment_cells(dp_dims)
         assert counters["batch.myers_rejects"] == res.n_rejected
         assert counters["batch.exact_certified"] == res.n_exact
-        assert counters["batch.dp_pairs"] == res.n_dp
+        assert counters["batch.dp_pairs"] == res.n_dp == 1
+        assert counters["batch.pairs"] == len(pairs)  # the DP pair counted once
 
 
 class TestPromisingPairDifferentialFuzz:

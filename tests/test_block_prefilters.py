@@ -47,6 +47,10 @@ PSI = 10
 
 SPECULATION_COUNTERS = ("ccd.batches", "ccd.held", "ccd.redecided")
 
+#: How the engine packed the pairs: a batch fills fewer, wider buckets
+#: than a loop of one-pair tasks.
+PACKING_COUNTERS = ("batch.buckets", "batch.padded_cells")
+
 
 def _domain_shaped() -> SequenceSet:
     """The benchmark's ``domain`` shape in small: one big multi-domain
@@ -104,14 +108,14 @@ class _Observed:
         with monkeypatch.context() as patch, obs.recording(recorder):
             patch.setattr(PairStream, "submit_many", recording_submit_many)
             self.result = run()
-        # Every count, that is: not the generator's and the speculation's
-        # own work counters (new with the blocks and the batches) and not
-        # measured seconds.
+        # Every count, that is: not the generator's, the speculation's and
+        # the bucket packing's own work counters (new with the blocks and
+        # the batches) and not measured seconds.
         self.counters = {
             name: value
             for name, value in recorder.counters().items()
             if not name.startswith("suffix.") and not name.endswith("_seconds")
-            and name not in SPECULATION_COUNTERS
+            and name not in SPECULATION_COUNTERS + PACKING_COUNTERS
         }
         self.spans = [s for s in recorder.spans if s.name == "pairs.generate"]
 

@@ -134,6 +134,39 @@ class TestScientificCounterContract:
         assert simulated["workers"] == 8
 
 
+class TestEngineAccounting:
+    """``batch.pairs`` counts each pair a backend dispatched once, also a
+    containment pair the prefilter hands on to the DP."""
+
+    @pytest.fixture(scope="class")
+    def redundant_input(self):
+        from repro.sequence.generator import MetagenomeSpec, generate_metagenome
+
+        return generate_metagenome(MetagenomeSpec(
+            n_families=3, mean_family_size=6, mean_length=90,
+            length_stddev=15, redundant_fraction=0.3, noise_fraction=0.05,
+            seed=77,
+        )).sequences
+
+    @pytest.mark.parametrize("backend, workers", [("serial", None), ("process", 2)])
+    def test_batch_pairs_equal_dispatched_pairs(self, redundant_input, backend,
+                                                workers):
+        from repro import PipelineConfig, ProteinFamilyPipeline
+        from repro.shingle import ShingleParams
+
+        config = PipelineConfig(
+            shingle=ShingleParams(s1=3, c1=40, s2=3, c2=13),
+            min_component_size=4, min_subgraph_size=4,
+        )
+        counters = ProteinFamilyPipeline(config).run(
+            redundant_input, backend=backend, workers=workers,
+        ).obs.counters()
+        assert counters["batch.dp_pairs"] > 0  # the route that counted twice
+        assert counters["batch.pairs"] == counters["runtime.batch_pairs"]
+        assert 0 < counters["batch.cells"] <= counters["batch.padded_cells"]
+        assert counters["batch.buckets"] > 0
+
+
 class TestRecorder:
     def test_counters_accumulate(self):
         recorder = Recorder()

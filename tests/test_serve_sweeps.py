@@ -130,19 +130,19 @@ def _roots(state, candidates):
 def kernel_calls():
     """Counts the engine calls a request makes, by kind."""
     calls: Counter[str] = Counter()
-    myers, align = batch.batch_myers_infix, batch.batch_align
+    myers, align = batch.batch_myers_infix, batch._align_buckets
 
     def counted_myers(patterns, texts, **options):
         calls["myers"] += 1
         return myers(patterns, texts, **options)
 
-    def counted_align(pairs, scheme=None, mode="semiglobal", **options):
+    # The bucket loop behind batch_align and containment_dp alike.
+    def counted_align(pairs, scheme, mode, bucket_size):
         calls[mode] += 1
-        return align(pairs, scheme, mode, **options)
+        return align(pairs, scheme, mode, bucket_size)
 
     with mock.patch.object(batch, "batch_myers_infix", counted_myers), \
-            mock.patch.object(batch, "batch_align", counted_align), \
-            mock.patch.object(sweeps, "batch_align", counted_align):
+            mock.patch.object(batch, "_align_buckets", counted_align):
         yield calls
 
 
