@@ -6,25 +6,33 @@ dynamic programming outside the server lock (lint rule R13 forbids DP
 under a named lock):
 
 * :func:`plan_insert` runs the batch pipeline's two scientific
-  decisions — Definition 1 containment and Definition 2 overlap — for a
-  single new sequence against the per-family *representatives*, with
-  **no state mutation**: the sequence has no index yet, so its pairs
-  are aligned by the batch engine directly, a sweep at a time
+  decisions — Definition 1 containment (:func:`plan_containment`), then
+  Definition 2 overlap (:func:`plan_overlaps`) — for a single new
+  sequence against the per-family *representatives*, with **no state
+  mutation**: the sequence has no index yet, so its pairs are aligned by
+  the batch engine directly, a sweep at a time
   (:mod:`repro.serve.sweeps`), and unions are simulated against a
   snapshot of the candidates' roots.  This is safe lock-free because
   the applier thread is the state's only mutator; concurrent query
   threads are readers.
 * :func:`commit_insert` (annotated ``requires=ServeServer._lock``)
   applies the plan: appends the sequence, replays the planned unions
-  through the journaled union–find wrapper, and absorbs the decision
-  record.  It performs no DP and no IO, and keeps no alignment: a
-  decision is all an insert leaves behind.
+  through the journaled union–find wrapper, absorbs the decision
+  record and counts the decisions it applied (``serve.redundant``,
+  ``serve.merges``).  It performs no DP and no IO, and keeps no
+  alignment: a decision is all an insert leaves behind.
 
-Candidate generation uses the psi-window index (exactly the
-promising-pair criterion at representative scale).  Definition 1 is one
-containment sweep over every candidate — the engine's sound
-bit-parallel prefilter, its exact certificate, then one semiglobal DP
-over the remainder — and Definition 2 runs in **rounds**
+A classification (``repro query --residues``) is a plan that is never
+committed: the daemon runs the same two halves on the query's residues,
+shedding an expired deadline between them, and answers from the plan
+(:func:`planned_families`), so a classification cannot contradict the
+insert it predicts.
+
+Candidate generation (:func:`plan_candidates`) uses the psi-window
+index (exactly the promising-pair criterion at representative scale).
+Definition 1 is one containment sweep over every candidate — the
+engine's sound bit-parallel prefilter, its exact certificate, then one
+semiglobal DP over the remainder — and Definition 2 runs in **rounds**
 (:func:`overlap_rounds`), each one local DP over the candidates the
 transitive-closure filter cannot yet have removed.  Decisions, journal
 records and the reported work are those of the pair-by-pair loops the
@@ -72,11 +80,7 @@ from repro.align.predicates import containment_verdict
 from repro.core.checkpoint import CheckpointJournal
 from repro.sequence.record import SequenceRecord
 from repro.serve.state import ServeState
-from repro.serve.sweeps import (
-    containment_sweep,
-    count_containment,
-    overlap_sweep,
-)
+from repro.serve.sweeps import containment_sweep, overlap_sweep
 
 
 def _absorb(state: ServeState, index: int, decision: dict[str, Any]) -> None:
@@ -112,11 +116,15 @@ class InsertPlan:
 
     record: SequenceRecord
     new_idx: int
+    candidates: list[int]
     container: int | None
     redundant_pairs: list[list[int]]
     unions: list[list[int]]
-    n_candidates: int
     n_alignments: int
+
+    @property
+    def n_candidates(self) -> int:
+        return len(self.candidates)
 
     @property
     def decision(self) -> dict[str, Any]:
@@ -130,10 +138,14 @@ class InsertPlan:
 
 
 def overlap_rounds(
-    state: ServeState, candidates: Sequence[int], encoded: np.ndarray
+    state: ServeState,
+    candidates: Sequence[int],
+    roots: Sequence[int],
+    encoded: np.ndarray,
 ) -> dict[int, bool]:
     """Definition 2 verdicts of exactly the candidates the pair-by-pair
-    sweep aligns, a round of them per DP call.
+    sweep aligns, a round of them per DP call (``roots[k]`` is the
+    family root of ``candidates[k]``).
 
     That sweep skips a candidate once an earlier one of the same family
     has passed (the transitive-closure filter), so it aligns a
@@ -144,8 +156,8 @@ def overlap_rounds(
     ``max_representatives`` of them.
     """
     by_root: dict[int, list[int]] = {}
-    for rep in candidates:
-        by_root.setdefault(state.uf.root(rep), []).append(rep)
+    for rep, root in zip(candidates, roots):
+        by_root.setdefault(root, []).append(rep)
     verdicts: dict[int, bool] = {}
     untried = list(by_root.values())
     done = 0  # candidates of each root in `untried` tried so far, all failed
@@ -159,40 +171,35 @@ def overlap_rounds(
     return verdicts
 
 
-def plan_insert(state: ServeState, seq_id: str, residues: str) -> InsertPlan:
-    """Run the RR + CCD sweeps for one new sequence, mutating nothing.
+def plan_candidates(state: ServeState, encoded: np.ndarray) -> list[int]:
+    """The representatives a new sequence is swept against: those
+    sharing a psi-window with it, in index order."""
+    with obs.span("candidates", cat="stage"):
+        candidates = state.rep_index.candidates(encoded)
+    obs.count("serve.candidates", len(candidates))
+    return candidates
 
-    Every read is safe without the server lock: the applier thread
-    calling this is the state's only mutator, the sequence/encoding
-    stores are append-only, and root lookups use the compression-free
-    :meth:`~repro.graph.unionfind.UnionFind.root`.
-    """
-    if seq_id in state.sequences:
-        raise ValueError(f"sequence id {seq_id!r} already present")
-    record = SequenceRecord(id=seq_id, residues=residues)
-    new_encoded = record.encoded  # validate residues before planning
+
+def plan_containment(
+    state: ServeState, record: SequenceRecord, candidates: list[int]
+) -> InsertPlan:
+    """The Definition 1 half of a plan: batch RR's verdict of the new
+    sequence against every candidate, tie-break included.  The plan it
+    returns is complete when the sequence is redundant; otherwise
+    :func:`plan_overlaps` finishes it."""
+    new_encoded = record.encoded
     config = state.config
     new_idx = len(state.sequences)
     len_new = len(new_encoded)
-    with obs.span("candidates", cat="stage"):
-        candidates = state.rep_index.candidates(new_encoded)
-    obs.count("serve.candidates", len(candidates))
-
     redundant_pairs: list[list[int]] = []
     unions: list[list[int]] = []
-
-    # -- Definition 1 sweep (RR): is either side contained in the other?
-    # No candidate ends it, so every candidate is reached and reported.
     container: int | None = None
     containments = containment_sweep(state, candidates, new_encoded)
-    n_alignments = count_containment(
-        state, candidates, containments, len(candidates), len_new
-    )
     for rep, containment in zip(candidates, containments):
         if containment is None:
             continue  # the Myers bound proved both directions fail
-        # Batch RR's verdict, tie-break included: rep < new_idx always,
-        # so a mutual containment of equal lengths drops the insert.
+        # rep < new_idx always, so a mutual containment of equal lengths
+        # drops the new sequence.
         verdict = containment_verdict(
             containment, rep, new_idx, state.length(rep), len_new,
             config.containment_similarity, config.containment_coverage,
@@ -201,7 +208,6 @@ def plan_insert(state: ServeState, seq_id: str, residues: str) -> InsertPlan:
             continue
         if verdict[0] == new_idx:
             redundant_pairs.append([new_idx, rep])
-            obs.count("serve.redundant")
             if container is None:
                 # Join the first container's family (membership only);
                 # further containers just record the containment —
@@ -213,36 +219,81 @@ def plan_insert(state: ServeState, seq_id: str, residues: str) -> InsertPlan:
             # The representative is contained in the new sequence.  Batch
             # RR would drop it from CCD; here it simply loses live
             # membership (and usually its representative slot).
-            if rep not in state.redundant:
-                obs.count("serve.redundant")
             redundant_pairs.append([rep, new_idx])
-
-    # -- Definition 2 sweep (CCD): overlap-merge a non-redundant insert.
-    # The verdicts are absorbed in candidate order against the roots
-    # already merged into the (still-singleton) insert, which is what
-    # keeps `unions` in the order the live union–find will replay.
-    if container is None:
-        overlaps = overlap_rounds(state, candidates, new_encoded)
-        n_alignments += len(overlaps)
-        merged_roots: set[int] = set()
-        for rep in candidates:
-            root = state.uf.root(rep)
-            if root in merged_roots:
-                obs.count("serve.filtered")
-            elif overlaps[rep]:
-                merged_roots.add(root)
-                unions.append([new_idx, rep])
-                obs.count("serve.merges")
-
     return InsertPlan(
         record=record,
         new_idx=new_idx,
+        candidates=candidates,
         container=container,
         redundant_pairs=redundant_pairs,
         unions=unions,
-        n_candidates=len(candidates),
-        n_alignments=n_alignments,
+        n_alignments=sum(c is not None for c in containments),
     )
+
+
+def plan_overlaps(state: ServeState, plan: InsertPlan) -> None:
+    """The Definition 2 half of a plan, in place: overlap-merge a
+    sequence its containment half left non-redundant.
+
+    The verdicts are absorbed in candidate order against the roots
+    already merged into the (still-singleton) insert, which is what
+    keeps ``unions`` in the order the live union–find will replay.
+    The roots are read once, so the rounds and the closure filter see
+    one partition even while a classification runs beside the
+    applier's unions.
+    """
+    if plan.container is not None:
+        return
+    roots = [state.uf.root(rep) for rep in plan.candidates]
+    overlaps = overlap_rounds(
+        state, plan.candidates, roots, plan.record.encoded
+    )
+    plan.n_alignments += len(overlaps)
+    merged_roots: set[int] = set()
+    for rep, root in zip(plan.candidates, roots):
+        if root in merged_roots:
+            obs.count("serve.filtered")
+        elif overlaps[rep]:
+            merged_roots.add(root)
+            plan.unions.append([plan.new_idx, rep])
+
+
+def plan_insert(state: ServeState, seq_id: str, residues: str) -> InsertPlan:
+    """Run the RR + CCD sweeps for one new sequence, mutating nothing.
+
+    Every read is safe without the server lock: the applier thread
+    calling this is the state's only mutator, the sequence/encoding
+    stores are append-only, and root lookups use the compression-free
+    :meth:`~repro.graph.unionfind.UnionFind.root`.
+    """
+    if seq_id in state.sequences:
+        raise ValueError(f"sequence id {seq_id!r} already present")
+    record = SequenceRecord(id=seq_id, residues=residues)
+    # `record.encoded` validates the residues before any planning.
+    plan = plan_containment(
+        state, record, plan_candidates(state, record.encoded)
+    )
+    plan_overlaps(state, plan)
+    return plan
+
+
+def planned_families(  # repro-lint: requires=ServeServer._lock
+    state: ServeState, plan: InsertPlan
+) -> list[list[int]]:
+    """The families an uncommitted plan places its sequence in, as its
+    commit would leave them: each family it unions with (its
+    container's, or every one it overlaps), root order, without the
+    members the plan declares redundant or the sequence itself.  A
+    family the plan would leave with no other live member is omitted."""
+    dropped = {victim for victim, _survivor in plan.redundant_pairs}
+    families: dict[int, list[int]] = {}
+    for _new, rep in plan.unions:
+        root = state.uf.find(rep)
+        if root not in families:
+            families[root] = [m for m in state.family_members(rep)
+                              if m not in dropped]
+    return [members for _root, members in sorted(families.items())
+            if members]
 
 
 def commit_insert(  # repro-lint: requires=ServeServer._lock
@@ -252,9 +303,10 @@ def commit_insert(  # repro-lint: requires=ServeServer._lock
 
     Returns ``{"index", "family", "redundant_against", "n_candidates",
     "n_alignments", "n_merges"}``.  The journal write stays with the
-    caller (the applier appends the plan's :attr:`~InsertPlan.decision`
-    *after* releasing the lock — durability before the ack, disk
-    latency outside the critical section).
+    caller, who makes it first (durability before the ack, and a
+    failed write leaves the state unmutated); the applier makes it
+    *before* taking the lock, so disk latency stays outside the
+    critical section.
     """
     index = state.add_sequence(plan.record)
     if index != plan.new_idx:  # pragma: no cover - single-applier invariant
@@ -264,8 +316,15 @@ def commit_insert(  # repro-lint: requires=ServeServer._lock
         )
     for a, b in plan.unions:
         state.union(int(a), int(b))
+    # Read before `_absorb` records them: a representative that was
+    # already redundant is not retired again.
+    retired = sum(victim not in state.redundant
+                  for victim, _survivor in plan.redundant_pairs)
     _absorb(state, index, plan.decision)
     obs.count("serve.inserts")
+    obs.count("serve.redundant", retired)
+    obs.count("serve.merges",
+              len(plan.unions) if plan.container is None else 0)
     obs.gauge("serve.families_now", state.n_families())
     return {
         "index": index,
@@ -289,15 +348,15 @@ def insert_sequence(  # repro-lint: thread=init
     The offline convenience used by tests and batch tooling; the daemon
     calls :func:`plan_insert` / :func:`commit_insert` separately so the
     DP runs outside its lock.  When ``journal`` is given the decision
-    record is appended (and flushed) before returning, so a crash after
-    return can always replay this insert.
+    record is appended (and flushed) before the commit, as the daemon's
+    applier does: a failing write raises with the state unmutated, and
+    a crash after return can always replay this insert.
     """
     plan = plan_insert(state, seq_id, residues)
-    outcome = commit_insert(state, plan)
     if journal is not None:
         with obs.span("journal_fsync", cat="stage"):
             journal.serve_insert(plan.decision)
-    return outcome
+    return commit_insert(state, plan)
 
 
 def replay_insert(state: ServeState, decision: dict[str, Any]) -> None:  # repro-lint: thread=init

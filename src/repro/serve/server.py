@@ -17,10 +17,17 @@ Concurrency model — chosen for the journal, not for throughput:
   unmutated and flips the daemon into **read-only degraded mode** —
   queries keep working, inserts are refused with ``read_only``, the
   ``serve.degraded`` gauge and the ``health`` verb expose it;
+* a classification (``query`` with ``residues``) is an insert plan
+  that is never committed — the same Definition 1 sweep, tie-break
+  included, and the same Definition 2 rounds
+  (:mod:`repro.serve.incremental`) — answered as the commit would leave
+  the state, so it cannot contradict the insert it predicts; every
+  reply that places a sequence (lookup, classification, insert,
+  idempotent retry) is built by one resolver, :meth:`_placement`;
 * every request may carry a relative ``deadline_ms`` budget; work that
   would finish past the budget is shed with ``deadline_exceeded``
-  (queries check between the stages of their sweep, inserts while
-  queued);
+  (a classification checks before its Definition 1 stage and again
+  before its Definition 2 stage, inserts while queued);
 * retried inserts are **exactly once**: the (sequence id, residues)
   idempotency key is checked against the live state — which is exactly
   the journal's replay — and a duplicate returns its current outcome
@@ -67,10 +74,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from repro import obs
-from repro.align.predicates import contained
 from repro.core.checkpoint import (
     CheckpointError,
     CheckpointJournal,
@@ -84,14 +88,17 @@ from repro.obs.request import RequestContext
 from repro.obs.telemetry import DEFAULT_INTERVAL, TelemetrySampler
 from repro.sequence.record import SequenceRecord
 from repro.serve import protocol
-from repro.serve.incremental import commit_insert, plan_insert
+from repro.serve.incremental import (
+    InsertPlan,
+    commit_insert,
+    plan_candidates,
+    plan_containment,
+    plan_insert,
+    plan_overlaps,
+    planned_families,
+)
 from repro.serve.snapshot import write_snapshot
 from repro.serve.state import ServeState
-from repro.serve.sweeps import (
-    containment_sweep,
-    count_containment,
-    overlap_sweep,
-)
 from repro.util.lockwatch import named_lock, named_rlock
 
 #: Default cap on queued insert jobs before admission control sheds.
@@ -433,20 +440,12 @@ class ServeServer:
                 raise _ApplierKill()
             with self._lock:
                 outcome = commit_insert(self.state, plan)
-                family_ids = self._ids(outcome["family"])
-                container = outcome["redundant_against"]
-                container_id = (
-                    self.state.sequences[container].id
-                    if container is not None else None
-                )
+                placement = self._placement(outcome["index"])
             self._applied_since_snapshot += 1
             return {
                 "id": seq_id,
                 "ok": True,
-                "index": outcome["index"],
-                "family": family_ids,
-                "redundant": container is not None,
-                "container": container_id,
+                **placement,
                 "n_candidates": outcome["n_candidates"],
                 "n_alignments": outcome["n_alignments"],
                 "n_merges": outcome["n_merges"],
@@ -480,17 +479,8 @@ class ServeServer:
             }
         obs.count("serve.idempotent_hits")
         with self._lock:
-            container = self.state.redundant.get(index)
-            return {
-                "id": seq_id,
-                "ok": True,
-                "idempotent": True,
-                "index": index,
-                "family": self._ids(self.state.family_members(index)),
-                "redundant": container is not None,
-                "container": (self.state.sequences[container].id
-                              if container is not None else None),
-            }
+            return {"id": seq_id, "ok": True, "idempotent": True,
+                    **self._placement(index)}
 
     def _maybe_snapshot(self) -> None:
         """Applier-thread snapshot + journal compaction, when due.
@@ -837,6 +827,39 @@ class ServeServer:
     def _ids(self, indices: list[int]) -> list[str]:
         return [self.state.sequences[i].id for i in indices]
 
+    def _placement(  # repro-lint: requires=ServeServer._lock
+        self, placed: int | InsertPlan
+    ) -> dict[str, Any]:
+        """The fields of every reply that places a sequence, as ids:
+        whether it is ``redundant``, its ``container`` and its family.
+
+        ``placed`` is the index of a sequence in the state (its
+        ``index`` and ``family``) or a classification's uncommitted
+        plan, placed as its commit would leave the state: ``found``, and
+        its container's ``family`` or, not redundant, the ``families``
+        its overlaps would merge (:func:`planned_families`).
+        """
+        state = self.state
+        if isinstance(placed, InsertPlan):
+            container = placed.container
+            families = [self._ids(members)
+                        for members in planned_families(state, placed)]
+            where: dict[str, Any] = {"found": bool(families)}
+            if container is None:
+                where["families"] = families
+            else:
+                where["family"] = families[0]
+        else:
+            container = state.redundant.get(placed)
+            where = {"index": placed,
+                     "family": self._ids(state.family_members(placed))}
+        return {
+            "redundant": container is not None,
+            "container": (None if container is None
+                          else state.sequences[container].id),
+            **where,
+        }
+
     def _handle_query(
         self, message: dict[str, Any], deadline_at: float | None
     ) -> dict[str, Any]:
@@ -846,101 +869,27 @@ class ServeServer:
                 if seq_id not in self.state.sequences:
                     return protocol.ok_response(found=False, id=seq_id)
                 index = self.state.sequences.index_of(seq_id)
-                container = self.state.redundant.get(index)
                 return protocol.ok_response(
-                    found=True,
-                    id=seq_id,
-                    index=index,
-                    redundant=container is not None,
-                    container=(self.state.sequences[container].id
-                               if container is not None else None),
-                    family=self._ids(self.state.family_members(index)),
+                    found=True, id=seq_id, **self._placement(index)
                 )
-        residues = message["residues"]
         try:
-            encoded = SequenceRecord(id="__query__", residues=residues).encoded
+            record = SequenceRecord(id="__query__",
+                                    residues=message["residues"])
+            encoded = record.encoded
         except ValueError as exc:
             raise protocol.ProtocolError("bad_request", str(exc)) from exc
-        # The lock covers only candidate snapshot and family resolution;
-        # the DP sweep between them runs lock-free (R13).  A concurrent
-        # insert committing mid-query means the answer is "as of" the
-        # snapshot — the same answer the fully-locked version gave to a
-        # query arriving a moment earlier.
+        # A classification is the insert plan of its residues, never
+        # committed.  The lock covers only the candidate snapshot (the
+        # applier mutates the representative index) and the placement;
+        # the plan's sweeps between them run lock-free (R13), and an
+        # insert committing meanwhile makes the answer one "as of" the
+        # snapshot.  Shed between the stages, never mid-DP: a partial
+        # plan is never an answer.
         with self._lock:
-            with obs.span("candidates", cat="stage"):
-                candidates = self.state.rep_index.candidates(encoded)
-        obs.count("serve.candidates", len(candidates))
-        contained_in, overlap_wits = self._classify_sweep(
-            candidates, encoded, deadline_at
-        )
-        with self._lock:
-            return self._classify_respond(contained_in, overlap_wits)
-
-    def _classify_sweep(
-        self,
-        candidates: list[int],
-        encoded: np.ndarray,
-        deadline_at: float | None = None,
-    ) -> tuple[int | None, list[int]]:
-        """Read-only classification sweeps of an unseen sequence.
-
-        Makes the two decisions of an insert without mutating anything:
-        finds the first candidate a hypothetical insert would be
-        contained by, plus every overlap witness ahead of it.  Both are
-        whole-list sweeps through the batch engine
-        (:mod:`repro.serve.sweeps`): Definition 1 over every candidate,
-        then Definition 2 over the candidates before the container —
-        the ones a candidate-at-a-time sweep stopping at the container
-        would have aligned, and the only ones reported.  Safe without
-        the server lock: only append-only stores are read.
-        """
-        state = self.state
-        config = state.config
-        # Shed between stages, not mid-DP: the check is cheap and a
-        # partial sweep is never returned as an answer.
+            candidates = plan_candidates(self.state, encoded)
         self._shed_if_past_deadline(deadline_at, "before the containment stage")
-        containments = containment_sweep(state, candidates, encoded)
-        # Where a candidate-at-a-time sweep stops: the first candidate
-        # that contains the query (None: it reaches every candidate).
-        container_at = next(
-            (k for k, containment in enumerate(containments)
-             if containment is not None
-             and contained(containment, config.containment_similarity,
-                           config.containment_coverage)[1]),
-            None,
-        )
-        reached = len(candidates) if container_at is None else container_at + 1
-        count_containment(
-            state, candidates, containments, reached, len(encoded)
-        )
+        plan = plan_containment(self.state, record, candidates)
         self._shed_if_past_deadline(deadline_at, "before the overlap stage")
-        ahead = candidates[:container_at]
-        overlaps = overlap_sweep(state, ahead, encoded)
-        return (
-            None if container_at is None else candidates[container_at],
-            [rep for rep, ok in zip(ahead, overlaps) if ok],
-        )
-
-    def _classify_respond(
-        self, contained_in: int | None, overlap_wits: list[int]
-    ) -> dict[str, Any]:
-        """Resolve sweep witnesses to families (under the server lock)."""
-        state = self.state
-        if contained_in is not None:
-            return protocol.ok_response(
-                found=True,
-                redundant=True,
-                container=state.sequences[contained_in].id,
-                family=self._ids(state.family_members(contained_in)),
-            )
-        overlap_roots: dict[int, int] = {}  # root -> witness rep
-        for rep in overlap_wits:
-            overlap_roots.setdefault(state.uf.find(rep), rep)
-        families = [
-            self._ids(state.family_members(rep))
-            for _root, rep in sorted(overlap_roots.items())
-        ]
-        return protocol.ok_response(
-            found=bool(families), redundant=False, container=None,
-            families=families,
-        )
+        plan_overlaps(self.state, plan)
+        with self._lock:
+            return protocol.ok_response(**self._placement(plan))

@@ -1,24 +1,22 @@
 """The two sweeps of a serve request, each one call into the batch
 alignment engine for the request's whole candidate list.
 
-A classification (:meth:`repro.serve.server.ServeServer._classify_sweep`)
-and an insert plan (:func:`repro.serve.incremental.plan_insert`) make
-the same two decisions about one new sequence against candidate
-representatives — Definition 1 containment, then Definition 2 overlap —
-and differ only in which candidates they reach.  The kernels are the
+An insert plan (:func:`repro.serve.incremental.plan_insert`) makes two
+decisions about one new sequence against candidate representatives —
+Definition 1 containment, then Definition 2 overlap — and a
+classification is that same plan, never committed.  The kernels are the
 ones the batch phases run (:mod:`repro.align.batch`, pinned field for
 field to the one-pair kernels by ``tests/test_batch_align.py``) and the
 verdicts are the batch phases' (:mod:`repro.align.predicates`); every
 pair is oriented ``(representative, new sequence)``, so coverage and
 every tie-break read as they do in batch RR.
 
-The engine is handed every candidate; what a request *reports* is the
-work of the candidates its pair-by-pair loop would have reached
-(``tests/scalar_serve.py`` keeps those loops as the oracle).  The
-overlap sweep is only ever handed such candidates and counts itself;
-the containment sweep covers the whole list before the caller knows
-where the loop would have stopped, so the caller reports it afterwards
-through :func:`count_containment`.
+Each sweep reports the work of the pair-by-pair loop it replaced
+(``tests/scalar_serve.py`` keeps those loops as the oracle): the
+containment sweep reaches every candidate, a Myers reject or an
+alignment each (a pair certified at distance 0 counts as the alignment
+it replaces); the overlap sweep is only ever handed pairs the loop
+aligns.
 
 Stage spans (``cat="stage"``): ``myers_reject`` around the prefilter,
 ``dp`` around each DP call, with the batch size as ``pairs`` and the
@@ -70,26 +68,13 @@ def containment_sweep(
         with obs.span("dp", cat="stage", pairs=len(aligned),
                       cells=_cells(state, aligned, len(encoded))):
             stats = containment_dp(prefilter, config.scheme).stats
+    aligned = [rep for rep, rejected in zip(candidates, prefilter.rejected)
+               if not rejected]
+    obs.count("serve.myers_rejects", len(candidates) - len(aligned))
+    obs.count("serve.alignments", len(aligned))
+    obs.count("serve.dp_cells", _cells(state, aligned, len(encoded)))
     return [None if rejected else triple
             for rejected, triple in zip(prefilter.rejected, stats)]
-
-
-def count_containment(
-    state: ServeState,
-    candidates: Sequence[int],
-    verdicts: Sequence[Containment],
-    reached: int,
-    length: int,
-) -> int:
-    """Report the Definition 1 work of the first ``reached`` candidates
-    — a Myers reject, or an alignment (a pair certified at distance 0
-    counts as the alignment it replaces) — and return the alignments."""
-    aligned = [rep for rep, verdict in zip(candidates[:reached], verdicts)
-               if verdict is not None]
-    obs.count("serve.myers_rejects", reached - len(aligned))
-    obs.count("serve.alignments", len(aligned))
-    obs.count("serve.dp_cells", _cells(state, aligned, length))
-    return len(aligned)
 
 
 def overlap_sweep(

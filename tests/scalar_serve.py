@@ -1,20 +1,19 @@
-"""The candidate-at-a-time request sweeps, kept as the reference for the
-staged ones.
+"""The candidate-at-a-time insert plan, kept as the reference for the
+staged one.
 
-These are ``repro.serve.server.ServeServer._classify_sweep`` and
-``repro.serve.incremental.plan_insert`` as they ran before a request
-became whole-list sweeps through the batch engine
+This is ``repro.serve.incremental.plan_insert`` as it ran before a
+request became whole-list sweeps through the batch engine
 (``repro/serve/sweeps.py``): a Python loop over the candidates calling
 the one-pair kernels — a Myers sweep for a batch of one, the scalar
-``semiglobal_align`` and ``local_align`` — that stops at the first
-container (classify) or skips a candidate whose family an earlier one
-already merged (insert).  They *define* every reply field, every
-journaled decision and every per-request ``serve.*`` counter, so
-``test_serve_sweeps.py`` holds the staged sweeps to them.  The loops are
-verbatim but for three things: ``classify_sweep`` is a function of the
-state (it had no other use for the server; its deadline check stays
-with the server), nothing is kept for a cache to be seeded with, and
-the stage spans are gone (the oracle defines counts, not timings).
+``semiglobal_align`` and ``local_align`` — that skips a candidate whose
+family an earlier one already merged.  It *defines* every journaled
+decision and every per-request ``serve.*`` counter of a plan — and so
+of a classification, which is a plan never committed — so
+``test_serve_sweeps.py`` holds the staged planner to it.  The loop is
+verbatim but for three things: nothing is kept for a cache to be seeded
+with, the stage spans are gone (the oracle defines counts, not
+timings), and the applied decisions (``serve.redundant`` /
+``serve.merges``) are counted by the commit, not here.
 """
 
 from __future__ import annotations
@@ -62,40 +61,6 @@ def myers_rejects_containment(
     if rejected:
         obs.count("serve.myers_rejects")
     return rejected
-
-
-def classify_sweep(
-    state: ServeState, candidates: list[int], encoded: np.ndarray
-) -> tuple[int | None, list[int]]:
-    """Read-only classification sweeps of an unseen sequence: the
-    representative a hypothetical insert would be contained by, plus
-    every overlap witness met before it."""
-    config = state.config
-    len_query = len(encoded)
-    contained_in: int | None = None
-    overlap_wits: list[int] = []
-    for rep in candidates:
-        rep_enc = state.encoded(rep)
-        if not myers_rejects_containment(
-            state, rep, encoded, len_query,
-            config.containment_similarity, config.containment_coverage,
-        ):
-            aln = semiglobal_align(rep_enc, encoded, config.scheme)
-            obs.count("serve.alignments")
-            obs.count("serve.dp_cells", state.length(rep) * len_query)
-            if (aln.identity >= config.containment_similarity
-                    and aln.coverage_b(len_query)
-                    >= config.containment_coverage):
-                contained_in = rep
-                break
-        aln = local_align(rep_enc, encoded, config.scheme)
-        obs.count("serve.alignments")
-        obs.count("serve.dp_cells", state.length(rep) * len_query)
-        if overlaps(aln, state.length(rep), len_query,
-                    config.overlap_similarity,
-                    config.overlap_coverage):
-            overlap_wits.append(rep)
-    return contained_in, overlap_wits
 
 
 def plan_insert(state: ServeState, seq_id: str, residues: str) -> InsertPlan:
@@ -150,7 +115,6 @@ def plan_insert(state: ServeState, seq_id: str, residues: str) -> InsertPlan:
             continue
         if victim == new_idx:
             redundant_pairs.append([new_idx, rep])
-            obs.count("serve.redundant")
             if container is None:
                 # Join the first container's family (membership only);
                 # further containers just record the containment —
@@ -162,8 +126,6 @@ def plan_insert(state: ServeState, seq_id: str, residues: str) -> InsertPlan:
             # The representative is contained in the new sequence.  Batch
             # RR would drop it from CCD; here it simply loses live
             # membership (and usually its representative slot).
-            if rep not in state.redundant:
-                obs.count("serve.redundant")
             redundant_pairs.append([rep, new_idx])
 
     # -- Definition 2 sweep (CCD): overlap-merge a non-redundant insert.
@@ -190,14 +152,13 @@ def plan_insert(state: ServeState, seq_id: str, residues: str) -> InsertPlan:
             ):
                 merged_roots.add(state.uf.root(rep))
                 unions.append([new_idx, rep])
-                obs.count("serve.merges")
 
     return InsertPlan(
         record=record,
         new_idx=new_idx,
+        candidates=candidates,
         container=container,
         redundant_pairs=redundant_pairs,
         unions=unions,
-        n_candidates=len(candidates),
         n_alignments=n_alignments,
     )

@@ -201,6 +201,24 @@ class TestIncrementalInsert:
             insert_sequence(state, "bad", "NOT@PROTEIN!")
         assert state.digest() == digest
 
+    def test_failing_journal_write_leaves_state_unmutated(self,
+                                                         serve_workload):
+        """Journal first, then commit: a write that fails raises with
+        nothing applied, so no live change lacks its durable record."""
+        base, held, run_dir, config = serve_workload
+        state = load_serve_state(run_dir, _reload_base(base), config)
+        digest = state.digest()
+
+        class FullDisk:
+            def serve_insert(self, decision):
+                raise OSError("no space left on device")
+
+        with pytest.raises(OSError, match="no space"):
+            insert_sequence(state, held[0].id, held[0].residues,
+                            journal=FullDisk())
+        assert state.digest() == digest
+        assert held[0].id not in state.sequences
+
     def test_exact_duplicate_is_contained(self, serve_workload):
         base, _held, run_dir, config = serve_workload
         state = load_serve_state(run_dir, _reload_base(base), config)

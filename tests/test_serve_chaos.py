@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.core.checkpoint import (
     CHECKPOINT_NAME,
     CheckpointError,
@@ -40,9 +41,10 @@ from repro.faults.serve_chaos import (
     ServeChaosScenario,
     run_serve_chaos,
 )
+from repro.obs.core import Recorder
 from repro.obs.request import RequestContext
 from repro.sequence.record import SequenceSet
-from repro.serve import protocol, sweeps
+from repro.serve import incremental, protocol
 from repro.serve import server as server_module
 from repro.serve.loadgen import run_load
 from repro.serve.protocol import (
@@ -51,6 +53,7 @@ from repro.serve.protocol import (
     ServeClient,
     ServeTimeout,
 )
+from repro.serve.incremental import insert_sequence
 from repro.serve.server import ServeServer
 from repro.serve.snapshot import (
     SNAPSHOT_NAME,
@@ -256,15 +259,15 @@ class TestDeadlinesAndBackpressure:
         def containment_taking_a_second(*args):
             stages.append("containment")
             clock[0] += 1.0
-            return sweeps.containment_sweep(*args)
+            return incremental.plan_containment(*args)
 
         def overlap(*args):
             stages.append("overlap")
-            return sweeps.overlap_sweep(*args)
+            return incremental.plan_overlaps(*args)
 
         monkeypatch.setattr(
-            server_module, "containment_sweep", containment_taking_a_second)
-        monkeypatch.setattr(server_module, "overlap_sweep", overlap)
+            server_module, "plan_containment", containment_taking_a_second)
+        monkeypatch.setattr(server_module, "plan_overlaps", overlap)
 
         def classify(deadline_ms: float) -> dict:
             line = protocol.encode(protocol.request(
@@ -401,6 +404,38 @@ class TestDegradedMode:
             assert client.call("status")["degraded"] is True
             assert server.metrics_snapshot()["degraded"] is True
         server.request_stop()
+
+    def test_refused_insert_counts_no_decision(
+        self, chaos_workload, tmp_path
+    ):
+        """`serve.redundant` and `serve.merges` count applied decisions:
+        an insert the journal refuses moves neither, though the same
+        insert applied moves both."""
+        base, _held, run_dir, config = chaos_workload
+        dest = _copy_run(run_dir, tmp_path)
+        journal = _resume(dest, _fresh(base), config)
+        state = build_serve_state(_fresh(base), config, journal.resume_state)
+        rep = sorted(state.rep_index.active)[0]
+        # Retires the representative it extends and joins its family.
+        record = {"id": "tailed",
+                  "residues": state.sequences[rep].residues + "ACD"}
+        plan = FaultPlan((Fault(kind="serve_journal_error", at_task=0),))
+        server = ServeServer(state, journal=journal,
+                             injector=FaultInjector(plan))
+        digest = state.digest()
+        refused = Recorder()
+        with obs.recording(refused):
+            result = server._apply_one(record)
+        journal.close()
+        assert result["ok"] is False and result["code"] == "read_only"
+        assert state.digest() == digest
+        assert refused.value("serve.redundant") == 0
+        assert refused.value("serve.merges") == 0
+        applied = Recorder()
+        with obs.recording(applied):
+            insert_sequence(state, record["id"], record["residues"])
+        assert applied.value("serve.redundant") >= 1
+        assert applied.value("serve.merges") >= 1
 
 
 class TestClientTimeoutsAndRetries:

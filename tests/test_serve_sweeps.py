@@ -1,19 +1,22 @@
 """The staged request sweeps of ``repro.serve`` against the
-candidate-at-a-time loops they replaced (``tests/scalar_serve.py``).
+candidate-at-a-time plan they replaced (``tests/scalar_serve.py``).
 
-A classification and an insert plan hand the batch engine their whole
-candidate list, a sweep at a time; what they answer, what an insert
-journals and what every per-request ``serve.*`` counter reads must be
-the loops' — including everything the loops did *not* do: nothing past
-the first container of a classification, no alignment of a candidate
-whose family an earlier candidate already merged.  The engine itself is
-held to the scalar kernels by ``test_batch_align.py``; here the kernels
-are only counted.
+An insert plan hands the batch engine its whole candidate list, a sweep
+at a time, and a classification is that plan never committed; what a
+plan journals, what a classification answers and what every
+per-request ``serve.*`` counter reads must be the loop's — including
+everything the loop did *not* do: no alignment of a candidate whose
+family an earlier candidate already merged, no overlap alignment of a
+contained sequence.  A classification must also predict the insert of
+the same residues: redundant, container and family.  The engine itself
+is held to the scalar kernels by ``test_batch_align.py``; here the
+kernels are only counted.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -25,11 +28,12 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.align import batch
+from repro.align.predicates import contained
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro.sequence.alphabet import AMINO_ACIDS
 from repro.sequence.record import SequenceRecord
-from repro.serve import incremental, server, sweeps
+from repro.serve import incremental, protocol, server, sweeps
 from repro.serve.incremental import insert_sequence, plan_insert
 from repro.serve.server import ServeServer
 from repro.serve.state import load_serve_state
@@ -94,15 +98,20 @@ def _plan_fields(plan):
             plan.n_candidates, plan.n_alignments)
 
 
+def classify(state, residues):
+    """``(reply, counters)`` of a classification of ``residues``
+    through the daemon's query path."""
+    return _observed(lambda: ServeServer(state)._handle_query(
+        {"residues": residues}, None))
+
+
 def classify_both_ways(state, residues):
-    """``((contained_in, witnesses), counters)`` staged and looped."""
-    encoded = SequenceRecord(id="query", residues=residues).encoded
-    candidates = state.rep_index.candidates(encoded)
-    staged = _observed(
-        lambda: ServeServer(state)._classify_sweep(candidates, encoded))
-    looped = _observed(
-        lambda: scalar_serve.classify_sweep(state, candidates, encoded))
-    return staged, looped
+    """``(reply, counters)`` of a classification, staged and as the
+    looped plan of the same residues answers it."""
+    plan, counters = _observed(
+        lambda: scalar_serve.plan_insert(state, "new", residues))
+    looped = protocol.ok_response(**ServeServer(state)._placement(plan))
+    return classify(state, residues), (looped, counters)
 
 
 def plan_both_ways(state, residues):
@@ -238,28 +247,35 @@ class TestTheLoops:
 
 
 def _first_request(state, held, wanted):
-    """The first held-out or served sequence whose looped classification
-    satisfies ``wanted(candidates, contained_in, witnesses)``."""
+    """The first held-out or served sequence whose looped plan
+    satisfies ``wanted(plan)``, and that plan."""
     for record in [*held, *state.sequences]:
-        candidates = state.rep_index.candidates(record.encoded)
-        found = scalar_serve.classify_sweep(state, candidates, record.encoded)
-        if wanted(candidates, *found):
-            return record.residues, candidates, found
+        plan = scalar_serve.plan_insert(state, "new", record.residues)
+        if wanted(plan):
+            return record.residues, plan
     raise AssertionError("no sequence of the input makes this case")
+
+
+def _family_set(reply) -> set[str]:
+    """Every id a placement reply puts the sequence beside."""
+    if "families" in reply:
+        return {seq_id for family in reply["families"] for seq_id in family}
+    return set(reply["family"])
 
 
 class TestHandCases:
     def test_no_candidates_no_kernel_call(self, served):
         state, _held = served["small"]
         residues = "W" * 40
-        encoded = SequenceRecord(id="q", residues=residues).encoded
-        assert state.rep_index.candidates(encoded) == []
+        assert state.rep_index.candidates(
+            SequenceRecord(id="q", residues=residues).encoded) == []
         with kernel_calls() as calls:
-            answer, counters = _observed(
-                lambda: ServeServer(state)._classify_sweep([], encoded))
+            answer, counters = classify(state, residues)
             plan = plan_insert(state, "new", residues)
         assert not calls
-        assert answer == (None, []) and counters == {}
+        assert answer == protocol.ok_response(
+            found=False, redundant=False, container=None, families=[])
+        assert counters == {}
         assert (plan.n_candidates, plan.n_alignments) == (0, 0)
         assert plan.decision["unions"] == plan.decision["redundant"] == []
 
@@ -285,37 +301,32 @@ class TestHandCases:
 
     def test_container_first_makes_no_local_batch(self, served):
         state, held = served["small"]
-        residues, candidates, (contained_in, witnesses) = _first_request(
+        residues, plan = _first_request(
             state, held,
-            lambda c, contained, _w: len(c) > 1 and contained == c[0],
+            lambda p: p.n_candidates > 1 and p.container == p.candidates[0],
         )
-        assert witnesses == []
         assert_the_loops(state, residues)
-        encoded = SequenceRecord(id="q", residues=residues).encoded
         with kernel_calls() as calls:
-            _answer, counters = _observed(
-                lambda: ServeServer(state)._classify_sweep(candidates, encoded))
-        assert calls["myers"] == 1 and calls["local"] == 0
-        # Only the container was reached: one alignment or certificate.
-        assert counters["serve.alignments"] == 1
-        assert "serve.myers_rejects" not in counters
+            answer, counters = classify(state, residues)
+        assert answer["redundant"] and calls["local"] == 0
+        assert calls["myers"] == 1
+        # Definition 1 reaches every candidate, Definition 2 none.
+        assert (counters.get("serve.myers_rejects", 0)
+                + counters["serve.alignments"]) == plan.n_candidates
 
     def test_container_in_the_middle(self, served):
-        """Candidates after the container are swept by the engine and
-        neither counted nor reported."""
+        """A container ends nothing early: Definition 1 reaches the
+        candidates after it too, and no candidate, before it or after,
+        is overlap-aligned."""
         state, held = served["small_grown"]
-        residues, candidates, (contained_in, _witnesses) = _first_request(
-            state, held,
-            lambda c, contained, _w: contained in c[1:-1],
-        )
-        k = candidates.index(contained_in)
+        residues, plan = _first_request(
+            state, held, lambda p: p.container in p.candidates[1:-1])
         (answer, counters), looped = classify_both_ways(state, residues)
         assert (answer, counters) == looped
-        assert answer[0] == contained_in
-        assert set(answer[1]) <= set(candidates[:k])
-        reached = (counters.get("serve.myers_rejects", 0)
-                   + counters["serve.alignments"])
-        assert reached == (k + 1) + k  # Definition 1 to k, Definition 2 before it
+        assert answer["container"] == state.sequences[plan.container].id
+        rejects = counters.get("serve.myers_rejects", 0)
+        assert rejects + counters["serve.alignments"] == plan.n_candidates
+        assert counters["serve.alignments"] == plan.n_alignments
 
     def test_representative_contained_in_the_insert(self, served):
         state, _held = served["small"]
@@ -325,6 +336,25 @@ class TestHandCases:
         plan = plan_insert(state, "longer", residues)
         assert [rep, plan.new_idx] in plan.redundant_pairs
         assert plan.container is None
+
+    def test_representative_with_a_tail_is_not_redundant(self, served):
+        """A representative with three residues appended contains it and
+        is contained by it: Definition 1 retires the shorter, the
+        representative, so the classification is not redundant and names
+        the family the insert then joins."""
+        state = copy.deepcopy(served["small"][0])
+        rep = sorted(state.rep_index.active)[0]
+        residues = state.sequences[rep].residues + "ACD"
+        daemon = ServeServer(state)
+        answer = daemon._handle_query({"residues": residues}, None)
+        assert answer["redundant"] is False and answer["container"] is None
+        assert len(answer["families"]) == 1
+        assert state.sequences[rep].id not in answer["families"][0]
+        inserted = daemon._apply_one({"id": "tailed", "residues": residues})
+        assert inserted["ok"] and inserted["redundant"] is False
+        assert set(inserted["family"]) == {"tailed", *answer["families"][0]}
+        retired = daemon._handle_query({"id": state.sequences[rep].id}, None)
+        assert retired["redundant"] and retired["container"] == "tailed"
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_first_k_representatives_of_a_root_fail(self, served, k):
@@ -369,24 +399,22 @@ class TestHandCases:
 class TestKernelCalls:
     @pytest.mark.parametrize("name", STATES)
     def test_three_engine_calls_a_classify(self, served, name):
-        """Whatever the candidate count: at most one Myers sweep, one
-        semiglobal and one local ``batch_align``; a plan makes one local
-        call a round."""
+        """Whatever the candidate count, a classification makes its
+        plan's engine calls: at most one Myers sweep, one semiglobal
+        ``batch_align`` and — not redundant — one local call a round,
+        so three when each family's first representative decides."""
         state, held = served[name]
         for record in held:
-            encoded = record.encoded
-            candidates = state.rep_index.candidates(encoded)
+            with kernel_calls() as classified:
+                classify(state, record.residues)
             with kernel_calls() as calls:
-                ServeServer(state)._classify_sweep(candidates, encoded)
-            assert calls["myers"] <= 1 and calls["semiglobal"] <= 1
-            assert calls["local"] <= 1
-            assert bool(candidates) == bool(calls)
-            with kernel_calls() as calls:
-                plan_insert(state, "new", record.residues)
-            roots = _roots(state, candidates)
+                plan = plan_insert(state, "new", record.residues)
+            assert classified == calls
+            assert bool(plan.candidates) == bool(calls)
+            roots = _roots(state, plan.candidates)
             most = max(map(roots.count, roots), default=0)
             assert calls["myers"] <= 1 and calls["semiglobal"] <= 1
-            assert calls["local"] <= most
+            assert calls["local"] <= (most if plan.container is None else 0)
 
     def test_no_scalar_kernel_under_serve(self):
         """The one-pair kernels are the oracle's, not the daemon's."""
@@ -400,26 +428,28 @@ class TestKernelCalls:
 class TestMutants:
     """The oracle has teeth: two plausible wrong sweeps fail it."""
 
-    def test_counting_past_the_container_fails(self, served):
-        state, held = served["small_grown"]
-        residues, *_ = _first_request(
-            state, held, lambda c, contained, _w: contained in c[:-1])
-        count = sweeps.count_containment
+    def test_deciding_without_the_tie_break_fails(self, served):
+        """Reading "the query is contained" off the raw cutoffs, with no
+        tie-break, answers a mutual containment the wrong way round."""
+        state, _held = served["small"]
+        rep = sorted(state.rep_index.active)[0]
+        residues = state.sequences[rep].residues + "ACD"
 
-        def count_all(state, candidates, verdicts, _reached, length):
-            return count(state, candidates, verdicts, len(candidates), length)
+        def no_tie_break(stats, i, j, _len_i, _len_j, similarity, coverage):
+            i_in_j, j_in_i = contained(stats, similarity, coverage)
+            return (j, i) if j_in_i else (i, j) if i_in_j else None
 
         staged, looped = classify_both_ways(state, residues)
         assert staged == looped
-        with mock.patch.object(server, "count_containment", count_all):
+        with mock.patch.object(incremental, "containment_verdict",
+                               no_tie_break):
             staged, looped = classify_both_ways(state, residues)
-        assert staged[0] == looped[0]  # the answer survives, the report not
-        assert staged[1] != looped[1]
+        assert staged[0]["redundant"] and not looped[0]["redundant"]
 
     def test_aligning_a_whole_root_in_one_round_fails(self, served):
         state, held = served["tiny"]
 
-        def one_round(state, candidates, encoded):
+        def one_round(state, candidates, _roots, encoded):
             passes = sweeps.overlap_sweep(state, candidates, encoded)
             return dict(zip(candidates, passes))
 
@@ -438,3 +468,21 @@ class TestMutants:
                 (plan_both_ways(state, r.residues) for r in crowded)
             ]
         assert any(differs)
+
+
+class TestQueryPredictsInsert:
+    @pytest.mark.parametrize("name", STATES)
+    def test_every_held_out_sequence_in_order(self, served, name):
+        """Each held-out sequence classified, then inserted next: the
+        reply's redundant, container and family are the insert's."""
+        state = copy.deepcopy(served[name][0])
+        daemon = ServeServer(state)
+        for record in served[name][1]:
+            answer = daemon._handle_query({"residues": record.residues}, None)
+            inserted = daemon._apply_one(
+                {"id": record.id, "residues": record.residues})
+            assert inserted["ok"], inserted
+            assert answer["redundant"] == inserted["redundant"], record.id
+            assert answer["container"] == inserted["container"], record.id
+            beside = set() if inserted["redundant"] else {record.id}
+            assert _family_set(answer) | beside == set(inserted["family"])
