@@ -24,15 +24,19 @@ promising pairs into shared sweeps along two complementary axes:
 
 2. **Bit-parallel Myers prefilter** (:func:`batch_myers_infix`,
    :func:`batch_containment`): a multi-word Myers (1999) bit-vector
-   edit-distance kernel vectorised across the pair axis.  For the RR
+   edit-distance kernel swept as a *word wavefront* — at step ``t``
+   word ``w`` of every pair processes text column ``t - w``, so one
+   NumPy op advances every 64-bit word of every pair and a sweep is
+   ``n + W - 1`` steps, not ``n * W`` word updates.  For the RR
    phase's >=95 %-containment test a *sound* threshold on the infix
-   edit distance (:func:`containment_reject_threshold`) proves that a
-   pair cannot satisfy Definition 1 in either direction, so the full
-   DP is skipped for the bulk of promising pairs without changing any
-   decision.  A distance of zero, under schemes whose substitution
-   diagonal is a strict positive row maximum (BLOSUM62, identity),
-   *certifies* the scalar optimum exactly (perfect-diagonal match) and
-   is answered without DP as well.
+   edit distance (:func:`containment_reject_threshold`, computed for
+   the whole pair list at once) proves that a pair cannot satisfy
+   Definition 1 in either direction, so the full DP is skipped for the
+   bulk of promising pairs without changing any decision.  A distance
+   of zero, under schemes whose substitution diagonal is a strict
+   positive row maximum (BLOSUM62, identity), *certifies* the scalar
+   optimum exactly (perfect-diagonal match) and is answered without DP
+   as well.
 
 Every fast path is gated by a proof obligation, and the whole engine is
 pinned to ``tests/scalar_align.py`` by the Hypothesis equivalence suite
@@ -41,7 +45,6 @@ in ``tests/test_batch_align.py``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -64,8 +67,12 @@ from repro.align.predicates import containment_stats
 #: Past 64 the cell budget, not this cap, sets the width.
 DEFAULT_BUCKET = 64
 
-#: Pairs per Myers sweep.  The bit-vector state is tiny ((W, B) words),
-#: so larger batches purely amortise NumPy dispatch overhead.
+#: Pairs per Myers sweep: each wavefront step costs 19 NumPy dispatches
+#: whatever the width, so wider sweeps amortise them until the (W, B)
+#: state and the skewed masks outgrow the cache.  Re-measured with the
+#: wavefront on the suite's RR pairs (seed 2008, machine above), us per
+#: pair at 128/256/512/1024/2048: domain 10.0/7.0/5.6/5.0/5.9, giant
+#: 30.3/21.8/19.0/18.4/18.6, skewed 17.2/13.1/10.5/11.9/13.1.
 DEFAULT_MYERS_BUCKET = 1024
 
 #: Padded DP cells per bucket: 64 slots of 289 x 289, the largest bucket
@@ -315,115 +322,132 @@ def batch_myers_infix(
     """min over infixes ``t[x:y]`` of the unit-cost edit distance to
     the full pattern, for every (pattern, text) pair, vectorised.
 
-    Multi-word Myers bit-vector recurrence with the horizontal delta
-    carried between 64-bit blocks; patterns are bucketed by word count
-    so every pair in a sweep tracks its score at its own last-row bit.
-    Texts are padded with a sentinel character that matches nothing —
-    sentinel columns can only raise the running score, so they never
-    perturb the minimum.
+    Pairs are sorted by text length and swept ``bucket_size`` at a time
+    by :func:`_myers_sweep`.  Every code must lie in ``[0, alphabet)``;
+    anything else raises ``IndexError`` (code ``alphabet`` is the pad
+    that matches nothing).
     """
     if len(patterns) != len(texts):
         raise ValueError("patterns and texts must have equal length")
     result = np.zeros(len(patterns), dtype=np.int64)
     if not patterns:
         return result
-    m_all = np.array([len(p) for p in patterns])
-    if (m_all == 0).any():
+    if any(len(p) == 0 for p in patterns):
         raise ValueError("patterns must be non-empty")
-    groups: dict[int, list[int]] = {}
-    for idx, m in enumerate(m_all):
-        groups.setdefault(int((m + 63) // 64), []).append(idx)
-    for W, members in sorted(groups.items()):
-        # Sort by text length so padding waste inside a sweep stays low.
-        members = sorted(members, key=lambda k: len(texts[k]))
-        for lo in range(0, len(members), bucket_size):
-            chunk = members[lo : lo + bucket_size]
-            dists = _myers_sweep(
-                [patterns[k] for k in chunk],
-                [texts[k] for k in chunk],
-                W,
-                alphabet,
-            )
-            result[chunk] = dists
+    # Sort by text length so padding waste inside a sweep stays low.
+    order = sorted(range(len(patterns)), key=lambda k: len(texts[k]))
+    for lo in range(0, len(order), bucket_size):
+        chunk = order[lo : lo + bucket_size]
+        result[chunk] = _myers_sweep(
+            [patterns[k] for k in chunk], [texts[k] for k in chunk], alphabet
+        )
     return result
 
 
-def _myers_sweep(
-    patterns: Sequence[np.ndarray],
-    texts: Sequence[np.ndarray],
-    W: int,
-    alphabet: int,
+def _padded_codes(
+    seqs: Sequence[np.ndarray], width: int, alphabet: int, lead: int = 0
 ) -> np.ndarray:
+    """``(B, width)`` codes: row ``k`` holds ``seqs[k]`` from column
+    ``lead`` on and the pad code ``alphabet`` everywhere else; one
+    scatter for the whole list."""
+    lengths = np.array([len(s) for s in seqs])
+    flat = np.concatenate(seqs)
+    if flat.size and (flat.min() < 0 or flat.max() >= alphabet):
+        raise IndexError(f"residue code out of range for a {alphabet}-letter alphabet")
+    col = np.arange(width)
+    codes = np.full((len(seqs), width), alphabet, dtype=np.intp)
+    codes[(col >= lead) & (col < lead + lengths[:, None])] = flat
+    return codes
+
+
+def _myers_sweep(
+    patterns: Sequence[np.ndarray], texts: Sequence[np.ndarray], alphabet: int
+) -> np.ndarray:
+    """Multi-word Myers (1999) over ``B`` lanes as a word wavefront.
+
+    Lane ``k``'s pattern spans ``W_k`` 64-bit words, and the sweep runs
+    ``W = max W_k`` of them: at step ``t`` word ``w`` of every lane
+    processes text column ``t - w``, so each step is one NumPy op per
+    bit operation across the whole ``(W, B)`` state, and a sweep is
+    ``n_max + W - 1`` steps.  The horizontal deltas word ``w - 1``
+    emitted on step ``t - 1`` — for the same column — are word ``w``'s
+    carry-in on step ``t`` (word 0's carry-in is always zero).
+    Columns outside a lane's text have a zero match mask: before the
+    text, with zero carry-in, they leave the initial state unchanged and
+    emit nothing; after it they can only raise the last-row score.  So
+    a lane's distance is the minimum of its running score read at bit
+    ``m_k - 1`` of word ``W_k - 1``, over every step.
+    """
     B = len(patterns)
     m_arr = np.array([len(p) for p in patterns])
-    n_arr = np.array([len(t) for t in texts])
-    n_max = int(n_arr.max()) if len(n_arr) else 0
-    peq = np.zeros((alphabet + 1, B, W), dtype=np.uint64)
-    for k, p in enumerate(patterns):
-        idx = np.arange(len(p))
-        np.bitwise_or.at(
-            peq,
-            (np.asarray(p, dtype=np.intp), k, idx >> 6),
-            _U1 << (idx & 63).astype(np.uint64),
-        )
-    tpad = np.full((max(n_max, 1), B), alphabet, dtype=np.intp)
-    for k, t in enumerate(texts):
-        tpad[: len(t), k] = t
-    EQ = peq[tpad, np.arange(B)[None, :], :]  # (n_max, B, W)
+    W = int((m_arr.max() + 63) // 64)
+    A = alphabet + 1
+    lanes = np.arange(B)
 
+    # Match masks: one scatter over every pattern residue into
+    # peq[word, code, lane] (flat); the pad code's rows stay zero.
+    codes = _padded_codes(patterns, W * 64, alphabet)
+    real = codes < alphabet
+    col = np.arange(W * 64)
+    cell = (codes + (col >> 6) * A) * B + lanes[:, None]
+    bit = np.broadcast_to(_U1 << (col & 63).astype(np.uint64), codes.shape)
+    peq = np.zeros(W * A * B, dtype=np.uint64)
+    np.bitwise_or.at(peq, cell[real], bit[real])
+
+    # Skewed masks: EQ[t, w] is column t - w's mask, the pad's outside
+    # the text.  Row r of ``rows`` is column r - (W - 1) of every text
+    # (W - 1 pad rows lead), so word w reads it from row W - 1 - w on.
+    steps = max(max(len(t) for t in texts), 1) + W - 1
+    codes = _padded_codes(texts, steps + W - 1, alphabet, lead=W - 1)
+    rows = np.ascontiguousarray(codes.T) * B + lanes
+    EQ = np.empty((steps, W, B), dtype=np.uint64)
+    for w in range(W):
+        EQ[:, w] = peq[rows[W - 1 - w : W - 1 - w + steps] + w * A * B]
+
+    # State: PM stacks the horizontal +1 deltas of every word over the -1
+    # deltas (ph, mh), so one op shifts both; row r of the carry buffer C
+    # is what row r - 1 of PM emitted last step, with rows 0 and W (word
+    # 0's carry-in of either sign) zero.  Cn receives the next step's.
     Pv = np.full((W, B), ~np.uint64(0), dtype=np.uint64)
     Mv = np.zeros((W, B), dtype=np.uint64)
-    score = m_arr.astype(np.int64).copy()
-    best = score.copy()
-    last_shift = ((m_arr - 1) & 63).astype(np.uint64)
-    zeros = np.zeros(B, dtype=np.uint64)
-    eq = np.empty(B, dtype=np.uint64)
-    xv = np.empty_like(eq)
-    xh = np.empty_like(eq)
-    ph = np.empty_like(eq)
-    mh = np.empty_like(eq)
-    tmp = np.empty_like(eq)
-    neg = np.empty_like(eq)
-    for j in range(n_max):
-        eqj = EQ[j]
-        hin_p = zeros
-        hin_m = zeros
-        for w in range(W):
-            pv = Pv[w]
-            mv = Mv[w]
-            np.bitwise_or(eqj[:, w], hin_m, out=eq)
-            np.bitwise_or(eq, mv, out=xv)
-            np.bitwise_and(eq, pv, out=tmp)
-            np.add(tmp, pv, out=tmp)
-            np.bitwise_xor(tmp, pv, out=tmp)
-            np.bitwise_or(tmp, eq, out=xh)
-            np.bitwise_or(xh, pv, out=tmp)
-            np.bitwise_not(tmp, out=tmp)
-            np.bitwise_or(mv, tmp, out=ph)
-            np.bitwise_and(pv, xh, out=mh)
-            if w == W - 1:
-                np.right_shift(ph, last_shift, out=tmp)
-                np.bitwise_and(tmp, _U1, out=tmp)
-                score += tmp.astype(np.int64)
-                np.right_shift(mh, last_shift, out=tmp)
-                np.bitwise_and(tmp, _U1, out=tmp)
-                score -= tmp.astype(np.int64)
-                hout_p = hout_m = None
-            else:
-                hout_p = ph >> _U63
-                hout_m = mh >> _U63
-            np.left_shift(ph, _U1, out=ph)
-            np.bitwise_or(ph, hin_p, out=ph)
-            np.left_shift(mh, _U1, out=mh)
-            np.bitwise_or(mh, hin_m, out=mh)
-            np.bitwise_or(xv, ph, out=neg)
-            np.bitwise_not(neg, out=neg)
-            np.bitwise_or(mh, neg, out=Pv[w])
-            np.bitwise_and(ph, xv, out=Mv[w])
-            if hout_p is not None:
-                hin_p, hin_m = hout_p, hout_m
-        np.minimum(best, score, out=best)
-    return best
+    PM = np.empty((2 * W, B), dtype=np.uint64)
+    ph, mh = PM[:W], PM[W:]
+    C = np.zeros((2 * W, B), dtype=np.uint64)
+    Cn = C.copy()
+    eq = np.empty((W, B), dtype=np.uint64)
+    xv, xh = np.empty_like(eq), np.empty_like(eq)
+    # history[t] holds each lane's (ph, mh) word W_k - 1 before the shift.
+    history = np.empty((steps, 2, B), dtype=np.uint64)
+    last = lanes + ((m_arr - 1) >> 6) * B
+    last_word = np.array([last, last + W * B])
+    for t in range(steps):
+        np.bitwise_or(EQ[t], C[W:], out=eq)
+        np.bitwise_or(eq, Mv, out=xv)
+        np.bitwise_and(eq, Pv, out=xh)
+        np.add(xh, Pv, out=xh)
+        np.bitwise_xor(xh, Pv, out=xh)
+        np.bitwise_or(xh, eq, out=xh)
+        np.bitwise_or(xh, Pv, out=ph)
+        np.bitwise_not(ph, out=ph)
+        np.bitwise_or(ph, Mv, out=ph)
+        np.bitwise_and(Pv, xh, out=mh)
+        np.take(PM, last_word, out=history[t], mode="clip")  # in range
+        np.right_shift(PM[:-1], _U63, out=Cn[1:])
+        Cn[W] = 0  # ph's last word carries into no mh word
+        np.left_shift(PM, _U1, out=PM)
+        np.bitwise_or(PM, C, out=PM)
+        np.bitwise_or(xv, ph, out=Pv)
+        np.bitwise_not(Pv, out=Pv)
+        np.bitwise_or(Pv, mh, out=Pv)
+        np.bitwise_and(ph, xv, out=Mv)
+        C, Cn = Cn, C
+
+    # Each step moves a lane's score by (ph bit) - (mh bit); the running
+    # score starts at m_k and its minimum is the distance.
+    np.bitwise_and(history, _U1 << ((m_arr - 1) & 63).astype(np.uint64), out=history)
+    deltas = history.astype(bool).view(np.int8)
+    score = np.cumsum(deltas[:, 0] - deltas[:, 1], axis=0, dtype=np.int32)
+    return m_arr + np.minimum(score.min(axis=0), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +473,8 @@ def strict_diagonal_scheme(scheme: ScoringScheme) -> bool:
 
 
 def containment_reject_threshold(
-    m: int, n: int, similarity: float, coverage: float
-) -> int | None:
+    m: int | np.ndarray, n: int | np.ndarray, similarity: float, coverage: float
+) -> int | np.ndarray | None:
     """Sound infix-edit-distance threshold for Definition 1 rejection.
 
     Let ``s = min(m, n)`` and ``l = max(m, n)`` and let ``D`` be the
@@ -469,16 +493,19 @@ def containment_reject_threshold(
 
     Returns the largest integer ``K`` such that ``D > K`` proves both
     directions fail (one unit of slack absorbs float rounding), or
-    ``None`` when no rejection is sound (degenerate thresholds).
+    ``None`` when no rejection is sound (degenerate thresholds).  Given
+    integer arrays of lengths it returns the array of ``K``, element for
+    element the value of the int form.
     """
     if similarity <= 0.0 or coverage <= 0.0:
         return None
-    s, l = min(m, n), max(m, n)
+    s, l = np.minimum(m, n), np.maximum(m, n)
     window = s * (1.0 - similarity) / similarity
     k = s * (1.0 - coverage) + window
-    if l * similarity * coverage <= s + 1e-9:
-        k = max(k, s * (1.0 - similarity * coverage) + window)
-    return int(math.floor(k + 1e-9)) + 1
+    longer_fits = l * similarity * coverage <= s + 1e-9
+    k = np.where(longer_fits, np.maximum(k, s * (1.0 - similarity * coverage) + window), k)
+    bound = np.floor(k + 1e-9).astype(np.int64) + 1
+    return bound if np.ndim(bound) else int(bound)
 
 
 @dataclass(frozen=True)
@@ -523,41 +550,35 @@ def containment_prefilter(
     myers_bucket: int = DEFAULT_MYERS_BUCKET,
 ) -> ContainmentPrefilter:
     """Routes 1 and 2 of :func:`batch_containment`: one Myers sweep over
-    the pair list, then per pair the reject bound and the exact
-    certificate.  No DP."""
+    the pair list, then the reject bound and the exact certificate as
+    whole columns.  No DP."""
     enc = [(_as_encoded(a), _as_encoded(b)) for a, b in pairs]
-    stats: list[tuple[float, float, float] | None] = [None] * len(enc)
-    rejected = [False] * len(enc)
-    undecided: list[int] = []
     if not enc:
-        return ContainmentPrefilter(enc, stats, rejected, undecided)
+        return ContainmentPrefilter(enc, [], [], [])
     obs.count("batch.pairs", len(enc))
 
+    m, n = np.array([(len(a), len(b)) for a, b in enc]).T
     shorter = [a if len(a) <= len(b) else b for a, b in enc]
     longer = [b if len(a) <= len(b) else a for a, b in enc]
     dists = batch_myers_infix(shorter, longer, bucket_size=myers_bucket)
-    exact_ok = strict_diagonal_scheme(scheme)
 
-    n_exact = 0
-    for k, (a, b) in enumerate(enc):
-        m, n = len(a), len(b)
-        threshold = containment_reject_threshold(m, n, similarity, coverage)
-        if threshold is not None and dists[k] > threshold:
-            stats[k] = (0.0, 0.0, 0.0)
-            rejected[k] = True
-        elif exact_ok and dists[k] == 0:
-            # identity = matches/length = 1.0; coverage of the shorter
-            # is full, of the longer it is s/l — exactly the perfect
-            # diagonal the scalar argmax selects at the first occurrence.
-            cov_a = 1.0 if m <= n else n / m
-            cov_b = 1.0 if n <= m else m / n
-            stats[k] = (1.0, cov_a, cov_b)
-            n_exact += 1
-        else:
-            undecided.append(k)
-    obs.count("batch.myers_rejects", sum(rejected))
-    obs.count("batch.exact_certified", n_exact)
-    return ContainmentPrefilter(enc, stats, rejected, undecided)
+    threshold = containment_reject_threshold(m, n, similarity, coverage)
+    rejected = dists > threshold if threshold is not None else np.zeros(len(enc), bool)
+    exact = ~rejected & (dists == 0) & strict_diagonal_scheme(scheme)
+    # identity = matches/length = 1.0; coverage of the shorter is full,
+    # of the longer it is s/l — exactly the perfect diagonal the scalar
+    # argmax selects at the first occurrence.
+    cov_a = np.where(m <= n, 1.0, n / m).tolist()
+    cov_b = np.where(n <= m, 1.0, m / n).tolist()
+    stats: list[tuple[float, float, float] | None] = [
+        (0.0, 0.0, 0.0) if r else (1.0, cov_a[k], cov_b[k]) if e else None
+        for k, (r, e) in enumerate(zip(rejected.tolist(), exact.tolist()))
+    ]
+    obs.count("batch.myers_rejects", int(rejected.sum()))
+    obs.count("batch.exact_certified", int(exact.sum()))
+    return ContainmentPrefilter(
+        enc, stats, rejected.tolist(), np.flatnonzero(~(rejected | exact)).tolist()
+    )
 
 
 def containment_dp(

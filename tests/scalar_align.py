@@ -10,17 +10,18 @@ each slot with.  They *define* every ``Alignment`` field and both
 verdicts, so ``test_batch_align.py`` and ``test_traceback.py`` hold
 ``repro.align.batch`` to them field for field, ``test_align.py`` holds
 them to a pure-Python DP, and ``scalar_serve.py`` builds the
-candidate-at-a-time request loops on them — and on
-``repro.align.batch.myers_infix_distance``, the Myers sweep for a batch
-of one, which only those loops and the kernel's own tests ever called.
-The functions are verbatim.
+candidate-at-a-time request loops on them.  The functions are verbatim.
+
+Beside them, :func:`infix_distance_oracle` is the O(mn) definition the
+Myers kernel (``repro.align.batch.batch_myers_infix``) must equal; it
+shares no code with that kernel, so the serve loops' reject decisions
+are checked against the definition, not against the code under test.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.align.batch import batch_myers_infix
 from repro.align.matrices import ScoringScheme, blosum62_scheme
 from repro.align.pairwise import Alignment, _as_encoded, _traceback
 from repro.align.predicates import (
@@ -174,6 +175,25 @@ def overlap_test(
     return span / longer >= coverage, aln
 
 
-def myers_infix_distance(pattern: np.ndarray, text: np.ndarray) -> int:
-    """Scalar convenience wrapper over :func:`batch_myers_infix`."""
-    return int(batch_myers_infix([_as_encoded(pattern)], [_as_encoded(text)])[0])
+def infix_distance_oracle(pattern, text) -> int:
+    """O(mn) reference: min unit-cost edit distance of the whole pattern
+    to any infix of the text.
+
+    Row ``i`` of the DP is ``D[i][0] = i`` and, for ``j >= 1``, the min
+    of the up move ``D[i-1][j] + 1``, the diagonal ``D[i-1][j-1] +
+    (pattern[i-1] != text[j-1])`` and the left move ``D[i][j-1] + 1``;
+    row 0 is all zeros (the infix may start anywhere).  The left-move
+    chain unrolls to ``min_k (t[k] + j - k)`` over the row's other
+    candidates ``t``, one ``np.minimum.accumulate`` of ``t - j``, as
+    :func:`_fill` does with its gap chain.
+    """
+    p = np.asarray(pattern, dtype=np.int64)
+    t = np.asarray(text, dtype=np.int64)
+    cols = np.arange(len(t) + 1)
+    row = np.zeros(len(t) + 1, dtype=np.int64)
+    for i in range(1, len(p) + 1):
+        cand = np.empty_like(row)
+        cand[0] = i
+        cand[1:] = np.minimum(row[1:] + 1, row[:-1] + (t != p[i - 1]))
+        row = np.minimum.accumulate(cand - cols) + cols
+    return int(row.min())

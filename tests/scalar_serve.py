@@ -4,16 +4,19 @@ staged one.
 This is ``repro.serve.incremental.plan_insert`` as it ran before a
 request became whole-list sweeps through the batch engine
 (``repro/serve/sweeps.py``): a Python loop over the candidates calling
-the one-pair kernels — a Myers sweep for a batch of one, the scalar
-``semiglobal_align`` and ``local_align`` — that skips a candidate whose
-family an earlier one already merged.  It *defines* every journaled
-decision and every per-request ``serve.*`` counter of a plan — and so
-of a classification, which is a plan never committed — so
-``test_serve_sweeps.py`` holds the staged planner to it.  The loop is
-verbatim but for three things: nothing is kept for a cache to be seeded
-with, the stage spans are gone (the oracle defines counts, not
-timings), and the applied decisions (``serve.redundant`` /
-``serve.merges``) are counted by the commit, not here.
+the one-pair kernels — the scalar ``semiglobal_align`` and
+``local_align`` — that skips a candidate whose family an earlier one
+already merged.  It *defines* every journaled decision and every
+per-request ``serve.*`` counter of a plan — and so of a classification,
+which is a plan never committed — so ``test_serve_sweeps.py`` holds the
+staged planner to it.  The loop is verbatim but for four things: the
+reject bound reads the O(mn) infix distance
+(``scalar_align.infix_distance_oracle``) where the loop ran a Myers
+sweep for a batch of one, so no Myers code decides an oracle verdict;
+nothing is kept for a cache to be seeded with; the stage spans are gone
+(the oracle defines counts, not timings); and the applied decisions
+(``serve.redundant`` / ``serve.merges``) are counted by the commit, not
+here.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.align.predicates import overlaps
 from repro.sequence.record import SequenceRecord
 from repro.serve.incremental import InsertPlan
 from repro.serve.state import ServeState
-from tests.scalar_align import local_align, myers_infix_distance, semiglobal_align
+from tests.scalar_align import infix_distance_oracle, local_align, semiglobal_align
 
 
 def myers_rejects_containment(
@@ -34,10 +37,11 @@ def myers_rejects_containment(
     other_length: int,
     similarity: float, coverage: float,
 ) -> bool:
-    """Sound bit-parallel prefilter for one Definition 1 candidate.
+    """Sound prefilter for one Definition 1 candidate.
 
-    Computes the Myers infix edit distance between the shorter of the
-    pair and the longer, and compares it against
+    Computes the infix edit distance between the shorter of the pair
+    and the longer (by the O(mn) definition, not the Myers kernel the
+    staged sweep runs), and compares it against
     :func:`repro.align.batch.containment_reject_threshold` — a bound
     with the property that exceeding it *proves* both containment
     directions fail for the scalar-optimal overlap alignment.  True
@@ -57,7 +61,7 @@ def myers_rejects_containment(
         shorter, longer = rep_encoded, other_encoded
     else:
         shorter, longer = other_encoded, rep_encoded
-    rejected = myers_infix_distance(shorter, longer) > threshold
+    rejected = infix_distance_oracle(shorter, longer) > threshold
     if rejected:
         obs.count("serve.myers_rejects")
     return rejected

@@ -26,6 +26,7 @@ from tests.scalar_align import (
     _fill,
     containment_test,
     global_align,
+    infix_distance_oracle,
     local_align,
     overlap_test,
     semiglobal_align,
@@ -57,6 +58,34 @@ def oracle_fill(a, b, scheme, mode):
                 v = max(v, 0)
             H[i][j] = v
     return np.array(H, dtype=np.int32)
+
+
+def oracle_infix(pattern, text):
+    """O(mn) pure-Python infix edit distance, one cell at a time."""
+    m, n = len(pattern), len(text)
+    prev = [0] * (n + 1)
+    for i in range(1, m + 1):
+        cur = [i] + [0] * n
+        for j in range(1, n + 1):
+            cur[j] = min(
+                prev[j] + 1,
+                cur[j - 1] + 1,
+                prev[j - 1] + (pattern[i - 1] != text[j - 1]),
+            )
+        prev = cur
+    return min(prev)
+
+
+class TestInfixDistanceOracle:
+    @given(encoded_seq, st.lists(st.integers(0, 19), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_row_sweep_matches_cell_loop(self, p, t):
+        assert infix_distance_oracle(p, t) == oracle_infix(p.tolist(), t)
+
+    def test_known_values(self):
+        assert infix_distance_oracle([1, 2, 3], [9, 1, 2, 3, 9]) == 0
+        assert infix_distance_oracle([1, 2, 3], [9, 1, 3, 9]) == 1
+        assert infix_distance_oracle([1, 2, 3], []) == 3
 
 
 class TestMatrices:

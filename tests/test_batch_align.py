@@ -10,6 +10,7 @@ semantics and per-real-pair cell accounting.
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,8 +51,8 @@ from tests.scalar_align import (
     _fill,
     containment_test,
     global_align,
+    infix_distance_oracle,
     local_align,
-    myers_infix_distance,
     semiglobal_align,
 )
 
@@ -414,29 +415,11 @@ class TestWideBuckets:
         assert sizes((3000, 3000), 2) == [1, 1]  # alone over the budget
 
 
-def infix_distance_oracle(pattern, text):
-    """O(mn) reference: min edit distance of pattern to any text infix."""
-    m, n = len(pattern), len(text)
-    prev = [0] * (n + 1)
-    for i in range(1, m + 1):
-        cur = [i] + [0] * n
-        for j in range(1, n + 1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (pattern[i - 1] != text[j - 1]),
-            )
-        prev = cur
-    return min(prev)
-
-
 class TestMyersInfix:
     @given(encoded_seq, encoded_seq)
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle(self, p, t):
-        assert myers_infix_distance(p, t) == infix_distance_oracle(
-            list(p), list(t)
-        )
+        assert batch_myers_infix([p], [t])[0] == infix_distance_oracle(p, t)
 
     def test_word_boundary_pattern_lengths(self):
         """m = 63/64/65/127/128/129 crosses the 64-bit block edges."""
@@ -451,7 +434,7 @@ class TestMyersInfix:
             texts.append(t)
         dists = batch_myers_infix(patterns, texts)
         for p, t, d in zip(patterns, texts, dists):
-            assert d == infix_distance_oracle(list(p), list(t))
+            assert d == infix_distance_oracle(p, t)
 
     def test_mixed_word_counts_in_one_batch(self):
         rng = np.random.default_rng(9)
@@ -461,13 +444,61 @@ class TestMyersInfix:
                  for m in (5, 70, 30, 130, 64, 2)]
         dists = batch_myers_infix(patterns, texts)
         for p, t, d in zip(patterns, texts, dists):
-            assert d == infix_distance_oracle(list(p), list(t))
+            assert d == infix_distance_oracle(p, t)
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 330), st.integers(0, 400)),
+                 min_size=1, max_size=24),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_multi_word_lanes_match_oracle(self, shapes, seed):
+        """1-24 lanes of 1-6 words in one call, texts shorter and longer
+        than their pattern; every other lane's text carries a mutated
+        copy of its pattern (substitutions and one deletion).  Each
+        lane's distance is the oracle's and what the lane gets alone."""
+        rng = np.random.default_rng(seed)
+        patterns, texts = [], []
+        for k, (m, n) in enumerate(shapes):
+            p = rng.integers(0, 20, m).astype(np.uint8)
+            t = rng.integers(0, 20, n).astype(np.uint8)
+            if k % 2 == 0:
+                copy = p.copy()
+                hits = rng.integers(0, m, max(1, m // 15))
+                copy[hits] = rng.integers(0, 20, len(hits)).astype(np.uint8)
+                copy = np.delete(copy, int(rng.integers(0, m))) if m > 1 else copy
+                at = int(rng.integers(0, n + 1))
+                t = np.concatenate([t[:at], copy, t[at:]])
+            patterns.append(p)
+            texts.append(t)
+        dists = batch_myers_infix(patterns, texts)
+        for p, t, d in zip(patterns, texts, dists):
+            assert d == infix_distance_oracle(p, t) == batch_myers_infix([p], [t])[0]
+
+    def test_codes_outside_the_alphabet_rejected(self):
+        """Code ``alphabet`` pads short texts and matches nothing, so no
+        lane may hold it: a pattern of it used to match the padding a
+        longer text in the same sweep put after its own text (distance 0
+        for residues the pair does not share)."""
+        with pytest.raises(IndexError):
+            batch_myers_infix([[21], [3]], [[0, 1], [0, 1, 2, 3, 4]])
+        for patterns, texts in (([[3]], [[0, 21]]), ([[-1]], [[0, 1]]),
+                                ([[0, 22]], [[0, 1]])):
+            with pytest.raises(IndexError):
+                batch_myers_infix(patterns, texts)
+        pad = np.array([21], dtype=np.uint8)
+        pairs = [(pad, np.array([0, 1], dtype=np.uint8)),
+                 (np.array([3], dtype=np.uint8), np.arange(5, dtype=np.uint8))]
+        with pytest.raises(IndexError):
+            batch_containment(pairs, similarity=0.95, coverage=0.95)
+        with pytest.raises(IndexError):
+            batch_align(pairs[:1], blosum62_scheme(), "semiglobal")
 
     def test_exact_substring_gives_zero(self):
         rng = np.random.default_rng(2)
         t = rng.integers(0, 20, 200).astype(np.uint8)
         p = t[40:140].copy()
-        assert myers_infix_distance(p, t) == 0
+        assert batch_myers_infix([p], [t])[0] == 0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -588,6 +619,36 @@ class TestContainmentEngine:
         # Zero-threshold config (sim=cov=1.0): only exact containment
         # passes, so any nonzero distance rejects.
         assert containment_reject_threshold(50, 50, 1.0, 1.0) == 1
+
+    def test_reject_threshold_array_form_equals_int_form(self):
+        """The prefilter's whole-column bound equals, pair for pair, the
+        int form and the bound's float arithmetic written out in Python
+        (which the committed run records' reject counts rest on)."""
+
+        def written_out(m, n, similarity, coverage):
+            s, l = min(m, n), max(m, n)
+            window = s * (1.0 - similarity) / similarity
+            k = s * (1.0 - coverage) + window
+            if l * similarity * coverage <= s + 1e-9:
+                k = max(k, s * (1.0 - similarity * coverage) + window)
+            return math.floor(k + 1e-9) + 1
+
+        lengths = [*range(1, 31), 40, 57, 63, 64, 65, 99, 100, 110, 128, 129,
+                   200, 255, 256, 300, 333, 512, 999, 1000, 1500]
+        m, n = (a.ravel() for a in np.meshgrid(lengths, lengths))
+        for similarity in (0.0, -0.5, 0.5, 0.9, 0.95, 1.0):
+            for coverage in (0.0, 0.5, 0.8, 0.95, 1.0):
+                column = containment_reject_threshold(m, n, similarity, coverage)
+                ints = [containment_reject_threshold(a, b, similarity, coverage)
+                        for a, b in zip(m.tolist(), n.tolist())]
+                if similarity <= 0.0 or coverage <= 0.0:
+                    assert column is None and set(ints) == {None}
+                    continue
+                assert all(type(k) is int for k in ints)
+                assert column.tolist() == ints == [
+                    written_out(a, b, similarity, coverage)
+                    for a, b in zip(m.tolist(), n.tolist())
+                ]
 
     def test_empty_batch(self):
         res = batch_containment(

@@ -418,7 +418,7 @@ class TestKernelCalls:
 
     def test_no_scalar_kernel_under_serve(self):
         """The one-pair kernels are the oracle's, not the daemon's."""
-        banned = ("local_align", "semiglobal_align", "myers_infix_distance",
+        banned = ("local_align", "semiglobal_align", "infix_distance_oracle",
                   "myers_rejects_containment", "align.pairwise")
         for path in Path(server.__file__).parent.glob("*.py"):
             source = path.read_text(encoding="utf-8")
