@@ -18,8 +18,9 @@ promising pairs into shared sweeps along two complementary axes:
    max: a log-step one on wide buckets, one ``np.maximum.accumulate``
    on narrow ones.  It computes the one-pair recurrence exactly on each
    real submatrix, one masked reduction per bucket replicates the
-   one-pair ``argmax`` rules, and
-   :func:`~repro.align.pairwise._traceback` walks each slot —
+   one-pair ``argmax`` rules, and :func:`_bucket_walk` walks every slot
+   back in lockstep, one diagonal window per step, until too few are
+   left and :func:`~repro.align.pairwise._traceback` finishes them —
    tie-breaking is *identical*, not merely score-equivalent.
 
 2. **Bit-parallel Myers prefilter** (:func:`batch_myers_infix`,
@@ -52,12 +53,7 @@ import numpy as np
 
 from repro import obs
 from repro.align.matrices import ScoringScheme, blosum62_scheme
-from repro.align.pairwise import (
-    Alignment,
-    _as_encoded,
-    _traceback,
-    batch_alignment_cells,
-)
+from repro.align.pairwise import Alignment, _traceback, batch_alignment_cells
 from repro.align.predicates import containment_stats
 
 #: Most pairs per DP bucket.  Re-measured with the G-space, log-step
@@ -87,6 +83,21 @@ _BUCKET_CELLS = 64 * 289 * 289
 #: log-step: 1.4 vs 2.9 ms at 1 slot, 3.1 vs 3.6 at 8, 4.1 vs 4.1 at
 #: 12, 5.1 vs 4.5 at 16, 9.2 vs 6.7 at 32, 17.0 vs 10.1 at 64.
 _DOUBLING_MIN_SLOTS = 16
+
+#: Diagonal cells a bucket-walk step tests per slot: a longer run takes
+#: more steps, a longer window makes every step dearer.  The walk of
+#: every bucket of the suite's giant and skewed runs (seed 2008, 1,697
+#: and 2,205 walks, machine above), ms at 16/32/64 with 8 slots: giant
+#: 49.6/41.7/44.1, skewed 47.4/42.8/42.7; one _traceback per slot took
+#: 104 and 86.
+_WALK_WINDOW = 32
+
+#: Live slots below which the bucket walk hands the rest to _traceback:
+#: a lockstep step costs ~60 NumPy calls whatever the width, so a few
+#: slots walk faster one at a time, and the serve path's 1-6-pair calls
+#: never enter the lockstep.  Same buckets, ms at 4/8/16 with a 32-cell
+#: window: giant 47.0/41.7/44.7, skewed 42.4/42.8/44.5.
+_WALK_MIN_SLOTS = 8
 
 _U1 = np.uint64(1)
 _U63 = np.uint64(63)
@@ -118,6 +129,20 @@ def _chain_dtype(scheme: ScoringScheme, m: int, n: int) -> type:
     return np.int64
 
 
+def _slot_codes(
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bucket's residues batch-last, ``(m_pad, B)`` and ``(n_pad, B)``,
+    each slot padded with residue 0."""
+    B = len(pairs)
+    a_pad = np.zeros((max(len(a) for a, _ in pairs), B), dtype=np.intp)
+    b_pad = np.zeros((max(len(b) for _, b in pairs), B), dtype=np.intp)
+    for k, (a, b) in enumerate(pairs):
+        a_pad[: len(a), k] = a
+        b_pad[: len(b), k] = b
+    return a_pad, b_pad
+
+
 def _bucket_fill(
     pairs: Sequence[tuple[np.ndarray, np.ndarray]], scheme: ScoringScheme, mode: str
 ) -> np.ndarray:
@@ -134,18 +159,9 @@ def _bucket_fill(
     move adds ``sub - gap`` and the up move adds ``gap``; one ``H -=
     offs`` at the end returns to H.
     """
-    B = len(pairs)
-    m_pad = max(len(a) for a, _ in pairs)
-    n_pad = max(len(b) for _, b in pairs)
+    a_pad, b_pad = _slot_codes(pairs)
+    (m_pad, B), n_pad = a_pad.shape, len(b_pad)
     width = scheme.matrix.shape[1]
-    a_pad = np.zeros((m_pad, B), dtype=np.intp)
-    b_pad = np.zeros((n_pad, B), dtype=np.intp)
-    for k, (a, b) in enumerate(pairs):
-        a_pad[: len(a), k] = a
-        b_pad[: len(b), k] = b
-    if max(a_pad.max(), b_pad.max()) >= width:
-        raise IndexError(f"residue index out of range for a {width}-letter matrix")
-
     gap = int(scheme.gap)
     dtype = _chain_dtype(scheme, m_pad, n_pad)
     # Row tables: table[i - 1] holds, slot by slot, the (G-shifted)
@@ -176,7 +192,7 @@ def _bucket_fill(
         ping = np.full((lead + n_pad + 1, B), np.iinfo(dtype).min, dtype=dtype)
         pong = ping.copy()
     for i in range(1, m_pad + 1):
-        np.take(table[i - 1], b_slot, out=sub, mode="clip")  # range checked above
+        np.take(table[i - 1], b_slot, out=sub, mode="clip")  # checked on entry
         # The row is its own chain: row[0] holds the boundary (the chain
         # origin) and row[1:] the gap-free candidates, diagonal then up.
         prev = H[i - 1]
@@ -230,6 +246,107 @@ def _bucket_endpoints(
     return np.where(row_wins, m_arr, col_i), np.where(row_wins, row_j, n_arr)
 
 
+def _bucket_walk(
+    H: np.ndarray,
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    scheme: ScoringScheme,
+    start_i: np.ndarray,
+    start_j: np.ndarray,
+    mode: str,
+) -> list[Alignment]:
+    """Walk every slot of a bucket back at once; slot ``k``'s Alignment
+    is :func:`_traceback`'s from ``(start_i[k], start_j[k])``.
+
+    A step reads, for every live slot at ``(i, j)``, the window ``h[r] =
+    H(i - r, j - r)`` for ``r <= K`` (:data:`_WALK_WINDOW`) and the K
+    residue pairs beside it.  Cell ``r`` passes when ``r < min(i, j)``,
+    ``h[r] == h[r + 1] + sub`` and, local, ``h[r] != 0``: the one-slot
+    walk's diagonal predicate there.  So the slot moves back to its first
+    failing cell ``r*`` (K if none fails), counting matches over those
+    cells only, exactly as the one-slot run does.  At a failing cell the
+    one-slot walk stops (``i = 0``, ``j = 0``, a local zero) or takes the
+    up move, else the left move, else is stuck; the step does the same.
+    Once fewer than :data:`_WALK_MIN_SLOTS` slots are live (from the
+    start, in a narrow bucket), the rest resume in :func:`_traceback`,
+    which also builds every Alignment.
+    """
+    zeros = np.zeros_like(start_i)
+    at = np.array([start_i, start_j, zeros, zeros], dtype=np.intp)
+    if len(pairs) >= _WALK_MIN_SLOTS:
+        _walk_lockstep(H, pairs, scheme, mode, at)
+    return [
+        _traceback(H[:, :, k], a, b, scheme, si, sj, mode, at=state)
+        for k, ((a, b), si, sj, state) in enumerate(
+            zip(pairs, start_i.tolist(), start_j.tolist(), zip(*at.tolist()))
+        )
+    ]
+
+
+def _walk_lockstep(
+    H: np.ndarray,
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    scheme: ScoringScheme,
+    mode: str,
+    at: np.ndarray,
+) -> None:
+    """The lockstep half of :func:`_bucket_walk`: advances ``at``, the
+    rows ``(i, j, matches, diagonal)`` with one column per slot, until
+    fewer than :data:`_WALK_MIN_SLOTS` slots are live."""
+    _, n1, B = H.shape
+    cells = H.reshape(-1)
+    width = scheme.matrix.shape[1]
+    a_pad, b_pad = _slot_codes(pairs)
+    a_rows = (a_pad * width).ravel()  # a_rows[x] + b_cols[y]: a flat matrix index
+    b_cols = b_pad.ravel()
+    subs = scheme.matrix.ravel()
+    same = np.eye(width, dtype=bool).ravel()
+    gap, local, K = scheme.gap, mode == "local", _WALK_WINDOW
+    diag_back = np.arange(K + 1) * ((n1 + 1) * B)  # flat step (i, j) -> (i-1, j-1)
+    code_back = np.arange(K) * B
+    first = np.tri(K + 1, K, -1, dtype=bool)  # first[r]: the window's first r cells
+    ok = np.zeros((B, K + 1), dtype=bool)  # column K never passes
+    rows = np.arange(B)
+    s = rows
+    i, j, matches, diagonal = at.copy()
+    while len(s) >= _WALK_MIN_SLOTS:
+        limit = np.minimum(i, j)
+        cell = (i * n1 + j) * B + s
+        h = cells.take(cell[:, None] - diag_back, mode="clip")
+        pair = a_rows.take(((i - 1) * B + s)[:, None] - code_back, mode="clip")
+        pair += b_cols.take(((j - 1) * B + s)[:, None] - code_back, mode="clip")
+        passes = ok[: len(s), :K]
+        np.equal(h[:, :K], h[:, 1:] + subs.take(pair), out=passes)
+        if local:
+            passes &= h[:, :K] != 0
+        # Cells from min(i, j) on read clipped garbage: the limit cuts them.
+        run = np.minimum(ok[: len(s)].argmin(axis=1), limit)
+        matches += (same.take(pair) & first[run]).sum(axis=1)
+        diagonal += run
+        i -= run
+        j -= run
+        cell -= diag_back[1] * run
+        h = h[rows[: len(s)], run]  # H(i, j)
+        done = run == limit  # on row 0 or column 0
+        if local:
+            done |= h == 0
+        turn = (run < K) & ~done
+        up = h == cells.take(cell - n1 * B, mode="clip") + gap
+        left = h == cells.take(cell - B, mode="clip") + gap
+        stuck = turn & ~(up | left)
+        if stuck.any():  # a fill bug, never a left move
+            k = int(stuck.argmax())
+            raise AssertionError(f"traceback of slot {s[k]} stuck at ({i[k]}, {j[k]})")
+        up &= turn
+        i -= up
+        j -= turn & ~up
+        if done.any():
+            at[:, s[done]] = i[done], j[done], matches[done], diagonal[done]
+            keep = ~done
+            s, i, j = s[keep], i[keep], j[keep]
+            matches, diagonal = matches[keep], diagonal[keep]
+    at[:, s] = i, j, matches, diagonal
+
+
 def _iter_buckets(
     dims: Sequence[tuple[int, int]], bucket_size: int
 ) -> Iterable[list[int]]:
@@ -273,9 +390,9 @@ def _align_buckets(
         obs.count("batch.buckets")
         obs.count("batch.padded_cells", H.size)
         start_i, start_j = _bucket_endpoints(H, bucket, mode)
-        starts = zip(start_i.tolist(), start_j.tolist())
-        for slot, (k, (i, j)) in enumerate(zip(members, starts)):
-            out[k] = _traceback(H[:, :, slot], *enc[k], scheme, i, j, mode)
+        walked = _bucket_walk(H, bucket, scheme, start_i, start_j, mode)
+        for k, aln in zip(members, walked):
+            out[k] = aln
         del H  # the next fill must not allocate beside this bucket's H
     return out  # type: ignore[return-value]
 
@@ -298,13 +415,37 @@ def batch_align(
     """
     if mode not in ("global", "local", "semiglobal"):
         raise ValueError(f"unknown alignment mode {mode!r}")
+    _check_bucket_size("bucket_size", bucket_size)
     if scheme is None:
         scheme = blosum62_scheme()
-    enc = [(_as_encoded(a), _as_encoded(b)) for a, b in pairs]
+    enc = _encoded_pairs(pairs, scheme.matrix.shape[1])
     if not enc:
         return []
     obs.count("batch.pairs", len(enc))
     return _align_buckets(enc, scheme, mode, bucket_size)
+
+
+def _encoded_pairs(
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]], width: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The pairs as arrays, checked once per call on their own values
+    (no cast that could wrap or truncate a code): ``ValueError`` for a
+    sequence that is not a non-empty 1-D integer array, ``IndexError``
+    for a code outside ``[0, width)``."""
+    enc = [(np.asarray(a), np.asarray(b)) for a, b in pairs]
+    seqs = [seq for pair in enc for seq in pair]
+    if any(s.ndim != 1 or s.size == 0 or s.dtype.kind not in "iu" for s in seqs):
+        raise ValueError("sequences must be non-empty 1-D integer arrays")
+    if seqs:
+        codes = np.concatenate(seqs)
+        if codes.min() < 0 or codes.max() >= width:
+            raise IndexError(f"residue code out of range for a {width}-letter matrix")
+    return enc
+
+
+def _check_bucket_size(name: str, size: int) -> None:
+    if size < 1:
+        raise ValueError(f"{name} must be at least 1, got {size}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +470,7 @@ def batch_myers_infix(
     """
     if len(patterns) != len(texts):
         raise ValueError("patterns and texts must have equal length")
+    _check_bucket_size("bucket_size", bucket_size)
     result = np.zeros(len(patterns), dtype=np.int64)
     if not patterns:
         return result
@@ -552,7 +694,8 @@ def containment_prefilter(
     """Routes 1 and 2 of :func:`batch_containment`: one Myers sweep over
     the pair list, then the reject bound and the exact certificate as
     whole columns.  No DP."""
-    enc = [(_as_encoded(a), _as_encoded(b)) for a, b in pairs]
+    _check_bucket_size("myers_bucket", myers_bucket)
+    enc = _encoded_pairs(pairs, scheme.matrix.shape[1])
     if not enc:
         return ContainmentPrefilter(enc, [], [], [])
     obs.count("batch.pairs", len(enc))
@@ -590,6 +733,7 @@ def containment_dp(
     """Route 3 of :func:`batch_containment`: one semiglobal bucket loop
     over what the prefilter left undecided (and already counted in
     ``batch.pairs``)."""
+    _check_bucket_size("bucket_size", bucket_size)
     enc, dp_idx = prefilter.pairs, prefilter.undecided
     if not enc:
         return ContainmentBatch([], 0, 0, 0)

@@ -1,11 +1,14 @@
 """What an alignment is: the result record, the traceback, the cost unit.
 
 There is one DP engine, :mod:`repro.align.batch`; it fills many matrices
-a sweep and walks each back with the :func:`_traceback` below.  The
-traceback consumes one diagonal run per step (one vector compare along
-``H.diagonal``) and yields the exact statistics the paper's Definitions
-1 and 2 threshold on (:mod:`repro.align.predicates`): identical-column
-count, alignment length, and the aligned span on each sequence.
+a sweep and walks a wide bucket back in lockstep, handing the last few
+slots of a walk (and every slot of a narrow bucket) to the one-slot
+:func:`_traceback` below.  That walk consumes one diagonal run per step
+(one vector compare along ``H.diagonal``), resumes from wherever the
+bucket walk left a slot, and yields the exact statistics the paper's
+Definitions 1 and 2 threshold on (:mod:`repro.align.predicates`):
+identical-column count, alignment length, and the aligned span on each
+sequence.
 """
 
 from __future__ import annotations
@@ -51,13 +54,6 @@ class Alignment:
         return (self.b_end - self.b_start) / b_len if b_len else 0.0
 
 
-def _as_encoded(seq: np.ndarray) -> np.ndarray:
-    arr = np.asarray(seq, dtype=np.uint8)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("sequences must be non-empty 1-D encoded arrays")
-    return arr
-
-
 def _traceback(
     H: np.ndarray,
     a: np.ndarray,
@@ -66,6 +62,7 @@ def _traceback(
     start_i: int,
     start_j: int,
     mode: str,
+    at: tuple[int, int, int, int] | None = None,
 ) -> Alignment:
     """Walk back from (start_i, start_j) reconstructing column statistics.
 
@@ -73,10 +70,14 @@ def _traceback(
     moving diagonally while ``H[q] == H[q-1] + sub[q]`` (and, local,
     ``H[q] != 0``), so one vector compare along ``H.diagonal(j - i)``
     consumes a whole run; gap moves stay scalar.  ``H`` is any 2-D view.
+    ``at = (i, j, matches, diagonal)`` resumes a walk that got that far
+    from the start cell (the bucket walk's hand-off); a walk that has
+    already stopped there returns at once.
     """
     gap, matrix, local = scheme.gap, scheme.matrix, mode == "local"
-    i, j = start_i, start_j
-    matches = diagonal = 0
+    if at is None:
+        at = (start_i, start_j, 0, 0)
+    i, j, matches, diagonal = at
     # i == 0 or j == 0 ends the local walk (H is 0 there) and the
     # semiglobal one; the global walk finishes along the boundary below.
     while i > 0 and j > 0:

@@ -6,9 +6,10 @@ ever span a sequence boundary — two distinct sentinels never compare
 equal.  This gives the enhanced-suffix-array equivalent of a generalized
 suffix tree without per-string bookkeeping.
 
-Construction is array passes only: the prefix-doubling sort (``lexsort``
-+ vectorised rank assignment, O(N log^2 N) with tiny constants) and an
-LCP that compares all adjacent suffix pairs one text column at a time.
+Construction is array passes only: the prefix-doubling sort (one
+``argsort`` of a single int64 key per round + vectorised rank
+assignment, O(N log^2 N) with tiny constants) and an LCP that compares
+all adjacent suffix pairs one text column at a time.
 
 The sentinels also make the index of a *sub-collection* a filter of the
 full one (:meth:`GeneralizedSuffixArray.restrict`): a suffix's rank
@@ -31,35 +32,29 @@ def suffix_array(text: np.ndarray) -> np.ndarray:
     """Suffix array of an integer text via vectorised prefix doubling.
 
     Returns the permutation ``sa`` with ``text[sa[0]:] < text[sa[1]:] < ...``
-    in lexicographic order (suffix comparison treats "shorter is smaller"
-    via rank -1 padding).
+    in lexicographic order.  Ranks are dense (``0 .. n-1``), so a round
+    sorts the one key ``rank * (n + 1) + next`` of each suffix, where
+    ``next`` is the rank ``k`` symbols on plus one, and 0 past the end —
+    "shorter is smaller".  The round of ``k`` ranks every suffix by its
+    first ``2k`` symbols, so by the round where ``2k >= n`` every two
+    suffixes have been compared over their full length and all ranks
+    differ: the loop always ends on distinct ranks.
     """
     text = np.asarray(text, dtype=np.int64)
     n = len(text)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    rank = text.copy()
+    rank = np.unique(text, return_inverse=True)[1].astype(np.int64)
     k = 1
-    order = np.argsort(rank, kind="stable")
     while True:
-        key2 = np.full(n, -1, dtype=np.int64)
-        key2[: n - k] = rank[k:]
-        order = np.lexsort((key2, rank))
-        r1 = rank[order]
-        r2 = key2[order]
-        boundary = np.empty(n, dtype=np.int64)
-        boundary[0] = 0
-        boundary[1:] = np.cumsum((r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1]))
-        new_rank = np.empty(n, dtype=np.int64)
-        new_rank[order] = boundary
-        rank = new_rank
-        if boundary[-1] == n - 1:
-            break
+        key = rank * (n + 1)
+        key[: n - k] += rank[k:] + 1
+        order = np.argsort(key)
+        ranked = key[order]
+        rank[order] = np.cumsum(np.append(0, ranked[1:] != ranked[:-1]))
+        if rank[order[-1]] == n - 1:
+            return order
         k *= 2
-        if k >= n:
-            order = np.lexsort((np.arange(n), rank))
-            break
-    return order.astype(np.int64)
 
 
 def lcp_array(text: np.ndarray, sa: np.ndarray) -> np.ndarray:

@@ -1,12 +1,12 @@
 """The one-pair aligners, kept as the reference for the batched engine.
 
-These are ``repro.align.pairwise._fill`` / ``global_align`` /
-``local_align`` / ``semiglobal_align`` and the aligning
-``repro.align.predicates.containment_test`` / ``overlap_test`` as they
-stood while ``src/`` had a second DP engine: one pair per call, the
-matrix fill a row sweep vectorised *within* the row, the traceback the
-one ``repro.align.pairwise._traceback`` the batched engine still walks
-each slot with.  They *define* every ``Alignment`` field and both
+These are ``repro.align.pairwise._as_encoded`` / ``_fill`` /
+``global_align`` / ``local_align`` / ``semiglobal_align`` and the
+aligning ``repro.align.predicates.containment_test`` / ``overlap_test``
+as they stood while ``src/`` had a second DP engine: one pair per call,
+the matrix fill a row sweep vectorised *within* the row, the traceback
+the one-slot ``repro.align.pairwise._traceback`` the batched engine
+hands narrow work to.  They *define* every ``Alignment`` field and both
 verdicts, so ``test_batch_align.py`` and ``test_traceback.py`` hold
 ``repro.align.batch`` to them field for field, ``test_align.py`` holds
 them to a pure-Python DP, and ``scalar_serve.py`` builds the
@@ -23,13 +23,20 @@ from __future__ import annotations
 import numpy as np
 
 from repro.align.matrices import ScoringScheme, blosum62_scheme
-from repro.align.pairwise import Alignment, _as_encoded, _traceback
+from repro.align.pairwise import Alignment, _traceback
 from repro.align.predicates import (
     CONTAINMENT_COVERAGE,
     CONTAINMENT_SIMILARITY,
     OVERLAP_COVERAGE,
     OVERLAP_SIMILARITY,
 )
+
+
+def _as_encoded(seq: np.ndarray) -> np.ndarray:
+    arr = np.asarray(seq, dtype=np.uint8)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("sequences must be non-empty 1-D encoded arrays")
+    return arr
 
 
 def _fill(

@@ -23,10 +23,12 @@ from repro.align import batch
 from repro.align.batch import (
     _BUCKET_CELLS,
     _DOUBLING_MIN_SLOTS,
+    _WALK_MIN_SLOTS,
     DEFAULT_BUCKET,
     ContainmentBatch,
     _bucket_endpoints,
     _bucket_fill,
+    _bucket_walk,
     _chain_dtype,
     _iter_buckets,
     batch_align,
@@ -43,7 +45,7 @@ from repro.align.matrices import (
     blosum62_scheme,
     identity_scheme,
 )
-from repro.align.pairwise import batch_alignment_cells
+from repro.align.pairwise import _traceback, batch_alignment_cells
 from repro.pace.cache import AlignmentCache
 from repro.runtime import SerialBackend
 from repro.sequence.alphabet import encode
@@ -55,6 +57,7 @@ from tests.scalar_align import (
     local_align,
     semiglobal_align,
 )
+from tests.test_traceback import diverged_pair, low_complexity
 
 SCALAR = {
     "global": global_align,
@@ -413,6 +416,148 @@ class TestWideBuckets:
         assert sizes((256, 256), 130) == [44, 43, 43]  # no thin tail
         assert sizes((400, 400), 100) == [25] * 4  # the budget binds (33 fit)
         assert sizes((3000, 3000), 2) == [1, 1]  # alone over the budget
+
+
+#: Gap-heavy pairs: a diverged homolog, or two 4-letter sequences whose
+#: many equal scores leave more than one move consistent at many cells.
+gap_heavy_pair = st.one_of(diverged_pair(), st.tuples(low_complexity, low_complexity))
+#: gap -1 under BLOSUM62 makes gaps nearly free.
+GAP_HEAVY_SCHEMES = [blosum62_scheme(gap=-1), identity_scheme()]
+
+
+class TestBucketWalk:
+    """The lockstep bucket walk equals the one-slot walk slot by slot,
+    from the kernels' start cells and from any other."""
+
+    @given(st.lists(gap_heavy_pair, min_size=_WALK_MIN_SLOTS + 8,
+                    max_size=_WALK_MIN_SLOTS + 24),
+           st.sampled_from(MODES), st.sampled_from(range(len(GAP_HEAVY_SCHEMES))))
+    @settings(max_examples=40, deadline=None)
+    def test_wide_gap_heavy_buckets_match_scalar_and_alone(self, pairs, mode, scheme_idx):
+        """One bucket wide enough to walk in lockstep, whose slots stop
+        at different steps: every Alignment is the scalar kernel's and
+        the one the pair gets aligned alone (a one-slot walk)."""
+        scheme = GAP_HEAVY_SCHEMES[scheme_idx]
+        assert len(list(_iter_buckets([(len(a), len(b)) for a, b in pairs],
+                                      DEFAULT_BUCKET))) == 1
+        batched = batch_align(pairs, scheme, mode)
+        assert batched == [SCALAR[mode](a, b, scheme) for a, b in pairs]
+        assert batched == [batch_align([pair], scheme, mode)[0] for pair in pairs]
+
+    def test_hand_off_resumes_mid_path(self, monkeypatch):
+        """Slots of unequal path lengths: the ones still walking when the
+        bucket narrows resume in _traceback with partial counts."""
+        resumed = []
+
+        def recording(H, a, b, scheme, si, sj, mode, at=None):
+            i, j = at[:2]  # a slot the lockstep left live:
+            if min(i, j) > 0 and not (mode == "local" and H.item(i, j) == 0):
+                resumed.append(at)
+            return _traceback(H, a, b, scheme, si, sj, mode, at=at)
+
+        monkeypatch.setattr(batch, "_traceback", recording)
+        rng = np.random.default_rng(53)
+        pairs = rand_pairs(rng, 3 * _WALK_MIN_SLOTS, lo=30, hi=120)
+        scheme = blosum62_scheme(gap=-1)
+        for mode in MODES:
+            resumed.clear()
+            assert batch_align(pairs, scheme, mode) == [
+                SCALAR[mode](a, b, scheme) for a, b in pairs]
+            assert 0 < len(resumed) < _WALK_MIN_SLOTS, mode
+            assert any(diagonal > 0 for _, _, _, diagonal in resumed), mode
+
+    @given(st.lists(st.tuples(encoded_seq, encoded_seq), min_size=_WALK_MIN_SLOTS,
+                    max_size=_WALK_MIN_SLOTS + 12),
+           st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(MODES),
+           st.sampled_from(range(len(SCHEMES))))
+    @settings(max_examples=40, deadline=None)
+    def test_any_start_cells_equal_the_one_slot_walk(self, pairs, seed, mode, scheme_idx):
+        """Start cells anywhere in each slot's real submatrix, on the
+        fill's own H (padding not zeroed): slot by slot, _traceback's
+        Alignment."""
+        scheme = SCHEMES[scheme_idx]
+        rng = np.random.default_rng(seed)
+        start_i = np.array([rng.integers(0, len(a) + 1) for a, _ in pairs])
+        start_j = np.array([rng.integers(0, len(b) + 1) for _, b in pairs])
+        H = _bucket_fill(pairs, scheme, mode)
+        assert _bucket_walk(H, pairs, scheme, start_i, start_j, mode) == [
+            _traceback(H[:, :, k], a, b, scheme, int(start_i[k]), int(start_j[k]), mode)
+            for k, (a, b) in enumerate(pairs)
+        ]
+
+    @pytest.mark.parametrize("a, b, mode", [
+        ("GGAWWW", "PPCWWW", "local"),  # a local zero mid-diagonal
+        ("PPPPWCHWMW", "WCHWMWGGGG", "semiglobal"),  # ends at j == 0
+        ("WCHWMWGGGG", "PPPPWCHWMW", "semiglobal"),  # ends at i == 0
+    ])
+    def test_corner_cases_repeated_across_a_wide_bucket(self, a, b, mode):
+        scheme = blosum62_scheme()
+        pair = (encode(a), encode(b))
+        expected = SCALAR[mode](*pair, scheme)
+        assert batch_align([pair] * (_WALK_MIN_SLOTS + 16), scheme, mode) == (
+            [expected] * (_WALK_MIN_SLOTS + 16))
+
+    def test_stuck_walk_raises_from_the_lockstep(self):
+        """A cell consistent with no move (here, a diagonal predecessor
+        raised by 100) is a fill bug: the lockstep raises, it does not
+        fall through to a left move; so does the one-slot walk."""
+        scheme = blosum62_scheme()
+        pair = (encode("WCHWMW"), encode("WCHWMW"))
+        for width, message in ((_WALK_MIN_SLOTS + 8, "slot"),
+                               (_WALK_MIN_SLOTS - 1, "traceback stuck")):
+            pairs = [pair] * width
+            H = _bucket_fill(pairs, scheme, "global")
+            H[3, 3] += 100
+            start = np.full(width, 6)
+            with pytest.raises(AssertionError, match=message):
+                _bucket_walk(H, pairs, scheme, start, start, "global")
+
+
+class TestEntryValidation:
+    """Each call is checked once, on the values it was given."""
+
+    def test_codes_outside_the_matrix_raise_instead_of_aliasing(self):
+        """256 used to wrap to 0 ('A') on the DP routes: an A:A match of
+        score 4, and a containment certified at identity 1.0."""
+        with pytest.raises(IndexError):
+            batch_align([(np.array([256]), np.array([0]))])
+        with pytest.raises(IndexError):
+            batch_align([(np.array([1, 2]), np.array([-1, 2]))], mode="local")
+        with pytest.raises(IndexError):
+            batch_containment([(np.array([256, 1, 2]), np.array([0, 1, 2]))],
+                              similarity=0.95, coverage=0.95)
+
+    @pytest.mark.parametrize("bad", [
+        np.array([1.7, 2.0]), np.array([[1, 2]]), np.array([], dtype=np.uint8),
+        np.array([True, False]),
+    ], ids=["float", "2-D", "empty", "bool"])
+    def test_non_integer_or_misshapen_sequences_raise_value_error(self, bad):
+        ok = np.array([1, 2], dtype=np.uint8)
+        for pair in ((bad, ok), (ok, bad)):
+            with pytest.raises(ValueError):
+                batch_align([pair])
+            with pytest.raises(ValueError):
+                batch_containment([pair], similarity=0.95, coverage=0.95)
+
+    def test_any_integer_dtype_aligns_as_its_values(self):
+        rng = np.random.default_rng(59)
+        pairs = rand_pairs(rng, 6, lo=5, hi=40)
+        for dtype in (np.int8, np.int64, np.uint16):
+            cast = [(a.astype(dtype), b.astype(dtype)) for a, b in pairs]
+            assert batch_align(cast, mode="local") == batch_align(pairs, mode="local")
+
+    @pytest.mark.parametrize("size", [0, -1, -3])
+    def test_non_positive_bucket_sizes_rejected(self, size):
+        """-1 used to sweep nothing (all-zero distances, so a containment
+        "exactly certified" at identity 1.0); 0 divided by zero."""
+        a, b = np.array([1, 2, 3] * 10), np.array([5, 6, 7, 8] * 10)
+        with pytest.raises(ValueError, match="at least 1"):
+            batch_align([(a, b)], bucket_size=size)
+        with pytest.raises(ValueError, match="at least 1"):
+            batch_myers_infix([a], [b], bucket_size=size)
+        for sizes in ({"myers_bucket": size}, {"bucket_size": size}):
+            with pytest.raises(ValueError, match="at least 1"):
+                batch_containment([(a, b)], similarity=0.95, coverage=0.95, **sizes)
 
 
 class TestMyersInfix:

@@ -97,6 +97,24 @@ class TestSuffixArray:
         sa = suffix_array(text)
         assert sorted(sa.tolist()) == list(range(200))
 
+    @given(st.lists(st.sampled_from([0, 1, 19, 20, 999, 10**5, 10**6]),
+                    min_size=1, max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_sparse_symbol_values(self, symbols):
+        """Symbols far above the text length (sentinel-like values): the
+        single-key rounds rank them densely first."""
+        text = np.array(symbols, dtype=np.int64)
+        assert suffix_array(text).tolist() == naive_suffix_array(text).tolist()
+
+    @pytest.mark.parametrize("period", [[0], [1, 0], [2, 0, 1], [5, 5, 3]])
+    @pytest.mark.parametrize("length", [2, 33, 257, 1000])
+    def test_long_periodic_texts(self, period, length):
+        """Suffixes that agree up to the shorter one's end: ranks stay
+        tied for ~log2(n) rounds (10 at n = 1,000), and only the pad past
+        the end orders them."""
+        text = np.resize(np.array(period, dtype=np.int64), length)
+        assert suffix_array(text).tolist() == naive_suffix_array(text).tolist()
+
 
 class TestGeneralizedSuffixArray:
     def test_no_sequences_is_an_empty_index(self):
