@@ -13,8 +13,9 @@ promising pairs into shared sweeps along two complementary axes:
    :data:`_BUCKET_CELLS` padded cells; the DP state is laid out
    *batch-last* — ``H[(m+1), (n+1), B]`` — so every row update is one
    contiguous NumPy op across the whole bucket.  The fill runs in
-   G-space (``H - j * gap``), where a row's substitution scores are one
-   gather from per-slot row tables and the left-gap chain is a prefix
+   G-space (``H - j * gap``), where the substitution scores of a block
+   of :data:`_SUB_ROWS` rows are one gather from per-slot row tables
+   and the left-gap chain is a prefix
    max: a log-step one on wide buckets, one ``np.maximum.accumulate``
    on narrow ones.  It computes the one-pair recurrence exactly on each
    real submatrix, one masked reduction per bucket replicates the
@@ -28,7 +29,11 @@ promising pairs into shared sweeps along two complementary axes:
    edit-distance kernel swept as a *word wavefront* — at step ``t``
    word ``w`` of every pair processes text column ``t - w``, so one
    NumPy op advances every 64-bit word of every pair and a sweep is
-   ``n + W - 1`` steps, not ``n * W`` word updates.  For the RR
+   ``n + W - 1`` steps, not ``n * W`` word updates.  A sweep of fewer
+   than :data:`_WAVEFRONT_MIN_LANES` pairs (a serve request's) would
+   pay those dispatches for little arithmetic, so it runs *packed*
+   instead: every pair is a guarded bit field of one Python integer
+   and a text column is ~18 big-int operations.  For the RR
    phase's >=95 %-containment test a *sound* threshold on the infix
    edit distance (:func:`containment_reject_threshold`, computed for
    the whole pair list at once) proves that a pair cannot satisfy
@@ -63,9 +68,10 @@ from repro.align.predicates import containment_stats
 #: Past 64 the cell budget, not this cap, sets the width.
 DEFAULT_BUCKET = 64
 
-#: Pairs per Myers sweep: each wavefront step costs 19 NumPy dispatches
-#: whatever the width, so wider sweeps amortise them until the (W, B)
-#: state and the skewed masks outgrow the cache.  Re-measured with the
+#: Pairs per Myers sweep: from _WAVEFRONT_MIN_LANES lanes a sweep is the
+#: word wavefront, whose step costs 19 NumPy dispatches whatever the
+#: width, so wider sweeps amortise them until the (W, B) state and the
+#: skewed masks outgrow the cache.  Re-measured with the
 #: wavefront on the suite's RR pairs (seed 2008, machine above), us per
 #: pair at 128/256/512/1024/2048: domain 10.0/7.0/5.6/5.0/5.9, giant
 #: 30.3/21.8/19.0/18.4/18.6, skewed 17.2/13.1/10.5/11.9/13.1.
@@ -98,6 +104,23 @@ _WALK_WINDOW = 32
 #: never enter the lockstep.  Same buckets, ms at 4/8/16 with a 32-cell
 #: window: giant 47.0/41.7/44.7, skewed 42.4/42.8/44.5.
 _WALK_MIN_SLOTS = 8
+
+#: DP rows whose substitution scores _bucket_fill gathers with one take.
+#: One fill of 200-260-residue pairs on the machine above, against one
+#: take a row, best of 7: ~0.8x at 1-3 slots, ~0.88x at 8, ~0.97x at
+#: 16, 0.98-1.05x (neutral) at 64; the block buffer is ~1.2 MB at the
+#: widest bucket.
+_SUB_ROWS = 32
+
+#: Lanes from which a Myers sweep runs as the word wavefront instead of
+#: packed into one Python integer (_myers_packed), whose text column
+#: costs ~18 big-int operations for every lane together but grows with
+#: the lanes.  Packed / wavefront time on the machine above, random
+#: pairs of 110-260 residues at 1/6/16/24/32/48/64/256 lanes:
+#: 0.15/0.21/0.43/0.56/0.72/1.00/1.02/3.83; the suite's serve pairs
+#: regrouped into sweeps of 8/16/24/32/64: 0.23/0.32/0.42/0.51/0.80.
+#: Serve sweeps hold 2-8 lanes, batch RR sweeps hundreds.
+_WAVEFRONT_MIN_LANES = 32
 
 _U1 = np.uint64(1)
 _U63 = np.uint64(63)
@@ -165,10 +188,13 @@ def _bucket_fill(
     gap = int(scheme.gap)
     dtype = _chain_dtype(scheme, m_pad, n_pad)
     # Row tables: table[i - 1] holds, slot by slot, the (G-shifted)
-    # substitution row of a_k[i - 1], and b_slot indexes it flat, so a
-    # row's scores are one take (bound >= max|sub| + |gap|: it fits).
+    # substitution row of a_k[i - 1], and b_slot indexes it flat, so
+    # the scores of a block of _SUB_ROWS rows are one take into ``subs``
+    # (bound >= max|sub| + |gap|: they fit).
     table = (scheme.matrix.astype(np.int64) - gap).astype(dtype)[a_pad]
+    table = table.reshape(m_pad, B * width)
     b_slot = b_pad + width * np.arange(B)
+    subs = np.empty((min(m_pad, _SUB_ROWS), n_pad, B), dtype=dtype)
 
     # offs[j] = -j * gap.  It and the local floor (offs in G-space) are
     # full-size: broadcast operands miss NumPy's fast loops (np.maximum
@@ -180,7 +206,6 @@ def _bucket_fill(
     else:  # H[0, j] = 0
         H[0] = offs
     floor = offs[1:] if mode == "local" else None
-    sub = np.empty((n_pad, B), dtype=dtype)
     up = np.empty((n_pad, B), dtype=dtype)
     wide = B >= _DOUBLING_MIN_SLOTS
     if wide:
@@ -192,7 +217,11 @@ def _bucket_fill(
         ping = np.full((lead + n_pad + 1, B), np.iinfo(dtype).min, dtype=dtype)
         pong = ping.copy()
     for i in range(1, m_pad + 1):
-        np.take(table[i - 1], b_slot, out=sub, mode="clip")  # checked on entry
+        r = (i - 1) % _SUB_ROWS
+        if r == 0:  # codes checked on entry
+            block = table[i - 1 : i - 1 + _SUB_ROWS]
+            np.take(block, b_slot, axis=1, out=subs[: len(block)], mode="clip")
+        sub = subs[r]  # row i's scores
         # The row is its own chain: row[0] holds the boundary (the chain
         # origin) and row[1:] the gap-free candidates, diagonal then up.
         prev = H[i - 1]
@@ -428,19 +457,26 @@ def batch_align(
 def _encoded_pairs(
     pairs: Sequence[tuple[np.ndarray, np.ndarray]], width: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The pairs as arrays, checked once per call on their own values
-    (no cast that could wrap or truncate a code): ``ValueError`` for a
-    sequence that is not a non-empty 1-D integer array, ``IndexError``
-    for a code outside ``[0, width)``."""
+    """The pairs as arrays, checked once per call by :func:`_check_codes`;
+    an empty sequence is a ``ValueError`` too."""
     enc = [(np.asarray(a), np.asarray(b)) for a, b in pairs]
     seqs = [seq for pair in enc for seq in pair]
-    if any(s.ndim != 1 or s.size == 0 or s.dtype.kind not in "iu" for s in seqs):
+    if any(s.size == 0 for s in seqs):
         raise ValueError("sequences must be non-empty 1-D integer arrays")
+    _check_codes(seqs, width)
+    return enc
+
+
+def _check_codes(seqs: list[np.ndarray], width: int) -> None:
+    """Checks sequences on their own values (no cast that could wrap or
+    truncate a code): ``ValueError`` for one that is not a 1-D integer
+    array, ``IndexError`` for a code outside ``[0, width)``."""
+    if any(s.ndim != 1 or s.dtype.kind not in "iu" for s in seqs):
+        raise ValueError("sequences must be 1-D integer arrays")
     if seqs:
         codes = np.concatenate(seqs)
         if codes.min() < 0 or codes.max() >= width:
-            raise IndexError(f"residue code out of range for a {width}-letter matrix")
-    return enc
+            raise IndexError(f"residue code out of range for a {width}-letter alphabet")
 
 
 def _check_bucket_size(name: str, size: int) -> None:
@@ -463,10 +499,13 @@ def batch_myers_infix(
     """min over infixes ``t[x:y]`` of the unit-cost edit distance to
     the full pattern, for every (pattern, text) pair, vectorised.
 
-    Pairs are sorted by text length and swept ``bucket_size`` at a time
-    by :func:`_myers_sweep`.  Every code must lie in ``[0, alphabet)``;
-    anything else raises ``IndexError`` (code ``alphabet`` is the pad
-    that matches nothing).
+    Pairs are sorted by text length and swept ``bucket_size`` at a time,
+    a sweep of fewer than :data:`_WAVEFRONT_MIN_LANES` lanes by
+    :func:`_myers_packed` and a wider one by :func:`_myers_sweep`.
+    Every sequence must be a 1-D integer array (else ``ValueError``;
+    texts may be empty, patterns may not) whose codes lie in ``[0,
+    alphabet)``; anything else raises ``IndexError`` (code ``alphabet``
+    is the pad that matches nothing).
     """
     if len(patterns) != len(texts):
         raise ValueError("patterns and texts must have equal length")
@@ -474,13 +513,18 @@ def batch_myers_infix(
     result = np.zeros(len(patterns), dtype=np.int64)
     if not patterns:
         return result
-    if any(len(p) == 0 for p in patterns):
+    patterns = [np.asarray(p) for p in patterns]
+    texts = [np.asarray(t) for t in texts]
+    if any(p.size == 0 for p in patterns):
         raise ValueError("patterns must be non-empty")
+    # An empty text holds no code, whatever its dtype.
+    _check_codes([*patterns, *(t for t in texts if t.size or t.ndim != 1)], alphabet)
     # Sort by text length so padding waste inside a sweep stays low.
     order = sorted(range(len(patterns)), key=lambda k: len(texts[k]))
     for lo in range(0, len(order), bucket_size):
         chunk = order[lo : lo + bucket_size]
-        result[chunk] = _myers_sweep(
+        sweep = _myers_sweep if len(chunk) >= _WAVEFRONT_MIN_LANES else _myers_packed
+        result[chunk] = sweep(
             [patterns[k] for k in chunk], [texts[k] for k in chunk], alphabet
         )
     return result
@@ -491,11 +535,9 @@ def _padded_codes(
 ) -> np.ndarray:
     """``(B, width)`` codes: row ``k`` holds ``seqs[k]`` from column
     ``lead`` on and the pad code ``alphabet`` everywhere else; one
-    scatter for the whole list."""
+    scatter for the whole list (codes checked on entry)."""
     lengths = np.array([len(s) for s in seqs])
     flat = np.concatenate(seqs)
-    if flat.size and (flat.min() < 0 or flat.max() >= alphabet):
-        raise IndexError(f"residue code out of range for a {alphabet}-letter alphabet")
     col = np.arange(width)
     codes = np.full((len(seqs), width), alphabet, dtype=np.intp)
     codes[(col >= lead) & (col < lead + lengths[:, None])] = flat
@@ -590,6 +632,63 @@ def _myers_sweep(
     deltas = history.astype(bool).view(np.int8)
     score = np.cumsum(deltas[:, 0] - deltas[:, 1], axis=0, dtype=np.int32)
     return m_arr + np.minimum(score.min(axis=0), 0)
+
+
+def _myers_packed(
+    patterns: Sequence[np.ndarray], texts: Sequence[np.ndarray], alphabet: int
+) -> np.ndarray:
+    """Myers (1999) over ``B`` lanes packed into one Python integer.
+
+    Lane ``k`` holds bits ``[k * 8L, k * 8L + m_k)`` at a uniform stride
+    of ``L = m_max // 8 + 1`` bytes, so a zero guard bit sits above
+    every lane.  The add ``(Eq & Pv) + Pv`` can carry out of lane ``k``
+    into its guard bit but no further (the guard is zero in both
+    operands); ``& lanes`` after the add and after each shift clears it
+    again, so every lane's bit 0 takes carry-in 0 (search mode), as word
+    0 of :func:`_myers_sweep` does.  A text column is then ~18 big-int
+    operations for every lane together.  As there, a column past a
+    lane's text has a zero mask and can only raise the lane's score; a
+    sweep whose texts are all empty has no column, and every distance
+    is ``m_k``.
+    """
+    B = len(patterns)
+    m_arr = np.array([len(p) for p in patterns])
+    L = int(m_arr.max()) // 8 + 1
+    n = max(len(t) for t in texts)
+
+    # peq[k, c]: lane k's match mask of code c as L little-endian bytes
+    # (the pad code's stays zero); lanes: every lane's bits set.
+    codes = _padded_codes(patterns, 8 * L, alphabet)
+    onehot = codes[:, None, :] == np.arange(alphabet)[:, None]
+    peq = np.zeros((B, alphabet + 1, L), dtype=np.uint8)
+    peq[:, :alphabet] = np.packbits(onehot, axis=2, bitorder="little")
+    lanes = int.from_bytes(np.packbits(codes < alphabet, bitorder="little").tobytes(), "little")
+    # Every column's masks, lane after lane: one gather, one buffer.
+    masks = memoryview(peq[np.arange(B), _padded_codes(texts, n, alphabet).T].tobytes())
+
+    size = B * L
+    pv, mv = lanes, 0
+    history: list[int] = []  # (ph, mh) of every column, before the shift
+    for at in range(0, n * size, size):
+        eq = int.from_bytes(masks[at : at + size], "little")
+        xv = eq | mv
+        xh = ((((eq & pv) + pv) & lanes) ^ pv) | eq
+        ph = mv | ((xh | pv) ^ lanes)
+        mh = pv & xh
+        history.append(ph)
+        history.append(mh)
+        ph = (ph << 1) & lanes
+        mh = (mh << 1) & lanes
+        pv = mh | ((xv | ph) ^ lanes)
+        mv = ph & xv
+
+    # Lane k's last-row bit of every (ph, mh): byte (m_k - 1) // 8 of
+    # its stride, as in _myers_sweep a +1 / -1 step of the running score.
+    raw = b"".join(x.to_bytes(size, "little") for x in history)
+    deltas = np.frombuffer(raw, dtype=np.uint8).reshape(n, 2, B, L)
+    top = deltas[:, :, np.arange(B), (m_arr - 1) >> 3] >> ((m_arr - 1) & 7) & 1
+    score = np.cumsum(top[:, 0].astype(np.int32) - top[:, 1], axis=0)
+    return m_arr + score.min(axis=0, initial=0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from repro.align import batch
 from repro.align.batch import (
     _BUCKET_CELLS,
     _DOUBLING_MIN_SLOTS,
+    _SUB_ROWS,
     _WALK_MIN_SLOTS,
+    _WAVEFRONT_MIN_LANES,
     DEFAULT_BUCKET,
     ContainmentBatch,
     _bucket_endpoints,
@@ -31,6 +33,8 @@ from repro.align.batch import (
     _bucket_walk,
     _chain_dtype,
     _iter_buckets,
+    _myers_packed,
+    _myers_sweep,
     batch_align,
     batch_containment,
     batch_myers_infix,
@@ -653,6 +657,132 @@ class TestMyersInfix:
                 [np.array([], dtype=np.uint8)],
                 [np.array([1], dtype=np.uint8)],
             )
+
+    @pytest.mark.parametrize("bad", [
+        np.array([1.7, 2.2]), np.array([True, False]), np.array([[1, 2]]),
+    ], ids=["float", "bool", "2-D"])
+    def test_non_integer_or_misshapen_sequences_raise_value_error(self, bad):
+        """[1.7, 2.2] used to truncate to [1, 2] (a false exact match,
+        distance 0), so did a bool pattern against [1, 0]; a 2-D
+        sequence died in the scatter."""
+        ok = np.array([1, 2], dtype=np.uint8)
+        for patterns, texts in (([bad], [ok]), ([ok], [bad]),
+                                ([ok, bad], [ok, ok])):
+            with pytest.raises(ValueError, match="1-D integer"):
+                batch_myers_infix(patterns, texts)
+
+    def test_empty_texts_stay_legal(self):
+        """An empty text holds no code, whatever its dtype: the distance
+        is the pattern's length, on both sweep paths."""
+        p = np.array([1, 2, 3], dtype=np.uint8)
+        for empty in (np.array([], dtype=np.uint8), np.array([]), []):
+            assert batch_myers_infix([p], [empty]).tolist() == [3]
+        texts = [[], np.arange(5, dtype=np.uint8)] * (_WAVEFRONT_MIN_LANES // 2)
+        dists = batch_myers_infix([p] * len(texts), texts)
+        assert dists.tolist() == [3, 0] * (_WAVEFRONT_MIN_LANES // 2)
+
+
+def mutated_lanes(rng, shapes, codes=20):
+    """One lane per ``(m, n)``: a random pattern, a random text, every
+    other text carrying a mutated copy of its pattern."""
+    patterns, texts = [], []
+    for k, (m, n) in enumerate(shapes):
+        p = rng.integers(0, codes, m).astype(np.uint8)
+        t = rng.integers(0, codes, n).astype(np.uint8)
+        if k % 2 == 0 and n:
+            copy = p.copy()
+            hits = rng.integers(0, m, max(1, m // 15))
+            copy[hits] = rng.integers(0, codes, len(hits)).astype(np.uint8)
+            at = int(rng.integers(0, n + 1))
+            t = np.concatenate([t[:at], copy[: n + m // 2], t[at:]])
+        patterns.append(p)
+        texts.append(t)
+    return patterns, texts
+
+
+class TestPackedSweep:
+    """The packed sweep and the word wavefront are one function of their
+    lanes: both equal the O(mn) definition."""
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 6 * 64), st.integers(0, 160)),
+                 min_size=1, max_size=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([2, 20]), st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_both_paths_equal_the_oracle(self, shapes, seed, codes, all_empty):
+        """1-40 lanes of 1-6 words, texts shorter than their pattern,
+        empty, or (``all_empty``) every one empty: a sweep of no columns."""
+        rng = np.random.default_rng(seed)
+        patterns, texts = mutated_lanes(rng, shapes, codes)
+        if all_empty:
+            texts = [t[:0] for t in texts]
+        packed = _myers_packed(patterns, texts, 21).tolist()
+        assert packed == _myers_sweep(patterns, texts, 21).tolist()
+        assert packed == [infix_distance_oracle(p, t) for p, t in zip(patterns, texts)]
+
+    @pytest.mark.parametrize("lengths", [
+        [1, 63, 64, 65, 129],
+        [135, 1, 135, 63, 135, 64, 135, 65, 135, 129, 135],  # 135 = 8L - 1
+        [63, 63, 7, 63, 1, 63],
+        [7, 7, 1, 7],
+    ])
+    def test_guard_bits_under_carries_into_every_lane_top(self, lengths):
+        """All-equal residues: ``(Eq & Pv) + Pv`` carries out of every
+        lane's top bit on every matching column, and a lane of ``8L -
+        1`` bits has its guard at the top of its stride, right below
+        the next lane's bit 0.  A carry or a shifted bit that crossed a
+        guard would move the next lane's distance."""
+        zeros = [np.zeros(m, dtype=np.uint8) for m in lengths]
+        texts = [
+            np.zeros(m + 9, dtype=np.uint8) if k % 3 == 0
+            else np.resize(np.array([0, 0, 1], dtype=np.uint8), 2 * m + 5) if k % 3 == 1
+            else np.zeros(m // 2, dtype=np.uint8)
+            for k, m in enumerate(lengths)
+        ]
+        expected = [infix_distance_oracle(p, t) for p, t in zip(zeros, texts)]
+        assert _myers_packed(zeros, texts, 21).tolist() == expected
+        assert _myers_sweep(zeros, texts, 21).tolist() == expected
+
+    @pytest.mark.parametrize("lanes", [_WAVEFRONT_MIN_LANES - 1, _WAVEFRONT_MIN_LANES])
+    def test_either_side_of_the_crossover(self, lanes, monkeypatch):
+        """T - 1 lanes sweep packed, T as the wavefront; both equal the
+        oracle."""
+        swept = []
+        for name in ("_myers_packed", "_myers_sweep"):
+            real = getattr(batch, name)
+            monkeypatch.setattr(batch, name, lambda p, t, a, real=real, name=name: (
+                swept.append((name, len(p))) or real(p, t, a)))
+        rng = np.random.default_rng(61)
+        shapes = [(int(rng.integers(1, 200)), int(rng.integers(0, 220))) for _ in range(lanes)]
+        patterns, texts = mutated_lanes(rng, shapes)
+        assert batch_myers_infix(patterns, texts).tolist() == [
+            infix_distance_oracle(p, t) for p, t in zip(patterns, texts)]
+        path = "_myers_packed" if lanes < _WAVEFRONT_MIN_LANES else "_myers_sweep"
+        assert swept == [(path, lanes)]
+
+
+class TestBlockedGather:
+    """The fill gathers substitution scores _SUB_ROWS rows per take: H
+    is the one-pair fill's on either side of every block edge."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("slots", [1, 3, _DOUBLING_MIN_SLOTS + 1])
+    def test_block_edges_in_narrow_and_wide_buckets(self, mode, slots):
+        rng = np.random.default_rng(67 + slots)
+        for m_pad in (_SUB_ROWS - 1, _SUB_ROWS, _SUB_ROWS + 1, 2 * _SUB_ROWS,
+                      2 * _SUB_ROWS + 1):
+            pairs = [(rng.integers(0, 20, m_pad if k == 0 else int(rng.integers(1, m_pad + 1))),
+                      rng.integers(0, 20, int(rng.integers(1, 50))))
+                     for k in range(slots)]
+            pairs = [(a.astype(np.uint8), b.astype(np.uint8)) for a, b in pairs]
+            scheme = SCHEMES[slots % len(SCHEMES)]
+            H = _bucket_fill(pairs, scheme, mode)
+            assert H.shape[0] == m_pad + 1
+            for k, (a, b) in enumerate(pairs):
+                assert np.array_equal(H[: len(a) + 1, : len(b) + 1, k],
+                                      _fill(a, b, scheme, mode)), (m_pad, k)
 
 
 class TestContainmentEngine:

@@ -337,8 +337,9 @@ class TestIncrementalInsert:
         def no_alignment(*_args, **_kwargs):
             raise AssertionError("replay must not align")
 
-        # Every alignment route ends in one of these two kernels.
+        # Every alignment route ends in one of these three kernels.
         monkeypatch.setattr(batch, "_myers_sweep", no_alignment)
+        monkeypatch.setattr(batch, "_myers_packed", no_alignment)
         monkeypatch.setattr(batch, "_bucket_fill", no_alignment)
         replay_insert(mirror, decisions[0])
         assert mirror.digest() == live.digest()
