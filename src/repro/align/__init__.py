@@ -27,6 +27,7 @@ from repro.align.predicates import (
     contained,
     containment_stats,
     containment_verdict,
+    containment_verdicts,
     overlaps,
 )
 from repro.align.prefilter import KmerPrefilter
@@ -51,6 +52,7 @@ __all__ = [
     "contained",
     "containment_stats",
     "containment_verdict",
+    "containment_verdicts",
     "overlaps",
     "KmerPrefilter",
 ]

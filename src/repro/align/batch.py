@@ -460,7 +460,8 @@ def _encoded_pairs(
     """The pairs as arrays, checked once per call by :func:`_check_codes`;
     an empty sequence is a ``ValueError`` too."""
     enc = [(np.asarray(a), np.asarray(b)) for a, b in pairs]
-    seqs = [seq for pair in enc for seq in pair]
+    # An array that recurs across pairs (an RR task's) is checked once.
+    seqs = list({id(seq): seq for pair in enc for seq in pair}.values())
     if any(s.size == 0 for s in seqs):
         raise ValueError("sequences must be non-empty 1-D integer arrays")
     _check_codes(seqs, width)
@@ -510,17 +511,29 @@ def batch_myers_infix(
     if len(patterns) != len(texts):
         raise ValueError("patterns and texts must have equal length")
     _check_bucket_size("bucket_size", bucket_size)
-    result = np.zeros(len(patterns), dtype=np.int64)
     if not patterns:
-        return result
+        return np.zeros(0, dtype=np.int64)
     patterns = [np.asarray(p) for p in patterns]
     texts = [np.asarray(t) for t in texts]
     if any(p.size == 0 for p in patterns):
         raise ValueError("patterns must be non-empty")
     # An empty text holds no code, whatever its dtype.
     _check_codes([*patterns, *(t for t in texts if t.size or t.ndim != 1)], alphabet)
+    return _myers_distances(patterns, texts, alphabet, bucket_size)
+
+
+def _myers_distances(
+    patterns: Sequence[np.ndarray],
+    texts: Sequence[np.ndarray],
+    alphabet: int,
+    bucket_size: int,
+) -> np.ndarray:
+    """:func:`batch_myers_infix` on sequences already checked against
+    ``alphabet`` (the containment prefilter checks its pairs once,
+    against the scoring matrix)."""
+    result = np.zeros(len(patterns), dtype=np.int64)
     # Sort by text length so padding waste inside a sweep stays low.
-    order = sorted(range(len(patterns)), key=lambda k: len(texts[k]))
+    order = np.argsort([len(t) for t in texts], kind="stable")
     for lo in range(0, len(order), bucket_size):
         chunk = order[lo : lo + bucket_size]
         sweep = _myers_sweep if len(chunk) >= _WAVEFRONT_MIN_LANES else _myers_packed
@@ -794,7 +807,8 @@ def containment_prefilter(
     the pair list, then the reject bound and the exact certificate as
     whole columns.  No DP."""
     _check_bucket_size("myers_bucket", myers_bucket)
-    enc = _encoded_pairs(pairs, scheme.matrix.shape[1])
+    width = scheme.matrix.shape[1]
+    enc = _encoded_pairs(pairs, width)
     if not enc:
         return ContainmentPrefilter(enc, [], [], [])
     obs.count("batch.pairs", len(enc))
@@ -802,7 +816,8 @@ def containment_prefilter(
     m, n = np.array([(len(a), len(b)) for a, b in enc]).T
     shorter = [a if len(a) <= len(b) else b for a, b in enc]
     longer = [b if len(a) <= len(b) else a for a, b in enc]
-    dists = batch_myers_infix(shorter, longer, bucket_size=myers_bucket)
+    # Checked against the matrix: every code lies in [0, width).
+    dists = _myers_distances(shorter, longer, width, myers_bucket)
 
     threshold = containment_reject_threshold(m, n, similarity, coverage)
     rejected = dists > threshold if threshold is not None else np.zeros(len(enc), bool)

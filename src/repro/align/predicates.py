@@ -22,6 +22,8 @@ footnote 3); the module constants are the paper's defaults.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.align.pairwise import Alignment
 
 #: Paper defaults (Definitions 1 and 2).
@@ -46,11 +48,11 @@ def contained(
 ) -> tuple[bool, bool]:
     """Definition 1 both ways: ``(a in b, b in a)``.  The engine's
     ``(0.0, 0.0, 0.0)`` surrogate for a pair its Myers bound rejected
-    fails both under any positive cutoff."""
+    fails both under any positive cutoff.  Given the three statistics as
+    columns it answers two boolean columns, row by row the same."""
     identity, coverage_a, coverage_b = stats
-    if identity < similarity:
-        return False, False
-    return coverage_a >= coverage, coverage_b >= coverage
+    similar = identity >= similarity
+    return similar & (coverage_a >= coverage), similar & (coverage_b >= coverage)
 
 
 def containment_verdict(
@@ -73,6 +75,27 @@ def containment_verdict(
     if j_in_i:
         return j, i
     return None
+
+
+def containment_verdicts(
+    stats: np.ndarray,
+    i: np.ndarray,
+    j: np.ndarray,
+    len_i: np.ndarray,
+    len_j: np.ndarray,
+    similarity: float,
+    coverage: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`containment_verdict` over columns: ``stats`` is ``(k, 3)``,
+    one ``(identity, coverage_i, coverage_j)`` row per pair ``(i[r],
+    j[r])`` of lengths ``(len_i[r], len_j[r])``.  Returns the
+    ``(victims, survivors)`` columns of the pairs that have a verdict,
+    in row order."""
+    i_in_j, j_in_i = contained(stats.T, similarity, coverage)
+    # Mutual containment drops the shorter, ties the higher index.
+    i_loses = i_in_j & (~j_in_i | (len_i < len_j) | ((len_i == len_j) & (i > j)))
+    rows = i_in_j | j_in_i
+    return np.where(i_loses, i, j)[rows], np.where(i_loses, j, i)[rows]
 
 
 def overlaps(

@@ -13,7 +13,9 @@ once:
 * :class:`PairStream` is the master side of every pair phase: pairs cut
   into tasks, results handed back through ``ready``/``drain`` — for an
   alignment stream with the master-only
-  :class:`~repro.pace.cache.AlignmentCache` in front.
+  :class:`~repro.pace.cache.AlignmentCache` in front, for RR's
+  :class:`ContainmentStream` as int64 index columns in and statistic
+  rows out.
 * :class:`Backend` makes ``alignment_stream``, ``containment_stream``
   and ``map_components`` concrete over the hooks an executor
   (:class:`~repro.runtime.serial.SerialBackend`,
@@ -39,6 +41,8 @@ import platform
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.align.batch import batch_align, batch_containment
 from repro.pace.densesub import shingle_component
@@ -46,8 +50,6 @@ from repro.suffix.suffix_array import GeneralizedSuffixArray
 from repro.util.timing import monotonic_now
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    import numpy as np
-
     from repro.align.matrices import ScoringScheme
     from repro.graph.bipartite import BipartiteGraph
     from repro.pace.cache import AlignmentCache
@@ -78,13 +80,14 @@ def run_task(
 
     * ``("local" | "semiglobal", pairs)`` → one
       :class:`~repro.align.pairwise.Alignment` per pair;
-    * ``("contain", similarity, coverage, pairs)`` → one ``(identity,
-      coverage_i, coverage_j)`` per pair;
+    * ``("contain", similarity, coverage, ia, ib)`` → the ``(k, 3)``
+      float64 rows ``(identity, coverage_i, coverage_j)`` of the pairs
+      ``(ia[r], ib[r])``, two int64 index columns;
     * ``("shingle", graph, reduction, params, min_size, tau)`` → the
       ``(finals, raw, stats)`` triple of
       :func:`~repro.pace.densesub.shingle_component`.
 
-    ``pairs`` are global sequence indices resolved through
+    Pairs are global sequence indices resolved through
     ``get_encoded``.  Serial execution, a worker process and the
     process backend's in-master recovery all call this function, so a
     task's result cannot depend on where it ran.
@@ -96,11 +99,13 @@ def run_task(
             scheme, mode=kind,
         )
     if kind == "contain":
-        _, similarity, coverage, pairs = body
-        return batch_containment(
+        _, similarity, coverage, ia, ib = body
+        pairs = zip(ia.tolist(), ib.tolist())
+        stats = batch_containment(
             [(get_encoded(i), get_encoded(j)) for i, j in pairs],
             scheme=scheme, similarity=similarity, coverage=coverage,
         ).stats
+        return np.array(stats, dtype=np.float64).reshape(-1, 3)
     if kind == "shingle":
         return shingle_component(*body[1:])
     raise ValueError(f"unknown task kind {kind!r}")
@@ -174,24 +179,16 @@ class PairStream:
     The master submits ``(i, j)`` global index pairs; each comes back
     exactly once through :meth:`ready` (non-blocking) or :meth:`drain`
     (blocking flush), in an unspecified order, as ``(i, j, result)``
-    with ``i < j``.  The RR and bipartite drivers interleave
+    with ``i < j``, the result the pair's
+    :class:`~repro.align.pairwise.Alignment` (``kind`` ``"local"`` or
+    ``"semiglobal"``).  The bipartite driver interleaves
     ``submit_many`` with ``ready`` so verdicts are absorbed while tasks
     are out; the CCD driver submits a batch and drains it.
 
-    For ``kind`` ``"local"``/``"semiglobal"`` the result is the pair's
-    :class:`~repro.align.pairwise.Alignment`; for ``"contain"`` (RR) it
-    is Definition 1's ``(identity, coverage_i, coverage_j)`` — RR never
-    reads the traceback, which is what lets the containment engine
-    answer a pair *proven* unable to pass with ``(0.0, 0.0, 0.0)`` and
-    no alignment at all.
-
-    An alignment stream has the cache in front: a pair it already
-    holds never becomes work, it is answered here and counted once as a
-    hit; every alignment a task returns is inserted and counted once as
-    a miss.  A ``"contain"`` stream has none (``cache`` is None): its
-    results are not alignments, and nothing would read them back.
-    Pairs that become work are cut into tasks of
-    :meth:`Backend._task_pairs` pairs.
+    The cache is in front: a pair it already holds never becomes work,
+    it is answered here and counted once as a hit; every alignment a
+    task returns is inserted and counted once as a miss.  Pairs that
+    become work are cut into tasks of :meth:`Backend._task_pairs` pairs.
     """
 
     def __init__(self, backend: "Backend", stream_id: int, kind: str,
@@ -213,8 +210,7 @@ class PairStream:
         for i, j in pairs:
             if i > j:
                 i, j = j, i
-            if (self._cache is not None
-                    and self._cache.peek(self.kind, i, j) is not None):
+            if self._cache.peek(self.kind, i, j) is not None:
                 self._phase.cache_hits += 1
                 obs.count(f"runtime.pairs_done.{self._phase.name}")
                 self._done.append(
@@ -230,28 +226,33 @@ class PairStream:
 
     def _cut(self) -> None:
         """Dispatch the pending pairs as one task."""
-        if not self._pending:
-            return
-        pairs, self._pending = self._pending, []
-        obs.count("runtime.batch_pairs", len(pairs))
+        if self._pending:
+            pairs, self._pending = self._pending, []
+            self._send(pairs)
+
+    def _send(self, *columns) -> None:
+        """Dispatch one task over ``columns``: a pair list, or a
+        containment stream's two index columns."""
+        obs.count("runtime.batch_pairs", len(columns[0]))
         self.in_flight += 1
         obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
         self._backend._dispatch(
-            (self.kind, *self._params, pairs),
-            functools.partial(self._absorb, pairs),
+            (self.kind, *self._params, *columns),
+            functools.partial(self._absorb, columns),
         )
 
-    def _absorb(self, pairs: list[tuple[int, int]], results: list,
-                busy: float) -> None:
+    def _absorb(self, columns: tuple, results, busy: float) -> None:
         """The task's sink — called exactly once per dispatched task,
         wherever it ended up running."""
         self.in_flight -= 1
         obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
         self._phase.busy_seconds += busy
-        obs.count(f"runtime.pairs_done.{self._phase.name}", len(pairs))
+        obs.count(f"runtime.pairs_done.{self._phase.name}", len(columns[0]))
+        self._collect(*columns, results)
+
+    def _collect(self, pairs: list[tuple[int, int]], results: list) -> None:
         for (i, j), result in zip(pairs, results):
-            if self._cache is not None:
-                self._cache.insert(self.kind, i, j, result)
+            self._cache.insert(self.kind, i, j, result)
             self._done.append((i, j, result))
 
     def ready(self) -> list[tuple[int, int, object]]:
@@ -266,6 +267,37 @@ class PairStream:
         while self.in_flight > 0:
             self._backend._pump(block=True)
         yield from self.ready()
+
+
+class ContainmentStream(PairStream):
+    """RR's stream, in columns: :meth:`submit_columns` takes two int64
+    index columns ``(ia, ib)``, ``ia < ib``, and each task comes back
+    through ``ready`` / ``drain`` as one ``(ia, ib, stats)`` triple,
+    ``stats`` the ``(k, 3)`` float64 rows of Definition 1's
+    ``(identity, coverage_i, coverage_j)``.  RR never reads the
+    traceback, which is what lets the containment engine answer a pair
+    *proven* unable to pass with ``(0.0, 0.0, 0.0)`` and no alignment
+    at all.  No cache: the results are not alignments and nothing reads
+    them back, so every pair is work.
+    """
+
+    def __init__(self, backend: "Backend", stream_id: int,
+                 similarity: float, coverage: float):
+        super().__init__(backend, stream_id, "contain", None,
+                         (similarity, coverage))
+
+    def submit_columns(self, ia: np.ndarray, ib: np.ndarray) -> None:
+        """Request the statistics of the pairs ``(ia[r], ib[r])``, in
+        tasks of :meth:`Backend._task_pairs` rows (one task a call on an
+        executor that sets no size)."""
+        self._phase.tasks += len(ia)
+        step = self._task_pairs or max(len(ia), 1)
+        for lo in range(0, len(ia), step):
+            self._send(ia[lo : lo + step], ib[lo : lo + step])
+        self._backend._throttle()
+
+    def _collect(self, ia: np.ndarray, ib: np.ndarray, stats: np.ndarray) -> None:
+        self._done.append((ia, ib, stats))
 
 
 class Backend(abc.ABC):
@@ -399,10 +431,9 @@ class Backend(abc.ABC):
 
     # -- work primitives ---------------------------------------------------
 
-    def _open_stream(self, kind: str, cache: "AlignmentCache | None",
-                     params: tuple = ()) -> PairStream:
+    def _open_stream(self, stream_class: type[PairStream], *args) -> PairStream:
         self._require_open()
-        stream = PairStream(self, self._next_stream_id, kind, cache, params)
+        stream = stream_class(self, self._next_stream_id, *args)
         self._next_stream_id += 1
         return stream
 
@@ -410,20 +441,20 @@ class Backend(abc.ABC):
         """Open a stream of ``kind`` ("local" or "semiglobal") alignments."""
         if kind not in ALIGN_KINDS:
             raise ValueError(f"unknown alignment kind {kind!r}")
-        return self._open_stream(kind, cache)
+        return self._open_stream(PairStream, kind, cache)
 
     def containment_stream(
         self, *, similarity: float, coverage: float
-    ) -> PairStream:
+    ) -> ContainmentStream:
         """Open a Definition 1 statistics stream for the RR phase.
 
         Answered through the batched containment engine
         (:func:`repro.align.batch.batch_containment`), whose decisions
         are provably identical to a full semiglobal DP per pair;
         ``similarity``/``coverage`` parameterise its sound rejection
-        threshold.  No cache: every pair is a task.
+        threshold.
         """
-        return self._open_stream("contain", None, (similarity, coverage))
+        return self._open_stream(ContainmentStream, similarity, coverage)
 
     def map_components(
         self,

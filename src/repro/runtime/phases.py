@@ -13,19 +13,21 @@ Each master is built inside its phase span over the session's one
 string index, :attr:`~repro.runtime.base.Backend.index` (RR whole, CCD
 and B_d restricted), so index time is phase time.  The pair source is
 the finder's *block* stream
-(:meth:`~repro.suffix.matches.MaximalMatchFinder.match_blocks`), and
-each master's one deciding filter, ``admit``, has a *sound block
-prefilter* in front of it — the same shape as the Myers reject in front
-of the DP: an array test over a whole block that drops only pairs
-``admit`` would provably reject, so every counter and every submitted
-pair is what the pair-by-pair loop over ``admit`` gives.  RR and
-bipartite generation only deduplicate, so they keep each block's first
-row per pair (a later row of the same pair is in ``_seen`` by then);
-CCD sorts each block by a label snapshot of a union–find, in bulk, and
-decides only the pairs whose endpoints the snapshot separates one by
-one, against the live state — under speculation, so that the pairs it
-admits are aligned a batch at a time
-(:func:`backend_component_detection`).
+(:meth:`~repro.suffix.matches.MaximalMatchFinder.match_blocks`).  RR's
+master admits a whole block in one call, against a bit map of the pairs
+seen, and its pairs stay int64 columns through the containment stream
+and back into a column Definition 1 verdict.  The other masters' one
+deciding filter, ``admit``, has a *sound block prefilter* in front of
+it — the same shape as the Myers reject in front of the DP: an array
+test over a whole block that drops only pairs ``admit`` would provably
+reject, so every counter and every submitted pair is what the
+pair-by-pair loop over ``admit`` gives.  Bipartite generation only
+deduplicates, so it keeps each block's first row per pair (a later row
+of the same pair is in ``_seen`` by then); CCD sorts each block by a
+label snapshot of a union–find, in bulk, and decides only the pairs
+whose endpoints the snapshot separates one by one, against the live
+state — under speculation, so that the pairs it admits are aligned a
+batch at a time (:func:`backend_component_detection`).
 
 Equal output on every backend rests on three invariants (see the
 module docstrings in :mod:`repro.pace.redundancy`,
@@ -53,6 +55,8 @@ from __future__ import annotations
 import functools
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro import obs
 from repro.align.pairwise import Alignment
 from repro.align.predicates import (
@@ -76,7 +80,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.checkpoint import CheckpointJournal
 
 
-#: Pairs per RR submit_many chunk.  Sized for the batched containment
+#: Pairs per RR submit_columns chunk.  Sized for the batched containment
 #: engine's sweet spot (the Myers sweep amortises across the pair axis);
 #: RR has no master-side filter, so chunking costs no decision freshness.
 RR_CHUNK = 512
@@ -123,6 +127,22 @@ def _traced_blocks(
         yield block
 
 
+def _column_chunks(
+    columns: Iterable[tuple[np.ndarray, np.ndarray]], size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Pair columns re-cut into chunks of ``size`` rows, in order; only
+    the last may be shorter."""
+    held_a = held_b = np.empty(0, dtype=np.int64)
+    for a, b in columns:
+        held_a, held_b = np.concatenate((held_a, a)), np.concatenate((held_b, b))
+        whole = len(held_a) - len(held_a) % size
+        for lo in range(0, whole, size):
+            yield held_a[lo : lo + size], held_b[lo : lo + size]
+        held_a, held_b = held_a[whole:], held_b[whole:]
+    if len(held_a):
+        yield held_a, held_b
+
+
 def _stream_chunked(
     stream: PairStream,
     pairs: Iterable[tuple[int, int]],
@@ -155,9 +175,11 @@ def backend_redundancy_removal(
     coverage: float = CONTAINMENT_COVERAGE,
     max_pairs_per_node: int | None = None,
 ) -> RedundancyResult:
-    """RR phase on a backend: all unique promising pairs are submitted in
-    chunks to the containment stream and Definition 1 verdicts absorbed
-    in completion order.
+    """RR phase on a backend: the master admits each block of the match
+    stream whole, the unique promising pairs travel to the containment
+    stream as int64 index columns, :data:`RR_CHUNK` rows a submit, and
+    each task's statistic rows come back to the master's column
+    Definition 1 verdict in completion order.
 
     The stream yields ``(identity, coverage_i, coverage_j)`` statistics
     rather than Alignments, so backends may answer pairs through the
@@ -177,21 +199,17 @@ def backend_redundancy_removal(
             coverage=coverage,
             max_pairs_per_node=max_pairs_per_node,
         )
-
-        def admitted() -> Iterator[tuple[int, int]]:
-            for block in _traced_blocks(master.finder.match_blocks(), "rr.pairs"):
-                for pair in block.first_pairs():
-                    if master.admit(pair):
-                        yield pair
-
-        _stream_chunked(
-            backend.containment_stream(
-                similarity=similarity, coverage=coverage
-            ),
-            admitted(),
-            RR_CHUNK,
-            master.absorb,
+        stream = backend.containment_stream(similarity=similarity, coverage=coverage)
+        admitted = (
+            master.admit(block.seq_a, block.seq_b)
+            for block in _traced_blocks(master.finder.match_blocks(), "rr.pairs")
         )
+        for ia, ib in _column_chunks(admitted, RR_CHUNK):
+            stream.submit_columns(ia, ib)
+            for done in stream.ready():
+                master.absorb(*done)
+        for done in stream.drain():
+            master.absorb(*done)
     return master.result()
 
 

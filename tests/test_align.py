@@ -19,6 +19,7 @@ from repro.align.predicates import (
     contained,
     containment_stats,
     containment_verdict,
+    containment_verdicts,
     overlaps,
 )
 from repro.sequence.alphabet import encode
@@ -280,6 +281,26 @@ class TestPredicates:
         assert containment_verdict(swapped, 7, 3, len_j, len_i, 0.95, 0.95) == expected
         i_in_j, j_in_i = contained(stats, 0.95, 0.95)
         assert (i_in_j or j_in_i) == (expected is not None)
+
+    def test_column_verdicts_are_the_pair_verdicts(self):
+        """``containment_verdicts`` names, row for row, what the one-pair
+        verdict names: the table's rows both ways round, then a grid of
+        statistics on and around the cutoffs, near-equal lengths and
+        both index orders (the tie-break's three inputs)."""
+        rows = [(stats, 3, 7, li, lj) for stats, li, lj, _ in self.VERDICTS.values()]
+        rows += [((s[0], s[2], s[1]), 7, 3, lj, li) for s, li, lj, _ in self.VERDICTS.values()]
+        rng = np.random.default_rng(4)
+        grid = [0.0, 0.5, 0.9499, 0.95, 0.96, 1.0]
+        for _ in range(600):
+            i, j = rng.choice(9, 2, replace=False).tolist()
+            rows.append((tuple(rng.choice(grid, 3).tolist()), i, j,
+                         int(rng.integers(80, 83)), int(rng.integers(80, 83))))
+        expected = [verdict for verdict in (
+            containment_verdict(*row, 0.95, 0.95) for row in rows) if verdict]
+        stats, i, j, len_i, len_j = (np.array(column) for column in zip(*rows))
+        victims, survivors = containment_verdicts(stats, i, j, len_i, len_j, 0.95, 0.95)
+        assert list(zip(victims.tolist(), survivors.tolist())) == expected
+        assert len(expected) > 100
 
     def test_containment_stats_read_the_alignment(self):
         aln = Alignment(score=0, a_start=2, a_end=20, b_start=0, b_end=19,

@@ -1,9 +1,10 @@
 """The block prefilters in front of the masters' ``admit`` are invisible.
 
 ``repro.runtime.phases`` feeds each master from the finder's block
-stream and drops, per block, the pairs ``admit`` would provably reject.
-Here every phase is run a second time the way it ran before — pair by
-pair through ``admit`` over the scalar node walk
+stream and drops, per block, the pairs ``admit`` would provably reject
+(RR's master admits the whole block itself).  Here every phase is run a
+second time the way it ran before — pair by pair through ``admit`` (for
+RR, through a set of seen pairs) over the scalar node walk
 (``tests/scalar_finder.py``), each master on an index *rebuilt* for its
 sub-collection instead of one restricted from the session's — and
 everything observable must agree: results, work counters, the journaled
@@ -20,11 +21,15 @@ from repro import obs
 from repro.graph.unionfind import UnionFind
 from repro.pace.bipartite_gen import BipartiteMaster, parallel_generate_component_graphs
 from repro.pace.clustering import ClusteringMaster, parallel_component_detection
-from repro.pace.redundancy import RedundancyMaster, parallel_redundancy_removal
+from repro.pace.redundancy import (
+    RedundancyMaster,
+    RedundancyResult,
+    parallel_redundancy_removal,
+)
 from repro.parallel.simulator import VirtualCluster
 from repro.runtime import ProcessBackend
 from repro.runtime import phases
-from repro.runtime.base import PairStream
+from repro.runtime.base import ContainmentStream, PairStream
 from repro.runtime.phases import (
     backend_component_detection,
     backend_generate_component_graphs,
@@ -38,6 +43,7 @@ from repro.align.predicates import (
     CONTAINMENT_SIMILARITY,
     OVERLAP_COVERAGE,
     OVERLAP_SIMILARITY,
+    containment_verdict,
 )
 from repro.pace.cache import AlignmentCache
 from repro.suffix.suffix_array import GeneralizedSuffixArray
@@ -98,15 +104,21 @@ class _Observed:
     def __init__(self, run, monkeypatch):
         self.submitted: list[tuple[int, int]] = []
         submit_many = PairStream.submit_many
+        submit_columns = ContainmentStream.submit_columns
 
         def recording_submit_many(stream, pairs):
             pairs = list(pairs)
             self.submitted.extend(pairs)
             submit_many(stream, pairs)
 
+        def recording_submit_columns(stream, ia, ib):
+            self.submitted.extend(zip(ia.tolist(), ib.tolist()))
+            submit_columns(stream, ia, ib)
+
         recorder = obs.Recorder()
         with monkeypatch.context() as patch, obs.recording(recorder):
             patch.setattr(PairStream, "submit_many", recording_submit_many)
+            patch.setattr(ContainmentStream, "submit_columns", recording_submit_columns)
             self.result = run()
         # Every count, that is: not the generator's, the speculation's and
         # the bucket packing's own work counters (new with the blocks and
@@ -146,21 +158,57 @@ def scalar_masters(monkeypatch):
 
 
 def reference_rr(sequences, backend, cache):
+    """RR as a set of seen pairs over the scalar walk, each first
+    sighting counted as it is made and its verdict drawn one pair at a
+    time by the scalar Definition 1; the stream is fed the same chunks."""
     master = RedundancyMaster(
         sequences, backend.index, psi=PSI, similarity=CONTAINMENT_SIMILARITY,
         coverage=CONTAINMENT_COVERAGE,
     )
     assert isinstance(master.finder, ScalarMatchFinder)
+    lengths = [len(record.encoded) for record in sequences]
+    seen: set[tuple[int, int]] = set()
+    containments: list[tuple[int, int]] = []
+
+    def absorb(ia, ib, stats):
+        for i, j, row in zip(ia.tolist(), ib.tolist(), stats.tolist()):
+            verdict = containment_verdict(
+                tuple(row), i, j, lengths[i], lengths[j],
+                CONTAINMENT_SIMILARITY, CONTAINMENT_COVERAGE,
+            )
+            if verdict is not None:
+                containments.append(verdict)
+
     with backend.phase("redundancy"):
-        phases._stream_chunked(
-            backend.containment_stream(
-                similarity=CONTAINMENT_SIMILARITY, coverage=CONTAINMENT_COVERAGE
-            ),
-            (m.pair for m in master.finder.matches() if master.admit(m.pair)),
-            phases.RR_CHUNK,
-            master.absorb,
+        stream = backend.containment_stream(
+            similarity=CONTAINMENT_SIMILARITY, coverage=CONTAINMENT_COVERAGE
         )
-    return master.result()
+        chunk: list[tuple[int, int]] = []
+        for match in master.finder.matches():
+            if match.pair in seen:
+                continue
+            seen.add(match.pair)
+            obs.count("rr.pairs")
+            obs.count("rr.alignments")
+            chunk.append(match.pair)
+            if len(chunk) == phases.RR_CHUNK:
+                stream.submit_columns(*np.array(chunk).T)
+                chunk = []
+                for done in stream.ready():
+                    absorb(*done)
+        if chunk:
+            stream.submit_columns(*np.array(chunk).T)
+        for done in stream.drain():
+            absorb(*done)
+    redundant = {victim for victim, _ in containments}
+    obs.count("rr.redundant", len(redundant))
+    return RedundancyResult(
+        redundant=redundant,
+        kept=[k for k in range(len(sequences)) if k not in redundant],
+        n_promising_pairs=len(seen),
+        n_alignments=len(seen),
+        containments=sorted(containments),
+    )
 
 
 def reference_ccd(sequences, kept, backend, cache, journal=None, replay_unions=()):
@@ -226,6 +274,41 @@ def reference_bgg(sequences, components, backend, cache):
             phases.LOCAL_CHUNK, absorb,
         )
         return master.result()
+
+
+def test_rr_admission_is_the_set_loop():
+    """``RedundancyMaster.admit`` is a set of seen pairs, a block at a
+    time: over random blocks — repeats inside a block and across blocks,
+    empty blocks, the last bit of the map — it lets through the first
+    sightings in stream order and counts each once."""
+    n = 41
+    sequences = SequenceSet(
+        SequenceRecord(id=f"s{k}", residues="ACDEFGHIKLMNPQ"[: 4 + k % 9])
+        for k in range(n)
+    )
+    master = RedundancyMaster(
+        sequences, GeneralizedSuffixArray([r.encoded for r in sequences]), psi=PSI,
+        similarity=CONTAINMENT_SIMILARITY, coverage=CONTAINMENT_COVERAGE,
+    )
+    rng = np.random.default_rng(8)
+    seen: set[tuple[int, int]] = set()
+    recorder = obs.Recorder()
+    with obs.recording(recorder):
+        for size in (0, 1, 7, 300, 0, 2000, 50):
+            a = rng.integers(0, n - 1, size)
+            b = rng.integers(a + 1, n)
+            if size == 50:
+                a[-1], b[-1] = n - 2, n - 1
+            expected = []
+            for pair in zip(a.tolist(), b.tolist()):
+                if pair not in seen:
+                    seen.add(pair)
+                    expected.append(pair)
+            ia, ib = master.admit(a, b)
+            assert list(zip(ia.tolist(), ib.tolist())) == expected
+    counters = recorder.counters()
+    assert counters["rr.pairs"] == counters["rr.alignments"] == len(seen) > 500
+    assert master.result().n_promising_pairs == len(seen)
 
 
 # -- serial backend: everything observable agrees -----------------------------

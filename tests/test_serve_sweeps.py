@@ -139,18 +139,19 @@ def _roots(state, candidates):
 def kernel_calls():
     """Counts the engine calls a request makes, by kind."""
     calls: Counter[str] = Counter()
-    myers, align = batch.batch_myers_infix, batch._align_buckets
+    myers, align = batch._myers_distances, batch._align_buckets
 
-    def counted_myers(patterns, texts, **options):
+    # The sweep loop behind batch_myers_infix and containment_prefilter.
+    def counted_myers(patterns, texts, alphabet, bucket_size):
         calls["myers"] += 1
-        return myers(patterns, texts, **options)
+        return myers(patterns, texts, alphabet, bucket_size)
 
     # The bucket loop behind batch_align and containment_dp alike.
     def counted_align(pairs, scheme, mode, bucket_size):
         calls[mode] += 1
         return align(pairs, scheme, mode, bucket_size)
 
-    with mock.patch.object(batch, "batch_myers_infix", counted_myers), \
+    with mock.patch.object(batch, "_myers_distances", counted_myers), \
             mock.patch.object(batch, "_align_buckets", counted_align):
         yield calls
 
