@@ -168,9 +168,10 @@ _SPECS = [
                 "tasks entered into the process backend's ledger "
                 "(absent from a serial run)"),
     CounterSpec("runtime.batch_pairs", "runtime",
-                "cache-missing pairs the pair stream cut into tasks"),
+                "cache-missing pairs the pair streams dispatched as tasks"),
     CounterSpec("runtime.max_outstanding", "runtime",
-                "high-water mark of batches in flight (queue depth)"),
+                "high-water mark of tasks in flight (at most one per "
+                "worker)"),
     CounterSpec("runtime.shingle_jobs", "runtime",
                 "component Shingle tasks dispatched"),
     CounterSpec("runtime.heartbeats", "runtime",

@@ -7,20 +7,26 @@ owns the union–find, the dedup sets and the filter, and stateless
 workers align whatever pairs they are sent — and this module says it
 once:
 
-* :func:`run_task` is the only statement of the three kinds of work.
-  *Where* a task runs is the executor's business; *what* it computes is
-  written here and nowhere else.
-* :class:`PairStream` is the master side of every pair phase: pairs cut
-  into tasks, results handed back through ``ready``/``drain`` — for an
-  alignment stream with the master-only
-  :class:`~repro.pace.cache.AlignmentCache` in front, for RR's
-  :class:`ContainmentStream` as int64 index columns in and statistic
-  rows out.
+* :func:`run_task` is the only statement of the three kinds of work,
+  over the session's one encoded store
+  (:class:`~repro.runtime.sharedseq.EncodedStore`: a flat code buffer,
+  its offsets and lengths, in process or in shared memory).  *Where* a
+  task runs is the executor's business; *what* it computes is written
+  here and nowhere else.
+* :class:`PairStream` is the master side of every pair phase, with
+  results handed back through ``ready``/``drain`` — for an alignment
+  stream with the master-only :class:`~repro.pace.cache.AlignmentCache`
+  in front, for RR's :class:`ContainmentStream` as int64 index columns
+  in and statistic rows out.  A task is exactly what a phase driver
+  submits (an ``RR_CHUNK`` of index columns, the misses of one
+  ``LOCAL_CHUNK`` or CCD batch, one component graph), so every backend
+  runs the same task bodies.
 * :class:`Backend` makes ``alignment_stream``, ``containment_stream``
   and ``map_components`` concrete over the hooks an executor
   (:class:`~repro.runtime.serial.SerialBackend`,
   :class:`~repro.runtime.process.ProcessBackend`) implements:
-  ``_dispatch``, ``_pump``, ``_throttle`` and ``_task_pairs``.
+  ``_dispatch``, ``_pump`` and ``_throttle`` (hold the next task until
+  a worker is free).
 
 **Result invariance.**  For a fixed configuration, ``families`` and the
 Table I row are bit-identical across backends: RR and bipartite align a
@@ -44,8 +50,9 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 import numpy as np
 
 from repro import obs
-from repro.align.batch import batch_align, batch_containment
+from repro.align.batch import batch_align, containment_columns
 from repro.pace.densesub import shingle_component
+from repro.runtime.sharedseq import EncodedStore
 from repro.suffix.suffix_array import GeneralizedSuffixArray
 from repro.util.timing import monotonic_now
 
@@ -71,11 +78,7 @@ class WorkerCrashError(BackendError):
     """A worker process raised or died; the master surfaces it cleanly."""
 
 
-def run_task(
-    body: tuple,
-    get_encoded: "Callable[[int], np.ndarray]",
-    scheme: "ScoringScheme",
-):
+def run_task(body: tuple, store: EncodedStore, scheme: "ScoringScheme"):
     """Compute one task — the only statement of the runtime's work.
 
     * ``("local" | "semiglobal", pairs)`` → one
@@ -87,25 +90,24 @@ def run_task(
       ``(finals, raw, stats)`` triple of
       :func:`~repro.pace.densesub.shingle_component`.
 
-    Pairs are global sequence indices resolved through
-    ``get_encoded``.  Serial execution, a worker process and the
-    process backend's in-master recovery all call this function, so a
-    task's result cannot depend on where it ran.
+    Pairs are global sequence indices into ``store``; a containment
+    task reads its columns against the store whole
+    (:func:`~repro.align.batch.containment_columns`).  Serial execution,
+    a worker process and the process backend's in-master recovery all
+    call this function, so a task's result cannot depend on where it
+    ran.
     """
     kind = body[0]
     if kind in ALIGN_KINDS:
         return batch_align(
-            [(get_encoded(i), get_encoded(j)) for i, j in body[1]],
+            [(store.get(i), store.get(j)) for i, j in body[1]],
             scheme, mode=kind,
         )
     if kind == "contain":
         _, similarity, coverage, ia, ib = body
-        pairs = zip(ia.tolist(), ib.tolist())
-        stats = batch_containment(
-            [(get_encoded(i), get_encoded(j)) for i, j in pairs],
-            scheme=scheme, similarity=similarity, coverage=coverage,
-        ).stats
-        return np.array(stats, dtype=np.float64).reshape(-1, 3)
+        return containment_columns(
+            store, ia, ib, scheme=scheme, similarity=similarity, coverage=coverage
+        )
     if kind == "shingle":
         return shingle_component(*body[1:])
     raise ValueError(f"unknown task kind {kind!r}")
@@ -187,8 +189,8 @@ class PairStream:
 
     The cache is in front: a pair it already holds never becomes work,
     it is answered here and counted once as a hit; every alignment a
-    task returns is inserted and counted once as a miss.  Pairs that
-    become work are cut into tasks of :meth:`Backend._task_pairs` pairs.
+    task returns is inserted and counted once as a miss.  The misses of
+    one ``submit_many`` call are one task.
     """
 
     def __init__(self, backend: "Backend", stream_id: int, kind: str,
@@ -199,14 +201,14 @@ class PairStream:
         self._params = params
         self._cache = cache
         self._phase = backend._phase_stats()
-        self._task_pairs = backend._task_pairs(kind)
-        self._pending: list[tuple[int, int]] = []
         self._done: list[tuple[int, int, object]] = []
         self.in_flight = 0
         obs.gauge(f"stream.{stream_id}.kind", kind)
 
     def submit_many(self, pairs: Sequence[tuple[int, int]]) -> None:
-        """Request results for many pairs at once."""
+        """Request results for many pairs at once: the misses are one
+        task."""
+        work: list[tuple[int, int]] = []
         for i, j in pairs:
             if i > j:
                 i, j = j, i
@@ -216,23 +218,15 @@ class PairStream:
                 self._done.append(
                     (i, j, getattr(self._cache, self.kind)(i, j)))
                 continue
-            self._pending.append((i, j))
-            self._phase.tasks += 1
-            if len(self._pending) == self._task_pairs:
-                self._cut()
-        if self._task_pairs is None:
-            self._cut()
-        self._backend._throttle()
-
-    def _cut(self) -> None:
-        """Dispatch the pending pairs as one task."""
-        if self._pending:
-            pairs, self._pending = self._pending, []
-            self._send(pairs)
+            work.append((i, j))
+        self._phase.tasks += len(work)
+        if work:
+            self._send(work)
 
     def _send(self, *columns) -> None:
         """Dispatch one task over ``columns``: a pair list, or a
         containment stream's two index columns."""
+        self._backend._throttle()
         obs.count("runtime.batch_pairs", len(columns[0]))
         self.in_flight += 1
         obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
@@ -263,7 +257,6 @@ class PairStream:
 
     def drain(self) -> Iterator[tuple[int, int, object]]:
         """Flush: block until every submitted pair has a result."""
-        self._cut()
         while self.in_flight > 0:
             self._backend._pump(block=True)
         yield from self.ready()
@@ -287,14 +280,11 @@ class ContainmentStream(PairStream):
                          (similarity, coverage))
 
     def submit_columns(self, ia: np.ndarray, ib: np.ndarray) -> None:
-        """Request the statistics of the pairs ``(ia[r], ib[r])``, in
-        tasks of :meth:`Backend._task_pairs` rows (one task a call on an
-        executor that sets no size)."""
+        """Request the statistics of the pairs ``(ia[r], ib[r])`` as one
+        task."""
         self._phase.tasks += len(ia)
-        step = self._task_pairs or max(len(ia), 1)
-        for lo in range(0, len(ia), step):
-            self._send(ia[lo : lo + step], ib[lo : lo + step])
-        self._backend._throttle()
+        if len(ia):
+            self._send(ia, ib)
 
     def _collect(self, ia: np.ndarray, ib: np.ndarray, stats: np.ndarray) -> None:
         self._done.append((ia, ib, stats))
@@ -312,8 +302,9 @@ class Backend(abc.ABC):
         backend.stats  # RuntimeStats, populated per phase
 
     A subclass implements :meth:`_dispatch`; one whose tasks outlive it
-    also extends :meth:`open` / :meth:`close` (stores, pools) and
-    implements :meth:`_pump`, :meth:`_throttle`, :meth:`_task_pairs`.
+    also extends :meth:`open` / :meth:`close` (pools), places the
+    session's store where its tasks run (:meth:`_make_store`) and
+    implements :meth:`_pump` and :meth:`_throttle`.
     """
 
     name: str = "abstract"
@@ -322,7 +313,7 @@ class Backend(abc.ABC):
     def __init__(self) -> None:
         self.stats = RuntimeStats(backend=self.name, workers=self.workers)
         self._current_phase: PhaseStats | None = None
-        self._get_encoded: "Callable[[int], np.ndarray] | None" = None
+        self._store: EncodedStore | None = None
         self._scheme: "ScoringScheme | None" = None
         self._encoded: "list[np.ndarray]" = []
         self._index: GeneralizedSuffixArray | None = None
@@ -333,12 +324,18 @@ class Backend(abc.ABC):
     def open(self, sequences: "SequenceSet", scheme: "ScoringScheme") -> None:
         """Bind the backend to a sequence set."""
         self._encoded = [record.encoded for record in sequences]
-        self._get_encoded = self._encoded.__getitem__
+        self._store = self._make_store(self._encoded)
         self._scheme = scheme
+
+    def _make_store(self, encoded: "list[np.ndarray]") -> EncodedStore:
+        """The session's encoded store: a private one in this process."""
+        return EncodedStore.from_sequences(encoded)
 
     def close(self) -> None:
         """Release every resource; idempotent."""
-        self._encoded, self._get_encoded, self._index = [], None, None
+        if self._store is not None:
+            self._store.close()
+        self._encoded, self._store, self._index = [], None, None
 
     @contextlib.contextmanager
     def session(self, sequences: "SequenceSet", scheme: "ScoringScheme"):
@@ -349,7 +346,7 @@ class Backend(abc.ABC):
             self.close()
 
     def _require_open(self) -> None:
-        if self._get_encoded is None:
+        if self._store is None:
             raise BackendError("backend is not open (use session())")
 
     @property
@@ -421,13 +418,9 @@ class Backend(abc.ABC):
         an executor that completes every task inside ``_dispatch``."""
 
     def _throttle(self) -> None:
-        """Bound the work in flight (called after every submit)."""
-
-    def _task_pairs(self, kind: str) -> int | None:
-        """Pairs per task of a ``kind`` stream.  ``None``: the misses
-        of each ``submit``/``submit_many`` call form one task, cut
-        before the call returns."""
-        return None
+        """Hold the master until the next task can start (called before
+        every dispatch).  Nothing to do for an executor that completes
+        every task inside ``_dispatch``."""
 
     # -- work primitives ---------------------------------------------------
 
@@ -468,7 +461,8 @@ class Backend(abc.ABC):
 
         Returns one ``(finals, raw, stats)`` triple per graph, in input
         order (components are independent, so any execution order gives
-        identical results).
+        identical results).  Graphs are dispatched largest first (most
+        edges, ties by index), so the longest task does not start last.
         """
         self._require_open()
         phase = self._phase_stats()
@@ -479,10 +473,11 @@ class Backend(abc.ABC):
             phase.busy_seconds += busy
 
         obs.count("runtime.shingle_jobs", len(graphs))
-        for index, graph in enumerate(graphs):
+        for index in sorted(range(len(graphs)), key=lambda k: (-graphs[k].n_edges, k)):
             phase.tasks += 1
+            self._throttle()
             self._dispatch(
-                ("shingle", graph, reduction, params, min_size, tau),
+                ("shingle", graphs[index], reduction, params, min_size, tau),
                 functools.partial(sink, index),
             )
         while len(results) < len(graphs):

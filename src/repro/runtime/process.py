@@ -7,20 +7,28 @@ engines whose whole loop is "receive a task body, call
 :func:`~repro.runtime.base.run_task` on it, send the result back".
 This module is only the *placement* of that work:
 
+* a task is exactly what a phase driver submits — an ``RR_CHUNK`` of
+  index columns, the misses of one ``LOCAL_CHUNK`` or CCD batch, one
+  component graph — so a worker runs the serial backend's task bodies,
+  one at a time;
+* ``_throttle`` holds the next task until a worker is free: at most one
+  task per worker is in flight, so the next one goes to whichever
+  worker returns one first, not into the queue of a worker that shares
+  its core with the master (no filter waits on a verdict: CCD decides
+  under speculation, see
+  :func:`repro.runtime.phases.backend_component_detection`);
 * ``_dispatch`` enters the task body and its sink into the master-side
-  **ledger** and sends the body to the least-loaded worker queue;
+  **ledger** and sends the body to an idle worker's queue;
 * workers resolve sequence indices against the shared-memory encoded
   store (:mod:`repro.runtime.sharedseq` — written once, mapped
-  zero-copy by every worker, never re-pickled), so a task message is a
-  few dozen index pairs and a result message their Alignments;
+  zero-copy by every worker, never re-pickled; each worker builds its
+  per-sequence Myers masks once a session), so a task message is index
+  pairs or columns and a result message their Alignments or statistic
+  rows;
 * ``_pump`` receives results and completes their ledger entries, which
   calls each task's sink exactly once; the RR and bipartite drivers
   interleave it with pair generation, the CCD driver drains a whole
-  batch and puts its verdicts back in stream order;
-* ``_throttle`` caps outstanding tasks at ``max_outstanding_factor *
-  workers``, which bounds the ledger and the result backlog (no filter
-  waits on a verdict: CCD decides under speculation, see
-  :func:`repro.runtime.phases.backend_component_detection`).
+  batch and puts its verdicts back in stream order.
 
 Fault tolerance (the PaCE paper assumed BlueGene nodes that never die;
 we do not): every in-flight task is a ledger record keyed by a unique
@@ -47,6 +55,7 @@ import queue as queue_mod
 import time
 import traceback
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import TYPE_CHECKING
 
 from repro import obs
@@ -66,15 +75,6 @@ from repro.util.timing import monotonic_now
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.faults.plan import FaultPlan
-
-#: Pairs per task — large enough to amortise queue/pickle overhead over
-#: ~100 ms of alignment work, small enough to keep the filter fresh.
-DEFAULT_BATCH_SIZE = 32
-
-#: Pairs per RR containment task.  Larger than align batches on purpose:
-#: the bit-parallel Myers prefilter runs one NumPy sweep across the whole
-#: chunk's pair axis, and RR has no master-side filter to keep fresh.
-CONTAIN_BATCH_SIZE = 256
 
 #: Respawn budget default: each slot may be refilled twice.
 DEFAULT_RESPAWN_FACTOR = 2
@@ -129,7 +129,7 @@ def _worker_main(worker_index: int, task_queue, result_queue,
                 recorder = obs.Recorder()
                 start = monotonic_now()
                 with obs.recording(recorder), task_span(body):
-                    result = run_task(body, store.get, scheme)
+                    result = run_task(body, store, scheme)
                 result_queue.put(
                     ("done", task_id, result, monotonic_now() - start,
                      (worker_index, recorder.wall_spans(),
@@ -168,9 +168,7 @@ class ProcessBackend(Backend):
         self,
         workers: int | None = None,
         *,
-        batch_size: int = DEFAULT_BATCH_SIZE,
         start_method: str | None = None,
-        max_outstanding_factor: int = 4,
         fault_plan: "FaultPlan | None" = None,
         task_deadline: float | None = None,
         respawn_budget: int | None = None,
@@ -178,8 +176,6 @@ class ProcessBackend(Backend):
         self.workers = int(workers) if workers else default_worker_count()
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if task_deadline is not None and task_deadline <= 0:
             raise ValueError(f"task_deadline must be > 0, got {task_deadline}")
         if respawn_budget is not None and respawn_budget < 0:
@@ -187,11 +183,9 @@ class ProcessBackend(Backend):
                 f"respawn_budget must be >= 0, got {respawn_budget}"
             )
         super().__init__()
-        self.batch_size = batch_size
         self._start_method = (
             preferred_start_method() if start_method is None else start_method
         )
-        self._max_outstanding = max_outstanding_factor * self.workers
         self.task_deadline = task_deadline
         self.respawn_budget = (
             DEFAULT_RESPAWN_FACTOR * self.workers
@@ -203,7 +197,6 @@ class ProcessBackend(Backend):
 
             self._injector = FaultInjector(fault_plan)
         self._ctx = None
-        self._store: SharedSequenceStore | None = None
         self._procs: list[multiprocessing.Process | None] = []
         self._task_queues: list = []
         self._dead_queues: list = []
@@ -225,7 +218,6 @@ class ProcessBackend(Backend):
         if self._procs:
             raise BackendError("backend already open")
         super().open(sequences, scheme)
-        self._store = SharedSequenceStore.create(self._encoded)
         self._ctx = multiprocessing.get_context(self._start_method)
         self._results = self._ctx.Queue()
         self._procs = [None] * self.workers
@@ -239,6 +231,10 @@ class ProcessBackend(Backend):
         obs.gauge("runtime.degraded", 0)
         for w in range(self.workers):
             self._start_worker(w)
+
+    def _make_store(self, encoded) -> SharedSequenceStore:
+        """The session's store, written once into shared memory."""
+        return SharedSequenceStore.create(encoded)
 
     def _start_worker(self, slot: int) -> None:
         """Launch (or relaunch) the worker in ``slot`` with a fresh
@@ -259,9 +255,11 @@ class ProcessBackend(Backend):
     def close(self) -> None:
         """Shut everything down; idempotent, and cannot hang.
 
-        The result queue is drained *while* joining (a worker blocked on
-        a full result queue can never exit), and a worker that ignores
-        both the stop sentinel and ``terminate()`` is ``kill()``-ed.
+        The master waits on the workers' process sentinels and the
+        result pipe together, for at most 5 s, and drains the result
+        queue each time it wakes (a worker blocked on a full result
+        queue can never exit); a worker that ignores both the stop
+        sentinel and ``terminate()`` is ``kill()``-ed.
         """
         for slot, proc in enumerate(self._procs):
             task_queue = self._task_queues[slot]
@@ -271,11 +269,14 @@ class ProcessBackend(Backend):
                 except (OSError, ValueError):
                     obs.event("runtime.close_put_failed", slot=slot)
         deadline = monotonic_now() + 5.0
-        while monotonic_now() < deadline:
+        while True:
             self._drain_results_nonblocking()
-            if all(p is None or not p.is_alive() for p in self._procs):
+            live = [p.sentinel for p in self._procs
+                    if p is not None and p.is_alive()]
+            if not live or monotonic_now() >= deadline:
                 break
-            time.sleep(0.02)
+            wait([*live, self._results._reader],
+                 timeout=deadline - monotonic_now())
         for proc in self._procs:
             if proc is not None and proc.is_alive():
                 proc.terminate()
@@ -296,9 +297,6 @@ class ProcessBackend(Backend):
         self._dead_queues = []
         self._results = None
         super().close()
-        if self._store is not None:
-            self._store.close()
-            self._store = None
         with self._ledger_lock:
             self._ledger = {}
             self._worker_tasks = {}
@@ -325,11 +323,6 @@ class ProcessBackend(Backend):
         return [w for w, p in enumerate(self._procs)
                 if p is not None and p.is_alive()]
 
-    def _task_pairs(self, kind: str) -> int:
-        if kind == "contain":
-            return max(self.batch_size, CONTAIN_BATCH_SIZE)
-        return self.batch_size
-
     def _dispatch(self, body: tuple, sink: Sink) -> None:
         """Enter a new task into the ledger and send it to a worker."""
         self._require_open()
@@ -350,8 +343,9 @@ class ProcessBackend(Backend):
         self._send(record)
 
     def _send(self, record: _TaskRecord) -> None:
-        """Dispatch a ledger entry to the least-loaded live worker, or
-        run it in-master when degraded (no workers left)."""
+        """Dispatch a ledger entry to the least-loaded live worker (an
+        idle one, after :meth:`_throttle`), or run it in-master when
+        degraded (no workers left)."""
         slots = self._alive_slots()
         if self._degraded or not slots:
             self._run_in_master(record)
@@ -375,9 +369,9 @@ class ProcessBackend(Backend):
         obs.gauge("runtime.outstanding", self._outstanding)
 
     def _throttle(self) -> None:
-        """Bound outstanding batches; absorb results while waiting."""
-        self._pump(block=False)
-        while self._outstanding > self._max_outstanding:
+        """Hold the next task until a worker is free — at most one task
+        per worker in flight — absorbing results while waiting."""
+        while self._outstanding >= self.workers:
             self._pump(block=True)
 
     # -- failure recovery --------------------------------------------------
@@ -471,7 +465,7 @@ class ProcessBackend(Backend):
         is clean."""
         start = monotonic_now()
         with task_span(record.body, in_master=True):
-            result = run_task(record.body, self._get_encoded, self._scheme)
+            result = run_task(record.body, self._store, self._scheme)
         busy = monotonic_now() - start
         if self._complete(record.task_id) is not None:
             record.sink(result, busy)
@@ -510,6 +504,7 @@ class ProcessBackend(Backend):
     def _route(self, msg: tuple) -> None:
         if msg[0] == "error":
             _, worker_index, task_id, text = msg
+            self._complete(task_id)  # over: it raised, and is not retried
             raise WorkerCrashError(
                 f"worker {worker_index} raised during task execution:\n{text}"
             )

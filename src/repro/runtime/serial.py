@@ -4,9 +4,10 @@
 hands the result straight to the sink, so a task is complete before
 ``submit`` returns — the pipeline's default, and the measured baseline
 every other backend and the simulator are compared (and result-checked)
-against.  Each ``submit``/``submit_many`` call's cache misses form one
-task (the base class's ``_task_pairs`` default), so a phase driver's
-chunk or batch is one call into the batched DP engine.
+against.  Tasks read the session's private
+:class:`~repro.runtime.sharedseq.EncodedStore`, and a task is one phase
+driver submit, as on every backend, so a chunk or batch is one call
+into the batched engine.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class SerialBackend(Backend):
     def _dispatch(self, body: tuple, sink: Sink) -> None:
         self._apply_fault(self._phase_stats().name)
         start = monotonic_now()
-        result = run_task(body, self._get_encoded, self._scheme)
+        result = run_task(body, self._store, self._scheme)
         elapsed = monotonic_now() - start
         obs.heartbeat(0, elapsed)
         sink(result, elapsed)

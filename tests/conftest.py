@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro.pace.cache import AlignmentCache
 from repro.parallel.simulator import VirtualCluster
-from repro.runtime import ProcessBackend, SerialBackend
+from repro.runtime import ProcessBackend, SerialBackend, phases
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 from repro.shingle.algorithm import ShingleParams
 
@@ -93,11 +94,25 @@ def serial_session():
         yield open_session
 
 
+class SmallTaskProcessBackend(ProcessBackend):
+    """Two workers, under an RR driver that submits 4 pairs at a time
+    (``phases.RR_CHUNK`` for the session), so RR on a small input runs
+    many tasks on both workers.  ``phases.LOCAL_CHUNK`` stays: it also
+    sizes CCD's speculative batches, whose re-decided count the modes
+    must share with the default run."""
+
+    @contextlib.contextmanager
+    def session(self, sequences, scheme):
+        with mock.patch.object(phases, "RR_CHUNK", 4), \
+                super().session(sequences, scheme) as backend:
+            yield backend
+
+
 #: Every way to run the pipeline; "default" is what the others must equal.
 PIPELINE_MODES = {
     "default": lambda: {},
     "serial": lambda: {"backend": "serial"},
-    "process": lambda: {"backend": ProcessBackend(workers=2, batch_size=8)},
+    "process": lambda: {"backend": SmallTaskProcessBackend(workers=2)},
     **{
         f"sim-p{p}": lambda p=p: {
             "cluster": VirtualCluster(p),

@@ -14,6 +14,8 @@ clock.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -416,14 +418,15 @@ def test_process_backend_components_identical(serial_session):
     )
     scheme = blosum62_scheme()
     encoded = [record.encoded for record in sequences]
-    backend = ProcessBackend(workers=2, batch_size=8)
-    with backend.session(sequences, scheme):
+    backend = ProcessBackend(workers=2)
+    with backend.session(sequences, scheme), \
+            mock.patch.object(phases, "LOCAL_CHUNK", 8):
         concurrent = backend_component_detection(
             sequences, kept, backend, AlignmentCache(lambda k: encoded[k], scheme),
             psi=PSI,
         )
-    # Not components only: the same filter decisions, whatever order
-    # the workers finish a batch's tasks in.
+    # Not components only: the same filter decisions, in batches of 8
+    # (one task each) whichever of the two workers finishes first.
     assert concurrent == serial
 
 

@@ -10,7 +10,12 @@ stats bookkeeping).
 
 from __future__ import annotations
 
+import pickle
+import time
+from collections import Counter, defaultdict
 from dataclasses import replace
+from multiprocessing import shared_memory
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +30,9 @@ from repro.faults.plan import Fault, FaultPlan
 from repro.graph.bipartite import duplicate_bipartite
 from repro.pace.cache import AlignmentCache
 from repro.parallel.simulator import VirtualCluster
-from repro.runtime.base import PairStream, run_task
+from repro.runtime import phases
+from repro.runtime.base import Backend, PairStream, run_task
+from repro.runtime.sharedseq import EncodedStore
 from repro.runtime.phases import backend_component_detection
 from repro.shingle.algorithm import ShingleParams
 from repro.runtime import (
@@ -104,7 +111,7 @@ class TestCrashSafety:
     def test_worker_exception_propagates(self, workload):
         """A raising worker surfaces a WorkerCrashError — no hang."""
         sequences, config = workload
-        backend = ProcessBackend(workers=1, batch_size=1)
+        backend = ProcessBackend(workers=1)
         encoded = [r.encoded for r in sequences]
         cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         with backend.session(sequences, config.scheme):
@@ -124,7 +131,7 @@ class TestCrashSafety:
         every run, no hang, and the worker loop survives to serve the
         next task."""
         sequences, config = workload
-        backend = ProcessBackend(workers=1, batch_size=1)
+        backend = ProcessBackend(workers=1)
         encoded = [r.encoded for r in sequences]
         cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         with backend.session(sequences, config.scheme):
@@ -142,7 +149,7 @@ class TestCrashSafety:
         respawn budget; subsequent work lands on the replacement and
         the stream completes normally."""
         sequences, config = workload
-        backend = ProcessBackend(workers=1, batch_size=1)
+        backend = ProcessBackend(workers=1)
         encoded = [r.encoded for r in sequences]
         cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         with backend.session(sequences, config.scheme):
@@ -176,7 +183,7 @@ class TestCrashSafety:
         from repro.obs.top import render_screen
 
         sequences, config = workload
-        backend = ProcessBackend(workers=1, batch_size=1)
+        backend = ProcessBackend(workers=1)
         encoded = [r.encoded for r in sequences]
         cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         recorder = Recorder(meta={"mode": "process", "workers": 1})
@@ -424,13 +431,13 @@ class TestOneTaskFunction:
         sequences, config = workload
         scheme = config.scheme
         body = TASK_BODIES[kind]()
-        encoded = [r.encoded for r in sequences]
+        store = EncodedStore.from_sequences([r.encoded for r in sequences])
         worker = ProcessBackend(workers=1)
         master = ProcessBackend(workers=1, respawn_budget=0)
         if kind == "unknown":
             text = "unknown task kind 'poison'"
             with pytest.raises(ValueError, match=text):
-                run_task(body, encoded.__getitem__, scheme)
+                run_task(body, store, scheme)
             with pytest.raises(WorkerCrashError, match=f"ValueError: {text}"):
                 self._via_backend(worker, sequences, scheme, body,
                                   degrade=False)
@@ -438,7 +445,7 @@ class TestOneTaskFunction:
                 self._via_backend(master, sequences, scheme, body,
                                   degrade=True)
             return
-        inline = run_task(body, encoded.__getitem__, scheme)
+        inline = run_task(body, store, scheme)
         assert len(inline) == (3 if kind == "shingle" else len(body[-1]))
         # A containment task answers one float64 array, the others lists.
         same = np.array_equal if kind == "contain" else (lambda a, b: a == b)
@@ -446,6 +453,131 @@ class TestOneTaskFunction:
             worker, sequences, scheme, body, degrade=False), inline)
         assert same(self._via_backend(
             master, sequences, scheme, body, degrade=True), inline)
+
+
+def task_key(body: tuple) -> tuple:
+    """A task body as a hashable value: its index pairs or columns, or
+    a shingle task's pickled arguments."""
+    kind = body[0]
+    if kind == "contain":
+        return (*body[:3], tuple(body[3].tolist()), tuple(body[4].tolist()))
+    if kind == "shingle":
+        return (kind, pickle.dumps(body[1:]))
+    return (kind, tuple(body[1]))
+
+
+class TestOneTaskGrain:
+    """A task is exactly what a phase driver submits, and a worker runs
+    one at a time: the serial backend's tasks, on every backend."""
+
+    def test_every_backend_runs_the_serial_tasks(self, workload, monkeypatch):
+        """Per phase, the multiset of task bodies dispatched is the same
+        on the serial backend and on two worker processes (the drivers'
+        chunks patched small, so every pair phase has many tasks)."""
+        sequences, config = workload
+        seen = {}
+        for backend in (SerialBackend(), ProcessBackend(workers=2)):
+            bodies: defaultdict[str, Counter] = defaultdict(Counter)
+            real = type(backend)._dispatch
+
+            def recording(self, body, sink, real=real, bodies=bodies):
+                bodies[self._phase_stats().name][task_key(body)] += 1
+                real(self, body, sink)
+
+            monkeypatch.setattr(type(backend), "_dispatch", recording)
+            with mock.patch.object(phases, "RR_CHUNK", 4), \
+                    mock.patch.object(phases, "LOCAL_CHUNK", 4):
+                ProteinFamilyPipeline(config).run(sequences, backend=backend)
+            seen[backend.name] = dict(bodies)
+        assert seen["process"] == seen["serial"]
+        tasks = {phase: sum(c.values()) for phase, c in seen["serial"].items()}
+        assert set(tasks) == {"redundancy", "clustering", "bipartite",
+                              "dense_subgraphs"}
+        assert all(tasks[phase] > 1 for phase in ("redundancy", "bipartite")), tasks
+
+    def test_one_task_per_worker_in_flight(self, workload, monkeypatch):
+        """Once ``_throttle`` returns a worker is free, so a send never
+        finds more than ``workers`` tasks in the ledger; while worker 0
+        sleeps on its first RR task, its peer takes the next ones."""
+        sequences, config = workload
+        backend = ProcessBackend(workers=2, fault_plan=FaultPlan(faults=(
+            Fault(kind="delay_task", phase="redundancy", worker=0,
+                  at_task=0, seconds=0.3),
+        )))
+        ledger, sends = [], Counter()
+        real_send, real_throttle = ProcessBackend._send, ProcessBackend._throttle
+
+        def send(self, record):
+            ledger.append(len(self._ledger))
+            real_send(self, record)
+            sends[record.phase, record.worker] += 1
+
+        def throttle(self):
+            real_throttle(self)
+            assert len(self._ledger) < self.workers
+
+        monkeypatch.setattr(ProcessBackend, "_send", send)
+        monkeypatch.setattr(ProcessBackend, "_throttle", throttle)
+        with mock.patch.object(phases, "RR_CHUNK", 2):
+            result = ProteinFamilyPipeline(config).run(sequences, backend=backend)
+        assert result.obs.counters()["faults.injected"] == 1
+        assert len(ledger) > 4 and max(ledger) <= backend.workers
+        assert sends["redundancy", 1] > sends["redundancy", 0] >= 1
+
+    def test_components_dispatch_largest_first(self, workload):
+        """Shingle tasks go out by descending edge count, ties by index;
+        the results come back in input order however the executor
+        completes them."""
+
+        class Reversed(Backend):
+            """Holds every task and completes them last first."""
+
+            name = "reversed"
+
+            def __init__(self):
+                super().__init__()
+                self.held, self.order = [], []
+
+            def _dispatch(self, body, sink):
+                self.order.append(body[1])
+                self.held.append((body[1], sink))
+
+            def _pump(self, *, block):
+                while self.held:
+                    graph, sink = self.held.pop()
+                    sink(graph, 0.0)
+
+        sequences, config = workload
+        sizes = [2, 5, 3, 5, 1, 3]
+        graphs = [duplicate_bipartite(n, [(i, i + 1) for i in range(n - 1)])
+                  for n in sizes]
+        backend = Reversed()
+        with backend.session(sequences, config.scheme):
+            results = backend.map_components(graphs, "global", ShingleParams(), 2, 0.5)
+        assert results == graphs
+        by_size = sorted(range(len(graphs)), key=lambda k: (-graphs[k].n_edges, k))
+        assert [graphs.index(g) for g in backend.order] == by_size == [1, 3, 2, 5, 0, 4]
+
+    def test_close_waits_on_sentinels(self, workload, monkeypatch):
+        """Closing an idle backend waits on the workers' sentinels, never
+        sleeps, and leaves no live worker and no shared-memory segment."""
+        sequences, config = workload
+        backend = ProcessBackend(workers=2)
+        backend.open(sequences, config.scheme)
+        procs = list(backend._procs)
+        segments = [backend._store.spec().buffer_name,
+                    backend._store.spec().offsets_name]
+
+        def sleep(_seconds):
+            raise AssertionError("close() polled with time.sleep")
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        backend.close()
+        monkeypatch.undo()
+        assert not any(proc.is_alive() for proc in procs)
+        for name in segments:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
 
 class TestSharedSequenceStore:
@@ -494,8 +626,6 @@ class TestBackendFactory:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ProcessBackend(workers=-1)
-        with pytest.raises(ValueError):
-            ProcessBackend(workers=1, batch_size=0)
         with pytest.raises(ValueError):
             PipelineConfig(backend="gpu")
         with pytest.raises(ValueError):
