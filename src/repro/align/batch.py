@@ -24,8 +24,8 @@ promising pairs into shared sweeps along two complementary axes:
    left and :func:`~repro.align.pairwise._traceback` finishes them —
    tie-breaking is *identical*, not merely score-equivalent.
 
-2. **Bit-parallel Myers prefilter** (:func:`batch_myers_infix`,
-   :func:`batch_containment`): a multi-word Myers (1999) bit-vector
+2. **Bit-parallel Myers prefilter** (:func:`containment_columns`,
+   :func:`batch_myers_infix`): a multi-word Myers (1999) bit-vector
    edit-distance kernel swept as a *word wavefront* — at step ``t``
    word ``w`` of every pair processes text column ``t - w``, so one
    NumPy op advances every 64-bit word of every pair and a sweep is
@@ -33,7 +33,11 @@ promising pairs into shared sweeps along two complementary axes:
    than :data:`_WAVEFRONT_MIN_LANES` pairs (a serve request's) would
    pay those dispatches for little arithmetic, so it runs *packed*
    instead: every pair is a guarded bit field of one Python integer
-   and a text column is ~18 big-int operations.  For the RR
+   and a text column is ~18 big-int operations.  Pairs are index
+   columns over an encoded store
+   (:class:`~repro.runtime.sharedseq.EncodedStore`) — a backend
+   session's, a serve request's or a list-of-arrays call's private one
+   — whose per-sequence match masks the wavefront reads.  For the RR
    phase's >=95 %-containment test a *sound* threshold on the infix
    edit distance (:func:`containment_reject_threshold`, computed for
    the whole pair list at once) proves that a pair cannot satisfy
@@ -52,7 +56,7 @@ in ``tests/test_batch_align.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -406,17 +410,15 @@ def _iter_buckets(
 
 
 def _align_buckets(
-    enc: Sequence[tuple[np.ndarray, np.ndarray]],
-    scheme: ScoringScheme,
-    mode: str,
-    bucket_size: int,
+    enc: Sequence[tuple[np.ndarray, np.ndarray]], scheme: ScoringScheme, mode: str
 ) -> list[Alignment]:
     """The bucket loop behind :func:`batch_align` and
-    :func:`containment_dp`; each caller counts ``batch.pairs`` once."""
+    :func:`containment_dp`, :data:`DEFAULT_BUCKET` pairs at most a
+    bucket; each caller counts ``batch.pairs`` once."""
     dims = [(len(a), len(b)) for a, b in enc]
     obs.count("batch.cells", batch_alignment_cells(dims))
     out: list[Alignment | None] = [None] * len(enc)
-    for members in _iter_buckets(dims, bucket_size):
+    for members in _iter_buckets(dims, DEFAULT_BUCKET):
         bucket = [enc[k] for k in members]
         H = _bucket_fill(bucket, scheme, mode)
         obs.count("batch.buckets")
@@ -433,8 +435,6 @@ def batch_align(
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     scheme: ScoringScheme | None = None,
     mode: str = "semiglobal",
-    *,
-    bucket_size: int = DEFAULT_BUCKET,
 ) -> list[Alignment]:
     """Align many pairs at once; results equal the one-pair kernels'
     exactly.
@@ -447,21 +447,21 @@ def batch_align(
     """
     if mode not in ("global", "local", "semiglobal"):
         raise ValueError(f"unknown alignment mode {mode!r}")
-    _check_bucket_size("bucket_size", bucket_size)
     if scheme is None:
         scheme = blosum62_scheme()
     enc = _encoded_pairs(pairs, scheme.matrix.shape[1])
     if not enc:
         return []
     obs.count("batch.pairs", len(enc))
-    return _align_buckets(enc, scheme, mode, bucket_size)
+    return _align_buckets(enc, scheme, mode)
 
 
 def _encoded_pairs(
     pairs: Sequence[tuple[np.ndarray, np.ndarray]], width: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The pairs as arrays, checked once per call by :func:`_check_codes`;
-    an empty sequence is a ``ValueError`` too."""
+    """The pairs as arrays, checked once per call by :func:`_check_codes`
+    (:func:`batch_align`, :func:`batch_containment`); an empty sequence
+    is a ``ValueError`` too."""
     enc = [(np.asarray(a), np.asarray(b)) for a, b in pairs]
     # An array that recurs across pairs (an RR task's) is checked once.
     seqs = list({id(seq): seq for pair in enc for seq in pair}.values())
@@ -483,11 +483,6 @@ def _check_codes(seqs: list[np.ndarray], width: int) -> None:
             raise IndexError(f"residue code out of range for a {width}-letter alphabet")
 
 
-def _check_bucket_size(name: str, size: int) -> None:
-    if size < 1:
-        raise ValueError(f"{name} must be at least 1, got {size}")
-
-
 # ---------------------------------------------------------------------------
 # Bit-parallel Myers infix edit distance (vectorised across pairs)
 # ---------------------------------------------------------------------------
@@ -498,22 +493,19 @@ def batch_myers_infix(
     texts: Sequence[np.ndarray],
     *,
     alphabet: int = 21,
-    bucket_size: int = DEFAULT_MYERS_BUCKET,
 ) -> np.ndarray:
     """min over infixes ``t[x:y]`` of the unit-cost edit distance to
     the full pattern, for every (pattern, text) pair, vectorised.
 
-    Pairs are sorted by text length and swept ``bucket_size`` at a time,
-    a sweep of fewer than :data:`_WAVEFRONT_MIN_LANES` lanes by
-    :func:`_myers_packed` and a wider one by :func:`_myers_sweep`.
-    Every sequence must be a 1-D integer array (else ``ValueError``;
-    texts may be empty, patterns may not) whose codes lie in ``[0,
-    alphabet)``; anything else raises ``IndexError`` (code ``alphabet``
+    The distinct arrays go into a private store and
+    :func:`_myers_columns` sweeps its index columns.  Every sequence
+    must be a 1-D integer array (else ``ValueError``; texts may be
+    empty, patterns may not) whose codes lie in ``[0, alphabet)`` and
+    fit a byte; anything else raises ``IndexError`` (code ``alphabet``
     is the pad that matches nothing).
     """
     if len(patterns) != len(texts):
         raise ValueError("patterns and texts must have equal length")
-    _check_bucket_size("bucket_size", bucket_size)
     if not patterns:
         return np.zeros(0, dtype=np.int64)
     patterns = [np.asarray(p) for p in patterns]
@@ -522,42 +514,48 @@ def batch_myers_infix(
         raise ValueError("patterns must be non-empty")
     # An empty text holds no code, whatever its dtype.
     _check_codes([*patterns, *(t for t in texts if t.size or t.ndim != 1)], alphabet)
-    return _myers_distances(patterns, texts, alphabet, bucket_size)
+    texts = [t if t.size else t.astype(np.uint8) for t in texts]
+    store, idx = _private_store([*patterns, *texts])
+    return _myers_columns(store, idx[: len(patterns)], idx[len(patterns) :], alphabet)
 
 
-def _myers_distances(
-    patterns: Sequence[np.ndarray],
-    texts: Sequence[np.ndarray],
-    alphabet: int,
-    bucket_size: int,
+def _private_store(seqs: Sequence[np.ndarray]) -> tuple["EncodedStore", np.ndarray]:
+    """The distinct arrays of ``seqs`` (by identity) in a private store,
+    and the store index of each element of ``seqs``."""
+    from repro.runtime.sharedseq import EncodedStore  # the runtime imports this module
+
+    slot: dict[int, int] = {}
+    idx = np.array([slot.setdefault(id(seq), len(slot)) for seq in seqs], dtype=np.int64)
+    distinct = {id(seq): seq for seq in seqs}
+    return EncodedStore.from_sequences(list(distinct.values())), idx
+
+
+def _myers_columns(
+    store: "EncodedStore", pat: np.ndarray, txt: np.ndarray, alphabet: int
 ) -> np.ndarray:
-    """:func:`batch_myers_infix` on sequences already checked against
-    ``alphabet`` (the containment prefilter checks its pairs once,
-    against the scoring matrix)."""
+    """The one Myers entry: :func:`batch_myers_infix` of sequence
+    ``pat[k]`` against sequence ``txt[k]`` of a store, for every lane
+    ``k`` (codes already checked against ``alphabet``).
 
-    def sweep(chunk: np.ndarray, wide: bool) -> np.ndarray:
-        run = _myers_sweep if wide else _myers_packed
-        return run([patterns[k] for k in chunk], [texts[k] for k in chunk], alphabet)
-
-    return _myers_route([len(t) for t in texts], bucket_size, sweep)
-
-
-def _myers_route(
-    text_lengths: Sequence[int] | np.ndarray,
-    bucket_size: int,
-    sweep: Callable[[np.ndarray, bool], np.ndarray],
-) -> np.ndarray:
-    """The one sweep loop of the pair and the column path: lanes sorted
-    by text length (stable) so padding waste inside a sweep stays low,
-    cut ``bucket_size`` at a time, and ``sweep(chunk, wide)`` run on
-    each chunk of lane indices, ``wide`` when the chunk holds
-    :data:`_WAVEFRONT_MIN_LANES` lanes or more (the word wavefront; a
-    narrower one runs packed)."""
-    result = np.zeros(len(text_lengths), dtype=np.int64)
-    order = np.argsort(text_lengths, kind="stable")
-    for lo in range(0, len(order), bucket_size):
-        chunk = order[lo : lo + bucket_size]
-        result[chunk] = sweep(chunk, len(chunk) >= _WAVEFRONT_MIN_LANES)
+    Lanes are sorted by text length (stable), so padding waste inside a
+    sweep stays low, and cut :data:`DEFAULT_MYERS_BUCKET` at a time.  A
+    sweep of :data:`_WAVEFRONT_MIN_LANES` lanes or more is the word
+    wavefront over the store's mask table
+    (:func:`_myers_table_sweep`, which builds the table the first
+    time); a narrower one runs packed over the store's views
+    (:func:`_myers_packed`), so a store swept only narrow (a serve
+    request's) never builds a table.
+    """
+    result = np.zeros(len(pat), dtype=np.int64)
+    order = np.argsort(store.lengths[txt], kind="stable")
+    for lo in range(0, len(order), DEFAULT_MYERS_BUCKET):
+        chunk = order[lo : lo + DEFAULT_MYERS_BUCKET]
+        p, t = pat[chunk], txt[chunk]
+        if len(chunk) >= _WAVEFRONT_MIN_LANES:
+            result[chunk] = _myers_table_sweep(store, p, t, alphabet)
+        else:
+            result[chunk] = _myers_packed([store.get(k) for k in p.tolist()],
+                                          [store.get(k) for k in t.tolist()], alphabet)
     return result
 
 
@@ -573,21 +571,6 @@ def _padded_codes(
     codes = np.full((len(seqs), width), alphabet, dtype=np.intp)
     codes[(col >= lead) & (col < lead + lengths[:, None])] = flat
     return codes
-
-
-def _myers_sweep(
-    patterns: Sequence[np.ndarray], texts: Sequence[np.ndarray], alphabet: int
-) -> np.ndarray:
-    """:func:`_myers_wavefront` over pairs of arrays, lane ``k``'s match
-    masks scattered for this sweep alone (sequence ``k`` of
-    :func:`myers_mask_table` over the patterns)."""
-    m_arr = np.array([len(p) for p in patterns])
-    W = int((m_arr.max() + 63) // 64)
-    steps = max(max(len(t) for t in texts), 1) + W - 1
-    codes = _padded_codes(texts, steps + W - 1, alphabet, lead=W - 1).T
-    table, words = myers_mask_table(np.concatenate(patterns), m_arr, alphabet)
-    EQ = _skewed_masks(table, words, np.arange(len(patterns)), codes, W)
-    return _myers_wavefront(EQ, m_arr)
 
 
 def _myers_table_sweep(
@@ -674,9 +657,8 @@ def _myers_wavefront(EQ: np.ndarray, m_arr: np.ndarray) -> np.ndarray:
     raise the last-row score.  So a lane's distance (its pattern
     ``m_arr[k]`` residues long) is the minimum of its running score read
     at bit ``m_k - 1`` of word ``W_k - 1``, over every step.  The masks
-    come from :func:`_myers_sweep` (scattered per sweep) or
-    :func:`_myers_table_sweep` (a store's per-sequence table), both
-    through :func:`_skewed_masks`.
+    are a store's per-sequence table, skewed by :func:`_skewed_masks`
+    (:func:`_myers_table_sweep`).
     """
     steps, W, B = EQ.shape
     lanes = np.arange(B)
@@ -738,7 +720,7 @@ def _myers_packed(
     into its guard bit but no further (the guard is zero in both
     operands); ``& lanes`` after the add and after each shift clears it
     again, so every lane's bit 0 takes carry-in 0 (search mode), as word
-    0 of :func:`_myers_sweep` does.  A text column is then ~18 big-int
+    0 of :func:`_myers_wavefront` does.  A text column is then ~18 big-int
     operations for every lane together.  As there, a column past a
     lane's text has a zero mask and can only raise the lane's score; a
     sweep whose texts are all empty has no column, and every distance
@@ -776,7 +758,7 @@ def _myers_packed(
         mv = ph & xv
 
     # Lane k's last-row bit of every (ph, mh): byte (m_k - 1) // 8 of
-    # its stride, as in _myers_sweep a +1 / -1 step of the running score.
+    # its stride, as in _myers_wavefront a +1 / -1 step of the running score.
     raw = b"".join(x.to_bytes(size, "little") for x in history)
     deltas = np.frombuffer(raw, dtype=np.uint8).reshape(n, 2, B, L)
     top = deltas[:, :, np.arange(B), (m_arr - 1) >> 3] >> ((m_arr - 1) & 7) & 1
@@ -843,6 +825,135 @@ def containment_reject_threshold(
 
 
 @dataclass(frozen=True)
+class ContainmentPrefilter:
+    """What the Myers sweep alone settles about the pairs ``(ia[r],
+    ib[r])`` of a store, as columns.
+
+    ``stats`` is the ``(k, 3)`` float64 rows, final where the sweep
+    decided the pair — the ``(0.0, 0.0, 0.0)`` surrogate of a rejected
+    pair (``rejected[r]``), the closed form of a certified one — and
+    zero where the DP must judge: the rows ``undecided`` lists, in
+    ascending order.
+    """
+
+    stats: np.ndarray
+    rejected: np.ndarray
+    undecided: np.ndarray
+
+
+def containment_prefilter(
+    store: "EncodedStore",
+    ia: np.ndarray,
+    ib: np.ndarray,
+    *,
+    scheme: ScoringScheme,
+    similarity: float,
+    coverage: float,
+) -> ContainmentPrefilter:
+    """Routes 1 and 2 of :func:`containment_columns`: one Myers pass
+    (:func:`_myers_columns`, the shorter sequence of each pair swept
+    over the longer), then the reject bound and the exact certificate
+    as whole columns.  No DP.
+
+    The store's codes are checked against the matrix once per store; an
+    index outside the store is an ``IndexError``, an empty sequence a
+    ``ValueError``.
+    """
+    ia, ib = np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
+    if ia.shape != ib.shape or ia.ndim != 1:
+        raise ValueError("ia and ib must be index columns of equal length")
+    if not len(ia):
+        return ContainmentPrefilter(np.zeros((0, 3)), np.zeros(0, dtype=bool),
+                                    np.zeros(0, dtype=np.int64))
+    both = np.concatenate((ia, ib))
+    if both.min() < 0 or both.max() >= len(store):
+        raise IndexError(f"sequence index out of range [0, {len(store)})")
+    m, n = store.lengths[ia], store.lengths[ib]
+    if not (m.all() and n.all()):
+        raise ValueError("sequences must be non-empty 1-D integer arrays")
+    width = scheme.matrix.shape[1]
+    store.check_codes(width)
+    obs.count("batch.pairs", len(ia))
+
+    pat, txt = np.where(m <= n, ia, ib), np.where(m <= n, ib, ia)
+    dists = _myers_columns(store, pat, txt, width)
+    threshold = containment_reject_threshold(m, n, similarity, coverage)
+    rejected = dists > threshold if threshold is not None else np.zeros(len(dists), bool)
+    exact = ~rejected & (dists == 0) & strict_diagonal_scheme(scheme)
+    obs.count("batch.myers_rejects", int(rejected.sum()))
+    obs.count("batch.exact_certified", int(exact.sum()))
+    # identity = matches/length = 1.0; coverage of the shorter is full,
+    # of the longer it is s/l — exactly the perfect diagonal the scalar
+    # argmax selects at the first occurrence.
+    stats = np.zeros((len(ia), 3))
+    stats[exact] = np.column_stack(
+        (np.ones(len(ia)), np.where(m <= n, 1.0, n / m), np.where(n <= m, 1.0, m / n))
+    )[exact]
+    return ContainmentPrefilter(stats, rejected, np.flatnonzero(~(rejected | exact)))
+
+
+def containment_dp(
+    store: "EncodedStore",
+    ia: np.ndarray,
+    ib: np.ndarray,
+    prefilter: ContainmentPrefilter,
+    scheme: ScoringScheme,
+) -> np.ndarray:
+    """Route 3 of :func:`containment_columns`: the prefilter's ``(k,
+    3)`` rows, the undecided ones measured by one semiglobal bucket loop
+    (counted in ``batch.dp_pairs``; the pairs were counted in
+    ``batch.pairs`` by the prefilter)."""
+    stats = prefilter.stats.copy()
+    if not len(stats):
+        return stats
+    undecided = prefilter.undecided
+    obs.count("batch.dp_pairs", len(undecided))
+    if len(undecided):
+        pairs = [(store.get(a), store.get(b)) for a, b in
+                 zip(np.asarray(ia)[undecided].tolist(), np.asarray(ib)[undecided].tolist())]
+        computed = _align_buckets(pairs, scheme, "semiglobal")
+        stats[undecided] = [containment_stats(aln, len(a), len(b))
+                            for (a, b), aln in zip(pairs, computed)]
+    return stats
+
+
+def containment_columns(
+    store: "EncodedStore",
+    ia: np.ndarray,
+    ib: np.ndarray,
+    *,
+    scheme: ScoringScheme,
+    similarity: float,
+    coverage: float,
+) -> np.ndarray:
+    """Definition 1 statistics of the pairs ``(ia[r], ib[r])`` of a
+    sequence store, as one ``(k, 3)`` float64 array of ``(identity,
+    coverage_a, coverage_b)``, decision-identical to a semiglobal DP of
+    every pair.
+
+    Three routes, cheapest first:
+
+    1. **Myers reject** — infix distance above
+       :func:`containment_reject_threshold` proves neither direction
+       can pass; the row is the ``(0.0, 0.0, 0.0)`` surrogate and no
+       alignment exists or is needed.
+    2. **Exact certificate** — distance 0 under a strict-diagonal
+       scheme proves the scalar optimum is the perfect diagonal, whose
+       statistics are known in closed form.
+    3. **Batched DP** — everything else runs through the bucket loop of
+       :func:`batch_align`, whose Alignments equal the scalar kernel's.
+
+    Routes 1 and 2 are :func:`containment_prefilter`, route 3 is
+    :func:`containment_dp`; a caller that times the two apart (the
+    serve request path) calls them itself.
+    """
+    prefilter = containment_prefilter(
+        store, ia, ib, scheme=scheme, similarity=similarity, coverage=coverage
+    )
+    return containment_dp(store, ia, ib, prefilter, scheme)
+
+
+@dataclass(frozen=True)
 class ContainmentBatch:
     """Outcome of :func:`batch_containment` for one pair list.
 
@@ -858,206 +969,32 @@ class ContainmentBatch:
     n_dp: int
 
 
-@dataclass(frozen=True)
-class ContainmentPrefilter:
-    """What the Myers sweep alone settles about a Definition 1 pair list.
-
-    ``stats[k]`` is final where the sweep decided the pair — the
-    ``(0.0, 0.0, 0.0)`` surrogate of a rejected pair, the closed form
-    of a certified one — and None where the DP must judge
-    (``undecided`` lists those); ``rejected[k]`` tells a surrogate from
-    a measured triple.
-    """
-
-    pairs: list[tuple[np.ndarray, np.ndarray]]
-    stats: list[tuple[float, float, float] | None]
-    rejected: list[bool]
-    undecided: list[int]
-
-
-def containment_prefilter(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    *,
-    scheme: ScoringScheme,
-    similarity: float,
-    coverage: float,
-    myers_bucket: int = DEFAULT_MYERS_BUCKET,
-) -> ContainmentPrefilter:
-    """Routes 1 and 2 of :func:`batch_containment`: one Myers sweep over
-    the pair list, then the reject bound and the exact certificate as
-    whole columns.  No DP."""
-    _check_bucket_size("myers_bucket", myers_bucket)
-    width = scheme.matrix.shape[1]
-    enc = _encoded_pairs(pairs, width)
-    if not enc:
-        return ContainmentPrefilter(enc, [], [], [])
-    obs.count("batch.pairs", len(enc))
-
-    m, n = np.array([(len(a), len(b)) for a, b in enc]).T
-    shorter = [a if len(a) <= len(b) else b for a, b in enc]
-    longer = [b if len(a) <= len(b) else a for a, b in enc]
-    # Checked against the matrix: every code lies in [0, width).
-    dists = _myers_distances(shorter, longer, width, myers_bucket)
-    rejected, exact, cov_a, cov_b = _sweep_verdicts(
-        dists, m, n, scheme, similarity, coverage
-    )
-    cov_a, cov_b = cov_a.tolist(), cov_b.tolist()
-    stats: list[tuple[float, float, float] | None] = [
-        (0.0, 0.0, 0.0) if r else (1.0, cov_a[k], cov_b[k]) if e else None
-        for k, (r, e) in enumerate(zip(rejected.tolist(), exact.tolist()))
-    ]
-    return ContainmentPrefilter(
-        enc, stats, rejected.tolist(), np.flatnonzero(~(rejected | exact)).tolist()
-    )
-
-
-def _sweep_verdicts(
-    dists: np.ndarray, m: np.ndarray, n: np.ndarray, scheme: ScoringScheme,
-    similarity: float, coverage: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What the Myers distances of pairs of lengths ``(m, n)`` settle,
-    as whole columns ``(rejected, exact, cov_a, cov_b)``: a rejected
-    pair's statistics are the ``(0.0, 0.0, 0.0)`` surrogate, a certified
-    one's ``(1.0, cov_a, cov_b)``, and the DP judges the rest."""
-    threshold = containment_reject_threshold(m, n, similarity, coverage)
-    rejected = dists > threshold if threshold is not None else np.zeros(len(dists), bool)
-    exact = ~rejected & (dists == 0) & strict_diagonal_scheme(scheme)
-    obs.count("batch.myers_rejects", int(rejected.sum()))
-    obs.count("batch.exact_certified", int(exact.sum()))
-    # identity = matches/length = 1.0; coverage of the shorter is full,
-    # of the longer it is s/l — exactly the perfect diagonal the scalar
-    # argmax selects at the first occurrence.
-    return rejected, exact, np.where(m <= n, 1.0, n / m), np.where(n <= m, 1.0, m / n)
-
-
-def _dp_stats(
-    pairs: list[tuple[np.ndarray, np.ndarray]], scheme: ScoringScheme, bucket_size: int
-) -> list[tuple[float, float, float]]:
-    """Route 3: the Definition 1 statistics of one semiglobal bucket
-    loop over ``pairs`` (counted in ``batch.dp_pairs``)."""
-    obs.count("batch.dp_pairs", len(pairs))
-    if not pairs:
-        return []
-    computed = _align_buckets(pairs, scheme, "semiglobal", bucket_size)
-    return [containment_stats(aln, len(a), len(b)) for (a, b), aln in zip(pairs, computed)]
-
-
-def containment_dp(
-    prefilter: ContainmentPrefilter,
-    scheme: ScoringScheme,
-    *,
-    bucket_size: int = DEFAULT_BUCKET,
-) -> ContainmentBatch:
-    """Route 3 of :func:`batch_containment`: one semiglobal bucket loop
-    over what the prefilter left undecided (and already counted in
-    ``batch.pairs``)."""
-    _check_bucket_size("bucket_size", bucket_size)
-    enc, dp_idx = prefilter.pairs, prefilter.undecided
-    if not enc:
-        return ContainmentBatch([], 0, 0, 0)
-    stats = list(prefilter.stats)
-    for k, row in zip(dp_idx, _dp_stats([enc[k] for k in dp_idx], scheme, bucket_size)):
-        stats[k] = row
-    n_rejected = sum(prefilter.rejected)
-    return ContainmentBatch(
-        stats=stats,  # type: ignore[arg-type]
-        n_rejected=n_rejected,
-        n_exact=len(enc) - n_rejected - len(dp_idx),
-        n_dp=len(dp_idx),
-    )
-
-
-def containment_columns(
-    store: "EncodedStore",
-    ia: np.ndarray,
-    ib: np.ndarray,
-    *,
-    scheme: ScoringScheme,
-    similarity: float,
-    coverage: float,
-) -> np.ndarray:
-    """:func:`batch_containment` of the pairs ``(ia[r], ib[r])`` of a
-    sequence store, as one ``(k, 3)`` float64 array: the same routes,
-    counters and rows, bit for bit, with no per-pair Python object
-    before the DP.
-
-    The sweeps are :func:`_myers_route`'s over store indices, with the
-    pair path's :data:`DEFAULT_BUCKET` and :data:`DEFAULT_MYERS_BUCKET`:
-    a wide one gathers its masks from the store's per-sequence table
-    (:func:`_myers_table_sweep`), a narrow one runs packed over the
-    store's views.  The store's codes are checked once, when its table
-    is built.  An index outside the store is an ``IndexError``, an empty
-    sequence a ``ValueError``.
-    """
-    ia, ib = np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
-    if ia.shape != ib.shape or ia.ndim != 1:
-        raise ValueError("ia and ib must be index columns of equal length")
-    if not len(ia):
-        return np.zeros((0, 3))
-    both = np.concatenate((ia, ib))
-    if both.min() < 0 or both.max() >= len(store):
-        raise IndexError(f"sequence index out of range [0, {len(store)})")
-    m, n = store.lengths[ia], store.lengths[ib]
-    if not (m.all() and n.all()):
-        raise ValueError("sequences must be non-empty 1-D integer arrays")
-    obs.count("batch.pairs", len(ia))
-
-    width = scheme.matrix.shape[1]
-    store.myers_masks(width)  # built once, checking the store's codes
-    pat, txt = np.where(m <= n, ia, ib), np.where(m <= n, ib, ia)
-
-    def sweep(chunk: np.ndarray, wide: bool) -> np.ndarray:
-        if wide:
-            return _myers_table_sweep(store, pat[chunk], txt[chunk], width)
-        return _myers_packed([store.get(k) for k in pat[chunk].tolist()],
-                             [store.get(k) for k in txt[chunk].tolist()], width)
-
-    dists = _myers_route(store.lengths[txt], DEFAULT_MYERS_BUCKET, sweep)
-    rejected, exact, cov_a, cov_b = _sweep_verdicts(
-        dists, m, n, scheme, similarity, coverage
-    )
-    stats = np.zeros((len(ia), 3))
-    stats[exact] = np.column_stack((np.ones(len(ia)), cov_a, cov_b))[exact]
-    undecided = np.flatnonzero(~(rejected | exact))
-    rows = _dp_stats([(store.get(a), store.get(b)) for a, b in
-                      zip(ia[undecided].tolist(), ib[undecided].tolist())],
-                     scheme, DEFAULT_BUCKET)
-    if rows:
-        stats[undecided] = rows
-    return stats
-
-
 def batch_containment(
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     *,
     scheme: ScoringScheme | None = None,
     similarity: float,
     coverage: float,
-    bucket_size: int = DEFAULT_BUCKET,
-    myers_bucket: int = DEFAULT_MYERS_BUCKET,
 ) -> ContainmentBatch:
-    """Definition 1 statistics for many pairs, decision-identical to a
-    semiglobal DP of every pair.
-
-    Three routes, cheapest first:
-
-    1. **Myers reject** — infix distance above
-       :func:`containment_reject_threshold` proves neither direction
-       can pass; no alignment exists or is needed.
-    2. **Exact certificate** — distance 0 under a strict-diagonal
-       scheme proves the scalar optimum is the perfect diagonal, whose
-       statistics are known in closed form.
-    3. **Batched DP** — everything else runs through
-       :func:`batch_align`, whose Alignments equal the scalar kernel's.
-
-    Routes 1 and 2 are :func:`containment_prefilter`, route 3 is
-    :func:`containment_dp`; a caller that times the two apart (the
-    serve request path) calls them itself.
-    """
+    """:func:`containment_columns` of a list of ``(a, b)`` encoded
+    arrays: the pairs are checked as :func:`batch_align` checks them,
+    their distinct arrays put in a private store, and the rows come back
+    as a list of tuples with each route's count."""
     if scheme is None:
         scheme = blosum62_scheme()
+    enc = _encoded_pairs(pairs, scheme.matrix.shape[1])
+    if not enc:
+        return ContainmentBatch([], 0, 0, 0)
+    store, idx = _private_store([seq for pair in enc for seq in pair])
+    ia, ib = idx[0::2], idx[1::2]
     prefilter = containment_prefilter(
-        pairs, scheme=scheme, similarity=similarity, coverage=coverage,
-        myers_bucket=myers_bucket,
+        store, ia, ib, scheme=scheme, similarity=similarity, coverage=coverage
     )
-    return containment_dp(prefilter, scheme, bucket_size=bucket_size)
+    stats = containment_dp(store, ia, ib, prefilter, scheme)
+    n_rejected, n_dp = int(prefilter.rejected.sum()), len(prefilter.undecided)
+    return ContainmentBatch(
+        stats=[tuple(row) for row in stats.tolist()],
+        n_rejected=n_rejected,
+        n_exact=len(enc) - n_rejected - n_dp,
+        n_dp=n_dp,
+    )

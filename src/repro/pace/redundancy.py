@@ -29,6 +29,7 @@ from repro.align.predicates import (
 )
 from repro.pace.cache import AlignmentCache
 from repro.pace.costs import CostModel, bucket_generation
+from repro.pace.seen import SeenPairs
 from repro.parallel.masterworker import MasterWorkerConfig, run_master_worker
 from repro.parallel.simulator import SimulationResult, VirtualCluster
 from repro.sequence.record import SequenceSet
@@ -66,10 +67,8 @@ class RedundancyMaster:
     :func:`parallel_redundancy_removal` plugs the same methods into the
     simulated master rank as its callbacks, one-row columns at a time.
 
-    The seen set is a bit map over the pairs ``a < b`` of the ``n``
-    sequences, bit ``b(b - 1)/2 + a``: ``n(n - 1)/16`` bytes, 16 KB at
-    500 sequences and 2.2 MB at 6,000, but 625 MB at 100,000 — quadratic
-    in ``n`` where a set of the admitted pairs grows with the pairs.
+    The seen set is a :class:`~repro.pace.seen.SeenPairs` bit map over
+    the ``n`` sequences.
     """
 
     def __init__(
@@ -89,9 +88,7 @@ class RedundancyMaster:
         )
         self.similarity = similarity
         self.coverage = coverage
-        n = len(self.encoded)
-        self._seen = np.zeros((n * (n - 1) // 2 + 7) // 8, dtype=np.uint8)
-        self._n_admitted = 0
+        self._admitted = SeenPairs(len(self.encoded))
         self._victims: list[int] = []
         self._survivors: list[int] = []
 
@@ -103,19 +100,11 @@ class RedundancyMaster:
         block's count — they count Definition 1 verdicts evaluated,
         whatever route (DP, exact certificate, Myers reject) computes
         the statistics."""
-        keys, first = np.unique(b * (b - 1) // 2 + a, return_index=True)
-        byte = keys >> 3
-        bit = np.left_shift(1, keys & 7).astype(np.uint8)
-        fresh = (self._seen[byte] & bit) == 0
-        byte, bit, rows = byte[fresh], bit[fresh], np.sort(first[fresh])
-        if len(rows):
-            # Keys ascend, so the bits of one byte are one run.
-            runs = np.flatnonzero(np.diff(byte, prepend=-1))
-            self._seen[byte[runs]] |= np.bitwise_or.reduceat(bit, runs)
-            self._n_admitted += len(rows)
-            obs.count("rr.pairs", len(rows))
-            obs.count("rr.alignments", len(rows))
-        return a[rows], b[rows]
+        a, b = self._admitted.add(a, b)
+        if len(a):
+            obs.count("rr.pairs", len(a))
+            obs.count("rr.alignments", len(a))
+        return a, b
 
     def absorb(self, i: np.ndarray, j: np.ndarray, stats: np.ndarray) -> None:
         """Apply Definition 1 to the ``(identity, coverage_i,
@@ -134,8 +123,8 @@ class RedundancyMaster:
         return RedundancyResult(
             redundant=redundant,
             kept=[i for i in range(len(self.encoded)) if i not in redundant],
-            n_promising_pairs=self._n_admitted,
-            n_alignments=self._n_admitted,
+            n_promising_pairs=self._admitted.size,
+            n_alignments=self._admitted.size,
             sim=sim,
             containments=sorted(zip(self._victims, self._survivors)),
         )

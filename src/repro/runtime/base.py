@@ -13,14 +13,15 @@ once:
   its offsets and lengths, in process or in shared memory).  *Where* a
   task runs is the executor's business; *what* it computes is written
   here and nowhere else.
-* :class:`PairStream` is the master side of every pair phase, with
-  results handed back through ``ready``/``drain`` — for an alignment
-  stream with the master-only :class:`~repro.pace.cache.AlignmentCache`
-  in front, for RR's :class:`ContainmentStream` as int64 index columns
-  in and statistic rows out.  A task is exactly what a phase driver
-  submits (an ``RR_CHUNK`` of index columns, the misses of one
-  ``LOCAL_CHUNK`` or CCD batch, one component graph), so every backend
-  runs the same task bodies.
+* :class:`PairStream` is the master side of every pair phase: int64
+  index columns in (:meth:`PairStream.submit_columns`), one ``(ia, ib,
+  results)`` triple per task back through ``ready``/``drain`` — an
+  alignment stream with the master-only
+  :class:`~repro.pace.cache.AlignmentCache` in front, RR's containment
+  stream with none.  A task is exactly what a phase driver submits (an
+  ``RR_CHUNK`` of index columns, the misses of one ``LOCAL_CHUNK`` or
+  CCD batch, one component graph), so every backend runs the same task
+  bodies.
 * :class:`Backend` makes ``alignment_stream``, ``containment_stream``
   and ``map_components`` concrete over the hooks an executor
   (:class:`~repro.runtime.serial.SerialBackend`,
@@ -81,26 +82,26 @@ class WorkerCrashError(BackendError):
 def run_task(body: tuple, store: EncodedStore, scheme: "ScoringScheme"):
     """Compute one task — the only statement of the runtime's work.
 
-    * ``("local" | "semiglobal", pairs)`` → one
+    * ``("local" | "semiglobal", ia, ib)`` → one
       :class:`~repro.align.pairwise.Alignment` per pair;
     * ``("contain", similarity, coverage, ia, ib)`` → the ``(k, 3)``
-      float64 rows ``(identity, coverage_i, coverage_j)`` of the pairs
-      ``(ia[r], ib[r])``, two int64 index columns;
+      float64 rows ``(identity, coverage_i, coverage_j)``
+      (:func:`~repro.align.batch.containment_columns`);
     * ``("shingle", graph, reduction, params, min_size, tau)`` → the
       ``(finals, raw, stats)`` triple of
       :func:`~repro.pace.densesub.shingle_component`.
 
-    Pairs are global sequence indices into ``store``; a containment
-    task reads its columns against the store whole
-    (:func:`~repro.align.batch.containment_columns`).  Serial execution,
+    A pair task's pairs are ``(ia[r], ib[r])``, two int64 columns of
+    global sequence indices into ``store``.  Serial execution,
     a worker process and the process backend's in-master recovery all
     call this function, so a task's result cannot depend on where it
     ran.
     """
     kind = body[0]
     if kind in ALIGN_KINDS:
+        _, ia, ib = body
         return batch_align(
-            [(store.get(i), store.get(j)) for i, j in body[1]],
+            [(store.get(i), store.get(j)) for i, j in zip(ia.tolist(), ib.tolist())],
             scheme, mode=kind,
         )
     if kind == "contain":
@@ -176,21 +177,30 @@ class RuntimeStats:
 
 
 class PairStream:
-    """The master side of a pair phase: pairs in, tasks out, results back.
+    """The master side of a pair phase: index columns in, tasks out,
+    results back.
 
-    The master submits ``(i, j)`` global index pairs; each comes back
-    exactly once through :meth:`ready` (non-blocking) or :meth:`drain`
-    (blocking flush), in an unspecified order, as ``(i, j, result)``
-    with ``i < j``, the result the pair's
-    :class:`~repro.align.pairwise.Alignment` (``kind`` ``"local"`` or
-    ``"semiglobal"``).  The bipartite driver interleaves
-    ``submit_many`` with ``ready`` so verdicts are absorbed while tasks
-    are out; the CCD driver submits a batch and drains it.
+    The master submits global index columns ``(ia, ib)``; each pair comes
+    back exactly once through :meth:`ready` (non-blocking) or
+    :meth:`drain` (blocking flush), canonical (``ia[r] < ib[r]``), in
+    one ``(ia, ib, results)`` triple per task, the triples in an
+    unspecified order.  ``results`` is a list of
+    :class:`~repro.align.pairwise.Alignment` for ``kind`` ``"local"``
+    or ``"semiglobal"``, and for ``"contain"`` the ``(k, 3)`` float64
+    rows of Definition 1's ``(identity, coverage_i, coverage_j)``.  The
+    RR and bipartite drivers interleave :meth:`submit_columns` with
+    ``ready`` so verdicts are absorbed while tasks are out; the CCD
+    driver submits a batch and drains it.
 
-    The cache is in front: a pair it already holds never becomes work,
-    it is answered here and counted once as a hit; every alignment a
-    task returns is inserted and counted once as a miss.  The misses of
-    one ``submit_many`` call are one task.
+    An alignment stream has the cache in front: a pair it already holds
+    never becomes work, it is answered here — the hits of one submit as
+    a triple of their own — and counted once as a hit; every alignment
+    a task returns is inserted and counted once as a miss.  RR's
+    containment stream has no cache (``cache`` None): it never reads
+    the traceback, which is what lets the containment engine answer a
+    pair *proven* unable to pass with ``(0.0, 0.0, 0.0)`` and no
+    alignment at all, so every pair is work.  The misses of one
+    :meth:`submit_columns` call are one task.
     """
 
     def __init__(self, backend: "Backend", stream_id: int, kind: str,
@@ -201,93 +211,61 @@ class PairStream:
         self._params = params
         self._cache = cache
         self._phase = backend._phase_stats()
-        self._done: list[tuple[int, int, object]] = []
+        self._done: list[tuple[np.ndarray, np.ndarray, object]] = []
         self.in_flight = 0
         obs.gauge(f"stream.{stream_id}.kind", kind)
 
-    def submit_many(self, pairs: Sequence[tuple[int, int]]) -> None:
-        """Request results for many pairs at once: the misses are one
-        task."""
-        work: list[tuple[int, int]] = []
-        for i, j in pairs:
-            if i > j:
-                i, j = j, i
-            if self._cache.peek(self.kind, i, j) is not None:
-                self._phase.cache_hits += 1
-                obs.count(f"runtime.pairs_done.{self._phase.name}")
-                self._done.append(
-                    (i, j, getattr(self._cache, self.kind)(i, j)))
-                continue
-            work.append((i, j))
-        self._phase.tasks += len(work)
-        if work:
-            self._send(work)
-
-    def _send(self, *columns) -> None:
-        """Dispatch one task over ``columns``: a pair list, or a
-        containment stream's two index columns."""
+    def submit_columns(self, ia: np.ndarray, ib: np.ndarray) -> None:
+        """Request results for the pairs ``(ia[r], ib[r])``: the misses
+        are one task."""
+        ia, ib = np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
+        ia, ib = np.minimum(ia, ib), np.maximum(ia, ib)
+        if self._cache is not None and len(ia):
+            hit = np.array([self._cache.peek(self.kind, i, j) is not None
+                            for i, j in zip(ia.tolist(), ib.tolist())])
+            if hit.any():
+                answer = getattr(self._cache, self.kind)
+                hit_a, hit_b = ia[hit], ib[hit]
+                self._phase.cache_hits += len(hit_a)
+                obs.count(f"runtime.pairs_done.{self._phase.name}", len(hit_a))
+                self._done.append((hit_a, hit_b, [
+                    answer(i, j) for i, j in zip(hit_a.tolist(), hit_b.tolist())]))
+                ia, ib = ia[~hit], ib[~hit]
+        self._phase.tasks += len(ia)
+        if not len(ia):
+            return
         self._backend._throttle()
-        obs.count("runtime.batch_pairs", len(columns[0]))
+        obs.count("runtime.batch_pairs", len(ia))
         self.in_flight += 1
         obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
         self._backend._dispatch(
-            (self.kind, *self._params, *columns),
-            functools.partial(self._absorb, columns),
+            (self.kind, *self._params, ia, ib),
+            functools.partial(self._absorb, ia, ib),
         )
 
-    def _absorb(self, columns: tuple, results, busy: float) -> None:
+    def _absorb(self, ia: np.ndarray, ib: np.ndarray, results, busy: float) -> None:
         """The task's sink — called exactly once per dispatched task,
         wherever it ended up running."""
         self.in_flight -= 1
         obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
         self._phase.busy_seconds += busy
-        obs.count(f"runtime.pairs_done.{self._phase.name}", len(columns[0]))
-        self._collect(*columns, results)
+        obs.count(f"runtime.pairs_done.{self._phase.name}", len(ia))
+        if self._cache is not None:
+            for i, j, result in zip(ia.tolist(), ib.tolist(), results):
+                self._cache.insert(self.kind, i, j, result)
+        self._done.append((ia, ib, results))
 
-    def _collect(self, pairs: list[tuple[int, int]], results: list) -> None:
-        for (i, j), result in zip(pairs, results):
-            self._cache.insert(self.kind, i, j, result)
-            self._done.append((i, j, result))
-
-    def ready(self) -> list[tuple[int, int, object]]:
+    def ready(self) -> list[tuple[np.ndarray, np.ndarray, object]]:
         """Completed results available now, without blocking."""
         self._backend._pump(block=False)
         out, self._done = self._done, []
         return out
 
-    def drain(self) -> Iterator[tuple[int, int, object]]:
+    def drain(self) -> Iterator[tuple[np.ndarray, np.ndarray, object]]:
         """Flush: block until every submitted pair has a result."""
         while self.in_flight > 0:
             self._backend._pump(block=True)
         yield from self.ready()
-
-
-class ContainmentStream(PairStream):
-    """RR's stream, in columns: :meth:`submit_columns` takes two int64
-    index columns ``(ia, ib)``, ``ia < ib``, and each task comes back
-    through ``ready`` / ``drain`` as one ``(ia, ib, stats)`` triple,
-    ``stats`` the ``(k, 3)`` float64 rows of Definition 1's
-    ``(identity, coverage_i, coverage_j)``.  RR never reads the
-    traceback, which is what lets the containment engine answer a pair
-    *proven* unable to pass with ``(0.0, 0.0, 0.0)`` and no alignment
-    at all.  No cache: the results are not alignments and nothing reads
-    them back, so every pair is work.
-    """
-
-    def __init__(self, backend: "Backend", stream_id: int,
-                 similarity: float, coverage: float):
-        super().__init__(backend, stream_id, "contain", None,
-                         (similarity, coverage))
-
-    def submit_columns(self, ia: np.ndarray, ib: np.ndarray) -> None:
-        """Request the statistics of the pairs ``(ia[r], ib[r])`` as one
-        task."""
-        self._phase.tasks += len(ia)
-        if len(ia):
-            self._send(ia, ib)
-
-    def _collect(self, ia: np.ndarray, ib: np.ndarray, stats: np.ndarray) -> None:
-        self._done.append((ia, ib, stats))
 
 
 class Backend(abc.ABC):
@@ -424,9 +402,9 @@ class Backend(abc.ABC):
 
     # -- work primitives ---------------------------------------------------
 
-    def _open_stream(self, stream_class: type[PairStream], *args) -> PairStream:
+    def _open_stream(self, *args) -> PairStream:
         self._require_open()
-        stream = stream_class(self, self._next_stream_id, *args)
+        stream = PairStream(self, self._next_stream_id, *args)
         self._next_stream_id += 1
         return stream
 
@@ -434,20 +412,18 @@ class Backend(abc.ABC):
         """Open a stream of ``kind`` ("local" or "semiglobal") alignments."""
         if kind not in ALIGN_KINDS:
             raise ValueError(f"unknown alignment kind {kind!r}")
-        return self._open_stream(PairStream, kind, cache)
+        return self._open_stream(kind, cache)
 
-    def containment_stream(
-        self, *, similarity: float, coverage: float
-    ) -> ContainmentStream:
+    def containment_stream(self, *, similarity: float, coverage: float) -> PairStream:
         """Open a Definition 1 statistics stream for the RR phase.
 
-        Answered through the batched containment engine
-        (:func:`repro.align.batch.batch_containment`), whose decisions
-        are provably identical to a full semiglobal DP per pair;
-        ``similarity``/``coverage`` parameterise its sound rejection
-        threshold.
+        Its tasks run the column containment engine
+        (:func:`repro.align.batch.containment_columns`) over the
+        session's store, whose decisions are provably identical to a
+        full semiglobal DP per pair; ``similarity``/``coverage``
+        parameterise its sound rejection threshold.
         """
-        return self._open_stream(ContainmentStream, similarity, coverage)
+        return self._open_stream("contain", None, (similarity, coverage))
 
     def map_components(
         self,

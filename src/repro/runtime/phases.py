@@ -13,21 +13,22 @@ Each master is built inside its phase span over the session's one
 string index, :attr:`~repro.runtime.base.Backend.index` (RR whole, CCD
 and B_d restricted), so index time is phase time.  The pair source is
 the finder's *block* stream
-(:meth:`~repro.suffix.matches.MaximalMatchFinder.match_blocks`).  RR's
-master admits a whole block in one call, against a bit map of the pairs
-seen, and its pairs stay int64 columns through the containment stream
-and back into a column Definition 1 verdict.  The other masters' one
-deciding filter, ``admit``, has a *sound block prefilter* in front of
-it — the same shape as the Myers reject in front of the DP: an array
-test over a whole block that drops only pairs ``admit`` would provably
-reject, so every counter and every submitted pair is what the
-pair-by-pair loop over ``admit`` gives.  Bipartite generation only
-deduplicates, so it keeps each block's first row per pair (a later row
-of the same pair is in ``_seen`` by then); CCD sorts each block by a
-label snapshot of a union–find, in bulk, and decides only the pairs
-whose endpoints the snapshot separates one by one, against the live
-state — under speculation, so that the pairs it admits are aligned a
-batch at a time (:func:`backend_component_detection`).
+(:meth:`~repro.suffix.matches.MaximalMatchFinder.match_blocks`), and
+every pair travels as int64 index columns from there to the stream
+(:meth:`~repro.runtime.base.PairStream.submit_columns`) and back.  The
+RR and bipartite masters only deduplicate, and each admits a whole
+block in one call against a bit map of the pairs seen
+(:class:`~repro.pace.seen.SeenPairs`; one over the ``n`` sequences for
+RR, one per component over its local indices for bipartite), so their
+admitted columns are what a set of seen pairs lets through row by row.
+CCD's one deciding filter, ``admit``, has a *sound block prefilter* in
+front of it — the same shape as the Myers reject in front of the DP: it
+sorts each block by a label snapshot of a union–find, in bulk, and
+decides only the pairs whose endpoints the snapshot separates one by
+one, against the live state — under speculation, so that the pairs it
+admits are aligned a batch at a time
+(:func:`backend_component_detection`).  Every counter and every
+submitted pair is what the pair-by-pair loop over ``admit`` gives.
 
 Equal output on every backend rests on three invariants (see the
 module docstrings in :mod:`repro.pace.redundancy`,
@@ -53,7 +54,7 @@ where the master filters against a union–find that lags its workers.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,7 +72,7 @@ from repro.pace.cache import AlignmentCache
 from repro.pace.clustering import ClusteringMaster, ClusteringResult
 from repro.pace.densesub import DsdResult, gather_subgraphs
 from repro.pace.redundancy import RedundancyMaster, RedundancyResult
-from repro.runtime.base import Backend, PairStream
+from repro.runtime.base import Backend
 from repro.sequence.record import SequenceSet
 from repro.shingle.algorithm import ShingleParams
 from repro.suffix.matches import CANDIDATE_BUDGET, MatchBlock
@@ -85,8 +86,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 #: RR has no master-side filter, so chunking costs no decision freshness.
 RR_CHUNK = 512
 
-#: Pairs per batched local-DP submit: a bipartite ``submit_many`` chunk
-#: and a CCD speculative batch alike.
+#: Pairs per batched local-DP submit: a bipartite ``submit_columns``
+#: chunk and a CCD speculative batch alike.
 LOCAL_CHUNK = 128
 
 
@@ -141,28 +142,6 @@ def _column_chunks(
         held_a, held_b = held_a[whole:], held_b[whole:]
     if len(held_a):
         yield held_a, held_b
-
-
-def _stream_chunked(
-    stream: PairStream,
-    pairs: Iterable[tuple[int, int]],
-    chunk_size: int,
-    absorb: Callable[[int, int, object], None],
-) -> None:
-    """Submit ``pairs`` (global indices) in chunks of ``chunk_size``,
-    absorbing results as they complete and draining at the end."""
-    chunk: list[tuple[int, int]] = []
-    for pair in pairs:
-        chunk.append(pair)
-        if len(chunk) >= chunk_size:
-            stream.submit_many(chunk)
-            chunk = []
-            for i, j, result in stream.ready():
-                absorb(i, j, result)
-    if chunk:
-        stream.submit_many(chunk)
-    for i, j, result in stream.drain():
-        absorb(i, j, result)
 
 
 def backend_redundancy_removal(
@@ -233,7 +212,7 @@ def backend_component_detection(
     The master *speculates* (:mod:`repro.pace.clustering`): a pair it
     can prove the loop aligns joins the open batch at once, a pair the
     batch's verdicts may yet close is held, and a batch is settled — one
-    ``submit_many`` and ``drain``, verdicts absorbed in stream order —
+    ``submit_columns`` and ``drain``, verdicts absorbed in stream order —
     at :data:`LOCAL_CHUNK` pairs, when more than
     :data:`~repro.suffix.matches.CANDIDATE_BUDGET` rows are held at a
     block boundary, and as the stream ends.  Components, every ``ccd.*``
@@ -266,17 +245,19 @@ def backend_component_detection(
             if gi in local_of and gj in local_of:
                 master.replay((local_of[gi], local_of[gj]))
         stream = backend.alignment_stream("local", cache)
+        global_of = np.asarray(kept, dtype=np.int64)
 
         def passes(pairs: list[tuple[int, int]]) -> list[bool]:
             # ``kept`` ascends and a < b, so the stream's canonical
             # (i, j) is the submitted one; it answers in any order.
-            submitted = [(kept[a], kept[b]) for a, b in pairs]
-            stream.submit_many(submitted)
+            a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            stream.submit_columns(global_of[a], global_of[b])
             verdict = {
                 (gi, gj): master.overlaps(gi, gj, aln)
-                for gi, gj, aln in stream.drain()
+                for ia, ib, alns in stream.drain()
+                for gi, gj, aln in zip(ia.tolist(), ib.tolist(), alns)
             }
-            return [verdict[pair] for pair in submitted]
+            return [verdict[kept[x], kept[y]] for x, y in pairs]
 
         def merged(pair: tuple[int, int]) -> None:
             if journal is not None:
@@ -350,35 +331,35 @@ def backend_generate_component_graphs(
             min_size=min_size,
             max_pairs_per_node=max_pairs_per_node,
         )
-        # Global index -> (component index, local index); components are
-        # disjoint so the mapping is single-valued.
-        position = {
-            g: (ci, li)
-            for ci, members in enumerate(master.members)
-            for li, g in enumerate(members)
-        }
+        # Global index -> component and local index; components are
+        # disjoint, so each is single-valued.
+        component = np.full(len(sequences), -1, dtype=np.int64)
+        local = np.full(len(sequences), -1, dtype=np.int64)
+        for ci, members in enumerate(master.members):
+            component[members], local[members] = ci, np.arange(len(members))
 
-        def admitted() -> Iterable[tuple[int, int]]:
+        def admitted() -> Iterator[tuple[np.ndarray, np.ndarray]]:
             for ci, members in enumerate(master.members):
                 finder = master.finder(ci)
                 if finder is None:
                     continue
+                members = np.asarray(members, dtype=np.int64)
                 for block in _traced_blocks(finder.match_blocks(), "bipartite.pairs"):
-                    for a, b in block.first_pairs():
-                        if master.admit((ci, a, b)):
-                            yield (members[a], members[b])
+                    a, b = master.admit(ci, block.seq_a, block.seq_b)
+                    yield members[a], members[b]
 
-        def absorb(gi: int, gj: int, aln: Alignment) -> None:
-            if master.is_edge(gi, gj, aln):
-                ci, li = position[gi]
-                master.add_edge(ci, li, position[gj][1])
+        def absorb(ia: np.ndarray, ib: np.ndarray, alns: list[Alignment]) -> None:
+            for gi, gj, aln in zip(ia.tolist(), ib.tolist(), alns):
+                if master.is_edge(gi, gj, aln):
+                    master.add_edge(int(component[gi]), int(local[gi]), int(local[gj]))
 
-        _stream_chunked(
-            backend.alignment_stream("local", cache),
-            admitted(),
-            LOCAL_CHUNK,
-            absorb,
-        )
+        stream = backend.alignment_stream("local", cache)
+        for ia, ib in _column_chunks(admitted(), LOCAL_CHUNK):
+            stream.submit_columns(ia, ib)
+            for done in stream.ready():
+                absorb(*done)
+        for done in stream.drain():
+            absorb(*done)
         return master.result()
 
 

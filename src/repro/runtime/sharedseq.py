@@ -13,11 +13,14 @@ them in one store of three arrays:
 ``lengths``
     ``int64`` array of length ``n``, ``np.diff(offsets)``.
 
-``get(k)`` returns a zero-copy ``numpy`` view, and an RR containment
-task reads the arrays whole
-(:func:`~repro.align.batch.containment_columns`), together with each
-sequence's Myers match masks, :meth:`EncodedStore.myers_masks`, which a
-process builds once per session.
+``get(k)`` returns a zero-copy ``numpy`` view.  Every Definition 1 test
+and Myers sweep takes index columns over a store
+(:func:`~repro.align.batch.containment_columns`): a task over the
+session's store, a serve request over a private one holding its new
+sequence and candidates, a list-of-arrays call over a private one of
+its distinct arrays.  A wide sweep reads each sequence's Myers match
+masks, :meth:`EncodedStore.myers_masks`, which a store builds once, on
+the first such sweep.
 
 :class:`EncodedStore` is the serial backend's private, in-process store.
 Pickling the sequence list to each worker would copy the whole data set
@@ -40,12 +43,21 @@ from repro.align.batch import myers_mask_table
 
 
 def _flat(encoded: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``encoded`` as one ``uint8`` buffer and its ``n + 1`` offsets."""
+    """``encoded`` as one ``uint8`` buffer and its ``n + 1`` offsets.
+
+    Checked before the cast, which would wrap or truncate a code:
+    ``ValueError`` for a sequence that is not a 1-D integer array,
+    ``IndexError`` for a code outside ``[0, 256)``."""
+    if any(seq.ndim != 1 or seq.dtype.kind not in "iu" for seq in encoded):
+        raise ValueError("sequences must be 1-D integer arrays")
     offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
     np.cumsum([len(seq) for seq in encoded], out=offsets[1:])
-    if not encoded:
+    if not offsets[-1]:
         return np.zeros(0, dtype=np.uint8), offsets
-    return np.concatenate(encoded).astype(np.uint8, copy=False), offsets
+    flat = np.concatenate(encoded)
+    if flat.min() < 0 or flat.max() > 255:
+        raise IndexError("residue code out of range [0, 256) for a byte store")
+    return flat.astype(np.uint8, copy=False), offsets
 
 
 class EncodedStore:
@@ -57,6 +69,7 @@ class EncodedStore:
         self.lengths = np.diff(offsets)
         self.n_sequences = len(offsets) - 1
         self.total_symbols = int(offsets[-1])
+        self._max_code: int | None = None
         self._masks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
@@ -72,19 +85,23 @@ class EncodedStore:
             )
         return self.buffer[int(self.offsets[k]) : int(self.offsets[k + 1])]
 
+    def check_codes(self, alphabet: int) -> None:
+        """``IndexError`` unless every code lies in ``[0, alphabet)``;
+        the buffer's maximum is read once per store."""
+        if self._max_code is None:
+            self._max_code = int(self.buffer.max()) if self.total_symbols else -1
+        if self._max_code >= alphabet:
+            raise IndexError(f"residue code out of range for a {alphabet}-letter alphabet")
+
     def myers_masks(self, alphabet: int) -> tuple[np.ndarray, np.ndarray]:
         """Every sequence's Myers match masks, the ragged ``(table,
         words)`` of :func:`~repro.align.batch.myers_mask_table`: one
         ``alphabet + 1``-word row per 64 residues, about
         ``total_symbols / 64 * 8 * (alphabet + 1)`` bytes (168 B per 64
-        residues under a 20-letter matrix).  Built on first use, after checking
-        every code lies in ``[0, alphabet)`` (``IndexError`` if not),
-        and kept for the store's life."""
+        residues under a 20-letter matrix).  Built on first use (codes
+        checked by the caller, :meth:`check_codes`) and kept for the
+        store's life."""
         if alphabet not in self._masks:
-            if self.total_symbols and int(self.buffer.max()) >= alphabet:
-                raise IndexError(
-                    f"residue code out of range for a {alphabet}-letter alphabet"
-                )
             self._masks[alphabet] = myers_mask_table(self.buffer, self.lengths, alphabet)
         return self._masks[alphabet]
 

@@ -18,6 +18,11 @@ alignment each (a pair certified at distance 0 counts as the alignment
 it replaces); the overlap sweep is only ever handed pairs the loop
 aligns.
 
+The containment sweep runs the batch phases' column engine over a
+private store of the request, ``[new, *candidates]``: the Myers pass is
+fewer lanes than the wavefront needs, so the request sweeps packed and
+the store never builds a mask table.
+
 Stage spans (``cat="stage"``): ``myers_reject`` around the prefilter,
 ``dp`` around each DP call, with the batch size as ``pairs`` and the
 DP's ``cells`` as span args.  No lock is taken or needed: only the
@@ -34,6 +39,7 @@ import numpy as np
 from repro import obs
 from repro.align.batch import batch_align, containment_dp, containment_prefilter
 from repro.align.predicates import ContainmentStats, overlaps
+from repro.runtime.sharedseq import EncodedStore
 from repro.serve.state import ServeState
 
 #: ``(identity, coverage of the representative, coverage of the new
@@ -55,26 +61,30 @@ def containment_sweep(
     if not candidates:
         return []
     config = state.config
+    store = EncodedStore.from_sequences(
+        [encoded, *(state.encoded(rep) for rep in candidates)])
+    reps = np.arange(1, len(candidates) + 1)
+    new = np.zeros(len(candidates), dtype=np.int64)
     with obs.span("myers_reject", cat="stage", pairs=len(candidates)):
         prefilter = containment_prefilter(
-            [(state.encoded(rep), encoded) for rep in candidates],
+            store, reps, new,
             scheme=config.scheme,
             similarity=config.containment_similarity,
             coverage=config.containment_coverage,
         )
     stats = prefilter.stats
-    if prefilter.undecided:
-        aligned = [candidates[k] for k in prefilter.undecided]
+    if len(prefilter.undecided):
+        aligned = [candidates[k] for k in prefilter.undecided.tolist()]
         with obs.span("dp", cat="stage", pairs=len(aligned),
                       cells=_cells(state, aligned, len(encoded))):
-            stats = containment_dp(prefilter, config.scheme).stats
-    aligned = [rep for rep, rejected in zip(candidates, prefilter.rejected)
-               if not rejected]
+            stats = containment_dp(store, reps, new, prefilter, config.scheme)
+    rejected = prefilter.rejected.tolist()
+    aligned = [rep for rep, out in zip(candidates, rejected) if not out]
     obs.count("serve.myers_rejects", len(candidates) - len(aligned))
     obs.count("serve.alignments", len(aligned))
     obs.count("serve.dp_cells", _cells(state, aligned, len(encoded)))
-    return [None if rejected else triple
-            for rejected, triple in zip(prefilter.rejected, stats)]
+    return [None if out else tuple(row)
+            for out, row in zip(rejected, stats.tolist())]
 
 
 def overlap_sweep(

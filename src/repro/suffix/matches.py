@@ -123,21 +123,10 @@ class MatchBlock:
             self.length.tolist(),
         )
 
-    def _first_rows(self) -> np.ndarray:
-        """The row of each sequence pair's first occurrence, ascending —
-        what a master that only deduplicates would let through."""
-        key = (self.seq_a << 32) | self.seq_b
-        return np.sort(np.unique(key, return_index=True)[1])
-
     def first_per_pair(self) -> "MatchBlock":
         """The first row of each sequence pair, in stream order."""
-        return self.take(self._first_rows())
-
-    def first_pairs(self) -> Iterator[tuple[int, int]]:
-        """The ``(seq_a, seq_b)`` of :meth:`first_per_pair` as tuples of
-        Python ints — all a deduplicating master reads of a block."""
-        rows = self._first_rows()
-        return zip(self.seq_a[rows].tolist(), self.seq_b[rows].tolist())
+        key = (self.seq_a << 32) | self.seq_b
+        return self.take(np.sort(np.unique(key, return_index=True)[1]))
 
 
 def _cuts(weights: np.ndarray) -> Iterator[tuple[int, int]]:

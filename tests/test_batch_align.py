@@ -35,7 +35,7 @@ from repro.align.batch import (
     _chain_dtype,
     _iter_buckets,
     _myers_packed,
-    _myers_sweep,
+    _myers_table_sweep,
     batch_align,
     batch_containment,
     batch_myers_infix,
@@ -56,6 +56,7 @@ from repro.pace.cache import AlignmentCache
 from repro.runtime import SerialBackend
 from repro.runtime.sharedseq import EncodedStore
 from repro.sequence.alphabet import encode
+from repro.align.predicates import containment_stats
 from tests.scalar_align import (
     _fill,
     containment_test,
@@ -118,12 +119,13 @@ class TestBatchAlignEquivalence:
     @given(pair_list, st.sampled_from(MODES))
     @settings(max_examples=25, deadline=None)
     def test_tiny_buckets_match_scalar(self, pairs, mode):
-        """Forcing bucket_size=1 and 2 exercises every bucket boundary."""
+        """Buckets of 1 and 2 pairs (the module's width patched)
+        exercise every bucket boundary."""
         scheme = blosum62_scheme()
         expected = [SCALAR[mode](a, b, scheme) for a, b in pairs]
         for bucket_size in (1, 2):
-            assert batch_align(pairs, scheme, mode,
-                               bucket_size=bucket_size) == expected
+            with mock.patch.object(batch, "DEFAULT_BUCKET", bucket_size):
+                assert batch_align(pairs, scheme, mode) == expected
 
     def test_empty_pair_list(self):
         assert batch_align([], blosum62_scheme(), "global") == []
@@ -553,19 +555,6 @@ class TestEntryValidation:
             cast = [(a.astype(dtype), b.astype(dtype)) for a, b in pairs]
             assert batch_align(cast, mode="local") == batch_align(pairs, mode="local")
 
-    @pytest.mark.parametrize("size", [0, -1, -3])
-    def test_non_positive_bucket_sizes_rejected(self, size):
-        """-1 used to sweep nothing (all-zero distances, so a containment
-        "exactly certified" at identity 1.0); 0 divided by zero."""
-        a, b = np.array([1, 2, 3] * 10), np.array([5, 6, 7, 8] * 10)
-        with pytest.raises(ValueError, match="at least 1"):
-            batch_align([(a, b)], bucket_size=size)
-        with pytest.raises(ValueError, match="at least 1"):
-            batch_myers_infix([a], [b], bucket_size=size)
-        for sizes in ({"myers_bucket": size}, {"bucket_size": size}):
-            with pytest.raises(ValueError, match="at least 1"):
-                batch_containment([(a, b)], similarity=0.95, coverage=0.95, **sizes)
-
 
 class TestMyersInfix:
     @given(encoded_seq, encoded_seq)
@@ -685,6 +674,21 @@ class TestMyersInfix:
         assert dists.tolist() == [3, 0] * (_WAVEFRONT_MIN_LANES // 2)
 
 
+def wavefront(patterns, texts, alphabet=21):
+    """The word wavefront on lanes of arrays, over a store of them."""
+    store = EncodedStore.from_sequences([*patterns, *texts])
+    lanes = np.arange(len(patterns))
+    return _myers_table_sweep(store, lanes, lanes + len(patterns), alphabet)
+
+
+def pair_prefilter(pairs, **kwargs):
+    """:func:`containment_prefilter` of a list of array pairs, over a
+    store of them (pair ``k`` is rows ``2k`` and ``2k + 1``)."""
+    store = EncodedStore.from_sequences([seq for pair in pairs for seq in pair])
+    ia = np.arange(0, 2 * len(pairs), 2)
+    return containment_prefilter(store, ia, ia + 1, **kwargs)
+
+
 def mutated_lanes(rng, shapes, codes=20):
     """One lane per ``(m, n)``: a random pattern, a random text, every
     other text carrying a mutated copy of its pattern."""
@@ -722,7 +726,7 @@ class TestPackedSweep:
         if all_empty:
             texts = [t[:0] for t in texts]
         packed = _myers_packed(patterns, texts, 21).tolist()
-        assert packed == _myers_sweep(patterns, texts, 21).tolist()
+        assert packed == wavefront(patterns, texts).tolist()
         assert packed == [infix_distance_oracle(p, t) for p, t in zip(patterns, texts)]
 
     @pytest.mark.parametrize("lengths", [
@@ -746,23 +750,23 @@ class TestPackedSweep:
         ]
         expected = [infix_distance_oracle(p, t) for p, t in zip(zeros, texts)]
         assert _myers_packed(zeros, texts, 21).tolist() == expected
-        assert _myers_sweep(zeros, texts, 21).tolist() == expected
+        assert wavefront(zeros, texts).tolist() == expected
 
     @pytest.mark.parametrize("lanes", [_WAVEFRONT_MIN_LANES - 1, _WAVEFRONT_MIN_LANES])
     def test_either_side_of_the_crossover(self, lanes, monkeypatch):
         """T - 1 lanes sweep packed, T as the wavefront; both equal the
-        oracle."""
+        oracle.  Either sweep's lanes are its third-last argument."""
         swept = []
-        for name in ("_myers_packed", "_myers_sweep"):
+        for name in ("_myers_packed", "_myers_table_sweep"):
             real = getattr(batch, name)
-            monkeypatch.setattr(batch, name, lambda p, t, a, real=real, name=name: (
-                swept.append((name, len(p))) or real(p, t, a)))
+            monkeypatch.setattr(batch, name, lambda *args, real=real, name=name: (
+                swept.append((name, len(args[-3]))) or real(*args)))
         rng = np.random.default_rng(61)
         shapes = [(int(rng.integers(1, 200)), int(rng.integers(0, 220))) for _ in range(lanes)]
         patterns, texts = mutated_lanes(rng, shapes)
         assert batch_myers_infix(patterns, texts).tolist() == [
             infix_distance_oracle(p, t) for p, t in zip(patterns, texts)]
-        path = "_myers_packed" if lanes < _WAVEFRONT_MIN_LANES else "_myers_sweep"
+        path = "_myers_packed" if lanes < _WAVEFRONT_MIN_LANES else "_myers_table_sweep"
         assert swept == [(path, lanes)]
 
 
@@ -796,9 +800,9 @@ class TestContainmentEngine:
             pairs, scheme=scheme, similarity=similarity, coverage=coverage
         )
         assert isinstance(res, ContainmentBatch)
-        went_to_dp = set(containment_prefilter(
+        went_to_dp = set(pair_prefilter(
             pairs, scheme=scheme, similarity=similarity, coverage=coverage
-        ).undecided)
+        ).undecided.tolist())
         assert len(went_to_dp) == res.n_dp
         for k, ((a, b), (ident, cov_a, cov_b)) in enumerate(zip(pairs, res.stats)):
             ref_a, ref_b, ref_aln = containment_test(
@@ -875,9 +879,9 @@ class TestContainmentEngine:
         res = batch_containment(
             pairs, scheme=scheme, similarity=0.95, coverage=0.95
         )
-        rejected = containment_prefilter(
+        rejected = pair_prefilter(
             pairs, scheme=scheme, similarity=0.95, coverage=0.95
-        ).rejected
+        ).rejected.tolist()
         assert sum(rejected) == res.n_rejected > 0
         for (a, b), stats, was_rejected in zip(pairs, res.stats, rejected):
             if was_rejected:
@@ -963,9 +967,10 @@ BATCH_COUNTERS = ("batch.pairs", "batch.myers_rejects", "batch.exact_certified",
 
 
 class TestContainmentColumns:
-    """An RR task's column path is :func:`batch_containment`'s pair path:
-    the same rows bit for bit and the same counters, from a store's
-    per-sequence mask table instead of masks scattered per sweep."""
+    """An RR task's column path against the pair-at-a-time path of the
+    scalar oracle: every verdict is ``containment_test``'s, and a pair
+    the DP judged gets the statistics of the one-pair semiglobal
+    alignment, bit for bit."""
 
     @given(
         lengths=st.lists(st.integers(1, 200), min_size=1, max_size=12),
@@ -980,31 +985,32 @@ class TestContainmentColumns:
                                        myers_bucket, scheme):
         """Repeated pairs, both orientations and equal lengths (copies)
         come from drawing both columns from few sequences; 75 pairs in
-        sweeps of 40 or 8 (the module's sweep width patched, as the
-        column path reads it) mix wavefront and packed sweeps in one
-        call."""
+        sweeps of 40 or 8 (the module's sweep width patched) mix
+        wavefront and packed sweeps in one call."""
         rng = np.random.default_rng(seed)
         seqs = store_sequences(rng, lengths)
         store = EncodedStore.from_sequences(seqs)
         ia = rng.integers(0, len(seqs), n_pairs)
         ib = rng.integers(0, len(seqs), n_pairs)
         kwargs = dict(scheme=scheme, similarity=0.95, coverage=0.95)
-        seen = []
-        for run in (
-            lambda: np.array(batch_containment(
-                [(seqs[a], seqs[b]) for a, b in zip(ia, ib)],
-                myers_bucket=myers_bucket, **kwargs,
-            ).stats, dtype=np.float64).reshape(-1, 3),
-            lambda: containment_columns(store, ia, ib, **kwargs),
-        ):
-            recorder = obs.Recorder()
-            with obs.recording(recorder), \
-                    mock.patch.object(batch, "DEFAULT_MYERS_BUCKET", myers_bucket):
-                stats = run()
-            counters = recorder.counters()
-            seen.append((stats.dtype, stats.shape, stats.tobytes(),
-                         [counters.get(name) for name in BATCH_COUNTERS]))
-        assert seen[0] == seen[1]
+        recorder = obs.Recorder()
+        with obs.recording(recorder), \
+                mock.patch.object(batch, "DEFAULT_MYERS_BUCKET", myers_bucket):
+            stats = containment_columns(store, ia, ib, **kwargs)
+        undecided = set(containment_prefilter(store, ia, ib, **kwargs).undecided.tolist())
+        assert stats.dtype == np.float64 and stats.shape == (n_pairs, 3)
+        for k, (a, b) in enumerate(zip(ia.tolist(), ib.tolist())):
+            ident, cov_a, cov_b = stats[k].tolist()
+            a_in_b, b_in_a, aln = containment_test(seqs[a], seqs[b], **kwargs)
+            assert (ident >= 0.95 and cov_a >= 0.95,
+                    ident >= 0.95 and cov_b >= 0.95) == (a_in_b, b_in_a)
+            if k in undecided:
+                assert (ident, cov_a, cov_b) == containment_stats(
+                    semiglobal_align(seqs[a], seqs[b], scheme),
+                    len(seqs[a]), len(seqs[b]))
+        counters = recorder.counters()
+        assert counters.get("batch.pairs", 0) == n_pairs
+        assert counters.get("batch.dp_pairs", 0) == len(undecided)
 
     def test_every_route_is_taken(self):
         """The property above is not vacuous: its sequences reach the
@@ -1027,8 +1033,7 @@ class TestContainmentColumns:
         """Sequence ``k``'s rows are its ``ceil(len / 64)`` words, and
         bit ``i & 63`` of row ``words[k] + (i >> 6)``, column
         ``seqs[k][i]``, is set for every residue and no other bit is
-        (nor any of the last, zero row); the masks a pair-path sweep
-        scatters over some of the sequences are the store's rows."""
+        (nor any of the last, zero row)."""
         rng = np.random.default_rng(seed)
         seqs = store_sequences(rng, lengths)
         table, words = EncodedStore.from_sequences(seqs).myers_masks(alphabet)
@@ -1039,14 +1044,6 @@ class TestContainmentColumns:
             for i, code in enumerate(seq.tolist()):
                 expected[words[k] + (i >> 6), code] |= np.uint64(1) << np.uint64(i & 63)
         assert table.dtype == np.uint64 and np.array_equal(table, expected)
-        lanes = rng.integers(0, len(seqs), 5)
-        swept, swept_words = batch.myers_mask_table(
-            np.concatenate([seqs[k] for k in lanes]),
-            np.array([len(seqs[k]) for k in lanes]), alphabet)
-        for j, k in enumerate(lanes):
-            assert np.array_equal(swept[swept_words[j] : swept_words[j + 1]],
-                                  table[words[k] : words[k + 1]])
-        assert not swept[-1].any()
 
     def test_entry_checks(self):
         seqs = [np.array([1, 2, 3], dtype=np.uint8), np.array([], dtype=np.uint8),
@@ -1081,8 +1078,11 @@ class TestCacheBatchSemantics:
         records = [SimpleNamespace(encoded=e) for e in encoded]
         with backend.session(records, blosum62_scheme()):
             stream = backend.alignment_stream(kind, cache)
-            stream.submit_many(pairs)
-            return sorted(stream.drain(), key=lambda r: r[:2])
+            stream.submit_columns(*np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+            return sorted(
+                ((i, j, aln) for ia, ib, alns in stream.drain()
+                 for i, j, aln in zip(ia.tolist(), ib.tolist(), alns)),
+                key=lambda r: r[:2])
 
     def test_mixed_batch_counters_match_per_pair_loop(self):
         rng = np.random.default_rng(13)
@@ -1183,9 +1183,9 @@ class TestCellsAccounting:
                 similarity=0.95, coverage=0.95,
             )
         counters = recorder.counters()
-        went_to_dp = containment_prefilter(
+        went_to_dp = pair_prefilter(
             pairs, scheme=blosum62_scheme(), similarity=0.95, coverage=0.95,
-        ).undecided
+        ).undecided.tolist()
         dp_dims = [(len(pairs[k][0]), len(pairs[k][1])) for k in went_to_dp]
         assert counters.get("batch.cells", 0) == batch_alignment_cells(dp_dims)
         assert counters["batch.myers_rejects"] == res.n_rejected

@@ -2,14 +2,15 @@
 
 ``repro.runtime.phases`` feeds each master from the finder's block
 stream and drops, per block, the pairs ``admit`` would provably reject
-(RR's master admits the whole block itself).  Here every phase is run a
-second time the way it ran before — pair by pair through ``admit`` (for
-RR, through a set of seen pairs) over the scalar node walk
+(the RR and bipartite masters admit the whole block themselves).  Here
+every phase is run a second time the way it ran before — pair by pair
+through ``admit`` (for RR and bipartite generation, through a set of
+seen pairs) over the scalar node walk
 (``tests/scalar_finder.py``), each master on an index *rebuilt* for its
 sub-collection instead of one restricted from the session's — and
 everything observable must agree: results, work counters, the journaled
-unions, the order pairs were submitted in, and the simulator's virtual
-clock.
+unions, the pairs submitted, in order and in the same chunks, and the
+simulator's virtual clock.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.pace.redundancy import (
 from repro.parallel.simulator import VirtualCluster
 from repro.runtime import ProcessBackend
 from repro.runtime import phases
-from repro.runtime.base import ContainmentStream, PairStream
+from repro.runtime.base import PairStream
 from repro.runtime.phases import (
     backend_component_detection,
     backend_generate_component_graphs,
@@ -101,26 +102,22 @@ class _Journal:
 
 
 class _Observed:
-    """One phase run: result, counters, submitted pairs in order."""
+    """One phase run: result, counters, submitted pairs in order and the
+    size of each submit."""
 
     def __init__(self, run, monkeypatch):
         self.submitted: list[tuple[int, int]] = []
-        submit_many = PairStream.submit_many
-        submit_columns = ContainmentStream.submit_columns
-
-        def recording_submit_many(stream, pairs):
-            pairs = list(pairs)
-            self.submitted.extend(pairs)
-            submit_many(stream, pairs)
+        self.chunks: list[int] = []
+        submit_columns = PairStream.submit_columns
 
         def recording_submit_columns(stream, ia, ib):
             self.submitted.extend(zip(ia.tolist(), ib.tolist()))
+            self.chunks.append(len(ia))
             submit_columns(stream, ia, ib)
 
         recorder = obs.Recorder()
         with monkeypatch.context() as patch, obs.recording(recorder):
-            patch.setattr(PairStream, "submit_many", recording_submit_many)
-            patch.setattr(ContainmentStream, "submit_columns", recording_submit_columns)
+            patch.setattr(PairStream, "submit_columns", recording_submit_columns)
             self.result = run()
         # Every count, that is: not the generator's, the speculation's and
         # the bucket packing's own work counters (new with the blocks and
@@ -223,28 +220,34 @@ def reference_ccd(sequences, kept, backend, cache, journal=None, replay_unions=(
     for gi, gj in replay_unions:
         master.uf.union(local_of[gi], local_of[gj])
 
-    def absorb(gi, gj, aln):
-        if (
-            master.overlaps(gi, gj, aln)
-            and master.union((local_of[gi], local_of[gj]))
-            and journal is not None
-        ):
-            journal.ccd_union(gi, gj)
+    def absorb(ia, ib, alns):
+        for gi, gj, aln in zip(ia.tolist(), ib.tolist(), alns):
+            if (
+                master.overlaps(gi, gj, aln)
+                and master.union((local_of[gi], local_of[gj]))
+                and journal is not None
+            ):
+                journal.ccd_union(gi, gj)
 
     with backend.phase("clustering"):
         stream = backend.alignment_stream("local", cache)
         for match in master.finder.matches():
             if not master.admit(match.pair):
                 continue
-            stream.submit_many([(kept[match.seq_a], kept[match.seq_b])])
-            for gi, gj, aln in stream.ready():
-                absorb(gi, gj, aln)
-        for gi, gj, aln in stream.drain():
-            absorb(gi, gj, aln)
+            stream.submit_columns(np.array([kept[match.seq_a]]),
+                                  np.array([kept[match.seq_b]]))
+            for done in stream.ready():
+                absorb(*done)
+        for done in stream.drain():
+            absorb(*done)
     return master.result()
 
 
 def reference_bgg(sequences, components, backend, cache):
+    """B_d generation as a set of seen ``(component, a, b)`` items over
+    the scalar walk, each first sighting counted as it is made, and the
+    stream fed chunks of ``LOCAL_CHUNK`` admitted pairs across
+    components."""
     master = BipartiteMaster(
         sequences, components, backend.index, psi=PSI, edge_similarity=0.40,
         edge_coverage=0.80, min_size=4,
@@ -254,28 +257,41 @@ def reference_bgg(sequences, components, backend, cache):
         for ci, members in enumerate(master.members)
         for li, g in enumerate(members)
     }
+    seen: set[tuple[int, int, int]] = set()
 
-    def admitted():
+    def absorb(ia, ib, alns):
+        for gi, gj, aln in zip(ia.tolist(), ib.tolist(), alns):
+            if master.is_edge(gi, gj, aln):
+                ci, li = position[gi]
+                master.add_edge(ci, li, position[gj][1])
+
+    with backend.phase("bipartite"):
+        stream = backend.alignment_stream("local", cache)
+        chunk: list[tuple[int, int]] = []
         for ci, members in enumerate(master.members):
             finder = master.finder(ci)
             if finder is None:
                 continue
             assert isinstance(finder, ScalarMatchFinder)
             for match in finder.matches():
-                if master.admit((ci, match.seq_a, match.seq_b)):
-                    yield (members[match.seq_a], members[match.seq_b])
-
-    def absorb(gi, gj, aln):
-        if master.is_edge(gi, gj, aln):
-            ci, li = position[gi]
-            master.add_edge(ci, li, position[gj][1])
-
-    with backend.phase("bipartite"):
-        phases._stream_chunked(
-            backend.alignment_stream("local", cache), admitted(),
-            phases.LOCAL_CHUNK, absorb,
-        )
-        return master.result()
+                item = (ci, match.seq_a, match.seq_b)
+                if item in seen:
+                    continue
+                seen.add(item)
+                obs.count("bipartite.pairs")
+                chunk.append((members[match.seq_a], members[match.seq_b]))
+                if len(chunk) == phases.LOCAL_CHUNK:
+                    stream.submit_columns(*np.array(chunk).T)
+                    chunk = []
+                    for done in stream.ready():
+                        absorb(*done)
+        if chunk:
+            stream.submit_columns(*np.array(chunk).T)
+        for done in stream.drain():
+            absorb(*done)
+        result = master.result()
+    result.n_alignments = len(seen)
+    return result
 
 
 def test_rr_admission_is_the_set_loop():
@@ -357,6 +373,7 @@ class TestPrefiltersAreInvisible:
 
         assert rr.result == ref_rr.result
         assert rr.submitted == ref_rr.submitted
+        assert rr.chunks == ref_rr.chunks
         assert rr.counters == ref_rr.counters
 
         assert ccd.result == ref_ccd.result
@@ -372,6 +389,7 @@ class TestPrefiltersAreInvisible:
         assert ccd.counters == ref_ccd.counters
 
         assert bgg.submitted == ref_bgg.submitted
+        assert bgg.chunks == ref_bgg.chunks
         assert bgg.counters == ref_bgg.counters
         assert bgg.result.n_alignments == ref_bgg.result.n_alignments
         assert bgg.result.n_edges == ref_bgg.result.n_edges

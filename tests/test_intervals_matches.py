@@ -310,8 +310,6 @@ class TestBlockStreamOrder:
                     seen.add(match.pair)
                     firsts.append(match)
             assert _rows(block.first_per_pair()) == firsts
-            assert list(block.first_pairs()) == [m.pair for m in firsts]
-            assert all(type(i) is int for pair in block.first_pairs() for i in pair)
 
 
 class TestBucketPartition:

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.align.batch import batch_containment, containment_columns
 from repro.align.matrices import blosum62_scheme
 from repro.core.checkpoint import read_journal
 from repro.core.config import PipelineConfig
@@ -107,6 +108,12 @@ class TestRuntimeStats:
             assert f"tasks={phase.tasks:,d}" in row
 
 
+def drained_pairs(stream) -> list[tuple[int, int]]:
+    """The pairs a stream's ``drain`` answers, task after task."""
+    return [(i, j) for ia, ib, _ in stream.drain()
+            for i, j in zip(ia.tolist(), ib.tolist())]
+
+
 class TestCrashSafety:
     def test_worker_exception_propagates(self, workload):
         """A raising worker surfaces a WorkerCrashError — no hang."""
@@ -116,14 +123,15 @@ class TestCrashSafety:
         cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         with backend.session(sequences, config.scheme):
             stream = backend.alignment_stream("local", cache)
-            stream.submit_many([(0, len(sequences) + 5)])  # out-of-range index
+            # An out-of-range index.
+            stream.submit_columns(np.array([0]), np.array([len(sequences) + 5]))
             with pytest.raises(WorkerCrashError, match="out of range"):
                 list(stream.drain())
         # close() ran via session(); the backend is reusable afterwards.
         with backend.session(sequences, config.scheme):
             stream = backend.alignment_stream("local", cache)
-            stream.submit_many([(0, 1)])
-            assert [(i, j) for i, j, _ in stream.drain()] == [(0, 1)]
+            stream.submit_columns(np.array([0]), np.array([1]))
+            assert drained_pairs(stream) == [(0, 1)]
 
     def test_poisoned_job_raises_deterministically(self, workload):
         """A task of unknown kind (protocol poison) surfaces the worker's
@@ -140,8 +148,8 @@ class TestCrashSafety:
                 backend._pump(block=True)
             # The worker caught the poison and is still serving.
             stream = backend.alignment_stream("local", cache)
-            stream.submit_many([(0, 1)])
-            assert [(i, j) for i, j, _ in stream.drain()] == [(0, 1)]
+            stream.submit_columns(np.array([0]), np.array([1]))
+            assert drained_pairs(stream) == [(0, 1)]
 
     def test_liveness_sweep_respawns_killed_worker(self, workload):
         """A worker killed by signal (no error message possible) is
@@ -162,8 +170,8 @@ class TestCrashSafety:
             assert probe["respawns"] == 1
             assert backend._procs[0].is_alive()
             stream = backend.alignment_stream("local", cache)
-            stream.submit_many([(0, 1)])
-            assert [(i, j) for i, j, _ in stream.drain()] == [(0, 1)]
+            stream.submit_columns(np.array([0]), np.array([1]))
+            assert drained_pairs(stream) == [(0, 1)]
 
     def test_closed_backend_rejects_work(self, workload):
         sequences, config = workload
@@ -197,7 +205,7 @@ class TestCrashSafety:
             with recorder.span("clustering", cat="phase"):
                 sampler.open()
                 stream = backend.alignment_stream("local", cache)
-                stream.submit_many([(0, 1)])
+                stream.submit_columns(np.array([0]), np.array([1]))
                 list(stream.drain())  # healthy batch: heartbeat flows
                 healthy = sampler.sample_now()
 
@@ -210,8 +218,8 @@ class TestCrashSafety:
                 # and neither does the stream: with no live worker and no
                 # sweep yet, the batch is computed in-master.
                 degraded = sampler.sample_now()
-                stream.submit_many([(0, 2)])
-                assert [(i, j) for i, j, _ in stream.drain()] == [(0, 2)]
+                stream.submit_columns(np.array([0]), np.array([2]))
+                assert drained_pairs(stream) == [(0, 2)]
                 post_crash = sampler.sample_now()
         # Run dies without sampler.stop(): no end record, like a SIGKILL
         # of the whole process tree.
@@ -334,14 +342,13 @@ class TestWorkAccounting:
         kept = accounting_runs["serial"][0].redundancy.kept
         unions = accounting_runs["serial"][1]
         submitted: list[set] = []
-        submit_many = PairStream.submit_many
+        submit_columns = PairStream.submit_columns
 
-        def recording(stream, pairs):
-            pairs = list(pairs)
-            submitted[-1].update(pairs)
-            submit_many(stream, pairs)
+        def recording(stream, ia, ib):
+            submitted[-1].update(zip(ia.tolist(), ib.tolist()))
+            submit_columns(stream, ia, ib)
 
-        monkeypatch.setattr(PairStream, "submit_many", recording)
+        monkeypatch.setattr(PairStream, "submit_columns", recording)
         results = []
         for replay in ((), unions[: len(unions) // 2 + 1]):
             submitted.append(set())
@@ -398,8 +405,8 @@ def _shingle_body():
 
 
 TASK_BODIES = {
-    "local": lambda: ("local", [(0, 1), (2, 5), (3, 4)]),
-    "semiglobal": lambda: ("semiglobal", [(0, 1), (2, 5), (3, 4)]),
+    "local": lambda: ("local", np.array([0, 2, 3]), np.array([1, 5, 4])),
+    "semiglobal": lambda: ("semiglobal", np.array([0, 2, 3]), np.array([1, 5, 4])),
     "contain": lambda: ("contain", 0.95, 0.95,
                         np.array([0, 2, 3, 0]), np.array([1, 5, 4, 6])),
     "shingle": _shingle_body,
@@ -456,14 +463,11 @@ class TestOneTaskFunction:
 
 
 def task_key(body: tuple) -> tuple:
-    """A task body as a hashable value: its index pairs or columns, or
-    a shingle task's pickled arguments."""
-    kind = body[0]
-    if kind == "contain":
-        return (*body[:3], tuple(body[3].tolist()), tuple(body[4].tolist()))
-    if kind == "shingle":
-        return (kind, pickle.dumps(body[1:]))
-    return (kind, tuple(body[1]))
+    """A task body as a hashable value: its index columns, or a shingle
+    task's pickled arguments."""
+    if body[0] == "shingle":
+        return (body[0], pickle.dumps(body[1:]))
+    return (*body[:-2], tuple(body[-2].tolist()), tuple(body[-1].tolist()))
 
 
 class TestOneTaskGrain:
@@ -609,6 +613,28 @@ class TestSharedSequenceStore:
         store = SharedSequenceStore.create([np.zeros(3, dtype=np.uint8)])
         store.close()
         store.close()
+
+    def test_codes_are_checked_before_the_byte_cast(self):
+        """259 used to wrap to 3 in the store, so the pair below read as
+        two copies of one sequence, contained at (1.0, 1.0, 1.0), where
+        the list-of-arrays entry raises; 1.7 used to truncate to 1."""
+        tail = list(range(1, 10))
+        kwargs = dict(scheme=blosum62_scheme(), similarity=0.95, coverage=0.95)
+        for make in (EncodedStore.from_sequences, SharedSequenceStore.create):
+            with pytest.raises(IndexError):
+                make([np.array([259, *tail]), np.array([3, *tail])])
+            with pytest.raises(IndexError):
+                make([np.array([-1, *tail])])
+            for bad in (np.array([1.7, 2.0]), np.array([[1, 2]]), np.array([True])):
+                with pytest.raises(ValueError, match="1-D integer"):
+                    make([np.array(tail), bad])
+        with pytest.raises(IndexError):
+            batch_containment([(np.array([259, *tail]), np.array([3, *tail]))], **kwargs)
+        store = EncodedStore.from_sequences([np.array([19, *tail]), np.array(tail, np.int64)])
+        assert store.buffer.dtype == np.uint8 and store.get(0)[0] == 19
+        with pytest.raises(IndexError, match="alphabet"):
+            containment_columns(EncodedStore.from_sequences([np.array([20, *tail])] * 2),
+                                np.array([0]), np.array([1]), **kwargs)
 
 
 class TestBackendFactory:

@@ -338,7 +338,7 @@ class TestIncrementalInsert:
             raise AssertionError("replay must not align")
 
         # Every alignment route ends in one of these three kernels.
-        monkeypatch.setattr(batch, "_myers_sweep", no_alignment)
+        monkeypatch.setattr(batch, "_myers_table_sweep", no_alignment)
         monkeypatch.setattr(batch, "_myers_packed", no_alignment)
         monkeypatch.setattr(batch, "_bucket_fill", no_alignment)
         replay_insert(mirror, decisions[0])

@@ -32,6 +32,7 @@ from repro.align.predicates import contained
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro.sequence.alphabet import AMINO_ACIDS
+from repro.runtime import sharedseq
 from repro.sequence.record import SequenceRecord
 from repro.serve import incremental, protocol, server, sweeps
 from repro.serve.incremental import insert_sequence, plan_insert
@@ -139,19 +140,19 @@ def _roots(state, candidates):
 def kernel_calls():
     """Counts the engine calls a request makes, by kind."""
     calls: Counter[str] = Counter()
-    myers, align = batch._myers_distances, batch._align_buckets
+    myers, align = batch._myers_columns, batch._align_buckets
 
-    # The sweep loop behind batch_myers_infix and containment_prefilter.
-    def counted_myers(patterns, texts, alphabet, bucket_size):
+    # The one Myers entry, behind batch_myers_infix and containment_prefilter.
+    def counted_myers(store, pat, txt, alphabet):
         calls["myers"] += 1
-        return myers(patterns, texts, alphabet, bucket_size)
+        return myers(store, pat, txt, alphabet)
 
     # The bucket loop behind batch_align and containment_dp alike.
-    def counted_align(pairs, scheme, mode, bucket_size):
+    def counted_align(pairs, scheme, mode):
         calls[mode] += 1
-        return align(pairs, scheme, mode, bucket_size)
+        return align(pairs, scheme, mode)
 
-    with mock.patch.object(batch, "_myers_distances", counted_myers), \
+    with mock.patch.object(batch, "_myers_columns", counted_myers), \
             mock.patch.object(batch, "_align_buckets", counted_align):
         yield calls
 
@@ -416,6 +417,23 @@ class TestKernelCalls:
             most = max(map(roots.count, roots), default=0)
             assert calls["myers"] <= 1 and calls["semiglobal"] <= 1
             assert calls["local"] <= (most if plan.container is None else 0)
+
+    def test_a_narrow_request_builds_no_mask_table(self, served):
+        """A request's Myers pass is narrower than the wavefront, so its
+        private store never builds a mask table: with the table build
+        raising, a classification against 5 candidates still answers as
+        the loop does."""
+        state, held = served["small"]
+        wide = [record for record in held
+                if plan_insert(state, "new", record.residues).n_candidates >= 5]
+        assert wide, "vacuous: no held-out sequence meets 5 candidates"
+
+        def no_table(*_args):
+            raise AssertionError("a narrow request built a mask table")
+
+        with mock.patch.object(sharedseq, "myers_mask_table", no_table):
+            staged, looped = classify_both_ways(state, wide[0].residues)
+        assert staged == looped
 
     def test_no_scalar_kernel_under_serve(self):
         """The one-pair kernels are the oracle's, not the daemon's."""
