@@ -8,21 +8,21 @@ that overhead is comparable to the arithmetic itself.  This module is
 the only DP in ``src/`` — a lone pair is a batch of one — and packs many
 promising pairs into shared sweeps along two complementary axes:
 
-1. **Bucketed batch fill** (:func:`batch_align`):
-   pairs are sorted by shape and packed into buckets of at most
-   :data:`_BUCKET_CELLS` padded cells; the DP state is laid out
-   *batch-last* — ``H[(m+1), (n+1), B]`` — so every row update is one
-   contiguous NumPy op across the whole bucket.  The fill runs in
-   G-space (``H - j * gap``), where the substitution scores of a block
-   of :data:`_SUB_ROWS` rows are one gather from per-slot row tables
-   and the left-gap chain is a prefix
-   max: a log-step one on wide buckets, one ``np.maximum.accumulate``
-   on narrow ones.  It computes the one-pair recurrence exactly on each
+1. **Bucketed batch fill** (:func:`align_columns`): index columns over
+   an encoded store are sorted by its lengths and packed into buckets
+   of at most :data:`_BUCKET_CELLS` padded cells, each side's codes one
+   gather from its buffer; the DP state is laid out *batch-last* —
+   ``H[(m+1), (n+1), B]`` — so every row update is one contiguous NumPy
+   op across the bucket.  The fill runs in G-space (``H - j * gap``),
+   where the substitution scores of a block of :data:`_SUB_ROWS` rows
+   are one gather from per-slot row tables and the left-gap chain is a
+   prefix max: log-step on wide buckets, ``np.maximum.accumulate`` on
+   narrow ones.  It computes the one-pair recurrence exactly on each
    real submatrix, one masked reduction per bucket replicates the
    one-pair ``argmax`` rules, and :func:`_bucket_walk` walks every slot
-   back in lockstep, one diagonal window per step, until too few are
-   left and :func:`~repro.align.pairwise._traceback` finishes them —
-   tie-breaking is *identical*, not merely score-equivalent.
+   back in lockstep until too few are left for
+   :func:`~repro.align.pairwise._traceback` — tie-breaking is
+   *identical*, not merely score-equivalent.
 
 2. **Bit-parallel Myers prefilter** (:func:`containment_columns`,
    :func:`batch_myers_infix`): a multi-word Myers (1999) bit-vector
@@ -159,24 +159,22 @@ def _chain_dtype(scheme: ScoringScheme, m: int, n: int) -> type:
     return np.int64
 
 
-def _slot_codes(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The bucket's residues batch-last, ``(m_pad, B)`` and ``(n_pad, B)``,
-    each slot padded with residue 0."""
-    B = len(pairs)
-    a_pad = np.zeros((max(len(a) for a, _ in pairs), B), dtype=np.intp)
-    b_pad = np.zeros((max(len(b) for _, b in pairs), B), dtype=np.intp)
-    for k, (a, b) in enumerate(pairs):
-        a_pad[: len(a), k] = a
-        b_pad[: len(b), k] = b
-    return a_pad, b_pad
+def _slot_codes(store: "EncodedStore", idx: np.ndarray) -> np.ndarray:
+    """Sequences ``idx`` of a store batch-last, ``(max length, B)``:
+    column ``k`` holds sequence ``idx[k]`` and residue 0 past its end.
+    One gather from the store's buffer."""
+    lengths = store.lengths[idx]
+    rows = np.arange(int(lengths.max()))[:, None]
+    codes = store.buffer.take(store.offsets[idx] + rows, mode="clip").astype(np.intp)
+    codes[rows >= lengths] = 0
+    return codes
 
 
 def _bucket_fill(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]], scheme: ScoringScheme, mode: str
+    a_pad: np.ndarray, b_pad: np.ndarray, scheme: ScoringScheme, mode: str
 ) -> np.ndarray:
-    """Fill one bucket of pairs; returns H, batch-last ``(m_pad+1, n_pad+1, B)``.
+    """Fill one bucket of pairs, given as the :func:`_slot_codes` of
+    each side; returns H, batch-last ``(m_pad+1, n_pad+1, B)``.
 
     Slot ``k`` is the DP matrix of pair ``k`` padded with residue 0: its
     real submatrix ``H[:m_k+1, :n_k+1, k]`` equals the one-pair fill's H
@@ -189,7 +187,6 @@ def _bucket_fill(
     move adds ``sub - gap`` and the up move adds ``gap``; one ``H -=
     offs`` at the end returns to H.
     """
-    a_pad, b_pad = _slot_codes(pairs)
     (m_pad, B), n_pad = a_pad.shape, len(b_pad)
     width = scheme.matrix.shape[1]
     gap = int(scheme.gap)
@@ -253,9 +250,10 @@ def _bucket_fill(
 
 
 def _bucket_endpoints(
-    H: np.ndarray, pairs: Sequence[tuple[np.ndarray, np.ndarray]], mode: str
+    H: np.ndarray, m_arr: np.ndarray, n_arr: np.ndarray, mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Traceback start cells of a whole bucket, the scalar kernels' choice.
+    """Traceback start cells of a whole bucket, the scalar kernels'
+    choice; slot ``k`` is ``m_arr[k]`` by ``n_arr[k]`` residues.
 
     Local: first row-major ``argmax`` of the real submatrix; the padding
     is zeroed in place first, sound because real cells are >= 0 and
@@ -263,7 +261,6 @@ def _bucket_endpoints(
     Semiglobal: first ``argmax`` of the last real row and of the last
     real column, the row winning ties (``>=``).
     """
-    m_arr, n_arr = np.array([(len(a), len(b)) for a, b in pairs]).T
     if mode == "global":
         return m_arr, n_arr
     rows, cols, slots = (np.arange(size) for size in H.shape)
@@ -283,15 +280,14 @@ def _bucket_endpoints(
 
 
 def _bucket_walk(
-    H: np.ndarray,
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    scheme: ScoringScheme,
-    start_i: np.ndarray,
-    start_j: np.ndarray,
-    mode: str,
+    H: np.ndarray, store: "EncodedStore", ia: np.ndarray, ib: np.ndarray,
+    codes: tuple[np.ndarray, np.ndarray], scheme: ScoringScheme,
+    start_i: np.ndarray, start_j: np.ndarray, mode: str,
 ) -> list[Alignment]:
-    """Walk every slot of a bucket back at once; slot ``k``'s Alignment
-    is :func:`_traceback`'s from ``(start_i[k], start_j[k])``.
+    """Walk every slot of a bucket back at once; slot ``k``, sequences
+    ``ia[k]`` and ``ib[k]`` of the store (``codes``: each side's
+    :func:`_slot_codes`), gets :func:`_traceback`'s Alignment from
+    ``(start_i[k], start_j[k])``.
 
     A step reads, for every live slot at ``(i, j)``, the window ``h[r] =
     H(i - r, j - r)`` for ``r <= K`` (:data:`_WALK_WINDOW`) and the K
@@ -303,27 +299,24 @@ def _bucket_walk(
     one-slot walk stops (``i = 0``, ``j = 0``, a local zero) or takes the
     up move, else the left move, else is stuck; the step does the same.
     Once fewer than :data:`_WALK_MIN_SLOTS` slots are live (from the
-    start, in a narrow bucket), the rest resume in :func:`_traceback`,
-    which also builds every Alignment.
+    start, in a narrow bucket), the rest resume in :func:`_traceback`
+    over the store's views, which also builds every Alignment.
     """
     zeros = np.zeros_like(start_i)
     at = np.array([start_i, start_j, zeros, zeros], dtype=np.intp)
-    if len(pairs) >= _WALK_MIN_SLOTS:
-        _walk_lockstep(H, pairs, scheme, mode, at)
+    if len(ia) >= _WALK_MIN_SLOTS:
+        _walk_lockstep(H, *codes, scheme, mode, at)
     return [
-        _traceback(H[:, :, k], a, b, scheme, si, sj, mode, at=state)
-        for k, ((a, b), si, sj, state) in enumerate(
-            zip(pairs, start_i.tolist(), start_j.tolist(), zip(*at.tolist()))
-        )
+        _traceback(H[:, :, k], store.get(a), store.get(b), scheme, si, sj, mode, at=state)
+        for k, (a, b, si, sj, state) in enumerate(zip(
+            ia.tolist(), ib.tolist(), start_i.tolist(), start_j.tolist(), zip(*at.tolist())
+        ))
     ]
 
 
 def _walk_lockstep(
-    H: np.ndarray,
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    scheme: ScoringScheme,
-    mode: str,
-    at: np.ndarray,
+    H: np.ndarray, a_pad: np.ndarray, b_pad: np.ndarray, scheme: ScoringScheme,
+    mode: str, at: np.ndarray,
 ) -> None:
     """The lockstep half of :func:`_bucket_walk`: advances ``at``, the
     rows ``(i, j, matches, diagonal)`` with one column per slot, until
@@ -331,7 +324,6 @@ def _walk_lockstep(
     _, n1, B = H.shape
     cells = H.reshape(-1)
     width = scheme.matrix.shape[1]
-    a_pad, b_pad = _slot_codes(pairs)
     a_rows = (a_pad * width).ravel()  # a_rows[x] + b_cols[y]: a flat matrix index
     b_cols = b_pad.ravel()
     subs = scheme.matrix.ravel()
@@ -384,22 +376,24 @@ def _walk_lockstep(
 
 
 def _iter_buckets(
-    dims: Sequence[tuple[int, int]], bucket_size: int
-) -> Iterable[list[int]]:
+    m_arr: np.ndarray, n_arr: np.ndarray, bucket_size: int
+) -> Iterable[np.ndarray]:
     """Pair indices in buckets of at most ``bucket_size`` pairs and
-    :data:`_BUCKET_CELLS` padded cells (a lone pair may exceed it).
+    :data:`_BUCKET_CELLS` padded cells (a lone pair may exceed it); pair
+    ``k`` is ``m_arr[k]`` by ``n_arr[k]`` residues.
 
-    Pairs are taken in shape order; from each start the greedy count
-    that fits is the bucket's capacity, and what is left is split into
-    equal buckets of at most that size rather than full ones and a thin
-    tail.
+    Pairs are taken in ``(m, n)`` order (stable); from each start the
+    greedy count that fits is the bucket's capacity, and what is left is
+    split into equal buckets of at most that size rather than full ones
+    and a thin tail.
     """
-    order = sorted(range(len(dims)), key=dims.__getitem__)
+    order = np.lexsort((n_arr, m_arr))
+    dims = list(zip(m_arr[order].tolist(), n_arr[order].tolist()))
     lo = 0
     while lo < len(order):
         fit = m_pad = n_pad = 0
-        for k in order[lo : lo + bucket_size]:
-            m_pad, n_pad = max(m_pad, dims[k][0]), max(n_pad, dims[k][1])
+        for m, n in dims[lo : lo + bucket_size]:
+            m_pad, n_pad = max(m_pad, m), max(n_pad, n)
             if fit and (fit + 1) * (m_pad + 1) * (n_pad + 1) > _BUCKET_CELLS:
                 break
             fit += 1
@@ -409,26 +403,52 @@ def _iter_buckets(
         lo += size
 
 
-def _align_buckets(
-    enc: Sequence[tuple[np.ndarray, np.ndarray]], scheme: ScoringScheme, mode: str
+def align_columns(
+    store: "EncodedStore", ia: np.ndarray, ib: np.ndarray, *,
+    scheme: ScoringScheme, mode: str,
 ) -> list[Alignment]:
-    """The bucket loop behind :func:`batch_align` and
-    :func:`containment_dp`, :data:`DEFAULT_BUCKET` pairs at most a
-    bucket; each caller counts ``batch.pairs`` once."""
-    dims = [(len(a), len(b)) for a, b in enc]
-    obs.count("batch.cells", batch_alignment_cells(dims))
-    out: list[Alignment | None] = [None] * len(enc)
-    for members in _iter_buckets(dims, DEFAULT_BUCKET):
-        bucket = [enc[k] for k in members]
-        H = _bucket_fill(bucket, scheme, mode)
+    """The Alignment of sequences ``ia[r]`` and ``ib[r]`` of a store for
+    every row ``r``, equal (all dataclass fields) to the
+    ``tests/scalar_align.py`` aligner of that ``mode`` on the pair.
+
+    The one bucket loop, :data:`DEFAULT_BUCKET` pairs at most a bucket.
+    Counts ``batch.pairs`` and ``batch.cells`` (per *real* pair
+    dimensions, never per padded slot); the store's codes are checked
+    once per store.
+    """
+    ia, ib = _index_columns(store, ia, ib)
+    if not len(ia):
+        return []
+    store.check_codes(scheme.matrix.shape[1])
+    m_arr, n_arr = store.lengths[ia], store.lengths[ib]
+    obs.count("batch.pairs", len(ia))
+    obs.count("batch.cells", batch_alignment_cells(zip(m_arr.tolist(), n_arr.tolist())))
+    out: list[Alignment | None] = [None] * len(ia)
+    for members in _iter_buckets(m_arr, n_arr, DEFAULT_BUCKET):
+        a, b = ia[members], ib[members]
+        codes = _slot_codes(store, a), _slot_codes(store, b)
+        H = _bucket_fill(*codes, scheme, mode)
         obs.count("batch.buckets")
         obs.count("batch.padded_cells", H.size)
-        start_i, start_j = _bucket_endpoints(H, bucket, mode)
-        walked = _bucket_walk(H, bucket, scheme, start_i, start_j, mode)
-        for k, aln in zip(members, walked):
+        start_i, start_j = _bucket_endpoints(H, m_arr[members], n_arr[members], mode)
+        walked = _bucket_walk(H, store, a, b, codes, scheme, start_i, start_j, mode)
+        for k, aln in zip(members.tolist(), walked):
             out[k] = aln
         del H  # the next fill must not allocate beside this bucket's H
     return out  # type: ignore[return-value]
+
+
+def _index_columns(
+    store: "EncodedStore", ia: np.ndarray, ib: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``ia`` and ``ib`` as int64 columns of equal length (else
+    ``ValueError``) of indices into the store (else ``IndexError``)."""
+    ia, ib = np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
+    if ia.shape != ib.shape or ia.ndim != 1:
+        raise ValueError("ia and ib must be index columns of equal length")
+    if len(ia) and (min(ia.min(), ib.min()) < 0 or max(ia.max(), ib.max()) >= len(store)):
+        raise IndexError(f"sequence index out of range [0, {len(store)})")
+    return ia, ib
 
 
 def batch_align(
@@ -436,39 +456,29 @@ def batch_align(
     scheme: ScoringScheme | None = None,
     mode: str = "semiglobal",
 ) -> list[Alignment]:
-    """Align many pairs at once; results equal the one-pair kernels'
-    exactly.
-
-    ``pairs`` is a sequence of ``(a, b)`` encoded arrays; the returned
-    list is in input order and each element compares equal (all
-    dataclass fields) to the ``tests/scalar_align.py`` aligner of that
-    ``mode`` on the same pair.  DP cells are accounted per *real* pair
-    dimensions (``batch.cells``), never per padded slot.
-    """
+    """:func:`align_columns` of a list of ``(a, b)`` encoded arrays, in
+    input order: the pairs are checked, their distinct arrays put in a
+    private store and its index columns aligned."""
     if mode not in ("global", "local", "semiglobal"):
         raise ValueError(f"unknown alignment mode {mode!r}")
     if scheme is None:
         scheme = blosum62_scheme()
-    enc = _encoded_pairs(pairs, scheme.matrix.shape[1])
-    if not enc:
-        return []
-    obs.count("batch.pairs", len(enc))
-    return _align_buckets(enc, scheme, mode)
+    store, ia, ib = _pair_store(pairs)
+    return align_columns(store, ia, ib, scheme=scheme, mode=mode)
 
 
-def _encoded_pairs(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]], width: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The pairs as arrays, checked once per call by :func:`_check_codes`
-    (:func:`batch_align`, :func:`batch_containment`); an empty sequence
-    is a ``ValueError`` too."""
-    enc = [(np.asarray(a), np.asarray(b)) for a, b in pairs]
-    # An array that recurs across pairs (an RR task's) is checked once.
-    seqs = list({id(seq): seq for pair in enc for seq in pair}.values())
-    if any(s.size == 0 for s in seqs):
+def _pair_store(
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple["EncodedStore", np.ndarray, np.ndarray]:
+    """The pairs' distinct arrays in a private store and the pairs as its
+    index columns (:func:`batch_align`, :func:`batch_containment`).  The
+    store checks each array once, before its ``uint8`` cast, and the
+    engine its codes against the matrix; an empty sequence is a
+    ``ValueError`` here."""
+    store, idx = _private_store([np.asarray(seq) for a, b in pairs for seq in (a, b)])
+    if not store.lengths.all():
         raise ValueError("sequences must be non-empty 1-D integer arrays")
-    _check_codes(seqs, width)
-    return enc
+    return store, idx[0::2], idx[1::2]
 
 
 def _check_codes(seqs: list[np.ndarray], width: int) -> None:
@@ -853,33 +863,29 @@ def containment_prefilter(
     """Routes 1 and 2 of :func:`containment_columns`: one Myers pass
     (:func:`_myers_columns`, the shorter sequence of each pair swept
     over the longer), then the reject bound and the exact certificate
-    as whole columns.  No DP.
+    as whole columns.  No DP: the pairs it decides are counted in
+    ``batch.pairs`` here, the rest by :func:`containment_dp`.
 
-    The store's codes are checked against the matrix once per store; an
-    index outside the store is an ``IndexError``, an empty sequence a
+    The store's codes are checked against the matrix once per store,
+    the columns by :func:`_index_columns`; an empty sequence is a
     ``ValueError``.
     """
-    ia, ib = np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
-    if ia.shape != ib.shape or ia.ndim != 1:
-        raise ValueError("ia and ib must be index columns of equal length")
+    ia, ib = _index_columns(store, ia, ib)
     if not len(ia):
         return ContainmentPrefilter(np.zeros((0, 3)), np.zeros(0, dtype=bool),
                                     np.zeros(0, dtype=np.int64))
-    both = np.concatenate((ia, ib))
-    if both.min() < 0 or both.max() >= len(store):
-        raise IndexError(f"sequence index out of range [0, {len(store)})")
     m, n = store.lengths[ia], store.lengths[ib]
     if not (m.all() and n.all()):
         raise ValueError("sequences must be non-empty 1-D integer arrays")
     width = scheme.matrix.shape[1]
     store.check_codes(width)
-    obs.count("batch.pairs", len(ia))
 
     pat, txt = np.where(m <= n, ia, ib), np.where(m <= n, ib, ia)
     dists = _myers_columns(store, pat, txt, width)
     threshold = containment_reject_threshold(m, n, similarity, coverage)
     rejected = dists > threshold if threshold is not None else np.zeros(len(dists), bool)
     exact = ~rejected & (dists == 0) & strict_diagonal_scheme(scheme)
+    obs.count("batch.pairs", int(rejected.sum()) + int(exact.sum()))
     obs.count("batch.myers_rejects", int(rejected.sum()))
     obs.count("batch.exact_certified", int(exact.sum()))
     # identity = matches/length = 1.0; coverage of the shorter is full,
@@ -900,20 +906,19 @@ def containment_dp(
     scheme: ScoringScheme,
 ) -> np.ndarray:
     """Route 3 of :func:`containment_columns`: the prefilter's ``(k,
-    3)`` rows, the undecided ones measured by one semiglobal bucket loop
-    (counted in ``batch.dp_pairs``; the pairs were counted in
-    ``batch.pairs`` by the prefilter)."""
+    3)`` rows, the undecided ones measured by one semiglobal
+    :func:`align_columns` (which counts them in ``batch.pairs``; they
+    are counted in ``batch.dp_pairs`` too)."""
     stats = prefilter.stats.copy()
     if not len(stats):
         return stats
     undecided = prefilter.undecided
     obs.count("batch.dp_pairs", len(undecided))
     if len(undecided):
-        pairs = [(store.get(a), store.get(b)) for a, b in
-                 zip(np.asarray(ia)[undecided].tolist(), np.asarray(ib)[undecided].tolist())]
-        computed = _align_buckets(pairs, scheme, "semiglobal")
-        stats[undecided] = [containment_stats(aln, len(a), len(b))
-                            for (a, b), aln in zip(pairs, computed)]
+        a, b = np.asarray(ia)[undecided], np.asarray(ib)[undecided]
+        computed = align_columns(store, a, b, scheme=scheme, mode="semiglobal")
+        lengths = zip(store.lengths[a].tolist(), store.lengths[b].tolist())
+        stats[undecided] = [containment_stats(aln, *mn) for aln, mn in zip(computed, lengths)]
     return stats
 
 
@@ -982,11 +987,7 @@ def batch_containment(
     as a list of tuples with each route's count."""
     if scheme is None:
         scheme = blosum62_scheme()
-    enc = _encoded_pairs(pairs, scheme.matrix.shape[1])
-    if not enc:
-        return ContainmentBatch([], 0, 0, 0)
-    store, idx = _private_store([seq for pair in enc for seq in pair])
-    ia, ib = idx[0::2], idx[1::2]
+    store, ia, ib = _pair_store(pairs)
     prefilter = containment_prefilter(
         store, ia, ib, scheme=scheme, similarity=similarity, coverage=coverage
     )
@@ -995,6 +996,6 @@ def batch_containment(
     return ContainmentBatch(
         stats=[tuple(row) for row in stats.tolist()],
         n_rejected=n_rejected,
-        n_exact=len(enc) - n_rejected - n_dp,
+        n_exact=len(ia) - n_rejected - n_dp,
         n_dp=n_dp,
     )

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 import numpy as np
 
 from repro import obs
-from repro.align.batch import batch_align, containment_columns
+from repro.align.batch import align_columns, containment_columns
 from repro.pace.densesub import shingle_component
 from repro.runtime.sharedseq import EncodedStore
 from repro.suffix.suffix_array import GeneralizedSuffixArray
@@ -83,7 +83,8 @@ def run_task(body: tuple, store: EncodedStore, scheme: "ScoringScheme"):
     """Compute one task — the only statement of the runtime's work.
 
     * ``("local" | "semiglobal", ia, ib)`` → one
-      :class:`~repro.align.pairwise.Alignment` per pair;
+      :class:`~repro.align.pairwise.Alignment` per pair
+      (:func:`~repro.align.batch.align_columns`);
     * ``("contain", similarity, coverage, ia, ib)`` → the ``(k, 3)``
       float64 rows ``(identity, coverage_i, coverage_j)``
       (:func:`~repro.align.batch.containment_columns`);
@@ -92,18 +93,16 @@ def run_task(body: tuple, store: EncodedStore, scheme: "ScoringScheme"):
       :func:`~repro.pace.densesub.shingle_component`.
 
     A pair task's pairs are ``(ia[r], ib[r])``, two int64 columns of
-    global sequence indices into ``store``.  Serial execution,
-    a worker process and the process backend's in-master recovery all
-    call this function, so a task's result cannot depend on where it
-    ran.
+    global sequence indices into ``store``, which every pair kind hands
+    the engine as they are: no list of pairs is built.  Serial
+    execution, a worker process and the process backend's in-master
+    recovery all call this function, so a task's result cannot depend
+    on where it ran.
     """
     kind = body[0]
     if kind in ALIGN_KINDS:
         _, ia, ib = body
-        return batch_align(
-            [(store.get(i), store.get(j)) for i, j in zip(ia.tolist(), ib.tolist())],
-            scheme, mode=kind,
-        )
+        return align_columns(store, ia, ib, scheme=scheme, mode=kind)
     if kind == "contain":
         _, similarity, coverage, ia, ib = body
         return containment_columns(

@@ -78,9 +78,10 @@ import numpy as np
 from repro import obs
 from repro.align.predicates import containment_verdict
 from repro.core.checkpoint import CheckpointJournal
+from repro.runtime.sharedseq import EncodedStore
 from repro.sequence.record import SequenceRecord
 from repro.serve.state import ServeState
-from repro.serve.sweeps import containment_sweep, overlap_sweep
+from repro.serve.sweeps import containment_sweep, overlap_sweep, request_store
 
 
 def _absorb(state: ServeState, index: int, decision: dict[str, Any]) -> None:
@@ -112,6 +113,7 @@ class InsertPlan:
     of the sequence set at plan time.  The single-applier discipline
     (only the applier thread plans and commits inserts) is what makes
     the prospective index stable; :func:`commit_insert` re-checks it.
+    ``store`` is the request's, read by both halves (never journaled).
     """
 
     record: SequenceRecord
@@ -121,6 +123,7 @@ class InsertPlan:
     redundant_pairs: list[list[int]]
     unions: list[list[int]]
     n_alignments: int
+    store: EncodedStore | None = None
 
     @property
     def n_candidates(self) -> int:
@@ -138,14 +141,11 @@ class InsertPlan:
 
 
 def overlap_rounds(
-    state: ServeState,
-    candidates: Sequence[int],
-    roots: Sequence[int],
-    encoded: np.ndarray,
+    state: ServeState, store: EncodedStore, roots: Sequence[int]
 ) -> dict[int, bool]:
-    """Definition 2 verdicts of exactly the candidates the pair-by-pair
-    sweep aligns, a round of them per DP call (``roots[k]`` is the
-    family root of ``candidates[k]``).
+    """Definition 2 verdicts, by candidate position, of exactly the
+    candidates the pair-by-pair sweep aligns, a round of them per DP
+    call (``roots[k]`` is the family root of candidate ``k``).
 
     That sweep skips a candidate once an earlier one of the same family
     has passed (the transitive-closure filter), so it aligns a
@@ -156,18 +156,18 @@ def overlap_rounds(
     ``max_representatives`` of them.
     """
     by_root: dict[int, list[int]] = {}
-    for rep, root in zip(candidates, roots):
-        by_root.setdefault(root, []).append(rep)
+    for k, root in enumerate(roots):
+        by_root.setdefault(root, []).append(k)
     verdicts: dict[int, bool] = {}
     untried = list(by_root.values())
     done = 0  # candidates of each root in `untried` tried so far, all failed
     while untried:
-        batch = [reps[done] for reps in untried]
-        passes = overlap_sweep(state, batch, encoded)
+        batch = [picks[done] for picks in untried]
+        passes = overlap_sweep(state, store, batch)
         verdicts.update(zip(batch, passes))
         done += 1
-        untried = [reps for reps, ok in zip(untried, passes)
-                   if not ok and len(reps) > done]
+        untried = [picks for picks, ok in zip(untried, passes)
+                   if not ok and len(picks) > done]
     return verdicts
 
 
@@ -194,7 +194,8 @@ def plan_containment(
     redundant_pairs: list[list[int]] = []
     unions: list[list[int]] = []
     container: int | None = None
-    containments = containment_sweep(state, candidates, new_encoded)
+    store = request_store(state, candidates, new_encoded)
+    containments = containment_sweep(state, store)
     for rep, containment in zip(candidates, containments):
         if containment is None:
             continue  # the Myers bound proved both directions fail
@@ -228,6 +229,7 @@ def plan_containment(
         redundant_pairs=redundant_pairs,
         unions=unions,
         n_alignments=sum(c is not None for c in containments),
+        store=store,
     )
 
 
@@ -245,15 +247,13 @@ def plan_overlaps(state: ServeState, plan: InsertPlan) -> None:
     if plan.container is not None:
         return
     roots = [state.uf.root(rep) for rep in plan.candidates]
-    overlaps = overlap_rounds(
-        state, plan.candidates, roots, plan.record.encoded
-    )
+    overlaps = overlap_rounds(state, plan.store, roots)
     plan.n_alignments += len(overlaps)
     merged_roots: set[int] = set()
-    for rep, root in zip(plan.candidates, roots):
+    for k, (rep, root) in enumerate(zip(plan.candidates, roots)):
         if root in merged_roots:
             obs.count("serve.filtered")
-        elif overlaps[rep]:
+        elif overlaps[k]:
             merged_roots.add(root)
             plan.unions.append([plan.new_idx, rep])
 

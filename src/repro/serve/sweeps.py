@@ -18,10 +18,10 @@ alignment each (a pair certified at distance 0 counts as the alignment
 it replaces); the overlap sweep is only ever handed pairs the loop
 aligns.
 
-The containment sweep runs the batch phases' column engine over a
-private store of the request, ``[new, *candidates]``: the Myers pass is
-fewer lanes than the wavefront needs, so the request sweeps packed and
-the store never builds a mask table.
+Both sweeps run the batch phases' column engine over one private store
+per request, read by both sweeps (:func:`request_store`, ``[new,
+*candidates]``): the Myers pass is fewer lanes than the wavefront needs,
+so the request sweeps packed and the store never builds a mask table.
 
 Stage spans (``cat="stage"``): ``myers_reject`` around the prefilter,
 ``dp`` around each DP call, with the batch size as ``pairs`` and the
@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.align.batch import batch_align, containment_dp, containment_prefilter
+from repro.align.batch import align_columns, containment_dp, containment_prefilter
 from repro.align.predicates import ContainmentStats, overlaps
 from repro.runtime.sharedseq import EncodedStore
 from repro.serve.state import ServeState
@@ -48,24 +48,27 @@ from repro.serve.state import ServeState
 Containment = ContainmentStats | None
 
 
-def _cells(state: ServeState, reps: Sequence[int], length: int) -> int:
-    return sum(state.length(rep) for rep in reps) * length
+def request_store(state: ServeState, candidates: Sequence[int],
+                  encoded: np.ndarray) -> EncodedStore:
+    """``encoded`` at row 0, then candidate ``k`` at row ``k + 1``."""
+    return EncodedStore.from_sequences([encoded, *map(state.encoded, candidates)])
 
 
-def containment_sweep(
-    state: ServeState, candidates: Sequence[int], encoded: np.ndarray
-) -> list[Containment]:
-    """Definition 1 statistics of ``encoded`` against every candidate,
-    in candidate order: one Myers sweep, then one semiglobal DP over
-    the pairs it neither rejected nor certified exact."""
-    if not candidates:
+def _cells(store: EncodedStore, rows: np.ndarray) -> int:
+    return int(store.lengths[rows].sum()) * int(store.lengths[0])
+
+
+def containment_sweep(state: ServeState, store: EncodedStore) -> list[Containment]:
+    """Definition 1 statistics of the request's new sequence against
+    every candidate of its :func:`request_store`, in candidate order:
+    one Myers sweep, then one semiglobal DP over the pairs it neither
+    rejected nor certified exact."""
+    reps = np.arange(1, len(store))
+    if not len(reps):
         return []
     config = state.config
-    store = EncodedStore.from_sequences(
-        [encoded, *(state.encoded(rep) for rep in candidates)])
-    reps = np.arange(1, len(candidates) + 1)
-    new = np.zeros(len(candidates), dtype=np.int64)
-    with obs.span("myers_reject", cat="stage", pairs=len(candidates)):
+    new = np.zeros_like(reps)
+    with obs.span("myers_reject", cat="stage", pairs=len(reps)):
         prefilter = containment_prefilter(
             store, reps, new,
             scheme=config.scheme,
@@ -74,37 +77,33 @@ def containment_sweep(
         )
     stats = prefilter.stats
     if len(prefilter.undecided):
-        aligned = [candidates[k] for k in prefilter.undecided.tolist()]
-        with obs.span("dp", cat="stage", pairs=len(aligned),
-                      cells=_cells(state, aligned, len(encoded))):
+        with obs.span("dp", cat="stage", pairs=len(prefilter.undecided),
+                      cells=_cells(store, reps[prefilter.undecided])):
             stats = containment_dp(store, reps, new, prefilter, config.scheme)
-    rejected = prefilter.rejected.tolist()
-    aligned = [rep for rep, out in zip(candidates, rejected) if not out]
-    obs.count("serve.myers_rejects", len(candidates) - len(aligned))
+    aligned = reps[~prefilter.rejected]
+    obs.count("serve.myers_rejects", len(reps) - len(aligned))
     obs.count("serve.alignments", len(aligned))
-    obs.count("serve.dp_cells", _cells(state, aligned, len(encoded)))
+    obs.count("serve.dp_cells", _cells(store, aligned))
     return [None if out else tuple(row)
-            for out, row in zip(rejected, stats.tolist())]
+            for out, row in zip(prefilter.rejected.tolist(), stats.tolist())]
 
 
 def overlap_sweep(
-    state: ServeState, reps: Sequence[int], encoded: np.ndarray
+    state: ServeState, store: EncodedStore, picks: Sequence[int]
 ) -> list[bool]:
-    """Definition 2 verdict of ``encoded`` against each of ``reps``: one
+    """Definition 2 verdict of the request's new sequence against each
+    candidate position ``picks[r]`` of its :func:`request_store`: one
     local DP over all of them, every pair counted."""
-    if not reps:
+    if not len(picks):
         return []
     config = state.config
-    cells = _cells(state, reps, len(encoded))
+    reps = np.asarray(picks, dtype=np.int64) + 1
+    cells = _cells(store, reps)
     with obs.span("dp", cat="stage", pairs=len(reps), cells=cells):
-        alignments = batch_align(
-            [(state.encoded(rep), encoded) for rep in reps],
-            config.scheme, "local",
-        )
+        alignments = align_columns(store, reps, np.zeros_like(reps),
+                                   scheme=config.scheme, mode="local")
     obs.count("serve.alignments", len(reps))
     obs.count("serve.dp_cells", cells)
-    return [
-        overlaps(aln, state.length(rep), len(encoded),
-                 config.overlap_similarity, config.overlap_coverage)
-        for rep, aln in zip(reps, alignments)
-    ]
+    len_new = int(store.lengths[0])
+    return [overlaps(aln, length, len_new, config.overlap_similarity, config.overlap_coverage)
+            for aln, length in zip(alignments, store.lengths[reps].tolist())]

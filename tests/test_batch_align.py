@@ -36,6 +36,8 @@ from repro.align.batch import (
     _iter_buckets,
     _myers_packed,
     _myers_table_sweep,
+    _slot_codes,
+    align_columns,
     batch_align,
     batch_containment,
     batch_myers_infix,
@@ -103,6 +105,44 @@ def rand_pairs(rng, n, lo=1, hi=120, contained_fraction=0.4):
             b = rng.integers(0, 20, int(rng.integers(lo, hi))).astype(np.uint8)
         out.append((a, b))
     return out
+
+
+def pair_store(pairs):
+    """A list of array pairs as a store and its index columns (pair
+    ``k`` is rows ``2k`` and ``2k + 1``)."""
+    store = EncodedStore.from_sequences([seq for pair in pairs for seq in pair])
+    ia = np.arange(0, 2 * len(pairs), 2)
+    return store, ia, ia + 1
+
+
+def slot_codes(pairs):
+    """Each side's :func:`_slot_codes` of ``pairs`` over a pair store."""
+    store, ia, ib = pair_store(pairs)
+    return _slot_codes(store, ia), _slot_codes(store, ib)
+
+
+def bucket_fill(pairs, scheme, mode):
+    """:func:`_bucket_fill` of ``pairs`` as one bucket."""
+    return _bucket_fill(*slot_codes(pairs), scheme, mode)
+
+
+def bucket_endpoints(H, pairs, mode):
+    """:func:`_bucket_endpoints` of the bucket ``pairs`` filled into H."""
+    m_arr, n_arr = (np.array([len(seq) for seq in side]) for side in zip(*pairs))
+    return _bucket_endpoints(H, m_arr, n_arr, mode)
+
+
+def bucket_walk(H, pairs, scheme, start_i, start_j, mode):
+    """:func:`_bucket_walk` of the bucket ``pairs`` filled into H."""
+    store, ia, ib = pair_store(pairs)
+    codes = _slot_codes(store, ia), _slot_codes(store, ib)
+    return _bucket_walk(H, store, ia, ib, codes, scheme, start_i, start_j, mode)
+
+
+def iter_buckets(dims, bucket_size):
+    """:func:`_iter_buckets` of a list of ``(m, n)``, as index lists."""
+    m_arr, n_arr = np.array(dims, dtype=np.int64).reshape(-1, 2).T
+    return [bucket.tolist() for bucket in _iter_buckets(m_arr, n_arr, bucket_size)]
 
 
 class TestBatchAlignEquivalence:
@@ -228,8 +268,8 @@ def assert_bucket_endpoints(pairs, scheme=None):
     equal the scalar kernels', whatever the padding holds."""
     scheme = scheme or blosum62_scheme()
     for mode in MODES:
-        H = _bucket_fill(pairs, scheme, mode)
-        start_i, start_j = _bucket_endpoints(H, pairs, mode)
+        H = bucket_fill(pairs, scheme, mode)
+        start_i, start_j = bucket_endpoints(H, pairs, mode)
         scalar = [SCALAR[mode](a, b, scheme) for a, b in pairs]
         # A walk ends where the kernel started it: (a_end, b_end).
         assert list(zip(start_i.tolist(), start_j.tolist())) == [
@@ -249,7 +289,7 @@ class TestBucketEndpoints:
         short, long_ = encode("A" * 5), encode("A" * 30)
         pairs = [(short, short), (long_, long_), (short, long_)]
         scheme = blosum62_scheme()
-        H = _bucket_fill(pairs, scheme, "local")
+        H = bucket_fill(pairs, scheme, "local")
         real_best = int(H[:6, :6, 0].max())
         assert int(H[:, :, 0].max()) > real_best  # the trap is armed
         assert_bucket_endpoints(pairs)
@@ -319,13 +359,13 @@ class TestFillDtype:
         giga = ScoringScheme(matrix=BLOSUM62 * 10**8, gap=-4, name="giga")
         assert _chain_dtype(kilo, 3, 3) is np.int32
         assert _chain_dtype(giga, 30, 30) is np.int64
-        H = _bucket_fill([(encode("WCHW"), encode("WCHW"))], giga, "local")
+        H = bucket_fill([(encode("WCHW"), encode("WCHW"))], giga, "local")
         assert H.dtype == np.int64
         assert H[4, 4, 0] == (11 + 9 + 8 + 11) * 10**8  # past int32, exact
         rng = np.random.default_rng(41)
         pairs = rand_pairs(rng, 6, lo=5, hi=50)
         for mode in MODES:
-            assert _bucket_fill(pairs[:1], kilo, mode).dtype == np.int32
+            assert bucket_fill(pairs[:1], kilo, mode).dtype == np.int32
             assert batch_align(pairs, kilo, mode) == [
                 SCALAR[mode](a, b, kilo) for a, b in pairs
             ]
@@ -345,7 +385,7 @@ class TestFillDtype:
         b = np.concatenate([b[:400], b[417:], b[:17]])
         pairs = [(w, w), (w, p), (a, b)]
         for mode in MODES:
-            assert _bucket_fill(pairs, scheme, mode).dtype == dtype
+            assert bucket_fill(pairs, scheme, mode).dtype == dtype
             batched = batch_align(pairs, scheme, mode)
             assert batched == [SCALAR[mode](x, y, scheme) for x, y in pairs]
             assert all(type(aln.score) is int for aln in batched)
@@ -364,8 +404,8 @@ class TestWideBuckets:
                   rng.integers(0, 20, 140).astype(np.uint8))]
         pairs += rand_pairs(rng, _DOUBLING_MIN_SLOTS - 1, lo=20, hi=140)
         scheme = blosum62_scheme()
-        narrow = _bucket_fill(pairs[:-1], scheme, mode)
-        wide = _bucket_fill(pairs, scheme, mode)
+        narrow = bucket_fill(pairs[:-1], scheme, mode)
+        wide = bucket_fill(pairs, scheme, mode)
         assert np.array_equal(wide[:, :, :-1], narrow)
         for k, (a, b) in enumerate(pairs):
             assert np.array_equal(wide[: len(a) + 1, : len(b) + 1, k],
@@ -383,8 +423,8 @@ class TestWideBuckets:
         pos = rng.integers(0, 960, 190)
         b[pos] = rng.integers(0, 20, len(pos)).astype(np.uint8)
         pairs = [(a, np.concatenate([b[:400], b[417:], b[:17]])), (b[:500], a)]
-        narrow = _bucket_fill(pairs[:1], scheme, mode)
-        wide = _bucket_fill(pairs, scheme, mode)
+        narrow = bucket_fill(pairs[:1], scheme, mode)
+        wide = bucket_fill(pairs, scheme, mode)
         assert wide.dtype == narrow.dtype == np.int32
         assert np.array_equal(wide[:, :, :1], narrow)
         x, y = pairs[1]
@@ -402,7 +442,7 @@ class TestWideBuckets:
     )
     @settings(max_examples=60, deadline=None)
     def test_packing_invariants(self, dims, bucket_size, seed):
-        buckets = list(_iter_buckets(dims, bucket_size))
+        buckets = iter_buckets(dims, bucket_size)
         assert sorted(k for b in buckets for k in b) == list(range(len(dims)))
         for b in buckets:
             assert 1 <= len(b) <= bucket_size
@@ -413,13 +453,13 @@ class TestWideBuckets:
         permuted = [dims[k] for k in perm]
 
         def shapes(ds):
-            return [[ds[k] for k in b] for b in _iter_buckets(ds, bucket_size)]
+            return [[ds[k] for k in b] for b in iter_buckets(ds, bucket_size)]
 
         assert shapes(permuted) == shapes(dims)
 
     def test_a_run_splits_evenly(self):
         def sizes(shape, n):
-            return [len(b) for b in _iter_buckets([shape] * n, DEFAULT_BUCKET)]
+            return [len(b) for b in iter_buckets([shape] * n, DEFAULT_BUCKET)]
 
         assert sizes((256, 256), 128) == [64, 64]  # a BGG/CCD task: two buckets
         assert sizes((256, 256), 130) == [44, 43, 43]  # no thin tail
@@ -447,8 +487,8 @@ class TestBucketWalk:
         at different steps: every Alignment is the scalar kernel's and
         the one the pair gets aligned alone (a one-slot walk)."""
         scheme = GAP_HEAVY_SCHEMES[scheme_idx]
-        assert len(list(_iter_buckets([(len(a), len(b)) for a, b in pairs],
-                                      DEFAULT_BUCKET))) == 1
+        assert len(iter_buckets([(len(a), len(b)) for a, b in pairs],
+                                DEFAULT_BUCKET)) == 1
         batched = batch_align(pairs, scheme, mode)
         assert batched == [SCALAR[mode](a, b, scheme) for a, b in pairs]
         assert batched == [batch_align([pair], scheme, mode)[0] for pair in pairs]
@@ -488,8 +528,8 @@ class TestBucketWalk:
         rng = np.random.default_rng(seed)
         start_i = np.array([rng.integers(0, len(a) + 1) for a, _ in pairs])
         start_j = np.array([rng.integers(0, len(b) + 1) for _, b in pairs])
-        H = _bucket_fill(pairs, scheme, mode)
-        assert _bucket_walk(H, pairs, scheme, start_i, start_j, mode) == [
+        H = bucket_fill(pairs, scheme, mode)
+        assert bucket_walk(H, pairs, scheme, start_i, start_j, mode) == [
             _traceback(H[:, :, k], a, b, scheme, int(start_i[k]), int(start_j[k]), mode)
             for k, (a, b) in enumerate(pairs)
         ]
@@ -515,11 +555,11 @@ class TestBucketWalk:
         for width, message in ((_WALK_MIN_SLOTS + 8, "slot"),
                                (_WALK_MIN_SLOTS - 1, "traceback stuck")):
             pairs = [pair] * width
-            H = _bucket_fill(pairs, scheme, "global")
+            H = bucket_fill(pairs, scheme, "global")
             H[3, 3] += 100
             start = np.full(width, 6)
             with pytest.raises(AssertionError, match=message):
-                _bucket_walk(H, pairs, scheme, start, start, "global")
+                bucket_walk(H, pairs, scheme, start, start, "global")
 
 
 class TestEntryValidation:
@@ -683,10 +723,8 @@ def wavefront(patterns, texts, alphabet=21):
 
 def pair_prefilter(pairs, **kwargs):
     """:func:`containment_prefilter` of a list of array pairs, over a
-    store of them (pair ``k`` is rows ``2k`` and ``2k + 1``)."""
-    store = EncodedStore.from_sequences([seq for pair in pairs for seq in pair])
-    ia = np.arange(0, 2 * len(pairs), 2)
-    return containment_prefilter(store, ia, ia + 1, **kwargs)
+    :func:`pair_store` of them."""
+    return containment_prefilter(*pair_store(pairs), **kwargs)
 
 
 def mutated_lanes(rng, shapes, codes=20):
@@ -785,7 +823,7 @@ class TestBlockedGather:
                      for k in range(slots)]
             pairs = [(a.astype(np.uint8), b.astype(np.uint8)) for a, b in pairs]
             scheme = SCHEMES[slots % len(SCHEMES)]
-            H = _bucket_fill(pairs, scheme, mode)
+            H = bucket_fill(pairs, scheme, mode)
             assert H.shape[0] == m_pad + 1
             for k, (a, b) in enumerate(pairs):
                 assert np.array_equal(H[: len(a) + 1, : len(b) + 1, k],
@@ -1060,6 +1098,84 @@ class TestContainmentColumns:
         with pytest.raises(IndexError, match="alphabet"):
             containment_columns(EncodedStore.from_sequences([seqs[0], seqs[2]]),
                                 np.array([0]), np.array([1]), **kwargs)
+
+
+BUCKET_COUNTERS = ("batch.pairs", "batch.cells", "batch.buckets", "batch.padded_cells")
+
+
+def recorded(run):
+    """``run()`` and the ``batch.*`` DP counters it moved."""
+    recorder = obs.Recorder()
+    with obs.recording(recorder):
+        result = run()
+    return result, {name: recorder.value(name) for name in BUCKET_COUNTERS}
+
+
+class TestAlignColumns:
+    """The DP over index columns of a store: every Alignment is the
+    scalar kernel's, and a list of the same arrays through
+    ``batch_align`` fills the same buckets."""
+
+    @given(
+        lengths=st.lists(st.integers(1, 120), min_size=1, max_size=10),
+        seed=st.integers(0, 2**32 - 1),
+        n_pairs=st.sampled_from([1, 7, 16, 64, 65]),
+        mode=st.sampled_from(MODES),
+        scheme_idx=st.sampled_from(range(len(SCHEMES))),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_columns_equal_the_oracle_and_the_pair_list(self, lengths, seed,
+                                                        n_pairs, mode, scheme_idx):
+        """Both columns drawn from few sequences: repeated indices, both
+        orientations and equal-length copies; 1 to 65 pairs, so lone-pair
+        buckets, narrow and wide chains and a split run all occur."""
+        scheme = SCHEMES[scheme_idx]
+        rng = np.random.default_rng(seed)
+        seqs = store_sequences(rng, lengths)
+        store = EncodedStore.from_sequences(seqs)
+        ia = rng.integers(0, len(seqs), n_pairs)
+        ib = rng.integers(0, len(seqs), n_pairs)
+        columns, counted = recorded(
+            lambda: align_columns(store, ia, ib, scheme=scheme, mode=mode))
+        pairs = [(seqs[a], seqs[b]) for a, b in zip(ia.tolist(), ib.tolist())]
+        assert columns == [SCALAR[mode](a, b, scheme) for a, b in pairs]
+        assert recorded(lambda: batch_align(pairs, scheme, mode)) == (columns, counted)
+        assert counted["batch.pairs"] == n_pairs
+
+    def test_empty_columns(self):
+        store = EncodedStore.from_sequences([encode("WCHW")])
+        no_rows = np.zeros(0, dtype=np.int64)
+        assert recorded(lambda: align_columns(
+            store, no_rows, no_rows, scheme=blosum62_scheme(), mode="local")) == (
+            [], dict.fromkeys(BUCKET_COUNTERS, 0))
+
+    def test_entry_checks(self):
+        """A code outside the matrix, an index outside the store or
+        columns of unequal length raise before any fill."""
+        store = EncodedStore.from_sequences([encode("WCHW"), np.array([1, 20, 3], np.uint8)])
+        for ia, ib, error, message in (([1], [0], IndexError, "alphabet"),
+                                       ([0], [2], IndexError, "out of range"),
+                                       ([-1], [0], IndexError, "out of range"),
+                                       ([0, 0], [0], ValueError, "equal length")):
+            with pytest.raises(error, match=message):
+                align_columns(store, np.array(ia), np.array(ib),
+                              scheme=blosum62_scheme(), mode="local")
+
+    @given(lengths=st.lists(st.integers(1, 80), min_size=1, max_size=10),
+           seed=st.integers(0, 2**32 - 1), slots=st.integers(1, 70))
+    @settings(max_examples=40, deadline=None)
+    def test_slot_codes_are_a_per_slot_copy(self, lengths, seed, slots):
+        """One gather equals copying each slot's sequence into a zeroed
+        column: code 0 past each slot's length, repeats included."""
+        rng = np.random.default_rng(seed)
+        seqs = [rng.integers(0, 20, m).astype(np.uint8) for m in lengths]
+        store = EncodedStore.from_sequences(seqs)
+        idx = rng.integers(0, len(seqs), slots)
+        expected = np.zeros((max(len(seqs[k]) for k in idx.tolist()), slots), dtype=np.intp)
+        for slot, k in enumerate(idx.tolist()):
+            expected[: len(seqs[k]), slot] = seqs[k]
+        codes = _slot_codes(store, idx)
+        assert codes.dtype == np.intp and np.array_equal(codes, expected)
 
 
 class TestCacheBatchSemantics:

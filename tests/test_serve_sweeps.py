@@ -140,20 +140,21 @@ def _roots(state, candidates):
 def kernel_calls():
     """Counts the engine calls a request makes, by kind."""
     calls: Counter[str] = Counter()
-    myers, align = batch._myers_columns, batch._align_buckets
+    myers, align = batch._myers_columns, batch.align_columns
 
     # The one Myers entry, behind batch_myers_infix and containment_prefilter.
     def counted_myers(store, pat, txt, alphabet):
         calls["myers"] += 1
         return myers(store, pat, txt, alphabet)
 
-    # The bucket loop behind batch_align and containment_dp alike.
-    def counted_align(pairs, scheme, mode):
+    # The one bucket loop, behind containment_dp and the overlap sweep.
+    def counted_align(store, ia, ib, *, scheme, mode):
         calls[mode] += 1
-        return align(pairs, scheme, mode)
+        return align(store, ia, ib, scheme=scheme, mode=mode)
 
     with mock.patch.object(batch, "_myers_columns", counted_myers), \
-            mock.patch.object(batch, "_align_buckets", counted_align):
+            mock.patch.object(batch, "align_columns", counted_align), \
+            mock.patch.object(sweeps, "align_columns", counted_align):
         yield calls
 
 
@@ -403,7 +404,7 @@ class TestKernelCalls:
     def test_three_engine_calls_a_classify(self, served, name):
         """Whatever the candidate count, a classification makes its
         plan's engine calls: at most one Myers sweep, one semiglobal
-        ``batch_align`` and — not redundant — one local call a round,
+        ``align_columns`` and — not redundant — one local call a round,
         so three when each family's first representative decides."""
         state, held = served[name]
         for record in held:
@@ -417,6 +418,39 @@ class TestKernelCalls:
             most = max(map(roots.count, roots), default=0)
             assert calls["myers"] <= 1 and calls["semiglobal"] <= 1
             assert calls["local"] <= (most if plan.container is None else 0)
+
+    def test_one_store_a_request(self, served):
+        """A non-redundant insert plan and a classification of the same
+        residues each build one store, the request's, and both sweeps
+        read it as index columns: with the pair-list entry raising, each
+        journals or replies, and counts, as the loop does."""
+        state, held = served["small"]
+        residues, looped = _first_request(
+            state, held, lambda p: p.container is None and p.n_candidates > 1)
+        looped_counters = _observed(
+            lambda: scalar_serve.plan_insert(state, "new", residues))[1]
+        looped_reply = protocol.ok_response(**ServeServer(state)._placement(looped))
+        stores = []
+        build = sharedseq.EncodedStore.from_sequences.__func__
+
+        def counted(cls, encoded):
+            stores.append(len(encoded))
+            return build(cls, encoded)
+
+        def no_pair_list(*_args, **_kwargs):
+            raise AssertionError("a serve sweep aligned a list of pairs")
+
+        # batch_align, and the check every list of arrays goes through.
+        with kernel_calls() as calls, \
+                mock.patch.object(sharedseq.EncodedStore, "from_sequences",
+                                  classmethod(counted)), \
+                mock.patch.object(batch, "batch_align", no_pair_list), \
+                mock.patch.object(batch, "_check_codes", no_pair_list):
+            plan, counters = _observed(lambda: plan_insert(state, "new", residues))
+            assert stores == [1 + plan.n_candidates] and calls["local"] >= 1
+            assert classify(state, residues) == (looped_reply, looped_counters)
+        assert stores == [1 + plan.n_candidates] * 2
+        assert (plan.decision, counters) == (looped.decision, looped_counters)
 
     def test_a_narrow_request_builds_no_mask_table(self, served):
         """A request's Myers pass is narrower than the wavefront, so its
@@ -468,9 +502,8 @@ class TestMutants:
     def test_aligning_a_whole_root_in_one_round_fails(self, served):
         state, held = served["tiny"]
 
-        def one_round(state, candidates, _roots, encoded):
-            passes = sweeps.overlap_sweep(state, candidates, encoded)
-            return dict(zip(candidates, passes))
+        def one_round(state, store, roots):
+            return dict(enumerate(sweeps.overlap_sweep(state, store, range(len(roots)))))
 
         def crowded_root(record):
             roots = _roots(state, state.rep_index.candidates(record.encoded))
