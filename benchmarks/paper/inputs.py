@@ -144,7 +144,7 @@ class Analogue:
         filter eliminated, and the sequences RR kept."""
         sequences, alignments = self.scaling_subset(label), self.scaling_cache
         cluster = VirtualCluster(p, BLUEGENE_L)
-        rr = parallel_redundancy_removal(sequences, cluster, psi=10, cache=alignments)
+        rr = parallel_redundancy_removal(sequences, cluster, psi=10)
         ccd = parallel_component_detection(sequences, rr.kept, cluster, psi=10, cache=alignments)
         return rr.sim.elapsed, ccd.sim.elapsed, ccd.work_reduction, rr.kept
 

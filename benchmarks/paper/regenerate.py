@@ -18,7 +18,9 @@ the blocks live in EXPERIMENTS.md between ``<!-- paper:NAME -->`` and
 Every section but the two ``--timed`` ones is seed-pinned and runs on
 virtual time or counts, so ``--check`` (CI's ``paper-identity`` job,
 ~90 s) fails on any change to a committed number.  Section names after
-the flags restrict a run to those blocks.
+the flags restrict a run to those blocks.  Each block's seconds go to
+stderr as it finishes (a block's first use of an analogue pays for the
+work later blocks reuse).
 """
 
 from __future__ import annotations
@@ -624,7 +626,10 @@ def main(argv: list[str] | None = None, path: Path = EXPERIMENTS) -> int:
 
     committed = text = path.read_text(encoding="utf-8")
     for name in args.names or pool:
+        start = monotonic_now()
         body = "\n".join(pool[name](paper_analogue()))
+        # To stderr: a CI log records where the harness spends its time.
+        print(f"{name}: {monotonic_now() - start:.1f} s", file=sys.stderr)
         text, found = block_pattern(name).subn(lambda m: f"{m[1]}{body}\n{m[2]}", text)
         if found != 1:
             parser.error(f"{path.name} has {found} `<!-- paper:{name} -->` blocks, expected 1")

@@ -52,7 +52,7 @@ def main() -> None:
     base_time = None
     for p in processor_counts:
         cluster = VirtualCluster(p, BLUEGENE_L)
-        rr = parallel_redundancy_removal(sequences, cluster, psi=10, cache=cache)
+        rr = parallel_redundancy_removal(sequences, cluster, psi=10)
         ccd = parallel_component_detection(sequences, rr.kept, cluster, psi=10, cache=cache)
         total = rr.sim.elapsed + ccd.sim.elapsed
 
@@ -79,7 +79,7 @@ def main() -> None:
     from repro.parallel import Timeline
 
     cluster = VirtualCluster(8, BLUEGENE_L)
-    rr8 = parallel_redundancy_removal(sequences, cluster, psi=10, cache=cache)
+    rr8 = parallel_redundancy_removal(sequences, cluster, psi=10)
     ccd8 = parallel_component_detection(
         sequences, rr8.kept, cluster, psi=10, cache=cache, record_timeline=True
     )

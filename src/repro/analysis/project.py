@@ -1074,7 +1074,7 @@ class _FunctionScanner:
                 return f"alignment kernel {callee.name}()"
             if callee.cls is not None and \
                     callee.cls.name == "AlignmentCache" and \
-                    callee.name in ("local", "semiglobal", "batch"):
+                    callee.name == "local":
                 return f"AlignmentCache.{callee.name}() (DP on miss)"
             return None
         if dotted in ("os.fsync", "time.sleep"):

@@ -368,8 +368,8 @@ class ProteinFamilyPipeline:
                     journal.phase_done(name, payload)
             return result
 
-        simulation = {"scheme": config.scheme, "cache": cache,
-                      "cost_model": cost_model}
+        simulation = {"scheme": config.scheme, "cost_model": cost_model}
+        cached = {**simulation, "cache": cache}
         pairs = {"psi": config.psi,
                  "max_pairs_per_node": config.max_pairs_per_node}
         containment = {"similarity": config.containment_similarity,
@@ -402,7 +402,7 @@ class ProteinFamilyPipeline:
                     replay_unions=state.ccd_unions if state is not None else None,
                 ),
                 lambda: parallel_component_detection(
-                    sequences, rr.kept, cluster, **overlap, **simulation),
+                    sequences, rr.kept, cluster, **overlap, **cached),
                 ckpt.clustering_payload,
                 ckpt.clustering_from_payload,
             )
@@ -415,7 +415,7 @@ class ProteinFamilyPipeline:
                     sequences, qualifying, backend, cache,
                     reduction=config.reduction, w=config.w, **edges),
                 lambda: parallel_generate_component_graphs(
-                    sequences, qualifying, cluster, **edges, **simulation),
+                    sequences, qualifying, cluster, **edges, **cached),
                 # None for the domain reduction: cheaper to recompute on
                 # resume than to serialise.
                 ckpt.bipartite_payload,
@@ -434,10 +434,8 @@ class ProteinFamilyPipeline:
         # Absolute snapshot, once, at end of run: the cache's one dict
         # under the ``cache.*`` names of the registry.
         stats = cache.stats()
-        recorder.count("cache.local_hits", stats["local_hits"])
-        recorder.count("cache.local_misses", stats["local_misses"])
-        recorder.count("cache.semiglobal_hits", stats["semiglobal_hits"])
-        recorder.count("cache.semiglobal_misses", stats["semiglobal_misses"])
+        recorder.count("cache.local_hits", stats["hits"])
+        recorder.count("cache.local_misses", stats["misses"])
         recorder.count("cache.entries", stats["entries"])
         for name, split in stats["by_phase"].items():
             recorder.count(f"cache.phase.{name}.hits", split["hits"])

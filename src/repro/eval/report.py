@@ -152,8 +152,8 @@ def report_lines(result: "PipelineResult", *, bar_width: int = 28) -> list[str]:
 
 
 def _cache_lines(counters: Mapping[str, float]) -> list[str]:
-    """The alignment cache's line of the report and, under it, the
-    split by kind and by asking phase — read from the ``cache.*``
+    """The alignment cache's line of the report and, under it, its
+    local alignments split by asking phase — read from the ``cache.*``
     counters the pipeline wrote from ``AlignmentCache.stats()``."""
     phases = [name.removeprefix("cache.phase.").removesuffix(".hits")
               for name in counters
@@ -162,12 +162,12 @@ def _cache_lines(counters: Mapping[str, float]) -> list[str]:
         (label, int(counters.get(f"{prefix}hits", 0)),
          int(counters.get(f"{prefix}misses", 0)))
         for label, prefix in (
-            *((f"{kind:<10s}", f"cache.{kind}_") for kind in ("local", "semiglobal")),
+            (f"{'local':<10s}", "cache.local_"),
             *((f"phase {phase:<14s}", f"cache.phase.{phase}.") for phase in phases),
         )
     ]
-    hits = sum(h for _, h, _ in rows[:2])
-    lookups = hits + sum(m for _, _, m in rows[:2])
+    _, hits, misses = rows[0]
+    lookups = hits + misses
     if not lookups:
         return []
     return [

@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.align.batch import align_columns, containment_columns
 from repro.align.matrices import ScoringScheme, blosum62_scheme
-from repro.align.predicates import containment_stats, containment_verdict, overlaps
+from repro.align.predicates import containment_verdicts, overlaps
 from repro.align.prefilter import KmerPrefilter
-from repro.pace.cache import AlignmentCache
+from repro.runtime.sharedseq import EncodedStore
 from repro.sequence.record import SequenceSet
 
 
@@ -62,12 +63,13 @@ class GosResult:
     neighbors: dict[int, set[int]] = field(default_factory=dict)
 
 
-def _blast_pairs(sequences: SequenceSet, config: GosConfig) -> list[tuple[int, int]]:
-    """BLAST-style seeded candidate pairs over the whole input."""
+def _blast_pairs(sequences: SequenceSet, config: GosConfig) -> np.ndarray:
+    """BLAST-style seeded candidate pairs ``i < j`` over the whole
+    input, sorted, as the rows of a ``(k, 2)`` int64 array."""
     prefilter = KmerPrefilter(k=config.blast_word_size, min_shared=config.blast_min_words)
     for record in sequences:
         prefilter.add(record.encoded)
-    return sorted(prefilter.candidate_pairs())
+    return np.array(sorted(prefilter.candidate_pairs()), dtype=np.int64).reshape(-1, 2)
 
 
 def gos_cluster(
@@ -75,43 +77,44 @@ def gos_cluster(
     config: GosConfig | None = None,
     *,
     scheme: ScoringScheme | None = None,
-    cache: AlignmentCache | None = None,
 ) -> GosResult:
-    """Run the three GOS stages and return clusters of global indices."""
+    """Run the three GOS stages and return clusters of global indices.
+    Stages 1 and 2 are one engine call each over their pair columns;
+    ``n_alignments`` counts one alignment per pair a stage compares."""
     if config is None:
         config = GosConfig()
     if scheme is None:
         scheme = blosum62_scheme()
-    encoded = [record.encoded for record in sequences]
-    if cache is None:  # explicit None test: an empty cache is falsy
-        cache = AlignmentCache(lambda k: encoded[k], scheme)
+    store = EncodedStore.from_sequences([record.encoded for record in sequences])
+    lengths = store.lengths
     n = len(sequences)
 
     result = GosResult(redundant=set(), kept=[], clusters=[])
-    pairs = _blast_pairs(sequences, config)
-    result.n_candidate_pairs = len(pairs)
+    ia, ib = _blast_pairs(sequences, config).T
+    result.n_candidate_pairs = len(ia)
 
     # ---- Stage 1: redundancy removal (all-vs-all containment) ----------
-    for i, j in pairs:
-        len_i, len_j = len(encoded[i]), len(encoded[j])
-        stats = containment_stats(cache.semiglobal(i, j), len_i, len_j)
-        result.n_alignments += 1
-        verdict = containment_verdict(
-            stats, i, j, len_i, len_j,
-            config.containment_similarity, config.containment_coverage,
-        )
-        if verdict is not None:
-            result.redundant.add(verdict[0])
+    stats = containment_columns(
+        store, ia, ib, scheme=scheme,
+        similarity=config.containment_similarity,
+        coverage=config.containment_coverage,
+    )
+    victims, _ = containment_verdicts(
+        stats, ia, ib, lengths[ia], lengths[ib],
+        config.containment_similarity, config.containment_coverage,
+    )
+    result.redundant = set(victims.tolist())
+    result.n_alignments += len(ia)
     result.kept = [i for i in range(n) if i not in result.redundant]
-    kept_set = set(result.kept)
 
     # ---- Stage 2: full similarity graph --------------------------------
+    kept = ~(np.isin(ia, victims) | np.isin(ib, victims))
+    ia, ib = ia[kept], ib[kept]
+    result.n_alignments += len(ia)
     neighbors: dict[int, set[int]] = {i: set() for i in result.kept}
-    for i, j in pairs:
-        if i not in kept_set or j not in kept_set:
-            continue
-        result.n_alignments += 1
-        if overlaps(cache.local(i, j), len(encoded[i]), len(encoded[j]),
+    alignments = align_columns(store, ia, ib, scheme=scheme, mode="local")
+    for i, j, aln in zip(ia.tolist(), ib.tolist(), alignments):
+        if overlaps(aln, int(lengths[i]), int(lengths[j]),
                     config.edge_similarity, config.edge_coverage):
             neighbors[i].add(j)
             neighbors[j].add(i)
@@ -121,10 +124,19 @@ def gos_cluster(
     result.graph_bytes = 16 * n + 16 * result.graph_edges
 
     # ---- Stage 3: bounded core sets, expansion, merging ----------------
-    unassigned = set(result.kept)
+    result.clusters = _core_set_clusters(result.kept, neighbors, config)
+    return result
+
+
+def _core_set_clusters(
+    kept: list[int], neighbors: dict[int, set[int]], config: GosConfig
+) -> list[list[int]]:
+    """Stage 3 of the baseline over the similarity graph of the ``kept``
+    vertices: bounded core sets, their expansion and merging."""
+    unassigned = set(kept)
     cores: list[set[int]] = []
     # Seed order: highest degree first (deterministic tie-break on index).
-    order = sorted(result.kept, key=lambda v: (-len(neighbors[v]), v))
+    order = sorted(kept, key=lambda v: (-len(neighbors[v]), v))
     for seed in order:
         if seed not in unassigned:
             continue
@@ -168,8 +180,7 @@ def gos_cluster(
             merged.append(set(group))
         else:
             hit |= group
-    result.clusters = sorted(
+    return sorted(
         (sorted(c) for c in merged if len(c) >= config.min_cluster_size),
         key=lambda c: (-len(c), c[0]),
     )
-    return result

@@ -116,10 +116,6 @@ _SPECS = [
                 "local alignments answered from the memo"),
     CounterSpec("cache.local_misses", "cache",
                 "local alignments computed (master or worker)"),
-    CounterSpec("cache.semiglobal_hits", "cache",
-                "semiglobal alignments answered from the memo"),
-    CounterSpec("cache.semiglobal_misses", "cache",
-                "semiglobal alignments computed (master or worker)"),
     CounterSpec("cache.entries", "cache",
                 "distinct alignments memoised at run end"),
     # -- Pair generation (repro.suffix.matches block stream) ---------------

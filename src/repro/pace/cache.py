@@ -1,17 +1,17 @@
 """Pair-alignment memoisation shared across phases and processor sweeps.
 
-The cache holds two tables, local and semiglobal alignments per
-canonical pair.  Within one runtime run exactly one reuse happens:
-bipartite generation (BGG) asks for the local alignment of every
-intra-component promising pair, and CCD has already computed those it
-did not filter — the benchmark's ``skewed`` workload stores 1,832 local
-alignments and reads 291 back, ``giant`` stores 1,671 and reads 77,
-``domain`` reads none (B_m builds its graphs without alignment).  RR
-does not use the cache in a runtime run: nothing reads a semiglobal
-alignment back, so its containment stream returns Definition 1's
-statistics and no alignment ever crosses a process boundary for it.
-The semiglobal table serves the pair-at-a-time askers — the simulated
-RR rank program and the GOS baseline — and the paper sweeps
+The cache holds one table, the local alignment per canonical pair.
+Within one runtime run exactly one reuse happens: bipartite generation
+(BGG) asks for the local alignment of every intra-component promising
+pair, and CCD has already computed those it did not filter — the
+benchmark's ``skewed`` workload stores 1,832 local alignments and reads
+291 back, ``giant`` stores 1,671 and reads 77, ``domain`` reads none
+(B_m builds its graphs without alignment).  Definition 1 never goes
+through the cache: RR, simulated or on a backend, and the GOS baseline
+compute its statistics in bulk with
+:func:`repro.align.batch.containment_columns`, which answers a pair
+proven unable to pass without any alignment.  The table also serves the
+simulator's CCD and BGG rank programs and the paper sweeps
 (``benchmarks/paper/regenerate.py``), which re-run identical phases at
 several processor counts over one cache.  Physically recomputing
 identical DP matrices would multiply wall-clock cost without changing
@@ -22,8 +22,8 @@ host-side optimisation with no effect on results.
 Whoever asks, a miss is computed by the batched engine
 (:func:`repro.align.batch.batch_align`): a backend's tasks align their
 pairs a batch at a time and the results are inserted here as they come
-back; a simulated rank program or the GOS baseline, which ask for one
-pair, get a batch of one.
+back; a simulated rank program, which asks for one pair, gets a batch
+of one.
 
 Placement under the execution backends (:mod:`repro.runtime`): the
 cache lives **master-side only**, in front of an alignment
@@ -52,7 +52,7 @@ from repro.align.pairwise import Alignment
 
 
 class AlignmentCache:
-    """Memoised semiglobal ("overlap") and local alignments per pair.
+    """Memoised local alignments per pair.
 
     Keys are ``(i, j)`` sequence-index pairs canonicalised to ``i < j``
     (so ``(a, b)`` and ``(b, a)`` share one entry regardless of request
@@ -67,12 +67,11 @@ class AlignmentCache:
     runtime run every hit is bipartite generation reusing CCD's local
     alignments — see the module docstring).
 
-    A *miss* is one computed alignment entering a table through
+    A *miss* is one computed alignment entering the table through
     :meth:`insert` — a runtime task's result coming back, or what
-    :meth:`local` / :meth:`semiglobal` had the batched engine compute
-    as a batch of one (the simulator's rank programs and the GOS
-    baseline ask a pair at a time) — so ``misses == entries`` unless a
-    key is recomputed.
+    :meth:`local` had the batched engine compute as a batch of one (the
+    simulator's rank programs ask a pair at a time) — so ``misses ==
+    entries`` unless a key is recomputed.
     """
 
     def __init__(
@@ -82,13 +81,9 @@ class AlignmentCache:
     ):
         self._get = get_encoded
         self._scheme = scheme
-        self._tables: dict[str, dict[tuple[int, int], Alignment]] = {
-            "local": {}, "semiglobal": {},
-        }
-        #: kind -> [hits, misses]
-        self._by_kind: dict[str, list[int]] = {
-            "local": [0, 0], "semiglobal": [0, 0],
-        }
+        self._table: dict[tuple[int, int], Alignment] = {}
+        #: [hits, misses]
+        self._counts = [0, 0]
         self._phase = ""
         #: phase -> [hits, misses], in first-use order.
         self._by_phase: dict[str, list[int]] = {}
@@ -103,71 +98,53 @@ class AlignmentCache:
         """Attribute subsequent hits/misses to ``name`` (\"\" = untracked)."""
         self._phase = name
 
-    def _tally(self, kind: str, hit: bool) -> None:
-        self._by_kind[kind][0 if hit else 1] += 1
+    def _tally(self, hit: bool) -> None:
+        self._counts[0 if hit else 1] += 1
         if self._phase:
             self._by_phase.setdefault(self._phase, [0, 0])[0 if hit else 1] += 1
 
-    def _table(self, kind: str) -> dict[tuple[int, int], Alignment]:
-        try:
-            return self._tables[kind]
-        except KeyError:
-            raise ValueError(f"unknown alignment kind {kind!r}") from None
-
-    def _lookup(self, kind: str, i: int, j: int) -> Alignment:
-        """The alignment of pair (i, j), canonical orientation: a hit,
-        or one pair through the batched engine, stored and counted as
-        :meth:`insert` does."""
+    def local(self, i: int, j: int) -> Alignment:
+        """Smith-Waterman alignment of pair (i, j), canonical orientation:
+        a hit, or one pair through the batched engine, stored and
+        counted as :meth:`insert` does."""
         key = self._key(i, j)
-        aln = self._tables[kind].get(key)
+        aln = self._table.get(key)
         if aln is None:
             (aln,) = batch_align(
-                [(self._get(key[0]), self._get(key[1]))], self._scheme, kind)
-            self.insert(kind, *key, aln)
+                [(self._get(key[0]), self._get(key[1]))], self._scheme, "local")
+            self.insert(*key, aln)
         else:
-            self._tally(kind, hit=True)
+            self._tally(hit=True)
         return aln
-
-    def local(self, i: int, j: int) -> Alignment:
-        """Smith-Waterman alignment of pair (i, j), canonical orientation."""
-        return self._lookup("local", i, j)
-
-    def semiglobal(self, i: int, j: int) -> Alignment:
-        """Overlap alignment of pair (i, j), canonical orientation."""
-        return self._lookup("semiglobal", i, j)
 
     # -- backend hooks -----------------------------------------------------
 
-    def peek(self, kind: str, i: int, j: int) -> Alignment | None:
+    def peek(self, i: int, j: int) -> Alignment | None:
         """Cached alignment if present — no compute, no counter update.
 
         The pair stream uses this to decide routing (answer
         master-side versus dispatch as work) without perturbing the
         statistics.
         """
-        return self._table(kind).get(self._key(i, j))
+        return self._table.get(self._key(i, j))
 
-    def insert(self, kind: str, i: int, j: int, aln: Alignment) -> None:
+    def insert(self, i: int, j: int, aln: Alignment) -> None:
         """Store an externally computed alignment; counts as a miss.
 
         The miss accounting reflects that the computation *happened*
         (in a runtime task) because the cache could not answer it.
         """
-        self._table(kind)[self._key(i, j)] = aln
-        self._tally(kind, hit=False)
+        self._table[self._key(i, j)] = aln
+        self._tally(hit=False)
 
     # -- statistics --------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """Counter snapshot: hits/misses per kind, totals, entries, hit
-        rate, and under ``by_phase`` the :meth:`set_phase` split
-        (``phase -> {"hits", "misses"}``, phases in first-use order)."""
-        hits = sum(h for h, _ in self._by_kind.values())
-        misses = sum(m for _, m in self._by_kind.values())
+        """Counter snapshot: hits, misses, entries, hit rate, and under
+        ``by_phase`` the :meth:`set_phase` split (``phase -> {"hits",
+        "misses"}``, phases in first-use order)."""
+        hits, misses = self._counts
         return {
-            **{f"{kind}_{outcome}": n
-               for kind, split in self._by_kind.items()
-               for outcome, n in zip(("hits", "misses"), split)},
             "hits": hits,
             "misses": misses,
             "entries": len(self),
@@ -179,4 +156,4 @@ class AlignmentCache:
         }
 
     def __len__(self) -> int:
-        return sum(map(len, self._tables.values()))
+        return len(self._table)

@@ -20,18 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import obs
+from repro.align.batch import containment_columns
 from repro.align.matrices import ScoringScheme, blosum62_scheme
 from repro.align.predicates import (
     CONTAINMENT_COVERAGE,
     CONTAINMENT_SIMILARITY,
-    containment_stats,
     containment_verdicts,
 )
-from repro.pace.cache import AlignmentCache
 from repro.pace.costs import CostModel, bucket_generation
 from repro.pace.seen import SeenPairs
 from repro.parallel.masterworker import MasterWorkerConfig, run_master_worker
 from repro.parallel.simulator import SimulationResult, VirtualCluster
+from repro.runtime.sharedseq import EncodedStore
 from repro.sequence.record import SequenceSet
 from repro.suffix import GeneralizedSuffixArray, MaximalMatchFinder
 
@@ -138,7 +138,6 @@ def parallel_redundancy_removal(
     similarity: float = CONTAINMENT_SIMILARITY,
     coverage: float = CONTAINMENT_COVERAGE,
     scheme: ScoringScheme | None = None,
-    cache: AlignmentCache | None = None,
     cost_model: CostModel | None = None,
     max_pairs_per_node: int | None = None,
     record_timeline: bool = False,
@@ -148,6 +147,9 @@ def parallel_redundancy_removal(
     Workers own first-symbol suffix buckets (LPT-balanced by bucket
     size), generate promising pairs locally and align the deduplicated
     survivors; the master only merges verdicts.
+    Every distinct promising pair's Definition 1 statistics are one
+    :func:`~repro.align.batch.containment_columns` call up front; a
+    task reads its pair's row and is charged ``costs.alignment``.
     """
     costs = CostModel() if cost_model is None else cost_model
     master = RedundancyMaster(
@@ -159,21 +161,29 @@ def parallel_redundancy_removal(
         max_pairs_per_node=max_pairs_per_node,
     )
     encoded = master.encoded
-    if cache is None:  # explicit None test: an empty cache is falsy
-        cache = AlignmentCache(
-            lambda k: encoded[k], blosum62_scheme() if scheme is None else scheme
-        )
+    # Every distinct pair the workers can generate, canonical (a < b).
+    pairs = [match.pair for match in master.finder.unique_pairs()]
+    ia, ib = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    stats_of = dict(zip(pairs, containment_columns(
+        EncodedStore.from_sequences(encoded), ia, ib,
+        scheme=blosum62_scheme() if scheme is None else scheme,
+        similarity=similarity, coverage=coverage,
+    ).tolist()))
 
     def filter_item(pair: tuple[int, int]) -> tuple[int, int] | None:
-        admitted, _ = master.admit(np.array([pair[0]]), np.array([pair[1]]))
+        i, j = min(pair), max(pair)
+        admitted, _ = master.admit(np.array([i]), np.array([j]))
         return pair if len(admitted) else None
 
     def execute_task(pair: tuple[int, int]):
         i, j = pair
-        len_i, len_j = len(encoded[i]), len(encoded[j])
-        stats = containment_stats(cache.semiglobal(i, j), len_i, len_j)
+        if i < j:
+            identity, cov_i, cov_j = stats_of[i, j]
+        else:
+            identity, cov_j, cov_i = stats_of[j, i]
         # A flat 5-tuple: the message's size is part of the virtual time.
-        return (i, j, *stats), costs.alignment(len_i, len_j)
+        return ((i, j, identity, cov_i, cov_j),
+                costs.alignment(len(encoded[i]), len(encoded[j])))
 
     def absorb_result(result) -> float:
         i, j, *stats = result

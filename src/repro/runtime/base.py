@@ -67,10 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 #: A task's completion callback: ``sink(result, busy_seconds)``.
 Sink = Callable[[object, float], None]
 
-#: Task (and stream) kinds whose result is one Alignment per pair.
-ALIGN_KINDS = ("local", "semiglobal")
-
-
 class BackendError(RuntimeError):
     """A backend failed to execute work."""
 
@@ -82,7 +78,7 @@ class WorkerCrashError(BackendError):
 def run_task(body: tuple, store: EncodedStore, scheme: "ScoringScheme"):
     """Compute one task — the only statement of the runtime's work.
 
-    * ``("local" | "semiglobal", ia, ib)`` → one
+    * ``("local", ia, ib)`` → one local
       :class:`~repro.align.pairwise.Alignment` per pair
       (:func:`~repro.align.batch.align_columns`);
     * ``("contain", similarity, coverage, ia, ib)`` → the ``(k, 3)``
@@ -100,9 +96,9 @@ def run_task(body: tuple, store: EncodedStore, scheme: "ScoringScheme"):
     on where it ran.
     """
     kind = body[0]
-    if kind in ALIGN_KINDS:
+    if kind == "local":
         _, ia, ib = body
-        return align_columns(store, ia, ib, scheme=scheme, mode=kind)
+        return align_columns(store, ia, ib, scheme=scheme, mode="local")
     if kind == "contain":
         _, similarity, coverage, ia, ib = body
         return containment_columns(
@@ -115,10 +111,10 @@ def run_task(body: tuple, store: EncodedStore, scheme: "ScoringScheme"):
 
 def task_span(body: tuple, **args: object):
     """The task-category span a process-backend executor wraps a pair
-    task in (``align.local`` / ``align.semiglobal`` / ``align.contain``).
+    task in (``align.local`` / ``align.contain``).
     Shingle tasks record their own ``shingle.component`` span, and an
     unknown kind gets none — :func:`run_task` rejects it."""
-    if body[0] not in (*ALIGN_KINDS, "contain"):
+    if body[0] not in ("local", "contain"):
         return contextlib.nullcontext()
     return obs.span(f"align.{body[0]}", cat="task", pairs=len(body[-1]),
                     **args)
@@ -184,8 +180,8 @@ class PairStream:
     :meth:`drain` (blocking flush), canonical (``ia[r] < ib[r]``), in
     one ``(ia, ib, results)`` triple per task, the triples in an
     unspecified order.  ``results`` is a list of
-    :class:`~repro.align.pairwise.Alignment` for ``kind`` ``"local"``
-    or ``"semiglobal"``, and for ``"contain"`` the ``(k, 3)`` float64
+    :class:`~repro.align.pairwise.Alignment` for ``kind`` ``"local"``,
+    and for ``"contain"`` the ``(k, 3)`` float64
     rows of Definition 1's ``(identity, coverage_i, coverage_j)``.  The
     RR and bipartite drivers interleave :meth:`submit_columns` with
     ``ready`` so verdicts are absorbed while tasks are out; the CCD
@@ -220,15 +216,14 @@ class PairStream:
         ia, ib = np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
         ia, ib = np.minimum(ia, ib), np.maximum(ia, ib)
         if self._cache is not None and len(ia):
-            hit = np.array([self._cache.peek(self.kind, i, j) is not None
+            hit = np.array([self._cache.peek(i, j) is not None
                             for i, j in zip(ia.tolist(), ib.tolist())])
             if hit.any():
-                answer = getattr(self._cache, self.kind)
                 hit_a, hit_b = ia[hit], ib[hit]
                 self._phase.cache_hits += len(hit_a)
                 obs.count(f"runtime.pairs_done.{self._phase.name}", len(hit_a))
-                self._done.append((hit_a, hit_b, [
-                    answer(i, j) for i, j in zip(hit_a.tolist(), hit_b.tolist())]))
+                self._done.append((hit_a, hit_b, [self._cache.local(i, j)
+                    for i, j in zip(hit_a.tolist(), hit_b.tolist())]))
                 ia, ib = ia[~hit], ib[~hit]
         self._phase.tasks += len(ia)
         if not len(ia):
@@ -251,7 +246,7 @@ class PairStream:
         obs.count(f"runtime.pairs_done.{self._phase.name}", len(ia))
         if self._cache is not None:
             for i, j, result in zip(ia.tolist(), ib.tolist(), results):
-                self._cache.insert(self.kind, i, j, result)
+                self._cache.insert(i, j, result)
         self._done.append((ia, ib, results))
 
     def ready(self) -> list[tuple[np.ndarray, np.ndarray, object]]:
@@ -274,7 +269,7 @@ class Backend(abc.ABC):
 
         backend = ProcessBackend(workers=4)
         with backend.session(sequences, scheme):
-            stream = backend.alignment_stream("local", cache)
+            stream = backend.alignment_stream(cache)
             ...
         backend.stats  # RuntimeStats, populated per phase
 
@@ -407,11 +402,9 @@ class Backend(abc.ABC):
         self._next_stream_id += 1
         return stream
 
-    def alignment_stream(self, kind: str, cache: "AlignmentCache") -> PairStream:
-        """Open a stream of ``kind`` ("local" or "semiglobal") alignments."""
-        if kind not in ALIGN_KINDS:
-            raise ValueError(f"unknown alignment kind {kind!r}")
-        return self._open_stream(kind, cache)
+    def alignment_stream(self, cache: "AlignmentCache") -> PairStream:
+        """Open a stream of local alignments with ``cache`` in front."""
+        return self._open_stream("local", cache)
 
     def containment_stream(self, *, similarity: float, coverage: float) -> PairStream:
         """Open a Definition 1 statistics stream for the RR phase.

@@ -244,7 +244,7 @@ def backend_component_detection(
         for gi, gj in replay_unions or ():
             if gi in local_of and gj in local_of:
                 master.replay((local_of[gi], local_of[gj]))
-        stream = backend.alignment_stream("local", cache)
+        stream = backend.alignment_stream(cache)
         global_of = np.asarray(kept, dtype=np.int64)
 
         def passes(pairs: list[tuple[int, int]]) -> list[bool]:
@@ -353,7 +353,7 @@ def backend_generate_component_graphs(
                 if master.is_edge(gi, gj, aln):
                     master.add_edge(int(component[gi]), int(local[gi]), int(local[gj]))
 
-        stream = backend.alignment_stream("local", cache)
+        stream = backend.alignment_stream(cache)
         for ia, ib in _column_chunks(admitted(), LOCAL_CHUNK):
             stream.submit_columns(ia, ib)
             for done in stream.ready():

@@ -1189,11 +1189,11 @@ class TestCacheBatchSemantics:
         return AlignmentCache(lambda k: encoded[k], blosum62_scheme())
 
     @staticmethod
-    def _through_stream(kind, encoded, cache, pairs):
+    def _through_stream(encoded, cache, pairs):
         backend = SerialBackend()
         records = [SimpleNamespace(encoded=e) for e in encoded]
         with backend.session(records, blosum62_scheme()):
-            stream = backend.alignment_stream(kind, cache)
+            stream = backend.alignment_stream(cache)
             stream.submit_columns(*np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
             return sorted(
                 ((i, j, aln) for ia, ib, alns in stream.drain()
@@ -1209,24 +1209,22 @@ class TestCacheBatchSemantics:
         # reversed-orientation repeat of a cached pair.
         batch = [(0, 1), (6, 7), (8, 9), (3, 2), (1, 8)]
 
-        for kind in ("local", "semiglobal"):
-            streamed_cache = self._fresh_cache(encoded)
-            looped_cache = self._fresh_cache(encoded)
-            for c in (streamed_cache, looped_cache):
-                c.set_phase("prime")
-                for i, j in primed:
-                    getattr(c, kind)(i, j)
-                c.set_phase("probe")
+        streamed_cache = self._fresh_cache(encoded)
+        looped_cache = self._fresh_cache(encoded)
+        for c in (streamed_cache, looped_cache):
+            c.set_phase("prime")
+            for i, j in primed:
+                c.local(i, j)
+            c.set_phase("probe")
 
-            streamed = self._through_stream(kind, encoded, streamed_cache, batch)
-            looped = sorted(
-                (min(i, j), max(i, j), getattr(looped_cache, kind)(i, j))
-                for i, j in batch
-            )
+        streamed = self._through_stream(encoded, streamed_cache, batch)
+        looped = sorted(
+            (min(i, j), max(i, j), looped_cache.local(i, j)) for i, j in batch
+        )
 
-            assert streamed == looped
-            assert streamed_cache.stats() == looped_cache.stats()
-            assert set(streamed_cache.stats()["by_phase"]) == {"prime", "probe"}
+        assert streamed == looped
+        assert streamed_cache.stats() == looped_cache.stats()
+        assert set(streamed_cache.stats()["by_phase"]) == {"prime", "probe"}
 
     @given(
         st.lists(
@@ -1249,11 +1247,8 @@ class TestCacheBatchSemantics:
         looped_cache = self._fresh_cache(encoded)
         chunks = [pairs[:split], pairs[:split] + pairs[split:]]
         for chunk in chunks:
-            assert self._through_stream(
-                "semiglobal", encoded, streamed_cache, chunk
-            ) == sorted(
-                (min(i, j), max(i, j), looped_cache.semiglobal(i, j))
-                for i, j in chunk
+            assert self._through_stream(encoded, streamed_cache, chunk) == sorted(
+                (min(i, j), max(i, j), looped_cache.local(i, j)) for i, j in chunk
             )
         assert streamed_cache.stats() == looped_cache.stats()
 

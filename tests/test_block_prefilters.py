@@ -230,7 +230,7 @@ def reference_ccd(sequences, kept, backend, cache, journal=None, replay_unions=(
                 journal.ccd_union(gi, gj)
 
     with backend.phase("clustering"):
-        stream = backend.alignment_stream("local", cache)
+        stream = backend.alignment_stream(cache)
         for match in master.finder.matches():
             if not master.admit(match.pair):
                 continue
@@ -266,7 +266,7 @@ def reference_bgg(sequences, components, backend, cache):
                 master.add_edge(ci, li, position[gj][1])
 
     with backend.phase("bipartite"):
-        stream = backend.alignment_stream("local", cache)
+        stream = backend.alignment_stream(cache)
         chunk: list[tuple[int, int]] = []
         for ci, members in enumerate(master.members):
             finder = master.finder(ci)

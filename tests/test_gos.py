@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.align.predicates import containment_stats, containment_verdict, overlaps
 from repro.eval.metrics import compare_clusterings
-from repro.gos.baseline import GosConfig, gos_cluster
+from repro.gos.baseline import GosConfig, _blast_pairs, _core_set_clusters, gos_cluster
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
+from repro.sequence.record import SequenceRecord, SequenceSet
+from tests.scalar_align import local_align, semiglobal_align
 
 
 @pytest.fixture(scope="module")
@@ -70,3 +73,68 @@ class TestGosBaseline:
             GosConfig(edge_similarity=0.30, min_cluster_size=2),
         )
         assert loose.graph_edges >= tight.graph_edges
+
+
+def _pair_loop(sequences, config):
+    """The baseline a pair at a time on the one-pair oracles: stage 1
+    aligns every candidate semiglobally and applies Definition 1, stage
+    2 aligns the candidates both of whose sequences were kept locally
+    and applies the edge cutoffs."""
+    encoded = [record.encoded for record in sequences]
+    pairs = [tuple(pair) for pair in _blast_pairs(sequences, config).tolist()]
+    redundant, n_alignments = set(), 0
+    for i, j in pairs:
+        n_alignments += 1
+        stats = containment_stats(
+            semiglobal_align(encoded[i], encoded[j]), len(encoded[i]), len(encoded[j]))
+        verdict = containment_verdict(
+            stats, i, j, len(encoded[i]), len(encoded[j]),
+            config.containment_similarity, config.containment_coverage)
+        if verdict is not None:
+            redundant.add(verdict[0])
+    kept = [i for i in range(len(encoded)) if i not in redundant]
+    neighbors = {i: set() for i in kept}
+    for i, j in pairs:
+        if i in redundant or j in redundant:
+            continue
+        n_alignments += 1
+        if overlaps(local_align(encoded[i], encoded[j]), len(encoded[i]),
+                    len(encoded[j]), config.edge_similarity, config.edge_coverage):
+            neighbors[i].add(j)
+            neighbors[j].add(i)
+    return {
+        "n_candidate_pairs": len(pairs),
+        "redundant": redundant,
+        "kept": kept,
+        "neighbors": neighbors,
+        "graph_edges": sum(map(len, neighbors.values())) // 2,
+        "n_alignments": n_alignments,
+        "clusters": _core_set_clusters(kept, neighbors, config),
+    }
+
+
+class TestEqualsPairLoop:
+    """Both all-versus-all stages are one engine call each; the answer
+    and the alignment count are those of aligning pair by pair."""
+
+    @staticmethod
+    def _check(sequences, config):
+        result = gos_cluster(sequences, config)
+        expected = _pair_loop(sequences, config)
+        assert {name: getattr(result, name) for name in expected} == expected
+        return expected
+
+    def test_generated_input(self, gos_data):
+        expected = self._check(gos_data.sequences, GosConfig(min_cluster_size=2))
+        assert expected["redundant"] and expected["graph_edges"]
+        assert expected["clusters"]
+
+    @pytest.mark.parametrize("residues, n_pairs", [
+        (["AAAAAAAAAA", "WWWWWWWWWW"], 0),
+        (["MKTAYIAKQRQISFVKSHFSRQ", "MKTAYIAKQRQISF"], 1),
+    ])
+    def test_zero_and_one_candidate_pair(self, residues, n_pairs):
+        sequences = SequenceSet([SequenceRecord(id=f"s{k}", residues=r)
+                                 for k, r in enumerate(residues)])
+        expected = self._check(sequences, GosConfig(min_cluster_size=1))
+        assert expected["n_candidate_pairs"] == n_pairs

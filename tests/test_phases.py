@@ -7,15 +7,19 @@ reference) and at any simulated processor count (``parallel_*``).
 
 from __future__ import annotations
 
+from unittest import mock
+
 import networkx as nx
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.align.matrices import blosum62_scheme
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro.pace.cache import AlignmentCache
 from repro.align.predicates import overlaps
 from repro.pace.clustering import parallel_component_detection
+from repro.pace import redundancy
 from repro.pace.densesub import parallel_dense_subgraph_detection
 from repro.pace.redundancy import parallel_redundancy_removal
 from repro.parallel.machine import XEON_CLUSTER
@@ -38,6 +42,23 @@ def rr_serial(small_metagenome_module, session):
     return backend_redundancy_removal(
         small_metagenome_module.sequences, *session, psi=PSI
     )
+
+
+def _rr_counted(run):
+    """An RR result's answer and its ``rr.*`` counters."""
+    recorder = obs.Recorder()
+    with obs.recording(recorder):
+        result = run()
+    counters = {k: v for k, v in recorder.counters().items() if k.startswith("rr.")}
+    return result, (result.redundant, result.kept, result.containments,
+                    result.n_promising_pairs, counters)
+
+
+@pytest.fixture(scope="module")
+def rr_serial_counted(small_metagenome_module, session):
+    """``(answer, rr.* counters)`` of the serial backend's RR."""
+    return _rr_counted(lambda: backend_redundancy_removal(
+        small_metagenome_module.sequences, *session, psi=PSI))[1]
 
 
 @pytest.fixture(scope="module")
@@ -87,18 +108,33 @@ class TestRedundancyRemoval:
         for contained, container in rr_serial.containments:
             assert contained in rr_serial.redundant
 
-    @pytest.mark.parametrize("p", [1, 3, 6])
-    def test_parallel_equals_serial(self, small_metagenome_module, cache_module, rr_serial, p):
-        par = parallel_redundancy_removal(
-            small_metagenome_module.sequences,
-            VirtualCluster(p),
-            psi=PSI,
-            cache=cache_module,
-        )
-        assert par.redundant == rr_serial.redundant
-        assert par.kept == rr_serial.kept
-        assert par.n_promising_pairs == rr_serial.n_promising_pairs
+    @pytest.mark.parametrize("p", [1, 2, 3, 6, 8])
+    def test_parallel_equals_serial(self, small_metagenome_module, rr_serial_counted, p):
+        par, seen = _rr_counted(lambda: parallel_redundancy_removal(
+            small_metagenome_module.sequences, VirtualCluster(p), psi=PSI))
+        assert seen == rr_serial_counted
         assert par.sim is not None and par.sim.elapsed > 0
+
+    def test_reversed_pair_reads_swapped_coverages(
+        self, small_metagenome_module, rr_serial_counted
+    ):
+        """The rank program looks a pair's statistics up by its
+        canonical key: a pair generated as ``(j, i)`` reads coverage_j
+        and coverage_i, so one-way containments keep their victim."""
+        generation = redundancy.bucket_generation
+
+        def reversed_generation(*args, **kwargs):
+            fields = generation(*args, **kwargs)
+            make = fields["make_generator"]
+            fields["make_generator"] = lambda *rank: (
+                ((j, i), cost) for (i, j), cost in make(*rank))
+            return fields
+
+        with mock.patch.object(redundancy, "bucket_generation", reversed_generation):
+            par, seen = _rr_counted(lambda: parallel_redundancy_removal(
+                small_metagenome_module.sequences, VirtualCluster(3), psi=PSI))
+        assert seen == rr_serial_counted
+        assert par.redundant
 
     def test_promising_pairs_far_below_all_pairs(self, small_metagenome_module, rr_serial):
         n = len(small_metagenome_module.sequences)
@@ -374,21 +410,21 @@ class TestAlignmentCache:
         again = cache.local(1, 0)  # reversed request, same entry
         assert again is first
         stats = cache.stats()
-        assert (stats["local_misses"], stats["local_hits"]) == (1, 1)
+        assert (stats["misses"], stats["hits"]) == (1, 1)
         assert len(cache) == 1
-        first = cache.semiglobal(2, 0)
-        assert cache.semiglobal(0, 2) is first
+        first = cache.local(2, 0)
+        assert cache.local(0, 2) is first
         stats = cache.stats()
-        assert (stats["semiglobal_misses"], stats["semiglobal_hits"]) == (1, 1)
+        assert (stats["misses"], stats["hits"]) == (2, 2)
 
     def test_peek_and_insert_share_canonical_key(self, cache):
         aln = cache.local(0, 1)
-        assert cache.peek("local", 1, 0) is aln
-        assert cache.peek("semiglobal", 0, 1) is None
-        cache.insert("semiglobal", 1, 0, aln)  # worker-computed, reversed
-        assert cache.semiglobal(0, 1) is aln
+        assert cache.peek(1, 0) is aln
+        assert cache.peek(0, 2) is None
+        cache.insert(2, 0, aln)  # worker-computed, reversed
+        assert cache.local(0, 2) is aln
         stats = cache.stats()
-        assert (stats["semiglobal_misses"], stats["semiglobal_hits"]) == (1, 1)
+        assert (stats["misses"], stats["hits"]) == (2, 1)
 
     def test_self_alignment_rejected(self, cache):
         with pytest.raises(ValueError, match="self-alignment"):
@@ -396,12 +432,12 @@ class TestAlignmentCache:
 
     def test_by_phase_attribution(self, cache):
         cache.set_phase("redundancy")
-        cache.semiglobal(0, 1)  # miss
+        cache.local(0, 1)  # miss
         cache.set_phase("clustering")
-        cache.semiglobal(1, 0)  # hit, attributed to clustering
-        cache.local(0, 1)       # miss
+        cache.local(1, 0)  # hit, attributed to clustering
+        cache.local(0, 2)  # miss
         cache.set_phase("")
-        cache.local(1, 0)       # hit, but untracked
+        cache.local(2, 0)  # hit, but untracked
         stats = cache.stats()
         assert stats["by_phase"] == {
             "redundancy": {"hits": 0, "misses": 1},
@@ -430,6 +466,6 @@ class TestAlignmentCache:
         for phase, split in stats["by_phase"].items():
             assert counters[f"cache.phase.{phase}.hits"] == split["hits"]
             assert counters[f"cache.phase.{phase}.misses"] == split["misses"]
-        for name in ("local_hits", "local_misses", "semiglobal_hits",
-                     "semiglobal_misses", "entries"):
-            assert counters.get(f"cache.{name}", 0) == stats[name], name
+        for name, key in (("local_hits", "hits"), ("local_misses", "misses"),
+                          ("entries", "entries")):
+            assert counters[f"cache.{name}"] == stats[key], name

@@ -122,14 +122,14 @@ class TestCrashSafety:
         encoded = [r.encoded for r in sequences]
         cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         with backend.session(sequences, config.scheme):
-            stream = backend.alignment_stream("local", cache)
+            stream = backend.alignment_stream(cache)
             # An out-of-range index.
             stream.submit_columns(np.array([0]), np.array([len(sequences) + 5]))
             with pytest.raises(WorkerCrashError, match="out of range"):
                 list(stream.drain())
         # close() ran via session(); the backend is reusable afterwards.
         with backend.session(sequences, config.scheme):
-            stream = backend.alignment_stream("local", cache)
+            stream = backend.alignment_stream(cache)
             stream.submit_columns(np.array([0]), np.array([1]))
             assert drained_pairs(stream) == [(0, 1)]
 
@@ -147,7 +147,7 @@ class TestCrashSafety:
             with pytest.raises(WorkerCrashError, match="unknown task kind"):
                 backend._pump(block=True)
             # The worker caught the poison and is still serving.
-            stream = backend.alignment_stream("local", cache)
+            stream = backend.alignment_stream(cache)
             stream.submit_columns(np.array([0]), np.array([1]))
             assert drained_pairs(stream) == [(0, 1)]
 
@@ -169,7 +169,7 @@ class TestCrashSafety:
             probe = backend.telemetry_probe()
             assert probe["respawns"] == 1
             assert backend._procs[0].is_alive()
-            stream = backend.alignment_stream("local", cache)
+            stream = backend.alignment_stream(cache)
             stream.submit_columns(np.array([0]), np.array([1]))
             assert drained_pairs(stream) == [(0, 1)]
 
@@ -179,7 +179,7 @@ class TestCrashSafety:
         encoded = [r.encoded for r in sequences]
         cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         with pytest.raises(BackendError, match="not open"):
-            backend.alignment_stream("local", cache)
+            backend.alignment_stream(cache)
 
     def test_telemetry_survives_sigkilled_worker(self, workload, tmp_path):
         """The sampler keeps emitting through a worker SIGKILL, the
@@ -204,7 +204,7 @@ class TestCrashSafety:
         with recording(recorder), backend.session(sequences, config.scheme):
             with recorder.span("clustering", cat="phase"):
                 sampler.open()
-                stream = backend.alignment_stream("local", cache)
+                stream = backend.alignment_stream(cache)
                 stream.submit_columns(np.array([0]), np.array([1]))
                 list(stream.drain())  # healthy batch: heartbeat flows
                 healthy = sampler.sample_now()
@@ -292,12 +292,10 @@ class TestWorkAccounting:
         # A miss is counted once, when its alignment is inserted.
         cache = {name.removeprefix("cache."): int(value)
                  for name, value in counters.items() if name.startswith("cache.")}
-        misses = cache["local_misses"] + cache["semiglobal_misses"]
-        assert misses == cache["entries"] > 0
-        # RR leaves the cache alone: nothing reads a semiglobal
-        # alignment back, so none is stored and no pair of its stream
-        # is a hit.
-        assert cache["semiglobal_misses"] == cache["semiglobal_hits"] == 0
+        assert cache["local_misses"] == cache["entries"] > 0
+        # RR leaves the cache alone: its stream returns Definition 1's
+        # statistics, so nothing of it is stored and no pair of it is a
+        # hit.
         assert "phase.redundancy.misses" not in cache
         assert result.runtime.phases["redundancy"].cache_hits == 0
         # tasks = work dispatched; a hit is not a task.
@@ -406,7 +404,6 @@ def _shingle_body():
 
 TASK_BODIES = {
     "local": lambda: ("local", np.array([0, 2, 3]), np.array([1, 5, 4])),
-    "semiglobal": lambda: ("semiglobal", np.array([0, 2, 3]), np.array([1, 5, 4])),
     "contain": lambda: ("contain", 0.95, 0.95,
                         np.array([0, 2, 3, 0]), np.array([1, 5, 4, 6])),
     "shingle": _shingle_body,
@@ -673,11 +670,8 @@ class TestCacheStats:
         cache = AlignmentCache(lambda k: encoded[k], blosum62_scheme())
         cache.local(0, 1)
         cache.local(1, 0)  # canonical key: a hit
-        cache.semiglobal(0, 2)
+        cache.local(0, 2)
         stats = cache.stats()
-        assert stats["local_misses"] == 1
-        assert stats["local_hits"] == 1
-        assert stats["semiglobal_misses"] == 1
         assert stats["hits"] == 1 and stats["misses"] == 2
         assert stats["entries"] == 2
         assert stats["hit_rate"] == pytest.approx(1 / 3)
@@ -686,12 +680,10 @@ class TestCacheStats:
         sequences, config = workload
         encoded = [r.encoded for r in sequences]
         cache = AlignmentCache(lambda k: encoded[k], blosum62_scheme())
-        assert cache.peek("local", 0, 1) is None
+        assert cache.peek(0, 1) is None
         aln = cache.local(0, 1)
-        assert cache.peek("local", 1, 0) is aln  # no counter change
-        assert cache.stats()["local_hits"] == 0
-        cache.insert("semiglobal", 0, 1, aln)
-        assert cache.peek("semiglobal", 0, 1) is aln
-        assert cache.stats()["semiglobal_misses"] == 1
-        with pytest.raises(ValueError, match="unknown alignment kind"):
-            cache.peek("banded", 0, 1)
+        assert cache.peek(1, 0) is aln  # no counter change
+        assert cache.stats()["hits"] == 0
+        cache.insert(0, 2, aln)
+        assert cache.peek(2, 0) is aln
+        assert cache.stats()["misses"] == 2
