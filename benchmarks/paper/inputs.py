@@ -9,20 +9,16 @@ identical code paths.
 
 An :class:`Analogue` holds the two data sets and memoises everything
 heavy derived from them (pipeline results, the shuffled scaling input,
-its alignment cache, the RR+CCD grid): the processor sweeps of Figures
-6-7 re-run the *simulation* while reusing physically computed
-alignments, which is legitimate because simulated cost is charged per
-execution, not per physical computation.
+the RR+CCD grid): each cell of the processor sweeps of Figures 6-7 is
+simulated once and read by every section that needs it.
 """
 
 from __future__ import annotations
 
 from functools import cache, cached_property
 
-from repro.align.matrices import blosum62_scheme
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import PipelineResult, ProteinFamilyPipeline
-from repro.pace.cache import AlignmentCache
 from repro.pace.clustering import parallel_component_detection
 from repro.pace.redundancy import parallel_redundancy_removal
 from repro.parallel.machine import BLUEGENE_L
@@ -119,8 +115,9 @@ class Analogue:
     def scaling_sequences(self) -> SequenceSet:
         """The 160K-analogue shuffled once so size subsets are prefixes.
 
-        Prefix subsets keep global sequence indices stable, letting every
-        (n, p) cell of the Figure 6/7 grids share one alignment cache.
+        Each size of the Figure 6/7 grids is a prefix of this order, so
+        a smaller input's sequences are a subset of every larger one's,
+        at the same indices (the committed numbers were drawn this way).
         """
         sequences = self.metagenome_160k.sequences
         order = make_rng(6, "scaling-shuffle").permutation(len(sequences))
@@ -131,21 +128,15 @@ class Analogue:
         full = self.scaling_sequences
         return full.subset(range(max(int(len(full) * SIZE_SWEEP[label]), 10)))
 
-    @cached_property
-    def scaling_cache(self) -> AlignmentCache:
-        """One alignment cache shared by every scaling-grid cell."""
-        encoded = [r.encoded for r in self.scaling_sequences]
-        return AlignmentCache(lambda k: encoded[k], blosum62_scheme())
-
     @cache
     def rr_ccd(self, label: str, p: int) -> tuple[float, float, float, list[int]]:
         """One (input size, processors) cell on the simulated BlueGene/L:
         RR seconds, CCD seconds, the fraction of promising pairs CCD's
         filter eliminated, and the sequences RR kept."""
-        sequences, alignments = self.scaling_subset(label), self.scaling_cache
+        sequences = self.scaling_subset(label)
         cluster = VirtualCluster(p, BLUEGENE_L)
         rr = parallel_redundancy_removal(sequences, cluster, psi=10)
-        ccd = parallel_component_detection(sequences, rr.kept, cluster, psi=10, cache=alignments)
+        ccd = parallel_component_detection(sequences, rr.kept, cluster, psi=10)
         return rr.sim.elapsed, ccd.sim.elapsed, ccd.work_reduction, rr.kept
 
 

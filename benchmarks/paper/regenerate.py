@@ -17,10 +17,10 @@ the blocks live in EXPERIMENTS.md between ``<!-- paper:NAME -->`` and
 
 Every section but the two ``--timed`` ones is seed-pinned and runs on
 virtual time or counts, so ``--check`` (CI's ``paper-identity`` job,
-~90 s) fails on any change to a committed number.  Section names after
-the flags restrict a run to those blocks.  Each block's seconds go to
-stderr as it finishes (a block's first use of an analogue pays for the
-work later blocks reuse).
+41–49 s on 2 vCPUs) fails on any change to a committed number.
+Section names after the flags restrict a run to those blocks.  Each
+block's seconds go to stderr as it finishes (a block's first use of an
+analogue pays for the work later blocks reuse).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "src"))
 
+from repro.align.batch import align_columns
 from repro.align.matrices import blosum62_scheme
 from repro.align.predicates import overlaps
 from repro.core.pipeline import ProteinFamilyPipeline
@@ -47,6 +48,7 @@ from repro.graph.bipartite import BipartiteGraph, duplicate_bipartite
 from repro.graph.density import size_histogram
 from repro.graph.unionfind import UnionFind
 from repro.obs import read_telemetry
+from repro.pace.cache import AlignmentCache
 from repro.parallel.machine import XEON_CLUSTER
 from repro.parallel.simulator import VirtualCluster
 from repro.runtime import SerialBackend, runtime_info
@@ -54,6 +56,7 @@ from repro.runtime.phases import (
     backend_component_detection,
     backend_redundancy_removal,
 )
+from repro.runtime.sharedseq import EncodedStore
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 from repro.shingle.algorithm import ShingleParams, shingle_dense_subgraphs
 from repro.shingle.parallel import parallel_shingle_dense_subgraphs
@@ -137,9 +140,11 @@ def table2(inputs: Analogue) -> list[str]:
     # from 128 to 512).
     ccd_gain = ccd_times[0] / ccd_times[-1]
     assert ccd_gain < 0.6 * rr_gain
-    # The transitive-closure filter eliminates the majority of pairs; the
-    # eliminated fraction grows with cluster size (99.9% at paper scale,
-    # >50% for our ~15-member subfamilies where C(k,2) / k is only ~7).
+    # The filter column is the share of streamed promising pairs CCD
+    # never aligned.  The simulated master admits nearly every pair
+    # before a verdict comes back, so at every p it aligns every distinct
+    # pair and filters repeat sightings only: the share is how often a
+    # pair is sighted again, not transitive-closure filtering.
     assert all(c[2] > 0.5 for c in cells)
 
     paper = {16: ("17,476", "1,068"), 32: ("10,296", "777"),
@@ -253,9 +258,9 @@ def work_reduction(inputs: Analogue) -> list[str]:
     sequences = inputs.scaling_subset("40k")
     backend = SerialBackend()
     with backend.session(sequences, blosum62_scheme()):
-        rr = backend_redundancy_removal(sequences, backend, inputs.scaling_cache, psi=10)
+        rr = backend_redundancy_removal(sequences, backend, _fresh_cache(sequences), psi=10)
         ccd = backend_component_detection(
-            sequences, rr.kept, backend, inputs.scaling_cache, psi=10
+            sequences, rr.kept, backend, _fresh_cache(sequences), psi=10
         )
     n = len(rr.kept)
     all_pairs = n * (n - 1) // 2
@@ -346,25 +351,45 @@ def gos_baseline(inputs: Analogue) -> list[str]:
     )
 
 
-def _ccd_reference(sequences, cache, order: str, use_filter: bool):
-    """CCD's core loop with configurable pair order and filter toggle."""
+def _fresh_cache(sequences) -> AlignmentCache:
+    """An empty cache for one ``backend_*`` call (they take one)."""
+    encoded = [r.encoded for r in sequences]
+    return AlignmentCache(lambda k: encoded[k], blosum62_scheme())
+
+
+def _ccd_reference(sequences, variants):
+    """CCD's core loop once per ``(order, use_filter)`` of ``variants``:
+    ``(groups, pairs aligned)`` each.  Every distinct promising pair's
+    Definition 2 verdict comes from one local ``align_columns`` call."""
     encoded = [r.encoded for r in sequences]
     matches = list(MaximalMatchFinder(encoded, min_length=10).matches())
-    if order == "arbitrary":
-        # Positional order (by pair id) instead of decreasing length.
-        matches.sort(key=lambda m: (m.seq_a, m.seq_b, m.pos_a, m.pos_b))
-    uf = UnionFind(len(sequences))
-    tested = set()
-    for m in matches:
-        pair = m.pair
-        if pair in tested or (use_filter and uf.same(*pair)):
-            continue
-        tested.add(pair)
-        aln = cache.local(*pair)
-        if overlaps(aln, len(encoded[pair[0]]), len(encoded[pair[1]]), 0.30, 0.80):
-            uf.union(*pair)
-    groups = sorted((sorted(g) for g in uf.groups().values()), key=lambda g: (-len(g), g[0]))
-    return groups, len(tested)
+    pairs = list(dict.fromkeys(m.pair for m in matches))
+    ia, ib = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    alignments = align_columns(
+        EncodedStore.from_sequences(encoded), ia, ib, scheme=blosum62_scheme(), mode="local"
+    )
+    passes = {
+        (i, j): overlaps(aln, len(encoded[i]), len(encoded[j]), 0.30, 0.80)
+        for (i, j), aln in zip(pairs, alignments)
+    }
+    out = []
+    for order, use_filter in variants:
+        stream = matches
+        if order == "arbitrary":
+            # Positional order (by pair id) instead of decreasing length.
+            stream = sorted(matches, key=lambda m: (m.seq_a, m.seq_b, m.pos_a, m.pos_b))
+        uf = UnionFind(len(sequences))
+        tested = set()
+        for m in stream:
+            pair = m.pair
+            if pair in tested or (use_filter and uf.same(*pair)):
+                continue
+            tested.add(pair)
+            if passes[pair]:
+                uf.union(*pair)
+        groups = sorted((sorted(g) for g in uf.groups().values()), key=lambda g: (-len(g), g[0]))
+        out.append((groups, len(tested)))
+    return out
 
 
 def _largest_22k_graph(inputs: Analogue):
@@ -374,7 +399,6 @@ def _largest_22k_graph(inputs: Analogue):
 def ablations(inputs: Analogue) -> list[str]:
     """The design choices DESIGN.md calls out: psi, the transitive-closure
     filter, longest-match-first pair order, tau and the expanded B."""
-    cache = inputs.scaling_cache
 
     # 1. psi: work versus recall of the exact-match filter.
     sequences = inputs.scaling_subset("20k")
@@ -382,7 +406,7 @@ def ablations(inputs: Analogue) -> list[str]:
     backend = SerialBackend()
     with backend.session(sequences, blosum62_scheme()):
         for psi in (8, 10, 14, 20):
-            rr = backend_redundancy_removal(sequences, backend, cache, psi=psi)
+            rr = backend_redundancy_removal(sequences, backend, _fresh_cache(sequences), psi=psi)
             psi_rows.append((psi, rr.n_promising_pairs, len(rr.redundant)))
     pairs = [r[1] for r in psi_rows]
     # Larger psi => strictly less filter work.
@@ -392,9 +416,9 @@ def ablations(inputs: Analogue) -> list[str]:
 
     # 2./3. Transitive-closure filter on/off, longest-first versus arbitrary order.
     sequences = inputs.scaling_subset("40k")
-    filt, filt_n = _ccd_reference(sequences, cache, "decreasing", use_filter=True)
-    nofilt, nofilt_n = _ccd_reference(sequences, cache, "decreasing", use_filter=False)
-    arb, arb_n = _ccd_reference(sequences, cache, "arbitrary", use_filter=True)
+    (filt, filt_n), (nofilt, nofilt_n), (arb, arb_n) = _ccd_reference(
+        sequences, [("decreasing", True), ("decreasing", False), ("arbitrary", True)]
+    )
     # The filter never changes the clustering (the invariance the
     # parallel phases rely on)...
     assert filt == nofilt == arb
@@ -407,11 +431,11 @@ def ablations(inputs: Analogue) -> list[str]:
 
     # The reference loop above must agree with the production phase.
     sequences = inputs.scaling_subset("10k")
-    groups, _ = _ccd_reference(sequences, cache, "decreasing", use_filter=True)
+    ((groups, _),) = _ccd_reference(sequences, [("decreasing", True)])
     backend = SerialBackend()
     with backend.session(sequences, blosum62_scheme()):
         ccd = backend_component_detection(
-            sequences, list(range(len(sequences))), backend, cache, psi=10
+            sequences, list(range(len(sequences))), backend, _fresh_cache(sequences), psi=10
         )
     assert [sorted(c) for c in ccd.components] == groups
 

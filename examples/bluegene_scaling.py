@@ -18,8 +18,6 @@ from repro import (
     VirtualCluster,
     generate_metagenome,
 )
-from repro.align.matrices import blosum62_scheme
-from repro.pace.cache import AlignmentCache
 from repro.pace.clustering import parallel_component_detection
 from repro.pace.redundancy import parallel_redundancy_removal
 from repro.util.timing import format_seconds
@@ -41,9 +39,6 @@ def main() -> None:
     sequences = data.sequences
     print(f"input: {len(sequences)} ORFs on a simulated {BLUEGENE_L.name}")
 
-    encoded = [r.encoded for r in sequences]
-    cache = AlignmentCache(lambda k: encoded[k], blosum62_scheme())
-
     processor_counts = (8, 16, 32, 64, 128)
     print(f"\n{'p':>5s} {'RR':>10s} {'CCD':>10s} {'RR+CCD':>10s} "
           f"{'speedup':>8s} {'efficiency':>11s}")
@@ -53,7 +48,7 @@ def main() -> None:
     for p in processor_counts:
         cluster = VirtualCluster(p, BLUEGENE_L)
         rr = parallel_redundancy_removal(sequences, cluster, psi=10)
-        ccd = parallel_component_detection(sequences, rr.kept, cluster, psi=10, cache=cache)
+        ccd = parallel_component_detection(sequences, rr.kept, cluster, psi=10)
         total = rr.sim.elapsed + ccd.sim.elapsed
 
         # Verify processor-count invariance of the science.
@@ -81,7 +76,7 @@ def main() -> None:
     cluster = VirtualCluster(8, BLUEGENE_L)
     rr8 = parallel_redundancy_removal(sequences, cluster, psi=10)
     ccd8 = parallel_component_detection(
-        sequences, rr8.kept, cluster, psi=10, cache=cache, record_timeline=True
+        sequences, rr8.kept, cluster, psi=10, record_timeline=True
     )
     print("\nTimeline of the p=8 CCD phase (rank 0 = master; "
           "# compute, > send, . wait):")

@@ -1059,23 +1059,14 @@ class _FunctionScanner:
             # project call: blocking only if it is an alignment kernel
             # entry point (DP cost scales with sequence length); other
             # project calls are covered transitively by any_held.  Calls
-            # *between* kernels (align-internal plumbing, the cache's
-            # own miss path) are not re-reported — the actionable site
-            # is the boundary call into the kernel, not its internals.
-            caller_internal = (
-                ".align." in f".{self.fn.module}."
-                or (self.fn.cls is not None
-                    and self.fn.cls.name == "AlignmentCache")
-            )
-            if caller_internal:
+            # *between* kernels (align-internal plumbing) are not
+            # re-reported — the actionable site is the boundary call
+            # into the kernel, not its internals.
+            if ".align." in f".{self.fn.module}.":
                 return None
             if ".align." in f".{callee.module}." and \
                     not callee.name.startswith("_"):
                 return f"alignment kernel {callee.name}()"
-            if callee.cls is not None and \
-                    callee.cls.name == "AlignmentCache" and \
-                    callee.name == "local":
-                return f"AlignmentCache.{callee.name}() (DP on miss)"
             return None
         if dotted in ("os.fsync", "time.sleep"):
             return f"{dotted}()"

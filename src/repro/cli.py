@@ -791,10 +791,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     pipeline = ProteinFamilyPipeline(config)
-    cache = pipeline._make_cache(sequences)
     print(f"{'p':>5s} {'RR':>12s} {'CCD':>12s} {'RR+CCD':>12s}")
     for p, cluster in zip(args.procs, clusters):
-        result = pipeline.run(sequences, cluster=cluster, cache=cache)
+        result = pipeline.run(sequences, cluster=cluster)
         t = result.timings
         print(
             f"{p:>5d} {format_seconds(t.redundancy):>12s} "

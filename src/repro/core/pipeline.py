@@ -184,7 +184,6 @@ class ProteinFamilyPipeline:
         *,
         cluster: VirtualCluster | None = None,
         dsd_cluster: VirtualCluster | None = None,
-        cache: AlignmentCache | None = None,
         cost_model: CostModel | None = None,
         backend: Backend | str | None = None,
         workers: int | None = None,
@@ -208,9 +207,6 @@ class ProteinFamilyPipeline:
         ``result.timings``.  A simulated cluster cannot be combined with
         a *named* backend (phases without a cluster run in-process), and
         every mode returns identical ``families``/Table I output.
-        ``cache`` may be shared across runs on the same sequence set to
-        avoid recomputing identical alignments (host-side only;
-        simulated costs are unaffected).
 
         Every run records spans and counters into a
         :class:`repro.obs.Recorder` (pass ``recorder`` to supply your
@@ -245,8 +241,7 @@ class ProteinFamilyPipeline:
             )
         if workers is None and config.workers:
             workers = config.workers
-        if cache is None:  # explicit None test: an empty cache is falsy
-            cache = self._make_cache(sequences)
+        cache = self._make_cache(sequences)
         real_backend = make_backend(
             "serial" if backend is None else backend,
             workers,
@@ -369,7 +364,6 @@ class ProteinFamilyPipeline:
             return result
 
         simulation = {"scheme": config.scheme, "cost_model": cost_model}
-        cached = {**simulation, "cache": cache}
         pairs = {"psi": config.psi,
                  "max_pairs_per_node": config.max_pairs_per_node}
         containment = {"similarity": config.containment_similarity,
@@ -402,7 +396,7 @@ class ProteinFamilyPipeline:
                     replay_unions=state.ccd_unions if state is not None else None,
                 ),
                 lambda: parallel_component_detection(
-                    sequences, rr.kept, cluster, **overlap, **cached),
+                    sequences, rr.kept, cluster, **overlap, **simulation),
                 ckpt.clustering_payload,
                 ckpt.clustering_from_payload,
             )
@@ -415,7 +409,7 @@ class ProteinFamilyPipeline:
                     sequences, qualifying, backend, cache,
                     reduction=config.reduction, w=config.w, **edges),
                 lambda: parallel_generate_component_graphs(
-                    sequences, qualifying, cluster, **edges, **cached),
+                    sequences, qualifying, cluster, **edges, **simulation),
                 # None for the domain reduction: cheaper to recompute on
                 # resume than to serialise.
                 ckpt.bipartite_payload,

@@ -1,4 +1,5 @@
-"""Pair-alignment memoisation shared across phases and processor sweeps.
+"""Master-side memo of local alignments, shared across the phases of
+one runtime run.
 
 The cache holds one table, the local alignment per canonical pair.
 Within one runtime run exactly one reuse happens: bipartite generation
@@ -10,20 +11,13 @@ benchmark's ``skewed`` workload stores 1,832 local alignments and reads
 through the cache: RR, simulated or on a backend, and the GOS baseline
 compute its statistics in bulk with
 :func:`repro.align.batch.containment_columns`, which answers a pair
-proven unable to pass without any alignment.  The table also serves the
-simulator's CCD and BGG rank programs and the paper sweeps
-(``benchmarks/paper/regenerate.py``), which re-run identical phases at
-several processor counts over one cache.  Physically recomputing
-identical DP matrices would multiply wall-clock cost without changing
-any simulated quantity — the simulator charges virtual time per
-*execution*, not per physical computation — so the cache is purely a
-host-side optimisation with no effect on results.
+proven unable to pass without any alignment.  The simulator's rank
+programs never read it either: they align every distinct pair of their
+phase in one :func:`repro.align.batch.align_columns` call up front.
 
-Whoever asks, a miss is computed by the batched engine
-(:func:`repro.align.batch.batch_align`): a backend's tasks align their
-pairs a batch at a time and the results are inserted here as they come
-back; a simulated rank program, which asks for one pair, gets a batch
-of one.
+The cache computes nothing.  A backend's tasks align their pairs a
+batch at a time and the results are inserted here as they come back;
+:meth:`AlignmentCache.lookup` answers what it holds.
 
 Placement under the execution backends (:mod:`repro.runtime`): the
 cache lives **master-side only**, in front of an alignment
@@ -46,7 +40,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.align.batch import batch_align
 from repro.align.matrices import ScoringScheme
 from repro.align.pairwise import Alignment
 
@@ -56,8 +49,9 @@ class AlignmentCache:
 
     Keys are ``(i, j)`` sequence-index pairs canonicalised to ``i < j``
     (so ``(a, b)`` and ``(b, a)`` share one entry regardless of request
-    order); the caller supplies the encoded sequence accessor once at
-    construction.
+    order).  The constructor takes the encoded sequence accessor and the
+    scoring scheme the stored alignments belong to; the cache computes
+    nothing, so it keeps neither.
 
     :meth:`stats` is the one read API of the cache's numbers (the run
     report, the ``cache.*`` counters of a run record and the telemetry
@@ -67,11 +61,10 @@ class AlignmentCache:
     runtime run every hit is bipartite generation reusing CCD's local
     alignments — see the module docstring).
 
-    A *miss* is one computed alignment entering the table through
-    :meth:`insert` — a runtime task's result coming back, or what
-    :meth:`local` had the batched engine compute as a batch of one (the
-    simulator's rank programs ask a pair at a time) — so ``misses ==
-    entries`` unless a key is recomputed.
+    A *hit* is a :meth:`lookup` that finds its pair; a *miss* is one
+    computed alignment entering the table through :meth:`insert` — a
+    runtime task's result coming back — so ``misses == entries`` unless
+    a key is recomputed.
     """
 
     def __init__(
@@ -79,8 +72,6 @@ class AlignmentCache:
         get_encoded: Callable[[int], np.ndarray],
         scheme: ScoringScheme,
     ):
-        self._get = get_encoded
-        self._scheme = scheme
         self._table: dict[tuple[int, int], Alignment] = {}
         #: [hits, misses]
         self._counts = [0, 0]
@@ -103,30 +94,14 @@ class AlignmentCache:
         if self._phase:
             self._by_phase.setdefault(self._phase, [0, 0])[0 if hit else 1] += 1
 
-    def local(self, i: int, j: int) -> Alignment:
-        """Smith-Waterman alignment of pair (i, j), canonical orientation:
-        a hit, or one pair through the batched engine, stored and
-        counted as :meth:`insert` does."""
-        key = self._key(i, j)
-        aln = self._table.get(key)
-        if aln is None:
-            (aln,) = batch_align(
-                [(self._get(key[0]), self._get(key[1]))], self._scheme, "local")
-            self.insert(*key, aln)
-        else:
+    def lookup(self, i: int, j: int) -> Alignment | None:
+        """The stored alignment of pair (i, j), counted as a hit, or None
+        — an absent pair changes no counter: it is counted as a miss
+        when its computed alignment is :meth:`insert`-ed."""
+        aln = self._table.get(self._key(i, j))
+        if aln is not None:
             self._tally(hit=True)
         return aln
-
-    # -- backend hooks -----------------------------------------------------
-
-    def peek(self, i: int, j: int) -> Alignment | None:
-        """Cached alignment if present — no compute, no counter update.
-
-        The pair stream uses this to decide routing (answer
-        master-side versus dispatch as work) without perturbing the
-        statistics.
-        """
-        return self._table.get(self._key(i, j))
 
     def insert(self, i: int, j: int, aln: Alignment) -> None:
         """Store an externally computed alignment; counts as a miss.

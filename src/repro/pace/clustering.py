@@ -41,8 +41,11 @@ point of the stream lies between ``uf`` and ``spec``, so:
 are those two halves; components, counters, journaled unions and the
 set of aligned pairs are the loop's, and a failed verdict costs only
 batching (its held successors are re-decided one by one).  The simulated
-master below does not speculate: its lagging filter, and the extra
-alignments that costs at high p, are the paper's measurement.
+master below does not speculate, and its filter mostly lags: a worker
+streams its whole generation before it pulls a task
+(:mod:`repro.parallel.masterworker`), so most pairs are admitted before
+a verdict comes back.  On the Figure 6 grid (p = 16 to 256) it aligns
+every distinct promising pair; what it filters are repeat sightings.
 """
 
 from __future__ import annotations
@@ -53,14 +56,15 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro import obs
+from repro.align.batch import align_columns
 from repro.align.matrices import ScoringScheme, blosum62_scheme
 from repro.align.pairwise import Alignment
 from repro.align.predicates import OVERLAP_COVERAGE, OVERLAP_SIMILARITY, overlaps
 from repro.graph.unionfind import UnionFind
-from repro.pace.cache import AlignmentCache
 from repro.pace.costs import CostModel, bucket_generation
 from repro.parallel.masterworker import MasterWorkerConfig, run_master_worker
 from repro.parallel.simulator import SimulationResult, VirtualCluster
+from repro.runtime.sharedseq import EncodedStore
 from repro.sequence.record import SequenceSet
 from repro.suffix import GeneralizedSuffixArray, MatchBlock, MaximalMatchFinder
 
@@ -344,7 +348,6 @@ def parallel_component_detection(
     similarity: float = OVERLAP_SIMILARITY,
     coverage: float = OVERLAP_COVERAGE,
     scheme: ScoringScheme | None = None,
-    cache: AlignmentCache | None = None,
     cost_model: CostModel | None = None,
     max_pairs_per_node: int | None = None,
     record_timeline: bool = False,
@@ -356,6 +359,10 @@ def parallel_component_detection(
     alignments.  The aggressive filter starves workers at high p — the
     paper's Table II scaling collapse — while leaving the components
     identical at every processor count.
+    Every distinct promising pair's local alignment is one
+    :func:`~repro.align.batch.align_columns` call up front; a task
+    reads its pair's Definition 2 verdict and is charged
+    ``costs.alignment``.
     """
     costs = CostModel() if cost_model is None else cost_model
     master = ClusteringMaster(
@@ -368,17 +375,25 @@ def parallel_component_detection(
         max_pairs_per_node=max_pairs_per_node,
     )
     encoded = master.encoded
-    if cache is None:  # explicit None test: an empty cache is falsy
-        cache = AlignmentCache(
-            lambda k: encoded[k], blosum62_scheme() if scheme is None else scheme
-        )
+    # Every distinct pair the workers can stream, canonical (a < b) in
+    # local indices and, ``kept`` being ascending, in global ones.
+    pairs = [match.pair for match in master.finder.unique_pairs()]
+    ga, gb = np.asarray(kept, dtype=np.int64)[
+        np.array(pairs, dtype=np.int64).reshape(-1, 2).T]
+    alignments = align_columns(
+        EncodedStore.from_sequences(encoded), ga, gb,
+        scheme=blosum62_scheme() if scheme is None else scheme, mode="local",
+    )
+    passes_of = {
+        pair: master.overlaps(gi, gj, aln)
+        for pair, gi, gj, aln in zip(pairs, ga.tolist(), gb.tolist(), alignments)
+    }
 
     def execute_task(
         pair: tuple[int, int]
     ) -> tuple[tuple[tuple[int, int], bool], float]:
         gi, gj = kept[pair[0]], kept[pair[1]]
-        passes = master.overlaps(gi, gj, cache.local(gi, gj))
-        return (pair, passes), costs.alignment(len(encoded[gi]), len(encoded[gj]))
+        return (pair, passes_of[pair]), costs.alignment(len(encoded[gi]), len(encoded[gj]))
 
     def absorb_result(result: tuple[tuple[int, int], bool]) -> float:
         pair, passes = result

@@ -216,14 +216,15 @@ class PairStream:
         ia, ib = np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
         ia, ib = np.minimum(ia, ib), np.maximum(ia, ib)
         if self._cache is not None and len(ia):
-            hit = np.array([self._cache.peek(i, j) is not None
-                            for i, j in zip(ia.tolist(), ib.tolist())])
+            found = [self._cache.lookup(i, j)
+                     for i, j in zip(ia.tolist(), ib.tolist())]
+            hit = np.array([aln is not None for aln in found])
             if hit.any():
                 hit_a, hit_b = ia[hit], ib[hit]
                 self._phase.cache_hits += len(hit_a)
                 obs.count(f"runtime.pairs_done.{self._phase.name}", len(hit_a))
-                self._done.append((hit_a, hit_b, [self._cache.local(i, j)
-                    for i, j in zip(hit_a.tolist(), hit_b.tolist())]))
+                self._done.append(
+                    (hit_a, hit_b, [aln for aln in found if aln is not None]))
                 ia, ib = ia[~hit], ib[~hit]
         self._phase.tasks += len(ia)
         if not len(ia):

@@ -1179,14 +1179,29 @@ class TestAlignColumns:
 
 
 class TestCacheBatchSemantics:
-    """The pair stream in front of the cache == a per-pair loop of the
-    scalar accessors: same alignments, same hit/miss counters.  (Every
-    master dedups before it submits, so a key never repeats within one
-    chunk; reversed orientation and already-cached keys do occur.)"""
+    """The pair stream in front of the cache == a per-pair loop of cache
+    lookups and the scalar aligner: same alignments, same hit/miss
+    counters.  (Every master dedups before it submits, so a key never
+    repeats within one chunk; reversed orientation and already-cached
+    keys do occur.)"""
 
     @staticmethod
     def _fresh_cache(encoded):
         return AlignmentCache(lambda k: encoded[k], blosum62_scheme())
+
+    @staticmethod
+    def _per_pair(encoded, cache, pairs):
+        """Each pair looked up, and on a miss aligned alone by the
+        scalar aligner and inserted — canonical, sorted."""
+        out = []
+        for i, j in pairs:
+            i, j = min(i, j), max(i, j)
+            aln = cache.lookup(i, j)
+            if aln is None:
+                aln = local_align(encoded[i], encoded[j])
+                cache.insert(i, j, aln)
+            out.append((i, j, aln))
+        return sorted(out, key=lambda r: r[:2])
 
     @staticmethod
     def _through_stream(encoded, cache, pairs):
@@ -1213,14 +1228,11 @@ class TestCacheBatchSemantics:
         looped_cache = self._fresh_cache(encoded)
         for c in (streamed_cache, looped_cache):
             c.set_phase("prime")
-            for i, j in primed:
-                c.local(i, j)
+            self._per_pair(encoded, c, primed)
             c.set_phase("probe")
 
         streamed = self._through_stream(encoded, streamed_cache, batch)
-        looped = sorted(
-            (min(i, j), max(i, j), looped_cache.local(i, j)) for i, j in batch
-        )
+        looped = self._per_pair(encoded, looped_cache, batch)
 
         assert streamed == looped
         assert streamed_cache.stats() == looped_cache.stats()
@@ -1247,9 +1259,8 @@ class TestCacheBatchSemantics:
         looped_cache = self._fresh_cache(encoded)
         chunks = [pairs[:split], pairs[:split] + pairs[split:]]
         for chunk in chunks:
-            assert self._through_stream(encoded, streamed_cache, chunk) == sorted(
-                (min(i, j), max(i, j), looped_cache.local(i, j)) for i, j in chunk
-            )
+            assert self._through_stream(encoded, streamed_cache, chunk) == \
+                self._per_pair(encoded, looped_cache, chunk)
         assert streamed_cache.stats() == looped_cache.stats()
 
 

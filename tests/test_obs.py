@@ -76,11 +76,16 @@ class TestScientificCounterContract:
         assert simulated["sim.dense_subgraphs.virtual_seconds"] > 0.0
 
     def test_cache_counters_recorded_in_every_mode(self, mode_results):
+        """A backend run fills the cache and reads it; a simulated run
+        aligns in bulk beside it, so its ``cache.*`` counters are 0."""
         for mode, result in mode_results.items():
             counters = result.obs.counters()
             lookups = counters["cache.local_hits"] + counters["cache.local_misses"]
-            assert lookups > 0, mode
-            assert counters["cache.entries"] > 0, mode
+            if mode.startswith("sim-"):
+                assert lookups == counters["cache.entries"] == 0, mode
+            else:
+                assert lookups > 0, mode
+                assert counters["cache.entries"] > 0, mode
 
     def test_phase_spans_unified_across_modes(self, mode_results):
         expected = {"redundancy", "clustering", "bipartite", "dense_subgraphs"}

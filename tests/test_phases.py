@@ -14,10 +14,13 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.align import batch
 from repro.align.matrices import blosum62_scheme
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro.pace.cache import AlignmentCache
 from repro.align.predicates import overlaps
+from repro.pace import bipartite_gen, clustering
+from repro.pace.bipartite_gen import parallel_generate_component_graphs
 from repro.pace.clustering import parallel_component_detection
 from repro.pace import redundancy
 from repro.pace.densesub import parallel_dense_subgraph_detection
@@ -32,9 +35,26 @@ from repro.runtime.phases import (
 )
 from repro.shingle.algorithm import ShingleParams
 from repro.suffix.matches import MaximalMatchFinder
+from tests.scalar_align import local_align
 
 PSI = 10
 SMALL_SHINGLE = ShingleParams(s1=3, c1=60, s2=2, c2=25, seed=5)
+
+
+def _engine_calls(monkeypatch, phase_module) -> list[int]:
+    """The pair count of every ``align_columns`` call from now on,
+    whether ``phase_module`` calls it or an adapter in the engine's own
+    module does."""
+    calls: list[int] = []
+    engine = batch.align_columns
+
+    def counted(store, ia, ib, **kwargs):
+        calls.append(len(ia))
+        return engine(store, ia, ib, **kwargs)
+
+    monkeypatch.setattr(batch, "align_columns", counted)
+    monkeypatch.setattr(phase_module, "align_columns", counted, raising=False)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +102,6 @@ def small_metagenome_module():
 def session(small_metagenome_module, serial_session):
     """``(backend, cache)`` of a serial session over the module's input."""
     return serial_session(small_metagenome_module.sequences)
-
-
-@pytest.fixture(scope="module")
-def cache_module(session):
-    return session[1]
 
 
 class TestRedundancyRemoval:
@@ -205,7 +220,7 @@ class TestComponentDetection:
         assert members == sorted(rr_serial.kept)
 
     def test_components_equal_overlap_graph_components(
-        self, small_metagenome_module, cache_module, rr_serial, ccd_serial
+        self, small_metagenome_module, rr_serial, ccd_serial
     ):
         """The documented invariant: clusters == connected components of
         {promising pairs passing the overlap test} (networkx oracle)."""
@@ -221,7 +236,7 @@ class TestComponentDetection:
                 continue
             seen.add(m.pair)
             gi, gj = kept[m.pair[0]], kept[m.pair[1]]
-            aln = cache_module.local(gi, gj)
+            aln = local_align(encoded[gi], encoded[gj])
             if overlaps(aln, len(encoded[gi]), len(encoded[gj]), 0.30, 0.80):
                 g.add_edge(m.pair[0], m.pair[1])
         oracle = sorted(
@@ -238,17 +253,25 @@ class TestComponentDetection:
 
     @pytest.mark.parametrize("p", [1, 3, 6])
     def test_parallel_equals_serial(
-        self, small_metagenome_module, cache_module, rr_serial, ccd_serial, p
+        self, monkeypatch, small_metagenome_module, rr_serial, ccd_serial, p
     ):
+        """Same components at every p, from one engine call over every
+        distinct promising pair made before the simulation starts."""
+        calls = _engine_calls(monkeypatch, clustering)
         par = parallel_component_detection(
             small_metagenome_module.sequences,
             rr_serial.kept,
             VirtualCluster(p),
             psi=PSI,
-            cache=cache_module,
         )
+        assert len(calls) == 1
         assert par.components == ccd_serial.components
         assert par.n_promising_pairs == ccd_serial.n_promising_pairs
+        # The lagging filter of p > 1 admits up to every distinct pair;
+        # p == 1 admits exactly the serial backend's.
+        assert ccd_serial.n_alignments <= par.n_alignments <= calls[0]
+        if p == 1:
+            assert par.n_alignments == ccd_serial.n_alignments
 
     def test_families_not_merged(self, small_metagenome_module, ccd_serial):
         """Sequences from different planted families should not share a
@@ -370,20 +393,22 @@ class TestParallelBipartiteGeneration:
 
     @pytest.mark.parametrize("p", [1, 3, 6])
     def test_parallel_equals_serial(
-        self, small_metagenome_module, session, cache_module, components, p
+        self, monkeypatch, small_metagenome_module, session, components, p
     ):
-        from repro.pace.bipartite_gen import parallel_generate_component_graphs
-
+        """Same graphs at every p, from one engine call over every
+        component's distinct pairs made before the simulation starts."""
         serial = backend_generate_component_graphs(
             small_metagenome_module.sequences, components, *session
         )
+        calls = _engine_calls(monkeypatch, bipartite_gen)
         par = parallel_generate_component_graphs(
             small_metagenome_module.sequences,
             components,
             VirtualCluster(p),
-            cache=cache_module,
         )
+        assert calls == [serial.n_alignments]
         assert par.components == serial.components
+        assert par.n_alignments == serial.n_alignments
         assert par.n_edges == serial.n_edges
         assert par.neighbors == serial.neighbors
         for pg, sg in zip(par.graphs, serial.graphs):
@@ -397,47 +422,58 @@ class TestAlignmentCache:
     """Key canonicalisation and the per-phase hit/miss attribution."""
 
     @pytest.fixture()
-    def cache(self):
+    def encoded(self):
         rng = np.random.default_rng(42)
-        encoded = [
+        return [
             rng.integers(0, 20, size=n).astype(np.uint8)
             for n in (40, 60, 50)
         ]
+
+    @pytest.fixture()
+    def cache(self, encoded):
         return AlignmentCache(lambda k: encoded[k], blosum62_scheme())
 
-    def test_pair_key_is_orientation_invariant(self, cache):
-        first = cache.local(0, 1)
-        again = cache.local(1, 0)  # reversed request, same entry
-        assert again is first
+    @pytest.fixture()
+    def aln(self, encoded):
+        return local_align(encoded[0], encoded[1])
+
+    def test_pair_key_is_orientation_invariant(self, cache, aln):
+        cache.insert(0, 1, aln)
+        assert cache.lookup(1, 0) is aln  # reversed request, same entry
         stats = cache.stats()
         assert (stats["misses"], stats["hits"]) == (1, 1)
         assert len(cache) == 1
-        first = cache.local(2, 0)
-        assert cache.local(0, 2) is first
+        cache.insert(2, 0, aln)
+        assert cache.lookup(0, 2) is aln
         stats = cache.stats()
         assert (stats["misses"], stats["hits"]) == (2, 2)
 
-    def test_peek_and_insert_share_canonical_key(self, cache):
-        aln = cache.local(0, 1)
-        assert cache.peek(1, 0) is aln
-        assert cache.peek(0, 2) is None
+    def test_lookup_and_insert_share_canonical_key(self, cache, aln):
+        cache.insert(0, 1, aln)
+        assert cache.lookup(1, 0) is aln
+        before = cache.stats()
+        assert cache.lookup(0, 2) is None  # absent: no counter change
+        assert cache.stats() == before
         cache.insert(2, 0, aln)  # worker-computed, reversed
-        assert cache.local(0, 2) is aln
+        assert cache.lookup(0, 2) is aln
         stats = cache.stats()
-        assert (stats["misses"], stats["hits"]) == (2, 1)
+        assert (stats["misses"], stats["hits"]) == (2, 2)
 
-    def test_self_alignment_rejected(self, cache):
+    def test_self_alignment_rejected(self, cache, aln):
         with pytest.raises(ValueError, match="self-alignment"):
-            cache.local(1, 1)
+            cache.lookup(1, 1)
+        with pytest.raises(ValueError, match="self-alignment"):
+            cache.insert(1, 1, aln)
 
-    def test_by_phase_attribution(self, cache):
+    def test_by_phase_attribution(self, cache, aln):
         cache.set_phase("redundancy")
-        cache.local(0, 1)  # miss
+        cache.insert(0, 1, aln)  # miss
         cache.set_phase("clustering")
-        cache.local(1, 0)  # hit, attributed to clustering
-        cache.local(0, 2)  # miss
+        assert cache.lookup(1, 0) is aln  # hit, attributed to clustering
+        assert cache.lookup(0, 2) is None  # absent: counts nothing
+        cache.insert(0, 2, aln)  # miss
         cache.set_phase("")
-        cache.local(2, 0)  # hit, but untracked
+        assert cache.lookup(2, 0) is aln  # hit, but untracked
         stats = cache.stats()
         assert stats["by_phase"] == {
             "redundancy": {"hits": 0, "misses": 1},
@@ -446,18 +482,23 @@ class TestAlignmentCache:
         assert stats["hits"] == 2 and stats["misses"] == 2  # totals still global
         assert stats["hit_rate"] == 0.5 and stats["entries"] == 2
 
-    def test_record_observations_emits_phase_counters(self, mode_workload):
+    def test_record_observations_emits_phase_counters(
+        self, monkeypatch, mode_workload
+    ):
         """The run's ``cache.*`` counters are the cache's one dict,
-        written once as the run ends — a cache the caller passed in
+        written once as the run ends — a cache that enters the run
         (here with a hit and a miss of an earlier phase on it) reads the
         same from ``stats()`` and from the record."""
         sequences, config = mode_workload
         encoded = [record.encoded for record in sequences]
         cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         cache.set_phase("serve")
-        cache.local(0, 2)
-        cache.local(2, 0)
-        result = ProteinFamilyPipeline(config).run(sequences, cache=cache)
+        cache.insert(0, 2, local_align(encoded[0], encoded[2]))
+        cache.lookup(2, 0)
+        monkeypatch.setattr(
+            ProteinFamilyPipeline, "_make_cache", lambda self, sequences: cache
+        )
+        result = ProteinFamilyPipeline(config).run(sequences)
         counters = result.obs.counters()
         stats = cache.stats()
         assert counters["cache.phase.serve.hits"] == 1

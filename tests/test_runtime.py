@@ -46,6 +46,7 @@ from repro.runtime import (
     make_backend,
     runtime_info,
 )
+from tests.scalar_align import local_align
 
 
 @pytest.fixture(scope="module")
@@ -668,22 +669,25 @@ class TestCacheStats:
         sequences, config = workload
         encoded = [r.encoded for r in sequences]
         cache = AlignmentCache(lambda k: encoded[k], blosum62_scheme())
-        cache.local(0, 1)
-        cache.local(1, 0)  # canonical key: a hit
-        cache.local(0, 2)
+        aln = local_align(encoded[0], encoded[1])
+        cache.insert(0, 1, aln)
+        assert cache.lookup(1, 0) is aln  # canonical key: a hit
+        cache.insert(0, 2, aln)
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 2
         assert stats["entries"] == 2
         assert stats["hit_rate"] == pytest.approx(1 / 3)
 
-    def test_peek_and_insert(self, workload):
+    def test_lookup_and_insert(self, workload):
         sequences, config = workload
         encoded = [r.encoded for r in sequences]
         cache = AlignmentCache(lambda k: encoded[k], blosum62_scheme())
-        assert cache.peek(0, 1) is None
-        aln = cache.local(0, 1)
-        assert cache.peek(1, 0) is aln  # no counter change
-        assert cache.stats()["hits"] == 0
+        assert cache.lookup(0, 1) is None  # no counter change
+        assert cache.stats()["hits"] == cache.stats()["misses"] == 0
+        aln = local_align(encoded[0], encoded[1])
+        cache.insert(0, 1, aln)
+        assert cache.lookup(1, 0) is aln
+        assert cache.stats()["hits"] == 1
         cache.insert(0, 2, aln)
-        assert cache.peek(2, 0) is aln
+        assert cache.lookup(2, 0) is aln
         assert cache.stats()["misses"] == 2
