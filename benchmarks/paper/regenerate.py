@@ -360,18 +360,16 @@ def _fresh_cache(sequences) -> AlignmentCache:
 def _ccd_reference(sequences, variants):
     """CCD's core loop once per ``(order, use_filter)`` of ``variants``:
     ``(groups, pairs aligned)`` each.  Every distinct promising pair's
-    Definition 2 verdict comes from one local ``align_columns`` call."""
+    Definition 2 verdict comes from one local ``align_columns`` call and
+    one column ``overlaps``."""
     encoded = [r.encoded for r in sequences]
     matches = list(MaximalMatchFinder(encoded, min_length=10).matches())
     pairs = list(dict.fromkeys(m.pair for m in matches))
     ia, ib = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    alignments = align_columns(
-        EncodedStore.from_sequences(encoded), ia, ib, scheme=blosum62_scheme(), mode="local"
-    )
-    passes = {
-        (i, j): overlaps(aln, len(encoded[i]), len(encoded[j]), 0.30, 0.80)
-        for (i, j), aln in zip(pairs, alignments)
-    }
+    store = EncodedStore.from_sequences(encoded)
+    table = align_columns(store, ia, ib, scheme=blosum62_scheme(), mode="local")
+    ok = overlaps(table, store.lengths[ia], store.lengths[ib], 0.30, 0.80)
+    passes = dict(zip(pairs, ok.tolist()))
     out = []
     for order, use_filter in variants:
         stream = matches

@@ -1,7 +1,9 @@
 """Pairwise sequence alignment: one engine, two definitions — scoring,
 the batched DP and Myers kernels, and the paper's containment
 (Definition 1) and overlap (Definition 2) predicates over what they
-yield."""
+yield: the DP answers a ``(k, 8)`` int64 alignment table (``batch_align``
+names each row as an ``Alignment``) and each predicate reads whole
+columns of it."""
 
 from repro.align.matrices import (
     BLOSUM62,
@@ -26,7 +28,6 @@ from repro.align.predicates import (
     OVERLAP_SIMILARITY,
     contained,
     containment_stats,
-    containment_verdict,
     containment_verdicts,
     overlaps,
 )
@@ -51,7 +52,6 @@ __all__ = [
     "OVERLAP_SIMILARITY",
     "contained",
     "containment_stats",
-    "containment_verdict",
     "containment_verdicts",
     "overlaps",
     "KmerPrefilter",

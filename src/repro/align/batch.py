@@ -22,7 +22,9 @@ promising pairs into shared sweeps along two complementary axes:
    one-pair ``argmax`` rules, and :func:`_bucket_walk` walks every slot
    back in lockstep until too few are left for
    :func:`~repro.align.pairwise._traceback` — tie-breaking is
-   *identical*, not merely score-equivalent.
+   *identical*, not merely score-equivalent.  A call returns one
+   ``(k, 8)`` int64 table, a row per pair in the field order of
+   :class:`~repro.align.pairwise.Alignment`.
 
 2. **Bit-parallel Myers prefilter** (:func:`containment_columns`,
    :func:`batch_myers_infix`): a multi-word Myers (1999) bit-vector
@@ -283,10 +285,10 @@ def _bucket_walk(
     H: np.ndarray, store: "EncodedStore", ia: np.ndarray, ib: np.ndarray,
     codes: tuple[np.ndarray, np.ndarray], scheme: ScoringScheme,
     start_i: np.ndarray, start_j: np.ndarray, mode: str,
-) -> list[Alignment]:
+) -> list[tuple[int, ...]]:
     """Walk every slot of a bucket back at once; slot ``k``, sequences
     ``ia[k]`` and ``ib[k]`` of the store (``codes``: each side's
-    :func:`_slot_codes`), gets :func:`_traceback`'s Alignment from
+    :func:`_slot_codes`), gets :func:`_traceback`'s row from
     ``(start_i[k], start_j[k])``.
 
     A step reads, for every live slot at ``(i, j)``, the window ``h[r] =
@@ -300,7 +302,7 @@ def _bucket_walk(
     up move, else the left move, else is stuck; the step does the same.
     Once fewer than :data:`_WALK_MIN_SLOTS` slots are live (from the
     start, in a narrow bucket), the rest resume in :func:`_traceback`
-    over the store's views, which also builds every Alignment.
+    over the store's views, which also builds every row.
     """
     zeros = np.zeros_like(start_i)
     at = np.array([start_i, start_j, zeros, zeros], dtype=np.intp)
@@ -406,9 +408,11 @@ def _iter_buckets(
 def align_columns(
     store: "EncodedStore", ia: np.ndarray, ib: np.ndarray, *,
     scheme: ScoringScheme, mode: str,
-) -> list[Alignment]:
-    """The Alignment of sequences ``ia[r]`` and ``ib[r]`` of a store for
-    every row ``r``, equal (all dataclass fields) to the
+) -> np.ndarray:
+    """The alignments of sequences ``ia[r]`` and ``ib[r]`` of a store,
+    as one ``(k, 8)`` int64 table: row ``r`` is ``(score, a_start,
+    a_end, b_start, b_end, matches, length, gaps)`` and
+    ``Alignment(*row, mode=mode)`` equals (all dataclass fields) the
     ``tests/scalar_align.py`` aligner of that ``mode`` on the pair.
 
     The one bucket loop, :data:`DEFAULT_BUCKET` pairs at most a bucket.
@@ -417,13 +421,13 @@ def align_columns(
     once per store.
     """
     ia, ib = _index_columns(store, ia, ib)
+    table = np.zeros((len(ia), 8), dtype=np.int64)
     if not len(ia):
-        return []
+        return table
     store.check_codes(scheme.matrix.shape[1])
     m_arr, n_arr = store.lengths[ia], store.lengths[ib]
     obs.count("batch.pairs", len(ia))
     obs.count("batch.cells", batch_alignment_cells(zip(m_arr.tolist(), n_arr.tolist())))
-    out: list[Alignment | None] = [None] * len(ia)
     for members in _iter_buckets(m_arr, n_arr, DEFAULT_BUCKET):
         a, b = ia[members], ib[members]
         codes = _slot_codes(store, a), _slot_codes(store, b)
@@ -431,11 +435,9 @@ def align_columns(
         obs.count("batch.buckets")
         obs.count("batch.padded_cells", H.size)
         start_i, start_j = _bucket_endpoints(H, m_arr[members], n_arr[members], mode)
-        walked = _bucket_walk(H, store, a, b, codes, scheme, start_i, start_j, mode)
-        for k, aln in zip(members.tolist(), walked):
-            out[k] = aln
+        table[members] = _bucket_walk(H, store, a, b, codes, scheme, start_i, start_j, mode)
         del H  # the next fill must not allocate beside this bucket's H
-    return out  # type: ignore[return-value]
+    return table
 
 
 def _index_columns(
@@ -457,14 +459,16 @@ def batch_align(
     mode: str = "semiglobal",
 ) -> list[Alignment]:
     """:func:`align_columns` of a list of ``(a, b)`` encoded arrays, in
-    input order: the pairs are checked, their distinct arrays put in a
-    private store and its index columns aligned."""
+    input order, each row as its :class:`Alignment`: the pairs are
+    checked, their distinct arrays put in a private store and its index
+    columns aligned."""
     if mode not in ("global", "local", "semiglobal"):
         raise ValueError(f"unknown alignment mode {mode!r}")
     if scheme is None:
         scheme = blosum62_scheme()
     store, ia, ib = _pair_store(pairs)
-    return align_columns(store, ia, ib, scheme=scheme, mode=mode)
+    table = align_columns(store, ia, ib, scheme=scheme, mode=mode)
+    return [Alignment(*row, mode=mode) for row in table.tolist()]
 
 
 def _pair_store(
@@ -916,9 +920,8 @@ def containment_dp(
     obs.count("batch.dp_pairs", len(undecided))
     if len(undecided):
         a, b = np.asarray(ia)[undecided], np.asarray(ib)[undecided]
-        computed = align_columns(store, a, b, scheme=scheme, mode="semiglobal")
-        lengths = zip(store.lengths[a].tolist(), store.lengths[b].tolist())
-        stats[undecided] = [containment_stats(aln, *mn) for aln, mn in zip(computed, lengths)]
+        table = align_columns(store, a, b, scheme=scheme, mode="semiglobal")
+        stats[undecided] = containment_stats(table, store.lengths[a], store.lengths[b])
     return stats
 
 
@@ -946,7 +949,7 @@ def containment_columns(
        scheme proves the scalar optimum is the perfect diagonal, whose
        statistics are known in closed form.
     3. **Batched DP** — everything else runs through the bucket loop of
-       :func:`batch_align`, whose Alignments equal the scalar kernel's.
+       :func:`align_columns`, whose rows equal the scalar kernel's.
 
     Routes 1 and 2 are :func:`containment_prefilter`, route 3 is
     :func:`containment_dp`; a caller that times the two apart (the

@@ -1,14 +1,17 @@
-"""What an alignment is: the result record, the traceback, the cost unit.
+"""What an alignment is: the result row and its one-row view, the
+traceback, the cost unit.
 
 There is one DP engine, :mod:`repro.align.batch`; it fills many matrices
 a sweep and walks a wide bucket back in lockstep, handing the last few
 slots of a walk (and every slot of a narrow bucket) to the one-slot
 :func:`_traceback` below.  That walk consumes one diagonal run per step
 (one vector compare along ``H.diagonal``), resumes from wherever the
-bucket walk left a slot, and yields the exact statistics the paper's
-Definitions 1 and 2 threshold on (:mod:`repro.align.predicates`):
-identical-column count, alignment length, and the aligned span on each
-sequence.
+bucket walk left a slot, and yields one integer row of the exact
+statistics the paper's Definitions 1 and 2 threshold on
+(:mod:`repro.align.predicates`): identical-column count, alignment
+length, and the aligned span on each sequence.  The engine returns a
+``(k, 8)`` table of those rows; :class:`Alignment` names the fields of
+one.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from repro.align.matrices import ScoringScheme
 
 @dataclass(frozen=True)
 class Alignment:
-    """Result of one pairwise alignment.
+    """One row of the engine's alignment table, by name:
+    ``Alignment(*row, mode=mode)``.  The fields before ``mode`` are the
+    table's columns, in order.
 
     Spans are half-open on the original sequences: the aligned region of
     ``a`` is ``a[a_start:a_end]``.  ``length`` counts alignment columns
@@ -63,8 +68,10 @@ def _traceback(
     start_j: int,
     mode: str,
     at: tuple[int, int, int, int] | None = None,
-) -> Alignment:
-    """Walk back from (start_i, start_j) reconstructing column statistics.
+) -> tuple[int, int, int, int, int, int, int, int]:
+    """Walk back from (start_i, start_j) reconstructing column statistics:
+    the alignment's row ``(score, a_start, a_end, b_start, b_end,
+    matches, length, gaps)``.
 
     Moves are tried diagonal, up, left.  On one diagonal the walk keeps
     moving diagonally while ``H[q] == H[q-1] + sub[q]`` (and, local,
@@ -106,17 +113,8 @@ def _traceback(
         i = j = 0
     # Every column consumes a residue of a, of b, or (diagonal) of both.
     gaps = (start_i - i) + (start_j - j) - 2 * diagonal
-    return Alignment(
-        score=H.item(start_i, start_j),
-        a_start=i,
-        a_end=start_i,
-        b_start=j,
-        b_end=start_j,
-        matches=matches,
-        length=diagonal + gaps,
-        gaps=gaps,
-        mode=mode,
-    )
+    return (H.item(start_i, start_j), i, start_i, j, start_j, matches,
+            diagonal + gaps, gaps)
 
 
 def alignment_cells(a_len: int, b_len: int) -> int:

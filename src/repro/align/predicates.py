@@ -13,18 +13,18 @@ Definition 2 (overlap, connected-component detection): two sequences
 >= 80% of the *longer* sequence.
 
 Nothing here aligns.  The engine (:mod:`repro.align.batch`) produces the
-semiglobal optimum Definition 1 reads and the local optimum Definition 2
-reads; every phase, the serve path and the GOS baseline bring them here
-for the verdict, so a cutoff is compared in this module and nowhere
-else.  Both cutoffs are user-tunable software parameters (paper,
-footnote 3); the module constants are the paper's defaults.
+semiglobal optima Definition 1 reads and the local optima Definition 2
+reads, as one ``(k, 8)`` int64 table per call (columns: the fields of
+:class:`~repro.align.pairwise.Alignment`); every phase, the serve path
+and the GOS baseline bring whole columns here for the verdicts, so a
+cutoff is compared in this module and nowhere else.  Both cutoffs are
+user-tunable software parameters (paper, footnote 3); the module
+constants are the paper's defaults.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.align.pairwise import Alignment
 
 #: Paper defaults (Definitions 1 and 2).
 CONTAINMENT_SIMILARITY = 0.95
@@ -36,11 +36,20 @@ OVERLAP_COVERAGE = 0.80
 ContainmentStats = tuple[float, float, float]
 
 
-def containment_stats(aln: Alignment, len_a: int, len_b: int) -> ContainmentStats:
-    """What Definition 1 thresholds on, read off the overlap alignment
-    of ``a`` and ``b``.  One alignment answers both directions, which is
-    how redundancy removal avoids aligning each pair twice."""
-    return aln.identity, aln.coverage_a(len_a), aln.coverage_b(len_b)
+def containment_stats(table: np.ndarray, len_a: np.ndarray, len_b: np.ndarray) -> np.ndarray:
+    """What Definition 1 thresholds on, read off a table of overlap
+    alignments: one ``(identity, coverage of a, coverage of b)`` float64
+    row per alignment of sequences of lengths ``len_a[r]`` and
+    ``len_b[r]``.  One alignment answers both directions, which is how
+    redundancy removal avoids aligning each pair twice.
+
+    Each statistic is a quotient of two int64 columns, bit for bit
+    Python's ``x / n if n else 0.0``: a row's ``x`` is 0 wherever its
+    ``n`` is, so dividing by ``max(n, 1)`` answers 0.0 there."""
+    _, a_start, a_end, b_start, b_end, matches, length, _ = np.asarray(table).T
+    return np.column_stack((matches / np.maximum(length, 1),
+                            (a_end - a_start) / np.maximum(len_a, 1),
+                            (b_end - b_start) / np.maximum(len_b, 1)))
 
 
 def contained(
@@ -55,28 +64,6 @@ def contained(
     return similar & (coverage_a >= coverage), similar & (coverage_b >= coverage)
 
 
-def containment_verdict(
-    stats: ContainmentStats,
-    i: int,
-    j: int,
-    len_i: int,
-    len_j: int,
-    similarity: float,
-    coverage: float,
-) -> tuple[int, int] | None:
-    """The redundancy Definition 1 finds in pair ``(i, j)``: ``(victim,
-    survivor)``, or None.  Mutual containment drops the shorter (ties:
-    the higher index), so the verdict is per pair and order-free."""
-    i_in_j, j_in_i = contained(stats, similarity, coverage)
-    if i_in_j and j_in_i:
-        return (i, j) if (len_i, -i) < (len_j, -j) else (j, i)
-    if i_in_j:
-        return i, j
-    if j_in_i:
-        return j, i
-    return None
-
-
 def containment_verdicts(
     stats: np.ndarray,
     i: np.ndarray,
@@ -86,25 +73,27 @@ def containment_verdicts(
     similarity: float,
     coverage: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`containment_verdict` over columns: ``stats`` is ``(k, 3)``,
-    one ``(identity, coverage_i, coverage_j)`` row per pair ``(i[r],
-    j[r])`` of lengths ``(len_i[r], len_j[r])``.  Returns the
-    ``(victims, survivors)`` columns of the pairs that have a verdict,
-    in row order."""
+    """The redundancies Definition 1 finds: ``stats`` is ``(k, 3)``, one
+    ``(identity, coverage_i, coverage_j)`` row per pair ``(i[r], j[r])``
+    of lengths ``(len_i[r], len_j[r])``.  Returns the ``(victims,
+    survivors)`` columns of the pairs that have a verdict, in row order.
+    Mutual containment drops the shorter (ties: the higher index), so
+    each verdict is per pair and order-free."""
     i_in_j, j_in_i = contained(stats.T, similarity, coverage)
-    # Mutual containment drops the shorter, ties the higher index.
     i_loses = i_in_j & (~j_in_i | (len_i < len_j) | ((len_i == len_j) & (i > j)))
     rows = i_in_j | j_in_i
     return np.where(i_loses, i, j)[rows], np.where(i_loses, j, i)[rows]
 
 
 def overlaps(
-    aln: Alignment, len_i: int, len_j: int, similarity: float, coverage: float
-) -> bool:
-    """Definition 2 on the local alignment of two sequences of these
-    lengths.  The coverage requirement applies to the longer one."""
-    if aln.length == 0 or aln.identity < similarity:
-        return False
-    longer = max(len_i, len_j)
-    span = max(aln.a_end - aln.a_start, aln.b_end - aln.b_start)
-    return span / longer >= coverage
+    table: np.ndarray, len_a: np.ndarray, len_b: np.ndarray,
+    similarity: float, coverage: float,
+) -> np.ndarray:
+    """Definition 2, one boolean per row of a table of local alignments
+    of sequences of lengths ``len_a[r]`` and ``len_b[r]``.  The coverage
+    requirement applies to the longer one; an empty alignment never
+    passes."""
+    _, a_start, a_end, b_start, b_end, matches, length, _ = np.asarray(table).T
+    span = np.maximum(a_end - a_start, b_end - b_start)
+    return ((length > 0) & (matches / np.maximum(length, 1) >= similarity)
+            & (span / np.maximum(len_a, len_b) >= coverage))

@@ -112,12 +112,12 @@ def gos_cluster(
     ia, ib = ia[kept], ib[kept]
     result.n_alignments += len(ia)
     neighbors: dict[int, set[int]] = {i: set() for i in result.kept}
-    alignments = align_columns(store, ia, ib, scheme=scheme, mode="local")
-    for i, j, aln in zip(ia.tolist(), ib.tolist(), alignments):
-        if overlaps(aln, int(lengths[i]), int(lengths[j]),
-                    config.edge_similarity, config.edge_coverage):
-            neighbors[i].add(j)
-            neighbors[j].add(i)
+    table = align_columns(store, ia, ib, scheme=scheme, mode="local")
+    edge = overlaps(table, lengths[ia], lengths[ib],
+                    config.edge_similarity, config.edge_coverage)
+    for i, j in zip(ia[edge].tolist(), ib[edge].tolist()):
+        neighbors[i].add(j)
+        neighbors[j].add(i)
     result.neighbors = neighbors
     result.graph_edges = sum(len(v) for v in neighbors.values()) // 2
     # Full adjacency storage: 8 bytes per directed edge + per-vertex list.

@@ -1,7 +1,10 @@
 """Master-side memo of local alignments, shared across the phases of
 one runtime run.
 
-The cache holds one table, the local alignment per canonical pair.
+The cache holds one dict, the local alignment's row of the engine's
+``(k, 8)`` table (:func:`repro.align.batch.align_columns`) per
+canonical pair; a submit's hits go back as one ``(h, 8)`` table of
+those rows (:meth:`repro.runtime.base.PairStream.submit_columns`).
 Within one runtime run exactly one reuse happens: bipartite generation
 (BGG) asks for the local alignment of every intra-component promising
 pair, and CCD has already computed those it did not filter — the
@@ -27,7 +30,7 @@ as it comes back, whichever executor ran the task; workers themselves
 are cache-less.  Sharing the dict with workers would mean either
 per-worker private caches (no cross-worker reuse — repeats of a pair
 arrive in a *later phase*, on the master's critical path anyway) or
-pickling alignments through a synchronised shared dict, which costs
+pickling rows through a synchronised shared dict, which costs
 more than recomputing a few hundred DP cells.  Master-side placement
 keeps one authoritative memo, answers every repeat before it reaches
 the work queue, and leaves the workers stateless — which is also what
@@ -41,7 +44,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.align.matrices import ScoringScheme
-from repro.align.pairwise import Alignment
 
 
 class AlignmentCache:
@@ -72,7 +74,7 @@ class AlignmentCache:
         get_encoded: Callable[[int], np.ndarray],
         scheme: ScoringScheme,
     ):
-        self._table: dict[tuple[int, int], Alignment] = {}
+        self._table: dict[tuple[int, int], np.ndarray] = {}
         #: [hits, misses]
         self._counts = [0, 0]
         self._phase = ""
@@ -94,22 +96,22 @@ class AlignmentCache:
         if self._phase:
             self._by_phase.setdefault(self._phase, [0, 0])[0 if hit else 1] += 1
 
-    def lookup(self, i: int, j: int) -> Alignment | None:
-        """The stored alignment of pair (i, j), counted as a hit, or None
-        — an absent pair changes no counter: it is counted as a miss
-        when its computed alignment is :meth:`insert`-ed."""
-        aln = self._table.get(self._key(i, j))
-        if aln is not None:
+    def lookup(self, i: int, j: int) -> np.ndarray | None:
+        """The stored alignment row of pair (i, j), counted as a hit, or
+        None — an absent pair changes no counter: it is counted as a
+        miss when its computed row is :meth:`insert`-ed."""
+        row = self._table.get(self._key(i, j))
+        if row is not None:
             self._tally(hit=True)
-        return aln
+        return row
 
-    def insert(self, i: int, j: int, aln: Alignment) -> None:
-        """Store an externally computed alignment; counts as a miss.
+    def insert(self, i: int, j: int, row: np.ndarray) -> None:
+        """Store an externally computed alignment row; counts as a miss.
 
         The miss accounting reflects that the computation *happened*
         (in a runtime task) because the cache could not answer it.
         """
-        self._table[self._key(i, j)] = aln
+        self._table[self._key(i, j)] = row
         self._tally(hit=False)
 
     # -- statistics --------------------------------------------------------

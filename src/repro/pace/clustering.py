@@ -58,7 +58,6 @@ import numpy as np
 from repro import obs
 from repro.align.batch import align_columns
 from repro.align.matrices import ScoringScheme, blosum62_scheme
-from repro.align.pairwise import Alignment
 from repro.align.predicates import OVERLAP_COVERAGE, OVERLAP_SIMILARITY, overlaps
 from repro.graph.unionfind import UnionFind
 from repro.pace.costs import CostModel, bucket_generation
@@ -118,9 +117,9 @@ class ClusteringMaster:
     pairs are local indices into ``kept``), the transitive-closure
     admission filter with its counters, the union–find the verdicts
     merge into, and the result construction.
-    :func:`parallel_component_detection` plugs :meth:`admit`,
-    :meth:`overlaps` and :meth:`union` into the simulated master rank as
-    its callbacks;
+    :func:`parallel_component_detection` plugs :meth:`admit` and
+    :meth:`union` into the simulated master rank as its callbacks, after
+    one :meth:`overlaps` call has taken every pair's verdict;
     :func:`repro.runtime.phases.backend_component_detection` drives the
     same ``admit`` through :meth:`speculate` and :meth:`settle`, which
     need the verdicts only a batch at a time (module docstring).
@@ -138,6 +137,7 @@ class ClusteringMaster:
         max_pairs_per_node: int | None = None,
     ):
         self.encoded = [record.encoded for record in sequences]
+        self.lengths = np.array([len(e) for e in self.encoded], dtype=np.int64)
         self.kept = kept
         self.finder = MaximalMatchFinder(
             index.restrict(kept),
@@ -302,15 +302,11 @@ class ClusteringMaster:
                 pairs=len(batch), held=n_held, redecided=redecided,
             )
 
-    def overlaps(self, gi: int, gj: int, aln: Alignment) -> bool:
-        """Definition 2 on the local alignment of global pair (gi, gj)."""
-        return overlaps(
-            aln,
-            len(self.encoded[gi]),
-            len(self.encoded[gj]),
-            self.similarity,
-            self.coverage,
-        )
+    def overlaps(self, ia: np.ndarray, ib: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Definition 2 on the local alignment table of the global pairs
+        ``(ia[r], ib[r])``: one boolean per row."""
+        return overlaps(table, self.lengths[ia], self.lengths[ib],
+                        self.similarity, self.coverage)
 
     def union(self, pair: tuple[int, int]) -> bool:
         """Merge the clusters of a pair that passed; True when they were
@@ -360,9 +356,9 @@ def parallel_component_detection(
     paper's Table II scaling collapse — while leaving the components
     identical at every processor count.
     Every distinct promising pair's local alignment is one
-    :func:`~repro.align.batch.align_columns` call up front; a task
-    reads its pair's Definition 2 verdict and is charged
-    ``costs.alignment``.
+    :func:`~repro.align.batch.align_columns` call up front and its
+    Definition 2 verdict one column call; a task reads its pair's
+    verdict and is charged ``costs.alignment``.
     """
     costs = CostModel() if cost_model is None else cost_model
     master = ClusteringMaster(
@@ -380,14 +376,11 @@ def parallel_component_detection(
     pairs = [match.pair for match in master.finder.unique_pairs()]
     ga, gb = np.asarray(kept, dtype=np.int64)[
         np.array(pairs, dtype=np.int64).reshape(-1, 2).T]
-    alignments = align_columns(
+    table = align_columns(
         EncodedStore.from_sequences(encoded), ga, gb,
         scheme=blosum62_scheme() if scheme is None else scheme, mode="local",
     )
-    passes_of = {
-        pair: master.overlaps(gi, gj, aln)
-        for pair, gi, gj, aln in zip(pairs, ga.tolist(), gb.tolist(), alignments)
-    }
+    passes_of = dict(zip(pairs, master.overlaps(ga, gb, table).tolist()))
 
     def execute_task(
         pair: tuple[int, int]

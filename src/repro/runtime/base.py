@@ -78,8 +78,8 @@ class WorkerCrashError(BackendError):
 def run_task(body: tuple, store: EncodedStore, scheme: "ScoringScheme"):
     """Compute one task — the only statement of the runtime's work.
 
-    * ``("local", ia, ib)`` → one local
-      :class:`~repro.align.pairwise.Alignment` per pair
+    * ``("local", ia, ib)`` → the ``(k, 8)`` int64 table of local
+      alignments, one row per pair
       (:func:`~repro.align.batch.align_columns`);
     * ``("contain", similarity, coverage, ia, ib)`` → the ``(k, 3)``
       float64 rows ``(identity, coverage_i, coverage_j)``
@@ -90,7 +90,8 @@ def run_task(body: tuple, store: EncodedStore, scheme: "ScoringScheme"):
 
     A pair task's pairs are ``(ia[r], ib[r])``, two int64 columns of
     global sequence indices into ``store``, which every pair kind hands
-    the engine as they are: no list of pairs is built.  Serial
+    the engine as they are: no list of pairs is built, and a pair task
+    answers one array, the one object a worker pickles back.  Serial
     execution, a worker process and the process backend's in-master
     recovery all call this function, so a task's result cannot depend
     on where it ran.
@@ -179,22 +180,22 @@ class PairStream:
     back exactly once through :meth:`ready` (non-blocking) or
     :meth:`drain` (blocking flush), canonical (``ia[r] < ib[r]``), in
     one ``(ia, ib, results)`` triple per task, the triples in an
-    unspecified order.  ``results`` is a list of
-    :class:`~repro.align.pairwise.Alignment` for ``kind`` ``"local"``,
-    and for ``"contain"`` the ``(k, 3)`` float64
-    rows of Definition 1's ``(identity, coverage_i, coverage_j)``.  The
-    RR and bipartite drivers interleave :meth:`submit_columns` with
-    ``ready`` so verdicts are absorbed while tasks are out; the CCD
-    driver submits a batch and drains it.
+    unspecified order.  ``results`` is an array with a row per pair: the
+    ``(k, 8)`` int64 alignment table for ``kind`` ``"local"``
+    (:func:`~repro.align.batch.align_columns`), and for ``"contain"``
+    the ``(k, 3)`` float64 rows of Definition 1's ``(identity,
+    coverage_i, coverage_j)``.  The RR and bipartite drivers interleave
+    :meth:`submit_columns` with ``ready`` so verdicts are absorbed while
+    tasks are out; the CCD driver submits a batch and drains it.
 
     An alignment stream has the cache in front: a pair it already holds
     never becomes work, it is answered here — the hits of one submit as
-    a triple of their own — and counted once as a hit; every alignment
-    a task returns is inserted and counted once as a miss.  RR's
-    containment stream has no cache (``cache`` None): it never reads
-    the traceback, which is what lets the containment engine answer a
-    pair *proven* unable to pass with ``(0.0, 0.0, 0.0)`` and no
-    alignment at all, so every pair is work.  The misses of one
+    a triple of their own, their rows one ``(h, 8)`` table — and counted
+    once as a hit; every row a task returns is inserted and counted once
+    as a miss.  RR's containment stream has no cache (``cache`` None): it
+    never reads the traceback, which is what lets the containment engine
+    answer a pair *proven* unable to pass with ``(0.0, 0.0, 0.0)`` and
+    no alignment at all, so every pair is work.  The misses of one
     :meth:`submit_columns` call are one task.
     """
 
@@ -218,13 +219,13 @@ class PairStream:
         if self._cache is not None and len(ia):
             found = [self._cache.lookup(i, j)
                      for i, j in zip(ia.tolist(), ib.tolist())]
-            hit = np.array([aln is not None for aln in found])
+            hit = np.array([row is not None for row in found])
             if hit.any():
                 hit_a, hit_b = ia[hit], ib[hit]
                 self._phase.cache_hits += len(hit_a)
                 obs.count(f"runtime.pairs_done.{self._phase.name}", len(hit_a))
                 self._done.append(
-                    (hit_a, hit_b, [aln for aln in found if aln is not None]))
+                    (hit_a, hit_b, np.stack([row for row in found if row is not None])))
                 ia, ib = ia[~hit], ib[~hit]
         self._phase.tasks += len(ia)
         if not len(ia):
@@ -246,8 +247,8 @@ class PairStream:
         self._phase.busy_seconds += busy
         obs.count(f"runtime.pairs_done.{self._phase.name}", len(ia))
         if self._cache is not None:
-            for i, j, result in zip(ia.tolist(), ib.tolist(), results):
-                self._cache.insert(i, j, result)
+            for i, j, row in zip(ia.tolist(), ib.tolist(), results):
+                self._cache.insert(i, j, row)
         self._done.append((ia, ib, results))
 
     def ready(self) -> list[tuple[np.ndarray, np.ndarray, object]]:

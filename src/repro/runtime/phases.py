@@ -59,7 +59,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro import obs
-from repro.align.pairwise import Alignment
 from repro.align.predicates import (
     CONTAINMENT_COVERAGE,
     CONTAINMENT_SIMILARITY,
@@ -161,7 +160,7 @@ def backend_redundancy_removal(
     Definition 1 verdict in completion order.
 
     The stream yields ``(identity, coverage_i, coverage_j)`` statistics
-    rather than Alignments, so backends may answer pairs through the
+    rather than alignments, so backends may answer pairs through the
     batched engine's alignment-free fast paths; the scientific counters
     (``rr.pairs``/``rr.alignments``) still count every pair whose
     Definition 1 verdict was evaluated, regardless of compute route.
@@ -252,11 +251,10 @@ def backend_component_detection(
             # (i, j) is the submitted one; it answers in any order.
             a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
             stream.submit_columns(global_of[a], global_of[b])
-            verdict = {
-                (gi, gj): master.overlaps(gi, gj, aln)
-                for ia, ib, alns in stream.drain()
-                for gi, gj, aln in zip(ia.tolist(), ib.tolist(), alns)
-            }
+            verdict: dict[tuple[int, int], bool] = {}
+            for ia, ib, table in stream.drain():
+                ok = master.overlaps(ia, ib, table)
+                verdict.update(zip(zip(ia.tolist(), ib.tolist()), ok.tolist()))
             return [verdict[kept[x], kept[y]] for x, y in pairs]
 
         def merged(pair: tuple[int, int]) -> None:
@@ -348,10 +346,11 @@ def backend_generate_component_graphs(
                     a, b = master.admit(ci, block.seq_a, block.seq_b)
                     yield members[a], members[b]
 
-        def absorb(ia: np.ndarray, ib: np.ndarray, alns: list[Alignment]) -> None:
-            for gi, gj, aln in zip(ia.tolist(), ib.tolist(), alns):
-                if master.is_edge(gi, gj, aln):
-                    master.add_edge(int(component[gi]), int(local[gi]), int(local[gj]))
+        def absorb(ia: np.ndarray, ib: np.ndarray, table: np.ndarray) -> None:
+            edge = master.is_edge(ia, ib, table)
+            ia, ib = ia[edge], ib[edge]
+            for ci, li, lj in zip(component[ia].tolist(), local[ia].tolist(), local[ib].tolist()):
+                master.add_edge(ci, li, lj)
 
         stream = backend.alignment_stream(cache)
         for ia, ib in _column_chunks(admitted(), LOCAL_CHUNK):

@@ -23,8 +23,8 @@ This module is only the *placement* of that work:
   store (:mod:`repro.runtime.sharedseq` — written once, mapped
   zero-copy by every worker, never re-pickled; each worker builds its
   per-sequence Myers masks once a session), so a task message is index
-  pairs or columns and a result message their Alignments or statistic
-  rows;
+  columns and a result message one array: the alignment table or the
+  statistic rows;
 * ``_pump`` receives results and completes their ledger entries, which
   calls each task's sink exactly once; the RR and bipartite drivers
   interleave it with pair generation, the CCD driver drains a whole

@@ -76,7 +76,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro import obs
-from repro.align.predicates import containment_verdict
+from repro.align.predicates import containment_verdicts
 from repro.core.checkpoint import CheckpointJournal
 from repro.runtime.sharedseq import EncodedStore
 from repro.sequence.record import SequenceRecord
@@ -187,40 +187,38 @@ def plan_containment(
     sequence against every candidate, tie-break included.  The plan it
     returns is complete when the sequence is redundant; otherwise
     :func:`plan_overlaps` finishes it."""
-    new_encoded = record.encoded
     config = state.config
     new_idx = len(state.sequences)
-    len_new = len(new_encoded)
     redundant_pairs: list[list[int]] = []
     unions: list[list[int]] = []
     container: int | None = None
-    store = request_store(state, candidates, new_encoded)
-    containments = containment_sweep(state, store)
-    for rep, containment in zip(candidates, containments):
-        if containment is None:
-            continue  # the Myers bound proved both directions fail
-        # rep < new_idx always, so a mutual containment of equal lengths
-        # drops the new sequence.
-        verdict = containment_verdict(
-            containment, rep, new_idx, state.length(rep), len_new,
-            config.containment_similarity, config.containment_coverage,
-        )
-        if verdict is None:
-            continue
-        if verdict[0] == new_idx:
-            redundant_pairs.append([new_idx, rep])
+    store = request_store(state, candidates, record.encoded)
+    stats, rejected = containment_sweep(state, store)
+    # Every (representative, new sequence) row at once, in candidate
+    # order; a rejected row's (0, 0, 0) surrogate fails both ways.  rep
+    # < new_idx always, so a mutual containment of equal lengths drops
+    # the new sequence.
+    reps = np.asarray(candidates, dtype=np.int64)
+    victims, survivors = containment_verdicts(
+        stats, reps, np.full_like(reps, new_idx),
+        store.lengths[1:], np.full_like(reps, store.lengths[0]),
+        config.containment_similarity, config.containment_coverage,
+    )
+    for victim, survivor in zip(victims.tolist(), survivors.tolist()):
+        if victim == new_idx:
+            redundant_pairs.append([new_idx, survivor])
             if container is None:
                 # Join the first container's family (membership only);
                 # further containers just record the containment —
                 # unioning them would merge unrelated families, which
                 # batch RR never does.
-                container = rep
-                unions.append([new_idx, rep])
+                container = survivor
+                unions.append([new_idx, survivor])
         else:
             # The representative is contained in the new sequence.  Batch
             # RR would drop it from CCD; here it simply loses live
             # membership (and usually its representative slot).
-            redundant_pairs.append([rep, new_idx])
+            redundant_pairs.append([victim, new_idx])
     return InsertPlan(
         record=record,
         new_idx=new_idx,
@@ -228,7 +226,7 @@ def plan_containment(
         container=container,
         redundant_pairs=redundant_pairs,
         unions=unions,
-        n_alignments=sum(c is not None for c in containments),
+        n_alignments=int((~rejected).sum()),
         store=store,
     )
 

@@ -38,14 +38,9 @@ import numpy as np
 
 from repro import obs
 from repro.align.batch import align_columns, containment_dp, containment_prefilter
-from repro.align.predicates import ContainmentStats, overlaps
+from repro.align.predicates import overlaps
 from repro.runtime.sharedseq import EncodedStore
 from repro.serve.state import ServeState
-
-#: ``(identity, coverage of the representative, coverage of the new
-#: sequence)`` of one candidate's semiglobal optimum, or None when the
-#: Myers bound proved Definition 1 fails both ways (no alignment made).
-Containment = ContainmentStats | None
 
 
 def request_store(state: ServeState, candidates: Sequence[int],
@@ -58,14 +53,20 @@ def _cells(store: EncodedStore, rows: np.ndarray) -> int:
     return int(store.lengths[rows].sum()) * int(store.lengths[0])
 
 
-def containment_sweep(state: ServeState, store: EncodedStore) -> list[Containment]:
+def containment_sweep(
+    state: ServeState, store: EncodedStore
+) -> tuple[np.ndarray, np.ndarray]:
     """Definition 1 statistics of the request's new sequence against
     every candidate of its :func:`request_store`, in candidate order:
     one Myers sweep, then one semiglobal DP over the pairs it neither
-    rejected nor certified exact."""
+    rejected nor certified exact.  Returns the ``(k, 3)`` float64 rows
+    ``(identity, coverage of the representative, coverage of the new
+    sequence)`` and the ``rejected`` mask of the candidates the Myers
+    bound proved fail both ways (no alignment made; their rows are the
+    ``(0.0, 0.0, 0.0)`` surrogate)."""
     reps = np.arange(1, len(store))
     if not len(reps):
-        return []
+        return np.zeros((0, 3)), np.zeros(0, dtype=bool)
     config = state.config
     new = np.zeros_like(reps)
     with obs.span("myers_reject", cat="stage", pairs=len(reps)):
@@ -84,8 +85,7 @@ def containment_sweep(state: ServeState, store: EncodedStore) -> list[Containmen
     obs.count("serve.myers_rejects", len(reps) - len(aligned))
     obs.count("serve.alignments", len(aligned))
     obs.count("serve.dp_cells", _cells(store, aligned))
-    return [None if out else tuple(row)
-            for out, row in zip(prefilter.rejected.tolist(), stats.tolist())]
+    return stats, prefilter.rejected
 
 
 def overlap_sweep(
@@ -98,12 +98,11 @@ def overlap_sweep(
         return []
     config = state.config
     reps = np.asarray(picks, dtype=np.int64) + 1
+    new = np.zeros_like(reps)
     cells = _cells(store, reps)
     with obs.span("dp", cat="stage", pairs=len(reps), cells=cells):
-        alignments = align_columns(store, reps, np.zeros_like(reps),
-                                   scheme=config.scheme, mode="local")
+        table = align_columns(store, reps, new, scheme=config.scheme, mode="local")
     obs.count("serve.alignments", len(reps))
     obs.count("serve.dp_cells", cells)
-    len_new = int(store.lengths[0])
-    return [overlaps(aln, length, len_new, config.overlap_similarity, config.overlap_coverage)
-            for aln, length in zip(alignments, store.lengths[reps].tolist())]
+    return overlaps(table, store.lengths[reps], store.lengths[new],
+                    config.overlap_similarity, config.overlap_coverage).tolist()

@@ -10,7 +10,15 @@ hands narrow work to.  They *define* every ``Alignment`` field and both
 verdicts, so ``test_batch_align.py`` and ``test_traceback.py`` hold
 ``repro.align.batch`` to them field for field, ``test_align.py`` holds
 them to a pure-Python DP, and ``scalar_serve.py`` builds the
-candidate-at-a-time request loops on them.  The functions are verbatim.
+candidate-at-a-time request loops on them.  The functions are verbatim
+but for one thing: ``_traceback`` now answers the engine's table row,
+which the aligners name as an ``Alignment``.
+
+:func:`containment_verdict` is the one-pair Definition 1 verdict
+``src/`` kept until the column form
+(``repro.align.predicates.containment_verdicts``) replaced its last
+caller, and :func:`alignment_table` turns oracle ``Alignment`` objects
+into the ``(k, 8)`` table the column predicates read.
 
 Beside them, :func:`infix_distance_oracle` is the O(mn) definition the
 Myers kernel (``repro.align.batch.batch_myers_infix``) must equal; it
@@ -19,6 +27,8 @@ are checked against the definition, not against the code under test.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -29,6 +39,8 @@ from repro.align.predicates import (
     CONTAINMENT_SIMILARITY,
     OVERLAP_COVERAGE,
     OVERLAP_SIMILARITY,
+    ContainmentStats,
+    contained,
 )
 
 
@@ -93,7 +105,7 @@ def global_align(
     a = _as_encoded(a)
     b = _as_encoded(b)
     H = _fill(a, b, scheme, "global")
-    return _traceback(H, a, b, scheme, len(a), len(b), "global")
+    return Alignment(*_traceback(H, a, b, scheme, len(a), len(b), "global"), mode="global")
 
 
 def local_align(
@@ -107,7 +119,7 @@ def local_align(
     H = _fill(a, b, scheme, "local")
     flat = int(np.argmax(H))
     start_i, start_j = divmod(flat, H.shape[1])
-    return _traceback(H, a, b, scheme, start_i, start_j, "local")
+    return Alignment(*_traceback(H, a, b, scheme, start_i, start_j, "local"), mode="local")
 
 
 def semiglobal_align(
@@ -131,7 +143,7 @@ def semiglobal_align(
         start_i, start_j = m, last_row_j
     else:
         start_i, start_j = last_col_i, n
-    return _traceback(H, a, b, scheme, start_i, start_j, "semiglobal")
+    return Alignment(*_traceback(H, a, b, scheme, start_i, start_j, "semiglobal"), mode="semiglobal")
 
 
 def containment_test(
@@ -180,6 +192,35 @@ def overlap_test(
     longer = max(len(a), len(b))
     span = max(aln.a_end - aln.a_start, aln.b_end - aln.b_start)
     return span / longer >= coverage, aln
+
+
+def containment_verdict(
+    stats: ContainmentStats,
+    i: int,
+    j: int,
+    len_i: int,
+    len_j: int,
+    similarity: float,
+    coverage: float,
+) -> tuple[int, int] | None:
+    """The redundancy Definition 1 finds in pair ``(i, j)``: ``(victim,
+    survivor)``, or None.  Mutual containment drops the shorter (ties:
+    the higher index), so the verdict is per pair and order-free."""
+    i_in_j, j_in_i = contained(stats, similarity, coverage)
+    if i_in_j and j_in_i:
+        return (i, j) if (len_i, -i) < (len_j, -j) else (j, i)
+    if i_in_j:
+        return i, j
+    if j_in_i:
+        return j, i
+    return None
+
+
+def alignment_table(alignments) -> np.ndarray:
+    """``Alignment`` objects as the engine's ``(k, 8)`` int64 table:
+    every field but ``mode``, in order."""
+    rows = [dataclasses.astuple(aln)[:-1] for aln in alignments]
+    return np.array(rows, dtype=np.int64).reshape(-1, 8)
 
 
 def infix_distance_oracle(pattern, text) -> int:

@@ -9,14 +9,15 @@ the one-pair kernels — the scalar ``semiglobal_align`` and
 already merged.  It *defines* every journaled decision and every
 per-request ``serve.*`` counter of a plan — and so of a classification,
 which is a plan never committed — so ``test_serve_sweeps.py`` holds the
-staged planner to it.  The loop is verbatim but for four things: the
+staged planner to it.  The loop is verbatim but for five things: the
 reject bound reads the O(mn) infix distance
 (``scalar_align.infix_distance_oracle``) where the loop ran a Myers
 sweep for a batch of one, so no Myers code decides an oracle verdict;
 nothing is kept for a cache to be seeded with; the stage spans are gone
-(the oracle defines counts, not timings); and the applied decisions
+(the oracle defines counts, not timings); the applied decisions
 (``serve.redundant`` / ``serve.merges``) are counted by the commit, not
-here.
+here; and Definition 2 reads the alignment as the one-row table the
+column ``overlaps`` takes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,12 @@ from repro.align.predicates import overlaps
 from repro.sequence.record import SequenceRecord
 from repro.serve.incremental import InsertPlan
 from repro.serve.state import ServeState
-from tests.scalar_align import infix_distance_oracle, local_align, semiglobal_align
+from tests.scalar_align import (
+    alignment_table,
+    infix_distance_oracle,
+    local_align,
+    semiglobal_align,
+)
 
 
 def myers_rejects_containment(
@@ -148,12 +154,12 @@ def plan_insert(state: ServeState, seq_id: str, residues: str) -> InsertPlan:
             n_alignments += 1
             obs.count("serve.alignments")
             if overlaps(
-                aln,
-                state.length(rep),
-                len_new,
+                alignment_table([aln]),
+                np.array([state.length(rep)]),
+                np.array([len_new]),
                 config.overlap_similarity,
                 config.overlap_coverage,
-            ):
+            )[0]:
                 merged_roots.add(state.uf.root(rep))
                 unions.append([new_idx, rep])
 

@@ -14,18 +14,23 @@ from repro.align.matrices import (
     blosum62_scheme,
     identity_scheme,
 )
+from repro.align.batch import align_columns
 from repro.align.pairwise import Alignment, alignment_cells
 from repro.align.predicates import (
+    OVERLAP_COVERAGE,
+    OVERLAP_SIMILARITY,
     contained,
     containment_stats,
-    containment_verdict,
     containment_verdicts,
     overlaps,
 )
+from repro.runtime.sharedseq import EncodedStore
 from repro.sequence.alphabet import encode
 from tests.scalar_align import (
     _fill,
+    alignment_table,
     containment_test,
+    containment_verdict,
     global_align,
     infix_distance_oracle,
     local_align,
@@ -272,19 +277,28 @@ class TestPredicates:
         "myers_surrogate": ((0.0, 0.0, 0.0), 80, 90, None),
     }
 
+    @staticmethod
+    def _one_row(stats, i, j, len_i, len_j):
+        """:func:`containment_verdicts` of one pair: ``(victim,
+        survivor)`` or None."""
+        victims, survivors = containment_verdicts(
+            np.array([stats]), np.array([i]), np.array([j]),
+            np.array([len_i]), np.array([len_j]), 0.95, 0.95)
+        return next(zip(victims.tolist(), survivors.tolist()), None)
+
     @pytest.mark.parametrize("row", list(VERDICTS))
     def test_containment_verdict_table(self, row):
         stats, len_i, len_j, expected = self.VERDICTS[row]
-        assert containment_verdict(stats, 3, 7, len_i, len_j, 0.95, 0.95) == expected
+        assert self._one_row(stats, 3, 7, len_i, len_j) == expected
         # Order-free: the pair stated the other way round names the same two.
         swapped = (stats[0], stats[2], stats[1])
-        assert containment_verdict(swapped, 7, 3, len_j, len_i, 0.95, 0.95) == expected
+        assert self._one_row(swapped, 7, 3, len_j, len_i) == expected
         i_in_j, j_in_i = contained(stats, 0.95, 0.95)
         assert (i_in_j or j_in_i) == (expected is not None)
 
     def test_column_verdicts_are_the_pair_verdicts(self):
         """``containment_verdicts`` names, row for row, what the one-pair
-        verdict names: the table's rows both ways round, then a grid of
+        verdict (``tests/scalar_align.py``) names: the table's rows both ways round, then a grid of
         statistics on and around the cutoffs, near-equal lengths and
         both index orders (the tie-break's three inputs)."""
         rows = [(stats, 3, 7, li, lj) for stats, li, lj, _ in self.VERDICTS.values()]
@@ -305,36 +319,67 @@ class TestPredicates:
     def test_containment_stats_read_the_alignment(self):
         aln = Alignment(score=0, a_start=2, a_end=20, b_start=0, b_end=19,
                         matches=18, length=20, gaps=3, mode="semiglobal")
-        assert containment_stats(aln, 20, 38) == (0.9, 0.9, 0.5)
+        stats = containment_stats(alignment_table([aln]), np.array([20]), np.array([38]))
+        assert stats.dtype == np.float64 and stats.tolist() == [[0.9, 0.9, 0.5]]
 
     def test_predicates_agree_with_the_aligning_oracle(self):
         inner = encode("ARNDCQEGHILKMFPSTWYV")
         outer = encode("WW" + "ARNDCQEGHILKMFPSTWYV" + "KK")
         for a, b in ((inner, outer), (outer, inner), (inner, inner.copy())):
             a_in_b, b_in_a, aln = containment_test(a, b)
-            stats = containment_stats(aln, len(a), len(b))
-            assert contained(stats, 0.95, 0.95) == (a_in_b, b_in_a)
+            stats = containment_stats(alignment_table([aln]), len(a), len(b))
+            verdicts = contained(stats.T, 0.95, 0.95)
+            assert [column.tolist() for column in verdicts] == [[a_in_b], [b_in_a]]
             ok, local = overlap_test(a, b)
-            assert overlaps(local, len(a), len(b), 0.30, 0.80) == ok
+            assert overlaps(alignment_table([local]), len(a), len(b), 0.30, 0.80).tolist() == [ok]
 
     @staticmethod
-    def _local(a_span: int, b_span: int, matches: int) -> Alignment:
+    def _local(a_span: int, b_span: int, matches: int) -> np.ndarray:
+        """A one-row table of a local alignment with these spans."""
         length = max(a_span, b_span)
-        return Alignment(score=1, a_start=0, a_end=a_span, b_start=0, b_end=b_span,
-                         matches=matches, length=length, gaps=abs(a_span - b_span),
-                         mode="local")
+        return alignment_table([Alignment(
+            score=1, a_start=0, a_end=a_span, b_start=0, b_end=b_span,
+            matches=matches, length=length, gaps=abs(a_span - b_span), mode="local")])
 
     def test_overlap_empty_alignment_never_passes(self):
-        assert not overlaps(self._local(0, 0, 0), 10, 10, 0.0, 0.0)
+        assert overlaps(self._local(0, 0, 0), 10, 10, 0.0, 0.0).tolist() == [False]
 
     def test_overlap_span_is_taken_on_the_longer_side(self):
         # 8 residues of a against 10 of b: 10/12 of the longer passes 80%
         # where a's own 8/12 would not; against a 13-residue b it fails.
         aln = self._local(8, 10, 8)
-        assert overlaps(aln, 10, 12, 0.30, 0.80)
-        assert overlaps(aln, 12, 10, 0.30, 0.80)
-        assert not overlaps(aln, 10, 13, 0.30, 0.80)
-        assert not overlaps(aln, 10, 12, 0.81, 0.80)  # identity 8/10
+        assert overlaps(aln, 10, 12, 0.30, 0.80).tolist() == [True]
+        assert overlaps(aln, 12, 10, 0.30, 0.80).tolist() == [True]
+        assert overlaps(aln, 10, 13, 0.30, 0.80).tolist() == [False]
+        assert overlaps(aln, 10, 12, 0.81, 0.80).tolist() == [False]  # identity 8/10
+
+    def test_column_overlaps_are_the_pair_test(self, tiny_metagenome):
+        """One ``overlaps`` call over one local ``align_columns`` table
+        answers, row for row, what ``overlap_test`` answers a pair at a
+        time: every ordered pair of generated sequences and of pairs
+        built for the edges — empty local alignments (no residue pair
+        scores above zero) and a 20-residue core inside a 25-residue
+        sequence (span exactly 0.80 of the longer: passes) or a 26-residue
+        one (fails), the longer on either side."""
+        core = "ARNDCQEGHILKMFPSTWYV"
+        seqs = [r.encoded for r in tiny_metagenome.sequences][:10]
+        seqs += [encode(core), encode(core + "P" * 5), encode(core + "P" * 6),
+                 encode("WWWW"), encode("CCCC")]
+        ia, ib = np.array([(a, b) for a in range(len(seqs)) for b in range(len(seqs))
+                           if a != b]).T
+        store = EncodedStore.from_sequences(seqs)
+        table = align_columns(store, ia, ib, scheme=blosum62_scheme(), mode="local")
+        got = overlaps(table, store.lengths[ia], store.lengths[ib],
+                       OVERLAP_SIMILARITY, OVERLAP_COVERAGE)
+        expected = [overlap_test(seqs[a], seqs[b])[0] for a, b in zip(ia.tolist(), ib.tolist())]
+        assert got.dtype == bool and got.tolist() == expected
+        # The edges are in the set: empty alignments, and 0.80 exactly
+        # passing with the longer sequence on either side.
+        span = np.maximum(table[:, 2] - table[:, 1], table[:, 4] - table[:, 3])
+        on_edge = span / np.maximum(store.lengths[ia], store.lengths[ib]) == OVERLAP_COVERAGE
+        longer_b = store.lengths[ib] > store.lengths[ia]
+        assert got[on_edge & longer_b].any() and got[on_edge & ~longer_b].any()
+        assert (table[:, 6] == 0).any() and any(expected) and not all(expected)
 
 
 class TestAlignmentCells:

@@ -53,14 +53,14 @@ from repro.align.matrices import (
     blosum62_scheme,
     identity_scheme,
 )
-from repro.align.pairwise import _traceback, batch_alignment_cells
+from repro.align.pairwise import Alignment, _traceback, batch_alignment_cells
 from repro.pace.cache import AlignmentCache
 from repro.runtime import SerialBackend
 from repro.runtime.sharedseq import EncodedStore
 from repro.sequence.alphabet import encode
-from repro.align.predicates import containment_stats
 from tests.scalar_align import (
     _fill,
+    alignment_table,
     containment_test,
     global_align,
     infix_distance_oracle,
@@ -523,7 +523,7 @@ class TestBucketWalk:
     def test_any_start_cells_equal_the_one_slot_walk(self, pairs, seed, mode, scheme_idx):
         """Start cells anywhere in each slot's real submatrix, on the
         fill's own H (padding not zeroed): slot by slot, _traceback's
-        Alignment."""
+        row."""
         scheme = SCHEMES[scheme_idx]
         rng = np.random.default_rng(seed)
         start_i = np.array([rng.integers(0, len(a) + 1) for a, _ in pairs])
@@ -1042,10 +1042,9 @@ class TestContainmentColumns:
             a_in_b, b_in_a, aln = containment_test(seqs[a], seqs[b], **kwargs)
             assert (ident >= 0.95 and cov_a >= 0.95,
                     ident >= 0.95 and cov_b >= 0.95) == (a_in_b, b_in_a)
-            if k in undecided:
-                assert (ident, cov_a, cov_b) == containment_stats(
-                    semiglobal_align(seqs[a], seqs[b], scheme),
-                    len(seqs[a]), len(seqs[b]))
+            if k in undecided:  # the column arithmetic is Python's, bit for bit
+                assert (ident, cov_a, cov_b) == (
+                    aln.identity, aln.coverage_a(len(seqs[a])), aln.coverage_b(len(seqs[b])))
         counters = recorder.counters()
         assert counters.get("batch.pairs", 0) == n_pairs
         assert counters.get("batch.dp_pairs", 0) == len(undecided)
@@ -1112,9 +1111,10 @@ def recorded(run):
 
 
 class TestAlignColumns:
-    """The DP over index columns of a store: every Alignment is the
-    scalar kernel's, and a list of the same arrays through
-    ``batch_align`` fills the same buckets."""
+    """The DP over index columns of a store: one int64 ``(k, 8)`` table
+    whose every row, as an Alignment, is the scalar kernel's, and a list
+    of the same arrays through ``batch_align`` fills the same buckets
+    and names the same rows."""
 
     @given(
         lengths=st.lists(st.integers(1, 120), min_size=1, max_size=10),
@@ -1135,8 +1135,10 @@ class TestAlignColumns:
         store = EncodedStore.from_sequences(seqs)
         ia = rng.integers(0, len(seqs), n_pairs)
         ib = rng.integers(0, len(seqs), n_pairs)
-        columns, counted = recorded(
+        table, counted = recorded(
             lambda: align_columns(store, ia, ib, scheme=scheme, mode=mode))
+        assert table.dtype == np.int64 and table.shape == (n_pairs, 8)
+        columns = [Alignment(*row, mode=mode) for row in table.tolist()]
         pairs = [(seqs[a], seqs[b]) for a, b in zip(ia.tolist(), ib.tolist())]
         assert columns == [SCALAR[mode](a, b, scheme) for a, b in pairs]
         assert recorded(lambda: batch_align(pairs, scheme, mode)) == (columns, counted)
@@ -1145,9 +1147,10 @@ class TestAlignColumns:
     def test_empty_columns(self):
         store = EncodedStore.from_sequences([encode("WCHW")])
         no_rows = np.zeros(0, dtype=np.int64)
-        assert recorded(lambda: align_columns(
-            store, no_rows, no_rows, scheme=blosum62_scheme(), mode="local")) == (
-            [], dict.fromkeys(BUCKET_COUNTERS, 0))
+        table, counted = recorded(lambda: align_columns(
+            store, no_rows, no_rows, scheme=blosum62_scheme(), mode="local"))
+        assert table.dtype == np.int64 and table.shape == (0, 8)
+        assert counted == dict.fromkeys(BUCKET_COUNTERS, 0)
 
     def test_entry_checks(self):
         """A code outside the matrix, an index outside the store or
@@ -1180,7 +1183,7 @@ class TestAlignColumns:
 
 class TestCacheBatchSemantics:
     """The pair stream in front of the cache == a per-pair loop of cache
-    lookups and the scalar aligner: same alignments, same hit/miss
+    lookups and the scalar aligner: same alignment rows, same hit/miss
     counters.  (Every master dedups before it submits, so a key never
     repeats within one chunk; reversed orientation and already-cached
     keys do occur.)"""
@@ -1192,15 +1195,15 @@ class TestCacheBatchSemantics:
     @staticmethod
     def _per_pair(encoded, cache, pairs):
         """Each pair looked up, and on a miss aligned alone by the
-        scalar aligner and inserted — canonical, sorted."""
+        scalar aligner and its row inserted — canonical, sorted."""
         out = []
         for i, j in pairs:
             i, j = min(i, j), max(i, j)
-            aln = cache.lookup(i, j)
-            if aln is None:
-                aln = local_align(encoded[i], encoded[j])
-                cache.insert(i, j, aln)
-            out.append((i, j, aln))
+            row = cache.lookup(i, j)
+            if row is None:
+                row = alignment_table([local_align(encoded[i], encoded[j])])[0]
+                cache.insert(i, j, row)
+            out.append((i, j, row.tolist()))
         return sorted(out, key=lambda r: r[:2])
 
     @staticmethod
@@ -1211,8 +1214,8 @@ class TestCacheBatchSemantics:
             stream = backend.alignment_stream(cache)
             stream.submit_columns(*np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
             return sorted(
-                ((i, j, aln) for ia, ib, alns in stream.drain()
-                 for i, j, aln in zip(ia.tolist(), ib.tolist(), alns)),
+                ((i, j, row) for ia, ib, table in stream.drain()
+                 for i, j, row in zip(ia.tolist(), ib.tolist(), table.tolist())),
                 key=lambda r: r[:2])
 
     def test_mixed_batch_counters_match_per_pair_loop(self):

@@ -46,7 +46,7 @@ from repro.align.predicates import (
     CONTAINMENT_SIMILARITY,
     OVERLAP_COVERAGE,
     OVERLAP_SIMILARITY,
-    containment_verdict,
+    containment_verdicts,
 )
 from repro.pace.cache import AlignmentCache
 from repro.suffix.suffix_array import GeneralizedSuffixArray
@@ -159,7 +159,8 @@ def scalar_masters(monkeypatch):
 def reference_rr(sequences, backend, cache):
     """RR as a set of seen pairs over the scalar walk, each first
     sighting counted as it is made and its verdict drawn one pair at a
-    time by the scalar Definition 1; the stream is fed the same chunks."""
+    time by Definition 1 on a one-row column; the stream is fed the same
+    chunks."""
     master = RedundancyMaster(
         sequences, backend.index, psi=PSI, similarity=CONTAINMENT_SIMILARITY,
         coverage=CONTAINMENT_COVERAGE,
@@ -170,13 +171,12 @@ def reference_rr(sequences, backend, cache):
     containments: list[tuple[int, int]] = []
 
     def absorb(ia, ib, stats):
-        for i, j, row in zip(ia.tolist(), ib.tolist(), stats.tolist()):
-            verdict = containment_verdict(
-                tuple(row), i, j, lengths[i], lengths[j],
+        for i, j, row in zip(ia.tolist(), ib.tolist(), stats):
+            victims, survivors = containment_verdicts(
+                row[None], i, j, lengths[i], lengths[j],
                 CONTAINMENT_SIMILARITY, CONTAINMENT_COVERAGE,
             )
-            if verdict is not None:
-                containments.append(verdict)
+            containments.extend(zip(victims.tolist(), survivors.tolist()))
 
     with backend.phase("redundancy"):
         stream = backend.containment_stream(
@@ -220,10 +220,11 @@ def reference_ccd(sequences, kept, backend, cache, journal=None, replay_unions=(
     for gi, gj in replay_unions:
         master.uf.union(local_of[gi], local_of[gj])
 
-    def absorb(ia, ib, alns):
-        for gi, gj, aln in zip(ia.tolist(), ib.tolist(), alns):
+    def absorb(ia, ib, table):
+        passes = master.overlaps(ia, ib, table).tolist()
+        for gi, gj, ok in zip(ia.tolist(), ib.tolist(), passes):
             if (
-                master.overlaps(gi, gj, aln)
+                ok
                 and master.union((local_of[gi], local_of[gj]))
                 and journal is not None
             ):
@@ -259,9 +260,10 @@ def reference_bgg(sequences, components, backend, cache):
     }
     seen: set[tuple[int, int, int]] = set()
 
-    def absorb(ia, ib, alns):
-        for gi, gj, aln in zip(ia.tolist(), ib.tolist(), alns):
-            if master.is_edge(gi, gj, aln):
+    def absorb(ia, ib, table):
+        edges = master.is_edge(ia, ib, table).tolist()
+        for gi, gj, edge in zip(ia.tolist(), ib.tolist(), edges):
+            if edge:
                 ci, li = position[gi]
                 master.add_edge(ci, li, position[gj][1])
 

@@ -9,10 +9,11 @@ and everything but the number of tasks must agree with it: the result,
 every other counter, the journaled unions, and the submitted pairs (as
 a multiset; as a sequence while no verdict fails).
 
-Most runs here pay for no DP: the backend answers ``None`` for every
-alignment and ``ClusteringMaster.overlaps`` is patched to a verdict
-that is a pure function of the pair, failing a chosen share of them —
-which is what drives the fix-up walk after a failed verdict.  A handful
+Most runs here pay for no DP: the backend answers a table of zero rows
+for every task and ``ClusteringMaster.overlaps`` is patched to a
+verdict column that is a pure function of each pair, failing a chosen
+share of them — which is what drives the fix-up walk after a failed
+verdict.  A handful
 of real twilight-zone inputs (identity 0.30–0.55, fragments, ψ = 5)
 then do the same with Definition 2 itself.
 """
@@ -47,21 +48,26 @@ TASK_COUNTERS = ("runtime.heartbeats",)
 
 
 class VerdictOnlyBackend(SerialBackend):
-    """Answers every alignment with ``None``, for runs whose verdicts are
-    patched in: the whole runtime path but the DP."""
+    """Answers every alignment with a zero row, for runs whose verdicts
+    are patched in: the whole runtime path but the DP."""
 
     def _dispatch(self, body, sink):
         obs.heartbeat(0, 0.0)
-        sink([None] * len(body[-1]), 0.0)
+        sink(np.zeros((len(body[-1]), 8), dtype=np.int64), 0.0)
 
 
 def verdict(fail: float, salt: int):
     """A stand-in for ``ClusteringMaster.overlaps``: a fixed function of
-    the pair that fails about ``fail`` of them."""
+    each pair (in Python ints) that fails about ``fail`` of them."""
 
-    def overlaps(master, gi, gj, aln):
+    def passes(gi, gj):
         mixed = ((gi * 1_000_003) ^ (gj * 998_244_353) ^ salt) * 2_654_435_761
         return (mixed >> 7) % 1000 >= fail * 1000
+
+    def overlaps(master, ia, ib, table):
+        assert table.shape == (len(ia), 8)
+        return np.array([passes(gi, gj) for gi, gj in zip(ia.tolist(), ib.tolist())],
+                        dtype=bool)
 
     return overlaps
 

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.align.predicates import containment_stats, containment_verdict, overlaps
 from repro.eval.metrics import compare_clusterings
 from repro.gos.baseline import GosConfig, _blast_pairs, _core_set_clusters, gos_cluster
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 from repro.sequence.record import SequenceRecord, SequenceSet
-from tests.scalar_align import local_align, semiglobal_align
+from tests.scalar_align import containment_verdict, overlap_test, semiglobal_align
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +84,8 @@ def _pair_loop(sequences, config):
     redundant, n_alignments = set(), 0
     for i, j in pairs:
         n_alignments += 1
-        stats = containment_stats(
-            semiglobal_align(encoded[i], encoded[j]), len(encoded[i]), len(encoded[j]))
+        aln = semiglobal_align(encoded[i], encoded[j])
+        stats = aln.identity, aln.coverage_a(len(encoded[i])), aln.coverage_b(len(encoded[j]))
         verdict = containment_verdict(
             stats, i, j, len(encoded[i]), len(encoded[j]),
             config.containment_similarity, config.containment_coverage)
@@ -98,8 +97,8 @@ def _pair_loop(sequences, config):
         if i in redundant or j in redundant:
             continue
         n_alignments += 1
-        if overlaps(local_align(encoded[i], encoded[j]), len(encoded[i]),
-                    len(encoded[j]), config.edge_similarity, config.edge_coverage):
+        if overlap_test(encoded[i], encoded[j], similarity=config.edge_similarity,
+                        coverage=config.edge_coverage)[0]:
             neighbors[i].add(j)
             neighbors[j].add(i)
     return {

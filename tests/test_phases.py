@@ -18,7 +18,6 @@ from repro.align import batch
 from repro.align.matrices import blosum62_scheme
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro.pace.cache import AlignmentCache
-from repro.align.predicates import overlaps
 from repro.pace import bipartite_gen, clustering
 from repro.pace.bipartite_gen import parallel_generate_component_graphs
 from repro.pace.clustering import parallel_component_detection
@@ -35,7 +34,7 @@ from repro.runtime.phases import (
 )
 from repro.shingle.algorithm import ShingleParams
 from repro.suffix.matches import MaximalMatchFinder
-from tests.scalar_align import local_align
+from tests.scalar_align import alignment_table, local_align, overlap_test
 
 PSI = 10
 SMALL_SHINGLE = ShingleParams(s1=3, c1=60, s2=2, c2=25, seed=5)
@@ -236,8 +235,7 @@ class TestComponentDetection:
                 continue
             seen.add(m.pair)
             gi, gj = kept[m.pair[0]], kept[m.pair[1]]
-            aln = local_align(encoded[gi], encoded[gj])
-            if overlaps(aln, len(encoded[gi]), len(encoded[gj]), 0.30, 0.80):
+            if overlap_test(encoded[gi], encoded[gj], similarity=0.30, coverage=0.80)[0]:
                 g.add_edge(m.pair[0], m.pair[1])
         oracle = sorted(
             (sorted(kept[v] for v in comp) for comp in nx.connected_components(g)),
@@ -434,46 +432,46 @@ class TestAlignmentCache:
         return AlignmentCache(lambda k: encoded[k], blosum62_scheme())
 
     @pytest.fixture()
-    def aln(self, encoded):
-        return local_align(encoded[0], encoded[1])
+    def row(self, encoded):
+        return alignment_table([local_align(encoded[0], encoded[1])])[0]
 
-    def test_pair_key_is_orientation_invariant(self, cache, aln):
-        cache.insert(0, 1, aln)
-        assert cache.lookup(1, 0) is aln  # reversed request, same entry
+    def test_pair_key_is_orientation_invariant(self, cache, row):
+        cache.insert(0, 1, row)
+        assert cache.lookup(1, 0) is row  # reversed request, same entry
         stats = cache.stats()
         assert (stats["misses"], stats["hits"]) == (1, 1)
         assert len(cache) == 1
-        cache.insert(2, 0, aln)
-        assert cache.lookup(0, 2) is aln
+        cache.insert(2, 0, row)
+        assert cache.lookup(0, 2) is row
         stats = cache.stats()
         assert (stats["misses"], stats["hits"]) == (2, 2)
 
-    def test_lookup_and_insert_share_canonical_key(self, cache, aln):
-        cache.insert(0, 1, aln)
-        assert cache.lookup(1, 0) is aln
+    def test_lookup_and_insert_share_canonical_key(self, cache, row):
+        cache.insert(0, 1, row)
+        assert cache.lookup(1, 0) is row
         before = cache.stats()
         assert cache.lookup(0, 2) is None  # absent: no counter change
         assert cache.stats() == before
-        cache.insert(2, 0, aln)  # worker-computed, reversed
-        assert cache.lookup(0, 2) is aln
+        cache.insert(2, 0, row)  # worker-computed, reversed
+        assert cache.lookup(0, 2) is row
         stats = cache.stats()
         assert (stats["misses"], stats["hits"]) == (2, 2)
 
-    def test_self_alignment_rejected(self, cache, aln):
+    def test_self_alignment_rejected(self, cache, row):
         with pytest.raises(ValueError, match="self-alignment"):
             cache.lookup(1, 1)
         with pytest.raises(ValueError, match="self-alignment"):
-            cache.insert(1, 1, aln)
+            cache.insert(1, 1, row)
 
-    def test_by_phase_attribution(self, cache, aln):
+    def test_by_phase_attribution(self, cache, row):
         cache.set_phase("redundancy")
-        cache.insert(0, 1, aln)  # miss
+        cache.insert(0, 1, row)  # miss
         cache.set_phase("clustering")
-        assert cache.lookup(1, 0) is aln  # hit, attributed to clustering
+        assert cache.lookup(1, 0) is row  # hit, attributed to clustering
         assert cache.lookup(0, 2) is None  # absent: counts nothing
-        cache.insert(0, 2, aln)  # miss
+        cache.insert(0, 2, row)  # miss
         cache.set_phase("")
-        assert cache.lookup(2, 0) is aln  # hit, but untracked
+        assert cache.lookup(2, 0) is row  # hit, but untracked
         stats = cache.stats()
         assert stats["by_phase"] == {
             "redundancy": {"hits": 0, "misses": 1},
@@ -493,7 +491,7 @@ class TestAlignmentCache:
         encoded = [record.encoded for record in sequences]
         cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         cache.set_phase("serve")
-        cache.insert(0, 2, local_align(encoded[0], encoded[2]))
+        cache.insert(0, 2, alignment_table([local_align(encoded[0], encoded[2])])[0])
         cache.lookup(2, 0)
         monkeypatch.setattr(
             ProteinFamilyPipeline, "_make_cache", lambda self, sequences: cache

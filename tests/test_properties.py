@@ -15,6 +15,7 @@ from repro.sequence.alphabet import encode
 from repro.suffix.suffix_array import GeneralizedSuffixArray
 from repro.util.hashing import UniversalHashFamily
 from tests.oracle_ukkonen import SuffixTree
+from tests.scalar_align import alignment_table
 from tests.scalar_shingle import min_samples_matrix
 
 # The properties are claimed of what a run computes: one pair through
@@ -35,15 +36,16 @@ global_align, local_align, semiglobal_align = map(
 
 def containment_test(a, b):
     aln = semiglobal_align(a, b)
-    stats = predicates.containment_stats(aln, len(a), len(b))
-    return (*predicates.contained(stats, predicates.CONTAINMENT_SIMILARITY,
+    stats = predicates.containment_stats(alignment_table([aln]), len(a), len(b))
+    return (*predicates.contained(tuple(stats[0].tolist()), predicates.CONTAINMENT_SIMILARITY,
                                   predicates.CONTAINMENT_COVERAGE), aln)
 
 
 def overlap_test(a, b, *, similarity=predicates.OVERLAP_SIMILARITY,
                  coverage=predicates.OVERLAP_COVERAGE):
     aln = local_align(a, b)
-    return predicates.overlaps(aln, len(a), len(b), similarity, coverage), aln
+    table = alignment_table([aln])
+    return predicates.overlaps(table, len(a), len(b), similarity, coverage).tolist()[0], aln
 
 encoded_seq = st.lists(
     st.integers(min_value=0, max_value=19), min_size=1, max_size=30

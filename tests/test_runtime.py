@@ -46,7 +46,7 @@ from repro.runtime import (
     make_backend,
     runtime_info,
 )
-from tests.scalar_align import local_align
+from tests.scalar_align import alignment_table, local_align
 
 
 @pytest.fixture(scope="module")
@@ -452,12 +452,27 @@ class TestOneTaskFunction:
             return
         inline = run_task(body, store, scheme)
         assert len(inline) == (3 if kind == "shingle" else len(body[-1]))
-        # A containment task answers one float64 array, the others lists.
-        same = np.array_equal if kind == "contain" else (lambda a, b: a == b)
+        # A pair task answers one array, a shingle task a tuple.
+        same = (lambda a, b: a == b) if kind == "shingle" else np.array_equal
         assert same(self._via_backend(
             worker, sequences, scheme, body, degrade=False), inline)
         assert same(self._via_backend(
             master, sequences, scheme, body, degrade=True), inline)
+
+
+    def test_local_task_is_one_int64_table(self, workload):
+        """A ``"local"`` task answers the ``(k, 8)`` int64 alignment
+        table, and a serial run and a round-trip through two worker
+        processes answer equal tables."""
+        sequences, config = workload
+        body = TASK_BODIES["local"]()
+        store = EncodedStore.from_sequences([r.encoded for r in sequences])
+        inline = run_task(body, store, config.scheme)
+        assert isinstance(inline, np.ndarray)
+        assert inline.dtype == np.int64 and inline.shape == (len(body[-1]), 8)
+        for backend in (SerialBackend(), ProcessBackend(workers=2)):
+            table = self._via_backend(backend, sequences, config.scheme, body, degrade=False)
+            assert table.dtype == np.int64 and np.array_equal(table, inline)
 
 
 def task_key(body: tuple) -> tuple:
@@ -669,10 +684,10 @@ class TestCacheStats:
         sequences, config = workload
         encoded = [r.encoded for r in sequences]
         cache = AlignmentCache(lambda k: encoded[k], blosum62_scheme())
-        aln = local_align(encoded[0], encoded[1])
-        cache.insert(0, 1, aln)
-        assert cache.lookup(1, 0) is aln  # canonical key: a hit
-        cache.insert(0, 2, aln)
+        row = alignment_table([local_align(encoded[0], encoded[1])])[0]
+        cache.insert(0, 1, row)
+        assert cache.lookup(1, 0) is row  # canonical key: a hit
+        cache.insert(0, 2, row)
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 2
         assert stats["entries"] == 2
@@ -684,10 +699,10 @@ class TestCacheStats:
         cache = AlignmentCache(lambda k: encoded[k], blosum62_scheme())
         assert cache.lookup(0, 1) is None  # no counter change
         assert cache.stats()["hits"] == cache.stats()["misses"] == 0
-        aln = local_align(encoded[0], encoded[1])
-        cache.insert(0, 1, aln)
-        assert cache.lookup(1, 0) is aln
+        row = alignment_table([local_align(encoded[0], encoded[1])])[0]
+        cache.insert(0, 1, row)
+        assert cache.lookup(1, 0) is row
         assert cache.stats()["hits"] == 1
-        cache.insert(0, 2, aln)
-        assert cache.lookup(2, 0) is aln
+        cache.insert(0, 2, row)
+        assert cache.lookup(2, 0) is row
         assert cache.stats()["misses"] == 2

@@ -39,7 +39,7 @@ from repro.serve.incremental import insert_sequence, plan_insert
 from repro.serve.server import ServeServer
 from repro.serve.state import load_serve_state
 from tests import scalar_serve
-from tests.scalar_align import local_align
+from tests.scalar_align import alignment_table, local_align
 
 #: Share of each (shuffled) conftest input that is clustered in batch
 #: and served; the rest is what requests are made of.
@@ -159,13 +159,19 @@ def kernel_calls():
 
 
 def verdict(fail: float, salt: int):
-    """A stand-in for ``predicates.overlaps``: a fixed function of the pair
-    (through its alignment, equal both ways) failing about ``fail``."""
+    """A stand-in for ``predicates.overlaps``: a fixed function of each
+    pair (through its alignment row, equal both ways; in Python ints)
+    failing about ``fail``."""
 
-    def passes(aln, len_a, len_b, _similarity, _coverage):
-        mixed = ((aln.score * 1_000_003) ^ (aln.a_start * 998_244_353)
+    def one(score, a_start, len_a, len_b):
+        mixed = ((score * 1_000_003) ^ (a_start * 998_244_353)
                  ^ (len_a * 7919) ^ len_b ^ salt) * 2_654_435_761
         return (mixed >> 7) % 1000 >= fail * 1000
+
+    def passes(table, len_a, len_b, _similarity, _coverage):
+        rows = zip(table[:, 0].tolist(), table[:, 1].tolist(),
+                   np.asarray(len_a).tolist(), np.asarray(len_b).tolist())
+        return np.array([one(*row) for row in rows], dtype=bool)
 
     return passes
 
@@ -374,17 +380,20 @@ class TestHandCases:
         roots = _roots(state, candidates)
         assert roots.count(root) >= 3 and len(set(roots)) >= 2
         failing = [rep for rep, r in zip(candidates, roots) if r == root][:k]
-        # The verdict sees alignments, not indices: key each candidate
-        # by the alignment the loop makes of it.
+        # The verdict sees alignment rows, not indices: key each
+        # candidate by the row of the alignment the loop makes of it.
         keys = {
-            (local_align(state.encoded(rep), record.encoded,
-                         state.config.scheme), state.length(rep)): rep
+            (*alignment_table([local_align(state.encoded(rep), record.encoded,
+                                           state.config.scheme)])[0].tolist(),
+             state.length(rep)): rep
             for rep in candidates
         }
         assert len(keys) == len(candidates)
 
-        def passes(aln, len_a, _len_b, _similarity, _coverage):
-            return keys[aln, len_a] not in failing
+        def passes(table, len_a, _len_b, _similarity, _coverage):
+            rows = zip(table.tolist(), np.asarray(len_a).tolist())
+            return np.array([keys[(*row, length)] not in failing for row, length in rows],
+                            dtype=bool)
 
         with patched_verdict(passes):
             staged, looped = plan_both_ways(state, record.residues)
@@ -489,12 +498,13 @@ class TestMutants:
         residues = state.sequences[rep].residues + "ACD"
 
         def no_tie_break(stats, i, j, _len_i, _len_j, similarity, coverage):
-            i_in_j, j_in_i = contained(stats, similarity, coverage)
-            return (j, i) if j_in_i else (i, j) if i_in_j else None
+            i_in_j, j_in_i = contained(stats.T, similarity, coverage)
+            rows = i_in_j | j_in_i
+            return np.where(j_in_i, j, i)[rows], np.where(j_in_i, i, j)[rows]
 
         staged, looped = classify_both_ways(state, residues)
         assert staged == looped
-        with mock.patch.object(incremental, "containment_verdict",
+        with mock.patch.object(incremental, "containment_verdicts",
                                no_tie_break):
             staged, looped = classify_both_ways(state, residues)
         assert staged[0]["redundant"] and not looped[0]["redundant"]

@@ -65,7 +65,8 @@ def assert_walks_agree(a, b, scheme, mode, starts=None):
     if starts is None:
         starts = [(i, j) for i in range(len(a) + 1) for j in range(len(b) + 1)]
     for i, j in starts:
-        assert _traceback(H, a, b, scheme, i, j, mode) == oracle_traceback(
+        walked = Alignment(*_traceback(H, a, b, scheme, i, j, mode), mode=mode)
+        assert walked == oracle_traceback(
             H, a, b, scheme, i, j, mode
         ), (mode, scheme.name, scheme.gap, i, j)
 
