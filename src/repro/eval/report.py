@@ -147,7 +147,7 @@ def report_lines(result: "PipelineResult", *, bar_width: int = 28) -> list[str]:
     if builds := int(counters.get("suffix.index_builds", 0)):
         symbols = sum(dict(s.args)["symbols"] for s in recorder.spans if s.name == "index.build")
         lines.append(f"string index: {builds:,d} build{'s' * (builds != 1)} ({symbols:,d} symbols), "
-                     f"{int(counters.get('suffix.index_restrictions', 0)):,d} restrictions")
+                     "read whole by every phase")
     return lines
 
 

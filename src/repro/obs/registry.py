@@ -120,21 +120,18 @@ _SPECS = [
                 "distinct alignments memoised at run end"),
     # -- Pair generation (repro.suffix.matches block stream) ---------------
     # Work counters: they describe how the masters' pair source did its
-    # job (summed over RR, CCD and every bipartite component finder of a
-    # backend run; the simulator's rank programs generate per bucket and
-    # do not bump them), not what was decided.
+    # job (summed over the RR, CCD and bipartite streams of a backend
+    # run; the simulator's rank programs generate per bucket and do not
+    # bump them), not what was decided.
     CounterSpec("suffix.candidates", "suffix",
                 "cross-child suffix pairs expanded by the block "
                 "generator before the same-sequence / left-maximality "
-                "mask"),
+                "/ label mask"),
     CounterSpec("suffix.matches", "suffix",
                 "maximal matches the block generator emitted to a "
                 "master"),
     CounterSpec("suffix.index_builds", "suffix",
                 "string indices sorted (one per session or simulated phase)"),
-    CounterSpec("suffix.index_restrictions", "suffix",
-                "sub-collection indices filtered out of a built one "
-                "(kept sequences, one per B_d component)"),
     # -- Batched alignment kernel (repro.align.batch) ----------------------
     # Work counters by design: how many pairs each engine route handled
     # varies with chunking/backends, while the decisions they feed

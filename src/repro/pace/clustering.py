@@ -112,11 +112,13 @@ def _rows(
 class ClusteringMaster:
     """Master-side state of the CCD phase, stated once for every executor.
 
-    Owns the pair source (``finder``, over the string index of
-    ``sequences`` restricted to the *kept* ones, ascending, so its
-    pairs are local indices into ``kept``), the transitive-closure
-    admission filter with its counters, the union–find the verdicts
-    merge into, and the result construction.
+    Owns the transitive-closure admission filter over the *kept*
+    sequences (ascending; pairs are local indices into ``kept``) with
+    its counters, the union–find the verdicts merge into, and the
+    result construction.  The pair source is the driver's: the
+    session index's stream masked to the kept sequences at run time,
+    an index over them alone in the simulator (whose buckets are sized
+    on it) — the same stream (:mod:`repro.suffix.matches`).
     :func:`parallel_component_detection` plugs :meth:`admit` and
     :meth:`union` into the simulated master rank as its callbacks, after
     one :meth:`overlaps` call has taken every pair's verdict;
@@ -129,21 +131,13 @@ class ClusteringMaster:
         self,
         sequences: SequenceSet,
         kept: Sequence[int],
-        index: GeneralizedSuffixArray,
         *,
-        psi: int,
         similarity: float,
         coverage: float,
-        max_pairs_per_node: int | None = None,
     ):
         self.encoded = [record.encoded for record in sequences]
         self.lengths = np.array([len(e) for e in self.encoded], dtype=np.int64)
         self.kept = kept
-        self.finder = MaximalMatchFinder(
-            index.restrict(kept),
-            min_length=psi,
-            max_pairs_per_node=max_pairs_per_node,
-        )
         self.similarity = similarity
         self.coverage = coverage
         self.uf = UnionFind(len(kept))
@@ -361,19 +355,16 @@ def parallel_component_detection(
     verdict and is charged ``costs.alignment``.
     """
     costs = CostModel() if cost_model is None else cost_model
-    master = ClusteringMaster(
-        sequences,
-        kept,
-        GeneralizedSuffixArray([record.encoded for record in sequences]),
-        psi=psi,
-        similarity=similarity,
-        coverage=coverage,
+    master = ClusteringMaster(sequences, kept, similarity=similarity, coverage=coverage)
+    encoded = master.encoded
+    finder = MaximalMatchFinder(
+        GeneralizedSuffixArray([encoded[k] for k in kept]),
+        min_length=psi,
         max_pairs_per_node=max_pairs_per_node,
     )
-    encoded = master.encoded
     # Every distinct pair the workers can stream, canonical (a < b) in
     # local indices and, ``kept`` being ascending, in global ones.
-    pairs = [match.pair for match in master.finder.unique_pairs()]
+    pairs = [match.pair for match in finder.unique_pairs()]
     ga, gb = np.asarray(kept, dtype=np.int64)[
         np.array(pairs, dtype=np.int64).reshape(-1, 2).T]
     table = align_columns(
@@ -396,7 +387,7 @@ def parallel_component_detection(
         return 0.0
 
     config = MasterWorkerConfig(
-        **bucket_generation(master.finder, cluster, costs, unique=False),
+        **bucket_generation(finder, cluster, costs, unique=False),
         filter_item=lambda pair: pair if master.admit(pair) else None,
         execute_task=execute_task,
         absorb_result=absorb_result,

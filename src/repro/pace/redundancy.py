@@ -88,7 +88,7 @@ class RedundancyMaster:
         )
         self.similarity = similarity
         self.coverage = coverage
-        self._admitted = SeenPairs(len(self.encoded))
+        self._admitted = SeenPairs([len(self.encoded)])
         self._victims: list[int] = []
         self._survivors: list[int] = []
 
@@ -100,7 +100,8 @@ class RedundancyMaster:
         block's count — they count Definition 1 verdicts evaluated,
         whatever route (DP, exact certificate, Myers reject) computes
         the statistics."""
-        a, b = self._admitted.add(a, b)
+        rows = self._admitted.add(a, b)
+        a, b = a[rows], b[rows]
         if len(a):
             obs.count("rr.pairs", len(a))
             obs.count("rr.alignments", len(a))

@@ -326,7 +326,8 @@ class Backend(abc.ABC):
     @property
     def index(self) -> GeneralizedSuffixArray:
         """The string index over the session's sequences, which every
-        pair phase reads, whole or restricted.  Built on first use — in
+        pair phase reads whole (CCD and B_d mask its match stream to
+        their sub-collections).  Built on first use — in
         the first pair phase's span, after an executor has forked its
         workers, never in a session without a pair phase (a resumed
         run) — and dropped on close."""

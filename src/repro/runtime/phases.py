@@ -9,18 +9,21 @@ counters and the result are stated once.  On
 :class:`~repro.runtime.serial.SerialBackend` this is the reference every
 other mode is compared against.
 
-Each master is built inside its phase span over the session's one
-string index, :attr:`~repro.runtime.base.Backend.index` (RR whole, CCD
-and B_d restricted), so index time is phase time.  The pair source is
-the finder's *block* stream
+Each phase reads the session's one string index,
+:attr:`~repro.runtime.base.Backend.index`, whole and inside its phase
+span, so index time is phase time: RR's stream unmasked, CCD's with the
+redundant sequences labelled -1 and B_d's labelled by component
+(:class:`~repro.suffix.matches.MaximalMatchFinder`'s ``labels``).  The
+pair source is the finder's *block* stream
 (:meth:`~repro.suffix.matches.MaximalMatchFinder.match_blocks`), and
 every pair travels as int64 index columns from there to the stream
 (:meth:`~repro.runtime.base.PairStream.submit_columns`) and back.  The
 RR and bipartite masters only deduplicate, and each admits a whole
 block in one call against a bit map of the pairs seen
 (:class:`~repro.pace.seen.SeenPairs`; one over the ``n`` sequences for
-RR, one per component over its local indices for bipartite), so their
-admitted columns are what a set of seen pairs lets through row by row.
+RR, a triangle per component over its local indices for bipartite), so
+their admitted columns are what a set of seen pairs lets through row by
+row.
 CCD's one deciding filter, ``admit``, has a *sound block prefilter* in
 front of it — the same shape as the Myers reject in front of the DP: it
 sorts each block by a label snapshot of a union–find, in bulk, and
@@ -53,6 +56,7 @@ where the master filters against a union–find that lags its workers.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -74,7 +78,7 @@ from repro.pace.redundancy import RedundancyMaster, RedundancyResult
 from repro.runtime.base import Backend
 from repro.sequence.record import SequenceSet
 from repro.shingle.algorithm import ShingleParams
-from repro.suffix.matches import CANDIDATE_BUDGET, MatchBlock
+from repro.suffix.matches import CANDIDATE_BUDGET, MatchBlock, MaximalMatchFinder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.checkpoint import CheckpointJournal
@@ -231,18 +235,20 @@ def backend_component_detection(
     """
     with backend.phase("clustering"):
         master = ClusteringMaster(
-            sequences,
-            kept,
-            backend.index,
-            psi=psi,
-            similarity=similarity,
-            coverage=coverage,
-            max_pairs_per_node=max_pairs_per_node,
+            sequences, kept, similarity=similarity, coverage=coverage
         )
-        local_of = {g: l for l, g in enumerate(kept)}
+        # The kept sequences labelled 0, the redundant ones -1: the
+        # masked stream, ids mapped to ``local``, is the stream of an
+        # index over ``kept`` alone.
+        local = np.full(len(sequences), -1, dtype=np.int64)
+        local[kept] = np.arange(len(kept))
+        finder = MaximalMatchFinder(
+            backend.index, min_length=psi, max_pairs_per_node=max_pairs_per_node,
+            labels=np.minimum(local, 0),
+        )
         for gi, gj in replay_unions or ():
-            if gi in local_of and gj in local_of:
-                master.replay((local_of[gi], local_of[gj]))
+            if local[gi] >= 0 and local[gj] >= 0:
+                master.replay((int(local[gi]), int(local[gj])))
         stream = backend.alignment_stream(cache)
         global_of = np.asarray(kept, dtype=np.int64)
 
@@ -264,7 +270,10 @@ def backend_component_detection(
         settle = functools.partial(master.settle, passes, merged)
 
         def blocks() -> Iterator[MatchBlock]:
-            yield from master.finder.match_blocks()
+            for block in finder.match_blocks():
+                yield dataclasses.replace(
+                    block, seq_a=local[block.seq_a], seq_b=local[block.seq_b]
+                )
             # Inside the last block's ``pairs.generate`` window, so the
             # spans' ``admitted`` add up to ``ccd.alignments``.
             settle()
@@ -329,31 +338,23 @@ def backend_generate_component_graphs(
             min_size=min_size,
             max_pairs_per_node=max_pairs_per_node,
         )
-        # Global index -> component and local index; components are
-        # disjoint, so each is single-valued.
-        component = np.full(len(sequences), -1, dtype=np.int64)
-        local = np.full(len(sequences), -1, dtype=np.int64)
-        for ci, members in enumerate(master.members):
-            component[members], local[members] = ci, np.arange(len(members))
-
-        def admitted() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-            for ci, members in enumerate(master.members):
-                finder = master.finder(ci)
-                if finder is None:
-                    continue
-                members = np.asarray(members, dtype=np.int64)
-                for block in _traced_blocks(finder.match_blocks(), "bipartite.pairs"):
-                    a, b = master.admit(ci, block.seq_a, block.seq_b)
-                    yield members[a], members[b]
+        admitted = np.concatenate([np.empty((2, 0), dtype=np.int64), *(
+            master.admit(block.seq_a, block.seq_b)
+            for block in _traced_blocks(master.finder.match_blocks(), "bipartite.pairs")
+        )], axis=1)
+        # Submitted a component at a time, each in its stream order — the
+        # order of one stream per component: a chunk then holds one
+        # family's lengths, which the engine packs into fewer padded
+        # cells than the interleaved stream's.
+        admitted = admitted[:, np.argsort(master.component[admitted[0]], kind="stable")]
 
         def absorb(ia: np.ndarray, ib: np.ndarray, table: np.ndarray) -> None:
             edge = master.is_edge(ia, ib, table)
-            ia, ib = ia[edge], ib[edge]
-            for ci, li, lj in zip(component[ia].tolist(), local[ia].tolist(), local[ib].tolist()):
-                master.add_edge(ci, li, lj)
+            for gi, gj in zip(ia[edge].tolist(), ib[edge].tolist()):
+                master.add_edge(gi, gj)
 
         stream = backend.alignment_stream(cache)
-        for ia, ib in _column_chunks(admitted(), LOCAL_CHUNK):
+        for ia, ib in _column_chunks([admitted], LOCAL_CHUNK):
             stream.submit_columns(ia, ib)
             for done in stream.ready():
                 absorb(*done)

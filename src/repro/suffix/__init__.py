@@ -8,7 +8,7 @@ package provides:
   vectorised rank-doubling suffix array + column-pass LCP over the
   sentinel-separated concatenation of all sequences (an enhanced suffix
   array is equivalent to a suffix tree for this task), built once per
-  backend session and *restricted*, not rebuilt, per sub-collection.
+  backend session and read whole by every phase.
 * :mod:`repro.suffix.intervals` — the suffix-tree nodes recovered from
   the LCP array, as ``(depth, lb, size)`` columns in stream order.
 * :mod:`repro.suffix.matches` — maximal-match pair generation in
@@ -17,8 +17,11 @@ package provides:
   (:meth:`MaximalMatchFinder.match_blocks`) emits the matches as NumPy
   column blocks (:class:`MatchBlock`) whose concatenation is the stream
   — nodes deepest first, inside a node by ``(a-child, b-child, x, y)`` —
-  and every per-match iterator is a view of it.  A fixed candidate
-  budget per block keeps the generator's working set at a few MB.
+  and every per-match iterator is a view of it.  A label column masks
+  the stream to sub-collections (the kept sequences, each component),
+  each label's rows being the stream of an index rebuilt over its
+  sequences.  A fixed candidate budget per block keeps the generator's
+  working set at a few MB.
 * :mod:`repro.suffix.wmer` — the fixed-length w-mer incidence index for
   the domain-based bipartite reduction B_m.
 """

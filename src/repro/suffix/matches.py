@@ -21,8 +21,8 @@ made with array operations only: a run of interval nodes is flattened
 into its SA slots, child boundaries are read off ``lcp[slot] == depth``,
 each slot is paired with every slot of its node that lies after its own
 child (``repeat``/``arange``), same-sequence and non-left-maximal pairs
-are masked out, and the survivors are put in stream order by one stable
-sort.
+(and, under a label column, cross-label) pairs are masked out, and the
+survivors are put in stream order by one stable sort.
 
 Order contract: the concatenated blocks are the sequence
 
@@ -37,6 +37,13 @@ first) depend on this order, so it is part of the interface;
 ``tests/test_intervals_matches.py`` keeps the scalar node walk this
 module used to run as the reference and holds the blocks to it element
 for element.
+
+Sub-collections: under a *label column* (one label per sequence) a row
+is kept only when its two sequences carry the same label ``>= 0``, and
+the ``max_pairs_per_node`` cap counts per node and label.  Each label's
+rows are then, in order, the stream of an index rebuilt over its
+sequences (ids mapped): every sequence ends in its own sentinel, so that
+index is the full one with the other sequences' slots dropped.
 
 The candidate budget: a block expands at most :data:`CANDIDATE_BUDGET`
 cross-child slot pairs before masking.  It exists for memory, not speed
@@ -129,6 +136,15 @@ class MatchBlock:
         return self.take(np.sort(np.unique(key, return_index=True)[1]))
 
 
+def _group_rank(key: np.ndarray) -> np.ndarray:
+    """Per row, the number of earlier rows with the same ``key`` (>= 0)."""
+    order = np.argsort(key, kind="stable")
+    opens = np.flatnonzero(np.diff(key[order], prepend=-1))
+    rank = np.empty(len(key), dtype=np.int64)
+    rank[order] = np.arange(len(key)) - np.repeat(opens, np.diff(opens, append=len(key)))
+    return rank
+
+
 def _cuts(weights: np.ndarray) -> Iterator[tuple[int, int]]:
     """Greedy contiguous groups ``[start, stop)`` of total weight at most
     :data:`CANDIDATE_BUDGET`; a heavier element is a group of its own."""
@@ -171,6 +187,7 @@ class _Slots:
         self.seq = finder.gsa.seq[slot]
         self.off = finder.gsa.off[slot]
         self.left = finder._left_symbol[slot]
+        self.label = finder.labels[self.seq] if finder._masked else None
 
     def __len__(self) -> int:
         return len(self.node)
@@ -196,6 +213,8 @@ class _Slots:
         # the virtual -1 before the text) occurs once, so two different
         # slots never share one and plain inequality is the whole test.
         keep = (self.seq[x] != self.seq[y]) & (self.left[x] != self.left[y])
+        if self.label is not None:  # one sub-collection: one label, not -1
+            keep &= (self.label[x] == self.label[y]) & (self.label[x] >= 0)
         x, y = x[keep], y[keep]
         # (x, y) ascending is already the order inside a child pair.
         order = np.lexsort((self.child[y], self.child[x]))
@@ -229,6 +248,9 @@ class MaximalMatchFinder:
         of the node, in stream order, are emitted (the deepest matches
         still come first, so the cap drops only the least informative
         duplicates).  ``None`` means unlimited.
+    labels:
+        One integer per sequence, masking the stream to sub-collections
+        (module docstring); ``None`` labels every sequence 0.
     """
 
     def __init__(
@@ -237,6 +259,7 @@ class MaximalMatchFinder:
         *,
         min_length: int = 10,
         max_pairs_per_node: int | None = None,
+        labels: Sequence[int] | np.ndarray | None = None,
     ):
         if min_length < 1:
             raise ValueError(f"min_length must be >= 1, got {min_length}")
@@ -247,6 +270,14 @@ class MaximalMatchFinder:
             if isinstance(sequences, GeneralizedSuffixArray)
             else GeneralizedSuffixArray(sequences)
         )
+        n = self.gsa.n_sequences
+        self.labels = np.zeros(n, dtype=np.int64) if labels is None else (
+            np.asarray(labels, dtype=np.int64))
+        if self.labels.shape != (n,):
+            raise ValueError(f"labels must be one per sequence, {n} in all")
+        self._n_labels = int(self.labels.max(initial=0)) + 1
+        # One label >= 0 for all masks nothing: skip the per-row test.
+        self._masked = bool((self.labels != self._n_labels - 1).any())
         # The nodes in stream order (deepest first: PaCE's decreasing
         # maximal-match length), as columns.
         self._depth, self._lb, self._size = lcp_intervals(self.gsa.lcp, min_length)
@@ -281,23 +312,22 @@ class MaximalMatchFinder:
             # many slots as candidates.
             block, node = _Slots(self, nodes[start:stop]).block()
             if cap is not None and len(block):
-                opens = np.flatnonzero(np.diff(node, prepend=-1))
-                rank = np.arange(len(node)) - np.repeat(
-                    opens, np.diff(opens, append=len(node))
-                )
-                block = block.take(rank < cap)
+                key = node * self._n_labels + self.labels[block.seq_a]
+                block = block.take(_group_rank(key) < cap)
             yield block
 
     def _split_blocks(self, slots: _Slots) -> Iterator[MatchBlock]:
         """One node whose slot pairs exceed the budget, as blocks."""
-        remaining = self.max_pairs_per_node
+        cap = self.max_pairs_per_node
+        taken = np.zeros(self._n_labels, dtype=np.int64)
         for rows, partners in self._split(slots):
             block, _ = slots.block(rows, partners)
-            if remaining is not None:
-                block = block.take(slice(0, remaining))
-                remaining -= len(block)
+            if cap is not None:
+                label = self.labels[block.seq_a]
+                block = block.take(_group_rank(label) + taken[label] < cap)
+                taken += np.bincount(self.labels[block.seq_a], minlength=self._n_labels)
             yield block
-            if remaining == 0:
+            if cap is not None and (taken >= cap).all():
                 return
 
     @staticmethod

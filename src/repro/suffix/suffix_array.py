@@ -12,10 +12,12 @@ assignment, O(N log^2 N) with tiny constants) and an LCP that compares
 all adjacent suffix pairs one text column at a time.
 
 The sentinels also make the index of a *sub-collection* a filter of the
-full one (:meth:`GeneralizedSuffixArray.restrict`): a suffix's rank
-depends only on the suffix up to its own sentinel and on the sentinels'
-relative order, and an LCP never crosses one — so dropping whole
-sequences drops slots and changes nothing else.
+full one: a suffix's rank depends only on the suffix up to its own
+sentinel and on the sentinels' relative order, and an LCP never crosses
+one — so dropping whole sequences drops slots and changes nothing else.
+That is why one index serves every phase of a run, each reading the
+match stream masked to its sub-collection
+(:class:`~repro.suffix.matches.MaximalMatchFinder`'s ``labels``).
 """
 
 from __future__ import annotations
@@ -116,43 +118,3 @@ class GeneralizedSuffixArray:
     @property
     def n_sequences(self) -> int:
         return len(self.starts) - 1
-
-    def restrict(self, members: Sequence[int] | np.ndarray) -> "GeneralizedSuffixArray":
-        """The index of the sub-collection ``[sequences[m] for m in
-        members]`` (strictly ascending), every array equal to a rebuild's.
-
-        No sort: the slots of the kept sequences are already in suffix
-        order (see the module docstring), their offsets only shift to
-        the new ``starts``, and the LCP of two kept neighbours is the
-        minimum over the slots that lay between them.
-        """
-        kept = np.asarray(members, dtype=np.int64)
-        if kept.size == 0:
-            return GeneralizedSuffixArray([])
-        if (
-            kept.ndim != 1
-            or kept[0] < 0
-            or kept[-1] >= self.n_sequences
-            or (np.diff(kept) <= 0).any()
-        ):
-            raise ValueError("members must be strictly ascending sequence indices")
-        lengths = np.diff(self.starts)
-        sub = object.__new__(GeneralizedSuffixArray)
-        sub.starts = np.append(0, np.cumsum(lengths[kept]))
-        with obs.span("index.restrict", cat="master", sequences=len(kept),
-                      symbols=int(sub.starts[-1])):
-            obs.count("suffix.index_restrictions")
-            renumbered = np.full(self.n_sequences, -1, dtype=np.int64)
-            renumbered[kept] = np.arange(len(kept))
-            sub.text = self.text[np.repeat(renumbered, lengths) >= 0]
-            sub.text[sub.starts[1:] - 1] = ALPHABET_SIZE + np.arange(len(kept))
-            seq = renumbered[self.seq]
-            slots = np.flatnonzero(seq >= 0)
-            sub.seq, sub.off = seq[slots], self.off[slots]
-            sub.sa = sub.starts[sub.seq] + sub.off
-            # reduceat's last segment runs to the end of its input, so
-            # the input ends at the last kept slot.
-            sub.lcp = np.append(
-                0, np.minimum.reduceat(self.lcp[: slots[-1] + 1], slots[:-1] + 1)
-            )
-        return sub

@@ -183,6 +183,7 @@ class ScalarMatchFinder:
         *,
         min_length: int = 10,
         max_pairs_per_node: int | None = None,
+        labels: Sequence[int] | np.ndarray | None = None,
     ):
         self.min_length = min_length
         self.max_pairs_per_node = max_pairs_per_node
@@ -190,6 +191,9 @@ class ScalarMatchFinder:
             sequences
             if isinstance(sequences, GeneralizedSuffixArray)
             else GeneralizedSuffixArray(sequences)
+        )
+        self.labels = (
+            [0] * self.gsa.n_sequences if labels is None else [int(x) for x in labels]
         )
         self.nodes = lcp_interval_tree(
             kasai_lcp(self.gsa.text, self.gsa.sa), min_depth=min_length
@@ -204,10 +208,12 @@ class ScalarMatchFinder:
     def node_matches(
         self, node: LcpInterval, cap: int | None = None
     ) -> Iterator[MaximalMatch]:
-        """Cross-child maximal-match pairs of one interval-tree node."""
+        """Cross-child maximal-match pairs of one interval-tree node
+        between sequences of one label ``>= 0``, at most ``cap`` of each
+        label."""
         gsa = self.gsa
         ranges = node.child_ranges()
-        emitted = 0
+        emitted: dict[int, int] = {}
         for a_idx in range(len(ranges)):
             a_lo, a_hi = ranges[a_idx]
             for b_idx in range(a_idx + 1, len(ranges)):
@@ -217,7 +223,10 @@ class ScalarMatchFinder:
                     left_x = preceding_symbol(gsa, int(gsa.sa[x]))
                     for y in range(b_lo, b_hi + 1):
                         seq_y, off_y = locate(gsa, int(gsa.sa[y]))
-                        if seq_x == seq_y:
+                        label = self.labels[seq_x]
+                        if seq_x == seq_y or label != self.labels[seq_y] or label < 0:
+                            continue
+                        if cap is not None and emitted.get(label, 0) >= cap:
                             continue
                         # Left-maximality: preceding symbols differ, or
                         # either occurrence starts at a sequence boundary
@@ -229,9 +238,7 @@ class ScalarMatchFinder:
                             yield MaximalMatch(seq_x, off_x, seq_y, off_y, node.depth)
                         else:
                             yield MaximalMatch(seq_y, off_y, seq_x, off_x, node.depth)
-                        emitted += 1
-                        if cap is not None and emitted >= cap:
-                            return
+                        emitted[label] = emitted.get(label, 0) + 1
 
     def cross_child_pairs(self) -> int:
         """Slot pairs the walk visits: its candidates before masking."""

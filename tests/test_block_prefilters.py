@@ -6,11 +6,11 @@ stream and drops, per block, the pairs ``admit`` would provably reject
 every phase is run a second time the way it ran before — pair by pair
 through ``admit`` (for RR and bipartite generation, through a set of
 seen pairs) over the scalar node walk
-(``tests/scalar_finder.py``), each master on an index *rebuilt* for its
-sub-collection instead of one restricted from the session's — and
-everything observable must agree: results, work counters, the journaled
-unions, the pairs submitted, in order and in the same chunks, and the
-simulator's virtual clock.
+(``tests/scalar_finder.py``), CCD and each bipartite component on an
+index *rebuilt* over its sub-collection instead of the session's index
+with its stream masked by label — and everything observable must agree:
+results, work counters, the journaled unions, the pairs submitted, in
+order and in the same chunks, and the simulator's virtual clock.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ class _Observed:
 
 
 def _rebuild(index, members):
-    """What ``restrict`` replaces: the sub-collection's index, sorted
-    from scratch."""
+    """The sub-collection's own index, sorted from scratch: what the
+    session index's labelled stream is held to."""
     return GeneralizedSuffixArray(
         [index.text[index.starts[m] : index.starts[m + 1] - 1] for m in members]
     )
@@ -141,15 +141,14 @@ def _rebuild(index, members):
 
 @pytest.fixture()
 def scalar_masters(monkeypatch):
-    """Inside this fixture the ``repro.pace`` masters are built over the
-    scalar walk instead of the block generator, and every sub-collection
-    index is a rebuild instead of a restriction."""
+    """Inside this fixture the ``repro.pace`` masters and simulated
+    drivers are built over the scalar walk instead of the block
+    generator."""
     def use():
         for module in ("redundancy", "clustering", "bipartite_gen"):
             monkeypatch.setattr(
                 f"repro.pace.{module}.MaximalMatchFinder", ScalarMatchFinder
             )
-        monkeypatch.setattr(GeneralizedSuffixArray, "restrict", _rebuild)
     return use
 
 
@@ -212,10 +211,9 @@ def reference_rr(sequences, backend, cache):
 
 def reference_ccd(sequences, kept, backend, cache, journal=None, replay_unions=()):
     master = ClusteringMaster(
-        sequences, kept, backend.index, psi=PSI, similarity=OVERLAP_SIMILARITY,
-        coverage=OVERLAP_COVERAGE,
+        sequences, kept, similarity=OVERLAP_SIMILARITY, coverage=OVERLAP_COVERAGE
     )
-    assert isinstance(master.finder, ScalarMatchFinder)
+    finder = ScalarMatchFinder(_rebuild(backend.index, kept), min_length=PSI)
     local_of = {g: l for l, g in enumerate(kept)}
     for gi, gj in replay_unions:
         master.uf.union(local_of[gi], local_of[gj])
@@ -232,7 +230,7 @@ def reference_ccd(sequences, kept, backend, cache, journal=None, replay_unions=(
 
     with backend.phase("clustering"):
         stream = backend.alignment_stream(cache)
-        for match in master.finder.matches():
+        for match in finder.matches():
             if not master.admit(match.pair):
                 continue
             stream.submit_columns(np.array([kept[match.seq_a]]),
@@ -246,35 +244,26 @@ def reference_ccd(sequences, kept, backend, cache, journal=None, replay_unions=(
 
 def reference_bgg(sequences, components, backend, cache):
     """B_d generation as a set of seen ``(component, a, b)`` items over
-    the scalar walk, each first sighting counted as it is made, and the
-    stream fed chunks of ``LOCAL_CHUNK`` admitted pairs across
-    components."""
+    the scalar walk of each component's own index, one component after
+    the other, each first sighting counted as it is made, and the stream
+    fed chunks of ``LOCAL_CHUNK`` admitted pairs across components."""
     master = BipartiteMaster(
         sequences, components, backend.index, psi=PSI, edge_similarity=0.40,
         edge_coverage=0.80, min_size=4,
     )
-    position = {
-        g: (ci, li)
-        for ci, members in enumerate(master.members)
-        for li, g in enumerate(members)
-    }
     seen: set[tuple[int, int, int]] = set()
 
     def absorb(ia, ib, table):
         edges = master.is_edge(ia, ib, table).tolist()
         for gi, gj, edge in zip(ia.tolist(), ib.tolist(), edges):
             if edge:
-                ci, li = position[gi]
-                master.add_edge(ci, li, position[gj][1])
+                master.add_edge(gi, gj)
 
     with backend.phase("bipartite"):
         stream = backend.alignment_stream(cache)
         chunk: list[tuple[int, int]] = []
         for ci, members in enumerate(master.members):
-            finder = master.finder(ci)
-            if finder is None:
-                continue
-            assert isinstance(finder, ScalarMatchFinder)
+            finder = ScalarMatchFinder(_rebuild(backend.index, members), min_length=PSI)
             for match in finder.matches():
                 item = (ci, match.seq_a, match.seq_b)
                 if item in seen:

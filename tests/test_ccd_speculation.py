@@ -37,10 +37,9 @@ from repro.pace.clustering import ClusteringMaster
 from repro.runtime import SerialBackend, phases
 from repro.runtime.phases import backend_component_detection
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
-from repro.suffix import GeneralizedSuffixArray, MatchBlock
+from repro.suffix import MatchBlock
 from repro.suffix.matches import CANDIDATE_BUDGET
 from tests import test_block_prefilters as loops
-from tests.scalar_finder import ScalarMatchFinder
 
 #: Counters that count tasks, not pairs: one per batch here, one per
 #: pair in the loop.
@@ -108,11 +107,7 @@ def both_ways(sequences, backend, *, psi=loops.PSI, replay=()):
         pytest.MonkeyPatch(),
     )
     ref_journal = loops._Journal()
-    with mock.patch(
-        "repro.pace.clustering.MaximalMatchFinder", ScalarMatchFinder
-    ), mock.patch.object(
-        GeneralizedSuffixArray, "restrict", loops._rebuild
-    ), mock.patch.object(loops, "PSI", psi):
+    with mock.patch.object(loops, "PSI", psi):
         loop = loops._Observed(
             lambda: loops.reference_ccd(
                 sequences, kept, backend, cache(), ref_journal, replay
@@ -263,8 +258,8 @@ class TestMasterState:
     def master(self, sessions):
         sequences, backend = sessions["tiny"]
         return ClusteringMaster(
-            sequences, list(range(len(sequences))), backend.index,
-            psi=loops.PSI, similarity=OVERLAP_SIMILARITY, coverage=OVERLAP_COVERAGE,
+            sequences, list(range(len(sequences))),
+            similarity=OVERLAP_SIMILARITY, coverage=OVERLAP_COVERAGE,
         )
 
     @staticmethod

@@ -220,6 +220,12 @@ def _rows(block):
     return list(block.matches())
 
 
+def _renamed(match, ids):
+    """``match`` with its sequence indices read through ``ids``."""
+    return MaximalMatch(ids[match.seq_a], match.pos_a, ids[match.seq_b], match.pos_b,
+                        match.length)
+
+
 #: Small alphabets and short sequences make what the generator has to
 #: get right common: long repeats (deep, wide nodes with non-singleton
 #: children), identical sequences, matches touching sequence starts and
@@ -248,13 +254,13 @@ class TestBlockStreamOrder:
         walk = ScalarMatchFinder(seqs, min_length=min_length)
         finder = MaximalMatchFinder(seqs, min_length=min_length)
         expected = list(walk.matches())
-        # A handed-in index restricted from a larger collection streams
-        # what the finder's own rebuild over the same sequences does.
+        # The same sequences labelled inside a larger index stream what
+        # the finder's own index over them does, ids shifted.
         padded = GeneralizedSuffixArray([seqs[-1][:1], *seqs, seqs[0]])
-        handed_in = MaximalMatchFinder(
-            padded.restrict(range(1, len(seqs) + 1)), min_length=min_length
+        labelled = MaximalMatchFinder(
+            padded, min_length=min_length, labels=[-1] + [0] * len(seqs) + [1]
         )
-        assert list(handed_in.matches()) == expected
+        assert [_renamed(m, range(-1, len(seqs))) for m in labelled.matches()] == expected
         with mock.patch.object(matches_module, "CANDIDATE_BUDGET", budget):
             blocks = list(finder.match_blocks())
             assert [m for block in blocks for m in _rows(block)] == expected
@@ -310,6 +316,100 @@ class TestBlockStreamOrder:
                     seen.add(match.pair)
                     firsts.append(match)
             assert _rows(block.first_per_pair()) == firsts
+
+
+#: A tiny alphabet and short sequences, then planted on top: exact
+#: duplicates, a piece contained in another, one-residue sequences — the
+#: cases where suffixes tie up to their sentinels and only the
+#: sentinels' order decides.
+hostile_seqs = st.builds(
+    lambda seqs, copies, pieces, singles: [
+        np.array(xs, dtype=np.uint8)
+        for xs in (
+            seqs
+            + [seqs[i % len(seqs)] for i in copies]
+            + [seqs[i % len(seqs)][lo : lo + width] or seqs[0][:1] for i, lo, width in pieces]
+            + [[x] for x in singles]
+        )
+    ],
+    st.lists(
+        st.lists(st.integers(0, 2), min_size=1, max_size=12), min_size=1, max_size=5
+    ),
+    st.lists(st.integers(0, 4), max_size=3),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6), st.integers(1, 6)), max_size=2),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+
+
+
+
+@st.composite
+def labelled_collections(draw):
+    """A collection and a label column: random labels with -1 among
+    them, one shared label, or every sequence its own."""
+    seqs = draw(st.one_of(repetitive_seqs, hostile_seqs))
+    n = len(seqs)
+    labels = draw(st.one_of(
+        st.lists(st.integers(-1, 2), min_size=n, max_size=n),
+        st.just([0] * n),
+        st.just(list(range(n))),
+    ))
+    return seqs, labels
+
+
+class TestLabelledStream:
+    """A labelled stream of the full index is, label by label, the
+    stream of an index rebuilt over that label's sequences: the rows in
+    order, ids mapped, capped or not, however the budget cuts blocks."""
+
+    @staticmethod
+    def assert_each_label_is_its_rebuild(seqs, labels, min_length, cap):
+        finder = MaximalMatchFinder(
+            seqs, min_length=min_length, max_pairs_per_node=cap, labels=labels
+        )
+        rows = [m for block in finder.match_blocks() for m in _rows(block)]
+        assert all(labels[m.seq_a] == labels[m.seq_b] >= 0 for m in rows)
+        unique = list(finder.unique_pairs())
+        for label in sorted(set(labels) - {-1}):
+            members = [k for k, mine in enumerate(labels) if mine == label]
+            rebuilt = MaximalMatchFinder(
+                [seqs[k] for k in members], min_length=min_length,
+                max_pairs_per_node=cap,
+            )
+            assert [m for m in rows if labels[m.seq_a] == label] == [
+                _renamed(m, members) for m in rebuilt.matches()
+            ]
+            assert [m for m in unique if labels[m.seq_a] == label] == [
+                _renamed(m, members) for m in rebuilt.unique_pairs()
+            ]
+        return rows
+
+    @given(labelled_collections(), st.integers(1, 4), budgets,
+           st.one_of(st.none(), st.integers(1, 6)))
+    @settings(max_examples=150, deadline=None)
+    def test_each_label_streams_its_rebuild(self, case, min_length, budget, cap):
+        seqs, labels = case
+        with mock.patch.object(matches_module, "CANDIDATE_BUDGET", budget):
+            self.assert_each_label_is_its_rebuild(seqs, labels, min_length, cap)
+
+    @pytest.mark.parametrize("cap", [None, 7])
+    def test_a_node_wider_than_the_budget(self, cap):
+        """260 copies of one word: a node of 33,670 slot pairs, split
+        into pieces, each label's cap carried across them."""
+        seqs = [encode("ARNDC")] * 260
+        labels = np.random.default_rng(3).integers(-1, 3, len(seqs)).tolist()
+        rows = self.assert_each_label_is_its_rebuild(seqs, labels, 5, cap)
+        assert len(rows) == (
+            3 * cap if cap else sum(labels.count(k) * (labels.count(k) - 1) // 2
+                                    for k in range(3))
+        )
+
+    def test_a_label_column_must_cover_the_collection(self):
+        seqs = [encode("ARND"), encode("ARNDC")]
+        with pytest.raises(ValueError):
+            MaximalMatchFinder(seqs, labels=[0])
+        with pytest.raises(ValueError):
+            MaximalMatchFinder(seqs, labels=[[0, 0]])
 
 
 class TestBucketPartition:

@@ -363,17 +363,17 @@ class TestWorkAccounting:
 
 class TestOneIndexPerSession:
     """The string index is built once per backend session, on first
-    use, and every sub-collection index is a restriction of it."""
+    use, and every phase reads it whole: no sub-collection index is
+    cut out of it."""
 
     @pytest.mark.parametrize("mode", ["default", "serial", "process"])
     def test_a_run_builds_one_index(self, mode_results, mode):
         counters = mode_results[mode].obs.counters()
         assert counters["suffix.index_builds"] == 1
-        # The kept sequences, then one per B_d component.
-        assert counters["suffix.index_restrictions"] == 1 + counters["bipartite.graphs"]
-        spans = {s.name: dict(s.args) for s in mode_results[mode].obs.spans}
-        assert spans["index.build"]["sequences"] == mode_results[mode].n_input
-        assert spans["index.restrict"]["symbols"] <= spans["index.build"]["symbols"]
+        assert not [name for name in counters if "restrict" in name]
+        spans = [s for s in mode_results[mode].obs.spans if s.name.startswith("index.")]
+        assert [s.name for s in spans] == ["index.build"]
+        assert dict(spans[0].args)["sequences"] == mode_results[mode].n_input
 
     def test_simulated_phases_build_one_index_each(self, mode_results):
         counters = mode_results["sim-p4"].obs.counters()

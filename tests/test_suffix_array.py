@@ -1,5 +1,4 @@
-"""Suffix array + LCP versus naive oracles, and the restricted index
-versus a rebuilt one."""
+"""Suffix array + LCP versus naive oracles."""
 
 from __future__ import annotations
 
@@ -119,13 +118,12 @@ class TestSuffixArray:
 class TestGeneralizedSuffixArray:
     def test_no_sequences_is_an_empty_index(self):
         """An empty input has the empty answer: six empty arrays (one
-        start), no match — whole, and as the restriction to no member."""
-        for gsa in (GeneralizedSuffixArray([]),
-                    GeneralizedSuffixArray([encode("ARNDARND")]).restrict([])):
-            assert gsa.n_sequences == 0 and gsa.starts.tolist() == [0]
-            for name in ("text", "sa", "lcp", "seq", "off"):
-                assert getattr(gsa, name).tolist() == [], name
-            assert list(MaximalMatchFinder(gsa, min_length=2).match_blocks()) == []
+        start), no match."""
+        gsa = GeneralizedSuffixArray([])
+        assert gsa.n_sequences == 0 and gsa.starts.tolist() == [0]
+        for name in ("text", "sa", "lcp", "seq", "off"):
+            assert getattr(gsa, name).tolist() == [], name
+        assert list(MaximalMatchFinder(gsa, min_length=2).match_blocks()) == []
 
     def test_rejects_empty_sequence(self):
         with pytest.raises(ValueError):
@@ -177,101 +175,3 @@ class TestGeneralizedSuffixArray:
         gsa = GeneralizedSuffixArray([encode("AR")])
         assert not is_sentinel_position(gsa, 0)
         assert is_sentinel_position(gsa, 2)
-
-
-ARRAYS = ("text", "starts", "sa", "lcp", "seq", "off")
-
-
-def assert_same_index(a: GeneralizedSuffixArray, b: GeneralizedSuffixArray) -> None:
-    for name in ARRAYS:
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype == np.int64, name
-        assert np.array_equal(x, y), name
-    assert a.n_sequences == b.n_sequences
-
-
-#: A tiny alphabet and short sequences, then planted on top: exact
-#: duplicates, a piece contained in another, one-residue sequences — the
-#: cases where suffixes tie up to their sentinels and only the
-#: sentinels' order decides.
-hostile_seqs = st.builds(
-    lambda seqs, copies, pieces, singles: [
-        np.array(xs, dtype=np.uint8)
-        for xs in (
-            seqs
-            + [seqs[i % len(seqs)] for i in copies]
-            + [seqs[i % len(seqs)][lo : lo + width] or seqs[0][:1] for i, lo, width in pieces]
-            + [[x] for x in singles]
-        )
-    ],
-    st.lists(
-        st.lists(st.integers(0, 2), min_size=1, max_size=12), min_size=1, max_size=5
-    ),
-    st.lists(st.integers(0, 4), max_size=3),
-    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6), st.integers(1, 6)), max_size=2),
-    st.lists(st.integers(0, 2), max_size=2),
-)
-
-
-@st.composite
-def seqs_and_members(draw):
-    """A hostile collection and an ascending subset of it: all of it,
-    one sequence, or a random choice."""
-    seqs = draw(hostile_seqs)
-    n = len(seqs)
-    members = draw(st.one_of(
-        st.just(list(range(n))),
-        st.integers(0, n - 1).map(lambda k: [k]),
-        st.sets(st.integers(0, n - 1), min_size=1).map(sorted),
-    ))
-    return seqs, members
-
-
-class TestRestrict:
-    """``restrict(members)`` equals a rebuild over the sub-collection,
-    array for array — which is what lets one index serve a whole run."""
-
-    @given(seqs_and_members())
-    @settings(max_examples=200, deadline=None)
-    def test_restrict_equals_rebuild(self, case):
-        seqs, members = case
-        index = GeneralizedSuffixArray(seqs)
-        assert_same_index(
-            index.restrict(members), GeneralizedSuffixArray([seqs[m] for m in members])
-        )
-
-    @given(seqs_and_members(), st.randoms(use_true_random=False))
-    @settings(max_examples=100, deadline=None)
-    def test_restrictions_compose(self, case, rng):
-        seqs, a = case
-        b = sorted(rng.sample(range(len(a)), rng.randint(1, len(a))))
-        index = GeneralizedSuffixArray(seqs)
-        assert_same_index(
-            index.restrict(a).restrict(b), index.restrict([a[k] for k in b])
-        )
-
-    def test_all_identical_sequences(self):
-        seqs = [encode("ARARAR")] * 7
-        index = GeneralizedSuffixArray(seqs)
-        for members in ([0, 1, 2, 3, 4, 5, 6], [6], [1, 3, 5]):
-            assert_same_index(
-                index.restrict(members),
-                GeneralizedSuffixArray([seqs[m] for m in members]),
-            )
-
-    @pytest.mark.parametrize(
-        "members",
-        [[1, 0], [0, 0], [0, 3], [-1, 0], [[0, 1]]],
-        ids=["unsorted", "repeated", "too_large", "negative", "nested"],
-    )
-    def test_rejects_what_the_constructor_would(self, members):
-        index = GeneralizedSuffixArray([encode("ARND"), encode("CQ"), encode("WYV")])
-        with pytest.raises(ValueError):
-            index.restrict(members)
-
-    def test_accepts_an_index_array(self):
-        seqs = [encode("ARND"), encode("CQAR"), encode("NDCQ")]
-        index = GeneralizedSuffixArray(seqs)
-        assert_same_index(
-            index.restrict(np.array([0, 2])), GeneralizedSuffixArray([seqs[0], seqs[2]])
-        )
