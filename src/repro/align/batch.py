@@ -57,6 +57,8 @@ in ``tests/test_batch_align.py``.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -64,7 +66,7 @@ import numpy as np
 
 from repro import obs
 from repro.align.matrices import ScoringScheme, blosum62_scheme
-from repro.align.pairwise import Alignment, _traceback, batch_alignment_cells
+from repro.align.pairwise import Alignment, _alignment_row, _traceback, alignment_cells
 from repro.align.predicates import containment_stats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -172,11 +174,24 @@ def _slot_codes(store: "EncodedStore", idx: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _fill_layout(
+    scheme: ScoringScheme, m_pad: int, n_pad: int, B: int
+) -> tuple[tuple[int, int, int], np.dtype, int]:
+    """Shape, dtype and bytes of the H that :func:`_bucket_fill` fills
+    for a bucket of ``B`` slots, ``m_pad`` by ``n_pad`` residues."""
+    shape = (m_pad + 1, n_pad + 1, B)
+    dtype = np.dtype(_chain_dtype(scheme, m_pad, n_pad))
+    return shape, dtype, math.prod(shape) * dtype.itemsize
+
+
 def _bucket_fill(
-    a_pad: np.ndarray, b_pad: np.ndarray, scheme: ScoringScheme, mode: str
+    a_pad: np.ndarray, b_pad: np.ndarray, scheme: ScoringScheme, mode: str,
+    buffer: np.ndarray,
 ) -> np.ndarray:
     """Fill one bucket of pairs, given as the :func:`_slot_codes` of
-    each side; returns H, batch-last ``(m_pad+1, n_pad+1, B)``.
+    each side, into the front of the uint8 ``buffer`` (at least
+    :func:`_fill_layout`'s bytes; its contents are never read); returns
+    that view, H, batch-last ``(m_pad+1, n_pad+1, B)``.
 
     Slot ``k`` is the DP matrix of pair ``k`` padded with residue 0: its
     real submatrix ``H[:m_k+1, :n_k+1, k]`` equals the one-pair fill's H
@@ -187,12 +202,16 @@ def _bucket_fill(
     The fill runs in G-space, ``G[i, j] = H[i, j] - j * gap``: there the
     left-gap chain is a plain prefix max along each row, the diagonal
     move adds ``sub - gap`` and the up move adds ``gap``; one ``H -=
-    offs`` at the end returns to H.
+    offs`` at the end returns to H.  Row 0 and column 0 are set first
+    and every other cell is written by its row update, so a reused
+    buffer fills as a zeroed one.  Every operand of a row update is a
+    view built once per bucket, never per row.
     """
     (m_pad, B), n_pad = a_pad.shape, len(b_pad)
     width = scheme.matrix.shape[1]
     gap = int(scheme.gap)
-    dtype = _chain_dtype(scheme, m_pad, n_pad)
+    shape, dtype, nbytes = _fill_layout(scheme, m_pad, n_pad, B)
+    H = buffer[:nbytes].view(dtype).reshape(shape)
     # Row tables: table[i - 1] holds, slot by slot, the (G-shifted)
     # substitution row of a_k[i - 1], and b_slot indexes it flat, so
     # the scores of a block of _SUB_ROWS rows are one take into ``subs``
@@ -206,47 +225,61 @@ def _bucket_fill(
     # full-size: broadcast operands miss NumPy's fast loops (np.maximum
     # against a scalar is ~5x slower).
     offs = np.repeat((-gap) * np.arange(n_pad + 1, dtype=dtype), B).reshape(-1, B)
-    H = np.zeros((m_pad + 1, n_pad + 1, B), dtype=dtype)
     if mode == "global":  # G[0, j] = 0, G[i, 0] = i * gap
+        H[0] = 0
         H[:, 0, :] = (gap * np.arange(m_pad + 1, dtype=dtype))[:, None]
-    else:  # H[0, j] = 0
+    else:  # H[0, j] = 0, H[i, 0] = 0
         H[0] = offs
+        H[:, 0] = 0
     floor = offs[1:] if mode == "local" else None
     up = np.empty((n_pad, B), dtype=dtype)
     wide = B >= _DOUBLING_MIN_SLOTS
     if wide:
         # Hillis-Steele ping-pong: two row buffers behind a lead of the
         # dtype's minimum (max's identity), so every shifted view is full
-        # length and no step copies; the last step writes H's row.
+        # length and no step copies; the last step writes H's row.  Each
+        # step is a (src, shifted src, dst) triple of fixed views.
         shifts = [1 << s for s in range(n_pad.bit_length())]
         lead = shifts[-1]
         ping = np.full((lead + n_pad + 1, B), np.iinfo(dtype).min, dtype=dtype)
         pong = ping.copy()
-    for i in range(1, m_pad + 1):
-        r = (i - 1) % _SUB_ROWS
+        steps = []
+        src, dst = ping, pong
+        for s in shifts:
+            steps.append((src[lead:], src[lead - s : -s], dst[lead:]))
+            src, dst = dst, src
+        *steps, (last, last_shifted, _) = steps
+        # The chain of row i: ping[lead] holds the boundary H[i, 0] (the
+        # chain origin), which every step keeps, and ping[lead + 1:] the
+        # gap-free candidates, diagonal then up; the last step writes H[i].
+        origin = ping[lead]
+        origin[...] = 0
+        origins = H[1:, 0] if mode == "global" else None
+        chains = itertools.repeat(ping[lead + 1 :])
+    else:  # the chain of row i is H[i] itself
+        chains = H[1:, 1:]
+    sub_rows = list(subs)
+    # Step i fills row i + 1 from row i: diag[i] = H[i, :-1] (diagonal
+    # moves) and vert[i] = H[i, 1:] (up moves).
+    diag, vert = H[:-1, :-1], H[:-1, 1:]
+    for i, (prev_diag, prev_vert, row, t) in enumerate(zip(diag, vert, H[1:], chains)):
+        r = i % _SUB_ROWS
         if r == 0:  # codes checked on entry
-            block = table[i - 1 : i - 1 + _SUB_ROWS]
+            block = table[i : i + _SUB_ROWS]
             np.take(block, b_slot, axis=1, out=subs[: len(block)], mode="clip")
-        sub = subs[r]  # row i's scores
-        # The row is its own chain: row[0] holds the boundary (the chain
-        # origin) and row[1:] the gap-free candidates, diagonal then up.
-        prev = H[i - 1]
-        row = ping[lead:] if wide else H[i]
-        t = row[1:]
-        np.add(prev[:-1], sub, out=t)
-        np.add(prev[1:], gap, out=up)
+        np.add(prev_diag, sub_rows[r], out=t)
+        np.add(prev_vert, gap, out=up)
         np.maximum(t, up, out=t)
         if floor is not None:
             np.maximum(t, floor, out=t)
         if not wide:
             np.maximum.accumulate(row, axis=0, out=row)
             continue
-        row[0] = H[i, 0]
-        src, dst = ping, pong
-        for s in shifts:
-            out = H[i] if s == lead else dst[lead:]
-            np.maximum(src[lead:], src[lead - s : -s], out=out)
-            src, dst = dst, src
+        if origins is not None:
+            origin[...] = origins[i]
+        for src, shifted, dst in steps:
+            np.maximum(src, shifted, out=dst)
+        np.maximum(last, last_shifted, out=row)
     H -= offs
     return H
 
@@ -270,7 +303,9 @@ def _bucket_endpoints(
         m_min, n_min = int(m_arr.min()), int(n_arr.min())
         H[m_min + 1 :] *= (rows[m_min + 1 :, None] <= m_arr)[:, None, :]
         H[:, n_min + 1 :] *= (cols[n_min + 1 :, None] <= n_arr)[None, :, :]
-        row_max = H.max(axis=1)
+        # Over j through the transpose: the reduction then runs along
+        # whole (m_pad + 1, B) planes, not within each row of H.
+        row_max = H.transpose(1, 0, 2).max(axis=0)
         start_i = (row_max == row_max.max(axis=0)).argmax(axis=0)
         return start_i, H[start_i, :, slots].argmax(axis=1)
     low = np.iinfo(H.dtype).min
@@ -285,11 +320,12 @@ def _bucket_walk(
     H: np.ndarray, store: "EncodedStore", ia: np.ndarray, ib: np.ndarray,
     codes: tuple[np.ndarray, np.ndarray], scheme: ScoringScheme,
     start_i: np.ndarray, start_j: np.ndarray, mode: str,
-) -> list[tuple[int, ...]]:
+) -> np.ndarray:
     """Walk every slot of a bucket back at once; slot ``k``, sequences
     ``ia[k]`` and ``ib[k]`` of the store (``codes``: each side's
     :func:`_slot_codes`), gets :func:`_traceback`'s row from
-    ``(start_i[k], start_j[k])``.
+    ``(start_i[k], start_j[k])``, as row ``k`` of a ``(B, 8)`` int64
+    table.
 
     A step reads, for every live slot at ``(i, j)``, the window ``h[r] =
     H(i - r, j - r)`` for ``r <= K`` (:data:`_WALK_WINDOW`) and the K
@@ -300,29 +336,38 @@ def _bucket_walk(
     cells only, exactly as the one-slot run does.  At a failing cell the
     one-slot walk stops (``i = 0``, ``j = 0``, a local zero) or takes the
     up move, else the left move, else is stuck; the step does the same.
-    Once fewer than :data:`_WALK_MIN_SLOTS` slots are live (from the
-    start, in a narrow bucket), the rest resume in :func:`_traceback`
-    over the store's views, which also builds every row.
+    The rows of the slots the lockstep stopped are built as columns by
+    :func:`~repro.align.pairwise._alignment_row`, which builds
+    :func:`_traceback`'s row too.  Once fewer than
+    :data:`_WALK_MIN_SLOTS` slots are live (from the start, in a narrow
+    bucket), the rest resume in :func:`_traceback` over the store's
+    views, which builds their rows.
     """
+    B = len(ia)
+    rows = np.empty((B, 8), dtype=np.int64)
     zeros = np.zeros_like(start_i)
     at = np.array([start_i, start_j, zeros, zeros], dtype=np.intp)
-    if len(ia) >= _WALK_MIN_SLOTS:
-        _walk_lockstep(H, *codes, scheme, mode, at)
-    return [
-        _traceback(H[:, :, k], store.get(a), store.get(b), scheme, si, sj, mode, at=state)
-        for k, (a, b, si, sj, state) in enumerate(zip(
-            ia.tolist(), ib.tolist(), start_i.tolist(), start_j.tolist(), zip(*at.tolist())
-        ))
-    ]
+    live = range(B)
+    if B >= _WALK_MIN_SLOTS:
+        live = _walk_lockstep(H, *codes, scheme, mode, at).tolist()
+        score = H[start_i, start_j, np.arange(B)]
+        for column, values in zip(rows.T, _alignment_row(score, start_i, start_j, *at, mode)):
+            column[:] = values
+    for k in live:
+        rows[k] = _traceback(H[:, :, k], store.get(int(ia[k])), store.get(int(ib[k])),
+                             scheme, int(start_i[k]), int(start_j[k]), mode,
+                             at=tuple(at[:, k].tolist()))
+    return rows
 
 
 def _walk_lockstep(
     H: np.ndarray, a_pad: np.ndarray, b_pad: np.ndarray, scheme: ScoringScheme,
     mode: str, at: np.ndarray,
-) -> None:
+) -> np.ndarray:
     """The lockstep half of :func:`_bucket_walk`: advances ``at``, the
     rows ``(i, j, matches, diagonal)`` with one column per slot, until
-    fewer than :data:`_WALK_MIN_SLOTS` slots are live."""
+    fewer than :data:`_WALK_MIN_SLOTS` slots are live, and returns
+    those slots."""
     _, n1, B = H.shape
     cells = H.reshape(-1)
     width = scheme.matrix.shape[1]
@@ -375,6 +420,7 @@ def _walk_lockstep(
             s, i, j = s[keep], i[keep], j[keep]
             matches, diagonal = matches[keep], diagonal[keep]
     at[:, s] = i, j, matches, diagonal
+    return s
 
 
 def _iter_buckets(
@@ -416,9 +462,11 @@ def align_columns(
     ``tests/scalar_align.py`` aligner of that ``mode`` on the pair.
 
     The one bucket loop, :data:`DEFAULT_BUCKET` pairs at most a bucket.
-    Counts ``batch.pairs`` and ``batch.cells`` (per *real* pair
-    dimensions, never per padded slot); the store's codes are checked
-    once per store.
+    Every bucket fills into one byte buffer, allocated once for the
+    call's largest H, so one H is live at a time whatever the buckets'
+    dtypes.  Counts ``batch.pairs`` and ``batch.cells`` (per *real*
+    pair dimensions, never per padded slot); the store's codes are
+    checked once per store.
     """
     ia, ib = _index_columns(store, ia, ib)
     table = np.zeros((len(ia), 8), dtype=np.int64)
@@ -427,16 +475,21 @@ def align_columns(
     store.check_codes(scheme.matrix.shape[1])
     m_arr, n_arr = store.lengths[ia], store.lengths[ib]
     obs.count("batch.pairs", len(ia))
-    obs.count("batch.cells", batch_alignment_cells(zip(m_arr.tolist(), n_arr.tolist())))
-    for members in _iter_buckets(m_arr, n_arr, DEFAULT_BUCKET):
+    obs.count("batch.cells", int(alignment_cells(m_arr, n_arr).sum()))
+    buckets = list(_iter_buckets(m_arr, n_arr, DEFAULT_BUCKET))
+    buffer = np.empty(max(
+        _fill_layout(scheme, int(m_arr[members].max()), int(n_arr[members].max()),
+                     len(members))[2]
+        for members in buckets
+    ), dtype=np.uint8)
+    for members in buckets:
         a, b = ia[members], ib[members]
         codes = _slot_codes(store, a), _slot_codes(store, b)
-        H = _bucket_fill(*codes, scheme, mode)
+        H = _bucket_fill(*codes, scheme, mode, buffer)
         obs.count("batch.buckets")
         obs.count("batch.padded_cells", H.size)
         start_i, start_j = _bucket_endpoints(H, m_arr[members], n_arr[members], mode)
         table[members] = _bucket_walk(H, store, a, b, codes, scheme, start_i, start_j, mode)
-        del H  # the next fill must not allocate beside this bucket's H
     return table
 
 

@@ -17,7 +17,6 @@ one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -109,29 +108,30 @@ def _traceback(
             j -= 1
         else:  # pragma: no cover - would indicate a fill bug
             raise AssertionError(f"traceback stuck at ({i}, {j})")
+    return _alignment_row(H.item(start_i, start_j), start_i, start_j, i, j,
+                          matches, diagonal, mode)
+
+
+def _alignment_row(score, start_i, start_j, i, j, matches, diagonal, mode: str) -> tuple:
+    """The row ``(score, a_start, a_end, b_start, b_end, matches,
+    length, gaps)`` of a walk from ``(start_i, start_j)`` that stopped at
+    ``(i, j)`` after ``diagonal`` diagonal moves, ``matches`` of them on
+    equal residues; every argument but ``mode`` a scalar, or every one a
+    column (:func:`repro.align.batch._bucket_walk`'s stopped slots)."""
     if mode == "global":  # only gap columns are left
         i = j = 0
     # Every column consumes a residue of a, of b, or (diagonal) of both.
     gaps = (start_i - i) + (start_j - j) - 2 * diagonal
-    return (H.item(start_i, start_j), i, start_i, j, start_j, matches,
-            diagonal + gaps, gaps)
+    return (score, i, start_i, j, start_j, matches, diagonal + gaps, gaps)
 
 
-def alignment_cells(a_len: int, b_len: int) -> int:
-    """Number of DP cells an alignment of these lengths computes.
+def alignment_cells(a_len: int | np.ndarray, b_len: int | np.ndarray) -> int | np.ndarray:
+    """Number of DP cells an alignment of these lengths computes, element
+    for element given arrays of lengths.
 
-    Used by the parallel simulator as the compute-cost unit for alignment
-    work (the paper's dominant kernel).
+    The engine's ``batch.cells`` charges each pair this, by its *real*
+    dimensions, never the padded slot of its bucket, so the work counter
+    follows input size, not bucket geometry.
     """
     return (a_len + 1) * (b_len + 1)
 
-
-def batch_alignment_cells(dims: Iterable[tuple[int, int]]) -> int:
-    """Total DP cells for a batch of pairs, by *real* pair dimensions.
-
-    The batched kernels (:mod:`repro.align.batch`) pad pairs to a common
-    bucket shape; cost accounting must charge each pair its own
-    ``(m+1)(n+1)`` cells, never the padded slot size, or the work
-    counters would inflate with bucket geometry instead of input size.
-    """
-    return sum(alignment_cells(m, n) for m, n in dims)

@@ -11,6 +11,7 @@ semantics and per-real-pair cell accounting.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -33,6 +34,7 @@ from repro.align.batch import (
     _bucket_fill,
     _bucket_walk,
     _chain_dtype,
+    _fill_layout,
     _iter_buckets,
     _myers_packed,
     _myers_table_sweep,
@@ -53,7 +55,7 @@ from repro.align.matrices import (
     blosum62_scheme,
     identity_scheme,
 )
-from repro.align.pairwise import Alignment, _traceback, batch_alignment_cells
+from repro.align.pairwise import Alignment, _traceback, alignment_cells
 from repro.pace.cache import AlignmentCache
 from repro.runtime import SerialBackend
 from repro.runtime.sharedseq import EncodedStore
@@ -122,8 +124,11 @@ def slot_codes(pairs):
 
 
 def bucket_fill(pairs, scheme, mode):
-    """:func:`_bucket_fill` of ``pairs`` as one bucket."""
-    return _bucket_fill(*slot_codes(pairs), scheme, mode)
+    """:func:`_bucket_fill` of ``pairs`` as one bucket, into a buffer of
+    its own."""
+    a_pad, b_pad = slot_codes(pairs)
+    nbytes = _fill_layout(scheme, len(a_pad), len(b_pad), a_pad.shape[1])[2]
+    return _bucket_fill(a_pad, b_pad, scheme, mode, np.empty(nbytes, dtype=np.uint8))
 
 
 def bucket_endpoints(H, pairs, mode):
@@ -133,10 +138,12 @@ def bucket_endpoints(H, pairs, mode):
 
 
 def bucket_walk(H, pairs, scheme, start_i, start_j, mode):
-    """:func:`_bucket_walk` of the bucket ``pairs`` filled into H."""
+    """:func:`_bucket_walk` of the bucket ``pairs`` filled into H, its
+    table's rows as tuples."""
     store, ia, ib = pair_store(pairs)
     codes = _slot_codes(store, ia), _slot_codes(store, ib)
-    return _bucket_walk(H, store, ia, ib, codes, scheme, start_i, start_j, mode)
+    rows = _bucket_walk(H, store, ia, ib, codes, scheme, start_i, start_j, mode)
+    return [tuple(row) for row in rows.tolist()]
 
 
 def iter_buckets(dims, bucket_size):
@@ -1181,6 +1188,96 @@ class TestAlignColumns:
         assert codes.dtype == np.intp and np.array_equal(codes, expected)
 
 
+class TestFillBuffer:
+    """One byte buffer per align_columns call: every bucket fills into
+    it whatever was left there, whatever its dtype, and it is the one H
+    the call holds."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("slots", [_DOUBLING_MIN_SLOTS - 1, _DOUBLING_MIN_SLOTS])
+    def test_garbage_buffer_fills_as_zeros(self, mode, slots):
+        """Narrow (accumulate) and wide (log-step) chains: a buffer of
+        random bytes fills, cell for cell, as a zeroed one, and each real
+        submatrix is the scalar _fill's: the fill sets row 0 and column 0
+        before any row update reads them."""
+        rng = np.random.default_rng(61)
+        pairs = rand_pairs(rng, slots, lo=20, hi=90)
+        scheme = blosum62_scheme()
+        codes = slot_codes(pairs)
+        nbytes = bucket_fill(pairs, scheme, mode).nbytes + 64
+        zeros = np.zeros(nbytes, dtype=np.uint8)
+        garbage = rng.integers(0, 256, nbytes, dtype=np.uint8)
+        into_zeros = _bucket_fill(*codes, scheme, mode, zeros)
+        into_garbage = _bucket_fill(*codes, scheme, mode, garbage)
+        assert np.shares_memory(into_garbage, garbage)
+        assert np.array_equal(into_garbage, into_zeros)
+        for k, (a, b) in enumerate(pairs):
+            assert np.array_equal(into_garbage[: len(a) + 1, : len(b) + 1, k],
+                                  _fill(a, b, scheme, mode))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_buckets_switch_dtype_in_one_call(self, mode):
+        """int16 buckets, then one past the int16 bound (936 residues a
+        side, as TestFillDtype forces it), then int16 again over the
+        int32 fill's bytes: every row is the scalar kernel's."""
+        scheme = blosum62_scheme(gap=-8)
+        rng = np.random.default_rng(67)
+        a = rng.integers(0, 20, 936).astype(np.uint8)
+        b = a.copy()
+        pos = rng.integers(0, 936, 180)
+        b[pos] = rng.integers(0, 20, len(pos)).astype(np.uint8)
+        tall = (rng.integers(0, 20, 2900).astype(np.uint8),
+                rng.integers(0, 20, 40).astype(np.uint8))
+        pairs = rand_pairs(rng, 20, lo=40, hi=120) + [(a, b), tall]
+        dims = [(len(x), len(y)) for x, y in pairs]
+        assert [_chain_dtype(scheme, max(dims[k][0] for k in bucket),
+                             max(dims[k][1] for k in bucket))
+                for bucket in iter_buckets(dims, DEFAULT_BUCKET)] == [
+            np.int16, np.int16, np.int16, np.int32, np.int16]
+        store, ia, ib = pair_store(pairs)
+        table = align_columns(store, ia, ib, scheme=scheme, mode=mode)
+        assert [Alignment(*row, mode=mode) for row in table.tolist()] == [
+            SCALAR[mode](x, y, scheme) for x, y in pairs]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_live_h_per_call(self, mode):
+        """Six buckets of four shapes (wide and narrow int16, a lone
+        int32 square, a lone int16 1-by-5 slab): tracemalloc's peak over
+        the call stays within the largest H plus half of it, which the
+        fill's other operands (row tables, the substitution block, the
+        codes) stay under here; the two largest H live at once would
+        not.  The packing is pinned too."""
+        scheme = blosum62_scheme()
+        rng = np.random.default_rng(71)
+
+        def seq(m):
+            return rng.integers(0, 20, m).astype(np.uint8)
+
+        pairs = [(seq(150), seq(150)) for _ in range(40)]
+        pairs += [(seq(1200), seq(1200)), (seq(3000), seq(600))]
+        dims = [(len(x), len(y)) for x, y in pairs]
+        h_bytes = []
+        for bucket in iter_buckets(dims, DEFAULT_BUCKET):
+            m_pad = max(dims[k][0] for k in bucket)
+            n_pad = max(dims[k][1] for k in bucket)
+            itemsize = np.dtype(_chain_dtype(scheme, m_pad, n_pad)).itemsize
+            h_bytes.append(len(bucket) * (m_pad + 1) * (n_pad + 1) * itemsize)
+        largest, second = sorted(h_bytes)[-1:-3:-1]
+        slack = largest // 2
+        assert second > slack  # the bound can tell two live H from one
+        store, ia, ib = pair_store(pairs)
+        tracemalloc.start()
+        try:
+            _, counted = recorded(
+                lambda: align_columns(store, ia, ib, scheme=scheme, mode=mode))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= largest + slack, (peak, largest)
+        assert (counted["batch.buckets"], counted["batch.padded_cells"]) == (
+            6, 4_158_042)
+
+
 class TestCacheBatchSemantics:
     """The pair stream in front of the cache == a per-pair loop of cache
     lookups and the scalar aligner: same alignment rows, same hit/miss
@@ -1282,9 +1379,7 @@ class TestCellsAccounting:
             (rng.integers(0, 20, 5).astype(np.uint8),
              rng.integers(0, 20, 200).astype(np.uint8)),
         ]
-        real = batch_alignment_cells(
-            (len(a), len(b)) for a, b in pairs
-        )
+        real = sum(alignment_cells(len(a), len(b)) for a, b in pairs)
         padded_floor = 3 * (64 + 1) * (200 + 1)  # what slot-counting would give
         assert real < padded_floor
         recorder = obs.Recorder()
@@ -1312,7 +1407,7 @@ class TestCellsAccounting:
             pairs, scheme=blosum62_scheme(), similarity=0.95, coverage=0.95,
         ).undecided.tolist()
         dp_dims = [(len(pairs[k][0]), len(pairs[k][1])) for k in went_to_dp]
-        assert counters.get("batch.cells", 0) == batch_alignment_cells(dp_dims)
+        assert counters.get("batch.cells", 0) == sum(alignment_cells(m, n) for m, n in dp_dims)
         assert counters["batch.myers_rejects"] == res.n_rejected
         assert counters["batch.exact_certified"] == res.n_exact
         assert counters["batch.dp_pairs"] == res.n_dp == 1
