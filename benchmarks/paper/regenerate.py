@@ -48,7 +48,6 @@ from repro.graph.bipartite import BipartiteGraph, duplicate_bipartite
 from repro.graph.density import size_histogram
 from repro.graph.unionfind import UnionFind
 from repro.obs import read_telemetry
-from repro.pace.cache import AlignmentCache
 from repro.parallel.machine import XEON_CLUSTER
 from repro.parallel.simulator import VirtualCluster
 from repro.runtime import SerialBackend, runtime_info
@@ -258,9 +257,9 @@ def work_reduction(inputs: Analogue) -> list[str]:
     sequences = inputs.scaling_subset("40k")
     backend = SerialBackend()
     with backend.session(sequences, blosum62_scheme()):
-        rr = backend_redundancy_removal(sequences, backend, _fresh_cache(sequences), psi=10)
+        rr = backend_redundancy_removal(sequences, backend, None, psi=10)
         ccd = backend_component_detection(
-            sequences, rr.kept, backend, _fresh_cache(sequences), psi=10
+            sequences, rr.kept, backend, None, psi=10
         )
     n = len(rr.kept)
     all_pairs = n * (n - 1) // 2
@@ -351,12 +350,6 @@ def gos_baseline(inputs: Analogue) -> list[str]:
     )
 
 
-def _fresh_cache(sequences) -> AlignmentCache:
-    """An empty cache for one ``backend_*`` call (they take one)."""
-    encoded = [r.encoded for r in sequences]
-    return AlignmentCache(lambda k: encoded[k], blosum62_scheme())
-
-
 def _ccd_reference(sequences, variants):
     """CCD's core loop once per ``(order, use_filter)`` of ``variants``:
     ``(groups, pairs aligned)`` each.  Every distinct promising pair's
@@ -404,7 +397,7 @@ def ablations(inputs: Analogue) -> list[str]:
     backend = SerialBackend()
     with backend.session(sequences, blosum62_scheme()):
         for psi in (8, 10, 14, 20):
-            rr = backend_redundancy_removal(sequences, backend, _fresh_cache(sequences), psi=psi)
+            rr = backend_redundancy_removal(sequences, backend, None, psi=psi)
             psi_rows.append((psi, rr.n_promising_pairs, len(rr.redundant)))
     pairs = [r[1] for r in psi_rows]
     # Larger psi => strictly less filter work.
@@ -433,7 +426,7 @@ def ablations(inputs: Analogue) -> list[str]:
     backend = SerialBackend()
     with backend.session(sequences, blosum62_scheme()):
         ccd = backend_component_detection(
-            sequences, list(range(len(sequences))), backend, _fresh_cache(sequences), psi=10
+            sequences, list(range(len(sequences))), backend, None, psi=10
         )
     assert [sorted(c) for c in ccd.components] == groups
 
@@ -590,7 +583,7 @@ def obs_overhead(inputs: Analogue) -> list[str]:
     sequences = inputs.scaling_subset("20k")
 
     def run_once(**run_args) -> float:
-        # A fresh pipeline and cache per run: both arms do identical work.
+        # A fresh pipeline per run: both arms do identical work.
         pipeline = ProteinFamilyPipeline(inputs.config)
         start = monotonic_now()
         pipeline.run(sequences, **run_args)

@@ -51,18 +51,18 @@ def _project_index(project: ProjectContext) -> ProjectIndex | None:
 class OrDefaultRule(Rule):
     """R1: ``x = x or Default()`` silently discards *falsy* arguments.
 
-    PR 2 paid for this nine times: ``cache or AlignmentCache(...)``
-    threw away a deliberately-passed *empty* cache, so cross-phase
-    memoisation quietly never happened.  Any parameter whose type can
-    be falsy-but-meaningful (containers, caches, recorders, empty
-    strings, zero counts) must be defaulted with ``if x is None``.
+    ``seen = seen or set()`` throws away a deliberately-passed *empty*
+    set, so the caller never sees what the callee added to it.  Any
+    parameter whose type can be falsy-but-meaningful (containers,
+    recorders, empty strings, zero counts) must be defaulted with
+    ``if x is None``.
     """
 
     name = "R1"
     slug = "or-default"
     severity = "error"
     description = (
-        "no `x or Default()` defaulting on container/cache/recorder "
+        "no `x or Default()` defaulting on container/recorder "
         "parameters; use `if x is None: x = Default()`"
     )
 
@@ -84,7 +84,7 @@ class OrDefaultRule(Rule):
                 self,
                 value,
                 f"`{first.id} or ...` discards a falsy `{first.id}` "
-                f"(empty cache/container); default with "
+                f"(empty container); default with "
                 f"`if {first.id} is None: {first.id} = ...`",
             )
 

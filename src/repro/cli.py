@@ -33,7 +33,7 @@ profile
 top
     Render a ``telemetry.jsonl`` as a refreshing status screen: a run's
     (written when ``run``/``profile`` get ``--telemetry-dir``) shows
-    phase progress/ETA, worker lanes, queue depths, cache stats; a
+    phase progress/ETA, worker lanes and queue depths; a
     ``serve`` daemon's (always written into its ``--run-dir``) shows
     per-verb latency, stage shares, the applier and request totals.
     Works live (tail-follow) and post-hoc (``--once``), including on
@@ -74,8 +74,8 @@ failed check (metric drift, lint violations), and 2 on unusable input
 
 ``run`` accepts ``--backend {serial,process}`` and ``--workers N`` to
 execute on a real multi-core backend (see :mod:`repro.runtime`); the
-scientific output is identical, and the report's per-phase wall-clock,
-worker-utilisation and alignment-cache figures are measured.
+scientific output is identical, and the report's per-phase wall-clock
+and worker-utilisation figures are measured.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from repro.pace.bipartite_gen import (
     ComponentGraphs,
     parallel_generate_component_graphs,
 )
-from repro.pace.cache import AlignmentCache
 from repro.pace.clustering import ClusteringResult, parallel_component_detection
 from repro.pace.costs import CostModel
 from repro.pace.densesub import DsdResult, parallel_dense_subgraph_detection
@@ -133,10 +132,6 @@ class ProteinFamilyPipeline:
 
     def __init__(self, config: PipelineConfig | None = None):
         self.config = PipelineConfig() if config is None else config
-
-    def _make_cache(self, sequences: SequenceSet) -> AlignmentCache:
-        encoded = [record.encoded for record in sequences]
-        return AlignmentCache(lambda k: encoded[k], self.config.scheme)
 
     def _run_meta(
         self, sequences: SequenceSet, *, mode: str, workers: int
@@ -241,7 +236,6 @@ class ProteinFamilyPipeline:
             )
         if workers is None and config.workers:
             workers = config.workers
-        cache = self._make_cache(sequences)
         real_backend = make_backend(
             "serial" if backend is None else backend,
             workers,
@@ -260,9 +254,9 @@ class ProteinFamilyPipeline:
             ))
         try:
             with self._observing(recorder, observe, telemetry_dir,
-                                 telemetry_interval, cache, real_backend):
+                                 telemetry_interval, real_backend):
                 result = self._run_phases(
-                    sequences, real_backend, cache, recorder, journal,
+                    sequences, real_backend, recorder, journal,
                     cluster, dsd_cluster, cost_model,
                 )
         finally:
@@ -278,7 +272,6 @@ class ProteinFamilyPipeline:
         observe: bool,
         telemetry_dir: str | Path | None,
         telemetry_interval: float,
-        cache: AlignmentCache,
         backend: Backend,
     ):
         """Install the ambient recorder — and, when ``telemetry_dir`` is
@@ -296,8 +289,7 @@ class ProteinFamilyPipeline:
                 recorder,
                 telemetry_dir,
                 interval=telemetry_interval,
-                probes={"cache": cache.stats,
-                        "runtime": backend.telemetry_probe},
+                probes={"runtime": backend.telemetry_probe},
             )
             with sampler:
                 yield
@@ -306,7 +298,6 @@ class ProteinFamilyPipeline:
         self,
         sequences: SequenceSet,
         backend: Backend,
-        cache: AlignmentCache,
         recorder: Recorder,
         journal,
         cluster: VirtualCluster | None,
@@ -348,7 +339,6 @@ class ProteinFamilyPipeline:
                 return restore(state.payload(name))
             if journal is not None:
                 journal.phase_start(name)
-            cache.set_phase(name)
             if simulate_on is None:
                 result = on_backend()
             else:
@@ -381,7 +371,7 @@ class ProteinFamilyPipeline:
                 "redundancy",
                 cluster,
                 lambda: backend_redundancy_removal(
-                    sequences, backend, cache, **containment),
+                    sequences, backend, None, **containment),
                 lambda: parallel_redundancy_removal(
                     sequences, cluster, **containment, **simulation),
                 ckpt.redundancy_payload,
@@ -391,7 +381,7 @@ class ProteinFamilyPipeline:
                 "clustering",
                 cluster,
                 lambda: backend_component_detection(
-                    sequences, rr.kept, backend, cache, **overlap,
+                    sequences, rr.kept, backend, None, **overlap,
                     journal=journal,
                     replay_unions=state.ccd_unions if state is not None else None,
                 ),
@@ -406,7 +396,7 @@ class ProteinFamilyPipeline:
                 # B_m is alignment-free: nothing to distribute.
                 cluster if config.reduction == "global" else None,
                 lambda: backend_generate_component_graphs(
-                    sequences, qualifying, backend, cache,
+                    sequences, qualifying, backend, None,
                     reduction=config.reduction, w=config.w, **edges),
                 lambda: parallel_generate_component_graphs(
                     sequences, qualifying, cluster, **edges, **simulation),
@@ -425,15 +415,6 @@ class ProteinFamilyPipeline:
                 ckpt.dense_payload,
                 ckpt.dense_from_payload,
             )
-        # Absolute snapshot, once, at end of run: the cache's one dict
-        # under the ``cache.*`` names of the registry.
-        stats = cache.stats()
-        recorder.count("cache.local_hits", stats["hits"])
-        recorder.count("cache.local_misses", stats["misses"])
-        recorder.count("cache.entries", stats["entries"])
-        for name, split in stats["by_phase"].items():
-            recorder.count(f"cache.phase.{name}.hits", split["hits"])
-            recorder.count(f"cache.phase.{name}.misses", split["misses"])
         return PipelineResult(
             config=config,
             n_input=len(sequences),

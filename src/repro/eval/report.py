@@ -3,10 +3,9 @@
 Besides the paper's qualitative-assessment row (Table I), this module
 renders the one text report of a finished run (:func:`report_lines`):
 a phase timeline with share bars and per-phase work, worker-lane
-utilisation, the masters' pair generation, the scientific counters of
-the run contract and the cache rollup — identical in vocabulary across
-serial, simulated and backend runs, printed by ``repro run`` and
-``repro profile`` alike.
+utilisation, the masters' pair generation and the scientific counters
+of the run contract — identical in vocabulary across serial, simulated
+and backend runs, printed by ``repro run`` and ``repro profile`` alike.
 """
 
 from __future__ import annotations
@@ -58,15 +57,14 @@ def report_lines(result: "PipelineResult", *, bar_width: int = 28) -> list[str]:
 
     Sections (each omitted when empty): run metadata; the per-phase
     wall-clock timeline with share bars and, per phase, the work
-    dispatched (``tasks``: pairs or component graphs), the pairs the
-    alignment cache answered instead (``hits``) and worker utilisation;
-    the worker-lane busy rollup (backend runs); the masters'
-    pair-generation rollup per phase (from the ``pairs.generate`` block
-    spans); the scientific counters; the cache summary with its per-kind
-    and per-phase split; CCD's batches; shingle draws shared by equal
-    sets; string index builds.  Phase rows come from ``result.runtime``,
-    everything else from the run's recorder ``result.obs`` (a run made
-    with ``observe=False`` reports its phase rows only).
+    dispatched (``tasks``: pairs or component graphs) and worker
+    utilisation; the worker-lane busy rollup (backend runs); the
+    masters' pair-generation rollup per phase (from the
+    ``pairs.generate`` block spans); the scientific counters; CCD's
+    batches; shingle draws shared by equal sets; string index builds.
+    Phase rows come from ``result.runtime``, everything else from the
+    run's recorder ``result.obs`` (a run made with ``observe=False``
+    reports its phase rows only).
     """
     recorder = result.obs if result.obs is not None else Recorder()
     runtime = result.runtime
@@ -81,7 +79,7 @@ def report_lines(result: "PipelineResult", *, bar_width: int = 28) -> list[str]:
         lines.append(
             f"phase timeline ({total:.3f}s wall, utilization "
             f"{runtime.utilization():.0%}; tasks = pairs/components "
-            f"dispatched, hits = pairs the cache answered):"
+            f"dispatched):"
         )
         peak = max(p.wall_seconds for p in runtime.phases.values())
         for phase in runtime.phases.values():
@@ -93,7 +91,6 @@ def report_lines(result: "PipelineResult", *, bar_width: int = 28) -> list[str]:
             lines.append(
                 f"  {phase.name:<16s} {secs:>9.3f}s {share:>6.1%}  "
                 f"|{'#' * filled:<{bar_width}s}|  tasks={phase.tasks:<8,d} "
-                f"hits={phase.cache_hits:<8,d} "
                 f"util={phase.utilization(runtime.workers):.0%}"
             )
     worker_lanes = {
@@ -135,7 +132,6 @@ def report_lines(result: "PipelineResult", *, bar_width: int = 28) -> list[str]:
         lines.append("scientific counters (mode-invariant):")
         for name, value in scientific.items():
             lines.append(f"  {name:<26s} {int(value):>12,d}")
-    lines.extend(_cache_lines(counters))
     if batches := int(counters.get("ccd.batches", 0)):
         lines.append(f"CCD: {int(counters['ccd.alignments']):,d} alignments in {batches:,d} "
                      f"batch{'es' * (batches != 1)}, {int(counters.get('ccd.held', 0)):,d} pairs held "
@@ -149,33 +145,6 @@ def report_lines(result: "PipelineResult", *, bar_width: int = 28) -> list[str]:
         lines.append(f"string index: {builds:,d} build{'s' * (builds != 1)} ({symbols:,d} symbols), "
                      "read whole by every phase")
     return lines
-
-
-def _cache_lines(counters: Mapping[str, float]) -> list[str]:
-    """The alignment cache's line of the report and, under it, its
-    local alignments split by asking phase — read from the ``cache.*``
-    counters the pipeline wrote from ``AlignmentCache.stats()``."""
-    phases = [name.removeprefix("cache.phase.").removesuffix(".hits")
-              for name in counters
-              if name.startswith("cache.phase.") and name.endswith(".hits")]
-    rows = [
-        (label, int(counters.get(f"{prefix}hits", 0)),
-         int(counters.get(f"{prefix}misses", 0)))
-        for label, prefix in (
-            (f"{'local':<10s}", "cache.local_"),
-            *((f"phase {phase:<14s}", f"cache.phase.{phase}.") for phase in phases),
-        )
-    ]
-    _, hits, misses = rows[0]
-    lookups = hits + misses
-    if not lookups:
-        return []
-    return [
-        f"cache: {int(counters.get('cache.entries', 0)):,d} entries, "
-        f"{hits:,d}/{lookups:,d} lookups served ({hits / lookups:.1%} hit rate)",
-        *(f"  {label} hits={h:<8,d} misses={m:<8,d} ({h / (h + m):.1%})"
-          for label, h, m in rows if h + m),
-    ]
 
 
 def table1_row(

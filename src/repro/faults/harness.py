@@ -52,10 +52,10 @@ def default_chaos_sequences(seed: int) -> "SequenceSet":
 
     Three flat families of 32 close homologues: at every seed each
     yields hundreds of promising pairs, so on two workers RR cuts
-    several containment tasks, CCD's filter skips enough pairs that
-    bipartite generation has alignments of its own to dispatch (not
-    just hits on CCD's cache), and DSD gets a component per family —
-    every phase dispatches tasks and the baseline is never empty.
+    several containment tasks, CCD and bipartite generation each dispatch
+    the alignments of their own admitted pairs, and DSD gets a component
+    per family — every phase dispatches tasks and the baseline is never
+    empty.
     """
     return generate_metagenome(MetagenomeSpec(
         n_families=3, mean_family_size=32, max_family_size=32,

@@ -7,7 +7,7 @@ contract: a scientific counter describes *what the algorithm decided*
 bit-identical across both execution backends (the serial one is the
 reference) and the simulator on the same input — the counter analogue of the
 result-invariance guarantee.  Non-scientific ("work") counters
-describe *how the work got done* (cache hits, batch counts, pairs killed
+describe *how the work got done* (batch counts, pairs killed
 by the transitive-closure filter) and may vary with the executor.  The
 CCD filter's do not vary between the runtime backends — every one of
 them decides each pair exactly as the pair-by-pair loop does, see
@@ -111,13 +111,6 @@ _SPECS = [
                 "sets of >= s elements presented to a shingle draw, both passes"),
     CounterSpec("dsd.sets_drawn", "dense_subgraphs",
                 "distinct sets among them: the ones hashed (equal sets share a draw)"),
-    # -- Alignment cache (master-side memo) --------------------------------
-    CounterSpec("cache.local_hits", "cache",
-                "local alignments answered from the memo"),
-    CounterSpec("cache.local_misses", "cache",
-                "local alignments computed (master or worker)"),
-    CounterSpec("cache.entries", "cache",
-                "distinct alignments memoised at run end"),
     # -- Pair generation (repro.suffix.matches block stream) ---------------
     # Work counters: they describe how the masters' pair source did its
     # job (summed over the RR, CCD and bipartite streams of a backend
@@ -161,7 +154,7 @@ _SPECS = [
                 "tasks entered into the process backend's ledger "
                 "(absent from a serial run)"),
     CounterSpec("runtime.batch_pairs", "runtime",
-                "cache-missing pairs the pair streams dispatched as tasks"),
+                "pairs the pair streams dispatched as tasks"),
     CounterSpec("runtime.max_outstanding", "runtime",
                 "high-water mark of tasks in flight (at most one per "
                 "worker)"),
@@ -171,8 +164,8 @@ _SPECS = [
                 "worker result messages seen by the master "
                 "(the heartbeat source behind `repro top` lane ages)"),
     CounterSpec("runtime.pairs_done.redundancy", "runtime",
-                "RR alignment results absorbed (cache-answered or "
-                "worker-completed) — the progress model's done figure"),
+                "RR alignment results absorbed — the progress model's "
+                "done figure"),
     CounterSpec("runtime.pairs_done.clustering", "runtime",
                 "CCD alignment results absorbed — progress done figure"),
     CounterSpec("runtime.pairs_done.bipartite", "runtime",
@@ -299,13 +292,10 @@ GAUGES: dict[str, str] = {
 #: mirrors virtual-time simulator results, ``runtime.worker.<w>.*``
 #: are per-worker lanes, ``runtime.pairs_done.<phase>`` feeds the
 #: progress model (the three declared phases are also listed above).
-#: ``cache.phase.<phase>.hits/misses`` are the alignment cache's
-#: by-phase hit/miss split (one pair per pipeline phase plus "serve").
 DYNAMIC_COUNTER_PREFIXES: tuple[str, ...] = (
     "sim.",
     "runtime.worker.",
     "runtime.pairs_done.",
-    "cache.phase.",
 )
 
 #: Families of gauge names constructed at runtime: per-worker

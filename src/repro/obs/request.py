@@ -15,8 +15,8 @@ counters to an individual request, so each request gets a
 * a private **child recorder** that the ambient obs helpers resolve to
   (via the thread-local override, :func:`repro.obs.core.
   request_recording`) on whichever thread is currently advancing the
-  request, so instrumented library code (``incremental.py``, the cache,
-  the representative index) needs no request plumbing.
+  request, so instrumented library code (``incremental.py``, the
+  representative index) needs no request plumbing.
 
 Lifecycle: the server builds a context per received line, installs it
 around parsing/dispatch/ack, then calls :meth:`finish_into_parent` —

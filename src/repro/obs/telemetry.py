@@ -5,10 +5,10 @@ The Recorder answers "what happened" after a run; this module answers
 background thread that every ``interval`` seconds (default 250 ms)
 snapshots the live state of a process — the recorder's counters and
 gauges (current phase, queue depths, worker heartbeats), registered
-probe callables (alignment-cache statistics, backend worker liveness,
-a daemon's SLO surface), and the process RSS — and appends each
-snapshot as one JSON line to ``<run_dir>/telemetry.jsonl``.  A batch
-run and a ``repro serve`` daemon each write exactly one such stream.
+probe callables (backend worker liveness, a daemon's SLO surface), and
+the process RSS — and appends each snapshot as one JSON line to
+``<run_dir>/telemetry.jsonl``.  A batch run and a ``repro serve``
+daemon each write exactly one such stream.
 
 The file is the contract, not the sampler: ``repro top`` renders either
 a live file (tail-follow) or a finished one (post-hoc), tests replay
@@ -101,7 +101,7 @@ class TelemetrySampler:
     Usage::
 
         sampler = TelemetrySampler(recorder, run_dir, interval=0.25,
-                                   probes={"cache": cache.stats})
+                                   probes={"runtime": backend.telemetry_probe})
         with sampler:                      # starts the thread
             ... run the pipeline ...
         # stopped; telemetry.jsonl carries meta + samples + end

@@ -12,7 +12,7 @@ process), and pointed at a *finished* file it renders the final state
 once.  Because the file is the only coupling, a run that died without
 an end record (SIGKILL, OOM) still renders — as a degraded view:
 status "no end record", worker lanes whose heartbeats went stale
-marked ``LOST``, and the last known queue/cache/counter state.
+marked ``LOST``, and the last known queue and counter state.
 
 Rendering is pure (``render_screen`` returns lines for a parsed file),
 so tests replay recorded files byte-for-byte; the refresh loop is the
@@ -208,7 +208,6 @@ def _pipeline_rows(
         lines.extend(stream_rows)
 
     counters = last.get("counters", {})
-    cache = last.get("probes", {}).get("cache") or {}
     lines.append("")
     lines.append("counters:")
     pair_bits = []
@@ -236,13 +235,6 @@ def _pipeline_rows(
         recovery_bits.append("DEGRADED(in-master)")
     if recovery_bits:
         lines.append("  recovery: " + "  ".join(recovery_bits))
-    if isinstance(cache, dict) and "hit_rate" in cache:
-        lines.append(
-            f"  cache: {int(cache.get('entries', 0)):,d} entries, "
-            f"{cache['hit_rate']:.1%} hit rate"
-        )
-    elif isinstance(cache, dict) and "error" in cache:
-        lines.append(f"  cache: probe degraded ({cache['error']})")
     return lines
 
 

@@ -15,13 +15,12 @@ once:
   here and nowhere else.
 * :class:`PairStream` is the master side of every pair phase: int64
   index columns in (:meth:`PairStream.submit_columns`), one ``(ia, ib,
-  results)`` triple per task back through ``ready``/``drain`` — an
-  alignment stream with the master-only
-  :class:`~repro.pace.cache.AlignmentCache` in front, RR's containment
-  stream with none.  A task is exactly what a phase driver submits (an
-  ``RR_CHUNK`` of index columns, the misses of one ``LOCAL_CHUNK`` or
-  CCD batch, one component graph), so every backend runs the same task
-  bodies.
+  results)`` triple per task back through ``ready``/``drain``.  Nothing
+  answers a pair from memory: every pair submitted is sent to the
+  engine, so each pair a phase admits is aligned exactly once.  A task
+  is exactly what a phase driver submits (an ``RR_CHUNK`` of index
+  columns, one ``LOCAL_CHUNK`` or CCD batch, one component graph), so
+  every backend runs the same task bodies.
 * :class:`Backend` makes ``alignment_stream``, ``containment_stream``
   and ``map_components`` concrete over the hooks an executor
   (:class:`~repro.runtime.serial.SerialBackend`,
@@ -60,7 +59,6 @@ from repro.util.timing import monotonic_now
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.align.matrices import ScoringScheme
     from repro.graph.bipartite import BipartiteGraph
-    from repro.pace.cache import AlignmentCache
     from repro.sequence.record import SequenceSet
     from repro.shingle.algorithm import ShingleParams
 
@@ -125,13 +123,11 @@ def task_span(body: tuple, **args: object):
 class PhaseStats:
     """Measured execution statistics for one pipeline phase.
 
-    ``tasks`` counts units of *dispatched* work — pairs that missed the
-    cache and were sent to be aligned, or component graphs sent to
-    Shingle — on every backend; ``cache_hits`` counts pairs answered
-    from the master-side memo without dispatch, so ``tasks +
-    cache_hits`` is the number of pairs a phase submitted.
-    ``busy_seconds`` is the summed compute time of the dispatched work,
-    so ``busy / (wall * workers)`` is the classic utilisation figure.
+    ``tasks`` counts units of dispatched work — the pairs a phase
+    submitted to be aligned, or component graphs sent to Shingle — on
+    every backend.  ``busy_seconds`` is the summed compute time of the
+    dispatched work, so ``busy / (wall * workers)`` is the classic
+    utilisation figure.
 
     A plain record the backend fills in as it goes, not a view of the
     run's recorder: a phase function can be called with no recorder
@@ -142,7 +138,6 @@ class PhaseStats:
     name: str
     wall_seconds: float = 0.0
     tasks: int = 0
-    cache_hits: int = 0
     busy_seconds: float = 0.0
 
     def utilization(self, workers: int) -> float:
@@ -188,45 +183,28 @@ class PairStream:
     :meth:`submit_columns` with ``ready`` so verdicts are absorbed while
     tasks are out; the CCD driver submits a batch and drains it.
 
-    An alignment stream has the cache in front: a pair it already holds
-    never becomes work, it is answered here — the hits of one submit as
-    a triple of their own, their rows one ``(h, 8)`` table — and counted
-    once as a hit; every row a task returns is inserted and counted once
-    as a miss.  RR's containment stream has no cache (``cache`` None): it
-    never reads the traceback, which is what lets the containment engine
-    answer a pair *proven* unable to pass with ``(0.0, 0.0, 0.0)`` and
-    no alignment at all, so every pair is work.  The misses of one
-    :meth:`submit_columns` call are one task.
+    Every pair of one :meth:`submit_columns` call is work, and the call
+    is one task; no stream keeps a result for a later submit.  RR's
+    containment stream never reads the traceback, which is what lets
+    the containment engine answer a pair *proven* unable to pass with
+    ``(0.0, 0.0, 0.0)`` and no alignment at all.
     """
 
     def __init__(self, backend: "Backend", stream_id: int, kind: str,
-                 cache: "AlignmentCache | None", params: tuple = ()):
+                 params: tuple = ()):
         self._backend = backend
         self.stream_id = stream_id
         self.kind = kind
         self._params = params
-        self._cache = cache
         self._phase = backend._phase_stats()
         self._done: list[tuple[np.ndarray, np.ndarray, object]] = []
         self.in_flight = 0
         obs.gauge(f"stream.{stream_id}.kind", kind)
 
     def submit_columns(self, ia: np.ndarray, ib: np.ndarray) -> None:
-        """Request results for the pairs ``(ia[r], ib[r])``: the misses
-        are one task."""
+        """Request results for the pairs ``(ia[r], ib[r])``: one task."""
         ia, ib = np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
         ia, ib = np.minimum(ia, ib), np.maximum(ia, ib)
-        if self._cache is not None and len(ia):
-            found = [self._cache.lookup(i, j)
-                     for i, j in zip(ia.tolist(), ib.tolist())]
-            hit = np.array([row is not None for row in found])
-            if hit.any():
-                hit_a, hit_b = ia[hit], ib[hit]
-                self._phase.cache_hits += len(hit_a)
-                obs.count(f"runtime.pairs_done.{self._phase.name}", len(hit_a))
-                self._done.append(
-                    (hit_a, hit_b, np.stack([row for row in found if row is not None])))
-                ia, ib = ia[~hit], ib[~hit]
         self._phase.tasks += len(ia)
         if not len(ia):
             return
@@ -246,9 +224,6 @@ class PairStream:
         obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
         self._phase.busy_seconds += busy
         obs.count(f"runtime.pairs_done.{self._phase.name}", len(ia))
-        if self._cache is not None:
-            for i, j, row in zip(ia.tolist(), ib.tolist(), results):
-                self._cache.insert(i, j, row)
         self._done.append((ia, ib, results))
 
     def ready(self) -> list[tuple[np.ndarray, np.ndarray, object]]:
@@ -271,7 +246,7 @@ class Backend(abc.ABC):
 
         backend = ProcessBackend(workers=4)
         with backend.session(sequences, scheme):
-            stream = backend.alignment_stream(cache)
+            stream = backend.alignment_stream()
             ...
         backend.stats  # RuntimeStats, populated per phase
 
@@ -405,9 +380,9 @@ class Backend(abc.ABC):
         self._next_stream_id += 1
         return stream
 
-    def alignment_stream(self, cache: "AlignmentCache") -> PairStream:
-        """Open a stream of local alignments with ``cache`` in front."""
-        return self._open_stream("local", cache)
+    def alignment_stream(self) -> PairStream:
+        """Open a stream of local alignments."""
+        return self._open_stream("local")
 
     def containment_stream(self, *, similarity: float, coverage: float) -> PairStream:
         """Open a Definition 1 statistics stream for the RR phase.
@@ -418,7 +393,7 @@ class Backend(abc.ABC):
         full semiglobal DP per pair; ``similarity``/``coverage``
         parameterise its sound rejection threshold.
         """
-        return self._open_stream("contain", None, (similarity, coverage))
+        return self._open_stream("contain", (similarity, coverage))
 
     def map_components(
         self,

@@ -71,7 +71,6 @@ from repro.align.predicates import (
 )
 from repro.graph.bipartite import wmer_bipartite
 from repro.pace.bipartite_gen import BipartiteMaster, ComponentGraphs
-from repro.pace.cache import AlignmentCache
 from repro.pace.clustering import ClusteringMaster, ClusteringResult
 from repro.pace.densesub import DsdResult, gather_subgraphs
 from repro.pace.redundancy import RedundancyMaster, RedundancyResult
@@ -150,7 +149,7 @@ def _column_chunks(
 def backend_redundancy_removal(
     sequences: SequenceSet,
     backend: Backend,
-    cache: AlignmentCache,
+    cache: object,
     *,
     psi: int = 10,
     similarity: float = CONTAINMENT_SIMILARITY,
@@ -168,9 +167,10 @@ def backend_redundancy_removal(
     batched engine's alignment-free fast paths; the scientific counters
     (``rr.pairs``/``rr.alignments``) still count every pair whose
     Definition 1 verdict was evaluated, regardless of compute route.
-    ``cache`` is not used — nothing reads RR's alignments back (see
-    :mod:`repro.pace.cache`) — and stays in the signature the four
-    ``backend_*`` functions share.
+    ``cache`` is ignored, here and by the CCD and bipartite drivers: no
+    phase answers a pair from memory, so each pair a phase admits is
+    aligned once.  The parameter stays while the benchmark suite's
+    replay still passes one.
     """
     with backend.phase("redundancy"):
         master = RedundancyMaster(
@@ -199,7 +199,7 @@ def backend_component_detection(
     sequences: SequenceSet,
     kept: Sequence[int],
     backend: Backend,
-    cache: AlignmentCache,
+    cache: object,
     *,
     psi: int = 10,
     similarity: float = OVERLAP_SIMILARITY,
@@ -249,7 +249,7 @@ def backend_component_detection(
         for gi, gj in replay_unions or ():
             if local[gi] >= 0 and local[gj] >= 0:
                 master.replay((int(local[gi]), int(local[gj])))
-        stream = backend.alignment_stream(cache)
+        stream = backend.alignment_stream()
         global_of = np.asarray(kept, dtype=np.int64)
 
         def passes(pairs: list[tuple[int, int]]) -> list[bool]:
@@ -289,7 +289,7 @@ def backend_generate_component_graphs(
     sequences: SequenceSet,
     components: Sequence[Sequence[int]],
     backend: Backend,
-    cache: AlignmentCache,
+    cache: object,
     *,
     reduction: str = "global",
     psi: int = 10,
@@ -353,7 +353,7 @@ def backend_generate_component_graphs(
             for gi, gj in zip(ia[edge].tolist(), ib[edge].tolist()):
                 master.add_edge(gi, gj)
 
-        stream = backend.alignment_stream(cache)
+        stream = backend.alignment_stream()
         for ia, ib in _column_chunks([admitted], LOCAL_CHUNK):
             stream.submit_columns(ia, ib)
             for done in stream.ready():

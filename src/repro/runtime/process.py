@@ -1,16 +1,15 @@
 """The worker-pool executor: the paper's master–worker design on real cores.
 
 Topology mirrors PaCE: one master (this process) owns all clustering
-state — promising-pair generation, the dedup sets, the union–find, and
-the alignment cache — while ``N`` worker processes are stateless
-engines whose whole loop is "receive a task body, call
-:func:`~repro.runtime.base.run_task` on it, send the result back".
-This module is only the *placement* of that work:
+state — promising-pair generation, the dedup sets and the union–find —
+while ``N`` worker processes are stateless engines whose whole loop is
+"receive a task body, call :func:`~repro.runtime.base.run_task` on it,
+send the result back".  This module is only the *placement* of that
+work:
 
 * a task is exactly what a phase driver submits — an ``RR_CHUNK`` of
-  index columns, the misses of one ``LOCAL_CHUNK`` or CCD batch, one
-  component graph — so a worker runs the serial backend's task bodies,
-  one at a time;
+  index columns, one ``LOCAL_CHUNK`` or CCD batch, one component graph
+  — so a worker runs the serial backend's task bodies, one at a time;
 * ``_throttle`` holds the next task until a worker is free: at most one
   task per worker is in flight, so the next one goes to whichever
   worker returns one first, not into the queue of a worker that shares

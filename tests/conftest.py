@@ -12,7 +12,6 @@ from hypothesis import settings
 from repro.align.matrices import blosum62_scheme
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
-from repro.pace.cache import AlignmentCache
 from repro.parallel.simulator import VirtualCluster
 from repro.runtime import ProcessBackend, SerialBackend, phases
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
@@ -77,19 +76,18 @@ def domain_metagenome():
 
 @pytest.fixture(scope="session")
 def serial_session():
-    """``open(sequences) -> (backend, cache)``: a SerialBackend with an
-    open session over ``sequences`` and a fresh alignment cache — the
-    two handles every ``repro.runtime.phases.backend_*`` entry point
-    takes, i.e. how a test runs one phase of the reference on its own.
-    Sessions are closed when the test session ends."""
+    """``open(sequences) -> (backend, None)``: a SerialBackend with an
+    open session over ``sequences``, and the ``cache`` argument every
+    ``repro.runtime.phases.backend_*`` entry point takes and ignores —
+    how a test runs one phase of the reference on its own.  Sessions
+    are closed when the test session ends."""
     with contextlib.ExitStack() as stack:
 
         def open_session(sequences):
             scheme = blosum62_scheme()
             backend = SerialBackend()
             stack.enter_context(backend.session(sequences, scheme))
-            encoded = [record.encoded for record in sequences]
-            return backend, AlignmentCache(lambda k: encoded[k], scheme)
+            return backend, None
 
         yield open_session
 
@@ -141,12 +139,6 @@ def mode_results(mode_workload):
         mode: ProteinFamilyPipeline(config).run(sequences, **kwargs())
         for mode, kwargs in PIPELINE_MODES.items()
     }
-
-
-@pytest.fixture()
-def cache_for(small_metagenome):
-    encoded = [r.encoded for r in small_metagenome.sequences]
-    return AlignmentCache(lambda k: encoded[k], blosum62_scheme())
 
 
 def random_protein(rng: np.random.Generator, length: int) -> np.ndarray:

@@ -4,15 +4,14 @@ equivalence gate behind :mod:`repro.align.batch`.
 Every fast path in the batched engine carries a proof obligation (exact
 batch fill, sound Myers rejection, the certified distance-0 shortcut);
 this suite pins each of them to the scalar reference with Hypothesis
-property tests, plus the satellite regressions: cache batch-path counter
-semantics and per-real-pair cell accounting.
+property tests, plus the satellite regression of per-real-pair cell
+accounting.
 """
 
 from __future__ import annotations
 
 import math
 import tracemalloc
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -56,8 +55,6 @@ from repro.align.matrices import (
     identity_scheme,
 )
 from repro.align.pairwise import Alignment, _traceback, alignment_cells
-from repro.pace.cache import AlignmentCache
-from repro.runtime import SerialBackend
 from repro.runtime.sharedseq import EncodedStore
 from repro.sequence.alphabet import encode
 from tests.scalar_align import (
@@ -1276,92 +1273,6 @@ class TestFillBuffer:
         assert peak <= largest + slack, (peak, largest)
         assert (counted["batch.buckets"], counted["batch.padded_cells"]) == (
             6, 4_158_042)
-
-
-class TestCacheBatchSemantics:
-    """The pair stream in front of the cache == a per-pair loop of cache
-    lookups and the scalar aligner: same alignment rows, same hit/miss
-    counters.  (Every master dedups before it submits, so a key never
-    repeats within one chunk; reversed orientation and already-cached
-    keys do occur.)"""
-
-    @staticmethod
-    def _fresh_cache(encoded):
-        return AlignmentCache(lambda k: encoded[k], blosum62_scheme())
-
-    @staticmethod
-    def _per_pair(encoded, cache, pairs):
-        """Each pair looked up, and on a miss aligned alone by the
-        scalar aligner and its row inserted — canonical, sorted."""
-        out = []
-        for i, j in pairs:
-            i, j = min(i, j), max(i, j)
-            row = cache.lookup(i, j)
-            if row is None:
-                row = alignment_table([local_align(encoded[i], encoded[j])])[0]
-                cache.insert(i, j, row)
-            out.append((i, j, row.tolist()))
-        return sorted(out, key=lambda r: r[:2])
-
-    @staticmethod
-    def _through_stream(encoded, cache, pairs):
-        backend = SerialBackend()
-        records = [SimpleNamespace(encoded=e) for e in encoded]
-        with backend.session(records, blosum62_scheme()):
-            stream = backend.alignment_stream(cache)
-            stream.submit_columns(*np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
-            return sorted(
-                ((i, j, row) for ia, ib, table in stream.drain()
-                 for i, j, row in zip(ia.tolist(), ib.tolist(), table.tolist())),
-                key=lambda r: r[:2])
-
-    def test_mixed_batch_counters_match_per_pair_loop(self):
-        rng = np.random.default_rng(13)
-        encoded = [rng.integers(0, 20, int(rng.integers(20, 80))).astype(np.uint8)
-                   for _ in range(10)]
-        primed = [(0, 1), (2, 3), (4, 5)]
-        # A chunk mixing cached pairs, new pairs and a
-        # reversed-orientation repeat of a cached pair.
-        batch = [(0, 1), (6, 7), (8, 9), (3, 2), (1, 8)]
-
-        streamed_cache = self._fresh_cache(encoded)
-        looped_cache = self._fresh_cache(encoded)
-        for c in (streamed_cache, looped_cache):
-            c.set_phase("prime")
-            self._per_pair(encoded, c, primed)
-            c.set_phase("probe")
-
-        streamed = self._through_stream(encoded, streamed_cache, batch)
-        looped = self._per_pair(encoded, looped_cache, batch)
-
-        assert streamed == looped
-        assert streamed_cache.stats() == looped_cache.stats()
-        assert set(streamed_cache.stats()["by_phase"]) == {"prime", "probe"}
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=7),
-                st.integers(min_value=0, max_value=7),
-            ).filter(lambda p: p[0] != p[1]),
-            max_size=20,
-            unique_by=lambda p: (min(p), max(p)),
-        ),
-        st.integers(min_value=0, max_value=20),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_random_batches_counter_identical(self, pairs, split):
-        """Two chunks of unique keys: the second chunk's lookups see
-        what the first chunk inserted."""
-        rng = np.random.default_rng(7)
-        encoded = [rng.integers(0, 20, 30).astype(np.uint8) for _ in range(8)]
-        streamed_cache = self._fresh_cache(encoded)
-        looped_cache = self._fresh_cache(encoded)
-        chunks = [pairs[:split], pairs[:split] + pairs[split:]]
-        for chunk in chunks:
-            assert self._through_stream(encoded, streamed_cache, chunk) == \
-                self._per_pair(encoded, looped_cache, chunk)
-        assert streamed_cache.stats() == looped_cache.stats()
 
 
 class TestCellsAccounting:

@@ -48,7 +48,6 @@ from repro.align.predicates import (
     OVERLAP_SIMILARITY,
     containment_verdicts,
 )
-from repro.pace.cache import AlignmentCache
 from repro.suffix.suffix_array import GeneralizedSuffixArray
 from tests.scalar_finder import ScalarMatchFinder
 
@@ -155,7 +154,7 @@ def scalar_masters(monkeypatch):
 # -- the phases as they ran before: pair by pair through ``admit`` -----------
 
 
-def reference_rr(sequences, backend, cache):
+def reference_rr(sequences, backend):
     """RR as a set of seen pairs over the scalar walk, each first
     sighting counted as it is made and its verdict drawn one pair at a
     time by Definition 1 on a one-row column; the stream is fed the same
@@ -209,7 +208,7 @@ def reference_rr(sequences, backend, cache):
     )
 
 
-def reference_ccd(sequences, kept, backend, cache, journal=None, replay_unions=()):
+def reference_ccd(sequences, kept, backend, journal=None, replay_unions=()):
     master = ClusteringMaster(
         sequences, kept, similarity=OVERLAP_SIMILARITY, coverage=OVERLAP_COVERAGE
     )
@@ -229,7 +228,7 @@ def reference_ccd(sequences, kept, backend, cache, journal=None, replay_unions=(
                 journal.ccd_union(gi, gj)
 
     with backend.phase("clustering"):
-        stream = backend.alignment_stream(cache)
+        stream = backend.alignment_stream()
         for match in finder.matches():
             if not master.admit(match.pair):
                 continue
@@ -242,7 +241,7 @@ def reference_ccd(sequences, kept, backend, cache, journal=None, replay_unions=(
     return master.result()
 
 
-def reference_bgg(sequences, components, backend, cache):
+def reference_bgg(sequences, components, backend):
     """B_d generation as a set of seen ``(component, a, b)`` items over
     the scalar walk of each component's own index, one component after
     the other, each first sighting counted as it is made, and the stream
@@ -260,7 +259,7 @@ def reference_bgg(sequences, components, backend, cache):
                 master.add_edge(gi, gj)
 
     with backend.phase("bipartite"):
-        stream = backend.alignment_stream(cache)
+        stream = backend.alignment_stream()
         chunk: list[tuple[int, int]] = []
         for ci, members in enumerate(master.members):
             finder = ScalarMatchFinder(_rebuild(backend.index, members), min_length=PSI)
@@ -350,15 +349,15 @@ class TestPrefiltersAreInvisible:
         assert rr.spans and ccd.spans
 
         scalar_masters()
-        backend, cache = serial_session(sequences)
+        backend, _ = serial_session(sequences)
         ref_journal = _Journal()
-        ref_rr = _Observed(lambda: reference_rr(sequences, backend, cache), monkeypatch)
+        ref_rr = _Observed(lambda: reference_rr(sequences, backend), monkeypatch)
         ref_ccd = _Observed(
-            lambda: reference_ccd(sequences, kept, backend, cache, ref_journal),
+            lambda: reference_ccd(sequences, kept, backend, ref_journal),
             monkeypatch,
         )
         ref_bgg = _Observed(
-            lambda: reference_bgg(sequences, components, backend, cache), monkeypatch
+            lambda: reference_bgg(sequences, components, backend), monkeypatch
         )
         assert not ref_rr.spans
 
@@ -425,14 +424,11 @@ def test_process_backend_components_identical(serial_session):
     serial = backend_component_detection(
         sequences, kept, *serial_session(sequences), psi=PSI
     )
-    scheme = blosum62_scheme()
-    encoded = [record.encoded for record in sequences]
     backend = ProcessBackend(workers=2)
-    with backend.session(sequences, scheme), \
+    with backend.session(sequences, blosum62_scheme()), \
             mock.patch.object(phases, "LOCAL_CHUNK", 8):
         concurrent = backend_component_detection(
-            sequences, kept, backend, AlignmentCache(lambda k: encoded[k], scheme),
-            psi=PSI,
+            sequences, kept, backend, None, psi=PSI
         )
     # Not components only: the same filter decisions, in batches of 8
     # (one task each) whichever of the two workers finishes first.

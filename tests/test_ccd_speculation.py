@@ -32,7 +32,6 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.align.matrices import blosum62_scheme
 from repro.align.predicates import OVERLAP_COVERAGE, OVERLAP_SIMILARITY
-from repro.pace.cache import AlignmentCache
 from repro.pace.clustering import ClusteringMaster
 from repro.runtime import SerialBackend, phases
 from repro.runtime.phases import backend_component_detection
@@ -90,18 +89,13 @@ def sessions(small_metagenome, tiny_metagenome, domain_metagenome):
 
 
 def both_ways(sequences, backend, *, psi=loops.PSI, replay=()):
-    """One CCD phase through the driver and one through the loop, each
-    on a fresh cache: ``(driver, loop)`` as ``(observed, unions)``."""
+    """One CCD phase through the driver and one through the loop:
+    ``(driver, loop)`` as ``(observed, unions)``."""
     kept = list(range(len(sequences)))
-    encoded = [record.encoded for record in sequences]
-
-    def cache():
-        return AlignmentCache(lambda k: encoded[k], blosum62_scheme())
-
     journal = loops._Journal()
     driver = loops._Observed(
         lambda: backend_component_detection(
-            sequences, kept, backend, cache(), psi=psi, journal=journal,
+            sequences, kept, backend, None, psi=psi, journal=journal,
             replay_unions=replay,
         ),
         pytest.MonkeyPatch(),
@@ -110,7 +104,7 @@ def both_ways(sequences, backend, *, psi=loops.PSI, replay=()):
     with mock.patch.object(loops, "PSI", psi):
         loop = loops._Observed(
             lambda: loops.reference_ccd(
-                sequences, kept, backend, cache(), ref_journal, replay
+                sequences, kept, backend, ref_journal, replay
             ),
             pytest.MonkeyPatch(),
         )
@@ -165,8 +159,7 @@ class TestTheLoopABatchAtATime:
             ClusteringMaster, "overlaps", verdict(0.3, 1)
         ), obs.recording(recorder):
             result = backend_component_detection(
-                sequences, list(range(len(sequences))), backend,
-                AlignmentCache(lambda k: sequences[k].encoded, blosum62_scheme()),
+                sequences, list(range(len(sequences))), backend, None,
                 psi=loops.PSI,
             )
         counters = recorder.counters()

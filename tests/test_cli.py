@@ -137,7 +137,6 @@ class TestRuntimeBackend:
         assert "#Input" in out
         assert "run: mode=serial workers=1" in out
         assert "phase timeline" in out and "utilization" in out
-        assert "cache:" in out and "hit rate" in out
 
     def test_run_with_process_backend(self, generated, tmp_path, capsys):
         fasta, truth = generated
@@ -291,8 +290,7 @@ class TestTelemetryAndGate:
                 "rss_bytes": 10 * 2**20,
                 "probes": {"runtime": {"outstanding": 3, "workers": [
                     {"index": 0, "alive": True, "exitcode": None},
-                    {"index": 1, "alive": True, "exitcode": None}]},
-                    "cache": {"hit_rate": 0.25, "entries": 1000}},
+                    {"index": 1, "alive": True, "exitcode": None}]}},
             }
 
         records = [
@@ -329,7 +327,6 @@ class TestTelemetryAndGate:
             "",
             "counters:",
             "  union-find components: 17",
-            "  cache: 1,000 entries, 25.0% hit rate",
             "  rss: 10.0 MiB",
         ]
 

@@ -113,7 +113,7 @@ class TestMetamorphic:
 
 class TestConfigSensitivity:
     def test_larger_psi_never_finds_more_pairs(self, data, serial_session):
-        session = serial_session(data.sequences)  # one cache for all three
+        session = serial_session(data.sequences)  # one session for all three
         pairs = []
         for psi in (8, 12, 16):
             rr = backend_redundancy_removal(data.sequences, *session, psi=psi)

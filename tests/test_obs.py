@@ -75,17 +75,20 @@ class TestScientificCounterContract:
         assert simulated["sim.redundancy.virtual_seconds"] > 0.0
         assert simulated["sim.dense_subgraphs.virtual_seconds"] > 0.0
 
-    def test_cache_counters_recorded_in_every_mode(self, mode_results):
-        """A backend run fills the cache and reads it; a simulated run
-        aligns in bulk beside it, so its ``cache.*`` counters are 0."""
-        for mode, result in mode_results.items():
-            counters = result.obs.counters()
-            lookups = counters["cache.local_hits"] + counters["cache.local_misses"]
-            if mode.startswith("sim-"):
-                assert lookups == counters["cache.entries"] == 0, mode
-            else:
-                assert lookups > 0, mode
-                assert counters["cache.entries"] > 0, mode
+    def test_every_admitted_pair_is_aligned_once(self, mode_results):
+        """No memo answers a pair: on a backend run the engine sees each
+        pair RR, CCD and bipartite generation admit exactly once, and
+        bipartite progress reaches its total from dispatched pairs
+        alone.  Simulated modes align in bulk and are exempt."""
+        for mode in ("default", "serial", "process"):
+            counters = mode_results[mode].obs.counters()
+            admitted = (counters["rr.pairs"] + counters["ccd.alignments"]
+                        + counters["bipartite.pairs"])
+            assert admitted > 0, mode
+            assert counters["batch.pairs"] == counters["runtime.batch_pairs"] \
+                == admitted, mode
+            assert counters["runtime.pairs_done.bipartite"] \
+                == counters["bipartite.pairs"], mode
 
     def test_phase_spans_unified_across_modes(self, mode_results):
         expected = {"redundancy", "clustering", "bipartite", "dense_subgraphs"}
@@ -321,8 +324,8 @@ class TestRegistry:
         assert view["ccd.merges"] == 0
 
     def test_work_counters_are_not_scientific(self):
-        for name in ("ccd.filtered", "ccd.alignments", "cache.local_hits",
-                     "runtime.batches", "suffix.candidates", "suffix.matches"):
+        for name in ("ccd.filtered", "ccd.alignments", "runtime.batches",
+                     "suffix.candidates", "suffix.matches"):
             assert not REGISTRY[name].scientific
             assert name not in SCIENTIFIC_COUNTERS
 
@@ -437,7 +440,6 @@ class TestObservationReport:
                       if line.startswith(f"  {name} ") and "tasks=" in line]
             assert "s " in row and "%" in row and "|" in row
             assert f"tasks={phase.tasks:,d}" in row
-            assert f"hits={phase.cache_hits:,d}" in row
             assert "util=" in row
         once("worker lanes:")
         once("pair generation on the master")
@@ -447,16 +449,7 @@ class TestObservationReport:
         for name in ("rr.pairs", "ccd.merges", "dsd.subgraphs"):
             (row,) = [line for line in lines if line.startswith(f"  {name} ")]
             assert row.split()[1] == f"{int(counters[name]):,d}"
-        # The cache line and, under it, the split by kind and by phase.
-        once("cache: ")
-        once("hit rate")
-        hits = int(counters["cache.local_hits"])
-        assert hits > 0
-        (row,) = [line for line in lines if line.startswith("  local ")]
-        assert f"hits={hits:,d}" in row
-        (row,) = [line for line in lines if line.startswith("  phase bipartite ")]
-        assert f"hits={hits:,d}" in row
-        assert not any(line.startswith("  semiglobal") for line in lines)
+        assert "hits=" not in text and "cache" not in text
         once("CCD: ")
         once("shingle draws: ")
         once("string index: 1 build")

@@ -99,7 +99,7 @@ def small_metagenome_module():
 
 @pytest.fixture(scope="module")
 def session(small_metagenome_module, serial_session):
-    """``(backend, cache)`` of a serial session over the module's input."""
+    """``(backend, None)`` of a serial session over the module's input."""
     return serial_session(small_metagenome_module.sequences)
 
 
@@ -479,32 +479,3 @@ class TestAlignmentCache:
         }
         assert stats["hits"] == 2 and stats["misses"] == 2  # totals still global
         assert stats["hit_rate"] == 0.5 and stats["entries"] == 2
-
-    def test_record_observations_emits_phase_counters(
-        self, monkeypatch, mode_workload
-    ):
-        """The run's ``cache.*`` counters are the cache's one dict,
-        written once as the run ends — a cache that enters the run
-        (here with a hit and a miss of an earlier phase on it) reads the
-        same from ``stats()`` and from the record."""
-        sequences, config = mode_workload
-        encoded = [record.encoded for record in sequences]
-        cache = AlignmentCache(lambda k: encoded[k], config.scheme)
-        cache.set_phase("serve")
-        cache.insert(0, 2, alignment_table([local_align(encoded[0], encoded[2])])[0])
-        cache.lookup(2, 0)
-        monkeypatch.setattr(
-            ProteinFamilyPipeline, "_make_cache", lambda self, sequences: cache
-        )
-        result = ProteinFamilyPipeline(config).run(sequences)
-        counters = result.obs.counters()
-        stats = cache.stats()
-        assert counters["cache.phase.serve.hits"] == 1
-        assert counters["cache.phase.serve.misses"] == 1
-        assert stats["by_phase"]["bipartite"]["hits"] > 0
-        for phase, split in stats["by_phase"].items():
-            assert counters[f"cache.phase.{phase}.hits"] == split["hits"]
-            assert counters[f"cache.phase.{phase}.misses"] == split["misses"]
-        for name, key in (("local_hits", "hits"), ("local_misses", "misses"),
-                          ("entries", "entries")):
-            assert counters[f"cache.{name}"] == stats[key], name

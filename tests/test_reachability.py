@@ -40,6 +40,7 @@ HELD_BY_SCRIPT = {
     "repro.sequence.orf": "examples/shotgun_reads.py",
     "repro.parallel.trace": "examples/bluegene_scaling.py",
     "repro.shingle.parallel": "benchmarks/paper/regenerate.py",
+    "repro.pace.cache": "benchmarks/suite/batch.py",
 }
 
 #: Public names — functions, classes, public methods and properties —
@@ -50,6 +51,9 @@ UNREFERENCED = {
     "repro.align.matrices.identity_scheme":
         "the +1/-1 scheme a caller may pick over BLOSUM62; the engine's "
         "tests run every property under both",
+    "repro.pace.cache.AlignmentCache.lookup":
+        "kept whole while the suite's replay builds one; goes with "
+        "ROADMAP 1(a)",
     "repro.obs.export.write_slow_trace":
         "README's documented way (a python -c line) to open the slow "
         "requests of a daemon's telemetry.jsonl in Perfetto; no verb "

@@ -100,7 +100,7 @@ class TestRuntimeStats:
         for phase in stats.phases.values():
             assert phase.wall_seconds >= 0.0
             assert 0.0 <= phase.utilization(stats.workers) <= 1.0
-        assert result.obs.counters()["cache.local_misses"] > 0
+        assert result.obs.counters()["runtime.batch_pairs"] > 0
         report = report_lines(result)
         assert "run: mode=serial workers=1" in report[0]
         for name, phase in stats.phases.items():
@@ -120,17 +120,15 @@ class TestCrashSafety:
         """A raising worker surfaces a WorkerCrashError — no hang."""
         sequences, config = workload
         backend = ProcessBackend(workers=1)
-        encoded = [r.encoded for r in sequences]
-        cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         with backend.session(sequences, config.scheme):
-            stream = backend.alignment_stream(cache)
+            stream = backend.alignment_stream()
             # An out-of-range index.
             stream.submit_columns(np.array([0]), np.array([len(sequences) + 5]))
             with pytest.raises(WorkerCrashError, match="out of range"):
                 list(stream.drain())
         # close() ran via session(); the backend is reusable afterwards.
         with backend.session(sequences, config.scheme):
-            stream = backend.alignment_stream(cache)
+            stream = backend.alignment_stream()
             stream.submit_columns(np.array([0]), np.array([1]))
             assert drained_pairs(stream) == [(0, 1)]
 
@@ -141,14 +139,12 @@ class TestCrashSafety:
         next task."""
         sequences, config = workload
         backend = ProcessBackend(workers=1)
-        encoded = [r.encoded for r in sequences]
-        cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         with backend.session(sequences, config.scheme):
             backend._dispatch(("poison", 99), lambda result, busy: None)
             with pytest.raises(WorkerCrashError, match="unknown task kind"):
                 backend._pump(block=True)
             # The worker caught the poison and is still serving.
-            stream = backend.alignment_stream(cache)
+            stream = backend.alignment_stream()
             stream.submit_columns(np.array([0]), np.array([1]))
             assert drained_pairs(stream) == [(0, 1)]
 
@@ -159,8 +155,6 @@ class TestCrashSafety:
         the stream completes normally."""
         sequences, config = workload
         backend = ProcessBackend(workers=1)
-        encoded = [r.encoded for r in sequences]
-        cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         with backend.session(sequences, config.scheme):
             victim = backend._procs[0]
             victim.kill()
@@ -170,17 +164,15 @@ class TestCrashSafety:
             probe = backend.telemetry_probe()
             assert probe["respawns"] == 1
             assert backend._procs[0].is_alive()
-            stream = backend.alignment_stream(cache)
+            stream = backend.alignment_stream()
             stream.submit_columns(np.array([0]), np.array([1]))
             assert drained_pairs(stream) == [(0, 1)]
 
     def test_closed_backend_rejects_work(self, workload):
         sequences, config = workload
         backend = ProcessBackend(workers=1)
-        encoded = [r.encoded for r in sequences]
-        cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         with pytest.raises(BackendError, match="not open"):
-            backend.alignment_stream(cache)
+            backend.alignment_stream()
 
     def test_telemetry_survives_sigkilled_worker(self, workload, tmp_path):
         """The sampler keeps emitting through a worker SIGKILL, the
@@ -193,19 +185,17 @@ class TestCrashSafety:
 
         sequences, config = workload
         backend = ProcessBackend(workers=1)
-        encoded = [r.encoded for r in sequences]
-        cache = AlignmentCache(lambda k: encoded[k], config.scheme)
         recorder = Recorder(meta={"mode": "process", "workers": 1})
         sampler = TelemetrySampler(
             recorder,
             tmp_path,
             interval=0.01,
-            probes={"runtime": backend.telemetry_probe, "cache": cache.stats},
+            probes={"runtime": backend.telemetry_probe},
         )
         with recording(recorder), backend.session(sequences, config.scheme):
             with recorder.span("clustering", cat="phase"):
                 sampler.open()
-                stream = backend.alignment_stream(cache)
+                stream = backend.alignment_stream()
                 stream.submit_columns(np.array([0]), np.array([1]))
                 list(stream.drain())  # healthy batch: heartbeat flows
                 healthy = sampler.sample_now()
@@ -278,11 +268,11 @@ def accounting_runs(workload, tmp_path_factory):
 
 
 class TestWorkAccounting:
-    """One definition each of a cache miss and of ``PhaseStats.tasks``,
-    wherever a task ended up running — and one CCD, whatever ran it."""
+    """One definition of ``PhaseStats.tasks``, wherever a task ended up
+    running — and one CCD, whatever ran it."""
 
     @pytest.mark.parametrize("mode", ACCOUNTING_MODES)
-    def test_misses_are_entries_and_tasks_exclude_hits(self, accounting_runs, mode):
+    def test_tasks_are_the_pairs_submitted(self, accounting_runs, mode):
         result, _ = accounting_runs[mode]
         counters = result.obs.counters()
         if mode == "quarantined":
@@ -290,16 +280,7 @@ class TestWorkAccounting:
         if mode == "degraded":
             assert result.obs.gauges()["runtime.degraded"] == 1
 
-        # A miss is counted once, when its alignment is inserted.
-        cache = {name.removeprefix("cache."): int(value)
-                 for name, value in counters.items() if name.startswith("cache.")}
-        assert cache["local_misses"] == cache["entries"] > 0
-        # RR leaves the cache alone: its stream returns Definition 1's
-        # statistics, so nothing of it is stored and no pair of it is a
-        # hit.
-        assert "phase.redundancy.misses" not in cache
-        assert result.runtime.phases["redundancy"].cache_hits == 0
-        # tasks = work dispatched; a hit is not a task.
+        # tasks = work dispatched: every pair a phase admits, once.
         submitted = {
             "redundancy": counters["rr.pairs"],
             "clustering": counters["ccd.alignments"],
@@ -307,11 +288,7 @@ class TestWorkAccounting:
             "dense_subgraphs": counters["dsd.components"],
         }
         for name, phase in result.runtime.phases.items():
-            assert phase.tasks + phase.cache_hits == submitted[name], name
-        assert result.runtime.phases["bipartite"].cache_hits > 0
-        assert cache["local_hits"] == sum(
-            phase.cache_hits for phase in result.runtime.phases.values()
-        ) == cache["phase.bipartite.hits"]
+            assert phase.tasks == submitted[name], name
 
     @pytest.mark.parametrize("mode", [m for m in ACCOUNTING_MODES if m != "serial"])
     def test_ccd_work_is_the_serial_runs(self, accounting_runs, mode):
@@ -325,7 +302,7 @@ class TestWorkAccounting:
             phase = result.runtime.phases["clustering"]
             return (
                 counters["ccd.alignments"], counters["ccd.filtered"],
-                counters["ccd.redecided"], phase.tasks + phase.cache_hits,
+                counters["ccd.redecided"], phase.tasks,
                 unions,
             )
 
