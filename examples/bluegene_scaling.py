@@ -69,22 +69,23 @@ def main() -> None:
           f"({ccd.n_alignments:,} of {ccd.n_promising_pairs:,} aligned) — "
           "the transitive-closure heuristic that limits CCD scaling in Table II.")
 
-    # A Gantt view of the p=8 CCD phase: the master (rank 0) mostly
-    # receives and filters while workers alternate compute and waiting.
-    from repro.parallel import Timeline
-
+    # Where each rank's virtual time went in the p=8 CCD phase: the
+    # master (rank 0) mostly receives and filters while workers
+    # alternate compute and waiting.
     cluster = VirtualCluster(8, BLUEGENE_L)
     rr8 = parallel_redundancy_removal(sequences, cluster, psi=10)
-    ccd8 = parallel_component_detection(
-        sequences, rr8.kept, cluster, psi=10, record_timeline=True
-    )
-    print("\nTimeline of the p=8 CCD phase (rank 0 = master; "
-          "# compute, > send, . wait):")
-    timeline = Timeline(ccd8.sim)
-    print(timeline.gantt(width=64))
-    print(f"busiest rank: {timeline.bottleneck_rank()}, busy "
-          f"{timeline.critical_fraction():.0%} of the phase")
-
+    ccd8 = parallel_component_detection(sequences, rr8.kept, cluster, psi=10)
+    sim = ccd8.sim
+    print("\nRanks of the p=8 CCD phase (rank 0 = master):")
+    print(f"{'rank':>5s} {'compute':>10s} {'send':>10s} {'wait':>10s} {'idle':>10s}")
+    for rank, stats in enumerate(sim.rank_stats):
+        idle = max(sim.elapsed - stats.busy_seconds - stats.wait_seconds, 0.0)
+        print(f"{rank:>5d} {format_seconds(stats.compute_seconds):>10s} "
+              f"{format_seconds(stats.send_seconds):>10s} "
+              f"{format_seconds(stats.wait_seconds):>10s} {format_seconds(idle):>10s}")
+    busiest = max(range(sim.n_ranks), key=lambda r: sim.rank_stats[r].busy_seconds)
+    print(f"busiest rank: {busiest}, busy "
+          f"{sim.rank_stats[busiest].busy_seconds / sim.elapsed:.0%} of the phase")
 
 if __name__ == "__main__":
     main()

@@ -20,7 +20,7 @@ paper-versus-measured record of every table and figure.
 """
 
 from repro.core.config import PipelineConfig
-from repro.core.pipeline import PhaseTimings, PipelineResult, ProteinFamilyPipeline
+from repro.core.pipeline import PipelineResult, ProteinFamilyPipeline
 from repro.eval.metrics import pair_confusion, quality_scores
 from repro.eval.report import report_lines
 from repro.gos.baseline import GosConfig, GosResult, gos_cluster
@@ -46,7 +46,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "PipelineConfig",
-    "PhaseTimings",
     "PipelineResult",
     "ProteinFamilyPipeline",
     "pair_confusion",

@@ -25,8 +25,8 @@ chaos
 evaluate
     Compare a clustering against a truth table (PR/SE/OQ/CC).
 simulate
-    Run the pipeline with simulated parallel RR/CCD phases and report
-    per-phase virtual run-times for a processor sweep.
+    Run the RR and CCD phases on a simulated BlueGene/L and report their
+    virtual run-times for a processor sweep.
 profile
     ``run`` with both exports on by default: ``trace.json`` and
     ``counters.json`` in the current directory.
@@ -89,6 +89,8 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro.eval.metrics import pair_confusion, quality_scores
 from repro.eval.report import Table1Row, report_lines
+from repro.pace.clustering import parallel_component_detection
+from repro.pace.redundancy import parallel_redundancy_removal
 from repro.parallel.machine import BLUEGENE_L
 from repro.parallel.simulator import VirtualCluster
 from repro.sequence.fasta import read_fasta, write_fasta
@@ -790,14 +792,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         clusters = [VirtualCluster(p, BLUEGENE_L) for p in args.procs]
     except ValueError as exc:
         return _usage_error(str(exc))
-    pipeline = ProteinFamilyPipeline(config)
+    pairs = {"psi": config.psi, "scheme": config.scheme,
+             "max_pairs_per_node": config.max_pairs_per_node}
     print(f"{'p':>5s} {'RR':>12s} {'CCD':>12s} {'RR+CCD':>12s}")
     for p, cluster in zip(args.procs, clusters):
-        result = pipeline.run(sequences, cluster=cluster)
-        t = result.timings
+        rr = parallel_redundancy_removal(
+            sequences, cluster, similarity=config.containment_similarity,
+            coverage=config.containment_coverage, **pairs)
+        ccd = parallel_component_detection(
+            sequences, rr.kept, cluster, similarity=config.overlap_similarity,
+            coverage=config.overlap_coverage, **pairs)
+        rr_s, ccd_s = rr.sim.elapsed, ccd.sim.elapsed
         print(
-            f"{p:>5d} {format_seconds(t.redundancy):>12s} "
-            f"{format_seconds(t.clustering):>12s} {format_seconds(t.rr_ccd):>12s}"
+            f"{p:>5d} {format_seconds(rr_s):>12s} "
+            f"{format_seconds(ccd_s):>12s} {format_seconds(rr_s + ccd_s):>12s}"
         )
     return 0
 

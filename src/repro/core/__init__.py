@@ -2,14 +2,12 @@
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import (
-    PhaseTimings,
     PipelineResult,
     ProteinFamilyPipeline,
 )
 
 __all__ = [
     "PipelineConfig",
-    "PhaseTimings",
     "PipelineResult",
     "ProteinFamilyPipeline",
 ]

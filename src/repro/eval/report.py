@@ -4,8 +4,8 @@ Besides the paper's qualitative-assessment row (Table I), this module
 renders the one text report of a finished run (:func:`report_lines`):
 a phase timeline with share bars and per-phase work, worker-lane
 utilisation, the masters' pair generation and the scientific counters
-of the run contract — identical in vocabulary across serial, simulated
-and backend runs, printed by ``repro run`` and ``repro profile`` alike.
+of the run contract — identical in vocabulary on every backend, printed
+by ``repro run`` and ``repro profile`` alike.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 The pipeline's performance claims (the paper's Table II master
 bottleneck, the >99.9% transitive-closure kill rate, the Figure 6
 scaling curves) are claims about internal counters and per-phase
-timelines.  This package gives every execution mode — the
-:mod:`repro.runtime` backends (the serial reference among them) and the
-:mod:`repro.parallel` simulator — the same instruments:
+timelines.  This package gives every :mod:`repro.runtime` backend (the
+serial reference among them) the same instruments:
 
 * :class:`Recorder` collects :class:`Span`/:class:`Event` timelines and
   named counters; library code reports through the ambient helpers
@@ -17,8 +16,6 @@ timelines.  This package gives every execution mode — the
 * :mod:`repro.obs.export` writes Chrome ``trace_event`` JSON (open in
   ``chrome://tracing`` or Perfetto) and the run record
   (:func:`counters_payload`, schema :data:`RUN_SCHEMA`);
-* :mod:`repro.obs.bridge` mirrors simulator results onto the virtual
-  track of the same trace;
 * :mod:`repro.obs.clock` is the single monotonic clock source — one
   explicit perf-counter/wall-clock pairing per recorder, with the
   cross-process skew model documented and tested;
@@ -40,9 +37,7 @@ returns it as ``result.obs``; ``repro run --trace-out/--counters-out``
 
 from repro.obs.clock import ClockSync, clamp_rebased
 from repro.obs.core import (
-    HOST_TRACK,
     MASTER_LANE,
-    SIM_TRACK,
     Counter,
     Event,
     Recorder,
@@ -67,8 +62,8 @@ from repro.obs.telemetry import (
     TelemetrySampler,
     read_telemetry,
 )
-from repro.obs.bridge import record_simulation
 from repro.obs.export import (
+    HOST_TRACK,
     RUN_SCHEMA,
     chrome_trace,
     chrome_trace_events,
@@ -102,7 +97,6 @@ __all__ = [
     "Recorder",
     "RequestContext",
     "SCIENTIFIC_COUNTERS",
-    "SIM_TRACK",
     "Span",
     "TELEMETRY_FILENAME",
     "TelemetrySampler",
@@ -122,7 +116,6 @@ __all__ = [
     "phase_progress",
     "read_slow_log",
     "read_telemetry",
-    "record_simulation",
     "recording",
     "request_recording",
     "scientific_view",

@@ -1,19 +1,16 @@
 """Span/Counter/Event primitives and the :class:`Recorder` behind them.
 
-One observability vocabulary for every execution mode: the serial
-reference, the simulator, and the real backends all talk to a
+One observability vocabulary for every execution backend: the serial
+reference and the worker-process backend both talk to a
 :class:`Recorder` through the ambient helpers (:func:`count`,
 :func:`span`, :func:`event`), which are no-ops when no recorder is
 installed — instrumented library code never pays for observability it
 did not ask for, and never needs a recorder argument threaded through.
 
-Timeline model (mirrors Chrome's ``trace_event`` terminology):
-
-* a **track** is a Chrome ``pid`` — :data:`HOST_TRACK` carries measured
-  wall-clock activity, :data:`SIM_TRACK` carries *virtual* simulator
-  time (the two axes must never be mixed on one track);
-* a **lane** is a Chrome ``tid`` within a track — lane 0 is the master,
-  lane ``w + 1`` is worker ``w`` (host) or rank ``w`` (simulator).
+Timeline model (mirrors Chrome's ``trace_event`` terminology): every
+span and event is measured wall-clock time on one host, and its **lane**
+is a Chrome ``tid`` — lane 0 is the master, lane ``w + 1`` is worker
+``w``.
 
 Safety contract:
 
@@ -44,11 +41,7 @@ from dataclasses import dataclass, field
 from repro.obs.clock import ClockSync
 from repro.util.lockwatch import named_lock
 
-#: Chrome-trace "pid" carrying measured wall-clock activity.
-HOST_TRACK = 1
-#: Chrome-trace "pid" carrying simulated (virtual-time) activity.
-SIM_TRACK = 2
-#: The master's lane ("tid") on either track.
+#: The master's lane ("tid").
 MASTER_LANE = 0
 
 
@@ -58,17 +51,13 @@ def _freeze_args(args: dict[str, object]) -> tuple[tuple[str, object], ...]:
 
 @dataclass(frozen=True)
 class Span:
-    """One closed interval of work on a (track, lane) timeline.
-
-    ``start``/``end`` are seconds since the recorder epoch on
-    :data:`HOST_TRACK`, or virtual seconds on :data:`SIM_TRACK`.
-    """
+    """One closed interval of work on a lane's timeline; ``start`` and
+    ``end`` are seconds since the recorder epoch."""
 
     name: str
     cat: str
     start: float
     end: float
-    track: int = HOST_TRACK
     lane: int = MASTER_LANE
     args: tuple[tuple[str, object], ...] = ()
 
@@ -79,12 +68,11 @@ class Span:
 
 @dataclass(frozen=True)
 class Event:
-    """One instantaneous occurrence on a (track, lane) timeline."""
+    """One instantaneous occurrence on a lane's timeline."""
 
     name: str
     cat: str
     ts: float
-    track: int = HOST_TRACK
     lane: int = MASTER_LANE
     args: tuple[tuple[str, object], ...] = ()
 
@@ -184,7 +172,7 @@ class Recorder:
     @contextlib.contextmanager
     def span(self, name: str, cat: str = "phase",
              lane: int = MASTER_LANE, **args: object):
-        """Record the enclosed block as one host-track span.
+        """Record the enclosed block as one span.
 
         Phase-category spans also drive the live ``phase``/
         ``phase.start`` gauges while they are open, so the telemetry
@@ -202,19 +190,17 @@ class Recorder:
                 self.gauge("phase", "")
 
     def add_span(self, name: str, cat: str, start: float, end: float, *,
-                 track: int = HOST_TRACK, lane: int = MASTER_LANE,
-                 **args: object) -> None:
+                 lane: int = MASTER_LANE, **args: object) -> None:
         """Record a span with explicit epoch-relative timestamps."""
         record = Span(name=name, cat=cat, start=start, end=end,
-                      track=track, lane=lane, args=_freeze_args(args))
+                      lane=lane, args=_freeze_args(args))
         with self._lock:
             self.spans.append(record)
 
     def event(self, name: str, cat: str = "event", *,
-              track: int = HOST_TRACK, lane: int = MASTER_LANE,
-              **args: object) -> None:
+              lane: int = MASTER_LANE, **args: object) -> None:
         record = Event(name=name, cat=cat, ts=self.now(),
-                       track=track, lane=lane, args=_freeze_args(args))
+                       lane=lane, args=_freeze_args(args))
         with self._lock:
             self.events.append(record)
 
@@ -233,7 +219,7 @@ class Recorder:
     def absorb_wall_spans(self, spans: list[tuple[str, str, float, float]],
                           *, lane: int) -> None:
         """Rebase wall-clock span tuples from a worker onto this
-        recorder's epoch, placing them in the given host-track lane.
+        recorder's epoch, placing them in the given lane.
 
         The rebase goes through the recorder's :class:`ClockSync`; a
         span that started during worker spin-up may land marginally
@@ -244,7 +230,7 @@ class Recorder:
         from_wall = self.clock.from_wall
         rebased = [
             Span(name=name, cat=cat, start=from_wall(start),
-                 end=from_wall(end), track=HOST_TRACK, lane=lane)
+                 end=from_wall(end), lane=lane)
             for name, cat, start, end in spans
         ]
         with self._lock:
@@ -258,16 +244,16 @@ class Recorder:
         out: dict[str, float] = {}
         with self._lock:
             for s in self.spans:
-                if s.cat == "phase" and s.track == HOST_TRACK:
+                if s.cat == "phase":
                     out[s.name] = out.get(s.name, 0.0) + s.duration
         return out
 
     def lane_busy_seconds(self) -> dict[int, float]:
-        """Summed non-phase busy seconds per host lane (worker rollup)."""
+        """Summed non-phase busy seconds per lane (worker rollup)."""
         out: dict[int, float] = {}
         with self._lock:
             for s in self.spans:
-                if s.cat != "phase" and s.track == HOST_TRACK:
+                if s.cat != "phase":
                     out[s.lane] = out.get(s.lane, 0.0) + s.duration
         return out
 

@@ -3,11 +3,11 @@
 The trace format is the stable subset documented for ``chrome://tracing``
 and Perfetto: an object with a ``traceEvents`` array of complete-duration
 events (``ph: "X"``, microsecond ``ts``/``dur``), instant events
-(``ph: "i"``) and metadata events (``ph: "M"``) naming the processes and
-threads.  Recorder tracks map to trace pids (host = measured wall-clock,
-virtual cluster = simulated seconds) and lanes map to tids, so a
-``repro profile`` trace opens directly in https://ui.perfetto.dev with
-master and worker activity on separate rows.
+(``ph: "i"``) and metadata events (``ph: "M"``) naming the process and
+threads.  Every recorded span is measured wall-clock time on one host,
+so a trace has one pid, :data:`HOST_TRACK`; recorder lanes map to tids,
+so a ``repro profile`` trace opens directly in https://ui.perfetto.dev
+with master and worker activity on separate rows.
 """
 
 from __future__ import annotations
@@ -16,22 +16,18 @@ import json
 from pathlib import Path
 
 from repro.obs.clock import clamp_rebased
-from repro.obs.core import HOST_TRACK, MASTER_LANE, SIM_TRACK, Recorder
+from repro.obs.core import MASTER_LANE, Recorder
 from repro.obs.registry import scientific_view
 from repro.obs.telemetry import read_records
 
 #: Version tag of the run record (:func:`counters_payload`).
 RUN_SCHEMA = "repro-run/1"
 
-_TRACK_NAMES = {
-    HOST_TRACK: "host (measured wall-clock)",
-    SIM_TRACK: "virtual cluster (simulated seconds)",
-}
+#: The Chrome-trace "pid" of every exported span and event.
+HOST_TRACK = 1
 
 
-def _lane_name(track: int, lane: int) -> str:
-    if track == SIM_TRACK:
-        return f"rank {lane}"
+def _lane_name(lane: int) -> str:
     return "master" if lane == MASTER_LANE else f"worker {lane - 1}"
 
 
@@ -42,9 +38,9 @@ def _us(seconds: float) -> float:
 def chrome_trace_events(recorder: Recorder) -> list[dict]:
     """The recorder's spans/events as a ``traceEvents`` array."""
     events: list[dict] = []
-    lanes: set[tuple[int, int]] = set()
+    lanes: set[int] = set()
     for s in recorder.spans:
-        lanes.add((s.track, s.lane))
+        lanes.add(s.lane)
         events.append({
             "name": s.name,
             "cat": s.cat,
@@ -54,32 +50,32 @@ def chrome_trace_events(recorder: Recorder) -> list[dict]:
             # the duration uses the unclamped endpoints.
             "ts": _us(clamp_rebased(s.start)),
             "dur": _us(max(s.duration, 0.0)),
-            "pid": s.track,
+            "pid": HOST_TRACK,
             "tid": s.lane,
             "args": dict(s.args),
         })
     for e in recorder.events:
-        lanes.add((e.track, e.lane))
+        lanes.add(e.lane)
         events.append({
             "name": e.name,
             "cat": e.cat,
             "ph": "i",
             "s": "t",
             "ts": _us(e.ts),
-            "pid": e.track,
+            "pid": HOST_TRACK,
             "tid": e.lane,
             "args": dict(e.args),
         })
     meta: list[dict] = []
-    for track in sorted({track for track, _ in lanes}):
+    if lanes:
         meta.append({
-            "name": "process_name", "ph": "M", "pid": track, "tid": 0,
-            "args": {"name": _TRACK_NAMES.get(track, f"track {track}")},
+            "name": "process_name", "ph": "M", "pid": HOST_TRACK, "tid": 0,
+            "args": {"name": "host (measured wall-clock)"},
         })
-    for track, lane in sorted(lanes):
+    for lane in sorted(lanes):
         meta.append({
-            "name": "thread_name", "ph": "M", "pid": track, "tid": lane,
-            "args": {"name": _lane_name(track, lane)},
+            "name": "thread_name", "ph": "M", "pid": HOST_TRACK, "tid": lane,
+            "args": {"name": _lane_name(lane)},
         })
     return meta + events
 

@@ -19,9 +19,9 @@ as the generator advances.  The model therefore reports progress as
 Which counters mean "done"/"generated" per phase is declared in
 :data:`PHASE_WORK`.  The runtime's pair stream feeds the per-phase
 ``runtime.pairs_done.<phase>`` counters on every backend (on the serial
-one submit *is* completion, so ``done`` tracks ``generated``); a run
-that never emitted them (a simulated phase) falls back to ``generated``
-as ``done``, making progress exact by construction.
+one submit *is* completion, so ``done`` tracks ``generated``); a phase
+that never emitted them falls back to ``generated`` as ``done``, making
+progress exact by construction.
 """
 
 from __future__ import annotations

@@ -288,12 +288,11 @@ GAUGES: dict[str, str] = {
 
 #: Families of counter names constructed at runtime (f-strings).  A
 #: dynamic counter is legal iff its constant prefix matches one of
-#: these; everything else must be a declared literal.  ``sim.*``
-#: mirrors virtual-time simulator results, ``runtime.worker.<w>.*``
-#: are per-worker lanes, ``runtime.pairs_done.<phase>`` feeds the
-#: progress model (the three declared phases are also listed above).
+#: these; everything else must be a declared literal.
+#: ``runtime.worker.<w>.*`` are per-worker lanes,
+#: ``runtime.pairs_done.<phase>`` feeds the progress model (the three
+#: declared phases are also listed above).
 DYNAMIC_COUNTER_PREFIXES: tuple[str, ...] = (
-    "sim.",
     "runtime.worker.",
     "runtime.pairs_done.",
 )
@@ -314,7 +313,6 @@ def scientific_view(counters: Mapping[str, float]) -> dict[str, float]:
 
 def describe(name: str) -> CounterSpec | None:
     """Registry entry for ``name``; None for dynamic counters (names
-    matching :data:`DYNAMIC_COUNTER_PREFIXES` — ``sim.*`` virtual-time
-    mirrors and per-worker ``runtime.worker.<w>.*`` lanes — carry no
-    per-name spec)."""
+    matching :data:`DYNAMIC_COUNTER_PREFIXES`, such as the per-worker
+    ``runtime.worker.<w>.*`` lanes, carry no per-name spec)."""
     return REGISTRY.get(name)

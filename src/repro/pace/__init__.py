@@ -5,15 +5,15 @@ admission filter with its counters, verdict sink, result construction
 (:class:`RedundancyMaster`, :class:`ClusteringMaster`,
 :class:`BipartiteMaster`; DSD has no cross-component state, only
 :func:`~repro.pace.densesub.shingle_component` mapped over components).
-Two kinds of driver feed that state: :mod:`repro.runtime.phases` executes
-the admitted work on a real backend (the serial backend is the
-reference), and the ``parallel_*`` drivers here run the same decisions
-through the master-worker protocol on a
-:class:`repro.parallel.VirtualCluster`, yielding simulated run-times.  A
-key design invariant, verified by tests: every driver produces
-byte-identical scientific results at every worker or processor count,
-because the master's transitive-closure filter only skips pairs whose
-outcome cannot affect connectivity.
+:mod:`repro.runtime.phases` executes the admitted work of all four
+phases on a real backend (the serial backend is the reference).  The
+paper's parallel evidence covers RR and CCD only, so those two also
+have ``parallel_*`` drivers here that run the same decisions through
+the master-worker protocol on a :class:`repro.parallel.VirtualCluster`,
+yielding simulated run-times.  A key design invariant, verified by
+tests: every driver produces byte-identical scientific results at every
+worker or processor count, because the master's transitive-closure
+filter only skips pairs whose outcome cannot affect connectivity.
 """
 
 from repro.pace.cache import AlignmentCache
@@ -28,15 +28,8 @@ from repro.pace.clustering import (
     ClusteringResult,
     parallel_component_detection,
 )
-from repro.pace.bipartite_gen import (
-    BipartiteMaster,
-    ComponentGraphs,
-    parallel_generate_component_graphs,
-)
-from repro.pace.densesub import (
-    DsdResult,
-    parallel_dense_subgraph_detection,
-)
+from repro.pace.bipartite_gen import BipartiteMaster, ComponentGraphs
+from repro.pace.densesub import DsdResult
 
 __all__ = [
     "AlignmentCache",
@@ -49,7 +42,5 @@ __all__ = [
     "parallel_component_detection",
     "BipartiteMaster",
     "ComponentGraphs",
-    "parallel_generate_component_graphs",
     "DsdResult",
-    "parallel_dense_subgraph_detection",
 ]

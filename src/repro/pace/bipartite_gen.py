@@ -13,8 +13,7 @@ the dense-subgraph phase consumes:
 
 Components are independent, so the phase is embarrassingly parallel; a
 component's bipartite graph must fit on one node (the paper handles up
-to 16K total vertices in 512 MB) — the simulator enforces that where
-the graph is allocated, in the DSD phase's ``comm.alloc``.
+to 16K total vertices in 512 MB).
 """
 
 from __future__ import annotations
@@ -25,16 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.align.batch import align_columns
-from repro.align.matrices import ScoringScheme, blosum62_scheme
 from repro.align.predicates import overlaps
 from repro.graph.bipartite import BipartiteGraph, duplicate_bipartite
-from repro.pace.costs import CostModel
 from repro.pace.seen import SeenPairs
-from repro.parallel.masterworker import MasterWorkerConfig, run_master_worker
-from repro.parallel.partition import balance_items
-from repro.parallel.simulator import VirtualCluster
-from repro.runtime.sharedseq import EncodedStore
 from repro.sequence.record import SequenceSet
 from repro.suffix import GeneralizedSuffixArray, MaximalMatchFinder
 
@@ -51,12 +43,10 @@ class ComponentGraphs:
     n_alignments: int = 0
     n_edges: int = 0
     reduction: str = "global"
-    sim: object | None = None
-    """SimulationResult when generated by the parallel driver."""
 
 
 class BipartiteMaster:
-    """Master-side state of B_d generation, stated once for every executor.
+    """Master-side state of B_d generation.
 
     Owns the qualifying components (``members``, each sorted; per
     sequence its ``component`` and ``local`` index there, -1 outside
@@ -69,10 +59,7 @@ class BipartiteMaster:
     and admits each row against its component's triangle of one
     :class:`~repro.pace.seen.SeenPairs` bit map.
     :func:`repro.runtime.phases.backend_generate_component_graphs`
-    streams the admitted columns through an execution backend;
-    :func:`parallel_generate_component_graphs` plugs the same methods
-    into the simulated master rank as its callbacks, one-row columns
-    at a time.
+    streams the admitted columns through an execution backend.
     """
 
     def __init__(
@@ -128,7 +115,7 @@ class BipartiteMaster:
         self.out.neighbors.setdefault(gi, set()).add(gj)
         self.out.neighbors.setdefault(gj, set()).add(gi)
 
-    def result(self, sim: object | None = None) -> ComponentGraphs:
+    def result(self) -> ComponentGraphs:
         """Build the graphs.  Edges are sorted first, so the order
         verdicts arrived in cannot leak into the output."""
         out = self.out
@@ -140,109 +127,5 @@ class BipartiteMaster:
             )
             obs.count("bipartite.graphs")
         out.n_alignments = self._admitted.size
-        out.sim = sim
         return out
 
-
-def parallel_generate_component_graphs(
-    sequences: SequenceSet,
-    components: Sequence[Sequence[int]],
-    cluster: VirtualCluster,
-    *,
-    psi: int = 10,
-    edge_similarity: float = 0.40,
-    edge_coverage: float = 0.80,
-    min_size: int = 5,
-    scheme: ScoringScheme | None = None,
-    cost_model: CostModel | None = None,
-    max_pairs_per_node: int | None = None,
-    record_timeline: bool = False,
-) -> ComponentGraphs:
-    """Simulated-parallel B_d generation (Section IV-C).
-
-    "We parallelized bipartite graph generation using a modified version
-    of the PaCE approach in which we apply only the maximal matching
-    heuristic (and skip clustering)": the same master-worker protocol as
-    the CCD phase, but the master only deduplicates pairs — every unique
-    promising pair inside a component is aligned.  Output is identical
-    at every processor count.
-    Every component's distinct promising pairs are aligned in one
-    :func:`~repro.align.batch.align_columns` call up front and their
-    edge verdicts taken as one column; a task reads its pair's verdict
-    and is charged ``costs.alignment``.
-    """
-    costs = CostModel() if cost_model is None else cost_model
-    master = BipartiteMaster(
-        sequences,
-        components,
-        GeneralizedSuffixArray([record.encoded for record in sequences]),
-        psi=psi,
-        edge_similarity=edge_similarity,
-        edge_coverage=edge_coverage,
-        min_size=min_size,
-        max_pairs_per_node=max_pairs_per_node,
-    )
-    encoded = master.encoded
-    component, local = master.component.tolist(), master.local.tolist()
-    # Every distinct pair of every component, as global (a < b), grouped
-    # by component: each group is that component's own unique pairs.
-    pairs_of: list[list[tuple[int, int]]] = [[] for _ in master.members]
-    for match in master.finder.unique_pairs():
-        pairs_of[component[match.seq_a]].append(match.pair)
-    pairs = [pair for group in pairs_of for pair in group]
-    ga, gb = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    table = align_columns(
-        EncodedStore.from_sequences(encoded), ga, gb,
-        scheme=blosum62_scheme() if scheme is None else scheme, mode="local",
-    )
-    passes_of = dict(zip(pairs, master.is_edge(ga, gb, table).tolist()))
-
-    # Workers own whole components (they are independent), LPT-balanced
-    # by member count.
-    assignment = balance_items(
-        [len(m) ** 2 for m in master.members], max(cluster.n_ranks - 1, 1)
-    )
-
-    def setup_cost(worker_index: int, n_w: int) -> float:
-        return costs.index_symbol * sum(
-            sum(len(encoded[g]) for g in master.members[ci])
-            for ci in assignment[worker_index]
-        )
-
-    def make_generator(worker_index: int, n_w: int):
-        for ci in assignment[worker_index]:
-            for gi, gj in pairs_of[ci]:
-                yield ((ci, local[gi], local[gj]), costs.generate_pair)
-
-    def execute_task(item):
-        ci, li, lj = item
-        members = master.members[ci]
-        gi, gj = members[li], members[lj]
-        return (ci, li, lj, passes_of[gi, gj]), costs.alignment(
-            len(encoded[gi]), len(encoded[gj])
-        )
-
-    def absorb_result(result) -> float:
-        ci, li, lj, passes = result
-        if passes:
-            members = master.members[ci]
-            master.add_edge(members[li], members[lj])
-            return costs.merge
-        return 0.0
-
-    def filter_item(item: tuple[int, int, int]) -> tuple[int, int, int] | None:
-        ci, li, lj = item
-        members = master.members[ci]
-        admitted, _ = master.admit(np.array([members[li]]), np.array([members[lj]]))
-        return item if len(admitted) else None
-
-    config = MasterWorkerConfig(
-        make_generator=make_generator,
-        filter_item=filter_item,
-        execute_task=execute_task,
-        absorb_result=absorb_result,
-        filter_cost=costs.dedup_pair,
-        setup_cost=setup_cost,
-    )
-    _, sim = run_master_worker(cluster, config, record_timeline=record_timeline)
-    return master.result(sim)

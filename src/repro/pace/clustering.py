@@ -340,7 +340,6 @@ def parallel_component_detection(
     scheme: ScoringScheme | None = None,
     cost_model: CostModel | None = None,
     max_pairs_per_node: int | None = None,
-    record_timeline: bool = False,
 ) -> ClusteringResult:
     """Simulated-parallel CCD phase.
 
@@ -393,5 +392,5 @@ def parallel_component_detection(
         absorb_result=absorb_result,
         filter_cost=costs.filter_pair,
     )
-    _, sim = run_master_worker(cluster, config, record_timeline=record_timeline)
+    _, sim = run_master_worker(cluster, config)
     return master.result(sim)

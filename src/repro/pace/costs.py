@@ -52,20 +52,6 @@ class CostModel:
         """Cost of one full DP alignment."""
         return self.align_cell * (len_a + 1) * (len_b + 1)
 
-    def shingle_run(self, n_left: int, n_edges: int, c1: int, c2: int, n_tuples: int) -> float:
-        """Cost of one Shingle execution on one bipartite graph.
-
-        Pass I touches every out-link under every permutation
-        (c1 * |E|); pass II is bounded by tuples * c2; sorting/grouping
-        adds the tuple term — matching the paper's observation that
-        run-time grows linearly with c (Figure 7b).
-        """
-        return (
-            self.shingle_link * (c1 * n_edges + c2 * n_tuples)
-            + self.shingle_tuple * n_tuples
-            + self.shingle_link * n_left
-        )
-
 
 def bucket_generation(
     finder: "MaximalMatchFinder",

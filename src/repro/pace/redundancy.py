@@ -141,7 +141,6 @@ def parallel_redundancy_removal(
     scheme: ScoringScheme | None = None,
     cost_model: CostModel | None = None,
     max_pairs_per_node: int | None = None,
-    record_timeline: bool = False,
 ) -> RedundancyResult:
     """Simulated-parallel RR phase; same answer at every processor count.
 
@@ -198,5 +197,5 @@ def parallel_redundancy_removal(
         absorb_result=absorb_result,
         filter_cost=costs.dedup_pair,
     )
-    _, sim = run_master_worker(cluster, config, record_timeline=record_timeline)
+    _, sim = run_master_worker(cluster, config)
     return master.result(sim)

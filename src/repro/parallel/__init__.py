@@ -30,7 +30,6 @@ from repro.parallel.simulator import (
     VirtualCluster,
 )
 from repro.parallel.partition import balance_items
-from repro.parallel.trace import RankBreakdown, Timeline
 from repro.parallel.masterworker import (
     MasterWorkerOutcome,
     run_master_worker,
@@ -48,8 +47,6 @@ __all__ = [
     "SimulationResult",
     "VirtualCluster",
     "balance_items",
-    "RankBreakdown",
-    "Timeline",
     "MasterWorkerOutcome",
     "run_master_worker",
 ]

@@ -8,9 +8,9 @@ The PaCE phases follow one protocol (Section IV-B):
 * workers execute tasks, returning results that update the master state.
 
 :func:`run_master_worker` implements that protocol generically so the
-redundancy-removal, clustering, and bipartite-generation phases differ
-only in their callbacks.  Rank 0 is the master; ranks 1..p-1 (or rank 0
-itself when p == 1) are workers.
+redundancy-removal and clustering phases differ only in their
+callbacks.  Rank 0 is the master; ranks 1..p-1 (or rank 0 itself when
+p == 1) are workers.
 """
 
 from __future__ import annotations
@@ -207,10 +207,8 @@ def _program(comm: SimComm, config: MasterWorkerConfig):
 def run_master_worker(
     cluster: VirtualCluster,
     config: MasterWorkerConfig,
-    *,
-    record_timeline: bool = False,
 ) -> tuple[MasterWorkerOutcome, SimulationResult]:
     """Run one master-worker phase; returns (master outcome, sim result)."""
-    sim = cluster.run(_program, args=(config,), record_timeline=record_timeline)
+    sim = cluster.run(_program, args=(config,))
     outcome = sim.rank_results[0]
     return outcome, sim

@@ -156,16 +156,6 @@ class SimulationResult:
     elapsed: float
     rank_results: list[Any]
     rank_stats: list[RankStats]
-    #: (rank, kind, start, end) intervals when recorded (see run()).
-    timeline: list[tuple[int, str, float, float]] = field(default_factory=list)
-
-    @property
-    def total_messages(self) -> int:
-        return sum(s.messages_sent for s in self.rank_stats)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(s.bytes_sent for s in self.rank_stats)
 
     def parallel_efficiency(self) -> float:
         """busy time / (elapsed * p) — 1.0 means perfectly load balanced."""
@@ -308,15 +298,12 @@ class VirtualCluster:
         args: Sequence[Any] = (),
         kwargs: dict[str, Any] | None = None,
         per_rank_kwargs: Sequence[dict[str, Any]] | None = None,
-        record_timeline: bool = False,
     ) -> SimulationResult:
         """Execute ``program`` on every rank and simulate to completion.
 
         ``program(comm, *args, **kwargs)`` must be a generator function.
         ``per_rank_kwargs[r]`` (if given) is merged over ``kwargs`` for
         rank r — the usual way to hand each rank its data partition.
-        With ``record_timeline`` every compute/send/wait interval is
-        recorded for :class:`repro.parallel.trace.Timeline` analysis.
         """
         if kwargs is None:
             kwargs = {}
@@ -339,12 +326,6 @@ class VirtualCluster:
             comms.append(comm)
 
         mailboxes: list[list[_Message]] = [[] for _ in range(self.n_ranks)]
-        timeline: list[tuple[int, str, float, float]] = []
-
-        def record(rank: int, kind: str, start: float, end: float) -> None:
-            if record_timeline and end > start:
-                timeline.append((rank, kind, start, end))
-
         serial = 0
         # Min-heap of (clock, rank) for runnable ranks.
         heap: list[tuple[float, int]] = [(0.0, r) for r in range(self.n_ranks)]
@@ -393,7 +374,6 @@ class VirtualCluster:
                         break  # spurious wake; stay blocked out of the heap
                     state.waiting = None
                     if message.arrival > state.clock:
-                        record(rank, "wait", state.clock, message.arrival)
                         state.stats.wait_seconds += message.arrival - state.clock
                         state.clock = message.arrival
                     state.inject = Received(
@@ -412,12 +392,10 @@ class VirtualCluster:
                     break
 
                 if isinstance(op, _ComputeOp):
-                    record(rank, "compute", state.clock, state.clock + op.seconds)
                     state.clock += op.seconds
                     state.stats.compute_seconds += op.seconds
                 elif isinstance(op, _SendOp):
                     cost = self.machine.transfer_seconds(op.nbytes)
-                    record(rank, "send", state.clock, state.clock + cost)
                     state.clock += cost
                     state.stats.send_seconds += cost
                     state.stats.messages_sent += 1
@@ -450,7 +428,6 @@ class VirtualCluster:
                         state.waiting = op
                         break
                     if message.arrival > state.clock:
-                        record(rank, "wait", state.clock, message.arrival)
                         state.stats.wait_seconds += message.arrival - state.clock
                         state.clock = message.arrival
                     state.inject = Received(
@@ -472,5 +449,4 @@ class VirtualCluster:
             elapsed=elapsed,
             rank_results=[s.result for s in states],
             rank_stats=[s.stats for s in states],
-            timeline=timeline,
         )

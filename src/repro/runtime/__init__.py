@@ -1,10 +1,11 @@
 """Execution backends — real multi-core execution beside the simulator.
 
 ``repro.parallel`` *models* the paper's clusters (virtual time on a
-machine model); ``repro.runtime`` *executes* on the host's cores.  Both
-drive the same master-side phase state (:mod:`repro.pace`), and both
-guarantee output equal to the reference — this package's serial backend,
-which every pipeline run uses unless told otherwise.  See DESIGN.md,
+machine model) for the RR and CCD phases; ``repro.runtime`` *executes*
+all four on the host's cores.  Both drive the same master-side phase
+state (:mod:`repro.pace`), and both guarantee output equal to the
+reference — this package's serial backend, which every pipeline run
+uses unless told otherwise.  See DESIGN.md,
 "Simulator versus runtime".
 
 Usage::

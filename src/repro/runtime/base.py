@@ -148,7 +148,7 @@ class PhaseStats:
 
 @dataclass
 class RuntimeStats:
-    """Measured wall-clock counterpart of the simulator's PhaseTimings."""
+    """Measured wall-clock seconds and work of one backend run, per phase."""
 
     backend: str
     workers: int

@@ -3,7 +3,7 @@
 Each function runs one phase of the pipeline by streaming the pairs its
 :mod:`repro.pace` master admits through a
 :class:`~repro.runtime.base.Backend` and sinking the verdicts back into
-that master — the same master-side state the simulator's
+that master — for RR and CCD the same master-side state the simulator's
 ``parallel_*`` drivers plug into their rank programs, so the filter, the
 counters and the result are stated once.  On
 :class:`~repro.runtime.serial.SerialBackend` this is the reference every

@@ -12,7 +12,6 @@ from hypothesis import settings
 from repro.align.matrices import blosum62_scheme
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
-from repro.parallel.simulator import VirtualCluster
 from repro.runtime import ProcessBackend, SerialBackend, phases
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 from repro.shingle.algorithm import ShingleParams
@@ -111,13 +110,6 @@ PIPELINE_MODES = {
     "default": lambda: {},
     "serial": lambda: {"backend": "serial"},
     "process": lambda: {"backend": SmallTaskProcessBackend(workers=2)},
-    **{
-        f"sim-p{p}": lambda p=p: {
-            "cluster": VirtualCluster(p),
-            "dsd_cluster": VirtualCluster(max(p // 2, 1)),
-        }
-        for p in (1, 4, 8)
-    },
 }
 
 

@@ -22,7 +22,7 @@ import pytest
 
 from repro import obs
 from repro.graph.unionfind import UnionFind
-from repro.pace.bipartite_gen import BipartiteMaster, parallel_generate_component_graphs
+from repro.pace.bipartite_gen import BipartiteMaster
 from repro.pace.clustering import ClusteringMaster, parallel_component_detection
 from repro.pace.redundancy import (
     RedundancyMaster,
@@ -445,13 +445,8 @@ def test_simulated_phases_keep_their_virtual_clock(tiny_metagenome, scalar_maste
     def simulate():
         rr = parallel_redundancy_removal(sequences, VirtualCluster(p), psi=PSI)
         ccd = parallel_component_detection(sequences, rr.kept, VirtualCluster(p), psi=PSI)
-        bgg = parallel_generate_component_graphs(
-            sequences, ccd.components, VirtualCluster(p), psi=PSI, min_size=4
-        )
-        return [
-            (r.sim.elapsed, r.sim.total_messages, r.sim.total_bytes)
-            for r in (rr, ccd, bgg)
-        ], (rr.kept, ccd.components, ccd.n_filtered, ccd.n_alignments, bgg.n_edges)
+        clocks = [(r.sim.elapsed, r.sim.rank_stats) for r in (rr, ccd)]
+        return clocks, (rr.kept, ccd.components, ccd.n_filtered, ccd.n_alignments)
 
     blocks = simulate()
     scalar_masters()

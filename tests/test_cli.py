@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, cmd_run, main
+from repro.core.config import PipelineConfig
 from repro.obs import RUN_SCHEMA, read_telemetry
+from repro.pace.clustering import parallel_component_detection
+from repro.pace.redundancy import parallel_redundancy_removal
+from repro.parallel.machine import BLUEGENE_L
+from repro.parallel.simulator import VirtualCluster
+from repro.sequence.fasta import read_fasta
+from repro.util.timing import format_seconds
 
 
 @pytest.fixture()
@@ -93,24 +100,24 @@ class TestRunEvaluateCompare:
 
 class TestSimulate:
     def test_processor_sweep(self, generated, capsys):
+        """Each row is the simulated RR and CCD drivers' virtual seconds
+        at that processor count, under the default configuration."""
         fasta, _ = generated
-        rc = main(
-            [
-                "simulate",
-                str(fasta),
-                "--procs",
-                "2",
-                "4",
-                "--shingle-c",
-                "30",
-                "--shingle-s",
-                "3",
-            ]
-        )
+        rc = main(["simulate", str(fasta), "--procs", "1", "4",
+                   "--shingle-c", "30", "--shingle-s", "3"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "RR+CCD" in out
-        assert out.count("\n") >= 3
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["p", "RR", "CCD", "RR+CCD"]
+        sequences, config = read_fasta(fasta), PipelineConfig()
+        expected = []
+        for p in (1, 4):
+            cluster = VirtualCluster(p, BLUEGENE_L)
+            rr = parallel_redundancy_removal(sequences, cluster, psi=config.psi)
+            ccd = parallel_component_detection(sequences, rr.kept, cluster, psi=config.psi)
+            seconds = (rr.sim.elapsed, ccd.sim.elapsed, rr.sim.elapsed + ccd.sim.elapsed)
+            expected.append([str(p), *map(format_seconds, seconds)])
+        assert [row.split() for row in rows] == expected
+        assert rows[0] != rows[1]
 
 
 class TestRuntimeBackend:

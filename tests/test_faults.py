@@ -509,15 +509,6 @@ class TestPipelineResume:
                 workload, backend="serial", resume=True
             )
 
-    def test_checkpointing_rejects_simulated_cluster(self, workload,
-                                                     tmp_path):
-        from repro.parallel.simulator import VirtualCluster
-
-        with pytest.raises(ValueError, match="requires an execution backend"):
-            ProteinFamilyPipeline(PipelineConfig()).run(
-                workload, cluster=VirtualCluster(2), run_dir=tmp_path
-            )
-
 
 class TestCrashResumeRoundTrip:
     """Subprocess round trips: a checkpoint fault kills ``repro run``

@@ -3,12 +3,12 @@
 The load-bearing guarantee is the **scientific counter contract**: for a
 fixed configuration and input, every scientific counter in
 ``repro.obs.registry`` is identical across the SerialBackend (the
-reference), the ProcessBackend, and the simulator — the counter
-analogue of the families/Table I result-invariance guarantee, checked
-with it in ``test_pipeline.py::TestSameAnswerEveryMode``.  This file
-pins down what each mode's recorder carries besides, the Recorder
-primitives, the worker span-shipping protocol, the exporters, and the
-``repro profile`` CLI round-trip.
+reference) and the ProcessBackend — the counter analogue of the
+families/Table I result-invariance guarantee, checked with it in
+``test_pipeline.py::TestSameAnswerEveryMode``.  This file pins down
+what each mode's recorder carries besides, the Recorder primitives, the
+worker span-shipping protocol, the exporters, and the ``repro profile``
+CLI round-trip.
 """
 
 from __future__ import annotations
@@ -26,17 +26,14 @@ from repro.obs import (
     HOST_TRACK,
     REGISTRY,
     SCIENTIFIC_COUNTERS,
-    SIM_TRACK,
     Recorder,
     chrome_trace,
     counters_payload,
     describe,
-    record_simulation,
     scientific_view,
     write_chrome_trace,
     write_counters_json,
 )
-from repro.parallel.simulator import VirtualCluster
 from repro.sequence.fasta import write_fasta
 
 
@@ -67,20 +64,16 @@ class TestScientificCounterContract:
         assert process["runtime.max_outstanding"] >= 1
         assert process["runtime.worker.0.busy_seconds"] > 0.0
         assert process["runtime.shingle_jobs"] == process["dsd.components"]
-        # Serial reference does no backend dispatch...
+        # Serial reference does no backend dispatch.
         serial = mode_results["default"].obs.counters()
         assert "runtime.batches" not in serial
-        # ...and the simulator mirrors virtual time instead.
-        simulated = mode_results["sim-p8"].obs.counters()
-        assert simulated["sim.redundancy.virtual_seconds"] > 0.0
-        assert simulated["sim.dense_subgraphs.virtual_seconds"] > 0.0
 
     def test_every_admitted_pair_is_aligned_once(self, mode_results):
         """No memo answers a pair: on a backend run the engine sees each
         pair RR, CCD and bipartite generation admit exactly once, and
         bipartite progress reaches its total from dispatched pairs
-        alone.  Simulated modes align in bulk and are exempt."""
-        for mode in ("default", "serial", "process"):
+        alone."""
+        for mode in mode_results:
             counters = mode_results[mode].obs.counters()
             admitted = (counters["rr.pairs"] + counters["ccd.alignments"]
                         + counters["bipartite.pairs"])
@@ -102,7 +95,7 @@ class TestScientificCounterContract:
         worker_lanes = {
             s.lane
             for s in recorder.spans
-            if s.track == HOST_TRACK and s.lane > 0
+            if s.lane > 0
         }
         assert worker_lanes, "no worker spans reached the master"
         assert worker_lanes <= {1, 2}  # workers=2 -> lanes 1 and 2
@@ -110,18 +103,6 @@ class TestScientificCounterContract:
             s.name for s in recorder.spans if s.lane > 0
         }
         assert names & {"align.local", "shingle.component"}
-
-    def test_simulated_run_lands_on_sim_track(self, mode_results):
-        recorder = mode_results["sim-p8"].obs
-        sim_spans = [s for s in recorder.spans if s.track == SIM_TRACK]
-        assert sim_spans
-        # Successive phases stack end-to-end on the virtual axis.
-        phase_spans = sorted(
-            (s for s in sim_spans if s.cat == "sim-phase"),
-            key=lambda s: s.start,
-        )
-        for before, after in zip(phase_spans, phase_spans[1:]):
-            assert after.start == pytest.approx(before.end)
 
     def test_recorder_meta_describes_the_run(self, mode_results, mode_workload):
         sequences, _ = mode_workload
@@ -131,9 +112,6 @@ class TestScientificCounterContract:
         process = mode_results["process"].obs.meta
         assert process["mode"] == "process"
         assert process["workers"] == 2
-        simulated = mode_results["sim-p8"].obs.meta
-        assert simulated["mode"] == "simulated"
-        assert simulated["workers"] == 8
 
 
 class TestEngineAccounting:
@@ -230,7 +208,6 @@ class TestRecorder:
         (span,) = recorder.spans
         assert span.name == "work"
         assert span.cat == "task"
-        assert span.track == HOST_TRACK
         assert span.lane == 0
         assert span.duration >= 0.0
         assert dict(span.args) == {"pairs": 3}
@@ -265,7 +242,6 @@ class TestRecorder:
         assert span.name == "align.local"
         assert span.cat == "task"
         assert span.lane == 2
-        assert span.track == HOST_TRACK
         assert span.duration == pytest.approx(2.5)
         assert master.lane_busy_seconds() == {2: pytest.approx(2.5)}
 
@@ -331,7 +307,7 @@ class TestRegistry:
 
     def test_describe(self):
         assert describe("rr.pairs") is REGISTRY["rr.pairs"]
-        assert describe("sim.redundancy.messages") is None
+        assert describe("runtime.worker.0.busy_seconds") is None
 
 
 class TestExport:
@@ -362,8 +338,10 @@ class TestExport:
             for e in metadata
             if e["name"] == "thread_name"
         }
-        assert thread_names[(HOST_TRACK, 0)] == "master"
-        assert thread_names[(HOST_TRACK, 1)] == "worker 0"
+        assert thread_names == {(HOST_TRACK, 0): "master", (HOST_TRACK, 1): "worker 0"}
+        # One host, one trace process: every event carries its pid.
+        assert {e["pid"] for e in events} == {HOST_TRACK}
+        assert [e["name"] for e in metadata].count("process_name") == 1
         assert trace["otherData"]["counters"] == {"rr.pairs": 12}
         assert trace["otherData"]["meta"] == {"mode": "test"}
 
@@ -387,36 +365,6 @@ class TestExport:
         assert isinstance(trace["traceEvents"], list)
         payload = json.loads(counters_path.read_text())
         assert payload["counters"] == {"rr.pairs": 12}
-
-
-class TestSimulatorBridge:
-    def test_record_simulation_counters_and_offset(self):
-        cluster = VirtualCluster(4)
-
-        def program(comm):
-            yield from comm.compute(units=1000)
-            yield from comm.gather(None)
-
-        sim = cluster.run(program)
-        recorder = Recorder()
-        offset = record_simulation(recorder, sim, "redundancy")
-        assert offset == pytest.approx(sim.elapsed)
-        assert recorder.value("sim.redundancy.virtual_seconds") == (
-            pytest.approx(sim.elapsed)
-        )
-        assert recorder.value("sim.redundancy.messages") == (
-            sim.total_messages
-        )
-        phase_span = next(
-            s for s in recorder.spans if s.cat == "sim-phase"
-        )
-        assert phase_span.track == SIM_TRACK
-        assert phase_span.end == pytest.approx(sim.elapsed)
-        # A second phase continues where the first ended.
-        offset2 = record_simulation(
-            recorder, sim, "clustering", offset=offset
-        )
-        assert offset2 == pytest.approx(2 * sim.elapsed)
 
 
 class TestObservationReport:

@@ -18,13 +18,10 @@ from repro.align import batch
 from repro.align.matrices import blosum62_scheme
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro.pace.cache import AlignmentCache
-from repro.pace import bipartite_gen, clustering
-from repro.pace.bipartite_gen import parallel_generate_component_graphs
+from repro.pace import clustering
 from repro.pace.clustering import parallel_component_detection
 from repro.pace import redundancy
-from repro.pace.densesub import parallel_dense_subgraph_detection
 from repro.pace.redundancy import parallel_redundancy_removal
-from repro.parallel.machine import XEON_CLUSTER
 from repro.parallel.simulator import VirtualCluster
 from repro.runtime.phases import (
     backend_component_detection,
@@ -360,60 +357,11 @@ class TestDenseSubgraphDetection:
         for sg in dsd.subgraphs:
             assert set(sg) <= all_members
 
-    @pytest.mark.parametrize("p", [1, 2, 4])
-    def test_parallel_equals_serial(self, component_graphs, session, p):
-        serial = backend_dense_subgraph_detection(
-            component_graphs, session[0], params=SMALL_SHINGLE, min_size=5
-        )
-        par = parallel_dense_subgraph_detection(
-            component_graphs,
-            VirtualCluster(p, XEON_CLUSTER),
-            params=SMALL_SHINGLE,
-            min_size=5,
-        )
-        assert par.subgraphs == serial.subgraphs
-        assert par.sim is not None
-
     def test_shingle_stats_collected(self, component_graphs, session):
         dsd = backend_dense_subgraph_detection(
             component_graphs, session[0], params=SMALL_SHINGLE, min_size=5
         )
         assert len(dsd.shingle_stats) == len(component_graphs.graphs)
-
-
-class TestParallelBipartiteGeneration:
-    @pytest.fixture(scope="class")
-    def components(self, small_metagenome_module, session, rr_serial):
-        ccd = backend_component_detection(
-            small_metagenome_module.sequences, rr_serial.kept, *session, psi=PSI
-        )
-        return ccd.components_of_size(5)
-
-    @pytest.mark.parametrize("p", [1, 3, 6])
-    def test_parallel_equals_serial(
-        self, monkeypatch, small_metagenome_module, session, components, p
-    ):
-        """Same graphs at every p, from one engine call over every
-        component's distinct pairs made before the simulation starts."""
-        serial = backend_generate_component_graphs(
-            small_metagenome_module.sequences, components, *session
-        )
-        calls = _engine_calls(monkeypatch, bipartite_gen)
-        par = parallel_generate_component_graphs(
-            small_metagenome_module.sequences,
-            components,
-            VirtualCluster(p),
-        )
-        assert calls == [serial.n_alignments]
-        assert par.components == serial.components
-        assert par.n_alignments == serial.n_alignments
-        assert par.n_edges == serial.n_edges
-        assert par.neighbors == serial.neighbors
-        for pg, sg in zip(par.graphs, serial.graphs):
-            assert pg.n_left == sg.n_left
-            for v in range(pg.n_left):
-                assert (pg.gamma(v) == sg.gamma(v)).all()
-        assert par.sim is not None and par.sim.elapsed > 0
 
 
 class TestAlignmentCache:

@@ -7,8 +7,9 @@ import pytest
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro.eval.metrics import compare_clusterings
-from repro.obs import scientific_view
-from repro.parallel.machine import XEON_CLUSTER
+from repro.obs import Recorder, recording, scientific_view
+from repro.pace.clustering import parallel_component_detection
+from repro.pace.redundancy import parallel_redundancy_removal
 from repro.parallel.simulator import VirtualCluster
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 from repro.sequence.record import SequenceRecord, SequenceSet
@@ -24,6 +25,32 @@ DEGENERATE = {
     "one_sequence": ([_PROTEIN], 1),
     "six_identical": ([_PROTEIN] * 6, 1),
 }
+
+
+def degenerate_set(name: str) -> SequenceSet:
+    return SequenceSet([
+        SequenceRecord(id=f"s{k}", residues=r)
+        for k, r in enumerate(DEGENERATE[name][0])
+    ])
+
+
+@pytest.fixture(scope="module")
+def twilight():
+    """A hostile row: families at the edge of Definition 2 (identity
+    0.30–0.55, three in ten members fragments, psi = 5), at a seed
+    where alignments CCD speculated on fail and held pairs are
+    re-decided — which no friendly generator shape ever does."""
+    data = generate_metagenome(MetagenomeSpec(
+        n_families=4, mean_family_size=12, max_family_size=12,
+        zipf_exponent=50.0, mean_length=100, length_stddev=15,
+        identity_low=0.30, identity_high=0.55, fragment_fraction=0.3,
+        redundant_fraction=0.0, noise_fraction=0.1, seed=13,
+    ))
+    config = PipelineConfig(
+        psi=5, shingle=ShingleParams(s1=3, c1=40, s2=3, c2=13),
+        min_component_size=4, min_subgraph_size=4,
+    )
+    return data.sequences, config, ProteinFamilyPipeline(config).run(data.sequences)
 
 
 @pytest.fixture(scope="module")
@@ -102,15 +129,12 @@ class TestSerialPipeline:
         assert row.n_dense_subgraphs == len(serial_result.families)
         assert 0.0 <= row.mean_density <= 1.0
 
-    def test_timings_zero_when_serial(self, serial_result):
-        assert serial_result.timings.total == 0.0
-
 
 class TestSameAnswerEveryMode:
-    """The one cross-mode contract: whatever executes the phases — the
-    serial backend (by default or by name), worker processes, or the
-    simulator at any processor count — the families, the Table I row and
-    every scientific counter are those of the default run."""
+    """The one cross-mode contract: whatever backend executes the phases
+    — the serial one (by default or by name) or worker processes — the
+    families, the Table I row and every scientific counter are those of
+    the default run."""
 
     @pytest.mark.parametrize("mode", list(PIPELINE_MODES))
     def test_mode_gives_the_default_answer(self, mode_results, mode):
@@ -132,36 +156,15 @@ class TestSameAnswerEveryMode:
         """No sequence, one, six copies of one: the answer is empty (the
         copies leave their first), in every mode, with no phase raising
         — so no non-vacuity guard here."""
-        residues, n_kept = DEGENERATE[name]
-        sequences = SequenceSet([
-            SequenceRecord(id=f"s{k}", residues=r) for k, r in enumerate(residues)
-        ])
+        sequences = degenerate_set(name)
         reference = ProteinFamilyPipeline().run(sequences)
-        assert reference.redundancy.kept == list(range(n_kept))
+        assert reference.redundancy.kept == list(range(DEGENERATE[name][1]))
         assert reference.families == []
         result = ProteinFamilyPipeline().run(sequences, **PIPELINE_MODES[mode]())
         assert result.families == reference.families
         assert result.table1() == reference.table1()
         assert scientific_view(result.obs.counters()) == scientific_view(
             reference.obs.counters())
-
-    @pytest.fixture(scope="class")
-    def twilight(self):
-        """A hostile row: families at the edge of Definition 2 (identity
-        0.30–0.55, three in ten members fragments, psi = 5), at a seed
-        where alignments CCD speculated on fail and held pairs are
-        re-decided — which no friendly generator shape ever does."""
-        data = generate_metagenome(MetagenomeSpec(
-            n_families=4, mean_family_size=12, max_family_size=12,
-            zipf_exponent=50.0, mean_length=100, length_stddev=15,
-            identity_low=0.30, identity_high=0.55, fragment_fraction=0.3,
-            redundant_fraction=0.0, noise_fraction=0.1, seed=13,
-        ))
-        config = PipelineConfig(
-            psi=5, shingle=ShingleParams(s1=3, c1=40, s2=3, c2=13),
-            min_component_size=4, min_subgraph_size=4,
-        )
-        return data.sequences, config, ProteinFamilyPipeline(config).run(data.sequences)
 
     @pytest.mark.parametrize("mode", list(PIPELINE_MODES))
     def test_twilight_input_gives_the_default_answer(self, twilight, mode):
@@ -172,52 +175,88 @@ class TestSameAnswerEveryMode:
         assert result.families == reference.families
         assert result.table1() == reference.table1()
         assert scientific_view(result.obs.counters()) == scientific_view(counters)
-        if not mode.startswith("sim-"):
-            # The speculative driver itself is the same on every backend.
-            assert result.obs.counters()["ccd.redecided"] == counters["ccd.redecided"]
+        # The speculative driver itself is the same on every backend.
+        assert result.obs.counters()["ccd.redecided"] == counters["ccd.redecided"]
 
     @pytest.mark.parametrize("mode", list(PIPELINE_MODES))
     def test_ccd_work_depends_on_the_simulated_machine_only(self, mode_results, mode):
         """The runtime backends all run the pair-by-pair filter, so even
-        its *work* counters are the default run's; the simulated master
-        filters against a union–find that lags its workers — the
-        paper's Table II — and can only align more."""
+        its *work* counters are the default run's; only the simulated
+        master, whose union–find lags its workers, aligns more
+        (:class:`TestSimulatedPhases`)."""
         reference = mode_results["default"].obs.counters()
         counters = mode_results[mode].obs.counters()
         work = ("ccd.alignments", "ccd.filtered")
         assert reference["ccd.alignments"] > 1
-        if mode.startswith("sim-"):
-            assert counters["ccd.alignments"] >= reference["ccd.alignments"]
-            assert sum(counters.get(n, 0) for n in work) == reference["ccd.pairs"]
-        else:
-            assert [counters[n] for n in work] == [reference[n] for n in work]
+        assert [counters[n] for n in work] == [reference[n] for n in work]
+
+
+@pytest.fixture(scope="module")
+def phase_inputs(mode_workload, mode_results, twilight):
+    """``name -> (sequences, config, serial reference run)`` for the
+    simulated-phase table: the mode workload, the degenerate inputs and
+    the twilight input."""
+    sequences, config = mode_workload
+    inputs = {"workload": (sequences, config, mode_results["default"]),
+              "twilight": twilight}
+    for name in DEGENERATE:
+        sequences = degenerate_set(name)
+        inputs[name] = (sequences, PipelineConfig(),
+                        ProteinFamilyPipeline().run(sequences))
+    return inputs
 
 
 class TestParallelPipeline:
     @pytest.mark.parametrize("p", [2, 5])
     def test_simulated_parallel_identical_results(self, data, config, serial_result, p):
-        pipeline = ProteinFamilyPipeline(config)
-        result = pipeline.run(
-            data.sequences,
-            cluster=VirtualCluster(p),
-            dsd_cluster=VirtualCluster(max(p // 2, 1), XEON_CLUSTER),
-        )
-        assert result.redundancy.redundant == serial_result.redundancy.redundant
-        assert result.clustering.components == serial_result.clustering.components
-        assert result.families == serial_result.families
-        assert result.timings.redundancy > 0
-        assert result.timings.clustering > 0
-        assert result.timings.dense_subgraphs > 0
+        cluster = VirtualCluster(p)
+        rr = parallel_redundancy_removal(data.sequences, cluster, psi=config.psi)
+        ccd = parallel_component_detection(
+            data.sequences, rr.kept, cluster, psi=config.psi)
+        assert rr.redundant == serial_result.redundancy.redundant
+        assert ccd.components == serial_result.clustering.components
+        assert rr.sim.elapsed > 0 and ccd.sim.elapsed > 0
 
-    def test_timings_aggregate(self, data, config):
-        pipeline = ProteinFamilyPipeline(config)
-        result = pipeline.run(data.sequences, cluster=VirtualCluster(4))
-        t = result.timings
-        assert t.rr_ccd == pytest.approx(t.redundancy + t.clustering)
-        assert t.bipartite > 0  # parallel bipartite generation was timed
-        assert t.total == pytest.approx(
-            t.rr_ccd + t.bipartite + t.dense_subgraphs
-        )
+
+class TestSimulatedPhases:
+    """The simulator runs RR and CCD only — the phases of the paper's
+    Table II and Figures 6 and 7a, and of ``repro simulate`` — and at
+    every processor count they decide what the serial run decides:
+    redundant sequences, containments, kept sequences, components and
+    the scientific counters.  CCD's *work* is the exception, as in
+    Table II: the simulated master filters against a union–find that
+    lags its workers, so it can only align more."""
+
+    @pytest.mark.parametrize("p", [1, 4, 8], ids=lambda p: f"p{p}")
+    @pytest.mark.parametrize("name", ["workload", *DEGENERATE, "twilight"])
+    def test_default_answer(self, phase_inputs, name, p):
+        sequences, config, reference = phase_inputs[name]
+        expected = reference.obs.counters()
+        if name in ("workload", "twilight"):
+            assert expected["rr.pairs"] > 0 and expected["ccd.alignments"] > 1
+        cluster = VirtualCluster(p)
+        pairs = {"psi": config.psi, "scheme": config.scheme,
+                 "max_pairs_per_node": config.max_pairs_per_node}
+        recorder = Recorder()
+        with recording(recorder):
+            rr = parallel_redundancy_removal(
+                sequences, cluster, similarity=config.containment_similarity,
+                coverage=config.containment_coverage, **pairs)
+            ccd = parallel_component_detection(
+                sequences, rr.kept, cluster, similarity=config.overlap_similarity,
+                coverage=config.overlap_coverage, **pairs)
+        assert rr.redundant == reference.redundancy.redundant
+        assert rr.containments == reference.redundancy.containments
+        assert rr.kept == reference.redundancy.kept
+        assert ccd.components == reference.clustering.components
+        counters = recorder.counters()
+        names = sorted({n for n in [*counters, *expected] if n.startswith("rr.")})
+        names += ["ccd.pairs", "ccd.merges", "ccd.components"]
+        assert {n: counters.get(n, 0) for n in names} == {
+            n: expected.get(n, 0) for n in names}
+        aligned = counters.get("ccd.alignments", 0)
+        assert aligned >= expected.get("ccd.alignments", 0)
+        assert aligned + counters.get("ccd.filtered", 0) == expected.get("ccd.pairs", 0)
 
 
 class TestDomainReduction:

@@ -38,7 +38,6 @@ ROOTS = ("repro", "repro.cli", "repro.__main__")
 #: Modules no verb and no public name reaches, and the script that does.
 HELD_BY_SCRIPT = {
     "repro.sequence.orf": "examples/shotgun_reads.py",
-    "repro.parallel.trace": "examples/bluegene_scaling.py",
     "repro.shingle.parallel": "benchmarks/paper/regenerate.py",
     "repro.pace.cache": "benchmarks/suite/batch.py",
 }

@@ -30,6 +30,8 @@ from repro.eval.report import report_lines
 from repro.faults.plan import Fault, FaultPlan
 from repro.graph.bipartite import duplicate_bipartite
 from repro.pace.cache import AlignmentCache
+from repro.pace.clustering import parallel_component_detection
+from repro.pace.redundancy import parallel_redundancy_removal
 from repro.parallel.simulator import VirtualCluster
 from repro.runtime import phases
 from repro.runtime.base import Backend, PairStream, run_task
@@ -61,13 +63,18 @@ def reference(workload):
 
 
 class TestResultInvariance:
-    def test_process_backend_matches_simulator(self, workload, reference):
-        """Simulator and runtime agree: the same families at any scale."""
+    def test_process_backend_matches_simulator(self, workload, mode_results):
+        """Simulator and runtime agree: the process backend's RR and CCD
+        decide what the simulated ones do at p = 8."""
         sequences, config = workload
-        sim = ProteinFamilyPipeline(config).run(
-            sequences, cluster=VirtualCluster(8), dsd_cluster=VirtualCluster(4)
-        )
-        assert sim.families == reference.families
+        process = mode_results["process"]
+        cluster = VirtualCluster(8)
+        rr = parallel_redundancy_removal(sequences, cluster, psi=config.psi)
+        ccd = parallel_component_detection(sequences, rr.kept, cluster, psi=config.psi)
+        assert (rr.redundant, rr.kept) == (
+            process.redundancy.redundant, process.redundancy.kept)
+        assert ccd.components == process.clustering.components
+        assert len(ccd.components) < len(rr.kept)
 
     def test_config_backend_field(self, workload, reference):
         sequences, config = workload
@@ -76,13 +83,6 @@ class TestResultInvariance:
         assert result.runtime is not None
         assert result.runtime.backend == "process"
         assert result.families == reference.families
-
-    def test_backend_and_cluster_are_exclusive(self, workload):
-        sequences, config = workload
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ProteinFamilyPipeline(config).run(
-                sequences, cluster=VirtualCluster(4), backend="serial"
-            )
 
 
 class TestRuntimeStats:
@@ -352,9 +352,16 @@ class TestOneIndexPerSession:
         assert [s.name for s in spans] == ["index.build"]
         assert dict(spans[0].args)["sequences"] == mode_results[mode].n_input
 
-    def test_simulated_phases_build_one_index_each(self, mode_results):
-        counters = mode_results["sim-p4"].obs.counters()
-        assert counters["suffix.index_builds"] == 3
+    def test_simulated_phases_build_one_index_each(self, workload):
+        """The simulated RR and CCD drivers build their own index, CCD's
+        over the kept sequences, so its buckets are a sub-collection's."""
+        sequences, config = workload
+        cluster = VirtualCluster(4)
+        recorder = obs.Recorder()
+        with obs.recording(recorder):
+            rr = parallel_redundancy_removal(sequences, cluster, psi=config.psi)
+            parallel_component_detection(sequences, rr.kept, cluster, psi=config.psi)
+        assert recorder.counters()["suffix.index_builds"] == 2
 
     def test_index_is_lazy_shared_and_dropped_on_close(self, workload):
         sequences, config = workload
