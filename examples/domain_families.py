@@ -49,7 +49,7 @@ def main() -> None:
     encoded = [r.encoded for r in data.sequences]
     index = WmerIndex(encoded, w=10, min_sequences=2)
     print(f"shared 10-mers across sequences: {index.n_wmers} "
-          f"({len(index.edges())} incidence edges)")
+          f"({len(index.incidence)} incidence edges)")
 
     config = PipelineConfig(
         reduction="domain",

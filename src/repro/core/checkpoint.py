@@ -63,6 +63,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
 
+import numpy as np
+
 from repro import obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -204,19 +206,15 @@ def bipartite_payload(graphs: "ComponentGraphs") -> dict[str, Any] | None:
     if graphs.reduction != "global":
         return None
     # Recover each component's undirected local edge set from the
-    # duplicate-bipartite adjacency (gamma holds both directions plus
-    # the self loop; u < v picks each undirected edge exactly once).
+    # duplicate-bipartite columns (both directions plus the self loop;
+    # u < v picks each undirected edge exactly once, in sorted order).
     # Rebuilding with duplicate_bipartite over this canonical set is
     # bit-identical to the original construction.
     edge_lists = []
     for graph in graphs.graphs:
-        local = sorted(
-            (u, int(v))
-            for u in range(graph.n_left)
-            for v in graph.gamma(u)
-            if u < int(v)
-        )
-        edge_lists.append([[u, v] for u, v in local])
+        u = np.repeat(np.arange(graph.n_left), np.diff(graph.offsets))
+        upper = u < graph.targets
+        edge_lists.append(np.stack([u[upper], graph.targets[upper]], axis=1).tolist())
     return {
         "reduction": graphs.reduction,
         "components": [list(c) for c in graphs.components],

@@ -22,12 +22,21 @@ import numpy as np
 from repro.suffix.wmer import WmerIndex
 
 
+def _edge_rows(edges: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
+    """``edges`` as an ``(m, 2)`` int64 array of ``(left, right)`` rows."""
+    rows = edges if isinstance(edges, np.ndarray) else list(edges)
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+
+
 class BipartiteGraph:
-    """Adjacency-list bipartite graph B = (V_l, V_r, E).
+    """Bipartite graph B = (V_l, V_r, E) as CSR columns.
 
     Left vertices are ``0..n_left-1``, right vertices ``0..n_right-1``
-    (separate id spaces).  ``gamma(v)`` is the sorted out-link array of
-    left vertex v — the Shingle algorithm's Gamma(v).
+    (separate id spaces).  ``targets[offsets[v]:offsets[v + 1]]`` is
+    ``gamma(v)``, the sorted distinct out-links of left vertex v — the
+    Shingle algorithm's Gamma(v); both columns are int64, built by one
+    lexsort of the edge rows with repeats dropped.  ``n_edges`` counts
+    the rows given, repeats included.
 
     ``left_labels`` / ``right_labels`` map local vertex ids back to the
     caller's domain (sequence indices, w-mer codes); they default to the
@@ -38,7 +47,7 @@ class BipartiteGraph:
         self,
         n_left: int,
         n_right: int,
-        edges: Iterable[tuple[int, int]],
+        edges: Iterable[tuple[int, int]] | np.ndarray,
         *,
         left_labels: Sequence[int] | None = None,
         right_labels: Sequence[int] | None = None,
@@ -47,19 +56,19 @@ class BipartiteGraph:
             raise ValueError("vertex counts must be non-negative")
         self.n_left = n_left
         self.n_right = n_right
-        adjacency: list[list[int]] = [[] for _ in range(n_left)]
-        n_edges = 0
-        for left, right in edges:
-            if not 0 <= left < n_left:
-                raise ValueError(f"left vertex {left} out of range [0, {n_left})")
-            if not 0 <= right < n_right:
-                raise ValueError(f"right vertex {right} out of range [0, {n_right})")
-            adjacency[left].append(right)
-            n_edges += 1
-        self._gamma: list[np.ndarray] = [
-            np.unique(np.asarray(links, dtype=np.int64)) for links in adjacency
-        ]
-        self.n_edges = n_edges
+        rows = _edge_rows(edges)
+        for side, column, n in (("left", rows[:, 0], n_left), ("right", rows[:, 1], n_right)):
+            outside = (column < 0) | (column >= n)
+            if outside.any():
+                raise ValueError(
+                    f"{side} vertex {column[outside][0]} out of range [0, {n})"
+                )
+        left, right = rows[np.lexsort((rows[:, 1], rows[:, 0]))].T
+        first = np.ones(len(left), dtype=bool)
+        first[1:] = (left[1:] != left[:-1]) | (right[1:] != right[:-1])
+        self.targets = right[first]
+        self.offsets = np.searchsorted(left[first], np.arange(n_left + 1)).astype(np.int64)
+        self.n_edges = len(rows)
         self.left_labels = (
             list(left_labels) if left_labels is not None else list(range(n_left))
         )
@@ -73,15 +82,16 @@ class BipartiteGraph:
 
     def gamma(self, left_vertex: int) -> np.ndarray:
         """Sorted distinct out-links of a left vertex."""
-        return self._gamma[left_vertex]
+        return self.targets[self.offsets[left_vertex] : self.offsets[left_vertex + 1]]
 
     def out_degree(self, left_vertex: int) -> int:
-        return len(self._gamma[left_vertex])
+        return int(self.offsets[left_vertex + 1] - self.offsets[left_vertex])
 
     def memory_bytes(self) -> int:
         """Adjacency storage footprint — the quantity the paper budgets
-        against a 512 MB node (up to ~16K total vertices per component)."""
-        return sum(g.nbytes for g in self._gamma)
+        against a 512 MB node (up to ~16K total vertices per component):
+        8 bytes per distinct edge."""
+        return self.targets.nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -105,16 +115,13 @@ def duplicate_bipartite(
     own family, and the self-link makes Gamma(v) of a clique member equal
     the full clique, sharpening the A ~= B signal.
     """
-    directed: list[tuple[int, int]] = []
-    for i, j in edges:
-        if i == j:
-            continue
-        directed.append((i, j))
-        directed.append((j, i))
+    rows = _edge_rows(edges)
+    rows = rows[rows[:, 0] != rows[:, 1]]
+    parts = [rows, rows[:, ::-1]]
     if include_self_loop:
-        directed.extend((v, v) for v in range(n))
+        parts.append(np.repeat(np.arange(n, dtype=np.int64), 2).reshape(-1, 2))
     return BipartiteGraph(
-        n, n, directed, left_labels=labels, right_labels=labels
+        n, n, np.concatenate(parts), left_labels=labels, right_labels=labels
     )
 
 
@@ -134,7 +141,7 @@ def wmer_bipartite(
     return BipartiteGraph(
         index.n_wmers,
         len(sequences),
-        index.edges(),
-        left_labels=[int(c) for c in index.codes],
+        index.incidence,
+        left_labels=index.codes.tolist(),
         right_labels=sequence_labels,
     )

@@ -116,14 +116,14 @@ class BipartiteMaster:
         self.out.neighbors.setdefault(gj, set()).add(gi)
 
     def result(self) -> ComponentGraphs:
-        """Build the graphs.  Edges are sorted first, so the order
+        """Build the graphs.  A graph sorts its edges, so the order
         verdicts arrived in cannot leak into the output."""
         out = self.out
         for members, edges in zip(self.members, self._edges):
             out.n_edges += len(edges)
             out.components.append(members)
             out.graphs.append(
-                duplicate_bipartite(len(members), sorted(edges), labels=members)
+                duplicate_bipartite(len(members), edges, labels=members)
             )
             obs.count("bipartite.graphs")
         out.n_alignments = self._admitted.size

@@ -38,8 +38,8 @@ point of the stream lies between ``uf`` and ``spec``, so:
   ``spec`` is copied from ``uf`` again.
 
 :meth:`ClusteringMaster.speculate` and :meth:`~ClusteringMaster.settle`
-are those two halves; components, counters, journaled unions and the
-set of aligned pairs are the loop's, and a failed verdict costs only
+are those two halves; components, scientific counters, journaled unions
+and the set of aligned pairs are the loop's, and a failed verdict costs only
 batching (its held successors are re-decided one by one).  The simulated
 master below does not speculate, and its filter mostly lags: a worker
 streams its whole generation before it pulls a task
@@ -66,14 +66,6 @@ from repro.parallel.simulator import SimulationResult, VirtualCluster
 from repro.runtime.sharedseq import EncodedStore
 from repro.sequence.record import SequenceSet
 from repro.suffix import GeneralizedSuffixArray, MatchBlock, MaximalMatchFinder
-
-#: CCD re-takes its label snapshot inside a block only while the rows
-#: still to decide number at least 1/16 of the sequences: relabelling is
-#: O(n) array work, and what it buys is one Python-level decision less
-#: per row that an admitted pair has closed since.  At scale (n far above
-#: a block's rows) that is one snapshot per block.
-RESNAPSHOT_ROWS_PER_LABEL = 16
-
 
 @dataclass
 class ClusteringResult:
@@ -103,7 +95,7 @@ def _rows(
     rows: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> Iterator[tuple[int, int, int]]:
     """``(k, a[k], b[k])`` for ``k`` in ``rows`` as Python ints, converted
-    a window at a time: the consumer mostly stops after a few."""
+    a window at a time: the consumer stops where its batch fills."""
     for lo in range(0, len(rows), 256):
         window = rows[lo:lo + 256]
         yield from zip(window.tolist(), a[window].tolist(), b[window].tolist())
@@ -191,39 +183,35 @@ class ClusteringMaster:
         :meth:`settle` — is called whenever the batch has grown to
         ``batch_pairs`` pairs, every earlier row of the stream placed.
 
-        A label snapshot of ``spec`` places the rows it joins in bulk;
-        the rows it separates are decided one by one against the live
-        ``spec``.
+        One label snapshot of ``spec``, taken as the block starts and
+        again after each settle, places the rows it joins in bulk; the
+        rows it separates are decided one by one against the live
+        ``spec``.  Merges since the snapshot only make it separate rows
+        ``spec`` joins, and those the walk holds.
         """
         row, done = self._streamed, 0
         self._streamed += len(block)
         while done < len(block):
             if self._snapshot is None or self._snapshot[1] != self.spec.merge_count:
                 self._snapshot = (self.spec.labels(), self.spec.merge_count)
-            spec, (labels, taken_at), open_batch = self.spec, self._snapshot, bool(self.batch)
+            spec, labels, open_batch = self.spec, self._snapshot[0], bool(self.batch)
             a, b = block.seq_a[done:], block.seq_b[done:]
             joined = labels[a] == labels[b]
             # With no batch open the labels are those of spec == uf and
             # the rows they join are filtered; with one open, held.
             hold = joined & open_batch
-            separate = np.flatnonzero(~joined)
             # Rows of this piece placed when the walk below stops: all of
-            # it, unless the batch fills or the labels have aged too far.
+            # it, unless the batch fills.
             placed = len(a)
-            for left, (k, x, y) in zip(
-                range(len(separate) - 1, -1, -1), _rows(separate, a, b)
-            ):
+            for k, x, y in _rows(np.flatnonzero(~joined), a, b):
                 if self.batch and spec.same(x, y):
                     hold[k] = True
                 elif self.admit((x, y)):
                     spec.union(x, y)
                     self.batch.append((row + done + k, x, y))
-                if len(self.batch) >= batch_pairs or (
-                    spec.merge_count != taken_at
-                    and left * RESNAPSHOT_ROWS_PER_LABEL >= len(spec)
-                ):
-                    placed = k + 1
-                    break
+                    if len(self.batch) >= batch_pairs:
+                        placed = k + 1
+                        break
             if not open_batch:
                 self._filtered(int(np.count_nonzero(joined[:placed])))
             held = np.flatnonzero(hold[:placed])
@@ -392,5 +380,4 @@ def parallel_component_detection(
         absorb_result=absorb_result,
         filter_cost=costs.filter_pair,
     )
-    _, sim = run_master_worker(cluster, config)
-    return master.result(sim)
+    return master.result(run_master_worker(cluster, config))

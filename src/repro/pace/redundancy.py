@@ -197,5 +197,4 @@ def parallel_redundancy_removal(
         absorb_result=absorb_result,
         filter_cost=costs.dedup_pair,
     )
-    _, sim = run_master_worker(cluster, config)
-    return master.result(sim)
+    return master.result(run_master_worker(cluster, config))

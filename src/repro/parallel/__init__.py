@@ -30,10 +30,7 @@ from repro.parallel.simulator import (
     VirtualCluster,
 )
 from repro.parallel.partition import balance_items
-from repro.parallel.masterworker import (
-    MasterWorkerOutcome,
-    run_master_worker,
-)
+from repro.parallel.masterworker import run_master_worker
 
 __all__ = [
     "BLUEGENE_L",
@@ -47,6 +44,5 @@ __all__ = [
     "SimulationResult",
     "VirtualCluster",
     "balance_items",
-    "MasterWorkerOutcome",
     "run_master_worker",
 ]

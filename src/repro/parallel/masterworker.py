@@ -15,7 +15,7 @@ p == 1) are workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.parallel.simulator import (
@@ -70,19 +70,8 @@ class MasterWorkerConfig:
     setup_cost: Callable[[int, int], float] | None = None
 
 
-@dataclass
-class MasterWorkerOutcome:
-    """Aggregate counters of one phase run (master's view)."""
-
-    items_generated: int = 0
-    items_filtered_out: int = 0
-    tasks_executed: int = 0
-    worker_counts: dict[int, int] = field(default_factory=dict)
-
-
 def _master(comm: SimComm, config: MasterWorkerConfig):
     n_workers = comm.size - 1
-    outcome = MasterWorkerOutcome()
     pending_tasks: list[Any] = []
     active_generators = n_workers
     idle_workers: list[int] = []
@@ -93,22 +82,17 @@ def _master(comm: SimComm, config: MasterWorkerConfig):
             worker = idle_workers.pop()
             batch = pending_tasks[: config.task_batch]
             del pending_tasks[: config.task_batch]
-            outcome.tasks_executed += len(batch)
-            outcome.worker_counts[worker] = outcome.worker_counts.get(worker, 0) + len(batch)
             yield from comm.send(batch, dest=worker, tag=TAG_TASKS)
 
     while active_generators > 0 or pending_tasks or len(idle_workers) < n_workers:
         message = yield from comm.recv(source=ANY_SOURCE)
         if message.tag == TAG_GENERATED:
             items = message.payload
-            outcome.items_generated += len(items)
             # Filter each item (transitive-closure test) at master cost.
             yield from comm.compute(units=config.filter_cost * len(items))
             for item in items:
                 task = config.filter_item(item)
-                if task is None:
-                    outcome.items_filtered_out += 1
-                else:
+                if task is not None:
                     pending_tasks.append(task)
             yield from dispatch()
         elif message.tag == TAG_GEN_DONE:
@@ -128,7 +112,6 @@ def _master(comm: SimComm, config: MasterWorkerConfig):
 
     for worker in range(1, comm.size):
         yield from comm.send(None, dest=worker, tag=TAG_STOP)
-    return outcome
 
 
 def _worker(comm: SimComm, config: MasterWorkerConfig):
@@ -170,45 +153,37 @@ def _worker(comm: SimComm, config: MasterWorkerConfig):
 
 def _serial(comm: SimComm, config: MasterWorkerConfig):
     """Degenerate p == 1 path: one rank does everything, costs still charged."""
-    outcome = MasterWorkerOutcome()
     if config.setup_cost is not None:
         yield from comm.compute(units=config.setup_cost(0, 1))
     generator = config.make_generator(0, 1)
     for item, cost in generator:
         if cost:
             yield from comm.compute(units=cost)
-        outcome.items_generated += 1
         yield from comm.compute(units=config.filter_cost)
         task = config.filter_item(item)
         if task is None:
-            outcome.items_filtered_out += 1
             continue
         result, exec_cost = config.execute_task(task)
         if exec_cost:
             yield from comm.compute(units=exec_cost)
-        outcome.tasks_executed += 1
         absorb_cost = config.absorb_result(result)
         if absorb_cost:
             yield from comm.compute(units=absorb_cost)
-    return outcome
 
 
 def _program(comm: SimComm, config: MasterWorkerConfig):
     if comm.size == 1:
-        result = yield from _serial(comm, config)
-        return result
-    if comm.rank == 0:
-        result = yield from _master(comm, config)
-        return result
-    result = yield from _worker(comm, config)
-    return result
+        yield from _serial(comm, config)
+    elif comm.rank == 0:
+        yield from _master(comm, config)
+    else:
+        return (yield from _worker(comm, config))
 
 
 def run_master_worker(
-    cluster: VirtualCluster,
-    config: MasterWorkerConfig,
-) -> tuple[MasterWorkerOutcome, SimulationResult]:
-    """Run one master-worker phase; returns (master outcome, sim result)."""
-    sim = cluster.run(_program, args=(config,))
-    outcome = sim.rank_results[0]
-    return outcome, sim
+    cluster: VirtualCluster, config: MasterWorkerConfig
+) -> SimulationResult:
+    """Run one master-worker phase.  The phase's own state lives in the
+    config's callbacks; each worker rank's result is the number of tasks
+    it executed."""
+    return cluster.run(_program, args=(config,))

@@ -218,10 +218,10 @@ def backend_component_detection(
     ``submit_columns`` and ``drain``, verdicts absorbed in stream order —
     at :data:`LOCAL_CHUNK` pairs, when more than
     :data:`~repro.suffix.matches.CANDIDATE_BUDGET` rows are held at a
-    block boundary, and as the stream ends.  Components, every ``ccd.*``
-    counter, the journaled unions and the set of aligned pairs are the
-    loop's on every backend; only the order pairs are submitted in can
-    differ, after a failed verdict.
+    block boundary, and as the stream ends.  Components, the scientific
+    ``ccd.*`` counters, the journaled unions and the set of aligned pairs
+    are the loop's on every backend; only the order pairs are submitted
+    in can differ, after a failed verdict.
 
     Checkpointing: when a :class:`~repro.core.checkpoint.CheckpointJournal`
     is passed, every union that actually merges two clusters is

@@ -112,9 +112,10 @@ def pass_one(
     each shingle denotes (for reporting B).  Vertices with fewer than
     ``s1`` out-links emit nothing."""
     ids = np.fromiter(vertices, dtype=np.int64)
-    gammas = [graph.gamma(v) for v in ids.tolist()]
-    offsets = np.cumsum([0, *map(len, gammas)])
-    values = np.concatenate([np.empty(0, dtype=np.int64), *gammas])
+    start, degree = graph.offsets[ids], np.diff(graph.offsets)[ids]
+    offsets = np.concatenate([[0], np.cumsum(degree)])
+    # The vertices' CSR slices, gathered in ``ids`` order.
+    values = graph.targets[np.arange(offsets[-1]) + np.repeat(start - offsets[:-1], degree)]
     owner, shingle, elements = _draw(params.c1, params.s1, params.seed, offsets, values)
     return shingle, ids[owner], elements
 

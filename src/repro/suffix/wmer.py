@@ -4,8 +4,8 @@ Section III's domain-based approach builds a bipartite graph
 ``B_m = (V_m, V_r, E')`` where ``V_m`` is the set of w-length strings
 (w ~ 10) occurring in at least two *different* sequences and an edge
 connects a w-mer to every sequence containing it.  This module computes
-that incidence structure with one vectorised k-mer packing pass per
-sequence.
+that incidence as edge columns: every w-mer of the concatenated
+sequences packed in one pass, then one ``(code, sequence)`` lexsort.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ class WmerIndex:
     codes:
         Sorted array of qualifying packed w-mer codes; position in this
         array is the w-mer's vertex id on the V_m side.
+    incidence:
+        ``(m, 2)`` int64 rows ``(w-mer vertex id, sequence index)``, one
+        per sequence containing a qualifying w-mer, sorted and distinct.
     """
 
     def __init__(
@@ -40,43 +43,28 @@ class WmerIndex:
             raise ValueError(f"min_sequences must be >= 1, got {min_sequences}")
         self.w = w
         self.min_sequences = min_sequences
-        per_seq: list[np.ndarray] = [
-            np.unique(kmer_codes(np.asarray(seq, dtype=np.uint8), w))
-            for seq in sequences
-        ]
-        if per_seq:
-            all_codes = np.concatenate(per_seq)
-        else:
-            all_codes = np.empty(0, dtype=np.int64)
-        codes, counts = np.unique(all_codes, return_counts=True)
-        self.codes = codes[counts >= min_sequences]
-        # Incidence: for each sequence, which qualifying w-mers it contains.
-        self._seq_to_wmers: list[np.ndarray] = []
-        if len(self.codes) == 0:
-            self._seq_to_wmers = [np.empty(0, dtype=np.int64) for _ in per_seq]
-        else:
-            for uniq in per_seq:
-                idx = np.searchsorted(self.codes, uniq)
-                valid = (idx < len(self.codes)) & (
-                    self.codes[np.minimum(idx, len(self.codes) - 1)] == uniq
-                )
-                self._seq_to_wmers.append(idx[valid].astype(np.int64))
+        lengths = [len(seq) for seq in sequences]
+        owner = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        code = kmer_codes(np.concatenate([np.empty(0, dtype=np.uint8), *sequences]), w)
+        # A window is a w-mer of one sequence when it starts and ends in it.
+        seq = owner[: len(code)]
+        inside = seq == owner[w - 1:]
+        code, seq = code[inside], seq[inside]
+        order = np.lexsort((seq, code))
+        code, seq = code[order], seq[order]
+        first = np.ones(len(code), dtype=bool)
+        first[1:] = (code[1:] != code[:-1]) | (seq[1:] != seq[:-1])
+        code, seq = code[first], seq[first]
+        # Runs of one code: its distinct sequences.
+        start = np.flatnonzero(np.diff(code, prepend=-1))
+        counts = np.diff(np.append(start, len(code)))
+        shared = counts >= min_sequences
+        self.codes = code[start[shared]]
+        self.incidence = np.stack([
+            np.repeat(np.arange(len(self.codes), dtype=np.int64), counts[shared]),
+            seq[np.repeat(shared, counts)],
+        ], axis=1)
 
     @property
     def n_wmers(self) -> int:
         return len(self.codes)
-
-    @property
-    def n_sequences(self) -> int:
-        return len(self._seq_to_wmers)
-
-    def wmers_of(self, seq_index: int) -> np.ndarray:
-        """Vertex ids (into :attr:`codes`) of qualifying w-mers in a sequence."""
-        return self._seq_to_wmers[seq_index]
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All (w-mer id, sequence id) incidence edges."""
-        out: list[tuple[int, int]] = []
-        for seq_idx, wmers in enumerate(self._seq_to_wmers):
-            out.extend((int(wm), seq_idx) for wm in wmers)
-        return out

@@ -435,6 +435,49 @@ def test_process_backend_components_identical(serial_session):
     assert concurrent == serial
 
 
+def test_one_label_snapshot_a_block_and_a_settle(serial_session, monkeypatch):
+    """CCD's placement rule: ``spec``'s labels are taken at most once a
+    block and once after each settle, never again for a merge inside a
+    block (the rows a stale snapshot separates go through the live
+    checks).  On the domain shape the stream is nearly all repeats
+    behind a few merges, where re-snapshotting after each merge cost
+    more than it saved."""
+    sequences = _domain_shaped()
+    backend, cache = serial_session(sequences)
+    taken = []
+    labels = UnionFind.labels
+    monkeypatch.setattr(UnionFind, "labels", lambda uf: taken.append(len(uf)) or labels(uf))
+    recorder = obs.Recorder()
+    with obs.recording(recorder):
+        result = backend_component_detection(
+            sequences, list(range(len(sequences))), backend, cache, psi=PSI
+        )
+    blocks = sum(1 for s in recorder.spans if s.name == "pairs.generate")
+    counters = recorder.counters()
+    assert result.n_merges > counters["ccd.batches"] > 0
+    assert 0 < len(taken) <= blocks + counters["ccd.batches"]
+
+
+def test_speculation_counters_equal_on_serial_and_process(serial_session):
+    """``ccd.batches``, ``ccd.held`` and ``ccd.redecided`` are statistics
+    of the master's speculation, not of the backend: a process run in
+    batches of 8 counts what a serial run in batches of 8 counts."""
+    sequences = _domain_shaped()
+    kept = list(range(len(sequences)))
+    seen = []
+    serial, _ = serial_session(sequences)
+    process = ProcessBackend(workers=2)
+    with process.session(sequences, blosum62_scheme()), \
+            mock.patch.object(phases, "LOCAL_CHUNK", 8):
+        for backend in (serial, process):
+            recorder = obs.Recorder()
+            with obs.recording(recorder):
+                backend_component_detection(sequences, kept, backend, None, psi=PSI)
+            seen.append({name: recorder.counters()[name] for name in SPECULATION_COUNTERS})
+    assert seen[0] == seen[1]
+    assert seen[0]["ccd.batches"] > 1 and seen[0]["ccd.held"] > 0
+
+
 # -- simulator: the bucket streams feed the rank programs unchanged ------------
 
 

@@ -16,6 +16,7 @@ from repro.graph.density import DenseSubgraphStats, size_histogram, subgraph_den
 from repro.graph.unionfind import UnionFind, connected_labels
 from repro.sequence.alphabet import encode
 from tests.scalar_shingle import KeyedUnionFind
+from tests.scalar_wmer import wmer_incidence
 
 
 class TestUnionFind:
@@ -135,6 +136,12 @@ class TestKeyedUnionFind:
         assert not uf.same("x", "y")
 
 
+def random_edge_columns(seed: int, n_left: int = 9, n_right: int = 7, m: int = 60):
+    """Random ``(left, right)`` rows with repeats, in no order."""
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.integers(0, n_left, m), rng.integers(0, n_right, m)], axis=1)
+
+
 class TestBipartiteGraph:
     def test_gamma_sorted_unique(self):
         g = BipartiteGraph(2, 4, [(0, 3), (0, 1), (0, 3), (1, 2)])
@@ -142,11 +149,42 @@ class TestBipartiteGraph:
         assert g.out_degree(0) == 2
         assert g.n_edges == 4  # raw edge count
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_csr_keeps_the_adjacency_semantics(self, seed):
+        """Edge columns with repeats: ``n_edges`` counts every row,
+        ``gamma`` is the sorted distinct set of a vertex's out-links and
+        ``memory_bytes`` is 8 bytes per distinct edge — what a per-vertex
+        ``np.unique`` array held."""
+        rows = random_edge_columns(seed)
+        if seed == 3:
+            rows = rows[rows[:, 0] != 4]  # a vertex with no out-link
+        g = BipartiteGraph(9, 7, rows)
+        want = {v: sorted({r for left, r in rows.tolist() if left == v}) for v in range(9)}
+        assert g.n_edges == len(rows)
+        for v in range(9):
+            assert g.gamma(v).dtype == np.int64
+            assert g.gamma(v).tolist() == want[v]
+            assert g.out_degree(v) == len(want[v])
+        distinct = len({tuple(r) for r in rows.tolist()})
+        assert g.memory_bytes() == 8 * distinct
+        assert g.offsets.dtype == g.targets.dtype == np.int64
+        # Tuples, a generator and the array build the same graph.
+        for edges in (rows.tolist(), (tuple(r) for r in rows.tolist())):
+            other = BipartiteGraph(9, 7, edges)
+            assert other.offsets.tolist() == g.offsets.tolist()
+            assert other.targets.tolist() == g.targets.tolist()
+
     def test_vertex_range_validation(self):
         with pytest.raises(ValueError):
             BipartiteGraph(1, 1, [(1, 0)])
         with pytest.raises(ValueError):
             BipartiteGraph(1, 1, [(0, 5)])
+        with pytest.raises(ValueError, match="left vertex -1"):
+            BipartiteGraph(2, 2, np.array([[0, 1], [-1, 0]]))
+        with pytest.raises(ValueError, match="right vertex 7 out of range"):
+            BipartiteGraph(9, 7, np.vstack([random_edge_columns(0), [[0, 7]]]))
+        with pytest.raises(ValueError, match="non-negative"):
+            BipartiteGraph(-1, 2, [])
 
     def test_label_length_validation(self):
         with pytest.raises(ValueError, match="left_labels"):
@@ -155,6 +193,11 @@ class TestBipartiteGraph:
     def test_memory_bytes_positive(self):
         g = BipartiteGraph(2, 2, [(0, 0), (1, 1)])
         assert g.memory_bytes() > 0
+
+    def test_empty(self):
+        g = BipartiteGraph(3, 2, [])
+        assert g.n_edges == g.memory_bytes() == 0
+        assert [g.gamma(v).tolist() for v in range(3)] == [[], [], []]
 
 
 class TestDuplicateBipartite:
@@ -187,6 +230,34 @@ class TestWmerBipartite:
         assert g.right_labels == [5, 9]
         assert g.n_left >= 1
         assert g.n_edges >= 2
+
+    @pytest.mark.parametrize("min_sequences", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["family", "short", "unshared"])
+    def test_equals_the_per_sequence_index(self, case, min_sequences):
+        rng = np.random.default_rng(len(case) * 10 + min_sequences)
+        base = rng.integers(0, 20, 60).astype(np.uint8)
+        if case == "family":
+            # Shared blocks at shifted offsets, a repeat inside one
+            # sequence, a short one and an unrelated one.
+            seqs = [base, np.concatenate([base[5:40], base[5:40]]),
+                    np.concatenate([rng.integers(0, 20, 9).astype(np.uint8), base[20:]]),
+                    base[:7], rng.integers(0, 20, 50).astype(np.uint8)]
+        elif case == "short":
+            seqs = [base[:5], base[:3], base[:0]]  # every one shorter than w
+        else:
+            seqs = [rng.integers(0, 20, 40).astype(np.uint8) for _ in range(4)]
+        w = 6
+        codes, edges = wmer_incidence(seqs, w, min_sequences)
+        g = wmer_bipartite(seqs, w=w, min_sequences=min_sequences)
+        assert g.left_labels == codes
+        assert (g.n_left, g.n_right, g.n_edges) == (len(codes), len(seqs), len(edges))
+        got = [(v, int(s)) for v in range(g.n_left) for s in g.gamma(v)]
+        assert got == edges
+        assert g.memory_bytes() == 8 * len(edges)
+        if case != "family":
+            assert min_sequences == 1 or g.n_left == 0
+        if case == "family" and min_sequences == 3:
+            assert 0 < g.n_left < len(wmer_incidence(seqs, w, 2)[0])
 
 
 class TestDensity:

@@ -14,6 +14,7 @@ from repro.align.prefilter import kmer_codes, KmerPrefilter
 from repro.sequence.alphabet import encode, decode
 from repro.suffix.wmer import WmerIndex
 from tests.oracle_gst import GeneralizedSuffixTree
+from tests.scalar_wmer import wmer_incidence
 
 encoded_seqs = st.lists(
     st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=25).map(
@@ -137,23 +138,20 @@ class TestWmerIndex:
         seqs = [encode("WWARNDCQEGHIKK"), encode("YYARNDCQEGHIVV")]
         idx = WmerIndex(seqs, w=10, min_sequences=2)
         assert idx.n_wmers >= 1
-        assert all(len(idx.wmers_of(i)) >= 1 for i in range(2))
+        assert set(idx.incidence[:, 1].tolist()) == {0, 1}
 
     def test_unshared_excluded(self):
         seqs = [encode("ARNDCQEGHILK"), encode("WYVMFPSTWYVK")]
         idx = WmerIndex(seqs, w=10, min_sequences=2)
         assert idx.n_wmers == 0
-        assert idx.edges() == []
+        assert idx.incidence.shape == (0, 2)
 
-    def test_edges_consistent_with_wmers_of(self):
+    def test_incidence_is_the_per_sequence_index(self):
         seqs = [encode("AAAARNDCQEGHI"), encode("AAAARNDCQEGHI"), encode("WWWWWWWWWWWW")]
         idx = WmerIndex(seqs, w=8, min_sequences=2)
-        edges = idx.edges()
-        rebuilt: dict[int, list[int]] = {}
-        for wm, s in edges:
-            rebuilt.setdefault(s, []).append(wm)
-        for s in range(3):
-            assert sorted(rebuilt.get(s, [])) == sorted(int(x) for x in idx.wmers_of(s))
+        codes, edges = wmer_incidence(seqs, 8, 2)
+        assert idx.codes.tolist() == codes
+        assert [tuple(row) for row in idx.incidence.tolist()] == edges
 
     def test_shared_wmer_counts_vs_bruteforce(self):
         rng = np.random.default_rng(1)
@@ -162,7 +160,7 @@ class TestWmerIndex:
         idx = WmerIndex(seqs, w=6, min_sequences=2)
         # Shared qualifying w-mers per sequence pair, off the incidence edges.
         owners: dict[int, list[int]] = {}
-        for wmer, seq in idx.edges():
+        for wmer, seq in idx.incidence.tolist():
             owners.setdefault(wmer, []).append(seq)
         counts = Counter(pair for seqs in owners.values()
                          for pair in combinations(sorted(seqs), 2))

@@ -78,16 +78,29 @@ class TestImbalance:
 
 
 def _square_config(n_items=60, filter_odd=True):
-    state = {"results": []}
+    """A phase whose callbacks count what the master generated, filtered
+    out and had executed."""
+    state = {"results": [], "generated": 0, "filtered_out": 0, "executed": 0}
 
     def make_gen(widx, nw):
         for x in range(widx, n_items, nw):
             yield (x, 5.0)
 
+    def filter_item(x):
+        state["generated"] += 1
+        if filter_odd and x % 2:
+            state["filtered_out"] += 1
+            return None
+        return x
+
+    def execute_task(x):
+        state["executed"] += 1
+        return x * x, 50.0
+
     config = MasterWorkerConfig(
         make_generator=make_gen,
-        filter_item=(lambda x: x if x % 2 == 0 else None) if filter_odd else (lambda x: x),
-        execute_task=lambda x: (x * x, 50.0),
+        filter_item=filter_item,
+        execute_task=execute_task,
         absorb_result=lambda r: state["results"].append(r) or 1.0,
         gen_batch=8,
         task_batch=4,
@@ -99,40 +112,53 @@ class TestMasterWorker:
     @pytest.mark.parametrize("p", [1, 2, 3, 6])
     def test_counts_and_results(self, p):
         config, state = _square_config()
-        outcome, sim = run_master_worker(VirtualCluster(p), config)
-        assert outcome.items_generated == 60
-        assert outcome.items_filtered_out == 30
-        assert outcome.tasks_executed == 30
+        run_master_worker(VirtualCluster(p), config)
+        assert state["generated"] == 60
+        assert state["filtered_out"] == 30
+        assert state["executed"] == 30
         assert sorted(state["results"]) == [x * x for x in range(0, 60, 2)]
 
     def test_setup_cost_charged(self):
         config, _ = _square_config()
         config.setup_cost = lambda widx, nw: 1e9  # huge per-worker setup
-        outcome, sim = run_master_worker(VirtualCluster(3), config)
+        sim = run_master_worker(VirtualCluster(3), config)
         from repro.parallel.machine import BLUEGENE_L
 
         assert sim.elapsed >= 1e9 / BLUEGENE_L.compute_rate
 
     def test_no_filter_all_executed(self):
         config, state = _square_config(filter_odd=False)
-        outcome, _ = run_master_worker(VirtualCluster(4), config)
-        assert outcome.tasks_executed == 60
+        run_master_worker(VirtualCluster(4), config)
+        assert state["executed"] == 60
 
     def test_worker_counts_sum(self):
-        config, _ = _square_config()
-        outcome, _ = run_master_worker(VirtualCluster(4), config)
-        assert sum(outcome.worker_counts.values()) == outcome.tasks_executed
+        """Each worker rank answers the tasks it executed; they add up
+        to every task, and the work was shared."""
+        config, state = _square_config()
+        sim = run_master_worker(VirtualCluster(4), config)
+        per_worker = sim.rank_results[1:]
+        assert sum(per_worker) == state["executed"] == 30
+        assert sum(1 for n in per_worker if n) > 1
 
     def test_empty_generator(self):
+        state = {"generated": 0, "executed": 0}
+
+        def filter_item(x):
+            state["generated"] += 1
+            return x
+
+        def execute_task(x):
+            state["executed"] += 1
+            return x, 1.0
+
         config = MasterWorkerConfig(
             make_generator=lambda w, n: iter(()),
-            filter_item=lambda x: x,
-            execute_task=lambda x: (x, 1.0),
+            filter_item=filter_item,
+            execute_task=execute_task,
             absorb_result=lambda r: 0.0,
         )
-        outcome, _ = run_master_worker(VirtualCluster(3), config)
-        assert outcome.items_generated == 0
-        assert outcome.tasks_executed == 0
+        run_master_worker(VirtualCluster(3), config)
+        assert state == {"generated": 0, "executed": 0}
 
     def test_more_workers_speeds_compute_bound_phase(self):
         """With heavy per-task cost, doubling workers should cut the
@@ -147,6 +173,6 @@ class TestMasterWorker:
                 task_batch=1,
             )
 
-        _, sim2 = run_master_worker(VirtualCluster(2), heavy_config())
-        _, sim9 = run_master_worker(VirtualCluster(9), heavy_config())
+        sim2 = run_master_worker(VirtualCluster(2), heavy_config())
+        sim9 = run_master_worker(VirtualCluster(9), heavy_config())
         assert sim9.elapsed < sim2.elapsed / 3

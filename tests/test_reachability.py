@@ -66,8 +66,6 @@ UNREFERENCED = {
     "repro.serve.incremental.insert_sequence":
         "plan + commit in one call, the library-level insert of "
         "repro.serve; the daemon calls the halves apart around its lock",
-    "repro.suffix.wmer.WmerIndex.wmers_of":
-        "the per-sequence view of the index that edges() flattens",
     "repro.util.lockwatch.AbstractLock":
         "a typing.Protocol: it only ever appears in annotations",
 }
