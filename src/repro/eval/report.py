@@ -139,7 +139,8 @@ def report_lines(result: "PipelineResult", *, bar_width: int = 28) -> list[str]:
     if sets := counters.get("dsd.sets", 0):
         drawn = int(counters.get("dsd.sets_drawn", 0))
         lines.append(f"shingle draws: {drawn:,d} distinct of {int(sets):,d} sets presented "
-                     f"({1 - drawn / sets:.1%} read another set's draw)")
+                     f"({1 - drawn / sets:.1%} read another set's draw), "
+                     f"{int(counters.get('dsd.hashes', 0)):,d} element images hashed")
     if builds := int(counters.get("suffix.index_builds", 0)):
         symbols = sum(dict(s.args)["symbols"] for s in recorder.spans if s.name == "index.build")
         lines.append(f"string index: {builds:,d} build{'s' * (builds != 1)} ({symbols:,d} symbols), "

@@ -111,6 +111,9 @@ _SPECS = [
                 "sets of >= s elements presented to a shingle draw, both passes"),
     CounterSpec("dsd.sets_drawn", "dense_subgraphs",
                 "distinct sets among them: the ones hashed (equal sets share a draw)"),
+    CounterSpec("dsd.hashes", "dense_subgraphs",
+                "element images the draws computed: c per distinct element of "
+                "the sets they ranked (a set of exactly s is its own sample)"),
     # -- Pair generation (repro.suffix.matches block stream) ---------------
     # Work counters: they describe how the masters' pair source did its
     # job (summed over the RR, CCD and bipartite streams of a backend

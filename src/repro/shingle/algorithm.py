@@ -98,9 +98,10 @@ class ShingleResult:
 def _draw(c: int, s: int, seed: int, offsets: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
     """One pass's draw over the sets ``values[offsets[i] : offsets[i + 1]]``:
     ``[owner set, shingle, elements]`` rows, and the work it took, counted."""
-    *columns, drawn = UniversalHashFamily(c, seed=seed).draw(offsets, values, s)
+    *columns, drawn, hashes = UniversalHashFamily(c, seed=seed).draw(offsets, values, s)
     obs.count("dsd.sets", int(np.count_nonzero(np.diff(offsets) >= s)))
     obs.count("dsd.sets_drawn", drawn)
+    obs.count("dsd.hashes", hashes)
     return columns
 
 

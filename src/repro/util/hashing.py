@@ -77,9 +77,9 @@ def _mix64(x: np.ndarray, y: np.ndarray | np.uint64) -> np.ndarray:
     return x
 
 
-#: Hash values (sets x members x padded width) per slab of ``draw``: 256 KB.
-#: Both passes over the suite's ``domain`` graphs, best of 5: 0.114 s at 4 Ki,
-#: 0.097 at 16 and 32 Ki, 0.120 at 128 Ki, 0.139 at 512 Ki (DESIGN.md section 3).
+#: Ranks (sets x members x padded width) per slab of ``draw``: 64 KB as int16.
+#: The 50 draw calls of a suite ``domain`` run, best of 7: 70.5 ms at 4 Ki,
+#: 59.0 at 16 Ki, 57.8 at 32 and 64 Ki, 65.6 at 128 Ki (DESIGN.md section 3).
 SLAB_BUDGET = 32 * 1024
 
 
@@ -129,12 +129,38 @@ def _distinct_rows(samples: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarr
     """``(shingle, elements, rows per set)`` of ``(k, c, s)`` samples: per set its
     distinct ``hash_rows``, ascending, each with the first member's sample."""
     k, c, s = samples.shape
+    if not k:
+        return np.empty(0, np.uint64), samples.reshape(0, s), np.empty(0, np.int64)
     hashes = hash_rows(samples.reshape(-1, s), seed=seed).reshape(k, c)
     member = np.argsort(hashes, axis=1, kind="stable")
     hashes = hashes[np.arange(k)[:, None], member]
     keep = np.ones((k, c), dtype=bool)
     keep[:, 1:] = hashes[:, 1:] != hashes[:, :-1]
     return hashes[keep], samples[np.nonzero(keep)[0], member[keep]], np.count_nonzero(keep, axis=1)
+
+
+def _ranks(order: np.ndarray) -> np.ndarray:
+    """The rank table of ``(c, |U|)`` argsorts: ``rank[k, order[k, j]] = j``, and
+    a last column, the pad, ranked ``|U|``.  int16 while ``|U| < 2**15``."""
+    c, n = order.shape
+    rank = np.empty((c, n + 1), dtype=np.int16 if n < 2**15 else np.int32)
+    rank[:, n] = n
+    rank[np.arange(c)[:, None], order] = np.arange(n, dtype=rank.dtype)
+    return rank
+
+
+def _slab(
+    rank: np.ndarray, order: np.ndarray, member: np.ndarray, start: np.ndarray, size: np.ndarray, s: int
+) -> np.ndarray:
+    """``(k, c, s)``: each member's sample of the ``k`` sets ``member[start[i] :
+    start[i] + size[i]]`` (universe positions; ``member[-1]`` is the pad), as
+    ascending positions.  ``mix64(x ^ key)`` is a bijection, so ranks order
+    elements as their images do; a set padded to the widest has more than
+    ``s`` elements, each ranked below the pad's ``|U|``."""
+    column = np.arange(size.max())
+    ranks = rank[:, member[np.where(column < size[:, None], start[:, None] + column, -1)]]
+    cut = np.partition(ranks, s - 1, axis=2)[:, :, :s]
+    return np.sort(order[np.arange(len(order))[:, None, None], cut].transpose(1, 0, 2), axis=2)
 
 
 class UniversalHashFamily:
@@ -157,31 +183,16 @@ class UniversalHashFamily:
         x = np.asarray(values, dtype=np.uint64)
         return _mix64(x[..., None, :], self._keys[:, None])
 
-    def _slab(self, x: np.ndarray, start: np.ndarray, size: np.ndarray, s: int) -> np.ndarray:
-        """``(k, count, s)``: each member's sample, sorted, of the ``k`` sets
-        ``x[start[i] : start[i] + size[i]]``, from one hash matrix padded to the
-        widest.  ``mix64(x ^ key)`` is a bijection: images never tie, so the cut
-        is the ``s`` smallest however ``argpartition`` orders them, and a padded
-        set (``> s`` elements) has ``s`` images below its largest <= the pad."""
-        column = np.arange(size.max())
-        pad = column >= size[:, None]
-        sets = x[np.minimum(start[:, None] + column, len(x) - 1)]
-        hashed = self.apply_all(sets)
-        if pad.any():
-            np.copyto(hashed, np.uint64(_MASK64), where=pad[:, None, :])
-        cut = np.argpartition(hashed, s - 1, axis=2)[:, :, :s]
-        cut += (np.arange(len(sets)) * len(column))[:, None, None]
-        return np.sort(sets.ravel()[cut], axis=2)
-
     def draw(
         self, offsets: np.ndarray, values: np.ndarray, s: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
         """The ``(s, count)``-shingle sets of the sets ``values[offsets[i] :
         offsets[i + 1]]``: ``(owner set int64, shingle uint64, elements (rows, s)
-        uint64, distinct sets drawn)``, a row per distinct ``hash_rows(sample,
-        seed=self.seed)`` of each set of ``>= s`` elements, in set order then
-        ascending shingle.  Equal sets share one draw; a set of exactly ``s`` is
-        its own sample; the rest, by size, fill slabs of <= ``SLAB_BUDGET``."""
+        uint64, distinct sets drawn, element images hashed)``, a row per distinct
+        ``hash_rows(sample, seed=self.seed)`` of each set of ``>= s`` elements, in
+        set order then ascending shingle.  Equal sets share one draw; a set of
+        exactly ``s`` is its own sample; the rest share one rank table and, by
+        size, fill slabs of <= ``SLAB_BUDGET`` ranks."""
         x = np.asarray(values, dtype=np.uint64)
         size = np.diff(offsets)
         live = np.flatnonzero(size >= s)
@@ -191,18 +202,29 @@ class UniversalHashFamily:
         exact = int(np.searchsorted(d_size, s, side="right"))
         own = np.sort(x[d_start[:exact, None] + np.arange(s)], axis=1)
         done = [_distinct_rows(own[:, None, :], self.seed)]
-        slabs: list[np.ndarray] = []
-        lo, room = exact, SLAB_BUDGET // self.count
-        while lo < len(distinct):
-            width = d_size[lo : lo + max(room // int(d_size[lo]), 1)]
-            fits = np.searchsorted(width * np.arange(1, len(width) + 1), room, side="right")
-            hi = lo + max(int(fits), 1)
-            slabs.append(self._slab(x, d_start[lo:hi], d_size[lo:hi], s))
-            lo = hi
-            # Samples are small: hash and deduplicate a budget's worth per call.
-            if lo == len(distinct) or sum(map(len, slabs)) >= room:
-                done.append(_distinct_rows(np.concatenate(slabs), self.seed))
-                slabs.clear()
+        # The rest by rank: each distinct element hashed once per member.
+        d_start, d_size = d_start[exact:], d_size[exact:]
+        universe, member = np.unique(x[_ragged(d_start, d_size)], return_inverse=True)
+        order = np.argsort(self.apply_all(universe), axis=1)
+        if len(d_size) == 1:
+            # One set is its own universe: its cut leads each member's order.
+            done.append(_distinct_rows(universe[np.sort(order[None, :, :s], axis=2)], self.seed))
+        elif len(d_size):
+            rank, member = _ranks(order), np.append(member, len(universe))
+            first = np.cumsum(d_size) - d_size
+            slabs: list[np.ndarray] = []
+            lo, room = 0, SLAB_BUDGET // self.count
+            while lo < len(d_size):
+                width = d_size[lo : lo + max(room // int(d_size[lo]), 1)]
+                fits = np.searchsorted(width * np.arange(1, len(width) + 1), room, side="right")
+                hi = lo + max(int(fits), 1)
+                slabs.append(universe[_slab(rank, order, member, first[lo:hi], d_size[lo:hi], s)])
+                lo = hi
+                # Samples are small: hash and deduplicate a budget's worth per call.
+                if lo == len(d_size) or sum(map(len, slabs)) >= room:
+                    done.append(_distinct_rows(np.concatenate(slabs), self.seed))
+                    slabs.clear()
         shingles, elements, counts = map(np.concatenate, zip(*done))
         row = _ragged((np.cumsum(counts) - counts)[slot], counts[slot])
-        return np.repeat(live, counts[slot]), shingles[row], elements[row], len(distinct)
+        return (np.repeat(live, counts[slot]), shingles[row], elements[row], len(distinct),
+                self.count * len(universe))

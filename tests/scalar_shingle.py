@@ -18,9 +18,9 @@ The scalar definitions the hashing kernels are held to left
 ``repro.util.hashing`` the same way, once nothing under ``src/`` called
 them: :func:`hash_int_tuple` (one row of ``hash_rows``),
 :func:`min_sample` (one member's shingle of one set) and
-:func:`min_samples_matrix` (every member's, through the family's slab
-kernel); ``test_hashing.py`` and ``test_properties.py`` state the
-kernels against them.
+:func:`min_samples_matrix` (every member's, through the draw kernel's
+rank table and slab cut); ``test_hashing.py`` and ``test_properties.py``
+state the kernels against them.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from repro.shingle.algorithm import DenseSubgraph, ShingleParams, ShingleResult
 from repro.util.hashing import (
     _MASK64,
     UniversalHashFamily,
+    _ranks,
+    _slab,
     hash_rows,
     splitmix64,
 )
@@ -78,7 +80,10 @@ def min_samples_matrix(family: UniversalHashFamily,
     x = np.asarray(values, dtype=np.uint64)
     if len(x) < s:
         raise ValueError(f"cannot draw {s}-element shingle from {len(x)} values")
-    return family._slab(x, np.zeros(1, dtype=np.int64), np.array([len(x)]), s)[0]
+    universe, member = np.unique(x, return_inverse=True)
+    order = np.argsort(family.apply_all(universe), axis=1)
+    one = np.zeros(1, dtype=np.int64), np.array([len(x)])
+    return universe[_slab(_ranks(order), order, np.append(member, len(universe)), *one, s)[0]]
 
 
 class KeyedUnionFind:

@@ -400,6 +400,7 @@ class TestObservationReport:
         assert "hits=" not in text and "cache" not in text
         once("CCD: ")
         once("shingle draws: ")
+        assert f"{int(counters['dsd.hashes']):,d} element images hashed" in text
         once("string index: 1 build")
 
     def test_empty_recorder_yields_no_sections(self, mode_results):

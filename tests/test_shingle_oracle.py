@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,13 +179,16 @@ def draw_by_definition(family, sets, s):
 
 def assert_draw_is_definition(family, sets, s) -> int:
     """Hold ``family.draw`` to the definition, column for column, and
-    return how many distinct sets it says it drew."""
+    return how many distinct sets it says it drew.  The images it says it
+    computed are one per member and distinct element of the sets of more
+    than ``s``: a set of exactly ``s`` is its own sample."""
     offsets = np.cumsum([0] + [len(values) for values in sets])
     values = np.array([x for values in sets for x in values], dtype=np.uint64)
-    *columns, drawn = family.draw(offsets, values, s)
+    *columns, drawn, hashes = family.draw(offsets, values, s)
     for column, want in zip(columns, draw_by_definition(family, sets, s), strict=True):
         assert column.dtype == want.dtype
         assert np.array_equal(column, want)
+    assert hashes == family.count * len({x for values in sets if len(values) > s for x in values})
     return drawn
 
 
@@ -257,6 +261,77 @@ def test_element_hashing_to_the_pad_value(member):
     assert min_sample(family, member, sets[1], 3) == (1, 2, 3)
 
 
+@pytest.mark.parametrize("member", [0, 4])
+def test_last_ranked_element_beside_padding(member):
+    """The element last in a member's order ranks ``|U| - 1``, one below
+    the pad.  In a set of ``s + 1`` padded to a wider one it loses to the
+    ``s`` others; in a set of exactly ``s`` it is still drawn."""
+    family = UniversalHashFamily(5, seed=13)
+    pool = list(range(100, 112))
+    last = pool[int(np.argmax(family.apply_all(pool)[member]))]
+    others = [v for v in pool if v != last]
+    sets = [[last] + others[:3], others, [last] + others[3:5], pool]
+    assert assert_draw_is_definition(family, sets, 3) == 4
+    assert last not in min_sample(family, member, sets[0], 3)
+
+
+def test_values_at_the_top_of_uint64():
+    """Ranks stand for positions in the sorted universe, never for values:
+    sets at and next to 2^64 - 1, beside 0 and 2^63, draw as defined."""
+    top = [2**64 - 1 - i for i in range(10)] + [0, 2**63]
+    sets = [top[:7], top[3:], top[::2], top[:4], top[1:5], top[:7], top[-5:]]
+    assert assert_draw_is_definition(UniversalHashFamily(9, seed=5), sets, 4) == 6
+
+
+@pytest.mark.parametrize("sets", [[], [[]], [[1, 2], [3], [], [2**64 - 1, 1]]])
+def test_nothing_to_draw(sets):
+    """An empty family, or one whose every set is under ``s``: empty
+    columns of the usual dtypes, no set drawn and no element hashed."""
+    assert assert_draw_is_definition(UniversalHashFamily(4, seed=1), sets, 3) == 0
+
+
+@pytest.mark.parametrize("n", [2**15 - 1, 2**15])
+def test_rank_table_widens_past_int16(monkeypatch, n):
+    """Ranks run to ``|U|`` (the pad), so the table is int16 up to
+    ``|U| = 2^15 - 1`` and int32 from ``2^15``; either way the draw is
+    the definition.  Two overlapping sets make the universe, each wider
+    than a slab, beside one of ``s + 1`` that shares their elements."""
+    tables = []
+    ranks = hashing._ranks
+    monkeypatch.setattr(hashing, "_ranks", lambda order: tables.append(ranks(order)) or tables[-1])
+    rng = np.random.default_rng(n)
+    pool = np.unique(rng.integers(0, 2**64 - 1, size=n + 64, dtype=np.uint64, endpoint=True))[:n]
+    third = n // 3
+    sets = [pool[: 2 * third + 1].tolist(), pool[third:].tolist(), pool[third : third + 4].tolist()]
+    family = UniversalHashFamily(2, seed=9)
+    assert assert_draw_is_definition(family, sets, 3) == 3
+    assert [(table.dtype, table.shape) for table in tables] == [
+        (np.dtype(np.int16 if n < 2**15 else np.int32), (family.count, n + 1))
+    ]
+
+
+def test_draw_memory_follows_the_universe_not_the_values():
+    """B_m labels are arbitrary uint64.  A draw over a few hundred values
+    spread over the top half of uint64 allocates in proportion to ``c *
+    |U|`` and the slab budget, and exactly what the same draw allocates
+    over the values ``0 .. |U| - 1``: nothing is indexed by value."""
+    rng = np.random.default_rng(3)
+    universe = np.unique(rng.integers(2**63, 2**64 - 1, size=400, dtype=np.uint64, endpoint=True))
+    picks = [rng.choice(len(universe), size=int(k), replace=False) for k in rng.integers(4, 60, 50)]
+    offsets = np.cumsum([0] + [len(p) for p in picks])
+    family = UniversalHashFamily(50, seed=2)
+    peaks = []
+    for values in (universe, np.arange(len(universe), dtype=np.uint64)):
+        x = values[np.concatenate(picks)]
+        family.draw(offsets, x, 3)
+        tracemalloc.start()
+        family.draw(offsets, x, 3)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] < 64 * family.count * len(universe) + 64 * hashing.SLAB_BUDGET
+    assert abs(peaks[0] - peaks[1]) < 0.05 * peaks[1]
+
+
 def test_pass_one_keeps_the_callers_vertex_order():
     """``shingle/parallel.py`` hands a rank its LPT share, heaviest
     vertex first: rows come out in that order, then ascending shingle."""
@@ -275,11 +350,13 @@ def test_pass_one_keeps_the_callers_vertex_order():
 def test_equal_sets_share_one_draw():
     """The mechanism, counted: all 24 Gamma of a clique are one set, and
     every first-level shingle has the same run of 24 vertices."""
-    recorder = obs.Recorder()
+    recorder, graph = obs.Recorder(), clique(24)
     with obs.recording(recorder):
-        result = shingle_dense_subgraphs(clique(24), PAPER)
+        result = shingle_dense_subgraphs(graph, PAPER)
     counters = recorder.counters()
     json.dumps(counters)  # telemetry serialises them: no NumPy scalars
     assert counters["dsd.sets"] == 24 + result.n_first_level_shingles
     assert counters["dsd.sets_drawn"] == 2
+    # Each drawn set is its own universe: c images of each element.
+    assert counters["dsd.hashes"] == PAPER.c1 * len(graph.gamma(0)) + PAPER.c2 * 24
     assert [sg.left for sg in result.subgraphs] == [tuple(range(24))]
