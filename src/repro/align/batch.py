@@ -959,13 +959,20 @@ def containment_dp(
     store: "EncodedStore",
     ia: np.ndarray,
     ib: np.ndarray,
-    prefilter: ContainmentPrefilter,
+    prefilter: ContainmentPrefilter | None,
     scheme: ScoringScheme,
 ) -> np.ndarray:
     """Route 3 of :func:`containment_columns`: the prefilter's ``(k,
     3)`` rows, the undecided ones measured by one semiglobal
     :func:`align_columns` (which counts them in ``batch.pairs``; they
-    are counted in ``batch.dp_pairs`` too)."""
+    are counted in ``batch.dp_pairs`` too).  With no ``prefilter``
+    every pair is undecided: the pairs a sweep left to the DP, gathered
+    from several sweeps (the runtime's ``"contain_dp"`` task)."""
+    if prefilter is None:
+        prefilter = ContainmentPrefilter(
+            np.zeros((len(ia), 3)), np.zeros(len(ia), dtype=bool),
+            np.arange(len(ia)),
+        )
     stats = prefilter.stats.copy()
     if not len(stats):
         return stats

@@ -7,7 +7,7 @@ owns the union–find, the dedup sets and the filter, and stateless
 workers align whatever pairs they are sent — and this module says it
 once:
 
-* :func:`run_task` is the only statement of the three kinds of work,
+* :func:`run_task` is the only statement of the runtime's kinds of work,
   over the session's one encoded store
   (:class:`~repro.runtime.sharedseq.EncodedStore`: a flat code buffer,
   its offsets and lengths, in process or in shared memory).  *Where* a
@@ -19,8 +19,10 @@ once:
   answers a pair from memory: every pair submitted is sent to the
   engine, so each pair a phase admits is aligned exactly once.  A task
   is exactly what a phase driver submits (an ``RR_CHUNK`` of index
-  columns, one ``LOCAL_CHUNK`` or CCD batch, one component graph), so
-  every backend runs the same task bodies.
+  columns, one ``LOCAL_CHUNK`` or CCD batch, one component graph), or
+  for RR's :class:`ContainmentStream` a ``LOCAL_CHUNK`` of the pairs
+  its sweeps left to the DP, cut in submission order, so every backend
+  runs the same task bodies.
 * :class:`Backend` makes ``alignment_stream``, ``containment_stream``
   and ``map_components`` concrete over the hooks an executor
   (:class:`~repro.runtime.serial.SerialBackend`,
@@ -50,7 +52,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 import numpy as np
 
 from repro import obs
-from repro.align.batch import align_columns, containment_columns
+from repro.align.batch import align_columns, containment_dp, containment_prefilter
 from repro.pace.densesub import shingle_component
 from repro.runtime.sharedseq import EncodedStore
 from repro.suffix.suffix_array import GeneralizedSuffixArray
@@ -79,9 +81,13 @@ def run_task(body: tuple, store: EncodedStore, scheme: "ScoringScheme"):
     * ``("local", ia, ib)`` → the ``(k, 8)`` int64 table of local
       alignments, one row per pair
       (:func:`~repro.align.batch.align_columns`);
-    * ``("contain", similarity, coverage, ia, ib)`` → the ``(k, 3)``
-      float64 rows ``(identity, coverage_i, coverage_j)``
-      (:func:`~repro.align.batch.containment_columns`);
+    * ``("contain", similarity, coverage, ia, ib)`` → the one Myers
+      sweep of :func:`~repro.align.batch.containment_prefilter`: the
+      ``(k, 3)`` float64 rows ``(identity, coverage_i, coverage_j)`` of
+      the pairs it decides, a NaN row for each pair it leaves to the DP;
+    * ``("contain_dp", ia, ib)`` → the ``(k, 3)`` rows of those pairs,
+      each measured by the semiglobal DP
+      (:func:`~repro.align.batch.containment_dp`);
     * ``("shingle", graph, reduction, params, min_size, tau)`` → the
       ``(finals, raw, stats)`` triple of
       :func:`~repro.pace.densesub.shingle_component`.
@@ -100,9 +106,14 @@ def run_task(body: tuple, store: EncodedStore, scheme: "ScoringScheme"):
         return align_columns(store, ia, ib, scheme=scheme, mode="local")
     if kind == "contain":
         _, similarity, coverage, ia, ib = body
-        return containment_columns(
+        prefilter = containment_prefilter(
             store, ia, ib, scheme=scheme, similarity=similarity, coverage=coverage
         )
+        prefilter.stats[prefilter.undecided] = np.nan
+        return prefilter.stats
+    if kind == "contain_dp":
+        _, ia, ib = body
+        return containment_dp(store, ia, ib, None, scheme)
     if kind == "shingle":
         return shingle_component(*body[1:])
     raise ValueError(f"unknown task kind {kind!r}")
@@ -110,10 +121,10 @@ def run_task(body: tuple, store: EncodedStore, scheme: "ScoringScheme"):
 
 def task_span(body: tuple, **args: object):
     """The task-category span a process-backend executor wraps a pair
-    task in (``align.local`` / ``align.contain``).
+    task in (``align.local`` / ``align.contain`` / ``align.contain_dp``).
     Shingle tasks record their own ``shingle.component`` span, and an
     unknown kind gets none — :func:`run_task` rejects it."""
-    if body[0] not in ("local", "contain"):
+    if body[0] not in ("local", "contain", "contain_dp"):
         return contextlib.nullcontext()
     return obs.span(f"align.{body[0]}", cat="task", pairs=len(body[-1]),
                     **args)
@@ -178,13 +189,15 @@ class PairStream:
     unspecified order.  ``results`` is an array with a row per pair: the
     ``(k, 8)`` int64 alignment table for ``kind`` ``"local"``
     (:func:`~repro.align.batch.align_columns`), and for ``"contain"``
-    the ``(k, 3)`` float64 rows of Definition 1's ``(identity,
-    coverage_i, coverage_j)``.  The RR and bipartite drivers interleave
-    :meth:`submit_columns` with ``ready`` so verdicts are absorbed while
-    tasks are out; the CCD driver submits a batch and drains it.
+    (:class:`ContainmentStream`) the ``(k, 3)`` float64 rows of
+    Definition 1's ``(identity, coverage_i, coverage_j)``.  The RR and
+    bipartite drivers interleave :meth:`submit_columns` with ``ready``
+    so verdicts are absorbed while tasks are out; the CCD driver submits
+    a batch and drains it.
 
     Every pair of one :meth:`submit_columns` call is work, and the call
-    is one task; no stream keeps a result for a later submit.  RR's
+    is one task (RR's also leaves its undecided pairs to the stream's own
+    DP tasks); no stream keeps a result for a later submit.  RR's
     containment stream never reads the traceback, which is what lets
     the containment engine answer a pair *proven* unable to pass with
     ``(0.0, 0.0, 0.0)`` and no alignment at all.
@@ -208,35 +221,112 @@ class PairStream:
         self._phase.tasks += len(ia)
         if not len(ia):
             return
-        self._backend._throttle()
         obs.count("runtime.batch_pairs", len(ia))
+        self._send((self.kind, *self._params, ia, ib), self._sink(ia, ib))
+
+    def _send(self, body: tuple, sink: Sink) -> None:
+        """Dispatch one task of this stream once a worker is free."""
+        self._backend._throttle()
         self.in_flight += 1
         obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
-        self._backend._dispatch(
-            (self.kind, *self._params, ia, ib),
-            functools.partial(self._absorb, ia, ib),
-        )
+        self._backend._dispatch(body, sink)
+
+    def _sink(self, ia: np.ndarray, ib: np.ndarray) -> Sink:
+        """The sink of a submitted task."""
+        return functools.partial(self._absorb, ia, ib)
 
     def _absorb(self, ia: np.ndarray, ib: np.ndarray, results, busy: float) -> None:
-        """The task's sink — called exactly once per dispatched task,
-        wherever it ended up running."""
+        """A task's sink, or the part of it that hands over verdicts —
+        called exactly once per dispatched task, wherever it ended up
+        running."""
         self.in_flight -= 1
         obs.gauge(f"stream.{self.stream_id}.in_flight", self.in_flight)
         self._phase.busy_seconds += busy
         obs.count(f"runtime.pairs_done.{self._phase.name}", len(ia))
-        self._done.append((ia, ib, results))
+        if len(ia):
+            self._done.append((ia, ib, results))
+
+    def _advance(self, *, final: bool) -> None:
+        """Dispatch the work the stream itself owes after results came
+        back (``final``: the master is draining).  Nothing for a stream
+        whose every task is a submit."""
 
     def ready(self) -> list[tuple[np.ndarray, np.ndarray, object]]:
         """Completed results available now, without blocking."""
         self._backend._pump(block=False)
+        self._advance(final=False)
         out, self._done = self._done, []
         return out
 
     def drain(self) -> Iterator[tuple[np.ndarray, np.ndarray, object]]:
         """Flush: block until every submitted pair has a result."""
+        self._advance(final=True)
         while self.in_flight > 0:
             self._backend._pump(block=True)
+            self._advance(final=True)
         yield from self.ready()
+
+
+class ContainmentStream(PairStream):
+    """RR's stream: Definition 1 statistics in two stages.
+
+    A submit is one ``"contain"`` task, the Myers sweep alone
+    (:func:`~repro.align.batch.containment_prefilter`): the rows it
+    decides come back as that task's triple, and the pairs it leaves to
+    the DP (its NaN rows) join one queue in submission order — a sweep's
+    rows only once every earlier sweep is back.  The stream cuts the
+    queue into ``("contain_dp", ia, ib)`` tasks of exactly ``dp_chunk``
+    pairs, and sends the remainder when the master drains, so the DP
+    task bodies depend on what was submitted, never on which sweep
+    finished first, and each DP call is as wide as the local ones
+    instead of a sweep's few leftovers.
+
+    The DP tasks are the stream's own work, not submits: ``tasks``,
+    ``runtime.batch_pairs`` and ``runtime.pairs_done.*`` count each
+    submitted pair once, the last when its verdict is back.
+    """
+
+    def __init__(self, backend: "Backend", stream_id: int, params: tuple,
+                 dp_chunk: int):
+        super().__init__(backend, stream_id, "contain", params)
+        self._dp_chunk = dp_chunk
+        self._sweeps = 0
+        self._queued_sweeps = 0
+        self._swept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._queue = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+    def _sink(self, ia: np.ndarray, ib: np.ndarray) -> Sink:
+        self._sweeps += 1
+        return functools.partial(self._sweep_back, self._sweeps - 1, ia, ib)
+
+    def _sweep_back(self, sweep: int, ia: np.ndarray, ib: np.ndarray,
+                    stats: np.ndarray, busy: float) -> None:
+        """A sweep's sink: its decided rows are done; its undecided
+        pairs wait for the earlier sweeps, then join the queue."""
+        undecided = np.isnan(stats[:, 0])
+        decided = ~undecided
+        self._absorb(ia[decided], ib[decided], stats[decided], busy)
+        self._swept[sweep] = (ia[undecided], ib[undecided])
+        while self._queued_sweeps in self._swept:
+            a, b = self._swept.pop(self._queued_sweeps)
+            self._queued_sweeps += 1
+            self._queue = (np.concatenate((self._queue[0], a)),
+                           np.concatenate((self._queue[1], b)))
+
+    def _advance(self, *, final: bool) -> None:
+        """Send the queue's full ``dp_chunk`` tasks, and with ``final``,
+        once every sweep is back, its remainder too.  A send may take
+        sweeps back (the throttle pumps), so the queue is re-read after
+        each."""
+        while True:
+            queued = len(self._queue[0])
+            last = final and self._queued_sweeps == self._sweeps
+            if queued < self._dp_chunk and not (last and queued):
+                return
+            take = min(queued, self._dp_chunk)
+            a, b = self._queue[0][:take], self._queue[1][:take]
+            self._queue = (self._queue[0][take:], self._queue[1][take:])
+            self._send(("contain_dp", a, b), functools.partial(self._absorb, a, b))
 
 
 class Backend(abc.ABC):
@@ -374,26 +464,28 @@ class Backend(abc.ABC):
 
     # -- work primitives ---------------------------------------------------
 
-    def _open_stream(self, *args) -> PairStream:
+    def _open_stream(self, cls: type[PairStream], *args) -> PairStream:
         self._require_open()
-        stream = PairStream(self, self._next_stream_id, *args)
+        stream = cls(self, self._next_stream_id, *args)
         self._next_stream_id += 1
         return stream
 
     def alignment_stream(self) -> PairStream:
         """Open a stream of local alignments."""
-        return self._open_stream("local")
+        return self._open_stream(PairStream, "local")
 
-    def containment_stream(self, *, similarity: float, coverage: float) -> PairStream:
+    def containment_stream(self, *, similarity: float, coverage: float,
+                           dp_chunk: int) -> ContainmentStream:
         """Open a Definition 1 statistics stream for the RR phase.
 
-        Its tasks run the column containment engine
-        (:func:`repro.align.batch.containment_columns`) over the
-        session's store, whose decisions are provably identical to a
-        full semiglobal DP per pair; ``similarity``/``coverage``
-        parameterise its sound rejection threshold.
+        Its tasks run the column containment engine over the session's
+        store in two stages (:class:`ContainmentStream`): a submit is
+        one Myers sweep, whose ``similarity``/``coverage`` parameterise
+        its sound rejection threshold, and the pairs no sweep decides
+        are aligned in DP tasks of ``dp_chunk`` pairs.  Decisions are
+        provably identical to a full semiglobal DP per pair.
         """
-        return self._open_stream("contain", (similarity, coverage))
+        return self._open_stream(ContainmentStream, (similarity, coverage), dp_chunk)
 
     def map_components(
         self,

@@ -17,7 +17,11 @@ redundant sequences labelled -1 and B_d's labelled by component
 pair source is the finder's *block* stream
 (:meth:`~repro.suffix.matches.MaximalMatchFinder.match_blocks`), and
 every pair travels as int64 index columns from there to the stream
-(:meth:`~repro.runtime.base.PairStream.submit_columns`) and back.  The
+(:meth:`~repro.runtime.base.PairStream.submit_columns`) and back.  RR's
+stream answers in two stages: a submit is one Myers sweep task, and the
+pairs no sweep decides are aligned at phase width, in DP tasks of
+:data:`LOCAL_CHUNK` pairs cut from their queue in submission order
+(:class:`~repro.runtime.base.ContainmentStream`).  The
 RR and bipartite masters only deduplicate, and each admits a whole
 block in one call against a bit map of the pairs seen
 (:class:`~repro.pace.seen.SeenPairs`; one over the ``n`` sequences for
@@ -83,13 +87,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.checkpoint import CheckpointJournal
 
 
-#: Pairs per RR submit_columns chunk.  Sized for the batched containment
-#: engine's sweet spot (the Myers sweep amortises across the pair axis);
-#: RR has no master-side filter, so chunking costs no decision freshness.
+#: Pairs per RR submit_columns chunk: one Myers sweep task.  Sized for
+#: the sweep's sweet spot (it amortises across the pair axis); RR has no
+#: master-side filter, so chunking costs no decision freshness.
 RR_CHUNK = 512
 
-#: Pairs per batched local-DP submit: a bipartite ``submit_columns``
-#: chunk and a CCD speculative batch alike.
+#: Pairs per batched DP task: a bipartite ``submit_columns`` chunk, a
+#: CCD speculative batch and an RR ``"contain_dp"`` task alike.
 LOCAL_CHUNK = 128
 
 
@@ -158,9 +162,13 @@ def backend_redundancy_removal(
 ) -> RedundancyResult:
     """RR phase on a backend: the master admits each block of the match
     stream whole, the unique promising pairs travel to the containment
-    stream as int64 index columns, :data:`RR_CHUNK` rows a submit, and
-    each task's statistic rows come back to the master's column
-    Definition 1 verdict in completion order.
+    stream as int64 index columns, :data:`RR_CHUNK` rows a submit (one
+    Myers sweep task), and each task's statistic rows come back to the
+    master's column Definition 1 verdict in completion order.  The pairs
+    no sweep decides are the stream's to align: it queues them in
+    submission order and sends them in DP tasks of :data:`LOCAL_CHUNK`
+    pairs, the remainder when the driver drains
+    (:class:`~repro.runtime.base.ContainmentStream`).
 
     The stream yields ``(identity, coverage_i, coverage_j)`` statistics
     rather than alignments, so backends may answer pairs through the
@@ -181,7 +189,9 @@ def backend_redundancy_removal(
             coverage=coverage,
             max_pairs_per_node=max_pairs_per_node,
         )
-        stream = backend.containment_stream(similarity=similarity, coverage=coverage)
+        stream = backend.containment_stream(
+            similarity=similarity, coverage=coverage, dp_chunk=LOCAL_CHUNK
+        )
         admitted = (
             master.admit(block.seq_a, block.seq_b)
             for block in _traced_blocks(master.finder.match_blocks(), "rr.pairs")

@@ -9,7 +9,9 @@ work:
 
 * a task is exactly what a phase driver submits — an ``RR_CHUNK`` of
   index columns, one ``LOCAL_CHUNK`` or CCD batch, one component graph
-  — so a worker runs the serial backend's task bodies, one at a time;
+  — or a ``LOCAL_CHUNK`` of the pairs RR's sweeps left to the DP, cut
+  in submission order, so a worker runs the serial backend's task
+  bodies, one at a time;
 * ``_throttle`` holds the next task until a worker is free: at most one
   task per worker is in flight, so the next one goes to whichever
   worker returns one first, not into the queue of a worker that shares

@@ -178,7 +178,8 @@ def reference_rr(sequences, backend):
 
     with backend.phase("redundancy"):
         stream = backend.containment_stream(
-            similarity=CONTAINMENT_SIMILARITY, coverage=CONTAINMENT_COVERAGE
+            similarity=CONTAINMENT_SIMILARITY, coverage=CONTAINMENT_COVERAGE,
+            dp_chunk=phases.LOCAL_CHUNK,
         )
         chunk: list[tuple[int, int]] = []
         for match in master.finder.matches():

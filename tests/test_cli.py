@@ -600,13 +600,15 @@ class TestRunDirResumeAndChaos:
     def test_chaos_verdict_is_vacuous_when_nothing_was_disturbed(
         self, generated, capsys
     ):
-        """27 sequences make one RR task, worker 0's first, so none of
-        seed 23's three kills (RR: worker 1, or anybody's second task)
-        can fire: two identical runs prove nothing and the command must
-        say so.  (Found by running seeds, not by reading plans; CCD and
-        bipartite do dispatch on this input.)"""
+        """27 sequences make two RR tasks, the sweep and then the DP of
+        the pairs it left undecided, both worker 0's (the DP goes out
+        once the sweep is back), so none of seed 404's three faults (RR,
+        worker 1) can fire: two identical runs prove nothing and the
+        command must say so.  (CCD and bipartite do dispatch on this
+        input; seed 23's plan, which RR's one task of the time left
+        vacuous, now kills worker 0 on the DP task.)"""
         fasta, _ = generated
-        rc = main(["chaos", str(fasta), "--seed", "23", "--workers", "2"])
+        rc = main(["chaos", str(fasta), "--seed", "404", "--workers", "2"])
         assert rc == 1
         out = capsys.readouterr().out
         assert "3 fault(s) planned, 0 injected" in out

@@ -46,6 +46,7 @@ from repro.faults.plan import (
     FaultPlanError,
 )
 from repro.obs.registry import scientific_view
+from repro.runtime import process as process_backend
 from repro.sequence.fasta import write_fasta
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 
@@ -432,6 +433,54 @@ class TestChaosMatrix:
         counters = result.obs.counters()
         assert counters["runtime.poison_quarantined"] == 1
         assert counters["runtime.worker_respawns"] >= 2  # two victims
+        assert_identical(result, baseline)
+
+    def test_kill_during_contain_dp_is_requeued(
+        self, workload, config, monkeypatch
+    ):
+        """RR sends its one sweep, then its one ``"contain_dp"`` task, to
+        worker 0 (both go to the lowest idle slot): killing worker 0 at
+        its second RR task loses the DP task, which is requeued, and the
+        run is the fault-free one."""
+        requeued = []
+        send = process_backend.ProcessBackend._send
+
+        def recording_send(self, record):
+            if record.deaths:
+                requeued.append(record.body[0])
+            send(self, record)
+
+        monkeypatch.setattr(process_backend.ProcessBackend, "_send", recording_send)
+        plan = FaultPlan(faults=(
+            Fault(kind="kill_worker", phase="redundancy", worker=0,
+                  at_task=1),
+        ))
+        report = run_chaos(workload, config, plan)
+        assert report.lines()[-1] == "chaos verdict: IDENTICAL"
+        assert report.recovery["runtime.tasks_requeued"] >= 1
+        assert requeued == ["contain_dp"]
+
+    def test_poisoned_contain_dp_is_quarantined_through_run_task(
+        self, workload, config, baseline, monkeypatch
+    ):
+        """A ``"contain_dp"`` task that kills every worker it meets is
+        computed by the master through the one task function."""
+        in_master = []
+        run_task = process_backend.run_task
+
+        def recording_run_task(body, store, scheme):
+            in_master.append(body[0])
+            return run_task(body, store, scheme)
+
+        # Forked workers inherit the wrapper, but record in their own
+        # memory: the list sees the master's calls only.
+        monkeypatch.setattr(process_backend, "run_task", recording_run_task)
+        plan = FaultPlan(faults=(
+            Fault(kind="poison_task", phase="redundancy", at_task=1),
+        ))
+        result = _faulted_run(workload, config, plan)
+        assert result.obs.counters()["runtime.poison_quarantined"] == 1
+        assert in_master == ["contain_dp"]
         assert_identical(result, baseline)
 
     def test_exhausted_budget_degrades_to_in_master(self, workload, baseline):

@@ -71,8 +71,9 @@ class TestScientificCounterContract:
     def test_every_admitted_pair_is_aligned_once(self, mode_results):
         """No memo answers a pair: on a backend run the engine sees each
         pair RR, CCD and bipartite generation admit exactly once, and
-        bipartite progress reaches its total from dispatched pairs
-        alone."""
+        RR and bipartite progress reach their totals from dispatched
+        pairs alone (an RR pair counted once, by the sweep that decides
+        it or by the DP task that aligns it)."""
         for mode in mode_results:
             counters = mode_results[mode].obs.counters()
             admitted = (counters["rr.pairs"] + counters["ccd.alignments"]
@@ -82,6 +83,8 @@ class TestScientificCounterContract:
                 == admitted, mode
             assert counters["runtime.pairs_done.bipartite"] \
                 == counters["bipartite.pairs"], mode
+            assert counters["runtime.pairs_done.redundancy"] \
+                == counters["rr.pairs"], mode
 
     def test_phase_spans_unified_across_modes(self, mode_results):
         expected = {"redundancy", "clustering", "bipartite", "dense_subgraphs"}

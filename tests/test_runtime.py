@@ -37,6 +37,7 @@ from repro.runtime import phases
 from repro.runtime.base import Backend, PairStream, run_task
 from repro.runtime.sharedseq import EncodedStore
 from repro.runtime.phases import backend_component_detection
+from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 from repro.shingle.algorithm import ShingleParams
 from repro.runtime import (
     BackendError,
@@ -391,6 +392,7 @@ TASK_BODIES = {
     "local": lambda: ("local", np.array([0, 2, 3]), np.array([1, 5, 4])),
     "contain": lambda: ("contain", 0.95, 0.95,
                         np.array([0, 2, 3, 0]), np.array([1, 5, 4, 6])),
+    "contain_dp": lambda: ("contain_dp", np.array([0, 2, 3]), np.array([1, 5, 4])),
     "shingle": _shingle_body,
     "unknown": lambda: ("poison", 99),
 }
@@ -444,6 +446,29 @@ class TestOneTaskFunction:
             master, sequences, scheme, body, degrade=True), inline)
 
 
+    def test_contain_stages_compose_to_the_columns(self):
+        """A ``"contain"`` task is the Myers sweep alone: a NaN row for
+        each pair it leaves to the DP, and a ``"contain_dp"`` task over
+        those pairs fills in exactly the rows of the one-call engine."""
+        sequences = _rr_dp_workload()
+        store = EncodedStore.from_sequences([r.encoded for r in sequences])
+        scheme = blosum62_scheme()
+        ia, ib = np.triu_indices(len(sequences), 1)
+        recorder = obs.Recorder()
+        with obs.recording(recorder):
+            stats = run_task(("contain", 0.95, 0.95, ia, ib), store, scheme)
+            undecided = np.isnan(stats[:, 0])
+            assert np.isnan(stats[undecided]).all()
+            assert 0 < undecided.sum() < len(ia)
+            stats[undecided] = run_task(
+                ("contain_dp", ia[undecided], ib[undecided]), store, scheme)
+        assert not np.isnan(stats).any()
+        assert np.array_equal(stats, containment_columns(
+            store, ia, ib, scheme=scheme, similarity=0.95, coverage=0.95))
+        counters = recorder.counters()
+        assert counters["batch.pairs"] == len(ia)
+        assert counters["batch.dp_pairs"] == undecided.sum()
+
     def test_local_task_is_one_int64_table(self, workload):
         """A ``"local"`` task answers the ``(k, 8)`` int64 alignment
         table, and a serial run and a round-trip through two worker
@@ -457,6 +482,13 @@ class TestOneTaskFunction:
         for backend in (SerialBackend(), ProcessBackend(workers=2)):
             table = self._via_backend(backend, sequences, config.scheme, body, degrade=False)
             assert table.dtype == np.int64 and np.array_equal(table, inline)
+
+
+def _rr_dp_workload():
+    """An input whose RR leaves a few pairs of more than one sweep to
+    the DP (at four pairs a sweep)."""
+    return generate_metagenome(
+        MetagenomeSpec(n_families=6, mean_family_size=8, seed=11)).sequences
 
 
 def task_key(body: tuple) -> tuple:
@@ -495,6 +527,55 @@ class TestOneTaskGrain:
         assert set(tasks) == {"redundancy", "clustering", "bipartite",
                               "dense_subgraphs"}
         assert all(tasks[phase] > 1 for phase in ("redundancy", "bipartite")), tasks
+
+    def test_dp_cut_does_not_depend_on_completion_order(self, monkeypatch):
+        """RR's ``"contain_dp"`` tasks are cut from the sweeps' undecided
+        pairs in submission order: while worker 0 sleeps on the first
+        sweep the later ones come back first, and the multiset of RR
+        task bodies is still the serial run's.  Every DP task but the
+        last holds exactly ``LOCAL_CHUNK`` pairs, and RR's progress
+        counts each pair once."""
+        sequences = _rr_dp_workload()
+        delay = FaultPlan(faults=(Fault(kind="delay_task", phase="redundancy",
+                                        worker=0, at_task=0, seconds=0.3),))
+        seen, injected = {}, {}
+        for backend in (SerialBackend(), ProcessBackend(workers=2, fault_plan=delay)):
+            bodies: list[tuple] = []
+            real = type(backend)._dispatch
+
+            def recording(self, body, sink, real=real, bodies=bodies):
+                if self._phase_stats().name == "redundancy":
+                    bodies.append(body)
+                real(self, body, sink)
+
+            monkeypatch.setattr(type(backend), "_dispatch", recording)
+            with mock.patch.object(phases, "RR_CHUNK", 4), \
+                    mock.patch.object(phases, "LOCAL_CHUNK", 3):
+                result = ProteinFamilyPipeline(PipelineConfig()).run(
+                    sequences, backend=backend)
+            seen[backend.name] = bodies
+            counters = result.obs.counters()
+            injected[backend.name] = counters.get("faults.injected", 0)
+            # Progress counts each pair once: by its sweep or its DP task.
+            assert counters["runtime.pairs_done.redundancy"] == counters["rr.pairs"]
+            assert counters["batch.dp_pairs"] > 0
+        assert injected == {"serial": 0, "process": 1}
+        assert Counter(map(task_key, seen["process"])) == Counter(map(task_key, seen["serial"]))
+        sweeps = [body for body in seen["serial"] if body[0] == "contain"]
+        dp = [body for body in seen["serial"] if body[0] == "contain_dp"]
+        assert len(sweeps) + len(dp) == len(seen["serial"])
+        assert len(dp) >= 2
+        assert [len(body[-1]) for body in dp[:-1]] == [3] * (len(dp) - 1)
+        assert 1 <= len(dp[-1][-1]) <= 3
+        # Not vacuous: a DP task holds pairs of the delayed first sweep
+        # and of a later one.
+        sweep_of = {pair: k for k, body in enumerate(sweeps)
+                    for pair in zip(body[-2].tolist(), body[-1].tolist())}
+        assert any(
+            len({sweep_of[pair] for pair in zip(a.tolist(), b.tolist())}) > 1
+            and 0 in {sweep_of[pair] for pair in zip(a.tolist(), b.tolist())}
+            for _, a, b in dp
+        )
 
     def test_one_task_per_worker_in_flight(self, workload, monkeypatch):
         """Once ``_throttle`` returns a worker is free, so a send never
