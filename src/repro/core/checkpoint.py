@@ -219,31 +219,26 @@ def bipartite_payload(graphs: "ComponentGraphs") -> dict[str, Any] | None:
         "reduction": graphs.reduction,
         "components": [list(c) for c in graphs.components],
         "edges": edge_lists,
-        "neighbors": {str(g): sorted(ns)
-                      for g, ns in sorted(graphs.neighbors.items())},
         "n_alignments": graphs.n_alignments,
         "n_edges": graphs.n_edges,
     }
 
 
 def bipartite_from_payload(data: dict[str, Any]) -> "ComponentGraphs":
+    """The phase result from its payload.  A journal written before the
+    B_d graphs held the only copy of the edges also carries a
+    ``"neighbors"`` adjacency; it is the same edge set, and ignored."""
     from repro.graph.bipartite import duplicate_bipartite
     from repro.pace.bipartite_gen import ComponentGraphs
 
-    out = ComponentGraphs(components=[], graphs=[],
-                          reduction=data["reduction"])
-    for members, edges in zip(data["components"], data["edges"]):
-        members = list(members)
-        local_edges = sorted((int(u), int(v)) for u, v in edges)
-        out.components.append(members)
-        out.graphs.append(
-            duplicate_bipartite(len(members), local_edges, labels=members)
-        )
-    out.neighbors = {int(g): set(ns)
-                     for g, ns in data["neighbors"].items()}
-    out.n_alignments = data["n_alignments"]
-    out.n_edges = data["n_edges"]
-    return out
+    return ComponentGraphs(
+        components=[list(c) for c in data["components"]],
+        graphs=[duplicate_bipartite(len(members), edges, labels=members)
+                for members, edges in zip(data["components"], data["edges"])],
+        n_alignments=data["n_alignments"],
+        n_edges=data["n_edges"],
+        reduction=data["reduction"],
+    )
 
 
 def dense_payload(dense: "DsdResult") -> dict[str, Any]:
@@ -253,9 +248,6 @@ def dense_payload(dense: "DsdResult") -> dict[str, Any]:
 def dense_from_payload(data: dict[str, Any]) -> "DsdResult":
     from repro.pace.densesub import DsdResult
 
-    # raw subgraphs / per-component Shingle stats are diagnostic only
-    # and are not checkpointed; a resumed DSD result carries the final
-    # subgraphs (everything downstream consumers read).
     return DsdResult(subgraphs=[tuple(sg) for sg in data["subgraphs"]])
 
 

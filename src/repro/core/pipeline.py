@@ -72,7 +72,7 @@ class PipelineResult:
             n_nonredundant=self.redundancy.n_nonredundant,
             components=self.clustering.components,
             subgraphs=self.dense.subgraphs,
-            neighbors=self.graphs.neighbors,
+            graphs=self.graphs,
             min_component_size=self.config.min_component_size,
         )
 

@@ -11,13 +11,14 @@ by ``repro run`` and ``repro profile`` alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.graph.density import subgraph_density
 from repro.obs import Recorder, scientific_view
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.core.pipeline import PipelineResult
+    from repro.pace.bipartite_gen import ComponentGraphs
 
 
 @dataclass(frozen=True)
@@ -154,19 +155,30 @@ def table1_row(
     n_nonredundant: int,
     components: Sequence[Sequence[int]],
     subgraphs: Sequence[Sequence[int]],
-    neighbors: Mapping[int, set[int]],
+    graphs: "ComponentGraphs",
     min_component_size: int = 5,
 ) -> Table1Row:
     """Aggregate pipeline outputs into the paper's Table I statistics.
 
-    ``neighbors`` is the similarity adjacency used for the per-subgraph
-    degree/density figures (paper: density = mean degree / (m - 1)).
+    The per-subgraph degree/density figures (paper: density = mean
+    degree / (m - 1)) read the similarity edges from the B_d graph of
+    the component that holds the subgraph, one of ``graphs``; the
+    domain reduction has no similarity graph, so its degrees read 0.
     Components below ``min_component_size`` are excluded, matching the
     table's "components containing 5 sequences or more" caption.
     """
     big_components = [c for c in components if len(c) >= min_component_size]
     covered = {s for sg in subgraphs for s in sg}
-    stats = [subgraph_density(sg, neighbors) for sg in subgraphs if len(sg) > 0]
+    # Each sequence's B_d graph and vertex id there.
+    home = {}
+    if graphs.reduction == "global":
+        home = {label: (graph, v) for graph in graphs.graphs
+                for v, label in enumerate(graph.left_labels)}
+    stats = [
+        subgraph_density([home[g][1] for g in sg], home[sg[0]][0]) if sg[0] in home
+        else subgraph_density(sg, None)
+        for sg in subgraphs if len(sg) > 0
+    ]
     if stats:
         mean_degree = sum(s.mean_degree for s in stats) / len(stats)
         mean_density = sum(s.density for s in stats) / len(stats)

@@ -105,24 +105,21 @@ def duplicate_bipartite(
     edges: Iterable[tuple[int, int]],
     *,
     labels: Sequence[int] | None = None,
-    include_self_loop: bool = True,
 ) -> BipartiteGraph:
     """Global-similarity reduction B_d of an undirected graph G(V, E).
 
     ``|Vl| = |Vr| = n`` and each undirected edge (i, j) contributes
-    (i -> j) and (j -> i).  With ``include_self_loop`` every vertex also
-    links to its own duplicate — each sequence trivially belongs to its
-    own family, and the self-link makes Gamma(v) of a clique member equal
-    the full clique, sharpening the A ~= B signal.
+    (i -> j) and (j -> i).  Every vertex also links to its own
+    duplicate — each sequence trivially belongs to its own family, and
+    the self-link makes Gamma(v) of a clique member equal the full
+    clique, sharpening the A ~= B signal; so v's degree in G is
+    ``out_degree(v) - 1``.  Self edges in ``edges`` are dropped.
     """
     rows = _edge_rows(edges)
     rows = rows[rows[:, 0] != rows[:, 1]]
-    parts = [rows, rows[:, ::-1]]
-    if include_self_loop:
-        parts.append(np.repeat(np.arange(n, dtype=np.int64), 2).reshape(-1, 2))
-    return BipartiteGraph(
-        n, n, np.concatenate(parts), left_labels=labels, right_labels=labels
-    )
+    loops = np.repeat(np.arange(n, dtype=np.int64), 2).reshape(-1, 2)
+    return BipartiteGraph(n, n, np.concatenate([rows, rows[:, ::-1], loops]),
+                          left_labels=labels, right_labels=labels)
 
 
 def wmer_bipartite(

@@ -3,13 +3,16 @@
 The paper reports, per dense subgraph with m nodes: the mean vertex
 degree *within the subgraph* and the observed "density"
 ``mean_degree / (m - 1)`` — 100% for a clique.  Table I aggregates these
-over all reported subgraphs.
+over all reported subgraphs, read from the B_d graph that holds the
+similarity edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
+
+from repro.graph.bipartite import BipartiteGraph
 
 
 @dataclass(frozen=True)
@@ -25,15 +28,14 @@ class DenseSubgraphStats:
             raise ValueError("subgraph must be non-empty")
 
 
-def subgraph_density(
-    members: Sequence[int],
-    neighbors: Mapping[int, set[int]] | Mapping[int, frozenset[int]],
-) -> DenseSubgraphStats:
-    """Statistics of the subgraph induced by ``members``.
+def subgraph_density(members: Sequence[int], graph: BipartiteGraph | None) -> DenseSubgraphStats:
+    """Statistics of the similarity subgraph induced by ``members``,
+    vertex ids of its B_d graph ``graph`` (None: there is no similarity
+    graph, as under the domain reduction, and every degree is 0).
 
-    ``neighbors`` is the adjacency of the *similarity graph* (undirected,
-    no self-loops).  Density follows the paper: mean degree / (m - 1);
-    a singleton reports density 1.0 by convention.
+    B_d links each vertex to itself, so a member's degree inside S is
+    |Gamma(v) ∩ S| - 1.  Density follows the paper: mean degree /
+    (m - 1); a singleton reports density 1.0 by convention.
     """
     member_set = set(members)
     m = len(member_set)
@@ -42,8 +44,9 @@ def subgraph_density(
     if m == 1:
         return DenseSubgraphStats(size=1, mean_degree=0.0, density=1.0)
     total_degree = 0
-    for v in member_set:
-        total_degree += len(neighbors.get(v, frozenset()) & member_set)
+    if graph is not None:
+        total_degree = sum(len(member_set.intersection(graph.gamma(v).tolist())) - 1
+                           for v in member_set)
     mean_degree = total_degree / m
     return DenseSubgraphStats(size=m, mean_degree=mean_degree, density=mean_degree / (m - 1))
 

@@ -18,7 +18,7 @@ to 16K total vertices in 512 MB).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,13 +33,11 @@ from repro.suffix import GeneralizedSuffixArray, MaximalMatchFinder
 
 @dataclass
 class ComponentGraphs:
-    """Bipartite graphs per connected component, plus the similarity
-    adjacency needed for density reporting."""
+    """Bipartite graphs per connected component; a B_d graph is the one
+    copy of its component's similarity edges, which Table I reads too."""
 
     components: list[list[int]]
     graphs: list[BipartiteGraph]
-    neighbors: dict[int, set[int]] = field(default_factory=dict)
-    """Global similarity adjacency restricted to intra-component edges."""
     n_alignments: int = 0
     n_edges: int = 0
     reduction: str = "global"
@@ -54,10 +52,12 @@ class BipartiteMaster:
     index of ``sequences`` labelled by ``component``, so its rows are
     exactly the components' own streams, interleaved), the admission
     filter (the master only deduplicates — "we apply only the maximal
-    matching heuristic (and skip clustering)"), the edge sink and the
+    matching heuristic (and skip clustering)"), the edge columns and the
     result construction.  :meth:`admit` takes a match block's columns
     and admits each row against its component's triangle of one
-    :class:`~repro.pace.seen.SeenPairs` bit map.
+    :class:`~repro.pace.seen.SeenPairs` bit map; :meth:`add_edges` keeps
+    an absorbed table's edges as columns, which :meth:`result` turns
+    into the per-component B_d graphs.
     :func:`repro.runtime.phases.backend_generate_component_graphs`
     streams the admitted columns through an execution backend.
     """
@@ -88,8 +88,7 @@ class BipartiteMaster:
         )
         self.edge_similarity = edge_similarity
         self.edge_coverage = edge_coverage
-        self.out = ComponentGraphs(components=[], graphs=[], reduction="global")
-        self._edges: list[list[tuple[int, int]]] = [[] for _ in self.members]
+        self._edges: list[np.ndarray] = []
         self._admitted = SeenPairs([len(members) for members in self.members])
 
     def admit(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,24 +107,26 @@ class BipartiteMaster:
         return overlaps(table, self.lengths[ia], self.lengths[ib],
                         self.edge_similarity, self.edge_coverage)
 
-    def add_edge(self, gi: int, gj: int) -> None:
-        """The pair ``(gi, gj)`` of one component passed the edge cutoff."""
-        obs.count("bipartite.edges")
-        self._edges[self.component[gi]].append((int(self.local[gi]), int(self.local[gj])))
-        self.out.neighbors.setdefault(gi, set()).add(gj)
-        self.out.neighbors.setdefault(gj, set()).add(gi)
+    def add_edges(self, ia: np.ndarray, ib: np.ndarray) -> None:
+        """The global pairs ``(ia[r], ib[r])``, each inside one component,
+        passed the edge cutoff."""
+        if len(ia):
+            obs.count("bipartite.edges", len(ia))
+            self._edges.append(np.stack([ia, ib]))
 
     def result(self) -> ComponentGraphs:
-        """Build the graphs.  A graph sorts its edges, so the order
-        verdicts arrived in cannot leak into the output."""
-        out = self.out
-        for members, edges in zip(self.members, self._edges):
-            out.n_edges += len(edges)
-            out.components.append(members)
-            out.graphs.append(
-                duplicate_bipartite(len(members), edges, labels=members)
-            )
+        """Build the graphs from the edge columns, one sort by
+        component.  A graph sorts its edges, so the order verdicts
+        arrived in cannot leak into the output."""
+        edges = np.concatenate([np.empty((2, 0), dtype=np.int64), *self._edges], axis=1)
+        edges = edges[:, np.argsort(self.component[edges[0]], kind="stable")]
+        cuts = np.searchsorted(self.component[edges[0]], np.arange(1, len(self.members)))
+        out = ComponentGraphs(components=self.members, graphs=[], reduction="global",
+                              n_alignments=self._admitted.size, n_edges=edges.shape[1])
+        for members, (ga, gb) in zip(self.members, np.split(edges, cuts, axis=1)):
+            out.graphs.append(duplicate_bipartite(
+                len(members), np.stack([self.local[ga], self.local[gb]], axis=1),
+                labels=members,
+            ))
             obs.count("bipartite.graphs")
-        out.n_alignments = self._admitted.size
         return out
-

@@ -7,23 +7,21 @@ over the components, largest first).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro import obs
-from repro.shingle.algorithm import DenseSubgraph, ShingleParams, ShingleResult, shingle_dense_subgraphs
+from repro.shingle.algorithm import ShingleParams, shingle_dense_subgraphs
 from repro.shingle.postprocess import domain_output, global_similarity_output
 
 
 @dataclass
 class DsdResult:
-    """Outcome of the DSD phase."""
+    """Outcome of the DSD phase: the families, nothing more."""
 
     subgraphs: list[tuple[int, ...]]
     """Final dense subgraphs as sorted tuples of global sequence indices
     (A u B after the tau test for the global reduction; B for domain)."""
-    raw: list[DenseSubgraph] = field(default_factory=list)
-    shingle_stats: list[ShingleResult] = field(default_factory=list)
 
     def sizes(self) -> list[int]:
         return sorted((len(sg) for sg in self.subgraphs), reverse=True)
@@ -35,8 +33,9 @@ def shingle_component(
     params: ShingleParams,
     min_size: int,
     tau: float,
-) -> tuple[list[tuple[int, ...]], list[DenseSubgraph], ShingleResult]:
-    """Run the Shingle algorithm + reporting filter on one component graph.
+) -> list[tuple[int, ...]]:
+    """Run the Shingle algorithm + reporting filter on one component
+    graph and answer its families (``finals``).
 
     The unit of work of the DSD phase — independent per component, so the
     execution backends (:mod:`repro.runtime`) farm it to worker
@@ -54,20 +53,13 @@ def shingle_component(
             finals = global_similarity_output(result.subgraphs, tau=tau, min_size=min_size)
     obs.count("dsd.components")
     obs.count("dsd.subgraphs", len(finals))
-    return finals, result.subgraphs, result
+    return finals
 
 
-def gather_subgraphs(
-    per_component: Iterable[tuple[list[tuple[int, ...]], list[DenseSubgraph], ShingleResult]],
-) -> DsdResult:
-    """Fold :func:`shingle_component` triples, given in component order,
+def gather_subgraphs(per_component: Iterable[list[tuple[int, ...]]]) -> DsdResult:
+    """Fold :func:`shingle_component` answers, given in component order,
     into the phase result; subgraphs are sorted canonically so the
     executor that produced them cannot show in the output."""
-    out = DsdResult(subgraphs=[])
-    for finals, raw, stats in per_component:
-        out.subgraphs.extend(finals)
-        out.raw.extend(raw)
-        out.shingle_stats.append(stats)
+    out = DsdResult(subgraphs=[sg for finals in per_component for sg in finals])
     out.subgraphs.sort(key=lambda sg: (-len(sg), sg))
     return out
-

@@ -89,7 +89,7 @@ def run_task(body: tuple, store: EncodedStore, scheme: "ScoringScheme"):
       each measured by the semiglobal DP
       (:func:`~repro.align.batch.containment_dp`);
     * ``("shingle", graph, reduction, params, min_size, tau)`` → the
-      ``(finals, raw, stats)`` triple of
+      component's families, the ``finals`` list of
       :func:`~repro.pace.densesub.shingle_component`.
 
     A pair task's pairs are ``(ia[r], ib[r])``, two int64 columns of
@@ -494,19 +494,20 @@ class Backend(abc.ABC):
         params: "ShingleParams",
         min_size: int,
         tau: float,
-    ) -> list[tuple[list[tuple[int, ...]], list, object]]:
+    ) -> list[list[tuple[int, ...]]]:
         """Run the Shingle phase over independent component graphs.
 
-        Returns one ``(finals, raw, stats)`` triple per graph, in input
-        order (components are independent, so any execution order gives
-        identical results).  Graphs are dispatched largest first (most
-        edges, ties by index), so the longest task does not start last.
+        Returns one ``finals`` list (the component's families) per
+        graph, in input order (components are independent, so any
+        execution order gives identical results).  Graphs are dispatched
+        largest first (most edges, ties by index), so the longest task
+        does not start last.
         """
         self._require_open()
         phase = self._phase_stats()
-        results: dict[int, tuple] = {}
+        results: dict[int, list] = {}
 
-        def sink(index: int, result: tuple, busy: float) -> None:
+        def sink(index: int, result: list, busy: float) -> None:
             results[index] = result
             phase.busy_seconds += busy
 

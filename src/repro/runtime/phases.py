@@ -360,8 +360,7 @@ def backend_generate_component_graphs(
 
         def absorb(ia: np.ndarray, ib: np.ndarray, table: np.ndarray) -> None:
             edge = master.is_edge(ia, ib, table)
-            for gi, gj in zip(ia[edge].tolist(), ib[edge].tolist()):
-                master.add_edge(gi, gj)
+            master.add_edges(ia[edge], ib[edge])
 
         stream = backend.alignment_stream()
         for ia, ib in _column_chunks([admitted], LOCAL_CHUNK):

@@ -58,6 +58,13 @@ def tiny_metagenome():
 
 
 @pytest.fixture(scope="session")
+def rr_dp_metagenome():
+    """53 sequences whose RR leaves a few pairs to the DP, of more than
+    one sweep at four pairs a sweep."""
+    return generate_metagenome(MetagenomeSpec(n_families=6, mean_family_size=8, seed=11))
+
+
+@pytest.fixture(scope="session")
 def domain_metagenome():
     """Domain-style families for the B_m reduction tests."""
     spec = MetagenomeSpec(

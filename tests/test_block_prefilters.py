@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.graph.bipartite import duplicate_bipartite
 from repro.graph.unionfind import UnionFind
-from repro.pace.bipartite_gen import BipartiteMaster
+from repro.pace.bipartite_gen import BipartiteMaster, ComponentGraphs
 from repro.pace.clustering import ClusteringMaster, parallel_component_detection
 from repro.pace.redundancy import (
     RedundancyMaster,
@@ -245,19 +246,23 @@ def reference_ccd(sequences, kept, backend, journal=None, replay_unions=()):
 def reference_bgg(sequences, components, backend):
     """B_d generation as a set of seen ``(component, a, b)`` items over
     the scalar walk of each component's own index, one component after
-    the other, each first sighting counted as it is made, and the stream
-    fed chunks of ``LOCAL_CHUNK`` admitted pairs across components."""
+    the other, each first sighting counted as it is made, the stream
+    fed chunks of ``LOCAL_CHUNK`` admitted pairs across components, and
+    each edge appended to its component's list as its verdict arrives."""
     master = BipartiteMaster(
         sequences, components, backend.index, psi=PSI, edge_similarity=0.40,
         edge_coverage=0.80, min_size=4,
     )
     seen: set[tuple[int, int, int]] = set()
+    edges: list[list[tuple[int, int]]] = [[] for _ in master.members]
 
     def absorb(ia, ib, table):
-        edges = master.is_edge(ia, ib, table).tolist()
-        for gi, gj, edge in zip(ia.tolist(), ib.tolist(), edges):
+        verdicts = master.is_edge(ia, ib, table).tolist()
+        for gi, gj, edge in zip(ia.tolist(), ib.tolist(), verdicts):
             if edge:
-                master.add_edge(gi, gj)
+                obs.count("bipartite.edges")
+                edges[master.component[gi]].append(
+                    (int(master.local[gi]), int(master.local[gj])))
 
     with backend.phase("bipartite"):
         stream = backend.alignment_stream()
@@ -280,8 +285,13 @@ def reference_bgg(sequences, components, backend):
             stream.submit_columns(*np.array(chunk).T)
         for done in stream.drain():
             absorb(*done)
-        result = master.result()
-    result.n_alignments = len(seen)
+        result = ComponentGraphs(components=master.members, graphs=[],
+                                 n_alignments=len(seen),
+                                 n_edges=sum(map(len, edges)))
+        for members, component_edges in zip(master.members, edges):
+            result.graphs.append(
+                duplicate_bipartite(len(members), component_edges, labels=members))
+            obs.count("bipartite.graphs")
     return result
 
 
@@ -383,8 +393,12 @@ class TestPrefiltersAreInvisible:
         assert bgg.chunks == ref_bgg.chunks
         assert bgg.counters == ref_bgg.counters
         assert bgg.result.n_alignments == ref_bgg.result.n_alignments
-        assert bgg.result.n_edges == ref_bgg.result.n_edges
-        assert bgg.result.neighbors == ref_bgg.result.neighbors
+        assert bgg.result.n_edges == ref_bgg.result.n_edges > 0
+        assert bgg.result.components == ref_bgg.result.components
+        assert [(g.offsets.tolist(), g.targets.tolist(), g.left_labels)
+                for g in bgg.result.graphs] == \
+            [(g.offsets.tolist(), g.targets.tolist(), g.left_labels)
+             for g in ref_bgg.result.graphs]
 
     def test_spans_account_for_the_stream(self, sequences, serial_session, monkeypatch):
         backend, cache = serial_session(sequences)

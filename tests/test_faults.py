@@ -49,6 +49,7 @@ from repro.obs.registry import scientific_view
 from repro.runtime import process as process_backend
 from repro.sequence.fasta import write_fasta
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
+from tests.scalar_density import adjacency
 
 SRC_DIR = Path(repro.__file__).resolve().parents[1]
 
@@ -551,6 +552,35 @@ class TestPipelineResume:
                                run_dir=tmp_path, resume=True)
         assert resumed.families == first.families
         assert resumed.obs.counters()["checkpoint.phases_skipped"] == 4
+
+    def test_journal_with_neighbors_still_resumes(self, workload, tmp_path):
+        """A bipartite record that still carries the ``"neighbors"``
+        adjacency beside its edges, CRC-framed as the older writer left
+        it, resumes to the same families and Table I row as the
+        uninterrupted run; the writer leaves that field out."""
+        pipeline = ProteinFamilyPipeline(PipelineConfig())
+        first = pipeline.run(workload, backend="serial", run_dir=tmp_path)
+        path = tmp_path / "checkpoint.jsonl"
+        records = read_journal(path)
+        bipartite = next(r for r in records if r["type"] == "phase_done"
+                         and r["phase"] == "bipartite")
+        data = bipartite["data"]
+        assert "neighbors" not in data
+        assert any(data["edges"])
+        neighbors = adjacency((members[u], members[v])
+                              for members, edges in zip(data["components"], data["edges"])
+                              for u, v in edges)
+        data["neighbors"] = {str(g): sorted(ns) for g, ns in sorted(neighbors.items())}
+        # The journal as if the run had died in DSD.
+        kept = records[:records.index(bipartite) + 1]
+        path.write_text("".join(map(_frame, kept)), encoding="utf-8")
+        assert read_journal(path) == kept
+
+        resumed = pipeline.run(workload, backend="serial", run_dir=tmp_path, resume=True)
+        assert resumed.obs.counters()["checkpoint.phases_skipped"] == 3
+        assert resumed.families == first.families
+        assert resumed.families
+        assert resumed.table1() == first.table1()
 
     def test_resume_requires_run_dir(self, workload):
         with pytest.raises(ValueError, match="resume requires run_dir"):

@@ -207,14 +207,12 @@ class TestDuplicateBipartite:
         for v in range(4):
             assert g.gamma(v).tolist() == [0, 1, 2, 3]
 
-    def test_no_self_loop_option(self):
-        g = duplicate_bipartite(3, [(0, 1)], include_self_loop=False)
-        assert g.gamma(0).tolist() == [1]
-        assert g.gamma(2).tolist() == []
-
     def test_self_edges_ignored(self):
-        g = duplicate_bipartite(2, [(0, 0)], include_self_loop=False)
-        assert g.n_edges == 0
+        """A self edge given is dropped; the self loops are always added,
+        one a vertex."""
+        g = duplicate_bipartite(3, [(0, 0), (1, 2)])
+        assert g.n_edges == 2 + 3  # (1, 2) both ways and three self loops
+        assert [g.gamma(v).tolist() for v in range(3)] == [[0], [1, 2], [1, 2]]
 
     def test_labels_carried(self):
         g = duplicate_bipartite(2, [(0, 1)], labels=[100, 200])
@@ -261,30 +259,37 @@ class TestWmerBipartite:
 
 
 class TestDensity:
+    """Degrees inside S read from the B_d graph: |Gamma(v) ∩ S| - 1."""
+
     def test_clique_density_100(self):
-        nbrs = {v: {u for u in range(4) if u != v} for v in range(4)}
-        stats = subgraph_density([0, 1, 2, 3], nbrs)
+        g = duplicate_bipartite(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+        stats = subgraph_density([0, 1, 2, 3], g)
         assert stats.density == pytest.approx(1.0)
         assert stats.mean_degree == pytest.approx(3.0)
 
     def test_path_density(self):
-        nbrs = {0: {1}, 1: {0, 2}, 2: {1}}
-        stats = subgraph_density([0, 1, 2], nbrs)
+        g = duplicate_bipartite(3, [(0, 1), (1, 2)])
+        stats = subgraph_density([0, 1, 2], g)
         assert stats.mean_degree == pytest.approx(4 / 3)
         assert stats.density == pytest.approx((4 / 3) / 2)
 
     def test_singleton(self):
-        stats = subgraph_density([7], {})
+        stats = subgraph_density([7], duplicate_bipartite(8, []))
         assert stats.density == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            subgraph_density([], {})
+            subgraph_density([], duplicate_bipartite(2, []))
 
     def test_external_edges_ignored(self):
-        nbrs = {0: {1, 99}, 1: {0, 98}}
-        stats = subgraph_density([0, 1], nbrs)
+        g = duplicate_bipartite(4, [(0, 1), (0, 3), (1, 2)])
+        stats = subgraph_density([0, 1], g)
         assert stats.mean_degree == pytest.approx(1.0)
+
+    def test_no_similarity_graph_reads_degree_zero(self):
+        """The domain reduction has no similarity graph."""
+        stats = subgraph_density([3, 5, 9], None)
+        assert (stats.size, stats.mean_degree, stats.density) == (3, 0.0, 0.0)
 
     def test_stats_validation(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,9 @@ from repro.eval.metrics import (
     quality_scores,
 )
 from repro.eval.report import Table1Row, table1_row
+from repro.graph.bipartite import duplicate_bipartite
+from repro.pace.bipartite_gen import ComponentGraphs
+from tests.scalar_density import adjacency, table1_oracle
 
 
 class TestPairConfusion:
@@ -109,13 +112,17 @@ class TestQualityScores:
 
 class TestTable1:
     def test_aggregation(self):
-        nbrs = {v: {u for u in range(5) if u != v} for v in range(5)}
+        clique = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        graphs = ComponentGraphs(
+            components=[[0, 1, 2, 3, 4]],
+            graphs=[duplicate_bipartite(5, clique, labels=[0, 1, 2, 3, 4])],
+        )
         row = table1_row(
             n_input=100,
             n_nonredundant=90,
             components=[[0, 1, 2, 3, 4], [5, 6]],
             subgraphs=[(0, 1, 2, 3, 4)],
-            neighbors=nbrs,
+            graphs=graphs,
             min_component_size=5,
         )
         assert row.n_components == 1  # the size-2 component is excluded
@@ -130,9 +137,35 @@ class TestTable1:
             n_nonredundant=10,
             components=[],
             subgraphs=[],
-            neighbors={},
+            graphs=ComponentGraphs(components=[], graphs=[]),
         )
         assert row.mean_degree == 0.0 and row.largest_ds == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_dict_of_sets_oracle(self, data):
+        """Several components with labels out of order, random edges and
+        subgraphs inside them (singletons too): the B_d reader is the
+        neighbour-set count."""
+        sizes = data.draw(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+        labels = data.draw(st.permutations(range(sum(sizes))))
+        components, graphs, subgraphs, edges = [], [], [], []
+        for n in sizes:
+            members, labels = sorted(labels[:n]), labels[n:]
+            local = data.draw(st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+            components.append(members)
+            graphs.append(duplicate_bipartite(n, local, labels=members))
+            edges += [(members[a], members[b]) for a, b in local if a != b]
+            subgraphs += [tuple(sorted(sg)) for sg in data.draw(st.lists(
+                st.sets(st.sampled_from(members), min_size=1), max_size=2))]
+        reduction = data.draw(st.sampled_from(["global", "domain"]))
+        kwargs = dict(n_input=40, n_nonredundant=30, components=components,
+                      subgraphs=subgraphs, min_component_size=3)
+        row = table1_row(**kwargs, graphs=ComponentGraphs(
+            components=components, graphs=graphs, reduction=reduction))
+        neighbors = adjacency(edges) if reduction == "global" else {}
+        assert row == table1_oracle(**kwargs, neighbors=neighbors)
 
     def test_formatting(self):
         row = Table1Row(

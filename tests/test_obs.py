@@ -21,6 +21,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.core.pipeline import ProteinFamilyPipeline
 from repro.eval.report import report_lines
 from repro.obs import (
     HOST_TRACK,
@@ -35,6 +36,7 @@ from repro.obs import (
     write_counters_json,
 )
 from repro.sequence.fasta import write_fasta
+from tests.conftest import PIPELINE_MODES
 
 
 class TestScientificCounterContract:
@@ -68,6 +70,18 @@ class TestScientificCounterContract:
         serial = mode_results["default"].obs.counters()
         assert "runtime.batches" not in serial
 
+    @staticmethod
+    def _assert_aligned_once(counters, mode):
+        admitted = (counters["rr.pairs"] + counters["ccd.alignments"]
+                    + counters["bipartite.pairs"])
+        assert admitted > 0, mode
+        assert counters["batch.pairs"] == counters["runtime.batch_pairs"] \
+            == admitted, mode
+        assert counters["runtime.pairs_done.bipartite"] \
+            == counters["bipartite.pairs"], mode
+        assert counters["runtime.pairs_done.redundancy"] \
+            == counters["rr.pairs"], mode
+
     def test_every_admitted_pair_is_aligned_once(self, mode_results):
         """No memo answers a pair: on a backend run the engine sees each
         pair RR, CCD and bipartite generation admit exactly once, and
@@ -75,16 +89,23 @@ class TestScientificCounterContract:
         pairs alone (an RR pair counted once, by the sweep that decides
         it or by the DP task that aligns it)."""
         for mode in mode_results:
-            counters = mode_results[mode].obs.counters()
-            admitted = (counters["rr.pairs"] + counters["ccd.alignments"]
-                        + counters["bipartite.pairs"])
-            assert admitted > 0, mode
-            assert counters["batch.pairs"] == counters["runtime.batch_pairs"] \
-                == admitted, mode
-            assert counters["runtime.pairs_done.bipartite"] \
-                == counters["bipartite.pairs"], mode
-            assert counters["runtime.pairs_done.redundancy"] \
-                == counters["rr.pairs"], mode
+            self._assert_aligned_once(mode_results[mode].obs.counters(), mode)
+
+    def test_every_pair_is_aligned_once_where_rr_reaches_the_dp(
+        self, rr_dp_metagenome, mode_workload
+    ):
+        """The same accounting on an input whose RR leaves pairs to the
+        ``contain_dp`` tasks (the shared tiny input leaves none), so a
+        DP pair counted twice, or not at all, shows."""
+        _, config = mode_workload
+        for mode in ("serial", "process"):
+            result = ProteinFamilyPipeline(config).run(
+                rr_dp_metagenome.sequences, **PIPELINE_MODES[mode]())
+            counters = result.obs.counters()
+            assert counters["batch.dp_pairs"] > 0, mode
+            if mode == "process":
+                assert any(s.name == "align.contain_dp" for s in result.obs.spans)
+            self._assert_aligned_once(counters, mode)
 
     def test_phase_spans_unified_across_modes(self, mode_results):
         expected = {"redundancy", "clustering", "bipartite", "dense_subgraphs"}

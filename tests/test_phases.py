@@ -7,6 +7,7 @@ reference) and at any simulated processor count (``parallel_*``).
 
 from __future__ import annotations
 
+import dataclasses
 from unittest import mock
 
 import networkx as nx
@@ -16,7 +17,9 @@ import pytest
 from repro import obs
 from repro.align import batch
 from repro.align.matrices import blosum62_scheme
+from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
+from repro.pace.bipartite_gen import BipartiteMaster
 from repro.pace.cache import AlignmentCache
 from repro.pace import clustering
 from repro.pace.clustering import parallel_component_detection
@@ -32,6 +35,7 @@ from repro.runtime.phases import (
 from repro.shingle.algorithm import ShingleParams
 from repro.suffix.matches import MaximalMatchFinder
 from tests.scalar_align import alignment_table, local_align, overlap_test
+from tests.scalar_density import adjacency, table1_oracle
 
 PSI = 10
 SMALL_SHINGLE = ShingleParams(s1=3, c1=60, s2=2, c2=25, seed=5)
@@ -298,14 +302,6 @@ class TestBipartiteGeneration:
             assert graph.n_left == graph.n_right == len(members)
             assert graph.left_labels == members
 
-    def test_neighbors_symmetric(self, small_metagenome_module, session, components):
-        cg = backend_generate_component_graphs(
-            small_metagenome_module.sequences, components, *session
-        )
-        for v, nbrs in cg.neighbors.items():
-            for u in nbrs:
-                assert v in cg.neighbors[u]
-
     def test_domain_reduction(self, small_metagenome_module, session, components):
         cg = backend_generate_component_graphs(
             small_metagenome_module.sequences,
@@ -333,6 +329,87 @@ class TestBipartiteGeneration:
         assert cg.graphs == []
 
 
+#: The runtime suites' tiny input at an edge cutoff that rejects most
+#: admitted BGG pairs (13 pairs, 4 edges), with Shingle and size cutoffs
+#: small enough that families form on those edges.
+EDGE_CUT = PipelineConfig(
+    shingle=ShingleParams(s1=2, c1=40, s2=2, c2=13),
+    min_component_size=4,
+    min_subgraph_size=2,
+    edge_similarity=0.6,
+)
+
+
+class TestEdgeCutoff:
+    """On the suite inputs every admitted BGG pair becomes an edge, so
+    only an input whose cutoff rejects pairs shows whether the B_d
+    graphs hold exactly the edges the verdicts passed."""
+
+    @staticmethod
+    def _run(sequences, config, backend, monkeypatch):
+        admitted: list[tuple[int, int]] = []
+        admit = BipartiteMaster.admit
+
+        def recording(self, a, b):
+            ia, ib = admit(self, a, b)
+            admitted.extend(zip(ia.tolist(), ib.tolist()))
+            return ia, ib
+
+        monkeypatch.setattr(BipartiteMaster, "admit", recording)
+        workers = 2 if backend == "process" else None
+        result = ProteinFamilyPipeline(config).run(sequences, backend=backend, workers=workers)
+        return result, admitted
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_edges_are_the_overlap_oracle(self, tiny_metagenome, backend, monkeypatch):
+        sequences = tiny_metagenome.sequences
+        result, admitted = self._run(sequences, EDGE_CUT, backend, monkeypatch)
+        want = {
+            (a, b) for a, b in admitted
+            if overlap_test(sequences[a].encoded, sequences[b].encoded,
+                            similarity=EDGE_CUT.edge_similarity,
+                            coverage=EDGE_CUT.edge_coverage, scheme=EDGE_CUT.scheme)[0]
+        }
+        assert (len(admitted), len(want)) == (13, 4)
+        got = set()
+        for members, graph in zip(result.graphs.components, result.graphs.graphs):
+            for v in range(graph.n_left):
+                gamma = graph.gamma(v).tolist()
+                assert v in gamma  # one self loop a vertex (Gamma is distinct)
+                for u in gamma:
+                    assert v in graph.gamma(u).tolist()  # symmetric
+                    if v < u:
+                        got.add((members[v], members[u]))
+            assert graph.n_edges == graph.n_left + 2 * sum(a in members for a, _ in want)
+        assert got == want
+        assert result.graphs.n_edges == result.obs.counters()["bipartite.edges"] == len(want)
+        # Table I reads the same edges: a subgraph there is not a clique.
+        assert result.families
+        assert result.table1().mean_density < 1.0
+        assert result.table1() == table1_oracle(
+            n_input=len(sequences),
+            n_nonredundant=result.redundancy.n_nonredundant,
+            components=result.clustering.components,
+            subgraphs=result.families,
+            neighbors=adjacency(want),
+            min_component_size=EDGE_CUT.min_component_size,
+        )
+
+    def test_no_edge_leaves_no_counter(self, tiny_metagenome, monkeypatch):
+        """At 0.7 no admitted pair passes: the graphs hold only their self
+        loops and the run has no ``bipartite.edges`` counter."""
+        config = dataclasses.replace(EDGE_CUT, edge_similarity=0.7)
+        result, admitted = self._run(tiny_metagenome.sequences, config, "serial", monkeypatch)
+        counters = result.obs.counters()
+        assert counters["bipartite.pairs"] == len(admitted) == 13
+        assert "bipartite.edges" not in counters
+        assert result.graphs.n_edges == 0
+        assert result.graphs.graphs
+        for graph in result.graphs.graphs:
+            assert [graph.gamma(v).tolist() for v in range(graph.n_left)] == \
+                [[v] for v in range(graph.n_left)]
+
+
 class TestDenseSubgraphDetection:
     @pytest.fixture(scope="class")
     def component_graphs(self, small_metagenome_module, session, rr_serial):
@@ -357,11 +434,23 @@ class TestDenseSubgraphDetection:
         for sg in dsd.subgraphs:
             assert set(sg) <= all_members
 
-    def test_shingle_stats_collected(self, component_graphs, session):
-        dsd = backend_dense_subgraph_detection(
-            component_graphs, session[0], params=SMALL_SHINGLE, min_size=5
+    def test_tasks_answer_their_families(self, component_graphs, session):
+        """A Shingle task answers its component's families and nothing
+        else; the phase result is their union in canonical order."""
+        backend = session[0]
+        answers = backend.map_components(
+            component_graphs.graphs, component_graphs.reduction, SMALL_SHINGLE, 5, 0.5
         )
-        assert len(dsd.shingle_stats) == len(component_graphs.graphs)
+        assert len(answers) == len(component_graphs.graphs)
+        for members, finals in zip(component_graphs.components, answers):
+            assert isinstance(finals, list)
+            assert all(isinstance(sg, tuple) and set(sg) <= set(members) for sg in finals)
+        dsd = backend_dense_subgraph_detection(
+            component_graphs, backend, params=SMALL_SHINGLE, min_size=5
+        )
+        assert dsd.subgraphs == sorted((sg for finals in answers for sg in finals),
+                                       key=lambda sg: (-len(sg), sg))
+        assert dsd.subgraphs
 
 
 class TestAlignmentCache:

@@ -37,7 +37,6 @@ from repro.runtime import phases
 from repro.runtime.base import Backend, PairStream, run_task
 from repro.runtime.sharedseq import EncodedStore
 from repro.runtime.phases import backend_component_detection
-from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 from repro.shingle.algorithm import ShingleParams
 from repro.runtime import (
     BackendError,
@@ -437,8 +436,11 @@ class TestOneTaskFunction:
                                   degrade=True)
             return
         inline = run_task(body, store, scheme)
-        assert len(inline) == (3 if kind == "shingle" else len(body[-1]))
-        # A pair task answers one array, a shingle task a tuple.
+        if kind == "shingle":  # the component's families, nothing else
+            assert sorted(inline) == [tuple(range(8)), tuple(range(10, 18))]
+        else:
+            assert len(inline) == len(body[-1])
+        # A pair task answers one array, a shingle task a list.
         same = (lambda a, b: a == b) if kind == "shingle" else np.array_equal
         assert same(self._via_backend(
             worker, sequences, scheme, body, degrade=False), inline)
@@ -446,11 +448,11 @@ class TestOneTaskFunction:
             master, sequences, scheme, body, degrade=True), inline)
 
 
-    def test_contain_stages_compose_to_the_columns(self):
+    def test_contain_stages_compose_to_the_columns(self, rr_dp_metagenome):
         """A ``"contain"`` task is the Myers sweep alone: a NaN row for
         each pair it leaves to the DP, and a ``"contain_dp"`` task over
         those pairs fills in exactly the rows of the one-call engine."""
-        sequences = _rr_dp_workload()
+        sequences = rr_dp_metagenome.sequences
         store = EncodedStore.from_sequences([r.encoded for r in sequences])
         scheme = blosum62_scheme()
         ia, ib = np.triu_indices(len(sequences), 1)
@@ -482,13 +484,6 @@ class TestOneTaskFunction:
         for backend in (SerialBackend(), ProcessBackend(workers=2)):
             table = self._via_backend(backend, sequences, config.scheme, body, degrade=False)
             assert table.dtype == np.int64 and np.array_equal(table, inline)
-
-
-def _rr_dp_workload():
-    """An input whose RR leaves a few pairs of more than one sweep to
-    the DP (at four pairs a sweep)."""
-    return generate_metagenome(
-        MetagenomeSpec(n_families=6, mean_family_size=8, seed=11)).sequences
 
 
 def task_key(body: tuple) -> tuple:
@@ -528,14 +523,14 @@ class TestOneTaskGrain:
                               "dense_subgraphs"}
         assert all(tasks[phase] > 1 for phase in ("redundancy", "bipartite")), tasks
 
-    def test_dp_cut_does_not_depend_on_completion_order(self, monkeypatch):
+    def test_dp_cut_does_not_depend_on_completion_order(self, rr_dp_metagenome, monkeypatch):
         """RR's ``"contain_dp"`` tasks are cut from the sweeps' undecided
         pairs in submission order: while worker 0 sleeps on the first
         sweep the later ones come back first, and the multiset of RR
         task bodies is still the serial run's.  Every DP task but the
         last holds exactly ``LOCAL_CHUNK`` pairs, and RR's progress
         counts each pair once."""
-        sequences = _rr_dp_workload()
+        sequences = rr_dp_metagenome.sequences
         delay = FaultPlan(faults=(Fault(kind="delay_task", phase="redundancy",
                                         worker=0, at_task=0, seconds=0.3),))
         seen, injected = {}, {}

@@ -48,9 +48,7 @@ def similarity_graphs(draw) -> BipartiteGraph:
     for clique in draw(st.lists(st.sets(vertex, max_size=7), max_size=3)):
         edges += [(i, j) for i in clique for j in clique if i < j]
     labels = draw(st.permutations(range(100, 100 + n)))
-    return duplicate_bipartite(
-        n, edges, labels=labels, include_self_loop=draw(st.booleans())
-    )
+    return duplicate_bipartite(n, edges, labels=labels)
 
 
 @st.composite
