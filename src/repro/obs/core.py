@@ -206,17 +206,17 @@ class Recorder:
 
     # -- cross-process shipping --------------------------------------------
 
-    def wall_spans(self) -> list[tuple[str, str, float, float]]:
-        """This recorder's spans as wall-clock tuples, for shipping to
-        another process (the worker half of the span-buffer protocol)."""
+    def wall_spans(self) -> list[tuple[str, str, float, float, tuple]]:
+        """This recorder's spans as wall-clock tuples, args kept, for
+        shipping to another process (the worker half of the protocol)."""
         to_wall = self.clock.to_wall
         with self._lock:
             return [
-                (s.name, s.cat, to_wall(s.start), to_wall(s.end))
+                (s.name, s.cat, to_wall(s.start), to_wall(s.end), s.args)
                 for s in self.spans
             ]
 
-    def absorb_wall_spans(self, spans: list[tuple[str, str, float, float]],
+    def absorb_wall_spans(self, spans: list[tuple[str, str, float, float, tuple]],
                           *, lane: int) -> None:
         """Rebase wall-clock span tuples from a worker onto this
         recorder's epoch, placing them in the given lane.
@@ -230,8 +230,8 @@ class Recorder:
         from_wall = self.clock.from_wall
         rebased = [
             Span(name=name, cat=cat, start=from_wall(start),
-                 end=from_wall(end), lane=lane)
-            for name, cat, start, end in spans
+                 end=from_wall(end), lane=lane, args=args)
+            for name, cat, start, end, args in spans
         ]
         with self._lock:
             self.spans.extend(rebased)
@@ -341,8 +341,8 @@ def gauge(name: str, value: object) -> None:
 
 
 def heartbeat(worker_index: int, busy: float | None = None) -> None:
-    """Mark worker ``worker_index`` as alive now (both runtime backends
-    call this per absorbed result); ``busy`` adds to the worker's
+    """Mark worker ``worker_index`` as alive now (per task: the serial
+    backend's master is worker 0); ``busy`` adds to the worker's
     per-lane busy-seconds counter, from which ``repro top`` derives the
     lane's busy fraction."""
     recorder = active()

@@ -39,18 +39,14 @@ def shingle_component(
 
     The unit of work of the DSD phase — independent per component, so the
     execution backends (:mod:`repro.runtime`) farm it to worker
-    processes.  Observability: counts here (and inside
-    :func:`shingle_dense_subgraphs`) land on the ambient recorder — the
-    master's directly on the serial backend, a worker-local recorder
-    shipped back with the result batch under
-    :class:`~repro.runtime.process.ProcessBackend`.
+    processes, each under its ``shingle.component`` task span
+    (:func:`repro.runtime.base.execute`).
     """
-    with obs.span("shingle.component", cat="task", left=graph.n_left):
-        result = shingle_dense_subgraphs(graph, params, min_size=1, expand_b=True)
-        if reduction == "domain":
-            finals = domain_output(result.subgraphs, min_size=min_size)
-        else:
-            finals = global_similarity_output(result.subgraphs, tau=tau, min_size=min_size)
+    result = shingle_dense_subgraphs(graph, params, min_size=1, expand_b=True)
+    if reduction == "domain":
+        finals = domain_output(result.subgraphs, min_size=min_size)
+    else:
+        finals = global_similarity_output(result.subgraphs, tau=tau, min_size=min_size)
     obs.count("dsd.components")
     obs.count("dsd.subgraphs", len(finals))
     return finals

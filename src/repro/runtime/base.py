@@ -10,9 +10,8 @@ once:
 * :func:`run_task` is the only statement of the runtime's kinds of work,
   over the session's one encoded store
   (:class:`~repro.runtime.sharedseq.EncodedStore`: a flat code buffer,
-  its offsets and lengths, in process or in shared memory).  *Where* a
-  task runs is the executor's business; *what* it computes is written
-  here and nowhere else.
+  its offsets and lengths, in process or in shared memory); every
+  executor runs it through :func:`execute`, which spans and times it.
 * :class:`PairStream` is the master side of every pair phase: int64
   index columns in (:meth:`PairStream.submit_columns`), one ``(ia, ib,
   results)`` triple per task back through ``ready``/``drain``.  Nothing
@@ -95,10 +94,9 @@ def run_task(body: tuple, store: EncodedStore, scheme: "ScoringScheme"):
     A pair task's pairs are ``(ia[r], ib[r])``, two int64 columns of
     global sequence indices into ``store``, which every pair kind hands
     the engine as they are: no list of pairs is built, and a pair task
-    answers one array, the one object a worker pickles back.  Serial
-    execution, a worker process and the process backend's in-master
-    recovery all call this function, so a task's result cannot depend
-    on where it ran.
+    answers one array, the one object a worker pickles back.  Its one
+    caller is :func:`execute`, so a task's result cannot depend on where
+    it ran.
     """
     kind = body[0]
     if kind == "local":
@@ -120,14 +118,23 @@ def run_task(body: tuple, store: EncodedStore, scheme: "ScoringScheme"):
 
 
 def task_span(body: tuple, **args: object):
-    """The task-category span a process-backend executor wraps a pair
-    task in (``align.local`` / ``align.contain`` / ``align.contain_dp``).
-    Shingle tasks record their own ``shingle.component`` span, and an
-    unknown kind gets none — :func:`run_task` rejects it."""
-    if body[0] not in ("local", "contain", "contain_dp"):
-        return contextlib.nullcontext()
-    return obs.span(f"align.{body[0]}", cat="task", pairs=len(body[-1]),
-                    **args)
+    """A task's span on every backend: ``shingle.component`` with
+    ``left=``, else ``align.<kind>`` with ``pairs=`` (``np.size``, so a
+    malformed body still reaches :func:`run_task`'s ``ValueError``)."""
+    if body[0] == "shingle":
+        return obs.span("shingle.component", cat="task", left=body[1].n_left, **args)
+    return obs.span(f"align.{body[0]}", cat="task", pairs=np.size(body[-1]), **args)
+
+
+def execute(body: tuple, store: EncodedStore, scheme: "ScoringScheme", *,
+            lane: int = obs.MASTER_LANE, **span_args: object) -> tuple[object, float]:
+    """Run one task here under its :func:`task_span` on ``lane``:
+    ``(result, seconds)``.  Every executor runs a task through this one
+    function, so every backend spans and times a task alike."""
+    start = monotonic_now()
+    with task_span(body, lane=lane, **span_args):
+        result = run_task(body, store, scheme)
+    return result, monotonic_now() - start
 
 
 @dataclass
@@ -448,7 +455,7 @@ class Backend(abc.ABC):
 
     @abc.abstractmethod
     def _dispatch(self, body: tuple, sink: Sink) -> None:
-        """Have ``run_task(body, ...)`` computed somewhere and arrange
+        """Have ``execute(body, ...)`` run somewhere and arrange
         for ``sink(result, busy_seconds)`` to be called exactly once,
         on the master, with what it returned."""
 

@@ -3,7 +3,7 @@
 Topology mirrors PaCE: one master (this process) owns all clustering
 state — promising-pair generation, the dedup sets and the union–find —
 while ``N`` worker processes are stateless engines whose whole loop is
-"receive a task body, call :func:`~repro.runtime.base.run_task` on it,
+"receive a task body, run it through :func:`~repro.runtime.base.execute`,
 send the result back".  This module is only the *placement* of that
 work:
 
@@ -37,7 +37,7 @@ we do not): every in-flight task is a ledger record keyed by a unique
 crash, OOM-kill, or a hang past ``task_deadline`` — its ledger entries
 are requeued to survivors, the worker is respawned under a bounded
 **respawn budget**, and a task that has now killed two workers is
-**quarantined**: the master runs the same ``run_task`` on it itself,
+**quarantined**: the master runs the same ``execute`` on it itself,
 isolating poison inputs.  With the budget exhausted and no workers left
 the backend degrades to in-master completion of every task instead of
 raising.  A ledger entry completes exactly once (a late result from a
@@ -66,9 +66,8 @@ from repro.runtime.base import (
     Sink,
     WorkerCrashError,
     default_worker_count,
+    execute,
     preferred_start_method,
-    run_task,
-    task_span,
 )
 from repro.runtime.sharedseq import SharedSequenceStore, StoreSpec
 from repro.util.lockwatch import named_lock
@@ -128,11 +127,10 @@ def _worker_main(worker_index: int, task_queue, result_queue,
                     time.sleep(fault[1])
             try:
                 recorder = obs.Recorder()
-                start = monotonic_now()
-                with obs.recording(recorder), task_span(body):
-                    result = run_task(body, store, scheme)
+                with obs.recording(recorder):
+                    result, seconds = execute(body, store, scheme)
                 result_queue.put(
-                    ("done", task_id, result, monotonic_now() - start,
+                    ("done", task_id, result, seconds,
                      (worker_index, recorder.wall_spans(),
                       recorder.counters()))
                 )
@@ -460,14 +458,12 @@ class ProcessBackend(Backend):
 
     def _run_in_master(self, record: _TaskRecord) -> None:
         """Execute a ledger entry on the master (quarantine or degraded
-        mode): the same ``run_task`` a worker would have run, then the
+        mode): the same ``execute`` a worker would have run, then the
         same completion.  Fault markers are never applied here —
         injection only targets workers, so a poison task's *computation*
         is clean."""
-        start = monotonic_now()
-        with task_span(record.body, in_master=True):
-            result = run_task(record.body, self._store, self._scheme)
-        busy = monotonic_now() - start
+        result, busy = execute(record.body, self._store, self._scheme,
+                               in_master=True)
         if self._complete(record.task_id) is not None:
             record.sink(result, busy)
 

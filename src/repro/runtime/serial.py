@@ -1,8 +1,9 @@
 """The reference executor: run the task now, on the master.
 
-``_dispatch`` calls :func:`~repro.runtime.base.run_task` in-line and
-hands the result straight to the sink, so a task is complete before
-``submit`` returns — the pipeline's default, and the measured baseline
+``_dispatch`` runs the task in-line through
+:func:`~repro.runtime.base.execute`, on worker 0's lane, and hands the
+result straight to the sink, so a task is complete before ``submit``
+returns — the pipeline's default, and the measured baseline
 every other backend and the simulator are compared (and result-checked)
 against.  Tasks read the session's private
 :class:`~repro.runtime.sharedseq.EncodedStore`, and a task is one phase
@@ -16,15 +17,16 @@ import time
 from typing import TYPE_CHECKING
 
 from repro import obs
-from repro.runtime.base import Backend, Sink, run_task
-from repro.util.timing import monotonic_now
+from repro.runtime.base import Backend, Sink, execute
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.faults.plan import FaultPlan
 
 
 class SerialBackend(Backend):
-    """Single-process reference backend.
+    """Single-process reference backend: the master is worker 0, so
+    its task spans sit on lane 1 and its heartbeat feeds
+    ``runtime.worker.0.busy_seconds``, as a one-worker process run's do.
 
     A :class:`~repro.faults.plan.FaultPlan` may be attached: ``delay``
     faults targeting worker 0 sleep in-line (there is only the master),
@@ -62,8 +64,6 @@ class SerialBackend(Backend):
 
     def _dispatch(self, body: tuple, sink: Sink) -> None:
         self._apply_fault(self._phase_stats().name)
-        start = monotonic_now()
-        result = run_task(body, self._store, self._scheme)
-        elapsed = monotonic_now() - start
-        obs.heartbeat(0, elapsed)
-        sink(result, elapsed)
+        result, seconds = execute(body, self._store, self._scheme, lane=1)
+        obs.heartbeat(0, seconds)
+        sink(result, seconds)

@@ -46,6 +46,7 @@ from repro.faults.plan import (
     FaultPlanError,
 )
 from repro.obs.registry import scientific_view
+from repro.runtime import base as runtime_base
 from repro.runtime import process as process_backend
 from repro.sequence.fasta import write_fasta
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
@@ -467,7 +468,7 @@ class TestChaosMatrix:
         """A ``"contain_dp"`` task that kills every worker it meets is
         computed by the master through the one task function."""
         in_master = []
-        run_task = process_backend.run_task
+        run_task = runtime_base.run_task
 
         def recording_run_task(body, store, scheme):
             in_master.append(body[0])
@@ -475,7 +476,7 @@ class TestChaosMatrix:
 
         # Forked workers inherit the wrapper, but record in their own
         # memory: the list sees the master's calls only.
-        monkeypatch.setattr(process_backend, "run_task", recording_run_task)
+        monkeypatch.setattr(runtime_base, "run_task", recording_run_task)
         plan = FaultPlan(faults=(
             Fault(kind="poison_task", phase="redundancy", at_task=1),
         ))

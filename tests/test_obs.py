@@ -103,9 +103,30 @@ class TestScientificCounterContract:
                 rr_dp_metagenome.sequences, **PIPELINE_MODES[mode]())
             counters = result.obs.counters()
             assert counters["batch.dp_pairs"] > 0, mode
-            if mode == "process":
-                assert any(s.name == "align.contain_dp" for s in result.obs.spans)
+            assert any(s.name == "align.contain_dp" for s in result.obs.spans), mode
             self._assert_aligned_once(counters, mode)
+
+    def test_three_books_of_busy_time_agree_on_serial(self, mode_results):
+        """A serial run books its busy time three ways: task spans on
+        worker 0's lane, each phase's ``PhaseStats.busy_seconds`` and
+        worker 0's heartbeat counter.  Per phase the spans come within
+        1 ms + 2% of the busy seconds and within the phase's wall; the
+        phases' busy seconds add up to the counter."""
+        result = mode_results["serial"]
+        spans = result.obs.spans
+        windows = {s.name: s for s in spans if s.cat == "phase"}
+        tasks = [s for s in spans if s.cat == "task"]
+        assert tasks and {s.lane for s in tasks} == {1}
+        for name, phase in result.runtime.phases.items():
+            window = windows[name]
+            booked = sum(s.duration for s in tasks
+                         if window.start <= (s.start + s.end) / 2 <= window.end)
+            assert booked > 0.0, name
+            assert abs(booked - phase.busy_seconds) <= 1e-3 + 0.02 * phase.busy_seconds, name
+            assert booked <= phase.wall_seconds, name
+        busy = sum(phase.busy_seconds for phase in result.runtime.phases.values())
+        assert busy == pytest.approx(
+            result.obs.counters()["runtime.worker.0.busy_seconds"], rel=1e-9)
 
     def test_phase_spans_unified_across_modes(self, mode_results):
         expected = {"redundancy", "clustering", "bipartite", "dense_subgraphs"}

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import networkx as nx
+import numpy as np
 import pytest
 
+from repro.align.matrices import blosum62_scheme
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import ProteinFamilyPipeline
 from repro.eval.metrics import compare_clusterings
@@ -11,10 +14,13 @@ from repro.obs import Recorder, recording, scientific_view
 from repro.pace.clustering import parallel_component_detection
 from repro.pace.redundancy import parallel_redundancy_removal
 from repro.parallel.simulator import VirtualCluster
+from repro.sequence.alphabet import AMINO_ACIDS
 from repro.sequence.generator import MetagenomeSpec, generate_metagenome
 from repro.sequence.record import SequenceRecord, SequenceSet
 from repro.shingle.algorithm import ShingleParams
 from tests.conftest import PIPELINE_MODES
+from tests.scalar_align import containment_verdict, overlap_test, semiglobal_align
+from tests.scalar_finder import ScalarMatchFinder
 
 FAST_SHINGLE = ShingleParams(s1=3, c1=60, s2=2, c2=25, seed=5)
 
@@ -189,6 +195,148 @@ class TestSameAnswerEveryMode:
         work = ("ccd.alignments", "ccd.filtered")
         assert reference["ccd.alignments"] > 1
         assert [counters[n] for n in work] == [reference[n] for n in work]
+
+
+def _records(prefix: str, rows) -> SequenceSet:
+    return SequenceSet(
+        SequenceRecord(id=f"{prefix}{k}", residues="".join(AMINO_ACIDS[c] for c in row))
+        for k, row in enumerate(rows)
+    )
+
+
+def near_duplicate_flood(seed=1, n=20, length=160, trim=24, rate=0.025) -> SequenceSet:
+    """Definition 1's edge: ``n`` copies of one ancestor, each trimmed by
+    up to ``trim`` residues an end and with ``rate`` of its residues
+    substituted, so their pairs sit within a point of 95% identity and of
+    95% coverage, on both sides."""
+    rng = np.random.default_rng(seed)
+    ancestor = rng.integers(0, 20, size=length)
+    rows = []
+    for _ in range(n):
+        lo, hi = rng.integers(0, trim + 1, size=2)
+        row = ancestor[lo:length - hi].copy()
+        hit = rng.random(len(row)) < rate
+        row[hit] = (row[hit] + rng.integers(1, 20, size=hit.sum())) % 20
+        rows.append(row)
+    return _records("dup", rows)
+
+
+def twilight_family(seed=1, n=18, length=150, rates=(0.6, 0.8), trim=30,
+                    fragments=3) -> SequenceSet:
+    """Definition 2's edge: each member substitutes 60–80% of one
+    ancestor's residues, each by one of the three residues BLOSUM62
+    scores best against it (so local alignments run long at low
+    identity), keeps a 14-residue core (so every pair is promising) and
+    is trimmed by up to ``trim`` residues an end; the last ``fragments``
+    keep only the ancestor's middle 60, too short to cover a member."""
+    scores = blosum62_scheme().matrix[:20, :20].astype(float)
+    np.fill_diagonal(scores, -np.inf)
+    substitutes = np.argsort(-scores, axis=1, kind="stable")[:, :3]
+    rng = np.random.default_rng(seed)
+    ancestor = rng.integers(0, 20, size=length)
+    mid = length // 2
+    rows = []
+    for k in range(n):
+        row = ancestor.copy()
+        hit = rng.random(length) < rng.uniform(*rates)
+        hit[mid - 7:mid + 7] = False
+        row[hit] = substitutes[row[hit], rng.integers(0, 3, size=hit.sum())]
+        lo, hi = rng.integers(0, trim + 1, size=2)
+        if k >= n - fragments:
+            lo, hi = mid - 30, length - mid - 30
+        rows.append(row[lo:length - hi])
+    return _records("tw", rows)
+
+
+def _promising(encoded, psi):
+    return sorted({m.pair for m in ScalarMatchFinder(encoded, min_length=psi).matches()})
+
+
+def reference_answer(sequences, config):
+    """RR and CCD one pair at a time on the scalar oracles: Definition 1
+    over every promising pair, each victim redundant; then the connected
+    components, with no filter, of the Definition 2 edges among the kept
+    sequences.  Also returns each promising pair's ``(identity,
+    coverage)`` per definition, the premises of a threshold row."""
+    encoded = [record.encoded for record in sequences]
+    contained, containments = [], []
+    for i, j in _promising(encoded, config.psi):
+        aln = semiglobal_align(encoded[i], encoded[j], config.scheme)
+        stats = aln.identity, aln.coverage_a(len(encoded[i])), aln.coverage_b(len(encoded[j]))
+        contained.append((stats[0], max(stats[1:])))
+        verdict = containment_verdict(
+            stats, i, j, len(encoded[i]), len(encoded[j]),
+            config.containment_similarity, config.containment_coverage)
+        if verdict is not None:
+            containments.append(verdict)
+    redundant = {victim for victim, _ in containments}
+    kept = [k for k in range(len(encoded)) if k not in redundant]
+    sub = [encoded[k] for k in kept]
+    graph = nx.Graph()
+    graph.add_nodes_from(kept)
+    overlaps = []
+    for a, b in _promising(sub, config.psi):
+        ok, aln = overlap_test(sub[a], sub[b], similarity=config.overlap_similarity,
+                               coverage=config.overlap_coverage, scheme=config.scheme)
+        span = max(aln.a_end - aln.a_start, aln.b_end - aln.b_start)
+        overlaps.append((aln.identity, span / max(len(sub[a]), len(sub[b]))))
+        if ok:
+            graph.add_edge(kept[a], kept[b])
+    return {"redundant": redundant, "containments": sorted(containments),
+            "components": sorted(sorted(c) for c in nx.connected_components(graph)),
+            "contained": np.array(contained), "overlaps": np.array(overlaps)}
+
+
+THRESHOLD_ROWS = {"near_duplicate_flood": near_duplicate_flood,
+                  "twilight_family": twilight_family}
+
+
+class TestThresholdEdgeRows:
+    """Inputs on the edge of each definition's thresholds, where every
+    mode must give the answer of the scalar oracles — not only that of
+    the default run, which a bug every mode shares would also give."""
+
+    CONFIG = PipelineConfig(shingle=ShingleParams(s1=3, c1=40, s2=3, c2=13),
+                            min_component_size=4, min_subgraph_size=4)
+
+    @pytest.fixture(scope="class", params=list(THRESHOLD_ROWS))
+    def row(self, request):
+        sequences = THRESHOLD_ROWS[request.param]()
+        return request.param, sequences, reference_answer(sequences, self.CONFIG)
+
+    @staticmethod
+    def _straddles(values, threshold, within=1.0):
+        return (((values < threshold) & (values >= threshold - within)).any()
+                and ((values >= threshold) & (values <= threshold + within)).any())
+
+    def test_premises(self, row):
+        """The flood's pairs sit within a point of both Definition 1
+        thresholds, on both sides; the twilight family's straddle both
+        Definition 2 thresholds, and its components are more than one."""
+        name, _, want = row
+        config = self.CONFIG
+        if name == "near_duplicate_flood":
+            identity, coverage = want["contained"].T
+            assert self._straddles(identity, config.containment_similarity, 0.01)
+            assert self._straddles(coverage, config.containment_coverage, 0.01)
+            assert want["redundant"]
+        else:
+            identity, coverage = want["overlaps"].T
+            assert self._straddles(identity, config.overlap_similarity)
+            assert self._straddles(coverage, config.overlap_coverage)
+            assert len(want["components"]) > 1
+
+    @pytest.mark.parametrize("mode", list(PIPELINE_MODES))
+    def test_mode_gives_the_oracle_answer(self, row, mode):
+        name, sequences, want = row
+        result = ProteinFamilyPipeline(self.CONFIG).run(sequences, **PIPELINE_MODES[mode]())
+        assert result.redundancy.redundant == want["redundant"]
+        assert sorted(result.redundancy.containments) == want["containments"]
+        assert sorted(map(sorted, result.clustering.components)) == want["components"]
+        if name == "near_duplicate_flood":
+            counters = result.obs.counters()
+            assert counters["batch.myers_rejects"] > 0
+            assert counters["batch.dp_pairs"] > 0
 
 
 @pytest.fixture(scope="module")

@@ -240,3 +240,14 @@ def test_help_names_exactly_the_verbs_readme_documents():
     # at the start of an inline code span or of a shell line.
     documented = set(re.findall(r"(?:`|^)repro ([a-z][a-z-]*)", readme, re.M))
     assert documented == verbs
+
+
+#: DESIGN.md's size in bytes.  It may shrink; it grows only by raising
+#: this number in the same change, which then says why.
+DESIGN_BYTES_BUDGET = 88_704
+
+
+def test_design_stays_within_its_byte_budget():
+    size = len((REPO_ROOT / "DESIGN.md").read_bytes())
+    assert size <= DESIGN_BYTES_BUDGET, (
+        f"DESIGN.md is {size:,d} bytes, over its budget of {DESIGN_BYTES_BUDGET:,d}")

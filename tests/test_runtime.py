@@ -523,6 +523,40 @@ class TestOneTaskGrain:
                               "dense_subgraphs"}
         assert all(tasks[phase] > 1 for phase in ("redundancy", "bipartite")), tasks
 
+    def test_every_backend_spans_the_serial_tasks(self, workload, monkeypatch):
+        """Per phase, the serial backend and two worker processes record
+        the same multiset of task spans — name, and ``pairs`` or
+        ``left`` — one per dispatched task, on worker 0's lane serially
+        and on the worker lanes otherwise."""
+        sequences, config = workload
+        seen = {}
+        for backend in (SerialBackend(), ProcessBackend(workers=2)):
+            dispatched: Counter = Counter()
+            real = type(backend)._dispatch
+
+            def counting(self, body, sink, real=real, dispatched=dispatched):
+                dispatched[self._phase_stats().name] += 1
+                real(self, body, sink)
+
+            monkeypatch.setattr(type(backend), "_dispatch", counting)
+            with mock.patch.object(phases, "RR_CHUNK", 4), \
+                    mock.patch.object(phases, "LOCAL_CHUNK", 4):
+                spans = ProteinFamilyPipeline(config).run(sequences, backend=backend).obs.spans
+            windows = [s for s in spans if s.cat == "phase"]
+            per_phase: defaultdict[str, Counter] = defaultdict(Counter)
+            lanes = set()
+            for span in (s for s in spans if s.cat == "task"):
+                mid = (span.start + span.end) / 2
+                (phase,) = [w.name for w in windows if w.start <= mid <= w.end]
+                args = dict(span.args)
+                per_phase[phase][span.name, args.get("pairs", args.get("left"))] += 1
+                lanes.add(span.lane)
+            assert {phase: sum(c.values()) for phase, c in per_phase.items()} == dispatched
+            seen[backend.name] = dict(per_phase), lanes
+        assert seen["process"][0] == seen["serial"][0]
+        assert seen["serial"][1] == {1}
+        assert seen["process"][1] <= {1, 2}
+
     def test_dp_cut_does_not_depend_on_completion_order(self, rr_dp_metagenome, monkeypatch):
         """RR's ``"contain_dp"`` tasks are cut from the sweeps' undecided
         pairs in submission order: while worker 0 sleeps on the first
